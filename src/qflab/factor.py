@@ -23,6 +23,7 @@ from .fpn_core import (
     GroupSpace,
     GroupVector,
     SymmetricForm,
+    nullspace_mod_p,
     rank_mod_p,
     space,
 )
@@ -104,7 +105,36 @@ class DirectionTuple3:
             object.__setattr__(self, name, tuple(int(v) % self.p for v in getattr(self, name)))
 
 
-class LinearFactor:
+class _LabelIndex:
+    """Canonical-index members grouped by joint label.
+
+    Subclasses set `p`, the label `width` and a `label_table` of shape
+    (p^n, width); a label's code is its little-endian base-p value.
+    """
+
+    p: int
+    width: int
+    label_table: np.ndarray
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return self.label_table @ (self.p ** np.arange(self.width, dtype=np.int64))
+
+    @cached_property
+    def _members_by_code(self) -> list[np.ndarray]:
+        count = self.p ** self.width
+        order = np.argsort(self._codes, kind="stable")
+        bounds = np.searchsorted(self._codes[order], np.arange(count + 1))
+        return [order[bounds[c]: bounds[c + 1]] for c in range(count)]
+
+    def label_code(self, label) -> int:
+        vals = _label_values(label)
+        if len(vals) != self.width:
+            raise ValueError(f"label length {len(vals)} != {self.width}")
+        return sum((int(v) % self.p) * self.p ** i for i, v in enumerate(vals))
+
+
+class LinearFactor(_LabelIndex):
     """l linearly independent vectors partitioning F_p^n into p^l cosets."""
 
     def __init__(self, p: int, n: int, vectors: tuple[GroupVector, ...], cap: int = DEFAULT_ENUM_CAP) -> None:
@@ -120,7 +150,7 @@ class LinearFactor:
         self.p = p
         self.n = n
         self.vectors = tuple(vectors)
-        self.ell = len(rows)
+        self.ell = self.width = len(rows)
         self.space: GroupSpace = GroupSpace(p, n, cap=cap)
         self._rows = np.array(rows, dtype=np.int64).reshape(self.ell, n)
 
@@ -129,23 +159,6 @@ class LinearFactor:
         """Per-index linear labels, shape (p^n, l)."""
         digits = self.space.digits.astype(np.int64)
         return (digits @ self._rows.T) % self.p
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        pows = self.p ** np.arange(self.ell, dtype=np.int64)
-        return self.label_table @ pows
-
-    @cached_property
-    def _members_by_code(self) -> list[np.ndarray]:
-        order = np.argsort(self._codes, kind="stable")
-        sorted_codes = self._codes[order]
-        bounds = np.searchsorted(sorted_codes, np.arange(self.p ** self.ell + 1))
-        return [order[bounds[c]: bounds[c + 1]] for c in range(self.p ** self.ell)]
-
-    def label_code(self, label: tuple[int, ...]) -> int:
-        if len(label) != self.ell:
-            raise ValueError(f"label length {len(label)} != {self.ell}")
-        return sum((int(v) % self.p) * self.p ** i for i, v in enumerate(label))
 
     def coset_indices(self, label: tuple[int, ...]) -> np.ndarray:
         """Canonical-index members of the coset L(label); size is p^(n-l)."""
@@ -156,8 +169,6 @@ class LinearFactor:
 
     def subgroup_basis(self) -> list[GroupVector]:
         """Basis of the kernel coset L(0), from mod-p row reduction."""
-        from .fpn_core import nullspace_mod_p
-
         if self.ell == 0:
             basis = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
         else:
@@ -165,7 +176,7 @@ class LinearFactor:
         return [GroupVector(self.p, b) for b in basis]
 
 
-class QuadraticFactor:
+class QuadraticFactor(_LabelIndex):
     """A linear factor refined by joint level sets of symmetric forms."""
 
     def __init__(self, linear: LinearFactor, forms: tuple[SymmetricForm, ...]) -> None:
@@ -180,6 +191,7 @@ class QuadraticFactor:
         self.n = linear.n
         self.ell = linear.ell
         self.q = len(forms)
+        self.width = self.ell + self.q
         self.space = linear.space
         self.rank = self._compute_rank()
 
@@ -206,26 +218,7 @@ class QuadraticFactor:
         for m in self.forms:
             vals = np.einsum("xi,ij,xj->x", digits, m.as_array(), digits) % self.p
             cols.append(vals[:, None])
-        return np.concatenate(cols, axis=1) if cols else np.zeros((self.space.size, 0), dtype=np.int64)
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        width = self.ell + self.q
-        pows = self.p ** np.arange(width, dtype=np.int64)
-        return self.label_table @ pows
-
-    @cached_property
-    def _members_by_code(self) -> list[np.ndarray]:
-        order = np.argsort(self._codes, kind="stable")
-        sorted_codes = self._codes[order]
-        bounds = np.searchsorted(sorted_codes, np.arange(self.p ** (self.ell + self.q) + 1))
-        return [order[bounds[c]: bounds[c + 1]] for c in range(self.p ** (self.ell + self.q))]
-
-    def label_code(self, label) -> int:
-        vals = _label_values(label)
-        if len(vals) != self.ell + self.q:
-            raise ValueError(f"label length {len(vals)} != {self.ell + self.q}")
-        return sum((int(v) % self.p) * self.p ** i for i, v in enumerate(vals))
+        return np.concatenate(cols, axis=1)
 
     def atom_indices(self, label) -> np.ndarray:
         return self._members_by_code[self.label_code(label)]
@@ -290,24 +283,7 @@ class BilinearLevelSet:
             raise ValueError(f"label length {len(label)} != q = {factor.q}")
         self.factor = factor
         self.label = label
-        self.size = self._count()
-
-    def _count(self) -> int:
-        p, n = self.factor.p, self.factor.n
-        sp = self.factor.space
-        digits = sp.digits.astype(np.int64)
-        target = np.array(self.label.values, dtype=np.int64)
-        total = 0
-        # chunk over x rows to keep the pair matrices small
-        chunk = max(1, (1 << 22) // max(sp.size, 1))
-        for start in range(0, sp.size, chunk):
-            block = digits[start:start + chunk]
-            ok = np.ones((block.shape[0], sp.size), dtype=bool)
-            for j, m in enumerate(self.factor.forms):
-                vals = (block @ m.as_array() @ digits.T) % p
-                ok &= vals == target[j]
-            total += int(ok.sum())
-        return total
+        self.size = beta_sizes_cached(factor)[label.values]
 
     @property
     def mu(self) -> Fraction:
@@ -316,24 +292,11 @@ class BilinearLevelSet:
         return Fraction(self.factor.p ** (2 * self.factor.n), self.size)
 
     def contains(self, x: GroupVector, y: GroupVector) -> bool:
-        for j, m in enumerate(self.factor.forms):
-            xv = np.array(x.coords, dtype=np.int64)
-            yv = np.array(y.coords, dtype=np.int64)
-            if int(xv @ m.as_array() @ yv % self.factor.p) != self.label.values[j]:
-                return False
-        return True
+        return bool(self.pair_mask([x.index], [y.index])[0, 0])
 
     def pair_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Boolean membership matrix over two canonical-index arrays."""
-        p = self.factor.p
-        digits = self.factor.space.digits.astype(np.int64)
-        dx = digits[np.asarray(xs)]
-        dy = digits[np.asarray(ys)]
-        ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
-        for j, m in enumerate(self.factor.forms):
-            vals = (dx @ m.as_array() @ dy.T) % p
-            ok &= vals == self.label.values[j]
-        return ok
+        return bilinear_pair_mask(self.factor, self.label.values, xs, ys)
 
 
 def bilinear_level_set(factor: QuadraticFactor, blabel) -> BilinearLevelSet:

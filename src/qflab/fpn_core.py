@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,35 +52,6 @@ def check_finite(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite scalar {z!r}")
     return z
-
-
-def compensated_sum(values: np.ndarray, chunk: int = 4096) -> float:
-    """Chunked compensated (Kahan) reduction with a fixed chunk order.
-
-    The chunk boundaries depend only on the array length, never on worker
-    count, so parallel callers that sum chunks independently and then combine
-    them in index order reproduce this result bit for bit.
-    """
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    partials = []
-    for start in range(0, flat.size, chunk):
-        block = flat[start:start + chunk]
-        s = 0.0
-        c = 0.0
-        for v in block.tolist():
-            y = v - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        partials.append(s)
-    s = 0.0
-    c = 0.0
-    for v in partials:
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -258,60 +229,41 @@ class SymmetricForm:
         return int(v @ self.as_array() @ v % self.p)
 
 
+def _row_reduce(m: np.ndarray, p: int) -> list[int]:
+    """Bring the 2-D array m, entries already reduced mod p, to reduced row
+    echelon form over F_p in place; return the pivot columns in order."""
+    rows, cols = m.shape
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        pivot = next((r for r in range(rank, rows) if m[r, col] != 0), None)
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = (m[rank] * pow(int(m[rank, col]), p - 2, p)) % p
+        for r in range(rows):
+            if r != rank and m[r, col] != 0:
+                m[r] = (m[r] - m[r, col] * m[rank]) % p
+        pivots.append(col)
+    return pivots
+
+
 def rank_mod_p(matrix, p: int) -> int:
     """Rank of an integer matrix over F_p by Gaussian elimination."""
     m = np.array(matrix, dtype=np.int64) % p
     if m.size == 0:
         return 0
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col] % p != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and m[r, col] % p != 0:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_row_reduce(m, p))
 
 
 def nullspace_mod_p(matrix, p: int, n: int) -> list[tuple[int, ...]]:
     """Basis of {x in F_p^n : matrix @ x = 0}, canonical (RREF-derived) order."""
-    m = np.array(matrix, dtype=np.int64).reshape(-1, n) % p
-    rows = m.shape[0]
-    # reduced row echelon form
-    pivots = []
-    rank = 0
-    work = m.copy()
-    for col in range(n):
-        pivot = None
-        for r in range(rank, rows):
-            if work[r, col] % p != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        inv = pow(int(work[rank, col]), p - 2, p)
-        work[rank] = (work[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and work[r, col] % p != 0:
-                work[r] = (work[r] - work[r, col] * work[rank]) % p
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    work = np.array(matrix, dtype=np.int64).reshape(-1, n) % p
+    pivots = _row_reduce(work, p)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[fc] = 1
         for r, pc in enumerate(pivots):
@@ -507,9 +459,10 @@ def linear_char_sum_multi(rs: list[GroupVector]) -> tuple[CyclotomicValue, Compl
     """Joint version over independent variables y_1, ..., y_t, one per r_i.
 
     E over all y_i of omega^(sum r_i . y_i) is 1 exactly when every r_i = 0.
+    The prime is read from the vectors, so at least one is required.
     """
     if not rs:
-        return CyclotomicValue.one(3), complex(1.0)
+        raise ValueError("no vectors given, so the prime is unknown")
     p = rs[0].p
     total = p ** sum(r.n for r in rs)
     if all(r.is_zero() for r in rs):

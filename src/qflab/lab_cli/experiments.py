@@ -5,18 +5,17 @@ Kinds:
     trend   margins tracked across a scale parameter; annotate, never fail
     report  raw distributions with no single verdict
 
-Every runner is a pure function of (config, seed): trials derive their
-randomness from per-trial generator streams, so reports are byte-identical
-regardless of the worker thread count. Runners also count the scalar terms
-they actually touch; `estimate` predicts the same count from the config
-alone (for local experiments, from the factor's atom-size histogram) and
-must land within 10x.
+Every runner is a pure function of (config, seed) and runs its trials in
+one sequential loop: trial i draws from its own generator stream
+_trial_rng(seed, i, ...), so reports are byte-identical from run to run.
+Runners also count the scalar terms they actually touch; `estimate`
+predicts the same count from the config alone (for local experiments,
+from the factor's atom-size histogram) and must land within 10x.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -88,7 +87,6 @@ from ..spectral import (
     u3_inner,
     u3_norm,
 )
-from . import configio
 from .reporting import (
     aggregate_from,
     build_report,
@@ -191,13 +189,6 @@ def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor,
     raise DegenerateContext(f"no nondegenerate direction found: {last}")
 
 
-def _map_trials(count: int, threads: int, fn: Callable) -> list:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 def _atom_stats(factor: QuadraticFactor) -> tuple[float, float]:
     """(mean, mean of squares) of atom sizes over all labels, for cost
     prediction; labels in local experiments are sampled uniformly."""
@@ -223,17 +214,15 @@ def _trend_result(trials: list, values: list, terms: int) -> RunResult:
 # transform identities
 # ---------------------------------------------------------------------------
 
-def _run_parseval(cfg: dict, threads: int) -> RunResult:
+def _run_parseval(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         f = _gaussian_fn(_trial_rng(cfg["seed"], i), p, n)
         spec = fourier_transform(f)
         err = abs(f.l2_norm() ** 2 - spec.l2() ** 2)
-        return make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol)
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol))
     return _hard_result(trials, cfg["trials"] * (size * p * n + 2 * size))
 
 
@@ -242,24 +231,20 @@ def _est_parseval(cfg: dict) -> int:
     return cfg["trials"] * (size * cfg["p"] * cfg["n"] + 2 * size)
 
 
-def _run_roundtrip(cfg: dict, threads: int) -> RunResult:
+def _run_roundtrip(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> list[dict]:
+    trials = []
+    for i in range(cfg["trials"]):
         f = _gaussian_fn(_trial_rng(cfg["seed"], i), p, n)
         spec = fourier_transform(f)
         back = inverse_transform(spec)
         err1 = float(np.max(np.abs(back.values - f.values)))
         err2 = float(np.max(np.abs(fourier_transform_naive(f).table - spec.table)))
         base = {"seed": cfg["seed"], "trial": i}
-        return [
-            make_trial(2 * i, base | {"check": "roundtrip"}, err1, tol),
-            make_trial(2 * i + 1, base | {"check": "naive-agree"}, err2, NAIVE_FT_TOL),
-        ]
-
-    rows = _map_trials(cfg["trials"], threads, one)
-    trials = [r for pair in rows for r in pair]
+        trials.append(make_trial(2 * i, base | {"check": "roundtrip"}, err1, tol))
+        trials.append(make_trial(2 * i + 1, base | {"check": "naive-agree"},
+                                 err2, NAIVE_FT_TOL))
     return _hard_result(trials, cfg["trials"] * (2 * size * p * n + size * size))
 
 
@@ -268,20 +253,18 @@ def _est_roundtrip(cfg: dict) -> int:
     return cfg["trials"] * (2 * size * cfg["p"] * cfg["n"] + size * size)
 
 
-def _run_u2_equiv(cfg: dict, threads: int) -> RunResult:
+def _run_u2_equiv(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
         via_corr = u2_norm(f) ** 4
         via_spectrum = fourier_transform(f).l4_fourth()
         err = abs(via_corr - via_spectrum)
-        return make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
-                          detail={"u2_fourth": via_corr,
-                                  "spectrum_fourth": via_spectrum})
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
+                                 detail={"u2_fourth": via_corr,
+                                         "spectrum_fourth": via_spectrum}))
     return _hard_result(trials, cfg["trials"] * (size * size + size * p * n))
 
 
@@ -294,11 +277,11 @@ def _est_u2_equiv(cfg: dict) -> int:
 # inner-product inequalities
 # ---------------------------------------------------------------------------
 
-def _run_gcs(cfg: dict, threads: int) -> RunResult:
+def _run_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> list[dict]:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         quad = [_bounded_fn(rng, p, n) for _ in range(4)]
         octu = [_bounded_fn(rng, p, n) for _ in range(8)]
@@ -307,14 +290,9 @@ def _run_gcs(cfg: dict, threads: int) -> RunResult:
         obs3 = abs(u3_inner(octu))
         bnd3 = math.prod(u3_norm(g) for g in octu)
         base = {"seed": cfg["seed"], "trial": i}
-        return [
-            make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol),
-            make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol),
-        ]
-
-    rows = _map_trials(cfg["trials"], threads, one)
-    return _hard_result([r for pair in rows for r in pair],
-                        cfg["trials"] * (5 * size ** 2 + 18 * size ** 5))
+        trials.append(make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol))
+        trials.append(make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol))
+    return _hard_result(trials, cfg["trials"] * (5 * size ** 2 + 18 * size ** 5))
 
 
 def _est_gcs(cfg: dict) -> int:
@@ -322,12 +300,12 @@ def _est_gcs(cfg: dict) -> int:
     return cfg["trials"] * (5 * size ** 2 + 18 * size ** 5)
 
 
-def _run_local_gcs(cfg: dict, threads: int) -> RunResult:
+def _run_local_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
     linear = factor.linear
-
-    def one(i: int) -> tuple[list[dict], int]:
+    trials, terms = [], 0
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         base = {"seed": cfg["seed"], "trial": i}
         d2 = DirectionTuple2(p, _label(rng, p, linear.ell), _label(rng, p, linear.ell))
@@ -335,28 +313,23 @@ def _run_local_gcs(cfg: dict, threads: int) -> RunResult:
         quad = [_bounded_fn(rng, p, n) for _ in range(4)]
         obs2 = abs(local_u2_inner(ctx2, *quad))
         bnd2 = math.prod(local_u2_norm(ctx2, g) for g in quad)
-        rows = [make_trial(2 * i, base | {"norm": "local-u2", "d": [d2.a1, d2.a2]},
-                           obs2, bnd2 + tol)]
-        nterms = 5 * ctx2.xs.size ** 3
+        trials.append(make_trial(2 * i, base | {"norm": "local-u2", "d": [d2.a1, d2.a2]},
+                                 obs2, bnd2 + tol))
+        terms += 5 * ctx2.xs.size ** 3
         try:
             ctx3, d3 = _nondeg_ctx3(rng, factor)
         except DegenerateContext as exc:
-            rows.append(make_degenerate(2 * i + 1, base, str(exc)))
-            return rows, nterms
+            trials.append(make_degenerate(2 * i + 1, base, str(exc)))
+            continue
         octu = [_bounded_fn(rng, p, n) for _ in range(8)]
         obs3 = abs(local_u3_inner(ctx3, octu))
-        norms = [local_u3_norm(ctx3, g) for g in octu]
-        bnd3 = math.prod(norms)
+        bnd3 = math.prod(local_u3_norm(ctx3, g) for g in octu)
         scale = max(1.0, bnd3)
-        rows.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(d3.a1)},
-                               obs3, bnd3 + tol * scale, detail={"scale": scale}))
+        trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(d3.a1)},
+                                 obs3, bnd3 + tol * scale, detail={"scale": scale}))
         s1, s2, s3 = ctx3.xs.size, ctx3.ys.size, ctx3.zs.size
-        nterms += 18 * s1 * s1 * s2 * s2 * s3
-        return rows, nterms
-
-    packs = _map_trials(cfg["trials"], threads, one)
-    return _hard_result([r for rows, _ in packs for r in rows],
-                        sum(n_ for _, n_ in packs))
+        terms += 18 * s1 * s1 * s2 * s2 * s3
+    return _hard_result(trials, terms)
 
 
 def _est_local_gcs(cfg: dict) -> int:
@@ -367,31 +340,24 @@ def _est_local_gcs(cfg: dict) -> int:
     return int(cfg["trials"] * (5 * coset ** 3 + 18 * s2mean * s2mean * smean))
 
 
-def _run_triangle(cfg: dict, threads: int) -> RunResult:
+def _run_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> list[dict]:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f = _bounded_fn(rng, p, n)
         g = _bounded_fn(rng, p, n)
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         base = {"seed": cfg["seed"], "trial": i}
-        rows = []
-        for tag, norm in (("u2", u2_norm), ("u3", u3_norm)):
+        for k, (tag, norm) in enumerate((("u2", u2_norm), ("u3", u3_norm))):
             tri = norm(f + g)
-            rows.append(make_trial(len(rows), base | {"check": f"{tag}-triangle"},
-                                   tri, norm(f) + norm(g) + tol))
+            trials.append(make_trial(4 * i + 2 * k, base | {"check": f"{tag}-triangle"},
+                                     tri, norm(f) + norm(g) + tol))
             hom = abs(norm(f.scale(c)) - abs(c) * norm(f))
-            rows.append(make_trial(len(rows), base | {"check": f"{tag}-homogeneous"},
-                                   hom, tol))
-        for j, r in enumerate(rows):
-            r["trial"] = 4 * i + j
-        return rows
-
-    rows = _map_trials(cfg["trials"], threads, one)
-    return _hard_result([r for pack in rows for r in pack],
-                        cfg["trials"] * (10 * size ** 2 + 10 * size ** 5))
+            trials.append(make_trial(4 * i + 2 * k + 1,
+                                     base | {"check": f"{tag}-homogeneous"}, hom, tol))
+    return _hard_result(trials, cfg["trials"] * (10 * size ** 2 + 10 * size ** 5))
 
 
 def _est_triangle(cfg: dict) -> int:
@@ -399,41 +365,35 @@ def _est_triangle(cfg: dict) -> int:
     return cfg["trials"] * (10 * size ** 2 + 10 * size ** 5)
 
 
-def _run_local_triangle(cfg: dict, threads: int) -> RunResult:
+def _run_local_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
     linear = factor.linear
-
-    def one(i: int) -> tuple[list[dict], int]:
+    trials, terms = [], 0
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f = _bounded_fn(rng, p, n)
         g = _bounded_fn(rng, p, n)
         base = {"seed": cfg["seed"], "trial": i}
         d2 = DirectionTuple2(p, _label(rng, p, linear.ell), _label(rng, p, linear.ell))
         ctx2 = LocalContext2(linear, d2)
-        rows = [make_trial(0, base | {"check": "local-u2-triangle"},
-                           local_u2_norm(ctx2, f + g),
-                           local_u2_norm(ctx2, f) + local_u2_norm(ctx2, g) + tol)]
-        nterms = 3 * ctx2.xs.size ** 3
+        trials.append(make_trial(2 * i, base | {"check": "local-u2-triangle"},
+                                 local_u2_norm(ctx2, f + g),
+                                 local_u2_norm(ctx2, f) + local_u2_norm(ctx2, g) + tol))
+        terms += 3 * ctx2.xs.size ** 3
         try:
             ctx3, _ = _nondeg_ctx3(rng, factor)
         except DegenerateContext as exc:
-            rows.append(make_degenerate(1, base, str(exc)))
-        else:
-            nf, ng = local_u3_norm(ctx3, f), local_u3_norm(ctx3, g)
-            scale = max(1.0, nf + ng)
-            rows.append(make_trial(1, base | {"check": "local-u3-triangle"},
-                                   local_u3_norm(ctx3, f + g),
-                                   nf + ng + tol * scale, detail={"scale": scale}))
-            s1, s2, s3 = ctx3.xs.size, ctx3.ys.size, ctx3.zs.size
-            nterms += 6 * s1 * s1 * s2 * s2 * s3
-        for j, r in enumerate(rows):
-            r["trial"] = 2 * i + j
-        return rows, nterms
-
-    packs = _map_trials(cfg["trials"], threads, one)
-    return _hard_result([r for rows, _ in packs for r in rows],
-                        sum(n_ for _, n_ in packs))
+            trials.append(make_degenerate(2 * i + 1, base, str(exc)))
+            continue
+        nf, ng = local_u3_norm(ctx3, f), local_u3_norm(ctx3, g)
+        scale = max(1.0, nf + ng)
+        trials.append(make_trial(2 * i + 1, base | {"check": "local-u3-triangle"},
+                                 local_u3_norm(ctx3, f + g),
+                                 nf + ng + tol * scale, detail={"scale": scale}))
+        s1, s2, s3 = ctx3.xs.size, ctx3.ys.size, ctx3.zs.size
+        terms += 6 * s1 * s1 * s2 * s2 * s3
+    return _hard_result(trials, terms)
 
 
 def _est_local_triangle(cfg: dict) -> int:
@@ -444,29 +404,25 @@ def _est_local_triangle(cfg: dict) -> int:
     return int(cfg["trials"] * (3 * coset ** 3 + 6 * s2mean * s2mean * smean))
 
 
-def _run_u3_dominates(cfg: dict, threads: int) -> RunResult:
+def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
-
-    def one(i: int) -> list[dict]:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f = _bounded_fn(rng, p, n)
         base = {"seed": cfg["seed"], "trial": i}
-        rows = [make_trial(2 * i, base | {"check": "global"},
-                           u2_norm(f), u3_norm(f) + tol)]
+        trials.append(make_trial(2 * i, base | {"check": "global"},
+                                 u2_norm(f), u3_norm(f) + tol))
         a1 = _label(rng, p, linear.ell)
         a2 = _label(rng, p, linear.ell)
         a3 = _label(rng, p, linear.ell)
         u3val, u2val, _ = local_u3_dominates_check(linear, a1, a2, a3, f, tol)
-        rows.append(make_trial(2 * i + 1, base | {"check": "local", "d": [a1, a2, a3]},
-                               u2val, u3val + tol))
-        return rows
-
-    rows = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(2 * i + 1, base | {"check": "local", "d": [a1, a2, a3]},
+                                 u2val, u3val + tol))
     coset = p ** (n - cfg["ell"])
-    return _hard_result([r for pair in rows for r in pair],
-                        cfg["trials"] * (size ** 2 + 2 * size ** 5 + 3 * coset ** 5))
+    return _hard_result(trials, cfg["trials"] * (size ** 2 + 2 * size ** 5 + 3 * coset ** 5))
 
 
 def _est_u3_dominates(cfg: dict) -> int:
@@ -475,17 +431,15 @@ def _est_u3_dominates(cfg: dict) -> int:
     return cfg["trials"] * (size ** 2 + 2 * size ** 5 + 3 * coset ** 5)
 
 
-def _run_ap3(cfg: dict, threads: int) -> RunResult:
+def _run_ap3(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
         obs = abs(ap3_average(f))
         bnd = fourier_transform(f).sup() + tol
-        return make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd)
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     return _hard_result(trials, cfg["trials"] * (size ** 2 + size * p * n))
 
 
@@ -494,25 +448,21 @@ def _est_ap3(cfg: dict) -> int:
     return cfg["trials"] * (size ** 2 + size * cfg["p"] * cfg["n"])
 
 
-def _run_ap4(cfg: dict, threads: int) -> RunResult:
+def _run_ap4(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> list[dict]:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         base = {"seed": cfg["seed"], "trial": i}
         f = _bounded_fn(rng, p, n)
-        rows = [make_trial(2 * i, base | {"f": "sup-bounded"},
-                           abs(ap4_average(f)), u3_norm(f) + tol)]
+        trials.append(make_trial(2 * i, base | {"f": "sup-bounded"},
+                                 abs(ap4_average(f)), u3_norm(f) + tol))
         g = _gaussian_fn(rng, p, n)
         g = g.scale(1.0 / max(g.l2_norm(), 1e-30))
-        rows.append(make_trial(2 * i + 1, base | {"f": "l2-normalized"},
-                               abs(ap4_average(g)), u3_norm(g) + tol))
-        return rows
-
-    rows = _map_trials(cfg["trials"], threads, one)
-    return _hard_result([r for pair in rows for r in pair],
-                        cfg["trials"] * (2 * size ** 2 + 4 * size ** 5))
+        trials.append(make_trial(2 * i + 1, base | {"f": "l2-normalized"},
+                                 abs(ap4_average(g)), u3_norm(g) + tol))
+    return _hard_result(trials, cfg["trials"] * (2 * size ** 2 + 4 * size ** 5))
 
 
 def _est_ap4(cfg: dict) -> int:
@@ -529,20 +479,18 @@ def _random_symmetric(rng: np.random.Generator, p: int, n: int) -> SymmetricForm
     return SymmetricForm.from_array(p, (raw + raw.T) % p)
 
 
-def _run_expsum(cfg: dict, threads: int) -> RunResult:
+def _run_expsum(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         form = _random_symmetric(rng, p, n)
         b = GroupVector(p, _label(rng, p, n))
         rank = rank_mod_p(form.as_array(), p)
         obs = abs(quad_char_sum(form, b))
-        return make_trial(i, {"seed": cfg["seed"], "trial": i},
-                          obs, p ** (-rank / 2) + tol, detail={"rank": rank})
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i},
+                                 obs, p ** (-rank / 2) + tol, detail={"rank": rank}))
     return _hard_result(trials, cfg["trials"] * size * n)
 
 
@@ -550,21 +498,19 @@ def _est_expsum(cfg: dict) -> int:
     return cfg["trials"] * cfg["p"] ** cfg["n"] * cfg["n"]
 
 
-def _run_bilsum(cfg: dict, threads: int) -> RunResult:
+def _run_bilsum(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         form = _random_symmetric(rng, p, n)
         c = GroupVector(p, _label(rng, p, n))
         d = GroupVector(p, _label(rng, p, n))
         rank = rank_mod_p(form.as_array(), p)
         obs = abs(bilinear_char_sum(form, c, d))
-        return make_trial(i, {"seed": cfg["seed"], "trial": i},
-                          obs, p ** (-rank) + tol, detail={"rank": rank})
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i},
+                                 obs, p ** (-rank) + tol, detail={"rank": rank}))
     return _hard_result(trials, cfg["trials"] * size * size)
 
 
@@ -572,7 +518,7 @@ def _est_bilsum(cfg: dict) -> int:
     return cfg["trials"] * cfg["p"] ** (2 * cfg["n"])
 
 
-def _run_atom_sizes(cfg: dict, threads: int) -> RunResult:
+def _run_atom_sizes(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
     trials, values, terms = [], [], 0
     for i, n in enumerate(cfg["n_values"]):
@@ -591,9 +537,7 @@ def _est_atom_sizes(cfg: dict) -> int:
     return sum(cfg["p"] ** n * (cfg["ell"] + cfg["q"] + 1) for n in cfg["n_values"])
 
 
-def _run_bil_sizes(cfg: dict, threads: int) -> RunResult:
-    from ..factor import bilinear_level_sizes
-
+def _run_bil_sizes(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
     trials, values, terms = [], [], 0
     for i, n in enumerate(cfg["n_values"]):
@@ -612,7 +556,7 @@ def _est_bil_sizes(cfg: dict) -> int:
     return sum(cfg["p"] ** (2 * n) * cfg["q"] for n in cfg["n_values"])
 
 
-def _run_genbilsums(cfg: dict, threads: int) -> RunResult:
+def _run_genbilsums(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
     trials, values, terms = [], [], 0
     row = 0
@@ -649,7 +593,7 @@ def _est_genbilsums(cfg: dict) -> int:
     return max(total, 1)
 
 
-def _run_config_regularity(cfg: dict, threads: int) -> RunResult:
+def _run_config_regularity(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
     trials, values, terms = [], [], 0
     for i, n in enumerate(cfg["n_values"]):
@@ -709,7 +653,7 @@ def _est_config_regularity(cfg: dict) -> int:
     return max(total, 1)
 
 
-def _run_atom_u2_uniformity(cfg: dict, threads: int) -> RunResult:
+def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
     trials, values, terms = [], [], 0
     row = 0
@@ -757,7 +701,7 @@ def _est_atom_u2_uniformity(cfg: dict) -> int:
 # shatter-dimension experiments
 # ---------------------------------------------------------------------------
 
-def _run_atom_vc(cfg: dict, threads: int) -> RunResult:
+def _run_atom_vc(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
     factor = _standard_factor(p, n, 0, 1)
     idx = factor.atom_indices(tuple(cfg["atom_label"]))
@@ -778,7 +722,7 @@ def _est_atom_vc(cfg: dict) -> int:
     return cfg["p"] ** (2 * cfg["n"])
 
 
-def _run_atom_vc2(cfg: dict, threads: int) -> RunResult:
+def _run_atom_vc2(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
     size = p ** n
     for d in cfg["extra_diagonals"]:
@@ -811,11 +755,22 @@ def _est_atom_vc2(cfg: dict) -> int:
     return forms * atoms * cfg["p"] ** (2 * cfg["n"])
 
 
-def _run_coset_union_vc(cfg: dict, threads: int) -> RunResult:
+def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
+    """All canonical indices in the span of the given independent rows."""
+    rows = np.array(basis, dtype=np.int64).reshape(len(basis), n)
+    if len(basis) and rank_mod_p(rows, p) != len(basis):
+        raise ConfigError("subgroup_basis is dependent")
+    k = len(basis)
+    coeffs = space(p, k).digits.astype(np.int64) if k else np.zeros((1, 0), dtype=np.int64)
+    pts = (coeffs @ rows) % p if k else np.zeros((1, n), dtype=np.int64)
+    return pts @ space(p, n).powers
+
+
+def _run_coset_union_vc(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
     sp = space(p, n)
     basis = [tuple(b) for b in cfg["subgroup_basis"]]
-    span = configio._span_indices(p, n, basis)
+    span = _span_indices(p, n, basis)
     trials, terms = [], 0
     for i, reps in enumerate(cfg["rep_sets"]):
         k = len(reps)
@@ -846,19 +801,17 @@ def _est_coset_union_vc(cfg: dict) -> int:
 # pattern-operator control
 # ---------------------------------------------------------------------------
 
-def _run_control_ip(cfg: dict, threads: int) -> RunResult:
+def _run_control_ip(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
                              for j in range(1, m + 1) for s in range(1 << m)})
         obs = abs(t_ip(m, grid))
         bnd = min(u2_norm(g) for g in grid.functions()) + tol
-        return make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd)
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     slots = m * (1 << m)
     return _hard_result(trials, cfg["trials"] * (size ** 3 + slots * size ** 2))
 
@@ -869,20 +822,18 @@ def _est_control_ip(cfg: dict) -> int:
     return cfg["trials"] * (size ** 3 + slots * size ** 2)
 
 
-def _run_control_ip2(cfg: dict, threads: int) -> RunResult:
+def _run_control_ip2(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
     size = p ** n
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         grid = FunctionGrid({(a, b, s): _bounded_fn(rng, p, n)
                              for a in range(1, m + 1) for b in range(1, m + 1)
                              for s in range(1 << (m * m))})
         obs = abs(t_ip2(m, grid))
         bnd = min(u3_norm(g) for g in grid.functions()) + tol
-        return make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd)
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     slots = m * m * (1 << (m * m))
     return _hard_result(trials, cfg["trials"] * (slots * size ** 3 + slots * 2 * size ** 5))
 
@@ -893,12 +844,12 @@ def _est_control_ip2(cfg: dict) -> int:
     return cfg["trials"] * (slots * size ** 3 + slots * 2 * size ** 5)
 
 
-def _run_control_ip_local(cfg: dict, threads: int) -> RunResult:
+def _run_control_ip_local(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
     coset = p ** (n - cfg["ell"])
-
-    def one(i: int) -> dict:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         d2 = DirectionTuple2(p, _label(rng, p, linear.ell), _label(rng, p, linear.ell))
         grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
@@ -906,10 +857,8 @@ def _run_control_ip_local(cfg: dict, threads: int) -> RunResult:
         obs = abs(t_ip_local(m, linear, d2, grid))
         ctx = LocalContext2(linear, d2)
         bnd = min(local_u2_norm(ctx, g) for g in grid.functions()) + tol
-        return make_trial(i, {"seed": cfg["seed"], "trial": i,
-                              "d": [d2.a1, d2.a2]}, obs, bnd)
-
-    trials = _map_trials(cfg["trials"], threads, one)
+        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i,
+                                     "d": [d2.a1, d2.a2]}, obs, bnd))
     slots = m * (1 << m)
     return _hard_result(trials, cfg["trials"] * (coset ** 3 + slots * coset ** 3))
 
@@ -920,7 +869,7 @@ def _est_control_ip_local(cfg: dict) -> int:
     return cfg["trials"] * (coset ** 3 + slots * coset ** 3)
 
 
-def _run_control_ip2_local(cfg: dict, threads: int) -> RunResult:
+def _run_control_ip2_local(cfg: dict) -> RunResult:
     p, ell, q, m = cfg["p"], cfg["ell"], cfg["q"], cfg["m"]
     trials, values, terms = [], [], 0
     for i, n in enumerate(cfg["n_values"]):
@@ -971,7 +920,7 @@ def _sparse_subset(rng: np.random.Generator, target: np.ndarray,
     return rng.choice(target, size=count, replace=False)
 
 
-def _run_sparse_uniform(cfg: dict, threads: int) -> RunResult:
+def _run_sparse_uniform(cfg: dict) -> RunResult:
     p, ell, q, eps, tol = cfg["p"], cfg["ell"], cfg["q"], cfg["eps"], cfg["tol"]
     samples = cfg["samples"]
     n_hard = max(cfg["n_values"])
@@ -1034,7 +983,7 @@ def _est_sparse_uniform(cfg: dict) -> int:
     return max(total, 1)
 
 
-def _run_smallpart(cfg: dict, threads: int) -> RunResult:
+def _run_smallpart(cfg: dict) -> RunResult:
     p, n, ell, q, eps = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["eps"]
     factor = _standard_factor(p, n, ell, q)
     size = p ** n
@@ -1099,7 +1048,7 @@ def _union_bits(factor: QuadraticFactor, labels) -> np.ndarray:
     return bits
 
 
-def _run_trivdense(cfg: dict, threads: int) -> RunResult:
+def _run_trivdense(cfg: dict) -> RunResult:
     p, n, ell, q = cfg["p"], cfg["n"], cfg["ell"], cfg["q"]
     factor = _standard_factor(p, n, ell, q)
     rng = _trial_rng(cfg["seed"])
@@ -1134,7 +1083,7 @@ def _est_trivdense(cfg: dict) -> int:
     return int(cfg["directions"] * smean + cfg["p"] ** cfg["n"])
 
 
-def _run_vc2_structure(cfg: dict, threads: int) -> RunResult:
+def _run_vc2_structure(cfg: dict) -> RunResult:
     p, n, ell, q = cfg["p"], cfg["n"], cfg["ell"], cfg["q"]
     factor = _standard_factor(p, n, ell, q)
     size = p ** n
@@ -1171,7 +1120,7 @@ def _est_vc2_structure(cfg: dict) -> int:
     return 4 * size + size * size
 
 
-def _run_inverse_oracle(cfg: dict, threads: int) -> RunResult:
+def _run_inverse_oracle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     size = p ** n
     trials, terms = [], 0
@@ -1212,14 +1161,14 @@ def _est_inverse_oracle(cfg: dict) -> int:
 # counting identities
 # ---------------------------------------------------------------------------
 
-def _run_counting_binary(cfg: dict, threads: int) -> RunResult:
+def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
     linear = _standard_factor(p, n, ell, 0).linear
     size = p ** n
     coset = p ** (n - ell)
     nu, nv = cfg["parts"]
-
-    def one(i: int) -> list[dict]:
+    trials = []
+    for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         bits = rng.random(size) < 0.5
         edges = frozenset((u, v) for u in range(nu) for v in range(nv)
@@ -1235,9 +1184,9 @@ def _run_counting_binary(cfg: dict, threads: int) -> RunResult:
         norm = bipartite_normalization(graph, linear)
         identity_err = abs(t_val.real * norm - count)
         base = {"seed": cfg["seed"], "trial": i}
-        rows = [make_trial(2 * i, base | {"check": "witness-identity"},
-                           identity_err, tol * max(1.0, float(count)),
-                           detail={"count": count})]
+        trials.append(make_trial(2 * i, base | {"check": "witness-identity"},
+                                 identity_err, tol * max(1.0, float(count)),
+                                 detail={"count": count}))
         # density product and the measured per-pair uniformity
         prod = 1.0
         eps_meas = 0.0
@@ -1251,19 +1200,15 @@ def _run_counting_binary(cfg: dict, threads: int) -> RunResult:
                 eps_meas = max(eps_meas, local_u2_norm(ctx, bal))
         delta = abs(t_val.real - prod)
         pairs = nu * nv
-        rows.append(make_point(2 * i + 1, base | {"check": "density-product"},
-                               delta, detail={
-                                   "eps_measured": eps_meas,
-                                   "bound_linear_in_pairs": pairs * eps_meas,
-                                   "bound_exponential": (2 ** pairs - 1) * eps_meas,
-                                   "within_linear": delta <= pairs * eps_meas + tol,
-                                   "within_exponential":
-                                       delta <= (2 ** pairs - 1) * eps_meas + tol,
-                               }))
-        return rows
-
-    rows = _map_trials(cfg["trials"], threads, one)
-    trials = [r for pair in rows for r in pair]
+        trials.append(make_point(2 * i + 1, base | {"check": "density-product"},
+                                 delta, detail={
+                                     "eps_measured": eps_meas,
+                                     "bound_linear_in_pairs": pairs * eps_meas,
+                                     "bound_exponential": (2 ** pairs - 1) * eps_meas,
+                                     "within_linear": delta <= pairs * eps_meas + tol,
+                                     "within_exponential":
+                                         delta <= (2 ** pairs - 1) * eps_meas + tol,
+                                 }))
     per_trial = coset ** (nv + 1) * nu + coset ** 2 * nu * nv + nu * nv * coset ** 3
     return _hard_result(trials, cfg["trials"] * per_trial)
 
@@ -1317,7 +1262,7 @@ def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
     return None
 
 
-def _run_counting_ternary(cfg: dict, threads: int) -> RunResult:
+def _run_counting_ternary(cfg: dict) -> RunResult:
     p, n, ell, q, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["tol"]
     factor = _standard_factor(p, n, ell, q)
     size = p ** n
@@ -1326,55 +1271,50 @@ def _run_counting_ternary(cfg: dict, threads: int) -> RunResult:
     bits = _union_bits(factor, labels)
     ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
     coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
-    graphs = list(_ternary_graphs(cfg["max_part"]))
-
-    def one(gi: int) -> tuple[list[dict], int]:
-        graph = graphs[gi]
+    trials, terms = [], 0
+    for gi, graph in enumerate(_ternary_graphs(cfg["max_part"])):
         base = {"parts": [graph.nu, graph.nv, graph.nw],
                 "edges": sorted(graph.edges)}
         e = _sample_assignment(_trial_rng(cfg["seed"], gi), factor, graph)
         if e is None:
-            return [make_degenerate(2 * gi, base,
-                                    "no nondegenerate labels found")], 0
+            trials.append(make_degenerate(2 * gi, base, "no nondegenerate labels found"))
+            continue
         grid = FunctionGrid.edge_select(graph, ind, coind)
         t_val = t_ternary(graph, factor, e, grid).real
         count = witness_count_ternary(graph, factor, e, bits)
         norm = ternary_normalization(graph, factor, e)
         identity_err = abs(t_val * float(norm) - count)
-        rows = [make_trial(2 * gi, base | {"check": "witness-identity"},
-                           identity_err, tol * max(1.0, float(count)),
-                           detail={"count": count})]
+        trials.append(make_trial(2 * gi, base | {"check": "witness-identity"},
+                                 identity_err, tol * max(1.0, float(count)),
+                                 detail={"count": count}))
         prod = 1.0
         eps_meas = 0.0
-        nterms = size
+        terms += size
         for (u, v, w) in graph.all_tuples():
             d3 = e.triple_direction(p, u, v, w)
             target = factor.atom_indices(sigma3(factor, d3).values)
             if target.size == 0:
-                return rows + [make_degenerate(2 * gi + 1, base,
-                                               "target atom is empty")], nterms
+                trials.append(make_degenerate(2 * gi + 1, base, "target atom is empty"))
+                break
             alpha = float(bits[target].mean())
             prod *= alpha if (u, v, w) in graph.edges else 1.0 - alpha
             ctx = LocalContext3(factor, d3)
             eps_meas = max(eps_meas,
                            local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha)))
             s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
-            nterms += 2 * s1 * s1 * s2 * s2 * s3
-        m = max(graph.nu, graph.nv, graph.nw)
-        delta = abs(t_val - prod)
-        # the product-of-densities approximation carries a rank error term
-        # on top of the norm term, so its deviation is reported, not asserted
-        heuristic = 3.0 * eps_meas * m ** 3
-        rows.append(make_point(2 * gi + 1, base | {"check": "density-product"},
-                               delta,
-                               detail={"eps_measured": eps_meas, "m": m,
-                                       "norm_term_bound": heuristic,
-                                       "within_norm_term": delta <= heuristic + 1e-6}))
-        return rows, nterms
-
-    packs = _map_trials(len(graphs), threads, one)
-    return _hard_result([r for rows, _ in packs for r in rows],
-                        sum(n_ for _, n_ in packs))
+            terms += 2 * s1 * s1 * s2 * s2 * s3
+        else:
+            m = max(graph.nu, graph.nv, graph.nw)
+            delta = abs(t_val - prod)
+            # the product-of-densities approximation carries a rank error term
+            # on top of the norm term, so its deviation is reported, not asserted
+            heuristic = 3.0 * eps_meas * m ** 3
+            trials.append(make_point(2 * gi + 1, base | {"check": "density-product"},
+                                     delta,
+                                     detail={"eps_measured": eps_meas, "m": m,
+                                             "norm_term_bound": heuristic,
+                                             "within_norm_term": delta <= heuristic + 1e-6}))
+    return _hard_result(trials, terms)
 
 
 def _est_counting_ternary(cfg: dict) -> int:
@@ -1627,10 +1567,10 @@ def _validate_config(cfg: dict) -> None:
 
 
 def run_experiment(name: str, file_cfg: dict | None = None,
-                   overrides: dict | None = None, threads: int = 1) -> dict:
+                   overrides: dict | None = None) -> dict:
     exp = get_experiment(name)
     cfg = merge_config(exp, file_cfg, overrides)
-    result = exp.runner(cfg, threads)
+    result = exp.runner(cfg)
     return build_report(exp.name, exp.kind, exp.claim, cfg, result.trials,
                         result.aggregate, exp.estimator(cfg), result.terms,
                         result.hard_pass)

@@ -8,10 +8,10 @@ problems (unknown experiment, bad key, cap violation).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from ..errors import CapExceeded, ConfigError, UnknownExperiment
-from . import configio
 from .experiments import REGISTRY, estimate_experiment, get_experiment, run_experiment
 from .reporting import canonical_json
 
@@ -24,9 +24,22 @@ def _add_run_args(sub: argparse.ArgumentParser, with_exec: bool) -> None:
     sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--trials", type=int, help="trial count override")
     if with_exec:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads (default 1; output is identical)")
+        sub.add_argument("--threads", type=int,
+                         help="ignored; trials run sequentially")
         sub.add_argument("--out", help="write the report here instead of stdout")
+
+
+def load_json(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    return data
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +69,7 @@ def _do_list() -> int:
 
 
 def _do_estimate(args: argparse.Namespace) -> int:
-    file_cfg = configio.load_json(args.config) if args.config else None
+    file_cfg = load_json(args.config) if args.config else None
     cfg, est = estimate_experiment(args.experiment, file_cfg, _overrides(args))
     print(canonical_json({"experiment": args.experiment, "config": cfg,
                           "terms_estimated": est}))
@@ -65,11 +78,10 @@ def _do_estimate(args: argparse.Namespace) -> int:
 
 def _do_run(args: argparse.Namespace) -> int:
     exp = get_experiment(args.experiment)
-    file_cfg = configio.load_json(args.config) if args.config else None
+    file_cfg = load_json(args.config) if args.config else None
     _, est = estimate_experiment(args.experiment, file_cfg, _overrides(args))
     print(f"# {exp.name} [{exp.kind}]: ~{est} terms", file=sys.stderr)
-    report = run_experiment(args.experiment, file_cfg, _overrides(args),
-                            threads=args.threads)
+    report = run_experiment(args.experiment, file_cfg, _overrides(args))
     payload = canonical_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

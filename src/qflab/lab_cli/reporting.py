@@ -1,9 +1,9 @@
 """Deterministic JSON reports: canonical serialization, digests, verdicts.
 
-Reports must be byte-identical for identical (config, seed) regardless of
-the worker thread count, so everything nondeterministic (wall time, thread
-count, output path) stays out of the serialized payload, floats are emitted
-via their shortest round-trip repr, and NaN/Inf are rejected outright.
+Reports must be byte-identical for identical (config, seed), so everything
+nondeterministic (wall time, output path) stays out of the serialized
+payload, floats are emitted via their shortest round-trip repr, and NaN/Inf
+are rejected outright.
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ from qflab.lab_cli.experiments import run_experiment
 def reports():
     cache: dict = {}
 
-    def get(name: str, threads: int = 1) -> dict:
-        key = (name, threads)
-        if key not in cache:
-            cache[key] = run_experiment(name, threads=threads)
-        return cache[key]
+    def get(name: str) -> dict:
+        if name not in cache:
+            cache[name] = run_experiment(name)
+        return cache[name]
 
     return get

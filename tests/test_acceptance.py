@@ -338,6 +338,5 @@ def test_deterministic_reports(reports):
     for name in sorted(REGISTRY):
         cached = canonical_json(reports(name))
         assert canonical_json(run_experiment(name)) == cached, name
-        assert canonical_json(reports(name, threads=8)) == cached, name
     print(f"determinism ok for {len(REGISTRY)} experiments in "
           f"{time.perf_counter() - t0:.1f}s")

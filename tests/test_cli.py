@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from qflab.errors import ConfigError
-from qflab.lab_cli import configio
 from qflab.lab_cli.experiments import REGISTRY, estimate_experiment, run_experiment
 from qflab.lab_cli.main import main
 from qflab.lab_cli.reporting import (
@@ -133,10 +131,19 @@ def test_repeat_runs_are_identical(reports):
     assert canonical_json(fresh) == canonical_json(cached)
 
 
-def test_thread_count_never_changes_the_bytes(reports):
-    one = reports("counting-ternary")
-    eight = reports("counting-ternary", threads=8)
-    assert canonical_json(one) == canonical_json(eight)
+def test_thread_count_never_changes_the_bytes(capsys):
+    """`--threads` is accepted for old command lines and ignored."""
+    assert main(["run", "parseval", "--trials", "3"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["run", "parseval", "--trials", "3", "--threads", "8"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_dependent_subgroup_basis_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"subgroup_basis": [[0, 0, 1, 0], [0, 0, 2, 0]]}')
+    assert main(["run", "coset-union-vc", "--config", str(cfg)]) == 2
+    assert "subgroup_basis is dependent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -147,87 +154,6 @@ def test_estimator_within_an_order_of_magnitude(name, reports):
     assert actual > 0 and est > 0
     ratio = est / actual
     assert 0.1 <= ratio <= 10.0, f"{name}: est {est} vs actual {actual}"
-
-
-# --- config parsing ---------------------------------------------------------
-
-
-def test_parse_factor_roundtrip():
-    factor = configio.parse_factor(
-        {"p": 3, "n": 2, "linear": [[1, 0]],
-         "quadratic": [[[1, 0], [0, 1]]]})
-    assert factor.ell == 1 and factor.q == 1
-    with pytest.raises(ConfigError):
-        configio.parse_factor({"p": 3})
-    with pytest.raises(ConfigError):
-        configio.parse_factor({"p": 3, "n": 2, "quadratic": [[[1, 2], [1, 1]]]})
-
-
-def test_parse_set_kinds():
-    explicit = configio.parse_set({"kind": "explicit", "indices": [0, 2]}, 3, 2)
-    assert explicit.size == 2
-    hexed = configio.parse_set(
-        {"kind": "bitmask_hex", "hex": explicit.to_hex()}, 3, 2)
-    assert hexed == explicit
-    atom = configio.parse_set(
-        {"kind": "atom", "label": [0],
-         "factor": {"p": 3, "n": 2, "quadratic": [[[1, 0], [0, 1]]]}}, 3, 2)
-    assert atom.size == 1
-    union = configio.parse_set(
-        {"kind": "atom_union", "labels": [[1], [2]],
-         "factor": {"p": 3, "n": 2, "quadratic": [[[1, 0], [0, 1]]]}}, 3, 2)
-    assert union.size == 8
-    rand = configio.parse_set({"kind": "random", "density": 0.5, "seed": 1}, 3, 2)
-    assert rand == configio.parse_set({"kind": "random", "density": 0.5, "seed": 1}, 3, 2)
-    cosets = configio.parse_set(
-        {"kind": "coset_union", "subgroup_basis": [[0, 1]],
-         "reps": [[0, 0], [1, 0]]}, 3, 2)
-    assert cosets.size == 6
-    assert cosets.density() == Fraction(2, 3)
-
-
-def test_parse_set_rejections():
-    with pytest.raises(ConfigError):
-        configio.parse_set({"kind": "mystery"}, 3, 2)
-    with pytest.raises(ConfigError):
-        configio.parse_set({"indices": [0]}, 3, 2)
-    with pytest.raises(ConfigError):
-        configio.parse_set({"kind": "random", "density": 1.5, "seed": 0}, 3, 2)
-    with pytest.raises(ConfigError):
-        configio.parse_set(
-            {"kind": "coset_union", "subgroup_basis": [[0, 1], [0, 2]],
-             "reps": [[0, 0]]}, 3, 2)
-    with pytest.raises(ConfigError):
-        configio.parse_set(
-            {"kind": "atom", "label": [0],
-             "factor": {"p": 3, "n": 3, "quadratic": []}}, 3, 2)
-
-
-def test_parse_directions():
-    d2 = configio.parse_direction2({"a": [[1], [2]]}, 3)
-    assert (d2.a1, d2.a2) == ((1,), (2,))
-    d3 = configio.parse_direction3(
-        {"a": [[0, 1], [1, 1], [2, 0]], "b": [[0], [1], [2]]}, 3)
-    assert d3.b13 == (1,)
-    with pytest.raises(ConfigError):
-        configio.parse_direction2({"a": [[1]]}, 3)
-    with pytest.raises(ConfigError):
-        configio.parse_direction3({"a": [[0], [0], [0]], "b": [[0], [0]]}, 3)
-
-
-def test_parse_hypergraph():
-    bi = configio.parse_hypergraph(
-        {"parts": {"U": 2, "V": 2}, "edges": [[0, 0], [1, 1]]})
-    assert bi.kind == "bipartite" and len(bi.edges) == 2
-    tern = configio.parse_hypergraph(
-        {"parts": {"U": 1, "V": 1, "W": 2}, "edges": [[0, 0, 1]]})
-    assert tern.kind == "ternary"
-    with pytest.raises(ConfigError):
-        configio.parse_hypergraph(
-            {"parts": {"U": 1, "V": 1}, "edges": [[0, 0, 1]]})
-    with pytest.raises(ConfigError):
-        configio.parse_hypergraph(
-            {"parts": {"U": 1, "V": 1}, "edges": [[0, 5]]})
 
 
 # --- report primitives ------------------------------------------------------

@@ -18,7 +18,6 @@ from qflab.fpn_core import (
     GroupVector,
     SymmetricForm,
     bilinear_char_sum,
-    compensated_sum,
     enumerate_group,
     linear_char_sum,
     linear_char_sum_multi,
@@ -179,6 +178,11 @@ def test_linear_char_sum_dichotomy():
     exact, avg = linear_char_sum_multi([GroupVector.zero(3, 2),
                                         GroupVector(3, (1, 0))])
     assert exact == 0 and avg == 0.0
+    exact, avg = linear_char_sum_multi([GroupVector.zero(5, 1),
+                                        GroupVector.zero(5, 2)])
+    assert exact.p == 5 and exact.rational_value() == 125 and avg == 1.0
+    with pytest.raises(ValueError):
+        linear_char_sum_multi([])
 
 
 def test_quad_char_sum_identity_form():
@@ -205,11 +209,3 @@ def test_bilinear_char_sum_vanishes_off_solvable_shift():
     z = GroupVector.zero(3, 2)
     val = bilinear_char_sum(SymmetricForm.zero(3, 2), z, GroupVector(3, (1, 0)))
     assert val == 0.0
-
-
-def test_compensated_sum_matches_fsum():
-    rng = np.random.default_rng(11)
-    vals = rng.standard_normal(10000) * 10.0 ** rng.integers(-8, 8, 10000)
-    assert compensated_sum(vals) == pytest.approx(math.fsum(vals.tolist()), abs=1e-6)
-    # chunk boundaries only depend on length
-    assert compensated_sum(vals, chunk=4096) == compensated_sum(vals, chunk=4096)
