@@ -84,6 +84,7 @@ from ..spectral import (
     max_quadratic_correlation,
     u2_inner,
     u2_norm,
+    u2_norm_naive,
     u3_inner,
     u3_norm,
 )
@@ -201,6 +202,19 @@ def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFun
     return GroupFunction(p, n, bits.astype(np.float64) - alpha)
 
 
+def _u2_terms(p: int, n: int) -> int:
+    """Scalar terms of one spectral U^2 call: four transforms, one contraction."""
+    size = p ** n
+    return size * (4 * p * n + 1)
+
+
+def _u3_terms(p: int, n: int) -> int:
+    """Scalar terms of one spectral U^3 call: four derivative tables, four
+    transforms batched over h, and the contraction, each over size^2 entries."""
+    size = p ** n
+    return size * size * (4 * p * n + 5)
+
+
 def _hard_result(trials: list, terms: int, trend: dict | None = None) -> RunResult:
     ok = all(t["verdict"] != "fail" for t in trials)
     return RunResult(trials, aggregate_from(trials, trend), ok, terms)
@@ -259,7 +273,7 @@ def _run_u2_equiv(cfg: dict) -> RunResult:
     trials = []
     for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
-        via_corr = u2_norm(f) ** 4
+        via_corr = u2_norm_naive(f) ** 4
         via_spectrum = fourier_transform(f).l4_fourth()
         err = abs(via_corr - via_spectrum)
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
@@ -279,7 +293,6 @@ def _est_u2_equiv(cfg: dict) -> int:
 
 def _run_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -292,12 +305,12 @@ def _run_gcs(cfg: dict) -> RunResult:
         base = {"seed": cfg["seed"], "trial": i}
         trials.append(make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol))
         trials.append(make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol))
-    return _hard_result(trials, cfg["trials"] * (5 * size ** 2 + 18 * size ** 5))
+    return _hard_result(trials, cfg["trials"] * (5 * _u2_terms(p, n) + 9 * _u3_terms(p, n)))
 
 
 def _est_gcs(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
-    return cfg["trials"] * (5 * size ** 2 + 18 * size ** 5)
+    p, n = cfg["p"], cfg["n"]
+    return cfg["trials"] * (5 * _u2_terms(p, n) + 9 * _u3_terms(p, n))
 
 
 def _run_local_gcs(cfg: dict) -> RunResult:
@@ -342,7 +355,6 @@ def _est_local_gcs(cfg: dict) -> int:
 
 def _run_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -357,12 +369,12 @@ def _run_triangle(cfg: dict) -> RunResult:
             hom = abs(norm(f.scale(c)) - abs(c) * norm(f))
             trials.append(make_trial(4 * i + 2 * k + 1,
                                      base | {"check": f"{tag}-homogeneous"}, hom, tol))
-    return _hard_result(trials, cfg["trials"] * (10 * size ** 2 + 10 * size ** 5))
+    return _hard_result(trials, cfg["trials"] * (5 * _u2_terms(p, n) + 5 * _u3_terms(p, n)))
 
 
 def _est_triangle(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
-    return cfg["trials"] * (10 * size ** 2 + 10 * size ** 5)
+    p, n = cfg["p"], cfg["n"]
+    return cfg["trials"] * (5 * _u2_terms(p, n) + 5 * _u3_terms(p, n))
 
 
 def _run_local_triangle(cfg: dict) -> RunResult:
@@ -406,7 +418,6 @@ def _est_local_triangle(cfg: dict) -> int:
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
     trials = []
     for i in range(cfg["trials"]):
@@ -422,13 +433,14 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         trials.append(make_trial(2 * i + 1, base | {"check": "local", "d": [a1, a2, a3]},
                                  u2val, u3val + tol))
     coset = p ** (n - cfg["ell"])
-    return _hard_result(trials, cfg["trials"] * (size ** 2 + 2 * size ** 5 + 3 * coset ** 5))
+    return _hard_result(trials, cfg["trials"] * (_u2_terms(p, n) + _u3_terms(p, n)
+                                                 + 3 * coset ** 5))
 
 
 def _est_u3_dominates(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
-    coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    return cfg["trials"] * (size ** 2 + 2 * size ** 5 + 3 * coset ** 5)
+    p, n = cfg["p"], cfg["n"]
+    coset = p ** (n - cfg["ell"])
+    return cfg["trials"] * (_u2_terms(p, n) + _u3_terms(p, n) + 3 * coset ** 5)
 
 
 def _run_ap3(cfg: dict) -> RunResult:
@@ -462,12 +474,13 @@ def _run_ap4(cfg: dict) -> RunResult:
         g = g.scale(1.0 / max(g.l2_norm(), 1e-30))
         trials.append(make_trial(2 * i + 1, base | {"f": "l2-normalized"},
                                  abs(ap4_average(g)), u3_norm(g) + tol))
-    return _hard_result(trials, cfg["trials"] * (2 * size ** 2 + 4 * size ** 5))
+    return _hard_result(trials, cfg["trials"] * (2 * size ** 2 + 2 * _u3_terms(p, n)))
 
 
 def _est_ap4(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
-    return cfg["trials"] * (2 * size ** 2 + 4 * size ** 5)
+    p, n = cfg["p"], cfg["n"]
+    size = p ** n
+    return cfg["trials"] * (2 * size ** 2 + 2 * _u3_terms(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +768,15 @@ def _est_atom_vc2(cfg: dict) -> int:
     return forms * atoms * cfg["p"] ** (2 * cfg["n"])
 
 
+def _check_lengths(key: str, vectors: list, n: int) -> None:
+    for v in vectors:
+        if np.shape(v) != (n,):
+            raise ConfigError(f"{key} entry {v} is not a vector of length n = {n}")
+
+
 def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
     """All canonical indices in the span of the given independent rows."""
+    _check_lengths("subgroup_basis", basis, n)
     rows = np.array(basis, dtype=np.int64).reshape(len(basis), n)
     if len(basis) and rank_mod_p(rows, p) != len(basis):
         raise ConfigError("subgroup_basis is dependent")
@@ -771,6 +791,10 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
     sp = space(p, n)
     basis = [tuple(b) for b in cfg["subgroup_basis"]]
     span = _span_indices(p, n, basis)
+    for reps in cfg["rep_sets"]:
+        if not reps:
+            raise ConfigError("rep_sets entries must be nonempty")
+        _check_lengths("rep_sets", reps, n)
     trials, terms = [], 0
     for i, reps in enumerate(cfg["rep_sets"]):
         k = len(reps)
@@ -813,13 +837,14 @@ def _run_control_ip(cfg: dict) -> RunResult:
         bnd = min(u2_norm(g) for g in grid.functions()) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     slots = m * (1 << m)
-    return _hard_result(trials, cfg["trials"] * (size ** 3 + slots * size ** 2))
+    return _hard_result(trials, cfg["trials"] * (size ** 3 + slots * _u2_terms(p, n)))
 
 
 def _est_control_ip(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
+    p, n = cfg["p"], cfg["n"]
+    size = p ** n
     slots = cfg["m"] * (1 << cfg["m"])
-    return cfg["trials"] * (size ** 3 + slots * size ** 2)
+    return cfg["trials"] * (size ** 3 + slots * _u2_terms(p, n))
 
 
 def _run_control_ip2(cfg: dict) -> RunResult:
@@ -835,13 +860,14 @@ def _run_control_ip2(cfg: dict) -> RunResult:
         bnd = min(u3_norm(g) for g in grid.functions()) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     slots = m * m * (1 << (m * m))
-    return _hard_result(trials, cfg["trials"] * (slots * size ** 3 + slots * 2 * size ** 5))
+    return _hard_result(trials, cfg["trials"] * slots * (size ** 3 + _u3_terms(p, n)))
 
 
 def _est_control_ip2(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
+    p, n = cfg["p"], cfg["n"]
+    size = p ** n
     slots = cfg["m"] * cfg["m"] * (1 << (cfg["m"] * cfg["m"]))
-    return cfg["trials"] * (slots * size ** 3 + slots * 2 * size ** 5)
+    return cfg["trials"] * slots * (size ** 3 + _u3_terms(p, n))
 
 
 def _run_control_ip_local(cfg: dict) -> RunResult:

@@ -13,6 +13,16 @@ Index and sign conventions:
 Octuples for the U^3 inner product are passed as a list of eight functions in
 lexicographic order of (eps1, eps2, eps3):
 (0,0,0), (0,0,1), (0,1,0), (0,1,1), (1,0,0), (1,0,1), (1,1,0), (1,1,1).
+
+Each box inner product has one fast route, which the experiments call, and one
+independent physical-space twin:
+
+* `u2_inner` is one Fourier-side sum, sum_t A^(t) B^(-t) C^(-t) D^(t), in
+  O(p^n p n); its twin `u2_inner_naive` averages an O(p^(2n)) shift table.
+* `u3_inner` conditions on the z-difference h and applies the same sum to four
+  derivative tables, transformed for every h at once, in O(p^(2n) p n); its
+  twin `u3_inner_naive` is the factorized O(p^(5n)) loop and raises
+  CapExceeded past p^n = U3_REFERENCE_CAP.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from .errors import CapExceeded, NegativeDiagonal
 from .fpn_core import DEFAULT_TOL, GroupVector, SymmetricForm, omega_table, space
 
 NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
+U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
+H_BLOCK_ENTRIES = 1 << 18  # entries per block of h in u3_inner; bounds its memory
 EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
@@ -155,21 +167,30 @@ class SpectrumTable:
 
 
 def _axis_dft(values: np.ndarray, p: int, n: int, kernel: np.ndarray) -> np.ndarray:
-    """Apply the p x p kernel along every coordinate axis of the table."""
+    """Apply the p x p kernel along every coordinate axis of the table.
+
+    The first axis of `values` is the group index; any trailing axes are a
+    batch, and each column is transformed independently.
+    """
     if n == 0:
         return values.astype(np.complex128)
-    tensor = values.reshape((p,) * n, order="F").astype(np.complex128)
+    batch = values.shape[1:]
+    tensor = values.reshape((p,) * n + batch, order="F").astype(np.complex128)
     for axis in range(n):
         tensor = np.moveaxis(np.tensordot(kernel, np.moveaxis(tensor, axis, 0), axes=(1, 0)), 0, axis)
-    return tensor.reshape(-1, order="F")
+    return tensor.reshape((-1,) + batch, order="F")
+
+
+def _dft_kernel(p: int, sign: int) -> np.ndarray:
+    """k[t, x] = omega^(sign * x t) / p, the normalized one-axis transform."""
+    om = omega_table(p)
+    return om[(sign * np.outer(np.arange(p), np.arange(p))) % p] / p
 
 
 def fourier_transform(f: GroupFunction) -> SpectrumTable:
     """fhat(t) = E_x f(x) omega^(-x.t), by dimension-wise DFT."""
     p, n = f.p, f.n
-    om = omega_table(p)
-    kernel = om[(-np.outer(np.arange(p), np.arange(p))) % p] / p
-    return SpectrumTable(p, n, _axis_dft(f.values, p, n, kernel))
+    return SpectrumTable(p, n, _axis_dft(f.values, p, n, _dft_kernel(p, -1)))
 
 
 def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
@@ -196,9 +217,33 @@ def inverse_transform(spec: SpectrumTable) -> GroupFunction:
 # U^2
 # ---------------------------------------------------------------------------
 
+def _box_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+             p: int, n: int) -> np.ndarray:
+    """E over x0,x1,y0,y1 of a(x0+y0) b(x0+y1) c(x1+y0) d(x1+y1), unconjugated.
+
+    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t);
+    the (-t) transforms are taken with the conjugate kernel. Tables may carry
+    a trailing batch axis, and one sum is returned per column.
+    """
+    minus, plus = _dft_kernel(p, -1), _dft_kernel(p, 1)
+    prod = (_axis_dft(a, p, n, minus) * _axis_dft(b, p, n, plus)
+            * _axis_dft(c, p, n, plus) * _axis_dft(d, p, n, minus))
+    return prod.sum(axis=0)
+
+
 def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
              f11: GroupFunction) -> complex:
-    """E over x0,x1,y0,y1 of the conjugation-twisted four-vertex product.
+    """E over x0,x1,y0,y1 of the conjugation-twisted four-vertex product,
+    as one Fourier-side sum. Cost O(p^n p n)."""
+    for g in (f01, f10, f11):
+        f00._check(g)
+    return complex(_box_sum(f00.values, np.conj(f01.values), np.conj(f10.values),
+                            f11.values, f00.p, f00.n))
+
+
+def u2_inner_naive(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
+                   f11: GroupFunction) -> complex:
+    """Same average as `u2_inner`, in physical space; the reference route.
 
     Evaluated by conditioning on the pair (y0, y1): the x0 and x1 averages
     split into two correlation factors that depend only on h = y1 - y0, so
@@ -227,10 +272,14 @@ def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
     return _root_of_diagonal(val, 4, tol)
 
 
+def u2_norm_naive(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
+    val = u2_inner_naive(f, f, f, f)
+    return _root_of_diagonal(val, 4, tol)
+
+
 def u2_fourth_power_spectral(f: GroupFunction) -> float:
     """The fourth moment of the spectrum; equals the fourth power of the U^2
-    norm. Kept separate so the identity can be tested between independent
-    routes."""
+    norm. Tests compare it with the physical-space `u2_norm_naive`."""
     return fourier_transform(f).l4_fourth()
 
 
@@ -240,6 +289,37 @@ def u2_fourth_power_spectral(f: GroupFunction) -> float:
 
 def u3_inner(octuple: list[GroupFunction]) -> complex:
     """Eight-vertex inner product over x0,x1,y0,y1,z0,z1.
+
+    Spectral evaluation: fix h = z1 - z0 and absorb z0 into x0 and x1. Each
+    pair of vertices (e1, e2, 0), (e1, e2, 1) then merges into one derivative
+    table d[u, h] = C^|e1 e2 0| f_(e1 e2 0)(u) * C^|e1 e2 1| f_(e1 e2 1)(u + h),
+    and the average is E_h of the box sum of the four tables, transformed
+    along u for a block of h at once. Cost O(p^(2n) p n).
+    """
+    if len(octuple) != 8:
+        raise ValueError("need eight functions in lexicographic eps order")
+    base = octuple[0]
+    for g in octuple[1:]:
+        base._check(g)
+    p, n = base.p, base.n
+    sp = space(p, n)
+    N = sp.size
+    if N * N > NAIVE_CAP:
+        raise CapExceeded("group too large for the pairwise derivative tables")
+    vals = [np.conj(g.values) if sum(eps) % 2 else g.values
+            for eps, g in zip(EPS3_ORDER, octuple)]
+    idx = np.arange(N, dtype=np.int64)
+    block = max(1, H_BLOCK_ENTRIES // N)
+    total = 0.0 + 0.0j
+    for start in range(0, N, block):
+        shift = sp.sum_grid(idx, idx[start:start + block])  # shift[u, j] = u + h_j
+        a, b, c, d = (vals[2 * k][:, None] * vals[2 * k + 1][shift] for k in range(4))
+        total += _box_sum(a, b, c, d, p, n).sum()
+    return complex(total / N)
+
+
+def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
+    """Same average as `u3_inner`, in physical space; the reference route.
 
     Factorized evaluation: for each (y0, y1) the two z-averages (one for the
     eps3 = 0 face, one for eps3 = 1) are rank-one contractions over z, done
@@ -255,8 +335,8 @@ def u3_inner(octuple: list[GroupFunction]) -> complex:
     p, n = base.p, base.n
     sp = space(p, n)
     N = sp.size
-    if N * N > NAIVE_CAP:
-        raise CapExceeded("group too large for the factorized eight-vertex sum")
+    if N > U3_REFERENCE_CAP:
+        raise CapExceeded(f"reference eight-vertex sum is capped at p^n <= {U3_REFERENCE_CAP}")
     idx = np.arange(N, dtype=np.int64)
     table = sp.sum_grid(idx, idx)  # table[u, v] = u + v
 
@@ -285,22 +365,6 @@ def u3_inner(octuple: list[GroupFunction]) -> complex:
 def u3_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
     val = u3_inner([f] * 8)
     return _root_of_diagonal(val, 8, tol)
-
-
-def u3_eighth_power_inductive(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    """E_h of the fourth power of the U^2 norm of the multiplicative
-    derivative x -> f(x) conj f(x+h). An independent route to the eighth
-    power of the U^3 norm."""
-    p, n = f.p, f.n
-    sp = space(p, n)
-    N = sp.size
-    idx = np.arange(N, dtype=np.int64)
-    total = 0.0
-    for h in range(N):
-        dh = GroupFunction(p, n, f.values * np.conj(f.values[sp.add(idx, h)]))
-        val = u2_inner(dh, dh, dh, dh)
-        total += _diagonal_real(val, tol)
-    return total / N
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,17 @@ def test_dependent_subgroup_basis_exits_two(tmp_path, capsys):
     assert "subgroup_basis is dependent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body,key", [
+    ('{"subgroup_basis": [[0, 0, 1]]}', "subgroup_basis"),
+    ('{"rep_sets": [[[0, 0, 0]]]}', "rep_sets"),
+])
+def test_wrong_length_coset_vectors_exit_two(tmp_path, capsys, body, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert main(["run", "coset-union-vc", "--config", str(cfg)]) == 2
+    assert f"{key} entry" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_estimator_within_an_order_of_magnitude(name, reports):
     report = reports(name)
