@@ -84,7 +84,6 @@ from ..spectral import (
     max_quadratic_correlation,
     u2_inner,
     u2_norm,
-    u2_norm_naive,
     u3_inner,
     u3_norm,
 )
@@ -202,12 +201,6 @@ def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFun
     return GroupFunction(p, n, bits.astype(np.float64) - alpha)
 
 
-def _u2_terms(p: int, n: int) -> int:
-    """Scalar terms of one spectral U^2 call: four transforms, one contraction."""
-    size = p ** n
-    return size * (4 * p * n + 1)
-
-
 def _u3_terms(p: int, n: int) -> int:
     """Scalar terms of one spectral U^3 call: four derivative tables, four
     transforms batched over h, and the contraction, each over size^2 entries."""
@@ -273,7 +266,7 @@ def _run_u2_equiv(cfg: dict) -> RunResult:
     trials = []
     for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
-        via_corr = u2_norm_naive(f) ** 4
+        via_corr = u2_norm(f) ** 4
         via_spectrum = fourier_transform(f).l4_fourth()
         err = abs(via_corr - via_spectrum)
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
@@ -293,6 +286,7 @@ def _est_u2_equiv(cfg: dict) -> int:
 
 def _run_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
+    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -305,12 +299,12 @@ def _run_gcs(cfg: dict) -> RunResult:
         base = {"seed": cfg["seed"], "trial": i}
         trials.append(make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol))
         trials.append(make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol))
-    return _hard_result(trials, cfg["trials"] * (5 * _u2_terms(p, n) + 9 * _u3_terms(p, n)))
+    return _hard_result(trials, cfg["trials"] * (5 * size ** 2 + 9 * _u3_terms(p, n)))
 
 
 def _est_gcs(cfg: dict) -> int:
     p, n = cfg["p"], cfg["n"]
-    return cfg["trials"] * (5 * _u2_terms(p, n) + 9 * _u3_terms(p, n))
+    return cfg["trials"] * (5 * p ** (2 * n) + 9 * _u3_terms(p, n))
 
 
 def _run_local_gcs(cfg: dict) -> RunResult:
@@ -355,6 +349,7 @@ def _est_local_gcs(cfg: dict) -> int:
 
 def _run_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
+    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -369,12 +364,12 @@ def _run_triangle(cfg: dict) -> RunResult:
             hom = abs(norm(f.scale(c)) - abs(c) * norm(f))
             trials.append(make_trial(4 * i + 2 * k + 1,
                                      base | {"check": f"{tag}-homogeneous"}, hom, tol))
-    return _hard_result(trials, cfg["trials"] * (5 * _u2_terms(p, n) + 5 * _u3_terms(p, n)))
+    return _hard_result(trials, cfg["trials"] * (10 * size ** 2 + 5 * _u3_terms(p, n)))
 
 
 def _est_triangle(cfg: dict) -> int:
     p, n = cfg["p"], cfg["n"]
-    return cfg["trials"] * (5 * _u2_terms(p, n) + 5 * _u3_terms(p, n))
+    return cfg["trials"] * (10 * p ** (2 * n) + 5 * _u3_terms(p, n))
 
 
 def _run_local_triangle(cfg: dict) -> RunResult:
@@ -418,6 +413,7 @@ def _est_local_triangle(cfg: dict) -> int:
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
+    size = p ** n
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
     trials = []
     for i in range(cfg["trials"]):
@@ -433,14 +429,13 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         trials.append(make_trial(2 * i + 1, base | {"check": "local", "d": [a1, a2, a3]},
                                  u2val, u3val + tol))
     coset = p ** (n - cfg["ell"])
-    return _hard_result(trials, cfg["trials"] * (_u2_terms(p, n) + _u3_terms(p, n)
-                                                 + 3 * coset ** 5))
+    return _hard_result(trials, cfg["trials"] * (size ** 2 + _u3_terms(p, n) + 3 * coset ** 5))
 
 
 def _est_u3_dominates(cfg: dict) -> int:
     p, n = cfg["p"], cfg["n"]
     coset = p ** (n - cfg["ell"])
-    return cfg["trials"] * (_u2_terms(p, n) + _u3_terms(p, n) + 3 * coset ** 5)
+    return cfg["trials"] * (p ** (2 * n) + _u3_terms(p, n) + 3 * coset ** 5)
 
 
 def _run_ap3(cfg: dict) -> RunResult:
@@ -837,14 +832,13 @@ def _run_control_ip(cfg: dict) -> RunResult:
         bnd = min(u2_norm(g) for g in grid.functions()) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     slots = m * (1 << m)
-    return _hard_result(trials, cfg["trials"] * (size ** 3 + slots * _u2_terms(p, n)))
+    return _hard_result(trials, cfg["trials"] * (size ** 3 + slots * size ** 2))
 
 
 def _est_control_ip(cfg: dict) -> int:
-    p, n = cfg["p"], cfg["n"]
-    size = p ** n
+    size = cfg["p"] ** cfg["n"]
     slots = cfg["m"] * (1 << cfg["m"])
-    return cfg["trials"] * (size ** 3 + slots * _u2_terms(p, n))
+    return cfg["trials"] * (size ** 3 + slots * size ** 2)
 
 
 def _run_control_ip2(cfg: dict) -> RunResult:

@@ -14,15 +14,11 @@ Octuples for the U^3 inner product are passed as a list of eight functions in
 lexicographic order of (eps1, eps2, eps3):
 (0,0,0), (0,0,1), (0,1,0), (0,1,1), (1,0,0), (1,0,1), (1,1,0), (1,1,1).
 
-Each box inner product has one fast route, which the experiments call, and one
-independent physical-space twin:
-
-* `u2_inner` is one Fourier-side sum, sum_t A^(t) B^(-t) C^(-t) D^(t), in
-  O(p^n p n); its twin `u2_inner_naive` averages an O(p^(2n)) shift table.
-* `u3_inner` conditions on the z-difference h and applies the same sum to four
-  derivative tables, transformed for every h at once, in O(p^(2n) p n); its
-  twin `u3_inner_naive` is the factorized O(p^(5n)) loop and raises
-  CapExceeded past p^n = U3_REFERENCE_CAP.
+`u2_inner` averages an O(p^(2n)) shift table. `u3_inner` conditions on the
+z-difference h and contracts four derivative tables on the frequency side,
+sum_t A^(t) B^(-t) C^(-t) D^(t), transformed for every h at once, in
+O(p^(2n) p n); its independent physical-space twin `u3_inner_naive` is the
+factorized O(p^(5n)) loop and raises CapExceeded past p^n = U3_REFERENCE_CAP.
 """
 
 from __future__ import annotations
@@ -217,33 +213,9 @@ def inverse_transform(spec: SpectrumTable) -> GroupFunction:
 # U^2
 # ---------------------------------------------------------------------------
 
-def _box_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-             p: int, n: int) -> np.ndarray:
-    """E over x0,x1,y0,y1 of a(x0+y0) b(x0+y1) c(x1+y0) d(x1+y1), unconjugated.
-
-    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t);
-    the (-t) transforms are taken with the conjugate kernel. Tables may carry
-    a trailing batch axis, and one sum is returned per column.
-    """
-    minus, plus = _dft_kernel(p, -1), _dft_kernel(p, 1)
-    prod = (_axis_dft(a, p, n, minus) * _axis_dft(b, p, n, plus)
-            * _axis_dft(c, p, n, plus) * _axis_dft(d, p, n, minus))
-    return prod.sum(axis=0)
-
-
 def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
              f11: GroupFunction) -> complex:
-    """E over x0,x1,y0,y1 of the conjugation-twisted four-vertex product,
-    as one Fourier-side sum. Cost O(p^n p n)."""
-    for g in (f01, f10, f11):
-        f00._check(g)
-    return complex(_box_sum(f00.values, np.conj(f01.values), np.conj(f10.values),
-                            f11.values, f00.p, f00.n))
-
-
-def u2_inner_naive(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
-                   f11: GroupFunction) -> complex:
-    """Same average as `u2_inner`, in physical space; the reference route.
+    """E over x0,x1,y0,y1 of the conjugation-twisted four-vertex product.
 
     Evaluated by conditioning on the pair (y0, y1): the x0 and x1 averages
     split into two correlation factors that depend only on h = y1 - y0, so
@@ -272,20 +244,30 @@ def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
     return _root_of_diagonal(val, 4, tol)
 
 
-def u2_norm_naive(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    val = u2_inner_naive(f, f, f, f)
-    return _root_of_diagonal(val, 4, tol)
-
-
 def u2_fourth_power_spectral(f: GroupFunction) -> float:
     """The fourth moment of the spectrum; equals the fourth power of the U^2
-    norm. Tests compare it with the physical-space `u2_norm_naive`."""
+    norm. Kept separate so the identity can be tested between independent
+    routes."""
     return fourier_transform(f).l4_fourth()
 
 
 # ---------------------------------------------------------------------------
 # U^3
 # ---------------------------------------------------------------------------
+
+def _box_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+             p: int, n: int) -> np.ndarray:
+    """E over x0,x1,y0,y1 of a(x0+y0) b(x0+y1) c(x1+y0) d(x1+y1), unconjugated.
+
+    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t);
+    the (-t) transforms are taken with the conjugate kernel. Tables may carry
+    a trailing batch axis, and one sum is returned per column.
+    """
+    minus, plus = _dft_kernel(p, -1), _dft_kernel(p, 1)
+    prod = (_axis_dft(a, p, n, minus) * _axis_dft(b, p, n, plus)
+            * _axis_dft(c, p, n, plus) * _axis_dft(d, p, n, minus))
+    return prod.sum(axis=0)
+
 
 def u3_inner(octuple: list[GroupFunction]) -> complex:
     """Eight-vertex inner product over x0,x1,y0,y1,z0,z1.

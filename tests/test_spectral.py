@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qflab.errors import CapExceeded, NegativeDiagonal
+from qflab import spectral
 from qflab.fpn_core import GroupVector, SymmetricForm, space
 from qflab.spectral import (
     EPS3_ORDER,
-    U3_REFERENCE_CAP,
     GroupFunction,
     ap3_average,
     ap4_average,
@@ -27,17 +25,11 @@ from qflab.spectral import (
     max_quadratic_correlation,
     u2_fourth_power_spectral,
     u2_inner,
-    u2_inner_naive,
     u2_norm,
-    u2_norm_naive,
     u3_inner,
     u3_inner_naive,
     u3_norm,
 )
-
-# every (p, n) with p^n within the reference cap of u3_inner_naive
-REFERENCE_SIZES = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 4)
-                   if p ** n <= U3_REFERENCE_CAP]
 
 
 def _random_f(p, n, seed, bounded=False):
@@ -108,13 +100,12 @@ def test_u2_inner_matches_explicit_loop():
                     * np.conj(fs[2].values[sp.add(x, h1)])
                     * fs[3].values[sp.add(sp.add(x, h1), h2)]
                 )
-    for route in (u2_inner, u2_inner_naive):
-        assert route(*fs) == pytest.approx(complex(total / 27), abs=1e-12)
+    assert u2_inner(*fs) == pytest.approx(complex(total / 27), abs=1e-12)
 
 
 def test_u2_fourth_power_equals_spectral_moment():
     f = _random_f(3, 3, seed=31)
-    assert u2_norm_naive(f) ** 4 == pytest.approx(u2_fourth_power_spectral(f), abs=1e-10)
+    assert u2_norm(f) ** 4 == pytest.approx(u2_fourth_power_spectral(f), abs=1e-10)
 
 
 def test_u3_inner_matches_explicit_loop():
@@ -144,26 +135,11 @@ def test_u3_eighth_power_matches_derivative_route():
     assert u3_norm(f) ** 8 == pytest.approx(u3_inner_naive([f] * 8).real, abs=1e-10)
 
 
-def _bounded_tuple(p, n, seed, count, diagonal):
-    if diagonal:
-        return [_random_f(p, n, seed, bounded=True)] * count
-    return [_random_f(p, n, seed + k, bounded=True) for k in range(count)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(size=st.sampled_from(REFERENCE_SIZES), seed=st.integers(0, 2 ** 32 - 1),
-       diagonal=st.booleans())
-def test_spectral_u2_matches_reference_across_primes(size, seed, diagonal):
-    quad = _bounded_tuple(*size, seed, 4, diagonal)
-    assert abs(u2_inner(*quad) - u2_inner_naive(*quad)) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(size=st.sampled_from(REFERENCE_SIZES), seed=st.integers(0, 2 ** 32 - 1),
-       diagonal=st.booleans())
-def test_spectral_u3_matches_reference_across_primes(size, seed, diagonal):
-    octu = _bounded_tuple(*size, seed, 8, diagonal)
-    assert abs(u3_inner(octu) - u3_inner_naive(octu)) <= 1e-12
+def test_u3_inner_blocks_of_h_match_reference(monkeypatch):
+    # 135 entries per block at p^n = 27: five blocks of 5 h and a last one of 2
+    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", 5 * 27)
+    fs = [_random_f(3, 3, seed=70 + k, bounded=True) for k in range(8)]
+    assert u3_inner(fs) == pytest.approx(u3_inner_naive(fs), abs=1e-12)
 
 
 def test_u3_reference_is_capped():
@@ -198,7 +174,6 @@ def test_u2_never_exceeds_u3():
 def test_subgroup_indicator_reference_values():
     f = _subgroup_indicator()
     assert u2_norm(f) ** 4 == pytest.approx(1 / 27, abs=1e-10)
-    assert u2_norm_naive(f) ** 4 == pytest.approx(1 / 27, abs=1e-10)
     assert u2_fourth_power_spectral(f) == pytest.approx(1 / 27, abs=1e-10)
     assert u3_norm(f) ** 8 == pytest.approx(1 / 81, abs=1e-10)
     assert u3_inner_naive([f] * 8).real == pytest.approx(1 / 81, abs=1e-10)
