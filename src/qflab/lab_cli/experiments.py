@@ -765,13 +765,12 @@ def _est_atom_vc2(cfg: dict) -> int:
 
 def _check_lengths(key: str, vectors: list, n: int) -> None:
     for v in vectors:
-        if np.shape(v) != (n,):
-            raise ConfigError(f"{key} entry {v} is not a vector of length n = {n}")
+        if not (isinstance(v, list) and len(v) == n and all(map(_is_int, v))):
+            raise ConfigError(f"{key} entry {v} is not a vector of n = {n} integers")
 
 
 def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
     """All canonical indices in the span of the given independent rows."""
-    _check_lengths("subgroup_basis", basis, n)
     rows = np.array(basis, dtype=np.int64).reshape(len(basis), n)
     if len(basis) and rank_mod_p(rows, p) != len(basis):
         raise ConfigError("subgroup_basis is dependent")
@@ -786,10 +785,6 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
     sp = space(p, n)
     basis = [tuple(b) for b in cfg["subgroup_basis"]]
     span = _span_indices(p, n, basis)
-    for reps in cfg["rep_sets"]:
-        if not reps:
-            raise ConfigError("rep_sets entries must be nonempty")
-        _check_lengths("rep_sets", reps, n)
     trials, terms = [], 0
     for i, reps in enumerate(cfg["rep_sets"]):
         k = len(reps)
@@ -1556,9 +1551,31 @@ def merge_config(exp: Experiment, file_cfg: dict | None,
                 raise ConfigError(
                     f"experiment {exp.name!r} does not accept key {key!r} "
                     f"(allowed: {allowed})")
+            if not _same_json_type(exp.defaults[key], val):
+                raise ConfigError(
+                    f"{key} must be a JSON {_json_type(exp.defaults[key])} like its "
+                    f"default, got {_json_type(val)} {val!r}")
             cfg[key] = val
     _validate_config(cfg)
     return cfg
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _json_type(val) -> str:
+    if isinstance(val, bool):
+        return "boolean"
+    if isinstance(val, (int, float)):
+        return "integer" if isinstance(val, int) else "number"
+    return {str: "string", list: "array", dict: "object"}.get(type(val), type(val).__name__)
+
+
+def _same_json_type(default, val) -> bool:
+    """A bool is not an integer; a number key also accepts an integer."""
+    want, got = _json_type(default), _json_type(val)
+    return got == want or (want, got) == ("number", "integer")
 
 
 def _validate_config(cfg: dict) -> None:
@@ -1570,14 +1587,22 @@ def _validate_config(cfg: dict) -> None:
         dims.append(cfg["n"])
     dims.extend(cfg.get("n_values", []))
     for n in dims:
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ConfigError(f"dimension must be a positive integer, got {n}")
         if p is not None and p ** n > GROUP_CAP:
             raise ConfigError(f"p^n = {p ** n} exceeds the cap {GROUP_CAP}")
     for key in ("trials", "directions", "samples", "m", "max_part"):
         val = cfg.get(key)
-        if val is not None and (not isinstance(val, int) or val < 1):
+        if val is not None and val < 1:
             raise ConfigError(f"{key} must be a positive integer, got {val}")
+    if cfg.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
+    if "subgroup_basis" in cfg:
+        _check_lengths("subgroup_basis", cfg["subgroup_basis"], cfg["n"])
+    for reps in cfg.get("rep_sets", []):
+        if not isinstance(reps, list) or not reps:
+            raise ConfigError(f"rep_sets entry {reps} is not a nonempty list of vectors")
+        _check_lengths("rep_sets", reps, cfg["n"])
     tol = cfg.get("tol")
     if tol is not None and not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")

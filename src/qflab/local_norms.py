@@ -12,8 +12,11 @@ atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from . import spectral
 from .errors import CapExceeded, DegenerateContext, EmptyLevelSet
 from .factor import (
     AtomLabel,
@@ -24,7 +27,7 @@ from .factor import (
     sigma2,
     sigma3,
 )
-from .fpn_core import DEFAULT_TOL, GroupVector
+from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector
 from .spectral import (
     GroupFunction,
     SpectrumTable,
@@ -32,7 +35,7 @@ from .spectral import (
     fourier_transform,
 )
 
-TENSOR_CAP = 1 << 24  # member-tensor entry cap for local U^3 evaluation
+TENSOR_CAP = 1 << 24  # member-tensor entry cap of the ternary contraction
 NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
@@ -147,48 +150,117 @@ class LocalContext3:
 
 def _member_tensor(ctx: LocalContext3, g: GroupFunction) -> np.ndarray:
     """tensor[i, j, k] = g(x_i + y_j + z_k) over the three member arrays."""
-    sp = ctx.factor.space
-    if ctx.xs.size * ctx.ys.size * ctx.zs.size > TENSOR_CAP:
-        raise CapExceeded("atom member tensor too large")
-    return g.values[sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
+    return g.values[ctx.factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a[j0] * b[j1] for every (j0, j1), j0-major."""
+    return (a[:, None] * b[None]).reshape((-1,) + a.shape[1:])
+
+
+def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict,
+                      muv: dict, muw: dict, mvw: dict) -> complex:
+    """The weighted ternary average over parts U, V (at most two vertices
+    each) and W (any number of vertices):
+
+        E over x_u in xs[u], y_v in ys[v] of prod muv[u, v](x_u, y_v) times
+        prod over w of E over z in zs[w] of prod muw[u, w](x_u, z)
+        prod mvw[v, w](y_v, z) prod values[u, v, w][x_u + y_v + z].
+
+    Once the y's are fixed the z-averages are independent: each is one
+    weighted matrix product over (x_0, z) and (x_1, z), and the outer
+    average weights their product by muv. Blocks of y-tuples go through
+    one batched matmul; a block's temporaries hold at most
+    H_BLOCK_ENTRIES entries unless one y-tuple alone needs more. Member
+    tensors are y-major, t[j, i, k] = g(x_i + y_j + z_k), and built once
+    per distinct (value array, member arrays) by identity; W-vertices
+    whose inputs repeat share one z-average.
+    """
+    nu, nv, nw = len(xs), len(ys), len(zs)
+    for u, v, w in itertools.product(range(nu), range(nv), range(nw)):
+        if xs[u].size * ys[v].size * zs[w].size > TENSOR_CAP:
+            raise CapExceeded("member tensor too large")
+    grids: dict[tuple, np.ndarray] = {}
+    tensors: dict[tuple, np.ndarray] = {}
+
+    def tensor(u: int, v: int, w: int) -> tuple[tuple, np.ndarray]:
+        g = values[(u, v, w)]
+        members = (id(ys[v]), id(xs[u]), id(zs[w]))
+        key = (id(g),) + members
+        if key not in tensors:
+            if members not in grids:
+                grids[members] = sp.sum_grid3(ys[v], xs[u], zs[w])
+            tensors[key] = g[grids[members]]
+        return key, tensors[key]
+
+    # W-vertices with the same tensors, members and weights share a z-average
+    slots: dict[tuple, list] = {}
+    for w in range(nw):
+        keys, ts = zip(*(tensor(u, v, w) for u in range(nu) for v in range(nv)))
+        skey = (keys, id(zs[w]), tuple(id(muw[(u, w)]) for u in range(nu)),
+                tuple(id(mvw[(v, w)]) for v in range(nv)))
+        if skey in slots:
+            slots[skey][2] += 1
+        else:
+            slots[skey] = [w, ts, 1]
+    xweights = [[muv[(u, v)].T for v in range(nv)] for u in range(nu)]
+
+    sy0 = ys[0].size
+    sy1 = ys[1].size if nv == 2 else 1
+    per = max([xs[u].size * zs[w].size for u in range(nu) for w in range(nw)]
+              + [xs[0].size * xs[-1].size])
+    step = max(1, spectral.H_BLOCK_ENTRIES // per)
+    rows, cols = (max(1, step // sy1), sy1) if sy1 <= step else (1, step)
+    total = 0.0
+    for j0 in range(0, sy0, rows):
+        b0 = slice(j0, j0 + rows)
+        # the y0-only factors of each slot, the z weights on u = 0
+        heads = []
+        for w, ts, _ in slots.values():
+            zweight = muw[(0, w)][None] * (mvw[(0, w)][b0, None, :] / zs[w].size)
+            heads.append([ts[0][b0] * zweight]
+                         + [ts[u * nv][b0] * muw[(u, w)][None] for u in range(1, nu)])
+        for j1 in range(0, sy1, cols):
+            b1 = slice(j1, j1 + cols)
+            prod = None
+            for head, (w, ts, count) in zip(heads, slots.values()):
+                r = head
+                if nv == 2:  # times the y1-only factors, the y1 z weights on u = 0
+                    tails = [ts[1][b1] * mvw[(1, w)][b1, None, :]]
+                    tails += [ts[u * nv + 1][b1] for u in range(1, nu)]
+                    r = [_outer_rows(h, t) for h, t in zip(head, tails)]
+                g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
+                for _ in range(count):
+                    prod = g if prod is None else prod * g
+            wx = [_outer_rows(m[0][b0], m[1][b1]) if nv == 2 else m[0][b0] for m in xweights]
+            if nu == 1:
+                total += (wx[0] * prod).sum()
+            else:
+                total += (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).sum()
+    denom = 1
+    for a in (*xs, *ys):
+        denom *= a.size
+    return complex(total / denom)
 
 
 def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
-    """The mu-weighted eight-vertex expectation over the three atoms.
-
-    Factorized: for each (y0, y1) the two z-averages collapse to weighted
-    matrix products over (x, z), and the remaining x0, x1 average is an
-    elementwise contraction against the mu12 outer weights.
-    """
+    """The mu-weighted eight-vertex expectation over the three atoms: the
+    ternary contraction with |U| = |V| = |W| = 2, slot (u, v, w) reading
+    octuple[4u + 2v + w], conjugated when u + v + w is odd."""
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
     for g in octuple:
         if (g.p, g.n) != (ctx.factor.p, ctx.factor.n):
             raise ValueError("function in wrong group")
-    tensors: dict[int, np.ndarray] = {}
-    for g in octuple:
-        if id(g) not in tensors:
-            tensors[id(g)] = _member_tensor(ctx, g)
-    t000, t001, t010, t011, t100, t101, t110, t111 = (tensors[id(g)] for g in octuple)
-    s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
-    mu12, mu13, mu23 = ctx.mu12, ctx.mu13, ctx.mu23
-    total = 0.0
-    for j0 in range(s2):
-        w0x0_base = t000[:, j0, :]
-        w0x1_base = np.conj(t100[:, j0, :])
-        w1x0_base = np.conj(t001[:, j0, :])
-        w1x1_base = t101[:, j0, :]
-        for j1 in range(s2):
-            a0 = mu13 * w0x0_base * np.conj(t010[:, j1, :])
-            b0 = mu13 * w0x1_base * t110[:, j1, :]
-            a1 = mu13 * w1x0_base * t011[:, j1, :]
-            b1 = mu13 * w1x1_base * np.conj(t111[:, j1, :])
-            wz = mu23[j0] * mu23[j1]
-            z0 = (a0 * wz) @ b0.T / s3
-            z1 = (a1 * wz) @ b1.T / s3
-            wx = mu12[:, j0] * mu12[:, j1]
-            total = total + ((wx[:, None] * wx[None, :]) * z0 * z1).sum()
-    return complex(total / (s1 * s1 * s2 * s2))
+    conj = {id(g): np.conj(g.values) for g in octuple}
+    values = {(u, v, w): (conj[id(g)] if (u + v + w) % 2 else g.values)
+              for (u, v, w), g in zip(itertools.product(range(2), repeat=3), octuple)}
+    two = range(2)
+    return _ternary_contract(
+        ctx.factor.space, [ctx.xs] * 2, [ctx.ys] * 2, [ctx.zs] * 2, values,
+        {(a, b): ctx.mu12 for a in two for b in two},
+        {(a, b): ctx.mu13 for a in two for b in two},
+        {(a, b): ctx.mu23 for a in two for b in two})
 
 
 def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:

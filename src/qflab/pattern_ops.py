@@ -35,8 +35,9 @@ from .factor import (
     QuadraticFactor,
     mu_weight_matrix,
 )
-from .spectral import GroupFunction
 from .fpn_core import space
+from .local_norms import LocalContext3, _ternary_contract
+from .spectral import GroupFunction
 
 GRID_CAP = 1 << 24
 MAX_IP_M = 3
@@ -272,62 +273,28 @@ def _ip2_check(m: int, grid: FunctionGrid) -> None:
                     raise ValueError(f"grid missing slot {(i, j, s)}")
 
 
-def _ip2_engine(m: int, grid: FunctionGrid, xs: np.ndarray, ys: np.ndarray,
+def _ip2_inputs(m: int, grid: FunctionGrid, xs: np.ndarray, ys: np.ndarray,
                 zs: np.ndarray, mu12: np.ndarray, mu13: np.ndarray,
-                mu23: np.ndarray) -> complex:
-    """Conditioned on (x_i), (y_j), the 2^(m^2) z_S-averages factor. Each is
-    a weighted contraction over z; the outer average carries the mu12
-    weights. Member tensors t[i, j, k] = f(x_i + y_j + z_k) are cached per
-    distinct function."""
-    sp = space(grid.p, grid.n)
-    s1, s2, s3 = xs.size, ys.size, zs.size
-    if s1 * s2 * s3 > GRID_CAP:
-        raise CapExceeded("IP2 member tensor too large")
-    tensors: dict[int, np.ndarray] = {}
-    for g in grid.functions():
-        if id(g) not in tensors:
-            tensors[id(g)] = g.values[sp.sum_grid3(xs, ys, zs)]
+                mu23: np.ndarray) -> tuple:
+    """m-IP2 as a ternary contraction: U = V = [m], one W-vertex per subset
+    S of [m]^2, slot (i, j, S) reading f_{i+1, j+1, S}; the z_S-averages are
+    independent once the x's and y's are fixed."""
     nsub = 1 << (m * m)
-    if m == 1:
-        total = 0.0
-        for j0 in range(s2):
-            wz = mu23[j0]
-            prod = np.ones(s1)
-            for s in range(nsub):
-                mat = tensors[id(grid[(1, 1, s)])][:, j0, :]
-                prod = prod * ((mu13 * mat * wz).sum(axis=1) / s3)
-            total = total + (mu12[:, j0] * prod).sum()
-        return complex(total / (s1 * s2))
-    total = 0.0
-    slot_ids = {}
-    for s in range(nsub):
-        slot_ids[s] = (id(grid[(1, 1, s)]), id(grid[(1, 2, s)]),
-                       id(grid[(2, 1, s)]), id(grid[(2, 2, s)]))
-    for j0 in range(s2):
-        for j1 in range(s2):
-            wz = mu23[j0] * mu23[j1]
-            prod = np.ones((s1, s1))
-            kernel_cache: dict[tuple, np.ndarray] = {}
-            for s in range(nsub):
-                key = slot_ids[s]
-                k = kernel_cache.get(key)
-                if k is None:
-                    a = mu13 * tensors[key[0]][:, j0, :] * tensors[key[1]][:, j1, :]
-                    b = mu13 * tensors[key[2]][:, j0, :] * tensors[key[3]][:, j1, :]
-                    k = (a * wz) @ b.T / s3
-                    kernel_cache[key] = k
-                prod = prod * k
-            wx = mu12[:, j0] * mu12[:, j1]
-            total = total + ((wx[:, None] * wx[None, :]) * prod).sum()
-    return complex(total / (s1 * s1 * s2 * s2))
+    values = {(i, j, s): grid[(i + 1, j + 1, s)].values
+              for i in range(m) for j in range(m) for s in range(nsub)}
+    return ([xs] * m, [ys] * m, [zs] * nsub, values,
+            {(i, j): mu12 for i in range(m) for j in range(m)},
+            {(i, s): mu13 for i in range(m) for s in range(nsub)},
+            {(j, s): mu23 for j in range(m) for s in range(nsub)})
 
 
 def t_ip2(m: int, grid: FunctionGrid) -> complex:
     """E_{x_i, y_j} E_{z_S : S subset [m]^2} prod f_{i,j,S}(x_i + y_j + z_S)."""
     _ip2_check(m, grid)
-    full = np.arange(space(grid.p, grid.n).size, dtype=np.int64)
-    ones12 = np.ones((full.size, full.size))
-    return _ip2_engine(m, grid, full, full, full, ones12, ones12, ones12)
+    sp = space(grid.p, grid.n)
+    full = np.arange(sp.size, dtype=np.int64)
+    ones = np.ones((sp.size, sp.size))
+    return _ternary_contract(sp, *_ip2_inputs(m, grid, full, full, full, ones, ones, ones))
 
 
 def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
@@ -337,19 +304,9 @@ def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
     _ip2_check(m, grid)
     if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
-    xs = factor.atom_indices(d.a1)
-    ys = factor.atom_indices(d.a2)
-    zs = factor.atom_indices(d.a3)
-    for name, arr in (("a1", xs), ("a2", ys), ("a3", zs)):
-        if arr.size == 0:
-            raise DegenerateContext(f"atom {name} = {getattr(d, name)} is empty")
-    try:
-        mu12 = mu_weight_matrix(factor, d.b12, xs, ys)
-        mu13 = mu_weight_matrix(factor, d.b13, xs, zs)
-        mu23 = mu_weight_matrix(factor, d.b23, ys, zs)
-    except EmptyLevelSet as exc:
-        raise DegenerateContext(str(exc)) from exc
-    return _ip2_engine(m, grid, xs, ys, zs, mu12, mu13, mu23)
+    ctx = LocalContext3(factor, d)
+    return _ternary_contract(factor.space, *_ip2_inputs(
+        m, grid, ctx.xs, ctx.ys, ctx.zs, ctx.mu12, ctx.mu13, ctx.mu23))
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -480,52 +437,9 @@ def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
     product of f_{u,v,w}(x_u + y_v + z_w) over ALL triples; the z_w-averages
     are independent once the x's and y's are fixed."""
     ctx = _TernaryContext(graph, factor, e)
-    sp = factor.space
-    graph_, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
-    tensors: dict[tuple, np.ndarray] = {}
-    for (u, v, w) in graph_.all_tuples():
-        g = grid[(u, v, w)]
-        key = (u, v, w)
-        tensors[key] = g.values[sp.sum_grid3(xs[u], ys[v], zs[w])]
-    total = 0.0
-    for yv in itertools.product(*[range(a.size) for a in ys]):
-        per_w = []
-        for w in range(graph_.nw):
-            wz = np.ones(zs[w].size)
-            for v in range(graph_.nv):
-                wz = wz * ctx.mvw[(v, w)][yv[v]]
-            rows = []
-            for u in range(graph_.nu):
-                c = ctx.muw[(u, w)].copy()
-                for v in range(graph_.nv):
-                    c = c * tensors[(u, v, w)][:, yv[v], :]
-                rows.append(c)
-            if graph_.nu == 1:
-                g_w = (rows[0] * wz).sum(axis=1) / zs[w].size
-            else:
-                g_w = (rows[0] * wz) @ rows[1].T / zs[w].size
-            per_w.append(g_w)
-        prod = per_w[0]
-        for g_w in per_w[1:]:
-            prod = prod * g_w
-        if graph_.nu == 1:
-            wx = np.ones(xs[0].size)
-            for v in range(graph_.nv):
-                wx = wx * ctx.muv[(0, v)][:, yv[v]]
-            total = total + (wx * prod).sum()
-        else:
-            wx0 = np.ones(xs[0].size)
-            wx1 = np.ones(xs[1].size)
-            for v in range(graph_.nv):
-                wx0 = wx0 * ctx.muv[(0, v)][:, yv[v]]
-                wx1 = wx1 * ctx.muv[(1, v)][:, yv[v]]
-            total = total + ((wx0[:, None] * wx1[None, :]) * prod).sum()
-    denom = 1
-    for a in xs:
-        denom *= a.size
-    for a in ys:
-        denom *= a.size
-    return complex(total / denom)
+    values = {t: grid[t].values for t in graph.all_tuples()}
+    return _ternary_contract(factor.space, ctx.xs, ctx.ys, ctx.zs, values,
+                             ctx.muv, ctx.muw, ctx.mvw)
 
 
 def if_enumerate(graph: PatternHypergraph, factor: QuadraticFactor,
@@ -655,8 +569,6 @@ def weighted_ternary_density(factor: QuadraticFactor, d: DirectionTuple3,
                              member: np.ndarray) -> tuple[float, float]:
     """E over the three atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z),
     together with the plain density of A on the target atom B(sigma3(d))."""
-    from .local_norms import LocalContext3
-
     ctx = LocalContext3(factor, d)
     member = np.asarray(member, dtype=bool)
     sp = factor.space

@@ -52,6 +52,31 @@ def test_bad_override_exits_two(capsys):
     assert main(["run", "parseval", "--p", "4"]) == 2
 
 
+@pytest.mark.parametrize("name,body", [
+    ("parseval", '{"p": 3.0}'),
+    ("parseval", '{"tol": "x"}'),
+    ("parseval", '{"seed": -1}'),
+    ("parseval", '{"seed": 1.5}'),
+    ("parseval", '{"trials": true}'),
+    ("control-ip2-local-trend", '{"n_values": 5}'),
+    ("control-ip2-local-trend", '{"n_values": [3, true]}'),
+])
+def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
+    # each value must have the JSON type of its default; a bool is no integer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert main(["run", name, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert [line.startswith("error:") for line in err.splitlines()] == [True]
+
+
+def test_number_key_accepts_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": 1, "trials": 2}')
+    assert main(["run", "parseval", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"bogus_key": 1}')
@@ -149,6 +174,8 @@ def test_dependent_subgroup_basis_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("body,key", [
     ('{"subgroup_basis": [[0, 0, 1]]}', "subgroup_basis"),
     ('{"rep_sets": [[[0, 0, 0]]]}', "rep_sets"),
+    ('{"subgroup_basis": [1, 2]}', "subgroup_basis"),
+    ('{"rep_sets": [[[0, 0, 0, [1]]]]}', "rep_sets"),
 ])
 def test_wrong_length_coset_vectors_exit_two(tmp_path, capsys, body, key):
     cfg = tmp_path / "cfg.json"

@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qflab.errors import DegenerateContext
+from qflab import local_norms
+from qflab.errors import CapExceeded, DegenerateContext
 from qflab.factor import (
     DirectionTuple2,
     DirectionTuple3,
@@ -186,3 +187,33 @@ def test_local_u3_dominates_local_u2_on_linear_factors():
             u3val, u2val, margin = local_u3_dominates_check(lin, a1, a2, a3, f)
             assert margin >= -1e-9
             assert u3val >= 0.0 and u2val >= 0.0
+
+
+def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
+    from qflab.pattern_ops import (
+        FunctionGrid,
+        LabelAssignment,
+        ip2_hypergraph,
+        t_ip2,
+        t_ip2_local,
+        t_ternary,
+    )
+
+    factor = _mixed_factor()
+    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    ctx = LocalContext3(factor, d)
+    f = _random_f(3, 3, seed=60)
+    graph = ip2_hypergraph(1)
+    calls = [
+        lambda: local_u3_inner(ctx, [f] * 8),
+        lambda: t_ip2(1, FunctionGrid.ip2_diagonal(1, f)),
+        lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
+        lambda: t_ternary(graph, factor, LabelAssignment.constant(graph, d),
+                          FunctionGrid.edge_select(graph, f, f)),
+    ]
+    for call in calls:
+        call()
+    monkeypatch.setattr(local_norms, "TENSOR_CAP", ctx.xs.size * ctx.ys.size * ctx.zs.size - 1)
+    for call in calls:
+        with pytest.raises(CapExceeded):
+            call()
