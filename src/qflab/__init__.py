@@ -1,8 +1,8 @@
 """qflab: a verification laboratory for quadratic Fourier analysis over F_p^n.
 
 Modules:
-    fpn_core      exact F_p / Z[omega] arithmetic, enumeration, character sums
-    factor        linear and quadratic factors, atoms, bilinear level sets
+    fpn_core      F_p arithmetic, index tables for F_p^n, character sums
+    factor        linear and quadratic factors, atoms, bilinear level-set sizes
     spectral      Fourier transform, global U^2/U^3 norms, AP averages
     local_norms   local U^2(d)/U^3(d) semi-norms and restricted Fourier
     pattern_ops   IP/IP2 operators, multi-local pattern operators, witnesses
@@ -14,7 +14,6 @@ from .errors import (
     AsymmetricForm,
     CapExceeded,
     DegenerateContext,
-    DependentBasis,
     DependentVectors,
     EmptyAtom,
     EmptyLevelSet,
@@ -30,7 +29,6 @@ __all__ = [
     "AsymmetricForm",
     "CapExceeded",
     "DegenerateContext",
-    "DependentBasis",
     "DependentVectors",
     "EmptyAtom",
     "EmptyLevelSet",

@@ -1,12 +1,11 @@
-"""Shattering-type searches (VC, order property, VC2), the cube alternating
-identity, and density / regularity conclusions over quadratic factors.
+"""Shattering-type searches (VC and VC2) and density / regularity
+conclusions over quadratic factors.
 
 Pattern conventions (all exhaustive searches, factorized over the completion
 variable):
 
 * k-IP: elements a_1..a_k and one b_S per S subset [k] with
   a_i + b_S in A iff i in S. Subset codes use bit i-1 for membership of i.
-* k-OP: a_1..a_k, b_1..b_k with a_i + b_j in A iff i <= j.
 * m-IP2: a_i, b_j and one c_S per S subset [m]^2 with
   a_i + b_j + c_S in A iff (i, j) in S; bit (i-1)*m + (j-1) codes (i, j).
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .factor import QuadraticFactor
-from .fpn_core import GroupVector, SymmetricForm, space
+from .fpn_core import GroupVector, space
 
 MAX_IP_K = 4
 MAX_IP2_M = 2
@@ -35,8 +34,7 @@ SHIFT_TABLE_CAP = 1 << 26
 
 class SubsetBitmask:
     """A subset of F_p^n as an immutable boolean table over canonical
-    indices. Hex serialization packs bits little-endian (index 8k + r is
-    bit r of byte k)."""
+    indices."""
 
     def __init__(self, p: int, n: int, bits) -> None:
         sp = space(p, n)
@@ -79,18 +77,6 @@ class SubsetBitmask:
         bits[np.asarray(list(indices), dtype=np.int64)] = True
         return cls(p, n, bits)
 
-    @classmethod
-    def from_hex(cls, p: int, n: int, hexstr: str) -> SubsetBitmask:
-        raw = bytes.fromhex(hexstr)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        size = space(p, n).size
-        if bits.size < size or bits[size:].any():
-            raise ValueError("hex bitmask has wrong length or trailing bits")
-        return cls(p, n, bits[:size])
-
-    def to_hex(self) -> str:
-        return np.packbits(self.bits.view(np.uint8), bitorder="little").tobytes().hex()
-
 
 def _shift_table(mask: SubsetBitmask) -> np.ndarray:
     """table[a, b] = membership of a + b; the per-element rows that every
@@ -106,8 +92,8 @@ def _shift_table(mask: SubsetBitmask) -> np.ndarray:
 class WitnessCertificate:
     """A replayable pattern witness; `a`, `b`, `c` hold canonical indices.
 
-    For IP, b[s] completes subset code s; for OP, b[j-1] pairs with chain
-    code 2^j - 1; for IP2, c[s] completes pattern code s.
+    For IP, b[s] completes subset code s; for IP2, c[s] completes pattern
+    code s.
     """
 
     kind: str
@@ -136,14 +122,6 @@ class WitnessCertificate:
                 for i in range(k):
                     want = bool(s >> i & 1)
                     if inside(sp.add(self.a[i], bs)) != want:
-                        return False
-            return True
-        if self.kind == "OP":
-            k = len(self.a)
-            for i in range(k):
-                for j in range(k):
-                    want = i <= j
-                    if inside(sp.add(self.a[i], self.b[j])) != want:
                         return False
             return True
         if self.kind == "IP2":
@@ -206,36 +184,6 @@ def vc_dimension(mask: SubsetBitmask, cap: int = MAX_IP_K) -> int:
     return dim
 
 
-def has_k_op(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
-    """Search for the k-order property: ordered distinct a's (a_1 = 0), and
-    for each j some b whose trace is the chain {1..j}."""
-    if k > MAX_IP_K:
-        raise CapExceeded(f"k = {k} exceeds the OP search cap {MAX_IP_K}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    table = _shift_table(mask)
-    N = table.shape[0]
-    rows = table.astype(np.uint16)
-    weights = [np.uint16(1 << i) for i in range(k)]
-    chain_codes = [(1 << j) - 1 for j in range(1, k + 1)]
-    for rest in itertools.product(range(1, N), repeat=k - 1):
-        if len(set(rest)) != k - 1:
-            continue
-        codes = rows[0] * weights[0]
-        for i, a in enumerate(rest):
-            codes = codes + rows[a] * weights[i + 1]
-        bs = []
-        for code in chain_codes:
-            hit = np.nonzero(codes == code)[0]
-            if hit.size == 0:
-                bs = None
-                break
-            bs.append(int(hit[0]))
-        if bs is not None:
-            return WitnessCertificate("OP", mask.p, mask.n, (0,) + rest, tuple(bs))
-    return None
-
-
 def has_m_ip2(mask: SubsetBitmask, m: int,
               point_cap: int = DEFAULT_IP2_POINTS) -> WitnessCertificate | None:
     """Search for an m-IP2 configuration; for fixed (a_i), (b_j) a witness
@@ -279,24 +227,6 @@ def vc2_dimension(mask: SubsetBitmask, cap: int = MAX_IP2_M,
             break
         dim = m
     return dim
-
-
-def cube_identity_check(form: SymmetricForm, r: GroupVector,
-                        x0: GroupVector, x1: GroupVector, y0: GroupVector,
-                        y1: GroupVector, z0: GroupVector, z1: GroupVector) -> int:
-    """Exact alternating sum over the combinatorial cube of corner
-    evaluations c^T M c + r.c, reduced mod p; identically zero."""
-    p = form.p
-    xs, ys, zs = (x0, x1), (y0, y1), (z0, z1)
-    marr = form.as_array()
-    rarr = np.array(r.coords, dtype=np.int64)
-    total = 0
-    for e1, e2, e3 in itertools.product((0, 1), repeat=3):
-        corner = np.array((xs[e1] + ys[e2] + zs[e3]).coords, dtype=np.int64)
-        val = int(corner @ marr @ corner) + int(rarr @ corner)
-        sign = -1 if (e1 + e2 + e3) % 2 else 1
-        total += sign * val
-    return total % p
 
 
 def density_profile(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[dict, int]:

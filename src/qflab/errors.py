@@ -19,10 +19,6 @@ class DependentVectors(QflabError):
     """Vectors expected to be linearly independent are not."""
 
 
-class DependentBasis(QflabError):
-    """A basis handed to a subspace restriction is linearly dependent."""
-
-
 class AsymmetricForm(QflabError):
     """A matrix expected to be symmetric is not."""
 

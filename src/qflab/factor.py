@@ -1,4 +1,4 @@
-"""Linear and quadratic factors: atoms, bilinear level sets, rank, projection.
+"""Linear and quadratic factors: atoms, bilinear level-set sizes, rank.
 
 A linear factor is a list of linearly independent vectors r_1, ..., r_l; a
 quadratic factor adds symmetric forms M_1, ..., M_q. Atoms are the joint
@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DependentVectors, EmptyLevelSet, TooManyForms
 from .fpn_core import (
-    DEFAULT_ENUM_CAP,
     GroupSpace,
     GroupVector,
     SymmetricForm,
@@ -27,9 +25,6 @@ from .fpn_core import (
     rank_mod_p,
     space,
 )
-
-if TYPE_CHECKING:
-    from .spectral import GroupFunction
 
 MAX_FORMS = 6
 
@@ -43,26 +38,6 @@ class AtomLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(int(v) % self.p for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __add__(self, other: AtomLabel) -> AtomLabel:
-        return AtomLabel(self.p, tuple((a + b) % self.p for a, b in zip(self.values, other.values)))
-
-
-@dataclass(frozen=True)
-class BilinearLabel:
-    """Level label b in F_p^q for the pair sets {(x, y) : x^T M_j y = b_j}."""
-
-    p: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) % self.p for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -137,7 +112,7 @@ class _LabelIndex:
 class LinearFactor(_LabelIndex):
     """l linearly independent vectors partitioning F_p^n into p^l cosets."""
 
-    def __init__(self, p: int, n: int, vectors: tuple[GroupVector, ...], cap: int = DEFAULT_ENUM_CAP) -> None:
+    def __init__(self, p: int, n: int, vectors: tuple[GroupVector, ...]) -> None:
         rows = []
         for v in vectors:
             if v.p != p or v.n != n:
@@ -151,7 +126,7 @@ class LinearFactor(_LabelIndex):
         self.n = n
         self.vectors = tuple(vectors)
         self.ell = self.width = len(rows)
-        self.space: GroupSpace = GroupSpace(p, n, cap=cap)
+        self.space: GroupSpace = GroupSpace(p, n)
         self._rows = np.array(rows, dtype=np.int64).reshape(self.ell, n)
 
     @cached_property
@@ -253,56 +228,8 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
     return QuadraticFactor(linear, shaped)
 
 
-def atom_of(factor: QuadraticFactor, x: GroupVector) -> AtomLabel:
-    """Label of the atom containing x: the x^T r_i followed by the x^T M_j x."""
-    if x.p != factor.p or x.n != factor.n:
-        raise ValueError("vector in wrong group")
-    return factor.label_of_index(x.index)
-
-
-def atom_members(factor: QuadraticFactor, label) -> list[GroupVector]:
-    idxs = factor.atom_indices(_label_values(label))
-    return [GroupVector.from_index(factor.p, factor.n, int(i)) for i in idxs]
-
-
 def atom_size(factor: QuadraticFactor, label) -> int:
     return int(factor.atom_indices(_label_values(label)).size)
-
-
-class BilinearLevelSet:
-    """The set beta(b) = {(x, y) : x^T M_j y = b_j for all j} with its measure.
-
-    The characteristic measure mu weights each member pair by p^(2n)/|beta|,
-    so that mu integrates to 1 over all of F_p^n x F_p^n.
-    """
-
-    def __init__(self, factor: QuadraticFactor, label: BilinearLabel) -> None:
-        if factor.q < 1:
-            raise ValueError("bilinear level sets need at least one form")
-        if len(label) != factor.q:
-            raise ValueError(f"label length {len(label)} != q = {factor.q}")
-        self.factor = factor
-        self.label = label
-        self.size = beta_sizes_cached(factor)[label.values]
-
-    @property
-    def mu(self) -> Fraction:
-        if self.size == 0:
-            raise EmptyLevelSet(f"beta({self.label.values}) is empty")
-        return Fraction(self.factor.p ** (2 * self.factor.n), self.size)
-
-    def contains(self, x: GroupVector, y: GroupVector) -> bool:
-        return bool(self.pair_mask([x.index], [y.index])[0, 0])
-
-    def pair_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Boolean membership matrix over two canonical-index arrays."""
-        return bilinear_pair_mask(self.factor, self.label.values, xs, ys)
-
-
-def bilinear_level_set(factor: QuadraticFactor, blabel) -> BilinearLevelSet:
-    """Construct beta(b) for the factor's forms; size 0 is representable."""
-    label = blabel if isinstance(blabel, BilinearLabel) else BilinearLabel(factor.p, tuple(blabel))
-    return BilinearLevelSet(factor, label)
 
 
 def beta_sizes_cached(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
@@ -312,20 +239,6 @@ def beta_sizes_cached(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
         cached = bilinear_level_sizes(factor)
         factor._beta_sizes = cached
     return cached
-
-
-def bilinear_pair_mask(factor: QuadraticFactor, values: tuple[int, ...],
-                       rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Boolean matrix of beta(values) membership over two index arrays."""
-    p = factor.p
-    digits = factor.space.digits.astype(np.int64)
-    dx = digits[np.asarray(rows)]
-    dy = digits[np.asarray(cols)]
-    ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
-    for j, m in enumerate(factor.forms):
-        vals = (dx @ m.as_array() @ dy.T) % p
-        ok &= vals == values[j]
-    return ok
 
 
 def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
@@ -341,7 +254,13 @@ def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
     if size == 0:
         raise EmptyLevelSet(f"beta({values}) is empty")
     weight = float(Fraction(factor.p ** (2 * factor.n), size))
-    return bilinear_pair_mask(factor, values, rows, cols) * weight
+    digits = factor.space.digits.astype(np.int64)
+    dx = digits[np.asarray(rows)]
+    dy = digits[np.asarray(cols)]
+    ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
+    for j, m in enumerate(factor.forms):
+        ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
+    return ok * weight
 
 
 def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
@@ -362,40 +281,6 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
         counts += np.bincount(code.ravel(), minlength=p ** q)
     lab_space = space(p, q)
     return {lab_space.coords_of(c): int(counts[c]) for c in range(p ** q)}
-
-
-def project_onto_factor(f: "GroupFunction", factor: QuadraticFactor) -> "GroupFunction":
-    """Conditional expectation: replace f by its mean on each atom."""
-    from .spectral import GroupFunction
-
-    if f.p != factor.p or f.n != factor.n:
-        raise ValueError("function in wrong group")
-    values = np.array(f.values, dtype=np.complex128)
-    out = np.empty_like(values)
-    for members in factor._members_by_code:
-        if members.size == 0:
-            continue
-        out[members] = values[members].mean()
-    return GroupFunction(f.p, f.n, out)
-
-
-def refines(finer: QuadraticFactor, coarser: QuadraticFactor) -> bool:
-    """True iff every atom of `finer` lies inside a single atom of `coarser`.
-
-    Checked semantically by enumeration, not by comparing defining data.
-    """
-    if (finer.p, finer.n) != (coarser.p, coarser.n):
-        raise ValueError("factors on different groups")
-    fine_codes = finer._codes
-    coarse_codes = coarser._codes
-    seen: dict[int, int] = {}
-    for fc, cc in zip(fine_codes.tolist(), coarse_codes.tolist()):
-        prev = seen.get(fc)
-        if prev is None:
-            seen[fc] = cc
-        elif prev != cc:
-            return False
-    return True
 
 
 def sigma2(d: DirectionTuple2) -> tuple[int, ...]:
@@ -421,7 +306,5 @@ def sigma3(factor: QuadraticFactor, d: DirectionTuple3) -> AtomLabel:
 
 def _label_values(label) -> tuple[int, ...]:
     if isinstance(label, AtomLabel):
-        return label.values
-    if isinstance(label, BilinearLabel):
         return label.values
     return tuple(int(v) for v in label)

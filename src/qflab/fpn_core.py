@@ -1,4 +1,4 @@
-"""Exact arithmetic over F_p and Z[omega], group enumeration, and character sums.
+"""Arithmetic over F_p, index tables for F_p^n, and character sums.
 
 Conventions used by the whole package:
 
@@ -7,8 +7,8 @@ Conventions used by the whole package:
   index = sum_i coords[i] * p^i. All dense tables are indexed this way.
 * omega denotes a fixed primitive p-th root of unity, embedded into the
   complex numbers as exp(2*pi*i/p).
-* Character sums with integer weights are evaluated exactly in Z[omega] and
-  only embedded into floating point at the very end.
+* Character sums tally the exact integer count of each phase value and
+  embed the count vector into the complex numbers once, at the very end.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AsymmetricForm, CapExceeded, DependentBasis
+from .errors import AsymmetricForm, CapExceeded
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_ENUM_CAP = 1 << 20
@@ -43,11 +42,6 @@ class FieldPrime:
             raise ValueError(f"p must be an odd prime in {ODD_PRIMES}, got {self.p}")
 
 
-# Normalized averages are carried as ordinary python complex numbers; the
-# type alias keeps signatures readable.
-ComplexScalar = complex
-
-
 def check_finite(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite scalar {z!r}")
@@ -62,16 +56,16 @@ class GroupSpace:
     """Cached index arithmetic for F_p^n.
 
     Holds the digit table (canonical index -> coordinate vector) and the
-    base-p place values, and exposes vectorized add/negate/dot on indices.
+    base-p place values, and exposes vectorized add/negate on indices.
     """
 
-    def __init__(self, p: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    def __init__(self, p: int, n: int) -> None:
         FieldPrime(p)
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         size = p ** n
-        if size > cap:
-            raise CapExceeded(f"p^n = {size} exceeds cap {cap}")
+        if size > DEFAULT_ENUM_CAP:
+            raise CapExceeded(f"p^n = {size} exceeds cap {DEFAULT_ENUM_CAP}")
         self.p = p
         self.n = n
         self.size = size
@@ -150,34 +144,6 @@ class GroupVector:
     def zero(cls, p: int, n: int) -> GroupVector:
         return cls(p, (0,) * n)
 
-    def __add__(self, other: GroupVector) -> GroupVector:
-        self._check(other)
-        return GroupVector(self.p, tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> GroupVector:
-        return GroupVector(self.p, tuple((-a) % self.p for a in self.coords))
-
-    def __sub__(self, other: GroupVector) -> GroupVector:
-        return self + (-other)
-
-    def dot(self, other: GroupVector) -> int:
-        self._check(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords)) % self.p
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _check(self, other: GroupVector) -> None:
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("mismatched group")
-
-
-def enumerate_group(p: int, n: int, cap: int = DEFAULT_ENUM_CAP):
-    """Yield all p^n vectors exactly once, in canonical-index order."""
-    sp = GroupSpace(p, n, cap=cap)
-    for i in range(sp.size):
-        yield GroupVector(p, sp.coords_of(i))
-
 
 # ---------------------------------------------------------------------------
 # symmetric forms and mod-p linear algebra
@@ -223,11 +189,6 @@ class SymmetricForm:
     def zero(cls, p: int, n: int) -> SymmetricForm:
         return cls.from_array(p, np.zeros((n, n), dtype=np.int64))
 
-    def evaluate(self, x: GroupVector) -> int:
-        """x^T M x mod p."""
-        v = np.array(x.coords, dtype=np.int64)
-        return int(v @ self.as_array() @ v % self.p)
-
 
 def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     """Bring the 2-D array m, entries already reduced mod p, to reduced row
@@ -272,203 +233,9 @@ def nullspace_mod_p(matrix, p: int, n: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def matrix_rank(form: SymmetricForm) -> int:
-    """Rank of a symmetric form over F_p."""
-    return rank_mod_p(form.as_array(), form.p)
-
-
-def restrict_form(form: SymmetricForm, basis: list[GroupVector]) -> SymmetricForm:
-    """Restriction B^T M B of a form to the subspace spanned by `basis`.
-
-    The result is a symmetric form on dim(W) coordinates. The basis must be
-    linearly independent.
-    """
-    p = form.p
-    k = len(basis)
-    if k == 0:
-        return SymmetricForm(p, ())
-    bmat = np.array([v.coords for v in basis], dtype=np.int64).T  # n x k
-    if rank_mod_p(bmat.T, p) != k:
-        raise DependentBasis("restriction basis is linearly dependent")
-    restricted = (bmat.T @ form.as_array() @ bmat) % p
-    return SymmetricForm.from_array(p, restricted)
-
-
-# ---------------------------------------------------------------------------
-# exact cyclotomic integers
-# ---------------------------------------------------------------------------
-
-class CyclotomicValue:
-    """An element of Z[omega], omega a primitive p-th root of unity.
-
-    Internally a length-p integer vector under omega^p = 1, canonicalized so
-    the omega^(p-1) coordinate is zero (subtract it from every coordinate,
-    using 1 + omega + ... + omega^(p-1) = 0). The canonical representation
-    therefore has p-1 free coefficients and is unique.
-    """
-
-    __slots__ = ("p", "_vec")
-
-    def __init__(self, p: int, vec) -> None:
-        FieldPrime(p)
-        arr = np.zeros(p, dtype=object)
-        given = np.asarray(vec, dtype=object)
-        if given.size > p:
-            raise ValueError("coefficient vector longer than p")
-        arr[: given.size] = given
-        # canonicalize: kill the omega^(p-1) coordinate
-        last = arr[p - 1]
-        if last != 0:
-            arr = arr - last
-        arr[p - 1] = 0
-        self.p = p
-        self._vec = arr
-
-    @classmethod
-    def zero(cls, p: int) -> CyclotomicValue:
-        return cls(p, [])
-
-    @classmethod
-    def one(cls, p: int) -> CyclotomicValue:
-        return cls(p, [1])
-
-    @classmethod
-    def from_int(cls, p: int, value: int) -> CyclotomicValue:
-        return cls(p, [int(value)])
-
-    @classmethod
-    def omega_power(cls, p: int, k: int) -> CyclotomicValue:
-        vec = [0] * p
-        vec[k % p] = 1
-        return cls(p, vec)
-
-    @classmethod
-    def from_counts(cls, p: int, counts) -> CyclotomicValue:
-        """sum_k counts[k] * omega^k for a length-p integer count vector."""
-        return cls(p, [int(c) for c in counts])
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Canonical coefficients of 1, omega, ..., omega^(p-2)."""
-        return tuple(int(v) for v in self._vec[: self.p - 1])
-
-    def is_rational(self) -> bool:
-        return all(v == 0 for v in self._vec[1: self.p - 1])
-
-    def rational_value(self) -> int:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return int(self._vec[0])
-
-    def __add__(self, other: CyclotomicValue) -> CyclotomicValue:
-        self._check(other)
-        return CyclotomicValue(self.p, self._vec + other._vec)
-
-    def __sub__(self, other: CyclotomicValue) -> CyclotomicValue:
-        self._check(other)
-        return CyclotomicValue(self.p, self._vec - other._vec)
-
-    def __neg__(self) -> CyclotomicValue:
-        return CyclotomicValue(self.p, -self._vec)
-
-    def __mul__(self, other) -> CyclotomicValue:
-        if isinstance(other, int):
-            return CyclotomicValue(self.p, self._vec * other)
-        self._check(other)
-        p = self.p
-        out = np.zeros(p, dtype=object)
-        for i in range(p):
-            a = self._vec[i]
-            if a == 0:
-                continue
-            for j in range(p):
-                b = other._vec[j]
-                if b == 0:
-                    continue
-                out[(i + j) % p] += a * b
-        return CyclotomicValue(p, out)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> CyclotomicValue:
-        p = self.p
-        out = np.zeros(p, dtype=object)
-        for k in range(p):
-            out[(-k) % p] += self._vec[k]
-        return CyclotomicValue(p, out)
-
-    def mag2(self) -> CyclotomicValue:
-        """Exact |v|^2 = v * conj(v), as a cyclotomic value."""
-        return self * self.conj()
-
-    def mag2_rational(self) -> Fraction | None:
-        """|v|^2 as an exact Fraction when it is rational, else None."""
-        m = self.mag2()
-        if m.is_rational():
-            return Fraction(m.rational_value())
-        return None
-
-    def as_complex(self) -> complex:
-        p = self.p
-        total = 0j
-        for k in range(p):
-            v = self._vec[k]
-            if v != 0:
-                total += int(v) * cmath.exp(2j * math.pi * k / p)
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.is_rational() and int(self._vec[0]) == other
-        if not isinstance(other, CyclotomicValue):
-            return NotImplemented
-        return self.p == other.p and all(a == b for a, b in zip(self._vec, other._vec))
-
-    def __hash__(self) -> int:
-        return hash((self.p, tuple(int(v) for v in self._vec)))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicValue(p={self.p}, coeffs={self.coeffs})"
-
-    def _check(self, other: CyclotomicValue) -> None:
-        if self.p != other.p:
-            raise ValueError("mismatched primes")
-
-
 # ---------------------------------------------------------------------------
 # character sums
 # ---------------------------------------------------------------------------
-
-def linear_char_sum(r: GroupVector) -> tuple[CyclotomicValue, ComplexScalar]:
-    """The sum over y in F_p^n of omega^(r.y), exactly, plus its expectation.
-
-    Returns (exact unnormalized sum, normalized expectation). The exact part
-    is the integer p^n when r = 0 and the integer 0 otherwise; no enumeration
-    or floating arithmetic is involved beyond the trivial embedding.
-    """
-    p, n = r.p, r.n
-    size = p ** n
-    if r.is_zero():
-        return CyclotomicValue.from_int(p, size), complex(1.0)
-    # one nonzero component already annihilates the product of per-coordinate
-    # sums, because sum_k omega^(c*k) = 0 for c != 0
-    return CyclotomicValue.zero(p), complex(0.0)
-
-
-def linear_char_sum_multi(rs: list[GroupVector]) -> tuple[CyclotomicValue, ComplexScalar]:
-    """Joint version over independent variables y_1, ..., y_t, one per r_i.
-
-    E over all y_i of omega^(sum r_i . y_i) is 1 exactly when every r_i = 0.
-    The prime is read from the vectors, so at least one is required.
-    """
-    if not rs:
-        raise ValueError("no vectors given, so the prime is unknown")
-    p = rs[0].p
-    total = p ** sum(r.n for r in rs)
-    if all(r.is_zero() for r in rs):
-        return CyclotomicValue.from_int(p, total), complex(1.0)
-    return CyclotomicValue.zero(p), complex(0.0)
-
 
 def phase_value_counts(p: int, values: np.ndarray) -> np.ndarray:
     """Count how many entries take each residue value 0..p-1."""
@@ -481,11 +248,27 @@ def omega_table(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * ks / p)
 
 
-def quad_char_sum(form: SymmetricForm, b: GroupVector) -> ComplexScalar:
+def _embed_counts(p: int, counts: np.ndarray) -> complex:
+    """sum_k counts[k] * omega^k as a complex number.
+
+    The counts are first shifted so the omega^(p-1) entry is zero (using
+    1 + omega + ... + omega^(p-1) = 0), then the remaining terms are added
+    one at a time in order k = 0..p-2. Reports depend on this exact
+    floating-point order, so a matrix product must not replace the loop.
+    """
+    c = counts - counts[p - 1]
+    total = 0j
+    for k in range(p - 1):
+        if c[k] != 0:
+            total += int(c[k]) * cmath.exp(2j * math.pi * k / p)
+    return total
+
+
+def quad_char_sum(form: SymmetricForm, b: GroupVector) -> complex:
     """E_x omega^(x^T M x + b^T x), via exact level-set counts.
 
     The phase values are tallied exactly in Z; only the final embedding of
-    sum_v count[v] * omega^v into the complex plane is floating point.
+    the counts by `_embed_counts` is floating point.
     """
     p, n = form.p, form.n
     if b.p != p or b.n != n:
@@ -495,12 +278,10 @@ def quad_char_sum(form: SymmetricForm, b: GroupVector) -> ComplexScalar:
     m = form.as_array()
     bvec = np.array(b.coords, dtype=np.int64)
     vals = (np.einsum("xi,ij,xj->x", digits, m, digits) + digits @ bvec) % p
-    counts = phase_value_counts(p, vals)
-    exact = CyclotomicValue.from_counts(p, counts)
-    return check_finite(exact.as_complex() / sp.size)
+    return check_finite(_embed_counts(p, phase_value_counts(p, vals)) / sp.size)
 
 
-def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> ComplexScalar:
+def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> complex:
     """E_{x,y} omega^(x^T M y + c^T x + d^T y).
 
     The inner sum over y vanishes unless M^T x + d = 0, so the double sum
@@ -520,6 +301,4 @@ def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> Co
     if not solutions.any():
         return complex(0.0)
     vals = (digits[solutions] @ cvec) % p
-    counts = phase_value_counts(p, vals)
-    exact = CyclotomicValue.from_counts(p, counts)
-    return check_finite(exact.as_complex() / sp.size)
+    return check_finite(_embed_counts(p, phase_value_counts(p, vals)) / sp.size)

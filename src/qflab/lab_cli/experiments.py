@@ -1585,6 +1585,8 @@ def _validate_config(cfg: dict) -> None:
     dims = []
     if "n" in cfg:
         dims.append(cfg["n"])
+    if "n_values" in cfg and not cfg["n_values"]:
+        raise ConfigError("n_values must list at least one dimension")
     dims.extend(cfg.get("n_values", []))
     for n in dims:
         if not _is_int(n) or n < 1:

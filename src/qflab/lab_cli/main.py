@@ -2,13 +2,15 @@
 
 Exit codes: 0 when every hard check passes (trend and report experiments
 never fail the exit code), 1 when a hard check fails, 2 for configuration
-problems (unknown experiment, bad key, cap violation).
+problems (unknown experiment, bad key, cap violation), 3 for any other
+error, so that a crash is never read as a failed bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from ..errors import CapExceeded, ConfigError, UnknownExperiment
@@ -29,10 +31,19 @@ def _add_run_args(sub: argparse.ArgumentParser, with_exec: bool) -> None:
         sub.add_argument("--out", help="write the report here instead of stdout")
 
 
+def _finite_float(text: str) -> float:
+    """Parse a JSON number or NaN/Infinity constant; refuse non-finite values,
+    including literals such as 1e400 that overflow to infinity."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ConfigError(f"config value {text} is not a finite number")
+    return val
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -103,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UnknownExperiment, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

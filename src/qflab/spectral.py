@@ -129,9 +129,6 @@ class GroupFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max(initial=0.0))
-
     def _check(self, other: GroupFunction) -> None:
         if (self.p, self.n) != (other.p, other.n):
             raise ValueError("mismatched group")
@@ -242,13 +239,6 @@ def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
 def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
     val = u2_inner(f, f, f, f)
     return _root_of_diagonal(val, 4, tol)
-
-
-def u2_fourth_power_spectral(f: GroupFunction) -> float:
-    """The fourth moment of the spectrum; equals the fourth power of the U^2
-    norm. Kept separate so the identity can be tested between independent
-    routes."""
-    return fourier_transform(f).l4_fourth()
 
 
 # ---------------------------------------------------------------------------

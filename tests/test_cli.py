@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +61,9 @@ def test_bad_override_exits_two(capsys):
     ("parseval", '{"trials": true}'),
     ("control-ip2-local-trend", '{"n_values": 5}'),
     ("control-ip2-local-trend", '{"n_values": [3, true]}'),
+    ("parseval", '{"tol": Infinity}'),
+    ("parseval", '{"tol": 1e400}'),
+    ("atom-sizes", '{"n_values": []}'),
 ])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
     # each value must have the JSON type of its default; a bool is no integer
@@ -68,6 +72,17 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
     assert main(["run", name, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert [line.startswith("error:") for line in err.splitlines()] == [True]
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def boom(cfg):
+        raise RuntimeError("kernel blew up")
+
+    monkeypatch.setitem(REGISTRY, "parseval", replace(REGISTRY["parseval"], runner=boom))
+    assert main(["run", "parseval"]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if not line.startswith("#")] == [
+        "error: unexpected RuntimeError: kernel blew up"]
 
 
 def test_number_key_accepts_an_integer(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Factors, atoms, bilinear level sets, projections.
+"""Factors, atoms, bilinear level-set sizes and measures.
 
 The frozen numbers here were derived by hand: atom sizes of the identity
 form over F_3^2 from the values of x^2 mod 3, level-set sizes by counting
@@ -8,7 +8,6 @@ nontrivial form combinations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,25 +15,17 @@ import pytest
 from qflab.errors import DependentVectors, EmptyLevelSet, TooManyForms
 from qflab.factor import (
     AtomLabel,
-    BilinearLabel,
     DirectionTuple2,
     DirectionTuple3,
-    atom_members,
-    atom_of,
     atom_size,
     beta_sizes_cached,
-    bilinear_level_set,
     bilinear_level_sizes,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
-    project_onto_factor,
-    refines,
     sigma2,
     sigma3,
 )
-from qflab.fpn_core import GroupVector, SymmetricForm
-from qflab.spectral import GroupFunction
 
 
 def _identity_factor(p: int, n: int, ell: int = 0):
@@ -72,7 +63,7 @@ def test_subgroup_basis_spans_the_kernel():
     assert len(basis) == 2
     for b in basis:
         for v in lin.vectors:
-            assert b.dot(v) == 0
+            assert sum(x * y for x, y in zip(b.coords, v.coords)) % 3 == 0
 
 
 def test_atom_sizes_identity_form():
@@ -81,17 +72,6 @@ def test_atom_sizes_identity_form():
     factor = _identity_factor(3, 2)
     sizes = sorted(atom_size(factor, (v,)) for v in range(3))
     assert sizes == [1, 4, 4]
-
-
-def test_atom_of_and_members_agree():
-    factor = _identity_factor(3, 2, ell=0)
-    x = GroupVector(3, (1, 2))
-    lab = atom_of(factor, x)
-    assert lab.values == (factor.forms[0].evaluate(x),)
-    members = atom_members(factor, lab)
-    assert x in members
-    for m in members:
-        assert atom_of(factor, m) == lab
 
 
 def test_rank_of_two_form_factor():
@@ -129,24 +109,11 @@ def test_bilinear_level_sizes_identity_form():
     assert beta_sizes_cached(factor) == sizes
 
 
-def test_level_set_object_and_measure():
-    factor = _identity_factor(3, 2)
-    beta = bilinear_level_set(factor, (0,))
-    assert beta.size == 33
-    assert beta.mu == Fraction(81, 33) == Fraction(27, 11)
-    assert beta.contains(GroupVector.zero(3, 2), GroupVector(3, (1, 2)))
-    mask = beta.pair_mask(np.arange(9), np.arange(9))
-    assert int(mask.sum()) == 33
-
-
 def test_empty_level_set_refuses_a_measure():
     # the zero form only produces level 0
     factor = new_quadratic_factor(new_linear_factor(3, 1, []),
                                   [np.zeros((1, 1), dtype=np.int64)])
-    beta = bilinear_level_set(factor, (1,))
-    assert beta.size == 0
-    with pytest.raises(EmptyLevelSet):
-        beta.mu
+    assert bilinear_level_sizes(factor)[(1,)] == 0
     with pytest.raises(EmptyLevelSet):
         mu_weight_matrix(factor, (1,), np.arange(3), np.arange(3))
 
@@ -161,27 +128,6 @@ def test_mu_weight_matrix_values():
     # without forms the measure is the constant 1
     flat = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
     assert np.all(mu_weight_matrix(flat, (), rows[:3], rows[:3]) == 1.0)
-
-
-def test_projection_is_conditional_expectation():
-    factor = _identity_factor(3, 2, ell=1)
-    rng = np.random.default_rng(5)
-    f = GroupFunction(3, 2, rng.standard_normal(9))
-    pf = project_onto_factor(f, factor)
-    assert np.mean(pf.values) == pytest.approx(np.mean(f.values), abs=1e-12)
-    for lab in factor.occupied_labels():
-        members = factor.atom_indices(lab.values)
-        assert np.allclose(pf.values[members], f.values[members].mean())
-    again = project_onto_factor(pf, factor)
-    assert np.allclose(again.values, pf.values)
-
-
-def test_refinement_is_semantic():
-    lin = new_linear_factor(3, 2, [(1, 0)])
-    quad = new_quadratic_factor(lin, [np.eye(2, dtype=np.int64)])
-    coarse = new_quadratic_factor(lin, [])
-    assert refines(quad, coarse)
-    assert not refines(coarse, quad)
 
 
 def test_sigma2_is_the_label_sum():
@@ -203,5 +149,3 @@ def test_direction_tuple_validation():
         DirectionTuple2(3, (1,), (1, 2))
     with pytest.raises(ValueError):
         DirectionTuple3(3, (1,), (1,), (1,), (0,), (0,), (0, 0))
-    lab = BilinearLabel(3, (4,))
-    assert lab.values == (1,)

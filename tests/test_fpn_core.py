@@ -1,32 +1,26 @@
-"""Exact arithmetic layer: group enumeration, mod-p linear algebra,
-cyclotomic integers, and character sums against hand-derived values."""
+"""Arithmetic layer: index tables, mod-p linear algebra, and character
+sums against hand-derived values."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qflab.errors import AsymmetricForm, CapExceeded, DependentBasis
+from qflab.errors import AsymmetricForm, CapExceeded
 from qflab.fpn_core import (
-    CyclotomicValue,
     FieldPrime,
     GroupSpace,
     GroupVector,
     SymmetricForm,
+    _embed_counts,
     bilinear_char_sum,
-    enumerate_group,
-    linear_char_sum,
-    linear_char_sum_multi,
-    matrix_rank,
     nullspace_mod_p,
     omega_table,
     quad_char_sum,
     rank_mod_p,
-    restrict_form,
     space,
 )
 
@@ -52,9 +46,8 @@ def test_group_space_add_matches_vector_add():
     sp = space(3, 2)
     for a in range(sp.size):
         for b in range(sp.size):
-            va = GroupVector.from_index(3, 2, a)
-            vb = GroupVector.from_index(3, 2, b)
-            assert int(sp.add(a, b)) == (va + vb).index
+            coords = [x + y for x, y in zip(sp.coords_of(a), sp.coords_of(b))]
+            assert int(sp.add(a, b)) == sp.index_of(coords)
 
 
 def test_sum_grids_match_scalar_adds():
@@ -73,22 +66,7 @@ def test_sum_grids_match_scalar_adds():
 
 def test_group_space_cap():
     with pytest.raises(CapExceeded):
-        GroupSpace(3, 19, cap=1 << 20)
-
-
-def test_enumerate_group_is_a_bijection():
-    seen = [v.index for v in enumerate_group(3, 3)]
-    assert seen == list(range(27))
-
-
-def test_group_vector_arithmetic():
-    a = GroupVector(5, (1, 4))
-    b = GroupVector(5, (3, 3))
-    assert (a + b).coords == (4, 2)
-    assert (a - b).coords == (3, 1)
-    assert (-a).coords == (4, 1)
-    assert a.dot(b) == (3 + 12) % 5
-    assert GroupVector.zero(5, 2).is_zero()
+        GroupSpace(3, 19)
 
 
 def test_rank_mod_p_known_values():
@@ -115,52 +93,20 @@ def test_symmetric_form_validation():
         SymmetricForm(3, ((0, 1), (2, 0)))
     f = SymmetricForm.from_array(3, [[4, 1], [1, 2]])
     assert f.entries == ((1, 1), (1, 2))
-    x = GroupVector(3, (1, 2))
-    # x^T M x = 1*1 + 2*1*2 + 4*2 = 13 = 1 mod 3
-    assert f.evaluate(x) == 1
-
-
-def test_matrix_rank_and_restriction():
-    form = SymmetricForm.identity(3, 4)
-    assert matrix_rank(form) == 4
-    basis = [GroupVector(3, (1, 0, 0, 0)), GroupVector(3, (0, 1, 0, 0))]
-    small = restrict_form(form, basis)
-    assert small.entries == ((1, 0), (0, 1))
-    with pytest.raises(DependentBasis):
-        restrict_form(form, [GroupVector(3, (1, 0, 0, 0)),
-                             GroupVector(3, (2, 0, 0, 0))])
-
-
-def test_cyclotomic_canonicalization():
-    p = 5
-    total = CyclotomicValue.zero(p)
-    for k in range(p):
-        total = total + CyclotomicValue.omega_power(p, k)
-    assert total == 0
-
-
-def test_cyclotomic_product_identity():
-    # (1 + w)(1 + w^2) at p=3: 1 + w + w^2 + w^3 = 0 + 1 = 1
-    p = 3
-    a = CyclotomicValue.from_counts(p, [1, 1, 0])
-    b = CyclotomicValue.from_counts(p, [1, 0, 1])
-    assert (a * b).rational_value() == 1
-
-
-def test_cyclotomic_conjugation_and_embedding():
-    p = 7
-    v = CyclotomicValue.from_counts(p, [2, 0, 3, 0, 0, 1, 0])
-    z = v.as_complex()
-    assert abs(v.conj().as_complex() - z.conjugate()) < 1e-12
-    m2 = v.mag2_rational()
-    if m2 is not None:
-        assert abs(float(m2) - abs(z) ** 2) < 1e-9
 
 
 def test_gauss_sum_magnitude_is_exact():
-    # counts of x^2 over F_3: value 0 once, value 1 twice
-    g = CyclotomicValue.from_counts(3, [1, 2, 0])
-    assert g.mag2_rational() == Fraction(3)
+    # E_x omega^(x^2) over F_p is a normalized Gauss sum: |value|^2 = 1/p
+    for p in (3, 5, 7, 11, 13):
+        val = quad_char_sum(SymmetricForm.identity(p, 1), GroupVector.zero(p, 1))
+        assert abs(abs(val) ** 2 - 1.0 / p) < 1e-12
+    # 1 + omega + ... + omega^(p-1) = 0, so shifting every count by the
+    # same constant must not move a single bit of the embedding
+    rng = np.random.default_rng(7)
+    for p in (3, 5, 7, 11, 13):
+        counts = rng.integers(0, 50, size=p)
+        for shift in (1, 17, -int(counts.min())):
+            assert repr(_embed_counts(p, counts + shift)) == repr(_embed_counts(p, counts))
 
 
 def test_omega_table():
@@ -168,21 +114,6 @@ def test_omega_table():
         tab = omega_table(p)
         for k in range(p):
             assert abs(tab[k] - cmath.exp(2j * math.pi * k / p)) < 1e-12
-
-
-def test_linear_char_sum_dichotomy():
-    exact, avg = linear_char_sum(GroupVector.zero(3, 4))
-    assert exact.rational_value() == 81 and avg == 1.0
-    exact, avg = linear_char_sum(GroupVector(3, (0, 1, 0, 0)))
-    assert exact == 0 and avg == 0.0
-    exact, avg = linear_char_sum_multi([GroupVector.zero(3, 2),
-                                        GroupVector(3, (1, 0))])
-    assert exact == 0 and avg == 0.0
-    exact, avg = linear_char_sum_multi([GroupVector.zero(5, 1),
-                                        GroupVector.zero(5, 2)])
-    assert exact.p == 5 and exact.rational_value() == 125 and avg == 1.0
-    with pytest.raises(ValueError):
-        linear_char_sum_multi([])
 
 
 def test_quad_char_sum_identity_form():

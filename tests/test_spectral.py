@@ -23,7 +23,6 @@ from qflab.spectral import (
     fourier_transform_naive,
     inverse_transform,
     max_quadratic_correlation,
-    u2_fourth_power_spectral,
     u2_inner,
     u2_norm,
     u3_inner,
@@ -105,7 +104,7 @@ def test_u2_inner_matches_explicit_loop():
 
 def test_u2_fourth_power_equals_spectral_moment():
     f = _random_f(3, 3, seed=31)
-    assert u2_norm(f) ** 4 == pytest.approx(u2_fourth_power_spectral(f), abs=1e-10)
+    assert u2_norm(f) ** 4 == pytest.approx(fourier_transform(f).l4_fourth(), abs=1e-10)
 
 
 def test_u3_inner_matches_explicit_loop():
@@ -174,7 +173,7 @@ def test_u2_never_exceeds_u3():
 def test_subgroup_indicator_reference_values():
     f = _subgroup_indicator()
     assert u2_norm(f) ** 4 == pytest.approx(1 / 27, abs=1e-10)
-    assert u2_fourth_power_spectral(f) == pytest.approx(1 / 27, abs=1e-10)
+    assert fourier_transform(f).l4_fourth() == pytest.approx(1 / 27, abs=1e-10)
     assert u3_norm(f) ** 8 == pytest.approx(1 / 81, abs=1e-10)
     assert u3_inner_naive([f] * 8).real == pytest.approx(1 / 81, abs=1e-10)
     val = ap3_average(f)
