@@ -51,12 +51,6 @@ class SubsetBitmask:
     def size(self) -> int:
         return int(self.bits.sum())
 
-    def density(self) -> Fraction:
-        return Fraction(self.size, self.bits.size)
-
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.bits)[0]
-
     def complement(self) -> SubsetBitmask:
         return SubsetBitmask(self.p, self.n, ~self.bits)
 

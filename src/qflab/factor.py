@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DependentVectors, EmptyLevelSet, TooManyForms
+from .errors import CapExceeded, DependentVectors, EmptyLevelSet, TooManyForms
 from .fpn_core import (
     GroupSpace,
     GroupVector,
@@ -171,19 +171,26 @@ class QuadraticFactor(_LabelIndex):
         self.rank = self._compute_rank()
 
     def _compute_rank(self) -> int:
-        # minimum rank over the p^q - 1 nontrivial form combinations;
-        # sentinel n+1 when there are no forms at all
-        if self.q == 0:
-            return self.n + 1
+        # minimum rank over the nontrivial form combinations; sentinel n+1
+        # when there are no forms at all
+        return min((r for _, r in self._line_ranks), default=self.n + 1)
+
+    @cached_property
+    def _line_ranks(self) -> list[tuple[np.ndarray, int]]:
+        """(lambda, rank of sum_j lambda_j M_j) for one lambda per punctured
+        line {c lambda : c != 0} of F_p^q: the one whose first nonzero entry
+        is 1. The rank is constant on each such line."""
         p = self.p
-        best = self.n + 1
         arrays = [m.as_array() for m in self.forms]
         lam_space = space(p, self.q)
+        out = []
         for code in range(1, p ** self.q):
-            lam = lam_space.coords_of(code)
+            lam = lam_space.digits[code].astype(np.int64)
+            if lam[np.flatnonzero(lam)[0]] != 1:
+                continue
             combo = sum(int(l) * a for l, a in zip(lam, arrays)) % p
-            best = min(best, rank_mod_p(combo, p))
-        return best
+            out.append((lam, rank_mod_p(combo, p)))
+        return out
 
     @cached_property
     def label_table(self) -> np.ndarray:
@@ -228,10 +235,6 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
     return QuadraticFactor(linear, shaped)
 
 
-def atom_size(factor: QuadraticFactor, label) -> int:
-    return int(factor.atom_indices(_label_values(label)).size)
-
-
 def beta_sizes_cached(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
     """All level-set sizes for the factor, computed once and memoized."""
     cached = getattr(factor, "_beta_sizes", None)
@@ -244,7 +247,12 @@ def beta_sizes_cached(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
 def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
                      cols: np.ndarray) -> np.ndarray:
     """The measure mu_beta(b) sampled on rows x cols: p^(2n)/|beta| on
-    members, 0 elsewhere. With no forms the measure is identically 1."""
+    members, 0 elsewhere. With no forms the measure is identically 1.
+
+    With forms, each (label, rows, cols) is computed once per factor and
+    every later call returns the same read-only array, so callers can
+    recognize equal weights by identity.
+    """
     if factor.q == 0:
         return np.ones((np.asarray(rows).size, np.asarray(cols).size))
     values = _label_values(blabel)
@@ -253,22 +261,59 @@ def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
     size = beta_sizes_cached(factor)[values]
     if size == 0:
         raise EmptyLevelSet(f"beta({values}) is empty")
-    weight = float(Fraction(factor.p ** (2 * factor.n), size))
-    digits = factor.space.digits.astype(np.int64)
-    dx = digits[np.asarray(rows)]
-    dy = digits[np.asarray(cols)]
-    ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
-    for j, m in enumerate(factor.forms):
-        ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
-    return ok * weight
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    cache = factor.__dict__.setdefault("_mu_weights", {})
+    key = (values, rows.tobytes(), cols.tobytes())
+    if key not in cache:
+        weight = float(Fraction(factor.p ** (2 * factor.n), size))
+        digits = factor.space.digits.astype(np.int64)
+        dx = digits[rows]
+        dy = digits[cols]
+        ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
+        for j, m in enumerate(factor.forms):
+            ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
+        mu = ok * weight
+        mu.flags.writeable = False
+        cache[key] = mu
+    return cache[key]
+
+
+# the histogram twin walks every pair; past this many it refuses
+LEVEL_HISTOGRAM_CAP = 1 << 24
 
 
 def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
-    """Sizes of all p^q level sets at once (joint histogram over pairs)."""
+    """Sizes of all p^q level sets at once, from the ranks of the forms.
+
+    Counting with characters, |beta(b)| = p^(2n-q) sum over lambda in F_p^q
+    of p^(-rank M_lambda) omega^(-lambda.b), where M_lambda = sum_j
+    lambda_j M_j. The rank is constant on each punctured line {c lambda :
+    c != 0}, whose characters sum to p - 1 when lambda.b = 0 and to -1
+    otherwise, so the count is an integer sum over the lines (Green-Tao,
+    The distribution of polynomials over finite fields, 2009). With
+    p^n <= 2^20 and q <= 6 every partial sum stays below 2^63.
+    """
+    p, q, n = factor.p, factor.q, factor.n
+    if q < 1:
+        raise ValueError("needs at least one form")
+    lab_space = space(p, q)
+    labels = lab_space.digits.astype(np.int64)
+    scaled = np.full(p ** q, p ** (2 * n), dtype=np.int64)  # p^q |beta(b)|
+    for lam, r in factor._line_ranks:
+        scaled += p ** (2 * n - r) * np.where(labels @ lam % p == 0, p - 1, -1)
+    return {lab_space.coords_of(c): int(scaled[c]) // p ** q for c in range(p ** q)}
+
+
+def bilinear_level_sizes_naive(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
+    """Reference route: the joint histogram of the form values over all
+    p^(2n) pairs, capped at LEVEL_HISTOGRAM_CAP pairs."""
     p, q = factor.p, factor.q
     if q < 1:
         raise ValueError("needs at least one form")
     sp = factor.space
+    if sp.size ** 2 > LEVEL_HISTOGRAM_CAP:
+        raise CapExceeded(f"p^(2n) = {sp.size ** 2} pairs exceed the histogram cap")
     digits = sp.digits.astype(np.int64)
     counts = np.zeros(p ** q, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(sp.size, 1))

@@ -98,18 +98,32 @@ class GroupSpace:
 
     def sum_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix s[i, j] = index of a[i] + b[j]."""
-        da = self.digits[np.asarray(a)].astype(np.int64)
-        db = self.digits[np.asarray(b)].astype(np.int64)
-        s = (da[:, None, :] + db[None, :, :]) % self.p
-        return s @ self.powers
+        return self._sum_table(a, b)
 
     def sum_grid3(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Tensor s[i, j, k] = index of a[i] + b[j] + c[k]."""
-        da = self.digits[np.asarray(a)].astype(np.int64)
-        db = self.digits[np.asarray(b)].astype(np.int64)
-        dc = self.digits[np.asarray(c)].astype(np.int64)
-        s = (da[:, None, None, :] + db[None, :, None, :] + dc[None, None, :, :]) % self.p
-        return s @ self.powers
+        return self._sum_table(a, b, c)
+
+    def _sum_table(self, *parts: np.ndarray) -> np.ndarray:
+        """Index of the sum over one member of each part, one axis per part.
+
+        Built one coordinate at a time from the top place down (Horner), so
+        the only temporaries are int8 digit sums the size of the output,
+        never a digit tensor with a trailing axis of length n.
+        """
+        k = len(parts)
+        # cols[j][i]: coordinate i of the members of part j, along axis j
+        cols = [self.digits[np.asarray(a)].T.reshape((self.n,) + (1,) * j + (-1,)
+                                                     + (1,) * (k - 1 - j))
+                for j, a in enumerate(parts)]
+        out = np.zeros([c.shape[1 + j] for j, c in enumerate(cols)], dtype=np.int64)
+        for i in reversed(range(self.n)):
+            s = cols[0][i] + cols[1][i]
+            for c in cols[2:]:
+                s = s + c[i]
+            out *= self.p
+            out += s % self.p
+        return out
 
 
 @lru_cache(maxsize=64)

@@ -165,16 +165,23 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
 
         E over x_u in xs[u], y_v in ys[v] of prod muv[u, v](x_u, y_v) times
         prod over w of E over z in zs[w] of prod muw[u, w](x_u, z)
-        prod mvw[v, w](y_v, z) prod values[u, v, w][x_u + y_v + z].
+        prod mvw[v, w](y_v, z) prod g_uvw[x_u + y_v + z],
+
+    where values[u, v, w] = (array, conjugated) and g_uvw is the array,
+    complex-conjugated when the flag is set.
 
     Once the y's are fixed the z-averages are independent: each is one
     weighted matrix product over (x_0, z) and (x_1, z), and the outer
     average weights their product by muv. Blocks of y-tuples go through
     one batched matmul; a block's temporaries hold at most
     H_BLOCK_ENTRIES entries unless one y-tuple alone needs more. Member
-    tensors are y-major, t[j, i, k] = g(x_i + y_j + z_k), and built once
-    per distinct (value array, member arrays) by identity; W-vertices
-    whose inputs repeat share one z-average.
+    tensors are y-major, t[j, i, k] = g(x_i + y_j + z_k), built once per
+    distinct (value array, member arrays) by identity and conjugated on
+    demand. W-vertices whose inputs repeat share one z-average. A
+    W-vertex whose inputs are an earlier slot's with every conjugate flag
+    flipped reads the conjugate of each of that slot's tensors; when its
+    z weights are real (checked, not assumed) its z-average is the
+    conjugate of that slot's, so it takes that and skips its own matmul.
     """
     nu, nv, nw = len(xs), len(ys), len(zs)
     for u, v, w in itertools.product(range(nu), range(nv), range(nw)):
@@ -183,26 +190,34 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
     grids: dict[tuple, np.ndarray] = {}
     tensors: dict[tuple, np.ndarray] = {}
 
-    def tensor(u: int, v: int, w: int) -> tuple[tuple, np.ndarray]:
-        g = values[(u, v, w)]
+    def tensor(u: int, v: int, w: int) -> np.ndarray:
+        g, conj = values[(u, v, w)]
         members = (id(ys[v]), id(xs[u]), id(zs[w]))
-        key = (id(g),) + members
-        if key not in tensors:
+        raw = (id(g), False) + members
+        if raw not in tensors:
             if members not in grids:
                 grids[members] = sp.sum_grid3(ys[v], xs[u], zs[w])
-            tensors[key] = g[grids[members]]
-        return key, tensors[key]
+            tensors[raw] = g[grids[members]]
+        key = (id(g), conj) + members
+        if key not in tensors:
+            tensors[key] = np.conj(tensors[raw])
+        return tensors[key]
 
-    # W-vertices with the same tensors, members and weights share a z-average
+    # slot key -> [w, tensors or None, mirrored slot key or None, count]
     slots: dict[tuple, list] = {}
     for w in range(nw):
-        keys, ts = zip(*(tensor(u, v, w) for u in range(nu) for v in range(nv)))
-        skey = (keys, id(zs[w]), tuple(id(muw[(u, w)]) for u in range(nu)),
-                tuple(id(mvw[(v, w)]) for v in range(nv)))
+        inputs = [values[(u, v, w)] for u in range(nu) for v in range(nv)]
+        weights = [muw[(u, w)] for u in range(nu)] + [mvw[(v, w)] for v in range(nv)]
+        rest = (id(zs[w]),) + tuple(id(m) for m in weights)
+        skey = (tuple((id(g), c) for g, c in inputs),) + rest
+        flipped = (tuple((id(g), not c) for g, c in inputs),) + rest
         if skey in slots:
-            slots[skey][2] += 1
+            slots[skey][3] += 1
+        elif flipped in slots and all(np.isrealobj(m) for m in weights):
+            slots[skey] = [w, None, flipped, 1]
         else:
-            slots[skey] = [w, ts, 1]
+            slots[skey] = [w, [tensor(u, v, w) for u in range(nu) for v in range(nv)], None, 1]
+    mirrored = {m for _, _, m, _ in slots.values() if m is not None}
     xweights = [[muv[(u, v)].T for v in range(nv)] for u in range(nu)]
 
     sy0 = ys[0].size
@@ -214,22 +229,29 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
     total = 0.0
     for j0 in range(0, sy0, rows):
         b0 = slice(j0, j0 + rows)
-        # the y0-only factors of each slot, the z weights on u = 0
-        heads = []
-        for w, ts, _ in slots.values():
-            zweight = muw[(0, w)][None] * (mvw[(0, w)][b0, None, :] / zs[w].size)
-            heads.append([ts[0][b0] * zweight]
-                         + [ts[u * nv][b0] * muw[(u, w)][None] for u in range(1, nu)])
+        # the y0-only factors of each computed slot, the z weights on u = 0
+        heads = {}
+        for skey, (w, ts, _, _) in slots.items():
+            if ts is not None:
+                zweight = muw[(0, w)][None] * (mvw[(0, w)][b0, None, :] / zs[w].size)
+                heads[skey] = ([ts[0][b0] * zweight]
+                               + [ts[u * nv][b0] * muw[(u, w)][None] for u in range(1, nu)])
         for j1 in range(0, sy1, cols):
             b1 = slice(j1, j1 + cols)
             prod = None
-            for head, (w, ts, count) in zip(heads, slots.values()):
-                r = head
-                if nv == 2:  # times the y1-only factors, the y1 z weights on u = 0
-                    tails = [ts[1][b1] * mvw[(1, w)][b1, None, :]]
-                    tails += [ts[u * nv + 1][b1] for u in range(1, nu)]
-                    r = [_outer_rows(h, t) for h, t in zip(head, tails)]
-                g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
+            gs = {}
+            for skey, (w, ts, mirror, count) in slots.items():
+                if mirror is not None:
+                    g = np.conj(gs[mirror])
+                else:
+                    r = heads[skey]
+                    if nv == 2:  # times the y1-only factors, the y1 z weights on u = 0
+                        tails = [ts[1][b1] * mvw[(1, w)][b1, None, :]]
+                        tails += [ts[u * nv + 1][b1] for u in range(1, nu)]
+                        r = [_outer_rows(h, t) for h, t in zip(r, tails)]
+                    g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
+                if skey in mirrored:  # kept only while a later slot needs it
+                    gs[skey] = g
                 for _ in range(count):
                     prod = g if prod is None else prod * g
             wx = [_outer_rows(m[0][b0], m[1][b1]) if nv == 2 else m[0][b0] for m in xweights]
@@ -252,8 +274,7 @@ def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
     for g in octuple:
         if (g.p, g.n) != (ctx.factor.p, ctx.factor.n):
             raise ValueError("function in wrong group")
-    conj = {id(g): np.conj(g.values) for g in octuple}
-    values = {(u, v, w): (conj[id(g)] if (u + v + w) % 2 else g.values)
+    values = {(u, v, w): (g.values, (u + v + w) % 2 == 1)
               for (u, v, w), g in zip(itertools.product(range(2), repeat=3), octuple)}
     two = range(2)
     return _ternary_contract(

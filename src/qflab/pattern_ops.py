@@ -280,7 +280,7 @@ def _ip2_inputs(m: int, grid: FunctionGrid, xs: np.ndarray, ys: np.ndarray,
     S of [m]^2, slot (i, j, S) reading f_{i+1, j+1, S}; the z_S-averages are
     independent once the x's and y's are fixed."""
     nsub = 1 << (m * m)
-    values = {(i, j, s): grid[(i + 1, j + 1, s)].values
+    values = {(i, j, s): (grid[(i + 1, j + 1, s)].values, False)
               for i in range(m) for j in range(m) for s in range(nsub)}
     return ([xs] * m, [ys] * m, [zs] * nsub, values,
             {(i, j): mu12 for i in range(m) for j in range(m)},
@@ -437,7 +437,7 @@ def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
     product of f_{u,v,w}(x_u + y_v + z_w) over ALL triples; the z_w-averages
     are independent once the x's and y's are fixed."""
     ctx = _TernaryContext(graph, factor, e)
-    values = {t: grid[t].values for t in graph.all_tuples()}
+    values = {t: (grid[t].values, False) for t in graph.all_tuples()}
     return _ternary_contract(factor.space, ctx.xs, ctx.ys, ctx.zs, values,
                              ctx.muv, ctx.muw, ctx.mvw)
 

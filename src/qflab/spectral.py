@@ -85,15 +85,6 @@ class GroupFunction:
         return cls(p, n, vals, one_bounded=True)
 
     @classmethod
-    def balanced(cls, p: int, n: int, indices) -> GroupFunction:
-        """1_A - alpha with alpha the global density of A."""
-        sp = space(p, n)
-        vals = np.zeros(sp.size)
-        vals[np.asarray(indices, dtype=np.int64)] = 1.0
-        vals -= vals.mean()
-        return cls(p, n, vals, one_bounded=True)
-
-    @classmethod
     def character(cls, t: GroupVector) -> GroupFunction:
         """x -> omega^(x.t)."""
         sp = space(t.p, t.n)

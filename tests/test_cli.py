@@ -121,6 +121,19 @@ def test_out_file_holds_the_canonical_payload(tmp_path, capsys):
     assert report["experiment"] == "fourier-roundtrip"
 
 
+def test_level_sizes_reach_n10(tmp_path, capsys):
+    # the sizes come from form ranks, so no p^(2n) pair table is built; the
+    # identity form has full rank n, and the largest relative deviation of a
+    # level set from p^(2n-1) is exactly (p - 1) / p^n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_values": [2, 4, 6, 8, 10]}')
+    dest = tmp_path / "report.json"
+    assert main(["run", "bil-level-sizes", "--config", str(cfg), "--out", str(dest)]) == 0
+    trials = json.loads(dest.read_text())["trials"]
+    assert [t["detail"] for t in trials] == [{"n": n, "rank": n} for n in (2, 4, 6, 8, 10)]
+    assert trials[-1]["observed"] == pytest.approx(2 / 3 ** 10, rel=1e-12)
+
+
 def test_estimate_prints_a_term_count(capsys):
     assert main(["estimate", "gcs"]) == 0
     payload = json.loads(capsys.readouterr().out.strip())

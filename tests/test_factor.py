@@ -17,7 +17,6 @@ from qflab.factor import (
     AtomLabel,
     DirectionTuple2,
     DirectionTuple3,
-    atom_size,
     beta_sizes_cached,
     bilinear_level_sizes,
     mu_weight_matrix,
@@ -70,7 +69,7 @@ def test_atom_sizes_identity_form():
     # x^2 takes value 0 once and value 1 twice over F_3, so the level
     # counts of x^2 + y^2 are 1, 4, 4
     factor = _identity_factor(3, 2)
-    sizes = sorted(atom_size(factor, (v,)) for v in range(3))
+    sizes = sorted(factor.atom_indices((v,)).size for v in range(3))
     assert sizes == [1, 4, 4]
 
 
@@ -96,7 +95,7 @@ def test_form_count_cap():
 
 def test_occupied_labels_cover_the_group():
     factor = _identity_factor(3, 3, ell=1)
-    total = sum(atom_size(factor, lab.values) for lab in factor.occupied_labels())
+    total = sum(factor.atom_indices(lab.values).size for lab in factor.occupied_labels())
     assert total == 27
 
 
@@ -116,6 +115,18 @@ def test_empty_level_set_refuses_a_measure():
     assert bilinear_level_sizes(factor)[(1,)] == 0
     with pytest.raises(EmptyLevelSet):
         mu_weight_matrix(factor, (1,), np.arange(3), np.arange(3))
+
+
+def test_mu_weight_matrix_is_memoized_read_only():
+    factor = _identity_factor(3, 3, ell=1)
+    rows, cols = factor.atom_indices((0, 1)), factor.atom_indices((1, 0))
+    w = mu_weight_matrix(factor, (2,), rows, cols)
+    assert mu_weight_matrix(factor, (2,), rows.copy(), list(cols)) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+    assert mu_weight_matrix(factor, (1,), rows, cols) is not w
+    assert mu_weight_matrix(factor, (2,), cols, rows) is not w
 
 
 def test_mu_weight_matrix_values():

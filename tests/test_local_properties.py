@@ -1,6 +1,7 @@
 """Property tests of the batched ternary contraction against its reference
 twins at every prime p in {3, 5, 7, 11, 13}: local U^3 on uneven atoms
-against the six-fold nested sum, and m-IP2 against the per-subset oracle.
+against the six-fold nested sum (for diagonal, distinct and conjugate-paired
+octuples), and m-IP2 against the per-subset oracle.
 Needs the `hypothesis` test extra.
 """
 
@@ -80,6 +81,21 @@ def test_local_u3_matches_nested_sum_on_uneven_atoms(shape, seed, diagonal):
     rng = np.random.default_rng(seed + 1)
     p, n, _ = shape
     octu = [_bounded(rng, p, n)] * 8 if diagonal else [_bounded(rng, p, n) for _ in range(8)]
+    slow = local_u3_inner_naive(ctx, octu)
+    assert local_u3_inner(ctx, octu) == pytest.approx(slow, rel=1e-10, abs=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(FACTOR_SHAPES), seed=st.integers(0, 2 ** 32 - 1))
+def test_conjugate_slot_pairs_match_nested_sum(shape, seed):
+    # (f, f, g, g, h, h, k, k): W-slot 1 reads W-slot 0's functions with
+    # every conjugate flag flipped, so the contraction reuses the conjugate
+    # of slot 0's z-average for four distinct functions
+    ctx = _uneven_context(*shape, seed)
+    assume(ctx is not None)
+    rng = np.random.default_rng(seed + 2)
+    p, n, _ = shape
+    octu = [g for g in (_bounded(rng, p, n) for _ in range(4)) for _ in range(2)]
     slow = local_u3_inner_naive(ctx, octu)
     assert local_u3_inner(ctx, octu) == pytest.approx(slow, rel=1e-10, abs=1e-14)
 

@@ -53,12 +53,6 @@ def test_one_bounded_certification():
         GroupFunction(3, 1, np.array([2.0, 0.0, 0.0]), one_bounded=True)
 
 
-def test_balanced_function_has_zero_mean():
-    g = GroupFunction.balanced(3, 2, [0, 1, 4])
-    assert np.mean(g.values) == pytest.approx(0.0, abs=1e-12)
-    assert g.values[0] == pytest.approx(1 - 3 / 9)
-
-
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 1)])
 def test_fast_transform_matches_naive(p, n):
     f = _random_f(p, n, seed=p * 10 + n)
