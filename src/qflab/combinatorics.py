@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import CapExceeded
 from .factor import QuadraticFactor
-from .fpn_core import GroupVector, space
+from .fpn_core import GroupVector, count_terms, space
 
 MAX_IP_K = 4
 MAX_IP2_M = 2
-DEFAULT_IP2_POINTS = 3 ** 5
+IP2_POINT_CAP = 3 ** 5
 SHIFT_TABLE_CAP = 1 << 26
 
 
@@ -132,7 +132,9 @@ class WitnessCertificate:
 
 
 def _first_achievers(codes: np.ndarray, count: int) -> tuple | None:
-    """Least witness index per code value, or None if some code is missed."""
+    """Least witness index per code value, or None if some code is missed.
+    Counts one term per code scanned."""
+    count_terms(codes.size)
     hits = np.bincount(codes, minlength=count)
     if not hits.all():
         return None
@@ -167,19 +169,18 @@ def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
     return None
 
 
-def vc_dimension(mask: SubsetBitmask, cap: int = MAX_IP_K) -> int:
-    """Largest k <= cap admitting a k-IP witness; a return equal to cap
-    means at-least-cap (the search stops there)."""
+def vc_dimension(mask: SubsetBitmask) -> int:
+    """Largest k <= MAX_IP_K admitting a k-IP witness; a return equal to
+    MAX_IP_K means at-least-MAX_IP_K (the search stops there)."""
     dim = 0
-    for k in range(1, cap + 1):
+    for k in range(1, MAX_IP_K + 1):
         if has_k_ip(mask, k) is None:
             break
         dim = k
     return dim
 
 
-def has_m_ip2(mask: SubsetBitmask, m: int,
-              point_cap: int = DEFAULT_IP2_POINTS) -> WitnessCertificate | None:
+def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     """Search for an m-IP2 configuration; for fixed (a_i), (b_j) a witness
     exists iff every pattern code over [m]^2 is achieved by some c. Both
     a_1 = 0 and b_1 = 0 are fixed by translation."""
@@ -189,8 +190,8 @@ def has_m_ip2(mask: SubsetBitmask, m: int,
         raise ValueError("m must be positive")
     sp = space(mask.p, mask.n)
     N = sp.size
-    if N > point_cap:
-        raise CapExceeded(f"group size {N} exceeds the IP2 point cap {point_cap}")
+    if N > IP2_POINT_CAP:
+        raise CapExceeded(f"group size {N} exceeds the IP2 point cap {IP2_POINT_CAP}")
     table = _shift_table(mask)
     rows = table.astype(np.uint16)
     count = 1 << (m * m)
@@ -211,13 +212,12 @@ def has_m_ip2(mask: SubsetBitmask, m: int,
     return None
 
 
-def vc2_dimension(mask: SubsetBitmask, cap: int = MAX_IP2_M,
-                  point_cap: int = DEFAULT_IP2_POINTS) -> int:
-    """Largest m <= cap admitting an m-IP2 witness (cap-limited like
+def vc2_dimension(mask: SubsetBitmask) -> int:
+    """Largest m <= MAX_IP2_M admitting an m-IP2 witness (cap-limited like
     vc_dimension)."""
     dim = 0
-    for m in range(1, cap + 1):
-        if has_m_ip2(mask, m, point_cap) is None:
+    for m in range(1, MAX_IP2_M + 1):
+        if has_m_ip2(mask, m) is None:
             break
         dim = m
     return dim

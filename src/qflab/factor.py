@@ -21,6 +21,7 @@ from .fpn_core import (
     GroupSpace,
     GroupVector,
     SymmetricForm,
+    count_terms,
     nullspace_mod_p,
     rank_mod_p,
     space,
@@ -84,7 +85,8 @@ class _LabelIndex:
     """Canonical-index members grouped by joint label.
 
     Subclasses set `p`, the label `width` and a `label_table` of shape
-    (p^n, width); a label's code is its little-endian base-p value.
+    (p^n, width); a label's code is its little-endian base-p value. Each
+    table counts its p^n x width entries when it is first built.
     """
 
     p: int
@@ -132,6 +134,7 @@ class LinearFactor(_LabelIndex):
     @cached_property
     def label_table(self) -> np.ndarray:
         """Per-index linear labels, shape (p^n, l)."""
+        count_terms(self.space.size * self.width)
         digits = self.space.digits.astype(np.int64)
         return (digits @ self._rows.T) % self.p
 
@@ -195,6 +198,7 @@ class QuadraticFactor(_LabelIndex):
     @cached_property
     def label_table(self) -> np.ndarray:
         """Per-index joint labels, shape (p^n, l+q)."""
+        count_terms(self.space.size * self.width)
         digits = self.space.digits.astype(np.int64)
         cols = [self.linear.label_table]
         for m in self.forms:
@@ -292,7 +296,8 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
     c != 0}, whose characters sum to p - 1 when lambda.b = 0 and to -1
     otherwise, so the count is an integer sum over the lines (Green-Tao,
     The distribution of polynomials over finite fields, 2009). With
-    p^n <= 2^20 and q <= 6 every partial sum stays below 2^63.
+    p^n <= 2^20 and q <= 6 every partial sum stays below 2^63. Counts p^q
+    terms per punctured line, one per level set updated.
     """
     p, q, n = factor.p, factor.q, factor.n
     if q < 1:
@@ -301,6 +306,7 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
     labels = lab_space.digits.astype(np.int64)
     scaled = np.full(p ** q, p ** (2 * n), dtype=np.int64)  # p^q |beta(b)|
     for lam, r in factor._line_ranks:
+        count_terms(p ** q)
         scaled += p ** (2 * n - r) * np.where(labels @ lam % p == 0, p - 1, -1)
     return {lab_space.coords_of(c): int(scaled[c]) // p ** q for c in range(p ** q)}
 

@@ -14,6 +14,7 @@ Conventions used by the whole package:
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +26,30 @@ from .errors import AsymmetricForm, CapExceeded
 ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the run's work tally
+# ---------------------------------------------------------------------------
+
+_TERMS: contextvars.ContextVar[int | None] = contextvars.ContextVar("terms", default=None)
+
+
+def count_terms(k: int) -> None:
+    """Add k terms to the tally of the run `run_counted` opened; a no-op outside a
+    run. Kernels count one term per scalar entry formed or per multiply-add."""
+    total = _TERMS.get()
+    if total is not None:
+        _TERMS.set(total + int(k))
+
+
+def run_counted(fn, *args):
+    """Call fn(*args) with a fresh tally; return (its result, terms counted)."""
+    token = _TERMS.set(0)
+    try:
+        return fn(*args), _TERMS.get()
+    finally:
+        _TERMS.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +134,8 @@ class GroupSpace:
 
         Built one coordinate at a time from the top place down (Horner), so
         the only temporaries are int8 digit sums the size of the output,
-        never a digit tensor with a trailing axis of length n.
+        never a digit tensor with a trailing axis of length n. Counts one
+        term per table entry.
         """
         k = len(parts)
         # cols[j][i]: coordinate i of the members of part j, along axis j
@@ -123,6 +149,7 @@ class GroupSpace:
                 s = s + c[i]
             out *= self.p
             out += s % self.p
+        count_terms(out.size)
         return out
 
 
@@ -282,12 +309,13 @@ def quad_char_sum(form: SymmetricForm, b: GroupVector) -> complex:
     """E_x omega^(x^T M x + b^T x), via exact level-set counts.
 
     The phase values are tallied exactly in Z; only the final embedding of
-    the counts by `_embed_counts` is floating point.
+    the counts by `_embed_counts` is floating point. Counts p^n terms.
     """
     p, n = form.p, form.n
     if b.p != p or b.n != n:
         raise ValueError("mismatched b")
     sp = space(p, n)
+    count_terms(sp.size)
     digits = sp.digits.astype(np.int64)
     m = form.as_array()
     bvec = np.array(b.coords, dtype=np.int64)
@@ -300,12 +328,13 @@ def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> co
 
     The inner sum over y vanishes unless M^T x + d = 0, so the double sum
     collapses to a single exact character sum over the solution set of that
-    linear system.
+    linear system. Counts p^n terms, one per x.
     """
     p, n = form.p, form.n
     if c.p != p or c.n != n or d.p != p or d.n != n:
         raise ValueError("mismatched linear parts")
     sp = space(p, n)
+    count_terms(sp.size)
     digits = sp.digits.astype(np.int64)
     m = form.as_array()
     dvec = np.array(d.coords, dtype=np.int64)

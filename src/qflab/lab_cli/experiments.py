@@ -8,9 +8,11 @@ Kinds:
 Every runner is a pure function of (config, seed) and runs its trials in
 one sequential loop: trial i draws from its own generator stream
 _trial_rng(seed, i, ...), so reports are byte-identical from run to run.
-Runners also count the scalar terms they actually touch; `estimate`
-predicts the same count from the config alone (for local experiments,
-from the factor's atom-size histogram) and must land within 10x.
+Runners do not count work: each kernel tallies the terms it does as it
+runs (`fpn_core.count_terms`), and `run_experiment` reports that tally as
+terms.actual. `estimate` predicts the count from the config alone (for
+local experiments, from the factor's atom-size histogram) and must land
+within 10x.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ..combinatorics import (
+    MAX_IP_K,
     SubsetBitmask,
     best_atom_union_approx,
     density_profile,
@@ -45,8 +48,10 @@ from ..fpn_core import (
     GroupVector,
     SymmetricForm,
     bilinear_char_sum,
+    count_terms,
     quad_char_sum,
     rank_mod_p,
+    run_counted,
     space,
 )
 from ..local_norms import (
@@ -100,14 +105,14 @@ ALLOWED_PRIMES = (3, 5, 7, 11, 13)
 GROUP_CAP = 1 << 20
 DIRECTION_BUDGET = 2000
 NAIVE_FT_TOL = 1e-10
+CONTEXT_ATTEMPTS = 200  # random direction tuples tried for a nondegenerate one
+ASSIGNMENT_ATTEMPTS = 100  # random label assignments tried per pattern shape
 
 
 @dataclass
 class RunResult:
     trials: list
-    aggregate: dict
-    hard_pass: bool
-    terms: int
+    trend: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,10 @@ def _direction3(rng: np.random.Generator, factor: QuadraticFactor) -> DirectionT
     )
 
 
-def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor,
-                 attempts: int = 200) -> tuple[LocalContext3, DirectionTuple3]:
+def _nondeg_ctx3(rng: np.random.Generator,
+                 factor: QuadraticFactor) -> tuple[LocalContext3, DirectionTuple3]:
     last = "no attempts made"
-    for _ in range(attempts):
+    for _ in range(CONTEXT_ATTEMPTS):
         d = _direction3(rng, factor)
         try:
             return LocalContext3(factor, d), d
@@ -189,9 +194,10 @@ def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor,
     raise DegenerateContext(f"no nondegenerate direction found: {last}")
 
 
-def _atom_stats(factor: QuadraticFactor) -> tuple[float, float]:
-    """(mean, mean of squares) of atom sizes over all labels, for cost
-    prediction; labels in local experiments are sampled uniformly."""
+def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
+    """(mean, mean of squares) of the standard factor's atom sizes at dimension
+    n, for cost prediction; local experiments sample labels uniformly."""
+    factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
     sizes = [factor.atom_indices(lab.values).size for lab in factor.all_labels()]
     arr = np.array(sizes, dtype=float)
     return float(arr.mean()), float((arr ** 2).mean())
@@ -208,29 +214,19 @@ def _u3_terms(p: int, n: int) -> int:
     return size * size * (4 * p * n + 5)
 
 
-def _hard_result(trials: list, terms: int, trend: dict | None = None) -> RunResult:
-    ok = all(t["verdict"] != "fail" for t in trials)
-    return RunResult(trials, aggregate_from(trials, trend), ok, terms)
-
-
-def _trend_result(trials: list, values: list, terms: int) -> RunResult:
-    return RunResult(trials, aggregate_from(trials, trend_summary(values)), True, terms)
-
-
 # ---------------------------------------------------------------------------
 # transform identities
 # ---------------------------------------------------------------------------
 
 def _run_parseval(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         f = _gaussian_fn(_trial_rng(cfg["seed"], i), p, n)
         spec = fourier_transform(f)
         err = abs(f.l2_norm() ** 2 - spec.l2() ** 2)
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol))
-    return _hard_result(trials, cfg["trials"] * (size * p * n + 2 * size))
+    return RunResult(trials)
 
 
 def _est_parseval(cfg: dict) -> int:
@@ -240,7 +236,6 @@ def _est_parseval(cfg: dict) -> int:
 
 def _run_roundtrip(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         f = _gaussian_fn(_trial_rng(cfg["seed"], i), p, n)
@@ -252,7 +247,7 @@ def _run_roundtrip(cfg: dict) -> RunResult:
         trials.append(make_trial(2 * i, base | {"check": "roundtrip"}, err1, tol))
         trials.append(make_trial(2 * i + 1, base | {"check": "naive-agree"},
                                  err2, NAIVE_FT_TOL))
-    return _hard_result(trials, cfg["trials"] * (2 * size * p * n + size * size))
+    return RunResult(trials)
 
 
 def _est_roundtrip(cfg: dict) -> int:
@@ -262,7 +257,6 @@ def _est_roundtrip(cfg: dict) -> int:
 
 def _run_u2_equiv(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
@@ -272,7 +266,7 @@ def _run_u2_equiv(cfg: dict) -> RunResult:
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
                                  detail={"u2_fourth": via_corr,
                                          "spectrum_fourth": via_spectrum}))
-    return _hard_result(trials, cfg["trials"] * (size * size + size * p * n))
+    return RunResult(trials)
 
 
 def _est_u2_equiv(cfg: dict) -> int:
@@ -286,7 +280,6 @@ def _est_u2_equiv(cfg: dict) -> int:
 
 def _run_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -299,7 +292,7 @@ def _run_gcs(cfg: dict) -> RunResult:
         base = {"seed": cfg["seed"], "trial": i}
         trials.append(make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol))
         trials.append(make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol))
-    return _hard_result(trials, cfg["trials"] * (5 * size ** 2 + 9 * _u3_terms(p, n)))
+    return RunResult(trials)
 
 
 def _est_gcs(cfg: dict) -> int:
@@ -311,7 +304,7 @@ def _run_local_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
     linear = factor.linear
-    trials, terms = [], 0
+    trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         base = {"seed": cfg["seed"], "trial": i}
@@ -322,7 +315,6 @@ def _run_local_gcs(cfg: dict) -> RunResult:
         bnd2 = math.prod(local_u2_norm(ctx2, g) for g in quad)
         trials.append(make_trial(2 * i, base | {"norm": "local-u2", "d": [d2.a1, d2.a2]},
                                  obs2, bnd2 + tol))
-        terms += 5 * ctx2.xs.size ** 3
         try:
             ctx3, d3 = _nondeg_ctx3(rng, factor)
         except DegenerateContext as exc:
@@ -334,22 +326,17 @@ def _run_local_gcs(cfg: dict) -> RunResult:
         scale = max(1.0, bnd3)
         trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(d3.a1)},
                                  obs3, bnd3 + tol * scale, detail={"scale": scale}))
-        s1, s2, s3 = ctx3.xs.size, ctx3.ys.size, ctx3.zs.size
-        terms += 18 * s1 * s1 * s2 * s2 * s3
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_local_gcs(cfg: dict) -> int:
-    p, n = cfg["p"], cfg["n"]
-    factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
-    smean, s2mean = _atom_stats(factor)
-    coset = p ** (n - cfg["ell"])
+    smean, s2mean = _atom_stats(cfg, cfg["n"])
+    coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     return int(cfg["trials"] * (5 * coset ** 3 + 18 * s2mean * s2mean * smean))
 
 
 def _run_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -364,7 +351,7 @@ def _run_triangle(cfg: dict) -> RunResult:
             hom = abs(norm(f.scale(c)) - abs(c) * norm(f))
             trials.append(make_trial(4 * i + 2 * k + 1,
                                      base | {"check": f"{tag}-homogeneous"}, hom, tol))
-    return _hard_result(trials, cfg["trials"] * (10 * size ** 2 + 5 * _u3_terms(p, n)))
+    return RunResult(trials)
 
 
 def _est_triangle(cfg: dict) -> int:
@@ -376,7 +363,7 @@ def _run_local_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
     linear = factor.linear
-    trials, terms = [], 0
+    trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f = _bounded_fn(rng, p, n)
@@ -387,7 +374,6 @@ def _run_local_triangle(cfg: dict) -> RunResult:
         trials.append(make_trial(2 * i, base | {"check": "local-u2-triangle"},
                                  local_u2_norm(ctx2, f + g),
                                  local_u2_norm(ctx2, f) + local_u2_norm(ctx2, g) + tol))
-        terms += 3 * ctx2.xs.size ** 3
         try:
             ctx3, _ = _nondeg_ctx3(rng, factor)
         except DegenerateContext as exc:
@@ -398,22 +384,17 @@ def _run_local_triangle(cfg: dict) -> RunResult:
         trials.append(make_trial(2 * i + 1, base | {"check": "local-u3-triangle"},
                                  local_u3_norm(ctx3, f + g),
                                  nf + ng + tol * scale, detail={"scale": scale}))
-        s1, s2, s3 = ctx3.xs.size, ctx3.ys.size, ctx3.zs.size
-        terms += 6 * s1 * s1 * s2 * s2 * s3
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_local_triangle(cfg: dict) -> int:
-    p, n = cfg["p"], cfg["n"]
-    factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
-    smean, s2mean = _atom_stats(factor)
-    coset = p ** (n - cfg["ell"])
+    smean, s2mean = _atom_stats(cfg, cfg["n"])
+    coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     return int(cfg["trials"] * (3 * coset ** 3 + 6 * s2mean * s2mean * smean))
 
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
     trials = []
     for i in range(cfg["trials"]):
@@ -428,8 +409,7 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         u3val, u2val, _ = local_u3_dominates_check(linear, a1, a2, a3, f, tol)
         trials.append(make_trial(2 * i + 1, base | {"check": "local", "d": [a1, a2, a3]},
                                  u2val, u3val + tol))
-    coset = p ** (n - cfg["ell"])
-    return _hard_result(trials, cfg["trials"] * (size ** 2 + _u3_terms(p, n) + 3 * coset ** 5))
+    return RunResult(trials)
 
 
 def _est_u3_dominates(cfg: dict) -> int:
@@ -440,14 +420,13 @@ def _est_u3_dominates(cfg: dict) -> int:
 
 def _run_ap3(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
         obs = abs(ap3_average(f))
         bnd = fourier_transform(f).sup() + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
-    return _hard_result(trials, cfg["trials"] * (size ** 2 + size * p * n))
+    return RunResult(trials)
 
 
 def _est_ap3(cfg: dict) -> int:
@@ -457,7 +436,6 @@ def _est_ap3(cfg: dict) -> int:
 
 def _run_ap4(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -469,7 +447,7 @@ def _run_ap4(cfg: dict) -> RunResult:
         g = g.scale(1.0 / max(g.l2_norm(), 1e-30))
         trials.append(make_trial(2 * i + 1, base | {"f": "l2-normalized"},
                                  abs(ap4_average(g)), u3_norm(g) + tol))
-    return _hard_result(trials, cfg["trials"] * (2 * size ** 2 + 2 * _u3_terms(p, n)))
+    return RunResult(trials)
 
 
 def _est_ap4(cfg: dict) -> int:
@@ -489,7 +467,6 @@ def _random_symmetric(rng: np.random.Generator, p: int, n: int) -> SymmetricForm
 
 def _run_expsum(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -499,7 +476,7 @@ def _run_expsum(cfg: dict) -> RunResult:
         obs = abs(quad_char_sum(form, b))
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i},
                                  obs, p ** (-rank / 2) + tol, detail={"rank": rank}))
-    return _hard_result(trials, cfg["trials"] * size * n)
+    return RunResult(trials)
 
 
 def _est_expsum(cfg: dict) -> int:
@@ -508,7 +485,6 @@ def _est_expsum(cfg: dict) -> int:
 
 def _run_bilsum(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -519,16 +495,17 @@ def _run_bilsum(cfg: dict) -> RunResult:
         obs = abs(bilinear_char_sum(form, c, d))
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i},
                                  obs, p ** (-rank) + tol, detail={"rank": rank}))
-    return _hard_result(trials, cfg["trials"] * size * size)
+    return RunResult(trials)
 
 
 def _est_bilsum(cfg: dict) -> int:
-    return cfg["trials"] * cfg["p"] ** (2 * cfg["n"])
+    # the y-sum collapses to a linear system, so the kernel sums over x alone
+    return cfg["trials"] * cfg["p"] ** cfg["n"]
 
 
 def _run_atom_sizes(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
         expected = p ** (n - ell - q)
@@ -537,8 +514,7 @@ def _run_atom_sizes(cfg: dict) -> RunResult:
         values.append(dev)
         trials.append(make_point(i, {"n": n}, dev,
                                  detail={"n": n, "rank": factor.rank}))
-        terms += p ** n * (ell + q + 1)
-    return _trend_result(trials, values, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_atom_sizes(cfg: dict) -> int:
@@ -547,7 +523,7 @@ def _est_atom_sizes(cfg: dict) -> int:
 
 def _run_bil_sizes(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
         expected = p ** (2 * n - q)
@@ -556,17 +532,18 @@ def _run_bil_sizes(cfg: dict) -> RunResult:
         values.append(dev)
         trials.append(make_point(i, {"n": n}, dev,
                                  detail={"n": n, "rank": factor.rank}))
-        terms += p ** (2 * n) * q
-    return _trend_result(trials, values, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_bil_sizes(cfg: dict) -> int:
-    return sum(cfg["p"] ** (2 * n) * cfg["q"] for n in cfg["n_values"])
+    # every level set is updated once per punctured line of F_p^q, at each n
+    p, q = cfg["p"], cfg["q"]
+    return len(cfg["n_values"]) * p ** q * ((p ** q - 1) // (p - 1))
 
 
 def _run_genbilsums(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     row = 0
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
@@ -582,28 +559,27 @@ def _run_genbilsums(cfg: dict) -> RunResult:
                 continue
             s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
             avg = float((ctx.mu12.T @ ctx.mu13 * ctx.mu23).sum()) / (s1 * s2 * s3)
+            count_terms(s1 * s2 * s3)
             devs.append(abs(avg - 1.0))
-            terms += s1 * s2 * s3
             trials.append(make_point(row, base, avg, detail={"n": n}))
             row += 1
         # mean deviation over directions; single directions stay granular
         # far into the feasible range
         values.append(float(np.mean(devs)) if devs else 1.0)
-    return _trend_result(trials, values, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_genbilsums(cfg: dict) -> int:
     total = 0
     for n in cfg["n_values"]:
-        factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
-        smean, _ = _atom_stats(factor)
+        smean, _ = _atom_stats(cfg, n)
         total += int(cfg["directions"] * smean ** 3)
     return max(total, 1)
 
 
 def _run_config_regularity(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
         rng = _trial_rng(cfg["seed"], i)
@@ -634,10 +610,10 @@ def _run_config_regularity(cfg: dict) -> RunResult:
             wz = m13[xi, :] * m23[yi, :]
             # sum over x first, then contract the (y, z) plane
             plane = (m12 * wx[:, None]).T @ m13
+            count_terms(s1 * s2 * s3)
             g = float((plane * m23 * wy[:, None] * wz[None, :]).sum())
             g /= s1 * s2 * s3
             devs.append(abs(g - 1.0))
-            terms += s1 * s2 * s3
         if not devs:
             trials.append(make_degenerate(i, base, "no constrained triples found"))
             values.append(values[-1] if values else 1.0)
@@ -649,26 +625,24 @@ def _run_config_regularity(cfg: dict) -> RunResult:
             "n": n, "max_dev": float(arr.max()),
             "frac_above_quarter": float((arr > 0.25).mean()),
             "samples": len(devs)}))
-    return _trend_result(trials, values, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_config_regularity(cfg: dict) -> int:
     total = 0
     for n in cfg["n_values"]:
-        factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
-        smean, _ = _atom_stats(factor)
+        smean, _ = _atom_stats(cfg, n)
         total += int(cfg["samples"] * smean ** 3)
     return max(total, 1)
 
 
 def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     row = 0
     for n in cfg["n_values"]:
         factor = _standard_factor(p, n, ell, q)
         linear = factor.linear
-        size = p ** n
         worst = 0.0
         for lab in cfg["atom_labels"]:
             lab = tuple(lab)
@@ -678,7 +652,7 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
                 trials.append(make_degenerate(row, base, f"atom {lab} is empty"))
                 row += 1
                 continue
-            bits = np.zeros(size, dtype=bool)
+            bits = np.zeros(p ** n, dtype=bool)
             bits[idx] = True
             e = lab[:ell]
             for a1_code in range(p ** ell):
@@ -689,12 +663,11 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
                 alpha = float(bits[target].mean())
                 norm = local_u2_norm(ctx, _indicator_minus(p, n, bits, alpha))
                 worst = max(worst, norm)
-                terms += ctx.xs.size ** 3
                 trials.append(make_point(row, base | {"a1": list(a1)}, norm,
                                          detail={"n": n, "alpha": alpha}))
                 row += 1
         values.append(worst)
-    return _trend_result(trials, values, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_atom_u2_uniformity(cfg: dict) -> int:
@@ -722,8 +695,7 @@ def _run_atom_vc(cfg: dict) -> RunResult:
         detail["witness_b"] = [list(v.coords) for v in cert.elements()["b"]]
     trial = make_trial(0, {"n": n, "atom": cfg["atom_label"]},
                        0.0 if ok else 1.0, 0.0, detail=detail)
-    size = p ** n
-    return _hard_result([trial], size * size)
+    return RunResult([trial])
 
 
 def _est_atom_vc(cfg: dict) -> int:
@@ -732,13 +704,9 @@ def _est_atom_vc(cfg: dict) -> int:
 
 def _run_atom_vc2(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
-    size = p ** n
-    for d in cfg["extra_diagonals"]:
-        if len(d) != n:
-            raise ConfigError(f"diagonal {d} does not have {n} entries")
     diag_forms = [np.eye(n, dtype=np.int64)]
     diag_forms += [np.diag(d).astype(np.int64) for d in cfg["extra_diagonals"]]
-    trials, terms = [], 0
+    trials = []
     row = 0
     for fi, form in enumerate(diag_forms):
         for ell in cfg["ell_values"]:
@@ -748,25 +716,27 @@ def _run_atom_vc2(cfg: dict) -> RunResult:
                 idx = factor.atom_indices(lab.values)
                 mask = SubsetBitmask.from_indices(p, n, idx)
                 dim = vc2_dimension(mask)
-                terms += size * size
                 trials.append(make_trial(
                     row, {"form": fi, "ell": ell, "atom": list(lab.values)},
                     float(dim), 1.0,
                     detail={"atom_size": mask.size, "rank": factor.rank}))
                 row += 1
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_atom_vc2(cfg: dict) -> int:
+    # per atom: two shift tables, the m = 1 scan, and, as the claim predicts
+    # no 2-IP2 witness, the whole m = 2 scan of (N - 1)^2 (a2, b2) rows of N
+    size = cfg["p"] ** cfg["n"]
     forms = 1 + len(cfg["extra_diagonals"])
     atoms = sum(cfg["p"] ** (ell + 1) for ell in cfg["ell_values"])
-    return forms * atoms * cfg["p"] ** (2 * cfg["n"])
+    return forms * atoms * (2 * size ** 2 + size + (size - 1) ** 2 * size)
 
 
 def _check_lengths(key: str, vectors: list, n: int) -> None:
     for v in vectors:
         if not (isinstance(v, list) and len(v) == n and all(map(_is_int, v))):
-            raise ConfigError(f"{key} entry {v} is not a vector of n = {n} integers")
+            raise ConfigError(f"{key} entry {v} is not a vector of {n} integers")
 
 
 def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
@@ -785,7 +755,7 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
     sp = space(p, n)
     basis = [tuple(b) for b in cfg["subgroup_basis"]]
     span = _span_indices(p, n, basis)
-    trials, terms = [], 0
+    trials = []
     for i, reps in enumerate(cfg["rep_sets"]):
         k = len(reps)
         idx: list[int] = []
@@ -796,19 +766,22 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
         measured = vc_dimension(mask)
         stated = math.ceil(math.log2(k)) if k > 1 else 0
         corrected = math.floor(math.log2(k)) + 1
-        terms += (p ** n) ** 2 * k
         trials.append(make_trial(
             i, {"reps": [list(r) for r in reps]},
             float(measured), float(corrected),
             detail={"k": k, "stated_bound": stated,
                     "stated_bound_ok": measured <= stated,
                     "union_size": mask.size}))
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_coset_union_vc(cfg: dict) -> int:
-    total_k = sum(len(r) for r in cfg["rep_sets"])
-    return cfg["p"] ** (2 * cfg["n"]) * total_k
+    # at the claimed dimension d: d + 1 shift tables, and the failing search
+    # for a (d + 1)-IP scans all C(N - 1, d) candidates of N codes each
+    size = cfg["p"] ** cfg["n"]
+    dims = [math.floor(math.log2(len(reps))) + 1 for reps in cfg["rep_sets"]]
+    return (sum((d + 1) * size ** 2 for d in dims)
+            + sum(math.comb(size - 1, d) * size for d in dims if d < MAX_IP_K))
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +790,6 @@ def _est_coset_union_vc(cfg: dict) -> int:
 
 def _run_control_ip(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -826,8 +798,7 @@ def _run_control_ip(cfg: dict) -> RunResult:
         obs = abs(t_ip(m, grid))
         bnd = min(u2_norm(g) for g in grid.functions()) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
-    slots = m * (1 << m)
-    return _hard_result(trials, cfg["trials"] * (size ** 3 + slots * size ** 2))
+    return RunResult(trials)
 
 
 def _est_control_ip(cfg: dict) -> int:
@@ -838,7 +809,6 @@ def _est_control_ip(cfg: dict) -> int:
 
 def _run_control_ip2(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
-    size = p ** n
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -848,8 +818,7 @@ def _run_control_ip2(cfg: dict) -> RunResult:
         obs = abs(t_ip2(m, grid))
         bnd = min(u3_norm(g) for g in grid.functions()) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
-    slots = m * m * (1 << (m * m))
-    return _hard_result(trials, cfg["trials"] * slots * (size ** 3 + _u3_terms(p, n)))
+    return RunResult(trials)
 
 
 def _est_control_ip2(cfg: dict) -> int:
@@ -862,7 +831,6 @@ def _est_control_ip2(cfg: dict) -> int:
 def _run_control_ip_local(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
-    coset = p ** (n - cfg["ell"])
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -874,8 +842,7 @@ def _run_control_ip_local(cfg: dict) -> RunResult:
         bnd = min(local_u2_norm(ctx, g) for g in grid.functions()) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i,
                                      "d": [d2.a1, d2.a2]}, obs, bnd))
-    slots = m * (1 << m)
-    return _hard_result(trials, cfg["trials"] * (coset ** 3 + slots * coset ** 3))
+    return RunResult(trials)
 
 
 def _est_control_ip_local(cfg: dict) -> int:
@@ -886,7 +853,7 @@ def _est_control_ip_local(cfg: dict) -> int:
 
 def _run_control_ip2_local(cfg: dict) -> RunResult:
     p, ell, q, m = cfg["p"], cfg["ell"], cfg["q"], cfg["m"]
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
         rng = _trial_rng(cfg["seed"], i)
@@ -903,20 +870,16 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
         nrm = local_u3_norm(ctx, f)
         excess = max(0.0, (obs - nrm) / max(1.0, nrm))
         values.append(excess)
-        s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
-        slots = 1 << (m * m)
-        terms += slots * s1 * s2 * s3 + 2 * s1 * s1 * s2 * s2 * s3
         trials.append(make_point(i, base, excess,
                                  detail={"n": n, "operator": obs, "norm": nrm}))
-    return _trend_result(trials, values, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_control_ip2_local(cfg: dict) -> int:
     slots = 1 << (cfg["m"] * cfg["m"])
     total = 0
     for n in cfg["n_values"]:
-        factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
-        smean, s2mean = _atom_stats(factor)
+        smean, s2mean = _atom_stats(cfg, n)
         total += int(slots * smean ** 3 + 2 * s2mean * s2mean * smean)
     return max(total, 1)
 
@@ -939,12 +902,11 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
     p, ell, q, eps, tol = cfg["p"], cfg["ell"], cfg["q"], cfg["eps"], cfg["tol"]
     samples = cfg["samples"]
     n_hard = max(cfg["n_values"])
-    trials, values, terms = [], [], 0
+    trials, values = [], []
     row = 0
     hard_rows = []
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
-        size = p ** n
         diffs = []
         last = None
         for s in range(samples):
@@ -958,12 +920,11 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
                 continue
             target = ctx.target_indices()
             chosen = _sparse_subset(rng, target, eps)
-            bits = np.zeros(size, dtype=bool)
+            bits = np.zeros(p ** n, dtype=bool)
             bits[chosen] = True
             alpha = float(bits[target].mean())
             value, _ = weighted_ternary_density(factor, d, bits)
             diffs.append(abs(value - alpha))
-            terms += ctx.xs.size * ctx.ys.size * ctx.zs.size
             trials.append(make_point(row, base, abs(value - alpha),
                                      detail={"n": n, "weighted": value,
                                              "alpha": alpha}))
@@ -973,25 +934,21 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
                       else (values[-1] if values else 1.0))
         if n == n_hard and last is not None:
             ctx, bits, alpha = last
-            s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
             norm = local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha))
-            terms += 2 * s1 * s1 * s2 * s2 * s3
             hard_rows.append(make_trial(row, {"n": n, "eps": eps,
                                               "check": "norm-bound"},
                                         norm, 2.0 * eps ** 0.125 + tol,
                                         detail={"n": n, "alpha": alpha}))
             row += 1
     trials.extend(hard_rows)
-    ok = all(t["verdict"] != "fail" for t in trials)
-    return RunResult(trials, aggregate_from(trials, trend_summary(values)), ok, terms)
+    return RunResult(trials, trend_summary(values))
 
 
 def _est_sparse_uniform(cfg: dict) -> int:
     total = 0
     n_hard = max(cfg["n_values"])
     for n in cfg["n_values"]:
-        factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
-        smean, s2mean = _atom_stats(factor)
+        smean, s2mean = _atom_stats(cfg, n)
         total += int(cfg["samples"] * smean ** 3)
         if n == n_hard:
             total += int(2 * s2mean * s2mean * smean)
@@ -1008,7 +965,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
     f = GroupFunction(p, n, f_raw)
     total_dirs = p ** (3 * (ell + q) + 3 * q)
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    norms, degenerate, terms = [], 0, 0
+    norms, degenerate = [], 0
     for j in range(count):
         d = _direction3(_trial_rng(cfg["seed"], j), factor)
         try:
@@ -1017,8 +974,6 @@ def _run_smallpart(cfg: dict) -> RunResult:
             degenerate += 1
             continue
         norms.append(local_u3_norm(ctx, f))
-        s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
-        terms += 2 * s1 * s1 * s2 * s2 * s3
     arr = np.array(sorted(norms)) if norms else np.zeros(0)
     main_thr = 2.0 * eps ** (1.0 / 16.0)
     thresholds = [main_thr, 1.0, eps ** (1.0 / 16.0), 0.3, 0.1]
@@ -1038,12 +993,11 @@ def _run_smallpart(cfg: dict) -> RunResult:
         "claim_consistent": claim_frac >= 1.0 - 8.0 * eps,
     }
     trial = make_point(0, {"seed": cfg["seed"], "eps": eps}, claim_frac, detail=detail)
-    return RunResult([trial], aggregate_from([trial]), True, terms)
+    return RunResult([trial])
 
 
 def _est_smallpart(cfg: dict) -> int:
-    factor = _standard_factor(cfg["p"], cfg["n"], cfg["ell"], cfg["q"])
-    smean, s2mean = _atom_stats(factor)
+    smean, s2mean = _atom_stats(cfg, cfg["n"])
     count = min(cfg["directions"], DIRECTION_BUDGET)
     return max(int(count * 2 * s2mean * s2mean * smean), 1)
 
@@ -1070,7 +1024,7 @@ def _run_trivdense(cfg: dict) -> RunResult:
     labels = _random_label_union(rng, factor)
     bits = _union_bits(factor, labels)
     mask = SubsetBitmask(p, n, bits)
-    trials, terms = [], 0
+    trials = []
     for j in range(cfg["directions"]):
         d = _direction3(_trial_rng(cfg["seed"], j), factor)
         target = factor.atom_indices(sigma3(factor, d).values)
@@ -1079,29 +1033,25 @@ def _run_trivdense(cfg: dict) -> RunResult:
             trials.append(make_degenerate(j, base, "target atom is empty"))
             continue
         inside = int(bits[target].sum())
-        terms += target.size
         # distance from a trivial density, in exact counts
         off = min(inside, target.size - inside)
         trials.append(make_trial(j, base, float(off), 0.0,
                                  detail={"alpha": Fraction(inside, target.size)}))
     frac = regularity_conclusion(mask, factor, Fraction(1, 100))
-    terms += p ** n
     trials.append(make_trial(cfg["directions"], {"check": "regularity-fraction"},
                              1.0 - float(frac), 0.0,
                              detail={"atoms_trivial_fraction": frac}))
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_trivdense(cfg: dict) -> int:
-    factor = _standard_factor(cfg["p"], cfg["n"], cfg["ell"], cfg["q"])
-    smean, _ = _atom_stats(factor)
+    smean, _ = _atom_stats(cfg, cfg["n"])
     return int(cfg["directions"] * smean + cfg["p"] ** cfg["n"])
 
 
 def _run_vc2_structure(cfg: dict) -> RunResult:
     p, n, ell, q = cfg["p"], cfg["n"], cfg["ell"], cfg["q"]
     factor = _standard_factor(p, n, ell, q)
-    size = p ** n
     rng = _trial_rng(cfg["seed"])
     labels = _random_label_union(rng, factor)
     union = SubsetBitmask(p, n, _union_bits(factor, labels))
@@ -1115,7 +1065,7 @@ def _run_vc2_structure(cfg: dict) -> RunResult:
                    1.0 - float(frac), 0.0,
                    detail={"atoms_trivial_fraction": frac}),
     ]
-    rand_mask = SubsetBitmask(p, n, rng.random(size) < 0.5)
+    rand_mask = SubsetBitmask(p, n, rng.random(p ** n) < 0.5)
     profile, empty = density_profile(rand_mask, factor)
     _, rand_symdiff = best_atom_union_approx(rand_mask, factor)
     dims = vc2_dimension(rand_mask)
@@ -1126,8 +1076,7 @@ def _run_vc2_structure(cfg: dict) -> RunResult:
         "max_density": max(dens) if dens else None,
         "majority_symdiff": rand_symdiff,
     }))
-    terms = 4 * size + size * size
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_vc2_structure(cfg: dict) -> int:
@@ -1137,8 +1086,7 @@ def _est_vc2_structure(cfg: dict) -> int:
 
 def _run_inverse_oracle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    size = p ** n
-    trials, terms = [], 0
+    trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         form = _random_symmetric(rng, p, n)
@@ -1160,9 +1108,7 @@ def _run_inverse_oracle(cfg: dict) -> RunResult:
                                  1.0 - value, tol))
         trials.append(make_trial(2 * i + 1, base | {"check": "constant-phase"},
                                  spread, tol))
-        coeffs = p ** (n * (n + 1) // 2)
-        terms += coeffs * size * (p * n if with_linear else 1)
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_inverse_oracle(cfg: dict) -> int:
@@ -1179,13 +1125,11 @@ def _est_inverse_oracle(cfg: dict) -> int:
 def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
     linear = _standard_factor(p, n, ell, 0).linear
-    size = p ** n
-    coset = p ** (n - ell)
     nu, nv = cfg["parts"]
     trials = []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        bits = rng.random(size) < 0.5
+        bits = rng.random(p ** n) < 0.5
         edges = frozenset((u, v) for u in range(nu) for v in range(nv)
                           if rng.random() < 0.5)
         graph = PatternHypergraph("bipartite", {"U": nu, "V": nv}, edges)
@@ -1224,8 +1168,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
                                      "within_exponential":
                                          delta <= (2 ** pairs - 1) * eps_meas + tol,
                                  }))
-    per_trial = coset ** (nv + 1) * nu + coset ** 2 * nu * nv + nu * nv * coset ** 3
-    return _hard_result(trials, cfg["trials"] * per_trial)
+    return RunResult(trials)
 
 
 def _est_counting_binary(cfg: dict) -> int:
@@ -1251,13 +1194,13 @@ def _ternary_graphs(max_part: int):
 
 
 def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
-                       graph: PatternHypergraph, attempts: int = 100):
+                       graph: PatternHypergraph):
     """A seeded label assignment in which every atom and pair level set in
     sight is nonempty; None when no such assignment is found."""
     from ..pattern_ops import _TernaryContext
 
     w, q = factor.ell + factor.q, factor.q
-    for _ in range(attempts):
+    for _ in range(ASSIGNMENT_ATTEMPTS):
         e = LabelAssignment(
             tuple(_label(rng, factor.p, w) for _ in range(graph.nu)),
             tuple(_label(rng, factor.p, w) for _ in range(graph.nv)),
@@ -1280,13 +1223,12 @@ def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
 def _run_counting_ternary(cfg: dict) -> RunResult:
     p, n, ell, q, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["tol"]
     factor = _standard_factor(p, n, ell, q)
-    size = p ** n
     rng = _trial_rng(cfg["seed"])
     labels = _random_label_union(rng, factor)
     bits = _union_bits(factor, labels)
     ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
     coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
-    trials, terms = [], 0
+    trials = []
     for gi, graph in enumerate(_ternary_graphs(cfg["max_part"])):
         base = {"parts": [graph.nu, graph.nv, graph.nw],
                 "edges": sorted(graph.edges)}
@@ -1304,7 +1246,6 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
                                  detail={"count": count}))
         prod = 1.0
         eps_meas = 0.0
-        terms += size
         for (u, v, w) in graph.all_tuples():
             d3 = e.triple_direction(p, u, v, w)
             target = factor.atom_indices(sigma3(factor, d3).values)
@@ -1316,8 +1257,6 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
             ctx = LocalContext3(factor, d3)
             eps_meas = max(eps_meas,
                            local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha)))
-            s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
-            terms += 2 * s1 * s1 * s2 * s2 * s3
         else:
             m = max(graph.nu, graph.nv, graph.nw)
             delta = abs(t_val - prod)
@@ -1329,12 +1268,11 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
                                      detail={"eps_measured": eps_meas, "m": m,
                                              "norm_term_bound": heuristic,
                                              "within_norm_term": delta <= heuristic + 1e-6}))
-    return _hard_result(trials, terms)
+    return RunResult(trials)
 
 
 def _est_counting_ternary(cfg: dict) -> int:
-    factor = _standard_factor(cfg["p"], cfg["n"], cfg["ell"], cfg["q"])
-    smean, s2mean = _atom_stats(factor)
+    smean, s2mean = _atom_stats(cfg, cfg["n"])
     total = 0
     for su in range(1, cfg["max_part"] + 1):
         for sv in range(1, cfg["max_part"] + 1):
@@ -1593,14 +1531,23 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(f"dimension must be a positive integer, got {n}")
         if p is not None and p ** n > GROUP_CAP:
             raise ConfigError(f"p^n = {p ** n} exceeds the cap {GROUP_CAP}")
-    for key in ("trials", "directions", "samples", "m", "max_part"):
+    for ell in cfg.get("ell_values", [cfg["ell"]] if "ell" in cfg else []):
+        if not _is_int(ell) or not 0 <= ell <= min(dims):
+            raise ConfigError(f"ell must be an integer in [0, n] = [0, {min(dims)}], got {ell}")
+    for key, low in (("trials", 1), ("directions", 1), ("samples", 1), ("m", 1),
+                     ("max_part", 1), ("seed", 0), ("q", 0)):
         val = cfg.get(key)
-        if val is not None and val < 1:
-            raise ConfigError(f"{key} must be a positive integer, got {val}")
-    if cfg.get("seed", 0) < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
-    if "subgroup_basis" in cfg:
-        _check_lengths("subgroup_basis", cfg["subgroup_basis"], cfg["n"])
+        if val is not None and val < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {val}")
+    parts = cfg.get("parts", [1, 1])
+    if len(parts) != 2 or not all(_is_int(v) and v >= 1 for v in parts):
+        raise ConfigError(f"parts must be two positive integers, got {parts}")
+    # atom-vc's factor is one form with no linear part, so its labels have width 1
+    labels = cfg.get("atom_labels", [cfg["atom_label"]] if "atom_label" in cfg else [])
+    _check_lengths("atom label", labels, cfg.get("ell", 0) + cfg.get("q", 1))
+    for key in ("subgroup_basis", "extra_diagonals"):
+        if key in cfg:
+            _check_lengths(key, cfg[key], cfg["n"])
     for reps in cfg.get("rep_sets", []):
         if not isinstance(reps, list) or not reps:
             raise ConfigError(f"rep_sets entry {reps} is not a nonempty list of vectors")
@@ -1617,10 +1564,11 @@ def run_experiment(name: str, file_cfg: dict | None = None,
                    overrides: dict | None = None) -> dict:
     exp = get_experiment(name)
     cfg = merge_config(exp, file_cfg, overrides)
-    result = exp.runner(cfg)
+    result, terms = run_counted(exp.runner, cfg)
+    ok = all(t["verdict"] != "fail" for t in result.trials)
     return build_report(exp.name, exp.kind, exp.claim, cfg, result.trials,
-                        result.aggregate, exp.estimator(cfg), result.terms,
-                        result.hard_pass)
+                        aggregate_from(result.trials, result.trend), exp.estimator(cfg),
+                        terms, ok)
 
 
 def estimate_experiment(name: str, file_cfg: dict | None = None,

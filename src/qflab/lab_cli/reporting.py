@@ -97,17 +97,17 @@ def make_degenerate(index: int, inputs: dict, message: str) -> dict:
     }
 
 
-def trend_summary(values: list[float], wobble: float = TREND_WOBBLE) -> dict:
+def trend_summary(values: list[float]) -> dict:
     """Monotone-trend verdict: non-increasing up to a relative wobble."""
     vals = [float(v) for v in values]
-    ok = all(b <= a * (1.0 + wobble) + TREND_ABS_SLACK
+    ok = all(b <= a * (1.0 + TREND_WOBBLE) + TREND_ABS_SLACK
              for a, b in zip(vals, vals[1:]))
     if len(vals) >= 2:
         slope = float(np.polyfit(np.arange(len(vals)), np.array(vals), 1)[0])
     else:
         slope = 0.0
     return {"values": vals, "non_increasing_within_wobble": ok,
-            "slope": slope, "wobble": wobble}
+            "slope": slope, "wobble": TREND_WOBBLE}
 
 
 def aggregate_from(trials: list[dict], trend: dict | None = None) -> dict:

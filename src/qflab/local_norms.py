@@ -13,6 +13,7 @@ atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .factor import (
     sigma2,
     sigma3,
 )
-from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector
+from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector, count_terms
 from .spectral import (
     GroupFunction,
     SpectrumTable,
@@ -62,13 +63,15 @@ class LocalContext2:
 
 def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
                    f10: GroupFunction, f11: GroupFunction) -> complex:
-    """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product."""
+    """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product.
+    Counts the 2 |L(a1)| |L(a2)|^2 multiply-adds of its two matmuls."""
     sp = ctx.linear.space
     for g in (f00, f01, f10, f11):
         if (g.p, g.n) != (ctx.linear.p, ctx.linear.n):
             raise ValueError("function in wrong group")
     table = sp.sum_grid(ctx.xs, ctx.ys)  # table[x, y] = x + y
     s = ctx.xs.size
+    count_terms(2 * s * ctx.ys.size ** 2)
     m00 = f00.values[table]
     m01 = f01.values[table]
     m10 = f10.values[table]
@@ -182,6 +185,8 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
     flipped reads the conjugate of each of that slot's tensors; when its
     z weights are real (checked, not assumed) its z-average is the
     conjugate of that slot's, so it takes that and skips its own matmul.
+    Counts each computed slot's multiply-adds, |x's| |y's| |z's|; a mirrored
+    slot counts none.
     """
     nu, nv, nw = len(xs), len(ys), len(zs)
     for u, v, w in itertools.product(range(nu), range(nv), range(nw)):
@@ -218,6 +223,8 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
         else:
             slots[skey] = [w, [tensor(u, v, w) for u in range(nu) for v in range(nv)], None, 1]
     mirrored = {m for _, _, m, _ in slots.values() if m is not None}
+    denom = math.prod(a.size for a in (*xs, *ys))
+    count_terms(sum(denom * zs[w].size for w, ts, _, _ in slots.values() if ts is not None))
     xweights = [[muv[(u, v)].T for v in range(nv)] for u in range(nu)]
 
     sy0 = ys[0].size
@@ -259,9 +266,6 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
                 total += (wx[0] * prod).sum()
             else:
                 total += (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).sum()
-    denom = 1
-    for a in (*xs, *ys):
-        denom *= a.size
     return complex(total / denom)
 
 

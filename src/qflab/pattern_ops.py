@@ -22,6 +22,7 @@ reference routes for small instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .factor import (
     QuadraticFactor,
     mu_weight_matrix,
 )
-from .fpn_core import space
+from .fpn_core import count_terms, space
 from .local_norms import LocalContext3, _ternary_contract
 from .spectral import GroupFunction
 
@@ -201,11 +202,14 @@ def _ip_check(m: int, grid: FunctionGrid) -> None:
 def _ip_engine(m: int, grid: FunctionGrid, xs_list: list[np.ndarray],
                ys: np.ndarray) -> complex:
     """E over x_i in xs_list[i], independent y_S in ys, of the full product.
-    Conditioning on (x_i) makes the 2^m y-averages independent."""
+    Conditioning on (x_i) makes the 2^m y-averages independent. Counts the
+    multiply-adds of the 2^m averages, each over every (x_i) and y."""
     sp = space(grid.p, grid.n)
     sizes = [a.size for a in xs_list]
-    if int(np.prod(sizes)) * ys.size > GRID_CAP:
+    work = math.prod(sizes) * ys.size
+    if work > GRID_CAP:
         raise CapExceeded("IP member tables too large")
+    count_terms((1 << m) * work)
     tables = [sp.sum_grid(xs, ys) for xs in xs_list]  #, per i: x + y
     total_shape = tuple(sizes)
     prod = np.ones(total_shape)
@@ -347,7 +351,8 @@ def _coset_members(linear: LinearFactor, labels) -> list[np.ndarray]:
 def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
                 v_labels, grid: FunctionGrid) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
-    f_{u,v}(x_u + y_v); conditioning on the y's factors the per-u averages."""
+    f_{u,v}(x_u + y_v); conditioning on the y's factors the per-u averages.
+    Counts the multiply-adds of the per-u einsums over x_u and all (y_v)."""
     if graph.kind != "bipartite":
         raise ValueError("need a bipartite graph")
     if graph.nu > 3 or graph.nv > 3:
@@ -358,6 +363,7 @@ def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
     xs = _coset_members(linear, u_labels)
     ys = _coset_members(linear, v_labels)
     s = xs[0].size
+    count_terms(sum(x.size for x in xs) * math.prod(y.size for y in ys))
     letters = "abc"[: graph.nv]
     pattern = ",".join(f"x{c}" for c in letters) + "->" + letters
     per_u = []

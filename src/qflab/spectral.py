@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, NegativeDiagonal
-from .fpn_core import DEFAULT_TOL, GroupVector, SymmetricForm, omega_table, space
+from .fpn_core import DEFAULT_TOL, GroupVector, SymmetricForm, count_terms, omega_table, space
 
 NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
 U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
 H_BLOCK_ENTRIES = 1 << 18  # entries per block of h in u3_inner; bounds its memory
+CORRELATION_SEARCH_CAP = 3 ** 10  # most candidate forms the correlation oracle scans
 EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
@@ -154,8 +155,10 @@ def _axis_dft(values: np.ndarray, p: int, n: int, kernel: np.ndarray) -> np.ndar
     """Apply the p x p kernel along every coordinate axis of the table.
 
     The first axis of `values` is the group index; any trailing axes are a
-    batch, and each column is transformed independently.
+    batch, and each column is transformed independently. Counts entries x
+    p x n terms.
     """
+    count_terms(values.size * p * n)
     if n == 0:
         return values.astype(np.complex128)
     batch = values.shape[1:]
@@ -178,7 +181,8 @@ def fourier_transform(f: GroupFunction) -> SpectrumTable:
 
 
 def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
-    """Same transform by the quadratic-cost double loop; cross-check path."""
+    """Same transform by the quadratic-cost double loop; cross-check path.
+    Counts p^(2n) terms, the multiply-adds of its matrix product."""
     p, n = f.p, f.n
     sp = space(p, n)
     if sp.size ** 2 > NAIVE_CAP:
@@ -186,6 +190,7 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
     digits = sp.digits.astype(np.int64)
     dots = (digits @ digits.T) % p
     phases = omega_table(p)[(-dots) % p]
+    count_terms(phases.size)
     return SpectrumTable(p, n, phases @ f.values.astype(np.complex128) / sp.size)
 
 
@@ -367,18 +372,18 @@ def ap4_average(f: GroupFunction) -> complex:
 def max_quadratic_correlation(
     f: GroupFunction,
     include_linear: bool = False,
-    search_cap: int = 3 ** 10,
 ) -> tuple[SymmetricForm, GroupVector | None, float]:
     """Exhaustively maximize |E_x f(x) omega^(x^T M x [+ r.x])|.
 
     Returns (M, r, value); r is None unless include_linear. Ties are broken
     by the lexicographically least row-major entry tuple (then least r).
+    Counts p^n terms per candidate form, plus the transforms it takes.
     """
     p, n = f.p, f.n
     free = n * (n + 1) // 2
     count = p ** free
-    if count > search_cap:
-        raise CapExceeded(f"{count} candidate forms exceed search cap {search_cap}")
+    if count > CORRELATION_SEARCH_CAP:
+        raise CapExceeded(f"{count} candidate forms exceed search cap {CORRELATION_SEARCH_CAP}")
     sp = space(p, n)
     digits = sp.digits.astype(np.int64)
     om = omega_table(p)
@@ -396,6 +401,7 @@ def max_quadratic_correlation(
             m[i, j] = c
             m[j, i] = c
         qvals = np.einsum("xi,ij,xj->x", digits, m, digits) % p
+        count_terms(sp.size)
         if include_linear:
             g = f.values * om[qvals]
             spec = fourier_transform(GroupFunction(p, n, g))

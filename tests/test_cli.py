@@ -64,14 +64,28 @@ def test_bad_override_exits_two(capsys):
     ("parseval", '{"tol": Infinity}'),
     ("parseval", '{"tol": 1e400}'),
     ("atom-sizes", '{"n_values": []}'),
+    ("local-gcs", '{"ell": 5}'),
+    ("atom-sizes", '{"ell": 9}'),
+    ("u3-dominates", '{"ell": 4}'),
+    ("atom-vc2", '{"ell_values": [5]}'),
+    ("local-gcs", '{"ell": -1}'),
+    ("atom-sizes", '{"q": -1}'),
+    ("atom-vc2", '{"ell_values": [-1]}'),
+    ("counting-binary", '{"parts": [1]}'),
+    ("counting-binary", '{"parts": [0, 2]}'),
+    ("atom-vc", '{"atom_label": [0, 0]}'),
+    ("atom-u2-uniformity", '{"atom_labels": [[0]]}'),
 ])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
-    # each value must have the JSON type of its default; a bool is no integer
+    # each value must have the JSON type of its default (a bool is no
+    # integer) and lie in its range: ell in [0, n], q >= 0, two positive
+    # parts, atom labels as wide as the factor
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
-    assert main(["run", name, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert [line.startswith("error:") for line in err.splitlines()] == [True]
+    for command in ("run", "estimate"):
+        assert main([command, name, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert [line.startswith("error:") for line in err.splitlines()] == [True]
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
@@ -129,9 +143,22 @@ def test_level_sizes_reach_n10(tmp_path, capsys):
     cfg.write_text('{"n_values": [2, 4, 6, 8, 10]}')
     dest = tmp_path / "report.json"
     assert main(["run", "bil-level-sizes", "--config", str(cfg), "--out", str(dest)]) == 0
-    trials = json.loads(dest.read_text())["trials"]
+    report = json.loads(dest.read_text())
+    trials = report["trials"]
     assert [t["detail"] for t in trials] == [{"n": n, "rank": n} for n in (2, 4, 6, 8, 10)]
     assert trials[-1]["observed"] == pytest.approx(2 / 3 ** 10, rel=1e-12)
+    # the count is the rank route's work: less than one p^n table, where the
+    # histogram would count p^(2n) pairs per form
+    actual = report["terms"]["actual"]
+    assert 0 < actual < 3 ** 10
+    _, est = estimate_experiment("bil-level-sizes", json.loads(cfg.read_text()))
+    assert 0.1 <= est / actual <= 10.0
+
+
+def test_terms_actual_is_the_kernels_tally():
+    one = run_experiment("parseval", None, {"trials": 1})["terms"]["actual"]
+    two = run_experiment("parseval", None, {"trials": 2})["terms"]["actual"]
+    assert one > 0 and two == 2 * one
 
 
 def test_estimate_prints_a_term_count(capsys):

@@ -17,10 +17,12 @@ from qflab.fpn_core import (
     SymmetricForm,
     _embed_counts,
     bilinear_char_sum,
+    count_terms,
     nullspace_mod_p,
     omega_table,
     quad_char_sum,
     rank_mod_p,
+    run_counted,
     space,
 )
 
@@ -140,3 +142,14 @@ def test_bilinear_char_sum_vanishes_off_solvable_shift():
     z = GroupVector.zero(3, 2)
     val = bilinear_char_sum(SymmetricForm.zero(3, 2), z, GroupVector(3, (1, 0)))
     assert val == 0.0
+
+
+def test_kernels_count_only_inside_a_run():
+    # outside a run the tally is closed: these count nothing and raise nothing
+    form = SymmetricForm.identity(3, 2)
+    b = GroupVector.zero(3, 2)
+    quad_char_sum(form, b)
+    count_terms(5)
+    value, terms = run_counted(quad_char_sum, form, b)
+    assert value == quad_char_sum(form, b)
+    assert terms == 9
