@@ -55,6 +55,7 @@ from ..fpn_core import (
     space,
 )
 from ..local_norms import (
+    BLOCK_ENTRIES,
     LocalContext2,
     LocalContext3,
     local_u2_inner,
@@ -64,6 +65,7 @@ from ..local_norms import (
     local_u3_norm,
 )
 from ..pattern_ops import (
+    MAX_BIPARTITE_PART,
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
@@ -201,6 +203,20 @@ def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
     sizes = [factor.atom_indices(lab.values).size for lab in factor.all_labels()]
     arr = np.array(sizes, dtype=float)
     return float(arr.mean()), float((arr ** 2).mean())
+
+
+def _kept_share(cfg: dict, rows: int) -> float:
+    """Expected share of an atom that one y0 block of `rows` rows keeps in
+    the ternary contraction: each row weights a p^-q share of the members."""
+    return 1.0 - (1.0 - cfg["p"] ** -cfg["q"]) ** rows
+
+
+def _local_u3_terms(cfg: dict, smean: float, s2mean: float) -> float:
+    """Multiply-adds of one local U^3 norm on atoms of the mean sizes: one
+    computed W-slot over |x|^2 |y|^2 |z|, whose y0 blocks of about
+    BLOCK_ENTRIES / |x|^3 rows keep their share of x0, x1 and z."""
+    rows = max(1, int(BLOCK_ENTRIES // smean ** 3))
+    return s2mean * s2mean * smean * _kept_share(cfg, rows) ** 3
 
 
 def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFunction:
@@ -876,11 +892,15 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
 
 
 def _est_control_ip2_local(cfg: dict) -> int:
-    slots = 1 << (cfg["m"] * cfg["m"])
+    # the diagonal grid gives every W-vertex one z-average: one computed slot
+    # over |x|^m |y|^m |z|, whose y0 blocks keep their share of the m x's and z
+    m = cfg["m"]
     total = 0
     for n in cfg["n_values"]:
         smean, s2mean = _atom_stats(cfg, n)
-        total += int(slots * smean ** 3 + 2 * s2mean * s2mean * smean)
+        rows = max(1, int(BLOCK_ENTRIES // smean ** (m + 1)))
+        ip2 = smean ** (2 * m + 1) * _kept_share(cfg, rows) ** (m + 1)
+        total += int(ip2 + _local_u3_terms(cfg, smean, s2mean))
     return max(total, 1)
 
 
@@ -951,7 +971,7 @@ def _est_sparse_uniform(cfg: dict) -> int:
         smean, s2mean = _atom_stats(cfg, n)
         total += int(cfg["samples"] * smean ** 3)
         if n == n_hard:
-            total += int(2 * s2mean * s2mean * smean)
+            total += int(_local_u3_terms(cfg, smean, s2mean))
     return max(total, 1)
 
 
@@ -1494,7 +1514,7 @@ def merge_config(exp: Experiment, file_cfg: dict | None,
                     f"{key} must be a JSON {_json_type(exp.defaults[key])} like its "
                     f"default, got {_json_type(val)} {val!r}")
             cfg[key] = val
-    _validate_config(cfg)
+    _validate_config(exp.name, cfg)
     return cfg
 
 
@@ -1516,7 +1536,7 @@ def _same_json_type(default, val) -> bool:
     return got == want or (want, got) == ("number", "integer")
 
 
-def _validate_config(cfg: dict) -> None:
+def _validate_config(name: str, cfg: dict) -> None:
     p = cfg.get("p")
     if p is not None and p not in ALLOWED_PRIMES:
         raise ConfigError(f"p must be one of {ALLOWED_PRIMES}, got {p}")
@@ -1534,14 +1554,16 @@ def _validate_config(cfg: dict) -> None:
     for ell in cfg.get("ell_values", [cfg["ell"]] if "ell" in cfg else []):
         if not _is_int(ell) or not 0 <= ell <= min(dims):
             raise ConfigError(f"ell must be an integer in [0, n] = [0, {min(dims)}], got {ell}")
+    # level-set sizes are counted over the forms, so that experiment needs one
+    q_low = 1 if name == "bil-level-sizes" else 0
     for key, low in (("trials", 1), ("directions", 1), ("samples", 1), ("m", 1),
-                     ("max_part", 1), ("seed", 0), ("q", 0)):
+                     ("max_part", 1), ("seed", 0), ("q", q_low)):
         val = cfg.get(key)
         if val is not None and val < low:
             raise ConfigError(f"{key} must be an integer >= {low}, got {val}")
     parts = cfg.get("parts", [1, 1])
-    if len(parts) != 2 or not all(_is_int(v) and v >= 1 for v in parts):
-        raise ConfigError(f"parts must be two positive integers, got {parts}")
+    if len(parts) != 2 or not all(_is_int(v) and 1 <= v <= MAX_BIPARTITE_PART for v in parts):
+        raise ConfigError(f"parts must be two integers in [1, {MAX_BIPARTITE_PART}], got {parts}")
     # atom-vc's factor is one form with no linear part, so its labels have width 1
     labels = cfg.get("atom_labels", [cfg["atom_label"]] if "atom_label" in cfg else [])
     _check_lengths("atom label", labels, cfg.get("ell", 0) + cfg.get("q", 1))

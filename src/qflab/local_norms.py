@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import spectral
 from .errors import CapExceeded, DegenerateContext, EmptyLevelSet
 from .factor import (
     AtomLabel,
@@ -37,6 +36,7 @@ from .spectral import (
 )
 
 TENSOR_CAP = 1 << 24  # member-tensor entry cap of the ternary contraction
+BLOCK_ENTRIES = 1 << 15  # entries per temporary of one block of the ternary contraction
 NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
@@ -161,6 +161,25 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b[None]).reshape((-1,) + a.shape[1:])
 
 
+def _support(w: np.ndarray) -> np.ndarray | slice:
+    """Indices of the columns of w with a nonzero in some row; the whole
+    axis as a slice (a view, no gather) when every column has one."""
+    kept = np.logical_or.reduce(w, axis=0).nonzero()[0]
+    return slice(None) if kept.size == w.shape[1] else kept
+
+
+def _cut(a: np.ndarray, xk: np.ndarray | slice, zk: np.ndarray | slice) -> np.ndarray:
+    """a[..., xk, zk]: the kept members of the last two axes, in one gather."""
+    if isinstance(xk, slice) or isinstance(zk, slice):
+        return a[..., xk, :][..., zk]
+    return a[..., xk[:, None], zk]
+
+
+def _kept(keep: np.ndarray | slice, size: int) -> int:
+    """How many members of an axis of `size` a support keeps."""
+    return size if isinstance(keep, slice) else keep.size
+
+
 def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict,
                       muv: dict, muw: dict, mvw: dict) -> complex:
     """The weighted ternary average over parts U, V (at most two vertices
@@ -176,8 +195,8 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
     Once the y's are fixed the z-averages are independent: each is one
     weighted matrix product over (x_0, z) and (x_1, z), and the outer
     average weights their product by muv. Blocks of y-tuples go through
-    one batched matmul; a block's temporaries hold at most
-    H_BLOCK_ENTRIES entries unless one y-tuple alone needs more. Member
+    one batched matmul; each temporary of a block holds at most
+    BLOCK_ENTRIES entries unless one y-tuple alone needs more. Member
     tensors are y-major, t[j, i, k] = g(x_i + y_j + z_k), built once per
     distinct (value array, member arrays) by identity and conjugated on
     demand. W-vertices whose inputs repeat share one z-average. A
@@ -185,8 +204,19 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
     flipped reads the conjugate of each of that slot's tensors; when its
     z weights are real (checked, not assumed) its z-average is the
     conjugate of that slot's, so it takes that and skips its own matmul.
-    Counts each computed slot's multiply-adds, |x's| |y's| |z's|; a mirrored
-    slot counts none.
+
+    The weights vanish off a bilinear level set, so each block of y0 rows
+    keeps only the x_u with muv[u, 0](x_u, y0) != 0 and the z_w with
+    mvw[0, w](y0, z) != 0 for some y0 of the block; every dropped term has
+    weight 0. A block that keeps no x_u or no z_w of a computed slot adds
+    nothing and is skipped, and an axis kept whole is used as is, with no
+    gather. The number of y0 rows per block comes from the whole member
+    arrays, the number of y1's at a time from the members the rows keep: a
+    row that weights every member takes fewer y1's at a time than one that
+    keeps a third, so the temporaries, and the peak memory, do not depend
+    on which rows happen to keep everything. Counts, per block and
+    computed slot, the multiply-adds it does: |y-tuples| |x_0 kept|
+    |x_1 kept| |z kept|; a mirrored slot counts none.
     """
     nu, nv, nw = len(xs), len(ys), len(zs)
     for u, v, w in itertools.product(range(nu), range(nv), range(nw)):
@@ -223,26 +253,41 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
         else:
             slots[skey] = [w, [tensor(u, v, w) for u in range(nu) for v in range(nv)], None, 1]
     mirrored = {m for _, _, m, _ in slots.values() if m is not None}
+    computed = [w for w, ts, _, _ in slots.values() if ts is not None]
     denom = math.prod(a.size for a in (*xs, *ys))
-    count_terms(sum(denom * zs[w].size for w, ts, _, _ in slots.values() if ts is not None))
     xweights = [[muv[(u, v)].T for v in range(nv)] for u in range(nu)]
 
     sy0 = ys[0].size
     sy1 = ys[1].size if nv == 2 else 1
-    per = max([xs[u].size * zs[w].size for u in range(nu) for w in range(nw)]
-              + [xs[0].size * xs[-1].size])
-    step = max(1, spectral.H_BLOCK_ENTRIES // per)
-    rows, cols = (max(1, step // sy1), sy1) if sy1 <= step else (1, step)
+
+    def per(kx: list, kz: list) -> int:  # entries of the widest temporary per y-tuple
+        return max([x * z for x in kx for z in kz] + [kx[0] * kx[-1]])
+
+    rows = max(1, BLOCK_ENTRIES // (per([a.size for a in xs], [a.size for a in zs]) * sy1))
     total = 0.0
+    work = 0
     for j0 in range(0, sy0, rows):
         b0 = slice(j0, j0 + rows)
+        # the x_u and z_w members that some y0 of the block weights
+        xk = [_support(m[0][b0]) for m in xweights]
+        zk = {w: _support(mvw[(0, w)][b0]) for w in computed}
+        kx = [_kept(k, a.size) for k, a in zip(xk, xs)]
+        nz = [_kept(zk[w], zs[w].size) for w in computed]
+        if 0 in kx or 0 in nz:
+            continue  # every term of the block has a zero weight
+        nrows = min(j0 + rows, sy0) - j0
+        work += nrows * sy1 * math.prod(kx) * sum(nz)
+        cols = min(sy1, max(1, BLOCK_ENTRIES // (nrows * per(kx, nz))))
         # the y0-only factors of each computed slot, the z weights on u = 0
         heads = {}
         for skey, (w, ts, _, _) in slots.items():
             if ts is not None:
-                zweight = muw[(0, w)][None] * (mvw[(0, w)][b0, None, :] / zs[w].size)
-                heads[skey] = ([ts[0][b0] * zweight]
-                               + [ts[u * nv][b0] * muw[(u, w)][None] for u in range(1, nu)])
+                zweight = (_cut(muw[(0, w)], xk[0], zk[w])[None]
+                           * (mvw[(0, w)][b0, zk[w]][:, None, :] / zs[w].size))
+                heads[skey] = ([_cut(ts[0][b0], xk[0], zk[w]) * zweight]
+                               + [_cut(ts[u * nv][b0], xk[u], zk[w])
+                                  * _cut(muw[(u, w)], xk[u], zk[w])[None]
+                                  for u in range(1, nu)])
         for j1 in range(0, sy1, cols):
             b1 = slice(j1, j1 + cols)
             prod = None
@@ -253,19 +298,21 @@ def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict
                 else:
                     r = heads[skey]
                     if nv == 2:  # times the y1-only factors, the y1 z weights on u = 0
-                        tails = [ts[1][b1] * mvw[(1, w)][b1, None, :]]
-                        tails += [ts[u * nv + 1][b1] for u in range(1, nu)]
+                        tails = [_cut(ts[1][b1], xk[0], zk[w]) * mvw[(1, w)][b1, zk[w]][:, None, :]]
+                        tails += [_cut(ts[u * nv + 1][b1], xk[u], zk[w]) for u in range(1, nu)]
                         r = [_outer_rows(h, t) for h, t in zip(r, tails)]
                     g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
                 if skey in mirrored:  # kept only while a later slot needs it
                     gs[skey] = g
                 for _ in range(count):
                     prod = g if prod is None else prod * g
-            wx = [_outer_rows(m[0][b0], m[1][b1]) if nv == 2 else m[0][b0] for m in xweights]
+            wx = [_outer_rows(m[0][b0, k], m[1][b1, k]) if nv == 2 else m[0][b0, k]
+                  for m, k in zip(xweights, xk)]
             if nu == 1:
                 total += (wx[0] * prod).sum()
             else:
                 total += (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).sum()
+    count_terms(work)
     return complex(total / denom)
 
 

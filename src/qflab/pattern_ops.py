@@ -43,6 +43,7 @@ from .spectral import GroupFunction
 GRID_CAP = 1 << 24
 MAX_IP_M = 3
 MAX_IP2_M = 2
+MAX_BIPARTITE_PART = 3
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +356,8 @@ def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
     Counts the multiply-adds of the per-u einsums over x_u and all (y_v)."""
     if graph.kind != "bipartite":
         raise ValueError("need a bipartite graph")
-    if graph.nu > 3 or graph.nv > 3:
-        raise CapExceeded("bipartite parts capped at 3")
+    if graph.nu > MAX_BIPARTITE_PART or graph.nv > MAX_BIPARTITE_PART:
+        raise CapExceeded(f"bipartite parts capped at {MAX_BIPARTITE_PART}")
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
     sp = linear.space
@@ -380,7 +381,8 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
                             u_labels, v_labels, member: np.ndarray) -> int:
     """Number of tuples ((a_u), (b_v)) in the prescribed cosets with
     a_u + b_v in A exactly when (u, v) is an edge. Counted directly: for
-    each choice of the b's, multiply per-u counts of compatible a's."""
+    each choice of the b's, multiply per-u counts of compatible a's.
+    Counts one term per (b's, a_u) candidate it tests."""
     if graph.kind != "bipartite":
         raise ValueError("need a bipartite graph")
     sp = linear.space
@@ -388,10 +390,11 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
     xs = _coset_members(linear, u_labels)
     ys = _coset_members(linear, v_labels)
     want = {(u, v): ((u, v) in graph.edges) for u in range(graph.nu) for v in range(graph.nv)}
-    total = 0
+    total = visited = 0
     for yv in itertools.product(*[ys[v] for v in range(graph.nv)]):
         prod = 1
         for u in range(graph.nu):
+            visited += xs[u].size
             ok = np.ones(xs[u].size, dtype=bool)
             for v in range(graph.nv):
                 ok &= member[sp.add(xs[u], int(yv[v]))] == want[(u, v)]
@@ -399,6 +402,7 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
             if prod == 0:
                 break
         total += prod
+    count_terms(visited)
     return total
 
 
@@ -488,7 +492,10 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
                           e: LabelAssignment, member: np.ndarray) -> int:
     """Number of configurations in I_F(e) whose membership pattern matches
     the edge set exactly: x_u + y_v + z_w in A iff (u, v, w) is an edge.
-    Direct enumeration; the last W vertex is tested in a vectorized sweep."""
+    Direct enumeration; the last W vertex is tested in a vectorized sweep.
+    Counts one term per (x's, y's) tuple, per tuple of the z's before the
+    last vertex (one empty tuple when |W| = 1) and per last-vertex z it
+    tests."""
     ctx = _TernaryContext(graph, factor, e)
     graph_, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
     if graph_.nw > 2:
@@ -500,15 +507,17 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
     muw = {k: m != 0.0 for k, m in ctx.muw.items()}
     mvw = {k: m != 0.0 for k, m in ctx.mvw.items()}
     wlast = graph_.nw - 1
-    total = 0
+    total = visited = 0
     for xv in itertools.product(*[range(a.size) for a in xs]):
         for yv in itertools.product(*[range(a.size) for a in ys]):
+            visited += 1
             ok = all(muv[(u, v)][xv[u], yv[v]]
                      for u in range(graph_.nu) for v in range(graph_.nv))
             if not ok:
                 continue
             head = itertools.product(*[range(zs[w].size) for w in range(wlast)])
             for zhead in head:
+                visited += 1
                 ok2 = True
                 for w, zk in enumerate(zhead):
                     for u in range(graph_.nu):
@@ -530,6 +539,7 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
                 if not ok2:
                     continue
                 # vectorize the final z vertex
+                visited += zs[wlast].size
                 mask = np.ones(zs[wlast].size, dtype=bool)
                 for u in range(graph_.nu):
                     mask &= muw[(u, wlast)][xv[u]]
@@ -541,6 +551,7 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
                         sums = sp.add(np.full(zs[wlast].size, base, dtype=np.int64), zs[wlast])
                         mask &= member[sums] == want[(u, v, wlast)]
                 total += int(mask.sum())
+    count_terms(visited)
     return total
 
 

@@ -73,13 +73,15 @@ def test_bad_override_exits_two(capsys):
     ("atom-vc2", '{"ell_values": [-1]}'),
     ("counting-binary", '{"parts": [1]}'),
     ("counting-binary", '{"parts": [0, 2]}'),
+    ("counting-binary", '{"parts": [4, 1]}'),
+    ("bil-level-sizes", '{"q": 0}'),
     ("atom-vc", '{"atom_label": [0, 0]}'),
     ("atom-u2-uniformity", '{"atom_labels": [[0]]}'),
 ])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
     # each value must have the JSON type of its default (a bool is no
-    # integer) and lie in its range: ell in [0, n], q >= 0, two positive
-    # parts, atom labels as wide as the factor
+    # integer) and lie in its range: ell in [0, n], q >= 0 (>= 1 for the
+    # level-set sizes), two parts in [1, 3], atom labels as wide as the factor
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
     for command in ("run", "estimate"):

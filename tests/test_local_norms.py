@@ -217,3 +217,18 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     for call in calls:
         with pytest.raises(CapExceeded):
             call()
+
+
+def test_whole_axis_supports_are_used_without_a_gather(monkeypatch):
+    # all-ones weights (global IP2) and q = 0 factors weight every member
+    # from every y0, so every block keeps each axis whole, as a slice
+    from qflab.pattern_ops import FunctionGrid, t_ip2
+
+    kept = []
+    support = local_norms._support
+    monkeypatch.setattr(local_norms, "_support", lambda nz: kept.append(support(nz)) or kept[-1])
+    monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", 1)  # one y-tuple per block
+    f = _random_f(3, 2, seed=70)
+    t_ip2(2, FunctionGrid.ip2_diagonal(2, f))
+    local_u3_dominates_check(new_linear_factor(3, 2, [(1, 0)]), (1,), (2,), (0,), f)
+    assert kept and all(isinstance(k, slice) for k in kept)

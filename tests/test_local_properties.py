@@ -1,13 +1,18 @@
 """Property tests of the batched ternary contraction against its reference
 twins at every prime p in {3, 5, 7, 11, 13}: local U^3 on uneven atoms
 against the six-fold nested sum (for diagonal, distinct and conjugate-paired
-octuples), and m-IP2 against the per-subset oracle.
+octuples), and m-IP2 against the per-subset oracle. Block budgets of a few
+y0 rows make each block keep only the x's and z's that its rows weight;
+those blocks are checked against the same twins, against a dense local IP2
+sum and against the ternary witness identity.
 Needs the `hypothesis` test extra.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qflab import spectral  # noqa: E402
+from qflab import local_norms  # noqa: E402
 from qflab.errors import DegenerateContext  # noqa: E402
 from qflab.factor import (  # noqa: E402
     DirectionTuple3,
@@ -24,7 +29,17 @@ from qflab.factor import (  # noqa: E402
     new_quadratic_factor,
 )
 from qflab.local_norms import LocalContext3, local_u3_inner, local_u3_inner_naive  # noqa: E402
-from qflab.pattern_ops import FunctionGrid, t_ip2, t_ip2_local, t_ip2_per_s_oracle  # noqa: E402
+from qflab.pattern_ops import (  # noqa: E402
+    FunctionGrid,
+    LabelAssignment,
+    PatternHypergraph,
+    t_ip2,
+    t_ip2_local,
+    t_ip2_per_s_oracle,
+    t_ternary,
+    ternary_normalization,
+    witness_count_ternary,
+)
 from qflab.spectral import GroupFunction  # noqa: E402
 
 # (p, n, ell) with q = 1: atoms small enough for the six-fold reference sum
@@ -118,9 +133,10 @@ def test_ip2_matches_per_subset_oracle_across_primes(size, seed, diagonal):
 @pytest.mark.parametrize("budget", [54 * 5, 54 * 60])
 def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     # atoms of 6, 12 and 9 points: the widest slab is 6 x 9 = 54 entries, so
-    # 54 * 5 splits each y0 row of 12 y1's into blocks of 5, 5 and 2 (and the
-    # one-y m = 1 IP2 into 5, 5, 2 y's), while 54 * 60 takes five whole y0
-    # rows per block, leaving two for the last one
+    # 54 * 5 splits the one-y m = 1 IP2 into blocks of 5, 5 and 2 y's and
+    # takes local U^3 one y0 row per block (a row keeps 2 x's and 5 z's, so
+    # its 12 y1's fit one block), while 54 * 60 takes five whole y0 rows per
+    # U^3 block, leaving two for the last one
     factor = new_quadratic_factor(new_linear_factor(3, 4, [(1, 0, 0, 0)]),
                                   [np.eye(4, dtype=np.int64)])
     d = DirectionTuple3(3, (0, 1), (1, 0), (0, 0), (0,), (0,), (0,))
@@ -130,7 +146,134 @@ def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     octu = [_bounded(rng, 3, 4) for _ in range(8)]
     grid = FunctionGrid.ip2_select(1, _bounded(rng, 3, 4), _bounded(rng, 3, 4))
     whole = (local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid))
-    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
     split = (local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid))
     assert split == pytest.approx(whole, rel=1e-12, abs=1e-15)
     assert split[0] == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+
+
+def _block_budget(xs, ys, zs, rows):
+    """A BLOCK_ENTRIES under which the ternary contraction on members of
+    these sizes takes `rows` y0 rows and every y1 per block; rows = 0 gives
+    one y-tuple per block."""
+    per = max([x * z for x in xs for z in zs] + [xs[0] * xs[-1]])
+    return max(1, rows * per * (ys[1] if len(ys) == 2 else 1))
+
+
+def _ip2_local_dense(ctx, grid):
+    """m = 1 local IP2 as one dense weighted sum over the three atoms."""
+    sums = ctx.factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)
+    zweight = ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
+    out = ctx.mu12.astype(complex)
+    for s in range(2):
+        out = out * (zweight * grid[(1, 1, s)].values[sums]).mean(axis=2)
+    return complex(out.mean())
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(FACTOR_SHAPES), seed=st.integers(0, 2 ** 32 - 1),
+       diagonal=st.booleans(), rows=st.sampled_from([0, 1, 2]))
+def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
+    # at the default budget these small atoms run as one block whose support
+    # is the whole axis; a budget of a few y0 rows per block makes each
+    # block keep only the x's and z's its rows weight
+    ctx = _uneven_context(*shape, seed)
+    assume(ctx is not None)
+    rng = np.random.default_rng(seed + 3)
+    p, n, _ = shape
+    octu = [_bounded(rng, p, n)] * 8 if diagonal else [_bounded(rng, p, n) for _ in range(8)]
+    grid = FunctionGrid.ip2_select(1, _bounded(rng, p, n), _bounded(rng, p, n))
+    sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
+    u3_budget = _block_budget(*([s] * 2 for s in sizes), rows)
+    ip2_budget = _block_budget(*([s] for s in sizes), rows)
+    with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
+        u3 = local_u3_inner(ctx, octu)
+    with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
+        ip2 = t_ip2_local(1, ctx.factor, ctx.d, grid)
+    assert u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-14)
+    assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("b12,b23", [((1,), (0,)), ((0,), (1,))])
+def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
+    # y0 = 0 pairs to level 0 with every member, so the block of that row
+    # keeps no x (b12 = 1) or no z (b23 = 1); the other rows keep some
+    factor = new_quadratic_factor(new_linear_factor(5, 2, []), [np.eye(2, dtype=np.int64)])
+    ctx = LocalContext3(factor, DirectionTuple3(5, (1,), (0,), (2,), b12, (1,), b23))
+    zero = int(np.flatnonzero(ctx.ys == 0)[0])
+    empty = ctx.mu12[:, zero] if b12 == (1,) else ctx.mu23[zero]
+    assert not empty.any() and ctx.mu12.any() and ctx.mu23.any()
+    rng = np.random.default_rng(21)
+    octu = [_bounded(rng, 5, 2) for _ in range(8)]
+    grid = FunctionGrid.ip2_select(1, _bounded(rng, 5, 2), _bounded(rng, 5, 2))
+    sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
+    for rows in (0, 1):
+        u3_budget = _block_budget(*([s] * 2 for s in sizes), rows)
+        ip2_budget = _block_budget(*([s] for s in sizes), rows)
+        with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
+            u3 = local_u3_inner(ctx, octu)
+        with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
+            ip2 = t_ip2_local(1, factor, ctx.d, grid)
+        assert u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+        assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-15)
+
+
+def test_a_row_that_keeps_every_member_splits_its_y1s(monkeypatch):
+    # y0 = 0 pairs to level 0 with every member, so at b12 = b23 = 0 its row
+    # keeps all 12 x's and 12 z's while every other row keeps 6 and 6; each
+    # row's y1's are blocked by what the row keeps, so under a budget of four
+    # dense y-tuples the dense row takes its 9 y1's in blocks of 4, 4 and 1,
+    # the others all 9 at once, and no block forms a larger temporary
+    factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
+    ctx = LocalContext3(factor, DirectionTuple3(3, (2,), (0,), (2,), (0,), (0,), (0,)))
+    assert (ctx.xs.size, ctx.ys.size, ctx.zs.size) == (12, 9, 12)
+    budget = 4 * 12 * 12
+    shapes = []
+    outer_rows = local_norms._outer_rows
+    monkeypatch.setattr(local_norms, "_outer_rows",
+                        lambda a, b: shapes.append(outer_rows(a, b).shape) or outer_rows(a, b))
+    monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(31)
+    octu = [_bounded(rng, 3, 3) for _ in range(8)]
+    assert local_u3_inner(ctx, octu) == pytest.approx(
+        local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+    slabs = [s for s in shapes if len(s) == 3]
+    assert {s for s in slabs if s[1:] == (12, 12)} == {(4, 12, 12), (1, 12, 12)}
+    assert {s for s in slabs if s[1:] != (12, 12)} == {(9, 6, 6)}
+    assert max(math.prod(s) for s in slabs) <= budget
+
+
+@pytest.mark.parametrize("seed,rows", [(0, 0), (1, 1), (2, 2)])
+def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
+    # one member configuration sets every vertex's atom, every pair's level
+    # and the edge set, so the U, V and W weights differ and the witness
+    # count is positive
+    factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
+    sp = factor.space
+    digits = sp.digits.astype(np.int64)
+    rng = np.random.default_rng(500 + seed)
+    x, y, z = (rng.integers(0, 27, 2) for _ in range(3))
+    member = rng.random(27) < 0.5
+    graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2}, frozenset(
+        (u, v, w) for u, v, w in itertools.product(range(2), repeat=3)
+        if member[sp.add(sp.add(int(x[u]), int(y[v])), int(z[w]))]))
+
+    def level(i, j):
+        return (int(digits[i] @ digits[j] % 3),)
+
+    e = LabelAssignment(
+        tuple(factor.label_of_index(int(i)).values for i in x),
+        tuple(factor.label_of_index(int(i)).values for i in y),
+        tuple(factor.label_of_index(int(i)).values for i in z),
+        {(u, v): level(x[u], y[v]) for u in range(2) for v in range(2)},
+        {(u, w): level(x[u], z[w]) for u in range(2) for w in range(2)},
+        {(v, w): level(y[v], z[w]) for v in range(2) for w in range(2)})
+    ind = GroupFunction.indicator(3, 3, np.flatnonzero(member))
+    indc = GroupFunction.indicator(3, 3, np.flatnonzero(~member))
+    sizes = [[factor.atom_indices(lab).size for lab in part] for part in (e.a, e.b, e.c)]
+    with mock.patch.object(local_norms, "BLOCK_ENTRIES", _block_budget(*sizes, rows)):
+        val = t_ternary(graph, factor, e, FunctionGrid.edge_select(graph, ind, indc))
+    count = witness_count_ternary(graph, factor, e, member)
+    assert count > 0
+    norm = float(ternary_normalization(graph, factor, e))
+    assert val.real * norm == pytest.approx(count, abs=1e-6 * count)
