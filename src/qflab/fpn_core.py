@@ -101,6 +101,7 @@ class GroupSpace:
         for i in range(n):
             digits[:, i] = (idx // (p ** i)) % p
         self.digits = digits
+        self._shift_table: np.ndarray | None = None
 
     def coords_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.digits[index])
@@ -122,20 +123,35 @@ class GroupSpace:
         return ((-da) % self.p) @ self.powers
 
     def sum_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix s[i, j] = index of a[i] + b[j]."""
-        return self._sum_table(a, b)
+        """Matrix s[i, j] = index of a[i] + b[j]. Counts one term per entry."""
+        out = self._sum_table(a, b)
+        count_terms(out.size)
+        return out
 
     def sum_grid3(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Tensor s[i, j, k] = index of a[i] + b[j] + c[k]."""
-        return self._sum_table(a, b, c)
+        """Tensor s[i, j, k] = index of a[i] + b[j] + c[k]. Counts one term
+        per entry."""
+        out = self._sum_table(a, b, c)
+        count_terms(out.size)
+        return out
+
+    def shift_table(self) -> np.ndarray:
+        """The whole-group table s[i, j] = index of i + j, built on the first
+        call and kept read-only. Counts nothing: its readers count what they
+        read, so a run's tally does not depend on an earlier run."""
+        if self._shift_table is None:
+            idx = np.arange(self.size, dtype=np.int64)
+            table = self._sum_table(idx, idx)
+            table.setflags(write=False)
+            self._shift_table = table
+        return self._shift_table
 
     def _sum_table(self, *parts: np.ndarray) -> np.ndarray:
         """Index of the sum over one member of each part, one axis per part.
 
         Built one coordinate at a time from the top place down (Horner), so
         the only temporaries are int8 digit sums the size of the output,
-        never a digit tensor with a trailing axis of length n. Counts one
-        term per table entry.
+        never a digit tensor with a trailing axis of length n.
         """
         k = len(parts)
         # cols[j][i]: coordinate i of the members of part j, along axis j
@@ -149,7 +165,6 @@ class GroupSpace:
                 s = s + c[i]
             out *= self.p
             out += s % self.p
-        count_terms(out.size)
         return out
 
 

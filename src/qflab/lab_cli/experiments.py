@@ -838,10 +838,14 @@ def _run_control_ip2(cfg: dict) -> RunResult:
 
 
 def _est_control_ip2(cfg: dict) -> int:
-    p, n = cfg["p"], cfg["n"]
+    """Per trial, global t_ip2 (product of two means for m = 1; for m = 2 the
+    shift table and 48 transforms, 32 forward and 16 back, each over
+    size^2 entries) and one U^3 norm per slot."""
+    p, n, m = cfg["p"], cfg["n"], cfg["m"]
     size = p ** n
-    slots = cfg["m"] * cfg["m"] * (1 << (cfg["m"] * cfg["m"]))
-    return cfg["trials"] * slots * (size ** 3 + _u3_terms(p, n))
+    slots = m * m * (1 << (m * m))
+    ip2 = 2 * size if m == 1 else size * size * (48 * p * n + 1)
+    return cfg["trials"] * (ip2 + slots * _u3_terms(p, n))
 
 
 def _run_control_ip_local(cfg: dict) -> RunResult:
@@ -1132,10 +1136,12 @@ def _run_inverse_oracle(cfg: dict) -> RunResult:
 
 
 def _est_inverse_oracle(cfg: dict) -> int:
+    """Per trial, one q-value entry per form and point; the last trial adds
+    the batched transform of every form's table."""
     p, n = cfg["p"], cfg["n"]
     coeffs = p ** (n * (n + 1) // 2)
     size = p ** n
-    return cfg["trials"] * coeffs * size
+    return coeffs * size * (cfg["trials"] + p * n)
 
 
 # ---------------------------------------------------------------------------

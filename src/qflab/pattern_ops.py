@@ -38,7 +38,7 @@ from .factor import (
 )
 from .fpn_core import count_terms, space
 from .local_norms import LocalContext3, _ternary_contract
-from .spectral import GroupFunction
+from .spectral import GroupFunction, _axis_dft, _derivative_blocks, _dft_kernel
 
 GRID_CAP = 1 << 24
 MAX_IP_M = 3
@@ -294,12 +294,42 @@ def _ip2_inputs(m: int, grid: FunctionGrid, xs: np.ndarray, ys: np.ndarray,
 
 
 def t_ip2(m: int, grid: FunctionGrid) -> complex:
-    """E_{x_i, y_j} E_{z_S : S subset [m]^2} prod f_{i,j,S}(x_i + y_j + z_S)."""
+    """E_{x_i, y_j} E_{z_S : S subset [m]^2} prod f_{i,j,S}(x_i + y_j + z_S).
+
+    On the whole group each z_S-average depends on the x's and y's only
+    through their differences. For m = 1 it is the mean of f_{1,1,S}, so the
+    average is the product of the two means. For m = 2, with h = x_2 - x_1
+    and k = y_2 - y_1, it is
+
+        g_S(h, k) = E_z f_11S(z) f_12S(z + k) f_21S(z + h) f_22S(z + h + k),
+
+    and the average is E_{h,k} prod_S g_S(h, k). For fixed h, g_S is the
+    correlation E_z P_S(z) Q_S(z + k) of P_S = f_11S f_21S(. + h) and
+    Q_S = f_12S f_22S(. + h), that is the dual sum over t of
+    conj DFT-(conj P_S)(t) DFT-(Q_S)(t) omega^(k.t). Each block of h from
+    `spectral._derivative_blocks` holds the 32 tables conj P_S and Q_S and
+    takes one batched transform forward and one back to k. Cost
+    O(p^(2n) p n); raises CapExceeded when p^(2n) > NAIVE_CAP. Counts, for
+    m = 2, one term per shift-table entry and entries x p x n per
+    transform, p^(2n) (48 p n + 1) in all; for m = 1, one term per entry
+    averaged, 2 p^n.
+    """
     _ip2_check(m, grid)
     sp = space(grid.p, grid.n)
-    full = np.arange(sp.size, dtype=np.int64)
-    ones = np.ones((sp.size, sp.size))
-    return _ternary_contract(sp, *_ip2_inputs(m, grid, full, full, full, ones, ones, ones))
+    p, n, N = sp.p, sp.n, sp.size
+    if m == 1:
+        count_terms(2 * N)
+        return complex(grid[(1, 1, 0)].values.mean() * grid[(1, 1, 1)].values.mean())
+    nsub = 1 << (m * m)
+    f = {k: g.values for k, g in grid.mapping.items()}
+    pairs = ([(np.conj(f[(1, 1, s)]), np.conj(f[(2, 1, s)])) for s in range(nsub)]
+             + [(f[(1, 2, s)], f[(2, 2, s)]) for s in range(nsub)])
+    total = 0.0
+    for buf in _derivative_blocks(sp, pairs):
+        t = _axis_dft(buf, p, n, _dft_kernel(p, -1, p))
+        g = _axis_dft(np.conj(t[:nsub]) * t[nsub:], p, n, _dft_kernel(p, 1, 1))
+        total += g.prod(axis=0).sum()
+    return complex(total / (N * N))
 
 
 def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
@@ -316,13 +346,16 @@ def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
     """Reference route for the global operator: explicit loops over the
-    (x_i), (y_j) tuples, each z_S-average computed by its own direct loop."""
+    (x_i), (y_j) tuples, each z_S-average computed by its own direct loop
+    in Python scalars, with sums read from the group's addition table."""
     _ip2_check(m, grid)
     sp = space(grid.p, grid.n)
     N = sp.size
     if N ** (2 * m + 1) * (1 << (m * m)) > GRID_CAP:
         raise CapExceeded("per-subset oracle too large")
-    vals = {k: g.values for k, g in grid.mapping.items()}
+    idx = np.arange(N, dtype=np.int64)
+    add = sp.sum_grid(idx, idx).tolist()
+    vals = {k: g.values.tolist() for k, g in grid.mapping.items()}
     total = 0.0 + 0.0j
     for xv in itertools.product(range(N), repeat=m):
         for yv in itertools.product(range(N), repeat=m):
@@ -333,7 +366,7 @@ def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
                     term = 1.0 + 0.0j
                     for i in range(1, m + 1):
                         for j in range(1, m + 1):
-                            arg = sp.add(sp.add(xv[i - 1], yv[j - 1]), z)
+                            arg = add[add[xv[i - 1]][yv[j - 1]]][z]
                             term *= vals[(i, j, s)][arg]
                     zsum += term
                 prod *= zsum / N

@@ -14,25 +14,48 @@ Octuples for the U^3 inner product are passed as a list of eight functions in
 lexicographic order of (eps1, eps2, eps3):
 (0,0,0), (0,0,1), (0,1,0), (0,1,1), (1,0,0), (1,0,1), (1,1,0), (1,1,1).
 
+Transforms take one route, `_axis_dft`: the table's last axis is the group
+index and any leading axes are a batch. It views the table as (rest, p) with
+the lowest remaining digit last, applies a memoized read-only p x p kernel
+with one matmul, and rotates that digit to the front; after n rounds every
+digit is transformed and back in its place. `fourier_transform`,
+`inverse_transform`, `local_norms.restricted_fourier` and the batched kernels
+below all call it.
+
 `u2_inner` averages an O(p^(2n)) shift table. `u3_inner` conditions on the
 z-difference h and contracts four derivative tables on the frequency side,
-sum_t A^(t) B^(-t) C^(-t) D^(t), transformed for every h at once, in
-O(p^(2n) p n); its independent physical-space twin `u3_inner_naive` is the
-factorized O(p^(5n)) loop and raises CapExceeded past p^n = U3_REFERENCE_CAP.
+sum_t A^(t) B^(-t) C^(-t) D^(t), in O(p^(2n) p n); its independent
+physical-space twin `u3_inner_naive` is the factorized O(p^(5n)) loop and
+raises CapExceeded past p^n = U3_REFERENCE_CAP. `_derivative_blocks` is the
+block loop of `u3_inner` and of the global IP2 average `pattern_ops.t_ip2`:
+for a block of h it forms every derivative table a(u) b(u + h) in one
+complex buffer of shape (tables, h, N), at most H_BLOCK_ENTRIES entries, so
+one transform covers all of them. The whole-group shift table i + j is kept
+on the cached `GroupSpace` when it fits one block (N^2 <= H_BLOCK_ENTRIES);
+larger groups build their blocks of it as needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded, NegativeDiagonal
-from .fpn_core import DEFAULT_TOL, GroupVector, SymmetricForm, count_terms, omega_table, space
+from .fpn_core import (
+    DEFAULT_TOL,
+    GroupSpace,
+    GroupVector,
+    SymmetricForm,
+    count_terms,
+    omega_table,
+    space,
+)
 
 NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
 U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
-H_BLOCK_ENTRIES = 1 << 18  # entries per block of h in u3_inner; bounds its memory
+H_BLOCK_ENTRIES = 1 << 18  # entries per buffer of one block of h; bounds memory
 CORRELATION_SEARCH_CAP = 3 ** 10  # most candidate forms the correlation oracle scans
 EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
@@ -154,30 +177,38 @@ class SpectrumTable:
 def _axis_dft(values: np.ndarray, p: int, n: int, kernel: np.ndarray) -> np.ndarray:
     """Apply the p x p kernel along every coordinate axis of the table.
 
-    The first axis of `values` is the group index; any trailing axes are a
-    batch, and each column is transformed independently. Counts entries x
-    p x n terms.
+    The last axis of `values` is the group index; any leading axes are a
+    batch, and each row is transformed independently. Each round views the
+    table as (rest, p), the lowest remaining digit last, multiplies by the
+    symmetric kernel in one matmul and rotates that digit to the front.
+    Counts entries x p x n terms.
     """
     count_terms(values.size * p * n)
     if n == 0:
         return values.astype(np.complex128)
-    batch = values.shape[1:]
-    tensor = values.reshape((p,) * n + batch, order="F").astype(np.complex128)
-    for axis in range(n):
-        tensor = np.moveaxis(np.tensordot(kernel, np.moveaxis(tensor, axis, 0), axes=(1, 0)), 0, axis)
-    return tensor.reshape((-1,) + batch, order="F")
+    batch = values.shape[:-1]
+    table = np.asarray(values, dtype=np.complex128)
+    for _ in range(n):
+        table = (table.reshape(-1, p) @ kernel).reshape(batch + (-1, p))
+        table = np.swapaxes(table, -1, -2).reshape(batch + (-1,))
+    return table
 
 
-def _dft_kernel(p: int, sign: int) -> np.ndarray:
-    """k[t, x] = omega^(sign * x t) / p, the normalized one-axis transform."""
+@lru_cache(maxsize=None)
+def _dft_kernel(p: int, sign: int, divisor: int) -> np.ndarray:
+    """k[t, x] = omega^(sign * x t) / divisor, one symmetric read-only kernel
+    per (p, sign, divisor): divisor p for the normalized forward transform
+    (sign -1), 1 for the unnormalized dual sum (sign +1)."""
     om = omega_table(p)
-    return om[(sign * np.outer(np.arange(p), np.arange(p))) % p] / p
+    kernel = om[(sign * np.outer(np.arange(p), np.arange(p))) % p] / divisor
+    kernel.setflags(write=False)
+    return kernel
 
 
 def fourier_transform(f: GroupFunction) -> SpectrumTable:
     """fhat(t) = E_x f(x) omega^(-x.t), by dimension-wise DFT."""
     p, n = f.p, f.n
-    return SpectrumTable(p, n, _axis_dft(f.values, p, n, _dft_kernel(p, -1)))
+    return SpectrumTable(p, n, _axis_dft(f.values, p, n, _dft_kernel(p, -1, p)))
 
 
 def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
@@ -197,9 +228,7 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
 def inverse_transform(spec: SpectrumTable) -> GroupFunction:
     """f(x) = sum_t fhat(t) omega^(x.t) (unnormalized dual sum)."""
     p, n = spec.p, spec.n
-    om = omega_table(p)
-    kernel = om[np.outer(np.arange(p), np.arange(p)) % p]
-    return GroupFunction(p, n, _axis_dft(spec.table, p, n, kernel))
+    return GroupFunction(p, n, _axis_dft(spec.table, p, n, _dft_kernel(p, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +250,7 @@ def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
     N = sp.size
     if N * N > NAIVE_CAP:
         raise CapExceeded("group too large for the pairwise correlation table")
-    idx = np.arange(N, dtype=np.int64)
-    shift = sp.sum_grid(idx, idx)  # shift[x, h] = x + h
+    shift = _index_sums(sp, slice(None), slice(None))  # shift[x, h] = x + h
     a = f00.values
     b = np.conj(f01.values)[shift]  # b[x, h] = conj f01(x + h)
     fcorr = (a[:, None] * b).mean(axis=0)  # F(h)
@@ -241,18 +269,62 @@ def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
 # U^3
 # ---------------------------------------------------------------------------
 
+def _index_sums(sp: GroupSpace, rows, cols) -> np.ndarray:
+    """s[i, j] = index of i + j for the group elements i in `rows` and j in
+    `cols` (slices or index arrays). Read from the group's cached
+    whole-group table when that table is one block (N^2 <=
+    H_BLOCK_ENTRIES), built by `sum_grid` otherwise. Counts one term per
+    entry, read or built."""
+    if sp.size ** 2 <= H_BLOCK_ENTRIES:
+        table = sp.shift_table()[rows][:, cols]
+        count_terms(table.size)
+        return table
+    idx = np.arange(sp.size, dtype=np.int64)
+    return sp.sum_grid(idx[rows], idx[cols])
+
+
+def _derivative_blocks(sp: GroupSpace, pairs: list):
+    """For each block of h, the buffer buf[k, j, u] = a_k(u) b_k(u + h_j)
+    over the pairs (a_k, b_k) of complex tables, shape (len(pairs), h, N).
+
+    Blocks take H_BLOCK_ENTRIES // (len(pairs) N) values of h, at least one,
+    in order, the last block holding what is left. Raises CapExceeded when
+    N^2 > NAIVE_CAP.
+    """
+    N = sp.size
+    if N * N > NAIVE_CAP:
+        raise CapExceeded("group too large for the pairwise derivative tables")
+    block = max(1, H_BLOCK_ENTRIES // (len(pairs) * N))
+    pairs = [(a, np.asarray(b, dtype=np.complex128)) for a, b in pairs]
+    for start in range(0, N, block):
+        shift = _index_sums(sp, slice(start, start + block), slice(None))  # h_j + u
+        buf = np.empty((len(pairs),) + shift.shape, dtype=np.complex128)
+        for out, (a, b) in zip(buf, pairs):
+            np.take(b, shift, out=out)
+            out *= a
+        yield buf
+
+
+def _box_sums(stack: np.ndarray, p: int, n: int) -> np.ndarray:
+    """sum_t T0(t) conj T1(t) conj T2(t) T3(t) over the minus-kernel
+    transforms T of a stack (4, ..., N) of tables (a, conj b, conj c, d):
+    the box sum of `_box_sum`, one per row of the batch. Taking b and c
+    conjugated lets one kernel serve all four, since the plus transform of
+    b is conj DFT-(conj b)."""
+    t = _axis_dft(stack, p, n, _dft_kernel(p, -1, p))
+    return (t[0] * t[3] * np.conj(t[1] * t[2])).sum(axis=-1)
+
+
 def _box_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
              p: int, n: int) -> np.ndarray:
     """E over x0,x1,y0,y1 of a(x0+y0) b(x0+y1) c(x1+y0) d(x1+y1), unconjugated.
 
-    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t);
-    the (-t) transforms are taken with the conjugate kernel. Tables may carry
-    a trailing batch axis, and one sum is returned per column.
+    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t),
+    evaluated by `_box_sums` on one stack of the four tables. Tables may
+    carry a trailing batch axis, and one sum is returned per column.
     """
-    minus, plus = _dft_kernel(p, -1), _dft_kernel(p, 1)
-    prod = (_axis_dft(a, p, n, minus) * _axis_dft(b, p, n, plus)
-            * _axis_dft(c, p, n, plus) * _axis_dft(d, p, n, minus))
-    return prod.sum(axis=0)
+    stack = np.stack([a, np.conj(b), np.conj(c), d])
+    return _box_sums(np.moveaxis(stack, 1, -1), p, n)
 
 
 def u3_inner(octuple: list[GroupFunction]) -> complex:
@@ -260,9 +332,12 @@ def u3_inner(octuple: list[GroupFunction]) -> complex:
 
     Spectral evaluation: fix h = z1 - z0 and absorb z0 into x0 and x1. Each
     pair of vertices (e1, e2, 0), (e1, e2, 1) then merges into one derivative
-    table d[u, h] = C^|e1 e2 0| f_(e1 e2 0)(u) * C^|e1 e2 1| f_(e1 e2 1)(u + h),
-    and the average is E_h of the box sum of the four tables, transformed
-    along u for a block of h at once. Cost O(p^(2n) p n).
+    table, and the average is E_h of the box sum of the four tables. The
+    tables enter as f_(e1 e2 0)(u) conj f_(e1 e2 1)(u + h), which is the box
+    sum's a and d and the conjugates of its b and c, so each block of h is
+    one (4, h, N) buffer from `_derivative_blocks` and one transform. Cost
+    O(p^(2n) p n). Counts one term per shift-table entry and entries x p x
+    n per transform, p^(2n) (4 p n + 1) in all.
     """
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
@@ -271,19 +346,9 @@ def u3_inner(octuple: list[GroupFunction]) -> complex:
         base._check(g)
     p, n = base.p, base.n
     sp = space(p, n)
-    N = sp.size
-    if N * N > NAIVE_CAP:
-        raise CapExceeded("group too large for the pairwise derivative tables")
-    vals = [np.conj(g.values) if sum(eps) % 2 else g.values
-            for eps, g in zip(EPS3_ORDER, octuple)]
-    idx = np.arange(N, dtype=np.int64)
-    block = max(1, H_BLOCK_ENTRIES // N)
-    total = 0.0 + 0.0j
-    for start in range(0, N, block):
-        shift = sp.sum_grid(idx, idx[start:start + block])  # shift[u, j] = u + h_j
-        a, b, c, d = (vals[2 * k][:, None] * vals[2 * k + 1][shift] for k in range(4))
-        total += _box_sum(a, b, c, d, p, n).sum()
-    return complex(total / N)
+    pairs = [(octuple[2 * k].values, np.conj(octuple[2 * k + 1].values)) for k in range(4)]
+    total = sum(_box_sums(buf, p, n).sum() for buf in _derivative_blocks(sp, pairs))
+    return complex(total / sp.size)
 
 
 def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
@@ -344,9 +409,10 @@ def ap3_average(f: GroupFunction) -> complex:
     sp = space(f.p, f.n)
     N = sp.size
     idx = np.arange(N, dtype=np.int64)
-    step1 = sp.sum_grid(idx, idx)          # x + d
+    whole = slice(None)
+    step1 = _index_sums(sp, whole, whole)  # x + d
     twice = sp.add(idx, idx)               # 2d
-    step2 = sp.sum_grid(idx, twice)        # x + 2d
+    step2 = _index_sums(sp, whole, twice)  # x + 2d
     v = f.values
     return complex((v[:, None] * v[step1] * v[step2]).mean())
 
@@ -358,9 +424,10 @@ def ap4_average(f: GroupFunction) -> complex:
     idx = np.arange(N, dtype=np.int64)
     twice = sp.add(idx, idx)
     thrice = sp.add(twice, idx)
-    step1 = sp.sum_grid(idx, idx)
-    step2 = sp.sum_grid(idx, twice)
-    step3 = sp.sum_grid(idx, thrice)
+    whole = slice(None)
+    step1 = _index_sums(sp, whole, whole)
+    step2 = _index_sums(sp, whole, twice)
+    step3 = _index_sums(sp, whole, thrice)
     v = f.values
     return complex((v[:, None] * v[step1] * v[step2] * v[step3]).mean())
 
@@ -375,9 +442,15 @@ def max_quadratic_correlation(
 ) -> tuple[SymmetricForm, GroupVector | None, float]:
     """Exhaustively maximize |E_x f(x) omega^(x^T M x [+ r.x])|.
 
-    Returns (M, r, value); r is None unless include_linear. Ties are broken
-    by the lexicographically least row-major entry tuple (then least r).
-    Counts p^n terms per candidate form, plus the transforms it takes.
+    Returns (M, r, value); r is None unless include_linear. Every candidate
+    form is scored at once: the q-values of all forms are one (forms, N)
+    table, the product of their upper-triangle coefficients with the
+    monomials x_i x_j (doubled off the diagonal), and with include_linear
+    one batched transform scores every (M, r), since E g(x) omega^(r.x) =
+    ghat(-r). Forms go in blocks of at most H_BLOCK_ENTRIES table entries.
+    Exact ties are broken by the lexicographically least row-major entry
+    tuple, then the least r. Counts p^n terms per candidate form, plus the
+    transform's entries x p x n.
     """
     p, n = f.p, f.n
     free = n * (n + 1) // 2
@@ -385,44 +458,36 @@ def max_quadratic_correlation(
     if count > CORRELATION_SEARCH_CAP:
         raise CapExceeded(f"{count} candidate forms exceed search cap {CORRELATION_SEARCH_CAP}")
     sp = space(p, n)
+    N = sp.size
     digits = sp.digits.astype(np.int64)
-    om = omega_table(p)
     tri = [(i, j) for i in range(n) for j in range(i, n)]
-    coeff_space = space(p, free) if free > 0 else None
-
-    best_val = -1.0
-    best_key: tuple | None = None
-    best_m: SymmetricForm | None = None
-    best_r: GroupVector | None = None
-    for code in range(count):
-        coeffs = coeff_space.coords_of(code) if coeff_space is not None else ()
-        m = np.zeros((n, n), dtype=np.int64)
-        for (i, j), c in zip(tri, coeffs):
-            m[i, j] = c
-            m[j, i] = c
-        qvals = np.einsum("xi,ij,xj->x", digits, m, digits) % p
-        count_terms(sp.size)
+    monomials = np.array([digits[:, i] * digits[:, j] * (1 if i == j else 2) for i, j in tri],
+                         dtype=np.int64).reshape(free, N)
+    coeffs = space(p, free).digits.astype(np.int64)  # form code -> entries in tri order
+    om = omega_table(p)
+    scores = np.empty((count, N) if include_linear else count)
+    neg = sp.neg(np.arange(N))
+    block = max(1, H_BLOCK_ENTRIES // N)
+    for start in range(0, count, block):
+        rows = slice(start, start + block)
+        g = f.values * om[(coeffs[rows] @ monomials) % p]
+        count_terms(g.size)
         if include_linear:
-            g = f.values * om[qvals]
-            spec = fourier_transform(GroupFunction(p, n, g))
-            mags = np.abs(spec.table)
-            # E g(x) omega^(r.x) = ghat(-r); scan all r
-            for r_idx in range(sp.size):
-                val = float(mags[sp.neg(r_idx)])
-                key = (tuple(int(v) for v in m.ravel()), sp.coords_of(r_idx))
-                if val > best_val or (val == best_val and (best_key is None or key < best_key)):
-                    best_val, best_key = val, key
-                    best_m = SymmetricForm.from_array(p, m)
-                    best_r = GroupVector(p, sp.coords_of(r_idx))
+            scores[rows] = np.abs(_axis_dft(g, p, n, _dft_kernel(p, -1, p)))[:, neg]
         else:
-            val = float(np.abs((f.values * om[qvals]).mean()))
-            key = (tuple(int(v) for v in m.ravel()),)
-            if val > best_val or (val == best_val and (best_key is None or key < best_key)):
-                best_val, best_key = val, key
-                best_m = SymmetricForm.from_array(p, m)
-                best_r = None
-    assert best_m is not None
-    return best_m, best_r, best_val
+            scores[rows] = np.abs(g.mean(axis=1))
+    # the tied entries, ranked by the entry tuple (the row-major tuple of a
+    # symmetric M orders as its upper triangle in tri order), then by r
+    tied = np.argwhere(scores == scores.max())
+    rank = coeffs[tied[:, 0]] @ p ** np.arange(free - 1, -1, -1)
+    if include_linear:
+        rank = rank * N + digits[tied[:, 1]] @ p ** np.arange(n - 1, -1, -1)
+    best = tied[np.argmin(rank)]
+    m = np.zeros((n, n), dtype=np.int64)
+    for (i, j), c in zip(tri, coeffs[best[0]]):
+        m[i, j] = m[j, i] = c
+    r = GroupVector(p, sp.coords_of(best[1])) if include_linear else None
+    return SymmetricForm.from_array(p, m), r, float(scores[tuple(best)])
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,7 @@ def test_local_u3_dominates_local_u2_on_linear_factors():
 
 
 def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
+    from qflab import spectral
     from qflab.pattern_ops import (
         FunctionGrid,
         LabelAssignment,
@@ -206,7 +207,6 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     graph = ip2_hypergraph(1)
     calls = [
         lambda: local_u3_inner(ctx, [f] * 8),
-        lambda: t_ip2(1, FunctionGrid.ip2_diagonal(1, f)),
         lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
         lambda: t_ternary(graph, factor, LabelAssignment.constant(graph, d),
                           FunctionGrid.edge_select(graph, f, f)),
@@ -217,18 +217,22 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     for call in calls:
         with pytest.raises(CapExceeded):
             call()
+    # global IP2 builds no member tensors; its derivative tables are capped
+    # at p^(2n) <= NAIVE_CAP instead
+    grid = FunctionGrid.ip2_diagonal(2, f)
+    t_ip2(2, grid)
+    monkeypatch.setattr(spectral, "NAIVE_CAP", f.size ** 2 - 1)
+    with pytest.raises(CapExceeded):
+        t_ip2(2, grid)
 
 
 def test_whole_axis_supports_are_used_without_a_gather(monkeypatch):
-    # all-ones weights (global IP2) and q = 0 factors weight every member
-    # from every y0, so every block keeps each axis whole, as a slice
-    from qflab.pattern_ops import FunctionGrid, t_ip2
-
+    # a q = 0 factor weights every member from every y0, so every block
+    # keeps each axis whole, as a slice
     kept = []
     support = local_norms._support
     monkeypatch.setattr(local_norms, "_support", lambda nz: kept.append(support(nz)) or kept[-1])
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", 1)  # one y-tuple per block
     f = _random_f(3, 2, seed=70)
-    t_ip2(2, FunctionGrid.ip2_diagonal(2, f))
     local_u3_dominates_check(new_linear_factor(3, 2, [(1, 0)]), (1,), (2,), (0,), f)
     assert kept and all(isinstance(k, slice) for k in kept)

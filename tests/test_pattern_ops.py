@@ -36,7 +36,8 @@ from qflab.pattern_ops import (
     witness_count_bipartite,
     witness_count_ternary,
 )
-from qflab.spectral import GroupFunction
+from qflab import spectral
+from qflab.spectral import GroupFunction, u2_inner
 
 
 def _random_f(p, n, seed):
@@ -93,6 +94,46 @@ def test_ip2_average_matches_per_subset_oracle(m):
     fs = [_random_f(3, 1, seed=m * 9 + k) for k in range(2)]
     grid = FunctionGrid.ip2_select(m, fs[0], fs[1])
     assert t_ip2(m, grid) == pytest.approx(t_ip2_per_s_oracle(m, grid), abs=1e-10)
+
+
+def _ip2_grid(slot_value) -> FunctionGrid:
+    return FunctionGrid({(i, j, s): slot_value(i, j, s) for i in (1, 2) for j in (1, 2)
+                         for s in range(16)})
+
+
+@pytest.mark.parametrize("p,n,subset", [(3, 2, 0), (5, 2, 6), (7, 2, 15), (3, 4, 9)])
+def test_ip2_with_one_subset_live_is_the_u2_fourth_power(p, n, subset):
+    # a real f in the four slots of one S and 1 elsewhere: g_S(h, k) is the
+    # box product of f at (h, k) and every other g_S' is 1, so the average is
+    # ||f||_{U^2}^4; a constant c gives c^4. (3, 4) is past the oracle's cap.
+    rng = np.random.default_rng(p * 10 + n)
+    one = GroupFunction.constant(p, n, 1.0)
+    for f, want in ((GroupFunction(p, n, rng.standard_normal(p ** n)), None),
+                    (GroupFunction.constant(p, n, -0.7), 0.7 ** 4)):
+        value = t_ip2(2, _ip2_grid(lambda i, j, s: f if s == subset else one))
+        if want is None:
+            want = u2_inner(f, f, f, f)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_ip2_witness_density_matches_per_subset_oracle():
+    # the 2-IP2 witness density of a set A; for this A no square
+    # {z, z + h, z + k, z + h + k} of F_3^2 carries all 16 patterns, so the
+    # oracle's products are 0 and the spectral route must give 0 to rounding
+    inside = np.random.default_rng(11).random(9) < 0.5
+    f_in = GroupFunction(3, 2, inside.astype(float), one_bounded=True)
+    f_out = GroupFunction(3, 2, 1.0 - inside, one_bounded=True)
+    grid = FunctionGrid.ip2_select(2, f_in, f_out)
+    assert t_ip2(2, grid) == pytest.approx(t_ip2_per_s_oracle(2, grid), rel=1e-12, abs=1e-15)
+
+
+def test_ip2_blocks_of_h_match_one_block(monkeypatch):
+    # 32 tables of 9 entries and 2 h per buffer: blocks of 2, 2, 2, 2 and 1 h
+    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", 32 * 9 * 2)
+    f = GroupFunction(3, 2, np.random.default_rng(12).standard_normal(9))
+    one = GroupFunction.constant(3, 2, 1.0)
+    grid = _ip2_grid(lambda i, j, s: f if s == 5 else one)
+    assert t_ip2(2, grid) == pytest.approx(u2_inner(f, f, f, f), rel=1e-12, abs=1e-15)
 
 
 def test_ip2_local_with_trivial_factor_is_global():

@@ -8,6 +8,8 @@ gives 1/27, 1/81 and 1/9.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,8 +131,9 @@ def test_u3_eighth_power_matches_derivative_route():
 
 
 def test_u3_inner_blocks_of_h_match_reference(monkeypatch):
-    # 135 entries per block at p^n = 27: five blocks of 5 h and a last one of 2
-    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", 5 * 27)
+    # 4 x 5 x 27 entries per buffer of four tables at p^n = 27: five blocks
+    # of 5 h and a last one of 2
+    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", 4 * 5 * 27)
     fs = [_random_f(3, 3, seed=70 + k, bounded=True) for k in range(8)]
     assert u3_inner(fs) == pytest.approx(u3_inner_naive(fs), abs=1e-12)
 
@@ -204,6 +207,46 @@ def test_correlation_search_with_linear_part():
     assert value == pytest.approx(1.0, abs=1e-10)
     assert np.array_equal(best.as_array(), np.diag([2, 2]))
     assert r == GroupVector(3, (2, 0))
+
+
+def _brute_correlation(f, include_linear):
+    # every form in increasing row-major entry tuple, every r in increasing
+    # coordinate tuple; a later candidate wins only when strictly larger
+    p, n = f.p, f.n
+    tri = [(i, j) for i in range(n) for j in range(i, n)]
+    shifts = itertools.product(range(p), repeat=n) if include_linear else [None]
+    shifts = list(shifts)
+    best = (-1.0, None, None)
+    for entries in itertools.product(range(p), repeat=len(tri)):
+        m = np.zeros((n, n), dtype=np.int64)
+        for (i, j), c in zip(tri, entries):
+            m[i, j] = m[j, i] = c
+        form = SymmetricForm.from_array(p, m)
+        for r in shifts:
+            shift = None if r is None else GroupVector(p, r)
+            phase = GroupFunction.quadratic_phase(form, shift).values
+            value = abs((f.values * phase).mean())
+            if value > best[0]:
+                best = (value, form, shift)
+    return best
+
+
+@pytest.mark.parametrize("include_linear", [False, True])
+def test_correlation_search_matches_brute_force_loop(include_linear):
+    f = _random_f(3, 2, seed=81)
+    value, form, shift = _brute_correlation(f, include_linear)
+    got_form, got_shift, got_value = max_quadratic_correlation(f, include_linear=include_linear)
+    assert (got_form, got_shift) == (form, shift)
+    assert got_value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("include_linear", [False, True])
+def test_correlation_search_ties_go_to_the_least_form(include_linear):
+    # f = 0 ties every candidate at 0: the zero form, and r = 0, win
+    got_form, got_shift, got_value = max_quadratic_correlation(
+        GroupFunction.constant(3, 2, 0.0), include_linear=include_linear)
+    assert got_form == SymmetricForm.zero(3, 2) and got_value == 0.0
+    assert got_shift == (GroupVector.zero(3, 2) if include_linear else None)
 
 
 def test_correlation_search_cap():
