@@ -9,9 +9,13 @@ variable):
 * m-IP2: a_i, b_j and one c_S per S subset [m]^2 with
   a_i + b_j + c_S in A iff (i, j) in S; bit (i-1)*m + (j-1) codes (i, j).
 
-Searches fix a_1 = 0 (and b_1 = 0 for IP2) by translation invariance and
-enumerate the remaining elements in canonical order, so the first witness
-found is the lexicographically least one.
+Both are covers: a pattern of w elements e_0..e_{w-1} (the a_i, or the
+a_i + b_j) has a witness iff its membership codes sum_i 2^i [e_i + c in A]
+take all 2^w values over the completions c. Searches fix a_1 = 0 (and
+b_1 = 0 for IP2) by translation invariance and enumerate the remaining
+elements in canonical order. One kernel, `_cover`, tests every candidate
+for the last free element at once, so the first witness found is the
+lexicographically least one.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from .fpn_core import GroupVector, count_terms, space
 
 MAX_IP_K = 4
 MAX_IP2_M = 2
-IP2_POINT_CAP = 3 ** 5
+IP2_POINT_CAP = 3 ** 6
 SHIFT_TABLE_CAP = 1 << 26
+# codes one cover block forms at most (one candidate row when N is larger)
+COVER_BLOCK = 1 << 16
 
 
 class SubsetBitmask:
@@ -51,9 +57,6 @@ class SubsetBitmask:
     def size(self) -> int:
         return int(self.bits.sum())
 
-    def complement(self) -> SubsetBitmask:
-        return SubsetBitmask(self.p, self.n, ~self.bits)
-
     def __contains__(self, x) -> bool:
         idx = x.index if isinstance(x, GroupVector) else int(x)
         return bool(self.bits[idx])
@@ -73,13 +76,13 @@ class SubsetBitmask:
 
 
 def _shift_table(mask: SubsetBitmask) -> np.ndarray:
-    """table[a, b] = membership of a + b; the per-element rows that every
-    search reads."""
+    """table[a, b] = membership of a + b as uint8; the per-element rows that
+    every search reads."""
     sp = space(mask.p, mask.n)
     if sp.size * sp.size > SHIFT_TABLE_CAP:
         raise CapExceeded("shift table too large for exhaustive search")
     idx = np.arange(sp.size, dtype=np.int64)
-    return mask.bits[sp.sum_grid(idx, idx)]
+    return mask.bits[sp.sum_grid(idx, idx)].view(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -105,85 +108,86 @@ class WitnessCertificate:
         return out
 
     def replay(self, mask: SubsetBitmask) -> bool:
-        """Re-run every membership test in the defining pattern."""
+        """Re-run every membership test in the defining pattern with scalar
+        additions, independently of the search: pattern element i (a_i for
+        IP, a_i + b_j in code order for IP2) plus the completion of code s
+        lies in A iff bit i of s is set."""
         if (mask.p, mask.n) != (self.p, self.n):
             return False
         sp = space(self.p, self.n)
-        inside = lambda i: bool(mask.bits[i])
         if self.kind == "IP":
-            k = len(self.a)
-            for s, bs in enumerate(self.b):
-                for i in range(k):
-                    want = bool(s >> i & 1)
-                    if inside(sp.add(self.a[i], bs)) != want:
-                        return False
-            return True
-        if self.kind == "IP2":
-            m = len(self.a)
-            for s, cs in enumerate(self.c):
-                for i in range(m):
-                    for j in range(m):
-                        want = bool(s >> (i * m + j) & 1)
-                        arg = sp.add(sp.add(self.a[i], self.b[j]), cs)
-                        if inside(arg) != want:
-                            return False
-            return True
-        raise ValueError(f"unknown certificate kind {self.kind!r}")
+            elements, completions = self.a, self.b
+        elif self.kind == "IP2":
+            elements = [sp.add(a, b) for a in self.a for b in self.b]
+            completions = self.c
+        else:
+            raise ValueError(f"unknown certificate kind {self.kind!r}")
+        if len(completions) != 1 << len(elements):
+            return False
+        return all(bool(mask.bits[sp.add(e, c)]) == bool(s >> i & 1)
+                   for s, c in enumerate(completions) for i, e in enumerate(elements))
 
 
-def _first_achievers(codes: np.ndarray, count: int) -> tuple | None:
-    """Least witness index per code value, or None if some code is missed.
-    Counts one term per code scanned."""
-    count_terms(codes.size)
-    hits = np.bincount(codes, minlength=count)
-    if not hits.all():
-        return None
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.searchsorted(sorted_codes, np.arange(count))
-    firsts = order[starts]
-    return tuple(int(v) for v in firsts)
+# the one candidate of a 1-IP or 1-IP2 search: the pattern element a_1 = 0
+_ORIGIN = np.zeros((1, 1), dtype=np.int64)
+
+
+def _cover(table: np.ndarray, candidates) -> tuple[tuple, tuple] | None:
+    """The first covered candidate's pattern elements and its least
+    completion per code, or None if no candidate is covered.
+
+    `candidates` yields (R, w) arrays in search order, one row per
+    candidate, listing its w <= 4 pattern elements in bit order. A row's
+    codes over the completions c are sum_j 2^j table[row[j], c], and it is
+    covered when they take all 2^w values. Rows are read in blocks of at
+    most COVER_BLOCK codes (one row when N is larger). Counts one term per
+    code formed.
+    """
+    step = max(1, COVER_BLOCK // table.shape[1])
+    for rows in candidates:
+        full = (1 << (1 << rows.shape[1])) - 1
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo:lo + step]
+            codes = table[block[:, 0]]
+            for j in range(1, block.shape[1]):
+                codes |= table[block[:, j]] << j
+            count_terms(codes.size)
+            seen = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=1)
+            hit = np.flatnonzero(seen == full)
+            if hit.size:
+                _, firsts = np.unique(codes[hit[0]], return_index=True)
+                return (tuple(int(e) for e in block[hit[0]]),
+                        tuple(int(c) for c in firsts))
+    return None
 
 
 def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
     """Search for a k-IP configuration: a witness exists iff some tuple
-    (0, a_2 < ... < a_k) makes all 2^k membership traces achievable over b."""
+    (0, a_2 < ... < a_k) makes all 2^k membership traces achievable over b.
+    The elements after a_1 = 0 strictly increase, since the trace bits are
+    permutable and repeated elements collapse traces; each head
+    (0, a_2, ..., a_{k-1}) covers all of its a_k at once."""
     if k > MAX_IP_K:
         raise CapExceeded(f"k = {k} exceeds the IP search cap {MAX_IP_K}")
     if k < 1:
         raise ValueError("k must be positive")
     table = _shift_table(mask)
     N = table.shape[0]
-    rows = table.astype(np.uint16)
-    weights = [np.uint16(1 << i) for i in range(k)]
-    zero_row = rows[0] * weights[0]
-    # a_1 = 0 by translation; remaining elements strictly increasing since
-    # the trace bits are permutable and repeated elements collapse traces
-    for rest in itertools.combinations(range(1, N), k - 1):
-        codes = zero_row.copy()
-        for i, a in enumerate(rest):
-            codes += rows[a] * weights[i + 1]
-        firsts = _first_achievers(codes, 1 << k)
-        if firsts is not None:
-            return WitnessCertificate("IP", mask.p, mask.n, (0,) + rest, firsts)
-    return None
-
-
-def vc_dimension(mask: SubsetBitmask) -> int:
-    """Largest k <= MAX_IP_K admitting a k-IP witness; a return equal to
-    MAX_IP_K means at-least-MAX_IP_K (the search stops there)."""
-    dim = 0
-    for k in range(1, MAX_IP_K + 1):
-        if has_k_ip(mask, k) is None:
-            break
-        dim = k
-    return dim
+    if k == 1:
+        candidates = [_ORIGIN]
+    else:
+        heads = ((0,) + rest for rest in itertools.combinations(range(1, N), k - 2))
+        candidates = (np.column_stack([np.tile(head, (N - 1 - head[-1], 1)),
+                                       np.arange(head[-1] + 1, N)]) for head in heads)
+    found = _cover(table, candidates)
+    return None if found is None else WitnessCertificate("IP", mask.p, mask.n, *found)
 
 
 def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     """Search for an m-IP2 configuration; for fixed (a_i), (b_j) a witness
     exists iff every pattern code over [m]^2 is achieved by some c. Both
-    a_1 = 0 and b_1 = 0 are fixed by translation."""
+    a_1 = 0 and b_1 = 0 are fixed by translation; for m = 2 each a_2 covers
+    all of its b_2 at once, with the pattern elements (0, b_2, a_2, a_2 + b_2)."""
     if m > MAX_IP2_M:
         raise CapExceeded(f"m = {m} exceeds the IP2 search cap {MAX_IP2_M}")
     if m < 1:
@@ -192,51 +196,54 @@ def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     N = sp.size
     if N > IP2_POINT_CAP:
         raise CapExceeded(f"group size {N} exceeds the IP2 point cap {IP2_POINT_CAP}")
-    table = _shift_table(mask)
-    rows = table.astype(np.uint16)
-    count = 1 << (m * m)
-    if m == 1:
-        firsts = _first_achievers(rows[0], 2)
-        if firsts is None:
-            return None
-        return WitnessCertificate("IP2", mask.p, mask.n, (0,), (0,), firsts)
-    for a2 in range(1, N):
-        for b2 in range(1, N):
-            codes = (rows[b2] * np.uint16(2)
-                     + rows[sp.add(a2, 0)] * np.uint16(4)
-                     + rows[sp.add(a2, b2)] * np.uint16(8))
-            codes = codes + rows[0]
-            firsts = _first_achievers(codes, count)
-            if firsts is not None:
-                return WitnessCertificate("IP2", mask.p, mask.n, (0, a2), (0, b2), firsts)
-    return None
+    b2 = np.arange(1, N)
+    candidates = [_ORIGIN] if m == 1 else (
+        np.column_stack([np.zeros_like(b2), b2, np.full_like(b2, a2), sp.add(a2, b2)])
+        for a2 in range(1, N))
+    found = _cover(_shift_table(mask), candidates)
+    if found is None:
+        return None
+    elements, firsts = found
+    return WitnessCertificate("IP2", mask.p, mask.n, elements[::m], elements[:m], firsts)
+
+
+def _dimension(search, mask: SubsetBitmask, cap: int) -> int:
+    """Largest d <= cap for which search(mask, d) finds a witness; a return
+    equal to cap means at-least-cap (the search stops there)."""
+    dim = 0
+    while dim < cap and search(mask, dim + 1) is not None:
+        dim += 1
+    return dim
+
+
+def vc_dimension(mask: SubsetBitmask) -> int:
+    """Largest k <= MAX_IP_K admitting a k-IP witness."""
+    return _dimension(has_k_ip, mask, MAX_IP_K)
 
 
 def vc2_dimension(mask: SubsetBitmask) -> int:
-    """Largest m <= MAX_IP2_M admitting an m-IP2 witness (cap-limited like
-    vc_dimension)."""
-    dim = 0
-    for m in range(1, MAX_IP2_M + 1):
-        if has_m_ip2(mask, m) is None:
-            break
-        dim = m
-    return dim
+    """Largest m <= MAX_IP2_M admitting an m-IP2 witness."""
+    return _dimension(has_m_ip2, mask, MAX_IP2_M)
+
+
+def _atom_counts(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[np.ndarray, np.ndarray]:
+    """(members of A, size) of every atom, indexed by label code, from one
+    bincount over the points' label codes. Counts p^n terms."""
+    if (mask.p, mask.n) != (factor.p, factor.n):
+        raise ValueError("set and factor on different groups")
+    count_terms(mask.bits.size)
+    count = factor.p ** factor.width
+    tally = np.bincount(factor._codes * 2 + mask.bits, minlength=2 * count).reshape(count, 2)
+    return tally[:, 1], tally.sum(axis=1)
 
 
 def density_profile(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[dict, int]:
     """Exact per-atom densities of A over the factor's nonempty atoms, and
     the number of empty atoms (excluded from the profile)."""
-    if (mask.p, mask.n) != (factor.p, factor.n):
-        raise ValueError("set and factor on different groups")
-    densities: dict[tuple, Fraction] = {}
-    empty = 0
-    for label in factor.all_labels():
-        members = factor.atom_indices(label.values)
-        if members.size == 0:
-            empty += 1
-            continue
-        densities[label.values] = Fraction(int(mask.bits[members].sum()), members.size)
-    return densities, empty
+    inside, sizes = _atom_counts(mask, factor)
+    densities = {label.values: Fraction(int(i), int(s))
+                 for label, i, s in zip(factor.all_labels(), inside, sizes) if s}
+    return densities, int((sizes == 0).sum())
 
 
 def regularity_conclusion(mask: SubsetBitmask, factor: QuadraticFactor, mu) -> Fraction:
@@ -255,19 +262,7 @@ def best_atom_union_approx(mask: SubsetBitmask, factor: QuadraticFactor) -> tupl
     """Per-atom majority vote: keep atoms where A has density > 1/2 (ties
     dropped). Minimizes |A delta Y| over unions of atoms; the symmetric
     difference is sum of min(|A and B|, |B minus A|)."""
-    if (mask.p, mask.n) != (factor.p, factor.n):
-        raise ValueError("set and factor on different groups")
-    bits = np.zeros(mask.bits.size, dtype=bool)
-    symdiff = 0
-    for label in factor.all_labels():
-        members = factor.atom_indices(label.values)
-        if members.size == 0:
-            continue
-        inside = int(mask.bits[members].sum())
-        outside = members.size - inside
-        if inside * 2 > members.size:
-            bits[members] = True
-            symdiff += outside
-        else:
-            symdiff += inside
-    return SubsetBitmask(mask.p, mask.n, bits), symdiff
+    inside, sizes = _atom_counts(mask, factor)
+    keep = inside * 2 > sizes
+    symdiff = int(np.where(keep, sizes - inside, inside).sum())
+    return SubsetBitmask(mask.p, mask.n, keep[factor._codes]), symdiff

@@ -142,9 +142,6 @@ class LinearFactor(_LabelIndex):
         """Canonical-index members of the coset L(label); size is p^(n-l)."""
         return self._members_by_code[self.label_code(label)]
 
-    def label_of_index(self, index: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.label_table[index])
-
     def subgroup_basis(self) -> list[GroupVector]:
         """Basis of the kernel coset L(0), from mod-p row reduction."""
         if self.ell == 0:
@@ -208,9 +205,6 @@ class QuadraticFactor(_LabelIndex):
 
     def atom_indices(self, label) -> np.ndarray:
         return self._members_by_code[self.label_code(label)]
-
-    def label_of_index(self, index: int) -> AtomLabel:
-        return AtomLabel(self.p, tuple(int(v) for v in self.label_table[index]))
 
     def all_labels(self):
         width = self.ell + self.q

@@ -25,7 +25,9 @@ from typing import Callable
 import numpy as np
 
 from ..combinatorics import (
+    IP2_POINT_CAP,
     MAX_IP_K,
+    SHIFT_TABLE_CAP,
     SubsetBitmask,
     best_atom_union_approx,
     density_profile,
@@ -66,6 +68,7 @@ from ..local_norms import (
 )
 from ..pattern_ops import (
     MAX_BIPARTITE_PART,
+    MAX_WITNESS_W,
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
@@ -1549,14 +1552,24 @@ def _validate_config(name: str, cfg: dict) -> None:
     dims = []
     if "n" in cfg:
         dims.append(cfg["n"])
-    if "n_values" in cfg and not cfg["n_values"]:
-        raise ConfigError("n_values must list at least one dimension")
+    for key in ("n_values", "ell_values", "rep_sets", "atom_labels"):
+        if key in cfg and not cfg[key]:
+            raise ConfigError(f"{key} must list at least one entry")
     dims.extend(cfg.get("n_values", []))
     for n in dims:
         if not _is_int(n) or n < 1:
             raise ConfigError(f"dimension must be a positive integer, got {n}")
         if p is not None and p ** n > GROUP_CAP:
             raise ConfigError(f"p^n = {p ** n} exceeds the cap {GROUP_CAP}")
+    # the search and counting kernels' own caps, so that estimate refuses
+    # what run would
+    size = p ** max(dims) if p is not None and dims else 0
+    if name in ("atom-vc2", "vc2-structure") and size > IP2_POINT_CAP:
+        raise ConfigError(f"p^n = {size} exceeds the IP2 point cap {IP2_POINT_CAP}")
+    if name in ("atom-vc", "coset-union-vc") and size ** 2 > SHIFT_TABLE_CAP:
+        raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {SHIFT_TABLE_CAP}")
+    if cfg.get("max_part", 1) > MAX_WITNESS_W:
+        raise ConfigError(f"max_part exceeds the witness-count cap {MAX_WITNESS_W}")
     for ell in cfg.get("ell_values", [cfg["ell"]] if "ell" in cfg else []):
         if not _is_int(ell) or not 0 <= ell <= min(dims):
             raise ConfigError(f"ell must be an integer in [0, n] = [0, {min(dims)}], got {ell}")

@@ -44,6 +44,7 @@ GRID_CAP = 1 << 24
 MAX_IP_M = 3
 MAX_IP2_M = 2
 MAX_BIPARTITE_PART = 3
+MAX_WITNESS_W = 2
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +160,6 @@ class FunctionGrid:
     @property
     def one_bounded(self) -> bool:
         return all(g.one_bounded for g in self.mapping.values())
-
-    @classmethod
-    def ip_diagonal(cls, m: int, f: GroupFunction) -> FunctionGrid:
-        return cls({(i, s): f for i in range(1, m + 1) for s in range(1 << m)})
 
     @classmethod
     def ip_select(cls, m: int, f_in: GroupFunction, f_out: GroupFunction) -> FunctionGrid:
@@ -531,8 +528,8 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
     tests."""
     ctx = _TernaryContext(graph, factor, e)
     graph_, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
-    if graph_.nw > 2:
-        raise CapExceeded("brute witness counting capped at |W| = 2")
+    if graph_.nw > MAX_WITNESS_W:
+        raise CapExceeded(f"brute witness counting capped at |W| = {MAX_WITNESS_W}")
     sp = factor.space
     member = np.asarray(member, dtype=bool)
     want = {t: (t in graph_.edges) for t in graph_.all_tuples()}

@@ -77,11 +77,18 @@ def test_bad_override_exits_two(capsys):
     ("bil-level-sizes", '{"q": 0}'),
     ("atom-vc", '{"atom_label": [0, 0]}'),
     ("atom-u2-uniformity", '{"atom_labels": [[0]]}'),
+    ("atom-vc2", '{"ell_values": []}'),
+    ("coset-union-vc", '{"rep_sets": []}'),
+    ("atom-u2-uniformity", '{"atom_labels": []}'),
+    ("counting-ternary", '{"max_part": 3}'),
+    ("vc2-structure", '{"n": 7}'),
+    ("atom-vc", '{"n": 9}'),
 ])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
     # each value must have the JSON type of its default (a bool is no
     # integer) and lie in its range: ell in [0, n], q >= 0 (>= 1 for the
-    # level-set sizes), two parts in [1, 3], atom labels as wide as the factor
+    # level-set sizes), two parts in [1, 3], atom labels as wide as the
+    # factor, nonempty lists, and sizes within the kernels' caps
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
     for command in ("run", "estimate"):

@@ -52,7 +52,7 @@ def test_linear_factor_rejects_dependent_vectors():
 def test_label_of_index_consistency():
     lin = new_linear_factor(3, 2, [(1, 1)])
     for idx in range(9):
-        lab = lin.label_of_index(idx)
+        lab = tuple(lin.label_table[idx].tolist())
         assert idx in set(int(i) for i in lin.coset_indices(lab))
 
 

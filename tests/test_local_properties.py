@@ -74,7 +74,7 @@ def _uneven_context(p, n, ell, seed):
     digits = factor.space.digits.astype(np.int64)
     for _ in range(200):
         x, y, z = (int(i) for i in rng.integers(0, p ** n, 3))
-        a1, a2, a3 = (factor.label_of_index(i).values for i in (x, y, z))
+        a1, a2, a3 = (tuple(factor.label_table[i].tolist()) for i in (x, y, z))
         b12, b13, b23 = ((int(digits[i] @ form @ digits[j] % p),)
                          for i, j in ((x, y), (x, z), (y, z)))
         try:
@@ -262,9 +262,9 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
         return (int(digits[i] @ digits[j] % 3),)
 
     e = LabelAssignment(
-        tuple(factor.label_of_index(int(i)).values for i in x),
-        tuple(factor.label_of_index(int(i)).values for i in y),
-        tuple(factor.label_of_index(int(i)).values for i in z),
+        tuple(tuple(factor.label_table[i].tolist()) for i in x),
+        tuple(tuple(factor.label_table[i].tolist()) for i in y),
+        tuple(tuple(factor.label_table[i].tolist()) for i in z),
         {(u, v): level(x[u], y[v]) for u in range(2) for v in range(2)},
         {(u, w): level(x[u], z[w]) for u in range(2) for w in range(2)},
         {(v, w): level(y[v], z[w]) for v in range(2) for w in range(2)})

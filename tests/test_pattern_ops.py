@@ -74,14 +74,15 @@ def test_ip_average_matches_naive(m):
 
 def test_ip_local_with_trivial_factor_is_global():
     lin = new_linear_factor(3, 2, [])
-    grid = FunctionGrid.ip_diagonal(2, _random_f(3, 2, seed=1))
+    f = _random_f(3, 2, seed=1)
+    grid = FunctionGrid.ip_select(2, f, f)
     local = t_ip_local(2, lin, DirectionTuple2(3, (), ()), grid)
     assert local == pytest.approx(t_ip(2, grid), abs=1e-10)
 
 
 def test_ip_average_is_linear_in_one_slot():
     f = _random_f(3, 2, seed=2)
-    grid = FunctionGrid.ip_diagonal(1, f)
+    grid = FunctionGrid.ip_select(1, f, f)
     base = t_ip(1, grid)
     tweaked = dict(grid.mapping)
     tweaked[(1, 0)] = f.scale(3.0 - 1.0j)
@@ -295,7 +296,7 @@ def test_degenerate_atoms_are_refused():
 def test_caps():
     f = _random_f(3, 1, seed=6)
     with pytest.raises(CapExceeded):
-        t_ip(4, FunctionGrid.ip_diagonal(4, f))
+        t_ip(4, FunctionGrid.ip_select(4, f, f))
     with pytest.raises(CapExceeded):
         ip2_hypergraph(3)
     with pytest.raises(CapExceeded):
@@ -323,6 +324,6 @@ def test_grid_validation():
         FunctionGrid({})
     with pytest.raises(ValueError):
         t_ip(1, FunctionGrid({(1, 0): f}))
-    assert FunctionGrid.ip_diagonal(1, f).one_bounded
+    assert FunctionGrid.ip_select(1, f, f).one_bounded
     loud = GroupFunction(3, 1, np.array([3.0, 0.0, 0.0]))
     assert not FunctionGrid({(1, 0): f, (1, 1): loud}).one_bounded
