@@ -128,7 +128,7 @@ class LinearFactor(_LabelIndex):
         self.n = n
         self.vectors = tuple(vectors)
         self.ell = self.width = len(rows)
-        self.space: GroupSpace = GroupSpace(p, n)
+        self.space: GroupSpace = space(p, n)
         self._rows = np.array(rows, dtype=np.int64).reshape(self.ell, n)
 
     @cached_property

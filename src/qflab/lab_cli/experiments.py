@@ -940,7 +940,7 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
             rng = _trial_rng(cfg["seed"], i, s)
             base = {"n": n, "eps": eps, "sample": s}
             try:
-                ctx, d = _nondeg_ctx3(rng, factor)
+                ctx, _ = _nondeg_ctx3(rng, factor)
             except DegenerateContext as exc:
                 trials.append(make_degenerate(row, base, str(exc)))
                 row += 1
@@ -950,7 +950,7 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
             bits = np.zeros(p ** n, dtype=bool)
             bits[chosen] = True
             alpha = float(bits[target].mean())
-            value, _ = weighted_ternary_density(factor, d, bits)
+            value, _ = weighted_ternary_density(ctx, bits)
             diffs.append(abs(value - alpha))
             trials.append(make_point(row, base, abs(value - alpha),
                                      detail={"n": n, "weighted": value,

@@ -1,4 +1,5 @@
-"""Local U^2(d) and U^3(d) semi-norms, restricted Fourier analysis on cosets.
+"""Local U^2(d) and U^3(d) semi-norms, restricted Fourier analysis on cosets,
+and the one contraction per arity that every conditioned average calls.
 
 The local U^2 inner product averages the four-vertex product with x0, x1
 confined to the coset L(a1) and y0, y1 to L(a2); every argument x + y then
@@ -8,6 +9,10 @@ The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
 mu of a prescribed bilinear level set. All eight corner sums land in the
 atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
+
+`_binary_contract` is the bipartite contraction: local U^2, the IP averages
+and the bipartite operator. `_ternary_contract` is the weighted 3-partite
+one: local U^3, IP2, the ternary operator and the weighted ternary density.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from .factor import (
     DirectionTuple3,
     LinearFactor,
     QuadraticFactor,
+    mu_weight_matrix,
     sigma2,
     sigma3,
 )
-from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector, count_terms
+from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector, count_terms, space
 from .spectral import (
     GroupFunction,
     SpectrumTable,
@@ -35,6 +41,7 @@ from .spectral import (
     fourier_transform,
 )
 
+GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # member-tensor entry cap of the ternary contraction
 BLOCK_ENTRIES = 1 << 15  # entries per temporary of one block of the ternary contraction
 NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
@@ -61,24 +68,56 @@ class LocalContext2:
         return GroupVector.from_index(self.linear.p, self.linear.n, idx)
 
 
+def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> complex:
+    """The bipartite average over parts U (any number of vertices) and V
+    (at most three vertices):
+
+        E over y_v in ys[v] of prod over u of
+        E over x_u in xs[u] of prod over v of g_uv[x_u + y_v],
+
+    where values[u, v] = g_uv is an array on the group (conjugated by the
+    caller where the pattern asks for it). Once the y's are fixed the
+    x_u-averages are independent: a mean for one y-vertex, one matmul for
+    two, an einsum for three. Each distinct (x members, y members) pair of
+    arrays, by identity, gets one sum table t[j, i] = y_j + x_i. Raises
+    CapExceeded when a sum table or an average would hold more than
+    GRID_CAP entries. Counts the multiply-adds of the averages, |x_u| prod
+    |y_v| for each u.
+    """
+    ysizes = [a.size for a in ys]
+    if max([math.prod(ysizes)] + [a.size * b for a in xs for b in ysizes]) > GRID_CAP:
+        raise CapExceeded("binary member tables too large")
+    count_terms(sum(a.size for a in xs) * math.prod(ysizes))
+    tables: dict[tuple, np.ndarray] = {}
+    prod = None
+    for u, x in enumerate(xs):
+        mats = []
+        for v, y in enumerate(ys):
+            key = (id(y), id(x))
+            if key not in tables:
+                tables[key] = sp.sum_grid(y, x)
+            mats.append(values[(u, v)][tables[key]])
+        if len(ys) == 1:
+            avg = mats[0].mean(axis=1)
+        elif len(ys) == 2:
+            avg = mats[0] @ mats[1].T / x.size
+        else:
+            avg = np.einsum("ax,bx,cx->abc", *mats) / x.size
+        prod = avg if prod is None else prod * avg
+    return complex(prod.mean())
+
+
 def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
                    f10: GroupFunction, f11: GroupFunction) -> complex:
-    """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product.
-    Counts the 2 |L(a1)| |L(a2)|^2 multiply-adds of its two matmuls."""
-    sp = ctx.linear.space
+    """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product:
+    the binary contraction with two vertices per part, slot (u, v) reading
+    f_uv, conjugated when u + v is odd."""
     for g in (f00, f01, f10, f11):
         if (g.p, g.n) != (ctx.linear.p, ctx.linear.n):
             raise ValueError("function in wrong group")
-    table = sp.sum_grid(ctx.xs, ctx.ys)  # table[x, y] = x + y
-    s = ctx.xs.size
-    count_terms(2 * s * ctx.ys.size ** 2)
-    m00 = f00.values[table]
-    m01 = f01.values[table]
-    m10 = f10.values[table]
-    m11 = f11.values[table]
-    fcorr = m00.T @ np.conj(m01) / s   # F[y0, y1] = E_x0 f00(x0+y0) conj f01(x0+y1)
-    gcorr = np.conj(m10).T @ m11 / s
-    return complex((fcorr * gcorr).mean())
+    values = {(0, 0): f00.values, (0, 1): np.conj(f01.values),
+              (1, 0): np.conj(f10.values), (1, 1): f11.values}
+    return _binary_contract(ctx.linear.space, [ctx.xs] * 2, [ctx.ys] * 2, values)
 
 
 def local_u2_norm(ctx: LocalContext2, f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
@@ -88,8 +127,6 @@ def local_u2_norm(ctx: LocalContext2, f: GroupFunction, tol: float = DEFAULT_TOL
 def restricted_fourier(f: GroupFunction, subgrp: LinearFactor, z: GroupVector) -> SpectrumTable:
     """Fourier transform of h -> f(z + h) on the subgroup L(0), relative to
     a fixed kernel basis; the spectrum lives on F_p^(n - l)."""
-    from .fpn_core import space
-
     p, n = subgrp.p, subgrp.n
     if (f.p, f.n) != (p, n) or (z.p, z.n) != (p, n):
         raise ValueError("mismatched group")
@@ -135,17 +172,12 @@ class LocalContext3:
             if arr.size == 0:
                 raise DegenerateContext(f"atom {name} = {getattr(d, name)} is empty")
         try:
-            self.mu12 = self._weights(d.b12, self.xs, self.ys)
-            self.mu13 = self._weights(d.b13, self.xs, self.zs)
-            self.mu23 = self._weights(d.b23, self.ys, self.zs)
+            self.mu12 = mu_weight_matrix(factor, d.b12, self.xs, self.ys)
+            self.mu13 = mu_weight_matrix(factor, d.b13, self.xs, self.zs)
+            self.mu23 = mu_weight_matrix(factor, d.b23, self.ys, self.zs)
         except EmptyLevelSet as exc:
             raise DegenerateContext(str(exc)) from exc
         self.sigma: AtomLabel = sigma3(factor, d)
-
-    def _weights(self, blabel: tuple[int, ...], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        from .factor import mu_weight_matrix
-
-        return mu_weight_matrix(self.factor, blabel, rows, cols)
 
     def target_indices(self) -> np.ndarray:
         return self.factor.atom_indices(self.sigma.values)

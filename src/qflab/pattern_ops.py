@@ -13,16 +13,18 @@ Conventions:
   vertex indices; the product runs over ALL pairs / triples, with edges
   selecting the "on" function in the f|g shorthand.
 
-Every operator with independent completion variables (y_S, z_S, z_w) is
-evaluated by conditioning on the remaining variables and multiplying the
-now-independent inner averages; the naive nested sums are retained as
-reference routes for small instances.
+Every operator with independent completion variables (y_S, z_S, z_w)
+conditions on the remaining variables and multiplies the now-independent
+inner averages, in one of the two contractions of `local_norms`: the binary
+one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ip2_local,
+t_ternary and weighted_ternary_density. The global t_ip2 works on the
+frequency side instead. The naive nested sums are reference routes for
+small instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,10 +39,9 @@ from .factor import (
     mu_weight_matrix,
 )
 from .fpn_core import count_terms, space
-from .local_norms import LocalContext3, _ternary_contract
+from .local_norms import GRID_CAP, LocalContext3, _binary_contract, _ternary_contract
 from .spectral import GroupFunction, _axis_dft, _derivative_blocks, _dft_kernel
 
-GRID_CAP = 1 << 24
 MAX_IP_M = 3
 MAX_IP2_M = 2
 MAX_BIPARTITE_PART = 3
@@ -197,37 +198,18 @@ def _ip_check(m: int, grid: FunctionGrid) -> None:
                 raise ValueError(f"grid missing slot {(i, s)}")
 
 
-def _ip_engine(m: int, grid: FunctionGrid, xs_list: list[np.ndarray],
-               ys: np.ndarray) -> complex:
-    """E over x_i in xs_list[i], independent y_S in ys, of the full product.
-    Conditioning on (x_i) makes the 2^m y-averages independent. Counts the
-    multiply-adds of the 2^m averages, each over every (x_i) and y."""
-    sp = space(grid.p, grid.n)
-    sizes = [a.size for a in xs_list]
-    work = math.prod(sizes) * ys.size
-    if work > GRID_CAP:
-        raise CapExceeded("IP member tables too large")
-    count_terms((1 << m) * work)
-    tables = [sp.sum_grid(xs, ys) for xs in xs_list]  #, per i: x + y
-    total_shape = tuple(sizes)
-    prod = np.ones(total_shape)
-    for s in range(1 << m):
-        mats = [grid[(i + 1, s)].values[tables[i]] for i in range(m)]
-        if m == 1:
-            avg = mats[0].mean(axis=1)
-        elif m == 2:
-            avg = mats[0] @ mats[1].T / ys.size
-        else:
-            avg = np.einsum("ay,by,cy->abc", *mats) / ys.size
-        prod = prod * avg
-    return complex(prod.mean())
+def _ip_slots(m: int, grid: FunctionGrid) -> dict:
+    """m-IP as a binary contraction: one averaged vertex per subset S (the
+    y_S), the m conditioned x_i, slot (S, i) reading f_{i+1, S}."""
+    return {(s, i): grid[(i + 1, s)].values for s in range(1 << m) for i in range(m)}
 
 
 def t_ip(m: int, grid: FunctionGrid) -> complex:
     """E_{x_1..x_m} E_{y_S : S subset [m]} prod f_{i,S}(x_i + y_S)."""
     _ip_check(m, grid)
-    full = np.arange(space(grid.p, grid.n).size, dtype=np.int64)
-    return _ip_engine(m, grid, [full] * m, full)
+    sp = space(grid.p, grid.n)
+    full = np.arange(sp.size, dtype=np.int64)
+    return _binary_contract(sp, [full] * (1 << m), [full] * m, _ip_slots(m, grid))
 
 
 def t_ip_local(m: int, linear: LinearFactor, d: DirectionTuple2,
@@ -238,7 +220,7 @@ def t_ip_local(m: int, linear: LinearFactor, d: DirectionTuple2,
         raise ValueError("factor and grid on different groups")
     xs = linear.coset_indices(d.a1)
     ys = linear.coset_indices(d.a2)
-    return _ip_engine(m, grid, [xs] * m, ys)
+    return _binary_contract(linear.space, [ys] * (1 << m), [xs] * m, _ip_slots(m, grid))
 
 
 def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
@@ -273,21 +255,6 @@ def _ip2_check(m: int, grid: FunctionGrid) -> None:
             for s in range(1 << (m * m)):
                 if (i, j, s) not in grid.mapping:
                     raise ValueError(f"grid missing slot {(i, j, s)}")
-
-
-def _ip2_inputs(m: int, grid: FunctionGrid, xs: np.ndarray, ys: np.ndarray,
-                zs: np.ndarray, mu12: np.ndarray, mu13: np.ndarray,
-                mu23: np.ndarray) -> tuple:
-    """m-IP2 as a ternary contraction: U = V = [m], one W-vertex per subset
-    S of [m]^2, slot (i, j, S) reading f_{i+1, j+1, S}; the z_S-averages are
-    independent once the x's and y's are fixed."""
-    nsub = 1 << (m * m)
-    values = {(i, j, s): (grid[(i + 1, j + 1, s)].values, False)
-              for i in range(m) for j in range(m) for s in range(nsub)}
-    return ([xs] * m, [ys] * m, [zs] * nsub, values,
-            {(i, j): mu12 for i in range(m) for j in range(m)},
-            {(i, s): mu13 for i in range(m) for s in range(nsub)},
-            {(j, s): mu23 for j in range(m) for s in range(nsub)})
 
 
 def t_ip2(m: int, grid: FunctionGrid) -> complex:
@@ -332,13 +299,20 @@ def t_ip2(m: int, grid: FunctionGrid) -> complex:
 def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
                 grid: FunctionGrid) -> complex:
     """The mu-weighted variant: x_i in B(a1), y_j in B(a2), z_S in B(a3),
-    with measure factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S)."""
+    with measure factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S). The
+    ternary contraction with U = V = [m] and one W-vertex per subset S of
+    [m]^2, slot (i, j, S) reading f_{i+1, j+1, S}."""
     _ip2_check(m, grid)
     if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
     ctx = LocalContext3(factor, d)
-    return _ternary_contract(factor.space, *_ip2_inputs(
-        m, grid, ctx.xs, ctx.ys, ctx.zs, ctx.mu12, ctx.mu13, ctx.mu23))
+    nsub = 1 << (m * m)
+    values = {(i, j, s): (grid[(i + 1, j + 1, s)].values, False)
+              for i in range(m) for j in range(m) for s in range(nsub)}
+    return _ternary_contract(factor.space, [ctx.xs] * m, [ctx.ys] * m, [ctx.zs] * nsub, values,
+                             {(i, j): ctx.mu12 for i in range(m) for j in range(m)},
+                             {(i, s): ctx.mu13 for i in range(m) for s in range(nsub)},
+                             {(j, s): ctx.mu23 for j in range(m) for s in range(nsub)})
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -382,29 +356,16 @@ def _coset_members(linear: LinearFactor, labels) -> list[np.ndarray]:
 def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
                 v_labels, grid: FunctionGrid) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
-    f_{u,v}(x_u + y_v); conditioning on the y's factors the per-u averages.
-    Counts the multiply-adds of the per-u einsums over x_u and all (y_v)."""
+    f_{u,v}(x_u + y_v): the binary contraction, slot (u, v) reading f_{u,v}."""
     if graph.kind != "bipartite":
         raise ValueError("need a bipartite graph")
     if graph.nu > MAX_BIPARTITE_PART or graph.nv > MAX_BIPARTITE_PART:
         raise CapExceeded(f"bipartite parts capped at {MAX_BIPARTITE_PART}")
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
-    sp = linear.space
-    xs = _coset_members(linear, u_labels)
-    ys = _coset_members(linear, v_labels)
-    s = xs[0].size
-    count_terms(sum(x.size for x in xs) * math.prod(y.size for y in ys))
-    letters = "abc"[: graph.nv]
-    pattern = ",".join(f"x{c}" for c in letters) + "->" + letters
-    per_u = []
-    for u in range(graph.nu):
-        mats = [grid[(u, v)].values[sp.sum_grid(xs[u], ys[v])] for v in range(graph.nv)]
-        per_u.append(np.einsum(pattern, *mats) / s)
-    prod = per_u[0]
-    for h in per_u[1:]:
-        prod = prod * h
-    return complex(prod.mean())
+    return _binary_contract(linear.space, _coset_members(linear, u_labels),
+                            _coset_members(linear, v_labels),
+                            {t: grid[t].values for t in graph.all_tuples()})
 
 
 def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
@@ -612,18 +573,16 @@ def bipartite_normalization(graph: PatternHypergraph, linear: LinearFactor) -> i
 # weighted ternary density
 # ---------------------------------------------------------------------------
 
-def weighted_ternary_density(factor: QuadraticFactor, d: DirectionTuple3,
-                             member: np.ndarray) -> tuple[float, float]:
+def weighted_ternary_density(ctx: LocalContext3, member: np.ndarray) -> tuple[float, float]:
     """E over the three atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z),
-    together with the plain density of A on the target atom B(sigma3(d))."""
-    ctx = LocalContext3(factor, d)
+    together with the plain density of A on the target atom B(sigma3(d)).
+    The weighted average is the ternary contraction with one vertex per
+    part."""
     member = np.asarray(member, dtype=bool)
-    sp = factor.space
-    sums = sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)
-    weights = ctx.mu12[:, :, None] * ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
-    value = float((weights * member[sums]).mean())
     target = ctx.target_indices()
     if target.size == 0:
         raise EmptyAtom(f"target atom {ctx.sigma.values} is empty")
-    alpha = float(member[target].mean())
-    return value, alpha
+    value = _ternary_contract(ctx.factor.space, [ctx.xs], [ctx.ys], [ctx.zs],
+                              {(0, 0, 0): (member.astype(np.float64), False)},
+                              {(0, 0): ctx.mu12}, {(0, 0): ctx.mu13}, {(0, 0): ctx.mu23})
+    return value.real, float(member[target].mean())

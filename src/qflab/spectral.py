@@ -404,32 +404,28 @@ def u3_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
 # AP averages
 # ---------------------------------------------------------------------------
 
+def _ap_average(f: GroupFunction, k: int) -> complex:
+    """E_{x,d} f(x) f(x+d) ... f(x+(k-1)d), multiplied left to right."""
+    sp = space(f.p, f.n)
+    idx = np.arange(sp.size, dtype=np.int64)
+    whole = slice(None)
+    v = f.values
+    prod = v[:, None] * v[_index_sums(sp, whole, whole)]  # x + d
+    step = idx
+    for _ in range(2, k):
+        step = sp.add(step, idx)  # j d
+        prod = prod * v[_index_sums(sp, whole, step)]  # x + j d
+    return complex(prod.mean())
+
+
 def ap3_average(f: GroupFunction) -> complex:
     """E_{x,d} f(x) f(x+d) f(x+2d)."""
-    sp = space(f.p, f.n)
-    N = sp.size
-    idx = np.arange(N, dtype=np.int64)
-    whole = slice(None)
-    step1 = _index_sums(sp, whole, whole)  # x + d
-    twice = sp.add(idx, idx)               # 2d
-    step2 = _index_sums(sp, whole, twice)  # x + 2d
-    v = f.values
-    return complex((v[:, None] * v[step1] * v[step2]).mean())
+    return _ap_average(f, 3)
 
 
 def ap4_average(f: GroupFunction) -> complex:
     """E_{x,d} f(x) f(x+d) f(x+2d) f(x+3d)."""
-    sp = space(f.p, f.n)
-    N = sp.size
-    idx = np.arange(N, dtype=np.int64)
-    twice = sp.add(idx, idx)
-    thrice = sp.add(twice, idx)
-    whole = slice(None)
-    step1 = _index_sums(sp, whole, whole)
-    step2 = _index_sums(sp, whole, twice)
-    step3 = _index_sums(sp, whole, thrice)
-    v = f.values
-    return complex((v[:, None] * v[step1] * v[step2] * v[step3]).mean())
+    return _ap_average(f, 4)
 
 
 # ---------------------------------------------------------------------------

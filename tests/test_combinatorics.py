@@ -248,6 +248,18 @@ def test_search_across_several_blocks(monkeypatch):
         assert terms == 27 ** 2 + 26 ** 2 * 27
 
 
+def test_shift_table_fills_in_blocks(monkeypatch):
+    # 4 rows of 27 per block: blocks of 4, ..., 4 and a partial last one of 3
+    mask = SubsetBitmask(3, 3, np.random.default_rng(8).random(27) < 0.5)
+    idx = np.arange(27, dtype=np.int64)
+    want = mask.bits[space(3, 3).sum_grid(idx, idx)]
+    monkeypatch.setattr(combinatorics, "SHIFT_BLOCK_ENTRIES", 4 * 27)
+    table, terms = run_counted(combinatorics._shift_table, mask)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, want)
+    assert terms == 27 ** 2
+
+
 def test_certificates_replay_on_their_set_only():
     d = space(3, 3).digits.astype(np.int64)
     quadric = SubsetBitmask(3, 3, (d * d).sum(axis=1) % 3 == 0)

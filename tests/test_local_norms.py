@@ -198,6 +198,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
         t_ip2,
         t_ip2_local,
         t_ternary,
+        weighted_ternary_density,
     )
 
     factor = _mixed_factor()
@@ -210,6 +211,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
         lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
         lambda: t_ternary(graph, factor, LabelAssignment.constant(graph, d),
                           FunctionGrid.edge_select(graph, f, f)),
+        lambda: weighted_ternary_density(ctx, np.ones(27, dtype=bool)),
     ]
     for call in calls:
         call()
@@ -224,6 +226,38 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     monkeypatch.setattr(spectral, "NAIVE_CAP", f.size ** 2 - 1)
     with pytest.raises(CapExceeded):
         t_ip2(2, grid)
+
+
+def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
+    from qflab.pattern_ops import (
+        FunctionGrid,
+        PatternHypergraph,
+        t_bipartite,
+        t_ip,
+        t_ip_local,
+    )
+
+    lin = new_linear_factor(3, 3, [(1, 0, 0)])
+    ctx = LocalContext2(lin, DirectionTuple2(3, (1,), (2,)))
+    f = _random_f(3, 3, seed=61)
+    graph = PatternHypergraph("bipartite", {"U": 1, "V": 2})
+    # 9-point cosets: every sum table and average holds at most 9 x 9
+    # entries; the global m = 2 IP holds 27 x 27
+    local_calls = [
+        lambda: local_u2_inner(ctx, f, f, f, f),
+        lambda: t_ip_local(2, lin, ctx.d, FunctionGrid.ip_select(2, f, f)),
+        lambda: t_bipartite(graph, lin, [(0,)], [(1,), (2,)],
+                            FunctionGrid({(0, 0): f, (0, 1): f})),
+    ]
+    monkeypatch.setattr(local_norms, "GRID_CAP", 81)
+    for call in local_calls:
+        call()
+    with pytest.raises(CapExceeded):
+        t_ip(2, FunctionGrid.ip_select(2, f, f))
+    monkeypatch.setattr(local_norms, "GRID_CAP", 80)
+    for call in local_calls:
+        with pytest.raises(CapExceeded):
+            call()
 
 
 def test_whole_axis_supports_are_used_without_a_gather(monkeypatch):

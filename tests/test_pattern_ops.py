@@ -16,6 +16,7 @@ from qflab.factor import (
     new_linear_factor,
     new_quadratic_factor,
 )
+from qflab.local_norms import LocalContext3
 from qflab.pattern_ops import (
     FunctionGrid,
     LabelAssignment,
@@ -260,19 +261,40 @@ def test_witness_count_collapses_for_extreme_sets():
 def test_weighted_density_extremes():
     factor = _mixed_factor()
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    value, alpha = weighted_ternary_density(factor, d, np.ones(27, dtype=bool))
+    ctx = LocalContext3(factor, d)
+    value, alpha = weighted_ternary_density(ctx, np.ones(27, dtype=bool))
     assert alpha == 1.0
     assert value >= 0.0
     # removing A from the target atom kills both numbers: the weighted sum
     # only reads membership there
-    from qflab.local_norms import LocalContext3
-
-    target = LocalContext3(factor, d).target_indices()
     partial = np.ones(27, dtype=bool)
-    partial[target] = False
-    value0, alpha0 = weighted_ternary_density(factor, d, partial)
+    partial[ctx.target_indices()] = False
+    value0, alpha0 = weighted_ternary_density(ctx, partial)
     assert alpha0 == 0.0
     assert value0 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_weighted_density_matches_the_dense_sum():
+    factor = _mixed_factor()
+    sp = factor.space
+    rng = np.random.default_rng(12)
+    checked = 0
+    for a1, a2, a3 in itertools.product(itertools.product(range(3), repeat=2), repeat=3):
+        b = tuple((int(v),) for v in rng.integers(0, 3, 3))
+        try:
+            ctx = LocalContext3(factor, DirectionTuple3(3, a1, a2, a3, *b))
+        except DegenerateContext:
+            continue
+        if ctx.target_indices().size == 0:
+            continue
+        member = rng.random(27) < 0.5
+        weights = ctx.mu12[:, :, None] * ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
+        dense = (weights * member[sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]).mean()
+        value, alpha = weighted_ternary_density(ctx, member)
+        assert value == pytest.approx(dense, rel=1e-12, abs=1e-15)
+        assert alpha == member[ctx.target_indices()].mean()
+        checked += 1
+    assert checked > 20
 
 
 def test_weighted_density_refuses_an_empty_target():
@@ -281,7 +303,7 @@ def test_weighted_density_refuses_an_empty_target():
     # sigma3 lands on (0, 2), which the coset x1 = 0 never reaches
     d = DirectionTuple3(3, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
     with pytest.raises(EmptyAtom):
-        weighted_ternary_density(factor, d, np.ones(9, dtype=bool))
+        weighted_ternary_density(LocalContext3(factor, d), np.ones(9, dtype=bool))
 
 
 def test_degenerate_atoms_are_refused():
