@@ -57,7 +57,6 @@ from ..fpn_core import (
     space,
 )
 from ..local_norms import (
-    BLOCK_ENTRIES,
     LocalContext2,
     LocalContext3,
     local_u2_inner,
@@ -65,6 +64,7 @@ from ..local_norms import (
     local_u3_dominates_check,
     local_u3_inner,
     local_u3_norm,
+    local_u3_norms,
 )
 from ..pattern_ops import (
     MAX_BIPARTITE_PART,
@@ -208,18 +208,28 @@ def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
     return float(arr.mean()), float((arr ** 2).mean())
 
 
-def _kept_share(cfg: dict, rows: int) -> float:
-    """Expected share of an atom that one y0 block of `rows` rows keeps in
-    the ternary contraction: each row weights a p^-q share of the members."""
-    return 1.0 - (1.0 - cfg["p"] ** -cfg["q"]) ** rows
+def _kept_share(cfg: dict, ys: int) -> float:
+    """Expected share of an atom that a tuple of `ys` distinct y's keeps in
+    the ternary contraction: each y weights a p^-q share of the members."""
+    return cfg["p"] ** (-cfg["q"] * ys)
 
 
-def _local_u3_terms(cfg: dict, smean: float, s2mean: float) -> float:
-    """Multiply-adds of one local U^3 norm on atoms of the mean sizes: one
-    computed W-slot over |x|^2 |y|^2 |z|, whose y0 blocks of about
-    BLOCK_ENTRIES / |x|^3 rows keep their share of x0, x1 and z."""
-    rows = max(1, int(BLOCK_ENTRIES // smean ** 3))
-    return s2mean * s2mean * smean * _kept_share(cfg, rows) ** 3
+def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: int = 1) -> float:
+    """Expected terms of one ternary contraction with `ys` x's and y's on
+    atoms of the mean sizes: per y-tuple, `slots` computed W-slots of
+    |x kept|^ys |z kept| multiply-adds, and the index sums
+    ys |x kept| (|z kept| + 1). The kept counts are binomial shares of their
+    atoms; of the |y|^2 pairs, the |y| whose y's coincide keep the share of
+    one y."""
+    def per_tuple(share: float) -> float:
+        kx = kz = share * smean
+        kxs = kx if ys == 1 else share * share * s2mean + share * (1 - share) * smean
+        return slots * kxs * kz + ys * kx * (kz + 1)
+
+    if ys == 1:
+        return smean * per_tuple(_kept_share(cfg, 1))
+    return ((s2mean - smean) * per_tuple(_kept_share(cfg, 2))
+            + smean * per_tuple(_kept_share(cfg, 1)))
 
 
 def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFunction:
@@ -341,7 +351,7 @@ def _run_local_gcs(cfg: dict) -> RunResult:
             continue
         octu = [_bounded_fn(rng, p, n) for _ in range(8)]
         obs3 = abs(local_u3_inner(ctx3, octu))
-        bnd3 = math.prod(local_u3_norm(ctx3, g) for g in octu)
+        bnd3 = math.prod(local_u3_norms([ctx3] * 8, octu))
         scale = max(1.0, bnd3)
         trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(d3.a1)},
                                  obs3, bnd3 + tol * scale, detail={"scale": scale}))
@@ -351,7 +361,8 @@ def _run_local_gcs(cfg: dict) -> RunResult:
 def _est_local_gcs(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    return int(cfg["trials"] * (5 * coset ** 3 + 18 * s2mean * s2mean * smean))
+    u3 = _ternary_terms(cfg, smean, s2mean, slots=2) + 8 * _ternary_terms(cfg, smean, s2mean)
+    return int(cfg["trials"] * (5 * coset ** 3 + u3))
 
 
 def _run_triangle(cfg: dict) -> RunResult:
@@ -398,18 +409,17 @@ def _run_local_triangle(cfg: dict) -> RunResult:
         except DegenerateContext as exc:
             trials.append(make_degenerate(2 * i + 1, base, str(exc)))
             continue
-        nf, ng = local_u3_norm(ctx3, f), local_u3_norm(ctx3, g)
+        nf, ng, nfg = local_u3_norms([ctx3] * 3, [f, g, f + g])
         scale = max(1.0, nf + ng)
         trials.append(make_trial(2 * i + 1, base | {"check": "local-u3-triangle"},
-                                 local_u3_norm(ctx3, f + g),
-                                 nf + ng + tol * scale, detail={"scale": scale}))
+                                 nfg, nf + ng + tol * scale, detail={"scale": scale}))
     return RunResult(trials)
 
 
 def _est_local_triangle(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    return int(cfg["trials"] * (3 * coset ** 3 + 6 * s2mean * s2mean * smean))
+    return int(cfg["trials"] * (3 * coset ** 3 + 3 * _ternary_terms(cfg, smean, s2mean)))
 
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
@@ -821,9 +831,11 @@ def _run_control_ip(cfg: dict) -> RunResult:
 
 
 def _est_control_ip(cfg: dict) -> int:
-    size = cfg["p"] ** cfg["n"]
-    slots = cfg["m"] * (1 << cfg["m"])
-    return cfg["trials"] * (size ** 3 + slots * size ** 2)
+    """Per trial, `t_ip`'s 2^m x-averages over N^(m+1) (x, y_S) pairs and its
+    one sum table, then one U^2 norm per slot, N^2 each."""
+    m, size = cfg["m"], cfg["p"] ** cfg["n"]
+    slots = m * (1 << m)
+    return cfg["trials"] * ((1 << m) * size ** (m + 1) + (slots + 1) * size ** 2)
 
 
 def _run_control_ip2(cfg: dict) -> RunResult:
@@ -900,14 +912,11 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
 
 def _est_control_ip2_local(cfg: dict) -> int:
     # the diagonal grid gives every W-vertex one z-average: one computed slot
-    # over |x|^m |y|^m |z|, whose y0 blocks keep their share of the m x's and z
     m = cfg["m"]
     total = 0
     for n in cfg["n_values"]:
         smean, s2mean = _atom_stats(cfg, n)
-        rows = max(1, int(BLOCK_ENTRIES // smean ** (m + 1)))
-        ip2 = smean ** (2 * m + 1) * _kept_share(cfg, rows) ** (m + 1)
-        total += int(ip2 + _local_u3_terms(cfg, smean, s2mean))
+        total += int(_ternary_terms(cfg, smean, s2mean, ys=m) + _ternary_terms(cfg, smean, s2mean))
     return max(total, 1)
 
 
@@ -976,9 +985,9 @@ def _est_sparse_uniform(cfg: dict) -> int:
     n_hard = max(cfg["n_values"])
     for n in cfg["n_values"]:
         smean, s2mean = _atom_stats(cfg, n)
-        total += int(cfg["samples"] * smean ** 3)
+        total += int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1))
         if n == n_hard:
-            total += int(_local_u3_terms(cfg, smean, s2mean))
+            total += int(_ternary_terms(cfg, smean, s2mean))
     return max(total, 1)
 
 
@@ -992,15 +1001,14 @@ def _run_smallpart(cfg: dict) -> RunResult:
     f = GroupFunction(p, n, f_raw)
     total_dirs = p ** (3 * (ell + q) + 3 * q)
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    norms, degenerate = [], 0
+    ctxs, degenerate = [], 0
     for j in range(count):
         d = _direction3(_trial_rng(cfg["seed"], j), factor)
         try:
-            ctx = LocalContext3(factor, d)
+            ctxs.append(LocalContext3(factor, d))
         except DegenerateContext:
             degenerate += 1
-            continue
-        norms.append(local_u3_norm(ctx, f))
+    norms = local_u3_norms(ctxs, [f] * len(ctxs))
     arr = np.array(sorted(norms)) if norms else np.zeros(0)
     main_thr = 2.0 * eps ** (1.0 / 16.0)
     thresholds = [main_thr, 1.0, eps ** (1.0 / 16.0), 0.3, 0.1]
@@ -1026,7 +1034,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
 def _est_smallpart(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    return max(int(count * 2 * s2mean * s2mean * smean), 1)
+    return max(int(count * _ternary_terms(cfg, smean, s2mean)), 1)
 
 
 def _random_label_union(rng: np.random.Generator, factor: QuadraticFactor) -> list:
@@ -1258,6 +1266,8 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
     coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
     trials = []
+    pending = []  # (trial slot, base, t_val, density product, m, first and last norm)
+    ctxs, fs = [], []
     for gi, graph in enumerate(_ternary_graphs(cfg["max_part"])):
         base = {"parts": [graph.nu, graph.nv, graph.nw],
                 "edges": sorted(graph.edges)}
@@ -1274,42 +1284,49 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
                                  identity_err, tol * max(1.0, float(count)),
                                  detail={"count": count}))
         prod = 1.0
-        eps_meas = 0.0
+        first = len(ctxs)
         for (u, v, w) in graph.all_tuples():
             d3 = e.triple_direction(p, u, v, w)
             target = factor.atom_indices(sigma3(factor, d3).values)
             if target.size == 0:
                 trials.append(make_degenerate(2 * gi + 1, base, "target atom is empty"))
+                del ctxs[first:], fs[first:]
                 break
             alpha = float(bits[target].mean())
             prod *= alpha if (u, v, w) in graph.edges else 1.0 - alpha
-            ctx = LocalContext3(factor, d3)
-            eps_meas = max(eps_meas,
-                           local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha)))
+            ctxs.append(LocalContext3(factor, d3))
+            fs.append(_indicator_minus(p, n, bits, alpha))
         else:
             m = max(graph.nu, graph.nv, graph.nw)
-            delta = abs(t_val - prod)
-            # the product-of-densities approximation carries a rank error term
-            # on top of the norm term, so its deviation is reported, not asserted
-            heuristic = 3.0 * eps_meas * m ** 3
-            trials.append(make_point(2 * gi + 1, base | {"check": "density-product"},
-                                     delta,
-                                     detail={"eps_measured": eps_meas, "m": m,
-                                             "norm_term_bound": heuristic,
-                                             "within_norm_term": delta <= heuristic + 1e-6}))
+            pending.append((len(trials), 2 * gi + 1, base, t_val, prod, m, first, len(ctxs)))
+            trials.append(None)
+    # the density-product trials, once every norm is known
+    norms = local_u3_norms(ctxs, fs)
+    for slot, tid, base, t_val, prod, m, first, last in pending:
+        eps_meas = max([0.0] + norms[first:last])
+        delta = abs(t_val - prod)
+        # the product-of-densities approximation carries a rank error term
+        # on top of the norm term, so its deviation is reported, not asserted
+        heuristic = 3.0 * eps_meas * m ** 3
+        trials[slot] = make_point(tid, base | {"check": "density-product"}, delta,
+                                  detail={"eps_measured": eps_meas, "m": m,
+                                          "norm_term_bound": heuristic,
+                                          "within_norm_term": delta <= heuristic + 1e-6})
     return RunResult(trials)
 
 
 def _est_counting_ternary(cfg: dict) -> int:
+    # per pattern: the witness count's (x's, y's) tuples, the operator with
+    # one computed slot per W-vertex, and one local U^3 norm per triple
     smean, s2mean = _atom_stats(cfg, cfg["n"])
+    norm = _ternary_terms(cfg, smean, s2mean)
     total = 0
     for su in range(1, cfg["max_part"] + 1):
         for sv in range(1, cfg["max_part"] + 1):
             for sw in range(1, cfg["max_part"] + 1):
                 shapes = 1 << (su * sv * sw)
-                triples = su * sv * sw
-                total += shapes * int(triples * 2 * s2mean * s2mean * smean
-                                      + cfg["p"] ** cfg["n"])
+                operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
+                total += shapes * int(smean ** (su + sv) + operator + su * sv * sw * norm)
     return max(total, 1)
 
 

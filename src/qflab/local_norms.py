@@ -13,6 +13,11 @@ atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 `_binary_contract` is the bipartite contraction: local U^2, the IP averages
 and the bipartite operator. `_ternary_contract` is the weighted 3-partite
 one: local U^3, IP2, the ternary operator and the weighted ternary density.
+It takes a batch of problems, so `local_u3_norms` evaluates the norms of
+many direction tuples in one call. Per y-tuple it keeps exactly the x's and
+z's that the bilinear weights allow, sorts the y-tuples of the whole batch
+into buckets by how many they keep, and contracts each bucket in blocks of
+one gather and one batched matmul.
 """
 
 from __future__ import annotations
@@ -35,15 +40,17 @@ from .factor import (
 )
 from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector, count_terms, space
 from .spectral import (
+    H_BLOCK_ENTRIES,
     GroupFunction,
     SpectrumTable,
+    _index_sums,
     _root_of_diagonal,
     fourier_transform,
 )
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
-TENSOR_CAP = 1 << 24  # member-tensor entry cap of the ternary contraction
-BLOCK_ENTRIES = 1 << 15  # entries per temporary of one block of the ternary contraction
+TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
+BLOCK_ENTRIES = 1 << 15  # entries per kept (x, z) slab of one block of the ternary contraction
 NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
@@ -68,6 +75,11 @@ class LocalContext2:
         return GroupVector.from_index(self.linear.p, self.linear.n, idx)
 
 
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a[j0] * b[j1] for every (j0, j1), j0-major."""
+    return (a[:, None] * b[None]).reshape((-1,) + a.shape[1:])
+
+
 def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> complex:
     """The bipartite average over parts U (any number of vertices) and V
     (at most three vertices):
@@ -78,7 +90,8 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> comple
     where values[u, v] = g_uv is an array on the group (conjugated by the
     caller where the pattern asks for it). Once the y's are fixed the
     x_u-averages are independent: a mean for one y-vertex, one matmul for
-    two, an einsum for three. Each distinct (x members, y members) pair of
+    two, and for three one matmul of the outer rows of the first two tables
+    with the third. Each distinct (x members, y members) pair of
     arrays, by identity, gets one sum table t[j, i] = y_j + x_i. Raises
     CapExceeded when a sum table or an average would hold more than
     GRID_CAP entries. Counts the multiply-adds of the averages, |x_u| prod
@@ -102,7 +115,8 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> comple
         elif len(ys) == 2:
             avg = mats[0] @ mats[1].T / x.size
         else:
-            avg = np.einsum("ax,bx,cx->abc", *mats) / x.size
+            avg = (_outer_rows(mats[0], mats[1]) @ mats[2].T).reshape(
+                [m.shape[0] for m in mats]) / x.size
         prod = avg if prod is None else prod * avg
     return complex(prod.mean())
 
@@ -188,183 +202,276 @@ def _member_tensor(ctx: LocalContext3, g: GroupFunction) -> np.ndarray:
     return g.values[ctx.factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
 
 
-def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows a[j0] * b[j1] for every (j0, j1), j0-major."""
-    return (a[:, None] * b[None]).reshape((-1,) + a.shape[1:])
+def _arrays(problem: tuple) -> list:
+    """Every array of a ternary problem, in one fixed order."""
+    xs, ys, zs, values, muv, muw, mvw = problem
+    return [*xs, *ys, *zs, *(g for g, _ in values.values()),
+            *muv.values(), *muw.values(), *mvw.values()]
 
 
-def _support(w: np.ndarray) -> np.ndarray | slice:
-    """Indices of the columns of w with a nonzero in some row; the whole
-    axis as a slice (a view, no gather) when every column has one."""
-    kept = np.logical_or.reduce(w, axis=0).nonzero()[0]
-    return slice(None) if kept.size == w.shape[1] else kept
-
-
-def _cut(a: np.ndarray, xk: np.ndarray | slice, zk: np.ndarray | slice) -> np.ndarray:
-    """a[..., xk, zk]: the kept members of the last two axes, in one gather."""
-    if isinstance(xk, slice) or isinstance(zk, slice):
-        return a[..., xk, :][..., zk]
-    return a[..., xk[:, None], zk]
-
-
-def _kept(keep: np.ndarray | slice, size: int) -> int:
-    """How many members of an axis of `size` a support keeps."""
-    return size if isinstance(keep, slice) else keep.size
-
-
-def _ternary_contract(sp: GroupSpace, xs: list, ys: list, zs: list, values: dict,
-                      muv: dict, muw: dict, mvw: dict) -> complex:
+def _ternary_contract(sp: GroupSpace, problems: list) -> np.ndarray:
     """The weighted ternary average over parts U, V (at most two vertices
-    each) and W (any number of vertices):
+    each) and W (any number of vertices), for each problem of a batch:
 
         E over x_u in xs[u], y_v in ys[v] of prod muv[u, v](x_u, y_v) times
         prod over w of E over z in zs[w] of prod muw[u, w](x_u, z)
         prod mvw[v, w](y_v, z) prod g_uvw[x_u + y_v + z],
 
-    where values[u, v, w] = (array, conjugated) and g_uvw is the array,
-    complex-conjugated when the flag is set.
+    where a problem is (xs, ys, zs, values, muv, muw, mvw), values[u, v, w]
+    = (array, conjugated) and g_uvw is the array, complex-conjugated when
+    the flag is set. Returns one complex value per problem, in order.
+
+    Problems whose arrays have the same types and are shared in the same
+    places are stacked along a leading context axis (`_Stack`), a block of
+    contexts at a time, and contracted together; a block of contexts holds
+    at most H_BLOCK_ENTRIES y-tuples and value entries. Raises CapExceeded
+    when some |x_u| |y_v| |z_w| exceeds TENSOR_CAP.
+    """
+    groups: dict[tuple, list] = {}
+    for i, problem in enumerate(problems):
+        xs, ys, zs, values, muv, muw, mvw = problem
+        if max(x.size for x in xs) * max(y.size for y in ys) * max(z.size for z in zs) > TENSOR_CAP:
+            raise CapExceeded("member tensor too large")
+        arrays = _arrays(problem)
+        seen: dict[int, int] = {}
+        key = (tuple(values), tuple([c for _, c in values.values()]), tuple(muv), tuple(muw),
+               tuple(mvw), len(xs), len(ys),
+               tuple([seen.setdefault(id(a), len(seen)) for a in arrays]),
+               tuple([a.dtype.char for a in arrays]))
+        groups.setdefault(key, []).append((i, arrays))
+    out = np.zeros(len(problems), dtype=np.complex128)
+    for group in groups.values():
+        nv = len(problems[group[0][0]][1])
+        longest = [max(problems[i][1][v].size for i, _ in group) for v in range(nv)]
+        step = max(1, H_BLOCK_ENTRIES // (math.prod(longest) + sp.size))  # contexts per block
+        for start in range(0, len(group), step):
+            block = group[start:start + step]
+            stack = _Stack(problems[block[0][0]], [arrays for _, arrays in block])
+            out[[i for i, _ in block]] = stack.contract(sp)
+    return out
+
+
+class _Stack:
+    """C ternary problems of one group, stacked along a leading context axis:
+    member arrays (C, |part|), value arrays (C, N) and weights (C, |a|, |b|),
+    each the stack of the arrays in the same place of every problem,
+    zero-padded to the longest. Arrays shared within a problem stay shared.
+    A padded member has zero weight with every other vertex, so it is never
+    kept; `lengths` holds each member array's true length per context.
 
     Once the y's are fixed the z-averages are independent: each is one
     weighted matrix product over (x_0, z) and (x_1, z), and the outer
-    average weights their product by muv. Blocks of y-tuples go through
-    one batched matmul; each temporary of a block holds at most
-    BLOCK_ENTRIES entries unless one y-tuple alone needs more. Member
-    tensors are y-major, t[j, i, k] = g(x_i + y_j + z_k), built once per
-    distinct (value array, member arrays) by identity and conjugated on
-    demand. W-vertices whose inputs repeat share one z-average. A
-    W-vertex whose inputs are an earlier slot's with every conjugate flag
-    flipped reads the conjugate of each of that slot's tensors; when its
-    z weights are real (checked, not assumed) its z-average is the
-    conjugate of that slot's, so it takes that and skips its own matmul.
+    average weights their product by muv. The weights vanish off a bilinear
+    level set, so each y-tuple (y_0, y_1) keeps exactly the x_u with
+    prod_v muv[u, v](x_u, y_v) != 0 and the z_w with prod_v mvw[v, w](y_v,
+    z_w) != 0; every dropped term has weight 0, and a y-tuple that keeps no
+    x_u or no z_w of a computed slot adds nothing. The y-tuples of every
+    context are grouped by their kept counts into buckets. A bucket goes in
+    blocks of at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the last
+    block holding what is left; each block gathers its members through
+    `spectral._index_sums`, takes one batched matmul of shape (P, |x_0|,
+    |z|) @ (P, |z|, |x_1|) per computed slot, and adds its values to their
+    contexts with `np.bincount`.
 
-    The weights vanish off a bilinear level set, so each block of y0 rows
-    keeps only the x_u with muv[u, 0](x_u, y0) != 0 and the z_w with
-    mvw[0, w](y0, z) != 0 for some y0 of the block; every dropped term has
-    weight 0. A block that keeps no x_u or no z_w of a computed slot adds
-    nothing and is skipped, and an axis kept whole is used as is, with no
-    gather. The number of y0 rows per block comes from the whole member
-    arrays, the number of y1's at a time from the members the rows keep: a
-    row that weights every member takes fewer y1's at a time than one that
-    keeps a third, so the temporaries, and the peak memory, do not depend
-    on which rows happen to keep everything. Counts, per block and
-    computed slot, the multiply-adds it does: |y-tuples| |x_0 kept|
-    |x_1 kept| |z kept|; a mirrored slot counts none.
+    W-vertices whose inputs repeat share one z-average. A W-vertex whose
+    inputs are an earlier slot's with every conjugate flag flipped reads the
+    conjugate of each of that slot's tensors; when its z weights are real
+    (checked, not assumed) its z-average is the conjugate of that slot's, so
+    it takes that and skips its own matmul. Counts the multiply-adds of each
+    computed slot, |x_0 kept| |x_1 kept| |z kept| per y-tuple; a mirrored
+    slot counts none. The index sums count their own entries.
     """
-    nu, nv, nw = len(xs), len(ys), len(zs)
-    for u, v, w in itertools.product(range(nu), range(nv), range(nw)):
-        if xs[u].size * ys[v].size * zs[w].size > TENSOR_CAP:
-            raise CapExceeded("member tensor too large")
-    grids: dict[tuple, np.ndarray] = {}
-    tensors: dict[tuple, np.ndarray] = {}
 
-    def tensor(u: int, v: int, w: int) -> np.ndarray:
-        g, conj = values[(u, v, w)]
-        members = (id(ys[v]), id(xs[u]), id(zs[w]))
-        raw = (id(g), False) + members
-        if raw not in tensors:
-            if members not in grids:
-                grids[members] = sp.sum_grid3(ys[v], xs[u], zs[w])
-            tensors[raw] = g[grids[members]]
-        key = (id(g), conj) + members
-        if key not in tensors:
-            tensors[key] = np.conj(tensors[raw])
-        return tensors[key]
-
-    # slot key -> [w, tensors or None, mirrored slot key or None, count]
-    slots: dict[tuple, list] = {}
-    for w in range(nw):
-        inputs = [values[(u, v, w)] for u in range(nu) for v in range(nv)]
-        weights = [muw[(u, w)] for u in range(nu)] + [mvw[(v, w)] for v in range(nv)]
-        rest = (id(zs[w]),) + tuple(id(m) for m in weights)
-        skey = (tuple((id(g), c) for g, c in inputs),) + rest
-        flipped = (tuple((id(g), not c) for g, c in inputs),) + rest
-        if skey in slots:
-            slots[skey][3] += 1
-        elif flipped in slots and all(np.isrealobj(m) for m in weights):
-            slots[skey] = [w, None, flipped, 1]
-        else:
-            slots[skey] = [w, [tensor(u, v, w) for u in range(nu) for v in range(nv)], None, 1]
-    mirrored = {m for _, _, m, _ in slots.values() if m is not None}
-    computed = [w for w, ts, _, _ in slots.values() if ts is not None]
-    denom = math.prod(a.size for a in (*xs, *ys))
-    xweights = [[muv[(u, v)].T for v in range(nv)] for u in range(nu)]
-
-    sy0 = ys[0].size
-    sy1 = ys[1].size if nv == 2 else 1
-
-    def per(kx: list, kz: list) -> int:  # entries of the widest temporary per y-tuple
-        return max([x * z for x in kx for z in kz] + [kx[0] * kx[-1]])
-
-    rows = max(1, BLOCK_ENTRIES // (per([a.size for a in xs], [a.size for a in zs]) * sy1))
-    total = 0.0
-    work = 0
-    for j0 in range(0, sy0, rows):
-        b0 = slice(j0, j0 + rows)
-        # the x_u and z_w members that some y0 of the block weights
-        xk = [_support(m[0][b0]) for m in xweights]
-        zk = {w: _support(mvw[(0, w)][b0]) for w in computed}
-        kx = [_kept(k, a.size) for k, a in zip(xk, xs)]
-        nz = [_kept(zk[w], zs[w].size) for w in computed]
-        if 0 in kx or 0 in nz:
-            continue  # every term of the block has a zero weight
-        nrows = min(j0 + rows, sy0) - j0
-        work += nrows * sy1 * math.prod(kx) * sum(nz)
-        cols = min(sy1, max(1, BLOCK_ENTRIES // (nrows * per(kx, nz))))
-        # the y0-only factors of each computed slot, the z weights on u = 0
-        heads = {}
-        for skey, (w, ts, _, _) in slots.items():
-            if ts is not None:
-                zweight = (_cut(muw[(0, w)], xk[0], zk[w])[None]
-                           * (mvw[(0, w)][b0, zk[w]][:, None, :] / zs[w].size))
-                heads[skey] = ([_cut(ts[0][b0], xk[0], zk[w]) * zweight]
-                               + [_cut(ts[u * nv][b0], xk[u], zk[w])
-                                  * _cut(muw[(u, w)], xk[u], zk[w])[None]
-                                  for u in range(1, nu)])
-        for j1 in range(0, sy1, cols):
-            b1 = slice(j1, j1 + cols)
-            prod = None
-            gs = {}
-            for skey, (w, ts, mirror, count) in slots.items():
-                if mirror is not None:
-                    g = np.conj(gs[mirror])
+    def __init__(self, problem: tuple, rows: list) -> None:
+        stack: dict[int, np.ndarray] = {}
+        self.lengths: dict[int, np.ndarray] = {}
+        for place, a in enumerate(rows[0]):
+            if id(a) not in stack:
+                parts = [r[place] for r in rows]
+                if all(b.shape == a.shape for b in parts):
+                    out = np.stack(parts)
                 else:
-                    r = heads[skey]
-                    if nv == 2:  # times the y1-only factors, the y1 z weights on u = 0
-                        tails = [_cut(ts[1][b1], xk[0], zk[w]) * mvw[(1, w)][b1, zk[w]][:, None, :]]
-                        tails += [_cut(ts[u * nv + 1][b1], xk[u], zk[w]) for u in range(1, nu)]
-                        r = [_outer_rows(h, t) for h, t in zip(r, tails)]
-                    g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
-                if skey in mirrored:  # kept only while a later slot needs it
-                    gs[skey] = g
-                for _ in range(count):
-                    prod = g if prod is None else prod * g
-            wx = [_outer_rows(m[0][b0, k], m[1][b1, k]) if nv == 2 else m[0][b0, k]
-                  for m, k in zip(xweights, xk)]
-            if nu == 1:
-                total += (wx[0] * prod).sum()
+                    out = np.zeros((len(parts),) + tuple(np.max([b.shape for b in parts], axis=0)),
+                                   dtype=a.dtype)
+                    for row, b in zip(out, parts):
+                        row[tuple(slice(k) for k in b.shape)] = b
+                stack[id(a)] = out
+                self.lengths[id(out)] = np.array([b.shape[0] for b in parts], dtype=np.float64)
+        xs, ys, zs, values, muv, muw, mvw = problem
+        self.xs = [stack[id(a)] for a in xs]
+        self.ys = [stack[id(a)] for a in ys]
+        self.zs = [stack[id(a)] for a in zs]
+        self.values = {k: (stack[id(g)], c) for k, (g, c) in values.items()}
+        self.muv, self.muw, self.mvw = ({k: stack[id(m)] for k, m in d.items()}
+                                        for d in (muv, muw, mvw))
+        self.nctx = len(rows)
+
+    def contract(self, sp: GroupSpace) -> np.ndarray:
+        """The C values, in order."""
+        xs, ys, zs, muv, muw, mvw = self.xs, self.ys, self.zs, self.muv, self.muw, self.mvw
+        nu, nv, nw = len(xs), len(ys), len(zs)
+        # slot key -> [w, mirrored slot key or None, count]
+        self.slots: dict[tuple, list] = {}
+        for w in range(nw):
+            inputs = [self.values[(u, v, w)] for u in range(nu) for v in range(nv)]
+            weights = [muw[(u, w)] for u in range(nu)] + [mvw[(v, w)] for v in range(nv)]
+            rest = (id(zs[w]),) + tuple(id(m) for m in weights)
+            skey = (tuple((id(g), c) for g, c in inputs),) + rest
+            flipped = (tuple((id(g), not c) for g, c in inputs),) + rest
+            if skey in self.slots:
+                self.slots[skey][2] += 1
+            elif flipped in self.slots and all(np.isrealobj(m) for m in weights):
+                self.slots[skey] = [w, flipped, 1]
             else:
-                total += (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).sum()
-    count_terms(work)
-    return complex(total / denom)
+                self.slots[skey] = [w, None, 1]
+        self.mirrored = {m for _, m, _ in self.slots.values() if m is not None}
+        computed = [w for w, m, _ in self.slots.values() if m is None]
+        # the kept members of x_u depend on its members and its y weights, of
+        # z_w likewise; vertices that share them share a class, named by its
+        # first vertex, and one gather
+        xkey = [(id(xs[u]),) + tuple(id(muv[(u, v)]) for v in range(nv)) for u in range(nu)]
+        self.xc = [xkey.index(k) for k in xkey]
+        zfirst: dict[tuple, int] = {}
+        self.zc = {w: zfirst.setdefault((id(zs[w]),) + tuple(id(mvw[(v, w)]) for v in range(nv)), w)
+                   for w in computed}
+        # nonzero weights, (C, |x|, |y_v|) per x class and (C, |y_v|, |z|) per z class
+        self.xmask = {u: [muv[(u, v)] != 0 for v in range(nv)] for u in dict.fromkeys(self.xc)}
+        self.zmask = {w: [mvw[(v, w)] != 0 for v in range(nv)]
+                      for w in dict.fromkeys(self.zc.values())}
+        counts = []  # kept members per y-tuple, (C, |y_0|, |y_1|) or (C, |y_0|)
+        for m0, *m1 in self.xmask.values():
+            counts.append(np.matmul(m0.transpose(0, 2, 1).astype(np.float64),
+                                    m1[0].astype(np.float64)) if m1 else m0.sum(axis=1))
+        for m0, *m1 in self.zmask.values():
+            counts.append(np.matmul(m0.astype(np.float64),
+                                    m1[0].transpose(0, 2, 1).astype(np.float64)) if m1
+                          else m0.sum(axis=2))
+        keys = np.stack([c.reshape(-1) for c in counts], axis=1).astype(np.int64)
+        live = np.flatnonzero((keys > 0).all(axis=1))
+        if not live.size:
+            return np.zeros(self.nctx, dtype=np.complex128)
+        order = np.lexsort(keys[live].T)
+        keys, order = keys[live[order]], live[order]  # y-tuples sorted by kept counts
+        # bucket b holds the sorted y-tuples edges[b]:edges[b + 1]
+        edges = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(),
+                 live.size]
+        ntuple = math.prod(y.shape[1] for y in ys)
+        sy1 = ys[-1].shape[1]
+        total = np.zeros(self.nctx, dtype=np.complex128)
+        work = 0
+        for lo, hi in zip(edges, edges[1:]):
+            kept = keys[lo].tolist()
+            kx = dict(zip(self.xmask, kept))
+            kz = dict(zip(self.zmask, kept[len(self.xmask):]))
+            per = max([kx[self.xc[u]] * kz[self.zc[w]] for u in range(nu) for w in computed]
+                      + [kx[self.xc[0]] * kx[self.xc[-1]]])
+            step = max(1, BLOCK_ENTRIES // per)
+            work += ((hi - lo) * math.prod(kx[c] for c in self.xc)
+                     * sum(kz[self.zc[w]] for w in computed))
+            for start in range(lo, hi, step):
+                t = order[start:min(start + step, hi)]
+                total += self.block(sp, t // ntuple, [(t % ntuple) // sy1, t % sy1][2 - nv:],
+                                    kx, kz)
+        count_terms(work)
+        return total / math.prod(self.lengths[id(a)] for a in (*xs, *ys))
+
+    def block(self, sp: GroupSpace, c: np.ndarray, j: list, kx: dict, kz: dict) -> np.ndarray:
+        """The summed values, per context, of one block of a bucket: y-tuple
+        i is (ys[v][c[i], j[v][i]]) and keeps kx[class] x's and kz[class]
+        z's."""
+        xs, ys, zs, muv, muw, mvw = self.xs, self.ys, self.zs, self.muv, self.muw, self.mvw
+        xc, zc = self.xc, self.zc
+        nu, nv = len(xs), len(ys)
+        size = len(c)
+        col, cube = c[:, None], c[:, None, None]
+
+        def kept(masks: list, count: int) -> np.ndarray:  # (P, count) member positions
+            both = masks[0]
+            for m in masks[1:]:
+                both = both & m
+            return np.nonzero(both)[1].reshape(size, count)
+
+        xk = {u: kept([m[c, :, jv] for m, jv in zip(ms, j)], kx[u]) for u, ms in self.xmask.items()}
+        zk = {w: kept([m[c, jv] for m, jv in zip(ms, j)], kz[w]) for w, ms in self.zmask.items()}
+        xg = {u: xs[u][col, k] for u, k in xk.items()}
+        zg = {w: zs[w][col, k] for w, k in zk.items()}
+        yg = [ys[v][c, jv] for v, jv in enumerate(j)]
+        sums: dict[tuple, np.ndarray] = {}
+        tensors: dict[tuple, np.ndarray] = {}
+
+        def tensor(u: int, v: int, w: int) -> np.ndarray:  # g_uvw[x_u + y_v + z], (P, |x_u|, |z|)
+            g, conj = self.values[(u, v, w)]
+            cls = (v, xc[u], zc[w])
+            key = (id(g),) + cls
+            if key not in tensors:
+                if cls[:2] not in sums:
+                    sums[cls[:2]] = _index_sums(sp, xg[xc[u]], yg[v][:, None])
+                if cls not in sums:
+                    sums[cls] = _index_sums(sp, sums[cls[:2]][:, :, None], zg[zc[w]][:, None, :])
+                tensors[key] = g.reshape(-1)[sums[cls] + cube * g.shape[1]]
+            return np.conj(tensors[key]) if conj else tensors[key]
+
+        weights: dict[tuple, np.ndarray] = {}
+
+        def xz_weight(u: int, w: int) -> np.ndarray:  # muw[u, w] on the kept (x_u, z)
+            m = muw[(u, w)]
+            key = (id(m), xc[u], zc[w])
+            if key not in weights:
+                rows = (col * m.shape[1] + xk[xc[u]]) * m.shape[2]
+                weights[key] = m.reshape(-1)[rows[:, :, None] + zk[zc[w]][:, None, :]]
+            return weights[key]
+
+        prod = None
+        gs = {}
+        for skey, (w, mirror, count) in self.slots.items():
+            if mirror is not None:
+                g = np.conj(gs[mirror])
+            else:
+                r = []
+                for u in range(nu):
+                    a = xz_weight(u, w) * tensor(u, 0, w)
+                    for v in range(1, nv):
+                        a *= tensor(u, v, w)
+                    r.append(a)
+                # the y z weights and 1/|z| go on u = 0 only
+                zweight = math.prod(mvw[(v, w)][col, j[v][:, None], zk[zc[w]]] for v in range(nv))
+                r[0] *= (zweight / self.lengths[id(zs[w])][col])[:, None, :]
+                g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
+            if skey in self.mirrored:  # kept only while a later slot needs it
+                gs[skey] = g
+            for _ in range(count):
+                prod = g if prod is None else prod * g
+        wx = [math.prod(muv[(u, v)][col, xk[xc[u]], j[v][:, None]] for v in range(nv))
+              for u in range(nu)]
+        if nu == 1:
+            val = (wx[0] * prod).sum(axis=1)
+        else:
+            val = (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).reshape(size)
+        return np.bincount(c, val.real, self.nctx) + 1j * np.bincount(c, val.imag, self.nctx)
 
 
-def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
-    """The mu-weighted eight-vertex expectation over the three atoms: the
-    ternary contraction with |U| = |V| = |W| = 2, slot (u, v, w) reading
-    octuple[4u + 2v + w], conjugated when u + v + w is odd."""
+_U3_SLOTS = [((u, v, w), (u + v + w) % 2 == 1) for u, v, w in itertools.product(range(2), repeat=3)]
+_PAIRS = list(itertools.product(range(2), repeat=2))
+
+
+def _u3_problem(ctx: LocalContext3, octuple: list[GroupFunction]) -> tuple:
+    """The local U^3 inner product as a ternary problem with |U| = |V| = |W|
+    = 2, slot (u, v, w) reading octuple[4u + 2v + w], conjugated when
+    u + v + w is odd."""
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
     for g in octuple:
         if (g.p, g.n) != (ctx.factor.p, ctx.factor.n):
             raise ValueError("function in wrong group")
-    values = {(u, v, w): (g.values, (u + v + w) % 2 == 1)
-              for (u, v, w), g in zip(itertools.product(range(2), repeat=3), octuple)}
-    two = range(2)
-    return _ternary_contract(
-        ctx.factor.space, [ctx.xs] * 2, [ctx.ys] * 2, [ctx.zs] * 2, values,
-        {(a, b): ctx.mu12 for a in two for b in two},
-        {(a, b): ctx.mu13 for a in two for b in two},
-        {(a, b): ctx.mu23 for a in two for b in two})
+    values = {k: (g.values, conj) for (k, conj), g in zip(_U3_SLOTS, octuple)}
+    return ([ctx.xs] * 2, [ctx.ys] * 2, [ctx.zs] * 2, values, dict.fromkeys(_PAIRS, ctx.mu12),
+            dict.fromkeys(_PAIRS, ctx.mu13), dict.fromkeys(_PAIRS, ctx.mu23))
+
+
+def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
+    """The mu-weighted eight-vertex expectation over the three atoms: the
+    ternary contraction of one problem."""
+    return complex(_ternary_contract(ctx.factor.space, [_u3_problem(ctx, octuple)])[0])
 
 
 def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
@@ -402,8 +509,23 @@ def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> co
     return complex(total / (s1 * s2 * s3) ** 2)
 
 
+def local_u3_norms(ctxs: list[LocalContext3], fs: list[GroupFunction],
+                   tol: float = DEFAULT_TOL) -> list[float]:
+    """The local U^3 norm of fs[i] at ctxs[i], for every i: one ternary
+    contraction over the diagonal octuples of the whole batch."""
+    if len(ctxs) != len(fs):
+        raise ValueError("need one function per context")
+    if not ctxs:
+        return []
+    sp = ctxs[0].factor.space
+    if any((c.factor.p, c.factor.n) != (sp.p, sp.n) for c in ctxs):
+        raise ValueError("contexts on different groups")
+    values = _ternary_contract(sp, [_u3_problem(c, [f] * 8) for c, f in zip(ctxs, fs)])
+    return [_root_of_diagonal(complex(v), 8, tol) for v in values]
+
+
 def local_u3_norm(ctx: LocalContext3, f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return _root_of_diagonal(local_u3_inner(ctx, [f] * 8), 8, tol)
+    return local_u3_norms([ctx], [f], tol)[0]
 
 
 def support_triples_consistent(ctx: LocalContext3) -> bool:

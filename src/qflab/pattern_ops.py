@@ -309,10 +309,11 @@ def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
     nsub = 1 << (m * m)
     values = {(i, j, s): (grid[(i + 1, j + 1, s)].values, False)
               for i in range(m) for j in range(m) for s in range(nsub)}
-    return _ternary_contract(factor.space, [ctx.xs] * m, [ctx.ys] * m, [ctx.zs] * nsub, values,
-                             {(i, j): ctx.mu12 for i in range(m) for j in range(m)},
-                             {(i, s): ctx.mu13 for i in range(m) for s in range(nsub)},
-                             {(j, s): ctx.mu23 for j in range(m) for s in range(nsub)})
+    problem = ([ctx.xs] * m, [ctx.ys] * m, [ctx.zs] * nsub, values,
+               {(i, j): ctx.mu12 for i in range(m) for j in range(m)},
+               {(i, s): ctx.mu13 for i in range(m) for s in range(nsub)},
+               {(j, s): ctx.mu23 for j in range(m) for s in range(nsub)})
+    return complex(_ternary_contract(factor.space, [problem])[0])
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -439,8 +440,8 @@ def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
     are independent once the x's and y's are fixed."""
     ctx = _TernaryContext(graph, factor, e)
     values = {t: (grid[t].values, False) for t in graph.all_tuples()}
-    return _ternary_contract(factor.space, ctx.xs, ctx.ys, ctx.zs, values,
-                             ctx.muv, ctx.muw, ctx.mvw)
+    problem = (ctx.xs, ctx.ys, ctx.zs, values, ctx.muv, ctx.muw, ctx.mvw)
+    return complex(_ternary_contract(factor.space, [problem])[0])
 
 
 def if_enumerate(graph: PatternHypergraph, factor: QuadraticFactor,
@@ -582,7 +583,7 @@ def weighted_ternary_density(ctx: LocalContext3, member: np.ndarray) -> tuple[fl
     target = ctx.target_indices()
     if target.size == 0:
         raise EmptyAtom(f"target atom {ctx.sigma.values} is empty")
-    value = _ternary_contract(ctx.factor.space, [ctx.xs], [ctx.ys], [ctx.zs],
-                              {(0, 0, 0): (member.astype(np.float64), False)},
-                              {(0, 0): ctx.mu12}, {(0, 0): ctx.mu13}, {(0, 0): ctx.mu23})
-    return value.real, float(member[target].mean())
+    problem = ([ctx.xs], [ctx.ys], [ctx.zs], {(0, 0, 0): (member.astype(np.float64), False)},
+               {(0, 0): ctx.mu12}, {(0, 0): ctx.mu13}, {(0, 0): ctx.mu23})
+    value = _ternary_contract(ctx.factor.space, [problem])[0]
+    return float(value.real), float(member[target].mean())

@@ -32,7 +32,8 @@ for a block of h it forms every derivative table a(u) b(u + h) in one
 complex buffer of shape (tables, h, N), at most H_BLOCK_ENTRIES entries, so
 one transform covers all of them. The whole-group shift table i + j is kept
 on the cached `GroupSpace` when it fits one block (N^2 <= H_BLOCK_ENTRIES);
-larger groups build their blocks of it as needed.
+larger groups read their sums from the tables of two smaller groups, one
+per half of the digits (`_index_sums`).
 """
 
 from __future__ import annotations
@@ -270,17 +271,33 @@ def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 def _index_sums(sp: GroupSpace, rows, cols) -> np.ndarray:
-    """s[i, j] = index of i + j for the group elements i in `rows` and j in
-    `cols` (slices or index arrays). Read from the group's cached
-    whole-group table when that table is one block (N^2 <=
-    H_BLOCK_ENTRIES), built by `sum_grid` otherwise. Counts one term per
-    entry, read or built."""
+    """s[rows, cols] for the table s[i, j] = index of i + j, indexed as a
+    numpy array: slices select a block, index arrays broadcast against each
+    other (a slice of rows spans its own axis, before the columns). Read
+    from the group's cached whole-group table when that table is one block
+    (N^2 <= H_BLOCK_ENTRIES). A larger group adds the low k = n // 2 digits
+    and the high n - k digits of each index in the tables of F_p^k and
+    F_p^(n-k), since addition in F_p^n carries nothing from one digit to the
+    next; one digit adds mod p. Counts one term per entry."""
+    out = _digit_sums(sp, rows, cols)
+    count_terms(out.size)
+    return out
+
+
+def _digit_sums(sp: GroupSpace, rows, cols) -> np.ndarray:
     if sp.size ** 2 <= H_BLOCK_ENTRIES:
-        table = sp.shift_table()[rows][:, cols]
-        count_terms(table.size)
-        return table
+        return sp.shift_table()[rows, cols]
     idx = np.arange(sp.size, dtype=np.int64)
-    return sp.sum_grid(idx[rows], idx[cols])
+    if isinstance(rows, slice):
+        rows = idx[rows][:, None]
+    if isinstance(cols, slice):
+        cols = idx[cols]
+    if sp.n == 1:
+        return (rows + cols) % sp.p
+    k = sp.n // 2
+    m = sp.p ** k
+    low = _digit_sums(space(sp.p, k), rows % m, cols % m)
+    return low + m * _digit_sums(space(sp.p, sp.n - k), rows // m, cols // m)
 
 
 def _derivative_blocks(sp: GroupSpace, pairs: list):

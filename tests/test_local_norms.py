@@ -260,13 +260,18 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
             call()
 
 
-def test_whole_axis_supports_are_used_without_a_gather(monkeypatch):
-    # a q = 0 factor weights every member from every y0, so every block
-    # keeps each axis whole, as a slice
-    kept = []
-    support = local_norms._support
-    monkeypatch.setattr(local_norms, "_support", lambda nz: kept.append(support(nz)) or kept[-1])
-    monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", 1)  # one y-tuple per block
+def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
+    # a q = 0 factor weights every pair, so every y-tuple keeps every x and
+    # every z: one bucket per call, as many y-tuples as the cosets give
+    blocks = []
+    block = local_norms._Stack.block
+    monkeypatch.setattr(local_norms._Stack, "block",
+                        lambda self, sp, c, j, kx, kz: blocks.append((len(c), kx, kz))
+                        or block(self, sp, c, j, kx, kz))
+    lin = new_linear_factor(3, 2, [(1, 0)])
     f = _random_f(3, 2, seed=70)
-    local_u3_dominates_check(new_linear_factor(3, 2, [(1, 0)]), (1,), (2,), (0,), f)
-    assert kept and all(isinstance(k, slice) for k in kept)
+    u3, u2, _ = local_u3_dominates_check(lin, (1,), (2,), (0,), f)
+    assert blocks == [(9, {0: 3}, {0: 3})]
+    d = DirectionTuple3(3, (1,), (2,), (0,), (), (), ())
+    ctx = LocalContext3(new_quadratic_factor(lin, []), d)
+    assert u3 ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real, rel=1e-10)

@@ -1,10 +1,11 @@
 """Property tests of the batched ternary contraction against its reference
 twins at every prime p in {3, 5, 7, 11, 13}: local U^3 on uneven atoms
 against the six-fold nested sum (for diagonal, distinct and conjugate-paired
-octuples), and m-IP2 against the per-subset oracle. Block budgets of a few
-y0 rows make each block keep only the x's and z's that its rows weight;
-those blocks are checked against the same twins, against a dense local IP2
-sum and against the ternary witness identity.
+octuples, and for batches of contexts of mixed atom sizes), and m-IP2
+against the per-subset oracle. Block budgets of a few y-tuples split the
+buckets of y-tuples into several blocks; those blocks are checked against
+the same twins, against a dense local IP2 sum and against the ternary
+witness identity.
 Needs the `hypothesis` test extra.
 """
 
@@ -28,7 +29,12 @@ from qflab.factor import (  # noqa: E402
     new_linear_factor,
     new_quadratic_factor,
 )
-from qflab.local_norms import LocalContext3, local_u3_inner, local_u3_inner_naive  # noqa: E402
+from qflab.local_norms import (  # noqa: E402
+    LocalContext3,
+    local_u3_inner,
+    local_u3_inner_naive,
+    local_u3_norms,
+)
 from qflab.pattern_ops import (  # noqa: E402
     FunctionGrid,
     LabelAssignment,
@@ -130,34 +136,73 @@ def test_ip2_matches_per_subset_oracle_across_primes(size, seed, diagonal):
     assert t_ip2(m, grid) == pytest.approx(slow, rel=1e-10, abs=1e-15)
 
 
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 4))
+def test_batched_norms_match_nested_sums_per_context(p, seed, count):
+    # one batch mixes the atom sizes of several random factors on one group
+    # and gives every context its own function (one context may repeat)
+    n = min(s[1] for s in FACTOR_SHAPES if s[0] == p)
+    ells = [s[2] for s in FACTOR_SHAPES if s[:2] == (p, n)]
+    ctxs = [_uneven_context(p, n, ells[k % len(ells)], seed + k) for k in range(count + 1)]
+    ctxs = [c for c in ctxs if c is not None]
+    assume(len({(c.xs.size, c.ys.size, c.zs.size) for c in ctxs}) > 1)
+    ctxs.append(ctxs[0])
+    rng = np.random.default_rng(seed + 4)
+    fs = [_bounded(rng, p, n) for _ in ctxs]
+    norms = local_u3_norms(ctxs, fs)
+    for ctx, f, norm in zip(ctxs, fs, norms):
+        slow = local_u3_inner_naive(ctx, [f] * 8)
+        assert norm ** 8 == pytest.approx(slow.real, rel=1e-10, abs=1e-14)
+
+
+def _record_blocks(monkeypatch) -> list:
+    """Patch the block step of the ternary contraction to record, per block,
+    (y-tuples, kept x counts, kept z counts)."""
+    blocks = []
+    block = local_norms._Stack.block
+    monkeypatch.setattr(local_norms._Stack, "block",
+                        lambda self, sp, c, j, kx, kz: blocks.append((len(c), kx, kz))
+                        or block(self, sp, c, j, kx, kz))
+    return blocks
+
+
 @pytest.mark.parametrize("budget", [54 * 5, 54 * 60])
 def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
-    # atoms of 6, 12 and 9 points: the widest slab is 6 x 9 = 54 entries, so
-    # 54 * 5 splits the one-y m = 1 IP2 into blocks of 5, 5 and 2 y's and
-    # takes local U^3 one y0 row per block (a row keeps 2 x's and 5 z's, so
-    # its 12 y1's fit one block), while 54 * 60 takes five whole y0 rows per
-    # U^3 block, leaving two for the last one
-    factor = new_quadratic_factor(new_linear_factor(3, 4, [(1, 0, 0, 0)]),
-                                  [np.eye(4, dtype=np.int64)])
-    d = DirectionTuple3(3, (0, 1), (1, 0), (0, 0), (0,), (0,), (0,))
+    # 270 entries: on atoms of 12, 9 and 12 points of a one-form factor the
+    # 32 y-tuples that keep 6 x's and 6 z's go 7 to a block (7, 7, 7, 7, 4);
+    # 3240 entries: on 9-point cosets of a factor with no form the one bucket
+    # of 81 y-tuples, each keeping 9 x's and 9 z's, goes 40, 40, 1
+    if budget == 54 * 5:
+        factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
+        d = DirectionTuple3(3, (2,), (0,), (2,), (0,), (0,), (0,))
+        split = [7, 7, 7, 7, 4]
+    else:
+        factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
+        d = DirectionTuple3(3, (1,), (2,), (0,), (), (), ())
+        split = [40, 40, 1]
     ctx = LocalContext3(factor, d)
-    assert (ctx.xs.size, ctx.ys.size, ctx.zs.size) == (6, 12, 9)
     rng = np.random.default_rng(11)
-    octu = [_bounded(rng, 3, 4) for _ in range(8)]
-    grid = FunctionGrid.ip2_select(1, _bounded(rng, 3, 4), _bounded(rng, 3, 4))
+    octu = [_bounded(rng, 3, 3) for _ in range(8)]
+    grid = FunctionGrid.ip2_select(1, _bounded(rng, 3, 3), _bounded(rng, 3, 3))
     whole = (local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid))
+    blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
-    split = (local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid))
-    assert split == pytest.approx(whole, rel=1e-12, abs=1e-15)
-    assert split[0] == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+    split_u3 = local_u3_inner(ctx, octu)
+    sizes = {}
+    for size, kx, kz in blocks:
+        sizes.setdefault((kx[0], kz[0]), []).append(size)
+    assert split in sizes.values()
+    split_ip2 = t_ip2_local(1, factor, d, grid)
+    assert (split_u3, split_ip2) == pytest.approx(whole, rel=1e-12, abs=1e-15)
+    assert split_u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
 
 
-def _block_budget(xs, ys, zs, rows):
-    """A BLOCK_ENTRIES under which the ternary contraction on members of
-    these sizes takes `rows` y0 rows and every y1 per block; rows = 0 gives
-    one y-tuple per block."""
-    per = max([x * z for x in xs for z in zs] + [xs[0] * xs[-1]])
-    return max(1, rows * per * (ys[1] if len(ys) == 2 else 1))
+def _block_budget(xs, zs, tuples):
+    """A BLOCK_ENTRIES under which a bucket of y-tuples that keep every
+    member of these sizes takes `tuples` of them per block, and a sparser
+    bucket more; tuples = 0 gives one y-tuple per block."""
+    return max(1, tuples * max([x * z for x in xs for z in zs] + [xs[0] * xs[-1]]))
 
 
 def _ip2_local_dense(ctx, grid):
@@ -174,18 +219,16 @@ def _ip2_local_dense(ctx, grid):
 @given(shape=st.sampled_from(FACTOR_SHAPES), seed=st.integers(0, 2 ** 32 - 1),
        diagonal=st.booleans(), rows=st.sampled_from([0, 1, 2]))
 def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
-    # at the default budget these small atoms run as one block whose support
-    # is the whole axis; a budget of a few y0 rows per block makes each
-    # block keep only the x's and z's its rows weight
+    # at the default budget each bucket of these small atoms is one block;
+    # a budget of a few dense y-tuples (rows) per block splits the buckets
     ctx = _uneven_context(*shape, seed)
     assume(ctx is not None)
     rng = np.random.default_rng(seed + 3)
     p, n, _ = shape
     octu = [_bounded(rng, p, n)] * 8 if diagonal else [_bounded(rng, p, n) for _ in range(8)]
     grid = FunctionGrid.ip2_select(1, _bounded(rng, p, n), _bounded(rng, p, n))
-    sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
-    u3_budget = _block_budget(*([s] * 2 for s in sizes), rows)
-    ip2_budget = _block_budget(*([s] for s in sizes), rows)
+    u3_budget = _block_budget([ctx.xs.size] * 2, [ctx.zs.size], rows)
+    ip2_budget = _block_budget([ctx.xs.size], [ctx.zs.size], rows)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
         u3 = local_u3_inner(ctx, octu)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
@@ -196,8 +239,9 @@ def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
 
 @pytest.mark.parametrize("b12,b23", [((1,), (0,)), ((0,), (1,))])
 def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
-    # y0 = 0 pairs to level 0 with every member, so the block of that row
-    # keeps no x (b12 = 1) or no z (b23 = 1); the other rows keep some
+    # y = 0 pairs to level 0 with every member, so a y-tuple holding it
+    # keeps no x (b12 = 1) or no z (b23 = 1) and joins no bucket; the other
+    # y-tuples keep some
     factor = new_quadratic_factor(new_linear_factor(5, 2, []), [np.eye(2, dtype=np.int64)])
     ctx = LocalContext3(factor, DirectionTuple3(5, (1,), (0,), (2,), b12, (1,), b23))
     zero = int(np.flatnonzero(ctx.ys == 0)[0])
@@ -206,10 +250,9 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
     rng = np.random.default_rng(21)
     octu = [_bounded(rng, 5, 2) for _ in range(8)]
     grid = FunctionGrid.ip2_select(1, _bounded(rng, 5, 2), _bounded(rng, 5, 2))
-    sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
     for rows in (0, 1):
-        u3_budget = _block_budget(*([s] * 2 for s in sizes), rows)
-        ip2_budget = _block_budget(*([s] for s in sizes), rows)
+        u3_budget = _block_budget([ctx.xs.size] * 2, [ctx.zs.size], rows)
+        ip2_budget = _block_budget([ctx.xs.size], [ctx.zs.size], rows)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
             u3 = local_u3_inner(ctx, octu)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
@@ -218,29 +261,25 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
         assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-15)
 
 
-def test_a_row_that_keeps_every_member_splits_its_y1s(monkeypatch):
-    # y0 = 0 pairs to level 0 with every member, so at b12 = b23 = 0 its row
-    # keeps all 12 x's and 12 z's while every other row keeps 6 and 6; each
-    # row's y1's are blocked by what the row keeps, so under a budget of four
-    # dense y-tuples the dense row takes its 9 y1's in blocks of 4, 4 and 1,
-    # the others all 9 at once, and no block forms a larger temporary
+def test_each_bucket_is_blocked_by_what_its_y_tuples_keep(monkeypatch):
+    # y = 0 pairs to level 0 with every member, so at b12 = b23 = 0 the
+    # y-tuple (0, 0) keeps all 12 x's and 12 z's, 32 other tuples keep 6
+    # and 6, and the remaining 48 keep 2 and 2; under a budget of four dense
+    # y-tuples each bucket takes as many tuples per block as fit what they
+    # keep, and no block forms a larger slab
     factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
     ctx = LocalContext3(factor, DirectionTuple3(3, (2,), (0,), (2,), (0,), (0,), (0,)))
     assert (ctx.xs.size, ctx.ys.size, ctx.zs.size) == (12, 9, 12)
     budget = 4 * 12 * 12
-    shapes = []
-    outer_rows = local_norms._outer_rows
-    monkeypatch.setattr(local_norms, "_outer_rows",
-                        lambda a, b: shapes.append(outer_rows(a, b).shape) or outer_rows(a, b))
+    blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
     rng = np.random.default_rng(31)
     octu = [_bounded(rng, 3, 3) for _ in range(8)]
     assert local_u3_inner(ctx, octu) == pytest.approx(
         local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
-    slabs = [s for s in shapes if len(s) == 3]
-    assert {s for s in slabs if s[1:] == (12, 12)} == {(4, 12, 12), (1, 12, 12)}
-    assert {s for s in slabs if s[1:] != (12, 12)} == {(9, 6, 6)}
-    assert max(math.prod(s) for s in slabs) <= budget
+    assert sorted((size, kx[0], kz[0]) for size, kx, kz in blocks) == [
+        (1, 12, 12), (16, 6, 6), (16, 6, 6), (48, 2, 2)]
+    assert max(size * kx[0] * max(kx[0], kz[0]) for size, kx, kz in blocks) <= budget
 
 
 @pytest.mark.parametrize("seed,rows", [(0, 0), (1, 1), (2, 2)])
@@ -270,7 +309,7 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
         {(v, w): level(y[v], z[w]) for v in range(2) for w in range(2)})
     ind = GroupFunction.indicator(3, 3, np.flatnonzero(member))
     indc = GroupFunction.indicator(3, 3, np.flatnonzero(~member))
-    sizes = [[factor.atom_indices(lab).size for lab in part] for part in (e.a, e.b, e.c)]
+    sizes = [[factor.atom_indices(lab).size for lab in part] for part in (e.a, e.c)]
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", _block_budget(*sizes, rows)):
         val = t_ternary(graph, factor, e, FunctionGrid.edge_select(graph, ind, indc))
     count = witness_count_ternary(graph, factor, e, member)

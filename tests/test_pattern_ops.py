@@ -73,6 +73,26 @@ def test_ip_average_matches_naive(m):
     assert t_ip(m, grid) == pytest.approx(t_ip_naive(m, grid), abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_ip_with_three_conditioned_vertices_matches_the_nested_sum(p):
+    # m = 3 conditions on three x's, the three-vertex branch of the binary
+    # contraction; the reference averages each y_S for every x-tuple in turn.
+    # t_ip_naive forms all p^11 terms at once, so it runs at p = 3 only
+    grid = FunctionGrid({(i, s): _random_f(p, 1, seed=100 * p + 8 * i + s)
+                         for i in range(1, 4) for s in range(8)})
+    ys = np.arange(p)
+    expected = 0.0
+    for xv in itertools.product(range(p), repeat=3):
+        term = 1.0
+        for s in range(8):
+            term *= np.prod([grid[(i + 1, s)].values[(xv[i] + ys) % p] for i in range(3)],
+                            axis=0).mean()
+        expected += term / p ** 3
+    assert t_ip(3, grid) == pytest.approx(expected, rel=1e-10, abs=1e-14)
+    if p == 3:
+        assert t_ip(3, grid) == pytest.approx(t_ip_naive(3, grid), rel=1e-10, abs=1e-14)
+
+
 def test_ip_local_with_trivial_factor_is_global():
     lin = new_linear_factor(3, 2, [])
     f = _random_f(3, 2, seed=1)
