@@ -249,7 +249,8 @@ def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
 
     With forms, each (label, rows, cols) is computed once per factor and
     every later call returns the same read-only array, so callers can
-    recognize equal weights by identity.
+    recognize equal weights by identity. Building a matrix counts
+    |rows| |cols| q terms, one per form value; a cached one counts none.
     """
     if factor.q == 0:
         return np.ones((np.asarray(rows).size, np.asarray(cols).size))
@@ -273,6 +274,7 @@ def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
             ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
         mu = ok * weight
         mu.flags.writeable = False
+        count_terms(ok.size * factor.q)
         cache[key] = mu
     return cache[key]
 

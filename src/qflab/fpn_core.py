@@ -248,9 +248,12 @@ class SymmetricForm:
 
 def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     """Bring the 2-D array m, entries already reduced mod p, to reduced row
-    echelon form over F_p in place; return the pivot columns in order."""
+    echelon form over F_p in place; return the pivot columns in order.
+    Counts one term per entry of each row operation (scaling a pivot row or
+    clearing a column from another row)."""
     rows, cols = m.shape
     pivots: list[int] = []
+    ops = 0
     for col in range(cols):
         rank = len(pivots)
         if rank == rows:
@@ -260,15 +263,19 @@ def _row_reduce(m: np.ndarray, p: int) -> list[int]:
             continue
         m[[rank, pivot]] = m[[pivot, rank]]
         m[rank] = (m[rank] * pow(int(m[rank, col]), p - 2, p)) % p
+        ops += 1
         for r in range(rows):
             if r != rank and m[r, col] != 0:
                 m[r] = (m[r] - m[r, col] * m[rank]) % p
+                ops += 1
         pivots.append(col)
+    count_terms(ops * cols)
     return pivots
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
+    """Rank of an integer matrix over F_p by Gaussian elimination; counts
+    the entries of its row operations."""
     m = np.array(matrix, dtype=np.int64) % p
     if m.size == 0:
         return 0

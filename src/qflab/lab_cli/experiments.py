@@ -72,13 +72,14 @@ from ..pattern_ops import (
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
+    _TernaryContext,
     bipartite_normalization,
     t_bipartite,
     t_ip,
     t_ip2,
     t_ip2_local,
     t_ip_local,
-    t_ternary,
+    t_ternaries,
     ternary_normalization,
     weighted_ternary_density,
     witness_count_bipartite,
@@ -175,7 +176,7 @@ def _standard_factor(p: int, n: int, ell: int, q: int) -> QuadraticFactor:
 
 
 def _label(rng: np.random.Generator, p: int, width: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in rng.integers(0, p, size=width))
+    return tuple(rng.integers(0, p, size=width).tolist())
 
 
 def _direction3(rng: np.random.Generator, factor: QuadraticFactor) -> DirectionTuple3:
@@ -565,9 +566,13 @@ def _run_bil_sizes(cfg: dict) -> RunResult:
 
 
 def _est_bil_sizes(cfg: dict) -> int:
-    # every level set is updated once per punctured line of F_p^q, at each n
-    p, q = cfg["p"], cfg["q"]
-    return len(cfg["n_values"]) * p ** q * ((p ** q - 1) // (p - 1))
+    # every level set is updated once per punctured line of F_p^q, at each
+    # n; each line's form combination is diagonal, so its rank takes one
+    # scaling of each of its n rows, and the linear factor's check one per
+    # vector
+    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
+    lines = (p ** q - 1) // (p - 1)
+    return sum(lines * (p ** q + n * n) + ell * n for n in cfg["n_values"])
 
 
 def _run_genbilsums(cfg: dict) -> RunResult:
@@ -1209,9 +1214,13 @@ def _run_counting_binary(cfg: dict) -> RunResult:
 
 
 def _est_counting_binary(cfg: dict) -> int:
+    # per trial: the witness count and the operator each take a sum table
+    # per pair and coset^nv b-tuples per a-vertex's coset; each pair's local
+    # U^2 norm takes one sum table and averages two x's over coset^2 y-pairs
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     nu, nv = cfg["parts"]
-    per_trial = coset ** (nv + 1) * nu + coset ** 2 * nu * nv + nu * nv * coset ** 3
+    per_trial = (2 * (coset ** (nv + 1) * nu + coset ** 2 * nu * nv)
+                 + nu * nv * (2 * coset ** 3 + coset ** 2))
     return cfg["trials"] * per_trial
 
 
@@ -1231,11 +1240,9 @@ def _ternary_graphs(max_part: int):
 
 
 def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
-                       graph: PatternHypergraph):
-    """A seeded label assignment in which every atom and pair level set in
-    sight is nonempty; None when no such assignment is found."""
-    from ..pattern_ops import _TernaryContext
-
+                       graph: PatternHypergraph) -> _TernaryContext | None:
+    """The context of a seeded label assignment in which every atom and pair
+    level set in sight is nonempty; None when no such assignment is found."""
     w, q = factor.ell + factor.q, factor.q
     for _ in range(ASSIGNMENT_ATTEMPTS):
         e = LabelAssignment(
@@ -1250,10 +1257,9 @@ def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
              for v in range(graph.nv) for ww in range(graph.nw)},
         )
         try:
-            _TernaryContext(graph, factor, e)
+            return _TernaryContext(graph, factor, e)
         except DegenerateContext:
             continue
-        return e
     return None
 
 
@@ -1266,45 +1272,59 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
     coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
     trials = []
-    pending = []  # (trial slot, base, t_val, density product, m, first and last norm)
+    patterns = []  # (trial slot, trial id, base, witness count, normalization)
+    pattern_ctxs = []
+    pending = []  # (trial slot, trial id, base, pattern, density product, m, first and last norm)
     ctxs, fs = [], []
+    targets: dict[tuple, tuple | None] = {}  # atom label -> (density, balanced indicator)
     for gi, graph in enumerate(_ternary_graphs(cfg["max_part"])):
         base = {"parts": [graph.nu, graph.nv, graph.nw],
                 "edges": sorted(graph.edges)}
-        e = _sample_assignment(_trial_rng(cfg["seed"], gi), factor, graph)
-        if e is None:
+        ctx = _sample_assignment(_trial_rng(cfg["seed"], gi), factor, graph)
+        if ctx is None:
             trials.append(make_degenerate(2 * gi, base, "no nondegenerate labels found"))
             continue
-        grid = FunctionGrid.edge_select(graph, ind, coind)
-        t_val = t_ternary(graph, factor, e, grid).real
-        count = witness_count_ternary(graph, factor, e, bits)
-        norm = ternary_normalization(graph, factor, e)
-        identity_err = abs(t_val * float(norm) - count)
-        trials.append(make_trial(2 * gi, base | {"check": "witness-identity"},
-                                 identity_err, tol * max(1.0, float(count)),
-                                 detail={"count": count}))
+        count = witness_count_ternary(graph, factor, ctx.e, bits, ctx)
+        norm = ternary_normalization(graph, factor, ctx.e, ctx)
+        patterns.append((len(trials), 2 * gi, base, count, norm))
+        pattern_ctxs.append(ctx)
+        trials.append(None)
         prod = 1.0
         first = len(ctxs)
         for (u, v, w) in graph.all_tuples():
-            d3 = e.triple_direction(p, u, v, w)
-            target = factor.atom_indices(sigma3(factor, d3).values)
-            if target.size == 0:
+            ctx3 = ctx.local(u, v, w)
+            label = ctx3.sigma.values
+            if label not in targets:
+                target = ctx3.target_indices()
+                targets[label] = None
+                if target.size:
+                    alpha = float(bits[target].mean())
+                    targets[label] = (alpha, _indicator_minus(p, n, bits, alpha))
+            if targets[label] is None:
                 trials.append(make_degenerate(2 * gi + 1, base, "target atom is empty"))
                 del ctxs[first:], fs[first:]
                 break
-            alpha = float(bits[target].mean())
+            alpha, balanced = targets[label]
             prod *= alpha if (u, v, w) in graph.edges else 1.0 - alpha
-            ctxs.append(LocalContext3(factor, d3))
-            fs.append(_indicator_minus(p, n, bits, alpha))
+            ctxs.append(ctx3)
+            fs.append(balanced)
         else:
             m = max(graph.nu, graph.nv, graph.nw)
-            pending.append((len(trials), 2 * gi + 1, base, t_val, prod, m, first, len(ctxs)))
+            pending.append((len(trials), 2 * gi + 1, base, len(patterns) - 1, prod, m, first,
+                            len(ctxs)))
             trials.append(None)
-    # the density-product trials, once every norm is known
+    # the operators and the norms, each in one contraction, then the trials
+    grids = [FunctionGrid.edge_select(c.graph, ind, coind) for c in pattern_ctxs]
+    t_vals = [v.real for v in t_ternaries(pattern_ctxs, grids)]
+    for (slot, tid, base, count, norm), t_val in zip(patterns, t_vals):
+        identity_err = abs(t_val * float(norm) - count)
+        trials[slot] = make_trial(tid, base | {"check": "witness-identity"},
+                                  identity_err, tol * max(1.0, float(count)),
+                                  detail={"count": count})
     norms = local_u3_norms(ctxs, fs)
-    for slot, tid, base, t_val, prod, m, first, last in pending:
+    for slot, tid, base, pattern, prod, m, first, last in pending:
         eps_meas = max([0.0] + norms[first:last])
-        delta = abs(t_val - prod)
+        delta = abs(t_vals[pattern] - prod)
         # the product-of-densities approximation carries a rank error term
         # on top of the norm term, so its deviation is reported, not asserted
         heuristic = 3.0 * eps_meas * m ** 3

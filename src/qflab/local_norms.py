@@ -193,6 +193,18 @@ class LocalContext3:
             raise DegenerateContext(str(exc)) from exc
         self.sigma: AtomLabel = sigma3(factor, d)
 
+    @classmethod
+    def from_arrays(cls, factor: QuadraticFactor, d: DirectionTuple3, members: tuple,
+                    weights: tuple) -> LocalContext3:
+        """The context of d on its member arrays (xs, ys, zs) and mu matrices
+        (mu12, mu13, mu23), already built and checked nonempty by the
+        caller."""
+        ctx = cls.__new__(cls)
+        ctx.factor, ctx.d = factor, d
+        (ctx.xs, ctx.ys, ctx.zs), (ctx.mu12, ctx.mu13, ctx.mu23) = members, weights
+        ctx.sigma = sigma3(factor, d)
+        return ctx
+
     def target_indices(self) -> np.ndarray:
         return self.factor.atom_indices(self.sigma.values)
 
@@ -221,11 +233,11 @@ def _ternary_contract(sp: GroupSpace, problems: list) -> np.ndarray:
     = (array, conjugated) and g_uvw is the array, complex-conjugated when
     the flag is set. Returns one complex value per problem, in order.
 
-    Problems whose arrays have the same types and are shared in the same
-    places are stacked along a leading context axis (`_Stack`), a block of
-    contexts at a time, and contracted together; a block of contexts holds
-    at most H_BLOCK_ENTRIES y-tuples and value entries. Raises CapExceeded
-    when some |x_u| |y_v| |z_w| exceeds TENSOR_CAP.
+    Problems of the same shape (the same vertices, slots, conjugate flags
+    and array types) are stacked along a leading context axis (`_Stack`), a
+    block of contexts at a time, and contracted together; a block of
+    contexts holds at most H_BLOCK_ENTRIES y-tuples and value entries.
+    Raises CapExceeded when some |x_u| |y_v| |z_w| exceeds TENSOR_CAP.
     """
     groups: dict[tuple, list] = {}
     for i, problem in enumerate(problems):
@@ -233,11 +245,8 @@ def _ternary_contract(sp: GroupSpace, problems: list) -> np.ndarray:
         if max(x.size for x in xs) * max(y.size for y in ys) * max(z.size for z in zs) > TENSOR_CAP:
             raise CapExceeded("member tensor too large")
         arrays = _arrays(problem)
-        seen: dict[int, int] = {}
         key = (tuple(values), tuple([c for _, c in values.values()]), tuple(muv), tuple(muw),
-               tuple(mvw), len(xs), len(ys),
-               tuple([seen.setdefault(id(a), len(seen)) for a in arrays]),
-               tuple([a.dtype.char for a in arrays]))
+               tuple(mvw), len(xs), len(ys), tuple([a.dtype.char for a in arrays]))
         groups.setdefault(key, []).append((i, arrays))
     out = np.zeros(len(problems), dtype=np.complex128)
     for group in groups.values():
@@ -252,12 +261,14 @@ def _ternary_contract(sp: GroupSpace, problems: list) -> np.ndarray:
 
 
 class _Stack:
-    """C ternary problems of one group, stacked along a leading context axis:
+    """C ternary problems of one shape, stacked along a leading context axis:
     member arrays (C, |part|), value arrays (C, N) and weights (C, |a|, |b|),
     each the stack of the arrays in the same place of every problem,
-    zero-padded to the longest. Arrays shared within a problem stay shared.
-    A padded member has zero weight with every other vertex, so it is never
-    kept; `lengths` holds each member array's true length per context.
+    zero-padded to the longest. Two places share one stack when every
+    problem holds the same array in both; an array that only some problems
+    share gets a stack per place. A padded member has zero weight with every
+    other vertex, so it is never kept; `lengths` holds each member array's
+    true length per context.
 
     Once the y's are fixed the z-averages are independent: each is one
     weighted matrix product over (x_0, z) and (x_1, z), and the outer
@@ -283,28 +294,41 @@ class _Stack:
     """
 
     def __init__(self, problem: tuple, rows: list) -> None:
-        stack: dict[int, np.ndarray] = {}
+        nctx, nplace = len(rows), len(rows[0])
+        ids = np.fromiter(map(id, itertools.chain.from_iterable(rows)), dtype=np.uint64,
+                          count=nctx * nplace).reshape(nctx, nplace)
+        # a place reuses the stack of the first place whose column of ids
+        # is the same: every problem of the block holds one array in both
+        columns = np.ascontiguousarray(ids.T).view(np.dtype((np.void, 8 * nctx))).reshape(-1)
+        _, first, inverse = np.unique(columns, return_index=True, return_inverse=True)
+        owner = first[inverse].tolist()
+        placed: list[np.ndarray] = []
         self.lengths: dict[int, np.ndarray] = {}
-        for place, a in enumerate(rows[0]):
-            if id(a) not in stack:
-                parts = [r[place] for r in rows]
-                if all(b.shape == a.shape for b in parts):
-                    out = np.stack(parts)
-                else:
-                    out = np.zeros((len(parts),) + tuple(np.max([b.shape for b in parts], axis=0)),
-                                   dtype=a.dtype)
-                    for row, b in zip(out, parts):
-                        row[tuple(slice(k) for k in b.shape)] = b
-                stack[id(a)] = out
-                self.lengths[id(out)] = np.array([b.shape[0] for b in parts], dtype=np.float64)
+        for place in range(nplace):
+            if owner[place] < place:
+                placed.append(placed[owner[place]])
+                continue
+            parts = [r[place] for r in rows]
+            shapes = [b.shape for b in parts]
+            if shapes.count(shapes[0]) == nctx:
+                stacked = np.stack(parts)
+            else:  # zero-pad: one scatter through the mask of true lengths
+                dims = np.array(shapes)
+                shape = dims.max(axis=0)
+                mask = np.ones((nctx, *shape), dtype=bool)
+                for k, size in enumerate(shape):
+                    mask &= (np.arange(size) < dims[:, k, None]).reshape(
+                        (nctx,) + (1,) * k + (size,) + (1,) * (shape.size - k - 1))
+                stacked = np.zeros(mask.shape, dtype=parts[0].dtype)
+                stacked[mask] = np.concatenate([b.reshape(-1) for b in parts])
+            placed.append(stacked)
+            self.lengths[id(stacked)] = np.array([d[0] for d in shapes], dtype=np.float64)
         xs, ys, zs, values, muv, muw, mvw = problem
-        self.xs = [stack[id(a)] for a in xs]
-        self.ys = [stack[id(a)] for a in ys]
-        self.zs = [stack[id(a)] for a in zs]
-        self.values = {k: (stack[id(g)], c) for k, (g, c) in values.items()}
-        self.muv, self.muw, self.mvw = ({k: stack[id(m)] for k, m in d.items()}
-                                        for d in (muv, muw, mvw))
-        self.nctx = len(rows)
+        it = iter(placed)
+        self.xs, self.ys, self.zs = ([next(it) for _ in part] for part in (xs, ys, zs))
+        self.values = {k: (next(it), c) for k, (_, c) in values.items()}
+        self.muv, self.muw, self.mvw = ({k: next(it) for k in d} for d in (muv, muw, mvw))
+        self.nctx = nctx
 
     def contract(self, sp: GroupSpace) -> np.ndarray:
         """The C values, in order."""

@@ -25,6 +25,7 @@ small instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +41,13 @@ from .factor import (
 )
 from .fpn_core import count_terms, space
 from .local_norms import GRID_CAP, LocalContext3, _binary_contract, _ternary_contract
-from .spectral import GroupFunction, _axis_dft, _derivative_blocks, _dft_kernel
+from .spectral import (
+    H_BLOCK_ENTRIES,
+    GroupFunction,
+    _axis_dft,
+    _derivative_blocks,
+    _dft_kernel,
+)
 
 MAX_IP_M = 3
 MAX_IP2_M = 2
@@ -373,28 +380,33 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
                             u_labels, v_labels, member: np.ndarray) -> int:
     """Number of tuples ((a_u), (b_v)) in the prescribed cosets with
     a_u + b_v in A exactly when (u, v) is an edge. Counted directly: for
-    each choice of the b's, multiply per-u counts of compatible a's.
-    Counts one term per (b's, a_u) candidate it tests."""
+    each choice of the b's, multiply per-u counts of compatible a's. Each
+    (u, v) pair gets one table of the (b_v, a_u) that match, read through
+    the sum table of the two cosets, and a block of b-tuples tests its
+    a-candidates with one gather per pair. Counts one term per (b's, a_u)
+    candidate it forms."""
     if graph.kind != "bipartite":
         raise ValueError("need a bipartite graph")
     sp = linear.space
     member = np.asarray(member, dtype=bool)
     xs = _coset_members(linear, u_labels)
     ys = _coset_members(linear, v_labels)
-    want = {(u, v): ((u, v) in graph.edges) for u in range(graph.nu) for v in range(graph.nv)}
-    total = visited = 0
-    for yv in itertools.product(*[ys[v] for v in range(graph.nv)]):
-        prod = 1
+    match = {(u, v): member[sp.sum_grid(ys[v], xs[u])] == ((u, v) in graph.edges)
+             for u in range(graph.nu) for v in range(graph.nv)}
+    sizes = [y.size for y in ys]
+    ntuple = math.prod(sizes)
+    step = max(1, H_BLOCK_ENTRIES // max(x.size for x in xs))  # b-tuples per block
+    total = 0
+    for start in range(0, ntuple, step):
+        j = np.unravel_index(np.arange(start, min(start + step, ntuple)), sizes)
+        prod = np.ones(j[0].size, dtype=np.int64)
         for u in range(graph.nu):
-            visited += xs[u].size
-            ok = np.ones(xs[u].size, dtype=bool)
-            for v in range(graph.nv):
-                ok &= member[sp.add(xs[u], int(yv[v]))] == want[(u, v)]
-            prod *= int(ok.sum())
-            if prod == 0:
-                break
-        total += prod
-    count_terms(visited)
+            ok = match[(u, 0)][j[0]]
+            for v in range(1, graph.nv):
+                ok &= match[(u, v)][j[v]]
+            prod *= ok.sum(axis=1)
+        total += int(prod.sum())
+    count_terms(ntuple * sum(x.size for x in xs))
     return total
 
 
@@ -415,6 +427,7 @@ class _TernaryContext:
             raise CapExceeded("ternary part W capped at 16")
         self.graph = graph
         self.factor = factor
+        self.e = e
         self.xs = [factor.atom_indices(tuple(lab)) for lab in e.a]
         self.ys = [factor.atom_indices(tuple(lab)) for lab in e.b]
         self.zs = [factor.atom_indices(tuple(lab)) for lab in e.c]
@@ -432,16 +445,37 @@ class _TernaryContext:
         except EmptyLevelSet as exc:
             raise DegenerateContext(str(exc)) from exc
 
+    def local(self, u: int, v: int, w: int) -> LocalContext3:
+        """The local U^3 context of the triple (u, v, w), on this context's
+        atoms and mu matrices."""
+        d = self.e.triple_direction(self.factor.p, u, v, w)
+        return LocalContext3.from_arrays(
+            self.factor, d, (self.xs[u], self.ys[v], self.zs[w]),
+            (self.muv[(u, v)], self.muw[(u, w)], self.mvw[(v, w)]))
+
+
+def t_ternaries(ctxs: list[_TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
+    """The ternary operator of every labeled hypergraph ctxs[i] on grids[i]:
+    one ternary contraction over the whole batch."""
+    if len(ctxs) != len(grids):
+        raise ValueError("need one grid per context")
+    if not ctxs:
+        return []
+    sp = ctxs[0].factor.space
+    if any((c.factor.p, c.factor.n, g.p, g.n) != (sp.p, sp.n) * 2 for c, g in zip(ctxs, grids)):
+        raise ValueError("contexts and grids on different groups")
+    problems = [(c.xs, c.ys, c.zs, {t: (g[t].values, False) for t in c.graph.all_tuples()},
+                 c.muv, c.muw, c.mvw) for c, g in zip(ctxs, grids)]
+    return [complex(v) for v in _ternary_contract(sp, problems)]
+
 
 def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
               e: LabelAssignment, grid: FunctionGrid) -> complex:
     """E over x_u, y_v, z_w in their atoms of all pair measures times the
     product of f_{u,v,w}(x_u + y_v + z_w) over ALL triples; the z_w-averages
-    are independent once the x's and y's are fixed."""
-    ctx = _TernaryContext(graph, factor, e)
-    values = {t: (grid[t].values, False) for t in graph.all_tuples()}
-    problem = (ctx.xs, ctx.ys, ctx.zs, values, ctx.muv, ctx.muw, ctx.mvw)
-    return complex(_ternary_contract(factor.space, [problem])[0])
+    are independent once the x's and y's are fixed. The batch of one of
+    `t_ternaries`."""
+    return t_ternaries([_TernaryContext(graph, factor, e)], [grid])[0]
 
 
 def if_enumerate(graph: PatternHypergraph, factor: QuadraticFactor,
@@ -481,14 +515,17 @@ def if_enumerate(graph: PatternHypergraph, factor: QuadraticFactor,
 
 
 def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
-                          e: LabelAssignment, member: np.ndarray) -> int:
+                          e: LabelAssignment, member: np.ndarray,
+                          ctx: _TernaryContext | None = None) -> int:
     """Number of configurations in I_F(e) whose membership pattern matches
     the edge set exactly: x_u + y_v + z_w in A iff (u, v, w) is an edge.
     Direct enumeration; the last W vertex is tested in a vectorized sweep.
-    Counts one term per (x's, y's) tuple, per tuple of the z's before the
-    last vertex (one empty tuple when |W| = 1) and per last-vertex z it
-    tests."""
-    ctx = _TernaryContext(graph, factor, e)
+    Reads the atoms and mu matrices of ctx, the context of (graph, factor,
+    e), built here when not given. Counts one term per (x's, y's) tuple,
+    per tuple of the z's before the last vertex (one empty tuple when
+    |W| = 1) and per last-vertex z it tests."""
+    if ctx is None:
+        ctx = _TernaryContext(graph, factor, e)
     graph_, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
     if graph_.nw > MAX_WITNESS_W:
         raise CapExceeded(f"brute witness counting capped at |W| = {MAX_WITNESS_W}")
@@ -548,12 +585,15 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
 
 
 def ternary_normalization(graph: PatternHypergraph, factor: QuadraticFactor,
-                          e: LabelAssignment) -> Fraction:
+                          e: LabelAssignment, ctx: _TernaryContext | None = None) -> Fraction:
     """The exact factor turning T_F(e)(1_A | 1_A^c) into the witness count:
-    product of all atom sizes times product over pairs of |beta| / p^(2n)."""
+    product of all atom sizes times product over pairs of |beta| / p^(2n).
+    Reads the atoms of ctx, the context of (graph, factor, e), built here
+    when not given."""
     from .factor import beta_sizes_cached
 
-    ctx = _TernaryContext(graph, factor, e)
+    if ctx is None:
+        ctx = _TernaryContext(graph, factor, e)
     out = Fraction(1)
     for arr in (*ctx.xs, *ctx.ys, *ctx.zs):
         out *= arr.size

@@ -25,6 +25,7 @@ from qflab.factor import (
     sigma2,
     sigma3,
 )
+from qflab.fpn_core import run_counted
 
 
 def _identity_factor(p: int, n: int, ell: int = 0):
@@ -127,6 +128,17 @@ def test_mu_weight_matrix_is_memoized_read_only():
         w[0, 0] = 0.0
     assert mu_weight_matrix(factor, (1,), rows, cols) is not w
     assert mu_weight_matrix(factor, (2,), cols, rows) is not w
+
+
+def test_mu_weight_matrix_counts_only_the_matrices_it_builds():
+    factor = _identity_factor(3, 3, ell=1)
+    beta_sizes_cached(factor)
+    rows, cols = factor.atom_indices((0, 1)), factor.atom_indices((1, 0))
+    w, terms = run_counted(mu_weight_matrix, factor, (2,), rows, cols)
+    assert terms == rows.size * cols.size * factor.q
+    assert run_counted(mu_weight_matrix, factor, (2,), rows, cols) == (w, 0)
+    flat = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
+    assert run_counted(mu_weight_matrix, flat, (), rows[:3], rows[:3])[1] == 0
 
 
 def test_mu_weight_matrix_values():

@@ -80,6 +80,14 @@ def test_rank_mod_p_known_values():
     assert rank_mod_p(np.zeros((0, 3), dtype=np.int64), 3) == 0
 
 
+def test_rank_mod_p_counts_the_entries_of_its_row_operations():
+    # 2I over F_3: one scaling per row, 3 rows of 3 entries; the all-ones
+    # 2 x 2 matrix: one scaling and one clearing of 2 entries each
+    assert run_counted(rank_mod_p, 2 * np.eye(3, dtype=np.int64), 3) == (3, 9)
+    assert run_counted(rank_mod_p, [[1, 1], [1, 1]], 3) == (1, 4)
+    assert run_counted(rank_mod_p, np.zeros((3, 3), dtype=np.int64), 3) == (0, 0)
+
+
 def test_nullspace_is_orthogonal_and_complete():
     rows = [(1, 0, 2), (0, 1, 1)]
     basis = nullspace_mod_p(rows, 3, 3)

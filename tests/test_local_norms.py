@@ -13,6 +13,7 @@ from qflab.factor import (
     DirectionTuple2,
     DirectionTuple3,
     QuadraticFactor,
+    mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
 )
@@ -275,3 +276,56 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
     d = DirectionTuple3(3, (1,), (2,), (0,), (), (), ())
     ctx = LocalContext3(new_quadratic_factor(lin, []), d)
     assert u3 ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real, rel=1e-10)
+
+
+def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
+    # four problems of the U^3 shape: x_0 and x_1 one array, x_0 and x_1
+    # separate arrays of equal size, atoms of other sizes, and a diagonal
+    # octuple whose odd W-vertex mirrors the even one; they share arrays in
+    # different places, so the stack shares none of those places
+    factor = _mixed_factor()
+    sp = factor.space
+    ctx = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
+    small = LocalContext3(factor, DirectionTuple3(3, (1, 1), (1, 2), (2, 1), (1,), (2,), (2,)))
+    fs = [_random_f(3, 3, seed=80 + k) for k in range(8)]
+    other = factor.atom_indices((1, 0))
+    assert other.size == ctx.xs.size and not np.array_equal(other, ctx.xs)
+    xs, ys, zs, values, muv, muw, mvw = local_norms._u3_problem(ctx, fs)
+    separate = ([ctx.xs, other], ys, zs, values,
+                muv | {(1, v): mu_weight_matrix(factor, (0,), other, ctx.ys) for v in range(2)},
+                muw | {(1, w): mu_weight_matrix(factor, (1,), other, ctx.zs) for w in range(2)},
+                mvw)
+    problems = [local_norms._u3_problem(ctx, fs), separate,
+                local_norms._u3_problem(small, fs[::-1]), local_norms._u3_problem(small, [fs[0]] * 8)]
+    singles = [local_norms._ternary_contract(sp, [q])[0] for q in problems]
+    assert min(abs(v) for v in singles) > 1.0
+    stacks = []
+    init = local_norms._Stack.__init__
+    monkeypatch.setattr(local_norms._Stack, "__init__",
+                        lambda self, problem, rows: stacks.append(len(rows))
+                        or init(self, problem, rows))
+    batch = local_norms._ternary_contract(sp, problems)
+    assert stacks == [4]
+    for got, want in zip(batch, singles):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypatch):
+    # the first context's three atoms are one array and its three measures
+    # one matrix, the second's are not: the stack still holds one array per
+    # part and per pair, and the odd W-vertex mirrors the even one
+    factor = _mixed_factor()
+    one = LocalContext3(factor, DirectionTuple3(3, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
+    assert one.xs is one.ys is one.zs and one.mu12 is one.mu13 is one.mu23
+    other = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
+    f = _random_f(3, 3, seed=90)
+    stacks = []
+    contract = local_norms._Stack.contract
+    monkeypatch.setattr(local_norms._Stack, "contract",
+                        lambda self, sp: stacks.append(self) or contract(self, sp))
+    norms = local_norms.local_u3_norms([one, other], [f, f])
+    (stack,) = stacks
+    assert len({id(a) for a in (*stack.xs, *stack.ys, *stack.zs)}) == 3
+    assert len({id(m) for d in (stack.muv, stack.muw, stack.mvw) for m in d.values()}) == 3
+    assert len(stack.mirrored) == 1
+    assert norms == pytest.approx([local_u3_norm(one, f), local_u3_norm(other, f)], rel=1e-12)

@@ -21,6 +21,7 @@ from qflab.pattern_ops import (
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
+    _TernaryContext,
     bipartite_normalization,
     if_enumerate,
     ip2_hypergraph,
@@ -31,13 +32,15 @@ from qflab.pattern_ops import (
     t_ip2_per_s_oracle,
     t_ip_local,
     t_ip_naive,
+    t_ternaries,
     t_ternary,
     ternary_normalization,
     weighted_ternary_density,
     witness_count_bipartite,
     witness_count_ternary,
 )
-from qflab import spectral
+from qflab import pattern_ops, spectral
+from qflab.fpn_core import run_counted
 from qflab.spectral import GroupFunction, u2_inner
 
 
@@ -241,6 +244,64 @@ def test_ternary_witness_identity(seed):
     norm = ternary_normalization(graph, factor, e)
     assert isinstance(norm, Fraction)
     assert val.real * float(norm) == pytest.approx(count, abs=1e-6 * max(1, count))
+
+
+def test_one_context_per_pattern_serves_every_ternary_routine():
+    # a prebuilt context gives what the routines give when they build their
+    # own, its triples' local contexts are LocalContext3's, and one batch of
+    # operators (x_0, x_1 one atom in one, two atoms in the other) matches
+    # the operators one at a time
+    factor = _mixed_factor()
+    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (1,), (2,))
+    graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2},
+                              frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
+    same = LabelAssignment.constant(graph, d)
+    mixed = LabelAssignment(((0, 1), (1, 0)), same.b, ((2, 1), (2, 2)),
+                            same.duv, same.duw, same.dvw)
+    mask, ind, indc = _indicator_pair(3, 3, seed=500)
+    grid = FunctionGrid.edge_select(graph, ind, indc)
+    ctxs = [_TernaryContext(graph, factor, e) for e in (same, mixed)]
+    for ctx, e in zip(ctxs, (same, mixed)):
+        count = witness_count_ternary(graph, factor, e, mask, ctx)
+        assert count == witness_count_ternary(graph, factor, e, mask)
+        norm = ternary_normalization(graph, factor, e, ctx)
+        assert norm == ternary_normalization(graph, factor, e)
+        assert t_ternary(graph, factor, e, grid).real * float(norm) == pytest.approx(
+            count, abs=1e-6 * max(1, count))
+        for u, v, w in graph.all_tuples():
+            local = ctx.local(u, v, w)
+            built = LocalContext3(factor, e.triple_direction(3, u, v, w))
+            assert (local.d, local.sigma) == (built.d, built.sigma)
+            for name in ("xs", "ys", "zs", "mu12", "mu13", "mu23"):
+                assert np.array_equal(getattr(local, name), getattr(built, name))
+    for got, e in zip(t_ternaries(ctxs, [grid] * 2), (same, mixed)):
+        assert got == pytest.approx(t_ternary(graph, factor, e, grid), rel=1e-12)
+
+
+def test_bipartite_witness_count_in_several_blocks(monkeypatch):
+    # 9^3 b-tuples in blocks of 7, the last holding one, give the explicit
+    # loop's count; every (b's, a_u) candidate is counted, and each pair's
+    # sum table
+    lin = new_linear_factor(3, 3, [(1, 0, 0)])
+    graph = PatternHypergraph("bipartite", {"U": 2, "V": 3},
+                              frozenset({(0, 0), (0, 2), (1, 1)}))
+    u_labels, v_labels = [(0,), (1,)], [(2,), (0,), (2,)]
+    mask = np.random.default_rng(600).random(27) < 0.5
+    sp = lin.space
+    xs = [lin.coset_indices(lab) for lab in u_labels]
+    ys = [lin.coset_indices(lab) for lab in v_labels]
+    want = 0
+    for b in itertools.product(*ys):
+        prod = 1
+        for u in range(2):
+            prod *= sum(all(mask[sp.add(int(a), int(b[v]))] == ((u, v) in graph.edges)
+                            for v in range(3)) for a in xs[u])
+        want += prod
+    assert want > 0
+    monkeypatch.setattr(pattern_ops, "H_BLOCK_ENTRIES", 63)
+    count, terms = run_counted(witness_count_bipartite, graph, lin, u_labels, v_labels, mask)
+    assert count == want
+    assert terms == 9 ** 3 * 18 + 6 * 81
 
 
 def test_configuration_count_matches_direct_masks():
