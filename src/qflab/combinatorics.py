@@ -114,23 +114,28 @@ class WitnessCertificate:
         return out
 
     def replay(self, mask: SubsetBitmask) -> bool:
-        """Re-run every membership test in the defining pattern with scalar
-        additions, independently of the search: pattern element i (a_i for
-        IP, a_i + b_j in code order for IP2) plus the completion of code s
-        lies in A iff bit i of s is set."""
+        """Re-run every membership test in the defining pattern, adding by
+        coordinates mod p, so it shares no code with the sum tables the
+        search reads: pattern element i (a_i for IP, a_i + b_j in code order
+        for IP2) plus the completion of code s lies in A iff bit i of s is
+        set."""
         if (mask.p, mask.n) != (self.p, self.n):
             return False
         sp = space(self.p, self.n)
+
+        def plus(x: int, y: int) -> int:
+            return sp.index_of([u + v for u, v in zip(sp.coords_of(x), sp.coords_of(y))])
+
         if self.kind == "IP":
             elements, completions = self.a, self.b
         elif self.kind == "IP2":
-            elements = [sp.add(a, b) for a in self.a for b in self.b]
+            elements = [plus(a, b) for a in self.a for b in self.b]
             completions = self.c
         else:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if len(completions) != 1 << len(elements):
             return False
-        return all(bool(mask.bits[sp.add(e, c)]) == bool(s >> i & 1)
+        return all(bool(mask.bits[plus(e, c)]) == bool(s >> i & 1)
                    for s, c in enumerate(completions) for i, e in enumerate(elements))
 
 

@@ -26,6 +26,9 @@ from .errors import AsymmetricForm, CapExceeded
 ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_TOL = 1e-9
+# entries of one block of a bounded buffer, and of the largest whole-group
+# sum table a GroupSpace keeps (N^2 <= H_BLOCK_ENTRIES)
+H_BLOCK_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +85,7 @@ class GroupSpace:
 
     Holds the digit table (canonical index -> coordinate vector) and the
     base-p place values, and exposes vectorized add/negate on indices.
+    Every sum of indices goes through `_sums`.
     """
 
     def __init__(self, p: int, n: int) -> None:
@@ -113,58 +117,75 @@ class GroupSpace:
         return int(arr @ self.powers)
 
     def add(self, a, b):
-        """Index-wise addition; accepts scalars or arrays, broadcasting."""
-        da = self.digits[np.asarray(a)].astype(np.int64)
-        db = self.digits[np.asarray(b)].astype(np.int64)
-        return ((da + db) % self.p) @ self.powers
+        """Index of a + b; accepts scalars or arrays, broadcasting. Counts
+        nothing."""
+        return self._sums(a, b)
 
     def neg(self, a):
         da = self.digits[np.asarray(a)].astype(np.int64)
         return ((-da) % self.p) @ self.powers
 
-    def sum_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix s[i, j] = index of a[i] + b[j]. Counts one term per entry."""
-        out = self._sum_table(a, b)
+    def sums(self, a, b) -> np.ndarray:
+        """s[a, b] for the table s[i, j] = index of i + j, indexed as a numpy
+        array: index arrays broadcast against each other, and a slice
+        selects a block (a slice of a spans its own axis, before b's).
+        Counts one term per entry."""
+        out = self._sums(a, b)
         count_terms(out.size)
         return out
+
+    def sum_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix s[i, j] = index of a[i] + b[j]. Counts one term per entry."""
+        return self.sums(np.asarray(a)[:, None], b)
 
     def sum_grid3(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Tensor s[i, j, k] = index of a[i] + b[j] + c[k]. Counts one term
         per entry."""
-        out = self._sum_table(a, b, c)
-        count_terms(out.size)
-        return out
+        return self.sums(self._sums(np.asarray(a)[:, None], b)[:, :, None], c)
 
     def shift_table(self) -> np.ndarray:
-        """The whole-group table s[i, j] = index of i + j, built on the first
-        call and kept read-only. Counts nothing: its readers count what they
-        read, so a run's tally does not depend on an earlier run."""
+        """The whole-group table s[i, j] = index of i + j, built from the
+        halves of the digits on the first call and kept read-only. Counts
+        nothing: its readers count what they read, so a run's tally does not
+        depend on an earlier run."""
         if self._shift_table is None:
-            idx = np.arange(self.size, dtype=np.int64)
-            table = self._sum_table(idx, idx)
+            table = self._split_sums(slice(None), slice(None))
             table.setflags(write=False)
             self._shift_table = table
         return self._shift_table
 
-    def _sum_table(self, *parts: np.ndarray) -> np.ndarray:
-        """Index of the sum over one member of each part, one axis per part.
+    def _sums(self, a, b):
+        """The one route for index addition, indexed like `sums`. Read from
+        the whole-group table when it has at most H_BLOCK_ENTRIES entries;
+        otherwise added by halves of the digits."""
+        if self.n > 1 and self.size ** 2 <= H_BLOCK_ENTRIES:
+            return self.shift_table()[a, b]
+        return self._split_sums(a, b)
 
-        Built one coordinate at a time from the top place down (Horner), so
-        the only temporaries are int8 digit sums the size of the output,
-        never a digit tensor with a trailing axis of length n.
-        """
-        k = len(parts)
-        # cols[j][i]: coordinate i of the members of part j, along axis j
-        cols = [self.digits[np.asarray(a)].T.reshape((self.n,) + (1,) * j + (-1,)
-                                                     + (1,) * (k - 1 - j))
-                for j, a in enumerate(parts)]
-        out = np.zeros([c.shape[1 + j] for j, c in enumerate(cols)], dtype=np.int64)
-        for i in reversed(range(self.n)):
-            s = cols[0][i] + cols[1][i]
-            for c in cols[2:]:
-                s = s + c[i]
-            out *= self.p
-            out += s % self.p
+    def _split_sums(self, a, b):
+        """Adds the low k = n // 2 digits and the high n - k digits of each
+        index in F_p^k and F_p^(n-k), since addition in F_p^n carries nothing
+        from one digit to the next; one digit adds mod p, and F_p^0 has only
+        the index 0. The high sums are scaled in place and the low ones added
+        in blocks of leading rows of at most H_BLOCK_ENTRIES entries (one row
+        when a row is longer), so the peak is the output plus one block."""
+        if isinstance(a, slice):
+            a = np.arange(*a.indices(self.size))[:, None]
+        if isinstance(b, slice):
+            b = np.arange(*b.indices(self.size))
+        if self.n <= 1:
+            return (a + b) % self.size
+        k = self.n // 2
+        m = self.p ** k
+        out = space(self.p, self.n - k)._sums(a // m, b // m)
+        out *= m
+        low = space(self.p, k)
+        if np.ndim(out) == 0:
+            return out + low._sums(a % m, b % m)
+        a, b = np.broadcast_arrays(a % m, b % m)
+        rows = max(1, H_BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
+        for start in range(0, len(out), rows):
+            out[start:start + rows] += low._sums(a[start:start + rows], b[start:start + rows])
         return out
 
 

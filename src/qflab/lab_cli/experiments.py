@@ -68,6 +68,8 @@ from ..local_norms import (
 )
 from ..pattern_ops import (
     MAX_BIPARTITE_PART,
+    MAX_IP2_M,
+    MAX_IP_M,
     MAX_WITNESS_W,
     FunctionGrid,
     LabelAssignment,
@@ -86,6 +88,7 @@ from ..pattern_ops import (
     witness_count_ternary,
 )
 from ..spectral import (
+    CORRELATION_SEARCH_CAP,
     GroupFunction,
     ap3_average,
     ap4_average,
@@ -161,6 +164,9 @@ def _gaussian_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
     return GroupFunction(p, n, vals)
 
 
+STANDARD_MAX_Q = 2  # forms the standard test factor has at most
+
+
 def _standard_factor(p: int, n: int, ell: int, q: int) -> QuadraticFactor:
     """Fixed full-rank test factor: e_1..e_ell plus the identity form (and a
     second alternating diagonal when q = 2)."""
@@ -170,8 +176,8 @@ def _standard_factor(p: int, n: int, ell: int, q: int) -> QuadraticFactor:
         forms.append(np.eye(n, dtype=np.int64))
     if q >= 2:
         forms.append(np.diag([(1, 2)[i % 2] for i in range(n)]).astype(np.int64))
-    if q > 2:
-        raise ConfigError("standard factor supports q <= 2")
+    if q > STANDARD_MAX_Q:
+        raise ConfigError(f"standard factor supports q <= {STANDARD_MAX_Q}")
     return new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
 
 
@@ -1607,6 +1613,15 @@ def _validate_config(name: str, cfg: dict) -> None:
         raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {SHIFT_TABLE_CAP}")
     if cfg.get("max_part", 1) > MAX_WITNESS_W:
         raise ConfigError(f"max_part exceeds the witness-count cap {MAX_WITNESS_W}")
+    m_cap = {"control-ip": MAX_IP_M, "control-ip-local": MAX_IP_M,
+             "control-ip2": MAX_IP2_M, "control-ip2-local-trend": MAX_IP2_M}.get(name)
+    if m_cap is not None and cfg["m"] > m_cap:
+        raise ConfigError(f"m = {cfg['m']} exceeds the pattern cap {m_cap}")
+    if cfg.get("q", 0) > STANDARD_MAX_Q:
+        raise ConfigError(f"standard factor supports q <= {STANDARD_MAX_Q}")
+    forms = p ** (cfg["n"] * (cfg["n"] + 1) // 2) if name == "inverse-oracle" else 0
+    if forms > CORRELATION_SEARCH_CAP:
+        raise ConfigError(f"{forms} candidate forms exceed the search cap {CORRELATION_SEARCH_CAP}")
     for ell in cfg.get("ell_values", [cfg["ell"]] if "ell" in cfg else []):
         if not _is_int(ell) or not 0 <= ell <= min(dims):
             raise ConfigError(f"ell must be an integer in [0, n] = [0, {min(dims)}], got {ell}")

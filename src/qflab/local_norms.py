@@ -38,15 +38,8 @@ from .factor import (
     sigma2,
     sigma3,
 )
-from .fpn_core import DEFAULT_TOL, GroupSpace, GroupVector, count_terms, space
-from .spectral import (
-    H_BLOCK_ENTRIES,
-    GroupFunction,
-    SpectrumTable,
-    _index_sums,
-    _root_of_diagonal,
-    fourier_transform,
-)
+from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, GroupVector, count_terms, space
+from .spectral import GroupFunction, SpectrumTable, _root_of_diagonal, fourier_transform
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
@@ -280,7 +273,7 @@ class _Stack:
     context are grouped by their kept counts into buckets. A bucket goes in
     blocks of at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the last
     block holding what is left; each block gathers its members through
-    `spectral._index_sums`, takes one batched matmul of shape (P, |x_0|,
+    `GroupSpace.sums`, takes one batched matmul of shape (P, |x_0|,
     |z|) @ (P, |z|, |x_1|) per computed slot, and adds its values to their
     contexts with `np.bincount`.
 
@@ -429,9 +422,9 @@ class _Stack:
             key = (id(g),) + cls
             if key not in tensors:
                 if cls[:2] not in sums:
-                    sums[cls[:2]] = _index_sums(sp, xg[xc[u]], yg[v][:, None])
+                    sums[cls[:2]] = sp.sums(xg[xc[u]], yg[v][:, None])
                 if cls not in sums:
-                    sums[cls] = _index_sums(sp, sums[cls[:2]][:, :, None], zg[zc[w]][:, None, :])
+                    sums[cls] = sp.sums(sums[cls[:2]][:, :, None], zg[zc[w]][:, None, :])
                 tensors[key] = g.reshape(-1)[sums[cls] + cube * g.shape[1]]
             return np.conj(tensors[key]) if conj else tensors[key]
 

@@ -39,15 +39,9 @@ from .factor import (
     QuadraticFactor,
     mu_weight_matrix,
 )
-from .fpn_core import count_terms, space
+from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
 from .local_norms import GRID_CAP, LocalContext3, _binary_contract, _ternary_contract
-from .spectral import (
-    H_BLOCK_ENTRIES,
-    GroupFunction,
-    _axis_dft,
-    _derivative_blocks,
-    _dft_kernel,
-)
+from .spectral import GroupFunction, _axis_dft, _derivative_blocks, _dft_kernel
 
 MAX_IP_M = 3
 MAX_IP2_M = 2

@@ -30,10 +30,7 @@ raises CapExceeded past p^n = U3_REFERENCE_CAP. `_derivative_blocks` is the
 block loop of `u3_inner` and of the global IP2 average `pattern_ops.t_ip2`:
 for a block of h it forms every derivative table a(u) b(u + h) in one
 complex buffer of shape (tables, h, N), at most H_BLOCK_ENTRIES entries, so
-one transform covers all of them. The whole-group shift table i + j is kept
-on the cached `GroupSpace` when it fits one block (N^2 <= H_BLOCK_ENTRIES);
-larger groups read their sums from the tables of two smaller groups, one
-per half of the digits (`_index_sums`).
+one transform covers all of them.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ import numpy as np
 from .errors import CapExceeded, NegativeDiagonal
 from .fpn_core import (
     DEFAULT_TOL,
+    H_BLOCK_ENTRIES,
     GroupSpace,
     GroupVector,
     SymmetricForm,
@@ -56,7 +54,6 @@ from .fpn_core import (
 
 NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
 U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
-H_BLOCK_ENTRIES = 1 << 18  # entries per buffer of one block of h; bounds memory
 CORRELATION_SEARCH_CAP = 3 ** 10  # most candidate forms the correlation oracle scans
 EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
@@ -251,7 +248,7 @@ def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
     N = sp.size
     if N * N > NAIVE_CAP:
         raise CapExceeded("group too large for the pairwise correlation table")
-    shift = _index_sums(sp, slice(None), slice(None))  # shift[x, h] = x + h
+    shift = sp.sums(slice(None), slice(None))  # shift[x, h] = x + h
     a = f00.values
     b = np.conj(f01.values)[shift]  # b[x, h] = conj f01(x + h)
     fcorr = (a[:, None] * b).mean(axis=0)  # F(h)
@@ -270,36 +267,6 @@ def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
 # U^3
 # ---------------------------------------------------------------------------
 
-def _index_sums(sp: GroupSpace, rows, cols) -> np.ndarray:
-    """s[rows, cols] for the table s[i, j] = index of i + j, indexed as a
-    numpy array: slices select a block, index arrays broadcast against each
-    other (a slice of rows spans its own axis, before the columns). Read
-    from the group's cached whole-group table when that table is one block
-    (N^2 <= H_BLOCK_ENTRIES). A larger group adds the low k = n // 2 digits
-    and the high n - k digits of each index in the tables of F_p^k and
-    F_p^(n-k), since addition in F_p^n carries nothing from one digit to the
-    next; one digit adds mod p. Counts one term per entry."""
-    out = _digit_sums(sp, rows, cols)
-    count_terms(out.size)
-    return out
-
-
-def _digit_sums(sp: GroupSpace, rows, cols) -> np.ndarray:
-    if sp.size ** 2 <= H_BLOCK_ENTRIES:
-        return sp.shift_table()[rows, cols]
-    idx = np.arange(sp.size, dtype=np.int64)
-    if isinstance(rows, slice):
-        rows = idx[rows][:, None]
-    if isinstance(cols, slice):
-        cols = idx[cols]
-    if sp.n == 1:
-        return (rows + cols) % sp.p
-    k = sp.n // 2
-    m = sp.p ** k
-    low = _digit_sums(space(sp.p, k), rows % m, cols % m)
-    return low + m * _digit_sums(space(sp.p, sp.n - k), rows // m, cols // m)
-
-
 def _derivative_blocks(sp: GroupSpace, pairs: list):
     """For each block of h, the buffer buf[k, j, u] = a_k(u) b_k(u + h_j)
     over the pairs (a_k, b_k) of complex tables, shape (len(pairs), h, N).
@@ -314,7 +281,7 @@ def _derivative_blocks(sp: GroupSpace, pairs: list):
     block = max(1, H_BLOCK_ENTRIES // (len(pairs) * N))
     pairs = [(a, np.asarray(b, dtype=np.complex128)) for a, b in pairs]
     for start in range(0, N, block):
-        shift = _index_sums(sp, slice(start, start + block), slice(None))  # h_j + u
+        shift = sp.sums(slice(start, start + block), slice(None))  # h_j + u
         buf = np.empty((len(pairs),) + shift.shape, dtype=np.complex128)
         for out, (a, b) in zip(buf, pairs):
             np.take(b, shift, out=out)
@@ -427,11 +394,11 @@ def _ap_average(f: GroupFunction, k: int) -> complex:
     idx = np.arange(sp.size, dtype=np.int64)
     whole = slice(None)
     v = f.values
-    prod = v[:, None] * v[_index_sums(sp, whole, whole)]  # x + d
+    prod = v[:, None] * v[sp.sums(whole, whole)]  # x + d
     step = idx
     for _ in range(2, k):
         step = sp.add(step, idx)  # j d
-        prod = prod * v[_index_sums(sp, whole, step)]  # x + j d
+        prod = prod * v[sp.sums(whole, step)]  # x + j d
     return complex(prod.mean())
 
 

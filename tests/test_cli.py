@@ -83,12 +83,19 @@ def test_bad_override_exits_two(capsys):
     ("counting-ternary", '{"max_part": 3}'),
     ("vc2-structure", '{"n": 7}'),
     ("atom-vc", '{"n": 9}'),
+    ("control-ip", '{"m": 4}'),
+    ("control-ip-local", '{"m": 4}'),
+    ("control-ip2", '{"m": 3}'),
+    ("control-ip2-local-trend", '{"m": 3}'),
+    ("vc2-structure", '{"q": 3}'),
+    ("inverse-oracle", '{"n": 5}'),
 ])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
     # each value must have the JSON type of its default (a bool is no
     # integer) and lie in its range: ell in [0, n], q >= 0 (>= 1 for the
     # level-set sizes), two parts in [1, 3], atom labels as wide as the
-    # factor, nonempty lists, and sizes within the kernels' caps
+    # factor, nonempty lists, and sizes, pattern orders, form counts and
+    # candidate counts within the kernels' caps
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
     for command in ("run", "estimate"):

@@ -276,3 +276,17 @@ def test_certificates_replay_on_their_set_only():
         completions = getattr(cert, key)
         assert not replace(cert, **{key: completions[1:2] + completions[1:]}).replay(mask)
         assert not replace(cert, **{key: completions[:-1]}).replay(mask)
+
+
+def test_replay_does_not_read_the_sum_table_the_search_reads(monkeypatch):
+    # one wrong entry of the cached table of F_3^2 (3 + 0 read as 4) makes
+    # the search certify a 3-IP the set does not have; replay adds by
+    # coordinates, so it rejects the certificate
+    sp = space(3, 2)
+    mask = SubsetBitmask.from_indices(3, 2, [0, 2, 4, 7])
+    assert has_k_ip(mask, 3) is None
+    bad = sp.shift_table().copy()
+    bad[3, 0] += 1
+    monkeypatch.setattr(sp, "_shift_table", bad)
+    cert = has_k_ip(mask, 3)
+    assert cert is not None and not cert.replay(mask)

@@ -9,8 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from qflab import fpn_core
 from qflab.errors import AsymmetricForm, CapExceeded
 from qflab.fpn_core import (
+    H_BLOCK_ENTRIES,
+    ODD_PRIMES,
     FieldPrime,
     GroupSpace,
     GroupVector,
@@ -64,6 +67,62 @@ def test_sum_grids_match_scalar_adds():
             assert grid[i, j] == sp.add(int(x), int(y))
             for k, z in enumerate(zs):
                 assert grid3[i, j, k] == sp.add(sp.add(int(x), int(y)), int(z))
+
+
+def _coordinate_sum(sp: GroupSpace):
+    """index_of of the coordinate sum, one scalar at a time, broadcasting."""
+    return np.vectorize(lambda *xs: sp.index_of(np.sum([sp.coords_of(int(x)) for x in xs],
+                                                       axis=0)), otypes=[np.int64])
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for n in (0, 1) for p in ODD_PRIMES]
+                         # read from the cached whole-group table
+                         + [(3, 3), (3, 5), (5, 3), (7, 2), (11, 2), (13, 2)]
+                         # added by halves of the digits, (3, 11) twice over
+                         + [(3, 6), (3, 7), (5, 4), (13, 3), (3, 11)])
+def test_index_addition_matches_coordinate_sums(p, n):
+    sp = space(p, n)
+    N = sp.size
+    plus = _coordinate_sum(sp)
+    rng = np.random.default_rng(100 * p + n)
+    a, b = (int(v) for v in rng.integers(0, N, 2))
+    assert sp.add(a, b) == plus(a, b)
+    assert run_counted(sp.add, a, b)[1] == 0
+    rows, cols = rng.integers(0, N, (7, 1)), rng.integers(0, N, (7, 5))
+    assert np.array_equal(sp.add(rows, cols), plus(rows, cols))
+    out, terms = run_counted(sp.sums, rows, cols)
+    assert np.array_equal(out, plus(rows, cols)) and terms == 35
+    # a slice of rows spans its own axis, before the columns
+    lo, hi = N // 3, max(N - 4, 0)
+    block, terms = run_counted(sp.sums, slice(lo, lo + 3), slice(hi, None))
+    want = plus(np.arange(lo, min(lo + 3, N))[:, None], np.arange(hi, N))
+    assert np.array_equal(block, want) and terms == want.size
+    block = sp.sums(slice(None), cols[0])
+    picks = rng.integers(0, N, 4)
+    assert block.shape == (N, 5) and np.array_equal(block[picks], plus(picks[:, None], cols[0]))
+    xs, ys, zs = (rng.integers(0, N, k) for k in (4, 3, 2))
+    grid, terms = run_counted(sp.sum_grid, xs, ys)
+    assert np.array_equal(grid, plus(xs[:, None], ys)) and terms == 12
+    grid3, terms = run_counted(sp.sum_grid3, xs, ys, zs)
+    assert np.array_equal(grid3, plus(xs[:, None, None], ys[:, None], zs)) and terms == 24
+    if N * N <= H_BLOCK_ENTRIES:
+        table, terms = run_counted(sp.shift_table)
+        assert terms == 0 and table is sp.shift_table()
+        assert np.array_equal(table[picks], plus(picks[:, None], np.arange(N)))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_index_addition_fills_split_sums_in_blocks(monkeypatch):
+    # a 40-entry threshold splits F_3^4 into F_3^2 halves, each split again,
+    # and adds the low halves 40 entries (two rows of 20 sums) at a time
+    monkeypatch.setattr(fpn_core, "H_BLOCK_ENTRIES", 40)
+    sp = space(3, 4)
+    plus = _coordinate_sum(sp)
+    xs, ys, zs = np.arange(81), np.arange(0, 81, 4), np.array([5, 80])
+    assert np.array_equal(sp.sum_grid(xs, ys), plus(xs[:, None], ys))
+    assert np.array_equal(sp.sum_grid3(xs, ys, zs), plus(xs[:, None, None], ys[:, None], zs))
+    assert sp.add(80, 79) == plus(80, 79)
 
 
 def test_group_space_cap():

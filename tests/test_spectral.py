@@ -138,23 +138,6 @@ def test_u3_inner_blocks_of_h_match_reference(monkeypatch):
     assert u3_inner(fs) == pytest.approx(u3_inner_naive(fs), abs=1e-12)
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (3, 6), (3, 7), (5, 4), (13, 3)])
-def test_index_sums_match_the_sum_grid(p, n):
-    # N^2 past H_BLOCK_ENTRIES reads the low and high digits from the tables
-    # of two smaller groups; below it, from the cached whole-group table
-    sp = space(p, n)
-    rng = np.random.default_rng(p * n)
-    rows = rng.integers(0, sp.size, 7)
-    cols = rng.integers(0, sp.size, (7, 5))
-    grid = sp.sum_grid(rows, cols.reshape(-1)).reshape(7, 7, 5)
-    assert np.array_equal(spectral._index_sums(sp, rows[:, None], cols),
-                          grid[np.arange(7), np.arange(7)])
-    block = spectral._index_sums(sp, slice(3, 6), slice(None))
-    assert np.array_equal(block, sp.sum_grid(np.arange(3, 6), np.arange(sp.size)))
-    assert np.array_equal(spectral._index_sums(sp, slice(None), rows),
-                          sp.sum_grid(np.arange(sp.size), rows))
-
-
 def test_u3_reference_is_capped():
     f = _random_f(3, 4, seed=3)
     with pytest.raises(CapExceeded):
