@@ -70,7 +70,7 @@ from ..pattern_ops import (
     MAX_BIPARTITE_PART,
     MAX_IP2_M,
     MAX_IP_M,
-    MAX_WITNESS_W,
+    MAX_TERNARY_UV,
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
@@ -1342,8 +1342,10 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
 
 
 def _est_counting_ternary(cfg: dict) -> int:
-    # per pattern: the witness count's (x's, y's) tuples, the operator with
-    # one computed slot per W-vertex, and one local U^3 norm per triple
+    # per pattern: the witness count's head tests on the (x's, y's) tuples,
+    # its z candidates for the tuples whose su sv pair weights each keep a
+    # p^-q share, and its su sv sw sum tables; the operator with one
+    # computed slot per W-vertex; and one local U^3 norm per triple
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     norm = _ternary_terms(cfg, smean, s2mean)
     total = 0
@@ -1351,8 +1353,11 @@ def _est_counting_ternary(cfg: dict) -> int:
         for sv in range(1, cfg["max_part"] + 1):
             for sw in range(1, cfg["max_part"] + 1):
                 shapes = 1 << (su * sv * sw)
+                pairs, heads = su * sv, smean ** (su + sv)
+                witness = (heads * (pairs + _kept_share(cfg, pairs) * sw * smean)
+                           + pairs * sw * smean ** 3)
                 operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
-                total += shapes * int(smean ** (su + sv) + operator + su * sv * sw * norm)
+                total += shapes * int(witness + operator + su * sv * sw * norm)
     return max(total, 1)
 
 
@@ -1611,8 +1616,8 @@ def _validate_config(name: str, cfg: dict) -> None:
         raise ConfigError(f"p^n = {size} exceeds the IP2 point cap {IP2_POINT_CAP}")
     if name in ("atom-vc", "coset-union-vc") and size ** 2 > SHIFT_TABLE_CAP:
         raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {SHIFT_TABLE_CAP}")
-    if cfg.get("max_part", 1) > MAX_WITNESS_W:
-        raise ConfigError(f"max_part exceeds the witness-count cap {MAX_WITNESS_W}")
+    if cfg.get("max_part", 1) > MAX_TERNARY_UV:
+        raise ConfigError(f"max_part exceeds the ternary U, V part cap {MAX_TERNARY_UV}")
     m_cap = {"control-ip": MAX_IP_M, "control-ip-local": MAX_IP_M,
              "control-ip2": MAX_IP2_M, "control-ip2-local-trend": MAX_IP2_M}.get(name)
     if m_cap is not None and cfg["m"] > m_cap:

@@ -235,8 +235,9 @@ def _ternary_contract(sp: GroupSpace, problems: list) -> np.ndarray:
     groups: dict[tuple, list] = {}
     for i, problem in enumerate(problems):
         xs, ys, zs, values, muv, muw, mvw = problem
-        if max(x.size for x in xs) * max(y.size for y in ys) * max(z.size for z in zs) > TENSOR_CAP:
-            raise CapExceeded("member tensor too large")
+        widest = max(x.size for x in xs) * max(y.size for y in ys) * max(z.size for z in zs)
+        if widest > TENSOR_CAP:
+            raise CapExceeded(f"|x| |y| |z| = {widest} exceeds the ternary cap {TENSOR_CAP}")
         arrays = _arrays(problem)
         key = (tuple(values), tuple([c for _, c in values.values()]), tuple(muv), tuple(muw),
                tuple(mvw), len(xs), len(ys), tuple([a.dtype.char for a in arrays]))

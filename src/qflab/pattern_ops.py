@@ -19,11 +19,13 @@ inner averages, in one of the two contractions of `local_norms`: the binary
 one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ip2_local,
 t_ternary and weighted_ternary_density. The global t_ip2 works on the
 frequency side instead. The naive nested sums are reference routes for
-small instances.
+small instances. The witness counts and |I_F(e)| are one blocked extension
+count, `_extension_count`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -46,7 +48,7 @@ from .spectral import GroupFunction, _axis_dft, _derivative_blocks, _dft_kernel
 MAX_IP_M = 3
 MAX_IP2_M = 2
 MAX_BIPARTITE_PART = 3
-MAX_WITNESS_W = 2
+MAX_TERNARY_UV = 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +350,45 @@ def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# extension counts
+# ---------------------------------------------------------------------------
+
+def _passing(tests: list, idx: list) -> np.ndarray:
+    """AND of the tests read at the head members idx (one array per head)."""
+    return functools.reduce(np.logical_and, (table[tuple([idx[h] for h in heads])]
+                                             for heads, table in tests))
+
+
+def _extension_count(head_sizes: list[int], head_tests: list, free_tests: list) -> int:
+    """Sum over the tuples of head members that pass every head test of the
+    product over the free vertices of how many members pass every test of
+    that vertex. A test is (heads, table), a boolean table indexed by the
+    members of one or two head vertices and, for free vertex f (listed in
+    free_tests[f], which is never empty), by f's member on the last axis.
+    Head tuples are taken in blocks of at most H_BLOCK_ENTRIES // (widest
+    free part). A block's products are Python integers when its sum could
+    overflow int64. Counts one term per head tuple and head test, and one
+    per (kept head tuple, free member) candidate."""
+    widths = [tests[0][1].shape[-1] for tests in free_tests]
+    ntuple = math.prod(head_sizes)
+    step = max(1, H_BLOCK_ENTRIES // max(widths))
+    dtype = np.int64 if step * math.prod(widths) < 1 << 63 else object
+    total = kept = 0
+    for start in range(0, ntuple, step):
+        idx = list(np.unravel_index(np.arange(start, min(start + step, ntuple)), head_sizes))
+        if head_tests:
+            ok = _passing(head_tests, idx)
+            idx = [i[ok] for i in idx]
+        prod = np.ones(idx[0].size, dtype=dtype)
+        for tests in free_tests:
+            prod *= _passing(tests, idx).sum(axis=1)
+        total += int(prod.sum())
+        kept += idx[0].size
+    count_terms(ntuple * len(head_tests) + kept * sum(widths))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # bipartite multi-local operator
 # ---------------------------------------------------------------------------
 
@@ -373,35 +414,20 @@ def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
 def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
                             u_labels, v_labels, member: np.ndarray) -> int:
     """Number of tuples ((a_u), (b_v)) in the prescribed cosets with
-    a_u + b_v in A exactly when (u, v) is an edge. Counted directly: for
-    each choice of the b's, multiply per-u counts of compatible a's. Each
-    (u, v) pair gets one table of the (b_v, a_u) that match, read through
-    the sum table of the two cosets, and a block of b-tuples tests its
-    a-candidates with one gather per pair. Counts one term per (b's, a_u)
-    candidate it forms."""
+    a_u + b_v in A exactly when (u, v) is an edge. The extension count with
+    the b's as heads and the a's as free vertices: each (u, v) pair gets one
+    table of the (b_v, a_u) that match, read through the sum table of the
+    two cosets. Counts one term per (b's, a_u) candidate it forms and per
+    sum-table entry."""
     if graph.kind != "bipartite":
         raise ValueError("need a bipartite graph")
     sp = linear.space
     member = np.asarray(member, dtype=bool)
     xs = _coset_members(linear, u_labels)
     ys = _coset_members(linear, v_labels)
-    match = {(u, v): member[sp.sum_grid(ys[v], xs[u])] == ((u, v) in graph.edges)
-             for u in range(graph.nu) for v in range(graph.nv)}
-    sizes = [y.size for y in ys]
-    ntuple = math.prod(sizes)
-    step = max(1, H_BLOCK_ENTRIES // max(x.size for x in xs))  # b-tuples per block
-    total = 0
-    for start in range(0, ntuple, step):
-        j = np.unravel_index(np.arange(start, min(start + step, ntuple)), sizes)
-        prod = np.ones(j[0].size, dtype=np.int64)
-        for u in range(graph.nu):
-            ok = match[(u, 0)][j[0]]
-            for v in range(1, graph.nv):
-                ok &= match[(u, v)][j[v]]
-            prod *= ok.sum(axis=1)
-        total += int(prod.sum())
-    count_terms(ntuple * sum(x.size for x in xs))
-    return total
+    free_tests = [[((v,), member[sp.sum_grid(ys[v], xs[u])] == ((u, v) in graph.edges))
+                   for v in range(graph.nv)] for u in range(graph.nu)]
+    return _extension_count([y.size for y in ys], [], free_tests)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +441,8 @@ class _TernaryContext:
                  e: LabelAssignment) -> None:
         if graph.kind != "ternary":
             raise ValueError("need a ternary hypergraph")
-        if graph.nu > 2 or graph.nv > 2:
-            raise CapExceeded("ternary parts U, V capped at 2")
+        if graph.nu > MAX_TERNARY_UV or graph.nv > MAX_TERNARY_UV:
+            raise CapExceeded(f"ternary parts U, V capped at {MAX_TERNARY_UV}")
         if graph.nw > 16:
             raise CapExceeded("ternary part W capped at 16")
         self.graph = graph
@@ -472,40 +498,33 @@ def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
     return t_ternaries([_TernaryContext(graph, factor, e)], [grid])[0]
 
 
+def _ternary_count(ctx: _TernaryContext, member: np.ndarray | None) -> int:
+    """The extension count of a labeled hypergraph: the x's and y's are the
+    heads, tested by mu(x_u, y_v) != 0, and the z's are free, tested by
+    mu(x_u, z_w) != 0 and mu(y_v, z_w) != 0 and, unless member is None, by
+    member[x_u + y_v + z_w] == ((u, v, w) in edges)."""
+    graph, sp = ctx.graph, ctx.factor.space
+    nu = graph.nu
+    head_tests = [((u, nu + v), mu != 0.0) for (u, v), mu in ctx.muv.items()]
+    free_tests = []
+    for w in range(graph.nw):
+        tests = [((u,), ctx.muw[(u, w)] != 0.0) for u in range(nu)]
+        tests += [((nu + v,), ctx.mvw[(v, w)] != 0.0) for v in range(graph.nv)]
+        if member is not None:
+            tests += [((u, nu + v), member[sp.sum_grid3(ctx.xs[u], ctx.ys[v], ctx.zs[w])]
+                       == ((u, v, w) in graph.edges))
+                      for u in range(nu) for v in range(graph.nv)]
+        free_tests.append(tests)
+    return _extension_count([a.size for a in ctx.xs + ctx.ys], head_tests, free_tests)
+
+
 def if_enumerate(graph: PatternHypergraph, factor: QuadraticFactor,
                  e: LabelAssignment) -> int:
     """|I_F(e)|: the number of configurations ((x_u), (y_v), (z_w)) in the
-    prescribed atoms satisfying every bilinear pair constraint."""
-    ctx = _TernaryContext(graph, factor, e)
-    graph_, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
-    muv = {k: m != 0.0 for k, m in ctx.muv.items()}
-    muw = {k: m != 0.0 for k, m in ctx.muw.items()}
-    mvw = {k: m != 0.0 for k, m in ctx.mvw.items()}
-    total = 0
-    for yv in itertools.product(*[range(a.size) for a in ys]):
-        for xv in itertools.product(*[range(a.size) for a in xs]):
-            ok = True
-            for u in range(graph_.nu):
-                for v in range(graph_.nv):
-                    if not muv[(u, v)][xv[u], yv[v]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            prod = 1
-            for w in range(graph_.nw):
-                mask = np.ones(zs[w].size, dtype=bool)
-                for v in range(graph_.nv):
-                    mask &= mvw[(v, w)][yv[v]]
-                for u in range(graph_.nu):
-                    mask &= muw[(u, w)][xv[u]]
-                prod *= int(mask.sum())
-                if prod == 0:
-                    break
-            total += prod
-    return total
+    prescribed atoms satisfying every bilinear pair constraint. The
+    extension count of `witness_count_ternary` without its membership
+    tests."""
+    return _ternary_count(_TernaryContext(graph, factor, e), None)
 
 
 def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
@@ -513,69 +532,14 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
                           ctx: _TernaryContext | None = None) -> int:
     """Number of configurations in I_F(e) whose membership pattern matches
     the edge set exactly: x_u + y_v + z_w in A iff (u, v, w) is an edge.
-    Direct enumeration; the last W vertex is tested in a vectorized sweep.
-    Reads the atoms and mu matrices of ctx, the context of (graph, factor,
-    e), built here when not given. Counts one term per (x's, y's) tuple,
-    per tuple of the z's before the last vertex (one empty tuple when
-    |W| = 1) and per last-vertex z it tests."""
+    Once the x's and y's are fixed the z_w are independent, so this is the
+    extension count with the x's and y's as heads. Reads the atoms and mu
+    matrices of ctx, the context of (graph, factor, e), built here when not
+    given. Counts one term per (x's, y's) tuple and pair test, per (kept
+    tuple, z_w) candidate, and per entry of the (x_u, y_v, z_w) sum tables."""
     if ctx is None:
         ctx = _TernaryContext(graph, factor, e)
-    graph_, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
-    if graph_.nw > MAX_WITNESS_W:
-        raise CapExceeded(f"brute witness counting capped at |W| = {MAX_WITNESS_W}")
-    sp = factor.space
-    member = np.asarray(member, dtype=bool)
-    want = {t: (t in graph_.edges) for t in graph_.all_tuples()}
-    muv = {k: m != 0.0 for k, m in ctx.muv.items()}
-    muw = {k: m != 0.0 for k, m in ctx.muw.items()}
-    mvw = {k: m != 0.0 for k, m in ctx.mvw.items()}
-    wlast = graph_.nw - 1
-    total = visited = 0
-    for xv in itertools.product(*[range(a.size) for a in xs]):
-        for yv in itertools.product(*[range(a.size) for a in ys]):
-            visited += 1
-            ok = all(muv[(u, v)][xv[u], yv[v]]
-                     for u in range(graph_.nu) for v in range(graph_.nv))
-            if not ok:
-                continue
-            head = itertools.product(*[range(zs[w].size) for w in range(wlast)])
-            for zhead in head:
-                visited += 1
-                ok2 = True
-                for w, zk in enumerate(zhead):
-                    for u in range(graph_.nu):
-                        if not muw[(u, w)][xv[u], zk]:
-                            ok2 = False
-                    for v in range(graph_.nv):
-                        if not mvw[(v, w)][yv[v], zk]:
-                            ok2 = False
-                    if not ok2:
-                        break
-                if ok2:
-                    for w, zk in enumerate(zhead):
-                        for u in range(graph_.nu):
-                            for v in range(graph_.nv):
-                                zi = int(zs[w][zk])
-                                s = sp.add(sp.add(int(xs[u][xv[u]]), int(ys[v][yv[v]])), zi)
-                                if member[s] != want[(u, v, w)]:
-                                    ok2 = False
-                if not ok2:
-                    continue
-                # vectorize the final z vertex
-                visited += zs[wlast].size
-                mask = np.ones(zs[wlast].size, dtype=bool)
-                for u in range(graph_.nu):
-                    mask &= muw[(u, wlast)][xv[u]]
-                for v in range(graph_.nv):
-                    mask &= mvw[(v, wlast)][yv[v]]
-                for u in range(graph_.nu):
-                    for v in range(graph_.nv):
-                        base = sp.add(int(xs[u][xv[u]]), int(ys[v][yv[v]]))
-                        sums = sp.add(np.full(zs[wlast].size, base, dtype=np.int64), zs[wlast])
-                        mask &= member[sums] == want[(u, v, wlast)]
-                total += int(mask.sum())
-    count_terms(visited)
-    return total
+    return _ternary_count(ctx, np.asarray(member, dtype=bool))
 
 
 def ternary_normalization(graph: PatternHypergraph, factor: QuadraticFactor,

@@ -265,6 +265,16 @@ def test_estimator_within_an_order_of_magnitude(name, reports):
     assert 0.1 <= ratio <= 10.0, f"{name}: est {est} vs actual {actual}"
 
 
+def test_counting_ternary_estimator_past_the_defaults():
+    # the witness counts' head tuples grow as |atom|^4, so their estimate
+    # is checked past the defaults too
+    report = run_experiment("counting-ternary", None, {"n": 4})
+    _, est = estimate_experiment("counting-ternary", None, {"n": 4})
+    actual = report["terms"]["actual"]
+    assert report["verdict"] == "pass"
+    assert 0.1 <= est / actual <= 10.0, f"est {est} vs actual {actual}"
+
+
 # --- report primitives ------------------------------------------------------
 
 

@@ -218,7 +218,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
         call()
     monkeypatch.setattr(local_norms, "TENSOR_CAP", ctx.xs.size * ctx.ys.size * ctx.zs.size - 1)
     for call in calls:
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^\|x\| \|y\| \|z\| = "):
             call()
     # global IP2 builds no member tensors; its derivative tables are capped
     # at p^(2n) <= NAIVE_CAP instead

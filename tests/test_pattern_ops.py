@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -304,6 +305,144 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
     assert terms == 9 ** 3 * 18 + 6 * 81
 
 
+# the ternary witness loop, kept as the capped reference twin of the
+# extension count
+LOOP_CAP = 1 << 22
+
+
+def _witness_count_loop(ctx, member=None) -> int:
+    """Configurations of the labeled hypergraph ctx whose pair weights are
+    all nonzero and, unless member is None, whose memberships match the
+    edges: explicit loops over the (x, y) tuples and the heads of the z's,
+    the last W-vertex tested in a vectorized sweep."""
+    graph, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
+    if math.prod(a.size for a in xs + ys + zs) > LOOP_CAP:
+        raise CapExceeded("witness loop too large")
+    sp = ctx.factor.space
+    muv = {k: m != 0.0 for k, m in ctx.muv.items()}
+    muw = {k: m != 0.0 for k, m in ctx.muw.items()}
+    mvw = {k: m != 0.0 for k, m in ctx.mvw.items()}
+
+    def matches(u, v, w, z):
+        if member is None:
+            return True
+        s = sp.add(sp.add(int(xs[u][xv[u]]), int(ys[v][yv[v]])), z)
+        return member[s] == ((u, v, w) in graph.edges)
+
+    wlast = graph.nw - 1
+    total = 0
+    for xv in itertools.product(*[range(a.size) for a in xs]):
+        for yv in itertools.product(*[range(a.size) for a in ys]):
+            if not all(muv[(u, v)][xv[u], yv[v]]
+                       for u in range(graph.nu) for v in range(graph.nv)):
+                continue
+            for zhead in itertools.product(*[range(zs[w].size) for w in range(wlast)]):
+                if not all(muw[(u, w)][xv[u], zk] and mvw[(v, w)][yv[v], zk]
+                           and matches(u, v, w, int(zs[w][zk]))
+                           for w, zk in enumerate(zhead)
+                           for u in range(graph.nu) for v in range(graph.nv)):
+                    continue
+                mask = np.ones(zs[wlast].size, dtype=bool)
+                for u in range(graph.nu):
+                    mask &= muw[(u, wlast)][xv[u]]
+                for v in range(graph.nv):
+                    mask &= mvw[(v, wlast)][yv[v]]
+                for u in range(graph.nu):
+                    for v in range(graph.nv):
+                        mask &= [matches(u, v, wlast, int(z)) for z in zs[wlast]]
+                total += int(mask.sum())
+    return total
+
+
+def _twin_factor(p):
+    """One form x . x, with one linear coordinate at p = 3: 3-point atoms on
+    F_3^3, and atoms of about p points on F_p^2 otherwise."""
+    if p == 3:
+        return _mixed_factor()
+    return new_quadratic_factor(new_linear_factor(p, 2, []), [np.eye(2, dtype=np.int64)])
+
+
+def _random_assignment(factor, graph, rng, through):
+    """Random labels; when `through`, the labels and pair levels of one
+    random configuration (returned with them), so that I_F(e) holds it."""
+    p, width = factor.p, factor.ell + factor.q
+    if not through:
+        def lab(_i):
+            return tuple(int(v) for v in rng.integers(0, p, width))
+
+        def level(_i, _j):
+            return tuple(int(v) for v in rng.integers(0, p, factor.q))
+        x, y, z = ([None] * k for k in (graph.nu, graph.nv, graph.nw))
+    else:
+        digits = factor.space.digits.astype(np.int64)
+        x, y, z = ([int(i) for i in rng.integers(0, factor.space.size, k)]
+                   for k in (graph.nu, graph.nv, graph.nw))
+
+        def lab(i):
+            return tuple(int(v) for v in factor.label_table[i])
+
+        def level(i, j):
+            return tuple(int(digits[i] @ f.as_array() @ digits[j] % p) for f in factor.forms)
+    e = LabelAssignment(
+        tuple(lab(i) for i in x), tuple(lab(i) for i in y), tuple(lab(i) for i in z),
+        {(u, v): level(x[u], y[v]) for u in range(graph.nu) for v in range(graph.nv)},
+        {(u, w): level(x[u], z[w]) for u in range(graph.nu) for w in range(graph.nw)},
+        {(v, w): level(y[v], z[w]) for v in range(graph.nv) for w in range(graph.nw)})
+    return e, (x, y, z)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (1, 2, 3), (2, 2, 3)])
+def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
+    # random sets; trials 0, 3 and 6 draw every label at random, the others
+    # take the labels of one random configuration, and trials 2, 5 and 8
+    # also take their edges from its memberships, so some counts are
+    # nonzero. Head tuples come in blocks of 40 // (widest atom of W),
+    # several of them with a partial last block.
+    monkeypatch.setattr(pattern_ops, "H_BLOCK_ENTRIES", 40)
+    factor = _twin_factor(p)
+    sp = factor.space
+    cells = list(itertools.product(*map(range, shape)))
+    rng = np.random.default_rng((700, p, *shape))
+    compared = partial_blocks = 0
+    nonzero = set()
+    for trial in range(9):
+        member = rng.random(sp.size) < 0.5
+        e, (x, y, z) = _random_assignment(
+            factor, PatternHypergraph("ternary", dict(zip("UVW", shape))), rng, trial % 3 > 0)
+        if trial % 3 == 2:
+            edges = {(u, v, w) for u, v, w in cells
+                     if member[sp.add(sp.add(x[u], y[v]), z[w])]}
+        else:
+            edges = {c for c in cells if rng.random() < 0.5}
+        graph = PatternHypergraph("ternary", dict(zip("UVW", shape)), frozenset(edges))
+        try:
+            ctx = _TernaryContext(graph, factor, e)
+        except DegenerateContext:
+            continue
+        count = witness_count_ternary(graph, factor, e, member, ctx)
+        configurations = if_enumerate(graph, factor, e)
+        assert count == _witness_count_loop(ctx, member)
+        assert configurations == _witness_count_loop(ctx)
+        nonzero |= {"count"} if count else set()
+        nonzero |= {"configurations"} if configurations else set()
+        heads = math.prod(a.size for a in ctx.xs + ctx.ys)
+        step = max(1, 40 // max(a.size for a in ctx.zs))
+        partial_blocks += heads > step and heads % step > 0
+        compared += 1
+    assert compared >= 6 and partial_blocks > 0
+    assert nonzero == {"count", "configurations"}
+
+
+def test_extension_count_past_int64():
+    # twelve free 49-point atoms, each passing whole, over 49^2 head tuples
+    factor = _trivial_factor(7, 2)
+    graph = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 12}, frozenset())
+    e = LabelAssignment.constant(graph, DirectionTuple3(7, (), (), (), (), (), ()))
+    count = witness_count_ternary(graph, factor, e, np.zeros(49, dtype=bool))
+    assert count == if_enumerate(graph, factor, e) == 49 ** 14 > 1 << 63
+
+
 def test_configuration_count_matches_direct_masks():
     factor = _mixed_factor()
     graph = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 1},
@@ -415,10 +554,13 @@ def test_caps():
     with pytest.raises(CapExceeded):
         t_ternary(tall, factor, e,
                   FunctionGrid({t: f for t in tall.all_tuples()}))
-    deep = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 3}, frozenset())
+    # |W| = 3 is counted, and the count is the loop twin's
+    deep = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 3},
+                             frozenset({(0, 0, 0), (0, 0, 2)}))
     e3 = LabelAssignment.constant(deep, DirectionTuple3(3, (), (), (), (), (), ()))
-    with pytest.raises(CapExceeded):
-        witness_count_ternary(deep, factor, e3, np.ones(3, dtype=bool))
+    member = np.array([True, False, True])
+    count = witness_count_ternary(deep, factor, e3, member)
+    assert count == _witness_count_loop(_TernaryContext(deep, factor, e3), member) > 0
 
 
 def test_grid_validation():
