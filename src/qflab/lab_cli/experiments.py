@@ -17,6 +17,7 @@ within 10x.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,8 +99,10 @@ from ..spectral import (
     max_quadratic_correlation,
     u2_inner,
     u2_norm,
+    u2_norms,
     u3_inner,
     u3_norm,
+    u3_norms,
 )
 from .reporting import (
     aggregate_from,
@@ -185,13 +188,17 @@ def _label(rng: np.random.Generator, p: int, width: int) -> tuple[int, ...]:
     return tuple(rng.integers(0, p, size=width).tolist())
 
 
+def _labels(rng: np.random.Generator, p: int, widths: list[int]) -> list[tuple[int, ...]]:
+    """Labels of the given widths, in order, split from one draw; the
+    generator yields the same values as one `_label` draw per width."""
+    flat = rng.integers(0, p, size=sum(widths)).tolist()
+    ends = list(itertools.accumulate(widths))
+    return [tuple(flat[end - width:end]) for width, end in zip(widths, ends)]
+
+
 def _direction3(rng: np.random.Generator, factor: QuadraticFactor) -> DirectionTuple3:
     w, q = factor.ell + factor.q, factor.q
-    return DirectionTuple3(
-        factor.p,
-        _label(rng, factor.p, w), _label(rng, factor.p, w), _label(rng, factor.p, w),
-        _label(rng, factor.p, q), _label(rng, factor.p, q), _label(rng, factor.p, q),
-    )
+    return DirectionTuple3(factor.p, *_labels(rng, factor.p, [w, w, w, q, q, q]))
 
 
 def _nondeg_ctx3(rng: np.random.Generator,
@@ -243,11 +250,25 @@ def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFun
     return GroupFunction(p, n, bits.astype(np.float64) - alpha)
 
 
-def _u3_terms(p: int, n: int) -> int:
-    """Scalar terms of one spectral U^3 call: four derivative tables, four
-    transforms batched over h, and the contraction, each over size^2 entries."""
+def _u3_inner_terms(p: int, n: int) -> int:
+    """Terms of one `u3_inner` call: the shift table and the four derivative
+    tables' transforms, each over size^2 entries."""
     size = p ** n
-    return size * size * (4 * p * n + 5)
+    return size * size * (4 * p * n + 1)
+
+
+def _u3_norms_terms(p: int, n: int, count: int) -> int:
+    """Terms of one `u3_norms` call on `count` functions: for h = 0 and one
+    h of each pair {h, -h}, a shift-table row and, per function, the
+    transform and the |T|^4 sum, each over size entries."""
+    size = p ** n
+    return (size + 1) // 2 * size * (1 + count * (p * n + 1))
+
+
+def _u2_norms_terms(p: int, n: int, count: int) -> int:
+    """Terms of one `u2_norms` call on `count` functions: per function the
+    transform and the |fhat|^4 sum, each over size entries."""
+    return count * p ** n * (p * n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +317,11 @@ def _run_u2_equiv(cfg: dict) -> RunResult:
     trials = []
     for i in range(cfg["trials"]):
         f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
-        via_corr = u2_norm(f) ** 4
+        via_corr = u2_inner(f, f, f, f)
         via_spectrum = fourier_transform(f).l4_fourth()
         err = abs(via_corr - via_spectrum)
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
-                                 detail={"u2_fourth": via_corr,
+                                 detail={"u2_fourth": via_corr.real,
                                          "spectrum_fourth": via_spectrum}))
     return RunResult(trials)
 
@@ -322,9 +343,9 @@ def _run_gcs(cfg: dict) -> RunResult:
         quad = [_bounded_fn(rng, p, n) for _ in range(4)]
         octu = [_bounded_fn(rng, p, n) for _ in range(8)]
         obs2 = abs(u2_inner(*quad))
-        bnd2 = math.prod(u2_norm(g) for g in quad)
+        bnd2 = math.prod(u2_norms(quad))
         obs3 = abs(u3_inner(octu))
-        bnd3 = math.prod(u3_norm(g) for g in octu)
+        bnd3 = math.prod(u3_norms(octu))
         base = {"seed": cfg["seed"], "trial": i}
         trials.append(make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol))
         trials.append(make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol))
@@ -333,7 +354,8 @@ def _run_gcs(cfg: dict) -> RunResult:
 
 def _est_gcs(cfg: dict) -> int:
     p, n = cfg["p"], cfg["n"]
-    return cfg["trials"] * (5 * p ** (2 * n) + 9 * _u3_terms(p, n))
+    return cfg["trials"] * (p ** (2 * n) + _u2_norms_terms(p, n, 4)
+                            + _u3_inner_terms(p, n) + _u3_norms_terms(p, n, 8))
 
 
 def _run_local_gcs(cfg: dict) -> RunResult:
@@ -381,19 +403,19 @@ def _run_triangle(cfg: dict) -> RunResult:
         g = _bounded_fn(rng, p, n)
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         base = {"seed": cfg["seed"], "trial": i}
-        for k, (tag, norm) in enumerate((("u2", u2_norm), ("u3", u3_norm))):
-            tri = norm(f + g)
+        for k, (tag, norms) in enumerate((("u2", u2_norms), ("u3", u3_norms))):
+            nfg, nf, ng, ncf = norms([f + g, f, g, f.scale(c)])
             trials.append(make_trial(4 * i + 2 * k, base | {"check": f"{tag}-triangle"},
-                                     tri, norm(f) + norm(g) + tol))
-            hom = abs(norm(f.scale(c)) - abs(c) * norm(f))
+                                     nfg, nf + ng + tol))
             trials.append(make_trial(4 * i + 2 * k + 1,
-                                     base | {"check": f"{tag}-homogeneous"}, hom, tol))
+                                     base | {"check": f"{tag}-homogeneous"},
+                                     abs(ncf - abs(c) * nf), tol))
     return RunResult(trials)
 
 
 def _est_triangle(cfg: dict) -> int:
     p, n = cfg["p"], cfg["n"]
-    return cfg["trials"] * (10 * p ** (2 * n) + 5 * _u3_terms(p, n))
+    return cfg["trials"] * (_u2_norms_terms(p, n, 4) + _u3_norms_terms(p, n, 4))
 
 
 def _run_local_triangle(cfg: dict) -> RunResult:
@@ -451,7 +473,8 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
 def _est_u3_dominates(cfg: dict) -> int:
     p, n = cfg["p"], cfg["n"]
     coset = p ** (n - cfg["ell"])
-    return cfg["trials"] * (p ** (2 * n) + _u3_terms(p, n) + 3 * coset ** 5)
+    return cfg["trials"] * (_u2_norms_terms(p, n, 1) + _u3_norms_terms(p, n, 1)
+                            + 3 * coset ** 5)
 
 
 def _run_ap3(cfg: dict) -> RunResult:
@@ -477,19 +500,22 @@ def _run_ap4(cfg: dict) -> RunResult:
         rng = _trial_rng(cfg["seed"], i)
         base = {"seed": cfg["seed"], "trial": i}
         f = _bounded_fn(rng, p, n)
-        trials.append(make_trial(2 * i, base | {"f": "sup-bounded"},
-                                 abs(ap4_average(f)), u3_norm(f) + tol))
         g = _gaussian_fn(rng, p, n)
         g = g.scale(1.0 / max(g.l2_norm(), 1e-30))
+        nf, ng = u3_norms([f, g])
+        trials.append(make_trial(2 * i, base | {"f": "sup-bounded"},
+                                 abs(ap4_average(f)), nf + tol))
         trials.append(make_trial(2 * i + 1, base | {"f": "l2-normalized"},
-                                 abs(ap4_average(g)), u3_norm(g) + tol))
+                                 abs(ap4_average(g)), ng + tol))
     return RunResult(trials)
 
 
 def _est_ap4(cfg: dict) -> int:
+    """Per trial, two four-term averages of three size^2 sum tables each, and
+    one batch of two U^3 norms."""
     p, n = cfg["p"], cfg["n"]
     size = p ** n
-    return cfg["trials"] * (2 * size ** 2 + 2 * _u3_terms(p, n))
+    return cfg["trials"] * (6 * size ** 2 + _u3_norms_terms(p, n, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -836,17 +862,19 @@ def _run_control_ip(cfg: dict) -> RunResult:
         grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
                              for j in range(1, m + 1) for s in range(1 << m)})
         obs = abs(t_ip(m, grid))
-        bnd = min(u2_norm(g) for g in grid.functions()) + tol
+        bnd = min(u2_norms(grid.functions())) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     return RunResult(trials)
 
 
 def _est_control_ip(cfg: dict) -> int:
     """Per trial, `t_ip`'s 2^m x-averages over N^(m+1) (x, y_S) pairs and its
-    one sum table, then one U^2 norm per slot, N^2 each."""
-    m, size = cfg["m"], cfg["p"] ** cfg["n"]
+    one sum table, then one batch of U^2 norms, one per slot."""
+    p, n, m = cfg["p"], cfg["n"], cfg["m"]
+    size = p ** n
     slots = m * (1 << m)
-    return cfg["trials"] * ((1 << m) * size ** (m + 1) + (slots + 1) * size ** 2)
+    return cfg["trials"] * ((1 << m) * size ** (m + 1) + size ** 2
+                            + _u2_norms_terms(p, n, slots))
 
 
 def _run_control_ip2(cfg: dict) -> RunResult:
@@ -858,7 +886,7 @@ def _run_control_ip2(cfg: dict) -> RunResult:
                              for a in range(1, m + 1) for b in range(1, m + 1)
                              for s in range(1 << (m * m))})
         obs = abs(t_ip2(m, grid))
-        bnd = min(u3_norm(g) for g in grid.functions()) + tol
+        bnd = min(u3_norms(grid.functions())) + tol
         trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
     return RunResult(trials)
 
@@ -866,12 +894,12 @@ def _run_control_ip2(cfg: dict) -> RunResult:
 def _est_control_ip2(cfg: dict) -> int:
     """Per trial, global t_ip2 (product of two means for m = 1; for m = 2 the
     shift table and 48 transforms, 32 forward and 16 back, each over
-    size^2 entries) and one U^3 norm per slot."""
+    size^2 entries) and one batch of U^3 norms, one per slot."""
     p, n, m = cfg["p"], cfg["n"], cfg["m"]
     size = p ** n
     slots = m * m * (1 << (m * m))
     ip2 = 2 * size if m == 1 else size * size * (48 * p * n + 1)
-    return cfg["trials"] * (ip2 + slots * _u3_terms(p, n))
+    return cfg["trials"] * (ip2 + _u3_norms_terms(p, n, slots))
 
 
 def _run_control_ip_local(cfg: dict) -> RunResult:
@@ -1250,18 +1278,15 @@ def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
     """The context of a seeded label assignment in which every atom and pair
     level set in sight is nonempty; None when no such assignment is found."""
     w, q = factor.ell + factor.q, factor.q
+    nu, nv, nw = graph.nu, graph.nv, graph.nw
+    pairs = [list(itertools.product(range(i), range(j)))
+             for i, j in ((nu, nv), (nu, nw), (nv, nw))]
+    widths = [w] * (nu + nv + nw) + [q] * sum(map(len, pairs))
     for _ in range(ASSIGNMENT_ATTEMPTS):
-        e = LabelAssignment(
-            tuple(_label(rng, factor.p, w) for _ in range(graph.nu)),
-            tuple(_label(rng, factor.p, w) for _ in range(graph.nv)),
-            tuple(_label(rng, factor.p, w) for _ in range(graph.nw)),
-            {(u, v): _label(rng, factor.p, q)
-             for u in range(graph.nu) for v in range(graph.nv)},
-            {(u, ww): _label(rng, factor.p, q)
-             for u in range(graph.nu) for ww in range(graph.nw)},
-            {(v, ww): _label(rng, factor.p, q)
-             for v in range(graph.nv) for ww in range(graph.nw)},
-        )
+        labels = iter(_labels(rng, factor.p, widths))
+        a, b, c = (tuple(itertools.islice(labels, k)) for k in (nu, nv, nw))
+        duv, duw, dvw = ({pair: next(labels) for pair in part} for part in pairs)
+        e = LabelAssignment(a, b, c, duv, duw, dvw)
         try:
             return _TernaryContext(graph, factor, e)
         except DegenerateContext:

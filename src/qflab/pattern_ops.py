@@ -43,7 +43,7 @@ from .factor import (
 )
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
 from .local_norms import GRID_CAP, LocalContext3, _binary_contract, _ternary_contract
-from .spectral import GroupFunction, _axis_dft, _derivative_blocks, _dft_kernel
+from .spectral import GroupFunction, _axis_dft, _derivative_blocks
 
 MAX_IP_M = 3
 MAX_IP2_M = 2
@@ -293,8 +293,8 @@ def t_ip2(m: int, grid: FunctionGrid) -> complex:
              + [(f[(1, 2, s)], f[(2, 2, s)]) for s in range(nsub)])
     total = 0.0
     for buf in _derivative_blocks(sp, pairs):
-        t = _axis_dft(buf, p, n, _dft_kernel(p, -1, p))
-        g = _axis_dft(np.conj(t[:nsub]) * t[nsub:], p, n, _dft_kernel(p, 1, 1))
+        t = _axis_dft(buf, p, n, -1)
+        g = _axis_dft(np.conj(t[:nsub]) * t[nsub:], p, n, 1)
         total += g.prod(axis=0).sum()
     return complex(total / (N * N))
 

@@ -15,22 +15,30 @@ lexicographic order of (eps1, eps2, eps3):
 (0,0,0), (0,0,1), (0,1,0), (0,1,1), (1,0,0), (1,0,1), (1,1,0), (1,1,1).
 
 Transforms take one route, `_axis_dft`: the table's last axis is the group
-index and any leading axes are a batch. It views the table as (rest, p) with
-the lowest remaining digit last, applies a memoized read-only p x p kernel
-with one matmul, and rotates that digit to the front; after n rounds every
-digit is transformed and back in its place. `fourier_transform`,
-`inverse_transform`, `local_norms.restricted_fourier` and the batched kernels
-below all call it.
+index and any leading axes are a batch. It views the table as (rest, p^k)
+with the k lowest remaining digits last, applies the memoized read-only
+kernel of k digits with one matmul, and rotates those digits to the front;
+when every digit has had its round, each is transformed and back in its
+place. A round takes as many digits as fit a kernel of at most RADIX_CAP
+rows. `fourier_transform`, `inverse_transform`,
+`local_norms.restricted_fourier` and the batched kernels below all call it.
 
 `u2_inner` averages an O(p^(2n)) shift table. `u3_inner` conditions on the
 z-difference h and contracts four derivative tables on the frequency side,
 sum_t A^(t) B^(-t) C^(-t) D^(t), in O(p^(2n) p n); its independent
 physical-space twin `u3_inner_naive` is the factorized O(p^(5n)) loop and
 raises CapExceeded past p^n = U3_REFERENCE_CAP. `_derivative_blocks` is the
-block loop of `u3_inner` and of the global IP2 average `pattern_ops.t_ip2`:
-for a block of h it forms every derivative table a(u) b(u + h) in one
-complex buffer of shape (tables, h, N), at most H_BLOCK_ENTRIES entries, so
-one transform covers all of them.
+block loop of `u3_inner`, `u3_norms` and the global IP2 average
+`pattern_ops.t_ip2`: for a block of h it forms every derivative table
+a(u) b(u + h) in one complex buffer of shape (tables, h, N), at most
+DERIVATIVE_BLOCK_ENTRIES entries, so one transform covers all of them.
+
+The diagonal norms of a list of functions take one batched route each.
+`u2_norms` is the fourth moment of the spectrum, one transform of the
+stack. `u3_norms` is E_h of the fourth moment of the derivative spectra,
+one derivative buffer per block of h for every function at once, over h = 0
+and one h of each pair {h, -h}, weighted 2. `u2_norm` and `u3_norm` are
+the batch of one; `u2_inner` and `u3_inner` are their twins.
 """
 
 from __future__ import annotations
@@ -55,6 +63,12 @@ from .fpn_core import (
 NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
 U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
 CORRELATION_SEARCH_CAP = 3 ** 10  # most candidate forms the correlation oracle scans
+RADIX_CAP = 9  # most rows of the kernel of one transform round
+# entries per buffer of derivative tables: 256 KiB of complex values, so that a
+# block and the transform's temporaries stay in a core's 2 MiB L2 cache; of
+# 2^12 to 2^18, 2^13 and 2^14 were fastest for u3_norms and t_ip2 at p^n = 81,
+# 243 and 729 (BENCH_17.json)
+DERIVATIVE_BLOCK_ENTRIES = 1 << 14
 EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
@@ -172,33 +186,44 @@ class SpectrumTable:
         return float(np.sum(np.abs(self.table) ** 4))
 
 
-def _axis_dft(values: np.ndarray, p: int, n: int, kernel: np.ndarray) -> np.ndarray:
-    """Apply the p x p kernel along every coordinate axis of the table.
+def _axis_dft(values: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
+    """The transform with `_dft_kernel`'s sign along every coordinate axis:
+    the normalized forward transform for sign -1, the dual sum for sign +1.
 
     The last axis of `values` is the group index; any leading axes are a
     batch, and each row is transformed independently. Each round views the
-    table as (rest, p), the lowest remaining digit last, multiplies by the
-    symmetric kernel in one matmul and rotates that digit to the front.
-    Counts entries x p x n terms.
+    table as (rest, p^k), the k lowest remaining digits last, multiplies by
+    the symmetric kernel of those k digits in one matmul and rotates them
+    to the front. A round takes as many digits as fit a kernel of at most
+    RADIX_CAP rows (two at p = 3, one otherwise): one wide round makes
+    fewer passes over the table than k narrow ones. Counts entries x p x n
+    terms.
     """
     count_terms(values.size * p * n)
     if n == 0:
         return values.astype(np.complex128)
     batch = values.shape[:-1]
     table = np.asarray(values, dtype=np.complex128)
-    for _ in range(n):
-        table = (table.reshape(-1, p) @ kernel).reshape(batch + (-1, p))
-        table = np.swapaxes(table, -1, -2).reshape(batch + (-1,))
+    wide = 1
+    while p ** (wide + 1) <= RADIX_CAP:
+        wide += 1
+    for done in range(0, n, wide):
+        k = min(wide, n - done)
+        table = table.reshape(-1, p ** k) @ _dft_kernel(p, sign, k)
+        table = np.swapaxes(table.reshape(batch + (-1, p ** k)), -1, -2).reshape(batch + (-1,))
     return table
 
 
 @lru_cache(maxsize=None)
-def _dft_kernel(p: int, sign: int, divisor: int) -> np.ndarray:
-    """k[t, x] = omega^(sign * x t) / divisor, one symmetric read-only kernel
-    per (p, sign, divisor): divisor p for the normalized forward transform
-    (sign -1), 1 for the unnormalized dual sum (sign +1)."""
-    om = omega_table(p)
-    kernel = om[(sign * np.outer(np.arange(p), np.arange(p))) % p] / divisor
+def _dft_kernel(p: int, sign: int, digits: int) -> np.ndarray:
+    """k[t, x] = omega^(sign x.t) over F_p^digits, divided by p^digits for
+    the normalized forward transform (sign -1) and undivided for the dual
+    sum (sign +1); indices pack digits as group indices do. One symmetric
+    read-only kernel per (p, sign, digits)."""
+    d = space(p, digits).digits.astype(np.int64)
+    kernel = omega_table(p)[(sign * (d @ d.T)) % p]
+    if sign < 0:
+        kernel = kernel / p ** digits
     kernel.setflags(write=False)
     return kernel
 
@@ -206,7 +231,7 @@ def _dft_kernel(p: int, sign: int, divisor: int) -> np.ndarray:
 def fourier_transform(f: GroupFunction) -> SpectrumTable:
     """fhat(t) = E_x f(x) omega^(-x.t), by dimension-wise DFT."""
     p, n = f.p, f.n
-    return SpectrumTable(p, n, _axis_dft(f.values, p, n, _dft_kernel(p, -1, p)))
+    return SpectrumTable(p, n, _axis_dft(f.values, p, n, -1))
 
 
 def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
@@ -226,7 +251,7 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
 def inverse_transform(spec: SpectrumTable) -> GroupFunction:
     """f(x) = sum_t fhat(t) omega^(x.t) (unnormalized dual sum)."""
     p, n = spec.p, spec.n
-    return GroupFunction(p, n, _axis_dft(spec.table, p, n, _dft_kernel(p, 1, 1)))
+    return GroupFunction(p, n, _axis_dft(spec.table, p, n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +283,48 @@ def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
     return complex((fcorr * gcorr).mean())
 
 
+def u2_norms(fs, tol: float = DEFAULT_TOL) -> list[float]:
+    """The U^2 norm of each function of `fs`, from the fourth moment of its
+    spectrum: ||f||_{U^2}^4 = sum_t |fhat(t)|^4. One transform of the
+    (F, N) stack. Counts the transform's entries x p x n and one term per
+    entry of the |fhat|^4 sum."""
+    fs = _same_group(fs)
+    if not fs:
+        return []
+    p, n = fs[0].p, fs[0].n
+    spec = _axis_dft(np.stack([f.values for f in fs]), p, n, -1)
+    return [_root_of_diagonal(complex(v), 4, tol) for v in _fourth_moments(spec)]
+
+
 def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    val = u2_inner(f, f, f, f)
-    return _root_of_diagonal(val, 4, tol)
+    return u2_norms([f], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # U^3
 # ---------------------------------------------------------------------------
 
-def _derivative_blocks(sp: GroupSpace, pairs: list):
+def _derivative_blocks(sp: GroupSpace, pairs: list, hs: np.ndarray | None = None):
     """For each block of h, the buffer buf[k, j, u] = a_k(u) b_k(u + h_j)
     over the pairs (a_k, b_k) of complex tables, shape (len(pairs), h, N).
 
-    Blocks take H_BLOCK_ENTRIES // (len(pairs) N) values of h, at least one,
-    in order, the last block holding what is left. Raises CapExceeded when
+    The h run over the indices `hs`, every h in increasing order by default.
+    Blocks take DERIVATIVE_BLOCK_ENTRIES // (len(pairs) N) of them, at least
+    one, in order, the last block holding what is left. Counts one term per
+    shift-table entry, h x N per block. Raises CapExceeded when
     N^2 > NAIVE_CAP.
     """
     N = sp.size
     if N * N > NAIVE_CAP:
         raise CapExceeded("group too large for the pairwise derivative tables")
-    block = max(1, H_BLOCK_ENTRIES // (len(pairs) * N))
-    pairs = [(a, np.asarray(b, dtype=np.complex128)) for a, b in pairs]
-    for start in range(0, N, block):
-        shift = sp.sums(slice(start, start + block), slice(None))  # h_j + u
-        buf = np.empty((len(pairs),) + shift.shape, dtype=np.complex128)
-        for out, (a, b) in zip(buf, pairs):
-            np.take(b, shift, out=out)
-            out *= a
+    idx = np.arange(N, dtype=np.int64)
+    hs = idx if hs is None else hs
+    block = max(1, DERIVATIVE_BLOCK_ENTRIES // (len(pairs) * N))
+    a, b = (np.stack(tables) for tables in zip(*pairs))
+    a, b = a[:, None, :], b.astype(np.complex128, copy=False)
+    for start in range(0, len(hs), block):
+        buf = b[:, sp.sums(hs[start:start + block, None], idx)]  # b_k(h_j + u)
+        buf *= a
         yield buf
 
 
@@ -295,7 +334,7 @@ def _box_sums(stack: np.ndarray, p: int, n: int) -> np.ndarray:
     the box sum of `_box_sum`, one per row of the batch. Taking b and c
     conjugated lets one kernel serve all four, since the plus transform of
     b is conj DFT-(conj b)."""
-    t = _axis_dft(stack, p, n, _dft_kernel(p, -1, p))
+    t = _axis_dft(stack, p, n, -1)
     return (t[0] * t[3] * np.conj(t[1] * t[2])).sum(axis=-1)
 
 
@@ -325,10 +364,8 @@ def u3_inner(octuple: list[GroupFunction]) -> complex:
     """
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
-    base = octuple[0]
-    for g in octuple[1:]:
-        base._check(g)
-    p, n = base.p, base.n
+    _same_group(octuple)
+    p, n = octuple[0].p, octuple[0].n
     sp = space(p, n)
     pairs = [(octuple[2 * k].values, np.conj(octuple[2 * k + 1].values)) for k in range(4)]
     total = sum(_box_sums(buf, p, n).sum() for buf in _derivative_blocks(sp, pairs))
@@ -346,10 +383,8 @@ def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
     f = {eps: g for eps, g in zip(EPS3_ORDER, octuple)}
-    base = octuple[0]
-    for g in octuple[1:]:
-        base._check(g)
-    p, n = base.p, base.n
+    _same_group(octuple)
+    p, n = octuple[0].p, octuple[0].n
     sp = space(p, n)
     N = sp.size
     if N > U3_REFERENCE_CAP:
@@ -379,9 +414,45 @@ def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
     return complex(total / N ** 6)
 
 
+def u3_norms(fs, tol: float = DEFAULT_TOL) -> list[float]:
+    """The U^3 norm of each function of `fs`, from its derivatives:
+    ||f||_{U^3}^8 = E_h sum_t |(Delta_h f)^(t)|^4 with
+    Delta_h f(u) = f(u) conj f(u + h), the diagonal of `u3_inner`.
+
+    Each block of h is one (F, h, N) buffer from `_derivative_blocks` over
+    the pairs (f, conj f) and one transform. Since Delta_(-h) f is a
+    translate of conj Delta_h f, the h-th and (-h)-th sums agree: h scans
+    the h <= -h by index, weighted 2 when -h != h, which at odd p is every
+    h but 0 and halves the scan. Functions go in chunks of at most
+    DERIVATIVE_BLOCK_ENTRIES // N, so no buffer exceeds that many entries.
+    Counts, per chunk, one term per shift-table entry (h x N per block),
+    the transform's entries x p x n and one term per entry of the |T|^4
+    sum: about (N + 1) / 2 x N x (1 + F (p n + 1)) at odd p.
+    """
+    fs = _same_group(fs)
+    if not fs:
+        return []
+    p, n = fs[0].p, fs[0].n
+    sp = space(p, n)
+    idx = np.arange(sp.size, dtype=np.int64)
+    neg = sp.neg(idx)
+    hs = idx[idx <= neg]
+    weights = np.where(hs == neg[hs], 1.0, 2.0)
+    eighth = np.zeros(len(fs))
+    chunk = max(1, DERIVATIVE_BLOCK_ENTRIES // sp.size)
+    for lo in range(0, len(fs), chunk):
+        pairs = [(f.values, np.conj(f.values)) for f in fs[lo:lo + chunk]]
+        start = 0
+        for buf in _derivative_blocks(sp, pairs, hs):
+            stop = start + buf.shape[1]
+            moments = _fourth_moments(_axis_dft(buf, p, n, -1))  # (F, h)
+            eighth[lo:lo + len(pairs)] += moments @ weights[start:stop]
+            start = stop
+    return [_root_of_diagonal(complex(v / sp.size), 8, tol) for v in eighth]
+
+
 def u3_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    val = u3_inner([f] * 8)
-    return _root_of_diagonal(val, 8, tol)
+    return u3_norms([f], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +524,7 @@ def max_quadratic_correlation(
         g = f.values * om[(coeffs[rows] @ monomials) % p]
         count_terms(g.size)
         if include_linear:
-            scores[rows] = np.abs(_axis_dft(g, p, n, _dft_kernel(p, -1, p)))[:, neg]
+            scores[rows] = np.abs(_axis_dft(g, p, n, -1))[:, neg]
         else:
             scores[rows] = np.abs(g.mean(axis=1))
     # the tied entries, ranked by the entry tuple (the row-major tuple of a
@@ -473,6 +544,21 @@ def max_quadratic_correlation(
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _same_group(fs) -> list[GroupFunction]:
+    fs = list(fs)
+    for g in fs[1:]:
+        fs[0]._check(g)
+    return fs
+
+
+def _fourth_moments(table: np.ndarray) -> np.ndarray:
+    """sum_t |T(t)|^4 over the last axis of a complex table. Counts one term
+    per entry."""
+    count_terms(table.size)
+    square = table.real ** 2 + table.imag ** 2
+    return (square * square).sum(axis=-1)
+
 
 def _diagonal_real(val: complex, tol: float) -> float:
     if abs(val.imag) > tol:

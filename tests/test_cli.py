@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -11,9 +12,16 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qflab.lab_cli.experiments import REGISTRY, estimate_experiment, run_experiment
+from qflab.lab_cli.experiments import (
+    REGISTRY,
+    _label,
+    _labels,
+    estimate_experiment,
+    run_experiment,
+)
 from qflab.lab_cli.main import main
 from qflab.lab_cli.reporting import (
     canonical_json,
@@ -263,6 +271,20 @@ def test_estimator_within_an_order_of_magnitude(name, reports):
     assert actual > 0 and est > 0
     ratio = est / actual
     assert 0.1 <= ratio <= 10.0, f"{name}: est {est} vs actual {actual}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_label_draw_splits_into_the_separate_draws(p):
+    # the direction and assignment samplers draw all their labels at once;
+    # every report depends on that matching one draw per label, with other
+    # draws in between
+    for seed in range(3):
+        for widths in itertools.product(range(5), repeat=3):
+            one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                assert _labels(one, p, list(widths)) == [_label(many, p, w) for w in widths]
+                assert one.random() == many.random()
+                assert one.uniform(-2, 2) == many.uniform(-2, 2)
 
 
 def test_counting_ternary_estimator_past_the_defaults():

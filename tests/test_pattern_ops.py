@@ -155,7 +155,7 @@ def test_ip2_witness_density_matches_per_subset_oracle():
 
 def test_ip2_blocks_of_h_match_one_block(monkeypatch):
     # 32 tables of 9 entries and 2 h per buffer: blocks of 2, 2, 2, 2 and 1 h
-    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", 32 * 9 * 2)
+    monkeypatch.setattr(spectral, "DERIVATIVE_BLOCK_ENTRIES", 32 * 9 * 2)
     f = GroupFunction(3, 2, np.random.default_rng(12).standard_normal(9))
     one = GroupFunction.constant(3, 2, 1.0)
     grid = _ip2_grid(lambda i, j, s: f if s == 5 else one)

@@ -27,9 +27,11 @@ from qflab.spectral import (
     max_quadratic_correlation,
     u2_inner,
     u2_norm,
+    u2_norms,
     u3_inner,
     u3_inner_naive,
     u3_norm,
+    u3_norms,
 )
 
 
@@ -55,7 +57,7 @@ def test_one_bounded_certification():
         GroupFunction(3, 1, np.array([2.0, 0.0, 0.0]), one_bounded=True)
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 1)])
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 2), (7, 1), (11, 2)])
 def test_fast_transform_matches_naive(p, n):
     f = _random_f(p, n, seed=p * 10 + n)
     fast = fourier_transform(f).table
@@ -99,8 +101,19 @@ def test_u2_inner_matches_explicit_loop():
 
 
 def test_u2_fourth_power_equals_spectral_moment():
+    # u2_norm is the spectral moment itself, so the shift-table average is
+    # the independent side of the identity
     f = _random_f(3, 3, seed=31)
-    assert u2_norm(f) ** 4 == pytest.approx(fourier_transform(f).l4_fourth(), abs=1e-10)
+    assert u2_inner(f, f, f, f) == pytest.approx(fourier_transform(f).l4_fourth(), abs=1e-10)
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (3, 3), (5, 2), (7, 1)])
+def test_u2_norms_match_the_shift_table_average(p, n):
+    fs = [_random_f(p, n, seed=90 + k) for k in range(3)]
+    want = [u2_inner(f, f, f, f).real ** 0.25 for f in fs]
+    assert u2_norms(fs) == pytest.approx(want, rel=1e-12)
+    assert u2_norm(fs[1]) == pytest.approx(want[1], rel=1e-12)
+    assert u2_norms([]) == []
 
 
 def test_u3_inner_matches_explicit_loop():
@@ -133,9 +146,57 @@ def test_u3_eighth_power_matches_derivative_route():
 def test_u3_inner_blocks_of_h_match_reference(monkeypatch):
     # 4 x 5 x 27 entries per buffer of four tables at p^n = 27: five blocks
     # of 5 h and a last one of 2
-    monkeypatch.setattr(spectral, "H_BLOCK_ENTRIES", 4 * 5 * 27)
+    monkeypatch.setattr(spectral, "DERIVATIVE_BLOCK_ENTRIES", 4 * 5 * 27)
     fs = [_random_f(3, 3, seed=70 + k, bounded=True) for k in range(8)]
     assert u3_inner(fs) == pytest.approx(u3_inner_naive(fs), abs=1e-12)
+
+
+def _u3_twin(f):
+    return u3_inner([f] * 8).real ** 0.125
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_u3_norms_match_the_inner_product(p, n):
+    # one function alone, then a batch that repeats a function
+    fs = [_random_f(p, n, seed=100 + k, bounded=k % 2 == 1) for k in range(3)]
+    batch = fs + [fs[0]]
+    want = [_u3_twin(f) for f in batch]
+    assert u3_norms(fs[:1]) == pytest.approx(want[:1], rel=1e-12)
+    got = u3_norms(batch)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got[3] == got[0]
+    assert u3_norm(fs[2]) == pytest.approx(want[2], rel=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_u3_norms_match_the_reference_loop(p, n):
+    fs = [_random_f(p, n, seed=110 + k) for k in range(2)]
+    want = [u3_inner_naive([f] * 8).real ** 0.125 for f in fs]
+    assert u3_norms(fs) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,n,entries", [
+    # p^n = 27 scans h = 0 and 13 of the 26 nonzero h: 3 x 5 x 27 entries
+    # per buffer of three functions give blocks of 5, 5 and 4 h
+    (3, 3, 3 * 5 * 27),
+    # at most two functions per chunk (54 // 25), one h per block: the
+    # third function is a chunk of its own
+    (5, 2, 54),
+])
+def test_u3_norms_blocks_and_chunks_match_the_inner_product(monkeypatch, p, n, entries):
+    fs = [_random_f(p, n, seed=120 + k, bounded=True) for k in range(3)]
+    want = [_u3_twin(f) for f in fs]
+    monkeypatch.setattr(spectral, "DERIVATIVE_BLOCK_ENTRIES", entries)
+    assert u3_norms(fs) == pytest.approx(want, rel=1e-12)
+
+
+def test_u3_norms_reject_mixed_groups():
+    assert u3_norms([]) == []
+    with pytest.raises(ValueError):
+        u3_norms([_random_f(3, 2, seed=1), _random_f(3, 3, seed=1)])
+    with pytest.raises(ValueError):
+        u2_norms([_random_f(3, 2, seed=1), _random_f(5, 2, seed=1)])
 
 
 def test_u3_reference_is_capped():
