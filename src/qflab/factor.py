@@ -98,17 +98,31 @@ class _LabelIndex:
         return self.label_table @ (self.p ** np.arange(self.width, dtype=np.int64))
 
     @cached_property
-    def _members_by_code(self) -> list[np.ndarray]:
-        count = self.p ** self.width
+    def atom_sizes(self) -> np.ndarray:
+        """The member count of every label, by code."""
+        return np.bincount(self._codes, minlength=self.p ** self.width)
+
+    @cached_property
+    def member_table(self) -> np.ndarray:
+        """One row per label code, as wide as the largest label set: row c
+        holds the members of code c in increasing order, then zeros."""
         order = np.argsort(self._codes, kind="stable")
-        bounds = np.searchsorted(self._codes[order], np.arange(count + 1))
-        return [order[bounds[c]: bounds[c + 1]] for c in range(count)]
+        codes = self._codes[order]
+        starts = np.concatenate([[0], np.cumsum(self.atom_sizes)[:-1]])
+        table = np.zeros((self.atom_sizes.size, int(self.atom_sizes.max())), dtype=np.int64)
+        table[codes, np.arange(codes.size) - starts[codes]] = order
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _members_by_code(self) -> list[np.ndarray]:
+        return [row[:size] for row, size in zip(self.member_table, self.atom_sizes.tolist())]
 
     def label_code(self, label) -> int:
         vals = _label_values(label)
         if len(vals) != self.width:
             raise ValueError(f"label length {len(vals)} != {self.width}")
-        return sum((int(v) % self.p) * self.p ** i for i, v in enumerate(vals))
+        return _code(self.p, vals)
 
 
 class LinearFactor(_LabelIndex):
@@ -242,39 +256,47 @@ def beta_sizes_cached(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
     return cached
 
 
-def mu_weight_matrix(factor: QuadraticFactor, blabel, rows: np.ndarray,
-                     cols: np.ndarray) -> np.ndarray:
-    """The measure mu_beta(b) sampled on rows x cols: p^(2n)/|beta| on
-    members, 0 elsewhere. With no forms the measure is identically 1.
+def beta_code_sizes(factor: QuadraticFactor) -> np.ndarray:
+    """|beta(b)| for every bilinear label, by code; memoized."""
+    cached = getattr(factor, "_beta_code_sizes", None)
+    if cached is None:
+        sizes = beta_sizes_cached(factor)
+        labels = map(tuple, space(factor.p, factor.q).digits.tolist())
+        cached = np.array([sizes[lab] for lab in labels], dtype=np.int64)
+        factor._beta_code_sizes = cached
+    return cached
 
-    With forms, each (label, rows, cols) is computed once per factor and
-    every later call returns the same read-only array, so callers can
-    recognize equal weights by identity. Building a matrix counts
-    |rows| |cols| q terms, one per form value; a cached one counts none.
+
+def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
+    """The measure mu_beta(b) on the atoms of codes row x col: p^(2n)/|beta|
+    on the member pairs of the bilinear level set of code b, 0 elsewhere.
+    With no forms the measure is identically 1.
+
+    Each code triple (b, row, col) is computed once per factor and every
+    later call returns the same read-only array. Building a matrix counts
+    |row| |col| q terms, one per form value; a cached one counts none.
     """
-    if factor.q == 0:
-        return np.ones((np.asarray(rows).size, np.asarray(cols).size))
-    values = _label_values(blabel)
-    if len(values) != factor.q:
-        raise ValueError(f"bilinear label length {len(values)} != q = {factor.q}")
-    size = beta_sizes_cached(factor)[values]
-    if size == 0:
-        raise EmptyLevelSet(f"beta({values}) is empty")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
     cache = factor.__dict__.setdefault("_mu_weights", {})
-    key = (values, rows.tobytes(), cols.tobytes())
+    key = (b, row, col)
     if key not in cache:
-        weight = float(Fraction(factor.p ** (2 * factor.n), size))
-        digits = factor.space.digits.astype(np.int64)
-        dx = digits[rows]
-        dy = digits[cols]
-        ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
-        for j, m in enumerate(factor.forms):
-            ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
-        mu = ok * weight
+        rows, cols = factor._members_by_code[row], factor._members_by_code[col]
+        if factor.q == 0:
+            mu = np.ones((rows.size, cols.size))
+        else:
+            size = int(beta_code_sizes(factor)[b])
+            values = tuple(int(v) for v in space(factor.p, factor.q).digits[b])
+            if size == 0:
+                raise EmptyLevelSet(f"beta({values}) is empty")
+            weight = float(Fraction(factor.p ** (2 * factor.n), size))
+            digits = factor.space.digits.astype(np.int64)
+            dx = digits[rows]
+            dy = digits[cols]
+            ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
+            for j, m in enumerate(factor.forms):
+                ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
+            mu = ok * weight
+            count_terms(ok.size * factor.q)
         mu.flags.writeable = False
-        count_terms(ok.size * factor.q)
         cache[key] = mu
     return cache[key]
 
@@ -349,6 +371,47 @@ def sigma3(factor: QuadraticFactor, d: DirectionTuple3) -> AtomLabel:
         for j, v in enumerate(b):
             out[factor.ell + j] = (out[factor.ell + j] + 2 * v) % p
     return AtomLabel(p, tuple(out))
+
+
+def direction_codes(factor: QuadraticFactor, labels) -> np.ndarray:
+    """The codes (a1, a2, a3, b12, b13, b23) of direction tuples, one row
+    per tuple of its label entries in that order: three atom labels of
+    l + q entries, then three bilinear labels of q entries."""
+    p, w, q = factor.p, factor.ell + factor.q, factor.q
+    labels = np.asarray(labels, dtype=np.int64).reshape(len(labels), 3 * w + 3 * q) % p
+    place = p ** np.arange(w, dtype=np.int64)
+    parts = np.split(labels, [w, 2 * w, 3 * w, 3 * w + q, 3 * w + 2 * q], axis=1)
+    return np.stack([part @ place[:part.shape[1]] for part in parts], axis=1)
+
+
+def degenerate_directions(factor: QuadraticFactor, codes: np.ndarray) -> np.ndarray:
+    """For each row (a1, a2, a3, b12, b13, b23) of direction codes, whether
+    it names an empty atom or (with forms) an empty bilinear level set."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
+    empty = (factor.atom_sizes[codes[:, :3]] == 0).any(axis=1)
+    if factor.q:
+        empty |= (beta_code_sizes(factor)[codes[:, 3:]] == 0).any(axis=1)
+    return empty
+
+
+def sigma3_codes(factor: QuadraticFactor, codes: np.ndarray) -> np.ndarray:
+    """The code of sigma3(d) for each row (a1, a2, a3, b12, b13, b23) of
+    direction codes, digit by digit."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
+    p, ell, q = factor.p, factor.ell, factor.q
+    place = p ** np.arange(ell + q, dtype=np.int64)
+    digits = (codes[:, :3, None] // place) % p  # (C, 3, l + q)
+    total = digits.sum(axis=1)
+    total[:, ell:] += 2 * ((codes[:, 3:, None] // place[:q]) % p).sum(axis=1)
+    return (total % p) @ place
+
+
+def _code(p: int, values) -> int:
+    """The little-endian base-p value of a label."""
+    code = 0
+    for v in reversed(values):
+        code = code * p + int(v) % p
+    return code
 
 
 def _label_values(label) -> tuple[int, ...]:

@@ -43,9 +43,12 @@ from ..factor import (
     DirectionTuple3,
     QuadraticFactor,
     bilinear_level_sizes,
+    degenerate_directions,
+    direction_codes,
     new_linear_factor,
     new_quadratic_factor,
     sigma3,
+    sigma3_codes,
 )
 from ..fpn_core import (
     GroupVector,
@@ -201,6 +204,13 @@ def _direction3(rng: np.random.Generator, factor: QuadraticFactor) -> DirectionT
     return DirectionTuple3(factor.p, *_labels(rng, factor.p, [w, w, w, q, q, q]))
 
 
+def _direction_codes(factor: QuadraticFactor, seed: int, count: int) -> np.ndarray:
+    """The codes of `_direction3(_trial_rng(seed, j), factor)` for j < count."""
+    width = 3 * (factor.ell + 2 * factor.q)
+    return direction_codes(factor, [_trial_rng(seed, j).integers(0, factor.p, size=width)
+                                    for j in range(count)])
+
+
 def _nondeg_ctx3(rng: np.random.Generator,
                  factor: QuadraticFactor) -> tuple[LocalContext3, DirectionTuple3]:
     last = "no attempts made"
@@ -228,13 +238,15 @@ def _kept_share(cfg: dict, ys: int) -> float:
     return cfg["p"] ** (-cfg["q"] * ys)
 
 
-def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: int = 1) -> float:
+def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: int = 1,
+                   half: bool = False) -> float:
     """Expected terms of one ternary contraction with `ys` x's and y's on
     atoms of the mean sizes: per y-tuple, `slots` computed W-slots of
     |x kept|^ys |z kept| multiply-adds, and the index sums
     ys |x kept| (|z kept| + 1). The kept counts are binomial shares of their
     atoms; of the |y|^2 pairs, the |y| whose y's coincide keep the share of
-    one y."""
+    one y. A diagonal local U^3 norm (half) scans only the |y| (|y| + 1) / 2
+    pairs with j_0 <= j_1."""
     def per_tuple(share: float) -> float:
         kx = kz = share * smean
         kxs = kx if ys == 1 else share * share * s2mean + share * (1 - share) * smean
@@ -242,8 +254,8 @@ def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: i
 
     if ys == 1:
         return smean * per_tuple(_kept_share(cfg, 1))
-    return ((s2mean - smean) * per_tuple(_kept_share(cfg, 2))
-            + smean * per_tuple(_kept_share(cfg, 1)))
+    distinct = (s2mean - smean) / 2 if half else s2mean - smean
+    return distinct * per_tuple(_kept_share(cfg, 2)) + smean * per_tuple(_kept_share(cfg, 1))
 
 
 def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFunction:
@@ -380,7 +392,7 @@ def _run_local_gcs(cfg: dict) -> RunResult:
             continue
         octu = [_bounded_fn(rng, p, n) for _ in range(8)]
         obs3 = abs(local_u3_inner(ctx3, octu))
-        bnd3 = math.prod(local_u3_norms([ctx3] * 8, octu))
+        bnd3 = math.prod(local_u3_norms(factor, [ctx3.codes] * 8, octu))
         scale = max(1.0, bnd3)
         trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(d3.a1)},
                                  obs3, bnd3 + tol * scale, detail={"scale": scale}))
@@ -390,7 +402,8 @@ def _run_local_gcs(cfg: dict) -> RunResult:
 def _est_local_gcs(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    u3 = _ternary_terms(cfg, smean, s2mean, slots=2) + 8 * _ternary_terms(cfg, smean, s2mean)
+    u3 = (_ternary_terms(cfg, smean, s2mean, slots=2)
+          + 8 * _ternary_terms(cfg, smean, s2mean, half=True))
     return int(cfg["trials"] * (5 * coset ** 3 + u3))
 
 
@@ -438,7 +451,7 @@ def _run_local_triangle(cfg: dict) -> RunResult:
         except DegenerateContext as exc:
             trials.append(make_degenerate(2 * i + 1, base, str(exc)))
             continue
-        nf, ng, nfg = local_u3_norms([ctx3] * 3, [f, g, f + g])
+        nf, ng, nfg = local_u3_norms(factor, [ctx3.codes] * 3, [f, g, f + g])
         scale = max(1.0, nf + ng)
         trials.append(make_trial(2 * i + 1, base | {"check": "local-u3-triangle"},
                                  nfg, nf + ng + tol * scale, detail={"scale": scale}))
@@ -448,33 +461,38 @@ def _run_local_triangle(cfg: dict) -> RunResult:
 def _est_local_triangle(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    return int(cfg["trials"] * (3 * coset ** 3 + 3 * _ternary_terms(cfg, smean, s2mean)))
+    return int(cfg["trials"] * (3 * coset ** 3
+                                + 3 * _ternary_terms(cfg, smean, s2mean, half=True)))
 
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
-    trials = []
+    trials, fs, dirs = [], [], []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f = _bounded_fn(rng, p, n)
-        base = {"seed": cfg["seed"], "trial": i}
-        trials.append(make_trial(2 * i, base | {"check": "global"},
+        trials.append(make_trial(2 * i, {"seed": cfg["seed"], "trial": i, "check": "global"},
                                  u2_norm(f), u3_norm(f) + tol))
-        a1 = _label(rng, p, linear.ell)
-        a2 = _label(rng, p, linear.ell)
-        a3 = _label(rng, p, linear.ell)
-        u3val, u2val, _ = local_u3_dominates_check(linear, a1, a2, a3, f, tol)
-        trials.append(make_trial(2 * i + 1, base | {"check": "local", "d": [a1, a2, a3]},
-                                 u2val, u3val + tol))
+        fs.append(f)
+        dirs.append([_label(rng, p, linear.ell) for _ in range(3)])
+    for i, (d, (u3val, u2val, _)) in enumerate(
+            zip(dirs, local_u3_dominates_check(linear, dirs, fs, tol))):
+        trials.insert(2 * i + 1, make_trial(2 * i + 1, {"seed": cfg["seed"], "trial": i,
+                                                        "check": "local", "d": d},
+                                            u2val, u3val + tol))
     return RunResult(trials)
 
 
 def _est_u3_dominates(cfg: dict) -> int:
+    # per trial the global norms, the local U^3 norm on cosets c that keep
+    # every member (c (c + 1) / 2 y-pairs of one computed slot and the index
+    # sums), and the local U^2 norm with its sum table
     p, n = cfg["p"], cfg["n"]
-    coset = p ** (n - cfg["ell"])
+    c = p ** (n - cfg["ell"])
+    local3 = c * (c + 1) // 2 * (c ** 3 + 2 * c * (c + 1))
     return cfg["trials"] * (_u2_norms_terms(p, n, 1) + _u3_norms_terms(p, n, 1)
-                            + 3 * coset ** 5)
+                            + local3 + 2 * c ** 3 + c ** 2)
 
 
 def _run_ap3(cfg: dict) -> RunResult:
@@ -955,7 +973,8 @@ def _est_control_ip2_local(cfg: dict) -> int:
     total = 0
     for n in cfg["n_values"]:
         smean, s2mean = _atom_stats(cfg, n)
-        total += int(_ternary_terms(cfg, smean, s2mean, ys=m) + _ternary_terms(cfg, smean, s2mean))
+        total += int(_ternary_terms(cfg, smean, s2mean, ys=m)
+                     + _ternary_terms(cfg, smean, s2mean, half=True))
     return max(total, 1)
 
 
@@ -1026,7 +1045,7 @@ def _est_sparse_uniform(cfg: dict) -> int:
         smean, s2mean = _atom_stats(cfg, n)
         total += int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1))
         if n == n_hard:
-            total += int(_ternary_terms(cfg, smean, s2mean))
+            total += int(_ternary_terms(cfg, smean, s2mean, half=True))
     return max(total, 1)
 
 
@@ -1040,14 +1059,10 @@ def _run_smallpart(cfg: dict) -> RunResult:
     f = GroupFunction(p, n, f_raw)
     total_dirs = p ** (3 * (ell + q) + 3 * q)
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    ctxs, degenerate = [], 0
-    for j in range(count):
-        d = _direction3(_trial_rng(cfg["seed"], j), factor)
-        try:
-            ctxs.append(LocalContext3(factor, d))
-        except DegenerateContext:
-            degenerate += 1
-    norms = local_u3_norms(ctxs, [f] * len(ctxs))
+    codes = _direction_codes(factor, cfg["seed"], count)
+    empty = degenerate_directions(factor, codes)
+    degenerate = int(empty.sum())
+    norms = local_u3_norms(factor, codes[~empty], [f] * (count - degenerate))
     arr = np.array(sorted(norms)) if norms else np.zeros(0)
     main_thr = 2.0 * eps ** (1.0 / 16.0)
     thresholds = [main_thr, 1.0, eps ** (1.0 / 16.0), 0.3, 0.1]
@@ -1073,7 +1088,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
 def _est_smallpart(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    return max(int(count * _ternary_terms(cfg, smean, s2mean)), 1)
+    return max(int(count * _ternary_terms(cfg, smean, s2mean, half=True)), 1)
 
 
 def _random_label_union(rng: np.random.Generator, factor: QuadraticFactor) -> list:
@@ -1303,11 +1318,8 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
     coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
     trials = []
-    patterns = []  # (trial slot, trial id, base, witness count, normalization)
-    pattern_ctxs = []
-    pending = []  # (trial slot, trial id, base, pattern, density product, m, first and last norm)
-    ctxs, fs = [], []
-    targets: dict[tuple, tuple | None] = {}  # atom label -> (density, balanced indicator)
+    patterns = []  # (witness trial slot and id, density trial slot and id, base, count, norm)
+    ctxs = []
     for gi, graph in enumerate(_ternary_graphs(cfg["max_part"])):
         base = {"parts": [graph.nu, graph.nv, graph.nw],
                 "edges": sorted(graph.edges)}
@@ -1317,45 +1329,39 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
             continue
         count = witness_count_ternary(graph, factor, ctx.e, bits, ctx)
         norm = ternary_normalization(graph, factor, ctx.e, ctx)
-        patterns.append((len(trials), 2 * gi, base, count, norm))
-        pattern_ctxs.append(ctx)
-        trials.append(None)
-        prod = 1.0
-        first = len(ctxs)
-        for (u, v, w) in graph.all_tuples():
-            ctx3 = ctx.local(u, v, w)
-            label = ctx3.sigma.values
-            if label not in targets:
-                target = ctx3.target_indices()
-                targets[label] = None
-                if target.size:
-                    alpha = float(bits[target].mean())
-                    targets[label] = (alpha, _indicator_minus(p, n, bits, alpha))
-            if targets[label] is None:
-                trials.append(make_degenerate(2 * gi + 1, base, "target atom is empty"))
-                del ctxs[first:], fs[first:]
-                break
-            alpha, balanced = targets[label]
-            prod *= alpha if (u, v, w) in graph.edges else 1.0 - alpha
-            ctxs.append(ctx3)
-            fs.append(balanced)
-        else:
-            m = max(graph.nu, graph.nv, graph.nw)
-            pending.append((len(trials), 2 * gi + 1, base, len(patterns) - 1, prod, m, first,
-                            len(ctxs)))
-            trials.append(None)
-    # the operators and the norms, each in one contraction, then the trials
-    grids = [FunctionGrid.edge_select(c.graph, ind, coind) for c in pattern_ctxs]
-    t_vals = [v.real for v in t_ternaries(pattern_ctxs, grids)]
-    for (slot, tid, base, count, norm), t_val in zip(patterns, t_vals):
+        patterns.append((len(trials), 2 * gi, len(trials) + 1, 2 * gi + 1, base, count, norm))
+        ctxs.append(ctx)
+        trials += [None, None]
+    # the operators in one contraction, then the witness trials
+    grids = [FunctionGrid.edge_select(c.graph, ind, coind) for c in ctxs]
+    t_vals = [v.real for v in t_ternaries(ctxs, grids)]
+    for (slot, tid, _, _, base, count, norm), t_val in zip(patterns, t_vals):
         identity_err = abs(t_val * float(norm) - count)
         trials[slot] = make_trial(tid, base | {"check": "witness-identity"},
                                   identity_err, tol * max(1.0, float(count)),
                                   detail={"count": count})
-    norms = local_u3_norms(ctxs, fs)
-    for slot, tid, base, pattern, prod, m, first, last in pending:
-        eps_meas = max([0.0] + norms[first:last])
-        delta = abs(t_vals[pattern] - prod)
+    # every triple's direction codes and target atom, by array operations,
+    # and every triple's norm in one contraction, of 1_A - alpha on its target
+    codes = np.concatenate([c.triples() for c in ctxs] or [np.zeros((0, 6), dtype=np.int64)])
+    targets = sigma3_codes(factor, codes).tolist()
+    sizes = factor.atom_sizes
+    alphas = (np.bincount(factor._codes, weights=bits, minlength=sizes.size)
+              / np.maximum(sizes, 1)).tolist()
+    balanced = {t: _indicator_minus(p, n, bits, alphas[t]) for t in dict.fromkeys(targets)}
+    norms = local_u3_norms(factor, codes, [balanced[t] for t in targets])
+    end = 0
+    for (_, _, slot, tid, base, _, _), t_val, ctx in zip(patterns, t_vals, ctxs):
+        graph = ctx.graph
+        start, end = end, end + graph.nu * graph.nv * graph.nw
+        mine = targets[start:end]
+        if not sizes[mine].all():
+            trials[slot] = make_degenerate(tid, base, "target atom is empty")
+            continue
+        m = max(graph.nu, graph.nv, graph.nw)
+        eps_meas = max([0.0] + norms[start:end])
+        prod = math.prod(alphas[t] if e in graph.edges else 1.0 - alphas[t]
+                         for t, e in zip(mine, graph.all_tuples()))
+        delta = abs(t_val - prod)
         # the product-of-densities approximation carries a rank error term
         # on top of the norm term, so its deviation is reported, not asserted
         heuristic = 3.0 * eps_meas * m ** 3
@@ -1372,7 +1378,7 @@ def _est_counting_ternary(cfg: dict) -> int:
     # p^-q share, and its su sv sw sum tables; the operator with one
     # computed slot per W-vertex; and one local U^3 norm per triple
     smean, s2mean = _atom_stats(cfg, cfg["n"])
-    norm = _ternary_terms(cfg, smean, s2mean)
+    norm = _ternary_terms(cfg, smean, s2mean, half=True)
     total = 0
     for su in range(1, cfg["max_part"] + 1):
         for sv in range(1, cfg["max_part"] + 1):

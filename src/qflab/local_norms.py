@@ -13,17 +13,22 @@ atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 `_binary_contract` is the bipartite contraction: local U^2, the IP averages
 and the bipartite operator. `_ternary_contract` is the weighted 3-partite
 one: local U^3, IP2, the ternary operator and the weighted ternary density.
-It takes a batch of problems, so `local_u3_norms` evaluates the norms of
-many direction tuples in one call. Per y-tuple it keeps exactly the x's and
-z's that the bilinear weights allow, sorts the y-tuples of the whole batch
-into buckets by how many they keep, and contracts each bucket in blocks of
-one gather and one batched matmul.
+It takes a batch of problems named by integer codes (atoms, bilinear levels
+and value arrays, laid out by a `TernaryShape`), so `local_u3_norms`
+evaluates the norms of a whole array of direction codes in one call. Per
+y-tuple it keeps exactly the x's and z's that the bilinear weights allow,
+sorts the y-tuples of the whole batch into buckets by how many they keep,
+and contracts each bucket in blocks of one gather and one batched matmul.
+A diagonal norm is unchanged when y0 and y1 swap, so it scans only the
+y-tuples with j0 <= j1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .factor import (
     DirectionTuple3,
     LinearFactor,
     QuadraticFactor,
+    _code,
     mu_weight_matrix,
     sigma2,
     sigma3,
@@ -43,7 +49,7 @@ from .spectral import GroupFunction, SpectrumTable, _root_of_diagonal, fourier_t
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
-BLOCK_ENTRIES = 1 << 15  # entries per kept (x, z) slab of one block of the ternary contraction
+BLOCK_ENTRIES = 1 << 13  # entries per kept (x, z) slab of one block of the ternary contraction
 NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
@@ -161,7 +167,7 @@ def local_u2_fourth_via_spectrum(ctx: LocalContext2, f: GroupFunction,
 
 class LocalContext3:
     """A quadratic factor with atom labels (a1, a2, a3) and bilinear labels
-    (b12, b13, b23); caches member arrays and mu weight matrices.
+    (b12, b13, b23): their codes, member arrays and mu weight matrices.
 
     Degenerate when any referenced atom or level set is empty: the defining
     expectations divide by those sizes, so evaluation refuses.
@@ -172,31 +178,21 @@ class LocalContext3:
             raise ValueError("direction tuple does not match factor")
         self.factor = factor
         self.d = d
+        self.codes = tuple(_code(d.p, lab) for lab in (d.a1, d.a2, d.a3, d.b12, d.b13, d.b23))
         self.xs = factor.atom_indices(d.a1)
         self.ys = factor.atom_indices(d.a2)
         self.zs = factor.atom_indices(d.a3)
         for name, arr in (("a1", self.xs), ("a2", self.ys), ("a3", self.zs)):
             if arr.size == 0:
                 raise DegenerateContext(f"atom {name} = {getattr(d, name)} is empty")
+        a1, a2, a3, b12, b13, b23 = self.codes
         try:
-            self.mu12 = mu_weight_matrix(factor, d.b12, self.xs, self.ys)
-            self.mu13 = mu_weight_matrix(factor, d.b13, self.xs, self.zs)
-            self.mu23 = mu_weight_matrix(factor, d.b23, self.ys, self.zs)
+            self.mu12 = mu_weight_matrix(factor, b12, a1, a2)
+            self.mu13 = mu_weight_matrix(factor, b13, a1, a3)
+            self.mu23 = mu_weight_matrix(factor, b23, a2, a3)
         except EmptyLevelSet as exc:
             raise DegenerateContext(str(exc)) from exc
         self.sigma: AtomLabel = sigma3(factor, d)
-
-    @classmethod
-    def from_arrays(cls, factor: QuadraticFactor, d: DirectionTuple3, members: tuple,
-                    weights: tuple) -> LocalContext3:
-        """The context of d on its member arrays (xs, ys, zs) and mu matrices
-        (mu12, mu13, mu23), already built and checked nonempty by the
-        caller."""
-        ctx = cls.__new__(cls)
-        ctx.factor, ctx.d = factor, d
-        (ctx.xs, ctx.ys, ctx.zs), (ctx.mu12, ctx.mu13, ctx.mu23) = members, weights
-        ctx.sigma = sigma3(factor, d)
-        return ctx
 
     def target_indices(self) -> np.ndarray:
         return self.factor.atom_indices(self.sigma.values)
@@ -207,62 +203,84 @@ def _member_tensor(ctx: LocalContext3, g: GroupFunction) -> np.ndarray:
     return g.values[ctx.factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
 
 
-def _arrays(problem: tuple) -> list:
-    """Every array of a ternary problem, in one fixed order."""
-    xs, ys, zs, values, muv, muw, mvw = problem
-    return [*xs, *ys, *zs, *(g for g, _ in values.values()),
-            *muv.values(), *muw.values(), *mvw.values()]
+class TernaryShape(NamedTuple):
+    """Where each vertex, pair and slot of a ternary problem reads its code,
+    as columns of a row of integers: xs[u], ys[v] and zs[w] are the columns
+    of the vertices' atom codes; muv, muw and mvw hold ((a, b), column) for
+    each pair, the column of its bilinear code (the pair's atoms are its
+    vertices'); values holds ((u, v, w), column, conjugated) for each slot,
+    the column of an index into the problem's list of value arrays."""
+
+    xs: tuple
+    ys: tuple
+    zs: tuple
+    values: tuple
+    muv: tuple
+    muw: tuple
+    mvw: tuple
 
 
-def _ternary_contract(sp: GroupSpace, problems: list) -> np.ndarray:
+def _ternary_contract(factor: QuadraticFactor, shape: TernaryShape, codes: np.ndarray,
+                      arrays: list) -> np.ndarray:
     """The weighted ternary average over parts U, V (at most two vertices
-    each) and W (any number of vertices), for each problem of a batch:
+    each) and W (any number of vertices), for each row of codes:
 
         E over x_u in xs[u], y_v in ys[v] of prod muv[u, v](x_u, y_v) times
         prod over w of E over z in zs[w] of prod muw[u, w](x_u, z)
         prod mvw[v, w](y_v, z) prod g_uvw[x_u + y_v + z],
 
-    where a problem is (xs, ys, zs, values, muv, muw, mvw), values[u, v, w]
-    = (array, conjugated) and g_uvw is the array, complex-conjugated when
-    the flag is set. Returns one complex value per problem, in order.
+    where the row names each vertex's atom, each pair's bilinear level and
+    each slot's value array g_uvw (complex-conjugated when the shape says
+    so) as laid out by `shape`. Returns one complex value per row, in order.
 
-    Problems of the same shape (the same vertices, slots, conjugate flags
-    and array types) are stacked along a leading context axis (`_Stack`), a
-    block of contexts at a time, and contracted together; a block of
-    contexts holds at most H_BLOCK_ENTRIES y-tuples and value entries.
-    Raises CapExceeded when some |x_u| |y_v| |z_w| exceeds TENSOR_CAP.
+    The rows are stacked along a leading context axis (`_Stack`), a block
+    of contexts at a time; a block holds at most H_BLOCK_ENTRIES y-tuples
+    and value entries. Raises CapExceeded when some |x_u| |y_v| |z_w|
+    exceeds TENSOR_CAP, and DegenerateContext when a row names an empty
+    atom or level set.
     """
-    groups: dict[tuple, list] = {}
-    for i, problem in enumerate(problems):
-        xs, ys, zs, values, muv, muw, mvw = problem
-        widest = max(x.size for x in xs) * max(y.size for y in ys) * max(z.size for z in zs)
-        if widest > TENSOR_CAP:
-            raise CapExceeded(f"|x| |y| |z| = {widest} exceeds the ternary cap {TENSOR_CAP}")
-        arrays = _arrays(problem)
-        key = (tuple(values), tuple([c for _, c in values.values()]), tuple(muv), tuple(muw),
-               tuple(mvw), len(xs), len(ys), tuple([a.dtype.char for a in arrays]))
-        groups.setdefault(key, []).append((i, arrays))
-    out = np.zeros(len(problems), dtype=np.complex128)
-    for group in groups.values():
-        nv = len(problems[group[0][0]][1])
-        longest = [max(problems[i][1][v].size for i, _ in group) for v in range(nv)]
-        step = max(1, H_BLOCK_ENTRIES // (math.prod(longest) + sp.size))  # contexts per block
-        for start in range(0, len(group), step):
-            block = group[start:start + step]
-            stack = _Stack(problems[block[0][0]], [arrays for _, arrays in block])
-            out[[i for i, _ in block]] = stack.contract(sp)
+    codes = np.asarray(codes, dtype=np.int64).reshape(len(codes), -1)
+    sizes = factor.atom_sizes
+    parts = [sizes[codes[:, list(cols)]] for cols in (shape.xs, shape.ys, shape.zs)]
+    if min(int(a.min()) for a in parts) == 0:
+        raise DegenerateContext("a ternary problem names an empty atom")
+    widest = int((parts[0].max(axis=1) * parts[1].max(axis=1) * parts[2].max(axis=1)).max())
+    if widest > TENSOR_CAP:
+        raise CapExceeded(f"|x| |y| |z| = {widest} exceeds the ternary cap {TENSOR_CAP}")
+    out = np.zeros(len(codes), dtype=np.complex128)
+    ytuples = math.prod(parts[1].max(axis=0).tolist())
+    step = max(1, H_BLOCK_ENTRIES // (ytuples + factor.space.size))  # contexts per block
+    for start in range(0, len(codes), step):
+        try:
+            stack = _Stack(factor, shape, codes[start:start + step], arrays)
+        except EmptyLevelSet as exc:
+            raise DegenerateContext(str(exc)) from exc
+        out[start:start + step] = stack.contract(factor.space)
     return out
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values and each value's position among them, as
+    np.unique gives them, without its sort when every value is the first."""
+    if (values == values[0]).all():
+        return values[:1], np.zeros(len(values), dtype=np.intp)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, inverse.reshape(-1)
 
 
 class _Stack:
     """C ternary problems of one shape, stacked along a leading context axis:
-    member arrays (C, |part|), value arrays (C, N) and weights (C, |a|, |b|),
-    each the stack of the arrays in the same place of every problem,
-    zero-padded to the longest. Two places share one stack when every
-    problem holds the same array in both; an array that only some problems
-    share gets a stack per place. A padded member has zero weight with every
-    other vertex, so it is never kept; `lengths` holds each member array's
-    true length per context.
+    member arrays (C, |part|), weights (C, |a|, |b|) and value places, each
+    filled for its place with one gather over the rows' codes. A member
+    place gathers rows of the factor's member table, zero-padded to the
+    block's largest atom; a weight place gathers the block's distinct
+    (bilinear, row atom, column atom) code triples' mu matrices, zero-padded
+    alike. A value place is a table of the block's distinct value arrays
+    and, unless every context reads the same array (then held once), each
+    context's row in it. Two places share one stack when every context
+    names the same codes in both. A padded member has zero weight with
+    every other vertex, so it is never kept; `lengths` holds each member
+    stack's true length per context.
 
     Once the y's are fixed the z-averages are independent: each is one
     weighted matrix product over (x_0, z) and (x_1, z), and the outer
@@ -282,47 +300,71 @@ class _Stack:
     inputs are an earlier slot's with every conjugate flag flipped reads the
     conjugate of each of that slot's tensors; when its z weights are real
     (checked, not assumed) its z-average is the conjugate of that slot's, so
-    it takes that and skips its own matmul. Counts the multiply-adds of each
-    computed slot, |x_0 kept| |x_1 kept| |z kept| per y-tuple; a mirrored
-    slot counts none. The index sums count their own entries.
+    it takes that and skips its own matmul.
+
+    Half the y-pairs: when y_0 and y_1 are one stack, each y's muv and mvw
+    weights are the other y's, every slot (u, 1, w) reads slot (u, 0, w)'s
+    value place with its conjugate flag flipped, and every weight is real,
+    swapping y_0 and y_1 maps each term to its conjugate. The scan then
+    keeps only the y-tuples with j_0 <= j_1, weights those with j_0 < j_1 by
+    2 and returns the real part; this is exact.
+
+    Counts the multiply-adds of each computed slot, |x_0 kept| |x_1 kept|
+    |z kept| per kept y-tuple; a mirrored slot counts none. The index sums
+    count their own entries.
     """
 
-    def __init__(self, problem: tuple, rows: list) -> None:
-        nctx, nplace = len(rows), len(rows[0])
-        ids = np.fromiter(map(id, itertools.chain.from_iterable(rows)), dtype=np.uint64,
-                          count=nctx * nplace).reshape(nctx, nplace)
-        # a place reuses the stack of the first place whose column of ids
-        # is the same: every problem of the block holds one array in both
-        columns = np.ascontiguousarray(ids.T).view(np.dtype((np.void, 8 * nctx))).reshape(-1)
-        _, first, inverse = np.unique(columns, return_index=True, return_inverse=True)
-        owner = first[inverse].tolist()
-        placed: list[np.ndarray] = []
+    def __init__(self, factor: QuadraticFactor, shape: TernaryShape, codes: np.ndarray,
+                 arrays: list) -> None:
+        self.nctx = len(codes)
+        sizes = factor.atom_sizes
+        places: dict[tuple, object] = {}  # by the codes a place reads
         self.lengths: dict[int, np.ndarray] = {}
-        for place in range(nplace):
-            if owner[place] < place:
-                placed.append(placed[owner[place]])
-                continue
-            parts = [r[place] for r in rows]
-            shapes = [b.shape for b in parts]
-            if shapes.count(shapes[0]) == nctx:
-                stacked = np.stack(parts)
-            else:  # zero-pad: one scatter through the mask of true lengths
-                dims = np.array(shapes)
-                shape = dims.max(axis=0)
-                mask = np.ones((nctx, *shape), dtype=bool)
-                for k, size in enumerate(shape):
-                    mask &= (np.arange(size) < dims[:, k, None]).reshape(
-                        (nctx,) + (1,) * k + (size,) + (1,) * (shape.size - k - 1))
-                stacked = np.zeros(mask.shape, dtype=parts[0].dtype)
-                stacked[mask] = np.concatenate([b.reshape(-1) for b in parts])
-            placed.append(stacked)
-            self.lengths[id(stacked)] = np.array([d[0] for d in shapes], dtype=np.float64)
-        xs, ys, zs, values, muv, muw, mvw = problem
-        it = iter(placed)
-        self.xs, self.ys, self.zs = ([next(it) for _ in part] for part in (xs, ys, zs))
-        self.values = {k: (next(it), c) for k, (_, c) in values.items()}
-        self.muv, self.muw, self.mvw = ({k: next(it) for k in d} for d in (muv, muw, mvw))
-        self.nctx = nctx
+
+        @functools.cache  # by the columns a place reads
+        def member(col: int) -> np.ndarray:
+            key = ("member", codes[:, col].tobytes())
+            if key not in places:
+                lengths = sizes[codes[:, col]]
+                stacked = factor.member_table[codes[:, col], :lengths.max()]
+                self.lengths[id(stacked)] = lengths.astype(np.float64)
+                places[key] = stacked
+            return places[key]
+
+        @functools.cache
+        def weight(col: int, row: int, other: int) -> np.ndarray:
+            triples = np.ascontiguousarray(codes[:, [col, row, other]])
+            key = ("weight", triples.tobytes())
+            if key not in places:  # one void item per (bilinear, row, column) triple
+                distinct, inverse = _distinct(triples.view(np.dtype((np.void, 24))).reshape(-1))
+                mats = [mu_weight_matrix(factor, *t)
+                        for t in distinct.view(np.int64).reshape(-1, 3).tolist()]
+                padded = np.zeros((len(mats), sizes[codes[:, row]].max(),
+                                   sizes[codes[:, other]].max()))
+                for k, m in enumerate(mats):
+                    padded[k, :m.shape[0], :m.shape[1]] = m
+                places[key] = padded[inverse]
+            return places[key]
+
+        @functools.cache
+        def value(col: int) -> tuple:
+            key = ("value", codes[:, col].tobytes())
+            if key not in places:
+                distinct, rows = _distinct(codes[:, col])
+                if distinct.size == 1:
+                    places[key] = (arrays[distinct[0]][None], None)
+                else:
+                    places[key] = (np.stack([arrays[k] for k in distinct.tolist()]), rows)
+            return places[key]
+
+        self.xs, self.ys, self.zs = ([member(c) for c in cols]
+                                     for cols in (shape.xs, shape.ys, shape.zs))
+        self.values = {k: (value(col), conj) for k, col, conj in shape.values}
+        self.muv, self.muw, self.mvw = (
+            {(a, b): weight(col, rows[a], others[b]) for (a, b), col in pairs}
+            for pairs, rows, others in ((shape.muv, shape.xs, shape.ys),
+                                        (shape.muw, shape.xs, shape.zs),
+                                        (shape.mvw, shape.ys, shape.zs)))
 
     def contract(self, sp: GroupSpace) -> np.ndarray:
         """The C values, in order."""
@@ -344,6 +386,14 @@ class _Stack:
                 self.slots[skey] = [w, None, 1]
         self.mirrored = {m for _, m, _ in self.slots.values() if m is not None}
         computed = [w for w, m, _ in self.slots.values() if m is None]
+        values = self.values
+        self.half = (nv == 2 and ys[0] is ys[1]
+                     and all(muv[(u, 0)] is muv[(u, 1)] for u in range(nu))
+                     and all(mvw[(0, w)] is mvw[(1, w)] for w in range(nw))
+                     and all(values[(u, 1, w)][0] is values[(u, 0, w)][0]
+                             and values[(u, 1, w)][1] != values[(u, 0, w)][1]
+                             for u in range(nu) for w in range(nw))
+                     and all(np.isrealobj(m) for d in (muv, muw, mvw) for m in d.values()))
         # the kept members of x_u depend on its members and its y weights, of
         # z_w likewise; vertices that share them share a class, named by its
         # first vertex, and one gather
@@ -365,7 +415,11 @@ class _Stack:
                                     m1[0].transpose(0, 2, 1).astype(np.float64)) if m1
                           else m0.sum(axis=2))
         keys = np.stack([c.reshape(-1) for c in counts], axis=1).astype(np.int64)
-        live = np.flatnonzero((keys > 0).all(axis=1))
+        alive = (keys > 0).all(axis=1)
+        sy1 = ys[-1].shape[1]
+        if self.half:  # j_0 <= j_1
+            alive &= np.tile(np.triu(np.ones((sy1, sy1), dtype=bool)).reshape(-1), self.nctx)
+        live = np.flatnonzero(alive)
         if not live.size:
             return np.zeros(self.nctx, dtype=np.complex128)
         order = np.lexsort(keys[live].T)
@@ -374,7 +428,6 @@ class _Stack:
         edges = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(),
                  live.size]
         ntuple = math.prod(y.shape[1] for y in ys)
-        sy1 = ys[-1].shape[1]
         total = np.zeros(self.nctx, dtype=np.complex128)
         work = 0
         for lo, hi in zip(edges, edges[1:]):
@@ -391,6 +444,8 @@ class _Stack:
                 total += self.block(sp, t // ntuple, [(t % ntuple) // sy1, t % sy1][2 - nv:],
                                     kx, kz)
         count_terms(work)
+        if self.half:
+            total = total.real.astype(np.complex128)
         return total / math.prod(self.lengths[id(a)] for a in (*xs, *ys))
 
     def block(self, sp: GroupSpace, c: np.ndarray, j: list, kx: dict, kz: dict) -> np.ndarray:
@@ -401,7 +456,7 @@ class _Stack:
         xc, zc = self.xc, self.zc
         nu, nv = len(xs), len(ys)
         size = len(c)
-        col, cube = c[:, None], c[:, None, None]
+        col = c[:, None]
 
         def kept(masks: list, count: int) -> np.ndarray:  # (P, count) member positions
             both = masks[0]
@@ -418,15 +473,18 @@ class _Stack:
         tensors: dict[tuple, np.ndarray] = {}
 
         def tensor(u: int, v: int, w: int) -> np.ndarray:  # g_uvw[x_u + y_v + z], (P, |x_u|, |z|)
-            g, conj = self.values[(u, v, w)]
+            place, conj = self.values[(u, v, w)]
             cls = (v, xc[u], zc[w])
-            key = (id(g),) + cls
+            key = (id(place),) + cls
             if key not in tensors:
                 if cls[:2] not in sums:
                     sums[cls[:2]] = sp.sums(xg[xc[u]], yg[v][:, None])
                 if cls not in sums:
                     sums[cls] = sp.sums(sums[cls[:2]][:, :, None], zg[zc[w]][:, None, :])
-                tensors[key] = g.reshape(-1)[sums[cls] + cube * g.shape[1]]
+                table, rows = place
+                index = sums[cls] if rows is None else (
+                    sums[cls] + (rows[c] * table.shape[1])[:, None, None])
+                tensors[key] = table.reshape(-1)[index]
             return np.conj(tensors[key]) if conj else tensors[key]
 
         weights: dict[tuple, np.ndarray] = {}
@@ -465,31 +523,44 @@ class _Stack:
             val = (wx[0] * prod).sum(axis=1)
         else:
             val = (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).reshape(size)
+        if self.half:  # the y-tuples with j_0 < j_1 stand for their swaps too
+            val = val * np.where(j[0] < j[1], 2.0, 1.0)
         return np.bincount(c, val.real, self.nctx) + 1j * np.bincount(c, val.imag, self.nctx)
 
 
-_U3_SLOTS = [((u, v, w), (u + v + w) % 2 == 1) for u, v, w in itertools.product(range(2), repeat=3)]
-_PAIRS = list(itertools.product(range(2), repeat=2))
+@functools.lru_cache(maxsize=None)
+def u3_shape(octuple: bool) -> TernaryShape:
+    """The local U^3 inner product as a ternary shape with |U| = |V| = |W|
+    = 2 on the direction codes (a1, a2, a3, b12, b13, b23) in columns 0-5:
+    slot (u, v, w) reads column 6 + 4u + 2v + w (octuple) or column 6 (the
+    diagonal), conjugated when u + v + w is odd."""
+    values = tuple(((u, v, w), 6 + (4 * u + 2 * v + w if octuple else 0), (u + v + w) % 2 == 1)
+                   for u, v, w in itertools.product(range(2), repeat=3))
+    pairs = list(itertools.product(range(2), repeat=2))
+    return TernaryShape((0, 0), (1, 1), (2, 2), values, *(tuple((k, col) for k in pairs)
+                                                         for col in (3, 4, 5)))
 
 
-def _u3_problem(ctx: LocalContext3, octuple: list[GroupFunction]) -> tuple:
-    """The local U^3 inner product as a ternary problem with |U| = |V| = |W|
-    = 2, slot (u, v, w) reading octuple[4u + 2v + w], conjugated when
-    u + v + w is odd."""
-    if len(octuple) != 8:
-        raise ValueError("need eight functions in lexicographic eps order")
-    for g in octuple:
-        if (g.p, g.n) != (ctx.factor.p, ctx.factor.n):
+def value_columns(fs: list[GroupFunction], p: int, n: int) -> tuple[list[int], list[np.ndarray]]:
+    """An index per function into a list of the distinct functions' values
+    (by identity); raises ValueError for a function off F_p^n."""
+    for g in fs:
+        if (g.p, g.n) != (p, n):
             raise ValueError("function in wrong group")
-    values = {k: (g.values, conj) for (k, conj), g in zip(_U3_SLOTS, octuple)}
-    return ([ctx.xs] * 2, [ctx.ys] * 2, [ctx.zs] * 2, values, dict.fromkeys(_PAIRS, ctx.mu12),
-            dict.fromkeys(_PAIRS, ctx.mu13), dict.fromkeys(_PAIRS, ctx.mu23))
+    index: dict[int, int] = {}
+    columns = [index.setdefault(id(g), len(index)) for g in fs]
+    return columns, list({id(g): g.values for g in fs}.values())
 
 
 def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
     """The mu-weighted eight-vertex expectation over the three atoms: the
-    ternary contraction of one problem."""
-    return complex(_ternary_contract(ctx.factor.space, [_u3_problem(ctx, octuple)])[0])
+    ternary contraction of one problem, slot (u, v, w) reading
+    octuple[4u + 2v + w]."""
+    if len(octuple) != 8:
+        raise ValueError("need eight functions in lexicographic eps order")
+    columns, arrays = value_columns(octuple, ctx.factor.p, ctx.factor.n)
+    return complex(_ternary_contract(ctx.factor, u3_shape(True), [ctx.codes + tuple(columns)],
+                                     arrays)[0])
 
 
 def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
@@ -527,23 +598,25 @@ def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> co
     return complex(total / (s1 * s2 * s3) ** 2)
 
 
-def local_u3_norms(ctxs: list[LocalContext3], fs: list[GroupFunction],
+def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
                    tol: float = DEFAULT_TOL) -> list[float]:
-    """The local U^3 norm of fs[i] at ctxs[i], for every i: one ternary
-    contraction over the diagonal octuples of the whole batch."""
-    if len(ctxs) != len(fs):
-        raise ValueError("need one function per context")
-    if not ctxs:
+    """The local U^3 norm of fs[i] at the direction of codes[i] = (a1, a2,
+    a3, b12, b13, b23), for every i: one ternary contraction over the
+    diagonal octuples of the whole batch. Every direction must be
+    nondegenerate (`degenerate_directions`)."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
+    if len(codes) != len(fs):
+        raise ValueError("need one function per direction")
+    if not fs:
         return []
-    sp = ctxs[0].factor.space
-    if any((c.factor.p, c.factor.n) != (sp.p, sp.n) for c in ctxs):
-        raise ValueError("contexts on different groups")
-    values = _ternary_contract(sp, [_u3_problem(c, [f] * 8) for c, f in zip(ctxs, fs)])
+    columns, arrays = value_columns(fs, factor.p, factor.n)
+    values = _ternary_contract(factor, u3_shape(False), np.column_stack([codes, columns]),
+                               arrays)
     return [_root_of_diagonal(complex(v), 8, tol) for v in values]
 
 
 def local_u3_norm(ctx: LocalContext3, f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return local_u3_norms([ctx], [f], tol)[0]
+    return local_u3_norms(ctx.factor, [ctx.codes], [f], tol)[0]
 
 
 def support_triples_consistent(ctx: LocalContext3) -> bool:
@@ -561,20 +634,20 @@ def support_triples_consistent(ctx: LocalContext3) -> bool:
     return bool((codes[mask] == target).all())
 
 
-def local_u3_dominates_check(linear: LinearFactor, a1, a2, a3, f: GroupFunction,
-                             tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def local_u3_dominates_check(linear: LinearFactor, directions: list, fs: list[GroupFunction],
+                             tol: float = DEFAULT_TOL) -> list[tuple[float, float, float]]:
     """On a purely linear factor, the local U^3 norm with zero bilinear
     labels dominates the local U^2 norm at the direction (a1 + a2, a3).
-    Returns (u3val, u2val, margin)."""
+    Returns (u3val, u2val, margin) for each direction (a1, a2, a3) and
+    function, the U^3 norms in one batch."""
     p = linear.p
-    a1 = tuple(int(v) % p for v in a1)
-    a2 = tuple(int(v) % p for v in a2)
-    a3 = tuple(int(v) % p for v in a3)
     quad = QuadraticFactor(linear, ())
-    d3 = DirectionTuple3(p, a1, a2, a3, (), (), ())
-    ctx3 = LocalContext3(quad, d3)
-    u3val = local_u3_norm(ctx3, f, tol)
-    a12 = tuple((u + v) % p for u, v in zip(a1, a2))
-    ctx2 = LocalContext2(linear, DirectionTuple2(p, a12, a3))
-    u2val = local_u2_norm(ctx2, f, tol)
-    return u3val, u2val, u3val - u2val
+    dirs = [[tuple(int(v) % p for v in a) for a in d] for d in directions]
+    u3vals = local_u3_norms(quad, [[linear.label_code(a) for a in d] + [0] * 3 for d in dirs],
+                            fs, tol)
+    out = []
+    for (a1, a2, a3), f, u3val in zip(dirs, fs, u3vals):
+        a12 = tuple((u + v) % p for u, v in zip(a1, a2))
+        u2val = local_u2_norm(LocalContext2(linear, DirectionTuple2(p, a12, a3)), f, tol)
+        out.append((u3val, u2val, u3val - u2val))
+    return out

@@ -39,10 +39,19 @@ from .factor import (
     DirectionTuple3,
     LinearFactor,
     QuadraticFactor,
+    _code,
+    beta_code_sizes,
     mu_weight_matrix,
 )
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
-from .local_norms import GRID_CAP, LocalContext3, _binary_contract, _ternary_contract
+from .local_norms import (
+    GRID_CAP,
+    LocalContext3,
+    TernaryShape,
+    _binary_contract,
+    _ternary_contract,
+    value_columns,
+)
 from .spectral import GroupFunction, _axis_dft, _derivative_blocks
 
 MAX_IP_M = 3
@@ -310,13 +319,15 @@ def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
         raise ValueError("factor and grid on different groups")
     ctx = LocalContext3(factor, d)
     nsub = 1 << (m * m)
-    values = {(i, j, s): (grid[(i + 1, j + 1, s)].values, False)
-              for i in range(m) for j in range(m) for s in range(nsub)}
-    problem = ([ctx.xs] * m, [ctx.ys] * m, [ctx.zs] * nsub, values,
-               {(i, j): ctx.mu12 for i in range(m) for j in range(m)},
-               {(i, s): ctx.mu13 for i in range(m) for s in range(nsub)},
-               {(j, s): ctx.mu23 for j in range(m) for s in range(nsub)})
-    return complex(_ternary_contract(factor.space, [problem])[0])
+    slots = [(i, j, s) for i in range(m) for j in range(m) for s in range(nsub)]
+    columns, arrays = value_columns([grid[(i + 1, j + 1, s)] for i, j, s in slots],
+                                    factor.p, factor.n)
+    shape = TernaryShape((0,) * m, (1,) * m, (2,) * nsub,
+                         tuple((t, 6 + k, False) for k, t in enumerate(slots)),
+                         tuple(((i, j), 3) for i in range(m) for j in range(m)),
+                         tuple(((i, s), 4) for i in range(m) for s in range(nsub)),
+                         tuple(((j, s), 5) for j in range(m) for s in range(nsub)))
+    return complex(_ternary_contract(factor, shape, [ctx.codes + tuple(columns)], arrays)[0])
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -434,8 +445,18 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
 # ternary multi-local operator
 # ---------------------------------------------------------------------------
 
+def _level_code(factor: QuadraticFactor, label) -> int:
+    if len(label) != factor.q:
+        raise ValueError(f"bilinear label length {len(label)} != q = {factor.q}")
+    return _code(factor.p, label)
+
+
 class _TernaryContext:
-    """Member arrays, mu matrices, and masks for one labeled hypergraph."""
+    """Atom codes, member arrays and mu matrices for one labeled hypergraph.
+
+    `codes` holds the atom code of every vertex (U, then V, then W) and the
+    bilinear code of every pair ((u, v), then (u, w), then (v, w), each in
+    lexicographic order)."""
 
     def __init__(self, graph: PatternHypergraph, factor: QuadraticFactor,
                  e: LabelAssignment) -> None:
@@ -448,45 +469,89 @@ class _TernaryContext:
         self.graph = graph
         self.factor = factor
         self.e = e
-        self.xs = [factor.atom_indices(tuple(lab)) for lab in e.a]
-        self.ys = [factor.atom_indices(tuple(lab)) for lab in e.b]
-        self.zs = [factor.atom_indices(tuple(lab)) for lab in e.c]
-        for part, arrs, labs in (("U", self.xs, e.a), ("V", self.ys, e.b), ("W", self.zs, e.c)):
-            for lab, arr in zip(labs, arrs):
+        nu, nv, nw = graph.nu, graph.nv, graph.nw
+        atoms = [factor.label_code(tuple(lab)) for lab in (*e.a, *e.b, *e.c)]
+        members = [factor._members_by_code[c] for c in atoms]
+        for part, labs, start in (("U", e.a, 0), ("V", e.b, nu), ("W", e.c, nu + nv)):
+            for lab, arr in zip(labs, members[start:]):
                 if arr.size == 0:
                     raise DegenerateContext(f"atom {tuple(lab)} in part {part} is empty")
+        self.xs, self.ys, self.zs = members[:nu], members[nu:nu + nv], members[nu + nv:]
+        uv = list(itertools.product(range(nu), range(nv)))
+        uw = list(itertools.product(range(nu), range(nw)))
+        vw = list(itertools.product(range(nv), range(nw)))
+        levels = ([_level_code(factor, e.duv[k]) for k in uv]
+                  + [_level_code(factor, e.duw[k]) for k in uw]
+                  + [_level_code(factor, e.dvw[k]) for k in vw])
+        self.codes = tuple(atoms + levels)
+        level = iter(levels)
         try:
-            self.muv = {(u, v): mu_weight_matrix(factor, e.duv[(u, v)], self.xs[u], self.ys[v])
-                        for u in range(graph.nu) for v in range(graph.nv)}
-            self.muw = {(u, w): mu_weight_matrix(factor, e.duw[(u, w)], self.xs[u], self.zs[w])
-                        for u in range(graph.nu) for w in range(graph.nw)}
-            self.mvw = {(v, w): mu_weight_matrix(factor, e.dvw[(v, w)], self.ys[v], self.zs[w])
-                        for v in range(graph.nv) for w in range(graph.nw)}
+            self.muv = {(u, v): mu_weight_matrix(factor, next(level), atoms[u], atoms[nu + v])
+                        for u, v in uv}
+            self.muw = {(u, w): mu_weight_matrix(factor, next(level), atoms[u],
+                                                 atoms[nu + nv + w]) for u, w in uw}
+            self.mvw = {(v, w): mu_weight_matrix(factor, next(level), atoms[nu + v],
+                                                 atoms[nu + nv + w]) for v, w in vw}
         except EmptyLevelSet as exc:
             raise DegenerateContext(str(exc)) from exc
 
-    def local(self, u: int, v: int, w: int) -> LocalContext3:
-        """The local U^3 context of the triple (u, v, w), on this context's
-        atoms and mu matrices."""
-        d = self.e.triple_direction(self.factor.p, u, v, w)
-        return LocalContext3.from_arrays(
-            self.factor, d, (self.xs[u], self.ys[v], self.zs[w]),
-            (self.muv[(u, v)], self.muw[(u, w)], self.mvw[(v, w)]))
+    def triples(self) -> np.ndarray:
+        """The direction codes (a_u, b_v, c_w, d_uv, d_uw, d_vw) of every
+        triple (u, v, w), in `graph.all_tuples()` order: one gather of
+        `codes`."""
+        return np.asarray(self.codes)[_triple_columns(self.graph.nu, self.graph.nv,
+                                                      self.graph.nw)]
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_columns(nu: int, nv: int, nw: int) -> np.ndarray:
+    """The columns of `_TernaryContext.codes` that hold each triple's
+    direction codes, one row per triple (u, v, w) in lexicographic order."""
+    shape = _ternary_shape(nu, nv, nw)
+    muv, muw, mvw = (dict(pairs) for pairs in (shape.muv, shape.muw, shape.mvw))
+    return np.array([(shape.xs[u], shape.ys[v], shape.zs[w], muv[(u, v)], muw[(u, w)],
+                      mvw[(v, w)]) for (u, v, w), _, _ in shape.values], dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _ternary_shape(nu: int, nv: int, nw: int) -> TernaryShape:
+    """The shape of `_TernaryContext.codes` followed by one value column per
+    slot (u, v, w), in lexicographic order."""
+    vertices = nu + nv + nw
+    ends = np.cumsum([vertices, nu * nv, nu * nw, nv * nw]).tolist()
+    slots = itertools.product(range(nu), range(nv), range(nw))
+    return TernaryShape(
+        tuple(range(nu)), tuple(range(nu, nu + nv)), tuple(range(nu + nv, vertices)),
+        tuple((t, ends[3] + k, False) for k, t in enumerate(slots)),
+        tuple(((u, v), ends[0] + u * nv + v) for u in range(nu) for v in range(nv)),
+        tuple(((u, w), ends[1] + u * nw + w) for u in range(nu) for w in range(nw)),
+        tuple(((v, w), ends[2] + v * nw + w) for v in range(nv) for w in range(nw)))
 
 
 def t_ternaries(ctxs: list[_TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
     """The ternary operator of every labeled hypergraph ctxs[i] on grids[i]:
-    one ternary contraction over the whole batch."""
+    one ternary contraction per pattern shape (|U|, |V|, |W|)."""
     if len(ctxs) != len(grids):
         raise ValueError("need one grid per context")
     if not ctxs:
         return []
-    sp = ctxs[0].factor.space
-    if any((c.factor.p, c.factor.n, g.p, g.n) != (sp.p, sp.n) * 2 for c, g in zip(ctxs, grids)):
-        raise ValueError("contexts and grids on different groups")
-    problems = [(c.xs, c.ys, c.zs, {t: (g[t].values, False) for t in c.graph.all_tuples()},
-                 c.muv, c.muw, c.mvw) for c, g in zip(ctxs, grids)]
-    return [complex(v) for v in _ternary_contract(sp, problems)]
+    factor = ctxs[0].factor
+    if any(c.factor is not factor for c in ctxs):
+        raise ValueError("contexts on different factors")
+    fs = [g[t] for c, g in zip(ctxs, grids) for t in c.graph.all_tuples()]
+    columns, arrays = value_columns(fs, factor.p, factor.n)
+    groups: dict[tuple, list] = {}
+    start = 0
+    for i, c in enumerate(ctxs):
+        shape = (c.graph.nu, c.graph.nv, c.graph.nw)
+        end = start + math.prod(shape)
+        groups.setdefault(shape, []).append((i, c.codes + tuple(columns[start:end])))
+        start = end
+    out = np.zeros(len(ctxs), dtype=np.complex128)
+    for shape, rows in groups.items():
+        out[[i for i, _ in rows]] = _ternary_contract(factor, _ternary_shape(*shape),
+                                                      [r for _, r in rows], arrays)
+    return [complex(v) for v in out]
 
 
 def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
@@ -545,22 +610,17 @@ def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
 def ternary_normalization(graph: PatternHypergraph, factor: QuadraticFactor,
                           e: LabelAssignment, ctx: _TernaryContext | None = None) -> Fraction:
     """The exact factor turning T_F(e)(1_A | 1_A^c) into the witness count:
-    product of all atom sizes times product over pairs of |beta| / p^(2n).
-    Reads the atoms of ctx, the context of (graph, factor, e), built here
-    when not given."""
-    from .factor import beta_sizes_cached
-
+    product of all atom sizes times product over pairs of |beta| / p^(2n),
+    as one integer numerator and denominator. Reads the atoms of ctx, the
+    context of (graph, factor, e), built here when not given."""
     if ctx is None:
         ctx = _TernaryContext(graph, factor, e)
-    out = Fraction(1)
-    for arr in (*ctx.xs, *ctx.ys, *ctx.zs):
-        out *= arr.size
-    if factor.q > 0:
-        sizes = beta_sizes_cached(factor)
-        p2n = factor.p ** (2 * factor.n)
-        for d in (*e.duv.values(), *e.duw.values(), *e.dvw.values()):
-            out *= Fraction(sizes[tuple(int(v) % factor.p for v in d)], p2n)
-    return out
+    num = math.prod(arr.size for arr in (*ctx.xs, *ctx.ys, *ctx.zs))
+    if factor.q == 0:
+        return Fraction(num)
+    levels = ctx.codes[len(ctx.xs) + len(ctx.ys) + len(ctx.zs):]
+    num *= math.prod(beta_code_sizes(factor)[list(levels)].tolist())
+    return Fraction(num, factor.p ** (2 * factor.n * len(levels)))
 
 
 def bipartite_normalization(graph: PatternHypergraph, linear: LinearFactor) -> int:
@@ -581,7 +641,6 @@ def weighted_ternary_density(ctx: LocalContext3, member: np.ndarray) -> tuple[fl
     target = ctx.target_indices()
     if target.size == 0:
         raise EmptyAtom(f"target atom {ctx.sigma.values} is empty")
-    problem = ([ctx.xs], [ctx.ys], [ctx.zs], {(0, 0, 0): (member.astype(np.float64), False)},
-               {(0, 0): ctx.mu12}, {(0, 0): ctx.mu13}, {(0, 0): ctx.mu23})
-    value = _ternary_contract(ctx.factor.space, [problem])[0]
+    value = _ternary_contract(ctx.factor, _ternary_shape(1, 1, 1), [ctx.codes + (0,)],
+                              [member.astype(np.float64)])[0]
     return float(value.real), float(member[target].mean())

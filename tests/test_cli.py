@@ -17,8 +17,12 @@ import pytest
 
 from qflab.lab_cli.experiments import (
     REGISTRY,
+    _direction3,
+    _direction_codes,
     _label,
     _labels,
+    _standard_factor,
+    _trial_rng,
     estimate_experiment,
     run_experiment,
 )
@@ -285,6 +289,20 @@ def test_one_label_draw_splits_into_the_separate_draws(p):
                 assert _labels(one, p, list(widths)) == [_label(many, p, w) for w in widths]
                 assert one.random() == many.random()
                 assert one.uniform(-2, 2) == many.uniform(-2, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ell,q", [(1, 1), (0, 2), (1, 0)])
+def test_smallpart_code_rows_are_the_sampled_directions(p, ell, q):
+    # smallpart draws direction j from its own stream and keeps only codes;
+    # each row is the code of the direction tuple the same stream gives
+    factor = _standard_factor(p, 3, ell, q)
+    rows = _direction_codes(factor, 7, 50)
+    assert rows.shape == (50, 6)
+    for j, row in enumerate(rows):
+        d = _direction3(_trial_rng(7, j), factor)
+        assert row.tolist() == [factor.label_code(a) for a in (d.a1, d.a2, d.a3)] + [
+            sum(v * factor.p ** i for i, v in enumerate(b)) for b in (d.b12, d.b13, d.b23)]
 
 
 def test_counting_ternary_estimator_past_the_defaults():

@@ -19,11 +19,14 @@ from qflab.factor import (
     DirectionTuple3,
     beta_sizes_cached,
     bilinear_level_sizes,
+    degenerate_directions,
+    direction_codes,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
     sigma2,
     sigma3,
+    sigma3_codes,
 )
 from qflab.fpn_core import run_counted
 
@@ -114,43 +117,88 @@ def test_empty_level_set_refuses_a_measure():
     factor = new_quadratic_factor(new_linear_factor(3, 1, []),
                                   [np.zeros((1, 1), dtype=np.int64)])
     assert bilinear_level_sizes(factor)[(1,)] == 0
-    with pytest.raises(EmptyLevelSet):
-        mu_weight_matrix(factor, (1,), np.arange(3), np.arange(3))
+    with pytest.raises(EmptyLevelSet, match=r"^beta\(\(1,\)\) is empty$"):
+        mu_weight_matrix(factor, 1, 0, 0)
 
 
 def test_mu_weight_matrix_is_memoized_read_only():
     factor = _identity_factor(3, 3, ell=1)
-    rows, cols = factor.atom_indices((0, 1)), factor.atom_indices((1, 0))
-    w = mu_weight_matrix(factor, (2,), rows, cols)
-    assert mu_weight_matrix(factor, (2,), rows.copy(), list(cols)) is w
+    rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
+    w = mu_weight_matrix(factor, 2, rows, cols)
+    assert mu_weight_matrix(factor, 2, rows, cols) is w
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0, 0] = 0.0
-    assert mu_weight_matrix(factor, (1,), rows, cols) is not w
-    assert mu_weight_matrix(factor, (2,), cols, rows) is not w
+    assert mu_weight_matrix(factor, 1, rows, cols) is not w
+    assert mu_weight_matrix(factor, 2, cols, rows) is not w
 
 
 def test_mu_weight_matrix_counts_only_the_matrices_it_builds():
     factor = _identity_factor(3, 3, ell=1)
     beta_sizes_cached(factor)
-    rows, cols = factor.atom_indices((0, 1)), factor.atom_indices((1, 0))
-    w, terms = run_counted(mu_weight_matrix, factor, (2,), rows, cols)
-    assert terms == rows.size * cols.size * factor.q
-    assert run_counted(mu_weight_matrix, factor, (2,), rows, cols) == (w, 0)
+    rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
+    want = factor.atom_sizes[rows] * factor.atom_sizes[cols] * factor.q
+    w, terms = run_counted(mu_weight_matrix, factor, 2, rows, cols)
+    assert terms == want
+    assert run_counted(mu_weight_matrix, factor, 2, rows, cols) == (w, 0)
     flat = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
-    assert run_counted(mu_weight_matrix, flat, (), rows[:3], rows[:3])[1] == 0
+    flat.member_table
+    assert run_counted(mu_weight_matrix, flat, 0, 1, 2)[1] == 0
 
 
 def test_mu_weight_matrix_values():
+    # over every pair of atoms the measure of level 0 covers the 33 pairs
+    # of beta(0), each weighted 81/33
     factor = _identity_factor(3, 2)
-    rows = np.arange(9)
-    w = mu_weight_matrix(factor, (0,), rows, rows)
-    on = w[w > 0]
-    assert np.allclose(on, 81.0 / 33.0)
-    assert int((w > 0).sum()) == 33
+    atoms = range(3)
+    sizes = factor.atom_sizes
+    on = 0
+    for row in atoms:
+        for col in atoms:
+            w = mu_weight_matrix(factor, 0, row, col)
+            assert w.shape == (sizes[row], sizes[col])
+            assert np.allclose(w[w > 0], 81.0 / 33.0)
+            on += int((w > 0).sum())
+    assert on == 33
     # without forms the measure is the constant 1
     flat = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
-    assert np.all(mu_weight_matrix(flat, (), rows[:3], rows[:3]) == 1.0)
+    assert np.all(mu_weight_matrix(flat, 0, 0, 0) == 1.0)
+    assert mu_weight_matrix(flat, 0, 0, 0).shape == (3, 3)
+
+
+def test_member_table_pads_every_atom_to_the_largest():
+    factor = _identity_factor(3, 3, ell=1)
+    table, sizes = factor.member_table, factor.atom_sizes
+    assert table.shape == (9, sizes.max()) and sizes.sum() == 27
+    for code, lab in enumerate(factor.all_labels()):
+        members = factor.atom_indices(lab.values)
+        assert members.size == sizes[code]
+        assert np.array_equal(table[code, :sizes[code]], members)
+        assert not table[code, sizes[code]:].any()
+        assert (factor._codes[members] == code).all()
+    assert not table.flags.writeable
+
+
+def test_direction_codes_match_the_labels():
+    factor = _identity_factor(3, 3, ell=1)
+    rng = np.random.default_rng(7)
+    rows, dirs = [], []
+    for _ in range(40):
+        labels = [tuple(rng.integers(0, 3, 2).tolist()) for _ in range(3)]
+        labels += [(int(rng.integers(0, 3)),) for _ in range(3)]
+        dirs.append(DirectionTuple3(3, *labels))
+        rows.append(sum(labels, ()))
+    rows = direction_codes(factor, rows)
+    for row, d in zip(rows.tolist(), dirs):
+        assert row[:3] == [factor.label_code(a) for a in (d.a1, d.a2, d.a3)]
+        assert row[3:] == [b[0] for b in (d.b12, d.b13, d.b23)]
+    want = [factor.label_code(sigma3(factor, d).values) for d in dirs]
+    assert sigma3_codes(factor, rows).tolist() == want
+    empty = degenerate_directions(factor, rows)
+    for d, flag in zip(dirs, empty):
+        sizes = [factor.atom_indices(a).size for a in (d.a1, d.a2, d.a3)]
+        levels = [beta_sizes_cached(factor)[b] for b in (d.b12, d.b13, d.b23)]
+        assert flag == (0 in sizes + levels)
 
 
 def test_sigma2_is_the_label_sum():

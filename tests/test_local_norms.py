@@ -13,11 +13,11 @@ from qflab.factor import (
     DirectionTuple2,
     DirectionTuple3,
     QuadraticFactor,
-    mu_weight_matrix,
+    degenerate_directions,
     new_linear_factor,
     new_quadratic_factor,
 )
-from qflab.fpn_core import GroupVector
+from qflab.fpn_core import GroupVector, run_counted
 from qflab.local_norms import (
     LocalContext2,
     LocalContext3,
@@ -184,8 +184,8 @@ def test_local_u3_dominates_local_u2_on_linear_factors():
     lin = new_linear_factor(3, 3, [(1, 0, 0)])
     for seed in range(4):
         f = _random_f(3, 3, seed=50 + seed)
-        for a1, a2, a3 in [((0,), (0,), (0,)), ((1,), (2,), (1,)), ((2,), (2,), (2,))]:
-            u3val, u2val, margin = local_u3_dominates_check(lin, a1, a2, a3, f)
+        dirs = [((0,), (0,), (0,)), ((1,), (2,), (1,)), ((2,), (2,), (2,))]
+        for u3val, u2val, margin in local_u3_dominates_check(lin, dirs, [f] * 3):
             assert margin >= -1e-9
             assert u3val >= 0.0 and u2val >= 0.0
 
@@ -263,7 +263,8 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
 
 def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
     # a q = 0 factor weights every pair, so every y-tuple keeps every x and
-    # every z: one bucket per call, as many y-tuples as the cosets give
+    # every z: one bucket per call; the diagonal norm keeps the 6 y-tuples
+    # with j_0 <= j_1 of the 9 the 3-point cosets give
     blocks = []
     block = local_norms._Stack.block
     monkeypatch.setattr(local_norms._Stack, "block",
@@ -271,40 +272,52 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
                         or block(self, sp, c, j, kx, kz))
     lin = new_linear_factor(3, 2, [(1, 0)])
     f = _random_f(3, 2, seed=70)
-    u3, u2, _ = local_u3_dominates_check(lin, (1,), (2,), (0,), f)
-    assert blocks == [(9, {0: 3}, {0: 3})]
+    ((u3, u2, _),) = local_u3_dominates_check(lin, [((1,), (2,), (0,))], [f])
+    assert blocks == [(6, {0: 3}, {0: 3})]
     d = DirectionTuple3(3, (1,), (2,), (0,), (), (), ())
     ctx = LocalContext3(new_quadratic_factor(lin, []), d)
     assert u3 ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real, rel=1e-10)
 
 
+def _octuple_shape_with_two_x_atoms():
+    """The local U^3 shape with x_1 in its own columns: 0-5 the direction
+    codes of x_0, 6-13 the eight value columns, 14-16 x_1's atom and its
+    b12 and b13 codes."""
+    shape = local_norms.u3_shape(True)
+    return shape._replace(xs=(0, 14),
+                          muv=tuple(((u, v), 15 if u else 3) for (u, v), _ in shape.muv),
+                          muw=tuple(((u, w), 16 if u else 4) for (u, w), _ in shape.muw))
+
+
 def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
-    # four problems of the U^3 shape: x_0 and x_1 one array, x_0 and x_1
-    # separate arrays of equal size, atoms of other sizes, and a diagonal
-    # octuple whose odd W-vertex mirrors the even one; they share arrays in
-    # different places, so the stack shares none of those places
+    # four rows of one shape: x_0 and x_1 one atom, x_0 and x_1 separate
+    # atoms of equal size, atoms of other sizes, and a diagonal octuple
+    # whose odd W-vertex mirrors the even one; they share codes in different
+    # places, so the stack shares none of those places
     factor = _mixed_factor()
-    sp = factor.space
     ctx = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
     small = LocalContext3(factor, DirectionTuple3(3, (1, 1), (1, 2), (2, 1), (1,), (2,), (2,)))
     fs = [_random_f(3, 3, seed=80 + k) for k in range(8)]
-    other = factor.atom_indices((1, 0))
-    assert other.size == ctx.xs.size and not np.array_equal(other, ctx.xs)
-    xs, ys, zs, values, muv, muw, mvw = local_norms._u3_problem(ctx, fs)
-    separate = ([ctx.xs, other], ys, zs, values,
-                muv | {(1, v): mu_weight_matrix(factor, (0,), other, ctx.ys) for v in range(2)},
-                muw | {(1, w): mu_weight_matrix(factor, (1,), other, ctx.zs) for w in range(2)},
-                mvw)
-    problems = [local_norms._u3_problem(ctx, fs), separate,
-                local_norms._u3_problem(small, fs[::-1]), local_norms._u3_problem(small, [fs[0]] * 8)]
-    singles = [local_norms._ternary_contract(sp, [q])[0] for q in problems]
+    other = factor.label_code((1, 0))
+    assert factor.atom_sizes[other] == ctx.xs.size and other != ctx.codes[0]
+    shape = _octuple_shape_with_two_x_atoms()
+    rows = [ctx.codes + tuple(range(8)) + (ctx.codes[0], ctx.codes[3], ctx.codes[4]),
+            ctx.codes + tuple(range(8)) + (other, 0, 1),
+            small.codes + tuple(range(7, -1, -1)) + (small.codes[0], small.codes[3],
+                                                     small.codes[4]),
+            small.codes + (0,) * 8 + (small.codes[0], small.codes[3], small.codes[4])]
+    arrays = [f.values for f in fs]
+    singles = [local_norms._ternary_contract(factor, shape, [r], arrays)[0] for r in rows]
     assert min(abs(v) for v in singles) > 1.0
+    for got, (c, octu) in zip(singles[::2], [(ctx, fs), (small, fs[::-1])]):
+        assert got == pytest.approx(local_u3_inner(c, octu), rel=1e-12)
+    assert singles[3] == pytest.approx(local_u3_norm(small, fs[0]) ** 8, rel=1e-12)
     stacks = []
     init = local_norms._Stack.__init__
     monkeypatch.setattr(local_norms._Stack, "__init__",
-                        lambda self, problem, rows: stacks.append(len(rows))
-                        or init(self, problem, rows))
-    batch = local_norms._ternary_contract(sp, problems)
+                        lambda self, factor, shape, codes, arrays: stacks.append(len(codes))
+                        or init(self, factor, shape, codes, arrays))
+    batch = local_norms._ternary_contract(factor, shape, rows, arrays)
     assert stacks == [4]
     for got, want in zip(batch, singles):
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -313,7 +326,8 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
 def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypatch):
     # the first context's three atoms are one array and its three measures
     # one matrix, the second's are not: the stack still holds one array per
-    # part and per pair, and the odd W-vertex mirrors the even one
+    # part and per pair, the odd W-vertex mirrors the even one, and the
+    # scan is halved
     factor = _mixed_factor()
     one = LocalContext3(factor, DirectionTuple3(3, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
     assert one.xs is one.ys is one.zs and one.mu12 is one.mu13 is one.mu23
@@ -323,9 +337,154 @@ def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypa
     contract = local_norms._Stack.contract
     monkeypatch.setattr(local_norms._Stack, "contract",
                         lambda self, sp: stacks.append(self) or contract(self, sp))
-    norms = local_norms.local_u3_norms([one, other], [f, f])
+    norms = local_norms.local_u3_norms(factor, [one.codes, other.codes], [f, f])
     (stack,) = stacks
     assert len({id(a) for a in (*stack.xs, *stack.ys, *stack.zs)}) == 3
     assert len({id(m) for d in (stack.muv, stack.muw, stack.mvw) for m in d.values()}) == 3
-    assert len(stack.mirrored) == 1
+    assert len(stack.mirrored) == 1 and stack.half
     assert norms == pytest.approx([local_u3_norm(one, f), local_u3_norm(other, f)], rel=1e-12)
+
+
+@pytest.mark.parametrize("pattern,half", [
+    ("abcdefgh", False), ("aaaaaaaa", True), ("ababcdcd", True), ("aaaabbbb", True),
+    ("abababab", True), ("aabbccdd", False), ("abcdabcd", False)])
+def test_the_halved_scan_takes_exactly_the_y_symmetric_octuples(monkeypatch, pattern, half):
+    # slot (u, 1, w), octuple[4u + 2 + w], must read slot (u, 0, w)'s
+    # function, which the U^3 signs always conjugate; eight distinct
+    # functions take the full scan
+    factor = _mixed_factor()
+    ctx = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
+    named = {c: _random_f(3, 3, seed=100 + k) for k, c in enumerate("abcdefgh")}
+    octu = [named[c] for c in pattern]
+    stacks = []
+    contract = local_norms._Stack.contract
+    monkeypatch.setattr(local_norms._Stack, "contract",
+                        lambda self, sp: stacks.append(self) or contract(self, sp))
+    got = local_u3_inner(ctx, octu)
+    assert [s.half for s in stacks] == [half]
+    assert got == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-14)
+
+
+def test_the_halved_scan_counts_half_the_distinct_y_pairs():
+    # 9-point cosets of a factor with no form: every y-tuple keeps all 9 x's
+    # and 9 z's, so the full scan of eight distinct functions counts 81
+    # y-tuples and the diagonal 45 = 9 * 10 / 2, each 9^3 multiply-adds
+    # per computed slot (two, and one with the mirrored W-slot) and
+    # 2 * 9 * (9 + 1) index sums
+    factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
+    ctx = LocalContext3(factor, DirectionTuple3(3, (1,), (2,), (0,), (), (), ()))
+    fs = [_random_f(3, 3, seed=110 + k) for k in range(8)]
+    per_tuple = 9 ** 3 + 2 * 9 * 10
+    assert run_counted(local_u3_norm, ctx, fs[0])[1] == 45 * per_tuple
+    assert run_counted(local_u3_inner, ctx, fs)[1] == 81 * (2 * 9 ** 3 + 2 * 9 * 10)
+
+
+def _forms_factor(p, q, second=None):
+    """F_3^3 or F_p^2 with q diagonal forms (x . x, then `second`, by default
+    the weights 1, 2, 1, ...) and, without forms, cosets of p points."""
+    n = 3 if p == 3 else 2
+    if second is None:
+        second = np.diag([(1, 2)[i % 2] for i in range(n)])
+    forms = [np.eye(n, dtype=np.int64), second][:q]
+    vectors = [] if q else [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
+    return new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
+
+
+def _direction_rows(factor, seed, count, limit=350, draws=400):
+    """Random rows (a1, a2, a3, b12, b13, b23) of direction codes, and the
+    first `count` of them that are nondegenerate with |a1| |a2| |a3| <= limit
+    and whose atom sizes differ from the earlier ones' (then any others)."""
+    rng = np.random.default_rng(seed)
+    atoms, levels = factor.atom_sizes.size, factor.p ** factor.q
+    rows = np.concatenate([rng.integers(0, atoms, (draws, 3)),
+                           rng.integers(0, levels, (draws, 3))], axis=1)
+    sizes = factor.atom_sizes[rows[:, :3]]
+    keep = np.flatnonzero(~degenerate_directions(factor, rows) & (sizes.prod(axis=1) <= limit))
+    _, first = np.unique(sizes[keep], axis=0, return_index=True)
+    order = list(dict.fromkeys(keep[np.sort(first)].tolist() + keep.tolist()))
+    return rows, rows[order[:count]]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_batched_norms_match_the_nested_sum_across_primes_and_forms(p, q):
+    # one batch of atoms of unequal sizes, a function shared by two
+    # directions and a repeated direction, each against the six-fold sum
+    factor = _forms_factor(p, q)
+    _, rows = _direction_rows(factor, seed=10 * p + q, count=3)
+    assert len(rows) == 3
+    assert q == 0 or len(set(factor.atom_sizes[rows[:, :3]].ravel().tolist())) > 1
+    fs = [_random_f(p, factor.n, seed=200 + k) for k in range(2)]
+    fs = [fs[0], fs[1], fs[1], fs[0]]
+    norms = local_norms.local_u3_norms(factor, np.concatenate([rows, rows[:1]]), fs)
+    assert norms[3] == norms[0]
+    for row, f, norm in zip(rows, fs, norms):
+        ctx = LocalContext3(factor, _direction(factor, row))
+        assert ctx.codes == tuple(row.tolist())
+        assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
+                                          rel=1e-10, abs=1e-14)
+
+
+def _direction(factor, row):
+    """The direction tuple of a row of codes."""
+    width, q = factor.ell + factor.q, factor.q
+    labels = [tuple(int(c) // factor.p ** i % factor.p for i in range(w))
+              for c, w in zip(row, [width] * 3 + [q] * 3)]
+    return DirectionTuple3(factor.p, *labels)
+
+
+@pytest.mark.parametrize("p,second", [(3, None), (5, None), (7, None), (3, "zero")])
+def test_degenerate_rows_are_flagged_and_refused(p, second):
+    # the rows a sampler draws include empty atoms and, with a zero second
+    # form, empty level sets: exactly those are flagged, the batch refuses
+    # them, and the others match the nested sum
+    factor = _forms_factor(p, 2, None if second is None else np.zeros((3, 3), dtype=np.int64))
+    rows, _ = _direction_rows(factor, seed=p, count=0, draws=4000)
+    empty = degenerate_directions(factor, rows)
+    rows = np.concatenate([rows[empty][:20], rows[~empty][:20]])
+    empty = degenerate_directions(factor, rows)
+    assert empty.sum() == 20 and len(rows) > 24
+    if second is not None:  # a row whose atoms are all nonempty
+        row = rows[empty][(factor.atom_sizes[rows[empty][:, :3]] > 0).all(axis=1)][0]
+        with pytest.raises(DegenerateContext, match=r"^beta\("):
+            local_norms.local_u3_norms(factor, [row], [_random_f(p, factor.n, seed=1)])
+    for row, flag in zip(rows, empty):
+        try:
+            LocalContext3(factor, _direction(factor, row))
+        except DegenerateContext:
+            assert flag
+        else:
+            assert not flag
+    f = _random_f(p, factor.n, seed=300)
+    with pytest.raises(DegenerateContext):
+        local_norms.local_u3_norms(factor, rows, [f] * len(rows))
+    live = rows[~empty]
+    norms = local_norms.local_u3_norms(factor, live, [f] * len(live))
+    for row, norm in list(zip(live, norms))[:4]:
+        ctx = LocalContext3(factor, _direction(factor, row))
+        assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
+                                          rel=1e-10, abs=1e-14)
+
+
+def test_a_batch_split_across_context_blocks(monkeypatch):
+    # a block budget of a few contexts splits the batch into several stacks,
+    # the last one partial; every value is the unsplit batch's and the
+    # nested sum's
+    factor = _forms_factor(3, 1)
+    _, rows = _direction_rows(factor, seed=5, count=7)
+    fs = [_random_f(3, 3, seed=400 + k % 3) for k in range(len(rows))]
+    whole = local_norms.local_u3_norms(factor, rows, fs)
+    stacks = []
+    init = local_norms._Stack.__init__
+    monkeypatch.setattr(local_norms._Stack, "__init__",
+                        lambda self, factor, shape, codes, arrays: stacks.append(len(codes))
+                        or init(self, factor, shape, codes, arrays))
+    width = int(factor.atom_sizes[rows[:, 1]].max())
+    monkeypatch.setattr(local_norms, "H_BLOCK_ENTRIES", 3 * (width ** 2 + 27))
+    split = local_norms.local_u3_norms(factor, rows, fs)
+    assert stacks == [3, 3, 1]
+    assert split == pytest.approx(whole, rel=1e-12)
+    for row, f, norm in zip(rows, fs, split):
+        ctx = LocalContext3(factor, _direction(factor, row))
+        assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
+                                          rel=1e-10, abs=1e-14)

@@ -62,10 +62,10 @@ def _bounded(rng, p, n):
     return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0), one_bounded=True)
 
 
-def _uneven_context(p, n, ell, seed):
-    """A random one-form factor and a nondegenerate direction tuple whose three
-    atoms are not all of one size; each bilinear label is read off a member
-    pair, so every mu matrix has support. None when the search finds none."""
+def _uneven_contexts(p, n, ell, seed, count):
+    """A random one-form factor and up to `count` nondegenerate direction
+    tuples on it whose three atoms are not all of one size; each bilinear
+    label is read off a member pair, so every mu matrix has support."""
     rng = np.random.default_rng(seed)
     rows = []
     if ell:
@@ -78,6 +78,7 @@ def _uneven_context(p, n, ell, seed):
         form = (a + a.T) % p
     factor = new_quadratic_factor(new_linear_factor(p, n, rows), [form])
     digits = factor.space.digits.astype(np.int64)
+    out = []
     for _ in range(200):
         x, y, z = (int(i) for i in rng.integers(0, p ** n, 3))
         a1, a2, a3 = (tuple(factor.label_table[i].tolist()) for i in (x, y, z))
@@ -89,8 +90,16 @@ def _uneven_context(p, n, ell, seed):
             continue
         sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
         if len(set(sizes)) > 1 and math.prod(sizes) <= MEMBER_PRODUCT_LIMIT:
-            return ctx
-    return None
+            out.append(ctx)
+            if len(out) == count:
+                break
+    return out
+
+
+def _uneven_context(p, n, ell, seed):
+    """One context of `_uneven_contexts`; None when the search finds none."""
+    found = _uneven_contexts(p, n, ell, seed, 1)
+    return found[0] if found else None
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,17 +149,16 @@ def test_ip2_matches_per_subset_oracle_across_primes(size, seed, diagonal):
 @given(p=st.sampled_from([3, 5, 7, 11, 13]), seed=st.integers(0, 2 ** 32 - 1),
        count=st.integers(1, 4))
 def test_batched_norms_match_nested_sums_per_context(p, seed, count):
-    # one batch mixes the atom sizes of several random factors on one group
-    # and gives every context its own function (one context may repeat)
+    # one batch mixes the atom sizes of several directions of one random
+    # factor and gives every context its own function (one context repeats)
     n = min(s[1] for s in FACTOR_SHAPES if s[0] == p)
     ells = [s[2] for s in FACTOR_SHAPES if s[:2] == (p, n)]
-    ctxs = [_uneven_context(p, n, ells[k % len(ells)], seed + k) for k in range(count + 1)]
-    ctxs = [c for c in ctxs if c is not None]
+    ctxs = _uneven_contexts(p, n, ells[seed % len(ells)], seed, count + 1)
     assume(len({(c.xs.size, c.ys.size, c.zs.size) for c in ctxs}) > 1)
     ctxs.append(ctxs[0])
     rng = np.random.default_rng(seed + 4)
     fs = [_bounded(rng, p, n) for _ in ctxs]
-    norms = local_u3_norms(ctxs, fs)
+    norms = local_u3_norms(ctxs[0].factor, [c.codes for c in ctxs], fs)
     for ctx, f, norm in zip(ctxs, fs, norms):
         slow = local_u3_inner_naive(ctx, [f] * 8)
         assert norm ** 8 == pytest.approx(slow.real, rel=1e-10, abs=1e-14)

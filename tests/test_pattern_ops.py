@@ -13,9 +13,11 @@ from qflab.errors import CapExceeded, DegenerateContext, EmptyAtom
 from qflab.factor import (
     DirectionTuple2,
     DirectionTuple3,
+    beta_sizes_cached,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
+    sigma3_codes,
 )
 from qflab.local_norms import LocalContext3
 from qflab.pattern_ops import (
@@ -169,6 +171,21 @@ def test_ip2_local_with_trivial_factor_is_global():
     assert t_ip2_local(1, factor, d, grid) == pytest.approx(t_ip2(1, grid), abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_ip2_local_on_the_whole_group_matches_the_frequency_side(m, diagonal):
+    # every slot of the diagonal grid reads one complex function with no
+    # conjugate, so the operator is complex and its y-pairs are not halved
+    factor = _trivial_factor(3, 2)
+    rng = np.random.default_rng(4)
+    f, g = (GroupFunction(3, 2, np.exp(0.7j * rng.standard_normal(9))) for _ in range(2))
+    grid = FunctionGrid.ip2_diagonal(m, f) if diagonal else FunctionGrid.ip2_select(m, f, g)
+    d = DirectionTuple3(3, (), (), (), (), (), ())
+    want = t_ip2(m, grid)
+    assert abs(want.imag) > 0.01 * abs(want) > 0
+    assert t_ip2_local(m, factor, d, grid) == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
 def test_ip2_hypergraph_shape():
     g1 = ip2_hypergraph(1)
     assert (g1.nu, g1.nv, g1.nw) == (1, 1, 2)
@@ -249,7 +266,7 @@ def test_ternary_witness_identity(seed):
 
 def test_one_context_per_pattern_serves_every_ternary_routine():
     # a prebuilt context gives what the routines give when they build their
-    # own, its triples' local contexts are LocalContext3's, and one batch of
+    # own, its triples' codes and mu matrices are LocalContext3's, and one batch of
     # operators (x_0, x_1 one atom in one, two atoms in the other) matches
     # the operators one at a time
     factor = _mixed_factor()
@@ -269,12 +286,14 @@ def test_one_context_per_pattern_serves_every_ternary_routine():
         assert norm == ternary_normalization(graph, factor, e)
         assert t_ternary(graph, factor, e, grid).real * float(norm) == pytest.approx(
             count, abs=1e-6 * max(1, count))
-        for u, v, w in graph.all_tuples():
-            local = ctx.local(u, v, w)
+        triples = ctx.triples()
+        for row, (u, v, w) in zip(triples, graph.all_tuples()):
             built = LocalContext3(factor, e.triple_direction(3, u, v, w))
-            assert (local.d, local.sigma) == (built.d, built.sigma)
-            for name in ("xs", "ys", "zs", "mu12", "mu13", "mu23"):
-                assert np.array_equal(getattr(local, name), getattr(built, name))
+            assert tuple(row.tolist()) == built.codes
+            assert sigma3_codes(factor, row).tolist() == [factor.label_code(built.sigma.values)]
+            for name, mu in (("mu12", ctx.muv[(u, v)]), ("mu13", ctx.muw[(u, w)]),
+                             ("mu23", ctx.mvw[(v, w)])):
+                assert getattr(built, name) is mu
     for got, e in zip(t_ternaries(ctxs, [grid] * 2), (same, mixed)):
         assert got == pytest.approx(t_ternary(graph, factor, e, grid), rel=1e-12)
 
@@ -449,12 +468,10 @@ def test_configuration_count_matches_direct_masks():
                               frozenset({(0, 0, 0)}))
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (1,), (2,), (0,))
     e = LabelAssignment.constant(graph, d)
-    xs = factor.atom_indices((0, 1))
-    ys = factor.atom_indices((1, 2))
-    zs = factor.atom_indices((2, 1))
-    m12 = mu_weight_matrix(factor, (1,), xs, ys) != 0.0
-    m13 = mu_weight_matrix(factor, (2,), xs, zs) != 0.0
-    m23 = mu_weight_matrix(factor, (0,), ys, zs) != 0.0
+    xs, ys, zs = (factor.label_code(a) for a in ((0, 1), (1, 2), (2, 1)))
+    m12 = mu_weight_matrix(factor, 1, xs, ys) != 0.0
+    m13 = mu_weight_matrix(factor, 2, xs, zs) != 0.0
+    m23 = mu_weight_matrix(factor, 0, ys, zs) != 0.0
     direct = int(np.einsum("xy,xz,yz->", m12.astype(np.int64),
                            m13.astype(np.int64), m23.astype(np.int64)))
     assert if_enumerate(graph, factor, e) == direct
@@ -572,3 +589,30 @@ def test_grid_validation():
     assert FunctionGrid.ip_select(1, f, f).one_bounded
     loud = GroupFunction(3, 1, np.array([3.0, 0.0, 0.0]))
     assert not FunctionGrid({(1, 0): f, (1, 1): loud}).one_bounded
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_ternary_normalization_is_the_product_of_its_fractions(q):
+    # one integer numerator and denominator give exactly the product of the
+    # atom sizes and the |beta| / p^(2n) ratios taken one Fraction at a time
+    factor = _mixed_factor() if q else new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]),
+                                                            [])
+    graph = PatternHypergraph("ternary", {"U": 2, "V": 1, "W": 2}, frozenset({(0, 0, 1)}))
+    width = (0,) * q
+    e = LabelAssignment(((0, 1)[:1 + q], (1, 2)[:1 + q]), ((2, 1)[:1 + q],),
+                        ((0, 0)[:1 + q], (1, 1)[:1 + q]),
+                        {(u, 0): width for u in range(2)},
+                        {(u, w): tuple((u + w) % 3 for _ in width) for u in range(2)
+                         for w in range(2)},
+                        {(0, w): tuple((w + 1) % 3 for _ in width) for w in range(2)})
+    ctx = _TernaryContext(graph, factor, e)
+    want = Fraction(1)
+    for arr in (*ctx.xs, *ctx.ys, *ctx.zs):
+        want *= arr.size
+    if q:
+        sizes = beta_sizes_cached(factor)
+        for d in (*e.duv.values(), *e.duw.values(), *e.dvw.values()):
+            want *= Fraction(sizes[d], 3 ** 6)
+    got = ternary_normalization(graph, factor, e, ctx)
+    assert isinstance(got, Fraction) and got == want
+    assert got.denominator > 1 if q else got.denominator == 1
