@@ -26,9 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..combinatorics import (
-    IP2_POINT_CAP,
     MAX_IP_K,
-    SHIFT_TABLE_CAP,
     SubsetBitmask,
     best_atom_union_approx,
     density_profile,
@@ -41,6 +39,7 @@ from ..errors import ConfigError, DegenerateContext, UnknownExperiment
 from ..factor import (
     DirectionTuple2,
     DirectionTuple3,
+    LinearFactor,
     QuadraticFactor,
     bilinear_level_sizes,
     degenerate_directions,
@@ -64,17 +63,13 @@ from ..local_norms import (
     LocalContext2,
     LocalContext3,
     local_u2_inner,
-    local_u2_norm,
+    local_u2_norms,
     local_u3_dominates_check,
-    local_u3_inner,
+    local_u3_inners,
     local_u3_norm,
     local_u3_norms,
 )
 from ..pattern_ops import (
-    MAX_BIPARTITE_PART,
-    MAX_IP2_M,
-    MAX_IP_M,
-    MAX_TERNARY_UV,
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
@@ -87,12 +82,11 @@ from ..pattern_ops import (
     t_ip_local,
     t_ternaries,
     ternary_normalization,
-    weighted_ternary_density,
+    weighted_ternary_densities,
     witness_count_bipartite,
     witness_count_ternary,
 )
 from ..spectral import (
-    CORRELATION_SEARCH_CAP,
     GroupFunction,
     ap3_average,
     ap4_average,
@@ -107,6 +101,7 @@ from ..spectral import (
     u3_norm,
     u3_norms,
 )
+from .config import STANDARD_MAX_Q, merge_config
 from .reporting import (
     aggregate_from,
     build_report,
@@ -116,8 +111,6 @@ from .reporting import (
     trend_summary,
 )
 
-ALLOWED_PRIMES = (3, 5, 7, 11, 13)
-GROUP_CAP = 1 << 20
 DIRECTION_BUDGET = 2000
 NAIVE_FT_TOL = 1e-10
 CONTEXT_ATTEMPTS = 200  # random direction tuples tried for a nondegenerate one
@@ -170,9 +163,6 @@ def _gaussian_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
     return GroupFunction(p, n, vals)
 
 
-STANDARD_MAX_Q = 2  # forms the standard test factor has at most
-
-
 def _standard_factor(p: int, n: int, ell: int, q: int) -> QuadraticFactor:
     """Fixed full-rank test factor: e_1..e_ell plus the identity form (and a
     second alternating diagonal when q = 2)."""
@@ -211,16 +201,22 @@ def _direction_codes(factor: QuadraticFactor, seed: int, count: int) -> np.ndarr
                                     for j in range(count)])
 
 
-def _nondeg_ctx3(rng: np.random.Generator,
-                 factor: QuadraticFactor) -> tuple[LocalContext3, DirectionTuple3]:
+def _ctx2(rng: np.random.Generator, linear: LinearFactor) -> LocalContext2:
+    """The local U^2 context of a drawn pair of coset labels (a1, a2)."""
+    labels = _labels(rng, linear.p, [linear.ell] * 2)
+    return LocalContext2(linear, DirectionTuple2(linear.p, *labels))
+
+
+def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor) -> LocalContext3 | str:
+    """The context of the first nondegenerate direction drawn, or why none
+    of CONTEXT_ATTEMPTS draws was."""
     last = "no attempts made"
     for _ in range(CONTEXT_ATTEMPTS):
-        d = _direction3(rng, factor)
         try:
-            return LocalContext3(factor, d), d
+            return LocalContext3(factor, _direction3(rng, factor))
         except DegenerateContext as exc:
             last = str(exc)
-    raise DegenerateContext(f"no nondegenerate direction found: {last}")
+    return f"no nondegenerate direction found: {last}"
 
 
 def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
@@ -281,6 +277,14 @@ def _u2_norms_terms(p: int, n: int, count: int) -> int:
     """Terms of one `u2_norms` call on `count` functions: per function the
     transform and the |fhat|^4 sum, each over size entries."""
     return count * p ** n * (p * n + 1)
+
+
+def _local_u2_terms(cfg: dict, n: int, count: int) -> int:
+    """Terms of `local_u2_norms` on `count` functions: per function the
+    gather, the transform and the |ghat|^4 sum, each over a coset of
+    p^(n - l) entries."""
+    p, m = cfg["p"], n - cfg["ell"]
+    return count * p ** m * (p * m + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,38 +377,44 @@ def _est_gcs(cfg: dict) -> int:
 def _run_local_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
-    linear = factor.linear
-    trials = []
+    draws = []  # per trial: U^2 context, its four functions, U^3 context, its octuple
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
+        draws.append((_ctx2(rng, factor.linear), [_bounded_fn(rng, p, n) for _ in range(4)],
+                      _nondeg_ctx3(rng, factor), [_bounded_fn(rng, p, n) for _ in range(8)]))
+    u2 = local_u2_norms(factor.linear, [d[0].code for d in draws for _ in range(4)],
+                        [g for d in draws for g in d[1]])
+    live = [d for d in draws if not isinstance(d[2], str)]
+    norms3 = local_u3_norms(factor, [d[2].codes for d in live for _ in range(8)],
+                            [g for d in live for g in d[3]])
+    u3 = iter(zip(local_u3_inners(factor, [d[2].codes for d in live], [d[3] for d in live]),
+                  [math.prod(norms3[k:k + 8]) for k in range(0, len(norms3), 8)]))
+    trials = []
+    for i, (ctx2, quad, ctx3, _) in enumerate(draws):
         base = {"seed": cfg["seed"], "trial": i}
-        d2 = DirectionTuple2(p, _label(rng, p, linear.ell), _label(rng, p, linear.ell))
-        ctx2 = LocalContext2(linear, d2)
-        quad = [_bounded_fn(rng, p, n) for _ in range(4)]
-        obs2 = abs(local_u2_inner(ctx2, *quad))
-        bnd2 = math.prod(local_u2_norm(ctx2, g) for g in quad)
-        trials.append(make_trial(2 * i, base | {"norm": "local-u2", "d": [d2.a1, d2.a2]},
-                                 obs2, bnd2 + tol))
-        try:
-            ctx3, d3 = _nondeg_ctx3(rng, factor)
-        except DegenerateContext as exc:
-            trials.append(make_degenerate(2 * i + 1, base, str(exc)))
+        trials.append(make_trial(2 * i, base | {"norm": "local-u2", "d": [ctx2.d.a1, ctx2.d.a2]},
+                                 abs(local_u2_inner(ctx2, *quad)),
+                                 math.prod(u2[4 * i:4 * i + 4]) + tol))
+        if isinstance(ctx3, str):
+            trials.append(make_degenerate(2 * i + 1, base, ctx3))
             continue
-        octu = [_bounded_fn(rng, p, n) for _ in range(8)]
-        obs3 = abs(local_u3_inner(ctx3, octu))
-        bnd3 = math.prod(local_u3_norms(factor, [ctx3.codes] * 8, octu))
+        obs3, bnd3 = next(u3)
         scale = max(1.0, bnd3)
-        trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(d3.a1)},
-                                 obs3, bnd3 + tol * scale, detail={"scale": scale}))
+        trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(ctx3.d.a1)},
+                                 abs(obs3), bnd3 + tol * scale, detail={"scale": scale}))
     return RunResult(trials)
 
 
 def _est_local_gcs(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
+    # per trial the binary contraction of local_u2_inner (two x's over the
+    # coset^2 y-pairs and one sum table), four local U^2 norms, one octuple
+    # and eight diagonal local U^3 norms
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     u3 = (_ternary_terms(cfg, smean, s2mean, slots=2)
           + 8 * _ternary_terms(cfg, smean, s2mean, half=True))
-    return int(cfg["trials"] * (5 * coset ** 3 + u3))
+    return int(cfg["trials"] * (2 * coset ** 3 + coset ** 2 + _local_u2_terms(cfg, cfg["n"], 4)
+                                + u3))
 
 
 def _run_triangle(cfg: dict) -> RunResult:
@@ -434,24 +444,26 @@ def _est_triangle(cfg: dict) -> int:
 def _run_local_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
-    linear = factor.linear
-    trials = []
+    draws = []  # per trial: (f, g, f + g), U^2 context, U^3 context
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        f = _bounded_fn(rng, p, n)
-        g = _bounded_fn(rng, p, n)
+        f, g = _bounded_fn(rng, p, n), _bounded_fn(rng, p, n)
+        draws.append(((f, g, f + g), _ctx2(rng, factor.linear), _nondeg_ctx3(rng, factor)))
+    u2 = local_u2_norms(factor.linear, [d[1].code for d in draws for _ in range(3)],
+                        [h for d in draws for h in d[0]])
+    live = [d for d in draws if not isinstance(d[2], str)]
+    u3 = iter(local_u3_norms(factor, [d[2].codes for d in live for _ in range(3)],
+                             [h for d in live for h in d[0]]))
+    trials = []
+    for i, (_, _, ctx3) in enumerate(draws):
         base = {"seed": cfg["seed"], "trial": i}
-        d2 = DirectionTuple2(p, _label(rng, p, linear.ell), _label(rng, p, linear.ell))
-        ctx2 = LocalContext2(linear, d2)
-        trials.append(make_trial(2 * i, base | {"check": "local-u2-triangle"},
-                                 local_u2_norm(ctx2, f + g),
-                                 local_u2_norm(ctx2, f) + local_u2_norm(ctx2, g) + tol))
-        try:
-            ctx3, _ = _nondeg_ctx3(rng, factor)
-        except DegenerateContext as exc:
-            trials.append(make_degenerate(2 * i + 1, base, str(exc)))
+        nf, ng, nfg = u2[3 * i:3 * i + 3]
+        trials.append(make_trial(2 * i, base | {"check": "local-u2-triangle"}, nfg,
+                                 nf + ng + tol))
+        if isinstance(ctx3, str):
+            trials.append(make_degenerate(2 * i + 1, base, ctx3))
             continue
-        nf, ng, nfg = local_u3_norms(factor, [ctx3.codes] * 3, [f, g, f + g])
+        nf, ng, nfg = next(u3), next(u3), next(u3)
         scale = max(1.0, nf + ng)
         trials.append(make_trial(2 * i + 1, base | {"check": "local-u3-triangle"},
                                  nfg, nf + ng + tol * scale, detail={"scale": scale}))
@@ -460,8 +472,7 @@ def _run_local_triangle(cfg: dict) -> RunResult:
 
 def _est_local_triangle(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
-    coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    return int(cfg["trials"] * (3 * coset ** 3
+    return int(cfg["trials"] * (_local_u2_terms(cfg, cfg["n"], 3)
                                 + 3 * _ternary_terms(cfg, smean, s2mean, half=True)))
 
 
@@ -487,12 +498,12 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
 def _est_u3_dominates(cfg: dict) -> int:
     # per trial the global norms, the local U^3 norm on cosets c that keep
     # every member (c (c + 1) / 2 y-pairs of one computed slot and the index
-    # sums), and the local U^2 norm with its sum table
+    # sums), and the local U^2 norm
     p, n = cfg["p"], cfg["n"]
     c = p ** (n - cfg["ell"])
     local3 = c * (c + 1) // 2 * (c ** 3 + 2 * c * (c + 1))
     return cfg["trials"] * (_u2_norms_terms(p, n, 1) + _u3_norms_terms(p, n, 1)
-                            + local3 + 2 * c ** 3 + c ** 2)
+                            + local3 + _local_u2_terms(cfg, n, 1))
 
 
 def _run_ap3(cfg: dict) -> RunResult:
@@ -635,10 +646,9 @@ def _run_genbilsums(cfg: dict) -> RunResult:
         for j in range(cfg["directions"]):
             rng = _trial_rng(cfg["seed"], i, j)
             base = {"n": n, "direction": j}
-            try:
-                ctx, _ = _nondeg_ctx3(rng, factor)
-            except DegenerateContext as exc:
-                trials.append(make_degenerate(row, base, str(exc)))
+            ctx = _nondeg_ctx3(rng, factor)
+            if isinstance(ctx, str):
+                trials.append(make_degenerate(row, base, ctx))
                 row += 1
                 continue
             s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
@@ -668,10 +678,9 @@ def _run_config_regularity(cfg: dict) -> RunResult:
         factor = _standard_factor(p, n, ell, q)
         rng = _trial_rng(cfg["seed"], i)
         base = {"n": n}
-        try:
-            ctx, _ = _nondeg_ctx3(rng, factor)
-        except DegenerateContext as exc:
-            trials.append(make_degenerate(i, base, str(exc)))
+        ctx = _nondeg_ctx3(rng, factor)
+        if isinstance(ctx, str):
+            trials.append(make_degenerate(i, base, ctx))
             values.append(values[-1] if values else 1.0)
             continue
         m12, m13, m23 = ctx.mu12, ctx.mu13, ctx.mu23
@@ -692,10 +701,12 @@ def _run_config_regularity(cfg: dict) -> RunResult:
             wx = m12[:, yi] * m13[:, zi]
             wy = m12[xi, :] * m23[:, zi]
             wz = m13[xi, :] * m23[yi, :]
-            # sum over x first, then contract the (y, z) plane
-            plane = (m12 * wx[:, None]).T @ m13
-            count_terms(s1 * s2 * s3)
-            g = float((plane * m23 * wy[:, None] * wz[None, :]).sum())
+            # only the supports of wx, wy and wz add anything: sum over x
+            # first, then contract the (y, z) plane
+            x, y, z = (np.flatnonzero(w) for w in (wx, wy, wz))
+            plane = (m12[np.ix_(x, y)] * wx[x, None]).T @ m13[np.ix_(x, z)]
+            count_terms(x.size * y.size * z.size)
+            g = float((plane * m23[np.ix_(y, z)] * wy[y, None] * wz[None, z]).sum())
             g /= s1 * s2 * s3
             devs.append(abs(g - 1.0))
         if not devs:
@@ -713,28 +724,30 @@ def _run_config_regularity(cfg: dict) -> RunResult:
 
 
 def _est_config_regularity(cfg: dict) -> int:
+    # per n the three mu matrices (|a| |b| q each) and, per sample, the
+    # supports of wx, wy and wz: each keeps the members that two fixed
+    # vertices weight, a p^(-2q) share of its atom
     total = 0
     for n in cfg["n_values"]:
         smean, _ = _atom_stats(cfg, n)
-        total += int(cfg["samples"] * smean ** 3)
+        total += int(cfg["samples"] * (smean * _kept_share(cfg, 2)) ** 3
+                     + 3 * cfg["q"] * smean ** 2)
     return max(total, 1)
 
 
 def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
     p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
     trials, values = [], []
-    row = 0
     for n in cfg["n_values"]:
         factor = _standard_factor(p, n, ell, q)
         linear = factor.linear
-        worst = 0.0
+        points = []  # per (atom, a1): its row, inputs, alpha, function, coset code
         for lab in cfg["atom_labels"]:
             lab = tuple(lab)
             idx = factor.atom_indices(lab)
             base = {"n": n, "atom": list(lab)}
             if idx.size == 0:
-                trials.append(make_degenerate(row, base, f"atom {lab} is empty"))
-                row += 1
+                trials.append(make_degenerate(len(trials), base, f"atom {lab} is empty"))
                 continue
             bits = np.zeros(p ** n, dtype=bool)
             bits[idx] = True
@@ -743,23 +756,20 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
                 a1 = space(p, ell).coords_of(a1_code) if ell else ()
                 a2 = tuple((ei - ai) % p for ei, ai in zip(e, a1))
                 ctx = LocalContext2(linear, DirectionTuple2(p, a1, a2))
-                target = ctx.target_indices()
-                alpha = float(bits[target].mean())
-                norm = local_u2_norm(ctx, _indicator_minus(p, n, bits, alpha))
-                worst = max(worst, norm)
-                trials.append(make_point(row, base | {"a1": list(a1)}, norm,
-                                         detail={"n": n, "alpha": alpha}))
-                row += 1
-        values.append(worst)
+                alpha = float(bits[ctx.target_indices()].mean())
+                points.append((len(trials), base | {"a1": list(a1)}, alpha,
+                               _indicator_minus(p, n, bits, alpha), ctx.code))
+                trials.append(None)
+        norms = local_u2_norms(linear, [t[4] for t in points], [t[3] for t in points])
+        for (row, inputs, alpha, _, _), norm in zip(points, norms):
+            trials[row] = make_point(row, inputs, norm, detail={"n": n, "alpha": alpha})
+        values.append(max(norms, default=0.0))
     return RunResult(trials, trend_summary(values))
 
 
 def _est_atom_u2_uniformity(cfg: dict) -> int:
-    total = 0
-    for n in cfg["n_values"]:
-        coset = cfg["p"] ** (n - cfg["ell"])
-        total += len(cfg["atom_labels"]) * cfg["p"] ** cfg["ell"] * coset ** 3
-    return total
+    norms = len(cfg["atom_labels"]) * cfg["p"] ** cfg["ell"]
+    return sum(_local_u2_terms(cfg, n, norms) for n in cfg["n_values"])
 
 
 # ---------------------------------------------------------------------------
@@ -815,12 +825,6 @@ def _est_atom_vc2(cfg: dict) -> int:
     forms = 1 + len(cfg["extra_diagonals"])
     atoms = sum(cfg["p"] ** (ell + 1) for ell in cfg["ell_values"])
     return forms * atoms * (2 * size ** 2 + size + (size - 1) ** 2 * size)
-
-
-def _check_lengths(key: str, vectors: list, n: int) -> None:
-    for v in vectors:
-        if not (isinstance(v, list) and len(v) == n and all(map(_is_int, v))):
-            raise ConfigError(f"{key} entry {v} is not a vector of {n} integers")
 
 
 def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
@@ -923,24 +927,28 @@ def _est_control_ip2(cfg: dict) -> int:
 def _run_control_ip_local(cfg: dict) -> RunResult:
     p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
-    trials = []
+    draws = []  # per trial: context, the grid's functions, observed
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        d2 = DirectionTuple2(p, _label(rng, p, linear.ell), _label(rng, p, linear.ell))
+        ctx = _ctx2(rng, linear)
         grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
                              for j in range(1, m + 1) for s in range(1 << m)})
-        obs = abs(t_ip_local(m, linear, d2, grid))
-        ctx = LocalContext2(linear, d2)
-        bnd = min(local_u2_norm(ctx, g) for g in grid.functions()) + tol
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i,
-                                     "d": [d2.a1, d2.a2]}, obs, bnd))
-    return RunResult(trials)
+        draws.append((ctx, list(grid.functions()), abs(t_ip_local(m, linear, ctx.d, grid))))
+    slots = m << m
+    norms = local_u2_norms(linear, [d[0].code for d in draws for _ in range(slots)],
+                           [g for d in draws for g in d[1]])
+    return RunResult([make_trial(i, {"seed": cfg["seed"], "trial": i, "d": [ctx.d.a1, ctx.d.a2]},
+                                 obs, min(norms[slots * i:slots * (i + 1)]) + tol)
+                      for i, (ctx, _, obs) in enumerate(draws)])
 
 
 def _est_control_ip_local(cfg: dict) -> int:
+    # per trial the binary contraction of t_ip_local (2^m y_S over the
+    # coset^m x-tuples and one sum table) and a local U^2 norm per slot
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    slots = cfg["m"] * (1 << cfg["m"])
-    return cfg["trials"] * (coset ** 3 + slots * coset ** 3)
+    m = cfg["m"]
+    return cfg["trials"] * ((1 << m) * coset ** (m + 1) + coset ** 2
+                            + _local_u2_terms(cfg, cfg["n"], m << m))
 
 
 def _run_control_ip2_local(cfg: dict) -> RunResult:
@@ -950,15 +958,14 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
         factor = _standard_factor(p, n, ell, q)
         rng = _trial_rng(cfg["seed"], i)
         base = {"n": n}
-        try:
-            ctx, d = _nondeg_ctx3(rng, factor)
-        except DegenerateContext as exc:
-            trials.append(make_degenerate(i, base, str(exc)))
+        ctx = _nondeg_ctx3(rng, factor)
+        if isinstance(ctx, str):
+            trials.append(make_degenerate(i, base, ctx))
             values.append(values[-1] if values else 1.0)
             continue
         f = _bounded_fn(rng, p, n)
         grid = FunctionGrid.ip2_diagonal(m, f)
-        obs = abs(t_ip2_local(m, factor, d, grid))
+        obs = abs(t_ip2_local(m, factor, ctx.d, grid))
         nrm = local_u3_norm(ctx, f)
         excess = max(0.0, (obs - nrm) / max(1.0, nrm))
         values.append(excess)
@@ -994,40 +1001,36 @@ def _sparse_subset(rng: np.random.Generator, target: np.ndarray,
 
 def _run_sparse_uniform(cfg: dict) -> RunResult:
     p, ell, q, eps, tol = cfg["p"], cfg["ell"], cfg["q"], cfg["eps"], cfg["tol"]
-    samples = cfg["samples"]
     n_hard = max(cfg["n_values"])
     trials, values = [], []
     row = 0
     hard_rows = []
     for i, n in enumerate(cfg["n_values"]):
         factor = _standard_factor(p, n, ell, q)
-        diffs = []
-        last = None
-        for s in range(samples):
+        drawn = []  # per nondegenerate sample: row, place in trials, inputs, context, set, alpha
+        for s in range(cfg["samples"]):
             rng = _trial_rng(cfg["seed"], i, s)
             base = {"n": n, "eps": eps, "sample": s}
-            try:
-                ctx, _ = _nondeg_ctx3(rng, factor)
-            except DegenerateContext as exc:
-                trials.append(make_degenerate(row, base, str(exc)))
-                row += 1
-                continue
-            target = ctx.target_indices()
-            chosen = _sparse_subset(rng, target, eps)
-            bits = np.zeros(p ** n, dtype=bool)
-            bits[chosen] = True
-            alpha = float(bits[target].mean())
-            value, _ = weighted_ternary_density(ctx, bits)
-            diffs.append(abs(value - alpha))
-            trials.append(make_point(row, base, abs(value - alpha),
-                                     detail={"n": n, "weighted": value,
-                                             "alpha": alpha}))
+            ctx = _nondeg_ctx3(rng, factor)
+            if isinstance(ctx, str):
+                trials.append(make_degenerate(row, base, ctx))
+            else:
+                target = ctx.target_indices()
+                bits = np.zeros(p ** n, dtype=bool)
+                bits[_sparse_subset(rng, target, eps)] = True
+                drawn.append((row, len(trials), base, ctx, bits, float(bits[target].mean())))
+                trials.append(None)
             row += 1
-            last = (ctx, bits, alpha)
+        diffs = []
+        for (r, place, base, _, _, alpha), (value, _) in zip(drawn, weighted_ternary_densities(
+                factor, [t[3].codes for t in drawn], [t[4] for t in drawn])):
+            diffs.append(abs(value - alpha))
+            trials[place] = make_point(r, base, abs(value - alpha),
+                                       detail={"n": n, "weighted": value, "alpha": alpha})
         values.append(float(np.mean(diffs)) if diffs
                       else (values[-1] if values else 1.0))
-        if n == n_hard and last is not None:
-            ctx, bits, alpha = last
+        if n == n_hard and drawn:
+            ctx, bits, alpha = drawn[-1][3:]
             norm = local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha))
             hard_rows.append(make_trial(row, {"n": n, "eps": eps,
                                               "check": "norm-bound"},
@@ -1217,7 +1220,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
     linear = _standard_factor(p, n, ell, 0).linear
     nu, nv = cfg["parts"]
-    trials = []
+    trials, codes, fs, deltas = [], [], [], []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         bits = rng.random(p ** n) < 0.5
@@ -1237,39 +1240,39 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         trials.append(make_trial(2 * i, base | {"check": "witness-identity"},
                                  identity_err, tol * max(1.0, float(count)),
                                  detail={"count": count}))
-        # density product and the measured per-pair uniformity
+        # density product; the measured per-pair uniformity comes in one batch
         prod = 1.0
-        eps_meas = 0.0
         for u in range(nu):
             for v in range(nv):
-                d2 = DirectionTuple2(p, u_labels[u], v_labels[v])
-                ctx = LocalContext2(linear, d2)
+                ctx = LocalContext2(linear, DirectionTuple2(p, u_labels[u], v_labels[v]))
                 alpha = float(bits[ctx.target_indices()].mean())
                 prod *= alpha if (u, v) in edges else 1.0 - alpha
-                bal = _indicator_minus(p, n, bits, alpha)
-                eps_meas = max(eps_meas, local_u2_norm(ctx, bal))
-        delta = abs(t_val.real - prod)
-        pairs = nu * nv
-        trials.append(make_point(2 * i + 1, base | {"check": "density-product"},
-                                 delta, detail={
-                                     "eps_measured": eps_meas,
-                                     "bound_linear_in_pairs": pairs * eps_meas,
-                                     "bound_exponential": (2 ** pairs - 1) * eps_meas,
-                                     "within_linear": delta <= pairs * eps_meas + tol,
-                                     "within_exponential":
-                                         delta <= (2 ** pairs - 1) * eps_meas + tol,
-                                 }))
+                codes.append(ctx.code)
+                fs.append(_indicator_minus(p, n, bits, alpha))
+        deltas.append((base, abs(t_val.real - prod)))
+    pairs = nu * nv
+    norms = local_u2_norms(linear, codes, fs)
+    for i, (base, delta) in enumerate(deltas):
+        eps_meas = max(norms[pairs * i:pairs * (i + 1)])
+        trials.insert(2 * i + 1, make_point(2 * i + 1, base | {"check": "density-product"},
+                                            delta, detail={
+            "eps_measured": eps_meas,
+            "bound_linear_in_pairs": pairs * eps_meas,
+            "bound_exponential": (2 ** pairs - 1) * eps_meas,
+            "within_linear": delta <= pairs * eps_meas + tol,
+            "within_exponential": delta <= (2 ** pairs - 1) * eps_meas + tol,
+        }))
     return RunResult(trials)
 
 
 def _est_counting_binary(cfg: dict) -> int:
     # per trial: the witness count and the operator each take a sum table
-    # per pair and coset^nv b-tuples per a-vertex's coset; each pair's local
-    # U^2 norm takes one sum table and averages two x's over coset^2 y-pairs
+    # per pair and coset^nv b-tuples per a-vertex's coset; and a local U^2
+    # norm per pair
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     nu, nv = cfg["parts"]
     per_trial = (2 * (coset ** (nv + 1) * nu + coset ** 2 * nu * nv)
-                 + nu * nv * (2 * coset ** 3 + coset ** 2))
+                 + _local_u2_terms(cfg, cfg["n"], nu * nv))
     return cfg["trials"] * per_trial
 
 
@@ -1585,119 +1588,18 @@ def get_experiment(name: str) -> Experiment:
     return exp
 
 
-def merge_config(exp: Experiment, file_cfg: dict | None,
-                 overrides: dict | None) -> dict:
-    cfg = dict(exp.defaults)
-    for layer in (file_cfg or {}, overrides or {}):
-        for key, val in layer.items():
-            if val is None:
-                continue
-            if key not in cfg:
-                allowed = ", ".join(sorted(cfg))
-                raise ConfigError(
-                    f"experiment {exp.name!r} does not accept key {key!r} "
-                    f"(allowed: {allowed})")
-            if not _same_json_type(exp.defaults[key], val):
-                raise ConfigError(
-                    f"{key} must be a JSON {_json_type(exp.defaults[key])} like its "
-                    f"default, got {_json_type(val)} {val!r}")
-            cfg[key] = val
-    _validate_config(exp.name, cfg)
-    return cfg
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _json_type(val) -> str:
-    if isinstance(val, bool):
-        return "boolean"
-    if isinstance(val, (int, float)):
-        return "integer" if isinstance(val, int) else "number"
-    return {str: "string", list: "array", dict: "object"}.get(type(val), type(val).__name__)
-
-
-def _same_json_type(default, val) -> bool:
-    """A bool is not an integer; a number key also accepts an integer."""
-    want, got = _json_type(default), _json_type(val)
-    return got == want or (want, got) == ("number", "integer")
-
-
-def _validate_config(name: str, cfg: dict) -> None:
-    p = cfg.get("p")
-    if p is not None and p not in ALLOWED_PRIMES:
-        raise ConfigError(f"p must be one of {ALLOWED_PRIMES}, got {p}")
-    dims = []
-    if "n" in cfg:
-        dims.append(cfg["n"])
-    for key in ("n_values", "ell_values", "rep_sets", "atom_labels"):
-        if key in cfg and not cfg[key]:
-            raise ConfigError(f"{key} must list at least one entry")
-    dims.extend(cfg.get("n_values", []))
-    for n in dims:
-        if not _is_int(n) or n < 1:
-            raise ConfigError(f"dimension must be a positive integer, got {n}")
-        if p is not None and p ** n > GROUP_CAP:
-            raise ConfigError(f"p^n = {p ** n} exceeds the cap {GROUP_CAP}")
-    # the search and counting kernels' own caps, so that estimate refuses
-    # what run would
-    size = p ** max(dims) if p is not None and dims else 0
-    if name in ("atom-vc2", "vc2-structure") and size > IP2_POINT_CAP:
-        raise ConfigError(f"p^n = {size} exceeds the IP2 point cap {IP2_POINT_CAP}")
-    if name in ("atom-vc", "coset-union-vc") and size ** 2 > SHIFT_TABLE_CAP:
-        raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {SHIFT_TABLE_CAP}")
-    if cfg.get("max_part", 1) > MAX_TERNARY_UV:
-        raise ConfigError(f"max_part exceeds the ternary U, V part cap {MAX_TERNARY_UV}")
-    m_cap = {"control-ip": MAX_IP_M, "control-ip-local": MAX_IP_M,
-             "control-ip2": MAX_IP2_M, "control-ip2-local-trend": MAX_IP2_M}.get(name)
-    if m_cap is not None and cfg["m"] > m_cap:
-        raise ConfigError(f"m = {cfg['m']} exceeds the pattern cap {m_cap}")
-    if cfg.get("q", 0) > STANDARD_MAX_Q:
-        raise ConfigError(f"standard factor supports q <= {STANDARD_MAX_Q}")
-    forms = p ** (cfg["n"] * (cfg["n"] + 1) // 2) if name == "inverse-oracle" else 0
-    if forms > CORRELATION_SEARCH_CAP:
-        raise ConfigError(f"{forms} candidate forms exceed the search cap {CORRELATION_SEARCH_CAP}")
-    for ell in cfg.get("ell_values", [cfg["ell"]] if "ell" in cfg else []):
-        if not _is_int(ell) or not 0 <= ell <= min(dims):
-            raise ConfigError(f"ell must be an integer in [0, n] = [0, {min(dims)}], got {ell}")
-    # level-set sizes are counted over the forms, so that experiment needs one
-    q_low = 1 if name == "bil-level-sizes" else 0
-    for key, low in (("trials", 1), ("directions", 1), ("samples", 1), ("m", 1),
-                     ("max_part", 1), ("seed", 0), ("q", q_low)):
-        val = cfg.get(key)
-        if val is not None and val < low:
-            raise ConfigError(f"{key} must be an integer >= {low}, got {val}")
-    parts = cfg.get("parts", [1, 1])
-    if len(parts) != 2 or not all(_is_int(v) and 1 <= v <= MAX_BIPARTITE_PART for v in parts):
-        raise ConfigError(f"parts must be two integers in [1, {MAX_BIPARTITE_PART}], got {parts}")
-    # atom-vc's factor is one form with no linear part, so its labels have width 1
-    labels = cfg.get("atom_labels", [cfg["atom_label"]] if "atom_label" in cfg else [])
-    _check_lengths("atom label", labels, cfg.get("ell", 0) + cfg.get("q", 1))
-    for key in ("subgroup_basis", "extra_diagonals"):
-        if key in cfg:
-            _check_lengths(key, cfg[key], cfg["n"])
-    for reps in cfg.get("rep_sets", []):
-        if not isinstance(reps, list) or not reps:
-            raise ConfigError(f"rep_sets entry {reps} is not a nonempty list of vectors")
-        _check_lengths("rep_sets", reps, cfg["n"])
-    tol = cfg.get("tol")
-    if tol is not None and not tol > 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
-    eps = cfg.get("eps")
-    if eps is not None and not 0 < eps < 1:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-
-
 def run_experiment(name: str, file_cfg: dict | None = None,
                    overrides: dict | None = None) -> dict:
+    return run_estimated(name, *estimate_experiment(name, file_cfg, overrides))
+
+
+def run_estimated(name: str, cfg: dict, estimated: int) -> dict:
+    """The report of a run on a merged config, whose estimate is given."""
     exp = get_experiment(name)
-    cfg = merge_config(exp, file_cfg, overrides)
     result, terms = run_counted(exp.runner, cfg)
     ok = all(t["verdict"] != "fail" for t in result.trials)
     return build_report(exp.name, exp.kind, exp.claim, cfg, result.trials,
-                        aggregate_from(result.trials, result.trend), exp.estimator(cfg),
-                        terms, ok)
+                        aggregate_from(result.trials, result.trend), estimated, terms, ok)
 
 
 def estimate_experiment(name: str, file_cfg: dict | None = None,

@@ -14,7 +14,7 @@ import math
 import sys
 
 from ..errors import CapExceeded, ConfigError, UnknownExperiment
-from .experiments import REGISTRY, estimate_experiment, get_experiment, run_experiment
+from .experiments import REGISTRY, estimate_experiment, get_experiment, run_estimated
 from .reporting import canonical_json
 
 
@@ -90,9 +90,9 @@ def _do_estimate(args: argparse.Namespace) -> int:
 def _do_run(args: argparse.Namespace) -> int:
     exp = get_experiment(args.experiment)
     file_cfg = load_json(args.config) if args.config else None
-    _, est = estimate_experiment(args.experiment, file_cfg, _overrides(args))
+    cfg, est = estimate_experiment(args.experiment, file_cfg, _overrides(args))
     print(f"# {exp.name} [{exp.kind}]: ~{est} terms", file=sys.stderr)
-    report = run_experiment(args.experiment, file_cfg, _overrides(args))
+    report = run_estimated(args.experiment, cfg, est)
     payload = canonical_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,26 +1,32 @@
-"""Local U^2(d) and U^3(d) semi-norms, restricted Fourier analysis on cosets,
-and the one contraction per arity that every conditioned average calls.
+"""Local U^2(d) and U^3(d) semi-norms and the one contraction per arity
+that every conditioned average calls.
 
 The local U^2 inner product averages the four-vertex product with x0, x1
 confined to the coset L(a1) and y0, y1 to L(a2); every argument x + y then
-lies in the single coset L(a1 + a2), so the value only sees f there.
+lies in the single coset L(a1 + a2), so the value only sees f there. The
+local U^2 norm is taken on the frequency side: its fourth power is the
+fourth moment of the spectrum of f restricted to that coset, read through
+a kernel basis of L(0). `local_u2_norms` takes a batch of (coset code,
+function) pairs in one gather and one transform; `local_u2_inner(ctx, f,
+f, f, f)`, the binary contraction, is its twin.
 
 The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
 mu of a prescribed bilinear level set. All eight corner sums land in the
 atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 
-`_binary_contract` is the bipartite contraction: local U^2, the IP averages
-and the bipartite operator. `_ternary_contract` is the weighted 3-partite
-one: local U^3, IP2, the ternary operator and the weighted ternary density.
-It takes a batch of problems named by integer codes (atoms, bilinear levels
-and value arrays, laid out by a `TernaryShape`), so `local_u3_norms`
-evaluates the norms of a whole array of direction codes in one call. Per
-y-tuple it keeps exactly the x's and z's that the bilinear weights allow,
-sorts the y-tuples of the whole batch into buckets by how many they keep,
-and contracts each bucket in blocks of one gather and one batched matmul.
-A diagonal norm is unchanged when y0 and y1 swap, so it scans only the
-y-tuples with j0 <= j1.
+`_binary_contract` is the bipartite contraction: the local U^2 inner
+product, the IP averages and the bipartite operator. `_ternary_contract`
+is the weighted 3-partite one: local U^3, IP2, the ternary operator and the
+weighted ternary density. It takes a batch of problems named by integer
+codes (atoms, bilinear levels and value arrays, laid out by a
+`TernaryShape`), so `local_u3_norms` and `local_u3_inners` evaluate the
+norms or octuple inner products of a whole array of direction codes in one
+call. Per y-tuple it keeps exactly the x's and z's that the bilinear
+weights allow, sorts the y-tuples of the whole batch into buckets by how
+many they keep, and contracts each bucket in blocks of one gather and one
+batched matmul. A diagonal norm is unchanged when y0 and y1 swap, so it
+scans only the y-tuples with j0 <= j1.
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ from .factor import (
     sigma2,
     sigma3,
 )
-from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, GroupVector, count_terms, space
-from .spectral import GroupFunction, SpectrumTable, _root_of_diagonal, fourier_transform
+from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
+from .spectral import GroupFunction, _axis_dft, _fourth_moments, _root_of_diagonal
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
@@ -54,7 +60,8 @@ NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
 class LocalContext2:
-    """A linear factor with a pair of coset labels (a1, a2)."""
+    """A linear factor with a pair of coset labels (a1, a2) and the code of
+    their target coset a1 + a2."""
 
     def __init__(self, linear: LinearFactor, d: DirectionTuple2) -> None:
         if d.p != linear.p or len(d.a1) != linear.ell:
@@ -64,14 +71,10 @@ class LocalContext2:
         self.xs = linear.coset_indices(d.a1)
         self.ys = linear.coset_indices(d.a2)
         self.sigma = sigma2(d)
+        self.code = linear.label_code(self.sigma)
 
     def target_indices(self) -> np.ndarray:
         return self.linear.coset_indices(self.sigma)
-
-    def default_shift(self) -> GroupVector:
-        """Canonical-index-least element of the target coset L(a1 + a2)."""
-        idx = int(self.target_indices().min())
-        return GroupVector.from_index(self.linear.p, self.linear.n, idx)
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,36 +136,37 @@ def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
     return _binary_contract(ctx.linear.space, [ctx.xs] * 2, [ctx.ys] * 2, values)
 
 
+def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
+                   tol: float = DEFAULT_TOL) -> list[float]:
+    """The local U^2 norm of fs[i] on the coset of code codes[i] (a
+    direction's target coset a1 + a2), for every i, on the frequency side:
+    ||f||_{U^2(d)}^4 = sum_t |ghat(t)|^4 for g(h) = f(c + h) on L(0), with
+    c the coset's least member and h running over L(0) in the order of its
+    kernel basis (Gowers, GAFA 2001). Each block of at most H_BLOCK_ENTRIES
+    entries is one gather through `GroupSpace.sums` and one transform of
+    its (F, p^(n - l)) stack. Counts the gather's entries, the transform's
+    entries x p x (n - l) and one term per entry of the |ghat|^4 sum."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    if len(codes) != len(fs):
+        raise ValueError("need one function per coset code")
+    for g in fs:
+        if (g.p, g.n) != (linear.p, linear.n):
+            raise ValueError("function in wrong group")
+    p, n, m = linear.p, linear.n, linear.n - linear.ell
+    basis = np.array([b.coords for b in linear.subgroup_basis()], dtype=np.int64)
+    kernel = (space(p, m).digits @ basis.reshape(m, n) % p) @ linear.space.powers
+    starts = linear.member_table[codes, 0]
+    step = max(1, H_BLOCK_ENTRIES // kernel.size)
+    fourth = []
+    for lo in range(0, len(fs), step):
+        sums = linear.space.sums(starts[lo:lo + step, None], kernel)
+        stack = np.stack([g.values[s] for g, s in zip(fs[lo:lo + step], sums)])
+        fourth.extend(_fourth_moments(_axis_dft(stack, p, m, -1)).tolist())
+    return [_root_of_diagonal(complex(v), 4, tol) for v in fourth]
+
+
 def local_u2_norm(ctx: LocalContext2, f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return _root_of_diagonal(local_u2_inner(ctx, f, f, f, f), 4, tol)
-
-
-def restricted_fourier(f: GroupFunction, subgrp: LinearFactor, z: GroupVector) -> SpectrumTable:
-    """Fourier transform of h -> f(z + h) on the subgroup L(0), relative to
-    a fixed kernel basis; the spectrum lives on F_p^(n - l)."""
-    p, n = subgrp.p, subgrp.n
-    if (f.p, f.n) != (p, n) or (z.p, z.n) != (p, n):
-        raise ValueError("mismatched group")
-    basis = subgrp.subgroup_basis()
-    m = len(basis)
-    sub = space(p, m)
-    if m == 0:
-        vals = np.array([f.values[z.index]])
-        return fourier_transform(GroupFunction(p, 0, vals))
-    bmat = np.array([b.coords for b in basis], dtype=np.int64)  # (m, n)
-    coords = (sub.digits.astype(np.int64) @ bmat + np.array(z.coords, dtype=np.int64)) % p
-    indices = coords @ subgrp.space.powers
-    return fourier_transform(GroupFunction(p, m, f.values[indices]))
-
-
-def local_u2_fourth_via_spectrum(ctx: LocalContext2, f: GroupFunction,
-                                 z: GroupVector | None = None) -> float:
-    """Sum of |fhat|^4 of the shifted restriction to the kernel coset; equals
-    the fourth power of the local U^2 norm for any shift z in L(a1 + a2)."""
-    if z is None:
-        z = ctx.default_shift()
-    spec = restricted_fourier(f, ctx.linear, z)
-    return spec.l4_fourth()
+    return local_u2_norms(ctx.linear, [ctx.code], [f], tol)[0]
 
 
 class LocalContext3:
@@ -552,15 +556,26 @@ def value_columns(fs: list[GroupFunction], p: int, n: int) -> tuple[list[int], l
     return columns, list({id(g): g.values for g in fs}.values())
 
 
-def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
-    """The mu-weighted eight-vertex expectation over the three atoms: the
-    ternary contraction of one problem, slot (u, v, w) reading
-    octuple[4u + 2v + w]."""
-    if len(octuple) != 8:
+def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarray:
+    """The mu-weighted eight-vertex expectation over the three atoms of the
+    direction codes[i] = (a1, a2, a3, b12, b13, b23) on octuples[i], for
+    every i: one ternary contraction, slot (u, v, w) reading octuple[4u +
+    2v + w]. Every direction must be nondegenerate."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
+    if any(len(o) != 8 for o in octuples):
         raise ValueError("need eight functions in lexicographic eps order")
-    columns, arrays = value_columns(octuple, ctx.factor.p, ctx.factor.n)
-    return complex(_ternary_contract(ctx.factor, u3_shape(True), [ctx.codes + tuple(columns)],
-                                     arrays)[0])
+    if len(codes) != len(octuples):
+        raise ValueError("need one octuple per direction")
+    if not octuples:
+        return np.zeros(0, dtype=np.complex128)
+    columns, arrays = value_columns([g for o in octuples for g in o], factor.p, factor.n)
+    return _ternary_contract(factor, u3_shape(True),
+                             np.column_stack([codes, np.reshape(columns, (-1, 8))]), arrays)
+
+
+def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
+    """The batch of one of `local_u3_inners`."""
+    return complex(local_u3_inners(ctx.factor, [ctx.codes], [octuple])[0])
 
 
 def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
@@ -639,15 +654,12 @@ def local_u3_dominates_check(linear: LinearFactor, directions: list, fs: list[Gr
     """On a purely linear factor, the local U^3 norm with zero bilinear
     labels dominates the local U^2 norm at the direction (a1 + a2, a3).
     Returns (u3val, u2val, margin) for each direction (a1, a2, a3) and
-    function, the U^3 norms in one batch."""
+    function, the U^3 norms in one batch and the U^2 norms in another."""
     p = linear.p
     quad = QuadraticFactor(linear, ())
     dirs = [[tuple(int(v) % p for v in a) for a in d] for d in directions]
     u3vals = local_u3_norms(quad, [[linear.label_code(a) for a in d] + [0] * 3 for d in dirs],
                             fs, tol)
-    out = []
-    for (a1, a2, a3), f, u3val in zip(dirs, fs, u3vals):
-        a12 = tuple((u + v) % p for u, v in zip(a1, a2))
-        u2val = local_u2_norm(LocalContext2(linear, DirectionTuple2(p, a12, a3)), f, tol)
-        out.append((u3val, u2val, u3val - u2val))
-    return out
+    u2vals = local_u2_norms(linear, [linear.label_code([sum(v) % p for v in zip(*d)])
+                                     for d in dirs], fs, tol)
+    return [(u3val, u2val, u3val - u2val) for u3val, u2val in zip(u3vals, u2vals)]

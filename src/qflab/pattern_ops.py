@@ -17,7 +17,8 @@ Every operator with independent completion variables (y_S, z_S, z_w)
 conditions on the remaining variables and multiplies the now-independent
 inner averages, in one of the two contractions of `local_norms`: the binary
 one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ip2_local,
-t_ternary and weighted_ternary_density. The global t_ip2 works on the
+t_ternaries and weighted_ternary_densities (one call per batch of
+patterns or directions). The global t_ip2 works on the
 frequency side instead. The naive nested sums are reference routes for
 small instances. The witness counts and |I_F(e)| are one blocked extension
 count, `_extension_count`.
@@ -42,6 +43,7 @@ from .factor import (
     _code,
     beta_code_sizes,
     mu_weight_matrix,
+    sigma3_codes,
 )
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
 from .local_norms import (
@@ -632,15 +634,32 @@ def bipartite_normalization(graph: PatternHypergraph, linear: LinearFactor) -> i
 # weighted ternary density
 # ---------------------------------------------------------------------------
 
+def weighted_ternary_densities(factor: QuadraticFactor, codes,
+                               members: list) -> list[tuple[float, float]]:
+    """For each row codes[i] = (a1, a2, a3, b12, b13, b23) of direction
+    codes and membership array members[i] of a set A: E over the three
+    atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z), together with the
+    plain density of A on the target atom B(sigma3(d)). The weighted
+    averages are one ternary contraction with one vertex per part."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
+    if len(codes) != len(members):
+        raise ValueError("need one membership array per direction")
+    if not members:
+        return []
+    targets = sigma3_codes(factor, codes)
+    empty = np.flatnonzero(factor.atom_sizes[targets] == 0)
+    if empty.size:
+        label = space(factor.p, factor.width).coords_of(int(targets[empty[0]]))
+        raise EmptyAtom(f"target atom {label} is empty")
+    members = [np.asarray(m, dtype=bool) for m in members]
+    values = _ternary_contract(factor, _ternary_shape(1, 1, 1),
+                               np.column_stack([codes, np.arange(len(members))]),
+                               [m.astype(np.float64) for m in members])
+    return [(float(v.real), float(m[factor._members_by_code[t]].mean()))
+            for v, m, t in zip(values, members, targets.tolist())]
+
+
 def weighted_ternary_density(ctx: LocalContext3, member: np.ndarray) -> tuple[float, float]:
-    """E over the three atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z),
-    together with the plain density of A on the target atom B(sigma3(d)).
-    The weighted average is the ternary contraction with one vertex per
-    part."""
-    member = np.asarray(member, dtype=bool)
-    target = ctx.target_indices()
-    if target.size == 0:
-        raise EmptyAtom(f"target atom {ctx.sigma.values} is empty")
-    value = _ternary_contract(ctx.factor, _ternary_shape(1, 1, 1), [ctx.codes + (0,)],
-                              [member.astype(np.float64)])[0]
-    return float(value.real), float(member[target].mean())
+    """The batch of one of `weighted_ternary_densities`, on the caller's
+    context."""
+    return weighted_ternary_densities(ctx.factor, [ctx.codes], [member])[0]

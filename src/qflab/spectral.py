@@ -20,8 +20,8 @@ with the k lowest remaining digits last, applies the memoized read-only
 kernel of k digits with one matmul, and rotates those digits to the front;
 when every digit has had its round, each is transformed and back in its
 place. A round takes as many digits as fit a kernel of at most RADIX_CAP
-rows. `fourier_transform`, `inverse_transform`,
-`local_norms.restricted_fourier` and the batched kernels below all call it.
+rows. `fourier_transform`, `inverse_transform`, the batched kernels below
+and `local_norms.local_u2_norms` all call it.
 
 `u2_inner` averages an O(p^(2n)) shift table. `u3_inner` conditions on the
 z-difference h and contracts four derivative tables on the frequency side,

@@ -43,7 +43,7 @@ from qflab.lab_cli.reporting import canonical_json
 from qflab.local_norms import (
     LocalContext2,
     LocalContext3,
-    local_u2_fourth_via_spectrum,
+    local_u2_inner,
     local_u2_norm,
     support_triples_consistent,
 )
@@ -108,7 +108,7 @@ def test_exact_identities():
         f = _bounded(3, 3, rng)
         assert abs(u3_norm(f) ** 8 - u3_inner_naive([f] * 8).real) <= TOL
 
-    # restricted-spectrum route for the coset-local square norm
+    # frequency-side coset-local square norm against the binary contraction
     for ell in (1, 2):
         lin = new_linear_factor(3, 3, [tuple(int(i == j) for j in range(3))
                                        for i in range(ell)])
@@ -118,7 +118,7 @@ def test_exact_identities():
             ctx = LocalContext2(lin, DirectionTuple2(3, a1, a2))
             f = _bounded(3, 3, rng)
             assert abs(local_u2_norm(ctx, f) ** 4
-                       - local_u2_fourth_via_spectrum(ctx, f)) <= TOL
+                       - local_u2_inner(ctx, f, f, f, f).real) <= TOL
 
     # target-atom consistency, exhaustive over every direction tuple
     t_sigma = time.perf_counter()

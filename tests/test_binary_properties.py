@@ -1,7 +1,8 @@
 """Property tests of the binary contraction against its reference twins at
 every prime p in {3, 5, 7, 11, 13}: global m-IP against the literal nested
 sum, the bipartite operator on random cosets against an explicit loop over
-every vertex tuple, and the local U^2 norm against the restricted spectrum.
+every vertex tuple, and the frequency-side local U^2 norm against the binary
+contraction's four-vertex average.
 Needs the `hypothesis` test extra.
 """
 
@@ -22,7 +23,7 @@ from qflab.factor import DirectionTuple2, new_linear_factor  # noqa: E402
 from qflab.local_norms import (  # noqa: E402
     GRID_CAP,
     LocalContext2,
-    local_u2_fourth_via_spectrum,
+    local_u2_inner,
     local_u2_norm,
 )
 from qflab.pattern_ops import (  # noqa: E402
@@ -108,11 +109,11 @@ def test_bipartite_matches_an_explicit_loop_on_random_cosets(shape, nu, nv, seed
 
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(LINEAR_SHAPES), seed=st.integers(0, 2 ** 32 - 1))
-def test_local_u2_norm_matches_the_restricted_spectrum(shape, seed):
+def test_local_u2_norm_matches_the_binary_contraction(shape, seed):
     p, n, ell = shape
     rng = np.random.default_rng(seed)
     linear = _random_linear(rng, p, n, ell)
     ctx = LocalContext2(linear, DirectionTuple2(p, _label(rng, p, ell), _label(rng, p, ell)))
     f = _bounded(rng, p, n)
     fourth = local_u2_norm(ctx, f) ** 4
-    assert fourth == pytest.approx(local_u2_fourth_via_spectrum(ctx, f), rel=1e-9, abs=1e-13)
+    assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, rel=1e-9, abs=1e-13)

@@ -127,6 +127,18 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
         "error: unexpected RuntimeError: kernel blew up"]
 
 
+def test_run_evaluates_the_estimator_once(monkeypatch, capsys):
+    # the estimate printed before the run is the one the report carries
+    calls = []
+    exp = REGISTRY["local-gcs"]
+    monkeypatch.setitem(REGISTRY, "local-gcs", replace(
+        exp, estimator=lambda cfg: calls.append(cfg) or exp.estimator(cfg)))
+    assert main(["run", "local-gcs", "--trials", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1 and calls[0]["trials"] == 2
+    assert report["terms"]["estimated"] == exp.estimator(calls[0])
+
+
 def test_number_key_accepts_an_integer(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"tol": 1, "trials": 2}')

@@ -17,19 +17,20 @@ from qflab.factor import (
     new_linear_factor,
     new_quadratic_factor,
 )
-from qflab.fpn_core import GroupVector, run_counted
+from qflab.fpn_core import rank_mod_p, run_counted, space
 from qflab.local_norms import (
     LocalContext2,
     LocalContext3,
-    local_u2_fourth_via_spectrum,
     local_u2_inner,
     local_u2_norm,
+    local_u2_norms,
     local_u3_dominates_check,
     local_u3_inner,
     local_u3_inner_naive,
     local_u3_norm,
     support_triples_consistent,
 )
+from qflab.pattern_ops import weighted_ternary_densities, weighted_ternary_density
 from qflab.spectral import GroupFunction, u2_norm, u3_inner
 
 
@@ -102,16 +103,57 @@ def test_local_u2_inner_matches_explicit_loop():
     assert local_u2_inner(ctx, *fs) == pytest.approx(complex(expected), abs=1e-12)
 
 
-def test_local_u2_fourth_matches_restricted_spectrum():
+def test_local_u2_fourth_is_the_binary_contraction():
     lin = new_linear_factor(3, 3, [(1, 1, 0)])
     ctx = LocalContext2(lin, DirectionTuple2(3, (0,), (2,)))
     f = _random_f(3, 3, seed=3)
     fourth = local_u2_norm(ctx, f) ** 4
-    assert fourth == pytest.approx(local_u2_fourth_via_spectrum(ctx, f), abs=1e-10)
-    # any other shift in the target coset gives the same answer
-    other = int(ctx.target_indices()[-1])
-    z = GroupVector.from_index(3, 3, other)
-    assert fourth == pytest.approx(local_u2_fourth_via_spectrum(ctx, f, z), abs=1e-10)
+    assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, abs=1e-10)
+    # translating f by a member of L(0) moves the spectrum's shift to
+    # another member of the target coset, and leaves the norm
+    h = int(lin.coset_indices((0,))[-1])
+    moved = GroupFunction(3, 3, f.values[lin.space.add(np.arange(27), h)])
+    assert fourth == pytest.approx(local_u2_norm(ctx, moved) ** 4, abs=1e-10)
+
+
+def _non_coordinate_linear(rng, p, n, ell):
+    """A linear factor of ell random independent vectors, none of them a
+    multiple of a coordinate vector."""
+    while True:
+        rows = rng.integers(0, p, (ell, n))
+        if rank_mod_p(rows, p) == ell and ((rows != 0).sum(axis=1) > 1).all():
+            return new_linear_factor(p, n, [tuple(r.tolist()) for r in rows])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_local_u2_norms_match_the_binary_contraction(monkeypatch, p, ell):
+    # one batch mixing cosets, a repeated coset and a function shared by
+    # several cosets, complex and real; each norm^4 against the four-vertex
+    # average of its direction, whose a1 is drawn at random
+    rng = np.random.default_rng(10 * p + ell)
+    lin = _non_coordinate_linear(rng, p, 3, ell)
+    fs = [_random_f(p, 3, seed=500 + k, bounded=False) for k in range(2)]
+    fs.append(GroupFunction(p, 3, rng.standard_normal(p ** 3)))
+    codes = rng.integers(0, p ** ell, 7)
+    codes[-1] = codes[0]
+    fns = [fs[k % 3] for k in range(7)]
+    norms = local_u2_norms(lin, codes, fns)
+    coset = p ** (3 - ell)
+    basis_terms = run_counted(lin.subgroup_basis)[1]
+    assert (run_counted(local_u2_norms, lin, codes, fns)[1]
+            == basis_terms + 7 * coset * (p * (3 - ell) + 2))
+    for code, f, norm in zip(codes.tolist(), fns, norms):
+        a1 = tuple(rng.integers(0, p, ell).tolist())
+        a2 = tuple((s - a) % p for s, a in zip(space(p, ell).coords_of(code), a1))
+        ctx = LocalContext2(lin, DirectionTuple2(p, a1, a2))
+        assert ctx.code == code
+        assert norm ** 4 == pytest.approx(local_u2_inner(ctx, f, f, f, f).real,
+                                          rel=1e-10, abs=1e-14)
+    # blocks of three functions, the last one partial, give the same norms
+    monkeypatch.setattr(local_norms, "H_BLOCK_ENTRIES", 3 * coset)
+    assert local_u2_norms(lin, codes, fns) == pytest.approx(norms, rel=1e-12)
+    assert local_u2_norms(lin, [], []) == []
 
 
 def test_degenerate_contexts_are_refused():
@@ -488,3 +530,39 @@ def test_a_batch_split_across_context_blocks(monkeypatch):
         ctx = LocalContext3(factor, _direction(factor, row))
         assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
+
+
+def test_u3_inner_batch_matches_each_batch_of_one():
+    # atoms of unequal sizes, a repeated direction and octuples sharing
+    # functions, in one contraction of octuple rows
+    factor = _forms_factor(3, 1)
+    _, rows = _direction_rows(factor, seed=6, count=3)
+    rows = np.concatenate([rows, rows[:1]])
+    fs = [_random_f(3, 3, seed=600 + k) for k in range(10)]
+    octuples = [fs[k:k + 8] for k in (0, 2, 1, 2)]
+    batch = local_norms.local_u3_inners(factor, rows, octuples)
+    assert len(batch) == 4 and (abs(batch) > 0).sum() >= 3
+    for row, octu, got in zip(rows, octuples, batch):
+        ctx = LocalContext3(factor, _direction(factor, row))
+        assert got == pytest.approx(local_u3_inner(ctx, octu), rel=1e-12)
+    ctx = LocalContext3(factor, _direction(factor, rows[0]))
+    assert batch[0] == pytest.approx(local_u3_inner_naive(ctx, octuples[0]), rel=1e-10)
+    assert len(local_norms.local_u3_inners(factor, [], [])) == 0
+
+
+def test_weighted_density_batch_matches_each_batch_of_one():
+    # sparse sets on the directions' target atoms and one whole-group set,
+    # with a repeated direction, in one contraction of one-vertex-part rows
+    factor = _forms_factor(3, 1)
+    _, rows = _direction_rows(factor, seed=7, count=4)
+    rows = np.concatenate([rows, rows[:1]])
+    rng = np.random.default_rng(8)
+    members = [rng.random(27) < 0.3 for _ in range(4)] + [np.ones(27, dtype=bool)]
+    batch = weighted_ternary_densities(factor, rows, members)
+    assert len(batch) == 5
+    for row, member, got in zip(rows, members, batch):
+        ctx = LocalContext3(factor, _direction(factor, row))
+        want = weighted_ternary_density(ctx, member)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert got[1] == want[1] == member[ctx.target_indices()].mean()
+    assert weighted_ternary_densities(factor, [], []) == []
