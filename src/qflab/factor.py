@@ -288,9 +288,8 @@ def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.
             if size == 0:
                 raise EmptyLevelSet(f"beta({values}) is empty")
             weight = float(Fraction(factor.p ** (2 * factor.n), size))
-            digits = factor.space.digits.astype(np.int64)
-            dx = digits[rows]
-            dy = digits[cols]
+            dx = factor.space.digits[rows].astype(np.int64)
+            dy = factor.space.digits[cols].astype(np.int64)
             ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
             for j, m in enumerate(factor.forms):
                 ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]

@@ -8,8 +8,10 @@ Kinds:
 Every runner is a pure function of (config, seed) and runs its trials in
 one sequential loop: trial i draws from its own generator stream
 _trial_rng(seed, i, ...), so reports are byte-identical from run to run.
-Runners do not count work: each kernel tallies the terms it does as it
-runs (`fpn_core.count_terms`), and `run_experiment` reports that tally as
+Hard runners state each trial's checks as rows: `_trials` runs that loop,
+and `_rows` numbers the rows of every trial in order. Runners do not
+count work: each kernel tallies the terms it does as it runs
+(`fpn_core.count_terms`), and `run_experiment` reports that tally as
 terms.actual. `estimate` predicts the count from the config alone (for
 local experiments, from the factor's atom-size histogram) and must land
 within 10x.
@@ -147,6 +149,28 @@ def _register(name: str, kind: str, claim: str, defaults: dict,
 
 def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
+
+
+def _rows(cfg: dict, per_trial) -> RunResult:
+    """Hard checks from each trial's rows in order, numbered 0, 1, 2, ....
+    A row is (inputs, observed, bound[, detail]), its inputs merged into
+    {"seed": seed, "trial": i}; a message in place of a row is a
+    degenerate row."""
+    trials = []
+    for i, rows in enumerate(per_trial):
+        base = {"seed": cfg["seed"], "trial": i}
+        for row in rows:
+            if isinstance(row, str):
+                trials.append(make_degenerate(len(trials), base, row))
+            else:
+                inputs, observed, bound, *detail = row
+                trials.append(make_trial(len(trials), base | inputs, observed, bound, *detail))
+    return RunResult(trials)
+
+
+def _trials(cfg: dict, check: Callable) -> RunResult:
+    """`_rows` of check(rng, i) for each trial i, on its own stream."""
+    return _rows(cfg, (check(_trial_rng(cfg["seed"], i), i) for i in range(cfg["trials"])))
 
 
 def _bounded_values(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -292,14 +316,10 @@ def _local_u2_terms(cfg: dict, n: int, count: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_parseval(cfg: dict) -> RunResult:
-    p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        f = _gaussian_fn(_trial_rng(cfg["seed"], i), p, n)
-        spec = fourier_transform(f)
-        err = abs(f.l2_norm() ** 2 - spec.l2() ** 2)
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol))
-    return RunResult(trials)
+    def check(rng, i):
+        f = _gaussian_fn(rng, cfg["p"], cfg["n"])
+        return [({}, abs(f.l2_norm() ** 2 - fourier_transform(f).l2() ** 2), cfg["tol"])]
+    return _trials(cfg, check)
 
 
 def _est_parseval(cfg: dict) -> int:
@@ -308,19 +328,16 @@ def _est_parseval(cfg: dict) -> int:
 
 
 def _run_roundtrip(cfg: dict) -> RunResult:
-    p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        f = _gaussian_fn(_trial_rng(cfg["seed"], i), p, n)
+    def check(rng, i):
+        f = _gaussian_fn(rng, cfg["p"], cfg["n"])
         spec = fourier_transform(f)
         back = inverse_transform(spec)
-        err1 = float(np.max(np.abs(back.values - f.values)))
-        err2 = float(np.max(np.abs(fourier_transform_naive(f).table - spec.table)))
-        base = {"seed": cfg["seed"], "trial": i}
-        trials.append(make_trial(2 * i, base | {"check": "roundtrip"}, err1, tol))
-        trials.append(make_trial(2 * i + 1, base | {"check": "naive-agree"},
-                                 err2, NAIVE_FT_TOL))
-    return RunResult(trials)
+        return [({"check": "roundtrip"}, float(np.max(np.abs(back.values - f.values))),
+                 cfg["tol"]),
+                ({"check": "naive-agree"},
+                 float(np.max(np.abs(fourier_transform_naive(f).table - spec.table))),
+                 NAIVE_FT_TOL)]
+    return _trials(cfg, check)
 
 
 def _est_roundtrip(cfg: dict) -> int:
@@ -329,17 +346,13 @@ def _est_roundtrip(cfg: dict) -> int:
 
 
 def _run_u2_equiv(cfg: dict) -> RunResult:
-    p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
+    def check(rng, i):
+        f = _bounded_fn(rng, cfg["p"], cfg["n"])
         via_corr = u2_inner(f, f, f, f)
         via_spectrum = fourier_transform(f).l4_fourth()
-        err = abs(via_corr - via_spectrum)
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, err, tol,
-                                 detail={"u2_fourth": via_corr.real,
-                                         "spectrum_fourth": via_spectrum}))
-    return RunResult(trials)
+        return [({}, abs(via_corr - via_spectrum), cfg["tol"],
+                 {"u2_fourth": via_corr.real, "spectrum_fourth": via_spectrum})]
+    return _trials(cfg, check)
 
 
 def _est_u2_equiv(cfg: dict) -> int:
@@ -353,19 +366,13 @@ def _est_u2_equiv(cfg: dict) -> int:
 
 def _run_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+
+    def check(rng, i):
         quad = [_bounded_fn(rng, p, n) for _ in range(4)]
         octu = [_bounded_fn(rng, p, n) for _ in range(8)]
-        obs2 = abs(u2_inner(*quad))
-        bnd2 = math.prod(u2_norms(quad))
-        obs3 = abs(u3_inner(octu))
-        bnd3 = math.prod(u3_norms(octu))
-        base = {"seed": cfg["seed"], "trial": i}
-        trials.append(make_trial(2 * i, base | {"norm": "u2"}, obs2, bnd2 + tol))
-        trials.append(make_trial(2 * i + 1, base | {"norm": "u3"}, obs3, bnd3 + tol))
-    return RunResult(trials)
+        return [({"norm": "u2"}, abs(u2_inner(*quad)), math.prod(u2_norms(quad)) + tol),
+                ({"norm": "u3"}, abs(u3_inner(octu)), math.prod(u3_norms(octu)) + tol)]
+    return _trials(cfg, check)
 
 
 def _est_gcs(cfg: dict) -> int:
@@ -382,27 +389,25 @@ def _run_local_gcs(cfg: dict) -> RunResult:
         rng = _trial_rng(cfg["seed"], i)
         draws.append((_ctx2(rng, factor.linear), [_bounded_fn(rng, p, n) for _ in range(4)],
                       _nondeg_ctx3(rng, factor), [_bounded_fn(rng, p, n) for _ in range(8)]))
-    u2 = local_u2_norms(factor.linear, [d[0].code for d in draws for _ in range(4)],
-                        [g for d in draws for g in d[1]])
+    u2 = iter(local_u2_norms(factor.linear, [d[0].code for d in draws for _ in range(4)],
+                             [g for d in draws for g in d[1]]))
     live = [d for d in draws if not isinstance(d[2], str)]
     norms3 = local_u3_norms(factor, [d[2].codes for d in live for _ in range(8)],
                             [g for d in live for g in d[3]])
     u3 = iter(zip(local_u3_inners(factor, [d[2].codes for d in live], [d[3] for d in live]),
                   [math.prod(norms3[k:k + 8]) for k in range(0, len(norms3), 8)]))
-    trials = []
-    for i, (ctx2, quad, ctx3, _) in enumerate(draws):
-        base = {"seed": cfg["seed"], "trial": i}
-        trials.append(make_trial(2 * i, base | {"norm": "local-u2", "d": [ctx2.d.a1, ctx2.d.a2]},
-                                 abs(local_u2_inner(ctx2, *quad)),
-                                 math.prod(u2[4 * i:4 * i + 4]) + tol))
+
+    def rows(ctx2, quad, ctx3):
+        yield ({"norm": "local-u2", "d": [ctx2.d.a1, ctx2.d.a2]},
+               abs(local_u2_inner(ctx2, *quad)), math.prod(itertools.islice(u2, 4)) + tol)
         if isinstance(ctx3, str):
-            trials.append(make_degenerate(2 * i + 1, base, ctx3))
-            continue
+            yield ctx3
+            return
         obs3, bnd3 = next(u3)
         scale = max(1.0, bnd3)
-        trials.append(make_trial(2 * i + 1, base | {"norm": "local-u3", "d": list(ctx3.d.a1)},
-                                 abs(obs3), bnd3 + tol * scale, detail={"scale": scale}))
-    return RunResult(trials)
+        yield ({"norm": "local-u3", "d": list(ctx3.d.a1)}, abs(obs3), bnd3 + tol * scale,
+               {"scale": scale})
+    return _rows(cfg, (rows(*d[:3]) for d in draws))
 
 
 def _est_local_gcs(cfg: dict) -> int:
@@ -419,21 +424,16 @@ def _est_local_gcs(cfg: dict) -> int:
 
 def _run_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+
+    def check(rng, i):
         f = _bounded_fn(rng, p, n)
         g = _bounded_fn(rng, p, n)
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        base = {"seed": cfg["seed"], "trial": i}
-        for k, (tag, norms) in enumerate((("u2", u2_norms), ("u3", u3_norms))):
+        for tag, norms in (("u2", u2_norms), ("u3", u3_norms)):
             nfg, nf, ng, ncf = norms([f + g, f, g, f.scale(c)])
-            trials.append(make_trial(4 * i + 2 * k, base | {"check": f"{tag}-triangle"},
-                                     nfg, nf + ng + tol))
-            trials.append(make_trial(4 * i + 2 * k + 1,
-                                     base | {"check": f"{tag}-homogeneous"},
-                                     abs(ncf - abs(c) * nf), tol))
-    return RunResult(trials)
+            yield {"check": f"{tag}-triangle"}, nfg, nf + ng + tol
+            yield {"check": f"{tag}-homogeneous"}, abs(ncf - abs(c) * nf), tol
+    return _trials(cfg, check)
 
 
 def _est_triangle(cfg: dict) -> int:
@@ -449,25 +449,22 @@ def _run_local_triangle(cfg: dict) -> RunResult:
         rng = _trial_rng(cfg["seed"], i)
         f, g = _bounded_fn(rng, p, n), _bounded_fn(rng, p, n)
         draws.append(((f, g, f + g), _ctx2(rng, factor.linear), _nondeg_ctx3(rng, factor)))
-    u2 = local_u2_norms(factor.linear, [d[1].code for d in draws for _ in range(3)],
-                        [h for d in draws for h in d[0]])
+    u2 = iter(local_u2_norms(factor.linear, [d[1].code for d in draws for _ in range(3)],
+                             [h for d in draws for h in d[0]]))
     live = [d for d in draws if not isinstance(d[2], str)]
     u3 = iter(local_u3_norms(factor, [d[2].codes for d in live for _ in range(3)],
                              [h for d in live for h in d[0]]))
-    trials = []
-    for i, (_, _, ctx3) in enumerate(draws):
-        base = {"seed": cfg["seed"], "trial": i}
-        nf, ng, nfg = u2[3 * i:3 * i + 3]
-        trials.append(make_trial(2 * i, base | {"check": "local-u2-triangle"}, nfg,
-                                 nf + ng + tol))
+
+    def rows(ctx3):
+        nf, ng, nfg = itertools.islice(u2, 3)
+        yield {"check": "local-u2-triangle"}, nfg, nf + ng + tol
         if isinstance(ctx3, str):
-            trials.append(make_degenerate(2 * i + 1, base, ctx3))
-            continue
-        nf, ng, nfg = next(u3), next(u3), next(u3)
+            yield ctx3
+            return
+        nf, ng, nfg = itertools.islice(u3, 3)
         scale = max(1.0, nf + ng)
-        trials.append(make_trial(2 * i + 1, base | {"check": "local-u3-triangle"},
-                                 nfg, nf + ng + tol * scale, detail={"scale": scale}))
-    return RunResult(trials)
+        yield {"check": "local-u3-triangle"}, nfg, nf + ng + tol * scale, {"scale": scale}
+    return _rows(cfg, (rows(d[2]) for d in draws))
 
 
 def _est_local_triangle(cfg: dict) -> int:
@@ -479,20 +476,15 @@ def _est_local_triangle(cfg: dict) -> int:
 def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
-    trials, fs, dirs = [], [], []
+    fs, dirs = [], []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        f = _bounded_fn(rng, p, n)
-        trials.append(make_trial(2 * i, {"seed": cfg["seed"], "trial": i, "check": "global"},
-                                 u2_norm(f), u3_norm(f) + tol))
-        fs.append(f)
+        fs.append(_bounded_fn(rng, p, n))
         dirs.append([_label(rng, p, linear.ell) for _ in range(3)])
-    for i, (d, (u3val, u2val, _)) in enumerate(
-            zip(dirs, local_u3_dominates_check(linear, dirs, fs, tol))):
-        trials.insert(2 * i + 1, make_trial(2 * i + 1, {"seed": cfg["seed"], "trial": i,
-                                                        "check": "local", "d": d},
-                                            u2val, u3val + tol))
-    return RunResult(trials)
+    checks = local_u3_dominates_check(linear, dirs, fs, tol)
+    return _rows(cfg, [[({"check": "global"}, u2_norm(f), u3_norm(f) + tol),
+                        ({"check": "local", "d": d}, u2val, u3val + tol)]
+                       for f, d, (u3val, u2val, _) in zip(fs, dirs, checks)])
 
 
 def _est_u3_dominates(cfg: dict) -> int:
@@ -507,14 +499,10 @@ def _est_u3_dominates(cfg: dict) -> int:
 
 
 def _run_ap3(cfg: dict) -> RunResult:
-    p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        f = _bounded_fn(_trial_rng(cfg["seed"], i), p, n)
-        obs = abs(ap3_average(f))
-        bnd = fourier_transform(f).sup() + tol
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
-    return RunResult(trials)
+    def check(rng, i):
+        f = _bounded_fn(rng, cfg["p"], cfg["n"])
+        return [({}, abs(ap3_average(f)), fourier_transform(f).sup() + cfg["tol"])]
+    return _trials(cfg, check)
 
 
 def _est_ap3(cfg: dict) -> int:
@@ -524,19 +512,15 @@ def _est_ap3(cfg: dict) -> int:
 
 def _run_ap4(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
-        base = {"seed": cfg["seed"], "trial": i}
+
+    def check(rng, i):
         f = _bounded_fn(rng, p, n)
         g = _gaussian_fn(rng, p, n)
         g = g.scale(1.0 / max(g.l2_norm(), 1e-30))
         nf, ng = u3_norms([f, g])
-        trials.append(make_trial(2 * i, base | {"f": "sup-bounded"},
-                                 abs(ap4_average(f)), nf + tol))
-        trials.append(make_trial(2 * i + 1, base | {"f": "l2-normalized"},
-                                 abs(ap4_average(g)), ng + tol))
-    return RunResult(trials)
+        return [({"f": "sup-bounded"}, abs(ap4_average(f)), nf + tol),
+                ({"f": "l2-normalized"}, abs(ap4_average(g)), ng + tol)]
+    return _trials(cfg, check)
 
 
 def _est_ap4(cfg: dict) -> int:
@@ -557,17 +541,15 @@ def _random_symmetric(rng: np.random.Generator, p: int, n: int) -> SymmetricForm
 
 
 def _run_expsum(cfg: dict) -> RunResult:
-    p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+    p, n = cfg["p"], cfg["n"]
+
+    def check(rng, i):
         form = _random_symmetric(rng, p, n)
         b = GroupVector(p, _label(rng, p, n))
         rank = rank_mod_p(form.as_array(), p)
-        obs = abs(quad_char_sum(form, b))
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i},
-                                 obs, p ** (-rank / 2) + tol, detail={"rank": rank}))
-    return RunResult(trials)
+        return [({}, abs(quad_char_sum(form, b)), p ** (-rank / 2) + cfg["tol"],
+                 {"rank": rank})]
+    return _trials(cfg, check)
 
 
 def _est_expsum(cfg: dict) -> int:
@@ -575,18 +557,16 @@ def _est_expsum(cfg: dict) -> int:
 
 
 def _run_bilsum(cfg: dict) -> RunResult:
-    p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+    p, n = cfg["p"], cfg["n"]
+
+    def check(rng, i):
         form = _random_symmetric(rng, p, n)
         c = GroupVector(p, _label(rng, p, n))
         d = GroupVector(p, _label(rng, p, n))
         rank = rank_mod_p(form.as_array(), p)
-        obs = abs(bilinear_char_sum(form, c, d))
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i},
-                                 obs, p ** (-rank) + tol, detail={"rank": rank}))
-    return RunResult(trials)
+        return [({}, abs(bilinear_char_sum(form, c, d)), p ** (-rank) + cfg["tol"],
+                 {"rank": rank})]
+    return _trials(cfg, check)
 
 
 def _est_bilsum(cfg: dict) -> int:
@@ -594,18 +574,21 @@ def _est_bilsum(cfg: dict) -> int:
     return cfg["trials"] * cfg["p"] ** cfg["n"]
 
 
-def _run_atom_sizes(cfg: dict) -> RunResult:
-    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
+def _size_trend(cfg: dict, ratios: Callable) -> RunResult:
+    """A trend point per n: the largest |r - 1| over the ratios(factor) of
+    the standard factor's set sizes to their equidistributed value."""
     trials, values = [], []
     for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(p, n, ell, q)
-        expected = p ** (n - ell - q)
-        dev = max(abs(factor.atom_indices(lab.values).size / expected - 1.0)
-                  for lab in factor.all_labels())
+        factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
+        dev = max(abs(r - 1.0) for r in ratios(factor))
         values.append(dev)
-        trials.append(make_point(i, {"n": n}, dev,
-                                 detail={"n": n, "rank": factor.rank}))
+        trials.append(make_point(i, {"n": n}, dev, detail={"n": n, "rank": factor.rank}))
     return RunResult(trials, trend_summary(values))
+
+
+def _run_atom_sizes(cfg: dict) -> RunResult:
+    return _size_trend(cfg, lambda f: (f.atom_indices(lab.values).size
+                                       / f.p ** (f.n - f.ell - f.q) for lab in f.all_labels()))
 
 
 def _est_atom_sizes(cfg: dict) -> int:
@@ -613,17 +596,8 @@ def _est_atom_sizes(cfg: dict) -> int:
 
 
 def _run_bil_sizes(cfg: dict) -> RunResult:
-    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values = [], []
-    for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(p, n, ell, q)
-        expected = p ** (2 * n - q)
-        sizes = bilinear_level_sizes(factor)
-        dev = max(abs(s / expected - 1.0) for s in sizes.values())
-        values.append(dev)
-        trials.append(make_point(i, {"n": n}, dev,
-                                 detail={"n": n, "rank": factor.rank}))
-    return RunResult(trials, trend_summary(values))
+    return _size_trend(cfg, lambda f: (s / f.p ** (2 * f.n - f.q)
+                                       for s in bilinear_level_sizes(f).values()))
 
 
 def _est_bil_sizes(cfg: dict) -> int:
@@ -877,16 +851,13 @@ def _est_coset_union_vc(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_control_ip(cfg: dict) -> RunResult:
-    p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+    p, n, m = cfg["p"], cfg["n"], cfg["m"]
+
+    def check(rng, i):
         grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
                              for j in range(1, m + 1) for s in range(1 << m)})
-        obs = abs(t_ip(m, grid))
-        bnd = min(u2_norms(grid.functions())) + tol
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
-    return RunResult(trials)
+        return [({}, abs(t_ip(m, grid)), min(u2_norms(grid.functions())) + cfg["tol"])]
+    return _trials(cfg, check)
 
 
 def _est_control_ip(cfg: dict) -> int:
@@ -900,17 +871,14 @@ def _est_control_ip(cfg: dict) -> int:
 
 
 def _run_control_ip2(cfg: dict) -> RunResult:
-    p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+    p, n, m = cfg["p"], cfg["n"], cfg["m"]
+
+    def check(rng, i):
         grid = FunctionGrid({(a, b, s): _bounded_fn(rng, p, n)
                              for a in range(1, m + 1) for b in range(1, m + 1)
                              for s in range(1 << (m * m))})
-        obs = abs(t_ip2(m, grid))
-        bnd = min(u3_norms(grid.functions())) + tol
-        trials.append(make_trial(i, {"seed": cfg["seed"], "trial": i}, obs, bnd))
-    return RunResult(trials)
+        return [({}, abs(t_ip2(m, grid)), min(u3_norms(grid.functions())) + cfg["tol"])]
+    return _trials(cfg, check)
 
 
 def _est_control_ip2(cfg: dict) -> int:
@@ -925,7 +893,7 @@ def _est_control_ip2(cfg: dict) -> int:
 
 
 def _run_control_ip_local(cfg: dict) -> RunResult:
-    p, n, m, tol = cfg["p"], cfg["n"], cfg["m"], cfg["tol"]
+    p, n, m = cfg["p"], cfg["n"], cfg["m"]
     linear = _standard_factor(p, n, cfg["ell"], 0).linear
     draws = []  # per trial: context, the grid's functions, observed
     for i in range(cfg["trials"]):
@@ -937,9 +905,9 @@ def _run_control_ip_local(cfg: dict) -> RunResult:
     slots = m << m
     norms = local_u2_norms(linear, [d[0].code for d in draws for _ in range(slots)],
                            [g for d in draws for g in d[1]])
-    return RunResult([make_trial(i, {"seed": cfg["seed"], "trial": i, "d": [ctx.d.a1, ctx.d.a2]},
-                                 obs, min(norms[slots * i:slots * (i + 1)]) + tol)
-                      for i, (ctx, _, obs) in enumerate(draws)])
+    return _rows(cfg, [[({"d": [ctx.d.a1, ctx.d.a2]}, obs,
+                         min(norms[slots * i:slots * (i + 1)]) + cfg["tol"])]
+                       for i, (ctx, _, obs) in enumerate(draws)])
 
 
 def _est_control_ip_local(cfg: dict) -> int:
@@ -1178,29 +1146,20 @@ def _est_vc2_structure(cfg: dict) -> int:
 
 def _run_inverse_oracle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    trials = []
-    for i in range(cfg["trials"]):
-        rng = _trial_rng(cfg["seed"], i)
+
+    def check(rng, i):
         form = _random_symmetric(rng, p, n)
         with_linear = i == cfg["trials"] - 1
-        if with_linear:
-            r = GroupVector(p, _label(rng, p, n))
-            f = GroupFunction.quadratic_phase(form, r)
-        else:
-            f = GroupFunction.quadratic_phase(form)
-        best_form, best_r, value = max_quadratic_correlation(
-            f, include_linear=with_linear)
+        r = GroupVector(p, _label(rng, p, n)) if with_linear else None
+        f = GroupFunction.quadratic_phase(form, r)
+        best_form, best_r, value = max_quadratic_correlation(f, include_linear=with_linear)
         # the search maximizes |E f(x) w^(x.Mx + r.x)|, so the recovered
         # phase multiplies f back to a constant
-        phase = GroupFunction.quadratic_phase(best_form, best_r)
-        prod = f.values * phase.values
-        spread = float(np.max(np.abs(prod - prod.flat[0])))
-        base = {"seed": cfg["seed"], "trial": i, "with_linear": with_linear}
-        trials.append(make_trial(2 * i, base | {"check": "correlation"},
-                                 1.0 - value, tol))
-        trials.append(make_trial(2 * i + 1, base | {"check": "constant-phase"},
-                                 spread, tol))
-    return RunResult(trials)
+        prod = f.values * GroupFunction.quadratic_phase(best_form, best_r).values
+        return [({"with_linear": with_linear, "check": "correlation"}, 1.0 - value, tol),
+                ({"with_linear": with_linear, "check": "constant-phase"},
+                 float(np.max(np.abs(prod - prod.flat[0]))), tol)]
+    return _trials(cfg, check)
 
 
 def _est_inverse_oracle(cfg: dict) -> int:

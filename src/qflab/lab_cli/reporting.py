@@ -22,30 +22,22 @@ TREND_WOBBLE = 0.05
 TREND_ABS_SLACK = 1e-12
 
 
-def plain(obj):
-    """Recursively convert numpy scalars/arrays and Fractions to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+def _encode(obj):
+    """The JSON form of a value `json` cannot encode itself: numpy scalars
+    and arrays as their Python values, a Fraction as "num/den", a complex
+    number as {"re", "im"}."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_encode)
 
 
 def digest_of(obj) -> str:
@@ -65,7 +57,7 @@ def make_trial(index: int, inputs: dict, observed: float, bound: float,
         "verdict": "pass" if margin <= 0.0 else "fail",
     }
     if detail:
-        rec["detail"] = plain(detail)
+        rec["detail"] = detail
     return rec
 
 
@@ -81,7 +73,7 @@ def make_point(index: int, inputs: dict, observed: float,
         "verdict": "observed",
     }
     if detail:
-        rec["detail"] = plain(detail)
+        rec["detail"] = detail
     return rec
 
 
@@ -140,9 +132,9 @@ def build_report(name: str, kind: str, claim: str, config: dict,
         "experiment": name,
         "kind": kind,
         "claim": claim,
-        "config": plain(config),
+        "config": config,
         "trials": trials,
-        "aggregate": plain(aggregate),
+        "aggregate": aggregate,
         "terms": {"estimated": int(terms_estimated), "actual": int(terms_actual)},
         "verdict": verdict,
     }

@@ -165,10 +165,6 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
     return [_root_of_diagonal(complex(v), 4, tol) for v in fourth]
 
 
-def local_u2_norm(ctx: LocalContext2, f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return local_u2_norms(ctx.linear, [ctx.code], [f], tol)[0]
-
-
 class LocalContext3:
     """A quadratic factor with atom labels (a1, a2, a3) and bilinear labels
     (b12, b13, b23): their codes, member arrays and mu weight matrices.

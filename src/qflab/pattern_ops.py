@@ -16,12 +16,12 @@ Conventions:
 Every operator with independent completion variables (y_S, z_S, z_w)
 conditions on the remaining variables and multiplies the now-independent
 inner averages, in one of the two contractions of `local_norms`: the binary
-one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ip2_local,
-t_ternaries and weighted_ternary_densities (one call per batch of
-patterns or directions). The global t_ip2 works on the
-frequency side instead. The naive nested sums are reference routes for
-small instances. The witness counts and |I_F(e)| are one blocked extension
-count, `_extension_count`.
+one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ternaries
+and weighted_ternary_densities (one call per batch of patterns or
+directions); t_ip2_local is t_ternary on `ip2_hypergraph(m)`. The global
+t_ip2 works on the frequency side instead. The naive nested sums are
+reference routes for small instances. The witness counts and |I_F(e)| are
+one blocked extension count, `_extension_count`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .factor import (
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
 from .local_norms import (
     GRID_CAP,
-    LocalContext3,
     TernaryShape,
     _binary_contract,
     _ternary_contract,
@@ -314,22 +313,16 @@ def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
                 grid: FunctionGrid) -> complex:
     """The mu-weighted variant: x_i in B(a1), y_j in B(a2), z_S in B(a3),
     with measure factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S). The
-    ternary contraction with U = V = [m] and one W-vertex per subset S of
-    [m]^2, slot (i, j, S) reading f_{i+1, j+1, S}."""
+    ternary operator of `ip2_hypergraph(m)` with every vertex and pair
+    labeled by d, slot (i - 1, j - 1, S) reading f_{i, j, S}."""
     _ip2_check(m, grid)
     if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
-    ctx = LocalContext3(factor, d)
-    nsub = 1 << (m * m)
-    slots = [(i, j, s) for i in range(m) for j in range(m) for s in range(nsub)]
-    columns, arrays = value_columns([grid[(i + 1, j + 1, s)] for i, j, s in slots],
-                                    factor.p, factor.n)
-    shape = TernaryShape((0,) * m, (1,) * m, (2,) * nsub,
-                         tuple((t, 6 + k, False) for k, t in enumerate(slots)),
-                         tuple(((i, j), 3) for i in range(m) for j in range(m)),
-                         tuple(((i, s), 4) for i in range(m) for s in range(nsub)),
-                         tuple(((j, s), 5) for j in range(m) for s in range(nsub)))
-    return complex(_ternary_contract(factor, shape, [ctx.codes + tuple(columns)], arrays)[0])
+    if d.p != factor.p:
+        raise ValueError("direction tuple does not match factor")
+    graph = ip2_hypergraph(m)
+    slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
+    return t_ternary(graph, factor, LabelAssignment.constant(graph, d), slots)
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -658,8 +651,3 @@ def weighted_ternary_densities(factor: QuadraticFactor, codes,
     return [(float(v.real), float(m[factor._members_by_code[t]].mean()))
             for v, m, t in zip(values, members, targets.tolist())]
 
-
-def weighted_ternary_density(ctx: LocalContext3, member: np.ndarray) -> tuple[float, float]:
-    """The batch of one of `weighted_ternary_densities`, on the caller's
-    context."""
-    return weighted_ternary_densities(ctx.factor, [ctx.codes], [member])[0]

@@ -329,25 +329,14 @@ def _derivative_blocks(sp: GroupSpace, pairs: list, hs: np.ndarray | None = None
 
 
 def _box_sums(stack: np.ndarray, p: int, n: int) -> np.ndarray:
-    """sum_t T0(t) conj T1(t) conj T2(t) T3(t) over the minus-kernel
-    transforms T of a stack (4, ..., N) of tables (a, conj b, conj c, d):
-    the box sum of `_box_sum`, one per row of the batch. Taking b and c
-    conjugated lets one kernel serve all four, since the plus transform of
-    b is conj DFT-(conj b)."""
+    """The box sum E over x0,x1,y0,y1 of a(x0+y0) b(x0+y1) c(x1+y0) d(x1+y1),
+    one per row of a stack (4, ..., N) of tables (a, conj b, conj c, d).
+    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t),
+    which is sum_t T0(t) conj T1(t) conj T2(t) T3(t) over the minus-kernel
+    transforms T: taking b and c conjugated lets one kernel serve all four,
+    since the plus transform of b is conj DFT-(conj b)."""
     t = _axis_dft(stack, p, n, -1)
     return (t[0] * t[3] * np.conj(t[1] * t[2])).sum(axis=-1)
-
-
-def _box_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-             p: int, n: int) -> np.ndarray:
-    """E over x0,x1,y0,y1 of a(x0+y0) b(x0+y1) c(x1+y0) d(x1+y1), unconjugated.
-
-    Expanding each table in characters leaves sum_t A^(t) B^(-t) C^(-t) D^(t),
-    evaluated by `_box_sums` on one stack of the four tables. Tables may
-    carry a trailing batch axis, and one sum is returned per column.
-    """
-    stack = np.stack([a, np.conj(b), np.conj(c), d])
-    return _box_sums(np.moveaxis(stack, 1, -1), p, n)
 
 
 def u3_inner(octuple: list[GroupFunction]) -> complex:

@@ -44,7 +44,7 @@ from qflab.local_norms import (
     LocalContext2,
     LocalContext3,
     local_u2_inner,
-    local_u2_norm,
+    local_u2_norms,
     support_triples_consistent,
 )
 from qflab.pattern_ops import (
@@ -117,7 +117,7 @@ def test_exact_identities():
             a2 = tuple(int(v) for v in rng.integers(0, 3, ell))
             ctx = LocalContext2(lin, DirectionTuple2(3, a1, a2))
             f = _bounded(3, 3, rng)
-            assert abs(local_u2_norm(ctx, f) ** 4
+            assert abs(local_u2_norms(lin, [ctx.code], [f])[0] ** 4
                        - local_u2_inner(ctx, f, f, f, f).real) <= TOL
 
     # target-atom consistency, exhaustive over every direction tuple
@@ -194,11 +194,10 @@ def test_inequality_suites(reports):
         grid = FunctionGrid({(u, v): _bounded(3, 3, rng)
                              for u in range(2) for v in range(2)})
         val = abs(t_bipartite(graph, lin, u_labels, v_labels, grid))
-        best = min(
-            local_u2_norm(
-                LocalContext2(lin, DirectionTuple2(3, u_labels[u], v_labels[v])),
-                grid[(u, v)])
-            for u in range(2) for v in range(2))
+        pairs = [(u, v) for u in range(2) for v in range(2)]
+        best = min(local_u2_norms(
+            lin, [LocalContext2(lin, DirectionTuple2(3, u_labels[u], v_labels[v])).code
+                  for u, v in pairs], [grid[pair] for pair in pairs]))
         assert val <= best + TOL, (seed, val, best)
 
     print(f"inequality suites ok in {time.perf_counter() - t0:.1f}s (budget 300s)")

@@ -24,7 +24,7 @@ from qflab.local_norms import (  # noqa: E402
     GRID_CAP,
     LocalContext2,
     local_u2_inner,
-    local_u2_norm,
+    local_u2_norms,
 )
 from qflab.pattern_ops import (  # noqa: E402
     FunctionGrid,
@@ -115,5 +115,5 @@ def test_local_u2_norm_matches_the_binary_contraction(shape, seed):
     linear = _random_linear(rng, p, n, ell)
     ctx = LocalContext2(linear, DirectionTuple2(p, _label(rng, p, ell), _label(rng, p, ell)))
     f = _bounded(rng, p, n)
-    fourth = local_u2_norm(ctx, f) ** 4
+    fourth = local_u2_norms(linear, [ctx.code], [f])[0] ** 4
     assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, rel=1e-9, abs=1e-13)

@@ -21,8 +21,10 @@ from qflab.lab_cli.experiments import (
     _direction_codes,
     _label,
     _labels,
+    _rows,
     _standard_factor,
     _trial_rng,
+    _trials,
     estimate_experiment,
     run_experiment,
 )
@@ -333,8 +335,14 @@ def test_counting_ternary_estimator_past_the_defaults():
 def test_canonical_json_is_stable_and_strict():
     s = canonical_json({"b": Fraction(3, 4), "a": complex(1.0, -2.0)})
     assert s == '{"a":{"im":-2.0,"re":1.0},"b":"3/4"}'
+    nested = {"z": [np.int64(7), np.float64(0.1), np.bool_(True), np.complex128(1 - 2j)],
+              "y": {"arr": np.array([[0.5, 2.0]]), "frac": [Fraction(-1, 3)]}}
+    assert canonical_json(nested) == ('{"y":{"arr":[[0.5,2.0]],"frac":["-1/3"]},'
+                                      '"z":[7,0.1,true,{"im":-2.0,"re":1.0}]}')
     with pytest.raises(ValueError):
         canonical_json({"x": math.nan})
+    with pytest.raises(ValueError):
+        canonical_json({"x": [complex(1.0, math.nan)]})
 
 
 def test_trial_records():
@@ -347,6 +355,29 @@ def test_trial_records():
     degen = make_degenerate(3, {"s": 3}, "empty atom")
     assert degen["verdict"] == "degenerate"
     assert degen["detail"]["message"] == "empty atom"
+
+
+def test_rows_are_numbered_in_order_and_trials_draw_their_own_streams():
+    result = _rows({"seed": 4}, [[({"check": "a"}, 0.0, 1.0), ({}, 2.0, 1.0, {"k": 1})],
+                                 ["no context"],
+                                 [({}, 0.5, 1.0)]])
+    assert result.trials == [
+        make_trial(0, {"seed": 4, "trial": 0, "check": "a"}, 0.0, 1.0),
+        make_trial(1, {"seed": 4, "trial": 0}, 2.0, 1.0, {"k": 1}),
+        make_degenerate(2, {"seed": 4, "trial": 1}, "no context"),
+        make_trial(3, {"seed": 4, "trial": 2}, 0.5, 1.0),
+    ]
+
+    def check(waste):
+        def draw(rng, i):
+            value = float(rng.random())
+            rng.random(waste * (i + 1))
+            return [({}, value, 1.0)]
+        return draw
+    lean, greedy = (_trials({"seed": 9, "trials": 4}, check(w)).trials for w in (0, 1000))
+    assert [t["trial"] for t in greedy] == [0, 1, 2, 3]
+    assert ([t["observed"] for t in lean] == [t["observed"] for t in greedy]
+            == [float(_trial_rng(9, i).random()) for i in range(4)])
 
 
 def test_trend_wobble_rules():

@@ -22,7 +22,6 @@ from qflab.local_norms import (
     LocalContext2,
     LocalContext3,
     local_u2_inner,
-    local_u2_norm,
     local_u2_norms,
     local_u3_dominates_check,
     local_u3_inner,
@@ -30,7 +29,7 @@ from qflab.local_norms import (
     local_u3_norm,
     support_triples_consistent,
 )
-from qflab.pattern_ops import weighted_ternary_densities, weighted_ternary_density
+from qflab.pattern_ops import weighted_ternary_densities
 from qflab.spectral import GroupFunction, u2_norm, u3_inner
 
 
@@ -74,7 +73,7 @@ def test_trivial_factor_reduces_to_global_norms():
     lin = new_linear_factor(3, 2, [])
     ctx2 = LocalContext2(lin, DirectionTuple2(3, (), ()))
     f = _random_f(3, 2, seed=1)
-    assert local_u2_norm(ctx2, f) == pytest.approx(u2_norm(f), abs=1e-10)
+    assert local_u2_norms(lin, [ctx2.code], [f])[0] == pytest.approx(u2_norm(f), abs=1e-10)
 
     quad = new_quadratic_factor(lin, [])
     ctx3 = LocalContext3(quad, DirectionTuple3(3, (), (), (), (), (), ()))
@@ -107,13 +106,13 @@ def test_local_u2_fourth_is_the_binary_contraction():
     lin = new_linear_factor(3, 3, [(1, 1, 0)])
     ctx = LocalContext2(lin, DirectionTuple2(3, (0,), (2,)))
     f = _random_f(3, 3, seed=3)
-    fourth = local_u2_norm(ctx, f) ** 4
+    fourth = local_u2_norms(lin, [ctx.code], [f])[0] ** 4
     assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, abs=1e-10)
     # translating f by a member of L(0) moves the spectrum's shift to
     # another member of the target coset, and leaves the norm
     h = int(lin.coset_indices((0,))[-1])
     moved = GroupFunction(3, 3, f.values[lin.space.add(np.arange(27), h)])
-    assert fourth == pytest.approx(local_u2_norm(ctx, moved) ** 4, abs=1e-10)
+    assert fourth == pytest.approx(local_u2_norms(lin, [ctx.code], [moved])[0] ** 4, abs=1e-10)
 
 
 def _non_coordinate_linear(rng, p, n, ell):
@@ -241,7 +240,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
         t_ip2,
         t_ip2_local,
         t_ternary,
-        weighted_ternary_density,
+        weighted_ternary_densities,
     )
 
     factor = _mixed_factor()
@@ -254,7 +253,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
         lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
         lambda: t_ternary(graph, factor, LabelAssignment.constant(graph, d),
                           FunctionGrid.edge_select(graph, f, f)),
-        lambda: weighted_ternary_density(ctx, np.ones(27, dtype=bool)),
+        lambda: weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)]),
     ]
     for call in calls:
         call()
@@ -562,7 +561,7 @@ def test_weighted_density_batch_matches_each_batch_of_one():
     assert len(batch) == 5
     for row, member, got in zip(rows, members, batch):
         ctx = LocalContext3(factor, _direction(factor, row))
-        want = weighted_ternary_density(ctx, member)
+        want = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
         assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
         assert got[1] == want[1] == member[ctx.target_indices()].mean()
     assert weighted_ternary_densities(factor, [], []) == []

@@ -38,7 +38,7 @@ from qflab.pattern_ops import (
     t_ternaries,
     t_ternary,
     ternary_normalization,
-    weighted_ternary_density,
+    weighted_ternary_densities,
     witness_count_bipartite,
     witness_count_ternary,
 )
@@ -499,14 +499,14 @@ def test_weighted_density_extremes():
     factor = _mixed_factor()
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     ctx = LocalContext3(factor, d)
-    value, alpha = weighted_ternary_density(ctx, np.ones(27, dtype=bool))
+    value, alpha = weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)])[0]
     assert alpha == 1.0
     assert value >= 0.0
     # removing A from the target atom kills both numbers: the weighted sum
     # only reads membership there
     partial = np.ones(27, dtype=bool)
     partial[ctx.target_indices()] = False
-    value0, alpha0 = weighted_ternary_density(ctx, partial)
+    value0, alpha0 = weighted_ternary_densities(factor, [ctx.codes], [partial])[0]
     assert alpha0 == 0.0
     assert value0 == pytest.approx(0.0, abs=1e-12)
 
@@ -527,7 +527,7 @@ def test_weighted_density_matches_the_dense_sum():
         member = rng.random(27) < 0.5
         weights = ctx.mu12[:, :, None] * ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
         dense = (weights * member[sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]).mean()
-        value, alpha = weighted_ternary_density(ctx, member)
+        value, alpha = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
         assert value == pytest.approx(dense, rel=1e-12, abs=1e-15)
         assert alpha == member[ctx.target_indices()].mean()
         checked += 1
@@ -540,7 +540,8 @@ def test_weighted_density_refuses_an_empty_target():
     # sigma3 lands on (0, 2), which the coset x1 = 0 never reaches
     d = DirectionTuple3(3, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
     with pytest.raises(EmptyAtom):
-        weighted_ternary_density(LocalContext3(factor, d), np.ones(9, dtype=bool))
+        weighted_ternary_densities(factor, [LocalContext3(factor, d).codes],
+                                   [np.ones(9, dtype=bool)])
 
 
 def test_degenerate_atoms_are_refused():
@@ -589,6 +590,11 @@ def test_grid_validation():
     assert FunctionGrid.ip_select(1, f, f).one_bounded
     loud = GroupFunction(3, 1, np.array([3.0, 0.0, 0.0]))
     assert not FunctionGrid({(1, 0): f, (1, 1): loud}).one_bounded
+    # a direction tuple over another prime is refused, not read as labels mod p
+    factor = _mixed_factor()
+    grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 3, seed=8))
+    with pytest.raises(ValueError):
+        t_ip2_local(1, factor, DirectionTuple3(5, (1, 1), (1, 2), (2, 1), (0,), (0,), (0,)), grid)
 
 
 @pytest.mark.parametrize("q", [0, 1])
