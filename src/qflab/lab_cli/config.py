@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from ..combinatorics import IP2_POINT_CAP, SHIFT_TABLE_CAP
 from ..errors import ConfigError
+from ..fpn_core import DEFAULT_ENUM_CAP, ODD_PRIMES
 from ..pattern_ops import MAX_BIPARTITE_PART, MAX_IP2_M, MAX_IP_M, MAX_TERNARY_UV
 from ..spectral import CORRELATION_SEARCH_CAP
 
-ALLOWED_PRIMES = (3, 5, 7, 11, 13)
-GROUP_CAP = 1 << 20
 STANDARD_MAX_Q = 2  # forms the standard test factor has at most
 
 
@@ -62,8 +61,8 @@ def _same_json_type(default, val) -> bool:
 
 def _validate_config(name: str, cfg: dict) -> None:
     p = cfg.get("p")
-    if p is not None and p not in ALLOWED_PRIMES:
-        raise ConfigError(f"p must be one of {ALLOWED_PRIMES}, got {p}")
+    if p is not None and p not in ODD_PRIMES:
+        raise ConfigError(f"p must be one of {ODD_PRIMES}, got {p}")
     dims = []
     if "n" in cfg:
         dims.append(cfg["n"])
@@ -74,8 +73,8 @@ def _validate_config(name: str, cfg: dict) -> None:
     for n in dims:
         if not _is_int(n) or n < 1:
             raise ConfigError(f"dimension must be a positive integer, got {n}")
-        if p is not None and p ** n > GROUP_CAP:
-            raise ConfigError(f"p^n = {p ** n} exceeds the cap {GROUP_CAP}")
+        if p is not None and p ** n > DEFAULT_ENUM_CAP:
+            raise ConfigError(f"p^n = {p ** n} exceeds the cap {DEFAULT_ENUM_CAP}")
     # the search and counting kernels' own caps, so that estimate refuses
     # what run would
     size = p ** max(dims) if p is not None and dims else 0

@@ -8,9 +8,11 @@ Kinds:
 Every runner is a pure function of (config, seed) and runs its trials in
 one sequential loop: trial i draws from its own generator stream
 _trial_rng(seed, i, ...), so reports are byte-identical from run to run.
-Hard runners state each trial's checks as rows: `_trials` runs that loop,
-and `_rows` numbers the rows of every trial in order. Runners do not
-count work: each kernel tallies the terms it does as it runs
+Runners state their checks as rows and never number them: `_records`
+numbers rows by their position, `_rows` merges each trial's rows into
+{"seed", "trial"} for it, `_trials` runs the per-trial loop into `_rows`,
+and `_trend` runs a trend's loop over n_values into `_records`. Runners do
+not count work: each kernel tallies the terms it does as it runs
 (`fpn_core.count_terms`), and `run_experiment` reports that tally as
 terms.actual. `estimate` predicts the count from the config alone (for
 local experiments, from the factor's atom-size histogram) and must land
@@ -151,26 +153,49 @@ def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
 
 
+def _records(rows, trend: dict | None = None) -> RunResult:
+    """The records of the rows in order, numbered 0, 1, 2, .... A row
+    (inputs, observed, bound[, detail]) is a hard check, or an annotate-only
+    point when bound is None; (inputs, message) is a degenerate row."""
+    trials = []
+    for index, (inputs, observed, *rest) in enumerate(rows):
+        if not rest:
+            trials.append(make_degenerate(index, inputs, observed))
+        elif rest[0] is None:
+            trials.append(make_point(index, inputs, observed, *rest[1:]))
+        else:
+            trials.append(make_trial(index, inputs, observed, *rest))
+    return RunResult(trials, trend)
+
+
 def _rows(cfg: dict, per_trial) -> RunResult:
-    """Hard checks from each trial's rows in order, numbered 0, 1, 2, ....
-    A row is (inputs, observed, bound[, detail]), its inputs merged into
+    """`_records` of each trial's rows in order, their inputs merged into
     {"seed": seed, "trial": i}; a message in place of a row is a
     degenerate row."""
-    trials = []
-    for i, rows in enumerate(per_trial):
-        base = {"seed": cfg["seed"], "trial": i}
-        for row in rows:
-            if isinstance(row, str):
-                trials.append(make_degenerate(len(trials), base, row))
-            else:
-                inputs, observed, bound, *detail = row
-                trials.append(make_trial(len(trials), base | inputs, observed, bound, *detail))
-    return RunResult(trials)
+    def merged():
+        for i, rows in enumerate(per_trial):
+            base = {"seed": cfg["seed"], "trial": i}
+            for row in rows:
+                yield (base, row) if isinstance(row, str) else (base | row[0], *row[1:])
+    return _records(merged())
 
 
 def _trials(cfg: dict, check: Callable) -> RunResult:
     """`_rows` of check(rng, i) for each trial i, on its own stream."""
     return _rows(cfg, (check(_trial_rng(cfg["seed"], i), i) for i in range(cfg["trials"])))
+
+
+def _trend(cfg: dict, per_n: Callable) -> RunResult:
+    """`_records` of a trend over cfg["n_values"]: per_n(factor, i) on the
+    standard factor at the i-th n gives that n's rows and its value. A value
+    of None (nothing measured at that n) carries the previous value, 1.0 at
+    the first."""
+    rows, values = [], []
+    for i, n in enumerate(cfg["n_values"]):
+        n_rows, value = per_n(_standard_factor(cfg["p"], n, cfg["ell"], cfg["q"]), i)
+        rows += n_rows
+        values.append(value if value is not None else values[-1] if values else 1.0)
+    return _records(rows, trend_summary(values))
 
 
 def _bounded_values(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -246,10 +271,14 @@ def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor) -> LocalCont
 def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
     """(mean, mean of squares) of the standard factor's atom sizes at dimension
     n, for cost prediction; local experiments sample labels uniformly."""
-    factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
-    sizes = [factor.atom_indices(lab.values).size for lab in factor.all_labels()]
-    arr = np.array(sizes, dtype=float)
+    arr = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"]).atom_sizes.astype(float)
     return float(arr.mean()), float((arr ** 2).mean())
+
+
+def _per_n_terms(cfg: dict, terms: Callable) -> int:
+    """The sum over cfg["n_values"] of terms(n, smean, s2mean) on the
+    standard factor's atom-size moments at n, at least 1."""
+    return max(sum(terms(n, *_atom_stats(cfg, n)) for n in cfg["n_values"]), 1)
 
 
 def _kept_share(cfg: dict, ys: int) -> float:
@@ -577,18 +606,14 @@ def _est_bilsum(cfg: dict) -> int:
 def _size_trend(cfg: dict, ratios: Callable) -> RunResult:
     """A trend point per n: the largest |r - 1| over the ratios(factor) of
     the standard factor's set sizes to their equidistributed value."""
-    trials, values = [], []
-    for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"])
+    def per_n(factor, i):
         dev = max(abs(r - 1.0) for r in ratios(factor))
-        values.append(dev)
-        trials.append(make_point(i, {"n": n}, dev, detail={"n": n, "rank": factor.rank}))
-    return RunResult(trials, trend_summary(values))
+        return [({"n": factor.n}, dev, None, {"n": factor.n, "rank": factor.rank})], dev
+    return _trend(cfg, per_n)
 
 
 def _run_atom_sizes(cfg: dict) -> RunResult:
-    return _size_trend(cfg, lambda f: (f.atom_indices(lab.values).size
-                                       / f.p ** (f.n - f.ell - f.q) for lab in f.all_labels()))
+    return _size_trend(cfg, lambda f: f.atom_sizes / f.p ** (f.n - f.ell - f.q))
 
 
 def _est_atom_sizes(cfg: dict) -> int:
@@ -611,52 +636,36 @@ def _est_bil_sizes(cfg: dict) -> int:
 
 
 def _run_genbilsums(cfg: dict) -> RunResult:
-    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values = [], []
-    row = 0
-    for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(p, n, ell, q)
-        devs = []
+    def per_n(factor, i):
+        rows, devs = [], []
         for j in range(cfg["directions"]):
-            rng = _trial_rng(cfg["seed"], i, j)
-            base = {"n": n, "direction": j}
-            ctx = _nondeg_ctx3(rng, factor)
+            base = {"n": factor.n, "direction": j}
+            ctx = _nondeg_ctx3(_trial_rng(cfg["seed"], i, j), factor)
             if isinstance(ctx, str):
-                trials.append(make_degenerate(row, base, ctx))
-                row += 1
+                rows.append((base, ctx))
                 continue
             s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
             avg = float((ctx.mu12.T @ ctx.mu13 * ctx.mu23).sum()) / (s1 * s2 * s3)
             count_terms(s1 * s2 * s3)
             devs.append(abs(avg - 1.0))
-            trials.append(make_point(row, base, avg, detail={"n": n}))
-            row += 1
+            rows.append((base, avg, None, {"n": factor.n}))
         # mean deviation over directions; single directions stay granular
         # far into the feasible range
-        values.append(float(np.mean(devs)) if devs else 1.0)
-    return RunResult(trials, trend_summary(values))
+        return rows, float(np.mean(devs)) if devs else 1.0
+    return _trend(cfg, per_n)
 
 
 def _est_genbilsums(cfg: dict) -> int:
-    total = 0
-    for n in cfg["n_values"]:
-        smean, _ = _atom_stats(cfg, n)
-        total += int(cfg["directions"] * smean ** 3)
-    return max(total, 1)
+    return _per_n_terms(cfg, lambda n, smean, s2mean: int(cfg["directions"] * smean ** 3))
 
 
 def _run_config_regularity(cfg: dict) -> RunResult:
-    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values = [], []
-    for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(p, n, ell, q)
+    def per_n(factor, i):
         rng = _trial_rng(cfg["seed"], i)
-        base = {"n": n}
+        base = {"n": factor.n}
         ctx = _nondeg_ctx3(rng, factor)
         if isinstance(ctx, str):
-            trials.append(make_degenerate(i, base, ctx))
-            values.append(values[-1] if values else 1.0)
-            continue
+            return [(base, ctx)], None
         m12, m13, m23 = ctx.mu12, ctx.mu13, ctx.mu23
         s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
         devs = []
@@ -684,44 +693,32 @@ def _run_config_regularity(cfg: dict) -> RunResult:
             g /= s1 * s2 * s3
             devs.append(abs(g - 1.0))
         if not devs:
-            trials.append(make_degenerate(i, base, "no constrained triples found"))
-            values.append(values[-1] if values else 1.0)
-            continue
+            return [(base, "no constrained triples found")], None
         arr = np.array(sorted(devs))
         med = float(np.median(arr))
-        values.append(med)
-        trials.append(make_point(i, base, med, detail={
-            "n": n, "max_dev": float(arr.max()),
-            "frac_above_quarter": float((arr > 0.25).mean()),
-            "samples": len(devs)}))
-    return RunResult(trials, trend_summary(values))
+        return [(base, med, None, {"n": factor.n, "max_dev": float(arr.max()),
+                                   "frac_above_quarter": float((arr > 0.25).mean()),
+                                   "samples": len(devs)})], med
+    return _trend(cfg, per_n)
 
 
 def _est_config_regularity(cfg: dict) -> int:
     # per n the three mu matrices (|a| |b| q each) and, per sample, the
     # supports of wx, wy and wz: each keeps the members that two fixed
     # vertices weight, a p^(-2q) share of its atom
-    total = 0
-    for n in cfg["n_values"]:
-        smean, _ = _atom_stats(cfg, n)
-        total += int(cfg["samples"] * (smean * _kept_share(cfg, 2)) ** 3
-                     + 3 * cfg["q"] * smean ** 2)
-    return max(total, 1)
+    return _per_n_terms(cfg, lambda n, smean, s2mean: int(
+        cfg["samples"] * (smean * _kept_share(cfg, 2)) ** 3 + 3 * cfg["q"] * smean ** 2))
 
 
 def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
-    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    trials, values = [], []
-    for n in cfg["n_values"]:
-        factor = _standard_factor(p, n, ell, q)
-        linear = factor.linear
-        points = []  # per (atom, a1): its row, inputs, alpha, function, coset code
-        for lab in cfg["atom_labels"]:
-            lab = tuple(lab)
+    def per_n(factor, i):
+        p, n, ell = factor.p, factor.n, factor.ell
+        points = []  # per (atom, a1): a degenerate row, or inputs, alpha, function, coset code
+        for lab in map(tuple, cfg["atom_labels"]):
             idx = factor.atom_indices(lab)
             base = {"n": n, "atom": list(lab)}
             if idx.size == 0:
-                trials.append(make_degenerate(len(trials), base, f"atom {lab} is empty"))
+                points.append((base, f"atom {lab} is empty"))
                 continue
             bits = np.zeros(p ** n, dtype=bool)
             bits[idx] = True
@@ -729,16 +726,16 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
             for a1_code in range(p ** ell):
                 a1 = space(p, ell).coords_of(a1_code) if ell else ()
                 a2 = tuple((ei - ai) % p for ei, ai in zip(e, a1))
-                ctx = LocalContext2(linear, DirectionTuple2(p, a1, a2))
+                ctx = LocalContext2(factor.linear, DirectionTuple2(p, a1, a2))
                 alpha = float(bits[ctx.target_indices()].mean())
-                points.append((len(trials), base | {"a1": list(a1)}, alpha,
+                points.append((base | {"a1": list(a1)}, alpha,
                                _indicator_minus(p, n, bits, alpha), ctx.code))
-                trials.append(None)
-        norms = local_u2_norms(linear, [t[4] for t in points], [t[3] for t in points])
-        for (row, inputs, alpha, _, _), norm in zip(points, norms):
-            trials[row] = make_point(row, inputs, norm, detail={"n": n, "alpha": alpha})
-        values.append(max(norms, default=0.0))
-    return RunResult(trials, trend_summary(values))
+        live = [t for t in points if len(t) == 4]
+        norms = local_u2_norms(factor.linear, [t[3] for t in live], [t[2] for t in live])
+        found = iter(norms)
+        return [t if len(t) == 2 else (t[0], next(found), None, {"n": n, "alpha": t[1]})
+                for t in points], max(norms, default=0.0)
+    return _trend(cfg, per_n)
 
 
 def _est_atom_u2_uniformity(cfg: dict) -> int:
@@ -761,9 +758,7 @@ def _run_atom_vc(cfg: dict) -> RunResult:
     if cert is not None:
         detail["witness_a"] = [list(v.coords) for v in cert.elements()["a"]]
         detail["witness_b"] = [list(v.coords) for v in cert.elements()["b"]]
-    trial = make_trial(0, {"n": n, "atom": cfg["atom_label"]},
-                       0.0 if ok else 1.0, 0.0, detail=detail)
-    return RunResult([trial])
+    return _records([({"n": n, "atom": cfg["atom_label"]}, 0.0 if ok else 1.0, 0.0, detail)])
 
 
 def _est_atom_vc(cfg: dict) -> int:
@@ -774,22 +769,17 @@ def _run_atom_vc2(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
     diag_forms = [np.eye(n, dtype=np.int64)]
     diag_forms += [np.diag(d).astype(np.int64) for d in cfg["extra_diagonals"]]
-    trials = []
-    row = 0
+    rows = []
     for fi, form in enumerate(diag_forms):
         for ell in cfg["ell_values"]:
             vectors = [tuple(int(i == j) for j in range(n)) for i in range(ell)]
             factor = new_quadratic_factor(new_linear_factor(p, n, vectors), [form])
             for lab in factor.occupied_labels():
-                idx = factor.atom_indices(lab.values)
-                mask = SubsetBitmask.from_indices(p, n, idx)
-                dim = vc2_dimension(mask)
-                trials.append(make_trial(
-                    row, {"form": fi, "ell": ell, "atom": list(lab.values)},
-                    float(dim), 1.0,
-                    detail={"atom_size": mask.size, "rank": factor.rank}))
-                row += 1
-    return RunResult(trials)
+                mask = SubsetBitmask.from_indices(p, n, factor.atom_indices(lab.values))
+                rows.append(({"form": fi, "ell": ell, "atom": list(lab.values)},
+                             float(vc2_dimension(mask)), 1.0,
+                             {"atom_size": mask.size, "rank": factor.rank}))
+    return _records(rows)
 
 
 def _est_atom_vc2(cfg: dict) -> int:
@@ -817,8 +807,8 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
     sp = space(p, n)
     basis = [tuple(b) for b in cfg["subgroup_basis"]]
     span = _span_indices(p, n, basis)
-    trials = []
-    for i, reps in enumerate(cfg["rep_sets"]):
+    rows = []
+    for reps in cfg["rep_sets"]:
         k = len(reps)
         idx: list[int] = []
         for rep in reps:
@@ -828,13 +818,10 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
         measured = vc_dimension(mask)
         stated = math.ceil(math.log2(k)) if k > 1 else 0
         corrected = math.floor(math.log2(k)) + 1
-        trials.append(make_trial(
-            i, {"reps": [list(r) for r in reps]},
-            float(measured), float(corrected),
-            detail={"k": k, "stated_bound": stated,
-                    "stated_bound_ok": measured <= stated,
-                    "union_size": mask.size}))
-    return RunResult(trials)
+        rows.append(({"reps": [list(r) for r in reps]}, float(measured), float(corrected),
+                     {"k": k, "stated_bound": stated, "stated_bound_ok": measured <= stated,
+                      "union_size": mask.size}))
+    return _records(rows)
 
 
 def _est_coset_union_vc(cfg: dict) -> int:
@@ -920,37 +907,26 @@ def _est_control_ip_local(cfg: dict) -> int:
 
 
 def _run_control_ip2_local(cfg: dict) -> RunResult:
-    p, ell, q, m = cfg["p"], cfg["ell"], cfg["q"], cfg["m"]
-    trials, values = [], []
-    for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(p, n, ell, q)
+    def per_n(factor, i):
         rng = _trial_rng(cfg["seed"], i)
-        base = {"n": n}
+        base = {"n": factor.n}
         ctx = _nondeg_ctx3(rng, factor)
         if isinstance(ctx, str):
-            trials.append(make_degenerate(i, base, ctx))
-            values.append(values[-1] if values else 1.0)
-            continue
-        f = _bounded_fn(rng, p, n)
-        grid = FunctionGrid.ip2_diagonal(m, f)
-        obs = abs(t_ip2_local(m, factor, ctx.d, grid))
+            return [(base, ctx)], None
+        f = _bounded_fn(rng, factor.p, factor.n)
+        grid = FunctionGrid.ip2_diagonal(cfg["m"], f)
+        obs = abs(t_ip2_local(cfg["m"], factor, ctx.d, grid))
         nrm = local_u3_norm(ctx, f)
         excess = max(0.0, (obs - nrm) / max(1.0, nrm))
-        values.append(excess)
-        trials.append(make_point(i, base, excess,
-                                 detail={"n": n, "operator": obs, "norm": nrm}))
-    return RunResult(trials, trend_summary(values))
+        return [(base, excess, None, {"n": factor.n, "operator": obs, "norm": nrm})], excess
+    return _trend(cfg, per_n)
 
 
 def _est_control_ip2_local(cfg: dict) -> int:
     # the diagonal grid gives every W-vertex one z-average: one computed slot
-    m = cfg["m"]
-    total = 0
-    for n in cfg["n_values"]:
-        smean, s2mean = _atom_stats(cfg, n)
-        total += int(_ternary_terms(cfg, smean, s2mean, ys=m)
-                     + _ternary_terms(cfg, smean, s2mean, half=True))
-    return max(total, 1)
+    return _per_n_terms(cfg, lambda n, smean, s2mean: int(
+        _ternary_terms(cfg, smean, s2mean, ys=cfg["m"])
+        + _ternary_terms(cfg, smean, s2mean, half=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -968,56 +944,53 @@ def _sparse_subset(rng: np.random.Generator, target: np.ndarray,
 
 
 def _run_sparse_uniform(cfg: dict) -> RunResult:
-    p, ell, q, eps, tol = cfg["p"], cfg["ell"], cfg["q"], cfg["eps"], cfg["tol"]
+    eps = cfg["eps"]
     n_hard = max(cfg["n_values"])
-    trials, values = [], []
-    row = 0
-    hard_rows = []
-    for i, n in enumerate(cfg["n_values"]):
-        factor = _standard_factor(p, n, ell, q)
-        drawn = []  # per nondegenerate sample: row, place in trials, inputs, context, set, alpha
+
+    def per_n(factor, i):
+        p, n = factor.p, factor.n
+        samples = []  # per sample: a degenerate row, or inputs, context, set, alpha
         for s in range(cfg["samples"]):
             rng = _trial_rng(cfg["seed"], i, s)
             base = {"n": n, "eps": eps, "sample": s}
             ctx = _nondeg_ctx3(rng, factor)
             if isinstance(ctx, str):
-                trials.append(make_degenerate(row, base, ctx))
-            else:
-                target = ctx.target_indices()
-                bits = np.zeros(p ** n, dtype=bool)
-                bits[_sparse_subset(rng, target, eps)] = True
-                drawn.append((row, len(trials), base, ctx, bits, float(bits[target].mean())))
-                trials.append(None)
-            row += 1
-        diffs = []
-        for (r, place, base, _, _, alpha), (value, _) in zip(drawn, weighted_ternary_densities(
-                factor, [t[3].codes for t in drawn], [t[4] for t in drawn])):
+                samples.append((base, ctx))
+                continue
+            target = ctx.target_indices()
+            bits = np.zeros(p ** n, dtype=bool)
+            bits[_sparse_subset(rng, target, eps)] = True
+            samples.append((base, ctx, bits, float(bits[target].mean())))
+        live = [t for t in samples if len(t) == 4]
+        found = iter(weighted_ternary_densities(factor, [t[1].codes for t in live],
+                                                [t[2] for t in live]))
+        rows, diffs = [], []
+        for sample in samples:
+            if len(sample) == 2:
+                rows.append(sample)
+                continue
+            base, _, _, alpha = sample
+            value, _ = next(found)
             diffs.append(abs(value - alpha))
-            trials[place] = make_point(r, base, abs(value - alpha),
-                                       detail={"n": n, "weighted": value, "alpha": alpha})
-        values.append(float(np.mean(diffs)) if diffs
-                      else (values[-1] if values else 1.0))
-        if n == n_hard and drawn:
-            ctx, bits, alpha = drawn[-1][3:]
+            rows.append((base, diffs[-1], None, {"n": n, "weighted": value, "alpha": alpha}))
+        if n == n_hard and live:
+            _, ctx, bits, alpha = live[-1]
             norm = local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha))
-            hard_rows.append(make_trial(row, {"n": n, "eps": eps,
-                                              "check": "norm-bound"},
-                                        norm, 2.0 * eps ** 0.125 + tol,
-                                        detail={"n": n, "alpha": alpha}))
-            row += 1
-    trials.extend(hard_rows)
-    return RunResult(trials, trend_summary(values))
+            rows.append(({"n": n, "eps": eps, "check": "norm-bound"}, norm,
+                         2.0 * eps ** 0.125 + cfg["tol"], {"n": n, "alpha": alpha}))
+        return rows, float(np.mean(diffs)) if diffs else None
+    return _trend(cfg, per_n)
 
 
 def _est_sparse_uniform(cfg: dict) -> int:
-    total = 0
     n_hard = max(cfg["n_values"])
-    for n in cfg["n_values"]:
-        smean, s2mean = _atom_stats(cfg, n)
-        total += int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1))
+
+    def terms(n, smean, s2mean):
+        total = int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1))
         if n == n_hard:
             total += int(_ternary_terms(cfg, smean, s2mean, half=True))
-    return max(total, 1)
+        return total
+    return _per_n_terms(cfg, terms)
 
 
 def _run_smallpart(cfg: dict) -> RunResult:
@@ -1052,8 +1025,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
         "claimed_min_proportion": 1.0 - 8.0 * eps,
         "claim_consistent": claim_frac >= 1.0 - 8.0 * eps,
     }
-    trial = make_point(0, {"seed": cfg["seed"], "eps": eps}, claim_frac, detail=detail)
-    return RunResult([trial])
+    return _records([({"seed": cfg["seed"], "eps": eps}, claim_frac, None, detail)])
 
 
 def _est_smallpart(cfg: dict) -> int:
@@ -1062,46 +1034,38 @@ def _est_smallpart(cfg: dict) -> int:
     return max(int(count * _ternary_terms(cfg, smean, s2mean, half=True)), 1)
 
 
-def _random_label_union(rng: np.random.Generator, factor: QuadraticFactor) -> list:
-    labels = [lab for lab in factor.occupied_labels()]
-    keep = [lab.values for lab in labels if rng.random() < 0.5]
-    if not keep:
-        keep = [labels[0].values]
-    return keep
-
-
-def _union_bits(factor: QuadraticFactor, labels) -> np.ndarray:
-    bits = np.zeros(factor.p ** factor.n, dtype=bool)
-    for lab in labels:
-        bits[factor.atom_indices(tuple(lab))] = True
-    return bits
+def _atom_union(rng: np.random.Generator, factor: QuadraticFactor) -> tuple[list, np.ndarray]:
+    """The labels and the indicator of a union of nonempty atoms, each kept
+    on one draw of its own, in label order (the first if none is kept)."""
+    occupied = np.flatnonzero(factor.atom_sizes)
+    keep = occupied[rng.random(occupied.size) < 0.5]
+    if not keep.size:
+        keep = occupied[:1]
+    labels = list(factor.all_labels())
+    return [labels[code].values for code in keep], np.isin(factor._codes, keep)
 
 
 def _run_trivdense(cfg: dict) -> RunResult:
     p, n, ell, q = cfg["p"], cfg["n"], cfg["ell"], cfg["q"]
     factor = _standard_factor(p, n, ell, q)
     rng = _trial_rng(cfg["seed"])
-    labels = _random_label_union(rng, factor)
-    bits = _union_bits(factor, labels)
-    mask = SubsetBitmask(p, n, bits)
-    trials = []
+    _, bits = _atom_union(rng, factor)
+    rows = []
     for j in range(cfg["directions"]):
         d = _direction3(_trial_rng(cfg["seed"], j), factor)
         target = factor.atom_indices(sigma3(factor, d).values)
         base = {"direction": j}
         if target.size == 0:
-            trials.append(make_degenerate(j, base, "target atom is empty"))
+            rows.append((base, "target atom is empty"))
             continue
         inside = int(bits[target].sum())
         # distance from a trivial density, in exact counts
         off = min(inside, target.size - inside)
-        trials.append(make_trial(j, base, float(off), 0.0,
-                                 detail={"alpha": Fraction(inside, target.size)}))
-    frac = regularity_conclusion(mask, factor, Fraction(1, 100))
-    trials.append(make_trial(cfg["directions"], {"check": "regularity-fraction"},
-                             1.0 - float(frac), 0.0,
-                             detail={"atoms_trivial_fraction": frac}))
-    return RunResult(trials)
+        rows.append((base, float(off), 0.0, {"alpha": Fraction(inside, target.size)}))
+    frac = regularity_conclusion(SubsetBitmask(p, n, bits), factor, Fraction(1, 100))
+    rows.append(({"check": "regularity-fraction"}, 1.0 - float(frac), 0.0,
+                 {"atoms_trivial_fraction": frac}))
+    return _records(rows)
 
 
 def _est_trivdense(cfg: dict) -> int:
@@ -1113,30 +1077,27 @@ def _run_vc2_structure(cfg: dict) -> RunResult:
     p, n, ell, q = cfg["p"], cfg["n"], cfg["ell"], cfg["q"]
     factor = _standard_factor(p, n, ell, q)
     rng = _trial_rng(cfg["seed"])
-    labels = _random_label_union(rng, factor)
-    union = SubsetBitmask(p, n, _union_bits(factor, labels))
+    labels, bits = _atom_union(rng, factor)
+    union = SubsetBitmask(p, n, bits)
     _, symdiff = best_atom_union_approx(union, factor)
     frac = regularity_conclusion(union, factor, Fraction(1, 100))
-    trials = [
-        make_trial(0, {"set": "atom-union"}, float(symdiff), 0.0,
-                   detail={"labels": [list(l) for l in labels],
-                           "union_size": union.size}),
-        make_trial(1, {"set": "atom-union", "check": "regularity"},
-                   1.0 - float(frac), 0.0,
-                   detail={"atoms_trivial_fraction": frac}),
-    ]
     rand_mask = SubsetBitmask(p, n, rng.random(p ** n) < 0.5)
     profile, empty = density_profile(rand_mask, factor)
     _, rand_symdiff = best_atom_union_approx(rand_mask, factor)
     dims = vc2_dimension(rand_mask)
     dens = [float(v) for v in profile.values()]
-    trials.append(make_point(2, {"set": "random"}, float(dims), detail={
-        "empty_atoms": empty,
-        "min_density": min(dens) if dens else None,
-        "max_density": max(dens) if dens else None,
-        "majority_symdiff": rand_symdiff,
-    }))
-    return RunResult(trials)
+    return _records([
+        ({"set": "atom-union"}, float(symdiff), 0.0,
+         {"labels": [list(lab) for lab in labels], "union_size": union.size}),
+        ({"set": "atom-union", "check": "regularity"}, 1.0 - float(frac), 0.0,
+         {"atoms_trivial_fraction": frac}),
+        ({"set": "random"}, float(dims), None, {
+            "empty_atoms": empty,
+            "min_density": min(dens) if dens else None,
+            "max_density": max(dens) if dens else None,
+            "majority_symdiff": rand_symdiff,
+        }),
+    ])
 
 
 def _est_vc2_structure(cfg: dict) -> int:
@@ -1179,7 +1140,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
     linear = _standard_factor(p, n, ell, 0).linear
     nu, nv = cfg["parts"]
-    trials, codes, fs, deltas = [], [], [], []
+    draws, codes, fs = [], [], []  # per trial: count, identity error, density deviation
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         bits = rng.random(p ** n) < 0.5
@@ -1194,11 +1155,6 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         t_val = t_bipartite(graph, linear, u_labels, v_labels, grid)
         count = witness_count_bipartite(graph, linear, u_labels, v_labels, bits)
         norm = bipartite_normalization(graph, linear)
-        identity_err = abs(t_val.real * norm - count)
-        base = {"seed": cfg["seed"], "trial": i}
-        trials.append(make_trial(2 * i, base | {"check": "witness-identity"},
-                                 identity_err, tol * max(1.0, float(count)),
-                                 detail={"count": count}))
         # density product; the measured per-pair uniformity comes in one batch
         prod = 1.0
         for u in range(nu):
@@ -1208,20 +1164,22 @@ def _run_counting_binary(cfg: dict) -> RunResult:
                 prod *= alpha if (u, v) in edges else 1.0 - alpha
                 codes.append(ctx.code)
                 fs.append(_indicator_minus(p, n, bits, alpha))
-        deltas.append((base, abs(t_val.real - prod)))
+        draws.append((count, abs(t_val.real * norm - count), abs(t_val.real - prod)))
     pairs = nu * nv
-    norms = local_u2_norms(linear, codes, fs)
-    for i, (base, delta) in enumerate(deltas):
-        eps_meas = max(norms[pairs * i:pairs * (i + 1)])
-        trials.insert(2 * i + 1, make_point(2 * i + 1, base | {"check": "density-product"},
-                                            delta, detail={
-            "eps_measured": eps_meas,
-            "bound_linear_in_pairs": pairs * eps_meas,
-            "bound_exponential": (2 ** pairs - 1) * eps_meas,
-            "within_linear": delta <= pairs * eps_meas + tol,
-            "within_exponential": delta <= (2 ** pairs - 1) * eps_meas + tol,
-        }))
-    return RunResult(trials)
+    norms = iter(local_u2_norms(linear, codes, fs))
+
+    def rows(count, identity_err, delta):
+        eps_meas = max(itertools.islice(norms, pairs))
+        return [({"check": "witness-identity"}, identity_err, tol * max(1.0, float(count)),
+                 {"count": count}),
+                ({"check": "density-product"}, delta, None, {
+                    "eps_measured": eps_meas,
+                    "bound_linear_in_pairs": pairs * eps_meas,
+                    "bound_exponential": (2 ** pairs - 1) * eps_meas,
+                    "within_linear": delta <= pairs * eps_meas + tol,
+                    "within_exponential": delta <= (2 ** pairs - 1) * eps_meas + tol,
+                })]
+    return _rows(cfg, (rows(*d) for d in draws))
 
 
 def _est_counting_binary(cfg: dict) -> int:
@@ -1274,34 +1232,16 @@ def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
 def _run_counting_ternary(cfg: dict) -> RunResult:
     p, n, ell, q, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["tol"]
     factor = _standard_factor(p, n, ell, q)
-    rng = _trial_rng(cfg["seed"])
-    labels = _random_label_union(rng, factor)
-    bits = _union_bits(factor, labels)
+    _, bits = _atom_union(_trial_rng(cfg["seed"]), factor)
     ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
     coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
-    trials = []
-    patterns = []  # (witness trial slot and id, density trial slot and id, base, count, norm)
-    ctxs = []
-    for gi, graph in enumerate(_ternary_graphs(cfg["max_part"])):
-        base = {"parts": [graph.nu, graph.nv, graph.nw],
-                "edges": sorted(graph.edges)}
-        ctx = _sample_assignment(_trial_rng(cfg["seed"], gi), factor, graph)
-        if ctx is None:
-            trials.append(make_degenerate(2 * gi, base, "no nondegenerate labels found"))
-            continue
-        count = witness_count_ternary(graph, factor, ctx.e, bits, ctx)
-        norm = ternary_normalization(graph, factor, ctx.e, ctx)
-        patterns.append((len(trials), 2 * gi, len(trials) + 1, 2 * gi + 1, base, count, norm))
-        ctxs.append(ctx)
-        trials += [None, None]
-    # the operators in one contraction, then the witness trials
+    patterns = [({"parts": [g.nu, g.nv, g.nw], "edges": sorted(g.edges)},
+                 _sample_assignment(_trial_rng(cfg["seed"], gi), factor, g))
+                for gi, g in enumerate(_ternary_graphs(cfg["max_part"]))]
+    ctxs = [ctx for _, ctx in patterns if ctx is not None]
+    # the operators in one contraction
     grids = [FunctionGrid.edge_select(c.graph, ind, coind) for c in ctxs]
-    t_vals = [v.real for v in t_ternaries(ctxs, grids)]
-    for (slot, tid, _, _, base, count, norm), t_val in zip(patterns, t_vals):
-        identity_err = abs(t_val * float(norm) - count)
-        trials[slot] = make_trial(tid, base | {"check": "witness-identity"},
-                                  identity_err, tol * max(1.0, float(count)),
-                                  detail={"count": count})
+    t_vals = iter([v.real for v in t_ternaries(ctxs, grids)])
     # every triple's direction codes and target atom, by array operations,
     # and every triple's norm in one contraction, of 1_A - alpha on its target
     codes = np.concatenate([c.triples() for c in ctxs] or [np.zeros((0, 6), dtype=np.int64)])
@@ -1311,13 +1251,20 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
               / np.maximum(sizes, 1)).tolist()
     balanced = {t: _indicator_minus(p, n, bits, alphas[t]) for t in dict.fromkeys(targets)}
     norms = local_u3_norms(factor, codes, [balanced[t] for t in targets])
-    end = 0
-    for (_, _, slot, tid, base, _, _), t_val, ctx in zip(patterns, t_vals, ctxs):
-        graph = ctx.graph
+    rows, end = [], 0
+    for base, ctx in patterns:
+        if ctx is None:
+            rows.append((base, "no nondegenerate labels found"))
+            continue
+        graph, t_val = ctx.graph, next(t_vals)
+        count = witness_count_ternary(graph, factor, ctx.e, bits, ctx)
+        norm = ternary_normalization(graph, factor, ctx.e, ctx)
+        rows.append((base | {"check": "witness-identity"}, abs(t_val * float(norm) - count),
+                     tol * max(1.0, float(count)), {"count": count}))
         start, end = end, end + graph.nu * graph.nv * graph.nw
         mine = targets[start:end]
         if not sizes[mine].all():
-            trials[slot] = make_degenerate(tid, base, "target atom is empty")
+            rows.append((base, "target atom is empty"))
             continue
         m = max(graph.nu, graph.nv, graph.nw)
         eps_meas = max([0.0] + norms[start:end])
@@ -1327,11 +1274,10 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
         # the product-of-densities approximation carries a rank error term
         # on top of the norm term, so its deviation is reported, not asserted
         heuristic = 3.0 * eps_meas * m ** 3
-        trials[slot] = make_point(tid, base | {"check": "density-product"}, delta,
-                                  detail={"eps_measured": eps_meas, "m": m,
-                                          "norm_term_bound": heuristic,
-                                          "within_norm_term": delta <= heuristic + 1e-6})
-    return RunResult(trials)
+        rows.append((base | {"check": "density-product"}, delta, None,
+                     {"eps_measured": eps_meas, "m": m, "norm_term_bound": heuristic,
+                      "within_norm_term": delta <= heuristic + 1e-6}))
+    return _records(rows)
 
 
 def _est_counting_ternary(cfg: dict) -> int:

@@ -21,8 +21,10 @@ from qflab.lab_cli.experiments import (
     _direction_codes,
     _label,
     _labels,
+    _records,
     _rows,
     _standard_factor,
+    _trend,
     _trial_rng,
     _trials,
     estimate_experiment,
@@ -319,6 +321,23 @@ def test_smallpart_code_rows_are_the_sampled_directions(p, ell, q):
             sum(v * factor.p ** i for i, v in enumerate(b)) for b in (d.b12, d.b13, d.b23)]
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_default_reports_number_their_trials_in_order(name, reports):
+    trials = reports(name)["trials"]
+    assert [t["trial"] for t in trials] == list(range(len(trials)))
+
+
+@pytest.mark.parametrize("name,overrides", [
+    # patterns without nondegenerate labels give one row, not two
+    ("counting-ternary", {"ell": 2}),
+    # the norm-bound row sits among the rows of the largest n
+    ("sparse-uniform", {"n_values": [6, 3]}),
+])
+def test_trials_are_numbered_in_order_past_the_defaults(name, overrides):
+    trials = run_experiment(name, None, overrides)["trials"]
+    assert [t["trial"] for t in trials] == list(range(len(trials)))
+
+
 def test_counting_ternary_estimator_past_the_defaults():
     # the witness counts' head tuples grow as |atom|^4, so their estimate
     # is checked past the defaults too
@@ -367,6 +386,13 @@ def test_rows_are_numbered_in_order_and_trials_draw_their_own_streams():
         make_degenerate(2, {"seed": 4, "trial": 1}, "no context"),
         make_trial(3, {"seed": 4, "trial": 2}, 0.5, 1.0),
     ]
+    assert _records([({"a": 1}, 0.5, None, {"k": 2}), ({"a": 2}, "empty atom"),
+                     ({"a": 3}, 0.5, 1.0), ({"a": 4}, 0.25, None)]).trials == [
+        make_point(0, {"a": 1}, 0.5, {"k": 2}),
+        make_degenerate(1, {"a": 2}, "empty atom"),
+        make_trial(2, {"a": 3}, 0.5, 1.0),
+        make_point(3, {"a": 4}, 0.25),
+    ]
 
     def check(waste):
         def draw(rng, i):
@@ -378,6 +404,19 @@ def test_rows_are_numbered_in_order_and_trials_draw_their_own_streams():
     assert [t["trial"] for t in greedy] == [0, 1, 2, 3]
     assert ([t["observed"] for t in lean] == [t["observed"] for t in greedy]
             == [float(_trial_rng(9, i).random()) for i in range(4)])
+
+
+def test_trend_carries_the_previous_value_past_a_degenerate_n():
+    def per_n(factor, i):
+        value = (None, 0.5, None, 0.25)[i]
+        if value is None:
+            return [({"n": factor.n}, "no context")], None
+        return [({"n": factor.n}, value, None), ({"n": factor.n, "k": 1}, value, 1.0)], value
+    result = _trend({"p": 3, "ell": 1, "q": 1, "n_values": [2, 3, 4, 3]}, per_n)
+    assert result.trend == trend_summary([1.0, 0.5, 0.5, 0.25])
+    assert [(t["trial"], t["verdict"]) for t in result.trials] == [
+        (0, "degenerate"), (1, "observed"), (2, "pass"), (3, "degenerate"),
+        (4, "observed"), (5, "pass")]
 
 
 def test_trend_wobble_rules():
