@@ -15,8 +15,6 @@ from .errors import (
     CapExceeded,
     DegenerateContext,
     DependentVectors,
-    EmptyAtom,
-    EmptyLevelSet,
     NegativeDiagonal,
     QflabError,
     TooManyForms,
@@ -30,8 +28,6 @@ __all__ = [
     "CapExceeded",
     "DegenerateContext",
     "DependentVectors",
-    "EmptyAtom",
-    "EmptyLevelSet",
     "NegativeDiagonal",
     "QflabError",
     "TooManyForms",

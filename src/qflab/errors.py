@@ -27,20 +27,13 @@ class TooManyForms(QflabError):
     """A quadratic factor was given more forms than the rank search supports."""
 
 
-class EmptyLevelSet(QflabError):
-    """A bilinear level set is empty, so its normalized measure is undefined."""
-
-
-class EmptyAtom(QflabError):
-    """An atom is empty, so a density or average over it is undefined."""
-
-
 class NegativeDiagonal(QflabError):
     """A diagonal inner product came out negative beyond tolerance."""
 
 
 class DegenerateContext(QflabError):
-    """A local context has an empty atom or level set; norms refuse to run."""
+    """An atom or bilinear level set that a local average divides by is
+    empty, so the average is undefined and the kernel refuses to run."""
 
 
 class UnknownExperiment(QflabError):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, DependentVectors, EmptyLevelSet, TooManyForms
+from .errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from .fpn_core import (
     GroupSpace,
     GroupVector,
@@ -247,20 +247,11 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
     return QuadraticFactor(linear, shaped)
 
 
-def beta_sizes_cached(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
-    """All level-set sizes for the factor, computed once and memoized."""
-    cached = getattr(factor, "_beta_sizes", None)
-    if cached is None:
-        cached = bilinear_level_sizes(factor)
-        factor._beta_sizes = cached
-    return cached
-
-
 def beta_code_sizes(factor: QuadraticFactor) -> np.ndarray:
     """|beta(b)| for every bilinear label, by code; memoized."""
     cached = getattr(factor, "_beta_code_sizes", None)
     if cached is None:
-        sizes = beta_sizes_cached(factor)
+        sizes = bilinear_level_sizes(factor)
         labels = map(tuple, space(factor.p, factor.q).digits.tolist())
         cached = np.array([sizes[lab] for lab in labels], dtype=np.int64)
         factor._beta_code_sizes = cached
@@ -286,7 +277,7 @@ def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.
             size = int(beta_code_sizes(factor)[b])
             values = tuple(int(v) for v in space(factor.p, factor.q).digits[b])
             if size == 0:
-                raise EmptyLevelSet(f"beta({values}) is empty")
+                raise DegenerateContext(f"beta({values}) is empty")
             weight = float(Fraction(factor.p ** (2 * factor.n), size))
             dx = factor.space.digits[rows].astype(np.int64)
             dy = factor.space.digits[cols].astype(np.int64)

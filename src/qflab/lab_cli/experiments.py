@@ -70,7 +70,6 @@ from ..local_norms import (
     local_u2_norms,
     local_u3_dominates_check,
     local_u3_inners,
-    local_u3_norm,
     local_u3_norms,
 )
 from ..pattern_ops import (
@@ -99,10 +98,8 @@ from ..spectral import (
     inverse_transform,
     max_quadratic_correlation,
     u2_inner,
-    u2_norm,
     u2_norms,
     u3_inner,
-    u3_norm,
     u3_norms,
 )
 from .config import STANDARD_MAX_Q, merge_config
@@ -203,7 +200,7 @@ def _bounded_values(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _bounded_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
-    return GroupFunction(p, n, _bounded_values(rng, p ** n), one_bounded=True)
+    return GroupFunction(p, n, _bounded_values(rng, p ** n))
 
 
 def _gaussian_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
@@ -511,7 +508,7 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         fs.append(_bounded_fn(rng, p, n))
         dirs.append([_label(rng, p, linear.ell) for _ in range(3)])
     checks = local_u3_dominates_check(linear, dirs, fs, tol)
-    return _rows(cfg, [[({"check": "global"}, u2_norm(f), u3_norm(f) + tol),
+    return _rows(cfg, [[({"check": "global"}, u2_norms([f])[0], u3_norms([f])[0] + tol),
                         ({"check": "local", "d": d}, u2val, u3val + tol)]
                        for f, d, (u3val, u2val, _) in zip(fs, dirs, checks)])
 
@@ -916,7 +913,7 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
         f = _bounded_fn(rng, factor.p, factor.n)
         grid = FunctionGrid.ip2_diagonal(cfg["m"], f)
         obs = abs(t_ip2_local(cfg["m"], factor, ctx.d, grid))
-        nrm = local_u3_norm(ctx, f)
+        nrm = local_u3_norms(factor, [ctx.codes], [f])[0]
         excess = max(0.0, (obs - nrm) / max(1.0, nrm))
         return [(base, excess, None, {"n": factor.n, "operator": obs, "norm": nrm})], excess
     return _trend(cfg, per_n)
@@ -958,6 +955,9 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
                 samples.append((base, ctx))
                 continue
             target = ctx.target_indices()
+            if target.size == 0:
+                samples.append((base, "target atom is empty"))
+                continue
             bits = np.zeros(p ** n, dtype=bool)
             bits[_sparse_subset(rng, target, eps)] = True
             samples.append((base, ctx, bits, float(bits[target].mean())))
@@ -970,12 +970,12 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
                 rows.append(sample)
                 continue
             base, _, _, alpha = sample
-            value, _ = next(found)
+            value = next(found)
             diffs.append(abs(value - alpha))
             rows.append((base, diffs[-1], None, {"n": n, "weighted": value, "alpha": alpha}))
         if n == n_hard and live:
             _, ctx, bits, alpha = live[-1]
-            norm = local_u3_norm(ctx, _indicator_minus(p, n, bits, alpha))
+            norm = local_u3_norms(factor, [ctx.codes], [_indicator_minus(p, n, bits, alpha)])[0]
             rows.append(({"n": n, "eps": eps, "check": "norm-bound"}, norm,
                          2.0 * eps ** 0.125 + cfg["tol"], {"n": n, "alpha": alpha}))
         return rows, float(np.mean(diffs)) if diffs else None
@@ -1149,8 +1149,8 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         graph = PatternHypergraph("bipartite", {"U": nu, "V": nv}, edges)
         u_labels = [_label(rng, p, ell) for _ in range(nu)]
         v_labels = [_label(rng, p, ell) for _ in range(nv)]
-        ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
-        coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
+        ind = GroupFunction(p, n, bits.astype(np.float64))
+        coind = GroupFunction(p, n, (~bits).astype(np.float64))
         grid = FunctionGrid.edge_select(graph, ind, coind)
         t_val = t_bipartite(graph, linear, u_labels, v_labels, grid)
         count = witness_count_bipartite(graph, linear, u_labels, v_labels, bits)
@@ -1233,8 +1233,8 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     p, n, ell, q, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["tol"]
     factor = _standard_factor(p, n, ell, q)
     _, bits = _atom_union(_trial_rng(cfg["seed"]), factor)
-    ind = GroupFunction(p, n, bits.astype(np.float64), one_bounded=True)
-    coind = GroupFunction(p, n, (~bits).astype(np.float64), one_bounded=True)
+    ind = GroupFunction(p, n, bits.astype(np.float64))
+    coind = GroupFunction(p, n, (~bits).astype(np.float64))
     patterns = [({"parts": [g.nu, g.nv, g.nw], "edges": sorted(g.edges)},
                  _sample_assignment(_trial_rng(cfg["seed"], gi), factor, g))
                 for gi, g in enumerate(_ternary_graphs(cfg["max_part"]))]

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateContext, EmptyLevelSet
+from .errors import CapExceeded, DegenerateContext
 from .factor import (
     AtomLabel,
     DirectionTuple2,
@@ -186,12 +186,9 @@ class LocalContext3:
             if arr.size == 0:
                 raise DegenerateContext(f"atom {name} = {getattr(d, name)} is empty")
         a1, a2, a3, b12, b13, b23 = self.codes
-        try:
-            self.mu12 = mu_weight_matrix(factor, b12, a1, a2)
-            self.mu13 = mu_weight_matrix(factor, b13, a1, a3)
-            self.mu23 = mu_weight_matrix(factor, b23, a2, a3)
-        except EmptyLevelSet as exc:
-            raise DegenerateContext(str(exc)) from exc
+        self.mu12 = mu_weight_matrix(factor, b12, a1, a2)
+        self.mu13 = mu_weight_matrix(factor, b13, a1, a3)
+        self.mu23 = mu_weight_matrix(factor, b23, a2, a3)
         self.sigma: AtomLabel = sigma3(factor, d)
 
     def target_indices(self) -> np.ndarray:
@@ -251,11 +248,8 @@ def _ternary_contract(factor: QuadraticFactor, shape: TernaryShape, codes: np.nd
     ytuples = math.prod(parts[1].max(axis=0).tolist())
     step = max(1, H_BLOCK_ENTRIES // (ytuples + factor.space.size))  # contexts per block
     for start in range(0, len(codes), step):
-        try:
-            stack = _Stack(factor, shape, codes[start:start + step], arrays)
-        except EmptyLevelSet as exc:
-            raise DegenerateContext(str(exc)) from exc
-        out[start:start + step] = stack.contract(factor.space)
+        out[start:start + step] = _Stack(factor, shape, codes[start:start + step],
+                                         arrays).contract(factor.space)
     return out
 
 
@@ -624,25 +618,6 @@ def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
     values = _ternary_contract(factor, u3_shape(False), np.column_stack([codes, columns]),
                                arrays)
     return [_root_of_diagonal(complex(v), 8, tol) for v in values]
-
-
-def local_u3_norm(ctx: LocalContext3, f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return local_u3_norms(ctx.factor, [ctx.codes], [f], tol)[0]
-
-
-def support_triples_consistent(ctx: LocalContext3) -> bool:
-    """Every (x, y, z) with nonzero pair weights sums into the atom labeled
-    sigma3(d); hence the inner product only reads its arguments there."""
-    factor = ctx.factor
-    sp = factor.space
-    target = factor.label_code(ctx.sigma.values)
-    codes = factor._codes[sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
-    mask = ((ctx.mu12[:, :, None] != 0.0)
-            & (ctx.mu13[:, None, :] != 0.0)
-            & (ctx.mu23[None, :, :] != 0.0))
-    if not mask.any():
-        return True
-    return bool((codes[mask] == target).all())
 
 
 def local_u3_dominates_check(linear: LinearFactor, directions: list, fs: list[GroupFunction],

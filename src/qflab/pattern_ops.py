@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateContext, EmptyAtom, EmptyLevelSet
+from .errors import CapExceeded, DegenerateContext
 from .factor import (
     DirectionTuple2,
     DirectionTuple3,
@@ -43,7 +43,6 @@ from .factor import (
     _code,
     beta_code_sizes,
     mu_weight_matrix,
-    sigma3_codes,
 )
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
 from .local_norms import (
@@ -144,10 +143,6 @@ class LabelAssignment:
         return cls((d.a1,) * graph.nu, (d.a2,) * graph.nv, (d.a3,) * graph.nw,
                    duv, duw, dvw)
 
-    def triple_direction(self, p: int, u: int, v: int, w: int) -> DirectionTuple3:
-        return DirectionTuple3(p, self.a[u], self.b[v], self.c[w],
-                               self.duv[(u, v)], self.duw[(u, w)], self.dvw[(v, w)])
-
 
 class FunctionGrid:
     """An indexed family of functions sharing one group, with the f|g
@@ -170,10 +165,6 @@ class FunctionGrid:
 
     def functions(self):
         return self.mapping.values()
-
-    @property
-    def one_bounded(self) -> bool:
-        return all(g.one_bounded for g in self.mapping.values())
 
     @classmethod
     def ip_select(cls, m: int, f_in: GroupFunction, f_out: GroupFunction) -> FunctionGrid:
@@ -480,15 +471,12 @@ class _TernaryContext:
                   + [_level_code(factor, e.dvw[k]) for k in vw])
         self.codes = tuple(atoms + levels)
         level = iter(levels)
-        try:
-            self.muv = {(u, v): mu_weight_matrix(factor, next(level), atoms[u], atoms[nu + v])
-                        for u, v in uv}
-            self.muw = {(u, w): mu_weight_matrix(factor, next(level), atoms[u],
-                                                 atoms[nu + nv + w]) for u, w in uw}
-            self.mvw = {(v, w): mu_weight_matrix(factor, next(level), atoms[nu + v],
-                                                 atoms[nu + nv + w]) for v, w in vw}
-        except EmptyLevelSet as exc:
-            raise DegenerateContext(str(exc)) from exc
+        self.muv = {(u, v): mu_weight_matrix(factor, next(level), atoms[u], atoms[nu + v])
+                    for u, v in uv}
+        self.muw = {(u, w): mu_weight_matrix(factor, next(level), atoms[u], atoms[nu + nv + w])
+                    for u, w in uw}
+        self.mvw = {(v, w): mu_weight_matrix(factor, next(level), atoms[nu + v],
+                                             atoms[nu + nv + w]) for v, w in vw}
 
     def triples(self) -> np.ndarray:
         """The direction codes (a_u, b_v, c_w, d_uv, d_uw, d_vw) of every
@@ -627,27 +615,21 @@ def bipartite_normalization(graph: PatternHypergraph, linear: LinearFactor) -> i
 # weighted ternary density
 # ---------------------------------------------------------------------------
 
-def weighted_ternary_densities(factor: QuadraticFactor, codes,
-                               members: list) -> list[tuple[float, float]]:
+def weighted_ternary_densities(factor: QuadraticFactor, codes, members: list) -> list[float]:
     """For each row codes[i] = (a1, a2, a3, b12, b13, b23) of direction
     codes and membership array members[i] of a set A: E over the three
-    atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z), together with the
-    plain density of A on the target atom B(sigma3(d)). The weighted
-    averages are one ternary contraction with one vertex per part."""
+    atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z), in one ternary
+    contraction with one vertex per part. Every sum x + y + z of nonzero
+    weight lies in the target atom B(sigma3(d)), so the average is 0 when
+    no triple has weight, as when that atom is empty. Raises
+    DegenerateContext when one of the three atoms or levels is empty."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     if len(codes) != len(members):
         raise ValueError("need one membership array per direction")
     if not members:
         return []
-    targets = sigma3_codes(factor, codes)
-    empty = np.flatnonzero(factor.atom_sizes[targets] == 0)
-    if empty.size:
-        label = space(factor.p, factor.width).coords_of(int(targets[empty[0]]))
-        raise EmptyAtom(f"target atom {label} is empty")
-    members = [np.asarray(m, dtype=bool) for m in members]
     values = _ternary_contract(factor, _ternary_shape(1, 1, 1),
                                np.column_stack([codes, np.arange(len(members))]),
-                               [m.astype(np.float64) for m in members])
-    return [(float(v.real), float(m[factor._members_by_code[t]].mean()))
-            for v, m, t in zip(values, members, targets.tolist())]
+                               [np.asarray(m, dtype=bool).astype(np.float64) for m in members])
+    return [float(v.real) for v in values]
 

@@ -37,8 +37,8 @@ The diagonal norms of a list of functions take one batched route each.
 `u2_norms` is the fourth moment of the spectrum, one transform of the
 stack. `u3_norms` is E_h of the fourth moment of the derivative spectra,
 one derivative buffer per block of h for every function at once, over h = 0
-and one h of each pair {h, -h}, weighted 2. `u2_norm` and `u3_norm` are
-the batch of one; `u2_inner` and `u3_inner` are their twins.
+and one h of each pair {h, -h}, weighted 2. A single norm is the batch of
+one; `u2_inner` and `u3_inner` are their twins.
 """
 
 from __future__ import annotations
@@ -74,15 +74,12 @@ EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
 
 
 class GroupFunction:
-    """A dense table of values on F_p^n, canonically indexed.
-
-    `one_bounded` is a certified assertion that the sup norm is at most
-    1 + 1e-12; the pattern-control experiments require it on their inputs.
-    Real-valued tables are kept in float64 so downstream contractions can use
-    the cheaper real path.
+    """A dense read-only table of finite values on F_p^n, canonically
+    indexed. Real-valued tables are kept in float64 so downstream
+    contractions can use the cheaper real path.
     """
 
-    def __init__(self, p: int, n: int, values, one_bounded: bool = False) -> None:
+    def __init__(self, p: int, n: int, values) -> None:
         sp = space(p, n)
         arr = np.asarray(values)
         if arr.shape != (sp.size,):
@@ -93,13 +90,10 @@ class GroupFunction:
             arr = arr.astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite function values")
-        if one_bounded and np.abs(arr).max(initial=0.0) > 1 + 1e-12:
-            raise ValueError("one_bounded asserted but sup norm exceeds 1")
         arr.setflags(write=False)
         self.p = p
         self.n = n
         self.values = arr
-        self.one_bounded = bool(one_bounded)
 
     @property
     def size(self) -> int:
@@ -109,16 +103,14 @@ class GroupFunction:
     def constant(cls, p: int, n: int, c: complex) -> GroupFunction:
         sp = space(p, n)
         val = complex(c)
-        if val.imag == 0.0:
-            return cls(p, n, np.full(sp.size, val.real), one_bounded=abs(val) <= 1)
-        return cls(p, n, np.full(sp.size, val), one_bounded=abs(val) <= 1)
+        return cls(p, n, np.full(sp.size, val.real if val.imag == 0.0 else val))
 
     @classmethod
     def indicator(cls, p: int, n: int, indices) -> GroupFunction:
         sp = space(p, n)
         vals = np.zeros(sp.size)
         vals[np.asarray(indices, dtype=np.int64)] = 1.0
-        return cls(p, n, vals, one_bounded=True)
+        return cls(p, n, vals)
 
     @classmethod
     def character(cls, t: GroupVector) -> GroupFunction:
@@ -126,7 +118,7 @@ class GroupFunction:
         sp = space(t.p, t.n)
         digits = sp.digits.astype(np.int64)
         phases = (digits @ np.array(t.coords, dtype=np.int64)) % t.p
-        return cls(t.p, t.n, omega_table(t.p)[phases], one_bounded=True)
+        return cls(t.p, t.n, omega_table(t.p)[phases])
 
     @classmethod
     def quadratic_phase(cls, form: SymmetricForm, r: GroupVector | None = None) -> GroupFunction:
@@ -137,18 +129,14 @@ class GroupFunction:
         vals = np.einsum("xi,ij,xj->x", digits, form.as_array(), digits)
         if r is not None:
             vals = vals + digits @ np.array(r.coords, dtype=np.int64)
-        return cls(p, n, omega_table(p)[vals % p], one_bounded=True)
+        return cls(p, n, omega_table(p)[vals % p])
 
     def conj(self) -> GroupFunction:
-        return GroupFunction(self.p, self.n, np.conj(self.values), one_bounded=self.one_bounded)
+        return GroupFunction(self.p, self.n, np.conj(self.values))
 
     def __add__(self, other: GroupFunction) -> GroupFunction:
         self._check(other)
         return GroupFunction(self.p, self.n, self.values + other.values)
-
-    def __sub__(self, other: GroupFunction) -> GroupFunction:
-        self._check(other)
-        return GroupFunction(self.p, self.n, self.values - other.values)
 
     def scale(self, c: complex) -> GroupFunction:
         return GroupFunction(self.p, self.n, self.values * c)
@@ -296,10 +284,6 @@ def u2_norms(fs, tol: float = DEFAULT_TOL) -> list[float]:
     return [_root_of_diagonal(complex(v), 4, tol) for v in _fourth_moments(spec)]
 
 
-def u2_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return u2_norms([f], tol)[0]
-
-
 # ---------------------------------------------------------------------------
 # U^3
 # ---------------------------------------------------------------------------
@@ -438,10 +422,6 @@ def u3_norms(fs, tol: float = DEFAULT_TOL) -> list[float]:
             eighth[lo:lo + len(pairs)] += moments @ weights[start:stop]
             start = stop
     return [_root_of_diagonal(complex(v / sp.size), 8, tol) for v in eighth]
-
-
-def u3_norm(f: GroupFunction, tol: float = DEFAULT_TOL) -> float:
-    return u3_norms([f], tol)[0]
 
 
 # ---------------------------------------------------------------------------

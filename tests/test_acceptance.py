@@ -45,7 +45,6 @@ from qflab.local_norms import (
     LocalContext3,
     local_u2_inner,
     local_u2_norms,
-    support_triples_consistent,
 )
 from qflab.pattern_ops import (
     FunctionGrid,
@@ -65,7 +64,7 @@ from qflab.spectral import (
     max_quadratic_correlation,
     u2_inner,
     u3_inner_naive,
-    u3_norm,
+    u3_norms,
 )
 
 TOL = 1e-9
@@ -74,7 +73,18 @@ TOL = 1e-9
 def _bounded(p, n, rng):
     vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
     vals = vals / np.maximum(np.abs(vals), 1.0)
-    return GroupFunction(p, n, vals, one_bounded=True)
+    return GroupFunction(p, n, vals)
+
+
+def _support_triples_consistent(ctx):
+    """Every (x, y, z) with nonzero pair weights sums into the atom labeled
+    sigma3(d); hence the inner product only reads its arguments there."""
+    factor = ctx.factor
+    codes = factor._codes[factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
+    mask = ((ctx.mu12[:, :, None] != 0.0)
+            & (ctx.mu13[:, None, :] != 0.0)
+            & (ctx.mu23[None, :, :] != 0.0))
+    return bool((codes[mask] == factor.label_code(ctx.sigma.values)).all())
 
 
 def _mixed_factor():
@@ -106,7 +116,7 @@ def test_exact_identities():
     # spectral eighth power against the physical-space loop, 20 random functions
     for _ in range(20):
         f = _bounded(3, 3, rng)
-        assert abs(u3_norm(f) ** 8 - u3_inner_naive([f] * 8).real) <= TOL
+        assert abs(u3_norms([f])[0] ** 8 - u3_inner_naive([f] * 8).real) <= TOL
 
     # frequency-side coset-local square norm against the binary contraction
     for ell in (1, 2):
@@ -132,7 +142,7 @@ def test_exact_identities():
         except DegenerateContext:
             degenerate += 1
             continue
-        assert support_triples_consistent(ctx)
+        assert _support_triples_consistent(ctx)
     sigma_secs = time.perf_counter() - t_sigma
 
     # witness-count normalizations, 20 random sets per shape

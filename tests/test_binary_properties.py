@@ -47,7 +47,7 @@ LOOP_LIMIT = 20000  # most vertex tuples the explicit bipartite loop visits
 
 def _bounded(rng, p, n):
     vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-    return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0), one_bounded=True)
+    return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0))
 
 
 def _random_linear(rng, p, n, ell):

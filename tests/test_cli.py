@@ -283,6 +283,32 @@ def test_wrong_length_coset_vectors_exit_two(tmp_path, capsys, body, key):
     assert f"{key} entry" in capsys.readouterr().err
 
 
+def _small_dimension_configs():
+    """n = 1 and n = 2, or n_values [1, 2], and the same with two forms
+    where the experiment takes q, for every experiment with a dimension."""
+    for name in ALL_NAMES:
+        defaults = REGISTRY[name].defaults
+        if "n" in defaults:
+            bodies = [{"n": 1}, {"n": 2}] + ([{"n": 2, "q": 2}] if "q" in defaults else [])
+        elif "n_values" in defaults:
+            bodies = [{"n_values": [1, 2]}]
+            bodies += [{"n_values": [2, 3], "q": 2}] if "q" in defaults else []
+        else:
+            bodies = []
+        for body in bodies:
+            yield pytest.param(name, body, id=f"{name}-{json.dumps(body, separators=(',', ':'))}")
+
+
+@pytest.mark.parametrize("name,body", _small_dimension_configs())
+def test_small_dimensions_never_crash(tmp_path, capsys, name, body):
+    # a pass, a failed hard check (atom-vc's low-rank atoms at n <= 2) or a
+    # config error (default vectors of another length), never exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    code = main(["run", name, "--config", str(cfg)])
+    assert code in (0, 1, 2), capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_estimator_within_an_order_of_magnitude(name, reports):
     report = reports(name)

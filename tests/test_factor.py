@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qflab.errors import DependentVectors, EmptyLevelSet, TooManyForms
+from qflab.errors import DegenerateContext, DependentVectors, TooManyForms
 from qflab.factor import (
     AtomLabel,
     DirectionTuple2,
     DirectionTuple3,
-    beta_sizes_cached,
+    beta_code_sizes,
     bilinear_level_sizes,
     degenerate_directions,
     direction_codes,
@@ -109,7 +109,7 @@ def test_bilinear_level_sizes_identity_form():
     # x = 0 contributes 9 pairs to level 0; each of the 8 other x splits
     # its 9 partners evenly
     assert sizes == {(0,): 33, (1,): 24, (2,): 24}
-    assert beta_sizes_cached(factor) == sizes
+    assert beta_code_sizes(factor).tolist() == [33, 24, 24]
 
 
 def test_empty_level_set_refuses_a_measure():
@@ -117,7 +117,7 @@ def test_empty_level_set_refuses_a_measure():
     factor = new_quadratic_factor(new_linear_factor(3, 1, []),
                                   [np.zeros((1, 1), dtype=np.int64)])
     assert bilinear_level_sizes(factor)[(1,)] == 0
-    with pytest.raises(EmptyLevelSet, match=r"^beta\(\(1,\)\) is empty$"):
+    with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
         mu_weight_matrix(factor, 1, 0, 0)
 
 
@@ -135,7 +135,7 @@ def test_mu_weight_matrix_is_memoized_read_only():
 
 def test_mu_weight_matrix_counts_only_the_matrices_it_builds():
     factor = _identity_factor(3, 3, ell=1)
-    beta_sizes_cached(factor)
+    beta_code_sizes(factor)
     rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
     want = factor.atom_sizes[rows] * factor.atom_sizes[cols] * factor.q
     w, terms = run_counted(mu_weight_matrix, factor, 2, rows, cols)
@@ -195,9 +195,10 @@ def test_direction_codes_match_the_labels():
     want = [factor.label_code(sigma3(factor, d).values) for d in dirs]
     assert sigma3_codes(factor, rows).tolist() == want
     empty = degenerate_directions(factor, rows)
+    level_sizes = bilinear_level_sizes(factor)
     for d, flag in zip(dirs, empty):
         sizes = [factor.atom_indices(a).size for a in (d.a1, d.a2, d.a3)]
-        levels = [beta_sizes_cached(factor)[b] for b in (d.b12, d.b13, d.b23)]
+        levels = [level_sizes[b] for b in (d.b12, d.b13, d.b23)]
         assert flag == (0 in sizes + levels)
 
 

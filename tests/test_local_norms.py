@@ -26,11 +26,9 @@ from qflab.local_norms import (
     local_u3_dominates_check,
     local_u3_inner,
     local_u3_inner_naive,
-    local_u3_norm,
-    support_triples_consistent,
 )
 from qflab.pattern_ops import weighted_ternary_densities
-from qflab.spectral import GroupFunction, u2_norm, u3_inner
+from qflab.spectral import GroupFunction, u2_norms, u3_inner
 
 
 def _random_f(p, n, seed, bounded=True):
@@ -39,7 +37,6 @@ def _random_f(p, n, seed, bounded=True):
     vals = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if bounded:
         vals = vals / np.maximum(np.abs(vals), 1.0)
-        return GroupFunction(p, n, vals, one_bounded=True)
     return GroupFunction(p, n, vals)
 
 
@@ -73,7 +70,7 @@ def test_trivial_factor_reduces_to_global_norms():
     lin = new_linear_factor(3, 2, [])
     ctx2 = LocalContext2(lin, DirectionTuple2(3, (), ()))
     f = _random_f(3, 2, seed=1)
-    assert local_u2_norms(lin, [ctx2.code], [f])[0] == pytest.approx(u2_norm(f), abs=1e-10)
+    assert local_u2_norms(lin, [ctx2.code], [f]) == pytest.approx(u2_norms([f]), abs=1e-10)
 
     quad = new_quadratic_factor(lin, [])
     ctx3 = LocalContext3(quad, DirectionTuple3(3, (), (), (), (), (), ()))
@@ -184,9 +181,20 @@ def test_local_u3_inner_matches_naive():
         assert fast == pytest.approx(slow, abs=1e-9)
 
 
+def _support_triples_consistent(ctx: LocalContext3) -> bool:
+    """Every (x, y, z) with nonzero pair weights sums into the atom labeled
+    sigma3(d); hence the inner product only reads its arguments there."""
+    factor = ctx.factor
+    codes = factor._codes[factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
+    mask = ((ctx.mu12[:, :, None] != 0.0)
+            & (ctx.mu13[:, None, :] != 0.0)
+            & (ctx.mu23[None, :, :] != 0.0))
+    return bool((codes[mask] == factor.label_code(ctx.sigma.values)).all())
+
+
 def test_support_triples_land_in_the_target_atom():
     for ctx in _contexts(_mixed_factor(), limit=5):
-        assert support_triples_consistent(ctx)
+        assert _support_triples_consistent(ctx)
 
 
 def test_inner_product_ignores_values_off_the_target_atom():
@@ -218,7 +226,7 @@ def test_local_norm_squares_are_nonnegative():
     factor = _mixed_factor()
     f = _random_f(3, 3, seed=41)
     for ctx in _contexts(factor, limit=4):
-        assert local_u3_norm(ctx, f) >= 0.0
+        assert local_norms.local_u3_norms(factor, [ctx.codes], [f])[0] >= 0.0
 
 
 def test_local_u3_dominates_local_u2_on_linear_factors():
@@ -352,7 +360,8 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
     assert min(abs(v) for v in singles) > 1.0
     for got, (c, octu) in zip(singles[::2], [(ctx, fs), (small, fs[::-1])]):
         assert got == pytest.approx(local_u3_inner(c, octu), rel=1e-12)
-    assert singles[3] == pytest.approx(local_u3_norm(small, fs[0]) ** 8, rel=1e-12)
+    norm = local_norms.local_u3_norms(factor, [small.codes], fs[:1])[0]
+    assert singles[3] == pytest.approx(norm ** 8, rel=1e-12)
     stacks = []
     init = local_norms._Stack.__init__
     monkeypatch.setattr(local_norms._Stack, "__init__",
@@ -383,7 +392,8 @@ def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypa
     assert len({id(a) for a in (*stack.xs, *stack.ys, *stack.zs)}) == 3
     assert len({id(m) for d in (stack.muv, stack.muw, stack.mvw) for m in d.values()}) == 3
     assert len(stack.mirrored) == 1 and stack.half
-    assert norms == pytest.approx([local_u3_norm(one, f), local_u3_norm(other, f)], rel=1e-12)
+    singles = [local_norms.local_u3_norms(factor, [c.codes], [f])[0] for c in (one, other)]
+    assert norms == pytest.approx(singles, rel=1e-12)
 
 
 @pytest.mark.parametrize("pattern,half", [
@@ -416,7 +426,8 @@ def test_the_halved_scan_counts_half_the_distinct_y_pairs():
     ctx = LocalContext3(factor, DirectionTuple3(3, (1,), (2,), (0,), (), (), ()))
     fs = [_random_f(3, 3, seed=110 + k) for k in range(8)]
     per_tuple = 9 ** 3 + 2 * 9 * 10
-    assert run_counted(local_u3_norm, ctx, fs[0])[1] == 45 * per_tuple
+    _, terms = run_counted(local_norms.local_u3_norms, factor, [ctx.codes], fs[:1])
+    assert terms == 45 * per_tuple
     assert run_counted(local_u3_inner, ctx, fs)[1] == 81 * (2 * 9 ** 3 + 2 * 9 * 10)
 
 
@@ -562,6 +573,5 @@ def test_weighted_density_batch_matches_each_batch_of_one():
     for row, member, got in zip(rows, members, batch):
         ctx = LocalContext3(factor, _direction(factor, row))
         want = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
-        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
-        assert got[1] == want[1] == member[ctx.target_indices()].mean()
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert weighted_ternary_densities(factor, [], []) == []

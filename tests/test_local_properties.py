@@ -59,7 +59,7 @@ IP2_SIZES = [(p, n, m) for p in (3, 5, 7, 11, 13) for n in (1, 2) for m in (1, 2
 
 def _bounded(rng, p, n):
     vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-    return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0), one_bounded=True)
+    return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0))
 
 
 def _uneven_contexts(p, n, ell, seed, count):

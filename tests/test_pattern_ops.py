@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qflab.errors import CapExceeded, DegenerateContext, EmptyAtom
+from qflab.errors import CapExceeded, DegenerateContext
 from qflab.factor import (
     DirectionTuple2,
     DirectionTuple3,
-    beta_sizes_cached,
+    bilinear_level_sizes,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
@@ -52,7 +52,7 @@ def _random_f(p, n, seed):
     N = p ** n
     vals = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     vals = vals / np.maximum(np.abs(vals), 1.0)
-    return GroupFunction(p, n, vals, one_bounded=True)
+    return GroupFunction(p, n, vals)
 
 
 def _mixed_factor():
@@ -149,8 +149,8 @@ def test_ip2_witness_density_matches_per_subset_oracle():
     # {z, z + h, z + k, z + h + k} of F_3^2 carries all 16 patterns, so the
     # oracle's products are 0 and the spectral route must give 0 to rounding
     inside = np.random.default_rng(11).random(9) < 0.5
-    f_in = GroupFunction(3, 2, inside.astype(float), one_bounded=True)
-    f_out = GroupFunction(3, 2, 1.0 - inside, one_bounded=True)
+    f_in = GroupFunction(3, 2, inside.astype(float))
+    f_out = GroupFunction(3, 2, 1.0 - inside)
     grid = FunctionGrid.ip2_select(2, f_in, f_out)
     assert t_ip2(2, grid) == pytest.approx(t_ip2_per_s_oracle(2, grid), rel=1e-12, abs=1e-15)
 
@@ -288,7 +288,8 @@ def test_one_context_per_pattern_serves_every_ternary_routine():
             count, abs=1e-6 * max(1, count))
         triples = ctx.triples()
         for row, (u, v, w) in zip(triples, graph.all_tuples()):
-            built = LocalContext3(factor, e.triple_direction(3, u, v, w))
+            built = LocalContext3(factor, DirectionTuple3(3, e.a[u], e.b[v], e.c[w], e.duv[(u, v)],
+                                                          e.duw[(u, w)], e.dvw[(v, w)]))
             assert tuple(row.tolist()) == built.codes
             assert sigma3_codes(factor, row).tolist() == [factor.label_code(built.sigma.values)]
             for name, mu in (("mu12", ctx.muv[(u, v)]), ("mu13", ctx.muw[(u, w)]),
@@ -499,15 +500,13 @@ def test_weighted_density_extremes():
     factor = _mixed_factor()
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     ctx = LocalContext3(factor, d)
-    value, alpha = weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)])[0]
-    assert alpha == 1.0
+    value = weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)])[0]
     assert value >= 0.0
-    # removing A from the target atom kills both numbers: the weighted sum
-    # only reads membership there
+    # removing A from the target atom kills the weighted sum: it only reads
+    # membership there
     partial = np.ones(27, dtype=bool)
     partial[ctx.target_indices()] = False
-    value0, alpha0 = weighted_ternary_densities(factor, [ctx.codes], [partial])[0]
-    assert alpha0 == 0.0
+    value0 = weighted_ternary_densities(factor, [ctx.codes], [partial])[0]
     assert value0 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -527,21 +526,20 @@ def test_weighted_density_matches_the_dense_sum():
         member = rng.random(27) < 0.5
         weights = ctx.mu12[:, :, None] * ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
         dense = (weights * member[sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]).mean()
-        value, alpha = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
+        value = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
         assert value == pytest.approx(dense, rel=1e-12, abs=1e-15)
-        assert alpha == member[ctx.target_indices()].mean()
         checked += 1
     assert checked > 20
 
 
-def test_weighted_density_refuses_an_empty_target():
+def test_weighted_density_is_zero_on_an_empty_target():
     lin = new_linear_factor(3, 2, [(1, 0)])
     factor = new_quadratic_factor(lin, [np.eye(2, dtype=np.int64)])
-    # sigma3 lands on (0, 2), which the coset x1 = 0 never reaches
+    # sigma3 lands on (0, 2), which the coset x1 = 0 never reaches, so no
+    # triple has weight
     d = DirectionTuple3(3, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
-    with pytest.raises(EmptyAtom):
-        weighted_ternary_densities(factor, [LocalContext3(factor, d).codes],
-                                   [np.ones(9, dtype=bool)])
+    assert weighted_ternary_densities(factor, [LocalContext3(factor, d).codes],
+                                      [np.ones(9, dtype=bool)]) == [0.0]
 
 
 def test_degenerate_atoms_are_refused():
@@ -587,9 +585,6 @@ def test_grid_validation():
         FunctionGrid({})
     with pytest.raises(ValueError):
         t_ip(1, FunctionGrid({(1, 0): f}))
-    assert FunctionGrid.ip_select(1, f, f).one_bounded
-    loud = GroupFunction(3, 1, np.array([3.0, 0.0, 0.0]))
-    assert not FunctionGrid({(1, 0): f, (1, 1): loud}).one_bounded
     # a direction tuple over another prime is refused, not read as labels mod p
     factor = _mixed_factor()
     grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 3, seed=8))
@@ -616,7 +611,7 @@ def test_ternary_normalization_is_the_product_of_its_fractions(q):
     for arr in (*ctx.xs, *ctx.ys, *ctx.zs):
         want *= arr.size
     if q:
-        sizes = beta_sizes_cached(factor)
+        sizes = bilinear_level_sizes(factor)
         for d in (*e.duv.values(), *e.duw.values(), *e.dvw.values()):
             want *= Fraction(sizes[d], 3 ** 6)
     got = ternary_normalization(graph, factor, e, ctx)

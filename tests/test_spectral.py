@@ -26,11 +26,9 @@ from qflab.spectral import (
     inverse_transform,
     max_quadratic_correlation,
     u2_inner,
-    u2_norm,
     u2_norms,
     u3_inner,
     u3_inner_naive,
-    u3_norm,
     u3_norms,
 )
 
@@ -41,7 +39,6 @@ def _random_f(p, n, seed, bounded=False):
     vals = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if bounded:
         vals = vals / np.maximum(np.abs(vals), 1.0)
-        return GroupFunction(p, n, vals, one_bounded=True)
     return GroupFunction(p, n, vals)
 
 
@@ -49,12 +46,6 @@ def _subgroup_indicator():
     sp = space(3, 2)
     members = [i for i in range(9) if sp.digits[i, 0] == 0]
     return GroupFunction.indicator(3, 2, members)
-
-
-def test_one_bounded_certification():
-    GroupFunction(3, 1, np.array([1.0, -1.0, 1.0]), one_bounded=True)
-    with pytest.raises(ValueError):
-        GroupFunction(3, 1, np.array([2.0, 0.0, 0.0]), one_bounded=True)
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 2), (7, 1), (11, 2)])
@@ -101,7 +92,7 @@ def test_u2_inner_matches_explicit_loop():
 
 
 def test_u2_fourth_power_equals_spectral_moment():
-    # u2_norm is the spectral moment itself, so the shift-table average is
+    # u2_norms is the spectral moment itself, so the shift-table average is
     # the independent side of the identity
     f = _random_f(3, 3, seed=31)
     assert u2_inner(f, f, f, f) == pytest.approx(fourier_transform(f).l4_fourth(), abs=1e-10)
@@ -112,7 +103,7 @@ def test_u2_norms_match_the_shift_table_average(p, n):
     fs = [_random_f(p, n, seed=90 + k) for k in range(3)]
     want = [u2_inner(f, f, f, f).real ** 0.25 for f in fs]
     assert u2_norms(fs) == pytest.approx(want, rel=1e-12)
-    assert u2_norm(fs[1]) == pytest.approx(want[1], rel=1e-12)
+    assert u2_norms([fs[1]])[0] == pytest.approx(want[1], rel=1e-12)
     assert u2_norms([]) == []
 
 
@@ -140,7 +131,7 @@ def test_u3_inner_matches_explicit_loop():
 
 def test_u3_eighth_power_matches_derivative_route():
     f = _random_f(3, 2, seed=55)
-    assert u3_norm(f) ** 8 == pytest.approx(u3_inner_naive([f] * 8).real, abs=1e-10)
+    assert u3_norms([f])[0] ** 8 == pytest.approx(u3_inner_naive([f] * 8).real, abs=1e-10)
 
 
 def test_u3_inner_blocks_of_h_match_reference(monkeypatch):
@@ -166,7 +157,7 @@ def test_u3_norms_match_the_inner_product(p, n):
     got = u3_norms(batch)
     assert got == pytest.approx(want, rel=1e-12)
     assert got[3] == got[0]
-    assert u3_norm(fs[2]) == pytest.approx(want[2], rel=1e-12)
+    assert u3_norms([fs[2]])[0] == pytest.approx(want[2], rel=1e-12)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -215,24 +206,26 @@ def test_u3_exact_values_past_the_reference_cap():
     raw = rng.integers(0, p, size=(n, n))
     form = SymmetricForm.from_array(p, (raw + raw.T) % p)
     shift = GroupVector(p, tuple(int(c) for c in rng.integers(0, p, n)))
-    assert u3_norm(GroupFunction.quadratic_phase(form, shift)) == pytest.approx(1.0, abs=1e-10)
-    assert u3_norm(GroupFunction.character(shift)) == pytest.approx(1.0, abs=1e-10)
+    phase = GroupFunction.quadratic_phase(form, shift)
+    assert u3_norms([phase])[0] == pytest.approx(1.0, abs=1e-10)
+    assert u3_norms([GroupFunction.character(shift)])[0] == pytest.approx(1.0, abs=1e-10)
     sp = space(p, n)
     members = [i for i in range(sp.size) if sp.digits[i, 0] == 0]
-    assert u3_norm(GroupFunction.indicator(p, n, members)) ** 8 == pytest.approx(1 / 81, abs=1e-10)
+    indicator = GroupFunction.indicator(p, n, members)
+    assert u3_norms([indicator])[0] ** 8 == pytest.approx(1 / 81, abs=1e-10)
 
 
 def test_u2_never_exceeds_u3():
     for seed in range(5):
         f = _random_f(3, 2, seed=60 + seed, bounded=True)
-        assert u2_norm(f) <= u3_norm(f) + 1e-9
+        assert u2_norms([f])[0] <= u3_norms([f])[0] + 1e-9
 
 
 def test_subgroup_indicator_reference_values():
     f = _subgroup_indicator()
-    assert u2_norm(f) ** 4 == pytest.approx(1 / 27, abs=1e-10)
+    assert u2_norms([f])[0] ** 4 == pytest.approx(1 / 27, abs=1e-10)
     assert fourier_transform(f).l4_fourth() == pytest.approx(1 / 27, abs=1e-10)
-    assert u3_norm(f) ** 8 == pytest.approx(1 / 81, abs=1e-10)
+    assert u3_norms([f])[0] ** 8 == pytest.approx(1 / 81, abs=1e-10)
     assert u3_inner_naive([f] * 8).real == pytest.approx(1 / 81, abs=1e-10)
     val = ap3_average(f)
     assert val.real == pytest.approx(1 / 9, abs=1e-10)

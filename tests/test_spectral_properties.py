@@ -31,7 +31,7 @@ def _bounded_tuple(p, n, seed, count, diagonal):
     fs = []
     for _ in range(1 if diagonal else count):
         vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-        fs.append(GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0), one_bounded=True))
+        fs.append(GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0)))
     return fs * count if diagonal else fs
 
 
