@@ -28,6 +28,7 @@ from .fpn_core import (
 )
 
 MAX_FORMS = 6
+MU_CAP = 1 << 26  # entry cap of one mu weight matrix
 
 
 @dataclass(frozen=True)
@@ -266,11 +267,16 @@ def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.
     Each code triple (b, row, col) is computed once per factor and every
     later call returns the same read-only array. Building a matrix counts
     |row| |col| q terms, one per form value; a cached one counts none.
+    Raises CapExceeded, before it allocates anything, when |row| |col|
+    exceeds MU_CAP: its form values take 8 bytes per entry.
     """
     cache = factor.__dict__.setdefault("_mu_weights", {})
     key = (b, row, col)
     if key not in cache:
         rows, cols = factor._members_by_code[row], factor._members_by_code[col]
+        if rows.size * cols.size > MU_CAP:
+            raise CapExceeded(f"mu matrix of {rows.size} x {cols.size} entries exceeds "
+                              f"the mu cap {MU_CAP}")
         if factor.q == 0:
             mu = np.ones((rows.size, cols.size))
         else:

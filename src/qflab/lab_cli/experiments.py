@@ -76,7 +76,7 @@ from ..pattern_ops import (
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
-    _TernaryContext,
+    TernaryContext,
     bipartite_normalization,
     t_bipartite,
     t_ip,
@@ -1146,7 +1146,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         bits = rng.random(p ** n) < 0.5
         edges = frozenset((u, v) for u in range(nu) for v in range(nv)
                           if rng.random() < 0.5)
-        graph = PatternHypergraph("bipartite", {"U": nu, "V": nv}, edges)
+        graph = PatternHypergraph((nu, nv), edges)
         u_labels = [_label(rng, p, ell) for _ in range(nu)]
         v_labels = [_label(rng, p, ell) for _ in range(nv)]
         ind = GroupFunction(p, n, bits.astype(np.float64))
@@ -1204,12 +1204,11 @@ def _ternary_graphs(max_part: int):
                 for code in range(1 << len(cells)):
                     edges = frozenset(c for b, c in enumerate(cells)
                                       if code >> b & 1)
-                    yield PatternHypergraph("ternary", {"U": su, "V": sv, "W": sw},
-                                            edges)
+                    yield PatternHypergraph((su, sv, sw), edges)
 
 
 def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
-                       graph: PatternHypergraph) -> _TernaryContext | None:
+                       graph: PatternHypergraph) -> TernaryContext | None:
     """The context of a seeded label assignment in which every atom and pair
     level set in sight is nonempty; None when no such assignment is found."""
     w, q = factor.ell + factor.q, factor.q
@@ -1223,7 +1222,7 @@ def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
         duv, duw, dvw = ({pair: next(labels) for pair in part} for part in pairs)
         e = LabelAssignment(a, b, c, duv, duw, dvw)
         try:
-            return _TernaryContext(graph, factor, e)
+            return TernaryContext(graph, factor, e)
         except DegenerateContext:
             continue
     return None
@@ -1235,7 +1234,7 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     _, bits = _atom_union(_trial_rng(cfg["seed"]), factor)
     ind = GroupFunction(p, n, bits.astype(np.float64))
     coind = GroupFunction(p, n, (~bits).astype(np.float64))
-    patterns = [({"parts": [g.nu, g.nv, g.nw], "edges": sorted(g.edges)},
+    patterns = [({"parts": list(g.parts), "edges": sorted(g.edges)},
                  _sample_assignment(_trial_rng(cfg["seed"], gi), factor, g))
                 for gi, g in enumerate(_ternary_graphs(cfg["max_part"]))]
     ctxs = [ctx for _, ctx in patterns if ctx is not None]
@@ -1257,11 +1256,11 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
             rows.append((base, "no nondegenerate labels found"))
             continue
         graph, t_val = ctx.graph, next(t_vals)
-        count = witness_count_ternary(graph, factor, ctx.e, bits, ctx)
-        norm = ternary_normalization(graph, factor, ctx.e, ctx)
+        count = witness_count_ternary(ctx, bits)
+        norm = ternary_normalization(ctx)
         rows.append((base | {"check": "witness-identity"}, abs(t_val * float(norm) - count),
                      tol * max(1.0, float(count)), {"count": count}))
-        start, end = end, end + graph.nu * graph.nv * graph.nw
+        start, end = end, end + math.prod(graph.parts)
         mine = targets[start:end]
         if not sizes[mine].all():
             rows.append((base, "target atom is empty"))

@@ -20,8 +20,9 @@ one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ternaries
 and weighted_ternary_densities (one call per batch of patterns or
 directions); t_ip2_local is t_ternary on `ip2_hypergraph(m)`. The global
 t_ip2 works on the frequency side instead. The naive nested sums are
-reference routes for small instances. The witness counts and |I_F(e)| are
-one blocked extension count, `_extension_count`.
+reference routes for small instances. A labeled ternary pattern is one
+`TernaryContext`, built once and read by every ternary routine. The witness
+counts and |I_F(e)| are one blocked extension count, `_extension_count`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .factor import (
     QuadraticFactor,
     _code,
     beta_code_sizes,
+    degenerate_directions,
     mu_weight_matrix,
 )
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
@@ -67,44 +69,42 @@ MAX_TERNARY_UV = 2
 @dataclass(frozen=True)
 class PatternHypergraph:
     """A bipartite graph on parts U, V or a 3-partite 3-uniform hypergraph
-    on parts U, V, W; vertices are 0-based indices within each part."""
+    on parts U, V, W: `parts` holds the size of each part, in that order,
+    and an edge holds one 0-based vertex index per part."""
 
-    kind: str
-    sizes: dict
+    parts: tuple
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bipartite", "ternary"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        want = ("U", "V") if self.kind == "bipartite" else ("U", "V", "W")
-        if tuple(sorted(self.sizes)) != tuple(sorted(want)):
-            raise ValueError(f"parts must be exactly {want}")
+        parts = tuple(int(k) for k in self.parts)
+        if len(parts) not in (2, 3):
+            raise ValueError(f"need 2 or 3 parts, got {len(parts)}")
+        if min(parts) < 1:
+            raise ValueError("every part needs a vertex")
         edges = frozenset(tuple(int(x) for x in e) for e in self.edges)
-        arity = len(want)
         for e in edges:
-            if len(e) != arity:
+            if len(e) != len(parts):
                 raise ValueError(f"edge {e} has wrong arity")
-            for coord, part in zip(e, want):
-                if not 0 <= coord < self.sizes[part]:
+            for coord, part, size in zip(e, "UVW", parts):
+                if not 0 <= coord < size:
                     raise ValueError(f"edge {e} leaves part {part}")
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "edges", edges)
 
     @property
     def nu(self) -> int:
-        return self.sizes["U"]
+        return self.parts[0]
 
     @property
     def nv(self) -> int:
-        return self.sizes["V"]
+        return self.parts[1]
 
     @property
     def nw(self) -> int:
-        return self.sizes["W"]
+        return self.parts[2]
 
     def all_tuples(self):
-        if self.kind == "bipartite":
-            return itertools.product(range(self.nu), range(self.nv))
-        return itertools.product(range(self.nu), range(self.nv), range(self.nw))
+        return itertools.product(*map(range, self.parts))
 
 
 def ip2_hypergraph(m: int) -> PatternHypergraph:
@@ -119,7 +119,7 @@ def ip2_hypergraph(m: int) -> PatternHypergraph:
             for j in range(m):
                 if s_code >> (i * m + j) & 1:
                     edges.append((i, j, s_code))
-    return PatternHypergraph("ternary", {"U": m, "V": m, "W": 1 << (m * m)}, frozenset(edges))
+    return PatternHypergraph((m, m, 1 << (m * m)), frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,12 @@ class FunctionGrid:
                     for t in graph.all_tuples()})
 
 
+def _check_slots(grid: FunctionGrid, slots) -> None:
+    for slot in slots:
+        if slot not in grid.mapping:
+            raise ValueError(f"grid missing slot {slot}")
+
+
 # ---------------------------------------------------------------------------
 # IP operators
 # ---------------------------------------------------------------------------
@@ -196,10 +202,7 @@ class FunctionGrid:
 def _ip_check(m: int, grid: FunctionGrid) -> None:
     if m > MAX_IP_M:
         raise CapExceeded(f"m = {m} exceeds the IP cap {MAX_IP_M}")
-    for i in range(1, m + 1):
-        for s in range(1 << m):
-            if (i, s) not in grid.mapping:
-                raise ValueError(f"grid missing slot {(i, s)}")
+    _check_slots(grid, itertools.product(range(1, m + 1), range(1 << m)))
 
 
 def _ip_slots(m: int, grid: FunctionGrid) -> dict:
@@ -254,11 +257,7 @@ def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
 def _ip2_check(m: int, grid: FunctionGrid) -> None:
     if m > MAX_IP2_M:
         raise CapExceeded(f"m = {m} exceeds the IP2 cap {MAX_IP2_M}")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for s in range(1 << (m * m)):
-                if (i, j, s) not in grid.mapping:
-                    raise ValueError(f"grid missing slot {(i, j, s)}")
+    _check_slots(grid, itertools.product(range(1, m + 1), range(1, m + 1), range(1 << (m * m))))
 
 
 def t_ip2(m: int, grid: FunctionGrid) -> complex:
@@ -313,7 +312,7 @@ def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
         raise ValueError("direction tuple does not match factor")
     graph = ip2_hypergraph(m)
     slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
-    return t_ternary(graph, factor, LabelAssignment.constant(graph, d), slots)
+    return t_ternary(TernaryContext(graph, factor, LabelAssignment.constant(graph, d)), slots)
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -397,12 +396,13 @@ def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
                 v_labels, grid: FunctionGrid) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
     f_{u,v}(x_u + y_v): the binary contraction, slot (u, v) reading f_{u,v}."""
-    if graph.kind != "bipartite":
+    if len(graph.parts) != 2:
         raise ValueError("need a bipartite graph")
     if graph.nu > MAX_BIPARTITE_PART or graph.nv > MAX_BIPARTITE_PART:
         raise CapExceeded(f"bipartite parts capped at {MAX_BIPARTITE_PART}")
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
+    _check_slots(grid, graph.all_tuples())
     return _binary_contract(linear.space, _coset_members(linear, u_labels),
                             _coset_members(linear, v_labels),
                             {t: grid[t].values for t in graph.all_tuples()})
@@ -416,7 +416,7 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
     table of the (b_v, a_u) that match, read through the sum table of the
     two cosets. Counts one term per (b's, a_u) candidate it forms and per
     sum-table entry."""
-    if graph.kind != "bipartite":
+    if len(graph.parts) != 2:
         raise ValueError("need a bipartite graph")
     sp = linear.space
     member = np.asarray(member, dtype=bool)
@@ -431,64 +431,52 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
 # ternary multi-local operator
 # ---------------------------------------------------------------------------
 
-def _level_code(factor: QuadraticFactor, label) -> int:
-    if len(label) != factor.q:
-        raise ValueError(f"bilinear label length {len(label)} != q = {factor.q}")
-    return _code(factor.p, label)
-
-
-class _TernaryContext:
-    """Atom codes, member arrays and mu matrices for one labeled hypergraph.
+class TernaryContext:
+    """One labeled ternary pattern: the hypergraph, the factor and the codes
+    of its labels, built once and read by every ternary routine.
 
     `codes` holds the atom code of every vertex (U, then V, then W) and the
     bilinear code of every pair ((u, v), then (u, w), then (v, w), each in
-    lexicographic order)."""
+    lexicographic order). Members, mu matrices and sizes are read from the
+    factor's caches. Raises DegenerateContext when some triple names an
+    empty atom or (with forms) an empty bilinear level set."""
 
     def __init__(self, graph: PatternHypergraph, factor: QuadraticFactor,
                  e: LabelAssignment) -> None:
-        if graph.kind != "ternary":
+        if len(graph.parts) != 3:
             raise ValueError("need a ternary hypergraph")
         if graph.nu > MAX_TERNARY_UV or graph.nv > MAX_TERNARY_UV:
             raise CapExceeded(f"ternary parts U, V capped at {MAX_TERNARY_UV}")
         if graph.nw > 16:
             raise CapExceeded("ternary part W capped at 16")
+        if (len(e.a), len(e.b), len(e.c)) != graph.parts:
+            raise ValueError("need one atom label per vertex")
         self.graph = graph
         self.factor = factor
-        self.e = e
-        nu, nv, nw = graph.nu, graph.nv, graph.nw
-        atoms = [factor.label_code(tuple(lab)) for lab in (*e.a, *e.b, *e.c)]
-        members = [factor._members_by_code[c] for c in atoms]
-        for part, labs, start in (("U", e.a, 0), ("V", e.b, nu), ("W", e.c, nu + nv)):
-            for lab, arr in zip(labs, members[start:]):
-                if arr.size == 0:
-                    raise DegenerateContext(f"atom {tuple(lab)} in part {part} is empty")
-        self.xs, self.ys, self.zs = members[:nu], members[nu:nu + nv], members[nu + nv:]
-        uv = list(itertools.product(range(nu), range(nv)))
-        uw = list(itertools.product(range(nu), range(nw)))
-        vw = list(itertools.product(range(nv), range(nw)))
-        levels = ([_level_code(factor, e.duv[k]) for k in uv]
-                  + [_level_code(factor, e.duw[k]) for k in uw]
-                  + [_level_code(factor, e.dvw[k]) for k in vw])
-        self.codes = tuple(atoms + levels)
-        level = iter(levels)
-        self.muv = {(u, v): mu_weight_matrix(factor, next(level), atoms[u], atoms[nu + v])
-                    for u, v in uv}
-        self.muw = {(u, w): mu_weight_matrix(factor, next(level), atoms[u], atoms[nu + nv + w])
-                    for u, w in uw}
-        self.mvw = {(v, w): mu_weight_matrix(factor, next(level), atoms[nu + v],
-                                             atoms[nu + nv + w]) for v, w in vw}
+        nu, nv, nw = graph.parts
+        levels = ([e.duv[k] for k in itertools.product(range(nu), range(nv))]
+                  + [e.duw[k] for k in itertools.product(range(nu), range(nw))]
+                  + [e.dvw[k] for k in itertools.product(range(nv), range(nw))])
+        for label in levels:
+            if len(label) != factor.q:
+                raise ValueError(f"bilinear label length {len(label)} != q = {factor.q}")
+        self.codes = tuple([factor.label_code(tuple(lab)) for lab in (*e.a, *e.b, *e.c)]
+                           + [_code(factor.p, label) for label in levels])
+        empty = degenerate_directions(factor, self.triples())
+        if empty.any():
+            triple = list(graph.all_tuples())[int(empty.argmax())]
+            raise DegenerateContext(f"triple {triple} names an empty atom or level set")
 
     def triples(self) -> np.ndarray:
         """The direction codes (a_u, b_v, c_w, d_uv, d_uw, d_vw) of every
         triple (u, v, w), in `graph.all_tuples()` order: one gather of
         `codes`."""
-        return np.asarray(self.codes)[_triple_columns(self.graph.nu, self.graph.nv,
-                                                      self.graph.nw)]
+        return np.asarray(self.codes)[_triple_columns(*self.graph.parts)]
 
 
 @functools.lru_cache(maxsize=None)
 def _triple_columns(nu: int, nv: int, nw: int) -> np.ndarray:
-    """The columns of `_TernaryContext.codes` that hold each triple's
+    """The columns of `TernaryContext.codes` that hold each triple's
     direction codes, one row per triple (u, v, w) in lexicographic order."""
     shape = _ternary_shape(nu, nv, nw)
     muv, muw, mvw = (dict(pairs) for pairs in (shape.muv, shape.muw, shape.mvw))
@@ -498,7 +486,7 @@ def _triple_columns(nu: int, nv: int, nw: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _ternary_shape(nu: int, nv: int, nw: int) -> TernaryShape:
-    """The shape of `_TernaryContext.codes` followed by one value column per
+    """The shape of `TernaryContext.codes` followed by one value column per
     slot (u, v, w), in lexicographic order."""
     vertices = nu + nv + nw
     ends = np.cumsum([vertices, nu * nv, nu * nw, nv * nw]).tolist()
@@ -511,7 +499,7 @@ def _ternary_shape(nu: int, nv: int, nw: int) -> TernaryShape:
         tuple(((v, w), ends[2] + v * nw + w) for v in range(nv) for w in range(nw)))
 
 
-def t_ternaries(ctxs: list[_TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
+def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
     """The ternary operator of every labeled hypergraph ctxs[i] on grids[i]:
     one ternary contraction per pattern shape (|U|, |V|, |W|)."""
     if len(ctxs) != len(grids):
@@ -521,14 +509,15 @@ def t_ternaries(ctxs: list[_TernaryContext], grids: list[FunctionGrid]) -> list[
     factor = ctxs[0].factor
     if any(c.factor is not factor for c in ctxs):
         raise ValueError("contexts on different factors")
+    for c, g in zip(ctxs, grids):
+        _check_slots(g, c.graph.all_tuples())
     fs = [g[t] for c, g in zip(ctxs, grids) for t in c.graph.all_tuples()]
     columns, arrays = value_columns(fs, factor.p, factor.n)
     groups: dict[tuple, list] = {}
     start = 0
     for i, c in enumerate(ctxs):
-        shape = (c.graph.nu, c.graph.nv, c.graph.nw)
-        end = start + math.prod(shape)
-        groups.setdefault(shape, []).append((i, c.codes + tuple(columns[start:end])))
+        end = start + math.prod(c.graph.parts)
+        groups.setdefault(c.graph.parts, []).append((i, c.codes + tuple(columns[start:end])))
         start = end
     out = np.zeros(len(ctxs), dtype=np.complex128)
     for shape, rows in groups.items():
@@ -537,72 +526,72 @@ def t_ternaries(ctxs: list[_TernaryContext], grids: list[FunctionGrid]) -> list[
     return [complex(v) for v in out]
 
 
-def t_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
-              e: LabelAssignment, grid: FunctionGrid) -> complex:
+def t_ternary(ctx: TernaryContext, grid: FunctionGrid) -> complex:
     """E over x_u, y_v, z_w in their atoms of all pair measures times the
     product of f_{u,v,w}(x_u + y_v + z_w) over ALL triples; the z_w-averages
     are independent once the x's and y's are fixed. The batch of one of
     `t_ternaries`."""
-    return t_ternaries([_TernaryContext(graph, factor, e)], [grid])[0]
+    return t_ternaries([ctx], [grid])[0]
 
 
-def _ternary_count(ctx: _TernaryContext, member: np.ndarray | None) -> int:
+def _ternary_count(ctx: TernaryContext, member: np.ndarray | None) -> int:
     """The extension count of a labeled hypergraph: the x's and y's are the
     heads, tested by mu(x_u, y_v) != 0, and the z's are free, tested by
     mu(x_u, z_w) != 0 and mu(y_v, z_w) != 0 and, unless member is None, by
     member[x_u + y_v + z_w] == ((u, v, w) in edges)."""
-    graph, sp = ctx.graph, ctx.factor.space
-    nu = graph.nu
-    head_tests = [((u, nu + v), mu != 0.0) for (u, v), mu in ctx.muv.items()]
+    graph, factor, codes = ctx.graph, ctx.factor, ctx.codes
+    nu, nv, nw = graph.parts
+    shape = _ternary_shape(nu, nv, nw)
+    xs, ys, zs = ([factor._members_by_code[codes[c]] for c in cols]
+                  for cols in (shape.xs, shape.ys, shape.zs))
+    muv, muw, mvw = (
+        {(a, b): mu_weight_matrix(factor, codes[col], codes[rows[a]], codes[others[b]]) != 0.0
+         for (a, b), col in pairs}
+        for pairs, rows, others in ((shape.muv, shape.xs, shape.ys),
+                                    (shape.muw, shape.xs, shape.zs),
+                                    (shape.mvw, shape.ys, shape.zs)))
+    head_tests = [((u, nu + v), ok) for (u, v), ok in muv.items()]
     free_tests = []
-    for w in range(graph.nw):
-        tests = [((u,), ctx.muw[(u, w)] != 0.0) for u in range(nu)]
-        tests += [((nu + v,), ctx.mvw[(v, w)] != 0.0) for v in range(graph.nv)]
+    for w in range(nw):
+        tests = [((u,), muw[(u, w)]) for u in range(nu)]
+        tests += [((nu + v,), mvw[(v, w)]) for v in range(nv)]
         if member is not None:
-            tests += [((u, nu + v), member[sp.sum_grid3(ctx.xs[u], ctx.ys[v], ctx.zs[w])]
+            tests += [((u, nu + v), member[factor.space.sum_grid3(xs[u], ys[v], zs[w])]
                        == ((u, v, w) in graph.edges))
-                      for u in range(nu) for v in range(graph.nv)]
+                      for u in range(nu) for v in range(nv)]
         free_tests.append(tests)
-    return _extension_count([a.size for a in ctx.xs + ctx.ys], head_tests, free_tests)
+    return _extension_count([a.size for a in xs + ys], head_tests, free_tests)
 
 
-def if_enumerate(graph: PatternHypergraph, factor: QuadraticFactor,
-                 e: LabelAssignment) -> int:
+def if_enumerate(ctx: TernaryContext) -> int:
     """|I_F(e)|: the number of configurations ((x_u), (y_v), (z_w)) in the
     prescribed atoms satisfying every bilinear pair constraint. The
     extension count of `witness_count_ternary` without its membership
     tests."""
-    return _ternary_count(_TernaryContext(graph, factor, e), None)
+    return _ternary_count(ctx, None)
 
 
-def witness_count_ternary(graph: PatternHypergraph, factor: QuadraticFactor,
-                          e: LabelAssignment, member: np.ndarray,
-                          ctx: _TernaryContext | None = None) -> int:
+def witness_count_ternary(ctx: TernaryContext, member: np.ndarray) -> int:
     """Number of configurations in I_F(e) whose membership pattern matches
     the edge set exactly: x_u + y_v + z_w in A iff (u, v, w) is an edge.
     Once the x's and y's are fixed the z_w are independent, so this is the
-    extension count with the x's and y's as heads. Reads the atoms and mu
-    matrices of ctx, the context of (graph, factor, e), built here when not
-    given. Counts one term per (x's, y's) tuple and pair test, per (kept
-    tuple, z_w) candidate, and per entry of the (x_u, y_v, z_w) sum tables."""
-    if ctx is None:
-        ctx = _TernaryContext(graph, factor, e)
+    extension count with the x's and y's as heads. Counts one term per
+    (x's, y's) tuple and pair test, per (kept tuple, z_w) candidate, and per
+    entry of the (x_u, y_v, z_w) sum tables."""
     return _ternary_count(ctx, np.asarray(member, dtype=bool))
 
 
-def ternary_normalization(graph: PatternHypergraph, factor: QuadraticFactor,
-                          e: LabelAssignment, ctx: _TernaryContext | None = None) -> Fraction:
+def ternary_normalization(ctx: TernaryContext) -> Fraction:
     """The exact factor turning T_F(e)(1_A | 1_A^c) into the witness count:
     product of all atom sizes times product over pairs of |beta| / p^(2n),
-    as one integer numerator and denominator. Reads the atoms of ctx, the
-    context of (graph, factor, e), built here when not given."""
-    if ctx is None:
-        ctx = _TernaryContext(graph, factor, e)
-    num = math.prod(arr.size for arr in (*ctx.xs, *ctx.ys, *ctx.zs))
+    as one integer numerator and denominator."""
+    factor = ctx.factor
+    vertices = sum(ctx.graph.parts)
+    num = math.prod(factor.atom_sizes[list(ctx.codes[:vertices])].tolist())
     if factor.q == 0:
         return Fraction(num)
-    levels = ctx.codes[len(ctx.xs) + len(ctx.ys) + len(ctx.zs):]
-    num *= math.prod(beta_code_sizes(factor)[list(levels)].tolist())
+    levels = list(ctx.codes[vertices:])
+    num *= math.prod(beta_code_sizes(factor)[levels].tolist())
     return Fraction(num, factor.p ** (2 * factor.n * len(levels)))
 
 

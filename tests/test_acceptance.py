@@ -50,6 +50,7 @@ from qflab.pattern_ops import (
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
+    TernaryContext,
     bipartite_normalization,
     t_bipartite,
     t_ternary,
@@ -151,7 +152,7 @@ def test_exact_identities():
         trial = np.random.default_rng((2000, seed))
         edges = frozenset((u, v) for u in range(2) for v in range(2)
                           if trial.random() < 0.5)
-        graph = PatternHypergraph("bipartite", {"U": 2, "V": 2}, edges)
+        graph = PatternHypergraph((2, 2), edges)
         u_labels = [tuple(int(v) for v in trial.integers(0, 3, 2)) for _ in range(2)]
         v_labels = [tuple(int(v) for v in trial.integers(0, 3, 2)) for _ in range(2)]
         mask, ind, indc = _indicator_pair(trial, 27)
@@ -166,13 +167,12 @@ def test_exact_identities():
         trial = np.random.default_rng((3000, seed))
         edges = frozenset(t for t in itertools.product(range(2), repeat=3)
                           if trial.random() < 0.5)
-        graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2}, edges)
-        e = LabelAssignment.constant(graph, d3)
+        graph = PatternHypergraph((2, 2, 2), edges)
+        ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d3))
         mask, ind, indc = _indicator_pair(trial, 27)
-        val = t_ternary(graph, factor, e,
-                        FunctionGrid.edge_select(graph, ind, indc))
-        count = witness_count_ternary(graph, factor, e, mask)
-        scaled = val.real * float(ternary_normalization(graph, factor, e))
+        val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
+        count = witness_count_ternary(ctx, mask)
+        scaled = val.real * float(ternary_normalization(ctx))
         assert round(scaled) == count and abs(scaled - count) <= 1e-6 * max(1, count)
 
     print(f"exact identities ok: target-atom sweep {sigma_secs:.1f}s "
@@ -196,7 +196,7 @@ def test_inequality_suites(reports):
     # pair-grid control: the average over prescribed cosets never exceeds
     # the smallest pairwise coset-local square norm
     lin = new_linear_factor(3, 3, [(1, 0, 0), (0, 1, 0)])
-    graph = PatternHypergraph("bipartite", {"U": 2, "V": 2}, frozenset())
+    graph = PatternHypergraph((2, 2))
     for seed in range(10):
         rng = np.random.default_rng((4000, seed))
         u_labels = [tuple(int(v) for v in rng.integers(0, 3, 2)) for _ in range(2)]

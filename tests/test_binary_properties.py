@@ -88,7 +88,7 @@ def test_bipartite_matches_an_explicit_loop_on_random_cosets(shape, nu, nv, seed
     linear = _random_linear(rng, p, n, ell)
     u_labels = [_label(rng, p, ell) for _ in range(nu)]
     v_labels = [_label(rng, p, ell) for _ in range(nv)]
-    graph = PatternHypergraph("bipartite", {"U": nu, "V": nv})
+    graph = PatternHypergraph((nu, nv))
     grid = FunctionGrid({t: _bounded(rng, p, n) for t in graph.all_tuples()})
     xs = [linear.coset_indices(lab).tolist() for lab in u_labels]
     ys = [linear.coset_indices(lab).tolist() for lab in v_labels]

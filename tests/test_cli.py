@@ -263,6 +263,15 @@ def test_thread_count_never_changes_the_bytes(capsys):
     assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize("name", ["genbilsums-trend", "config-regularity-trend"])
+def test_mu_matrix_past_its_cap_exits_two(monkeypatch, capsys, name):
+    # at p = 7, n = 7 one mu matrix would take 2 GiB; the cap refuses it
+    # before allocating, as a config problem
+    monkeypatch.setattr("qflab.factor.MU_CAP", 8)
+    assert main(["run", name]) == 2
+    assert "exceeds the mu cap 8" in capsys.readouterr().err
+
+
 def test_dependent_subgroup_basis_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"subgroup_basis": [[0, 0, 1, 0], [0, 0, 2, 0]]}')

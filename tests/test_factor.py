@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qflab.errors import DegenerateContext, DependentVectors, TooManyForms
+from qflab import factor as factor_module
+from qflab.errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from qflab.factor import (
     AtomLabel,
     DirectionTuple2,
@@ -119,6 +120,17 @@ def test_empty_level_set_refuses_a_measure():
     assert bilinear_level_sizes(factor)[(1,)] == 0
     with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
         mu_weight_matrix(factor, 1, 0, 0)
+
+
+def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
+    factor = _identity_factor(3, 3, ell=1)
+    rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
+    entries = int(factor.atom_sizes[rows] * factor.atom_sizes[cols])
+    monkeypatch.setattr(factor_module, "MU_CAP", entries - 1)
+    with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
+        mu_weight_matrix(factor, 2, rows, cols)
+    monkeypatch.setattr(factor_module, "MU_CAP", entries)
+    assert mu_weight_matrix(factor, 2, rows, cols).size == entries
 
 
 def test_mu_weight_matrix_is_memoized_read_only():

@@ -244,6 +244,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     from qflab.pattern_ops import (
         FunctionGrid,
         LabelAssignment,
+        TernaryContext,
         ip2_hypergraph,
         t_ip2,
         t_ip2_local,
@@ -259,7 +260,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     calls = [
         lambda: local_u3_inner(ctx, [f] * 8),
         lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
-        lambda: t_ternary(graph, factor, LabelAssignment.constant(graph, d),
+        lambda: t_ternary(TernaryContext(graph, factor, LabelAssignment.constant(graph, d)),
                           FunctionGrid.edge_select(graph, f, f)),
         lambda: weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)]),
     ]
@@ -290,7 +291,7 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
     lin = new_linear_factor(3, 3, [(1, 0, 0)])
     ctx = LocalContext2(lin, DirectionTuple2(3, (1,), (2,)))
     f = _random_f(3, 3, seed=61)
-    graph = PatternHypergraph("bipartite", {"U": 1, "V": 2})
+    graph = PatternHypergraph((1, 2))
     # 9-point cosets: every sum table and average holds at most 9 x 9
     # entries; the global m = 2 IP holds 27 x 27
     local_calls = [

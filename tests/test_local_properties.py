@@ -39,6 +39,7 @@ from qflab.pattern_ops import (  # noqa: E402
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
+    TernaryContext,
     t_ip2,
     t_ip2_local,
     t_ip2_per_s_oracle,
@@ -301,7 +302,7 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
     rng = np.random.default_rng(500 + seed)
     x, y, z = (rng.integers(0, 27, 2) for _ in range(3))
     member = rng.random(27) < 0.5
-    graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2}, frozenset(
+    graph = PatternHypergraph((2, 2, 2), frozenset(
         (u, v, w) for u, v, w in itertools.product(range(2), repeat=3)
         if member[sp.add(sp.add(int(x[u]), int(y[v])), int(z[w]))]))
 
@@ -315,12 +316,13 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
         {(u, v): level(x[u], y[v]) for u in range(2) for v in range(2)},
         {(u, w): level(x[u], z[w]) for u in range(2) for w in range(2)},
         {(v, w): level(y[v], z[w]) for v in range(2) for w in range(2)})
+    ctx = TernaryContext(graph, factor, e)
     ind = GroupFunction.indicator(3, 3, np.flatnonzero(member))
     indc = GroupFunction.indicator(3, 3, np.flatnonzero(~member))
     sizes = [[factor.atom_indices(lab).size for lab in part] for part in (e.a, e.c)]
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", _block_budget(*sizes, rows)):
-        val = t_ternary(graph, factor, e, FunctionGrid.edge_select(graph, ind, indc))
-    count = witness_count_ternary(graph, factor, e, member)
+        val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
+    count = witness_count_ternary(ctx, member)
     assert count > 0
-    norm = float(ternary_normalization(graph, factor, e))
+    norm = float(ternary_normalization(ctx))
     assert val.real * norm == pytest.approx(count, abs=1e-6 * count)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from qflab.pattern_ops import (
     FunctionGrid,
     LabelAssignment,
     PatternHypergraph,
-    _TernaryContext,
+    TernaryContext,
     bipartite_normalization,
     if_enumerate,
     ip2_hypergraph,
@@ -206,24 +207,22 @@ def test_ternary_operator_reproduces_local_ip2(m):
     f_out = _random_f(3, 3, seed=80 + m)
     via_ip2 = t_ip2_local(
         m, factor, d, FunctionGrid.ip2_select(m, f_in, f_out))
-    e = LabelAssignment.constant(graph, d)
-    via_ternary = t_ternary(
-        graph, factor, e, FunctionGrid.edge_select(graph, f_in, f_out))
+    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
+    via_ternary = t_ternary(ctx, FunctionGrid.edge_select(graph, f_in, f_out))
     assert via_ternary == pytest.approx(via_ip2, abs=1e-9)
 
 
 def test_ternary_average_is_linear_in_one_slot():
     factor = _mixed_factor()
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    graph = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 2},
-                              frozenset({(0, 0, 0)}))
-    e = LabelAssignment.constant(graph, d)
+    graph = PatternHypergraph((1, 1, 2), frozenset({(0, 0, 0)}))
+    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
     f = _random_f(3, 3, seed=4)
     grid = FunctionGrid({t: f for t in graph.all_tuples()})
-    base = t_ternary(graph, factor, e, grid)
+    base = t_ternary(ctx, grid)
     tweaked = dict(grid.mapping)
     tweaked[(0, 0, 1)] = f.scale(2.0 + 0.5j)
-    assert t_ternary(graph, factor, e, FunctionGrid(tweaked)) == pytest.approx(
+    assert t_ternary(ctx, FunctionGrid(tweaked)) == pytest.approx(
         (2.0 + 0.5j) * base, abs=1e-10)
 
 
@@ -233,7 +232,7 @@ def test_bipartite_witness_identity(seed):
     rng = np.random.default_rng(100 + seed)
     edges = frozenset((u, v) for u in range(2) for v in range(2)
                       if rng.random() < 0.5)
-    graph = PatternHypergraph("bipartite", {"U": 2, "V": 2}, edges)
+    graph = PatternHypergraph((2, 2), edges)
     u_labels = [tuple(rng.integers(0, 3, size=2)) for _ in range(2)]
     v_labels = [tuple(rng.integers(0, 3, size=2)) for _ in range(2)]
     mask, ind, indc = _indicator_pair(3, 3, seed=200 + seed)
@@ -252,51 +251,45 @@ def test_ternary_witness_identity(seed):
     rng = np.random.default_rng(300 + seed)
     edges = frozenset(t for t in itertools.product(range(2), repeat=3)
                       if rng.random() < 0.5)
-    graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2}, edges)
+    graph = PatternHypergraph((2, 2, 2), edges)
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    e = LabelAssignment.constant(graph, d)
+    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
     mask, ind, indc = _indicator_pair(3, 3, seed=400 + seed)
-    val = t_ternary(graph, factor, e, FunctionGrid.edge_select(graph, ind, indc))
+    val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
     assert abs(val.imag) <= 1e-12
-    count = witness_count_ternary(graph, factor, e, mask)
-    norm = ternary_normalization(graph, factor, e)
+    count = witness_count_ternary(ctx, mask)
+    norm = ternary_normalization(ctx)
     assert isinstance(norm, Fraction)
     assert val.real * float(norm) == pytest.approx(count, abs=1e-6 * max(1, count))
 
 
 def test_one_context_per_pattern_serves_every_ternary_routine():
-    # a prebuilt context gives what the routines give when they build their
-    # own, its triples' codes and mu matrices are LocalContext3's, and one batch of
-    # operators (x_0, x_1 one atom in one, two atoms in the other) matches
-    # the operators one at a time
+    # one context per labeled pattern serves the operator, the witness count
+    # and the normalization, its triples' codes are LocalContext3's, and one
+    # batch of operators (x_0, x_1 one atom in one, two atoms in the other)
+    # matches the operators one at a time
     factor = _mixed_factor()
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (1,), (2,))
-    graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2},
+    graph = PatternHypergraph((2, 2, 2),
                               frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
     same = LabelAssignment.constant(graph, d)
     mixed = LabelAssignment(((0, 1), (1, 0)), same.b, ((2, 1), (2, 2)),
                             same.duv, same.duw, same.dvw)
     mask, ind, indc = _indicator_pair(3, 3, seed=500)
     grid = FunctionGrid.edge_select(graph, ind, indc)
-    ctxs = [_TernaryContext(graph, factor, e) for e in (same, mixed)]
-    for ctx, e in zip(ctxs, (same, mixed)):
-        count = witness_count_ternary(graph, factor, e, mask, ctx)
-        assert count == witness_count_ternary(graph, factor, e, mask)
-        norm = ternary_normalization(graph, factor, e, ctx)
-        assert norm == ternary_normalization(graph, factor, e)
-        assert t_ternary(graph, factor, e, grid).real * float(norm) == pytest.approx(
-            count, abs=1e-6 * max(1, count))
-        triples = ctx.triples()
-        for row, (u, v, w) in zip(triples, graph.all_tuples()):
+    ctxs = [TernaryContext(graph, factor, e) for e in (same, mixed)]
+    singles = [t_ternary(ctx, grid) for ctx in ctxs]
+    for ctx, e, single in zip(ctxs, (same, mixed), singles):
+        count = witness_count_ternary(ctx, mask)
+        norm = ternary_normalization(ctx)
+        assert single.real * float(norm) == pytest.approx(count, abs=1e-6 * max(1, count))
+        for row, (u, v, w) in zip(ctx.triples(), graph.all_tuples()):
             built = LocalContext3(factor, DirectionTuple3(3, e.a[u], e.b[v], e.c[w], e.duv[(u, v)],
                                                           e.duw[(u, w)], e.dvw[(v, w)]))
             assert tuple(row.tolist()) == built.codes
             assert sigma3_codes(factor, row).tolist() == [factor.label_code(built.sigma.values)]
-            for name, mu in (("mu12", ctx.muv[(u, v)]), ("mu13", ctx.muw[(u, w)]),
-                             ("mu23", ctx.mvw[(v, w)])):
-                assert getattr(built, name) is mu
-    for got, e in zip(t_ternaries(ctxs, [grid] * 2), (same, mixed)):
-        assert got == pytest.approx(t_ternary(graph, factor, e, grid), rel=1e-12)
+    for got, single in zip(t_ternaries(ctxs, [grid] * 2), singles):
+        assert got == pytest.approx(single, rel=1e-12)
 
 
 def test_bipartite_witness_count_in_several_blocks(monkeypatch):
@@ -304,8 +297,7 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
     # loop's count; every (b's, a_u) candidate is counted, and each pair's
     # sum table
     lin = new_linear_factor(3, 3, [(1, 0, 0)])
-    graph = PatternHypergraph("bipartite", {"U": 2, "V": 3},
-                              frozenset({(0, 0), (0, 2), (1, 1)}))
+    graph = PatternHypergraph((2, 3), frozenset({(0, 0), (0, 2), (1, 1)}))
     u_labels, v_labels = [(0,), (1,)], [(2,), (0,), (2,)]
     mask = np.random.default_rng(600).random(27) < 0.5
     sp = lin.space
@@ -330,18 +322,30 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
 LOOP_CAP = 1 << 22
 
 
-def _witness_count_loop(ctx, member=None) -> int:
-    """Configurations of the labeled hypergraph ctx whose pair weights are
-    all nonzero and, unless member is None, whose memberships match the
-    edges: explicit loops over the (x, y) tuples and the heads of the z's,
-    the last W-vertex tested in a vectorized sweep."""
-    graph, xs, ys, zs = ctx.graph, ctx.xs, ctx.ys, ctx.zs
+def _witness_count_loop(graph, factor, e, member=None) -> int:
+    """Configurations of the labeled hypergraph (graph, e) whose pairs all
+    lie in their bilinear level sets and, unless member is None, whose
+    memberships match the edges: explicit loops over the (x, y) tuples and
+    the heads of the z's, the last W-vertex tested in a vectorized sweep.
+    Members come from the factor's atoms and pair tests from its forms."""
+    xs, ys, zs = ([factor.atom_indices(lab) for lab in part] for part in (e.a, e.b, e.c))
     if math.prod(a.size for a in xs + ys + zs) > LOOP_CAP:
         raise CapExceeded("witness loop too large")
-    sp = ctx.factor.space
-    muv = {k: m != 0.0 for k, m in ctx.muv.items()}
-    muw = {k: m != 0.0 for k, m in ctx.muw.items()}
-    mvw = {k: m != 0.0 for k, m in ctx.mvw.items()}
+    sp = factor.space
+    digits = sp.digits.astype(np.int64)
+
+    def level(rows, cols, label):
+        ok = np.ones((rows.size, cols.size), dtype=bool)
+        for form, b in zip(factor.forms, label):
+            ok &= digits[rows] @ form.as_array() @ digits[cols].T % factor.p == b
+        return ok
+
+    muv = {(u, v): level(xs[u], ys[v], e.duv[(u, v)])
+           for u in range(graph.nu) for v in range(graph.nv)}
+    muw = {(u, w): level(xs[u], zs[w], e.duw[(u, w)])
+           for u in range(graph.nu) for w in range(graph.nw)}
+    mvw = {(v, w): level(ys[v], zs[w], e.dvw[(v, w)])
+           for v in range(graph.nv) for w in range(graph.nw)}
 
     def matches(u, v, w, z):
         if member is None:
@@ -428,26 +432,25 @@ def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
     nonzero = set()
     for trial in range(9):
         member = rng.random(sp.size) < 0.5
-        e, (x, y, z) = _random_assignment(
-            factor, PatternHypergraph("ternary", dict(zip("UVW", shape))), rng, trial % 3 > 0)
+        e, (x, y, z) = _random_assignment(factor, PatternHypergraph(shape), rng, trial % 3 > 0)
         if trial % 3 == 2:
             edges = {(u, v, w) for u, v, w in cells
                      if member[sp.add(sp.add(x[u], y[v]), z[w])]}
         else:
             edges = {c for c in cells if rng.random() < 0.5}
-        graph = PatternHypergraph("ternary", dict(zip("UVW", shape)), frozenset(edges))
+        graph = PatternHypergraph(shape, frozenset(edges))
         try:
-            ctx = _TernaryContext(graph, factor, e)
+            ctx = TernaryContext(graph, factor, e)
         except DegenerateContext:
             continue
-        count = witness_count_ternary(graph, factor, e, member, ctx)
-        configurations = if_enumerate(graph, factor, e)
-        assert count == _witness_count_loop(ctx, member)
-        assert configurations == _witness_count_loop(ctx)
+        count = witness_count_ternary(ctx, member)
+        configurations = if_enumerate(ctx)
+        assert count == _witness_count_loop(graph, factor, e, member)
+        assert configurations == _witness_count_loop(graph, factor, e)
         nonzero |= {"count"} if count else set()
         nonzero |= {"configurations"} if configurations else set()
-        heads = math.prod(a.size for a in ctx.xs + ctx.ys)
-        step = max(1, 40 // max(a.size for a in ctx.zs))
+        heads = math.prod(factor.atom_indices(lab).size for lab in e.a + e.b)
+        step = max(1, 40 // max(factor.atom_indices(lab).size for lab in e.c))
         partial_blocks += heads > step and heads % step > 0
         compared += 1
     assert compared >= 6 and partial_blocks > 0
@@ -457,43 +460,36 @@ def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
 def test_extension_count_past_int64():
     # twelve free 49-point atoms, each passing whole, over 49^2 head tuples
     factor = _trivial_factor(7, 2)
-    graph = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 12}, frozenset())
-    e = LabelAssignment.constant(graph, DirectionTuple3(7, (), (), (), (), (), ()))
-    count = witness_count_ternary(graph, factor, e, np.zeros(49, dtype=bool))
-    assert count == if_enumerate(graph, factor, e) == 49 ** 14 > 1 << 63
+    graph = PatternHypergraph((1, 1, 12))
+    ctx = TernaryContext(graph, factor, LabelAssignment.constant(
+        graph, DirectionTuple3(7, (), (), (), (), (), ())))
+    count = witness_count_ternary(ctx, np.zeros(49, dtype=bool))
+    assert count == if_enumerate(ctx) == 49 ** 14 > 1 << 63
 
 
 def test_configuration_count_matches_direct_masks():
     factor = _mixed_factor()
-    graph = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 1},
-                              frozenset({(0, 0, 0)}))
+    graph = PatternHypergraph((1, 1, 1), frozenset({(0, 0, 0)}))
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (1,), (2,), (0,))
-    e = LabelAssignment.constant(graph, d)
+    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
     xs, ys, zs = (factor.label_code(a) for a in ((0, 1), (1, 2), (2, 1)))
     m12 = mu_weight_matrix(factor, 1, xs, ys) != 0.0
     m13 = mu_weight_matrix(factor, 2, xs, zs) != 0.0
     m23 = mu_weight_matrix(factor, 0, ys, zs) != 0.0
     direct = int(np.einsum("xy,xz,yz->", m12.astype(np.int64),
                            m13.astype(np.int64), m23.astype(np.int64)))
-    assert if_enumerate(graph, factor, e) == direct
+    assert if_enumerate(ctx) == direct
 
 
 def test_witness_count_collapses_for_extreme_sets():
     factor = _mixed_factor()
     d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    complete = PatternHypergraph(
-        "ternary", {"U": 2, "V": 2, "W": 2},
-        frozenset(itertools.product(range(2), repeat=3)))
-    e = LabelAssignment.constant(complete, d)
-    everything = np.ones(27, dtype=bool)
-    assert witness_count_ternary(complete, factor, e, everything) == \
-        if_enumerate(complete, factor, e)
-    empty_graph = PatternHypergraph("ternary", {"U": 2, "V": 2, "W": 2},
-                                    frozenset())
-    e2 = LabelAssignment.constant(empty_graph, d)
-    nothing = np.zeros(27, dtype=bool)
-    assert witness_count_ternary(empty_graph, factor, e2, nothing) == \
-        if_enumerate(empty_graph, factor, e2)
+    complete = PatternHypergraph((2, 2, 2), frozenset(itertools.product(range(2), repeat=3)))
+    ctx = TernaryContext(complete, factor, LabelAssignment.constant(complete, d))
+    assert witness_count_ternary(ctx, np.ones(27, dtype=bool)) == if_enumerate(ctx)
+    empty_graph = PatternHypergraph((2, 2, 2))
+    ctx2 = TernaryContext(empty_graph, factor, LabelAssignment.constant(empty_graph, d))
+    assert witness_count_ternary(ctx2, np.zeros(27, dtype=bool)) == if_enumerate(ctx2)
 
 
 def test_weighted_density_extremes():
@@ -559,37 +555,82 @@ def test_caps():
         ip2_hypergraph(3)
     with pytest.raises(CapExceeded):
         t_ip2(3, FunctionGrid.ip2_diagonal(1, f))
-    wide = PatternHypergraph("bipartite", {"U": 4, "V": 1}, frozenset())
+    wide = PatternHypergraph((4, 1))
     lin = new_linear_factor(3, 1, [])
     with pytest.raises(CapExceeded):
         t_bipartite(wide, lin, [()] * 4, [()],
                     FunctionGrid({(u, 0): f for u in range(4)}))
-    tall = PatternHypergraph("ternary", {"U": 3, "V": 1, "W": 1}, frozenset())
+    flat = DirectionTuple3(3, (), (), (), (), (), ())
     factor = _trivial_factor(3, 1)
-    e = LabelAssignment.constant(tall, DirectionTuple3(3, (), (), (), (), (), ()))
-    with pytest.raises(CapExceeded):
-        t_ternary(tall, factor, e,
-                  FunctionGrid({t: f for t in tall.all_tuples()}))
+    for tall in (PatternHypergraph((3, 1, 1)), PatternHypergraph((1, 1, 17))):
+        with pytest.raises(CapExceeded):
+            TernaryContext(tall, factor, LabelAssignment.constant(tall, flat))
     # |W| = 3 is counted, and the count is the loop twin's
-    deep = PatternHypergraph("ternary", {"U": 1, "V": 1, "W": 3},
-                             frozenset({(0, 0, 0), (0, 0, 2)}))
-    e3 = LabelAssignment.constant(deep, DirectionTuple3(3, (), (), (), (), (), ()))
+    deep = PatternHypergraph((1, 1, 3), frozenset({(0, 0, 0), (0, 0, 2)}))
+    e3 = LabelAssignment.constant(deep, flat)
     member = np.array([True, False, True])
-    count = witness_count_ternary(deep, factor, e3, member)
-    assert count == _witness_count_loop(_TernaryContext(deep, factor, e3), member) > 0
+    count = witness_count_ternary(TernaryContext(deep, factor, e3), member)
+    assert count == _witness_count_loop(deep, factor, e3, member) > 0
 
 
 def test_grid_validation():
     f = _random_f(3, 1, seed=7)
     with pytest.raises(ValueError):
         FunctionGrid({})
-    with pytest.raises(ValueError):
-        t_ip(1, FunctionGrid({(1, 0): f}))
+    # every pattern routine names the first slot its grid lacks
+    lin = new_linear_factor(3, 1, [])
+    flat = _trivial_factor(3, 1)
+    ternary = PatternHypergraph((1, 1, 2))
+    ctx = TernaryContext(ternary, flat, LabelAssignment.constant(
+        ternary, DirectionTuple3(3, (), (), (), (), (), ())))
+    calls = {
+        (1, 1): lambda: t_ip(1, FunctionGrid({(1, 0): f})),
+        (1, 0): lambda: t_ip_local(1, lin, DirectionTuple2(3, (), ()), FunctionGrid({(1, 1): f})),
+        (1, 1, 1): lambda: t_ip2(1, FunctionGrid({(1, 1, 0): f})),
+        (1, 1, 0): lambda: t_ip2_local(1, flat, DirectionTuple3(3, (), (), (), (), (), ()),
+                                       FunctionGrid({(1, 1, 1): f})),
+        (0, 1): lambda: t_bipartite(PatternHypergraph((1, 2)), lin, [()], [(), ()],
+                                    FunctionGrid({(0, 0): f})),
+        (0, 0, 1): lambda: t_ternaries([ctx], [FunctionGrid({(0, 0, 0): f})]),
+    }
+    for slot, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^grid missing slot {re.escape(str(slot))}$"):
+            call()
     # a direction tuple over another prime is refused, not read as labels mod p
     factor = _mixed_factor()
     grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 3, seed=8))
     with pytest.raises(ValueError):
         t_ip2_local(1, factor, DirectionTuple3(5, (1, 1), (1, 2), (2, 1), (0,), (0,), (0,)), grid)
+
+
+def test_pattern_hypergraph_is_its_parts_and_edges():
+    graph = PatternHypergraph([2, 1, 3], [(1, 0, 2)])
+    assert (graph.parts, graph.edges) == ((2, 1, 3), frozenset({(1, 0, 2)}))
+    assert list(graph.all_tuples()) == list(itertools.product(range(2), range(1), range(3)))
+    for parts, edges in (((2,), ()), ((1, 1, 1, 1), ()), ((2, 0), ()),
+                         ((2, 2), [(0, 1, 0)]), ((2, 2, 2), [(0, 1)]),
+                         ((2, 2), [(0, 2)]), ((1, 1, 2), [(0, 0, -1)])):
+        with pytest.raises(ValueError):
+            PatternHypergraph(parts, edges)
+
+
+def test_ternary_context_refuses_empty_atoms_and_levels():
+    # x1 = 0 and x.x = 2 meet nowhere in F_3^2; the zero form has no pair at
+    # level 1
+    graph = PatternHypergraph((1, 1, 2))
+    coset = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [np.eye(2, dtype=np.int64)])
+    zero = new_quadratic_factor(new_linear_factor(3, 2, []), [np.zeros((2, 2), dtype=np.int64)])
+    for factor, d in ((coset, DirectionTuple3(3, (0, 1), (0, 1), (0, 2), (0,), (0,), (0,))),
+                      (zero, DirectionTuple3(3, (0,), (0,), (0,), (0,), (0,), (1,)))):
+        with pytest.raises(DegenerateContext, match=r"^triple \(0, 0, \d\) names an empty"):
+            TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
+    # labels of the wrong count or width are refused before any code is read
+    e = LabelAssignment.constant(graph, DirectionTuple3(3, (0, 1), (0, 1), (0, 1),
+                                                        (0,), (0,), (0,)))
+    for bad in (LabelAssignment(e.a, e.b, e.c[:1], e.duv, e.duw, e.dvw),
+                LabelAssignment(e.a, e.b, e.c, {(0, 0): (0, 0)}, e.duw, e.dvw)):
+        with pytest.raises(ValueError):
+            TernaryContext(graph, coset, bad)
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -598,7 +639,7 @@ def test_ternary_normalization_is_the_product_of_its_fractions(q):
     # atom sizes and the |beta| / p^(2n) ratios taken one Fraction at a time
     factor = _mixed_factor() if q else new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]),
                                                             [])
-    graph = PatternHypergraph("ternary", {"U": 2, "V": 1, "W": 2}, frozenset({(0, 0, 1)}))
+    graph = PatternHypergraph((2, 1, 2), frozenset({(0, 0, 1)}))
     width = (0,) * q
     e = LabelAssignment(((0, 1)[:1 + q], (1, 2)[:1 + q]), ((2, 1)[:1 + q],),
                         ((0, 0)[:1 + q], (1, 1)[:1 + q]),
@@ -606,14 +647,13 @@ def test_ternary_normalization_is_the_product_of_its_fractions(q):
                         {(u, w): tuple((u + w) % 3 for _ in width) for u in range(2)
                          for w in range(2)},
                         {(0, w): tuple((w + 1) % 3 for _ in width) for w in range(2)})
-    ctx = _TernaryContext(graph, factor, e)
     want = Fraction(1)
-    for arr in (*ctx.xs, *ctx.ys, *ctx.zs):
-        want *= arr.size
+    for lab in (*e.a, *e.b, *e.c):
+        want *= factor.atom_indices(lab).size
     if q:
         sizes = bilinear_level_sizes(factor)
         for d in (*e.duv.values(), *e.duw.values(), *e.dvw.values()):
             want *= Fraction(sizes[d], 3 ** 6)
-    got = ternary_normalization(graph, factor, e, ctx)
+    got = ternary_normalization(TernaryContext(graph, factor, e))
     assert isinstance(got, Fraction) and got == want
     assert got.denominator > 1 if q else got.denominator == 1
