@@ -252,7 +252,7 @@ def density_profile(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[dict,
     """Exact per-atom densities of A over the factor's nonempty atoms, and
     the number of empty atoms (excluded from the profile)."""
     inside, sizes = _atom_counts(mask, factor)
-    densities = {label.values: Fraction(int(i), int(s))
+    densities = {label: Fraction(int(i), int(s))
                  for label, i, s in zip(factor.all_labels(), inside, sizes) if s}
     return densities, int((sizes == 0).sum())
 

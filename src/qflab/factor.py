@@ -2,7 +2,10 @@
 
 A linear factor is a list of linearly independent vectors r_1, ..., r_l; a
 quadratic factor adds symmetric forms M_1, ..., M_q. Atoms are the joint
-level sets {x : x^T r_i = a_i, x^T M_j x = b_j}. The rank of a quadratic
+level sets {x : x^T r_i = a_i, x^T M_j x = b_j}. A factor is its codes:
+each point's label (a_1, ..., a_l, b_1, ..., b_q), read in base p, summed
+from `GroupSpace.form_values`. A label is a plain tuple, and the bilinear
+level-set sizes are one array by level code. The rank of a quadratic
 factor is the minimum rank over all nontrivial combinations of its forms;
 high rank makes atoms and bilinear level sets near-equidistributed, which is
 what the trend experiments measure.
@@ -29,17 +32,6 @@ from .fpn_core import (
 
 MAX_FORMS = 6
 MU_CAP = 1 << 26  # entry cap of one mu weight matrix
-
-
-@dataclass(frozen=True)
-class AtomLabel:
-    """Joint level-set label: l linear entries followed by q quadratic ones."""
-
-    p: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) % self.p for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -85,18 +77,14 @@ class DirectionTuple3:
 class _LabelIndex:
     """Canonical-index members grouped by joint label.
 
-    Subclasses set `p`, the label `width` and a `label_table` of shape
-    (p^n, width); a label's code is its little-endian base-p value. Each
-    table counts its p^n x width entries when it is first built.
+    Subclasses set `p`, the label `width` and `_codes`, every point's label
+    as its little-endian base-p value (its code), one int64 per point. Each
+    counts p^n x width terms when it is first built.
     """
 
     p: int
     width: int
-    label_table: np.ndarray
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        return self.label_table @ (self.p ** np.arange(self.width, dtype=np.int64))
+    _codes: np.ndarray
 
     @cached_property
     def atom_sizes(self) -> np.ndarray:
@@ -120,7 +108,7 @@ class _LabelIndex:
         return [row[:size] for row, size in zip(self.member_table, self.atom_sizes.tolist())]
 
     def label_code(self, label) -> int:
-        vals = _label_values(label)
+        vals = tuple(int(v) for v in label)
         if len(vals) != self.width:
             raise ValueError(f"label length {len(vals)} != {self.width}")
         return _code(self.p, vals)
@@ -137,8 +125,6 @@ class LinearFactor(_LabelIndex):
             rows.append(v.coords)
         if rows and rank_mod_p(np.array(rows, dtype=np.int64), p) != len(rows):
             raise DependentVectors("linear part is not independent")
-        if len(rows) > n:
-            raise DependentVectors("more vectors than the dimension allows")
         self.p = p
         self.n = n
         self.vectors = tuple(vectors)
@@ -147,11 +133,12 @@ class LinearFactor(_LabelIndex):
         self._rows = np.array(rows, dtype=np.int64).reshape(self.ell, n)
 
     @cached_property
-    def label_table(self) -> np.ndarray:
-        """Per-index linear labels, shape (p^n, l)."""
+    def _codes(self) -> np.ndarray:
         count_terms(self.space.size * self.width)
-        digits = self.space.digits.astype(np.int64)
-        return (digits @ self._rows.T) % self.p
+        codes = np.zeros(self.space.size, dtype=np.int64)
+        for i, row in enumerate(self._rows):
+            codes += self.space.form_values(r=row) * self.p ** i
+        return codes
 
     def coset_indices(self, label: tuple[int, ...]) -> np.ndarray:
         """Canonical-index members of the coset L(label); size is p^(n-l)."""
@@ -183,12 +170,9 @@ class QuadraticFactor(_LabelIndex):
         self.q = len(forms)
         self.width = self.ell + self.q
         self.space = linear.space
-        self.rank = self._compute_rank()
-
-    def _compute_rank(self) -> int:
         # minimum rank over the nontrivial form combinations; sentinel n+1
         # when there are no forms at all
-        return min((r for _, r in self._line_ranks), default=self.n + 1)
+        self.rank = min((r for _, r in self._line_ranks), default=self.n + 1)
 
     @cached_property
     def _line_ranks(self) -> list[tuple[np.ndarray, int]]:
@@ -208,29 +192,22 @@ class QuadraticFactor(_LabelIndex):
         return out
 
     @cached_property
-    def label_table(self) -> np.ndarray:
-        """Per-index joint labels, shape (p^n, l+q)."""
+    def _codes(self) -> np.ndarray:
         count_terms(self.space.size * self.width)
-        digits = self.space.digits.astype(np.int64)
-        cols = [self.linear.label_table]
-        for m in self.forms:
-            vals = np.einsum("xi,ij,xj->x", digits, m.as_array(), digits) % self.p
-            cols.append(vals[:, None])
-        return np.concatenate(cols, axis=1)
+        codes = self.linear._codes
+        for j, m in enumerate(self.forms):
+            codes = codes + self.space.form_values(m.as_array()) * self.p ** (self.ell + j)
+        return codes
 
     def atom_indices(self, label) -> np.ndarray:
         return self._members_by_code[self.label_code(label)]
 
-    def all_labels(self):
-        width = self.ell + self.q
-        sp = space(self.p, width) if width > 0 else None
-        count = self.p ** width
-        for code in range(count):
-            coords = sp.coords_of(code) if sp is not None else ()
-            yield AtomLabel(self.p, coords)
+    def all_labels(self) -> list[tuple[int, ...]]:
+        """Every atom label, in code order."""
+        return list(map(tuple, space(self.p, self.width).digits.tolist()))
 
-    def occupied_labels(self) -> list[AtomLabel]:
-        return [lab for lab in self.all_labels() if self.atom_indices(lab.values).size > 0]
+    def occupied_labels(self) -> list[tuple[int, ...]]:
+        return [lab for lab, size in zip(self.all_labels(), self.atom_sizes.tolist()) if size]
 
 
 def new_linear_factor(p: int, n: int, vectors) -> LinearFactor:
@@ -246,17 +223,6 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
         for m in forms
     )
     return QuadraticFactor(linear, shaped)
-
-
-def beta_code_sizes(factor: QuadraticFactor) -> np.ndarray:
-    """|beta(b)| for every bilinear label, by code; memoized."""
-    cached = getattr(factor, "_beta_code_sizes", None)
-    if cached is None:
-        sizes = bilinear_level_sizes(factor)
-        labels = map(tuple, space(factor.p, factor.q).digits.tolist())
-        cached = np.array([sizes[lab] for lab in labels], dtype=np.int64)
-        factor._beta_code_sizes = cached
-    return cached
 
 
 def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
@@ -280,7 +246,7 @@ def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.
         if factor.q == 0:
             mu = np.ones((rows.size, cols.size))
         else:
-            size = int(beta_code_sizes(factor)[b])
+            size = int(bilinear_level_sizes(factor)[b])
             values = tuple(int(v) for v in space(factor.p, factor.q).digits[b])
             if size == 0:
                 raise DegenerateContext(f"beta({values}) is empty")
@@ -301,8 +267,10 @@ def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.
 LEVEL_HISTOGRAM_CAP = 1 << 24
 
 
-def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
-    """Sizes of all p^q level sets at once, from the ranks of the forms.
+def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
+    """|beta(b)| for every bilinear label b, by code, from the ranks of the
+    forms; computed once per factor and returned as the same read-only
+    int64 array.
 
     Counting with characters, |beta(b)| = p^(2n-q) sum over lambda in F_p^q
     of p^(-rank M_lambda) omega^(-lambda.b), where M_lambda = sum_j
@@ -311,21 +279,23 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
     otherwise, so the count is an integer sum over the lines (Green-Tao,
     The distribution of polynomials over finite fields, 2009). With
     p^n <= 2^20 and q <= 6 every partial sum stays below 2^63. Counts p^q
-    terms per punctured line, one per level set updated.
+    terms per punctured line, one per level set updated, on the first call.
     """
     p, q, n = factor.p, factor.q, factor.n
     if q < 1:
         raise ValueError("needs at least one form")
-    lab_space = space(p, q)
-    labels = lab_space.digits.astype(np.int64)
-    scaled = np.full(p ** q, p ** (2 * n), dtype=np.int64)  # p^q |beta(b)|
-    for lam, r in factor._line_ranks:
-        count_terms(p ** q)
-        scaled += p ** (2 * n - r) * np.where(labels @ lam % p == 0, p - 1, -1)
-    return {lab_space.coords_of(c): int(scaled[c]) // p ** q for c in range(p ** q)}
+    if "_level_sizes" not in factor.__dict__:
+        scaled = np.full(p ** q, p ** (2 * n), dtype=np.int64)  # p^q |beta(b)|
+        for lam, r in factor._line_ranks:
+            count_terms(p ** q)
+            scaled += p ** (2 * n - r) * np.where(space(p, q).form_values(r=lam) == 0, p - 1, -1)
+        scaled //= p ** q
+        scaled.flags.writeable = False
+        factor._level_sizes = scaled
+    return factor._level_sizes
 
 
-def bilinear_level_sizes_naive(factor: QuadraticFactor) -> dict[tuple[int, ...], int]:
+def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
     """Reference route: the joint histogram of the form values over all
     p^(2n) pairs, capped at LEVEL_HISTOGRAM_CAP pairs."""
     p, q = factor.p, factor.q
@@ -344,8 +314,7 @@ def bilinear_level_sizes_naive(factor: QuadraticFactor) -> dict[tuple[int, ...],
             vals = (block @ m.as_array() @ digits.T) % p
             code += vals * (p ** j)
         counts += np.bincount(code.ravel(), minlength=p ** q)
-    lab_space = space(p, q)
-    return {lab_space.coords_of(c): int(counts[c]) for c in range(p ** q)}
+    return counts
 
 
 def sigma2(d: DirectionTuple2) -> tuple[int, ...]:
@@ -353,7 +322,7 @@ def sigma2(d: DirectionTuple2) -> tuple[int, ...]:
     return tuple((x + y) % d.p for x, y in zip(d.a1, d.a2))
 
 
-def sigma3(factor: QuadraticFactor, d: DirectionTuple3) -> AtomLabel:
+def sigma3(factor: QuadraticFactor, d: DirectionTuple3) -> tuple[int, ...]:
     """The atom label a1+a2+a3+2(0b12)+2(0b13)+2(0b23).
 
     0b means the bilinear label padded with the factor's l initial zeros, so
@@ -366,7 +335,7 @@ def sigma3(factor: QuadraticFactor, d: DirectionTuple3) -> AtomLabel:
     for b in (d.b12, d.b13, d.b23):
         for j, v in enumerate(b):
             out[factor.ell + j] = (out[factor.ell + j] + 2 * v) % p
-    return AtomLabel(p, tuple(out))
+    return tuple(out)
 
 
 def direction_codes(factor: QuadraticFactor, labels) -> np.ndarray:
@@ -386,7 +355,7 @@ def degenerate_directions(factor: QuadraticFactor, codes: np.ndarray) -> np.ndar
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     empty = (factor.atom_sizes[codes[:, :3]] == 0).any(axis=1)
     if factor.q:
-        empty |= (beta_code_sizes(factor)[codes[:, 3:]] == 0).any(axis=1)
+        empty |= (bilinear_level_sizes(factor)[codes[:, 3:]] == 0).any(axis=1)
     return empty
 
 
@@ -408,9 +377,3 @@ def _code(p: int, values) -> int:
     for v in reversed(values):
         code = code * p + int(v) % p
     return code
-
-
-def _label_values(label) -> tuple[int, ...]:
-    if isinstance(label, AtomLabel):
-        return label.values
-    return tuple(int(v) for v in label)

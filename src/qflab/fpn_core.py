@@ -121,6 +121,23 @@ class GroupSpace:
         nothing."""
         return self._sums(a, b)
 
+    def form_values(self, m=None, r=None) -> np.ndarray:
+        """x^T M x + x^T r mod p for every point x, by index, as int64. An
+        n x k matrix r gives each point its k values, and takes no M. The
+        int8 digits are widened in blocks of at most H_BLOCK_ENTRIES entries.
+        Counts nothing."""
+        r = None if r is None else np.asarray(r, dtype=np.int64)
+        out = np.zeros((self.size,) + (() if r is None else r.shape[1:]), dtype=np.int64)
+        rows = max(1, H_BLOCK_ENTRIES // max(1, self.n))
+        for start in range(0, self.size, rows):
+            x = self.digits[start:start + rows].astype(np.int64)
+            if m is not None:
+                out[start:start + rows] += ((x @ m) * x).sum(axis=1)
+            if r is not None:
+                out[start:start + rows] += x @ r
+        out %= self.p
+        return out
+
     def neg(self, a):
         da = self.digits[np.asarray(a)].astype(np.int64)
         return ((-da) % self.p) @ self.powers
@@ -359,10 +376,7 @@ def quad_char_sum(form: SymmetricForm, b: GroupVector) -> complex:
         raise ValueError("mismatched b")
     sp = space(p, n)
     count_terms(sp.size)
-    digits = sp.digits.astype(np.int64)
-    m = form.as_array()
-    bvec = np.array(b.coords, dtype=np.int64)
-    vals = (np.einsum("xi,ij,xj->x", digits, m, digits) + digits @ bvec) % p
+    vals = sp.form_values(form.as_array(), b.coords)
     return check_finite(_embed_counts(p, phase_value_counts(p, vals)) / sp.size)
 
 

@@ -50,7 +50,6 @@ from ..factor import (
     direction_codes,
     new_linear_factor,
     new_quadratic_factor,
-    sigma3,
     sigma3_codes,
 )
 from ..fpn_core import (
@@ -68,7 +67,6 @@ from ..local_norms import (
     LocalContext3,
     local_u2_inner,
     local_u2_norms,
-    local_u3_dominates_check,
     local_u3_inners,
     local_u3_norms,
 )
@@ -507,10 +505,15 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         rng = _trial_rng(cfg["seed"], i)
         fs.append(_bounded_fn(rng, p, n))
         dirs.append([_label(rng, p, linear.ell) for _ in range(3)])
-    checks = local_u3_dominates_check(linear, dirs, fs, tol)
+    # on a purely linear factor the local U^3 norm with zero bilinear labels
+    # dominates the local U^2 norm on the target coset a1 + a2 + a3
+    u3vals = local_u3_norms(QuadraticFactor(linear, ()),
+                            [[linear.label_code(a) for a in d] + [0] * 3 for d in dirs], fs, tol)
+    u2vals = local_u2_norms(linear, [linear.label_code([sum(v) % p for v in zip(*d)])
+                                     for d in dirs], fs, tol)
     return _rows(cfg, [[({"check": "global"}, u2_norms([f])[0], u3_norms([f])[0] + tol),
                         ({"check": "local", "d": d}, u2val, u3val + tol)]
-                       for f, d, (u3val, u2val, _) in zip(fs, dirs, checks)])
+                       for f, d, u3val, u2val in zip(fs, dirs, u3vals, u2vals)])
 
 
 def _est_u3_dominates(cfg: dict) -> int:
@@ -619,7 +622,7 @@ def _est_atom_sizes(cfg: dict) -> int:
 
 def _run_bil_sizes(cfg: dict) -> RunResult:
     return _size_trend(cfg, lambda f: (s / f.p ** (2 * f.n - f.q)
-                                       for s in bilinear_level_sizes(f).values()))
+                                       for s in bilinear_level_sizes(f).tolist()))
 
 
 def _est_bil_sizes(cfg: dict) -> int:
@@ -772,8 +775,8 @@ def _run_atom_vc2(cfg: dict) -> RunResult:
             vectors = [tuple(int(i == j) for j in range(n)) for i in range(ell)]
             factor = new_quadratic_factor(new_linear_factor(p, n, vectors), [form])
             for lab in factor.occupied_labels():
-                mask = SubsetBitmask.from_indices(p, n, factor.atom_indices(lab.values))
-                rows.append(({"form": fi, "ell": ell, "atom": list(lab.values)},
+                mask = SubsetBitmask.from_indices(p, n, factor.atom_indices(lab))
+                rows.append(({"form": fi, "ell": ell, "atom": list(lab)},
                              float(vc2_dimension(mask)), 1.0,
                              {"atom_size": mask.size, "rank": factor.rank}))
     return _records(rows)
@@ -791,12 +794,9 @@ def _est_atom_vc2(cfg: dict) -> int:
 def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
     """All canonical indices in the span of the given independent rows."""
     rows = np.array(basis, dtype=np.int64).reshape(len(basis), n)
-    if len(basis) and rank_mod_p(rows, p) != len(basis):
+    if rank_mod_p(rows, p) != len(basis):
         raise ConfigError("subgroup_basis is dependent")
-    k = len(basis)
-    coeffs = space(p, k).digits.astype(np.int64) if k else np.zeros((1, 0), dtype=np.int64)
-    pts = (coeffs @ rows) % p if k else np.zeros((1, n), dtype=np.int64)
-    return pts @ space(p, n).powers
+    return space(p, len(basis)).form_values(r=rows) @ space(p, n).powers
 
 
 def _run_coset_union_vc(cfg: dict) -> RunResult:
@@ -1041,8 +1041,8 @@ def _atom_union(rng: np.random.Generator, factor: QuadraticFactor) -> tuple[list
     keep = occupied[rng.random(occupied.size) < 0.5]
     if not keep.size:
         keep = occupied[:1]
-    labels = list(factor.all_labels())
-    return [labels[code].values for code in keep], np.isin(factor._codes, keep)
+    labels = factor.all_labels()
+    return [labels[code] for code in keep], np.isin(factor._codes, keep)
 
 
 def _run_trivdense(cfg: dict) -> RunResult:
@@ -1050,18 +1050,19 @@ def _run_trivdense(cfg: dict) -> RunResult:
     factor = _standard_factor(p, n, ell, q)
     rng = _trial_rng(cfg["seed"])
     _, bits = _atom_union(rng, factor)
+    # each direction's target atom, and its size and count in the set
+    targets = sigma3_codes(factor, _direction_codes(factor, cfg["seed"], cfg["directions"]))
+    counts = np.bincount(factor._codes, weights=bits, minlength=factor.atom_sizes.size)
     rows = []
-    for j in range(cfg["directions"]):
-        d = _direction3(_trial_rng(cfg["seed"], j), factor)
-        target = factor.atom_indices(sigma3(factor, d).values)
+    for j, (inside, size) in enumerate(zip(counts[targets].astype(np.int64).tolist(),
+                                           factor.atom_sizes[targets].tolist())):
         base = {"direction": j}
-        if target.size == 0:
+        if size == 0:
             rows.append((base, "target atom is empty"))
             continue
-        inside = int(bits[target].sum())
         # distance from a trivial density, in exact counts
-        off = min(inside, target.size - inside)
-        rows.append((base, float(off), 0.0, {"alpha": Fraction(inside, target.size)}))
+        off = min(inside, size - inside)
+        rows.append((base, float(off), 0.0, {"alpha": Fraction(inside, size)}))
     frac = regularity_conclusion(SubsetBitmask(p, n, bits), factor, Fraction(1, 100))
     rows.append(({"check": "regularity-fraction"}, 1.0 - float(frac), 0.0,
                  {"atoms_trivial_fraction": frac}))

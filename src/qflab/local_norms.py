@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateContext
 from .factor import (
-    AtomLabel,
     DirectionTuple2,
     DirectionTuple3,
     LinearFactor,
@@ -154,7 +153,7 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
             raise ValueError("function in wrong group")
     p, n, m = linear.p, linear.n, linear.n - linear.ell
     basis = np.array([b.coords for b in linear.subgroup_basis()], dtype=np.int64)
-    kernel = (space(p, m).digits @ basis.reshape(m, n) % p) @ linear.space.powers
+    kernel = space(p, m).form_values(r=basis.reshape(m, n)) @ linear.space.powers
     starts = linear.member_table[codes, 0]
     step = max(1, H_BLOCK_ENTRIES // kernel.size)
     fourth = []
@@ -189,10 +188,10 @@ class LocalContext3:
         self.mu12 = mu_weight_matrix(factor, b12, a1, a2)
         self.mu13 = mu_weight_matrix(factor, b13, a1, a3)
         self.mu23 = mu_weight_matrix(factor, b23, a2, a3)
-        self.sigma: AtomLabel = sigma3(factor, d)
+        self.sigma = sigma3(factor, d)
 
     def target_indices(self) -> np.ndarray:
-        return self.factor.atom_indices(self.sigma.values)
+        return self.factor.atom_indices(self.sigma)
 
 
 def _member_tensor(ctx: LocalContext3, g: GroupFunction) -> np.ndarray:
@@ -619,18 +618,3 @@ def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
                                arrays)
     return [_root_of_diagonal(complex(v), 8, tol) for v in values]
 
-
-def local_u3_dominates_check(linear: LinearFactor, directions: list, fs: list[GroupFunction],
-                             tol: float = DEFAULT_TOL) -> list[tuple[float, float, float]]:
-    """On a purely linear factor, the local U^3 norm with zero bilinear
-    labels dominates the local U^2 norm at the direction (a1 + a2, a3).
-    Returns (u3val, u2val, margin) for each direction (a1, a2, a3) and
-    function, the U^3 norms in one batch and the U^2 norms in another."""
-    p = linear.p
-    quad = QuadraticFactor(linear, ())
-    dirs = [[tuple(int(v) % p for v in a) for a in d] for d in directions]
-    u3vals = local_u3_norms(quad, [[linear.label_code(a) for a in d] + [0] * 3 for d in dirs],
-                            fs, tol)
-    u2vals = local_u2_norms(linear, [linear.label_code([sum(v) % p for v in zip(*d)])
-                                     for d in dirs], fs, tol)
-    return [(u3val, u2val, u3val - u2val) for u3val, u2val in zip(u3vals, u2vals)]

@@ -42,7 +42,7 @@ from .factor import (
     LinearFactor,
     QuadraticFactor,
     _code,
-    beta_code_sizes,
+    bilinear_level_sizes,
     degenerate_directions,
     mu_weight_matrix,
 )
@@ -591,7 +591,7 @@ def ternary_normalization(ctx: TernaryContext) -> Fraction:
     if factor.q == 0:
         return Fraction(num)
     levels = list(ctx.codes[vertices:])
-    num *= math.prod(beta_code_sizes(factor)[levels].tolist())
+    num *= math.prod(bilinear_level_sizes(factor)[levels].tolist())
     return Fraction(num, factor.p ** (2 * factor.n * len(levels)))
 
 

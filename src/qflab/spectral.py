@@ -115,24 +115,15 @@ class GroupFunction:
     @classmethod
     def character(cls, t: GroupVector) -> GroupFunction:
         """x -> omega^(x.t)."""
-        sp = space(t.p, t.n)
-        digits = sp.digits.astype(np.int64)
-        phases = (digits @ np.array(t.coords, dtype=np.int64)) % t.p
+        phases = space(t.p, t.n).form_values(r=t.coords)
         return cls(t.p, t.n, omega_table(t.p)[phases])
 
     @classmethod
     def quadratic_phase(cls, form: SymmetricForm, r: GroupVector | None = None) -> GroupFunction:
         """x -> omega^(x^T M x + r.x)."""
         p, n = form.p, form.n
-        sp = space(p, n)
-        digits = sp.digits.astype(np.int64)
-        vals = np.einsum("xi,ij,xj->x", digits, form.as_array(), digits)
-        if r is not None:
-            vals = vals + digits @ np.array(r.coords, dtype=np.int64)
-        return cls(p, n, omega_table(p)[vals % p])
-
-    def conj(self) -> GroupFunction:
-        return GroupFunction(self.p, self.n, np.conj(self.values))
+        vals = space(p, n).form_values(form.as_array(), None if r is None else r.coords)
+        return cls(p, n, omega_table(p)[vals])
 
     def __add__(self, other: GroupFunction) -> GroupFunction:
         self._check(other)

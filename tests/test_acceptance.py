@@ -85,7 +85,7 @@ def _support_triples_consistent(ctx):
     mask = ((ctx.mu12[:, :, None] != 0.0)
             & (ctx.mu13[:, None, :] != 0.0)
             & (ctx.mu23[None, :, :] != 0.0))
-    return bool((codes[mask] == factor.label_code(ctx.sigma.values)).all())
+    return bool((codes[mask] == factor.label_code(ctx.sigma)).all())
 
 
 def _mixed_factor():

@@ -105,7 +105,7 @@ def test_density_profile_is_exact():
     assert empty == 3
     assert len(densities) == 6
     assert all(isinstance(v, Fraction) for v in densities.values())
-    assert list(densities) == [lab.values for lab in factor.occupied_labels()]
+    assert list(densities) == factor.occupied_labels()
     recovered = sum(v * factor.atom_indices(lab).size
                     for lab, v in densities.items())
     assert recovered == mask.size
@@ -115,7 +115,7 @@ def test_density_profile_is_exact():
 
 def test_atom_unions_are_fully_regular():
     factor = _mixed_factor_2d()
-    labels = [lab.values for lab in factor.occupied_labels()]
+    labels = factor.occupied_labels()
     union = np.zeros(9, dtype=bool)
     for lab in labels[:2]:
         union[factor.atom_indices(lab)] = True
@@ -134,7 +134,7 @@ def test_majority_vote_symmetric_difference():
     assert symdiff == int((approx.bits ^ mask.bits).sum())
     assert run_counted(best_atom_union_approx, mask, factor) == ((approx, symdiff), 9)
     # no other union of atoms does better
-    labels = [lab.values for lab in factor.occupied_labels()]
+    labels = factor.occupied_labels()
     for code in range(1 << len(labels)):
         bits = np.zeros(9, dtype=bool)
         for i, lab in enumerate(labels):

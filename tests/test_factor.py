@@ -8,6 +8,7 @@ nontrivial form combinations.
 
 from __future__ import annotations
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ import pytest
 from qflab import factor as factor_module
 from qflab.errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from qflab.factor import (
-    AtomLabel,
     DirectionTuple2,
     DirectionTuple3,
-    beta_code_sizes,
     bilinear_level_sizes,
     degenerate_directions,
     direction_codes,
@@ -29,7 +28,7 @@ from qflab.factor import (
     sigma3,
     sigma3_codes,
 )
-from qflab.fpn_core import run_counted
+from qflab.fpn_core import rank_mod_p, run_counted
 
 
 def _identity_factor(p: int, n: int, ell: int = 0):
@@ -57,8 +56,54 @@ def test_linear_factor_rejects_dependent_vectors():
 def test_label_of_index_consistency():
     lin = new_linear_factor(3, 2, [(1, 1)])
     for idx in range(9):
-        lab = tuple(lin.label_table[idx].tolist())
+        lab = ((idx % 3 + idx // 3) % 3,)
         assert idx in set(int(i) for i in lin.coset_indices(lab))
+
+
+def _coordinate_label(p, n, vectors, forms, index):
+    """The atom label of a point from its coordinates, in Python ints."""
+    x = [index // p ** i % p for i in range(n)]
+    linear = [sum(a * int(b) for a, b in zip(x, r)) % p for r in vectors]
+    quadratic = [sum(x[i] * int(m[i][j]) * x[j] for i in range(n) for j in range(n)) % p
+                 for m in forms]
+    return tuple(linear + quadratic)
+
+
+def _dense_factor_inputs(rng, p, n, ell, q):
+    """ell independent vectors with at least two nonzero entries each, and
+    q random symmetric forms."""
+    while True:
+        vectors = rng.integers(0, p, (ell, n))
+        if (vectors != 0).sum(axis=1).min() >= 2 and rank_mod_p(vectors, p) == ell:
+            break
+    forms = [(a + a.T) % p for a in rng.integers(0, p, (q, n, n))]
+    return [tuple(int(v) for v in r) for r in vectors], forms
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])
+def test_codes_match_labels_from_coordinates(p, n):
+    rng = np.random.default_rng(30 + p)
+    vectors, forms = _dense_factor_inputs(rng, p, n, 2, 2)
+    factor = new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
+    labels = [_coordinate_label(p, n, vectors, forms, i) for i in range(p ** n)]
+    assert factor._codes.tolist() == [factor.label_code(lab) for lab in labels]
+    assert factor.linear._codes.tolist() == [factor.linear.label_code(lab[:2]) for lab in labels]
+    for i, lab in enumerate(labels):
+        assert i in factor.atom_indices(lab)
+
+
+def test_factor_codes_need_no_wide_copy_of_the_digits():
+    # one int64 copy of the 3^12 x 12 digit table is 48.7 MiB
+    p, n = 3, 12
+    vectors, forms = _dense_factor_inputs(np.random.default_rng(12), p, n, 2, 2)
+    factor = new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
+    tracemalloc.start()
+    try:
+        factor._codes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p ** n * 8
 
 
 def test_subgroup_basis_spans_the_kernel():
@@ -100,7 +145,7 @@ def test_form_count_cap():
 
 def test_occupied_labels_cover_the_group():
     factor = _identity_factor(3, 3, ell=1)
-    total = sum(factor.atom_indices(lab.values).size for lab in factor.occupied_labels())
+    total = sum(factor.atom_indices(lab).size for lab in factor.occupied_labels())
     assert total == 27
 
 
@@ -109,15 +154,15 @@ def test_bilinear_level_sizes_identity_form():
     sizes = bilinear_level_sizes(factor)
     # x = 0 contributes 9 pairs to level 0; each of the 8 other x splits
     # its 9 partners evenly
-    assert sizes == {(0,): 33, (1,): 24, (2,): 24}
-    assert beta_code_sizes(factor).tolist() == [33, 24, 24]
+    assert sizes.tolist() == [33, 24, 24]
+    assert bilinear_level_sizes(factor) is sizes and not sizes.flags.writeable
 
 
 def test_empty_level_set_refuses_a_measure():
     # the zero form only produces level 0
     factor = new_quadratic_factor(new_linear_factor(3, 1, []),
                                   [np.zeros((1, 1), dtype=np.int64)])
-    assert bilinear_level_sizes(factor)[(1,)] == 0
+    assert bilinear_level_sizes(factor)[1] == 0
     with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
         mu_weight_matrix(factor, 1, 0, 0)
 
@@ -147,7 +192,7 @@ def test_mu_weight_matrix_is_memoized_read_only():
 
 def test_mu_weight_matrix_counts_only_the_matrices_it_builds():
     factor = _identity_factor(3, 3, ell=1)
-    beta_code_sizes(factor)
+    bilinear_level_sizes(factor)
     rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
     want = factor.atom_sizes[rows] * factor.atom_sizes[cols] * factor.q
     w, terms = run_counted(mu_weight_matrix, factor, 2, rows, cols)
@@ -183,7 +228,7 @@ def test_member_table_pads_every_atom_to_the_largest():
     table, sizes = factor.member_table, factor.atom_sizes
     assert table.shape == (9, sizes.max()) and sizes.sum() == 27
     for code, lab in enumerate(factor.all_labels()):
-        members = factor.atom_indices(lab.values)
+        members = factor.atom_indices(lab)
         assert members.size == sizes[code]
         assert np.array_equal(table[code, :sizes[code]], members)
         assert not table[code, sizes[code]:].any()
@@ -204,13 +249,13 @@ def test_direction_codes_match_the_labels():
     for row, d in zip(rows.tolist(), dirs):
         assert row[:3] == [factor.label_code(a) for a in (d.a1, d.a2, d.a3)]
         assert row[3:] == [b[0] for b in (d.b12, d.b13, d.b23)]
-    want = [factor.label_code(sigma3(factor, d).values) for d in dirs]
+    want = [factor.label_code(sigma3(factor, d)) for d in dirs]
     assert sigma3_codes(factor, rows).tolist() == want
     empty = degenerate_directions(factor, rows)
     level_sizes = bilinear_level_sizes(factor)
     for d, flag in zip(dirs, empty):
         sizes = [factor.atom_indices(a).size for a in (d.a1, d.a2, d.a3)]
-        levels = [level_sizes[b] for b in (d.b12, d.b13, d.b23)]
+        levels = [level_sizes[b[0]] for b in (d.b12, d.b13, d.b23)]
         assert flag == (0 in sizes + levels)
 
 
@@ -222,10 +267,10 @@ def test_sigma2_is_the_label_sum():
 def test_sigma3_doubles_the_bilinear_labels():
     factor = _identity_factor(3, 3, ell=1)
     d = DirectionTuple3(3, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
-    assert sigma3(factor, d) == AtomLabel(3, (0, 2))
+    assert sigma3(factor, d) == (0, 2)
     # linear entries never see the bilinear contribution
     d2 = DirectionTuple3(3, (1, 0), (1, 0), (1, 0), (1,), (1,), (1,))
-    assert sigma3(factor, d2).values == (0, 0)
+    assert sigma3(factor, d2) == (0, 0)
 
 
 def test_direction_tuple_validation():

@@ -125,6 +125,28 @@ def test_index_addition_fills_split_sums_in_blocks(monkeypatch):
     assert sp.add(80, 79) == plus(80, 79)
 
 
+@pytest.mark.parametrize("p, n", [(3, 0), (3, 4), (5, 3), (7, 2)])
+def test_form_values_match_a_loop_over_points(p, n, monkeypatch):
+    # a 10-entry block widens a few rows of digits at a time
+    monkeypatch.setattr(fpn_core, "H_BLOCK_ENTRIES", 10)
+    rng = np.random.default_rng(10 * p + n)
+    a = rng.integers(0, p, (n, n))
+    m, r, mat = (a + a.T) % p, rng.integers(0, p, n), rng.integers(0, p, (n, 3))
+    quad, lin, cols = [], [], []
+    for index in range(p ** n):
+        x = [index // p ** i % p for i in range(n)]
+        quad.append(sum(x[i] * int(m[i, j]) * x[j] for i in range(n) for j in range(n)))
+        lin.append(sum(x[i] * int(r[i]) for i in range(n)))
+        cols.append([sum(x[i] * int(mat[i, k]) for i in range(n)) % p for k in range(3)])
+    sp = space(p, n)
+    got, terms = run_counted(sp.form_values, m, r)
+    assert terms == 0 and got.dtype == np.int64
+    assert got.tolist() == [(u + v) % p for u, v in zip(quad, lin)]
+    assert sp.form_values(m).tolist() == [u % p for u in quad]
+    assert sp.form_values(r=r).tolist() == [v % p for v in lin]
+    assert sp.form_values(r=mat).tolist() == cols
+
+
 def test_group_space_cap():
     with pytest.raises(CapExceeded):
         GroupSpace(3, 19)

@@ -63,6 +63,16 @@ def _bounded(rng, p, n):
     return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0))
 
 
+def _coordinate_label(factor, index):
+    """The atom label of a point from its coordinates, in Python ints."""
+    p, n = factor.p, factor.n
+    x = [index // p ** i % p for i in range(n)]
+    linear = [sum(a * b for a, b in zip(x, v.coords)) % p for v in factor.linear.vectors]
+    quadratic = [sum(x[i] * m.entries[i][j] * x[j] for i in range(n) for j in range(n)) % p
+                 for m in factor.forms]
+    return tuple(linear + quadratic)
+
+
 def _uneven_contexts(p, n, ell, seed, count):
     """A random one-form factor and up to `count` nondegenerate direction
     tuples on it whose three atoms are not all of one size; each bilinear
@@ -82,7 +92,7 @@ def _uneven_contexts(p, n, ell, seed, count):
     out = []
     for _ in range(200):
         x, y, z = (int(i) for i in rng.integers(0, p ** n, 3))
-        a1, a2, a3 = (tuple(factor.label_table[i].tolist()) for i in (x, y, z))
+        a1, a2, a3 = (_coordinate_label(factor, i) for i in (x, y, z))
         b12, b13, b23 = ((int(digits[i] @ form @ digits[j] % p),)
                          for i, j in ((x, y), (x, z), (y, z)))
         try:
@@ -310,9 +320,9 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
         return (int(digits[i] @ digits[j] % 3),)
 
     e = LabelAssignment(
-        tuple(tuple(factor.label_table[i].tolist()) for i in x),
-        tuple(tuple(factor.label_table[i].tolist()) for i in y),
-        tuple(tuple(factor.label_table[i].tolist()) for i in z),
+        tuple(_coordinate_label(factor, int(i)) for i in x),
+        tuple(_coordinate_label(factor, int(i)) for i in y),
+        tuple(_coordinate_label(factor, int(i)) for i in z),
         {(u, v): level(x[u], y[v]) for u in range(2) for v in range(2)},
         {(u, w): level(x[u], z[w]) for u in range(2) for w in range(2)},
         {(v, w): level(y[v], z[w]) for v in range(2) for w in range(2)})

@@ -287,7 +287,7 @@ def test_one_context_per_pattern_serves_every_ternary_routine():
             built = LocalContext3(factor, DirectionTuple3(3, e.a[u], e.b[v], e.c[w], e.duv[(u, v)],
                                                           e.duw[(u, w)], e.dvw[(v, w)]))
             assert tuple(row.tolist()) == built.codes
-            assert sigma3_codes(factor, row).tolist() == [factor.label_code(built.sigma.values)]
+            assert sigma3_codes(factor, row).tolist() == [factor.label_code(built.sigma)]
     for got, single in zip(t_ternaries(ctxs, [grid] * 2), singles):
         assert got == pytest.approx(single, rel=1e-12)
 
@@ -386,6 +386,16 @@ def _twin_factor(p):
     return new_quadratic_factor(new_linear_factor(p, 2, []), [np.eye(2, dtype=np.int64)])
 
 
+def _coordinate_label(factor, index):
+    """The atom label of a point from its coordinates, in Python ints."""
+    p, n = factor.p, factor.n
+    x = [index // p ** i % p for i in range(n)]
+    linear = [sum(a * b for a, b in zip(x, v.coords)) % p for v in factor.linear.vectors]
+    quadratic = [sum(x[i] * m.entries[i][j] * x[j] for i in range(n) for j in range(n)) % p
+                 for m in factor.forms]
+    return tuple(linear + quadratic)
+
+
 def _random_assignment(factor, graph, rng, through):
     """Random labels; when `through`, the labels and pair levels of one
     random configuration (returned with them), so that I_F(e) holds it."""
@@ -403,7 +413,7 @@ def _random_assignment(factor, graph, rng, through):
                    for k in (graph.nu, graph.nv, graph.nw))
 
         def lab(i):
-            return tuple(int(v) for v in factor.label_table[i])
+            return _coordinate_label(factor, i)
 
         def level(i, j):
             return tuple(int(digits[i] @ f.as_array() @ digits[j] % p) for f in factor.forms)
