@@ -31,7 +31,7 @@ from .fpn_core import (
 )
 
 MAX_FORMS = 6
-MU_CAP = 1 << 26  # entry cap of one mu weight matrix
+MU_CAP = 1 << 26  # entry cap of one level mask; a mu weight is that mask and one number
 
 
 @dataclass(frozen=True)
@@ -225,42 +225,60 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
     return QuadraticFactor(linear, shaped)
 
 
-def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
-    """The measure mu_beta(b) on the atoms of codes row x col: p^(2n)/|beta|
-    on the member pairs of the bilinear level set of code b, 0 elsewhere.
-    With no forms the measure is identically 1.
+def level_mask(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
+    """The member pairs of the atoms of codes row x col that lie in the
+    bilinear level set of code b, as a bool matrix; all True with no forms.
 
     Each code triple (b, row, col) is computed once per factor and every
-    later call returns the same read-only array. Building a matrix counts
+    later call returns the same read-only array. Building a mask counts
     |row| |col| q terms, one per form value; a cached one counts none.
     Raises CapExceeded, before it allocates anything, when |row| |col|
-    exceeds MU_CAP: its form values take 8 bytes per entry.
+    exceeds MU_CAP: the mask takes 1 byte per entry, but its form values
+    take 8 while it is built.
     """
-    cache = factor.__dict__.setdefault("_mu_weights", {})
+    cache = factor.__dict__.setdefault("_level_masks", {})
     key = (b, row, col)
     if key not in cache:
         rows, cols = factor._members_by_code[row], factor._members_by_code[col]
         if rows.size * cols.size > MU_CAP:
             raise CapExceeded(f"mu matrix of {rows.size} x {cols.size} entries exceeds "
                               f"the mu cap {MU_CAP}")
-        if factor.q == 0:
-            mu = np.ones((rows.size, cols.size))
-        else:
-            size = int(bilinear_level_sizes(factor)[b])
-            values = tuple(int(v) for v in space(factor.p, factor.q).digits[b])
-            if size == 0:
-                raise DegenerateContext(f"beta({values}) is empty")
-            weight = float(Fraction(factor.p ** (2 * factor.n), size))
+        ok = np.ones((rows.size, cols.size), dtype=bool)
+        if factor.q:
+            values = space(factor.p, factor.q).digits[b]
             dx = factor.space.digits[rows].astype(np.int64)
             dy = factor.space.digits[cols].astype(np.int64)
-            ok = np.ones((dx.shape[0], dy.shape[0]), dtype=bool)
             for j, m in enumerate(factor.forms):
                 ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
-            mu = ok * weight
             count_terms(ok.size * factor.q)
-        mu.flags.writeable = False
-        cache[key] = mu
+        ok.flags.writeable = False
+        cache[key] = ok
     return cache[key]
+
+
+def mu_weight(factor: QuadraticFactor, b: int) -> float:
+    """The value p^(2n)/|beta(b)| of the measure mu_beta(b) on its level set,
+    and 1.0 with no forms. Raises DegenerateContext when the level set is
+    empty."""
+    if factor.q == 0:
+        return 1.0
+    size = int(bilinear_level_sizes(factor)[b])
+    if size == 0:
+        values = tuple(int(v) for v in space(factor.p, factor.q).digits[b])
+        raise DegenerateContext(f"beta({values}) is empty")
+    return float(Fraction(factor.p ** (2 * factor.n), size))
+
+
+def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
+    """The measure mu_beta(b) on the atoms of codes row x col: the level
+    mask times the level's weight, so p^(2n)/|beta| on the member pairs of
+    the bilinear level set of code b and 0 elsewhere; identically 1 with no
+    forms. Formed on each call from the cached mask, so only the mask
+    counts terms; the weight is checked first, so an empty level raises
+    DegenerateContext before a mask is built.
+    """
+    weight = mu_weight(factor, b)
+    return level_mask(factor, b, row, col) * weight
 
 
 # the histogram twin walks every pair; past this many it refuses

@@ -385,20 +385,23 @@ def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> co
 
     The inner sum over y vanishes unless M^T x + d = 0, so the double sum
     collapses to a single exact character sum over the solution set of that
-    linear system. Counts p^n terms, one per x.
+    linear system. The int8 digits are widened and tested in blocks of at
+    most H_BLOCK_ENTRIES entries. Counts p^n terms, one per x.
     """
     p, n = form.p, form.n
     if c.p != p or c.n != n or d.p != p or d.n != n:
         raise ValueError("mismatched linear parts")
     sp = space(p, n)
     count_terms(sp.size)
-    digits = sp.digits.astype(np.int64)
     m = form.as_array()
     dvec = np.array(d.coords, dtype=np.int64)
     cvec = np.array(c.coords, dtype=np.int64)
-    residual = (digits @ m + dvec) % p  # row x: x^T M + d
-    solutions = np.all(residual == 0, axis=1)
-    if not solutions.any():
+    counts = np.zeros(p, dtype=np.int64)  # solutions x by the value of c^T x
+    rows = max(1, H_BLOCK_ENTRIES // max(1, n))
+    for start in range(0, sp.size, rows):
+        x = sp.digits[start:start + rows].astype(np.int64)
+        solutions = np.all((x @ m + dvec) % p == 0, axis=1)  # row x: x^T M + d
+        counts += phase_value_counts(p, x[solutions] @ cvec)
+    if not counts.any():
         return complex(0.0)
-    vals = (digits[solutions] @ cvec) % p
-    return check_finite(_embed_counts(p, phase_value_counts(p, vals)) / sp.size)
+    return check_finite(_embed_counts(p, counts) / sp.size)

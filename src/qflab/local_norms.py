@@ -45,6 +45,8 @@ from .factor import (
     LinearFactor,
     QuadraticFactor,
     _code,
+    level_mask,
+    mu_weight,
     mu_weight_matrix,
     sigma2,
     sigma3,
@@ -166,7 +168,8 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
 
 class LocalContext3:
     """A quadratic factor with atom labels (a1, a2, a3) and bilinear labels
-    (b12, b13, b23): their codes, member arrays and mu weight matrices.
+    (b12, b13, b23): their codes, member arrays and mu weight matrices, each
+    formed from the factor's cached level mask.
 
     Degenerate when any referenced atom or level set is empty: the defining
     expectations divide by those sizes, so evaluation refuses.
@@ -263,12 +266,16 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Stack:
     """C ternary problems of one shape, stacked along a leading context axis:
-    member arrays (C, |part|), weights (C, |a|, |b|) and value places, each
-    filled for its place with one gather over the rows' codes. A member
-    place gathers rows of the factor's member table, zero-padded to the
-    block's largest atom; a weight place gathers the block's distinct
-    (bilinear, row atom, column atom) code triples' mu matrices, zero-padded
-    alike. A value place is a table of the block's distinct value arrays
+    member arrays (C, |part|), weights and value places, each filled for its
+    place with one gather over the rows' codes. A member place gathers rows
+    of the factor's member table, zero-padded to the block's largest atom.
+    A weight place is a mu measure kept as its two parts: a bool stack (C,
+    |a|, |b|) of the level masks of the block's distinct (bilinear, row
+    atom, column atom) code triples, zero-padded alike, and one float per
+    context, its level's weight p^(2n)/|beta|. A weight is read by gathering
+    the mask and multiplying by the context's weight, which gives the mu
+    matrix's values bit for bit (True w = w, False w = 0). A value place is
+    a table of the block's distinct value arrays
     and, unless every context reads the same array (then held once), each
     context's row in it. Two places share one stack when every context
     names the same codes in both. A padded member has zero weight with
@@ -278,11 +285,13 @@ class _Stack:
     Once the y's are fixed the z-averages are independent: each is one
     weighted matrix product over (x_0, z) and (x_1, z), and the outer
     average weights their product by muv. The weights vanish off a bilinear
-    level set, so each y-tuple (y_0, y_1) keeps exactly the x_u with
-    prod_v muv[u, v](x_u, y_v) != 0 and the z_w with prod_v mvw[v, w](y_v,
-    z_w) != 0; every dropped term has weight 0, and a y-tuple that keeps no
-    x_u or no z_w of a computed slot adds nothing. The y-tuples of every
-    context are grouped by their kept counts into buckets. A bucket goes in
+    level set, so each y-tuple (y_0, y_1) keeps exactly the x_u in every
+    mask muv[u, v](x_u, y_v) and the z_w in every mask mvw[v, w](y_v, z_w);
+    every dropped term has weight 0, and a y-tuple that keeps no x_u or no
+    z_w of a computed slot adds nothing. The kept counts are one float32
+    matmul of two masks, exact as each is at most |atom| <= 2^20 < 2^24.
+    The y-tuples of every context are grouped by their kept counts into
+    buckets. A bucket goes in
     blocks of at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the last
     block holding what is left; each block gathers its members through
     `GroupSpace.sums`, takes one batched matmul of shape (P, |x_0|,
@@ -291,9 +300,9 @@ class _Stack:
 
     W-vertices whose inputs repeat share one z-average. A W-vertex whose
     inputs are an earlier slot's with every conjugate flag flipped reads the
-    conjugate of each of that slot's tensors; when its z weights are real
-    (checked, not assumed) its z-average is the conjugate of that slot's, so
-    it takes that and skips its own matmul.
+    conjugate of each of that slot's tensors; as its z weights are real, its
+    z-average is the conjugate of that slot's, so it takes that and skips
+    its own matmul.
 
     Half the y-pairs: when y_0 and y_1 are one stack, each y's muv and mvw
     weights are the other y's, every slot (u, 1, w) reads slot (u, 0, w)'s
@@ -325,18 +334,20 @@ class _Stack:
             return places[key]
 
         @functools.cache
-        def weight(col: int, row: int, other: int) -> np.ndarray:
+        def weight(col: int, row: int, other: int) -> tuple:
             triples = np.ascontiguousarray(codes[:, [col, row, other]])
             key = ("weight", triples.tobytes())
             if key not in places:  # one void item per (bilinear, row, column) triple
                 distinct, inverse = _distinct(triples.view(np.dtype((np.void, 24))).reshape(-1))
-                mats = [mu_weight_matrix(factor, *t)
-                        for t in distinct.view(np.int64).reshape(-1, 3).tolist()]
-                padded = np.zeros((len(mats), sizes[codes[:, row]].max(),
-                                   sizes[codes[:, other]].max()))
-                for k, m in enumerate(mats):
+                levels, at = _distinct(codes[:, col])  # weights first: an empty level raises
+                weights = np.array([mu_weight(factor, b) for b in levels.tolist()])[at]
+                masks = [level_mask(factor, *t)
+                         for t in distinct.view(np.int64).reshape(-1, 3).tolist()]
+                padded = np.zeros((len(masks), sizes[codes[:, row]].max(),
+                                   sizes[codes[:, other]].max()), dtype=bool)
+                for k, m in enumerate(masks):
                     padded[k, :m.shape[0], :m.shape[1]] = m
-                places[key] = padded[inverse]
+                places[key] = (padded[inverse], weights)
             return places[key]
 
         @functools.cache
@@ -373,7 +384,7 @@ class _Stack:
             flipped = (tuple((id(g), not c) for g, c in inputs),) + rest
             if skey in self.slots:
                 self.slots[skey][2] += 1
-            elif flipped in self.slots and all(np.isrealobj(m) for m in weights):
+            elif flipped in self.slots:
                 self.slots[skey] = [w, flipped, 1]
             else:
                 self.slots[skey] = [w, None, 1]
@@ -385,8 +396,7 @@ class _Stack:
                      and all(mvw[(0, w)] is mvw[(1, w)] for w in range(nw))
                      and all(values[(u, 1, w)][0] is values[(u, 0, w)][0]
                              and values[(u, 1, w)][1] != values[(u, 0, w)][1]
-                             for u in range(nu) for w in range(nw))
-                     and all(np.isrealobj(m) for d in (muv, muw, mvw) for m in d.values()))
+                             for u in range(nu) for w in range(nw)))
         # the kept members of x_u depend on its members and its y weights, of
         # z_w likewise; vertices that share them share a class, named by its
         # first vertex, and one gather
@@ -395,17 +405,17 @@ class _Stack:
         zfirst: dict[tuple, int] = {}
         self.zc = {w: zfirst.setdefault((id(zs[w]),) + tuple(id(mvw[(v, w)]) for v in range(nv)), w)
                    for w in computed}
-        # nonzero weights, (C, |x|, |y_v|) per x class and (C, |y_v|, |z|) per z class
-        self.xmask = {u: [muv[(u, v)] != 0 for v in range(nv)] for u in dict.fromkeys(self.xc)}
-        self.zmask = {w: [mvw[(v, w)] != 0 for v in range(nv)]
+        # level masks, (C, |x|, |y_v|) per x class and (C, |y_v|, |z|) per z class
+        self.xmask = {u: [muv[(u, v)][0] for v in range(nv)] for u in dict.fromkeys(self.xc)}
+        self.zmask = {w: [mvw[(v, w)][0] for v in range(nv)]
                       for w in dict.fromkeys(self.zc.values())}
         counts = []  # kept members per y-tuple, (C, |y_0|, |y_1|) or (C, |y_0|)
         for m0, *m1 in self.xmask.values():
-            counts.append(np.matmul(m0.transpose(0, 2, 1).astype(np.float64),
-                                    m1[0].astype(np.float64)) if m1 else m0.sum(axis=1))
+            counts.append(np.matmul(m0.transpose(0, 2, 1).astype(np.float32),
+                                    m1[0].astype(np.float32)) if m1 else m0.sum(axis=1))
         for m0, *m1 in self.zmask.values():
-            counts.append(np.matmul(m0.astype(np.float64),
-                                    m1[0].transpose(0, 2, 1).astype(np.float64)) if m1
+            counts.append(np.matmul(m0.astype(np.float32),
+                                    m1[0].transpose(0, 2, 1).astype(np.float32)) if m1
                           else m0.sum(axis=2))
         keys = np.stack([c.reshape(-1) for c in counts], axis=1).astype(np.int64)
         alive = (keys > 0).all(axis=1)
@@ -480,14 +490,24 @@ class _Stack:
                 tensors[key] = table.reshape(-1)[index]
             return np.conj(tensors[key]) if conj else tensors[key]
 
+        def weighed(terms) -> np.ndarray:  # prod of weight places at (rows, cols), (P, k)
+            # a weight is w or 0, so the product is the masks' and times the
+            # weights' product, bit for bit
+            mask, weight = True, 1.0
+            for (m, wt), rows, cols in terms:
+                mask = mask & m[col, rows, cols]
+                weight = weight * wt[col]
+            return mask * weight
+
         weights: dict[tuple, np.ndarray] = {}
 
         def xz_weight(u: int, w: int) -> np.ndarray:  # muw[u, w] on the kept (x_u, z)
-            m = muw[(u, w)]
+            m, wt = muw[(u, w)]
             key = (id(m), xc[u], zc[w])
             if key not in weights:
                 rows = (col * m.shape[1] + xk[xc[u]]) * m.shape[2]
-                weights[key] = m.reshape(-1)[rows[:, :, None] + zk[zc[w]][:, None, :]]
+                weights[key] = (m.reshape(-1)[rows[:, :, None] + zk[zc[w]][:, None, :]]
+                                * wt[c][:, None, None])
             return weights[key]
 
         prod = None
@@ -503,14 +523,14 @@ class _Stack:
                         a *= tensor(u, v, w)
                     r.append(a)
                 # the y z weights and 1/|z| go on u = 0 only
-                zweight = math.prod(mvw[(v, w)][col, j[v][:, None], zk[zc[w]]] for v in range(nv))
+                zweight = weighed((mvw[(v, w)], j[v][:, None], zk[zc[w]]) for v in range(nv))
                 r[0] *= (zweight / self.lengths[id(zs[w])][col])[:, None, :]
                 g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
             if skey in self.mirrored:  # kept only while a later slot needs it
                 gs[skey] = g
             for _ in range(count):
                 prod = g if prod is None else prod * g
-        wx = [math.prod(muv[(u, v)][col, xk[xc[u]], j[v][:, None]] for v in range(nv))
+        wx = [weighed((muv[(u, v)], xk[xc[u]], j[v][:, None]) for v in range(nv))
               for u in range(nu)]
         if nu == 1:
             val = (wx[0] * prod).sum(axis=1)

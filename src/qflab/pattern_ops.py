@@ -44,7 +44,7 @@ from .factor import (
     _code,
     bilinear_level_sizes,
     degenerate_directions,
-    mu_weight_matrix,
+    level_mask,
 )
 from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
 from .local_norms import (
@@ -437,7 +437,7 @@ class TernaryContext:
 
     `codes` holds the atom code of every vertex (U, then V, then W) and the
     bilinear code of every pair ((u, v), then (u, w), then (v, w), each in
-    lexicographic order). Members, mu matrices and sizes are read from the
+    lexicographic order). Members, level masks and sizes are read from the
     factor's caches. Raises DegenerateContext when some triple names an
     empty atom or (with forms) an empty bilinear level set."""
 
@@ -536,16 +536,16 @@ def t_ternary(ctx: TernaryContext, grid: FunctionGrid) -> complex:
 
 def _ternary_count(ctx: TernaryContext, member: np.ndarray | None) -> int:
     """The extension count of a labeled hypergraph: the x's and y's are the
-    heads, tested by mu(x_u, y_v) != 0, and the z's are free, tested by
-    mu(x_u, z_w) != 0 and mu(y_v, z_w) != 0 and, unless member is None, by
-    member[x_u + y_v + z_w] == ((u, v, w) in edges)."""
+    heads, tested by the level mask of (x_u, y_v), and the z's are free,
+    tested by the masks of (x_u, z_w) and (y_v, z_w) and, unless member is
+    None, by member[x_u + y_v + z_w] == ((u, v, w) in edges)."""
     graph, factor, codes = ctx.graph, ctx.factor, ctx.codes
     nu, nv, nw = graph.parts
     shape = _ternary_shape(nu, nv, nw)
     xs, ys, zs = ([factor._members_by_code[codes[c]] for c in cols]
                   for cols in (shape.xs, shape.ys, shape.zs))
     muv, muw, mvw = (
-        {(a, b): mu_weight_matrix(factor, codes[col], codes[rows[a]], codes[others[b]]) != 0.0
+        {(a, b): level_mask(factor, codes[col], codes[rows[a]], codes[others[b]])
          for (a, b), col in pairs}
         for pairs, rows, others in ((shape.muv, shape.xs, shape.ys),
                                     (shape.muw, shape.xs, shape.zs),

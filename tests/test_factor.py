@@ -21,6 +21,8 @@ from qflab.factor import (
     bilinear_level_sizes,
     degenerate_directions,
     direction_codes,
+    level_mask,
+    mu_weight,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
@@ -28,7 +30,7 @@ from qflab.factor import (
     sigma3,
     sigma3_codes,
 )
-from qflab.fpn_core import rank_mod_p, run_counted
+from qflab.fpn_core import rank_mod_p, run_counted, space
 
 
 def _identity_factor(p: int, n: int, ell: int = 0):
@@ -165,6 +167,12 @@ def test_empty_level_set_refuses_a_measure():
     assert bilinear_level_sizes(factor)[1] == 0
     with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
         mu_weight_matrix(factor, 1, 0, 0)
+    with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
+        mu_weight(factor, 1)
+    # the weight is checked before a mask is built; the mask itself is well
+    # defined, as no pair lies in the empty level
+    assert not factor.__dict__.get("_level_masks")
+    assert not level_mask(factor, 1, 0, 0).any() and level_mask(factor, 0, 0, 0).all()
 
 
 def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
@@ -178,29 +186,66 @@ def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
     assert mu_weight_matrix(factor, 2, rows, cols).size == entries
 
 
-def test_mu_weight_matrix_is_memoized_read_only():
+def test_level_mask_is_memoized_read_only():
     factor = _identity_factor(3, 3, ell=1)
     rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
-    w = mu_weight_matrix(factor, 2, rows, cols)
-    assert mu_weight_matrix(factor, 2, rows, cols) is w
-    assert not w.flags.writeable
+    mask = level_mask(factor, 2, rows, cols)
+    assert level_mask(factor, 2, rows, cols) is mask
+    assert not mask.flags.writeable
     with pytest.raises(ValueError):
-        w[0, 0] = 0.0
-    assert mu_weight_matrix(factor, 1, rows, cols) is not w
-    assert mu_weight_matrix(factor, 2, cols, rows) is not w
+        mask[0, 0] = False
+    assert level_mask(factor, 1, rows, cols) is not mask
+    assert level_mask(factor, 2, cols, rows) is not mask
+    # the measure is formed on each call from the one cached mask
+    w = mu_weight_matrix(factor, 2, rows, cols)
+    assert w is not mu_weight_matrix(factor, 2, rows, cols)
+    assert factor._level_masks[(2, rows, cols)] is mask
 
 
-def test_mu_weight_matrix_counts_only_the_matrices_it_builds():
+def test_level_mask_counts_only_the_masks_it_builds():
     factor = _identity_factor(3, 3, ell=1)
     bilinear_level_sizes(factor)
     rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
     want = factor.atom_sizes[rows] * factor.atom_sizes[cols] * factor.q
-    w, terms = run_counted(mu_weight_matrix, factor, 2, rows, cols)
+    mask, terms = run_counted(level_mask, factor, 2, rows, cols)
     assert terms == want
-    assert run_counted(mu_weight_matrix, factor, 2, rows, cols) == (w, 0)
+    assert run_counted(level_mask, factor, 2, rows, cols) == (mask, 0)
+    assert run_counted(mu_weight_matrix, factor, 2, rows, cols)[1] == 0
+    assert run_counted(mu_weight_matrix, factor, 1, rows, cols)[1] == want
     flat = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
     flat.member_table
-    assert run_counted(mu_weight_matrix, flat, 0, 1, 2)[1] == 0
+    assert run_counted(level_mask, flat, 0, 1, 2)[1] == 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_mu_weight_matrix_is_the_level_mask_times_the_weight(p, q):
+    n = 3
+    rng = np.random.default_rng(10 * p + q)
+    forms = []
+    for _ in range(q):
+        a = rng.integers(0, p, size=(n, n))
+        forms.append((a + a.T) % p)
+    factor = new_quadratic_factor(new_linear_factor(p, n, [(1, 0, 0)]), forms)
+    digits = factor.space.digits.astype(np.int64)
+    sizes = bilinear_level_sizes(factor) if q else np.ones(1, dtype=np.int64)
+    atoms = np.flatnonzero(factor.atom_sizes)[:4].tolist()
+    for b in np.flatnonzero(sizes).tolist():
+        weight = mu_weight(factor, b)
+        assert weight == (1.0 if q == 0 else p ** (2 * n) / int(sizes[b]))
+        values = space(p, q).digits[b]
+        for row in atoms:
+            for col in atoms:
+                mask = level_mask(factor, b, row, col)
+                x = digits[factor.atom_indices(factor.all_labels()[row])]
+                y = digits[factor.atom_indices(factor.all_labels()[col])]
+                want = np.ones((len(x), len(y)), dtype=bool)
+                for j, m in enumerate(forms):
+                    want &= (x @ m @ y.T) % p == values[j]
+                assert np.array_equal(mask, want)
+                w = mu_weight_matrix(factor, b, row, col)
+                assert w.dtype == np.float64 and np.array_equal(w, mask * weight)
+                assert np.array_equal(w == weight, mask) and not w[~mask].any()
 
 
 def test_mu_weight_matrix_values():

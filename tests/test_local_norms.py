@@ -14,6 +14,8 @@ from qflab.factor import (
     DirectionTuple3,
     QuadraticFactor,
     degenerate_directions,
+    direction_codes,
+    level_mask,
     new_linear_factor,
     new_quadratic_factor,
 )
@@ -386,7 +388,10 @@ def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypa
     # scan is halved
     factor = _mixed_factor()
     one = LocalContext3(factor, DirectionTuple3(3, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
-    assert one.xs is one.ys is one.zs and one.mu12 is one.mu13 is one.mu23
+    a1, a2, a3, b12, b13, b23 = one.codes
+    assert one.xs is one.ys is one.zs
+    assert level_mask(factor, b12, a1, a2) is level_mask(factor, b13, a1, a3) \
+        is level_mask(factor, b23, a2, a3)
     other = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
     f = _random_f(3, 3, seed=90)
     stacks = []
@@ -581,3 +586,16 @@ def test_weighted_density_batch_matches_each_batch_of_one():
         want = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert weighted_ternary_densities(factor, [], []) == []
+
+
+def test_every_cached_mask_is_one_byte_per_entry():
+    factor = new_quadratic_factor(new_linear_factor(3, 4, [(1, 0, 0, 0)]),
+                                  [np.eye(4, dtype=np.int64)])
+    codes = direction_codes(factor, [[0, 1, 1, 0, 2, 1, 0, 1, 2],
+                                     [1, 1, 0, 2, 2, 2, 1, 0, 0]])
+    local_norms.local_u3_norms(factor, codes, [_random_f(3, 4, 1), _random_f(3, 4, 2)])
+    LocalContext3(factor, DirectionTuple3(3, (2, 2), (0, 1), (1, 0), (2,), (0,), (1,)))
+    masks = list(factor._level_masks.values())
+    assert len(masks) == 9
+    for mask in masks:
+        assert mask.dtype == np.bool_ and mask.itemsize == 1 and mask.nbytes == mask.size
