@@ -198,7 +198,11 @@ def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     """Search for an m-IP2 configuration; for fixed (a_i), (b_j) a witness
     exists iff every pattern code over [m]^2 is achieved by some c. Both
     a_1 = 0 and b_1 = 0 are fixed by translation; for m = 2 each a_2 covers
-    all of its b_2 at once, with the pattern elements (0, b_2, a_2, a_2 + b_2)."""
+    all of its b_2 > a_2 at once, with the pattern elements
+    (0, b_2, a_2, a_2 + b_2). Swapping a_2 and b_2 swaps code bits 1 and 2,
+    so (a_2, b_2) is covered exactly when (b_2, a_2) is, and a_2 = b_2
+    repeats an element and covers nothing: the first covered pair in
+    (a_2, b_2) order has a_2 < b_2, and the half scan finds it."""
     if m > MAX_IP2_M:
         raise CapExceeded(f"m = {m} exceeds the IP2 search cap {MAX_IP2_M}")
     if m < 1:
@@ -207,10 +211,12 @@ def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     N = sp.size
     if N > IP2_POINT_CAP:
         raise CapExceeded(f"group size {N} exceeds the IP2 point cap {IP2_POINT_CAP}")
-    b2 = np.arange(1, N)
-    candidates = [_ORIGIN] if m == 1 else (
-        np.column_stack([np.zeros_like(b2), b2, np.full_like(b2, a2), sp.add(a2, b2)])
-        for a2 in range(1, N))
+
+    def rows(a2: int) -> np.ndarray:
+        b2 = np.arange(a2 + 1, N)
+        return np.column_stack([np.zeros_like(b2), b2, np.full_like(b2, a2), sp.add(a2, b2)])
+
+    candidates = [_ORIGIN] if m == 1 else (rows(a2) for a2 in range(1, N - 1))
     found = _cover(_shift_table(mask), candidates)
     if found is None:
         return None

@@ -338,11 +338,6 @@ def nullspace_mod_p(matrix, p: int, n: int) -> list[tuple[int, ...]]:
 # character sums
 # ---------------------------------------------------------------------------
 
-def phase_value_counts(p: int, values: np.ndarray) -> np.ndarray:
-    """Count how many entries take each residue value 0..p-1."""
-    return np.bincount(np.asarray(values, dtype=np.int64) % p, minlength=p)
-
-
 def omega_table(p: int) -> np.ndarray:
     """omega^k for k = 0..p-1 as complex doubles."""
     ks = np.arange(p)
@@ -365,43 +360,92 @@ def _embed_counts(p: int, counts: np.ndarray) -> complex:
     return total
 
 
-def quad_char_sum(form: SymmetricForm, b: GroupVector) -> complex:
-    """E_x omega^(x^T M x + b^T x), via exact level-set counts.
-
-    The phase values are tallied exactly in Z; only the final embedding of
-    the counts by `_embed_counts` is floating point. Counts p^n terms.
-    """
-    p, n = form.p, form.n
-    if b.p != p or b.n != n:
-        raise ValueError("mismatched b")
+def _form_batches(forms, p: int):
+    """The forms (..., n, n) as int64 (F, n, n), their group, and the point
+    blocks of a batch: (slice of forms, int64 digits of a block of points),
+    each block at most H_BLOCK_ENTRIES entries of (forms, points, n), the
+    whole group per block of forms when one form's table fits."""
+    forms = np.asarray(forms, dtype=np.int64)
+    n = forms.shape[-1]
+    if forms.shape[-2:] != (n, n):
+        raise ValueError(f"expected trailing axes ({n}, {n}), got shape {forms.shape}")
     sp = space(p, n)
-    count_terms(sp.size)
-    vals = sp.form_values(form.as_array(), b.coords)
-    return check_finite(_embed_counts(p, phase_value_counts(p, vals)) / sp.size)
+    flat = forms.reshape((math.prod(forms.shape[:-2]), n, n))
+    step = max(1, H_BLOCK_ENTRIES // max(1, n * sp.size))
+    rows = max(1, H_BLOCK_ENTRIES // max(1, n * step))
+
+    def blocks():
+        for lo in range(0, len(flat), step):
+            for start in range(0, sp.size, rows):
+                yield slice(lo, lo + step), sp.digits[start:start + rows].astype(np.int64)
+    return flat, sp, blocks()
 
 
-def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> complex:
-    """E_{x,y} omega^(x^T M y + c^T x + d^T y).
+def _tally(values: np.ndarray, p: int, keep: np.ndarray | None = None) -> np.ndarray:
+    """Per row of the (F, points) values, the count of each residue
+    0..p-1, over the points `keep` marks (every point by default)."""
+    codes = values % p + p * np.arange(len(values))[:, None]
+    codes = codes.ravel() if keep is None else codes[keep]
+    return np.bincount(codes, minlength=len(values) * p).reshape(len(values), p)
+
+
+def _vectors(vectors, count: int, n: int, name: str) -> np.ndarray:
+    rows = np.asarray(vectors, dtype=np.int64)
+    if rows.size != count * n:
+        raise ValueError(f"need one {name} of {n} entries per form")
+    return rows.reshape(count, n)
+
+
+def quad_char_sums(forms, bs, p: int) -> np.ndarray:
+    """E_x omega^(x^T M x + b^T x) for each form M of the stack (..., n, n)
+    and its vector b of the stack (..., n), via exact level-set counts.
+
+    The phase values are tallied exactly in Z, in blocks of
+    `_form_batches`; only the final embedding of each form's counts by
+    `_embed_counts` is floating point. Counts p^n terms per form.
+    """
+    flat, sp, blocks = _form_batches(forms, p)
+    rs = _vectors(bs, len(flat), sp.n, "vector b")
+    count_terms(len(flat) * sp.size)
+    counts = np.zeros((len(flat), p), dtype=np.int64)
+    for chunk, x in blocks:
+        values = ((x @ flat[chunk]) * x).sum(axis=-1) + rs[chunk] @ x.T
+        counts[chunk] += _tally(values, p)
+    sums = [check_finite(_embed_counts(p, c) / sp.size) for c in counts]
+    return np.array(sums, dtype=np.complex128).reshape(np.shape(forms)[:-2])
+
+
+def quad_char_sum(form: SymmetricForm, b: GroupVector) -> complex:
+    """`quad_char_sums` of one form."""
+    if b.p != form.p or b.n != form.n:
+        raise ValueError("mismatched b")
+    return complex(quad_char_sums(form.as_array().reshape(form.n, form.n), b.coords, form.p))
+
+
+def bilinear_char_sums(forms, cs, ds, p: int) -> np.ndarray:
+    """E_{x,y} omega^(x^T M y + c^T x + d^T y) for each form M of the stack
+    (..., n, n) and its vectors c and d of the stacks (..., n).
 
     The inner sum over y vanishes unless M^T x + d = 0, so the double sum
     collapses to a single exact character sum over the solution set of that
-    linear system. The int8 digits are widened and tested in blocks of at
-    most H_BLOCK_ENTRIES entries. Counts p^n terms, one per x.
+    linear system, tested in the blocks of `_form_batches`. Counts p^n
+    terms per form, one per x.
     """
+    flat, sp, blocks = _form_batches(forms, p)
+    cvec = _vectors(cs, len(flat), sp.n, "vector c")
+    dvec = _vectors(ds, len(flat), sp.n, "vector d")
+    count_terms(len(flat) * sp.size)
+    counts = np.zeros((len(flat), p), dtype=np.int64)  # solutions x by the value of c^T x
+    for chunk, x in blocks:
+        solutions = np.all((x @ flat[chunk] + dvec[chunk, None]) % p == 0, axis=-1)  # x^T M + d
+        counts[chunk] += _tally(cvec[chunk] @ x.T, p, solutions)
+    sums = [check_finite(_embed_counts(p, c) / sp.size) if c.any() else 0j for c in counts]
+    return np.array(sums, dtype=np.complex128).reshape(np.shape(forms)[:-2])
+
+
+def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> complex:
+    """`bilinear_char_sums` of one form."""
     p, n = form.p, form.n
     if c.p != p or c.n != n or d.p != p or d.n != n:
         raise ValueError("mismatched linear parts")
-    sp = space(p, n)
-    count_terms(sp.size)
-    m = form.as_array()
-    dvec = np.array(d.coords, dtype=np.int64)
-    cvec = np.array(c.coords, dtype=np.int64)
-    counts = np.zeros(p, dtype=np.int64)  # solutions x by the value of c^T x
-    rows = max(1, H_BLOCK_ENTRIES // max(1, n))
-    for start in range(0, sp.size, rows):
-        x = sp.digits[start:start + rows].astype(np.int64)
-        solutions = np.all((x @ m + dvec) % p == 0, axis=1)  # row x: x^T M + d
-        counts += phase_value_counts(p, x[solutions] @ cvec)
-    if not counts.any():
-        return complex(0.0)
-    return check_finite(_embed_counts(p, counts) / sp.size)
+    return complex(bilinear_char_sums(form.as_array().reshape(n, n), c.coords, d.coords, p))

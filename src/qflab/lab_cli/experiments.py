@@ -5,13 +5,21 @@ Kinds:
     trend   margins tracked across a scale parameter; annotate, never fail
     report  raw distributions with no single verdict
 
-Every runner is a pure function of (config, seed) and runs its trials in
-one sequential loop: trial i draws from its own generator stream
-_trial_rng(seed, i, ...), so reports are byte-identical from run to run.
-Runners state their checks as rows and never number them: `_records`
-numbers rows by their position, `_rows` merges each trial's rows into
-{"seed", "trial"} for it, `_trials` runs the per-trial loop into `_rows`,
-and `_trend` runs a trend's loop over n_values into `_records`. Runners do
+Every runner is a pure function of (config, seed): trial i draws from its
+own generator stream _trial_rng(seed, i, ...), so reports are
+byte-identical from run to run. The whole-group runners draw first and
+evaluate after, in blocks of trials (`_blockwise`): each trial of a block
+draws from its own stream, the block's draws are stacked into one array,
+trial first, and each quantity is then one batched kernel call over that
+stack (`spectral.u3_norms`, `pattern_ops.t_ip2s`,
+`fpn_core.quad_char_sums`, ...). Every batched kernel gives a row what it
+gives the row alone, so the blocks do not change a report. The local
+runners draw every trial first in the same way and batch their norms.
+Runners state their checks as rows and never number them:
+`_records` numbers rows by their position, `_rows` merges each trial's
+rows into {"seed", "trial"} for it, `_trials` runs a per-trial loop into
+`_rows` (inverse-oracle, whose three trials each scan every form), and
+`_trend` runs a trend's loop over n_values into `_records`. Runners do
 not count work: each kernel tallies the terms it does as it runs
 (`fpn_core.count_terms`), and `run_experiment` reports that tally as
 terms.actual. `estimate` predicts the count from the config alone (for
@@ -55,9 +63,9 @@ from ..factor import (
 from ..fpn_core import (
     GroupVector,
     SymmetricForm,
-    bilinear_char_sum,
+    bilinear_char_sums,
     count_terms,
-    quad_char_sum,
+    quad_char_sums,
     rank_mod_p,
     run_counted,
     space,
@@ -77,10 +85,10 @@ from ..pattern_ops import (
     TernaryContext,
     bipartite_normalization,
     t_bipartite,
-    t_ip,
-    t_ip2,
     t_ip2_local,
+    t_ip2s,
     t_ip_local,
+    t_ips,
     t_ternaries,
     ternary_normalization,
     weighted_ternary_densities,
@@ -88,16 +96,18 @@ from ..pattern_ops import (
     witness_count_ternary,
 )
 from ..spectral import (
+    DERIVATIVE_BLOCK_ENTRIES,
     GroupFunction,
-    ap3_average,
-    ap4_average,
-    fourier_transform,
+    ap3_averages,
+    ap4_averages,
     fourier_transform_naive,
-    inverse_transform,
+    fourier_transforms,
+    inverse_transforms,
     max_quadratic_correlation,
-    u2_inner,
+    u2_inners,
     u2_norms,
-    u3_inner,
+    u3_inner,  # noqa: F401  (re-exported: perfbench's tracer test patches this alias)
+    u3_inners,
     u3_norms,
 )
 from .config import STANDARD_MAX_Q, merge_config
@@ -180,6 +190,29 @@ def _trials(cfg: dict, check: Callable) -> RunResult:
     return _rows(cfg, (check(_trial_rng(cfg["seed"], i), i) for i in range(cfg["trials"])))
 
 
+def _blockwise(cfg: dict, entries: int, draw: Callable, evaluate: Callable) -> RunResult:
+    """`_rows` of the trials drawn and evaluated in blocks: draw(rng) for
+    each trial on its own stream, then evaluate(draws) of a block's draws,
+    which gives each trial's rows in order. A block takes as many trials as
+    keep their `entries` drawn values each within DERIVATIVE_BLOCK_ENTRIES,
+    at least one, so a run of many trials holds one block of draws."""
+    step = max(1, DERIVATIVE_BLOCK_ENTRIES // entries)
+
+    def rows():
+        for lo in range(0, cfg["trials"], step):
+            yield from evaluate([draw(_trial_rng(cfg["seed"], i))
+                                 for i in range(cfg["trials"])[lo:lo + step]])
+    return _rows(cfg, rows())
+
+
+def _finite(stack: np.ndarray) -> np.ndarray:
+    """A stack of value tables, checked finite once, as a GroupFunction
+    checks its table."""
+    if not np.isfinite(stack).all():
+        raise ValueError("non-finite function values")
+    return stack
+
+
 def _trend(cfg: dict, per_n: Callable) -> RunResult:
     """`_records` of a trend over cfg["n_values"]: per_n(factor, i) on the
     standard factor at the i-th n gives that n's rows and its value. A value
@@ -193,18 +226,43 @@ def _trend(cfg: dict, per_n: Callable) -> RunResult:
     return _records(rows, trend_summary(values))
 
 
-def _bounded_values(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.random(size) * np.exp(2j * np.pi * rng.random(size))
+def _bounded_draw(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
+    """The uniforms of `count` bounded tables, (count, 2, size), from one
+    draw of 2 count size: per table its moduli r, then its phases theta.
+    The stream is the same as one draw of moduli and one of phases per
+    table in turn."""
+    return rng.random(2 * count * size).reshape(count, 2, size)
+
+
+def _bounded_values(draw: np.ndarray) -> np.ndarray:
+    """The tables r exp(2 pi i theta) of bounded draws (..., 2, size)."""
+    return draw[..., 0, :] * np.exp(2j * np.pi * draw[..., 1, :])
+
+
+def _gaussian_draw(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
+    """The normals of `count` standard complex Gaussian tables,
+    (count, 2, size), from one draw of 2 count size: per table its real
+    parts, then its imaginary parts."""
+    return rng.standard_normal(2 * count * size).reshape(count, 2, size)
+
+
+def _gaussian_values(draw: np.ndarray) -> np.ndarray:
+    """The tables of Gaussian draws (..., 2, size)."""
+    return (draw[..., 0, :] + 1j * draw[..., 1, :]) / math.sqrt(2)
 
 
 def _bounded_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
-    return GroupFunction(p, n, _bounded_values(rng, p ** n))
+    return GroupFunction(p, n, _bounded_values(_bounded_draw(rng, 1, p ** n)[0]))
 
 
-def _gaussian_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
-    size = p ** n
-    vals = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
-    return GroupFunction(p, n, vals)
+def _table_trials(cfg: dict, count: int, evaluate: Callable, draw: Callable = _bounded_draw,
+                  values: Callable = _bounded_values) -> RunResult:
+    """`_blockwise` over trials that each draw `count` tables on the group,
+    bounded by default: evaluate gets a block's (trials, count, N) stack of
+    their values."""
+    size = cfg["p"] ** cfg["n"]
+    return _blockwise(cfg, count * size, lambda rng: draw(rng, count, size),
+                      lambda draws: evaluate(_finite(values(np.stack(draws)))))
 
 
 def _standard_factor(p: int, n: int, ell: int, q: int) -> QuadraticFactor:
@@ -302,6 +360,13 @@ def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: i
     return distinct * per_tuple(_kept_share(cfg, 2)) + smean * per_tuple(_kept_share(cfg, 1))
 
 
+def _sorted_median(arr: np.ndarray) -> float:
+    """The median of a sorted nonempty array, the mean of its two middle
+    entries (one entry twice at odd length), as np.median gives it without
+    importing numpy.ma."""
+    return float(arr[(len(arr) - 1) // 2] + arr[len(arr) // 2]) / 2
+
+
 def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFunction:
     return GroupFunction(p, n, bits.astype(np.float64) - alpha)
 
@@ -340,10 +405,13 @@ def _local_u2_terms(cfg: dict, n: int, count: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_parseval(cfg: dict) -> RunResult:
-    def check(rng, i):
-        f = _gaussian_fn(rng, cfg["p"], cfg["n"])
-        return [({}, abs(f.l2_norm() ** 2 - fourier_transform(f).l2() ** 2), cfg["tol"])]
-    return _trials(cfg, check)
+    p, n = cfg["p"], cfg["n"]
+
+    def evaluate(fs):
+        l2 = np.sqrt((np.abs(fs[:, 0]) ** 2).mean(axis=1)).tolist()
+        spec_l2 = np.sqrt((np.abs(fourier_transforms(fs[:, 0], p, n)) ** 2).sum(axis=1)).tolist()
+        return [[({}, abs(a ** 2 - b ** 2), cfg["tol"])] for a, b in zip(l2, spec_l2)]
+    return _table_trials(cfg, 1, evaluate, _gaussian_draw, _gaussian_values)
 
 
 def _est_parseval(cfg: dict) -> int:
@@ -352,16 +420,17 @@ def _est_parseval(cfg: dict) -> int:
 
 
 def _run_roundtrip(cfg: dict) -> RunResult:
-    def check(rng, i):
-        f = _gaussian_fn(rng, cfg["p"], cfg["n"])
-        spec = fourier_transform(f)
-        back = inverse_transform(spec)
-        return [({"check": "roundtrip"}, float(np.max(np.abs(back.values - f.values))),
-                 cfg["tol"]),
-                ({"check": "naive-agree"},
-                 float(np.max(np.abs(fourier_transform_naive(f).table - spec.table))),
-                 NAIVE_FT_TOL)]
-    return _trials(cfg, check)
+    p, n = cfg["p"], cfg["n"]
+
+    def evaluate(fs):
+        spec = fourier_transforms(fs[:, 0], p, n)
+        back = np.abs(inverse_transforms(spec, p, n) - fs[:, 0]).max(axis=1).tolist()
+        # the reference transform stays per trial
+        naive = [float(np.max(np.abs(fourier_transform_naive(GroupFunction(p, n, f)).table - t)))
+                 for f, t in zip(fs[:, 0], spec)]
+        return [[({"check": "roundtrip"}, b, cfg["tol"]),
+                 ({"check": "naive-agree"}, a, NAIVE_FT_TOL)] for b, a in zip(back, naive)]
+    return _table_trials(cfg, 1, evaluate, _gaussian_draw, _gaussian_values)
 
 
 def _est_roundtrip(cfg: dict) -> int:
@@ -370,13 +439,14 @@ def _est_roundtrip(cfg: dict) -> int:
 
 
 def _run_u2_equiv(cfg: dict) -> RunResult:
-    def check(rng, i):
-        f = _bounded_fn(rng, cfg["p"], cfg["n"])
-        via_corr = u2_inner(f, f, f, f)
-        via_spectrum = fourier_transform(f).l4_fourth()
-        return [({}, abs(via_corr - via_spectrum), cfg["tol"],
-                 {"u2_fourth": via_corr.real, "spectrum_fourth": via_spectrum})]
-    return _trials(cfg, check)
+    p, n = cfg["p"], cfg["n"]
+
+    def evaluate(fs):
+        via_corr = u2_inners(np.repeat(fs, 4, axis=1), p, n)
+        via_spectrum = (np.abs(fourier_transforms(fs[:, 0], p, n)) ** 4).sum(axis=1)
+        return [[({}, abs(c - s), cfg["tol"], {"u2_fourth": c.real, "spectrum_fourth": s})]
+                for c, s in zip(via_corr.tolist(), via_spectrum.tolist())]
+    return _table_trials(cfg, 1, evaluate)
 
 
 def _est_u2_equiv(cfg: dict) -> int:
@@ -391,12 +461,14 @@ def _est_u2_equiv(cfg: dict) -> int:
 def _run_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
 
-    def check(rng, i):
-        quad = [_bounded_fn(rng, p, n) for _ in range(4)]
-        octu = [_bounded_fn(rng, p, n) for _ in range(8)]
-        return [({"norm": "u2"}, abs(u2_inner(*quad)), math.prod(u2_norms(quad)) + tol),
-                ({"norm": "u3"}, abs(u3_inner(octu)), math.prod(u3_norms(octu)) + tol)]
-    return _trials(cfg, check)
+    def evaluate(fs):  # per trial a quadruple, then an octuple
+        quads, octs = fs[:, :4], fs[:, 4:]
+        rows = zip(u2_inners(quads, p, n).tolist(), u2_norms(quads, p, n).tolist(),
+                   u3_inners(octs, p, n).tolist(), u3_norms(octs, p, n).tolist())
+        return [[({"norm": "u2"}, abs(u2), math.prod(norms2) + tol),
+                 ({"norm": "u3"}, abs(u3), math.prod(norms3) + tol)]
+                for u2, norms2, u3, norms3 in rows]
+    return _table_trials(cfg, 12, evaluate)
 
 
 def _est_gcs(cfg: dict) -> int:
@@ -449,15 +521,19 @@ def _est_local_gcs(cfg: dict) -> int:
 def _run_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
 
-    def check(rng, i):
-        f = _bounded_fn(rng, p, n)
-        g = _bounded_fn(rng, p, n)
-        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        for tag, norms in (("u2", u2_norms), ("u3", u3_norms)):
-            nfg, nf, ng, ncf = norms([f + g, f, g, f.scale(c)])
-            yield {"check": f"{tag}-triangle"}, nfg, nf + ng + tol
-            yield {"check": f"{tag}-homogeneous"}, abs(ncf - abs(c) * nf), tol
-    return _trials(cfg, check)
+    def draw(rng):
+        return _bounded_draw(rng, 2, p ** n), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    def evaluate(draws):
+        f, g = _finite(_bounded_values(np.stack([d[0] for d in draws]))).swapaxes(0, 1)
+        cs = np.array([d[1] for d in draws])
+        fs = np.stack([f + g, f, g, f * cs[:, None]], axis=1)
+        return [[row for tag, (nfg, nf, ng, ncf) in zip(("u2", "u3"), norms)
+                 for row in (({"check": f"{tag}-triangle"}, nfg, nf + ng + tol),
+                             ({"check": f"{tag}-homogeneous"}, abs(ncf - abs(c) * nf), tol))]
+                for c, *norms in zip(cs.tolist(), u2_norms(fs, p, n).tolist(),
+                                     u3_norms(fs, p, n).tolist())]
+    return _blockwise(cfg, 2 * p ** n, draw, evaluate)
 
 
 def _est_triangle(cfg: dict) -> int:
@@ -511,9 +587,12 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
                             [[linear.label_code(a) for a in d] + [0] * 3 for d in dirs], fs, tol)
     u2vals = local_u2_norms(linear, [linear.label_code([sum(v) % p for v in zip(*d)])
                                      for d in dirs], fs, tol)
-    return _rows(cfg, [[({"check": "global"}, u2_norms([f])[0], u3_norms([f])[0] + tol),
+    values = np.stack([f.values for f in fs])
+    return _rows(cfg, [[({"check": "global"}, u2, u3 + tol),
                         ({"check": "local", "d": d}, u2val, u3val + tol)]
-                       for f, d, u3val, u2val in zip(fs, dirs, u3vals, u2vals)])
+                       for u2, u3, d, u3val, u2val in zip(u2_norms(values, p, n).tolist(),
+                                                          u3_norms(values, p, n).tolist(),
+                                                          dirs, u3vals, u2vals)])
 
 
 def _est_u3_dominates(cfg: dict) -> int:
@@ -528,10 +607,13 @@ def _est_u3_dominates(cfg: dict) -> int:
 
 
 def _run_ap3(cfg: dict) -> RunResult:
-    def check(rng, i):
-        f = _bounded_fn(rng, cfg["p"], cfg["n"])
-        return [({}, abs(ap3_average(f)), fourier_transform(f).sup() + cfg["tol"])]
-    return _trials(cfg, check)
+    p, n = cfg["p"], cfg["n"]
+
+    def evaluate(fs):
+        sups = np.abs(fourier_transforms(fs[:, 0], p, n)).max(axis=1).tolist()
+        return [[({}, abs(avg), sup + cfg["tol"])]
+                for avg, sup in zip(ap3_averages(fs[:, 0], p, n).tolist(), sups)]
+    return _table_trials(cfg, 1, evaluate)
 
 
 def _est_ap3(cfg: dict) -> int:
@@ -542,14 +624,18 @@ def _est_ap3(cfg: dict) -> int:
 def _run_ap4(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
 
-    def check(rng, i):
-        f = _bounded_fn(rng, p, n)
-        g = _gaussian_fn(rng, p, n)
-        g = g.scale(1.0 / max(g.l2_norm(), 1e-30))
-        nf, ng = u3_norms([f, g])
-        return [({"f": "sup-bounded"}, abs(ap4_average(f)), nf + tol),
-                ({"f": "l2-normalized"}, abs(ap4_average(g)), ng + tol)]
-    return _trials(cfg, check)
+    def evaluate(draws):
+        f, g = (np.stack(d) for d in zip(*draws))
+        fs = _finite(np.stack([_bounded_values(f), _gaussian_values(g)], axis=1))
+        # the Gaussian g of each trial scaled to unit L^2 norm
+        l2 = np.sqrt((np.abs(fs[:, 1]) ** 2).mean(axis=1))
+        fs[:, 1] *= (1.0 / np.maximum(l2, 1e-30))[:, None]
+        return [[({"f": "sup-bounded"}, abs(af), nf + tol),
+                 ({"f": "l2-normalized"}, abs(ag), ng + tol)]
+                for (af, ag), (nf, ng) in zip(ap4_averages(fs, p, n).tolist(),
+                                              u3_norms(fs, p, n).tolist())]
+    return _blockwise(cfg, 2 * p ** n, lambda rng: (_bounded_draw(rng, 1, p ** n)[0],
+                                                    _gaussian_draw(rng, 1, p ** n)[0]), evaluate)
 
 
 def _est_ap4(cfg: dict) -> int:
@@ -564,38 +650,39 @@ def _est_ap4(cfg: dict) -> int:
 # exponential sums and equidistribution trends
 # ---------------------------------------------------------------------------
 
-def _random_symmetric(rng: np.random.Generator, p: int, n: int) -> SymmetricForm:
+def _symmetric_array(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
     raw = rng.integers(0, p, size=(n, n))
-    return SymmetricForm.from_array(p, (raw + raw.T) % p)
+    return (raw + raw.T) % p
+
+
+def _char_sum_trials(cfg: dict, vectors: int, sums: Callable, decay: float) -> RunResult:
+    """Trials that each draw a symmetric form M and then `vectors` vectors
+    in one label draw, and check that |sums(forms, vectors, p)| is at most
+    p^(-decay rank M)."""
+    p, n = cfg["p"], cfg["n"]
+
+    def evaluate(draws):
+        forms, vecs = (np.array(d, dtype=np.int64) for d in zip(*draws))
+        ranks = [rank_mod_p(form, p) for form in forms]
+        return [[({}, abs(s), p ** (-decay * rank) + cfg["tol"], {"rank": rank})]
+                for s, rank in zip(sums(forms, vecs, p).tolist(), ranks)]
+    return _blockwise(cfg, n * n + vectors * n, lambda rng: (
+        _symmetric_array(rng, p, n), _label(rng, p, vectors * n)), evaluate)
 
 
 def _run_expsum(cfg: dict) -> RunResult:
-    p, n = cfg["p"], cfg["n"]
-
-    def check(rng, i):
-        form = _random_symmetric(rng, p, n)
-        b = GroupVector(p, _label(rng, p, n))
-        rank = rank_mod_p(form.as_array(), p)
-        return [({}, abs(quad_char_sum(form, b)), p ** (-rank / 2) + cfg["tol"],
-                 {"rank": rank})]
-    return _trials(cfg, check)
+    return _char_sum_trials(cfg, 1, quad_char_sums, 0.5)
 
 
 def _est_expsum(cfg: dict) -> int:
-    return cfg["trials"] * cfg["p"] ** cfg["n"] * cfg["n"]
+    # per trial one phase value per point, and the row reduction of the
+    # n x n form, at most n^3 entries
+    return cfg["trials"] * (cfg["p"] ** cfg["n"] + cfg["n"] ** 3)
 
 
 def _run_bilsum(cfg: dict) -> RunResult:
-    p, n = cfg["p"], cfg["n"]
-
-    def check(rng, i):
-        form = _random_symmetric(rng, p, n)
-        c = GroupVector(p, _label(rng, p, n))
-        d = GroupVector(p, _label(rng, p, n))
-        rank = rank_mod_p(form.as_array(), p)
-        return [({}, abs(bilinear_char_sum(form, c, d)), p ** (-rank) + cfg["tol"],
-                 {"rank": rank})]
-    return _trials(cfg, check)
+    return _char_sum_trials(cfg, 2, lambda forms, cd, p: bilinear_char_sums(
+        forms, *np.split(cd, 2, axis=1), p), 1)
 
 
 def _est_bilsum(cfg: dict) -> int:
@@ -695,7 +782,7 @@ def _run_config_regularity(cfg: dict) -> RunResult:
         if not devs:
             return [(base, "no constrained triples found")], None
         arr = np.array(sorted(devs))
-        med = float(np.median(arr))
+        med = _sorted_median(arr)
         return [(base, med, None, {"n": factor.n, "max_dev": float(arr.max()),
                                    "frac_above_quarter": float((arr > 0.25).mean()),
                                    "samples": len(devs)})], med
@@ -784,11 +871,12 @@ def _run_atom_vc2(cfg: dict) -> RunResult:
 
 def _est_atom_vc2(cfg: dict) -> int:
     # per atom: two shift tables, the m = 1 scan, and, as the claim predicts
-    # no 2-IP2 witness, the whole m = 2 scan of (N - 1)^2 (a2, b2) rows of N
+    # no 2-IP2 witness, the whole m = 2 scan of the (N - 1)(N - 2) / 2 rows
+    # (a2, b2 > a2) of N
     size = cfg["p"] ** cfg["n"]
     forms = 1 + len(cfg["extra_diagonals"])
     atoms = sum(cfg["p"] ** (ell + 1) for ell in cfg["ell_values"])
-    return forms * atoms * (2 * size ** 2 + size + (size - 1) ** 2 * size)
+    return forms * atoms * (2 * size ** 2 + size + (size - 1) * (size - 2) // 2 * size)
 
 
 def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
@@ -834,14 +922,20 @@ def _est_coset_union_vc(cfg: dict) -> int:
 # pattern-operator control
 # ---------------------------------------------------------------------------
 
-def _run_control_ip(cfg: dict) -> RunResult:
-    p, n, m = cfg["p"], cfg["n"], cfg["m"]
+def _control_trials(cfg: dict, shape: tuple, average: Callable, norms: Callable) -> RunResult:
+    """Trials that each draw a grid of bounded tables, `shape` of them, and
+    check |average(m, grids, p, n)| against the least of norms(tables)."""
+    p, n = cfg["p"], cfg["n"]
 
-    def check(rng, i):
-        grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
-                             for j in range(1, m + 1) for s in range(1 << m)})
-        return [({}, abs(t_ip(m, grid)), min(u2_norms(grid.functions())) + cfg["tol"])]
-    return _trials(cfg, check)
+    def evaluate(fs):
+        obs = average(cfg["m"], fs.reshape(fs.shape[:1] + shape + fs.shape[2:]), p, n).tolist()
+        least = norms(fs, p, n).min(axis=1).tolist()
+        return [[({}, abs(o), bound + cfg["tol"])] for o, bound in zip(obs, least)]
+    return _table_trials(cfg, math.prod(shape), evaluate)
+
+
+def _run_control_ip(cfg: dict) -> RunResult:
+    return _control_trials(cfg, (cfg["m"], 1 << cfg["m"]), t_ips, u2_norms)
 
 
 def _est_control_ip(cfg: dict) -> int:
@@ -855,14 +949,8 @@ def _est_control_ip(cfg: dict) -> int:
 
 
 def _run_control_ip2(cfg: dict) -> RunResult:
-    p, n, m = cfg["p"], cfg["n"], cfg["m"]
-
-    def check(rng, i):
-        grid = FunctionGrid({(a, b, s): _bounded_fn(rng, p, n)
-                             for a in range(1, m + 1) for b in range(1, m + 1)
-                             for s in range(1 << (m * m))})
-        return [({}, abs(t_ip2(m, grid)), min(u3_norms(grid.functions())) + cfg["tol"])]
-    return _trials(cfg, check)
+    m = cfg["m"]
+    return _control_trials(cfg, (m, m, 1 << (m * m)), t_ip2s, u3_norms)
 
 
 def _est_control_ip2(cfg: dict) -> int:
@@ -1019,7 +1107,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
         "space": total_dirs,
         "degenerate": degenerate,
         "max_norm": float(arr.max()) if arr.size else 0.0,
-        "median_norm": float(np.median(arr)) if arr.size else 0.0,
+        "median_norm": _sorted_median(arr) if arr.size else 0.0,
         "proportions_below": props,
         "main_threshold": main_thr,
         "claimed_min_proportion": 1.0 - 8.0 * eps,
@@ -1110,7 +1198,7 @@ def _run_inverse_oracle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
 
     def check(rng, i):
-        form = _random_symmetric(rng, p, n)
+        form = SymmetricForm.from_array(p, _symmetric_array(rng, p, n))
         with_linear = i == cfg["trials"] - 1
         r = GroupVector(p, _label(rng, p, n)) if with_linear else None
         f = GroupFunction.quadratic_phase(form, r)

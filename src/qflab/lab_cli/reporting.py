@@ -35,9 +35,14 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# one encoder for every report and digest: json.dumps would build a new one
+# per call, and a many-trial run digests every trial's inputs
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                              default=_encode)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                      default=_encode)
+    return _CANONICAL.encode(obj)
 
 
 def digest_of(obj) -> str:

@@ -16,7 +16,9 @@ mu of a prescribed bilinear level set. All eight corner sums land in the
 atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 
 `_binary_contract` is the bipartite contraction: the local U^2 inner
-product, the IP averages and the bipartite operator. `_ternary_contract`
+product, the IP averages and the bipartite operator. Its value arrays may
+carry leading batch axes, so `pattern_ops.t_ips` sends a block of global
+IP grids through one call. `_ternary_contract`
 is the weighted 3-partite one: local U^3, IP2, the ternary operator and the
 weighted ternary density. It takes a batch of problems named by integer
 codes (atoms, bilinear levels and value arrays, laid out by a
@@ -52,7 +54,7 @@ from .factor import (
     sigma3,
 )
 from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
-from .spectral import GroupFunction, _axis_dft, _fourth_moments, _root_of_diagonal
+from .spectral import GroupFunction, _axis_dft, _fourth_moments, _roots_of_diagonal
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
@@ -79,11 +81,12 @@ class LocalContext2:
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows a[j0] * b[j1] for every (j0, j1), j0-major."""
-    return (a[:, None] * b[None]).reshape((-1,) + a.shape[1:])
+    """Rows a[..., j0, :] * b[..., j1, :] for every (j0, j1), j0-major, over
+    any leading batch axes."""
+    return (a[..., :, None, :] * b[..., None, :, :]).reshape(a.shape[:-2] + (-1, a.shape[-1]))
 
 
-def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> complex:
+def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> np.ndarray:
     """The bipartite average over parts U (any number of vertices) and V
     (at most three vertices):
 
@@ -91,19 +94,21 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> comple
         E over x_u in xs[u] of prod over v of g_uv[x_u + y_v],
 
     where values[u, v] = g_uv is an array on the group (conjugated by the
-    caller where the pattern asks for it). Once the y's are fixed the
-    x_u-averages are independent: a mean for one y-vertex, one matmul for
-    two, and for three one matmul of the outer rows of the first two tables
-    with the third. Each distinct (x members, y members) pair of
-    arrays, by identity, gets one sum table t[j, i] = y_j + x_i. Raises
-    CapExceeded when a sum table or an average would hold more than
-    GRID_CAP entries. Counts the multiply-adds of the averages, |x_u| prod
-    |y_v| for each u.
+    caller where the pattern asks for it), or a stack of them with leading
+    batch axes, one average per batch row (a 0-d array without them). Once
+    the y's are fixed the x_u-averages are independent: a mean for one
+    y-vertex, one matmul for two, and for three one matmul of the outer
+    rows of the first two tables with the third. Each distinct (x members,
+    y members) pair of arrays, by identity, gets one sum table
+    t[j, i] = y_j + x_i, shared by the batch. Raises CapExceeded when a sum
+    table or an average would hold more than GRID_CAP entries. Counts the
+    multiply-adds of the averages, |x_u| prod |y_v| for each u and row.
     """
     ysizes = [a.size for a in ys]
     if max([math.prod(ysizes)] + [a.size * b for a in xs for b in ysizes]) > GRID_CAP:
         raise CapExceeded("binary member tables too large")
-    count_terms(sum(a.size for a in xs) * math.prod(ysizes))
+    batch = values[(0, 0)].shape[:-1]
+    count_terms(math.prod(batch) * sum(a.size for a in xs) * math.prod(ysizes))
     tables: dict[tuple, np.ndarray] = {}
     prod = None
     for u, x in enumerate(xs):
@@ -112,16 +117,16 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> comple
             key = (id(y), id(x))
             if key not in tables:
                 tables[key] = sp.sum_grid(y, x)
-            mats.append(values[(u, v)][tables[key]])
+            mats.append(values[(u, v)].take(tables[key], axis=-1))
         if len(ys) == 1:
-            avg = mats[0].mean(axis=1)
+            avg = mats[0].mean(axis=-1)
         elif len(ys) == 2:
-            avg = mats[0] @ mats[1].T / x.size
+            avg = mats[0] @ mats[1].swapaxes(-1, -2) / x.size
         else:
-            avg = (_outer_rows(mats[0], mats[1]) @ mats[2].T).reshape(
-                [m.shape[0] for m in mats]) / x.size
+            avg = (_outer_rows(mats[0], mats[1]) @ mats[2].swapaxes(-1, -2)).reshape(
+                batch + tuple(ysizes)) / x.size
         prod = avg if prod is None else prod * avg
-    return complex(prod.mean())
+    return prod.reshape(batch + (-1,)).mean(axis=-1)
 
 
 def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
@@ -134,7 +139,7 @@ def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
             raise ValueError("function in wrong group")
     values = {(0, 0): f00.values, (0, 1): np.conj(f01.values),
               (1, 0): np.conj(f10.values), (1, 1): f11.values}
-    return _binary_contract(ctx.linear.space, [ctx.xs] * 2, [ctx.ys] * 2, values)
+    return complex(_binary_contract(ctx.linear.space, [ctx.xs] * 2, [ctx.ys] * 2, values))
 
 
 def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
@@ -163,7 +168,7 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
         sums = linear.space.sums(starts[lo:lo + step, None], kernel)
         stack = np.stack([g.values[s] for g, s in zip(fs[lo:lo + step], sums)])
         fourth.extend(_fourth_moments(_axis_dft(stack, p, m, -1)).tolist())
-    return [_root_of_diagonal(complex(v), 4, tol) for v in fourth]
+    return _roots_of_diagonal(np.array(fourth), 4, tol).tolist()
 
 
 class LocalContext3:
@@ -636,5 +641,5 @@ def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
     columns, arrays = value_columns(fs, factor.p, factor.n)
     values = _ternary_contract(factor, u3_shape(False), np.column_stack([codes, columns]),
                                arrays)
-    return [_root_of_diagonal(complex(v), 8, tol) for v in values]
+    return _roots_of_diagonal(np.asarray(values), 8, tol).tolist()
 

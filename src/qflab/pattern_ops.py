@@ -16,10 +16,12 @@ Conventions:
 Every operator with independent completion variables (y_S, z_S, z_w)
 conditions on the remaining variables and multiplies the now-independent
 inner averages, in one of the two contractions of `local_norms`: the binary
-one for t_ip, t_ip_local and t_bipartite, the ternary one for t_ternaries
+one for t_ips, t_ip_local and t_bipartite, the ternary one for t_ternaries
 and weighted_ternary_densities (one call per batch of patterns or
 directions); t_ip2_local is t_ternary on `ip2_hypergraph(m)`. The global
-t_ip2 works on the frequency side instead. The naive nested sums are
+t_ip2s works on the frequency side instead. The global averages take value
+stacks with leading batch axes, and t_ip and t_ip2 are their batches of
+one on a FunctionGrid. The naive nested sums are
 reference routes for small instances. A labeled ternary pattern is one
 `TernaryContext`, built once and read by every ternary routine. The witness
 counts and |I_F(e)| are one blocked extension count, `_extension_count`.
@@ -54,7 +56,7 @@ from .local_norms import (
     _ternary_contract,
     value_columns,
 )
-from .spectral import GroupFunction, _axis_dft, _derivative_blocks
+from .spectral import GroupFunction, _axis_dft, _chunks, _derivative_blocks, _group
 
 MAX_IP_M = 3
 MAX_IP2_M = 2
@@ -205,29 +207,56 @@ def _ip_check(m: int, grid: FunctionGrid) -> None:
     _check_slots(grid, itertools.product(range(1, m + 1), range(1 << m)))
 
 
-def _ip_slots(m: int, grid: FunctionGrid) -> dict:
+def _ip_slots(m: int, values) -> dict:
     """m-IP as a binary contraction: one averaged vertex per subset S (the
-    y_S), the m conditioned x_i, slot (S, i) reading f_{i+1, S}."""
-    return {(s, i): grid[(i + 1, s)].values for s in range(1 << m) for i in range(m)}
+    y_S), the m conditioned x_i, slot (S, i) reading f_{i+1, S} from
+    values[..., i, S, :]."""
+    return {(s, i): values[..., i, s, :] for s in range(1 << m) for i in range(m)}
+
+
+def _ip_stack(m: int, grid: FunctionGrid) -> np.ndarray:
+    """The (m, 2^m, N) value stack of an m-IP grid, f_{i,S} at [i - 1, S]."""
+    _ip_check(m, grid)
+    return np.stack([[grid[(i, s)].values for s in range(1 << m)] for i in range(1, m + 1)])
+
+
+def t_ips(m: int, values, p: int, n: int) -> np.ndarray:
+    """E_{x_1..x_m} E_{y_S : S subset [m]} prod f_{i,S}(x_i + y_S) for each
+    grid of the stack (..., m, 2^m, N), f_{i,S} at [..., i - 1, S, :]: the
+    binary contraction over the whole group, on blocks of grids whose
+    largest tables, N^max(2, m) entries per grid, fit
+    DERIVATIVE_BLOCK_ENTRIES, one sum table per block. Counts the
+    contraction's multiply-adds, 2^m N^(m+1) per grid, and N^2 per block."""
+    if m > MAX_IP_M:
+        raise CapExceeded(f"m = {m} exceeds the IP cap {MAX_IP_M}")
+    values, sp = _group(values, p, n)
+    N = sp.size
+    if values.shape[-3:-1] != (m, 1 << m):
+        raise ValueError(f"expected axes ({m}, {1 << m}, {N}), got shape {values.shape}")
+    grids = values.reshape((-1, m, 1 << m, N))
+    full = np.arange(N, dtype=np.int64)
+    out = np.empty(len(grids), dtype=np.complex128)
+    for block in _chunks(len(grids), N ** max(2, m)):
+        out[block] = _binary_contract(sp, [full] * (1 << m), [full] * m,
+                                      _ip_slots(m, grids[block]))
+    return out.reshape(values.shape[:-3])
 
 
 def t_ip(m: int, grid: FunctionGrid) -> complex:
-    """E_{x_1..x_m} E_{y_S : S subset [m]} prod f_{i,S}(x_i + y_S)."""
-    _ip_check(m, grid)
-    sp = space(grid.p, grid.n)
-    full = np.arange(sp.size, dtype=np.int64)
-    return _binary_contract(sp, [full] * (1 << m), [full] * m, _ip_slots(m, grid))
+    """`t_ips` of one grid."""
+    return complex(t_ips(m, _ip_stack(m, grid), grid.p, grid.n))
 
 
 def t_ip_local(m: int, linear: LinearFactor, d: DirectionTuple2,
                grid: FunctionGrid) -> complex:
     """Same average with every x_i confined to L(a1) and every y_S to L(a2)."""
-    _ip_check(m, grid)
+    values = _ip_stack(m, grid)
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
     xs = linear.coset_indices(d.a1)
     ys = linear.coset_indices(d.a2)
-    return _binary_contract(linear.space, [ys] * (1 << m), [xs] * m, _ip_slots(m, grid))
+    return complex(_binary_contract(linear.space, [ys] * (1 << m), [xs] * m,
+                                    _ip_slots(m, values)))
 
 
 def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
@@ -260,8 +289,10 @@ def _ip2_check(m: int, grid: FunctionGrid) -> None:
     _check_slots(grid, itertools.product(range(1, m + 1), range(1, m + 1), range(1 << (m * m))))
 
 
-def t_ip2(m: int, grid: FunctionGrid) -> complex:
-    """E_{x_i, y_j} E_{z_S : S subset [m]^2} prod f_{i,j,S}(x_i + y_j + z_S).
+def t_ip2s(m: int, values, p: int, n: int) -> np.ndarray:
+    """E_{x_i, y_j} E_{z_S : S subset [m]^2} prod f_{i,j,S}(x_i + y_j + z_S)
+    for each grid of the stack (..., m, m, 2^(m^2), N), f_{i,j,S} at
+    [..., i - 1, j - 1, S, :].
 
     On the whole group each z_S-average depends on the x's and y's only
     through their differences. For m = 1 it is the mean of f_{1,1,S}, so the
@@ -274,29 +305,44 @@ def t_ip2(m: int, grid: FunctionGrid) -> complex:
     correlation E_z P_S(z) Q_S(z + k) of P_S = f_11S f_21S(. + h) and
     Q_S = f_12S f_22S(. + h), that is the dual sum over t of
     conj DFT-(conj P_S)(t) DFT-(Q_S)(t) omega^(k.t). Each block of h from
-    `spectral._derivative_blocks` holds the 32 tables conj P_S and Q_S and
-    takes one batched transform forward and one back to k. Cost
-    O(p^(2n) p n); raises CapExceeded when p^(2n) > NAIVE_CAP. Counts, for
+    `spectral._derivative_blocks` holds the 32 tables conj P_S and Q_S of
+    a block of grids, as many as fit all their h in one buffer, and takes
+    one batched transform forward and one back to k. Cost O(p^(2n) p n)
+    per grid; raises CapExceeded when p^(2n) > NAIVE_CAP. Counts, for
     m = 2, one term per shift-table entry and entries x p x n per
-    transform, p^(2n) (48 p n + 1) in all; for m = 1, one term per entry
-    averaged, 2 p^n.
+    transform, p^(2n) (48 p n + 1) for one grid, the shift table read once
+    per block of grids; for m = 1, one term per entry averaged, 2 p^n per
+    grid.
     """
-    _ip2_check(m, grid)
-    sp = space(grid.p, grid.n)
-    p, n, N = sp.p, sp.n, sp.size
+    if m > MAX_IP2_M:
+        raise CapExceeded(f"m = {m} exceeds the IP2 cap {MAX_IP2_M}")
+    values, sp = _group(values, p, n)
+    N, nsub = sp.size, 1 << (m * m)
+    if values.shape[-4:-1] != (m, m, nsub):
+        raise ValueError(f"expected axes ({m}, {m}, {nsub}, {N}), got shape {values.shape}")
+    grids = values.reshape((-1, m, m, nsub, N))
     if m == 1:
-        count_terms(2 * N)
-        return complex(grid[(1, 1, 0)].values.mean() * grid[(1, 1, 1)].values.mean())
-    nsub = 1 << (m * m)
-    f = {k: g.values for k, g in grid.mapping.items()}
-    pairs = ([(np.conj(f[(1, 1, s)]), np.conj(f[(2, 1, s)])) for s in range(nsub)]
-             + [(f[(1, 2, s)], f[(2, 2, s)]) for s in range(nsub)])
-    total = 0.0
-    for buf in _derivative_blocks(sp, pairs):
-        t = _axis_dft(buf, p, n, -1)
-        g = _axis_dft(np.conj(t[:nsub]) * t[nsub:], p, n, 1)
-        total += g.prod(axis=0).sum()
-    return complex(total / (N * N))
+        count_terms(2 * N * len(grids))
+        means = grids[:, 0, 0].mean(axis=-1)
+        return (means[:, 0] * means[:, 1]).reshape(values.shape[:-4])
+    out = np.zeros(len(grids), dtype=np.complex128)
+    for block in _chunks(len(grids), 2 * nsub * N * N):
+        g = grids[block]
+        a = np.concatenate([np.conj(g[:, 0, 0]), g[:, 0, 1]], axis=1).reshape(-1, N)
+        b = np.concatenate([np.conj(g[:, 1, 0]), g[:, 1, 1]], axis=1).reshape(-1, N)
+        for buf in _derivative_blocks(sp, a, b):
+            t = _axis_dft(buf.reshape((len(g), 2 * nsub) + buf.shape[1:]), p, n, -1)
+            corr = _axis_dft(np.conj(t[:, :nsub]) * t[:, nsub:], p, n, 1)
+            out[block] += corr.prod(axis=1).reshape(len(g), -1).sum(axis=1)
+    return (out / (N * N)).reshape(values.shape[:-4])
+
+
+def t_ip2(m: int, grid: FunctionGrid) -> complex:
+    """`t_ip2s` of one grid."""
+    _ip2_check(m, grid)
+    values = np.stack([[[grid[(i, j, s)].values for s in range(1 << (m * m))]
+                        for j in range(1, m + 1)] for i in range(1, m + 1)])
+    return complex(t_ip2s(m, values, grid.p, grid.n))
 
 
 def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
@@ -403,9 +449,9 @@ def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
     _check_slots(grid, graph.all_tuples())
-    return _binary_contract(linear.space, _coset_members(linear, u_labels),
-                            _coset_members(linear, v_labels),
-                            {t: grid[t].values for t in graph.all_tuples()})
+    return complex(_binary_contract(linear.space, _coset_members(linear, u_labels),
+                                    _coset_members(linear, v_labels),
+                                    {t: grid[t].values for t in graph.all_tuples()}))
 
 
 def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,

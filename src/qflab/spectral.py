@@ -14,31 +14,41 @@ Octuples for the U^3 inner product are passed as a list of eight functions in
 lexicographic order of (eps1, eps2, eps3):
 (0,0,0), (0,0,1), (0,1,0), (0,1,1), (1,0,0), (1,0,1), (1,1,0), (1,1,1).
 
+Every quantity has one batched route over value stacks: an array whose last
+axis is the group index and whose leading axes are a batch (for the inner
+products the axis before it holds the four or eight functions). They are
+`fourier_transforms`, `inverse_transforms`, `u2_inners`, `u3_inners`,
+`u2_norms`, `u3_norms`, `ap3_averages` and `ap4_averages`. Each fills its
+temporaries in blocks of at most DERIVATIVE_BLOCK_ENTRIES complex entries,
+whole problems per block where they fit, and computes each problem as it
+would alone, so a batch row is bit for bit its batch of one. The
+single-problem names (`fourier_transform`, `u2_inner`, `ap3_average`, ...)
+are those batches of one, on GroupFunctions.
+
 Transforms take one route, `_axis_dft`: the table's last axis is the group
 index and any leading axes are a batch. It views the table as (rest, p^k)
 with the k lowest remaining digits last, applies the memoized read-only
 kernel of k digits with one matmul, and rotates those digits to the front;
 when every digit has had its round, each is transformed and back in its
 place. A round takes as many digits as fit a kernel of at most RADIX_CAP
-rows. `fourier_transform`, `inverse_transform`, the batched kernels below
-and `local_norms.local_u2_norms` all call it.
+rows. The batched kernels below, `pattern_ops.t_ip2s` and
+`local_norms.local_u2_norms` all call it.
 
-`u2_inner` averages an O(p^(2n)) shift table. `u3_inner` conditions on the
-z-difference h and contracts four derivative tables on the frequency side,
-sum_t A^(t) B^(-t) C^(-t) D^(t), in O(p^(2n) p n); its independent
-physical-space twin `u3_inner_naive` is the factorized O(p^(5n)) loop and
-raises CapExceeded past p^n = U3_REFERENCE_CAP. `_derivative_blocks` is the
-block loop of `u3_inner`, `u3_norms` and the global IP2 average
-`pattern_ops.t_ip2`: for a block of h it forms every derivative table
-a(u) b(u + h) in one complex buffer of shape (tables, h, N), at most
-DERIVATIVE_BLOCK_ENTRIES entries, so one transform covers all of them.
+`u2_inners` averages the shift table's correlations. `u3_inners`
+conditions on the z-difference h and contracts four derivative tables on
+the frequency side, sum_t A^(t) B^(-t) C^(-t) D^(t), in O(p^(2n) p n); its
+independent physical-space twin `u3_inner_naive` is the factorized
+O(p^(5n)) loop and raises CapExceeded past p^n = U3_REFERENCE_CAP.
+`_derivative_blocks` is the block loop of `u3_inners`, `u3_norms` and the
+global IP2 average `pattern_ops.t_ip2s`: for a block of h it forms every
+derivative table a(u) b(u + h) in one complex buffer of shape (tables, h,
+N), at most DERIVATIVE_BLOCK_ENTRIES entries, so one transform covers all
+of them.
 
-The diagonal norms of a list of functions take one batched route each.
-`u2_norms` is the fourth moment of the spectrum, one transform of the
-stack. `u3_norms` is E_h of the fourth moment of the derivative spectra,
-one derivative buffer per block of h for every function at once, over h = 0
-and one h of each pair {h, -h}, weighted 2. A single norm is the batch of
-one; `u2_inner` and `u3_inner` are their twins.
+The diagonal norms take one batched route each. `u2_norms` is the fourth
+moment of the spectrum. `u3_norms` is E_h of the fourth moment of the
+derivative spectra over h = 0 and one h of each pair {h, -h}, weighted 2;
+`u2_inners` and `u3_inners` are their twins.
 """
 
 from __future__ import annotations
@@ -155,9 +165,6 @@ class SpectrumTable:
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 
-    def sup(self) -> float:
-        return float(np.abs(self.table).max(initial=0.0))
-
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.table) ** 2)))
 
@@ -188,9 +195,18 @@ def _axis_dft(values: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
         wide += 1
     for done in range(0, n, wide):
         k = min(wide, n - done)
-        table = table.reshape(-1, p ** k) @ _dft_kernel(p, sign, k)
+        table = _rows_times(table.reshape(-1, p ** k), _dft_kernel(p, sign, k))
         table = np.swapaxes(table.reshape(batch + (-1, p ** k)), -1, -2).reshape(batch + (-1,))
     return table
+
+
+def _rows_times(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """rows @ kernel. A single row is doubled first: BLAS takes one row by
+    its matrix-vector route, whose sums round otherwise than a row of a
+    matrix product, and a row's transform must not depend on its batch."""
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ kernel)[:1]
+    return rows @ kernel
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +223,32 @@ def _dft_kernel(p: int, sign: int, digits: int) -> np.ndarray:
     return kernel
 
 
+def _stack_dft(values, p: int, n: int, sign: int) -> np.ndarray:
+    """`_axis_dft` of every row of a value stack, in blocks of rows of at
+    most DERIVATIVE_BLOCK_ENTRIES entries."""
+    values, sp = _group(values, p, n)
+    rows = values.reshape(-1, sp.size)
+    out = np.empty(rows.shape, dtype=np.complex128)
+    for block in _chunks(len(rows), sp.size):
+        out[block] = _axis_dft(rows[block], p, n, sign)
+    return out.reshape(values.shape)
+
+
+def fourier_transforms(values, p: int, n: int) -> np.ndarray:
+    """fhat(t) = E_x f(x) omega^(-x.t) of each row of the stack, by
+    dimension-wise DFT. Counts entries x p x n terms."""
+    return _stack_dft(values, p, n, -1)
+
+
+def inverse_transforms(tables, p: int, n: int) -> np.ndarray:
+    """f(x) = sum_t fhat(t) omega^(x.t) (unnormalized dual sum) of each row
+    of the stack. Counts entries x p x n terms."""
+    return _stack_dft(tables, p, n, 1)
+
+
 def fourier_transform(f: GroupFunction) -> SpectrumTable:
-    """fhat(t) = E_x f(x) omega^(-x.t), by dimension-wise DFT."""
-    p, n = f.p, f.n
-    return SpectrumTable(p, n, _axis_dft(f.values, p, n, -1))
+    """`fourier_transforms` of one function."""
+    return SpectrumTable(f.p, f.n, fourier_transforms(f.values, f.p, f.n))
 
 
 def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
@@ -228,63 +266,85 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
 
 
 def inverse_transform(spec: SpectrumTable) -> GroupFunction:
-    """f(x) = sum_t fhat(t) omega^(x.t) (unnormalized dual sum)."""
-    p, n = spec.p, spec.n
-    return GroupFunction(p, n, _axis_dft(spec.table, p, n, 1))
+    """`inverse_transforms` of one spectrum."""
+    return GroupFunction(spec.p, spec.n, inverse_transforms(spec.table, spec.p, spec.n))
 
 
 # ---------------------------------------------------------------------------
 # U^2
 # ---------------------------------------------------------------------------
 
-def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
-             f11: GroupFunction) -> complex:
-    """E over x0,x1,y0,y1 of the conjugation-twisted four-vertex product.
+def u2_inners(values, p: int, n: int) -> np.ndarray:
+    """E over x0,x1,y0,y1 of the conjugation-twisted four-vertex product,
+    for each quadruple of the stack (..., 4, N), in vertex order
+    f00, f01, f10, f11.
 
     Evaluated by conditioning on the pair (y0, y1): the x0 and x1 averages
-    split into two correlation factors that depend only on h = y1 - y0, so
-    the whole average is a single h-expectation of their product.
+    split into two correlation factors that depend only on h = y1 - y0,
+    F(h) = E_x f00(x) conj f01(x + h) and G(h) = E_x conj f10(x) f11(x + h),
+    so the whole average is E_h F(h) G(h). Each block of quadruples and of
+    h gathers its (quadruples, x, h) tables from one read of the shift
+    table, at most DERIVATIVE_BLOCK_ENTRIES entries, every h of a quadruple
+    at once when N^2 fits. Counts one term per shift-table entry read, N^2
+    per block of quadruples. Raises CapExceeded when N^2 > NAIVE_CAP.
     """
-    for g in (f01, f10, f11):
-        f00._check(g)
-    p, n = f00.p, f00.n
-    sp = space(p, n)
+    values, sp = _group(values, p, n, 4)
     N = sp.size
     if N * N > NAIVE_CAP:
         raise CapExceeded("group too large for the pairwise correlation table")
-    shift = sp.sums(slice(None), slice(None))  # shift[x, h] = x + h
-    a = f00.values
-    b = np.conj(f01.values)[shift]  # b[x, h] = conj f01(x + h)
-    fcorr = (a[:, None] * b).mean(axis=0)  # F(h)
-    c = np.conj(f10.values)
-    d = f11.values[shift]
-    gcorr = (c[:, None] * d).mean(axis=0)  # G(h)
-    return complex((fcorr * gcorr).mean())
+    quads = values.reshape(-1, 4, N)
+    out = np.empty(len(quads), dtype=np.complex128)
+    width = min(N, max(1, DERIVATIVE_BLOCK_ENTRIES // N))  # h per block
+    for block in _chunks(len(quads), N * width):
+        q = quads[block]
+        a, b, c, d = q[:, 0, :, None], np.conj(q[:, 1]), np.conj(q[:, 2])[:, :, None], q[:, 3]
+        corr = np.empty((len(q), N), dtype=np.result_type(q, 1.0))
+        for start in range(0, N, width):
+            shift = sp.sums(slice(None), slice(start, start + width))  # x + h
+            # f00(x) conj f01(x + h), then conj f10(x) f11(x + h), formed in
+            # place with the x-side first: a complex product rounds
+            # otherwise with its operands swapped
+            table = b.take(shift, axis=1)
+            np.multiply(a, table, out=table)
+            corr[:, start:start + width] = table.mean(axis=1)
+            table = d.take(shift, axis=1)
+            np.multiply(c, table, out=table)
+            corr[:, start:start + width] *= table.mean(axis=1)
+        out[block] = corr.mean(axis=1)
+    return out.reshape(values.shape[:-2])
 
 
-def u2_norms(fs, tol: float = DEFAULT_TOL) -> list[float]:
-    """The U^2 norm of each function of `fs`, from the fourth moment of its
-    spectrum: ||f||_{U^2}^4 = sum_t |fhat(t)|^4. One transform of the
-    (F, N) stack. Counts the transform's entries x p x n and one term per
-    entry of the |fhat|^4 sum."""
-    fs = _same_group(fs)
-    if not fs:
-        return []
-    p, n = fs[0].p, fs[0].n
-    spec = _axis_dft(np.stack([f.values for f in fs]), p, n, -1)
-    return [_root_of_diagonal(complex(v), 4, tol) for v in _fourth_moments(spec)]
+def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
+             f11: GroupFunction) -> complex:
+    """`u2_inners` of one quadruple."""
+    fs = _same_group([f00, f01, f10, f11])
+    return complex(u2_inners(np.stack([f.values for f in fs]), f00.p, f00.n))
+
+
+def u2_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The U^2 norm of each row of the stack, from the fourth moment of its
+    spectrum: ||f||_{U^2}^4 = sum_t |fhat(t)|^4. One transform per block of
+    rows. Counts the transform's entries x p x n and one term per entry of
+    the |fhat|^4 sum."""
+    values, sp = _group(values, p, n)
+    rows = values.reshape(-1, sp.size)
+    fourth = np.empty(len(rows))
+    for block in _chunks(len(rows), sp.size):
+        fourth[block] = _fourth_moments(_axis_dft(rows[block], p, n, -1))
+    return _roots_of_diagonal(fourth, 4, tol).reshape(values.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
 # U^3
 # ---------------------------------------------------------------------------
 
-def _derivative_blocks(sp: GroupSpace, pairs: list, hs: np.ndarray | None = None):
-    """For each block of h, the buffer buf[k, j, u] = a_k(u) b_k(u + h_j)
-    over the pairs (a_k, b_k) of complex tables, shape (len(pairs), h, N).
+def _derivative_blocks(sp: GroupSpace, a: np.ndarray, b: np.ndarray,
+                       hs: np.ndarray | None = None):
+    """For each block of h, the buffer buf[k, j, u] = a[k, u] b[k, u + h_j]
+    over the rows of the (tables, N) stacks a and b, shape (tables, h, N).
 
     The h run over the indices `hs`, every h in increasing order by default.
-    Blocks take DERIVATIVE_BLOCK_ENTRIES // (len(pairs) N) of them, at least
+    Blocks take DERIVATIVE_BLOCK_ENTRIES // (tables N) of them, at least
     one, in order, the last block holding what is left. Counts one term per
     shift-table entry, h x N per block. Raises CapExceeded when
     N^2 > NAIVE_CAP.
@@ -294,11 +354,10 @@ def _derivative_blocks(sp: GroupSpace, pairs: list, hs: np.ndarray | None = None
         raise CapExceeded("group too large for the pairwise derivative tables")
     idx = np.arange(N, dtype=np.int64)
     hs = idx if hs is None else hs
-    block = max(1, DERIVATIVE_BLOCK_ENTRIES // (len(pairs) * N))
-    a, b = (np.stack(tables) for tables in zip(*pairs))
+    block = max(1, DERIVATIVE_BLOCK_ENTRIES // (len(a) * N))
     a, b = a[:, None, :], b.astype(np.complex128, copy=False)
     for start in range(0, len(hs), block):
-        buf = b[:, sp.sums(hs[start:start + block, None], idx)]  # b_k(h_j + u)
+        buf = b.take(sp.sums(hs[start:start + block, None], idx), axis=1)  # b_k(h_j + u)
         buf *= a
         yield buf
 
@@ -314,30 +373,44 @@ def _box_sums(stack: np.ndarray, p: int, n: int) -> np.ndarray:
     return (t[0] * t[3] * np.conj(t[1] * t[2])).sum(axis=-1)
 
 
-def u3_inner(octuple: list[GroupFunction]) -> complex:
-    """Eight-vertex inner product over x0,x1,y0,y1,z0,z1.
+def u3_inners(values, p: int, n: int) -> np.ndarray:
+    """Eight-vertex inner product over x0,x1,y0,y1,z0,z1, for each octuple
+    of the stack (..., 8, N), in lexicographic eps order.
 
     Spectral evaluation: fix h = z1 - z0 and absorb z0 into x0 and x1. Each
     pair of vertices (e1, e2, 0), (e1, e2, 1) then merges into one derivative
     table, and the average is E_h of the box sum of the four tables. The
     tables enter as f_(e1 e2 0)(u) conj f_(e1 e2 1)(u + h), which is the box
     sum's a and d and the conjugates of its b and c, so each block of h is
-    one (4, h, N) buffer from `_derivative_blocks` and one transform. Cost
-    O(p^(2n) p n). Counts one term per shift-table entry and entries x p x
-    n per transform, p^(2n) (4 p n + 1) in all.
+    one (4 octuples, h, N) buffer from `_derivative_blocks` and one
+    transform; octuples share a buffer when all their h fit in one. Cost
+    O(p^(2n) p n) per octuple. Counts one term per shift-table entry and
+    entries x p x n per transform: p^(2n) (4 p n + 1) for one octuple, the
+    shift table read once per block of octuples.
     """
+    values, sp = _group(values, p, n, 8)
+    N = sp.size
+    octs = values.reshape(-1, 8, N)
+    out = np.zeros(len(octs), dtype=np.complex128)
+    for block in _chunks(len(octs), 4 * N * N):
+        o = octs[block]
+        a = o[:, 0::2].swapaxes(0, 1).reshape(-1, N)  # f_(e1 e2 0), pair-major
+        b = np.conj(o[:, 1::2]).swapaxes(0, 1).reshape(-1, N)
+        for buf in _derivative_blocks(sp, a, b):
+            out[block] += _box_sums(buf.reshape(4, len(o), -1, N), p, n).sum(axis=-1)
+    return (out / N).reshape(values.shape[:-2])
+
+
+def u3_inner(octuple: list[GroupFunction]) -> complex:
+    """`u3_inners` of one octuple."""
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
-    _same_group(octuple)
-    p, n = octuple[0].p, octuple[0].n
-    sp = space(p, n)
-    pairs = [(octuple[2 * k].values, np.conj(octuple[2 * k + 1].values)) for k in range(4)]
-    total = sum(_box_sums(buf, p, n).sum() for buf in _derivative_blocks(sp, pairs))
-    return complex(total / sp.size)
+    fs = _same_group(octuple)
+    return complex(u3_inners(np.stack([f.values for f in fs]), fs[0].p, fs[0].n))
 
 
 def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
-    """Same average as `u3_inner`, in physical space; the reference route.
+    """Same average as `u3_inners`, in physical space; the reference route.
 
     Factorized evaluation: for each (y0, y1) the two z-averages (one for the
     eps3 = 0 face, one for eps3 = 1) are rank-one contractions over z, done
@@ -378,69 +451,95 @@ def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
     return complex(total / N ** 6)
 
 
-def u3_norms(fs, tol: float = DEFAULT_TOL) -> list[float]:
-    """The U^3 norm of each function of `fs`, from its derivatives:
+def u3_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The U^3 norm of each row of the stack, from its derivatives:
     ||f||_{U^3}^8 = E_h sum_t |(Delta_h f)^(t)|^4 with
-    Delta_h f(u) = f(u) conj f(u + h), the diagonal of `u3_inner`.
+    Delta_h f(u) = f(u) conj f(u + h), the diagonal of `u3_inners`.
 
     Each block of h is one (F, h, N) buffer from `_derivative_blocks` over
     the pairs (f, conj f) and one transform. Since Delta_(-h) f is a
     translate of conj Delta_h f, the h-th and (-h)-th sums agree: h scans
     the h <= -h by index, weighted 2 when -h != h, which at odd p is every
-    h but 0 and halves the scan. Functions go in chunks of at most
-    DERIVATIVE_BLOCK_ENTRIES // N, so no buffer exceeds that many entries.
-    Counts, per chunk, one term per shift-table entry (h x N per block),
-    the transform's entries x p x n and one term per entry of the |T|^4
-    sum: about (N + 1) / 2 x N x (1 + F (p n + 1)) at odd p.
+    h but 0 and halves the scan. Functions go in chunks whose whole scan
+    fits DERIVATIVE_BLOCK_ENTRIES entries (one function when none does),
+    and a chunk's weighted sums over h are one matrix-vector product, so a
+    function's norm does not depend on its batch. Counts, per chunk, one
+    term per shift-table entry (h x N per block), the transform's entries
+    x p x n and one term per entry of the |T|^4 sum: about
+    (N + 1) / 2 x N x (1 + F (p n + 1)) at odd p.
     """
-    fs = _same_group(fs)
-    if not fs:
-        return []
-    p, n = fs[0].p, fs[0].n
-    sp = space(p, n)
-    idx = np.arange(sp.size, dtype=np.int64)
+    values, sp = _group(values, p, n)
+    N = sp.size
+    rows = values.reshape(-1, N)
+    idx = np.arange(N, dtype=np.int64)
     neg = sp.neg(idx)
     hs = idx[idx <= neg]
     weights = np.where(hs == neg[hs], 1.0, 2.0)
-    eighth = np.zeros(len(fs))
-    chunk = max(1, DERIVATIVE_BLOCK_ENTRIES // sp.size)
-    for lo in range(0, len(fs), chunk):
-        pairs = [(f.values, np.conj(f.values)) for f in fs[lo:lo + chunk]]
+    eighth = np.empty(len(rows))
+    for block in _chunks(len(rows), N * len(hs)):
+        f = rows[block]
+        moments = np.empty((len(f), len(hs)))
         start = 0
-        for buf in _derivative_blocks(sp, pairs, hs):
+        for buf in _derivative_blocks(sp, f, np.conj(f), hs):
             stop = start + buf.shape[1]
-            moments = _fourth_moments(_axis_dft(buf, p, n, -1))  # (F, h)
-            eighth[lo:lo + len(pairs)] += moments @ weights[start:stop]
+            moments[:, start:stop] = _fourth_moments(_axis_dft(buf, p, n, -1))
             start = stop
-    return [_root_of_diagonal(complex(v / sp.size), 8, tol) for v in eighth]
+        # one matrix-vector product, its rows padded to a multiple of four:
+        # BLAS sums a block of four rows in one order and a leftover row in
+        # another, so unpadded a norm would depend on its batch
+        pad = moments[:1].repeat(-len(f) % 4, axis=0)
+        eighth[block] = (np.concatenate([moments, pad]) @ weights)[:len(f)]
+    return _roots_of_diagonal(eighth / N, 8, tol).reshape(values.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
 # AP averages
 # ---------------------------------------------------------------------------
 
-def _ap_average(f: GroupFunction, k: int) -> complex:
-    """E_{x,d} f(x) f(x+d) ... f(x+(k-1)d), multiplied left to right."""
-    sp = space(f.p, f.n)
-    idx = np.arange(sp.size, dtype=np.int64)
-    whole = slice(None)
-    v = f.values
-    prod = v[:, None] * v[sp.sums(whole, whole)]  # x + d
-    step = idx
+def _ap_averages(values, p: int, n: int, k: int) -> np.ndarray:
+    """E_{x,d} f(x) f(x+d) ... f(x+(k-1)d) for each row of the stack,
+    multiplied left to right. A block holds the (x, d) products of as many
+    whole functions as fit DERIVATIVE_BLOCK_ENTRIES entries, or of a block
+    of x rows of one function when N^2 does not fit. Counts one term per
+    sum-table entry read: (k - 1) N^2 per block of functions."""
+    values, sp = _group(values, p, n)
+    N = sp.size
+    rows = values.reshape(-1, N)
+    idx = np.arange(N, dtype=np.int64)
+    steps = [idx]  # j d for j = 1 .. k - 1
     for _ in range(2, k):
-        step = sp.add(step, idx)  # j d
-        prod = prod * v[sp.sums(whole, step)]  # x + j d
-    return complex(prod.mean())
+        steps.append(sp.add(steps[-1], idx))
+    width = min(N, max(1, DERIVATIVE_BLOCK_ENTRIES // N))  # x rows per block
+    out = np.zeros(len(rows), dtype=np.result_type(rows, 1.0))  # real tables stay real
+    for block in _chunks(len(rows), width * N):
+        v = rows[block]
+        for start in range(0, N, width):
+            xs = slice(start, start + width)
+            prod = v[:, xs, None] * v.take(sp.sums(xs, slice(None)), axis=1)  # x + d
+            for step in steps[1:]:
+                prod *= v.take(sp.sums(xs, step), axis=1)  # x + j d
+            out[block] += prod.reshape(len(v), -1).sum(axis=1)
+    return (out / (N * N)).reshape(values.shape[:-1])
+
+
+def ap3_averages(values, p: int, n: int) -> np.ndarray:
+    """E_{x,d} f(x) f(x+d) f(x+2d) for each row of the stack."""
+    return _ap_averages(values, p, n, 3)
+
+
+def ap4_averages(values, p: int, n: int) -> np.ndarray:
+    """E_{x,d} f(x) f(x+d) f(x+2d) f(x+3d) for each row of the stack."""
+    return _ap_averages(values, p, n, 4)
 
 
 def ap3_average(f: GroupFunction) -> complex:
-    """E_{x,d} f(x) f(x+d) f(x+2d)."""
-    return _ap_average(f, 3)
+    """`ap3_averages` of one function."""
+    return complex(ap3_averages(f.values, f.p, f.n))
 
 
 def ap4_average(f: GroupFunction) -> complex:
-    """E_{x,d} f(x) f(x+d) f(x+2d) f(x+3d)."""
-    return _ap_average(f, 4)
+    """`ap4_averages` of one function."""
+    return complex(ap4_averages(f.values, f.p, f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +611,25 @@ def _same_group(fs) -> list[GroupFunction]:
     return fs
 
 
+def _group(values, p: int, n: int, width: int | None = None) -> tuple[np.ndarray, GroupSpace]:
+    """The value stack as an array whose last axis is the group index, and
+    its group; with `width`, the axis before it must hold that many
+    functions."""
+    sp = space(p, n)
+    values = np.asarray(values)
+    want = (sp.size,) if width is None else (width, sp.size)
+    if values.shape[len(values.shape) - len(want):] != want:
+        raise ValueError(f"expected trailing axes {want}, got shape {values.shape}")
+    return values, sp
+
+
+def _chunks(count: int, entries: int):
+    """Slices of a batch of `count` problems of `entries` buffer entries
+    each, in order: as many as fit DERIVATIVE_BLOCK_ENTRIES, at least one."""
+    step = max(1, DERIVATIVE_BLOCK_ENTRIES // max(1, entries))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def _fourth_moments(table: np.ndarray) -> np.ndarray:
     """sum_t |T(t)|^4 over the last axis of a complex table. Counts one term
     per entry."""
@@ -529,5 +647,14 @@ def _diagonal_real(val: complex, tol: float) -> float:
     return max(real, 0.0)
 
 
-def _root_of_diagonal(val: complex, degree: int, tol: float) -> float:
-    return _diagonal_real(val, tol) ** (1.0 / degree)
+def _roots_of_diagonal(vals, degree: int, tol: float) -> np.ndarray:
+    """The degree-th root of each diagonal value of the array `vals`, after
+    `_diagonal_real`'s checks, which raise NegativeDiagonal on the first
+    value that fails them. Each root is a Python float power, so it rounds
+    as one root taken alone does."""
+    vals = np.asarray(vals)
+    bad = np.flatnonzero((np.abs(vals.imag) > tol) | (vals.real < -tol))
+    if bad.size:
+        _diagonal_real(complex(vals.flat[bad[0]]), tol)
+    roots = [max(v, 0.0) ** (1.0 / degree) for v in vals.real.ravel().tolist()]
+    return np.array(roots, dtype=np.float64).reshape(vals.shape)

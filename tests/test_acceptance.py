@@ -117,7 +117,7 @@ def test_exact_identities():
     # spectral eighth power against the physical-space loop, 20 random functions
     for _ in range(20):
         f = _bounded(3, 3, rng)
-        assert abs(u3_norms([f])[0] ** 8 - u3_inner_naive([f] * 8).real) <= TOL
+        assert abs(u3_norms(f.values, 3, 3) ** 8 - u3_inner_naive([f] * 8).real) <= TOL
 
     # frequency-side coset-local square norm against the binary contraction
     for ell in (1, 2):

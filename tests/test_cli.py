@@ -15,10 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qflab.lab_cli import experiments
 from qflab.lab_cli.experiments import (
     REGISTRY,
+    _blockwise,
+    _bounded_draw,
+    _bounded_values,
     _direction3,
     _direction_codes,
+    _gaussian_draw,
+    _gaussian_values,
     _label,
     _labels,
     _records,
@@ -340,6 +346,23 @@ def test_one_label_draw_splits_into_the_separate_draws(p):
                 assert _labels(one, p, list(widths)) == [_label(many, p, w) for w in widths]
                 assert one.random() == many.random()
                 assert one.uniform(-2, 2) == many.uniform(-2, 2)
+    # a trial draws all its bounded tables with one generator call and each
+    # Gaussian table with one more; they equal the per-table draws they
+    # replaced, moduli then phases and real parts then imaginary parts
+    for n in (1, 2):
+        size = p ** n
+        for k in (1, 3, 4):
+            one, many = np.random.default_rng(k), np.random.default_rng(k)
+            for _ in range(2):
+                bounded = [many.random(size) * np.exp(2j * np.pi * many.random(size))
+                           for _ in range(k)]
+                assert _bounded_values(_bounded_draw(one, k, size)).tobytes() == (
+                    np.array(bounded).tobytes())
+                assert _label(one, p, 3) == _label(many, p, 3)
+                gaussian = (many.standard_normal(size) + 1j * many.standard_normal(size))
+                assert _gaussian_values(_gaussian_draw(one, 1, size))[0].tobytes() == (
+                    (gaussian / math.sqrt(2)).tobytes())
+                assert one.uniform(-2, 2) == many.uniform(-2, 2)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -439,6 +462,41 @@ def test_rows_are_numbered_in_order_and_trials_draw_their_own_streams():
     assert [t["trial"] for t in greedy] == [0, 1, 2, 3]
     assert ([t["observed"] for t in lean] == [t["observed"] for t in greedy]
             == [float(_trial_rng(9, i).random()) for i in range(4)])
+
+
+def test_blocks_of_trials_draw_their_own_streams(monkeypatch):
+    # a block of trials is drawn trial by trial, each on its own stream, and
+    # evaluated at once; blocks of one, of three and of all give one report
+    def draw(rng):
+        return float(rng.random())
+
+    want = [float(_trial_rng(9, i).random()) for i in range(7)]
+    for entries in (1, 3, 1000):
+        monkeypatch.setattr(experiments, "DERIVATIVE_BLOCK_ENTRIES", entries)
+        sizes = []
+
+        def evaluate(draws):
+            sizes.append(len(draws))
+            return [[({}, value, 1.0)] for value in draws]
+        got = _blockwise({"seed": 9, "trials": 7}, 1, draw, evaluate).trials
+        assert [t["trial"] for t in got] == list(range(7))
+        assert [t["observed"] for t in got] == want
+        assert sizes == {1: [1] * 7, 3: [3, 3, 1], 1000: [7]}[entries]
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("parseval", {"n": 2}), ("fourier-roundtrip", {"n": 2}), ("u2-fourier-equiv", {"n": 2}),
+    ("gcs", {}), ("triangle", {"p": 5, "n": 1}), ("ap3-bound", {"n": 2}),
+    ("ap4-bound", {"n": 2}), ("expsum-bound", {}), ("bilsum-bound", {}),
+    ("control-ip", {}), ("control-ip2", {"n": 1}),
+])
+def test_whole_group_reports_do_not_depend_on_trial_blocks(monkeypatch, name, overrides):
+    # every batched kernel gives a row what the row gives alone, so a run in
+    # blocks of one trial has the trials of a run in one block
+    cfg = overrides | {"trials": 6, "seed": 2}
+    whole = run_experiment(name, cfg)
+    monkeypatch.setattr(experiments, "DERIVATIVE_BLOCK_ENTRIES", 1)
+    assert run_experiment(name, cfg)["trials"] == whole["trials"]
 
 
 def test_trend_carries_the_previous_value_past_a_degenerate_n():

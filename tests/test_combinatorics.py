@@ -239,13 +239,13 @@ def test_search_across_several_blocks(monkeypatch):
             late += (k2 is not None and k2.a[1] > 4) + (m2 is not None and m2.b[1] > 4)
     assert late > 0
     # a scan with no witness forms every code of every block: N per
-    # candidate (a_2, b_2), on top of the shift table's N^2 entries
+    # candidate (a_2, b_2 > a_2), on top of the shift table's N^2 entries
     d = space(3, 3).digits.astype(np.int64)
     for level in range(3):
         mask = SubsetBitmask(3, 3, (d * d).sum(axis=1) % 3 == level)
         cert, terms = run_counted(has_m_ip2, mask, 2)
         assert cert is None
-        assert terms == 27 ** 2 + 26 ** 2 * 27
+        assert terms == 27 ** 2 + 325 * 27
 
 
 def test_shift_table_fills_in_blocks(monkeypatch):

@@ -71,7 +71,8 @@ def test_trivial_factor_reduces_to_global_norms():
     lin = new_linear_factor(3, 2, [])
     ctx2 = LocalContext2(lin, DirectionTuple2(3, (), ()))
     f = _random_f(3, 2, seed=1)
-    assert local_u2_norms(lin, [ctx2.code], [f]) == pytest.approx(u2_norms([f]), abs=1e-10)
+    assert local_u2_norms(lin, [ctx2.code], [f]) == pytest.approx(
+        u2_norms(f.values[None], 3, 2), abs=1e-10)
 
     quad = new_quadratic_factor(lin, [])
     ctx3 = LocalContext3(quad, DirectionTuple3(3, (), (), (), (), (), ()))

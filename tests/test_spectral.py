@@ -42,6 +42,11 @@ def _random_f(p, n, seed, bounded=False):
     return GroupFunction(p, n, vals)
 
 
+def _stack(fs):
+    """The value stack of functions on one group, and that group."""
+    return np.stack([f.values for f in fs]), fs[0].p, fs[0].n
+
+
 def _subgroup_indicator():
     sp = space(3, 2)
     members = [i for i in range(9) if sp.digits[i, 0] == 0]
@@ -102,9 +107,9 @@ def test_u2_fourth_power_equals_spectral_moment():
 def test_u2_norms_match_the_shift_table_average(p, n):
     fs = [_random_f(p, n, seed=90 + k) for k in range(3)]
     want = [u2_inner(f, f, f, f).real ** 0.25 for f in fs]
-    assert u2_norms(fs) == pytest.approx(want, rel=1e-12)
-    assert u2_norms([fs[1]])[0] == pytest.approx(want[1], rel=1e-12)
-    assert u2_norms([]) == []
+    assert u2_norms(*_stack(fs)) == pytest.approx(want, rel=1e-12)
+    assert u2_norms(*_stack([fs[1]]))[0] == pytest.approx(want[1], rel=1e-12)
+    assert u2_norms(np.zeros((0, p ** n)), p, n).shape == (0,)
 
 
 def test_u3_inner_matches_explicit_loop():
@@ -131,7 +136,8 @@ def test_u3_inner_matches_explicit_loop():
 
 def test_u3_eighth_power_matches_derivative_route():
     f = _random_f(3, 2, seed=55)
-    assert u3_norms([f])[0] ** 8 == pytest.approx(u3_inner_naive([f] * 8).real, abs=1e-10)
+    assert u3_norms(*_stack([f]))[0] ** 8 == pytest.approx(u3_inner_naive([f] * 8).real,
+                                                         abs=1e-10)
 
 
 def test_u3_inner_blocks_of_h_match_reference(monkeypatch):
@@ -153,41 +159,43 @@ def test_u3_norms_match_the_inner_product(p, n):
     fs = [_random_f(p, n, seed=100 + k, bounded=k % 2 == 1) for k in range(3)]
     batch = fs + [fs[0]]
     want = [_u3_twin(f) for f in batch]
-    assert u3_norms(fs[:1]) == pytest.approx(want[:1], rel=1e-12)
-    got = u3_norms(batch)
+    assert u3_norms(*_stack(fs[:1])) == pytest.approx(want[:1], rel=1e-12)
+    got = u3_norms(*_stack(batch))
     assert got == pytest.approx(want, rel=1e-12)
     assert got[3] == got[0]
-    assert u3_norms([fs[2]])[0] == pytest.approx(want[2], rel=1e-12)
+    assert u3_norms(*_stack([fs[2]]))[0] == pytest.approx(want[2], rel=1e-12)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
 def test_u3_norms_match_the_reference_loop(p, n):
     fs = [_random_f(p, n, seed=110 + k) for k in range(2)]
     want = [u3_inner_naive([f] * 8).real ** 0.125 for f in fs]
-    assert u3_norms(fs) == pytest.approx(want, rel=1e-12)
+    assert u3_norms(*_stack(fs)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,n,entries", [
-    # p^n = 27 scans h = 0 and 13 of the 26 nonzero h: 3 x 5 x 27 entries
-    # per buffer of three functions give blocks of 5, 5 and 4 h
-    (3, 3, 3 * 5 * 27),
-    # at most two functions per chunk (54 // 25), one h per block: the
-    # third function is a chunk of its own
+    # p^n = 27 scans h = 0 and 13 of the 26 nonzero h, 14 x 27 = 378
+    # entries a function: 405 entries hold one function's whole scan, so
+    # each function is a chunk of its own, all h in one block
+    (3, 3, 405),
+    # no scan of 13 h fits 54 entries (54 // 25 = 2): each function is a
+    # chunk of its own, in blocks of 2 h and a last one of 1
     (5, 2, 54),
 ])
 def test_u3_norms_blocks_and_chunks_match_the_inner_product(monkeypatch, p, n, entries):
     fs = [_random_f(p, n, seed=120 + k, bounded=True) for k in range(3)]
     want = [_u3_twin(f) for f in fs]
     monkeypatch.setattr(spectral, "DERIVATIVE_BLOCK_ENTRIES", entries)
-    assert u3_norms(fs) == pytest.approx(want, rel=1e-12)
+    assert u3_norms(*_stack(fs)) == pytest.approx(want, rel=1e-12)
 
 
 def test_u3_norms_reject_mixed_groups():
-    assert u3_norms([]) == []
+    # a stack holds one group; a last axis of another length is refused
+    assert u3_norms(np.zeros((0, 9)), 3, 2).shape == (0,)
     with pytest.raises(ValueError):
-        u3_norms([_random_f(3, 2, seed=1), _random_f(3, 3, seed=1)])
+        u3_norms(_stack([_random_f(3, 3, seed=1)])[0], 3, 2)
     with pytest.raises(ValueError):
-        u2_norms([_random_f(3, 2, seed=1), _random_f(5, 2, seed=1)])
+        u2_norms(_stack([_random_f(3, 2, seed=1)])[0], 5, 2)
 
 
 def test_u3_reference_is_capped():
@@ -207,25 +215,25 @@ def test_u3_exact_values_past_the_reference_cap():
     form = SymmetricForm.from_array(p, (raw + raw.T) % p)
     shift = GroupVector(p, tuple(int(c) for c in rng.integers(0, p, n)))
     phase = GroupFunction.quadratic_phase(form, shift)
-    assert u3_norms([phase])[0] == pytest.approx(1.0, abs=1e-10)
-    assert u3_norms([GroupFunction.character(shift)])[0] == pytest.approx(1.0, abs=1e-10)
+    assert u3_norms(phase.values, p, n) == pytest.approx(1.0, abs=1e-10)
+    assert u3_norms(GroupFunction.character(shift).values, p, n) == pytest.approx(1.0, abs=1e-10)
     sp = space(p, n)
     members = [i for i in range(sp.size) if sp.digits[i, 0] == 0]
     indicator = GroupFunction.indicator(p, n, members)
-    assert u3_norms([indicator])[0] ** 8 == pytest.approx(1 / 81, abs=1e-10)
+    assert u3_norms(indicator.values, p, n) ** 8 == pytest.approx(1 / 81, abs=1e-10)
 
 
 def test_u2_never_exceeds_u3():
     for seed in range(5):
         f = _random_f(3, 2, seed=60 + seed, bounded=True)
-        assert u2_norms([f])[0] <= u3_norms([f])[0] + 1e-9
+        assert u2_norms(*_stack([f]))[0] <= u3_norms(*_stack([f]))[0] + 1e-9
 
 
 def test_subgroup_indicator_reference_values():
     f = _subgroup_indicator()
-    assert u2_norms([f])[0] ** 4 == pytest.approx(1 / 27, abs=1e-10)
+    assert u2_norms(*_stack([f]))[0] ** 4 == pytest.approx(1 / 27, abs=1e-10)
     assert fourier_transform(f).l4_fourth() == pytest.approx(1 / 27, abs=1e-10)
-    assert u3_norms([f])[0] ** 8 == pytest.approx(1 / 81, abs=1e-10)
+    assert u3_norms(*_stack([f]))[0] ** 8 == pytest.approx(1 / 81, abs=1e-10)
     assert u3_inner_naive([f] * 8).real == pytest.approx(1 / 81, abs=1e-10)
     val = ap3_average(f)
     assert val.real == pytest.approx(1 / 9, abs=1e-10)
@@ -312,8 +320,10 @@ def test_correlation_search_cap():
 def test_norms_reject_badly_negative_diagonals():
     # a diagonal inner value with a large negative real part cannot come
     # from a norm; the root extraction refuses it
-    from qflab.spectral import _root_of_diagonal
+    from qflab.spectral import _roots_of_diagonal
 
     with pytest.raises(NegativeDiagonal):
-        _root_of_diagonal(-1.0 + 0j, 4, 1e-9)
-    assert _root_of_diagonal(16.0 + 0j, 4, 1e-9) == pytest.approx(2.0)
+        _roots_of_diagonal(np.array([16.0, -1.0 + 0j]), 4, 1e-9)
+    with pytest.raises(NegativeDiagonal):
+        _roots_of_diagonal(np.array([16.0 + 1j]), 4, 1e-9)
+    assert _roots_of_diagonal(np.array([16.0 + 0j, -1e-12]), 4, 1e-9) == pytest.approx([2.0, 0.0])
