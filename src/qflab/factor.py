@@ -4,16 +4,19 @@ A linear factor is a list of linearly independent vectors r_1, ..., r_l; a
 quadratic factor adds symmetric forms M_1, ..., M_q. Atoms are the joint
 level sets {x : x^T r_i = a_i, x^T M_j x = b_j}. A factor is its codes:
 each point's label (a_1, ..., a_l, b_1, ..., b_q), read in base p, summed
-from `GroupSpace.form_values`. A label is a plain tuple, and the bilinear
-level-set sizes are one array by level code. The rank of a quadratic
-factor is the minimum rank over all nontrivial combinations of its forms;
-high rank makes atoms and bilinear level sets near-equidistributed, which is
-what the trend experiments measure.
+from `GroupSpace.form_values`. A label's code is its canonical index in
+F_p^width, so `space(p, width)` encodes (`index_of`) and decodes
+(`coords_of`) it, and the bilinear level-set sizes are one array by level
+code. A direction (a1, a2, a3, b12, b13, b23) is a row of six codes, three
+atom codes and three bilinear level codes: `direction_codes` encodes drawn
+labels, and `degenerate_directions` and `sigma3_codes` read the rows. The
+rank of a quadratic factor is the minimum rank over all nontrivial
+combinations of its forms; high rank makes atoms and bilinear level sets
+near-equidistributed, which is what the trend experiments measure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,46 +35,6 @@ from .fpn_core import (
 
 MAX_FORMS = 6
 MU_CAP = 1 << 26  # entry cap of one level mask; a mu weight is that mask and one number
-
-
-@dataclass(frozen=True)
-class DirectionTuple2:
-    """Pair of coset labels (a1, a2) for the local U^2 inner product."""
-
-    p: int
-    a1: tuple[int, ...]
-    a2: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.a1) != len(self.a2):
-            raise ValueError("label lengths differ")
-        object.__setattr__(self, "a1", tuple(int(v) % self.p for v in self.a1))
-        object.__setattr__(self, "a2", tuple(int(v) % self.p for v in self.a2))
-
-
-@dataclass(frozen=True)
-class DirectionTuple3:
-    """Labels (a1, a2, a3, b12, b13, b23) for the local U^3 inner product.
-
-    The a_i are atom labels of length l+q; the b_ij are bilinear labels of
-    length q, in the fixed pair order (12), (13), (23).
-    """
-
-    p: int
-    a1: tuple[int, ...]
-    a2: tuple[int, ...]
-    a3: tuple[int, ...]
-    b12: tuple[int, ...]
-    b13: tuple[int, ...]
-    b23: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.a1) == len(self.a2) == len(self.a3)):
-            raise ValueError("atom label lengths differ")
-        if not (len(self.b12) == len(self.b13) == len(self.b23)):
-            raise ValueError("bilinear label lengths differ")
-        for name in ("a1", "a2", "a3", "b12", "b13", "b23"):
-            object.__setattr__(self, name, tuple(int(v) % self.p for v in getattr(self, name)))
 
 
 class _LabelIndex:
@@ -107,12 +70,6 @@ class _LabelIndex:
     def _members_by_code(self) -> list[np.ndarray]:
         return [row[:size] for row, size in zip(self.member_table, self.atom_sizes.tolist())]
 
-    def label_code(self, label) -> int:
-        vals = tuple(int(v) for v in label)
-        if len(vals) != self.width:
-            raise ValueError(f"label length {len(vals)} != {self.width}")
-        return _code(self.p, vals)
-
 
 class LinearFactor(_LabelIndex):
     """l linearly independent vectors partitioning F_p^n into p^l cosets."""
@@ -142,7 +99,7 @@ class LinearFactor(_LabelIndex):
 
     def coset_indices(self, label: tuple[int, ...]) -> np.ndarray:
         """Canonical-index members of the coset L(label); size is p^(n-l)."""
-        return self._members_by_code[self.label_code(label)]
+        return self._members_by_code[space(self.p, self.width).index_of(label)]
 
     def subgroup_basis(self) -> list[GroupVector]:
         """Basis of the kernel coset L(0), from mod-p row reduction."""
@@ -200,7 +157,8 @@ class QuadraticFactor(_LabelIndex):
         return codes
 
     def atom_indices(self, label) -> np.ndarray:
-        return self._members_by_code[self.label_code(label)]
+        """Canonical-index members of the atom B(label)."""
+        return self._members_by_code[space(self.p, self.width).index_of(label)]
 
     def all_labels(self) -> list[tuple[int, ...]]:
         """Every atom label, in code order."""
@@ -335,31 +293,10 @@ def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
     return counts
 
 
-def sigma2(d: DirectionTuple2) -> tuple[int, ...]:
-    """The coset label a1 + a2 on which local U^2 evaluates its arguments."""
-    return tuple((x + y) % d.p for x, y in zip(d.a1, d.a2))
-
-
-def sigma3(factor: QuadraticFactor, d: DirectionTuple3) -> tuple[int, ...]:
-    """The atom label a1+a2+a3+2(0b12)+2(0b13)+2(0b23).
-
-    0b means the bilinear label padded with the factor's l initial zeros, so
-    the doubled bilinear contributions only touch the quadratic entries.
-    """
-    if len(d.a1) != factor.ell + factor.q or len(d.b12) != factor.q:
-        raise ValueError("direction tuple does not match factor complexity")
-    p = factor.p
-    out = [(x + y + z) % p for x, y, z in zip(d.a1, d.a2, d.a3)]
-    for b in (d.b12, d.b13, d.b23):
-        for j, v in enumerate(b):
-            out[factor.ell + j] = (out[factor.ell + j] + 2 * v) % p
-    return tuple(out)
-
-
 def direction_codes(factor: QuadraticFactor, labels) -> np.ndarray:
-    """The codes (a1, a2, a3, b12, b13, b23) of direction tuples, one row
-    per tuple of its label entries in that order: three atom labels of
-    l + q entries, then three bilinear labels of q entries."""
+    """The codes (a1, a2, a3, b12, b13, b23) of directions, one row per row
+    of label entries in that order: three atom labels of l + q entries,
+    then three bilinear labels of q entries."""
     p, w, q = factor.p, factor.ell + factor.q, factor.q
     labels = np.asarray(labels, dtype=np.int64).reshape(len(labels), 3 * w + 3 * q) % p
     place = p ** np.arange(w, dtype=np.int64)
@@ -378,8 +315,10 @@ def degenerate_directions(factor: QuadraticFactor, codes: np.ndarray) -> np.ndar
 
 
 def sigma3_codes(factor: QuadraticFactor, codes: np.ndarray) -> np.ndarray:
-    """The code of sigma3(d) for each row (a1, a2, a3, b12, b13, b23) of
-    direction codes, digit by digit."""
+    """The code of the target atom a1 + a2 + a3 + 2(0|b12) + 2(0|b13) +
+    2(0|b23) of each row (a1, a2, a3, b12, b13, b23) of direction codes,
+    digit by digit; 0|b is the bilinear label after the factor's l leading
+    zeros, so the doubled bilinear terms only touch the quadratic digits."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     p, ell, q = factor.p, factor.ell, factor.q
     place = p ** np.arange(ell + q, dtype=np.int64)
@@ -387,11 +326,3 @@ def sigma3_codes(factor: QuadraticFactor, codes: np.ndarray) -> np.ndarray:
     total = digits.sum(axis=1)
     total[:, ell:] += 2 * ((codes[:, 3:, None] // place[:q]) % p).sum(axis=1)
     return (total % p) @ place
-
-
-def _code(p: int, values) -> int:
-    """The little-endian base-p value of a label."""
-    code = 0
-    for v in reversed(values):
-        code = code * p + int(v) % p
-    return code

@@ -49,8 +49,6 @@ from ..combinatorics import (
 )
 from ..errors import ConfigError, DegenerateContext, UnknownExperiment
 from ..factor import (
-    DirectionTuple2,
-    DirectionTuple3,
     LinearFactor,
     QuadraticFactor,
     bilinear_level_sizes,
@@ -80,7 +78,6 @@ from ..local_norms import (
 )
 from ..pattern_ops import (
     FunctionGrid,
-    LabelAssignment,
     PatternHypergraph,
     TernaryContext,
     bipartite_normalization,
@@ -283,55 +280,74 @@ def _label(rng: np.random.Generator, p: int, width: int) -> tuple[int, ...]:
     return tuple(rng.integers(0, p, size=width).tolist())
 
 
-def _labels(rng: np.random.Generator, p: int, widths: list[int]) -> list[tuple[int, ...]]:
-    """Labels of the given widths, in order, split from one draw; the
-    generator yields the same values as one `_label` draw per width."""
+def _label_codes(rng: np.random.Generator, p: int, widths: list[int]) -> list[int]:
+    """The codes of labels of the given widths, in order, from one draw of
+    their entries; the generator yields the same values as one `_label`
+    draw per width."""
     flat = rng.integers(0, p, size=sum(widths)).tolist()
-    ends = list(itertools.accumulate(widths))
-    return [tuple(flat[end - width:end]) for width, end in zip(widths, ends)]
-
-
-def _direction3(rng: np.random.Generator, factor: QuadraticFactor) -> DirectionTuple3:
-    w, q = factor.ell + factor.q, factor.q
-    return DirectionTuple3(factor.p, *_labels(rng, factor.p, [w, w, w, q, q, q]))
+    ends = itertools.accumulate(widths)
+    return [sum(v * p ** i for i, v in enumerate(flat[end - width:end]))
+            for width, end in zip(widths, ends)]
 
 
 def _direction_codes(factor: QuadraticFactor, seed: int, count: int) -> np.ndarray:
-    """The codes of `_direction3(_trial_rng(seed, j), factor)` for j < count."""
+    """The codes of the directions that `_nondeg_ctx3` would draw from
+    _trial_rng(seed, j), j < count, encoded in one batch."""
     width = 3 * (factor.ell + 2 * factor.q)
     return direction_codes(factor, [_trial_rng(seed, j).integers(0, factor.p, size=width)
                                     for j in range(count)])
 
 
 def _ctx2(rng: np.random.Generator, linear: LinearFactor) -> LocalContext2:
-    """The local U^2 context of a drawn pair of coset labels (a1, a2)."""
-    labels = _labels(rng, linear.p, [linear.ell] * 2)
-    return LocalContext2(linear, DirectionTuple2(linear.p, *labels))
+    """The local U^2 context of a drawn pair of coset codes (a1, a2)."""
+    return LocalContext2(linear, _label_codes(rng, linear.p, [linear.ell] * 2))
 
 
 def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor) -> LocalContext3 | str:
     """The context of the first nondegenerate direction drawn, or why none
     of CONTEXT_ATTEMPTS draws was."""
     last = "no attempts made"
+    widths = [factor.width] * 3 + [factor.q] * 3  # (a1, a2, a3, b12, b13, b23)
     for _ in range(CONTEXT_ATTEMPTS):
+        row = _label_codes(rng, factor.p, widths)
         try:
-            return LocalContext3(factor, _direction3(rng, factor))
+            return LocalContext3(factor, row)
         except DegenerateContext as exc:
             last = str(exc)
     return f"no nondegenerate direction found: {last}"
 
 
 def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
-    """(mean, mean of squares) of the standard factor's atom sizes at dimension
-    n, for cost prediction; local experiments sample labels uniformly."""
-    arr = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"]).atom_sizes.astype(float)
+    """(mean, mean of squares) of the standard factor's nonempty atom sizes
+    at dimension n, for cost prediction: local experiments sample labels
+    uniformly and redraw or drop a direction until its atoms are nonempty."""
+    sizes = _standard_factor(cfg["p"], n, cfg["ell"], cfg["q"]).atom_sizes
+    arr = sizes[sizes > 0].astype(float)
     return float(arr.mean()), float((arr ** 2).mean())
 
 
+def _level_terms(cfg: dict, n: int) -> int:
+    """Terms of the standard factor's rank and level-set sizes at dimension
+    n: the linear vectors' check takes one scaling per vector of n entries;
+    each punctured line of F_p^q has a diagonal form combination, whose rank
+    takes at most one scaling of each of its n rows, and updates all p^q
+    level sets."""
+    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
+    lines = (p ** q - 1) // (p - 1)
+    return lines * (p ** q + n * n) + ell * n
+
+
+def _factor_terms(cfg: dict, n: int) -> int:
+    """Terms of building the standard factor at dimension n: its linear
+    codes and its atom codes, p^n (2l + q), and `_level_terms`."""
+    return cfg["p"] ** n * (2 * cfg["ell"] + cfg["q"]) + _level_terms(cfg, n)
+
+
 def _per_n_terms(cfg: dict, terms: Callable) -> int:
-    """The sum over cfg["n_values"] of terms(n, smean, s2mean) on the
-    standard factor's atom-size moments at n, at least 1."""
-    return max(sum(terms(n, *_atom_stats(cfg, n)) for n in cfg["n_values"]), 1)
+    """The sum over cfg["n_values"] of the factor's terms and terms(n,
+    smean, s2mean) on the standard factor's atom-size moments at n."""
+    return sum(_factor_terms(cfg, n) + terms(n, *_atom_stats(cfg, n))
+               for n in cfg["n_values"])
 
 
 def _kept_share(cfg: dict, ys: int) -> float:
@@ -480,6 +496,7 @@ def _est_gcs(cfg: dict) -> int:
 def _run_local_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
+    cosets, atoms = space(p, factor.ell), space(p, factor.width)  # print codes as labels
     draws = []  # per trial: U^2 context, its four functions, U^3 context, its octuple
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -494,15 +511,15 @@ def _run_local_gcs(cfg: dict) -> RunResult:
                   [math.prod(norms3[k:k + 8]) for k in range(0, len(norms3), 8)]))
 
     def rows(ctx2, quad, ctx3):
-        yield ({"norm": "local-u2", "d": [ctx2.d.a1, ctx2.d.a2]},
+        yield ({"norm": "local-u2", "d": [cosets.coords_of(c) for c in ctx2.codes]},
                abs(local_u2_inner(ctx2, *quad)), math.prod(itertools.islice(u2, 4)) + tol)
         if isinstance(ctx3, str):
             yield ctx3
             return
         obs3, bnd3 = next(u3)
         scale = max(1.0, bnd3)
-        yield ({"norm": "local-u3", "d": list(ctx3.d.a1)}, abs(obs3), bnd3 + tol * scale,
-               {"scale": scale})
+        yield ({"norm": "local-u3", "d": list(atoms.coords_of(ctx3.codes[0]))}, abs(obs3),
+               bnd3 + tol * scale, {"scale": scale})
     return _rows(cfg, (rows(*d[:3]) for d in draws))
 
 
@@ -514,8 +531,8 @@ def _est_local_gcs(cfg: dict) -> int:
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     u3 = (_ternary_terms(cfg, smean, s2mean, slots=2)
           + 8 * _ternary_terms(cfg, smean, s2mean, half=True))
-    return int(cfg["trials"] * (2 * coset ** 3 + coset ** 2 + _local_u2_terms(cfg, cfg["n"], 4)
-                                + u3))
+    return _factor_terms(cfg, cfg["n"]) + int(cfg["trials"] * (
+        2 * coset ** 3 + coset ** 2 + _local_u2_terms(cfg, cfg["n"], 4) + u3))
 
 
 def _run_triangle(cfg: dict) -> RunResult:
@@ -569,8 +586,8 @@ def _run_local_triangle(cfg: dict) -> RunResult:
 
 def _est_local_triangle(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
-    return int(cfg["trials"] * (_local_u2_terms(cfg, cfg["n"], 3)
-                                + 3 * _ternary_terms(cfg, smean, s2mean, half=True)))
+    return _factor_terms(cfg, cfg["n"]) + int(cfg["trials"] * (
+        _local_u2_terms(cfg, cfg["n"], 3) + 3 * _ternary_terms(cfg, smean, s2mean, half=True)))
 
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
@@ -583,10 +600,10 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         dirs.append([_label(rng, p, linear.ell) for _ in range(3)])
     # on a purely linear factor the local U^3 norm with zero bilinear labels
     # dominates the local U^2 norm on the target coset a1 + a2 + a3
-    u3vals = local_u3_norms(QuadraticFactor(linear, ()),
-                            [[linear.label_code(a) for a in d] + [0] * 3 for d in dirs], fs, tol)
-    u2vals = local_u2_norms(linear, [linear.label_code([sum(v) % p for v in zip(*d)])
-                                     for d in dirs], fs, tol)
+    flat, cosets = QuadraticFactor(linear, ()), space(p, linear.ell)
+    codes = np.array([[cosets.index_of(a) for a in d] + [0] * 3 for d in dirs])
+    u3vals = local_u3_norms(flat, codes, fs, tol)
+    u2vals = local_u2_norms(linear, sigma3_codes(flat, codes), fs, tol)
     values = np.stack([f.values for f in fs])
     return _rows(cfg, [[({"check": "global"}, u2, u3 + tol),
                         ({"check": "local", "d": d}, u2val, u3val + tol)]
@@ -713,13 +730,8 @@ def _run_bil_sizes(cfg: dict) -> RunResult:
 
 
 def _est_bil_sizes(cfg: dict) -> int:
-    # every level set is updated once per punctured line of F_p^q, at each
-    # n; each line's form combination is diagonal, so its rank takes one
-    # scaling of each of its n rows, and the linear factor's check one per
-    # vector
-    p, ell, q = cfg["p"], cfg["ell"], cfg["q"]
-    lines = (p ** q - 1) // (p - 1)
-    return sum(lines * (p ** q + n * n) + ell * n for n in cfg["n_values"])
+    # the sizes come from the ranks alone: no codes are built
+    return sum(_level_terms(cfg, n) for n in cfg["n_values"])
 
 
 def _run_genbilsums(cfg: dict) -> RunResult:
@@ -800,6 +812,7 @@ def _est_config_regularity(cfg: dict) -> int:
 def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
     def per_n(factor, i):
         p, n, ell = factor.p, factor.n, factor.ell
+        cosets = space(p, ell)
         points = []  # per (atom, a1): a degenerate row, or inputs, alpha, function, coset code
         for lab in map(tuple, cfg["atom_labels"]):
             idx = factor.atom_indices(lab)
@@ -809,13 +822,11 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
                 continue
             bits = np.zeros(p ** n, dtype=bool)
             bits[idx] = True
-            e = lab[:ell]
-            for a1_code in range(p ** ell):
-                a1 = space(p, ell).coords_of(a1_code) if ell else ()
-                a2 = tuple((ei - ai) % p for ei, ai in zip(e, a1))
-                ctx = LocalContext2(factor.linear, DirectionTuple2(p, a1, a2))
+            e = cosets.index_of(lab[:ell])
+            for a1 in range(p ** ell):
+                ctx = LocalContext2(factor.linear, (a1, cosets.add(e, cosets.neg(a1))))
                 alpha = float(bits[ctx.target_indices()].mean())
-                points.append((base | {"a1": list(a1)}, alpha,
+                points.append((base | {"a1": list(cosets.coords_of(a1))}, alpha,
                                _indicator_minus(p, n, bits, alpha), ctx.code))
         live = [t for t in points if len(t) == 4]
         norms = local_u2_norms(factor.linear, [t[3] for t in live], [t[2] for t in live])
@@ -973,11 +984,12 @@ def _run_control_ip_local(cfg: dict) -> RunResult:
         ctx = _ctx2(rng, linear)
         grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
                              for j in range(1, m + 1) for s in range(1 << m)})
-        draws.append((ctx, list(grid.functions()), abs(t_ip_local(m, linear, ctx.d, grid))))
+        draws.append((ctx, list(grid.functions()), abs(t_ip_local(m, linear, ctx.codes, grid))))
     slots = m << m
     norms = local_u2_norms(linear, [d[0].code for d in draws for _ in range(slots)],
                            [g for d in draws for g in d[1]])
-    return _rows(cfg, [[({"d": [ctx.d.a1, ctx.d.a2]}, obs,
+    cosets = space(p, linear.ell)  # print codes as labels
+    return _rows(cfg, [[({"d": [cosets.coords_of(c) for c in ctx.codes]}, obs,
                          min(norms[slots * i:slots * (i + 1)]) + cfg["tol"])]
                        for i, (ctx, _, obs) in enumerate(draws)])
 
@@ -1000,7 +1012,7 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
             return [(base, ctx)], None
         f = _bounded_fn(rng, factor.p, factor.n)
         grid = FunctionGrid.ip2_diagonal(cfg["m"], f)
-        obs = abs(t_ip2_local(cfg["m"], factor, ctx.d, grid))
+        obs = abs(t_ip2_local(cfg["m"], factor, ctx.codes, grid))
         nrm = local_u3_norms(factor, [ctx.codes], [f])[0]
         excess = max(0.0, (obs - nrm) / max(1.0, nrm))
         return [(base, excess, None, {"n": factor.n, "operator": obs, "norm": nrm})], excess
@@ -1119,7 +1131,8 @@ def _run_smallpart(cfg: dict) -> RunResult:
 def _est_smallpart(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    return max(int(count * _ternary_terms(cfg, smean, s2mean, half=True)), 1)
+    per_direction = _ternary_terms(cfg, smean, s2mean, half=True)
+    return _factor_terms(cfg, cfg["n"]) + int(count * per_direction)
 
 
 def _atom_union(rng: np.random.Generator, factor: QuadraticFactor) -> tuple[list, np.ndarray]:
@@ -1158,8 +1171,9 @@ def _run_trivdense(cfg: dict) -> RunResult:
 
 
 def _est_trivdense(cfg: dict) -> int:
-    smean, _ = _atom_stats(cfg, cfg["n"])
-    return int(cfg["directions"] * smean + cfg["p"] ** cfg["n"])
+    # the factor and one term per point of the regularity check; the target
+    # atoms' counts are array reads
+    return _factor_terms(cfg, cfg["n"]) + cfg["p"] ** cfg["n"]
 
 
 def _run_vc2_structure(cfg: dict) -> RunResult:
@@ -1236,19 +1250,19 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         edges = frozenset((u, v) for u in range(nu) for v in range(nv)
                           if rng.random() < 0.5)
         graph = PatternHypergraph((nu, nv), edges)
-        u_labels = [_label(rng, p, ell) for _ in range(nu)]
-        v_labels = [_label(rng, p, ell) for _ in range(nv)]
+        cosets = _label_codes(rng, p, [ell] * (nu + nv))
+        u_codes, v_codes = cosets[:nu], cosets[nu:]
         ind = GroupFunction(p, n, bits.astype(np.float64))
         coind = GroupFunction(p, n, (~bits).astype(np.float64))
         grid = FunctionGrid.edge_select(graph, ind, coind)
-        t_val = t_bipartite(graph, linear, u_labels, v_labels, grid)
-        count = witness_count_bipartite(graph, linear, u_labels, v_labels, bits)
+        t_val = t_bipartite(graph, linear, u_codes, v_codes, grid)
+        count = witness_count_bipartite(graph, linear, u_codes, v_codes, bits)
         norm = bipartite_normalization(graph, linear)
         # density product; the measured per-pair uniformity comes in one batch
         prod = 1.0
         for u in range(nu):
             for v in range(nv):
-                ctx = LocalContext2(linear, DirectionTuple2(p, u_labels[u], v_labels[v]))
+                ctx = LocalContext2(linear, (u_codes[u], v_codes[v]))
                 alpha = float(bits[ctx.target_indices()].mean())
                 prod *= alpha if (u, v) in edges else 1.0 - alpha
                 codes.append(ctx.code)
@@ -1299,19 +1313,13 @@ def _ternary_graphs(max_part: int):
 def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
                        graph: PatternHypergraph) -> TernaryContext | None:
     """The context of a seeded label assignment in which every atom and pair
-    level set in sight is nonempty; None when no such assignment is found."""
-    w, q = factor.ell + factor.q, factor.q
-    nu, nv, nw = graph.nu, graph.nv, graph.nw
-    pairs = [list(itertools.product(range(i), range(j)))
-             for i, j in ((nu, nv), (nu, nw), (nv, nw))]
-    widths = [w] * (nu + nv + nw) + [q] * sum(map(len, pairs))
+    level set in sight is nonempty; None when no such assignment is found.
+    An assignment is drawn in `TernaryContext.codes` order."""
+    nu, nv, nw = graph.parts
+    widths = [factor.width] * (nu + nv + nw) + [factor.q] * (nu * nv + nu * nw + nv * nw)
     for _ in range(ASSIGNMENT_ATTEMPTS):
-        labels = iter(_labels(rng, factor.p, widths))
-        a, b, c = (tuple(itertools.islice(labels, k)) for k in (nu, nv, nw))
-        duv, duw, dvw = ({pair: next(labels) for pair in part} for part in pairs)
-        e = LabelAssignment(a, b, c, duv, duw, dvw)
         try:
-            return TernaryContext(graph, factor, e)
+            return TernaryContext(graph, factor, _label_codes(rng, factor.p, widths))
         except DegenerateContext:
             continue
     return None
@@ -1385,7 +1393,7 @@ def _est_counting_ternary(cfg: dict) -> int:
                            + pairs * sw * smean ** 3)
                 operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
                 total += shapes * int(witness + operator + su * sv * sw * norm)
-    return max(total, 1)
+    return total + _factor_terms(cfg, cfg["n"])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every hard check passes (trend and report experiments
 never fail the exit code), 1 when a hard check fails, 2 for configuration
-problems (unknown experiment, bad key, cap violation), 3 for any other
+problems (unknown experiment, bad key, cap violation, a `--config` that
+cannot be read or an `--out` that cannot be written), 3 for any other
 error, so that a crash is never read as a failed bound.
 """
 
@@ -95,8 +96,11 @@ def _do_run(args: argparse.Namespace) -> int:
     report = run_estimated(args.experiment, cfg, est)
     payload = canonical_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {args.out!r}: {exc}") from exc
         print(f"# report written to {args.out}", file=sys.stderr)
     else:
         print(payload)

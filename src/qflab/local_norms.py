@@ -2,8 +2,9 @@
 that every conditioned average calls.
 
 The local U^2 inner product averages the four-vertex product with x0, x1
-confined to the coset L(a1) and y0, y1 to L(a2); every argument x + y then
-lies in the single coset L(a1 + a2), so the value only sees f there. The
+confined to the coset L(a1) and y0, y1 to L(a2), a pair of coset codes;
+every argument x + y then lies in the single coset L(a1 + a2), of code
+`space(p, l).add(a1, a2)`, so the value only sees f there. The
 local U^2 norm is taken on the frequency side: its fourth power is the
 fourth moment of the spectrum of f restricted to that coset, read through
 a kernel basis of L(0). `local_u2_norms` takes a batch of (coset code,
@@ -12,8 +13,10 @@ f, f, f)`, the binary contraction, is its twin.
 
 The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
-mu of a prescribed bilinear level set. All eight corner sums land in the
-atom labeled sigma3(d) = a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
+mu of a prescribed bilinear level set. A direction d is a row of six
+codes (a1, a2, a3, b12, b13, b23), as `factor.direction_codes` lays it out,
+and all eight corner sums land in the atom of code `sigma3_codes(d)`,
+labeled a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 
 `_binary_contract` is the bipartite contraction: the local U^2 inner
 product, the IP averages and the bipartite operator. Its value arrays may
@@ -42,16 +45,12 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateContext
 from .factor import (
-    DirectionTuple2,
-    DirectionTuple3,
     LinearFactor,
     QuadraticFactor,
-    _code,
     level_mask,
     mu_weight,
     mu_weight_matrix,
-    sigma2,
-    sigma3,
+    sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
 from .spectral import GroupFunction, _axis_dft, _fourth_moments, _roots_of_diagonal
@@ -62,22 +61,25 @@ BLOCK_ENTRIES = 1 << 13  # entries per kept (x, z) slab of one block of the tern
 NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
-class LocalContext2:
-    """A linear factor with a pair of coset labels (a1, a2) and the code of
-    their target coset a1 + a2."""
+def _check_codes(codes, bound: int) -> None:
+    if not all(0 <= c < bound for c in codes):
+        raise ValueError(f"label codes must lie in [0, {bound})")
 
-    def __init__(self, linear: LinearFactor, d: DirectionTuple2) -> None:
-        if d.p != linear.p or len(d.a1) != linear.ell:
-            raise ValueError("direction tuple does not match factor")
+
+class LocalContext2:
+    """A linear factor with a pair of coset codes (a1, a2), their member
+    arrays and the code of their target coset a1 + a2."""
+
+    def __init__(self, linear: LinearFactor, codes) -> None:
+        a1, a2 = self.codes = tuple(int(c) for c in codes)
+        _check_codes(self.codes, linear.p ** linear.ell)
         self.linear = linear
-        self.d = d
-        self.xs = linear.coset_indices(d.a1)
-        self.ys = linear.coset_indices(d.a2)
-        self.sigma = sigma2(d)
-        self.code = linear.label_code(self.sigma)
+        self.xs = linear._members_by_code[a1]
+        self.ys = linear._members_by_code[a2]
+        self.code = int(space(linear.p, linear.ell).add(a1, a2))
 
     def target_indices(self) -> np.ndarray:
-        return self.linear.coset_indices(self.sigma)
+        return self.linear._members_by_code[self.code]
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,34 +174,36 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
 
 
 class LocalContext3:
-    """A quadratic factor with atom labels (a1, a2, a3) and bilinear labels
-    (b12, b13, b23): their codes, member arrays and mu weight matrices, each
-    formed from the factor's cached level mask.
+    """A quadratic factor with a direction, the row of codes (a1, a2, a3,
+    b12, b13, b23) of three atoms and three bilinear levels: their member
+    arrays and mu weight matrices formed from the factor's cached level
+    masks.
 
     Degenerate when any referenced atom or level set is empty: the defining
-    expectations divide by those sizes, so evaluation refuses.
+    expectations divide by those sizes, so evaluation refuses, naming the
+    empty atom's label.
     """
 
-    def __init__(self, factor: QuadraticFactor, d: DirectionTuple3) -> None:
-        if d.p != factor.p or len(d.a1) != factor.ell + factor.q or len(d.b12) != factor.q:
-            raise ValueError("direction tuple does not match factor")
+    def __init__(self, factor: QuadraticFactor, codes) -> None:
+        self.codes = tuple(int(c) for c in codes)
+        if len(self.codes) != 6:
+            raise ValueError("a direction is six codes (a1, a2, a3, b12, b13, b23)")
+        _check_codes(self.codes[:3], factor.p ** factor.width)
+        _check_codes(self.codes[3:], factor.p ** factor.q)
         self.factor = factor
-        self.d = d
-        self.codes = tuple(_code(d.p, lab) for lab in (d.a1, d.a2, d.a3, d.b12, d.b13, d.b23))
-        self.xs = factor.atom_indices(d.a1)
-        self.ys = factor.atom_indices(d.a2)
-        self.zs = factor.atom_indices(d.a3)
-        for name, arr in (("a1", self.xs), ("a2", self.ys), ("a3", self.zs)):
-            if arr.size == 0:
-                raise DegenerateContext(f"atom {name} = {getattr(d, name)} is empty")
         a1, a2, a3, b12, b13, b23 = self.codes
+        self.xs, self.ys, self.zs = (factor._members_by_code[a] for a in (a1, a2, a3))
+        for name, code, arr in (("a1", a1, self.xs), ("a2", a2, self.ys), ("a3", a3, self.zs)):
+            if arr.size == 0:
+                label = space(factor.p, factor.width).coords_of(code)
+                raise DegenerateContext(f"atom {name} = {label} is empty")
         self.mu12 = mu_weight_matrix(factor, b12, a1, a2)
         self.mu13 = mu_weight_matrix(factor, b13, a1, a3)
         self.mu23 = mu_weight_matrix(factor, b23, a2, a3)
-        self.sigma = sigma3(factor, d)
 
     def target_indices(self) -> np.ndarray:
-        return self.factor.atom_indices(self.sigma)
+        """The members of the target atom, of code `sigma3_codes`."""
+        return self.factor._members_by_code[int(sigma3_codes(self.factor, self.codes)[0])]
 
 
 def _member_tensor(ctx: LocalContext3, g: GroupFunction) -> np.ndarray:

@@ -22,9 +22,13 @@ directions); t_ip2_local is t_ternary on `ip2_hypergraph(m)`. The global
 t_ip2s works on the frequency side instead. The global averages take value
 stacks with leading batch axes, and t_ip and t_ip2 are their batches of
 one on a FunctionGrid. The naive nested sums are
-reference routes for small instances. A labeled ternary pattern is one
-`TernaryContext`, built once and read by every ternary routine. The witness
-counts and |I_F(e)| are one blocked extension count, `_extension_count`.
+reference routes for small instances. Every local operator names its
+cosets, atoms and bilinear levels by their integer codes (see `factor`): a
+pair of coset codes for t_ip_local, one coset code per vertex for the
+bipartite routines, and a direction's six codes for t_ip2_local. A labeled
+ternary pattern is one `TernaryContext` of codes, built once and read by
+every ternary routine. The witness counts and |I_F(e)| are one blocked
+extension count, `_extension_count`.
 """
 
 from __future__ import annotations
@@ -39,11 +43,8 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateContext
 from .factor import (
-    DirectionTuple2,
-    DirectionTuple3,
     LinearFactor,
     QuadraticFactor,
-    _code,
     bilinear_level_sizes,
     degenerate_directions,
     level_mask,
@@ -53,6 +54,7 @@ from .local_norms import (
     GRID_CAP,
     TernaryShape,
     _binary_contract,
+    _check_codes,
     _ternary_contract,
     value_columns,
 )
@@ -122,28 +124,6 @@ def ip2_hypergraph(m: int) -> PatternHypergraph:
                 if s_code >> (i * m + j) & 1:
                     edges.append((i, j, s_code))
     return PatternHypergraph((m, m, 1 << (m * m)), frozenset(edges))
-
-
-@dataclass(frozen=True)
-class LabelAssignment:
-    """Per-vertex atom labels and per-pair bilinear labels for a ternary
-    hypergraph; every triple (u, v, w) induces the direction tuple
-    (a_u, b_v, c_w, d_uv, d_uw, d_vw)."""
-
-    a: tuple
-    b: tuple
-    c: tuple
-    duv: dict
-    duw: dict
-    dvw: dict
-
-    @classmethod
-    def constant(cls, graph: PatternHypergraph, d: DirectionTuple3) -> LabelAssignment:
-        duv = {(u, v): d.b12 for u in range(graph.nu) for v in range(graph.nv)}
-        duw = {(u, w): d.b13 for u in range(graph.nu) for w in range(graph.nw)}
-        dvw = {(v, w): d.b23 for v in range(graph.nv) for w in range(graph.nw)}
-        return cls((d.a1,) * graph.nu, (d.a2,) * graph.nv, (d.a3,) * graph.nw,
-                   duv, duw, dvw)
 
 
 class FunctionGrid:
@@ -247,14 +227,13 @@ def t_ip(m: int, grid: FunctionGrid) -> complex:
     return complex(t_ips(m, _ip_stack(m, grid), grid.p, grid.n))
 
 
-def t_ip_local(m: int, linear: LinearFactor, d: DirectionTuple2,
-               grid: FunctionGrid) -> complex:
-    """Same average with every x_i confined to L(a1) and every y_S to L(a2)."""
+def t_ip_local(m: int, linear: LinearFactor, codes, grid: FunctionGrid) -> complex:
+    """Same average with every x_i confined to L(a1) and every y_S to L(a2),
+    for the coset codes (a1, a2)."""
     values = _ip_stack(m, grid)
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
-    xs = linear.coset_indices(d.a1)
-    ys = linear.coset_indices(d.a2)
+    xs, ys = _coset_members(linear, codes)
     return complex(_binary_contract(linear.space, [ys] * (1 << m), [xs] * m,
                                     _ip_slots(m, values)))
 
@@ -345,20 +324,19 @@ def t_ip2(m: int, grid: FunctionGrid) -> complex:
     return complex(t_ip2s(m, values, grid.p, grid.n))
 
 
-def t_ip2_local(m: int, factor: QuadraticFactor, d: DirectionTuple3,
-                grid: FunctionGrid) -> complex:
-    """The mu-weighted variant: x_i in B(a1), y_j in B(a2), z_S in B(a3),
-    with measure factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S). The
-    ternary operator of `ip2_hypergraph(m)` with every vertex and pair
-    labeled by d, slot (i - 1, j - 1, S) reading f_{i, j, S}."""
+def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> complex:
+    """The mu-weighted variant at the direction of codes (a1, a2, a3, b12,
+    b13, b23): x_i in B(a1), y_j in B(a2), z_S in B(a3), with measure
+    factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S). The ternary
+    operator of `ip2_hypergraph(m)` with every vertex and pair labeled by
+    the direction (`constant_codes`), slot (i - 1, j - 1, S) reading
+    f_{i, j, S}."""
     _ip2_check(m, grid)
     if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
-    if d.p != factor.p:
-        raise ValueError("direction tuple does not match factor")
     graph = ip2_hypergraph(m)
     slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
-    return t_ternary(TernaryContext(graph, factor, LabelAssignment.constant(graph, d)), slots)
+    return t_ternary(TernaryContext(graph, factor, constant_codes(graph, codes)), slots)
 
 
 def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
@@ -434,14 +412,17 @@ def _extension_count(head_sizes: list[int], head_tests: list, free_tests: list) 
 # bipartite multi-local operator
 # ---------------------------------------------------------------------------
 
-def _coset_members(linear: LinearFactor, labels) -> list[np.ndarray]:
-    return [linear.coset_indices(tuple(lab)) for lab in labels]
+def _coset_members(linear: LinearFactor, codes) -> list[np.ndarray]:
+    codes = [int(c) for c in codes]
+    _check_codes(codes, linear.p ** linear.ell)
+    return [linear._members_by_code[c] for c in codes]
 
 
-def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
-                v_labels, grid: FunctionGrid) -> complex:
+def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_codes,
+                v_codes, grid: FunctionGrid) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
-    f_{u,v}(x_u + y_v): the binary contraction, slot (u, v) reading f_{u,v}."""
+    f_{u,v}(x_u + y_v), for the coset codes d_u in u_codes and d_v in
+    v_codes: the binary contraction, slot (u, v) reading f_{u,v}."""
     if len(graph.parts) != 2:
         raise ValueError("need a bipartite graph")
     if graph.nu > MAX_BIPARTITE_PART or graph.nv > MAX_BIPARTITE_PART:
@@ -449,25 +430,25 @@ def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_labels,
     if (linear.p, linear.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
     _check_slots(grid, graph.all_tuples())
-    return complex(_binary_contract(linear.space, _coset_members(linear, u_labels),
-                                    _coset_members(linear, v_labels),
+    return complex(_binary_contract(linear.space, _coset_members(linear, u_codes),
+                                    _coset_members(linear, v_codes),
                                     {t: grid[t].values for t in graph.all_tuples()}))
 
 
 def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
-                            u_labels, v_labels, member: np.ndarray) -> int:
-    """Number of tuples ((a_u), (b_v)) in the prescribed cosets with
-    a_u + b_v in A exactly when (u, v) is an edge. The extension count with
-    the b's as heads and the a's as free vertices: each (u, v) pair gets one
-    table of the (b_v, a_u) that match, read through the sum table of the
-    two cosets. Counts one term per (b's, a_u) candidate it forms and per
-    sum-table entry."""
+                            u_codes, v_codes, member: np.ndarray) -> int:
+    """Number of tuples ((a_u), (b_v)) in the cosets of codes u_codes and
+    v_codes with a_u + b_v in A exactly when (u, v) is an edge. The
+    extension count with the b's as heads and the a's as free vertices:
+    each (u, v) pair gets one table of the (b_v, a_u) that match, read
+    through the sum table of the two cosets. Counts one term per (b's, a_u)
+    candidate it forms and per sum-table entry."""
     if len(graph.parts) != 2:
         raise ValueError("need a bipartite graph")
     sp = linear.space
     member = np.asarray(member, dtype=bool)
-    xs = _coset_members(linear, u_labels)
-    ys = _coset_members(linear, v_labels)
+    xs = _coset_members(linear, u_codes)
+    ys = _coset_members(linear, v_codes)
     free_tests = [[((v,), member[sp.sum_grid(ys[v], xs[u])] == ((u, v) in graph.edges))
                    for v in range(graph.nv)] for u in range(graph.nu)]
     return _extension_count([y.size for y in ys], [], free_tests)
@@ -483,31 +464,27 @@ class TernaryContext:
 
     `codes` holds the atom code of every vertex (U, then V, then W) and the
     bilinear code of every pair ((u, v), then (u, w), then (v, w), each in
-    lexicographic order). Members, level masks and sizes are read from the
+    lexicographic order); `constant_codes` labels every vertex and pair by
+    one direction. Members, level masks and sizes are read from the
     factor's caches. Raises DegenerateContext when some triple names an
     empty atom or (with forms) an empty bilinear level set."""
 
-    def __init__(self, graph: PatternHypergraph, factor: QuadraticFactor,
-                 e: LabelAssignment) -> None:
+    def __init__(self, graph: PatternHypergraph, factor: QuadraticFactor, codes) -> None:
         if len(graph.parts) != 3:
             raise ValueError("need a ternary hypergraph")
         if graph.nu > MAX_TERNARY_UV or graph.nv > MAX_TERNARY_UV:
             raise CapExceeded(f"ternary parts U, V capped at {MAX_TERNARY_UV}")
         if graph.nw > 16:
             raise CapExceeded("ternary part W capped at 16")
-        if (len(e.a), len(e.b), len(e.c)) != graph.parts:
-            raise ValueError("need one atom label per vertex")
+        nu, nv, nw = graph.parts
+        vertices = nu + nv + nw
+        self.codes = tuple(int(c) for c in codes)
+        if len(self.codes) != vertices + nu * nv + nu * nw + nv * nw:
+            raise ValueError("need one code per vertex and one per pair")
+        _check_codes(self.codes[:vertices], factor.p ** factor.width)
+        _check_codes(self.codes[vertices:], factor.p ** factor.q)
         self.graph = graph
         self.factor = factor
-        nu, nv, nw = graph.parts
-        levels = ([e.duv[k] for k in itertools.product(range(nu), range(nv))]
-                  + [e.duw[k] for k in itertools.product(range(nu), range(nw))]
-                  + [e.dvw[k] for k in itertools.product(range(nv), range(nw))])
-        for label in levels:
-            if len(label) != factor.q:
-                raise ValueError(f"bilinear label length {len(label)} != q = {factor.q}")
-        self.codes = tuple([factor.label_code(tuple(lab)) for lab in (*e.a, *e.b, *e.c)]
-                           + [_code(factor.p, label) for label in levels])
         empty = degenerate_directions(factor, self.triples())
         if empty.any():
             triple = list(graph.all_tuples())[int(empty.argmax())]
@@ -518,6 +495,17 @@ class TernaryContext:
         triple (u, v, w), in `graph.all_tuples()` order: one gather of
         `codes`."""
         return np.asarray(self.codes)[_triple_columns(*self.graph.parts)]
+
+
+def constant_codes(graph: PatternHypergraph, codes) -> tuple:
+    """The `TernaryContext.codes` that label every vertex and pair of a
+    ternary hypergraph by one direction (a1, a2, a3, b12, b13, b23): a1 on
+    U, a2 on V, a3 on W, and b12, b13, b23 on the pairs of U x V, U x W and
+    V x W."""
+    a1, a2, a3, b12, b13, b23 = (int(c) for c in codes)
+    nu, nv, nw = graph.parts
+    return ((a1,) * nu + (a2,) * nv + (a3,) * nw
+            + (b12,) * (nu * nv) + (b13,) * (nu * nw) + (b23,) * (nv * nw))
 
 
 @functools.lru_cache(maxsize=None)
@@ -655,9 +643,10 @@ def weighted_ternary_densities(factor: QuadraticFactor, codes, members: list) ->
     codes and membership array members[i] of a set A: E over the three
     atoms of 1_A(x + y + z) mu(x,y) mu(x,z) mu(y,z), in one ternary
     contraction with one vertex per part. Every sum x + y + z of nonzero
-    weight lies in the target atom B(sigma3(d)), so the average is 0 when
-    no triple has weight, as when that atom is empty. Raises
-    DegenerateContext when one of the three atoms or levels is empty."""
+    weight lies in the direction's target atom (`sigma3_codes`), so the
+    average is 0 when no triple has weight, as when that atom is empty.
+    Raises DegenerateContext when one of the three atoms or levels is
+    empty."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     if len(codes) != len(members):
         raise ValueError("need one membership array per direction")

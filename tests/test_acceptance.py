@@ -32,10 +32,10 @@ from qflab.combinatorics import (
 )
 from qflab.errors import DegenerateContext
 from qflab.factor import (
-    DirectionTuple2,
-    DirectionTuple3,
+    direction_codes,
     new_linear_factor,
     new_quadratic_factor,
+    sigma3_codes,
 )
 from qflab.fpn_core import SymmetricForm, rank_mod_p, space
 from qflab.lab_cli.experiments import REGISTRY, run_experiment
@@ -48,10 +48,10 @@ from qflab.local_norms import (
 )
 from qflab.pattern_ops import (
     FunctionGrid,
-    LabelAssignment,
     PatternHypergraph,
     TernaryContext,
     bipartite_normalization,
+    constant_codes,
     t_bipartite,
     t_ternary,
     ternary_normalization,
@@ -78,14 +78,19 @@ def _bounded(p, n, rng):
 
 
 def _support_triples_consistent(ctx):
-    """Every (x, y, z) with nonzero pair weights sums into the atom labeled
-    sigma3(d); hence the inner product only reads its arguments there."""
+    """Every (x, y, z) with nonzero pair weights sums into the target atom;
+    hence the inner product only reads its arguments there."""
     factor = ctx.factor
     codes = factor._codes[factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
     mask = ((ctx.mu12[:, :, None] != 0.0)
             & (ctx.mu13[:, None, :] != 0.0)
             & (ctx.mu23[None, :, :] != 0.0))
-    return bool((codes[mask] == factor.label_code(ctx.sigma)).all())
+    return bool((codes[mask] == sigma3_codes(factor, ctx.codes)[0]).all())
+
+
+def _coset_code(rng, ell):
+    """The code of a coset label of F_3^ell drawn from rng."""
+    return int(rng.integers(0, 3, ell) @ space(3, ell).powers)
 
 
 def _mixed_factor():
@@ -124,9 +129,7 @@ def test_exact_identities():
         lin = new_linear_factor(3, 3, [tuple(int(i == j) for j in range(3))
                                        for i in range(ell)])
         for _ in range(10):
-            a1 = tuple(int(v) for v in rng.integers(0, 3, ell))
-            a2 = tuple(int(v) for v in rng.integers(0, 3, ell))
-            ctx = LocalContext2(lin, DirectionTuple2(3, a1, a2))
+            ctx = LocalContext2(lin, (_coset_code(rng, ell), _coset_code(rng, ell)))
             f = _bounded(3, 3, rng)
             assert abs(local_u2_norms(lin, [ctx.code], [f])[0] ** 4
                        - local_u2_inner(ctx, f, f, f, f).real) <= TOL
@@ -135,9 +138,7 @@ def test_exact_identities():
     t_sigma = time.perf_counter()
     factor = _mixed_factor()
     degenerate = 0
-    for flat in itertools.product(range(3), repeat=9):
-        d = DirectionTuple3(3, flat[0:2], flat[2:4], flat[4:6],
-                            (flat[6],), (flat[7],), (flat[8],))
+    for d in direction_codes(factor, list(itertools.product(range(3), repeat=9))):
         try:
             ctx = LocalContext3(factor, d)
         except DegenerateContext:
@@ -153,22 +154,22 @@ def test_exact_identities():
         edges = frozenset((u, v) for u in range(2) for v in range(2)
                           if trial.random() < 0.5)
         graph = PatternHypergraph((2, 2), edges)
-        u_labels = [tuple(int(v) for v in trial.integers(0, 3, 2)) for _ in range(2)]
-        v_labels = [tuple(int(v) for v in trial.integers(0, 3, 2)) for _ in range(2)]
+        u_codes = [_coset_code(trial, 2) for _ in range(2)]
+        v_codes = [_coset_code(trial, 2) for _ in range(2)]
         mask, ind, indc = _indicator_pair(trial, 27)
-        val = t_bipartite(graph, lin2, u_labels, v_labels,
+        val = t_bipartite(graph, lin2, u_codes, v_codes,
                           FunctionGrid.edge_select(graph, ind, indc))
-        count = witness_count_bipartite(graph, lin2, u_labels, v_labels, mask)
+        count = witness_count_bipartite(graph, lin2, u_codes, v_codes, mask)
         scaled = val.real * bipartite_normalization(graph, lin2)
         assert round(scaled) == count and abs(scaled - count) <= 1e-6 * max(1, count)
 
-    d3 = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    d3 = direction_codes(factor, [(0, 1, 1, 2, 2, 1, 0, 0, 0)])[0]
     for seed in range(20):
         trial = np.random.default_rng((3000, seed))
         edges = frozenset(t for t in itertools.product(range(2), repeat=3)
                           if trial.random() < 0.5)
         graph = PatternHypergraph((2, 2, 2), edges)
-        ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d3))
+        ctx = TernaryContext(graph, factor, constant_codes(graph, d3))
         mask, ind, indc = _indicator_pair(trial, 27)
         val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
         count = witness_count_ternary(ctx, mask)
@@ -199,15 +200,15 @@ def test_inequality_suites(reports):
     graph = PatternHypergraph((2, 2))
     for seed in range(10):
         rng = np.random.default_rng((4000, seed))
-        u_labels = [tuple(int(v) for v in rng.integers(0, 3, 2)) for _ in range(2)]
-        v_labels = [tuple(int(v) for v in rng.integers(0, 3, 2)) for _ in range(2)]
+        u_codes = [_coset_code(rng, 2) for _ in range(2)]
+        v_codes = [_coset_code(rng, 2) for _ in range(2)]
         grid = FunctionGrid({(u, v): _bounded(3, 3, rng)
                              for u in range(2) for v in range(2)})
-        val = abs(t_bipartite(graph, lin, u_labels, v_labels, grid))
+        val = abs(t_bipartite(graph, lin, u_codes, v_codes, grid))
         pairs = [(u, v) for u in range(2) for v in range(2)]
         best = min(local_u2_norms(
-            lin, [LocalContext2(lin, DirectionTuple2(3, u_labels[u], v_labels[v])).code
-                  for u, v in pairs], [grid[pair] for pair in pairs]))
+            lin, [LocalContext2(lin, (u_codes[u], v_codes[v])).code for u, v in pairs],
+            [grid[pair] for pair in pairs]))
         assert val <= best + TOL, (seed, val, best)
 
     print(f"inequality suites ok in {time.perf_counter() - t0:.1f}s (budget 300s)")

@@ -19,7 +19,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qflab.errors import DependentVectors  # noqa: E402
-from qflab.factor import DirectionTuple2, new_linear_factor  # noqa: E402
+from qflab.factor import new_linear_factor  # noqa: E402
+from qflab.fpn_core import space  # noqa: E402
 from qflab.local_norms import (  # noqa: E402
     GRID_CAP,
     LocalContext2,
@@ -92,6 +93,7 @@ def test_bipartite_matches_an_explicit_loop_on_random_cosets(shape, nu, nv, seed
     grid = FunctionGrid({t: _bounded(rng, p, n) for t in graph.all_tuples()})
     xs = [linear.coset_indices(lab).tolist() for lab in u_labels]
     ys = [linear.coset_indices(lab).tolist() for lab in v_labels]
+    cosets = space(p, ell)
     add = linear.space.sum_grid(np.arange(p ** n), np.arange(p ** n)).tolist()
     vals = {t: g.values.tolist() for t, g in grid.mapping.items()}
     total = 0.0 + 0.0j
@@ -103,7 +105,8 @@ def test_bipartite_matches_an_explicit_loop_on_random_cosets(shape, nu, nv, seed
                     term *= vals[(u, v)][add[xv[u]][yv[v]]]
             total += term
     expected = total / math.prod(len(a) for a in xs + ys)
-    val = t_bipartite(graph, linear, u_labels, v_labels, grid)
+    val = t_bipartite(graph, linear, [cosets.index_of(lab) for lab in u_labels],
+                      [cosets.index_of(lab) for lab in v_labels], grid)
     assert val == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
@@ -113,7 +116,7 @@ def test_local_u2_norm_matches_the_binary_contraction(shape, seed):
     p, n, ell = shape
     rng = np.random.default_rng(seed)
     linear = _random_linear(rng, p, n, ell)
-    ctx = LocalContext2(linear, DirectionTuple2(p, _label(rng, p, ell), _label(rng, p, ell)))
+    ctx = LocalContext2(linear, [space(p, ell).index_of(_label(rng, p, ell)) for _ in range(2)])
     f = _bounded(rng, p, n)
     fourth = local_u2_norms(linear, [ctx.code], [f])[0] ** 4
     assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, rel=1e-9, abs=1e-13)

@@ -21,12 +21,11 @@ from qflab.lab_cli.experiments import (
     _blockwise,
     _bounded_draw,
     _bounded_values,
-    _direction3,
     _direction_codes,
     _gaussian_draw,
     _gaussian_values,
     _label,
-    _labels,
+    _label_codes,
     _records,
     _rows,
     _standard_factor,
@@ -185,6 +184,16 @@ def test_out_file_holds_the_canonical_payload(tmp_path, capsys):
     assert report["experiment"] == "fourier-roundtrip"
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a missing directory or a directory as the report file is a config
+    # problem named by its path, as an unreadable --config is
+    for dest in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["run", "parseval", "--trials", "1", "--out", str(dest)]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("#")]
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write report {str(dest)!r}")
+
+
 def test_level_sizes_reach_n10(tmp_path, capsys):
     # the sizes come from form ranks, so no p^(2n) pair table is built; the
     # identity form has full rank n, and the largest relative deviation of a
@@ -336,14 +345,15 @@ def test_estimator_within_an_order_of_magnitude(name, reports):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_one_label_draw_splits_into_the_separate_draws(p):
-    # the direction and assignment samplers draw all their labels at once;
-    # every report depends on that matching one draw per label, with other
-    # draws in between
+    # the coset-pair and assignment samplers draw all their labels at once
+    # and keep their codes; every report depends on that matching one draw
+    # per label, read in base p, with other draws in between
     for seed in range(3):
         for widths in itertools.product(range(5), repeat=3):
             one, many = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
-                assert _labels(one, p, list(widths)) == [_label(many, p, w) for w in widths]
+                assert _label_codes(one, p, list(widths)) == [
+                    sum(v * p ** i for i, v in enumerate(_label(many, p, w))) for w in widths]
                 assert one.random() == many.random()
                 assert one.uniform(-2, 2) == many.uniform(-2, 2)
     # a trial draws all its bounded tables with one generator call and each
@@ -369,14 +379,17 @@ def test_one_label_draw_splits_into_the_separate_draws(p):
 @pytest.mark.parametrize("ell,q", [(1, 1), (0, 2), (1, 0)])
 def test_smallpart_code_rows_are_the_sampled_directions(p, ell, q):
     # smallpart draws direction j from its own stream and keeps only codes;
-    # each row is the code of the direction tuple the same stream gives
+    # each row is the base-p reading of the labels (a1, a2, a3, b12, b13,
+    # b23) that one draw of their entries from the same stream gives
     factor = _standard_factor(p, 3, ell, q)
     rows = _direction_codes(factor, 7, 50)
     assert rows.shape == (50, 6)
+    widths = [ell + q] * 3 + [q] * 3
     for j, row in enumerate(rows):
-        d = _direction3(_trial_rng(7, j), factor)
-        assert row.tolist() == [factor.label_code(a) for a in (d.a1, d.a2, d.a3)] + [
-            sum(v * factor.p ** i for i, v in enumerate(b)) for b in (d.b12, d.b13, d.b23)]
+        entries = _label(_trial_rng(7, j), p, sum(widths))
+        ends = list(itertools.accumulate(widths))
+        assert row.tolist() == [sum(v * p ** i for i, v in enumerate(entries[end - w:end]))
+                                for w, end in zip(widths, ends)]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -404,6 +417,23 @@ def test_counting_ternary_estimator_past_the_defaults():
     actual = report["terms"]["actual"]
     assert report["verdict"] == "pass"
     assert 0.1 <= est / actual <= 10.0, f"est {est} vs actual {actual}"
+
+
+@pytest.mark.parametrize("name,overrides", [
+    # small n, where many atoms are empty: the runners redraw or drop those
+    # directions, and building the factor is most of the work
+    ("sparse-uniform", {"n_values": [1, 2]}),
+    ("genbilsums-trend", {"q": 2, "n_values": [2, 3]}),
+    ("genbilsums-trend", {"n_values": [1, 2]}),
+    ("config-regularity-trend", {"q": 2, "n_values": [2, 3]}),
+    ("control-ip2-local-trend", {"q": 2, "n_values": [2, 3]}),
+    ("counting-ternary", {"ell": 3}),
+    ("smallpart", {"q": 2, "n": 3, "directions": 300}),
+])
+def test_estimator_within_an_order_of_magnitude_at_small_n(name, overrides):
+    actual = run_experiment(name, None, overrides)["terms"]["actual"]
+    _, est = estimate_experiment(name, None, overrides)
+    assert 0.1 <= est / actual <= 10.0, f"{name} {overrides}: est {est} vs actual {actual}"
 
 
 # --- report primitives ------------------------------------------------------

@@ -16,8 +16,6 @@ import pytest
 from qflab import factor as factor_module
 from qflab.errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from qflab.factor import (
-    DirectionTuple2,
-    DirectionTuple3,
     bilinear_level_sizes,
     degenerate_directions,
     direction_codes,
@@ -26,8 +24,6 @@ from qflab.factor import (
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
-    sigma2,
-    sigma3,
     sigma3_codes,
 )
 from qflab.fpn_core import rank_mod_p, run_counted, space
@@ -88,8 +84,8 @@ def test_codes_match_labels_from_coordinates(p, n):
     vectors, forms = _dense_factor_inputs(rng, p, n, 2, 2)
     factor = new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
     labels = [_coordinate_label(p, n, vectors, forms, i) for i in range(p ** n)]
-    assert factor._codes.tolist() == [factor.label_code(lab) for lab in labels]
-    assert factor.linear._codes.tolist() == [factor.linear.label_code(lab[:2]) for lab in labels]
+    assert factor._codes.tolist() == [space(p, 4).index_of(lab) for lab in labels]
+    assert factor.linear._codes.tolist() == [space(p, 2).index_of(lab[:2]) for lab in labels]
     for i, lab in enumerate(labels):
         assert i in factor.atom_indices(lab)
 
@@ -177,7 +173,7 @@ def test_empty_level_set_refuses_a_measure():
 
 def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
     factor = _identity_factor(3, 3, ell=1)
-    rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
+    rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
     entries = int(factor.atom_sizes[rows] * factor.atom_sizes[cols])
     monkeypatch.setattr(factor_module, "MU_CAP", entries - 1)
     with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
@@ -188,7 +184,7 @@ def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
 
 def test_level_mask_is_memoized_read_only():
     factor = _identity_factor(3, 3, ell=1)
-    rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
+    rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
     mask = level_mask(factor, 2, rows, cols)
     assert level_mask(factor, 2, rows, cols) is mask
     assert not mask.flags.writeable
@@ -205,7 +201,7 @@ def test_level_mask_is_memoized_read_only():
 def test_level_mask_counts_only_the_masks_it_builds():
     factor = _identity_factor(3, 3, ell=1)
     bilinear_level_sizes(factor)
-    rows, cols = factor.label_code((0, 1)), factor.label_code((1, 0))
+    rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
     want = factor.atom_sizes[rows] * factor.atom_sizes[cols] * factor.q
     mask, terms = run_counted(level_mask, factor, 2, rows, cols)
     assert terms == want
@@ -288,38 +284,54 @@ def test_direction_codes_match_the_labels():
     for _ in range(40):
         labels = [tuple(rng.integers(0, 3, 2).tolist()) for _ in range(3)]
         labels += [(int(rng.integers(0, 3)),) for _ in range(3)]
-        dirs.append(DirectionTuple3(3, *labels))
+        dirs.append(labels)
         rows.append(sum(labels, ()))
     rows = direction_codes(factor, rows)
-    for row, d in zip(rows.tolist(), dirs):
-        assert row[:3] == [factor.label_code(a) for a in (d.a1, d.a2, d.a3)]
-        assert row[3:] == [b[0] for b in (d.b12, d.b13, d.b23)]
-    want = [factor.label_code(sigma3(factor, d)) for d in dirs]
-    assert sigma3_codes(factor, rows).tolist() == want
+    for row, labels in zip(rows.tolist(), dirs):
+        assert row[:3] == [a + 3 * b for a, b in labels[:3]]
+        assert row[3:] == [b for (b,) in labels[3:]]
     empty = degenerate_directions(factor, rows)
     level_sizes = bilinear_level_sizes(factor)
-    for d, flag in zip(dirs, empty):
-        sizes = [factor.atom_indices(a).size for a in (d.a1, d.a2, d.a3)]
-        levels = [level_sizes[b[0]] for b in (d.b12, d.b13, d.b23)]
+    for labels, flag in zip(dirs, empty):
+        sizes = [factor.atom_indices(a).size for a in labels[:3]]
+        levels = [level_sizes[b] for (b,) in labels[3:]]
         assert flag == (0 in sizes + levels)
 
 
-def test_sigma2_is_the_label_sum():
-    d = DirectionTuple2(3, (1, 2), (2, 2))
-    assert sigma2(d) == (0, 1)
-
-
 def test_sigma3_doubles_the_bilinear_labels():
+    # codes of the identity factor with l = 1 read a + 3 b for the label (a, b)
     factor = _identity_factor(3, 3, ell=1)
-    d = DirectionTuple3(3, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
-    assert sigma3(factor, d) == (0, 2)
+    assert sigma3_codes(factor, [0, 0, 0, 1, 0, 0]).tolist() == [0 + 3 * 2]
     # linear entries never see the bilinear contribution
-    d2 = DirectionTuple3(3, (1, 0), (1, 0), (1, 0), (1,), (1,), (1,))
-    assert sigma3(factor, d2) == (0, 0)
+    assert sigma3_codes(factor, [1, 1, 1, 1, 1, 1]).tolist() == [0]
 
 
-def test_direction_tuple_validation():
-    with pytest.raises(ValueError):
-        DirectionTuple2(3, (1,), (1, 2))
-    with pytest.raises(ValueError):
-        DirectionTuple3(3, (1,), (1,), (1,), (0,), (0,), (0, 0))
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_sigma3_codes_name_the_atom_of_every_weighted_sum(p, q):
+    # from the definition: every (x, y, z) in the three atoms whose pairs lie
+    # in the three bilinear level sets sums into the target atom. Each row is
+    # read off three random points, so it is nondegenerate and weights at
+    # least those points.
+    n = 3
+    rng = np.random.default_rng(100 * p + q)
+    vectors, forms = _dense_factor_inputs(rng, p, n, 1, q)
+    factor = new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
+    digits = factor.space.digits.astype(np.int64)
+
+    def level(x, y):
+        return sum(int(digits[x] @ m @ digits[y]) % p * p ** j for j, m in enumerate(forms))
+
+    rows = []
+    for x, y, z in rng.integers(0, p ** n, size=(30, 3)).tolist():
+        rows.append([int(factor._codes[v]) for v in (x, y, z)]
+                    + [level(x, y), level(x, z), level(y, z)])
+    assert not degenerate_directions(factor, rows).any()
+    for row, target in zip(rows, sigma3_codes(factor, rows).tolist()):
+        a1, a2, a3, b12, b13, b23 = row
+        ok = (level_mask(factor, b12, a1, a2)[:, :, None]
+              & level_mask(factor, b13, a1, a3)[:, None, :]
+              & level_mask(factor, b23, a2, a3)[None, :, :])
+        members = (factor._members_by_code[a] for a in (a1, a2, a3))
+        sums = factor.space.sum_grid3(*members)[ok]
+        assert sums.size and (factor._codes[sums] == target).all()

@@ -10,14 +10,13 @@ import pytest
 from qflab import local_norms
 from qflab.errors import CapExceeded, DegenerateContext
 from qflab.factor import (
-    DirectionTuple2,
-    DirectionTuple3,
     QuadraticFactor,
     degenerate_directions,
     direction_codes,
     level_mask,
     new_linear_factor,
     new_quadratic_factor,
+    sigma3_codes,
 )
 from qflab.fpn_core import rank_mod_p, run_counted, space
 from qflab.local_norms import (
@@ -46,20 +45,18 @@ def _mixed_factor():
     return new_quadratic_factor(lin, [np.eye(3, dtype=np.int64)])
 
 
+def _row(factor, *labels):
+    """The direction codes of the labels (a1, a2, a3, b12, b13, b23)."""
+    return direction_codes(factor, [sum(labels, ())])[0]
+
+
 def _contexts(factor, limit):
     """First few nondegenerate directions, scanning labels in order."""
-    width = factor.ell + factor.q
-    labels = itertools.product(range(3), repeat=3 * width + 3 * factor.q)
+    labels = itertools.product(range(3), repeat=3 * (factor.ell + 2 * factor.q))
     out = []
     for flat in labels:
-        a1 = flat[:width]
-        a2 = flat[width:2 * width]
-        a3 = flat[2 * width:3 * width]
-        rest = flat[3 * width:]
-        b12, b13, b23 = rest[:factor.q], rest[factor.q:2 * factor.q], rest[2 * factor.q:]
         try:
-            out.append(LocalContext3(
-                factor, DirectionTuple3(3, a1, a2, a3, b12, b13, b23)))
+            out.append(LocalContext3(factor, direction_codes(factor, [flat])[0]))
         except DegenerateContext:
             continue
         if len(out) == limit:
@@ -69,13 +66,13 @@ def _contexts(factor, limit):
 
 def test_trivial_factor_reduces_to_global_norms():
     lin = new_linear_factor(3, 2, [])
-    ctx2 = LocalContext2(lin, DirectionTuple2(3, (), ()))
+    ctx2 = LocalContext2(lin, (0, 0))
     f = _random_f(3, 2, seed=1)
     assert local_u2_norms(lin, [ctx2.code], [f]) == pytest.approx(
         u2_norms(f.values[None], 3, 2), abs=1e-10)
 
     quad = new_quadratic_factor(lin, [])
-    ctx3 = LocalContext3(quad, DirectionTuple3(3, (), (), (), (), (), ()))
+    ctx3 = LocalContext3(quad, (0,) * 6)
     octuple = [_random_f(3, 2, seed=10 + k) for k in range(8)]
     assert local_u3_inner(ctx3, octuple) == pytest.approx(
         u3_inner(octuple), abs=1e-10)
@@ -83,7 +80,7 @@ def test_trivial_factor_reduces_to_global_norms():
 
 def test_local_u2_inner_matches_explicit_loop():
     lin = new_linear_factor(3, 2, [(1, 2)])
-    ctx = LocalContext2(lin, DirectionTuple2(3, (1,), (2,)))
+    ctx = LocalContext2(lin, (1, 2))
     fs = [_random_f(3, 2, seed=20 + k, bounded=False) for k in range(4)]
     sp = lin.space
     total = 0.0 + 0.0j
@@ -101,9 +98,17 @@ def test_local_u2_inner_matches_explicit_loop():
     assert local_u2_inner(ctx, *fs) == pytest.approx(complex(expected), abs=1e-12)
 
 
+def test_target_coset_is_the_label_sum():
+    # the target coset of (a1, a2) = ((1, 2), (2, 2)) is (0, 1)
+    lin = new_linear_factor(3, 3, [(1, 0, 0), (0, 1, 0)])
+    ctx = LocalContext2(lin, (1 + 3 * 2, 2 + 3 * 2))
+    assert ctx.code == 0 + 3 * 1
+    assert np.array_equal(ctx.target_indices(), lin.coset_indices((0, 1)))
+
+
 def test_local_u2_fourth_is_the_binary_contraction():
     lin = new_linear_factor(3, 3, [(1, 1, 0)])
-    ctx = LocalContext2(lin, DirectionTuple2(3, (0,), (2,)))
+    ctx = LocalContext2(lin, (0, 2))
     f = _random_f(3, 3, seed=3)
     fourth = local_u2_norms(lin, [ctx.code], [f])[0] ** 4
     assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, abs=1e-10)
@@ -141,10 +146,10 @@ def test_local_u2_norms_match_the_binary_contraction(monkeypatch, p, ell):
     basis_terms = run_counted(lin.subgroup_basis)[1]
     assert (run_counted(local_u2_norms, lin, codes, fns)[1]
             == basis_terms + 7 * coset * (p * (3 - ell) + 2))
+    cosets = space(p, ell)
     for code, f, norm in zip(codes.tolist(), fns, norms):
-        a1 = tuple(rng.integers(0, p, ell).tolist())
-        a2 = tuple((s - a) % p for s, a in zip(space(p, ell).coords_of(code), a1))
-        ctx = LocalContext2(lin, DirectionTuple2(p, a1, a2))
+        a1 = int(rng.integers(0, p ** ell))
+        ctx = LocalContext2(lin, (a1, cosets.add(code, cosets.neg(a1))))
         assert ctx.code == code
         assert norm ** 4 == pytest.approx(local_u2_inner(ctx, f, f, f, f).real,
                                           rel=1e-10, abs=1e-14)
@@ -156,16 +161,25 @@ def test_local_u2_norms_match_the_binary_contraction(monkeypatch, p, ell):
 
 def test_degenerate_contexts_are_refused():
     # coset x1 = 0 never reaches form value 2, so the atom (0, 2) is empty
+    # and the refusal names it by its label
     factor = _mixed_factor_2d()
-    with pytest.raises(DegenerateContext):
-        LocalContext3(factor, DirectionTuple3(3, (0, 2), (0, 0), (0, 0),
-                                              (0,), (0,), (0,)))
+    with pytest.raises(DegenerateContext, match=r"^atom a1 = \(0, 2\) is empty$"):
+        LocalContext3(factor, _row(factor, (0, 2), (0, 0), (0, 0), (0,), (0,), (0,)))
     # the zero form has no pairs at bilinear level 1
     flat = new_quadratic_factor(new_linear_factor(3, 1, []),
                                 [np.zeros((1, 1), dtype=np.int64)])
-    with pytest.raises(DegenerateContext):
-        LocalContext3(flat, DirectionTuple3(3, (0,), (0,), (0,),
-                                            (1,), (0,), (0,)))
+    with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
+        LocalContext3(flat, (0, 0, 0, 1, 0, 0))
+
+
+def test_contexts_refuse_codes_out_of_range():
+    factor = _mixed_factor_2d()
+    for bad in ([9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 3, 0], [0, -1, 0, 0, 0, 0], [0] * 5):
+        with pytest.raises(ValueError):
+            LocalContext3(factor, bad)
+    for bad in ([3, 0], [0, -1], [0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            LocalContext2(factor.linear, bad)
 
 
 def _mixed_factor_2d():
@@ -184,14 +198,14 @@ def test_local_u3_inner_matches_naive():
 
 
 def _support_triples_consistent(ctx: LocalContext3) -> bool:
-    """Every (x, y, z) with nonzero pair weights sums into the atom labeled
-    sigma3(d); hence the inner product only reads its arguments there."""
+    """Every (x, y, z) with nonzero pair weights sums into the target atom;
+    hence the inner product only reads its arguments there."""
     factor = ctx.factor
     codes = factor._codes[factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
     mask = ((ctx.mu12[:, :, None] != 0.0)
             & (ctx.mu13[:, None, :] != 0.0)
             & (ctx.mu23[None, :, :] != 0.0))
-    return bool((codes[mask] == factor.label_code(ctx.sigma)).all())
+    return bool((codes[mask] == sigma3_codes(factor, ctx.codes)[0]).all())
 
 
 def test_support_triples_land_in_the_target_atom():
@@ -238,10 +252,8 @@ def test_local_u3_dominates_local_u2_on_linear_factors():
         dirs = [((0,), (0,), (0,)), ((1,), (2,), (1,)), ((2,), (2,), (2,))]
         # zero bilinear labels; the U^2 norm on the target coset a1 + a2 + a3
         u3vals = local_norms.local_u3_norms(
-            QuadraticFactor(lin, ()), [[lin.label_code(a) for a in d] + [0] * 3 for d in dirs],
-            [f] * 3)
-        u2vals = local_u2_norms(lin, [lin.label_code([sum(v) % 3 for v in zip(*d)])
-                                      for d in dirs], [f] * 3)
+            QuadraticFactor(lin, ()), [[a for (a,) in d] + [0] * 3 for d in dirs], [f] * 3)
+        u2vals = local_u2_norms(lin, [sum(a for (a,) in d) % 3 for d in dirs], [f] * 3)
         for u3val, u2val in zip(u3vals, u2vals):
             assert u3val - u2val >= -1e-9
             assert u3val >= 0.0 and u2val >= 0.0
@@ -251,8 +263,8 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     from qflab import spectral
     from qflab.pattern_ops import (
         FunctionGrid,
-        LabelAssignment,
         TernaryContext,
+        constant_codes,
         ip2_hypergraph,
         t_ip2,
         t_ip2_local,
@@ -261,14 +273,14 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     )
 
     factor = _mixed_factor()
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     ctx = LocalContext3(factor, d)
     f = _random_f(3, 3, seed=60)
     graph = ip2_hypergraph(1)
     calls = [
         lambda: local_u3_inner(ctx, [f] * 8),
         lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
-        lambda: t_ternary(TernaryContext(graph, factor, LabelAssignment.constant(graph, d)),
+        lambda: t_ternary(TernaryContext(graph, factor, constant_codes(graph, d)),
                           FunctionGrid.edge_select(graph, f, f)),
         lambda: weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)]),
     ]
@@ -297,15 +309,15 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
     )
 
     lin = new_linear_factor(3, 3, [(1, 0, 0)])
-    ctx = LocalContext2(lin, DirectionTuple2(3, (1,), (2,)))
+    ctx = LocalContext2(lin, (1, 2))
     f = _random_f(3, 3, seed=61)
     graph = PatternHypergraph((1, 2))
     # 9-point cosets: every sum table and average holds at most 9 x 9
     # entries; the global m = 2 IP holds 27 x 27
     local_calls = [
         lambda: local_u2_inner(ctx, f, f, f, f),
-        lambda: t_ip_local(2, lin, ctx.d, FunctionGrid.ip_select(2, f, f)),
-        lambda: t_bipartite(graph, lin, [(0,)], [(1,), (2,)],
+        lambda: t_ip_local(2, lin, ctx.codes, FunctionGrid.ip_select(2, f, f)),
+        lambda: t_bipartite(graph, lin, [0], [1, 2],
                             FunctionGrid({(0, 0): f, (0, 1): f})),
     ]
     monkeypatch.setattr(local_norms, "GRID_CAP", 81)
@@ -332,8 +344,7 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
     f = _random_f(3, 2, seed=70)
     (u3,) = local_norms.local_u3_norms(QuadraticFactor(lin, ()), [[1, 2, 0, 0, 0, 0]], [f])
     assert blocks == [(6, {0: 3}, {0: 3})]
-    d = DirectionTuple3(3, (1,), (2,), (0,), (), (), ())
-    ctx = LocalContext3(new_quadratic_factor(lin, []), d)
+    ctx = LocalContext3(new_quadratic_factor(lin, []), (1, 2, 0, 0, 0, 0))
     assert u3 ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real, rel=1e-10)
 
 
@@ -353,10 +364,10 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
     # whose odd W-vertex mirrors the even one; they share codes in different
     # places, so the stack shares none of those places
     factor = _mixed_factor()
-    ctx = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
-    small = LocalContext3(factor, DirectionTuple3(3, (1, 1), (1, 2), (2, 1), (1,), (2,), (2,)))
+    ctx = LocalContext3(factor, _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
+    small = LocalContext3(factor, _row(factor, (1, 1), (1, 2), (2, 1), (1,), (2,), (2,)))
     fs = [_random_f(3, 3, seed=80 + k) for k in range(8)]
-    other = factor.label_code((1, 0))
+    other = space(3, 2).index_of((1, 0))
     assert factor.atom_sizes[other] == ctx.xs.size and other != ctx.codes[0]
     shape = _octuple_shape_with_two_x_atoms()
     rows = [ctx.codes + tuple(range(8)) + (ctx.codes[0], ctx.codes[3], ctx.codes[4]),
@@ -388,12 +399,12 @@ def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypa
     # part and per pair, the odd W-vertex mirrors the even one, and the
     # scan is halved
     factor = _mixed_factor()
-    one = LocalContext3(factor, DirectionTuple3(3, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
+    one = LocalContext3(factor, _row(factor, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
     a1, a2, a3, b12, b13, b23 = one.codes
     assert one.xs is one.ys is one.zs
     assert level_mask(factor, b12, a1, a2) is level_mask(factor, b13, a1, a3) \
         is level_mask(factor, b23, a2, a3)
-    other = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
+    other = LocalContext3(factor, _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
     f = _random_f(3, 3, seed=90)
     stacks = []
     contract = local_norms._Stack.contract
@@ -416,7 +427,7 @@ def test_the_halved_scan_takes_exactly_the_y_symmetric_octuples(monkeypatch, pat
     # function, which the U^3 signs always conjugate; eight distinct
     # functions take the full scan
     factor = _mixed_factor()
-    ctx = LocalContext3(factor, DirectionTuple3(3, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
+    ctx = LocalContext3(factor, _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
     named = {c: _random_f(3, 3, seed=100 + k) for k, c in enumerate("abcdefgh")}
     octu = [named[c] for c in pattern]
     stacks = []
@@ -435,7 +446,7 @@ def test_the_halved_scan_counts_half_the_distinct_y_pairs():
     # per computed slot (two, and one with the mirrored W-slot) and
     # 2 * 9 * (9 + 1) index sums
     factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
-    ctx = LocalContext3(factor, DirectionTuple3(3, (1,), (2,), (0,), (), (), ()))
+    ctx = LocalContext3(factor, (1, 2, 0, 0, 0, 0))
     fs = [_random_f(3, 3, seed=110 + k) for k in range(8)]
     per_tuple = 9 ** 3 + 2 * 9 * 10
     _, terms = run_counted(local_norms.local_u3_norms, factor, [ctx.codes], fs[:1])
@@ -483,18 +494,9 @@ def test_batched_norms_match_the_nested_sum_across_primes_and_forms(p, q):
     norms = local_norms.local_u3_norms(factor, np.concatenate([rows, rows[:1]]), fs)
     assert norms[3] == norms[0]
     for row, f, norm in zip(rows, fs, norms):
-        ctx = LocalContext3(factor, _direction(factor, row))
-        assert ctx.codes == tuple(row.tolist())
+        ctx = LocalContext3(factor, row)
         assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
-
-
-def _direction(factor, row):
-    """The direction tuple of a row of codes."""
-    width, q = factor.ell + factor.q, factor.q
-    labels = [tuple(int(c) // factor.p ** i % factor.p for i in range(w))
-              for c, w in zip(row, [width] * 3 + [q] * 3)]
-    return DirectionTuple3(factor.p, *labels)
 
 
 @pytest.mark.parametrize("p,second", [(3, None), (5, None), (7, None), (3, "zero")])
@@ -514,7 +516,7 @@ def test_degenerate_rows_are_flagged_and_refused(p, second):
             local_norms.local_u3_norms(factor, [row], [_random_f(p, factor.n, seed=1)])
     for row, flag in zip(rows, empty):
         try:
-            LocalContext3(factor, _direction(factor, row))
+            LocalContext3(factor, row)
         except DegenerateContext:
             assert flag
         else:
@@ -525,7 +527,7 @@ def test_degenerate_rows_are_flagged_and_refused(p, second):
     live = rows[~empty]
     norms = local_norms.local_u3_norms(factor, live, [f] * len(live))
     for row, norm in list(zip(live, norms))[:4]:
-        ctx = LocalContext3(factor, _direction(factor, row))
+        ctx = LocalContext3(factor, row)
         assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
 
@@ -549,7 +551,7 @@ def test_a_batch_split_across_context_blocks(monkeypatch):
     assert stacks == [3, 3, 1]
     assert split == pytest.approx(whole, rel=1e-12)
     for row, f, norm in zip(rows, fs, split):
-        ctx = LocalContext3(factor, _direction(factor, row))
+        ctx = LocalContext3(factor, row)
         assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
 
@@ -565,9 +567,9 @@ def test_u3_inner_batch_matches_each_batch_of_one():
     batch = local_norms.local_u3_inners(factor, rows, octuples)
     assert len(batch) == 4 and (abs(batch) > 0).sum() >= 3
     for row, octu, got in zip(rows, octuples, batch):
-        ctx = LocalContext3(factor, _direction(factor, row))
+        ctx = LocalContext3(factor, row)
         assert got == pytest.approx(local_u3_inner(ctx, octu), rel=1e-12)
-    ctx = LocalContext3(factor, _direction(factor, rows[0]))
+    ctx = LocalContext3(factor, rows[0])
     assert batch[0] == pytest.approx(local_u3_inner_naive(ctx, octuples[0]), rel=1e-10)
     assert len(local_norms.local_u3_inners(factor, [], [])) == 0
 
@@ -583,7 +585,7 @@ def test_weighted_density_batch_matches_each_batch_of_one():
     batch = weighted_ternary_densities(factor, rows, members)
     assert len(batch) == 5
     for row, member, got in zip(rows, members, batch):
-        ctx = LocalContext3(factor, _direction(factor, row))
+        ctx = LocalContext3(factor, row)
         want = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert weighted_ternary_densities(factor, [], []) == []
@@ -595,7 +597,7 @@ def test_every_cached_mask_is_one_byte_per_entry():
     codes = direction_codes(factor, [[0, 1, 1, 0, 2, 1, 0, 1, 2],
                                      [1, 1, 0, 2, 2, 2, 1, 0, 0]])
     local_norms.local_u3_norms(factor, codes, [_random_f(3, 4, 1), _random_f(3, 4, 2)])
-    LocalContext3(factor, DirectionTuple3(3, (2, 2), (0, 1), (1, 0), (2,), (0,), (1,)))
+    LocalContext3(factor, _row(factor, (2, 2), (0, 1), (1, 0), (2,), (0,), (1,)))
     masks = list(factor._level_masks.values())
     assert len(masks) == 9
     for mask in masks:

@@ -25,10 +25,10 @@ from hypothesis import strategies as st  # noqa: E402
 from qflab import local_norms  # noqa: E402
 from qflab.errors import DegenerateContext  # noqa: E402
 from qflab.factor import (  # noqa: E402
-    DirectionTuple3,
     new_linear_factor,
     new_quadratic_factor,
 )
+from qflab.fpn_core import space  # noqa: E402
 from qflab.local_norms import (  # noqa: E402
     LocalContext3,
     local_u3_inner,
@@ -37,7 +37,6 @@ from qflab.local_norms import (  # noqa: E402
 )
 from qflab.pattern_ops import (  # noqa: E402
     FunctionGrid,
-    LabelAssignment,
     PatternHypergraph,
     TernaryContext,
     t_ip2,
@@ -73,6 +72,11 @@ def _coordinate_label(factor, index):
     return tuple(linear + quadratic)
 
 
+def _coordinate_code(factor, index):
+    """The atom code of a point, from its coordinate label."""
+    return space(factor.p, factor.width).index_of(_coordinate_label(factor, index))
+
+
 def _uneven_contexts(p, n, ell, seed, count):
     """A random one-form factor and up to `count` nondegenerate direction
     tuples on it whose three atoms are not all of one size; each bilinear
@@ -92,11 +96,10 @@ def _uneven_contexts(p, n, ell, seed, count):
     out = []
     for _ in range(200):
         x, y, z = (int(i) for i in rng.integers(0, p ** n, 3))
-        a1, a2, a3 = (_coordinate_label(factor, i) for i in (x, y, z))
-        b12, b13, b23 = ((int(digits[i] @ form @ digits[j] % p),)
-                         for i, j in ((x, y), (x, z), (y, z)))
+        atoms = [_coordinate_code(factor, i) for i in (x, y, z)]
+        levels = [int(digits[i] @ form @ digits[j] % p) for i, j in ((x, y), (x, z), (y, z))]
         try:
-            ctx = LocalContext3(factor, DirectionTuple3(p, a1, a2, a3, b12, b13, b23))
+            ctx = LocalContext3(factor, atoms + levels)
         except DegenerateContext:
             continue
         sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
@@ -194,11 +197,11 @@ def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     # of 81 y-tuples, each keeping 9 x's and 9 z's, goes 40, 40, 1
     if budget == 54 * 5:
         factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
-        d = DirectionTuple3(3, (2,), (0,), (2,), (0,), (0,), (0,))
+        d = (2, 0, 2, 0, 0, 0)
         split = [7, 7, 7, 7, 4]
     else:
         factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
-        d = DirectionTuple3(3, (1,), (2,), (0,), (), (), ())
+        d = (1, 2, 0, 0, 0, 0)
         split = [40, 40, 1]
     ctx = LocalContext3(factor, d)
     rng = np.random.default_rng(11)
@@ -251,7 +254,7 @@ def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
         u3 = local_u3_inner(ctx, octu)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
-        ip2 = t_ip2_local(1, ctx.factor, ctx.d, grid)
+        ip2 = t_ip2_local(1, ctx.factor, ctx.codes, grid)
     assert u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-14)
     assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-14)
 
@@ -262,7 +265,7 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
     # keeps no x (b12 = 1) or no z (b23 = 1) and joins no bucket; the other
     # y-tuples keep some
     factor = new_quadratic_factor(new_linear_factor(5, 2, []), [np.eye(2, dtype=np.int64)])
-    ctx = LocalContext3(factor, DirectionTuple3(5, (1,), (0,), (2,), b12, (1,), b23))
+    ctx = LocalContext3(factor, (1, 0, 2, *b12, 1, *b23))
     zero = int(np.flatnonzero(ctx.ys == 0)[0])
     empty = ctx.mu12[:, zero] if b12 == (1,) else ctx.mu23[zero]
     assert not empty.any() and ctx.mu12.any() and ctx.mu23.any()
@@ -275,7 +278,7 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
             u3 = local_u3_inner(ctx, octu)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
-            ip2 = t_ip2_local(1, factor, ctx.d, grid)
+            ip2 = t_ip2_local(1, factor, ctx.codes, grid)
         assert u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
         assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-15)
 
@@ -287,7 +290,7 @@ def test_each_bucket_is_blocked_by_what_its_y_tuples_keep(monkeypatch):
     # y-tuples each bucket takes as many tuples per block as fit what they
     # keep, and no block forms a larger slab
     factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
-    ctx = LocalContext3(factor, DirectionTuple3(3, (2,), (0,), (2,), (0,), (0,), (0,)))
+    ctx = LocalContext3(factor, (2, 0, 2, 0, 0, 0))
     assert (ctx.xs.size, ctx.ys.size, ctx.zs.size) == (12, 9, 12)
     budget = 4 * 12 * 12
     blocks = _record_blocks(monkeypatch)
@@ -317,19 +320,16 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
         if member[sp.add(sp.add(int(x[u]), int(y[v])), int(z[w]))]))
 
     def level(i, j):
-        return (int(digits[i] @ digits[j] % 3),)
+        return int(digits[i] @ digits[j] % 3)
 
-    e = LabelAssignment(
-        tuple(_coordinate_label(factor, int(i)) for i in x),
-        tuple(_coordinate_label(factor, int(i)) for i in y),
-        tuple(_coordinate_label(factor, int(i)) for i in z),
-        {(u, v): level(x[u], y[v]) for u in range(2) for v in range(2)},
-        {(u, w): level(x[u], z[w]) for u in range(2) for w in range(2)},
-        {(v, w): level(y[v], z[w]) for v in range(2) for w in range(2)})
-    ctx = TernaryContext(graph, factor, e)
+    atoms = [[_coordinate_code(factor, int(i)) for i in part] for part in (x, y, z)]
+    ctx = TernaryContext(graph, factor, atoms[0] + atoms[1] + atoms[2]
+                         + [level(x[u], y[v]) for u in range(2) for v in range(2)]
+                         + [level(x[u], z[w]) for u in range(2) for w in range(2)]
+                         + [level(y[v], z[w]) for v in range(2) for w in range(2)])
     ind = GroupFunction.indicator(3, 3, np.flatnonzero(member))
     indc = GroupFunction.indicator(3, 3, np.flatnonzero(~member))
-    sizes = [[factor.atom_indices(lab).size for lab in part] for part in (e.a, e.c)]
+    sizes = [factor.atom_sizes[part].tolist() for part in (atoms[0], atoms[2])]
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", _block_budget(*sizes, rows)):
         val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
     count = witness_count_ternary(ctx, member)

@@ -12,21 +12,19 @@ import pytest
 
 from qflab.errors import CapExceeded, DegenerateContext
 from qflab.factor import (
-    DirectionTuple2,
-    DirectionTuple3,
     bilinear_level_sizes,
+    direction_codes,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
-    sigma3_codes,
 )
 from qflab.local_norms import LocalContext3
 from qflab.pattern_ops import (
     FunctionGrid,
-    LabelAssignment,
     PatternHypergraph,
     TernaryContext,
     bipartite_normalization,
+    constant_codes,
     if_enumerate,
     ip2_hypergraph,
     t_bipartite,
@@ -44,7 +42,7 @@ from qflab.pattern_ops import (
     witness_count_ternary,
 )
 from qflab import pattern_ops, spectral
-from qflab.fpn_core import run_counted
+from qflab.fpn_core import run_counted, space
 from qflab.spectral import GroupFunction, u2_inner
 
 
@@ -63,6 +61,11 @@ def _mixed_factor():
 
 def _trivial_factor(p, n):
     return new_quadratic_factor(new_linear_factor(p, n, []), [])
+
+
+def _row(factor, *labels):
+    """The direction codes of the labels (a1, a2, a3, b12, b13, b23)."""
+    return direction_codes(factor, [sum(labels, ())])[0]
 
 
 def _indicator_pair(p, n, seed):
@@ -104,7 +107,7 @@ def test_ip_local_with_trivial_factor_is_global():
     lin = new_linear_factor(3, 2, [])
     f = _random_f(3, 2, seed=1)
     grid = FunctionGrid.ip_select(2, f, f)
-    local = t_ip_local(2, lin, DirectionTuple2(3, (), ()), grid)
+    local = t_ip_local(2, lin, (0, 0), grid)
     assert local == pytest.approx(t_ip(2, grid), abs=1e-10)
 
 
@@ -168,8 +171,7 @@ def test_ip2_blocks_of_h_match_one_block(monkeypatch):
 def test_ip2_local_with_trivial_factor_is_global():
     factor = _trivial_factor(3, 2)
     grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 2, seed=3))
-    d = DirectionTuple3(3, (), (), (), (), (), ())
-    assert t_ip2_local(1, factor, d, grid) == pytest.approx(t_ip2(1, grid), abs=1e-10)
+    assert t_ip2_local(1, factor, (0,) * 6, grid) == pytest.approx(t_ip2(1, grid), abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -181,10 +183,9 @@ def test_ip2_local_on_the_whole_group_matches_the_frequency_side(m, diagonal):
     rng = np.random.default_rng(4)
     f, g = (GroupFunction(3, 2, np.exp(0.7j * rng.standard_normal(9))) for _ in range(2))
     grid = FunctionGrid.ip2_diagonal(m, f) if diagonal else FunctionGrid.ip2_select(m, f, g)
-    d = DirectionTuple3(3, (), (), (), (), (), ())
     want = t_ip2(m, grid)
     assert abs(want.imag) > 0.01 * abs(want) > 0
-    assert t_ip2_local(m, factor, d, grid) == pytest.approx(want, rel=1e-10, abs=1e-14)
+    assert t_ip2_local(m, factor, (0,) * 6, grid) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
 
 def test_ip2_hypergraph_shape():
@@ -201,22 +202,22 @@ def test_ip2_hypergraph_shape():
 @pytest.mark.parametrize("m", [1, 2])
 def test_ternary_operator_reproduces_local_ip2(m):
     factor = _mixed_factor()
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     graph = ip2_hypergraph(m)
     f_in = _random_f(3, 3, seed=70 + m)
     f_out = _random_f(3, 3, seed=80 + m)
     via_ip2 = t_ip2_local(
         m, factor, d, FunctionGrid.ip2_select(m, f_in, f_out))
-    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
+    ctx = TernaryContext(graph, factor, constant_codes(graph, d))
     via_ternary = t_ternary(ctx, FunctionGrid.edge_select(graph, f_in, f_out))
     assert via_ternary == pytest.approx(via_ip2, abs=1e-9)
 
 
 def test_ternary_average_is_linear_in_one_slot():
     factor = _mixed_factor()
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     graph = PatternHypergraph((1, 1, 2), frozenset({(0, 0, 0)}))
-    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
+    ctx = TernaryContext(graph, factor, constant_codes(graph, d))
     f = _random_f(3, 3, seed=4)
     grid = FunctionGrid({t: f for t in graph.all_tuples()})
     base = t_ternary(ctx, grid)
@@ -233,13 +234,12 @@ def test_bipartite_witness_identity(seed):
     edges = frozenset((u, v) for u in range(2) for v in range(2)
                       if rng.random() < 0.5)
     graph = PatternHypergraph((2, 2), edges)
-    u_labels = [tuple(rng.integers(0, 3, size=2)) for _ in range(2)]
-    v_labels = [tuple(rng.integers(0, 3, size=2)) for _ in range(2)]
+    u_codes, v_codes = rng.integers(0, 9, size=(2, 2)).tolist()
     mask, ind, indc = _indicator_pair(3, 3, seed=200 + seed)
     grid = FunctionGrid.edge_select(graph, ind, indc)
-    val = t_bipartite(graph, lin, u_labels, v_labels, grid)
+    val = t_bipartite(graph, lin, u_codes, v_codes, grid)
     assert abs(val.imag) <= 1e-12
-    count = witness_count_bipartite(graph, lin, u_labels, v_labels, mask)
+    count = witness_count_bipartite(graph, lin, u_codes, v_codes, mask)
     norm = bipartite_normalization(graph, lin)
     assert norm == 81
     assert val.real * norm == pytest.approx(count, abs=1e-6 * max(1, count))
@@ -252,8 +252,8 @@ def test_ternary_witness_identity(seed):
     edges = frozenset(t for t in itertools.product(range(2), repeat=3)
                       if rng.random() < 0.5)
     graph = PatternHypergraph((2, 2, 2), edges)
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    ctx = TernaryContext(graph, factor, constant_codes(graph, d))
     mask, ind, indc = _indicator_pair(3, 3, seed=400 + seed)
     val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
     assert abs(val.imag) <= 1e-12
@@ -269,25 +269,27 @@ def test_one_context_per_pattern_serves_every_ternary_routine():
     # batch of operators (x_0, x_1 one atom in one, two atoms in the other)
     # matches the operators one at a time
     factor = _mixed_factor()
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (1,), (2,))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (1,), (2,))
     graph = PatternHypergraph((2, 2, 2),
                               frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
-    same = LabelAssignment.constant(graph, d)
-    mixed = LabelAssignment(((0, 1), (1, 0)), same.b, ((2, 1), (2, 2)),
-                            same.duv, same.duw, same.dvw)
+    # atoms (0, 1), (1, 0) on U and (2, 1), (2, 2) on W in the mixed one
+    atoms = space(3, 2).index_of
+    labeled = {"same": ([d[0]] * 2, [d[1]] * 2, [d[2]] * 2),
+               "mixed": ([atoms((0, 1)), atoms((1, 0))], [d[1]] * 2,
+                         [atoms((2, 1)), atoms((2, 2))])}
     mask, ind, indc = _indicator_pair(3, 3, seed=500)
     grid = FunctionGrid.edge_select(graph, ind, indc)
-    ctxs = [TernaryContext(graph, factor, e) for e in (same, mixed)]
+    ctxs = [TernaryContext(graph, factor, a + b + c + [d[3]] * 4 + [d[4]] * 4 + [d[5]] * 4)
+            for a, b, c in labeled.values()]
+    assert ctxs[0].codes == constant_codes(graph, d)
     singles = [t_ternary(ctx, grid) for ctx in ctxs]
-    for ctx, e, single in zip(ctxs, (same, mixed), singles):
+    for ctx, (a, b, c), single in zip(ctxs, labeled.values(), singles):
         count = witness_count_ternary(ctx, mask)
         norm = ternary_normalization(ctx)
         assert single.real * float(norm) == pytest.approx(count, abs=1e-6 * max(1, count))
         for row, (u, v, w) in zip(ctx.triples(), graph.all_tuples()):
-            built = LocalContext3(factor, DirectionTuple3(3, e.a[u], e.b[v], e.c[w], e.duv[(u, v)],
-                                                          e.duw[(u, w)], e.dvw[(v, w)]))
+            built = LocalContext3(factor, (a[u], b[v], c[w], *d[3:]))
             assert tuple(row.tolist()) == built.codes
-            assert sigma3_codes(factor, row).tolist() == [factor.label_code(built.sigma)]
     for got, single in zip(t_ternaries(ctxs, [grid] * 2), singles):
         assert got == pytest.approx(single, rel=1e-12)
 
@@ -298,11 +300,11 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
     # sum table
     lin = new_linear_factor(3, 3, [(1, 0, 0)])
     graph = PatternHypergraph((2, 3), frozenset({(0, 0), (0, 2), (1, 1)}))
-    u_labels, v_labels = [(0,), (1,)], [(2,), (0,), (2,)]
+    u_codes, v_codes = [0, 1], [2, 0, 2]
     mask = np.random.default_rng(600).random(27) < 0.5
     sp = lin.space
-    xs = [lin.coset_indices(lab) for lab in u_labels]
-    ys = [lin.coset_indices(lab) for lab in v_labels]
+    xs = [lin.coset_indices((c,)) for c in u_codes]
+    ys = [lin.coset_indices((c,)) for c in v_codes]
     want = 0
     for b in itertools.product(*ys):
         prod = 1
@@ -312,7 +314,7 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
         want += prod
     assert want > 0
     monkeypatch.setattr(pattern_ops, "H_BLOCK_ENTRIES", 63)
-    count, terms = run_counted(witness_count_bipartite, graph, lin, u_labels, v_labels, mask)
+    count, terms = run_counted(witness_count_bipartite, graph, lin, u_codes, v_codes, mask)
     assert count == want
     assert terms == 9 ** 3 * 18 + 6 * 81
 
@@ -322,13 +324,17 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
 LOOP_CAP = 1 << 22
 
 
-def _witness_count_loop(graph, factor, e, member=None) -> int:
-    """Configurations of the labeled hypergraph (graph, e) whose pairs all
-    lie in their bilinear level sets and, unless member is None, whose
-    memberships match the edges: explicit loops over the (x, y) tuples and
-    the heads of the z's, the last W-vertex tested in a vectorized sweep.
-    Members come from the factor's atoms and pair tests from its forms."""
-    xs, ys, zs = ([factor.atom_indices(lab) for lab in part] for part in (e.a, e.b, e.c))
+def _witness_count_loop(graph, factor, codes, member=None) -> int:
+    """Configurations of the hypergraph labeled by codes (in
+    `TernaryContext.codes` order) whose pairs all lie in their bilinear
+    level sets and, unless member is None, whose memberships match the
+    edges: explicit loops over the (x, y) tuples and the heads of the z's,
+    the last W-vertex tested in a vectorized sweep. Members come from the
+    factor's atoms and pair tests from its forms, on the decoded labels."""
+    nu, nv, nw = graph.parts
+    members = [factor._members_by_code[c] for c in codes[:nu + nv + nw]]
+    xs, ys, zs = members[:nu], members[nu:nu + nv], members[nu + nv:]
+    labels = iter([space(factor.p, factor.q).coords_of(c) for c in codes[nu + nv + nw:]])
     if math.prod(a.size for a in xs + ys + zs) > LOOP_CAP:
         raise CapExceeded("witness loop too large")
     sp = factor.space
@@ -340,12 +346,9 @@ def _witness_count_loop(graph, factor, e, member=None) -> int:
             ok &= digits[rows] @ form.as_array() @ digits[cols].T % factor.p == b
         return ok
 
-    muv = {(u, v): level(xs[u], ys[v], e.duv[(u, v)])
-           for u in range(graph.nu) for v in range(graph.nv)}
-    muw = {(u, w): level(xs[u], zs[w], e.duw[(u, w)])
-           for u in range(graph.nu) for w in range(graph.nw)}
-    mvw = {(v, w): level(ys[v], zs[w], e.dvw[(v, w)])
-           for v in range(graph.nv) for w in range(graph.nw)}
+    muv = {(u, v): level(xs[u], ys[v], next(labels)) for u in range(nu) for v in range(nv)}
+    muw = {(u, w): level(xs[u], zs[w], next(labels)) for u in range(nu) for w in range(nw)}
+    mvw = {(v, w): level(ys[v], zs[w], next(labels)) for v in range(nv) for w in range(nw)}
 
     def matches(u, v, w, z):
         if member is None:
@@ -397,8 +400,9 @@ def _coordinate_label(factor, index):
 
 
 def _random_assignment(factor, graph, rng, through):
-    """Random labels; when `through`, the labels and pair levels of one
-    random configuration (returned with them), so that I_F(e) holds it."""
+    """The codes of random labels; when `through`, of the labels and pair
+    levels of one random configuration (returned with them), so that I_F(e)
+    holds it."""
     p, width = factor.p, factor.ell + factor.q
     if not through:
         def lab(_i):
@@ -417,12 +421,14 @@ def _random_assignment(factor, graph, rng, through):
 
         def level(i, j):
             return tuple(int(digits[i] @ f.as_array() @ digits[j] % p) for f in factor.forms)
-    e = LabelAssignment(
-        tuple(lab(i) for i in x), tuple(lab(i) for i in y), tuple(lab(i) for i in z),
-        {(u, v): level(x[u], y[v]) for u in range(graph.nu) for v in range(graph.nv)},
-        {(u, w): level(x[u], z[w]) for u in range(graph.nu) for w in range(graph.nw)},
-        {(v, w): level(y[v], z[w]) for v in range(graph.nv) for w in range(graph.nw)})
-    return e, (x, y, z)
+    nu, nv, nw = graph.parts
+    atoms = [lab(i) for i in x + y + z]
+    levels = ([level(x[u], y[v]) for u in range(nu) for v in range(nv)]
+              + [level(x[u], z[w]) for u in range(nu) for w in range(nw)]
+              + [level(y[v], z[w]) for v in range(nv) for w in range(nw)])
+    codes = ([space(p, width).index_of(a) for a in atoms]
+             + [space(p, factor.q).index_of(b) for b in levels])
+    return codes, (x, y, z)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -442,7 +448,8 @@ def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
     nonzero = set()
     for trial in range(9):
         member = rng.random(sp.size) < 0.5
-        e, (x, y, z) = _random_assignment(factor, PatternHypergraph(shape), rng, trial % 3 > 0)
+        codes, (x, y, z) = _random_assignment(factor, PatternHypergraph(shape), rng,
+                                              trial % 3 > 0)
         if trial % 3 == 2:
             edges = {(u, v, w) for u, v, w in cells
                      if member[sp.add(sp.add(x[u], y[v]), z[w])]}
@@ -450,17 +457,18 @@ def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
             edges = {c for c in cells if rng.random() < 0.5}
         graph = PatternHypergraph(shape, frozenset(edges))
         try:
-            ctx = TernaryContext(graph, factor, e)
+            ctx = TernaryContext(graph, factor, codes)
         except DegenerateContext:
             continue
         count = witness_count_ternary(ctx, member)
         configurations = if_enumerate(ctx)
-        assert count == _witness_count_loop(graph, factor, e, member)
-        assert configurations == _witness_count_loop(graph, factor, e)
+        assert count == _witness_count_loop(graph, factor, codes, member)
+        assert configurations == _witness_count_loop(graph, factor, codes)
         nonzero |= {"count"} if count else set()
         nonzero |= {"configurations"} if configurations else set()
-        heads = math.prod(factor.atom_indices(lab).size for lab in e.a + e.b)
-        step = max(1, 40 // max(factor.atom_indices(lab).size for lab in e.c))
+        sizes = factor.atom_sizes[codes[:sum(shape)]]
+        heads = math.prod(sizes[:shape[0] + shape[1]].tolist())
+        step = max(1, 40 // int(sizes[shape[0] + shape[1]:].max()))
         partial_blocks += heads > step and heads % step > 0
         compared += 1
     assert compared >= 6 and partial_blocks > 0
@@ -471,8 +479,7 @@ def test_extension_count_past_int64():
     # twelve free 49-point atoms, each passing whole, over 49^2 head tuples
     factor = _trivial_factor(7, 2)
     graph = PatternHypergraph((1, 1, 12))
-    ctx = TernaryContext(graph, factor, LabelAssignment.constant(
-        graph, DirectionTuple3(7, (), (), (), (), (), ())))
+    ctx = TernaryContext(graph, factor, constant_codes(graph, (0,) * 6))
     count = witness_count_ternary(ctx, np.zeros(49, dtype=bool))
     assert count == if_enumerate(ctx) == 49 ** 14 > 1 << 63
 
@@ -480,9 +487,9 @@ def test_extension_count_past_int64():
 def test_configuration_count_matches_direct_masks():
     factor = _mixed_factor()
     graph = PatternHypergraph((1, 1, 1), frozenset({(0, 0, 0)}))
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (1,), (2,), (0,))
-    ctx = TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
-    xs, ys, zs = (factor.label_code(a) for a in ((0, 1), (1, 2), (2, 1)))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (1,), (2,), (0,))
+    ctx = TernaryContext(graph, factor, constant_codes(graph, d))
+    xs, ys, zs = d[:3]
     m12 = mu_weight_matrix(factor, 1, xs, ys) != 0.0
     m13 = mu_weight_matrix(factor, 2, xs, zs) != 0.0
     m23 = mu_weight_matrix(factor, 0, ys, zs) != 0.0
@@ -493,19 +500,18 @@ def test_configuration_count_matches_direct_masks():
 
 def test_witness_count_collapses_for_extreme_sets():
     factor = _mixed_factor()
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     complete = PatternHypergraph((2, 2, 2), frozenset(itertools.product(range(2), repeat=3)))
-    ctx = TernaryContext(complete, factor, LabelAssignment.constant(complete, d))
+    ctx = TernaryContext(complete, factor, constant_codes(complete, d))
     assert witness_count_ternary(ctx, np.ones(27, dtype=bool)) == if_enumerate(ctx)
     empty_graph = PatternHypergraph((2, 2, 2))
-    ctx2 = TernaryContext(empty_graph, factor, LabelAssignment.constant(empty_graph, d))
+    ctx2 = TernaryContext(empty_graph, factor, constant_codes(empty_graph, d))
     assert witness_count_ternary(ctx2, np.zeros(27, dtype=bool)) == if_enumerate(ctx2)
 
 
 def test_weighted_density_extremes():
     factor = _mixed_factor()
-    d = DirectionTuple3(3, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    ctx = LocalContext3(factor, d)
+    ctx = LocalContext3(factor, _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,)))
     value = weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)])[0]
     assert value >= 0.0
     # removing A from the target atom kills the weighted sum: it only reads
@@ -524,7 +530,7 @@ def test_weighted_density_matches_the_dense_sum():
     for a1, a2, a3 in itertools.product(itertools.product(range(3), repeat=2), repeat=3):
         b = tuple((int(v),) for v in rng.integers(0, 3, 3))
         try:
-            ctx = LocalContext3(factor, DirectionTuple3(3, a1, a2, a3, *b))
+            ctx = LocalContext3(factor, _row(factor, a1, a2, a3, *b))
         except DegenerateContext:
             continue
         if ctx.target_indices().size == 0:
@@ -541,18 +547,18 @@ def test_weighted_density_matches_the_dense_sum():
 def test_weighted_density_is_zero_on_an_empty_target():
     lin = new_linear_factor(3, 2, [(1, 0)])
     factor = new_quadratic_factor(lin, [np.eye(2, dtype=np.int64)])
-    # sigma3 lands on (0, 2), which the coset x1 = 0 never reaches, so no
+    # the target atom is (0, 2), which the coset x1 = 0 never reaches, so no
     # triple has weight
-    d = DirectionTuple3(3, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
-    assert weighted_ternary_densities(factor, [LocalContext3(factor, d).codes],
-                                      [np.ones(9, dtype=bool)]) == [0.0]
+    d = _row(factor, (0, 0), (0, 0), (0, 0), (1,), (0,), (0,))
+    assert LocalContext3(factor, d).target_indices().size == 0
+    assert weighted_ternary_densities(factor, [d], [np.ones(9, dtype=bool)]) == [0.0]
 
 
 def test_degenerate_atoms_are_refused():
     lin = new_linear_factor(3, 2, [(1, 0)])
     factor = new_quadratic_factor(lin, [np.eye(2, dtype=np.int64)])
     grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 2, seed=5))
-    d = DirectionTuple3(3, (0, 2), (0, 0), (0, 0), (0,), (0,), (0,))
+    d = _row(factor, (0, 2), (0, 0), (0, 0), (0,), (0,), (0,))
     with pytest.raises(DegenerateContext):
         t_ip2_local(1, factor, d, grid)
 
@@ -568,16 +574,16 @@ def test_caps():
     wide = PatternHypergraph((4, 1))
     lin = new_linear_factor(3, 1, [])
     with pytest.raises(CapExceeded):
-        t_bipartite(wide, lin, [()] * 4, [()],
+        t_bipartite(wide, lin, [0] * 4, [0],
                     FunctionGrid({(u, 0): f for u in range(4)}))
-    flat = DirectionTuple3(3, (), (), (), (), (), ())
+    flat = (0,) * 6
     factor = _trivial_factor(3, 1)
     for tall in (PatternHypergraph((3, 1, 1)), PatternHypergraph((1, 1, 17))):
         with pytest.raises(CapExceeded):
-            TernaryContext(tall, factor, LabelAssignment.constant(tall, flat))
+            TernaryContext(tall, factor, constant_codes(tall, flat))
     # |W| = 3 is counted, and the count is the loop twin's
     deep = PatternHypergraph((1, 1, 3), frozenset({(0, 0, 0), (0, 0, 2)}))
-    e3 = LabelAssignment.constant(deep, flat)
+    e3 = constant_codes(deep, flat)
     member = np.array([True, False, True])
     count = witness_count_ternary(TernaryContext(deep, factor, e3), member)
     assert count == _witness_count_loop(deep, factor, e3, member) > 0
@@ -591,26 +597,28 @@ def test_grid_validation():
     lin = new_linear_factor(3, 1, [])
     flat = _trivial_factor(3, 1)
     ternary = PatternHypergraph((1, 1, 2))
-    ctx = TernaryContext(ternary, flat, LabelAssignment.constant(
-        ternary, DirectionTuple3(3, (), (), (), (), (), ())))
+    ctx = TernaryContext(ternary, flat, constant_codes(ternary, (0,) * 6))
     calls = {
         (1, 1): lambda: t_ip(1, FunctionGrid({(1, 0): f})),
-        (1, 0): lambda: t_ip_local(1, lin, DirectionTuple2(3, (), ()), FunctionGrid({(1, 1): f})),
+        (1, 0): lambda: t_ip_local(1, lin, (0, 0), FunctionGrid({(1, 1): f})),
         (1, 1, 1): lambda: t_ip2(1, FunctionGrid({(1, 1, 0): f})),
-        (1, 1, 0): lambda: t_ip2_local(1, flat, DirectionTuple3(3, (), (), (), (), (), ()),
-                                       FunctionGrid({(1, 1, 1): f})),
-        (0, 1): lambda: t_bipartite(PatternHypergraph((1, 2)), lin, [()], [(), ()],
+        (1, 1, 0): lambda: t_ip2_local(1, flat, (0,) * 6, FunctionGrid({(1, 1, 1): f})),
+        (0, 1): lambda: t_bipartite(PatternHypergraph((1, 2)), lin, [0], [0, 0],
                                     FunctionGrid({(0, 0): f})),
         (0, 0, 1): lambda: t_ternaries([ctx], [FunctionGrid({(0, 0, 0): f})]),
     }
     for slot, call in calls.items():
         with pytest.raises(ValueError, match=rf"^grid missing slot {re.escape(str(slot))}$"):
             call()
-    # a direction tuple over another prime is refused, not read as labels mod p
+    # a code past the factor's labels is refused, not read modulo their count
     factor = _mixed_factor()
     grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 3, seed=8))
-    with pytest.raises(ValueError):
-        t_ip2_local(1, factor, DirectionTuple3(5, (1, 1), (1, 2), (2, 1), (0,), (0,), (0,)), grid)
+    for bad in ((9, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 3), (0, -1, 0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            t_ip2_local(1, factor, bad, grid)
+    for bad in ((3, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            t_ip_local(1, factor.linear, bad, FunctionGrid.ip_select(1, f, f))
 
 
 def test_pattern_hypergraph_is_its_parts_and_edges():
@@ -630,15 +638,14 @@ def test_ternary_context_refuses_empty_atoms_and_levels():
     graph = PatternHypergraph((1, 1, 2))
     coset = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [np.eye(2, dtype=np.int64)])
     zero = new_quadratic_factor(new_linear_factor(3, 2, []), [np.zeros((2, 2), dtype=np.int64)])
-    for factor, d in ((coset, DirectionTuple3(3, (0, 1), (0, 1), (0, 2), (0,), (0,), (0,))),
-                      (zero, DirectionTuple3(3, (0,), (0,), (0,), (0,), (0,), (1,)))):
+    for factor, d in ((coset, _row(coset, (0, 1), (0, 1), (0, 2), (0,), (0,), (0,))),
+                      (zero, _row(zero, (0,), (0,), (0,), (0,), (0,), (1,)))):
         with pytest.raises(DegenerateContext, match=r"^triple \(0, 0, \d\) names an empty"):
-            TernaryContext(graph, factor, LabelAssignment.constant(graph, d))
-    # labels of the wrong count or width are refused before any code is read
-    e = LabelAssignment.constant(graph, DirectionTuple3(3, (0, 1), (0, 1), (0, 1),
-                                                        (0,), (0,), (0,)))
-    for bad in (LabelAssignment(e.a, e.b, e.c[:1], e.duv, e.duw, e.dvw),
-                LabelAssignment(e.a, e.b, e.c, {(0, 0): (0, 0)}, e.duw, e.dvw)):
+            TernaryContext(graph, factor, constant_codes(graph, d))
+    # codes of the wrong count or past their labels are refused before any
+    # is read: one vertex short, an atom code 9 and a level code 3 on F_3
+    codes = constant_codes(graph, _row(coset, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
+    for bad in (codes[:3] + codes[4:], (9,) + codes[1:], codes[:-1] + (3,)):
         with pytest.raises(ValueError):
             TernaryContext(graph, coset, bad)
 
@@ -650,20 +657,19 @@ def test_ternary_normalization_is_the_product_of_its_fractions(q):
     factor = _mixed_factor() if q else new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]),
                                                             [])
     graph = PatternHypergraph((2, 1, 2), frozenset({(0, 0, 1)}))
-    width = (0,) * q
-    e = LabelAssignment(((0, 1)[:1 + q], (1, 2)[:1 + q]), ((2, 1)[:1 + q],),
-                        ((0, 0)[:1 + q], (1, 1)[:1 + q]),
-                        {(u, 0): width for u in range(2)},
-                        {(u, w): tuple((u + w) % 3 for _ in width) for u in range(2)
-                         for w in range(2)},
-                        {(0, w): tuple((w + 1) % 3 for _ in width) for w in range(2)})
+    # atoms (0, 1), (1, 2) on U, (2, 1) on V, (0, 0), (1, 1) on W, cut to
+    # their linear entry without a form; levels 0 on U x V, u + w on U x W
+    # and w + 1 on V x W
+    atoms = [(0, 1), (1, 2), (2, 1), (0, 0), (1, 1)]
+    levels = [0, 0] + [(u + w) % 3 for u in range(2) for w in range(2)] + [1, 2]
+    codes = [space(3, 1 + q).index_of(a[:1 + q]) for a in atoms] + [b * q for b in levels]
     want = Fraction(1)
-    for lab in (*e.a, *e.b, *e.c):
-        want *= factor.atom_indices(lab).size
+    for a in atoms:
+        want *= factor.atom_indices(a[:1 + q]).size
     if q:
         sizes = bilinear_level_sizes(factor)
-        for d in (*e.duv.values(), *e.duw.values(), *e.dvw.values()):
-            want *= Fraction(sizes[d], 3 ** 6)
-    got = ternary_normalization(TernaryContext(graph, factor, e))
+        for b in levels:
+            want *= Fraction(int(sizes[b]), 3 ** 6)
+    got = ternary_normalization(TernaryContext(graph, factor, codes))
     assert isinstance(got, Fraction) and got == want
     assert got.denominator > 1 if q else got.denominator == 1
