@@ -18,12 +18,13 @@ near-equidistributed, which is what the trend experiments measure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from .fpn_core import (
+    H_BLOCK_ENTRIES,
     GroupSpace,
     GroupVector,
     SymmetricForm,
@@ -70,6 +71,11 @@ class _LabelIndex:
     def _members_by_code(self) -> list[np.ndarray]:
         return [row[:size] for row, size in zip(self.member_table, self.atom_sizes.tolist())]
 
+    def atom_indices(self, label) -> np.ndarray:
+        """Canonical-index members of the label's set: the atom B(label) of a
+        quadratic factor, the coset L(label) of a linear one."""
+        return self._members_by_code[space(self.p, self.width).index_of(label)]
+
 
 class LinearFactor(_LabelIndex):
     """l linearly independent vectors partitioning F_p^n into p^l cosets."""
@@ -96,10 +102,6 @@ class LinearFactor(_LabelIndex):
         for i, row in enumerate(self._rows):
             codes += self.space.form_values(r=row) * self.p ** i
         return codes
-
-    def coset_indices(self, label: tuple[int, ...]) -> np.ndarray:
-        """Canonical-index members of the coset L(label); size is p^(n-l)."""
-        return self._members_by_code[space(self.p, self.width).index_of(label)]
 
     def subgroup_basis(self) -> list[GroupVector]:
         """Basis of the kernel coset L(0), from mod-p row reduction."""
@@ -156,10 +158,6 @@ class QuadraticFactor(_LabelIndex):
             codes = codes + self.space.form_values(m.as_array()) * self.p ** (self.ell + j)
         return codes
 
-    def atom_indices(self, label) -> np.ndarray:
-        """Canonical-index members of the atom B(label)."""
-        return self._members_by_code[space(self.p, self.width).index_of(label)]
-
     def all_labels(self) -> list[tuple[int, ...]]:
         """Every atom label, in code order."""
         return list(map(tuple, space(self.p, self.width).digits.tolist()))
@@ -183,35 +181,81 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
     return QuadraticFactor(linear, shaped)
 
 
-def level_mask(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
-    """The member pairs of the atoms of codes row x col that lie in the
-    bilinear level set of code b, as a bool matrix; all True with no forms.
+def level_masks(factor: QuadraticFactor, triples) -> list[np.ndarray]:
+    """For each code triple (b, row, col), in order, the member pairs of the
+    atoms of codes row x col that lie in the bilinear level set of code b,
+    as a bool matrix; all True with no forms.
 
-    Each code triple (b, row, col) is computed once per factor and every
-    later call returns the same read-only array. Building a mask counts
-    |row| |col| q terms, one per form value; a cached one counts none.
-    Raises CapExceeded, before it allocates anything, when |row| |col|
-    exceeds MU_CAP: the mask takes 1 byte per entry, but its form values
-    take 8 while it is built.
+    Each triple is computed once per factor and every later call returns
+    the same read-only array. The missing ones are built together, in
+    blocks of triples whose stack, zero-padded to the largest row and
+    column atoms, holds at most H_BLOCK_ENTRIES // 4 entries, so that its
+    float32 form values take at most H_BLOCK_ENTRIES bytes (one triple's
+    rows a slab at a time when one alone is larger). Per form, x^T M y is
+    one batched float32 matmul of the rows of (x^T M mod p) with y, exact
+    as every partial sum is at most n (p - 1)^2 < 2^24, and its residue
+    mod p is read from a lookup table at its int16 value (n (p - 1)^2 <=
+    720 for p^n <= 2^20). Building a mask counts |row| |col| q terms, one
+    per form value; a cached one counts none. Raises CapExceeded, before
+    it allocates anything, when some |row| |col| exceeds MU_CAP: a mask
+    takes 1 byte per entry.
     """
     cache = factor.__dict__.setdefault("_level_masks", {})
-    key = (b, row, col)
-    if key not in cache:
-        rows, cols = factor._members_by_code[row], factor._members_by_code[col]
-        if rows.size * cols.size > MU_CAP:
-            raise CapExceeded(f"mu matrix of {rows.size} x {cols.size} entries exceeds "
-                              f"the mu cap {MU_CAP}")
-        ok = np.ones((rows.size, cols.size), dtype=bool)
-        if factor.q:
-            values = space(factor.p, factor.q).digits[b]
-            dx = factor.space.digits[rows].astype(np.int64)
-            dy = factor.space.digits[cols].astype(np.int64)
-            for j, m in enumerate(factor.forms):
-                ok &= (dx @ m.as_array() @ dy.T) % factor.p == values[j]
-            count_terms(ok.size * factor.q)
-        ok.flags.writeable = False
-        cache[key] = ok
-    return cache[key]
+    keys = list(map(tuple, np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist()))
+    todo = [k for k in dict.fromkeys(keys) if k not in cache]
+    if todo:
+        _build_level_masks(factor, todo, cache)
+    return [cache[k] for k in keys]
+
+
+def _build_level_masks(factor: QuadraticFactor, todo: list[tuple], cache: dict) -> None:
+    """Build the masks of the distinct uncached triples todo into cache, as
+    `level_masks` describes."""
+    codes = np.array(todo, dtype=np.int64)
+    sizes = factor.atom_sizes[codes[:, 1:]].tolist()
+    entries = [r * c for r, c in sizes]
+    widest = max(entries)
+    if widest > MU_CAP:
+        r, c = sizes[entries.index(widest)]
+        raise CapExceeded(f"mu matrix of {r} x {c} entries exceeds the mu cap {MU_CAP}")
+    count_terms(sum(entries) * factor.q)
+    p, digits, table = factor.p, factor.space.digits, factor.member_table
+    levels = space(p, factor.q).digits[codes[:, 0]]
+    forms = [m.as_array() for m in factor.forms]
+    residue = _residues(p, factor.n * (p - 1) ** 2)
+    budget = H_BLOCK_ENTRIES // 4  # entries whose float32 form values take H_BLOCK_ENTRIES bytes
+    step = max(1, budget // widest)
+    for lo in range(0, len(todo), step):
+        part, shapes = codes[lo:lo + step], sizes[lo:lo + step]
+        ok = np.ones((len(part), max(r for r, _ in shapes), max(c for _, c in shapes)),
+                     dtype=bool)
+        if forms:
+            y = digits[table[part[:, 2], :ok.shape[2]]].astype(np.float32).transpose(0, 2, 1)
+            slab = max(1, budget // (ok.shape[0] * ok.shape[2]))
+            for start in range(0, ok.shape[1], slab):
+                stop = min(start + slab, ok.shape[1])
+                x = digits[table[part[:, 1], start:stop]].astype(np.int64)
+                for j, m in enumerate(forms):
+                    values = np.matmul(((x @ m) % p).astype(np.float32), y)
+                    ok[:, start:stop] &= (np.take(residue, values.astype(np.int16))
+                                          == levels[lo:lo + step, j, None, None])
+        for key, mask, (r, c) in zip(todo[lo:lo + step], ok, shapes):
+            mask = mask if len(part) == 1 else mask[:r, :c].copy()
+            mask.flags.writeable = False
+            cache[key] = mask
+
+
+@lru_cache(maxsize=None)
+def _residues(p: int, top: int) -> np.ndarray:
+    """v mod p for v = 0..top, as read-only int8."""
+    table = (np.arange(top + 1) % p).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def level_mask(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
+    """The batch of one of `level_masks`."""
+    return level_masks(factor, [(b, row, col)])[0]
 
 
 def mu_weight(factor: QuadraticFactor, b: int) -> float:

@@ -26,8 +26,8 @@ from .errors import AsymmetricForm, CapExceeded
 ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_TOL = 1e-9
-# entries of one block of a bounded buffer, and of the largest whole-group
-# sum table a GroupSpace keeps (N^2 <= H_BLOCK_ENTRIES)
+# entries of one block of a bounded buffer; the largest whole-group sum table
+# a GroupSpace keeps takes as many bytes, in int16 (N^2 <= 4 H_BLOCK_ENTRIES)
 H_BLOCK_ENTRIES = 1 << 18
 
 
@@ -161,22 +161,38 @@ class GroupSpace:
         return self.sums(self._sums(np.asarray(a)[:, None], b)[:, :, None], c)
 
     def shift_table(self) -> np.ndarray:
-        """The whole-group table s[i, j] = index of i + j, built from the
-        halves of the digits on the first call and kept read-only. Counts
-        nothing: its readers count what they read, so a run's tally does not
-        depend on an earlier run."""
+        """The whole-group table s[i, j] = index of i + j as int16, built on
+        the first call and kept read-only: for n <= 1 by adding mod p, and
+        otherwise as one broadcast of the tables of its halves F_p^(n-k) and
+        F_p^k, k = n // 2, since index i of F_p^n is (its high half) p^k +
+        (its low half). Built only while N^2 <= 4 H_BLOCK_ENTRIES, so that
+        it takes at most the bytes of H_BLOCK_ENTRIES int64 entries (N <=
+        1,024); raises CapExceeded past that. Counts nothing: its readers
+        count what they read, so a run's tally does not depend on an
+        earlier run."""
         if self._shift_table is None:
-            table = self._split_sums(slice(None), slice(None))
+            if self.size ** 2 > 4 * H_BLOCK_ENTRIES:
+                raise CapExceeded(f"a sum table of p^n = {self.size} points exceeds "
+                                  f"{4 * H_BLOCK_ENTRIES} entries")
+            if self.n <= 1:
+                table = self._split_sums(slice(None), slice(None)).astype(np.int16)
+            else:
+                k = self.n // 2
+                high = space(self.p, self.n - k).shift_table()
+                low = space(self.p, k).shift_table()
+                table = (high[:, None, :, None] * self.p ** k
+                         + low[None, :, None, :]).reshape(self.size, self.size)
             table.setflags(write=False)
             self._shift_table = table
         return self._shift_table
 
     def _sums(self, a, b):
-        """The one route for index addition, indexed like `sums`. Read from
-        the whole-group table when it has at most H_BLOCK_ENTRIES entries;
-        otherwise added by halves of the digits."""
-        if self.n > 1 and self.size ** 2 <= H_BLOCK_ENTRIES:
-            return self.shift_table()[a, b]
+        """The one route for index addition, indexed like `sums`, as int64.
+        One gather from the whole-group table when it has at most
+        4 H_BLOCK_ENTRIES entries (p^n <= 1,024); otherwise added by halves
+        of the digits."""
+        if self.size ** 2 <= 4 * H_BLOCK_ENTRIES:
+            return self.shift_table()[a, b].astype(np.int64)
         return self._split_sums(a, b)
 
     def _split_sums(self, a, b):

@@ -90,7 +90,7 @@ from ..pattern_ops import (
     ternary_normalization,
     weighted_ternary_densities,
     witness_count_bipartite,
-    witness_count_ternary,
+    witness_counts_ternary,
 )
 from ..spectral import (
     DERIVATIVE_BLOCK_ENTRIES,
@@ -1347,13 +1347,13 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
               / np.maximum(sizes, 1)).tolist()
     balanced = {t: _indicator_minus(p, n, bits, alphas[t]) for t in dict.fromkeys(targets)}
     norms = local_u3_norms(factor, codes, [balanced[t] for t in targets])
+    counts = iter(witness_counts_ternary(ctxs, bits))
     rows, end = [], 0
     for base, ctx in patterns:
         if ctx is None:
             rows.append((base, "no nondegenerate labels found"))
             continue
-        graph, t_val = ctx.graph, next(t_vals)
-        count = witness_count_ternary(ctx, bits)
+        graph, t_val, count = ctx.graph, next(t_vals), next(counts)
         norm = ternary_normalization(ctx)
         rows.append((base | {"check": "witness-identity"}, abs(t_val * float(norm) - count),
                      tol * max(1.0, float(count)), {"count": count}))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from ..errors import CapExceeded, ConfigError, UnknownExperiment
@@ -88,10 +89,27 @@ def _do_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before the run starts, an --out that is a directory or whose
+    parent directory is missing or not writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent!r}"
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        reason = f"directory {parent!r} is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write report {path!r}: {reason}")
+
+
 def _do_run(args: argparse.Namespace) -> int:
     exp = get_experiment(args.experiment)
     file_cfg = load_json(args.config) if args.config else None
     cfg, est = estimate_experiment(args.experiment, file_cfg, _overrides(args))
+    if args.out:
+        _check_out(args.out)
     print(f"# {exp.name} [{exp.kind}]: ~{est} terms", file=sys.stderr)
     report = run_estimated(args.experiment, cfg, est)
     payload = canonical_json(report)

@@ -47,9 +47,8 @@ from .errors import CapExceeded, DegenerateContext
 from .factor import (
     LinearFactor,
     QuadraticFactor,
-    level_mask,
+    level_masks,
     mu_weight,
-    mu_weight_matrix,
     sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
@@ -197,9 +196,10 @@ class LocalContext3:
             if arr.size == 0:
                 label = space(factor.p, factor.width).coords_of(code)
                 raise DegenerateContext(f"atom {name} = {label} is empty")
-        self.mu12 = mu_weight_matrix(factor, b12, a1, a2)
-        self.mu13 = mu_weight_matrix(factor, b13, a1, a3)
-        self.mu23 = mu_weight_matrix(factor, b23, a2, a3)
+        # the weights first, so an empty level raises before a mask is built
+        weights = [mu_weight(factor, b) for b in (b12, b13, b23)]
+        masks = level_masks(factor, [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)])
+        self.mu12, self.mu13, self.mu23 = (m * w for m, w in zip(masks, weights))
 
     def target_indices(self) -> np.ndarray:
         """The members of the target atom, of code `sigma3_codes`."""
@@ -273,6 +273,24 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse.reshape(-1)
 
 
+def _mask_stack(factor: QuadraticFactor, triples: np.ndarray) -> np.ndarray:
+    """The level masks of the rows (bilinear, row atom, column atom) of a
+    (C, 3) array of code triples, one per row, zero-padded to the largest
+    row and column atoms: a bool stack (C, |row|, |col|). The distinct
+    triples' masks come from one `level_masks` call."""
+    triples = np.ascontiguousarray(triples, dtype=np.int64)
+    # one void item per triple
+    distinct, inverse = _distinct(triples.view(np.dtype((np.void, 24))).reshape(-1))
+    distinct = distinct.view(np.int64).reshape(-1, 3)
+    masks = level_masks(factor, distinct)
+    rows, cols = (factor.atom_sizes[distinct[:, k], None, None] for k in (1, 2))
+    # a mask's entries fill its corner of the padded stack in C order
+    corner = ((np.arange(rows.max())[:, None] < rows) & (np.arange(cols.max()) < cols))
+    padded = np.zeros(corner.shape, dtype=bool)
+    padded[corner] = np.concatenate([m.reshape(-1) for m in masks])
+    return padded[inverse]
+
+
 class _Stack:
     """C ternary problems of one shape, stacked along a leading context axis:
     member arrays (C, |part|), weights and value places, each filled for its
@@ -280,8 +298,9 @@ class _Stack:
     of the factor's member table, zero-padded to the block's largest atom.
     A weight place is a mu measure kept as its two parts: a bool stack (C,
     |a|, |b|) of the level masks of the block's distinct (bilinear, row
-    atom, column atom) code triples, zero-padded alike, and one float per
-    context, its level's weight p^(2n)/|beta|. A weight is read by gathering
+    atom, column atom) code triples, built by one `level_masks` call and
+    zero-padded alike (`_mask_stack`), and one float per context, its
+    level's weight p^(2n)/|beta|. A weight is read by gathering
     the mask and multiplying by the context's weight, which gives the mu
     matrix's values bit for bit (True w = w, False w = 0). A value place is
     a table of the block's distinct value arrays
@@ -346,17 +365,10 @@ class _Stack:
         def weight(col: int, row: int, other: int) -> tuple:
             triples = np.ascontiguousarray(codes[:, [col, row, other]])
             key = ("weight", triples.tobytes())
-            if key not in places:  # one void item per (bilinear, row, column) triple
-                distinct, inverse = _distinct(triples.view(np.dtype((np.void, 24))).reshape(-1))
+            if key not in places:
                 levels, at = _distinct(codes[:, col])  # weights first: an empty level raises
                 weights = np.array([mu_weight(factor, b) for b in levels.tolist()])[at]
-                masks = [level_mask(factor, *t)
-                         for t in distinct.view(np.int64).reshape(-1, 3).tolist()]
-                padded = np.zeros((len(masks), sizes[codes[:, row]].max(),
-                                   sizes[codes[:, other]].max()), dtype=bool)
-                for k, m in enumerate(masks):
-                    padded[k, :m.shape[0], :m.shape[1]] = m
-                places[key] = (padded[inverse], weights)
+                places[key] = (_mask_stack(factor, triples), weights)
             return places[key]
 
         @functools.cache

@@ -28,7 +28,8 @@ pair of coset codes for t_ip_local, one coset code per vertex for the
 bipartite routines, and a direction's six codes for t_ip2_local. A labeled
 ternary pattern is one `TernaryContext` of codes, built once and read by
 every ternary routine. The witness counts and |I_F(e)| are one blocked
-extension count, `_extension_count`.
+extension count, `_extension_count`, taken per pattern shape over a batch
+of contexts (`witness_counts_ternary`).
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ from .factor import (
     QuadraticFactor,
     bilinear_level_sizes,
     degenerate_directions,
-    level_mask,
 )
-from .fpn_core import H_BLOCK_ENTRIES, count_terms, space
+from .fpn_core import H_BLOCK_ENTRIES, GroupSpace, count_terms, space
 from .local_norms import (
     GRID_CAP,
     TernaryShape,
     _binary_contract,
     _check_codes,
+    _mask_stack,
     _ternary_contract,
     value_columns,
 )
@@ -373,39 +374,58 @@ def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
 # extension counts
 # ---------------------------------------------------------------------------
 
-def _passing(tests: list, idx: list) -> np.ndarray:
-    """AND of the tests read at the head members idx (one array per head)."""
-    return functools.reduce(np.logical_and, (table[tuple([idx[h] for h in heads])]
-                                             for heads, table in tests))
+def _passing(tests: list, key: list) -> np.ndarray:
+    """AND of the tests read at the rows key = [contexts, members of each
+    head] (one array per entry)."""
+    return functools.reduce(np.logical_and, (read((key[0], *[key[1 + h] for h in heads]))
+                                             for heads, read in tests))
 
 
-def _extension_count(head_sizes: list[int], head_tests: list, free_tests: list) -> int:
-    """Sum over the tuples of head members that pass every head test of the
-    product over the free vertices of how many members pass every test of
-    that vertex. A test is (heads, table), a boolean table indexed by the
-    members of one or two head vertices and, for free vertex f (listed in
-    free_tests[f], which is never empty), by f's member on the last axis.
-    Head tuples are taken in blocks of at most H_BLOCK_ENTRIES // (widest
-    free part). A block's products are Python integers when its sum could
-    overflow int64. Counts one term per head tuple and head test, and one
-    per (kept head tuple, free member) candidate."""
-    widths = [tests[0][1].shape[-1] for tests in free_tests]
-    ntuple = math.prod(head_sizes)
-    step = max(1, H_BLOCK_ENTRIES // max(widths))
-    dtype = np.int64 if step * math.prod(widths) < 1 << 63 else object
-    total = kept = 0
-    for start in range(0, ntuple, step):
-        idx = list(np.unravel_index(np.arange(start, min(start + step, ntuple)), head_sizes))
-        if head_tests:
-            ok = _passing(head_tests, idx)
-            idx = [i[ok] for i in idx]
-        prod = np.ones(idx[0].size, dtype=dtype)
+def _extension_count(nctx: int, head_sizes: list[int], free_sizes: list[int],
+                     head_tests: list, free_tests: list) -> list[int]:
+    """For each context c < nctx, the sum over the tuples of head members
+    that pass every head test of the product over the free vertices of how
+    many members pass every test of that vertex. A test is (heads, read):
+    read((contexts, members of each of its heads)) gives, per row, a bool
+    array over the members of the vertex it tests. head_tests[h] holds the
+    tests of head h, whose heads come before h, and free_tests[f] (never
+    empty) those of free vertex f; a padded member fails some test.
+
+    The head tuples are joined one head at a time: each row (context,
+    members so far) is extended by every member of the next head, in
+    blocks of at most H_BLOCK_ENTRIES // (widest part) candidates, and
+    only the rows that pass that head's tests are kept. A block's products
+    are Python integers when a context's sum in it could overflow int64.
+    Counts one term per candidate and test of its head, and one per (kept
+    head tuple, free member) candidate."""
+    step = max(1, H_BLOCK_ENTRIES // max(head_sizes + free_sizes))
+    dtype = np.int64 if step * math.prod(free_sizes) < 1 << 63 else object
+    totals = [0] * nctx
+
+    def join(key: list, h: int):
+        if h == len(head_sizes):
+            yield key
+            return
+        chunk = max(1, step // head_sizes[h])
+        for lo in range(0, key[0].size, chunk):
+            part = [k[lo:lo + chunk] for k in key]
+            count_terms(part[0].size * head_sizes[h] * len(head_tests[h]))
+            ok = (_passing(head_tests[h], part) if head_tests[h]
+                  else np.ones((part[0].size, head_sizes[h]), dtype=bool))
+            rows, members = np.nonzero(ok)
+            yield from join([k[rows] for k in part] + [members], h + 1)
+
+    for key in join([np.arange(nctx)], 0):
+        if not key[0].size:
+            continue
+        count_terms(key[0].size * sum(free_sizes))
+        prod = np.ones(key[0].size, dtype=dtype)
         for tests in free_tests:
-            prod *= _passing(tests, idx).sum(axis=1)
-        total += int(prod.sum())
-        kept += idx[0].size
-    count_terms(ntuple * len(head_tests) + kept * sum(widths))
-    return total
+            prod *= _passing(tests, key).sum(axis=1)
+        starts = np.flatnonzero(np.diff(key[0], prepend=-1))  # rows come by context
+        for c, total in zip(key[0][starts].tolist(), np.add.reduceat(prod, starts).tolist()):
+            totals[c] += total
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +469,13 @@ def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
     member = np.asarray(member, dtype=bool)
     xs = _coset_members(linear, u_codes)
     ys = _coset_members(linear, v_codes)
-    free_tests = [[((v,), member[sp.sum_grid(ys[v], xs[u])] == ((u, v) in graph.edges))
-                   for v in range(graph.nv)] for u in range(graph.nu)]
-    return _extension_count([y.size for y in ys], [], free_tests)
+    free_tests = []
+    for u in range(graph.nu):
+        tables = [member[sp.sum_grid(ys[v], xs[u])][None] == ((u, v) in graph.edges)
+                  for v in range(graph.nv)]  # one context
+        free_tests.append([((v,), t.__getitem__) for v, t in enumerate(tables)])
+    return _extension_count(1, [y.size for y in ys], [x.size for x in xs], [[] for _ in ys],
+                            free_tests)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +557,13 @@ def _ternary_shape(nu: int, nv: int, nw: int) -> TernaryShape:
         tuple(((v, w), ends[2] + v * nw + w) for v in range(nv) for w in range(nw)))
 
 
+def _shared_factor(ctxs: list[TernaryContext]) -> QuadraticFactor:
+    factor = ctxs[0].factor
+    if any(c.factor is not factor for c in ctxs):
+        raise ValueError("contexts on different factors")
+    return factor
+
+
 def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
     """The ternary operator of every labeled hypergraph ctxs[i] on grids[i]:
     one ternary contraction per pattern shape (|U|, |V|, |W|)."""
@@ -540,9 +571,7 @@ def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[c
         raise ValueError("need one grid per context")
     if not ctxs:
         return []
-    factor = ctxs[0].factor
-    if any(c.factor is not factor for c in ctxs):
-        raise ValueError("contexts on different factors")
+    factor = _shared_factor(ctxs)
     for c, g in zip(ctxs, grids):
         _check_slots(g, c.graph.all_tuples())
     fs = [g[t] for c, g in zip(ctxs, grids) for t in c.graph.all_tuples()]
@@ -568,51 +597,95 @@ def t_ternary(ctx: TernaryContext, grid: FunctionGrid) -> complex:
     return t_ternaries([ctx], [grid])[0]
 
 
-def _ternary_count(ctx: TernaryContext, member: np.ndarray | None) -> int:
-    """The extension count of a labeled hypergraph: the x's and y's are the
-    heads, tested by the level mask of (x_u, y_v), and the z's are free,
-    tested by the masks of (x_u, z_w) and (y_v, z_w) and, unless member is
-    None, by member[x_u + y_v + z_w] == ((u, v, w) in edges)."""
-    graph, factor, codes = ctx.graph, ctx.factor, ctx.codes
-    nu, nv, nw = graph.parts
+def witness_counts_ternary(ctxs: list[TernaryContext], member: np.ndarray | None) -> list[int]:
+    """For every labeled hypergraph ctxs[i], the number of configurations in
+    I_F(e) whose membership pattern matches its edge set exactly: x_u + y_v
+    + z_w in A iff (u, v, w) is an edge, for the set A of the bool array
+    member; |I_F(e)| itself when member is None. Once the x's and y's are
+    fixed the z_w are independent, so each is an extension count with the
+    x's and y's as heads, tested by the level masks of (x_u, y_v), and the
+    z's free, tested by the masks of (x_u, z_w) and (y_v, z_w) and, unless
+    member is None, by member[x_u + y_v + z_w] == ((u, v, w) in edges).
+
+    One extension count per pattern shape (|U|, |V|, |W|), as `t_ternaries`
+    groups them, a block of contexts at a time: a block's member arrays and
+    masks are stacked along a leading context axis, zero-padded to its
+    largest atoms, in at most H_BLOCK_ENTRIES mask entries. Counts the
+    extension count's terms and one per entry of the (kept tuple, z_w)
+    index sums."""
+    if not ctxs:
+        return []
+    factor = _shared_factor(ctxs)
+    member = None if member is None else np.asarray(member, dtype=bool)
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(ctxs):
+        groups.setdefault(c.graph.parts, []).append(i)
+    out = [0] * len(ctxs)
+    widest = int(factor.atom_sizes.max())
+    for parts, rows in groups.items():
+        nu, nv, nw = parts
+        step = max(1, H_BLOCK_ENTRIES // ((nu * nv + nu * nw + nv * nw) * widest ** 2))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            counts = _ternary_counts([ctxs[i] for i in block], member)
+            for i, count in zip(block, counts):
+                out[i] = count
+    return out
+
+
+def _ternary_counts(ctxs: list[TernaryContext], member: np.ndarray | None) -> list[int]:
+    """`witness_counts_ternary` of one block of contexts of one shape."""
+    factor, parts = ctxs[0].factor, ctxs[0].graph.parts
+    nu, nv, nw = parts
     shape = _ternary_shape(nu, nv, nw)
-    xs, ys, zs = ([factor._members_by_code[codes[c]] for c in cols]
+    codes = np.array([c.codes for c in ctxs], dtype=np.int64)
+    sizes = factor.atom_sizes
+    xs, ys, zs = ([factor.member_table[codes[:, c], :sizes[codes[:, c]].max()] for c in cols]
                   for cols in (shape.xs, shape.ys, shape.zs))
     muv, muw, mvw = (
-        {(a, b): level_mask(factor, codes[col], codes[rows[a]], codes[others[b]])
+        {(a, b): _mask_stack(factor, codes[:, [col, rows[a], others[b]]]).__getitem__
          for (a, b), col in pairs}
         for pairs, rows, others in ((shape.muv, shape.xs, shape.ys),
                                     (shape.muw, shape.xs, shape.zs),
                                     (shape.mvw, shape.ys, shape.zs)))
-    head_tests = [((u, nu + v), ok) for (u, v), ok in muv.items()]
+    head_tests = [[]] * nu + [[((u,), muv[(u, v)]) for u in range(nu)] for v in range(nv)]
+    edges = {t: np.array([t in c.graph.edges for c in ctxs])
+             for t in itertools.product(*map(range, parts))}
     free_tests = []
     for w in range(nw):
         tests = [((u,), muw[(u, w)]) for u in range(nu)]
         tests += [((nu + v,), mvw[(v, w)]) for v in range(nv)]
         if member is not None:
-            tests += [((u, nu + v), member[factor.space.sum_grid3(xs[u], ys[v], zs[w])]
-                       == ((u, v, w) in graph.edges))
+            tests += [((u, nu + v), _member_test(factor.space, member, xs[u], ys[v], zs[w],
+                                                 edges[(u, v, w)]))
                       for u in range(nu) for v in range(nv)]
         free_tests.append(tests)
-    return _extension_count([a.size for a in xs + ys], head_tests, free_tests)
+    return _extension_count(len(ctxs), [a.shape[1] for a in xs + ys],
+                            [a.shape[1] for a in zs], head_tests, free_tests)
+
+
+def _member_test(sp: GroupSpace, member: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 zs: np.ndarray, edge: np.ndarray):
+    """The test member[x + y + z] == edge of a (u, v, w) slot, read at rows
+    (contexts, x members, y members) over the z members; member arrays are
+    (contexts, members) and edge has one flag per context."""
+    def read(key: tuple) -> np.ndarray:
+        c, i, j = key
+        return member[sp.sums(sp.add(xs[c, i], ys[c, j])[:, None], zs[c])] == edge[c, None]
+    return read
 
 
 def if_enumerate(ctx: TernaryContext) -> int:
     """|I_F(e)|: the number of configurations ((x_u), (y_v), (z_w)) in the
-    prescribed atoms satisfying every bilinear pair constraint. The
-    extension count of `witness_count_ternary` without its membership
-    tests."""
-    return _ternary_count(ctx, None)
+    prescribed atoms satisfying every bilinear pair constraint. The batch of
+    one of `witness_counts_ternary` without a set."""
+    return witness_counts_ternary([ctx], None)[0]
 
 
 def witness_count_ternary(ctx: TernaryContext, member: np.ndarray) -> int:
     """Number of configurations in I_F(e) whose membership pattern matches
-    the edge set exactly: x_u + y_v + z_w in A iff (u, v, w) is an edge.
-    Once the x's and y's are fixed the z_w are independent, so this is the
-    extension count with the x's and y's as heads. Counts one term per
-    (x's, y's) tuple and pair test, per (kept tuple, z_w) candidate, and per
-    entry of the (x_u, y_v, z_w) sum tables."""
-    return _ternary_count(ctx, np.asarray(member, dtype=bool))
+    the edge set exactly: the batch of one of `witness_counts_ternary`."""
+    return witness_counts_ternary([ctx], member)[0]
 
 
 def ternary_normalization(ctx: TernaryContext) -> Fraction:

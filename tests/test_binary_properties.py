@@ -91,8 +91,8 @@ def test_bipartite_matches_an_explicit_loop_on_random_cosets(shape, nu, nv, seed
     v_labels = [_label(rng, p, ell) for _ in range(nv)]
     graph = PatternHypergraph((nu, nv))
     grid = FunctionGrid({t: _bounded(rng, p, n) for t in graph.all_tuples()})
-    xs = [linear.coset_indices(lab).tolist() for lab in u_labels]
-    ys = [linear.coset_indices(lab).tolist() for lab in v_labels]
+    xs = [linear.atom_indices(lab).tolist() for lab in u_labels]
+    ys = [linear.atom_indices(lab).tolist() for lab in v_labels]
     cosets = space(p, ell)
     add = linear.space.sum_grid(np.arange(p ** n), np.arange(p ** n)).tolist()
     vals = {t: g.values.tolist() for t, g in grid.mapping.items()}

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qflab.lab_cli import experiments
+from qflab.lab_cli import main as cli_main
 from qflab.lab_cli.experiments import (
     REGISTRY,
     _blockwise,
@@ -192,6 +193,24 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
         err = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("#")]
         assert len(err) == 1 and err[0].startswith(f"error: cannot write report {str(dest)!r}")
+
+
+def test_unwritable_out_exits_two_before_the_run(tmp_path, capsys, monkeypatch):
+    # the path is checked before the runner starts; a directory in place of
+    # the parent is missing too
+    calls = []
+    monkeypatch.setattr(cli_main, "run_estimated",
+                        lambda *args: calls.append(args) or {"verdict": "pass"})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for dest in (tmp_path / "missing" / "x.json", tmp_path, blocker / "x.json"):
+        assert main(["run", "parseval", "--out", str(dest)]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("#")]
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write report {str(dest)!r}")
+    assert calls == []
+    assert main(["run", "parseval", "--out", str(tmp_path / "x.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_level_sizes_reach_n10(tmp_path, capsys):

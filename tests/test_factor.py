@@ -20,6 +20,7 @@ from qflab.factor import (
     degenerate_directions,
     direction_codes,
     level_mask,
+    level_masks,
     mu_weight,
     mu_weight_matrix,
     new_linear_factor,
@@ -40,7 +41,7 @@ def test_linear_factor_partitions_the_group():
     seen = set()
     for a in range(3):
         for b in range(3):
-            members = lin.coset_indices((a, b))
+            members = lin.atom_indices((a, b))
             assert members.size == 3
             seen.update(int(i) for i in members)
     assert len(seen) == 27
@@ -55,7 +56,7 @@ def test_label_of_index_consistency():
     lin = new_linear_factor(3, 2, [(1, 1)])
     for idx in range(9):
         lab = ((idx % 3 + idx // 3) % 3,)
-        assert idx in set(int(i) for i in lin.coset_indices(lab))
+        assert idx in set(int(i) for i in lin.atom_indices(lab))
 
 
 def _coordinate_label(p, n, vectors, forms, index):
@@ -242,6 +243,61 @@ def test_mu_weight_matrix_is_the_level_mask_times_the_weight(p, q):
                 w = mu_weight_matrix(factor, b, row, col)
                 assert w.dtype == np.float64 and np.array_equal(w, mask * weight)
                 assert np.array_equal(w == weight, mask) and not w[~mask].any()
+
+
+def _level_mask_loop(factor, b, row, col) -> np.ndarray:
+    """The level mask of one code triple, pair by pair in Python integers:
+    (x, y) passes when x^T M_j y = b_j mod p for every form M_j."""
+    p, n = factor.p, factor.n
+    level = space(p, factor.q).coords_of(b)
+    xs, ys = (space(p, factor.width).coords_of(c) for c in (row, col))
+    xs, ys = factor.atom_indices(xs).tolist(), factor.atom_indices(ys).tolist()
+    coords = [factor.space.coords_of(i) for i in range(factor.space.size)]
+    mask = np.zeros((len(xs), len(ys)), dtype=bool)
+    for i, x in enumerate(xs):
+        for k, y in enumerate(ys):
+            mask[i, k] = all(sum(coords[x][r] * m.entries[r][c] * coords[y][c]
+                                 for r in range(n) for c in range(n)) % p == v
+                             for m, v in zip(factor.forms, level))
+    return mask
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_level_masks_batch_matches_a_loop_over_pairs(monkeypatch, p, q):
+    # each call builds the missing masks of a batch of triples, some
+    # repeated and one cached: the first in blocks of several triples, the
+    # second in blocks smaller than the largest mask, built a slab of rows
+    # at a time (a block holds H_BLOCK_ENTRIES // 4 entries)
+    n = 3 if p < 7 else 2
+    rng = np.random.default_rng((800, p, q))
+    forms = []
+    for _ in range(q):
+        a = rng.integers(0, p, size=(n, n))
+        forms.append((a + a.T) % p)
+    vectors = [] if q == 2 else [(1,) + (0,) * (n - 1)]
+    factor = new_quadratic_factor(new_linear_factor(p, n, vectors), forms)
+    sizes = factor.atom_sizes
+    atoms = np.flatnonzero(sizes)
+    triples = np.column_stack([rng.integers(0, p ** q, 40), rng.choice(atoms, 40),
+                               rng.choice(atoms, 40)])
+    triples = np.concatenate([triples, triples[:5]]).tolist()
+    cached = level_mask(factor, *triples[7])
+    entries = {tuple(t): int(sizes[t[1]] * sizes[t[2]]) for t in triples}
+    widest = max(entries.values())
+    assert widest >= 4
+    built = {tuple(triples[7])}
+    for block, batch in ((16 * widest, triples[:20]), (4 * (widest // 3), triples[20:])):
+        monkeypatch.setattr(factor_module, "H_BLOCK_ENTRIES", block)
+        masks, terms = run_counted(level_masks, factor, batch)
+        new = {tuple(t) for t in batch} - built
+        assert terms == q * sum(entries[t] for t in new)
+        built |= new
+        for t, mask in zip(batch, masks):
+            assert mask is factor._level_masks[tuple(t)] and not mask.flags.writeable
+            assert mask.dtype == np.bool_ and mask.nbytes == mask.size
+            assert np.array_equal(mask, _level_mask_loop(factor, *t))
+    assert level_masks(factor, [triples[7]])[0] is cached
 
 
 def test_mu_weight_matrix_values():

@@ -113,9 +113,31 @@ def test_index_addition_matches_coordinate_sums(p, n):
             table[0, 0] = 1
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in ODD_PRIMES for n in range(7) if p ** n <= 1024]
+                         + [(3, 7)])
+def test_sum_table_matches_split_sums(p, n):
+    # up to 1,024 points every sum is one gather from the int16 table, built
+    # from its halves' tables; past that the table is refused and the sums
+    # are the split route's. Both give int64.
+    sp = space(p, n)
+    rng = np.random.default_rng((900, p, n))
+    rows, cols = rng.integers(0, sp.size, (6, 1)), rng.integers(0, sp.size, (6, 9))
+    for a, b in ((rows, cols), (slice(None), cols[0]), (int(rows[0, 0]), int(cols[0, 0]))):
+        got = sp.sums(a, b)
+        assert got.dtype == np.int64 and np.array_equal(got, sp._split_sums(a, b))
+    if sp.size <= 1024:
+        table = sp.shift_table()
+        assert table.dtype == np.int16 and not table.flags.writeable
+        assert np.array_equal(table, sp._split_sums(slice(None), slice(None)))
+    else:
+        with pytest.raises(CapExceeded):
+            sp.shift_table()
+
+
 def test_index_addition_fills_split_sums_in_blocks(monkeypatch):
-    # a 40-entry threshold splits F_3^4 into F_3^2 halves, each split again,
-    # and adds the low halves 40 entries (two rows of 20 sums) at a time
+    # a 40-entry threshold keeps tables of at most 12 points, so it splits
+    # F_3^4 into F_3^2 halves, each read from its table, and adds the low
+    # halves 40 entries (two rows of 20 sums) at a time
     monkeypatch.setattr(fpn_core, "H_BLOCK_ENTRIES", 40)
     sp = space(3, 4)
     plus = _coordinate_sum(sp)

@@ -103,7 +103,7 @@ def test_target_coset_is_the_label_sum():
     lin = new_linear_factor(3, 3, [(1, 0, 0), (0, 1, 0)])
     ctx = LocalContext2(lin, (1 + 3 * 2, 2 + 3 * 2))
     assert ctx.code == 0 + 3 * 1
-    assert np.array_equal(ctx.target_indices(), lin.coset_indices((0, 1)))
+    assert np.array_equal(ctx.target_indices(), lin.atom_indices((0, 1)))
 
 
 def test_local_u2_fourth_is_the_binary_contraction():
@@ -114,7 +114,7 @@ def test_local_u2_fourth_is_the_binary_contraction():
     assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, abs=1e-10)
     # translating f by a member of L(0) moves the spectrum's shift to
     # another member of the target coset, and leaves the norm
-    h = int(lin.coset_indices((0,))[-1])
+    h = int(lin.atom_indices((0,))[-1])
     moved = GroupFunction(3, 3, f.values[lin.space.add(np.arange(27), h)])
     assert fourth == pytest.approx(local_u2_norms(lin, [ctx.code], [moved])[0] ** 4, abs=1e-10)
 

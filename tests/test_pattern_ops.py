@@ -303,8 +303,8 @@ def test_bipartite_witness_count_in_several_blocks(monkeypatch):
     u_codes, v_codes = [0, 1], [2, 0, 2]
     mask = np.random.default_rng(600).random(27) < 0.5
     sp = lin.space
-    xs = [lin.coset_indices((c,)) for c in u_codes]
-    ys = [lin.coset_indices((c,)) for c in v_codes]
+    xs = [lin.atom_indices((c,)) for c in u_codes]
+    ys = [lin.atom_indices((c,)) for c in v_codes]
     want = 0
     for b in itertools.product(*ys):
         prod = 1
@@ -473,6 +473,60 @@ def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
         compared += 1
     assert compared >= 6 and partial_blocks > 0
     assert nonzero == {"count", "configurations"}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_batched_witness_counts_match_the_witness_loop(monkeypatch, p, q):
+    # every shape up to (2, 2, 2), five labelings each, counted in one batch
+    # against one set: trials 0 and 3 draw every label at random, the others
+    # take the labels of one random configuration, and trial 2 also takes
+    # its edges from its memberships, so some counts are nonzero. Blocks of
+    # the masks of all but one (1, 1, 1) context split that shape into a
+    # full block and a partial one, the larger shapes into several blocks,
+    # and the head joins into several blocks of rows.
+    blocks: dict[tuple, list[int]] = {}
+    batch = pattern_ops._ternary_counts
+
+    def recorded(ctxs, member):
+        blocks.setdefault((ctxs[0].graph.parts, member is None), []).append(len(ctxs))
+        return batch(ctxs, member)
+    monkeypatch.setattr(pattern_ops, "_ternary_counts", recorded)
+    n = q + 2
+    forms = [np.eye(n, dtype=np.int64), np.diag([(1, 2)[i % 2] for i in range(n)])][:q]
+    factor = new_quadratic_factor(new_linear_factor(p, n, [(1,) + (0,) * (n - 1)]), forms)
+    sp = factor.space
+    rng = np.random.default_rng((1000, p, q))
+    member = rng.random(sp.size) < 0.5
+    ctxs = []
+    for shape in itertools.product((1, 2), repeat=3):
+        cells = list(itertools.product(*map(range, shape)))
+        for trial in range(5):
+            codes, (x, y, z) = _random_assignment(factor, PatternHypergraph(shape), rng,
+                                                  trial % 3 > 0)
+            if trial == 2:
+                edges = {(u, v, w) for u, v, w in cells
+                         if member[sp.add(sp.add(x[u], y[v]), z[w])]}
+            else:
+                edges = {c for c in cells if rng.random() < 0.5}
+            try:
+                ctxs.append(TernaryContext(PatternHypergraph(shape, frozenset(edges)),
+                                           factor, codes))
+            except DegenerateContext:
+                continue
+    smallest = sum(c.graph.parts == (1, 1, 1) for c in ctxs)
+    assert smallest >= 3
+    monkeypatch.setattr(pattern_ops, "H_BLOCK_ENTRIES",
+                        (smallest - 1) * 3 * int(factor.atom_sizes.max()) ** 2)
+    counts = pattern_ops.witness_counts_ternary(ctxs, member)
+    configurations = pattern_ops.witness_counts_ternary(ctxs, None)
+    for ctx, count, configuration in zip(ctxs, counts, configurations):
+        assert count == _witness_count_loop(ctx.graph, factor, ctx.codes, member)
+        assert configuration == _witness_count_loop(ctx.graph, factor, ctx.codes)
+    assert len({c.graph.parts for c in ctxs}) == 8
+    assert any(counts) and any(configurations)
+    assert blocks[((1, 1, 1), False)] == [smallest - 1, 1]
+    assert len(blocks[((2, 2, 2), True)]) > 1
 
 
 def test_extension_count_past_int64():
