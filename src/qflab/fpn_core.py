@@ -431,13 +431,6 @@ def quad_char_sums(forms, bs, p: int) -> np.ndarray:
     return np.array(sums, dtype=np.complex128).reshape(np.shape(forms)[:-2])
 
 
-def quad_char_sum(form: SymmetricForm, b: GroupVector) -> complex:
-    """`quad_char_sums` of one form."""
-    if b.p != form.p or b.n != form.n:
-        raise ValueError("mismatched b")
-    return complex(quad_char_sums(form.as_array().reshape(form.n, form.n), b.coords, form.p))
-
-
 def bilinear_char_sums(forms, cs, ds, p: int) -> np.ndarray:
     """E_{x,y} omega^(x^T M y + c^T x + d^T y) for each form M of the stack
     (..., n, n) and its vectors c and d of the stacks (..., n).
@@ -457,11 +450,3 @@ def bilinear_char_sums(forms, cs, ds, p: int) -> np.ndarray:
         counts[chunk] += _tally(cvec[chunk] @ x.T, p, solutions)
     sums = [check_finite(_embed_counts(p, c) / sp.size) if c.any() else 0j for c in counts]
     return np.array(sums, dtype=np.complex128).reshape(np.shape(forms)[:-2])
-
-
-def bilinear_char_sum(form: SymmetricForm, c: GroupVector, d: GroupVector) -> complex:
-    """`bilinear_char_sums` of one form."""
-    p, n = form.p, form.n
-    if c.p != p or c.n != n or d.p != p or d.n != n:
-        raise ValueError("mismatched linear parts")
-    return complex(bilinear_char_sums(form.as_array().reshape(n, n), c.coords, d.coords, p))

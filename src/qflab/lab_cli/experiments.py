@@ -19,10 +19,13 @@ Runners state their checks as rows and never number them:
 `_records` numbers rows by their position, `_rows` merges each trial's
 rows into {"seed", "trial"} for it, `_trials` runs a per-trial loop into
 `_rows` (inverse-oracle, whose three trials each scan every form), and
-`_trend` runs a trend's loop over n_values into `_records`. Runners do
-not count work: each kernel tallies the terms it does as it runs
-(`fpn_core.count_terms`), and `run_experiment` reports that tally as
-terms.actual. `estimate` predicts the count from the config alone (for
+`_trend` runs a trend's loop over n_values into `_records`. Each kernel
+tallies the terms it does as it runs (`fpn_core.count_terms`), and
+`run_experiment` reports that tally as terms.actual; the runners count
+nothing else, except genbilsums-trend and config-regularity-trend, whose
+dense products of measures (no kernel's) call `count_terms` themselves.
+The local runners draw their contexts with one rejection sampler,
+`_nondegenerate`. `estimate` predicts the count from the config alone (for
 local experiments, from the factor's atom-size histogram) and must land
 within 10x.
 """
@@ -71,6 +74,7 @@ from ..fpn_core import (
 from ..local_norms import (
     LocalContext2,
     LocalContext3,
+    context_measures,
     local_u2_inner,
     local_u2_norms,
     local_u3_inners,
@@ -291,7 +295,7 @@ def _label_codes(rng: np.random.Generator, p: int, widths: list[int]) -> list[in
 
 
 def _direction_codes(factor: QuadraticFactor, seed: int, count: int) -> np.ndarray:
-    """The codes of the directions that `_nondeg_ctx3` would draw from
+    """The codes of the directions that `_nondegenerate` would draw from
     _trial_rng(seed, j), j < count, encoded in one batch."""
     width = 3 * (factor.ell + 2 * factor.q)
     return direction_codes(factor, [_trial_rng(seed, j).integers(0, factor.p, size=width)
@@ -303,18 +307,26 @@ def _ctx2(rng: np.random.Generator, linear: LinearFactor) -> LocalContext2:
     return LocalContext2(linear, _label_codes(rng, linear.p, [linear.ell] * 2))
 
 
-def _nondeg_ctx3(rng: np.random.Generator, factor: QuadraticFactor) -> LocalContext3 | str:
-    """The context of the first nondegenerate direction drawn, or why none
-    of CONTEXT_ATTEMPTS draws was."""
+def _nondegenerate(rng: np.random.Generator, factor: QuadraticFactor,
+                   graph: PatternHypergraph | None = None) -> LocalContext3 | TernaryContext | str:
+    """The context of the first label draw that names no empty atom or
+    level set, or the message of a degenerate row when none does: with no
+    graph, a direction (a1, a2, a3, b12, b13, b23) in CONTEXT_ATTEMPTS
+    draws; else an assignment of graph's labels in `TernaryContext.codes`
+    order, in ASSIGNMENT_ATTEMPTS draws."""
+    nu, nv, nw = (1, 1, 1) if graph is None else graph.parts
+    widths = [factor.width] * (nu + nv + nw) + [factor.q] * (nu * nv + nu * nw + nv * nw)
     last = "no attempts made"
-    widths = [factor.width] * 3 + [factor.q] * 3  # (a1, a2, a3, b12, b13, b23)
-    for _ in range(CONTEXT_ATTEMPTS):
-        row = _label_codes(rng, factor.p, widths)
+    for _ in range(CONTEXT_ATTEMPTS if graph is None else ASSIGNMENT_ATTEMPTS):
+        codes = _label_codes(rng, factor.p, widths)
         try:
-            return LocalContext3(factor, row)
+            return (LocalContext3(factor, codes) if graph is None
+                    else TernaryContext(graph, factor, codes))
         except DegenerateContext as exc:
             last = str(exc)
-    return f"no nondegenerate direction found: {last}"
+    if graph is None:
+        return f"no nondegenerate direction found: {last}"
+    return "no nondegenerate labels found"
 
 
 def _atom_stats(cfg: dict, n: int) -> tuple[float, float]:
@@ -501,7 +513,7 @@ def _run_local_gcs(cfg: dict) -> RunResult:
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         draws.append((_ctx2(rng, factor.linear), [_bounded_fn(rng, p, n) for _ in range(4)],
-                      _nondeg_ctx3(rng, factor), [_bounded_fn(rng, p, n) for _ in range(8)]))
+                      _nondegenerate(rng, factor), [_bounded_fn(rng, p, n) for _ in range(8)]))
     u2 = iter(local_u2_norms(factor.linear, [d[0].code for d in draws for _ in range(4)],
                              [g for d in draws for g in d[1]]))
     live = [d for d in draws if not isinstance(d[2], str)]
@@ -565,7 +577,7 @@ def _run_local_triangle(cfg: dict) -> RunResult:
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f, g = _bounded_fn(rng, p, n), _bounded_fn(rng, p, n)
-        draws.append(((f, g, f + g), _ctx2(rng, factor.linear), _nondeg_ctx3(rng, factor)))
+        draws.append(((f, g, f + g), _ctx2(rng, factor.linear), _nondegenerate(rng, factor)))
     u2 = iter(local_u2_norms(factor.linear, [d[1].code for d in draws for _ in range(3)],
                              [h for d in draws for h in d[0]]))
     live = [d for d in draws if not isinstance(d[2], str)]
@@ -739,12 +751,13 @@ def _run_genbilsums(cfg: dict) -> RunResult:
         rows, devs = [], []
         for j in range(cfg["directions"]):
             base = {"n": factor.n, "direction": j}
-            ctx = _nondeg_ctx3(_trial_rng(cfg["seed"], i, j), factor)
+            ctx = _nondegenerate(_trial_rng(cfg["seed"], i, j), factor)
             if isinstance(ctx, str):
                 rows.append((base, ctx))
                 continue
-            s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
-            avg = float((ctx.mu12.T @ ctx.mu13 * ctx.mu23).sum()) / (s1 * s2 * s3)
+            mu12, mu13, mu23 = context_measures(ctx)
+            s1, s2, s3 = factor.atom_sizes[list(ctx.codes[:3])].tolist()
+            avg = float((mu12.T @ mu13 * mu23).sum()) / (s1 * s2 * s3)
             count_terms(s1 * s2 * s3)
             devs.append(abs(avg - 1.0))
             rows.append((base, avg, None, {"n": factor.n}))
@@ -762,11 +775,11 @@ def _run_config_regularity(cfg: dict) -> RunResult:
     def per_n(factor, i):
         rng = _trial_rng(cfg["seed"], i)
         base = {"n": factor.n}
-        ctx = _nondeg_ctx3(rng, factor)
+        ctx = _nondegenerate(rng, factor)
         if isinstance(ctx, str):
             return [(base, ctx)], None
-        m12, m13, m23 = ctx.mu12, ctx.mu13, ctx.mu23
-        s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
+        m12, m13, m23 = context_measures(ctx)
+        s1, s2, s3 = factor.atom_sizes[list(ctx.codes[:3])].tolist()
         devs = []
         attempts = 0
         while len(devs) < cfg["samples"] and attempts < 20 * cfg["samples"]:
@@ -822,12 +835,11 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
                 continue
             bits = np.zeros(p ** n, dtype=bool)
             bits[idx] = True
-            e = cosets.index_of(lab[:ell])
-            for a1 in range(p ** ell):
-                ctx = LocalContext2(factor.linear, (a1, cosets.add(e, cosets.neg(a1))))
-                alpha = float(bits[ctx.target_indices()].mean())
-                points.append((base | {"a1": list(cosets.coords_of(a1))}, alpha,
-                               _indicator_minus(p, n, bits, alpha), ctx.code))
+            # every a1 has the target coset a1 + (e - a1) = e, the label's own
+            alpha = float(bits[factor.linear.atom_indices(lab[:ell])].mean())
+            f, e = _indicator_minus(p, n, bits, alpha), cosets.index_of(lab[:ell])
+            points += [(base | {"a1": list(cosets.coords_of(a1))}, alpha, f, e)
+                       for a1 in range(p ** ell)]
         live = [t for t in points if len(t) == 4]
         norms = local_u2_norms(factor.linear, [t[3] for t in live], [t[2] for t in live])
         found = iter(norms)
@@ -1007,7 +1019,7 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
     def per_n(factor, i):
         rng = _trial_rng(cfg["seed"], i)
         base = {"n": factor.n}
-        ctx = _nondeg_ctx3(rng, factor)
+        ctx = _nondegenerate(rng, factor)
         if isinstance(ctx, str):
             return [(base, ctx)], None
         f = _bounded_fn(rng, factor.p, factor.n)
@@ -1050,7 +1062,7 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
         for s in range(cfg["samples"]):
             rng = _trial_rng(cfg["seed"], i, s)
             base = {"n": n, "eps": eps, "sample": s}
-            ctx = _nondeg_ctx3(rng, factor)
+            ctx = _nondegenerate(rng, factor)
             if isinstance(ctx, str):
                 samples.append((base, ctx))
                 continue
@@ -1310,21 +1322,6 @@ def _ternary_graphs(max_part: int):
                     yield PatternHypergraph((su, sv, sw), edges)
 
 
-def _sample_assignment(rng: np.random.Generator, factor: QuadraticFactor,
-                       graph: PatternHypergraph) -> TernaryContext | None:
-    """The context of a seeded label assignment in which every atom and pair
-    level set in sight is nonempty; None when no such assignment is found.
-    An assignment is drawn in `TernaryContext.codes` order."""
-    nu, nv, nw = graph.parts
-    widths = [factor.width] * (nu + nv + nw) + [factor.q] * (nu * nv + nu * nw + nv * nw)
-    for _ in range(ASSIGNMENT_ATTEMPTS):
-        try:
-            return TernaryContext(graph, factor, _label_codes(rng, factor.p, widths))
-        except DegenerateContext:
-            continue
-    return None
-
-
 def _run_counting_ternary(cfg: dict) -> RunResult:
     p, n, ell, q, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["tol"]
     factor = _standard_factor(p, n, ell, q)
@@ -1332,9 +1329,9 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     ind = GroupFunction(p, n, bits.astype(np.float64))
     coind = GroupFunction(p, n, (~bits).astype(np.float64))
     patterns = [({"parts": list(g.parts), "edges": sorted(g.edges)},
-                 _sample_assignment(_trial_rng(cfg["seed"], gi), factor, g))
+                 _nondegenerate(_trial_rng(cfg["seed"], gi), factor, g))
                 for gi, g in enumerate(_ternary_graphs(cfg["max_part"]))]
-    ctxs = [ctx for _, ctx in patterns if ctx is not None]
+    ctxs = [ctx for _, ctx in patterns if not isinstance(ctx, str)]
     # the operators in one contraction
     grids = [FunctionGrid.edge_select(c.graph, ind, coind) for c in ctxs]
     t_vals = iter([v.real for v in t_ternaries(ctxs, grids)])
@@ -1350,8 +1347,8 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     counts = iter(witness_counts_ternary(ctxs, bits))
     rows, end = [], 0
     for base, ctx in patterns:
-        if ctx is None:
-            rows.append((base, "no nondegenerate labels found"))
+        if isinstance(ctx, str):
+            rows.append((base, ctx))
             continue
         graph, t_val, count = ctx.graph, next(t_vals), next(counts)
         norm = ternary_normalization(ctx)
@@ -1377,22 +1374,28 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
 
 
 def _est_counting_ternary(cfg: dict) -> int:
-    # per pattern: the witness count's head tests on the (x's, y's) tuples,
-    # its z candidates for the tuples whose su sv pair weights each keep a
-    # p^-q share, and its su sv sw sum tables; the operator with one
-    # computed slot per W-vertex; and one local U^3 norm per triple
+    # per pattern: the witness count's head join, the operator with one
+    # computed slot per W-vertex, and one local U^3 norm per triple. The
+    # join pads every atom of a block to the widest one: the x heads keep
+    # every padded tuple untested, each y head tests its candidates against
+    # the su x's and keeps a p^-q share per test of the real ones, and each
+    # kept row tests every padded z_w against its su + sv masks (counted
+    # once) and its su sv membership sums
     smean, s2mean = _atom_stats(cfg, cfg["n"])
+    widest = int(_standard_factor(cfg["p"], cfg["n"], cfg["ell"], cfg["q"]).atom_sizes.max())
+    share = _kept_share(cfg, 1)
     norm = _ternary_terms(cfg, smean, s2mean, half=True)
     total = 0
-    for su in range(1, cfg["max_part"] + 1):
-        for sv in range(1, cfg["max_part"] + 1):
-            for sw in range(1, cfg["max_part"] + 1):
-                shapes = 1 << (su * sv * sw)
-                pairs, heads = su * sv, smean ** (su + sv)
-                witness = (heads * (pairs + _kept_share(cfg, pairs) * sw * smean)
-                           + pairs * sw * smean ** 3)
-                operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
-                total += shapes * int(witness + operator + su * sv * sw * norm)
+    for su, sv, sw in itertools.product(range(1, cfg["max_part"] + 1), repeat=3):
+        candidates, kept = widest ** su, smean ** su
+        witness = 0
+        for _ in range(sv):
+            witness += candidates * widest * su
+            kept *= smean * share ** su
+            candidates = kept
+        witness += kept * sw * widest * (1 + su * sv)
+        operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
+        total += (1 << (su * sv * sw)) * int(witness + operator + su * sv * sw * norm)
     return total + _factor_terms(cfg, cfg["n"])
 
 

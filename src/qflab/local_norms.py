@@ -18,6 +18,15 @@ codes (a1, a2, a3, b12, b13, b23), as `factor.direction_codes` lays it out,
 and all eight corner sums land in the atom of code `sigma3_codes(d)`,
 labeled a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 
+A context is its codes: `LocalContext2` a checked coset pair and its
+target code, `LocalContext3` a checked direction that names no empty atom
+or level set. Neither holds member arrays, masks or measures; each
+routine reads what it uses from the factor's caches by code: the coset
+members through `_coset_members`, the atoms' through the member table,
+and the masks through `level_masks`. The dense readers (the naive twin
+and two trend runners) take a direction's three measures from
+`context_measures`, which reads them from `factor.mu_weight_matrix`.
+
 `_binary_contract` is the bipartite contraction: the local U^2 inner
 product, the IP averages and the bipartite operator. Its value arrays may
 carry leading batch axes, so `pattern_ops.t_ips` sends a block of global
@@ -49,6 +58,7 @@ from .factor import (
     QuadraticFactor,
     level_masks,
     mu_weight,
+    mu_weight_matrix,
     sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
@@ -66,19 +76,24 @@ def _check_codes(codes, bound: int) -> None:
 
 
 class LocalContext2:
-    """A linear factor with a pair of coset codes (a1, a2), their member
-    arrays and the code of their target coset a1 + a2."""
+    """A linear factor with a pair of coset codes (a1, a2) and the code of
+    their target coset a1 + a2."""
 
     def __init__(self, linear: LinearFactor, codes) -> None:
         a1, a2 = self.codes = tuple(int(c) for c in codes)
         _check_codes(self.codes, linear.p ** linear.ell)
         self.linear = linear
-        self.xs = linear._members_by_code[a1]
-        self.ys = linear._members_by_code[a2]
         self.code = int(space(linear.p, linear.ell).add(a1, a2))
 
     def target_indices(self) -> np.ndarray:
         return self.linear._members_by_code[self.code]
+
+
+def _coset_members(linear: LinearFactor, codes) -> list[np.ndarray]:
+    """The member arrays of the cosets of the given codes, in order."""
+    codes = [int(c) for c in codes]
+    _check_codes(codes, linear.p ** linear.ell)
+    return [linear._members_by_code[c] for c in codes]
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,7 +155,8 @@ def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
             raise ValueError("function in wrong group")
     values = {(0, 0): f00.values, (0, 1): np.conj(f01.values),
               (1, 0): np.conj(f10.values), (1, 1): f11.values}
-    return complex(_binary_contract(ctx.linear.space, [ctx.xs] * 2, [ctx.ys] * 2, values))
+    xs, ys = _coset_members(ctx.linear, ctx.codes)
+    return complex(_binary_contract(ctx.linear.space, [xs] * 2, [ys] * 2, values))
 
 
 def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
@@ -173,14 +189,13 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
 
 
 class LocalContext3:
-    """A quadratic factor with a direction, the row of codes (a1, a2, a3,
-    b12, b13, b23) of three atoms and three bilinear levels: their member
-    arrays and mu weight matrices formed from the factor's cached level
-    masks.
+    """A quadratic factor with a direction, the checked row of codes (a1,
+    a2, a3, b12, b13, b23) of three atoms and three bilinear levels.
 
     Degenerate when any referenced atom or level set is empty: the defining
-    expectations divide by those sizes, so evaluation refuses, naming the
-    empty atom's label.
+    expectations divide by those sizes, so the context refuses, naming the
+    empty atom's label or the empty level's. It holds no members, masks or
+    measures: the kernels read them from the factor's caches by code.
     """
 
     def __init__(self, factor: QuadraticFactor, codes) -> None:
@@ -190,25 +205,26 @@ class LocalContext3:
         _check_codes(self.codes[:3], factor.p ** factor.width)
         _check_codes(self.codes[3:], factor.p ** factor.q)
         self.factor = factor
-        a1, a2, a3, b12, b13, b23 = self.codes
-        self.xs, self.ys, self.zs = (factor._members_by_code[a] for a in (a1, a2, a3))
-        for name, code, arr in (("a1", a1, self.xs), ("a2", a2, self.ys), ("a3", a3, self.zs)):
-            if arr.size == 0:
+        for name, code in zip(("a1", "a2", "a3"), self.codes):
+            if factor.atom_sizes[code] == 0:
                 label = space(factor.p, factor.width).coords_of(code)
                 raise DegenerateContext(f"atom {name} = {label} is empty")
-        # the weights first, so an empty level raises before a mask is built
-        weights = [mu_weight(factor, b) for b in (b12, b13, b23)]
-        masks = level_masks(factor, [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)])
-        self.mu12, self.mu13, self.mu23 = (m * w for m, w in zip(masks, weights))
+        for b in self.codes[3:]:
+            mu_weight(factor, b)  # raises DegenerateContext on an empty level set
 
     def target_indices(self) -> np.ndarray:
         """The members of the target atom, of code `sigma3_codes`."""
         return self.factor._members_by_code[int(sigma3_codes(self.factor, self.codes)[0])]
 
 
-def _member_tensor(ctx: LocalContext3, g: GroupFunction) -> np.ndarray:
-    """tensor[i, j, k] = g(x_i + y_j + z_k) over the three member arrays."""
-    return g.values[ctx.factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
+def context_measures(ctx: LocalContext3) -> list[np.ndarray]:
+    """The measures mu12, mu13, mu23 of a direction on its atoms' members,
+    from `mu_weight_matrix`, their three masks built in one `level_masks`
+    call."""
+    a1, a2, a3, b12, b13, b23 = ctx.codes
+    triples = [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)]
+    level_masks(ctx.factor, triples)
+    return [mu_weight_matrix(ctx.factor, *t) for t in triples]
 
 
 class TernaryShape(NamedTuple):
@@ -226,6 +242,14 @@ class TernaryShape(NamedTuple):
     muv: tuple
     muw: tuple
     mvw: tuple
+
+    def pair_columns(self) -> tuple:
+        """For muv, muw and mvw in turn, each pair's ((a, b), (level, row
+        atom, column atom)) code columns."""
+        return tuple(tuple(((a, b), (col, rows[a], others[b])) for (a, b), col in pairs)
+                     for pairs, rows, others in ((self.muv, self.xs, self.ys),
+                                                 (self.muw, self.xs, self.zs),
+                                                 (self.mvw, self.ys, self.zs)))
 
 
 def _ternary_contract(factor: QuadraticFactor, shape: TernaryShape, codes: np.ndarray,
@@ -385,11 +409,8 @@ class _Stack:
         self.xs, self.ys, self.zs = ([member(c) for c in cols]
                                      for cols in (shape.xs, shape.ys, shape.zs))
         self.values = {k: (value(col), conj) for k, col, conj in shape.values}
-        self.muv, self.muw, self.mvw = (
-            {(a, b): weight(col, rows[a], others[b]) for (a, b), col in pairs}
-            for pairs, rows, others in ((shape.muv, shape.xs, shape.ys),
-                                        (shape.muw, shape.xs, shape.zs),
-                                        (shape.mvw, shape.ys, shape.zs)))
+        self.muv, self.muw, self.mvw = ({k: weight(*cols) for k, cols in pairs}
+                                        for pairs in shape.pair_columns())
 
     def contract(self, sp: GroupSpace) -> np.ndarray:
         """The C values, in order."""
@@ -613,12 +634,14 @@ def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> co
     members with all twelve mu factors formed term by term."""
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
-    s1, s2, s3 = ctx.xs.size, ctx.ys.size, ctx.zs.size
+    members = [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
+    s1, s2, s3 = (a.size for a in members)
     if (s1 * s2 * s3) ** 2 > NAIVE_CAP6:
         raise CapExceeded("six-fold nested sum too large")
-    tensors = [_member_tensor(ctx, g) for g in octuple]
+    sums = ctx.factor.space.sum_grid3(*members)
+    tensors = [g.values[sums] for g in octuple]
     t000, t001, t010, t011, t100, t101, t110, t111 = tensors
-    mu12, mu13, mu23 = ctx.mu12, ctx.mu13, ctx.mu23
+    mu12, mu13, mu23 = context_measures(ctx)
     total = 0.0 + 0.0j
     for i0 in range(s1):
         for i1 in range(s1):

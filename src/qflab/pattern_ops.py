@@ -55,6 +55,7 @@ from .local_norms import (
     TernaryShape,
     _binary_contract,
     _check_codes,
+    _coset_members,
     _mask_stack,
     _ternary_contract,
     value_columns,
@@ -432,12 +433,6 @@ def _extension_count(nctx: int, head_sizes: list[int], free_sizes: list[int],
 # bipartite multi-local operator
 # ---------------------------------------------------------------------------
 
-def _coset_members(linear: LinearFactor, codes) -> list[np.ndarray]:
-    codes = [int(c) for c in codes]
-    _check_codes(codes, linear.p ** linear.ell)
-    return [linear._members_by_code[c] for c in codes]
-
-
 def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_codes,
                 v_codes, grid: FunctionGrid) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
@@ -557,11 +552,16 @@ def _ternary_shape(nu: int, nv: int, nw: int) -> TernaryShape:
         tuple(((v, w), ends[2] + v * nw + w) for v in range(nv) for w in range(nw)))
 
 
-def _shared_factor(ctxs: list[TernaryContext]) -> QuadraticFactor:
+def _by_shape(ctxs: list[TernaryContext]) -> tuple[QuadraticFactor, dict]:
+    """The factor that every context shares, and the positions of the
+    contexts of each pattern shape (|U|, |V|, |W|), in order."""
     factor = ctxs[0].factor
     if any(c.factor is not factor for c in ctxs):
         raise ValueError("contexts on different factors")
-    return factor
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(ctxs):
+        groups.setdefault(c.graph.parts, []).append(i)
+    return factor, groups
 
 
 def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
@@ -571,21 +571,16 @@ def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[c
         raise ValueError("need one grid per context")
     if not ctxs:
         return []
-    factor = _shared_factor(ctxs)
+    factor, groups = _by_shape(ctxs)
     for c, g in zip(ctxs, grids):
         _check_slots(g, c.graph.all_tuples())
     fs = [g[t] for c, g in zip(ctxs, grids) for t in c.graph.all_tuples()]
     columns, arrays = value_columns(fs, factor.p, factor.n)
-    groups: dict[tuple, list] = {}
-    start = 0
-    for i, c in enumerate(ctxs):
-        end = start + math.prod(c.graph.parts)
-        groups.setdefault(c.graph.parts, []).append((i, c.codes + tuple(columns[start:end])))
-        start = end
+    slots = iter(columns)
+    rows = [c.codes + tuple(itertools.islice(slots, math.prod(c.graph.parts))) for c in ctxs]
     out = np.zeros(len(ctxs), dtype=np.complex128)
-    for shape, rows in groups.items():
-        out[[i for i, _ in rows]] = _ternary_contract(factor, _ternary_shape(*shape),
-                                                      [r for _, r in rows], arrays)
+    for shape, at in groups.items():
+        out[at] = _ternary_contract(factor, _ternary_shape(*shape), [rows[i] for i in at], arrays)
     return [complex(v) for v in out]
 
 
@@ -615,11 +610,8 @@ def witness_counts_ternary(ctxs: list[TernaryContext], member: np.ndarray | None
     index sums."""
     if not ctxs:
         return []
-    factor = _shared_factor(ctxs)
+    factor, groups = _by_shape(ctxs)
     member = None if member is None else np.asarray(member, dtype=bool)
-    groups: dict[tuple, list[int]] = {}
-    for i, c in enumerate(ctxs):
-        groups.setdefault(c.graph.parts, []).append(i)
     out = [0] * len(ctxs)
     widest = int(factor.atom_sizes.max())
     for parts, rows in groups.items():
@@ -642,12 +634,8 @@ def _ternary_counts(ctxs: list[TernaryContext], member: np.ndarray | None) -> li
     sizes = factor.atom_sizes
     xs, ys, zs = ([factor.member_table[codes[:, c], :sizes[codes[:, c]].max()] for c in cols]
                   for cols in (shape.xs, shape.ys, shape.zs))
-    muv, muw, mvw = (
-        {(a, b): _mask_stack(factor, codes[:, [col, rows[a], others[b]]]).__getitem__
-         for (a, b), col in pairs}
-        for pairs, rows, others in ((shape.muv, shape.xs, shape.ys),
-                                    (shape.muw, shape.xs, shape.zs),
-                                    (shape.mvw, shape.ys, shape.zs)))
+    muv, muw, mvw = ({k: _mask_stack(factor, codes[:, list(cols)]).__getitem__ for k, cols in pairs}
+                     for pairs in shape.pair_columns())
     head_tests = [[]] * nu + [[((u,), muv[(u, v)]) for u in range(nu)] for v in range(nv)]
     edges = {t: np.array([t in c.graph.edges for c in ctxs])
              for t in itertools.product(*map(range, parts))}

@@ -265,11 +265,6 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
     return SpectrumTable(p, n, phases @ f.values.astype(np.complex128) / sp.size)
 
 
-def inverse_transform(spec: SpectrumTable) -> GroupFunction:
-    """`inverse_transforms` of one spectrum."""
-    return GroupFunction(spec.p, spec.n, inverse_transforms(spec.table, spec.p, spec.n))
-
-
 # ---------------------------------------------------------------------------
 # U^2
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from qflab.combinatorics import (
 from qflab.errors import DegenerateContext
 from qflab.factor import (
     direction_codes,
+    mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
     sigma3_codes,
@@ -61,7 +62,7 @@ from qflab.pattern_ops import (
 from qflab.spectral import (
     GroupFunction,
     fourier_transform,
-    inverse_transform,
+    inverse_transforms,
     max_quadratic_correlation,
     u2_inner,
     u3_inner_naive,
@@ -81,10 +82,14 @@ def _support_triples_consistent(ctx):
     """Every (x, y, z) with nonzero pair weights sums into the target atom;
     hence the inner product only reads its arguments there."""
     factor = ctx.factor
-    codes = factor._codes[factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
-    mask = ((ctx.mu12[:, :, None] != 0.0)
-            & (ctx.mu13[:, None, :] != 0.0)
-            & (ctx.mu23[None, :, :] != 0.0))
+    a1, a2, a3, b12, b13, b23 = ctx.codes
+    members = [factor._members_by_code[a] for a in (a1, a2, a3)]
+    codes = factor._codes[factor.space.sum_grid3(*members)]
+    mu12, mu13, mu23 = (mu_weight_matrix(factor, b, row, col)
+                        for b, row, col in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
+    mask = ((mu12[:, :, None] != 0.0)
+            & (mu13[:, None, :] != 0.0)
+            & (mu23[None, :, :] != 0.0))
     return bool((codes[mask] == sigma3_codes(factor, ctx.codes)[0]).all())
 
 
@@ -115,8 +120,8 @@ def test_exact_identities():
         f = GroupFunction(3, 4, rng.standard_normal(81) + 1j * rng.standard_normal(81))
         spec = fourier_transform(f)
         assert abs(spec.l2() - f.l2_norm()) <= TOL
-        back = inverse_transform(spec)
-        assert np.max(np.abs(back.values - f.values)) <= TOL
+        back = inverse_transforms(spec.table[None], 3, 4)[0]
+        assert np.max(np.abs(back - f.values)) <= TOL
         assert abs(u2_inner(f, f, f, f) - spec.l4_fourth()) <= TOL * max(1.0, spec.l4_fourth())
 
     # spectral eighth power against the physical-space loop, 20 random functions

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qflab import fpn_core, spectral
-from qflab.fpn_core import GroupVector, SymmetricForm, space
+from qflab.fpn_core import space
 from qflab.pattern_ops import FunctionGrid, t_ip, t_ip2, t_ip2s, t_ips
 from qflab.spectral import GroupFunction
 
@@ -50,7 +50,7 @@ def test_transforms_match_their_batch_of_one(monkeypatch, p, n):
     for row, t, b in zip(stack, spec, back):
         one = spectral.fourier_transform(GroupFunction(p, n, row))
         _same(t, one.table)
-        _same(b, spectral.inverse_transform(one).values)
+        _same(b, spectral.inverse_transforms(one.table[None], p, n)[0])
     assert np.max(np.abs(back - stack)) <= 1e-12
 
 
@@ -135,9 +135,8 @@ def test_character_sums_match_their_batch_of_one(monkeypatch, p, n, entries):
     quads = fpn_core.quad_char_sums(forms, c, p)
     bils = fpn_core.bilinear_char_sums(forms, c, d, p)
     for m, ci, di, q, b in zip(forms, c, d, quads, bils):
-        form = SymmetricForm.from_array(p, m)
-        _same(q, fpn_core.quad_char_sum(form, GroupVector(p, ci)))
-        _same(b, fpn_core.bilinear_char_sum(form, GroupVector(p, ci), GroupVector(p, di)))
+        _same(q, fpn_core.quad_char_sums(m[None], ci[None], p)[0])
+        _same(b, fpn_core.bilinear_char_sums(m[None], ci[None], di[None], p)[0])
 
 
 def test_u2_inners_peak_within_a_few_blocks():
@@ -158,6 +157,6 @@ def test_u2_inners_peak_within_a_few_blocks():
 def test_character_sums_of_the_trivial_group():
     # F_p^0 has one point, where every phase is 0
     for p in (3, 5):
-        form, zero = SymmetricForm.zero(p, 0), GroupVector(p, ())
-        assert fpn_core.quad_char_sum(form, zero) == 1
-        assert fpn_core.bilinear_char_sum(form, zero, zero) == 1
+        form, zero = np.zeros((1, 0, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+        assert fpn_core.quad_char_sums(form, zero, p)[0] == 1
+        assert fpn_core.bilinear_char_sums(form, zero, zero, p)[0] == 1

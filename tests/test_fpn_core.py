@@ -19,15 +19,28 @@ from qflab.fpn_core import (
     GroupVector,
     SymmetricForm,
     _embed_counts,
-    bilinear_char_sum,
+    bilinear_char_sums,
     count_terms,
     nullspace_mod_p,
     omega_table,
-    quad_char_sum,
+    quad_char_sums,
     rank_mod_p,
     run_counted,
     space,
 )
+
+
+def _quad(form, b):
+    """`quad_char_sums` of a one-row stack."""
+    return complex(quad_char_sums(form.as_array().reshape(1, form.n, form.n),
+                                  np.reshape(b.coords, (1, form.n)), form.p)[0])
+
+
+def _bilinear(form, c, d):
+    """`bilinear_char_sums` of a one-row stack."""
+    n = form.n
+    return complex(bilinear_char_sums(form.as_array().reshape(1, n, n), np.reshape(c.coords, (1, n)),
+                                      np.reshape(d.coords, (1, n)), form.p)[0])
 
 
 def test_field_prime_accepts_supported_primes():
@@ -211,7 +224,7 @@ def test_symmetric_form_validation():
 def test_gauss_sum_magnitude_is_exact():
     # E_x omega^(x^2) over F_p is a normalized Gauss sum: |value|^2 = 1/p
     for p in (3, 5, 7, 11, 13):
-        val = quad_char_sum(SymmetricForm.identity(p, 1), GroupVector.zero(p, 1))
+        val = _quad(SymmetricForm.identity(p, 1), GroupVector.zero(p, 1))
         assert abs(abs(val) ** 2 - 1.0 / p) < 1e-12
     # 1 + omega + ... + omega^(p-1) = 0, so shifting every count by the
     # same constant must not move a single bit of the embedding
@@ -231,27 +244,27 @@ def test_omega_table():
 
 def test_quad_char_sum_identity_form():
     # E w^(x.x) over F_3^2 equals ((1 + 2w)/3)^2 = -1/3
-    val = quad_char_sum(SymmetricForm.identity(3, 2), GroupVector.zero(3, 2))
+    val = _quad(SymmetricForm.identity(3, 2), GroupVector.zero(3, 2))
     assert abs(val - (-1.0 / 3.0)) < 1e-12
 
 
 def test_quad_char_sum_magnitude_decays_with_rank():
     for n in (1, 2, 3):
-        val = quad_char_sum(SymmetricForm.identity(3, n), GroupVector.zero(3, n))
+        val = _quad(SymmetricForm.identity(3, n), GroupVector.zero(3, n))
         assert abs(abs(val) - 3.0 ** (-n / 2.0)) < 1e-12
 
 
 def test_bilinear_char_sum_identity_form():
     # the y-sum forces x = 0, leaving 9 of 81 pairs
     z = GroupVector.zero(3, 2)
-    val = bilinear_char_sum(SymmetricForm.identity(3, 2), z, z)
+    val = _bilinear(SymmetricForm.identity(3, 2), z, z)
     assert abs(val - 1.0 / 9.0) < 1e-12
 
 
 def test_bilinear_char_sum_vanishes_off_solvable_shift():
     # with M = 0 and d != 0 the system x^T M + d = 0 has no solution
     z = GroupVector.zero(3, 2)
-    val = bilinear_char_sum(SymmetricForm.zero(3, 2), z, GroupVector(3, (1, 0)))
+    val = _bilinear(SymmetricForm.zero(3, 2), z, GroupVector(3, (1, 0)))
     assert val == 0.0
 
 
@@ -259,8 +272,8 @@ def test_kernels_count_only_inside_a_run():
     # outside a run the tally is closed: these count nothing and raise nothing
     form = SymmetricForm.identity(3, 2)
     b = GroupVector.zero(3, 2)
-    quad_char_sum(form, b)
+    _quad(form, b)
     count_terms(5)
-    value, terms = run_counted(quad_char_sum, form, b)
-    assert value == quad_char_sum(form, b)
+    value, terms = run_counted(_quad, form, b)
+    assert value == _quad(form, b)
     assert terms == 9

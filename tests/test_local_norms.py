@@ -14,6 +14,7 @@ from qflab.factor import (
     degenerate_directions,
     direction_codes,
     level_mask,
+    mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
     sigma3_codes,
@@ -50,6 +51,18 @@ def _row(factor, *labels):
     return direction_codes(factor, [sum(labels, ())])[0]
 
 
+def _members(ctx):
+    """The member arrays of a direction's three atoms, from the member table."""
+    return [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
+
+
+def _measures(ctx):
+    """The measures mu12, mu13, mu23 of a direction on its atoms' members."""
+    a1, a2, a3, b12, b13, b23 = ctx.codes
+    return [mu_weight_matrix(ctx.factor, b, row, col)
+            for b, row, col in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3))]
+
+
 def _contexts(factor, limit):
     """First few nondegenerate directions, scanning labels in order."""
     labels = itertools.product(range(3), repeat=3 * (factor.ell + 2 * factor.q))
@@ -83,18 +96,19 @@ def test_local_u2_inner_matches_explicit_loop():
     ctx = LocalContext2(lin, (1, 2))
     fs = [_random_f(3, 2, seed=20 + k, bounded=False) for k in range(4)]
     sp = lin.space
+    xs, ys = (lin._members_by_code[c] for c in ctx.codes)
     total = 0.0 + 0.0j
-    for x0 in ctx.xs:
-        for x1 in ctx.xs:
-            for y0 in ctx.ys:
-                for y1 in ctx.ys:
+    for x0 in xs:
+        for x1 in xs:
+            for y0 in ys:
+                for y1 in ys:
                     total += (
                         fs[0].values[sp.add(x0, y0)]
                         * np.conj(fs[1].values[sp.add(x0, y1)])
                         * np.conj(fs[2].values[sp.add(x1, y0)])
                         * fs[3].values[sp.add(x1, y1)]
                     )
-    expected = total / (ctx.xs.size ** 2 * ctx.ys.size ** 2)
+    expected = total / (xs.size ** 2 * ys.size ** 2)
     assert local_u2_inner(ctx, *fs) == pytest.approx(complex(expected), abs=1e-12)
 
 
@@ -201,10 +215,11 @@ def _support_triples_consistent(ctx: LocalContext3) -> bool:
     """Every (x, y, z) with nonzero pair weights sums into the target atom;
     hence the inner product only reads its arguments there."""
     factor = ctx.factor
-    codes = factor._codes[factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]
-    mask = ((ctx.mu12[:, :, None] != 0.0)
-            & (ctx.mu13[:, None, :] != 0.0)
-            & (ctx.mu23[None, :, :] != 0.0))
+    codes = factor._codes[factor.space.sum_grid3(*_members(ctx))]
+    mu12, mu13, mu23 = _measures(ctx)
+    mask = ((mu12[:, :, None] != 0.0)
+            & (mu13[:, None, :] != 0.0)
+            & (mu23[None, :, :] != 0.0))
     return bool((codes[mask] == sigma3_codes(factor, ctx.codes)[0]).all())
 
 
@@ -286,7 +301,7 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     ]
     for call in calls:
         call()
-    monkeypatch.setattr(local_norms, "TENSOR_CAP", ctx.xs.size * ctx.ys.size * ctx.zs.size - 1)
+    monkeypatch.setattr(local_norms, "TENSOR_CAP", int(factor.atom_sizes[list(d[:3])].prod()) - 1)
     for call in calls:
         with pytest.raises(CapExceeded, match=r"^\|x\| \|y\| \|z\| = "):
             call()
@@ -368,7 +383,7 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
     small = LocalContext3(factor, _row(factor, (1, 1), (1, 2), (2, 1), (1,), (2,), (2,)))
     fs = [_random_f(3, 3, seed=80 + k) for k in range(8)]
     other = space(3, 2).index_of((1, 0))
-    assert factor.atom_sizes[other] == ctx.xs.size and other != ctx.codes[0]
+    assert factor.atom_sizes[other] == factor.atom_sizes[ctx.codes[0]] and other != ctx.codes[0]
     shape = _octuple_shape_with_two_x_atoms()
     rows = [ctx.codes + tuple(range(8)) + (ctx.codes[0], ctx.codes[3], ctx.codes[4]),
             ctx.codes + tuple(range(8)) + (other, 0, 1),
@@ -394,14 +409,14 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
 
 
 def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypatch):
-    # the first context's three atoms are one array and its three measures
-    # one matrix, the second's are not: the stack still holds one array per
+    # the first context's three atoms are one atom and its three measures
+    # one mask, the second's are not: the stack still holds one array per
     # part and per pair, the odd W-vertex mirrors the even one, and the
     # scan is halved
     factor = _mixed_factor()
     one = LocalContext3(factor, _row(factor, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
     a1, a2, a3, b12, b13, b23 = one.codes
-    assert one.xs is one.ys is one.zs
+    assert a1 == a2 == a3
     assert level_mask(factor, b12, a1, a2) is level_mask(factor, b13, a1, a3) \
         is level_mask(factor, b23, a2, a3)
     other = LocalContext3(factor, _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
@@ -591,13 +606,25 @@ def test_weighted_density_batch_matches_each_batch_of_one():
     assert weighted_ternary_densities(factor, [], []) == []
 
 
+def test_a_context_holds_its_codes_and_builds_no_masks():
+    factor = _mixed_factor()
+    row = _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,))
+    ctx = LocalContext3(factor, row)
+    assert ctx.codes == tuple(row.tolist()) and ctx.factor is factor
+    assert not factor.__dict__.get("_level_masks")
+    for name in ("mu12", "mu13", "mu23", "xs", "ys", "zs"):
+        assert not hasattr(ctx, name)
+    pair = LocalContext2(factor.linear, (1, 2))
+    assert not hasattr(pair, "xs") and not hasattr(pair, "ys")
+
+
 def test_every_cached_mask_is_one_byte_per_entry():
     factor = new_quadratic_factor(new_linear_factor(3, 4, [(1, 0, 0, 0)]),
                                   [np.eye(4, dtype=np.int64)])
     codes = direction_codes(factor, [[0, 1, 1, 0, 2, 1, 0, 1, 2],
                                      [1, 1, 0, 2, 2, 2, 1, 0, 0]])
     local_norms.local_u3_norms(factor, codes, [_random_f(3, 4, 1), _random_f(3, 4, 2)])
-    LocalContext3(factor, _row(factor, (2, 2), (0, 1), (1, 0), (2,), (0,), (1,)))
+    _measures(LocalContext3(factor, _row(factor, (2, 2), (0, 1), (1, 0), (2,), (0,), (1,))))
     masks = list(factor._level_masks.values())
     assert len(masks) == 9
     for mask in masks:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 from qflab import local_norms  # noqa: E402
 from qflab.errors import DegenerateContext  # noqa: E402
 from qflab.factor import (  # noqa: E402
+    mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
 )
@@ -55,6 +56,23 @@ MEMBER_PRODUCT_LIMIT = 400  # largest |B(a1)| |B(a2)| |B(a3)| the reference sum 
 # (p, n, m) with N^(2m+1) 2^(m^2) <= 32000: the per-subset oracle is a Python loop
 IP2_SIZES = [(p, n, m) for p in (3, 5, 7, 11, 13) for n in (1, 2) for m in (1, 2)
              if (p ** n) ** (2 * m + 1) * 2 ** (m * m) <= 32000]
+
+
+def _members(ctx):
+    """The member arrays of a direction's three atoms, from the member table."""
+    return [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
+
+
+def _sizes(ctx):
+    """The sizes of a direction's three atoms."""
+    return tuple(ctx.factor.atom_sizes[list(ctx.codes[:3])].tolist())
+
+
+def _measures(ctx):
+    """The measures mu12, mu13, mu23 of a direction on its atoms' members."""
+    a1, a2, a3, b12, b13, b23 = ctx.codes
+    return [mu_weight_matrix(ctx.factor, b, row, col)
+            for b, row, col in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3))]
 
 
 def _bounded(rng, p, n):
@@ -102,7 +120,7 @@ def _uneven_contexts(p, n, ell, seed, count):
             ctx = LocalContext3(factor, atoms + levels)
         except DegenerateContext:
             continue
-        sizes = (ctx.xs.size, ctx.ys.size, ctx.zs.size)
+        sizes = _sizes(ctx)
         if len(set(sizes)) > 1 and math.prod(sizes) <= MEMBER_PRODUCT_LIMIT:
             out.append(ctx)
             if len(out) == count:
@@ -168,7 +186,7 @@ def test_batched_norms_match_nested_sums_per_context(p, seed, count):
     n = min(s[1] for s in FACTOR_SHAPES if s[0] == p)
     ells = [s[2] for s in FACTOR_SHAPES if s[:2] == (p, n)]
     ctxs = _uneven_contexts(p, n, ells[seed % len(ells)], seed, count + 1)
-    assume(len({(c.xs.size, c.ys.size, c.zs.size) for c in ctxs}) > 1)
+    assume(len({_sizes(c) for c in ctxs}) > 1)
     ctxs.append(ctxs[0])
     rng = np.random.default_rng(seed + 4)
     fs = [_bounded(rng, p, n) for _ in ctxs]
@@ -229,9 +247,10 @@ def _block_budget(xs, zs, tuples):
 
 def _ip2_local_dense(ctx, grid):
     """m = 1 local IP2 as one dense weighted sum over the three atoms."""
-    sums = ctx.factor.space.sum_grid3(ctx.xs, ctx.ys, ctx.zs)
-    zweight = ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
-    out = ctx.mu12.astype(complex)
+    sums = ctx.factor.space.sum_grid3(*_members(ctx))
+    mu12, mu13, mu23 = _measures(ctx)
+    zweight = mu13[:, None, :] * mu23[None, :, :]
+    out = mu12.astype(complex)
     for s in range(2):
         out = out * (zweight * grid[(1, 1, s)].values[sums]).mean(axis=2)
     return complex(out.mean())
@@ -249,8 +268,9 @@ def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
     p, n, _ = shape
     octu = [_bounded(rng, p, n)] * 8 if diagonal else [_bounded(rng, p, n) for _ in range(8)]
     grid = FunctionGrid.ip2_select(1, _bounded(rng, p, n), _bounded(rng, p, n))
-    u3_budget = _block_budget([ctx.xs.size] * 2, [ctx.zs.size], rows)
-    ip2_budget = _block_budget([ctx.xs.size], [ctx.zs.size], rows)
+    sx, _, sz = _sizes(ctx)
+    u3_budget = _block_budget([sx] * 2, [sz], rows)
+    ip2_budget = _block_budget([sx], [sz], rows)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
         u3 = local_u3_inner(ctx, octu)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
@@ -266,15 +286,18 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
     # y-tuples keep some
     factor = new_quadratic_factor(new_linear_factor(5, 2, []), [np.eye(2, dtype=np.int64)])
     ctx = LocalContext3(factor, (1, 0, 2, *b12, 1, *b23))
-    zero = int(np.flatnonzero(ctx.ys == 0)[0])
-    empty = ctx.mu12[:, zero] if b12 == (1,) else ctx.mu23[zero]
-    assert not empty.any() and ctx.mu12.any() and ctx.mu23.any()
+    _, ys, _ = _members(ctx)
+    mu12, _, mu23 = _measures(ctx)
+    zero = int(np.flatnonzero(ys == 0)[0])
+    empty = mu12[:, zero] if b12 == (1,) else mu23[zero]
+    assert not empty.any() and mu12.any() and mu23.any()
+    sx, _, sz = _sizes(ctx)
     rng = np.random.default_rng(21)
     octu = [_bounded(rng, 5, 2) for _ in range(8)]
     grid = FunctionGrid.ip2_select(1, _bounded(rng, 5, 2), _bounded(rng, 5, 2))
     for rows in (0, 1):
-        u3_budget = _block_budget([ctx.xs.size] * 2, [ctx.zs.size], rows)
-        ip2_budget = _block_budget([ctx.xs.size], [ctx.zs.size], rows)
+        u3_budget = _block_budget([sx] * 2, [sz], rows)
+        ip2_budget = _block_budget([sx], [sz], rows)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
             u3 = local_u3_inner(ctx, octu)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
@@ -291,7 +314,7 @@ def test_each_bucket_is_blocked_by_what_its_y_tuples_keep(monkeypatch):
     # keep, and no block forms a larger slab
     factor = new_quadratic_factor(new_linear_factor(3, 3, []), [np.eye(3, dtype=np.int64)])
     ctx = LocalContext3(factor, (2, 0, 2, 0, 0, 0))
-    assert (ctx.xs.size, ctx.ys.size, ctx.zs.size) == (12, 9, 12)
+    assert _sizes(ctx) == (12, 9, 12)
     budget = 4 * 12 * 12
     blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)

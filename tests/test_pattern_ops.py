@@ -590,8 +590,12 @@ def test_weighted_density_matches_the_dense_sum():
         if ctx.target_indices().size == 0:
             continue
         member = rng.random(27) < 0.5
-        weights = ctx.mu12[:, :, None] * ctx.mu13[:, None, :] * ctx.mu23[None, :, :]
-        dense = (weights * member[sp.sum_grid3(ctx.xs, ctx.ys, ctx.zs)]).mean()
+        a1, a2, a3, b12, b13, b23 = ctx.codes
+        mu12, mu13, mu23 = (mu_weight_matrix(factor, b, row, col)
+                            for b, row, col in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
+        weights = mu12[:, :, None] * mu13[:, None, :] * mu23[None, :, :]
+        members = [factor._members_by_code[a] for a in (a1, a2, a3)]
+        dense = (weights * member[sp.sum_grid3(*members)]).mean()
         value = weighted_ternary_densities(factor, [ctx.codes], [member])[0]
         assert value == pytest.approx(dense, rel=1e-12, abs=1e-15)
         checked += 1

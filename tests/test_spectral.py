@@ -23,7 +23,7 @@ from qflab.spectral import (
     ap4_average,
     fourier_transform,
     fourier_transform_naive,
-    inverse_transform,
+    inverse_transforms,
     max_quadratic_correlation,
     u2_inner,
     u2_norms,
@@ -63,8 +63,8 @@ def test_fast_transform_matches_naive(p, n):
 
 def test_inversion_roundtrip():
     f = _random_f(3, 4, seed=2)
-    back = inverse_transform(fourier_transform(f))
-    assert np.max(np.abs(back.values - f.values)) <= 1e-10
+    back = inverse_transforms(fourier_transform(f).table[None], 3, 4)[0]
+    assert np.max(np.abs(back - f.values)) <= 1e-10
 
 
 def test_parseval():
