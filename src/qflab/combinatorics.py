@@ -150,26 +150,43 @@ def _cover(table: np.ndarray, candidates) -> tuple[tuple, tuple] | None:
     `candidates` yields (R, w) arrays in search order, one row per
     candidate, listing its w <= 4 pattern elements in bit order. A row's
     codes over the completions c are sum_j 2^j table[row[j], c], and it is
-    covered when they take all 2^w values. Rows are read in blocks of at
-    most COVER_BLOCK codes (one row when N is larger). Counts one term per
-    code formed.
+    covered when they take all 2^w values. Rows are read in blocks of
+    COVER_BLOCK // N rows (one row when N is larger), filled across
+    successive arrays, the last block holding what is left. Counts one
+    term per code formed.
     """
     step = max(1, COVER_BLOCK // table.shape[1])
-    for rows in candidates:
-        full = (1 << (1 << rows.shape[1])) - 1
-        for lo in range(0, rows.shape[0], step):
-            block = rows[lo:lo + step]
-            codes = table[block[:, 0]]
-            for j in range(1, block.shape[1]):
-                codes |= table[block[:, j]] << j
-            count_terms(codes.size)
-            seen = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=1)
-            hit = np.flatnonzero(seen == full)
-            if hit.size:
-                _, firsts = np.unique(codes[hit[0]], return_index=True)
-                return (tuple(int(e) for e in block[hit[0]]),
-                        tuple(int(c) for c in firsts))
+    for block in _filled(candidates, step):
+        full = (1 << (1 << block.shape[1])) - 1
+        codes = table[block[:, 0]]
+        for j in range(1, block.shape[1]):
+            codes |= table[block[:, j]] << j
+        count_terms(codes.size)
+        seen = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=1)
+        hit = np.flatnonzero(seen == full)
+        if hit.size:
+            _, firsts = np.unique(codes[hit[0]], return_index=True)
+            return (tuple(int(e) for e in block[hit[0]]),
+                    tuple(int(c) for c in firsts))
     return None
+
+
+def _filled(arrays, step: int):
+    """The rows of the arrays, in order, in blocks of step rows; the last
+    block holds what is left."""
+    pending, held = [], 0
+    for rows in arrays:
+        pending.append(rows)
+        held += len(rows)
+        if held < step:
+            continue
+        rows = np.concatenate(pending)
+        stop = held - held % step
+        for lo in range(0, stop, step):
+            yield rows[lo:lo + step]
+        pending, held = [rows[stop:]], held - stop
+    if held:
+        yield np.concatenate(pending)
 
 
 def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
@@ -197,12 +214,13 @@ def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
 def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     """Search for an m-IP2 configuration; for fixed (a_i), (b_j) a witness
     exists iff every pattern code over [m]^2 is achieved by some c. Both
-    a_1 = 0 and b_1 = 0 are fixed by translation; for m = 2 each a_2 covers
-    all of its b_2 > a_2 at once, with the pattern elements
-    (0, b_2, a_2, a_2 + b_2). Swapping a_2 and b_2 swaps code bits 1 and 2,
-    so (a_2, b_2) is covered exactly when (b_2, a_2) is, and a_2 = b_2
-    repeats an element and covers nothing: the first covered pair in
-    (a_2, b_2) order has a_2 < b_2, and the half scan finds it."""
+    a_1 = 0 and b_1 = 0 are fixed by translation; for m = 2 the candidate
+    rows (0, b_2, a_2, a_2 + b_2) for every b_2 > a_2 are built for a run of
+    consecutive a_2 at a time, about one cover block of rows. Swapping a_2
+    and b_2 swaps code bits 1 and 2, so (a_2, b_2) is covered exactly when
+    (b_2, a_2) is, and a_2 = b_2 repeats an element and covers nothing: the
+    first covered pair in (a_2, b_2) order has a_2 < b_2, and the half scan
+    finds it."""
     if m > MAX_IP2_M:
         raise CapExceeded(f"m = {m} exceeds the IP2 search cap {MAX_IP2_M}")
     if m < 1:
@@ -212,11 +230,20 @@ def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
     if N > IP2_POINT_CAP:
         raise CapExceeded(f"group size {N} exceeds the IP2 point cap {IP2_POINT_CAP}")
 
-    def rows(a2: int) -> np.ndarray:
-        b2 = np.arange(a2 + 1, N)
-        return np.column_stack([np.zeros_like(b2), b2, np.full_like(b2, a2), sp.add(a2, b2)])
+    def rows():  # (0, b2, a2, a2 + b2), b2 > a2, for runs of a2 of about a block each
+        step = max(1, COVER_BLOCK // N)
+        lo = 1
+        while lo < N - 1:
+            hi, held = lo, 0
+            while hi < N - 1 and held < step:
+                held += N - 1 - hi
+                hi += 1
+            a2, b2 = np.nonzero(np.arange(N) > np.arange(lo, hi)[:, None])
+            a2 += lo
+            yield np.column_stack([np.zeros_like(b2), b2, a2, sp.add(a2, b2)])
+            lo = hi
 
-    candidates = [_ORIGIN] if m == 1 else (rows(a2) for a2 in range(1, N - 1))
+    candidates = [_ORIGIN] if m == 1 else rows()
     found = _cover(_shift_table(mask), candidates)
     if found is None:
         return None

@@ -23,7 +23,7 @@ rows into {"seed", "trial"} for it, `_trials` runs a per-trial loop into
 tallies the terms it does as it runs (`fpn_core.count_terms`), and
 `run_experiment` reports that tally as terms.actual; the runners count
 nothing else, except genbilsums-trend and config-regularity-trend, whose
-dense products of measures (no kernel's) call `count_terms` themselves.
+triangle counts on level masks (no kernel's) call `count_terms` themselves.
 The local runners draw their contexts with one rejection sampler,
 `_nondegenerate`. `estimate` predicts the count from the config alone (for
 local experiments, from the factor's atom-size histogram) and must land
@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ..combinatorics import (
+    COVER_BLOCK,
     MAX_IP_K,
     SubsetBitmask,
     best_atom_union_approx,
@@ -57,6 +58,8 @@ from ..factor import (
     bilinear_level_sizes,
     degenerate_directions,
     direction_codes,
+    level_masks,
+    mu_weight,
     new_linear_factor,
     new_quadratic_factor,
     sigma3_codes,
@@ -74,7 +77,6 @@ from ..fpn_core import (
 from ..local_norms import (
     LocalContext2,
     LocalContext3,
-    context_measures,
     local_u2_inner,
     local_u2_norms,
     local_u3_inners,
@@ -746,6 +748,23 @@ def _est_bil_sizes(cfg: dict) -> int:
     return sum(_level_terms(cfg, n) for n in cfg["n_values"])
 
 
+def _direction_masks(ctx: LocalContext3) -> tuple[list, float]:
+    """The level masks of a direction's pairs (x, y), (x, z) and (y, z),
+    from one `level_masks` call, and the product w12 w13 w23 of their
+    levels' weights: mu_beta(b) is its mask times its weight."""
+    a1, a2, a3, b12, b13, b23 = ctx.codes
+    weight = math.prod(mu_weight(ctx.factor, b) for b in (b12, b13, b23))
+    return level_masks(ctx.factor, [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)]), weight
+
+
+def _triangle_count(m12: np.ndarray, m13: np.ndarray, m23: np.ndarray) -> int:
+    """The number of (x, y, z) with m12[x, y], m13[x, z] and m23[y, z]: one
+    float32 matmul over x, exact as each entry is at most |x| < 2^24, read
+    at the (y, z) of m23 and summed in int64."""
+    plane = m12.T.astype(np.float32) @ m13.astype(np.float32)
+    return int(plane[m23].astype(np.int64).sum())
+
+
 def _run_genbilsums(cfg: dict) -> RunResult:
     def per_n(factor, i):
         rows, devs = [], []
@@ -755,9 +774,9 @@ def _run_genbilsums(cfg: dict) -> RunResult:
             if isinstance(ctx, str):
                 rows.append((base, ctx))
                 continue
-            mu12, mu13, mu23 = context_measures(ctx)
+            (m12, m13, m23), weight = _direction_masks(ctx)
             s1, s2, s3 = factor.atom_sizes[list(ctx.codes[:3])].tolist()
-            avg = float((mu12.T @ mu13 * mu23).sum()) / (s1 * s2 * s3)
+            avg = weight * _triangle_count(m12, m13, m23) / (s1 * s2 * s3)
             count_terms(s1 * s2 * s3)
             devs.append(abs(avg - 1.0))
             rows.append((base, avg, None, {"n": factor.n}))
@@ -778,31 +797,28 @@ def _run_config_regularity(cfg: dict) -> RunResult:
         ctx = _nondegenerate(rng, factor)
         if isinstance(ctx, str):
             return [(base, ctx)], None
-        m12, m13, m23 = context_measures(ctx)
+        (m12, m13, m23), weight = _direction_masks(ctx)
         s1, s2, s3 = factor.atom_sizes[list(ctx.codes[:3])].tolist()
         devs = []
         attempts = 0
         while len(devs) < cfg["samples"] and attempts < 20 * cfg["samples"]:
             attempts += 1
             xi = int(rng.integers(s1))
-            ycand = np.flatnonzero(m12[xi] > 0)
+            ycand = np.flatnonzero(m12[xi])
             if ycand.size == 0:
                 continue
             yi = int(ycand[rng.integers(ycand.size)])
-            zcand = np.flatnonzero((m13[xi] > 0) & (m23[yi] > 0))
+            zcand = np.flatnonzero(m13[xi] & m23[yi])
             if zcand.size == 0:
                 continue
             zi = int(zcand[rng.integers(zcand.size)])
-            wx = m12[:, yi] * m13[:, zi]
-            wy = m12[xi, :] * m23[:, zi]
-            wz = m13[xi, :] * m23[yi, :]
-            # only the supports of wx, wy and wz add anything: sum over x
-            # first, then contract the (y, z) plane
-            x, y, z = (np.flatnonzero(w) for w in (wx, wy, wz))
-            plane = (m12[np.ix_(x, y)] * wx[x, None]).T @ m13[np.ix_(x, z)]
+            # only the supports of wx, wy and wz add anything, and every
+            # term they keep carries the nine weights (w12 w13 w23)^3
+            x, y, z = (np.flatnonzero(w) for w in (m12[:, yi] & m13[:, zi],
+                                                    m12[xi] & m23[:, zi], m13[xi] & m23[yi]))
             count_terms(x.size * y.size * z.size)
-            g = float((plane * m23[np.ix_(y, z)] * wy[y, None] * wz[None, z]).sum())
-            g /= s1 * s2 * s3
+            count = _triangle_count(m12[np.ix_(x, y)], m13[np.ix_(x, z)], m23[np.ix_(y, z)])
+            g = weight ** 3 * count / (s1 * s2 * s3)
             devs.append(abs(g - 1.0))
         if not devs:
             return [(base, "no constrained triples found")], None
@@ -1216,8 +1232,13 @@ def _run_vc2_structure(cfg: dict) -> RunResult:
 
 
 def _est_vc2_structure(cfg: dict) -> int:
+    # four atom tallies, then the searches for m = 1 and m = 2, each a
+    # shift table and, as a random set has both witnesses, the cover block
+    # it stops in: one row for m = 1, and for m = 2 a full block of
+    # COVER_BLOCK // N of the (N - 1)(N - 2) / 2 rows
     size = cfg["p"] ** cfg["n"]
-    return 4 * size + size * size
+    rows = min(max(1, COVER_BLOCK // size), (size - 1) * (size - 2) // 2)
+    return 4 * size + 2 * size ** 2 + size + rows * size
 
 
 def _run_inverse_oracle(cfg: dict) -> RunResult:
@@ -1376,23 +1397,25 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
 def _est_counting_ternary(cfg: dict) -> int:
     # per pattern: the witness count's head join, the operator with one
     # computed slot per W-vertex, and one local U^3 norm per triple. The
-    # join pads every atom of a block to the widest one: the x heads keep
-    # every padded tuple untested, each y head tests its candidates against
-    # the su x's and keeps a p^-q share per test of the real ones, and each
-    # kept row tests every padded z_w against its su + sv masks (counted
-    # once) and its su sv membership sums
+    # join pads every atom of a block to the widest one: each head tests
+    # every padded candidate of each kept row, an x head once against its
+    # atom's size and a y head against the su x's, keeping the real
+    # members and a p^-q share per y test, and each kept row tests every
+    # padded z_w against its su + sv masks (counted once) and its su sv
+    # membership sums
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     widest = int(_standard_factor(cfg["p"], cfg["n"], cfg["ell"], cfg["q"]).atom_sizes.max())
     share = _kept_share(cfg, 1)
     norm = _ternary_terms(cfg, smean, s2mean, half=True)
     total = 0
     for su, sv, sw in itertools.product(range(1, cfg["max_part"] + 1), repeat=3):
-        candidates, kept = widest ** su, smean ** su
-        witness = 0
+        kept, witness = 1.0, 0.0
+        for _ in range(su):
+            witness += kept * widest
+            kept *= smean
         for _ in range(sv):
-            witness += candidates * widest * su
+            witness += kept * widest * su
             kept *= smean * share ** su
-            candidates = kept
         witness += kept * sw * widest * (1 + su * sv)
         operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
         total += (1 << (su * sv * sw)) * int(witness + operator + su * sv * sw * norm)

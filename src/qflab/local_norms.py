@@ -23,9 +23,11 @@ target code, `LocalContext3` a checked direction that names no empty atom
 or level set. Neither holds member arrays, masks or measures; each
 routine reads what it uses from the factor's caches by code: the coset
 members through `_coset_members`, the atoms' through the member table,
-and the masks through `level_masks`. The dense readers (the naive twin
-and two trend runners) take a direction's three measures from
-`context_measures`, which reads them from `factor.mu_weight_matrix`.
+and the masks through `level_masks`. A measure mu_beta(b) is its level
+mask times one number, the level's weight p^(2n)/|beta(b)|, so every term
+a mask keeps carries the same weights: the contraction counts on masks
+and multiplies each context's sum once by its weight product. Only the
+naive twin forms float64 measures, with `factor.mu_weight_matrix`.
 
 `_binary_contract` is the bipartite contraction: the local U^2 inner
 product, the IP averages and the bipartite operator. Its value arrays may
@@ -36,8 +38,8 @@ weighted ternary density. It takes a batch of problems named by integer
 codes (atoms, bilinear levels and value arrays, laid out by a
 `TernaryShape`), so `local_u3_norms` and `local_u3_inners` evaluate the
 norms or octuple inner products of a whole array of direction codes in one
-call. Per y-tuple it keeps exactly the x's and z's that the bilinear
-weights allow, sorts the y-tuples of the whole batch into buckets by how
+call. Per y-tuple it keeps exactly the x's and z's that the level
+masks allow, sorts the y-tuples of the whole batch into buckets by how
 many they keep, and contracts each bucket in blocks of one gather and one
 batched matmul. A diagonal norm is unchanged when y0 and y1 swap, so it
 scans only the y-tuples with j0 <= j1.
@@ -217,16 +219,6 @@ class LocalContext3:
         return self.factor._members_by_code[int(sigma3_codes(self.factor, self.codes)[0])]
 
 
-def context_measures(ctx: LocalContext3) -> list[np.ndarray]:
-    """The measures mu12, mu13, mu23 of a direction on its atoms' members,
-    from `mu_weight_matrix`, their three masks built in one `level_masks`
-    call."""
-    a1, a2, a3, b12, b13, b23 = ctx.codes
-    triples = [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)]
-    level_masks(ctx.factor, triples)
-    return [mu_weight_matrix(ctx.factor, *t) for t in triples]
-
-
 class TernaryShape(NamedTuple):
     """Where each vertex, pair and slot of a ternary problem reads its code,
     as columns of a row of integers: xs[u], ys[v] and zs[w] are the columns
@@ -317,47 +309,48 @@ def _mask_stack(factor: QuadraticFactor, triples: np.ndarray) -> np.ndarray:
 
 class _Stack:
     """C ternary problems of one shape, stacked along a leading context axis:
-    member arrays (C, |part|), weights and value places, each filled for its
-    place with one gather over the rows' codes. A member place gathers rows
-    of the factor's member table, zero-padded to the block's largest atom.
-    A weight place is a mu measure kept as its two parts: a bool stack (C,
-    |a|, |b|) of the level masks of the block's distinct (bilinear, row
-    atom, column atom) code triples, built by one `level_masks` call and
-    zero-padded alike (`_mask_stack`), and one float per context, its
-    level's weight p^(2n)/|beta|. A weight is read by gathering
-    the mask and multiplying by the context's weight, which gives the mu
-    matrix's values bit for bit (True w = w, False w = 0). A value place is
-    a table of the block's distinct value arrays
-    and, unless every context reads the same array (then held once), each
-    context's row in it. Two places share one stack when every context
-    names the same codes in both. A padded member has zero weight with
-    every other vertex, so it is never kept; `lengths` holds each member
-    stack's true length per context.
+    member arrays (C, |part|), mask places and value places, each filled
+    for its place with one gather over the rows' codes. A member place
+    gathers rows of the factor's member table, zero-padded to the block's
+    largest atom. A mask place is a bool stack (C, |a|, |b|) of the level
+    masks of the block's distinct (bilinear, row atom, column atom) code
+    triples, built by one `level_masks` call and zero-padded alike
+    (`_mask_stack`). A value place is a table of the block's distinct value
+    arrays and, unless every context reads the same array (then held
+    once), each context's row in it. Two places share one stack when every
+    context names the same codes in both. A padded member lies in no mask,
+    so it is never kept.
+
+    A measure mu is its mask times its level's weight p^(2n)/|beta|, so
+    every term that the masks keep carries the same weights: `scale` holds
+    each context's product of the weights of every mask place (with
+    repeats) over the product of its vertices' atom sizes, and `contract`
+    multiplies each context's sum by it once.
 
     Once the y's are fixed the z-averages are independent: each is one
-    weighted matrix product over (x_0, z) and (x_1, z), and the outer
-    average weights their product by muv. The weights vanish off a bilinear
-    level set, so each y-tuple (y_0, y_1) keeps exactly the x_u in every
-    mask muv[u, v](x_u, y_v) and the z_w in every mask mvw[v, w](y_v, z_w);
-    every dropped term has weight 0, and a y-tuple that keeps no x_u or no
-    z_w of a computed slot adds nothing. The kept counts are one float32
-    matmul of two masks, exact as each is at most |atom| <= 2^20 < 2^24.
-    The y-tuples of every context are grouped by their kept counts into
-    buckets. A bucket goes in
-    blocks of at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the last
-    block holding what is left; each block gathers its members through
-    `GroupSpace.sums`, takes one batched matmul of shape (P, |x_0|,
-    |z|) @ (P, |z|, |x_1|) per computed slot, and adds its values to their
+    masked matrix product over (x_0, z) and (x_1, z), and the outer sum
+    runs over the x's. The masks vanish off a bilinear level set, so each
+    y-tuple (y_0, y_1) keeps exactly the x_u in every mask muv[u, v](x_u,
+    y_v) and the z_w in every mask mvw[v, w](y_v, z_w); every dropped term
+    is 0, and a y-tuple that keeps no x_u or no z_w of a computed slot adds
+    nothing. Only muw[u, w] is read per (x_u, z) pair, as a bool gather.
+    The kept counts are one float32 matmul of two masks, exact as each is
+    at most |atom| <= 2^20 < 2^24. The y-tuples of every context are
+    grouped by their kept counts into buckets. A bucket goes in blocks of
+    at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the last block
+    holding what is left; each block gathers its members through
+    `GroupSpace.sums`, takes one batched matmul of shape (P, |x_0|, |z|) @
+    (P, |z|, |x_1|) per computed slot, and adds its values to their
     contexts with `np.bincount`.
 
     W-vertices whose inputs repeat share one z-average. A W-vertex whose
     inputs are an earlier slot's with every conjugate flag flipped reads the
-    conjugate of each of that slot's tensors; as its z weights are real, its
+    conjugate of each of that slot's tensors; as its masks are real, its
     z-average is the conjugate of that slot's, so it takes that and skips
     its own matmul.
 
     Half the y-pairs: when y_0 and y_1 are one stack, each y's muv and mvw
-    weights are the other y's, every slot (u, 1, w) reads slot (u, 0, w)'s
+    masks are the other y's, every slot (u, 1, w) reads slot (u, 0, w)'s
     value place with its conjugate flag flipped, and every weight is real,
     swapping y_0 and y_1 maps each term to its conjugate. The scan then
     keeps only the y-tuples with j_0 <= j_1, weights those with j_0 < j_1 by
@@ -373,26 +366,20 @@ class _Stack:
         self.nctx = len(codes)
         sizes = factor.atom_sizes
         places: dict[tuple, object] = {}  # by the codes a place reads
-        self.lengths: dict[int, np.ndarray] = {}
 
         @functools.cache  # by the columns a place reads
         def member(col: int) -> np.ndarray:
             key = ("member", codes[:, col].tobytes())
             if key not in places:
-                lengths = sizes[codes[:, col]]
-                stacked = factor.member_table[codes[:, col], :lengths.max()]
-                self.lengths[id(stacked)] = lengths.astype(np.float64)
-                places[key] = stacked
+                places[key] = factor.member_table[codes[:, col], :sizes[codes[:, col]].max()]
             return places[key]
 
         @functools.cache
-        def weight(col: int, row: int, other: int) -> tuple:
+        def mask(col: int, row: int, other: int) -> np.ndarray:
             triples = np.ascontiguousarray(codes[:, [col, row, other]])
-            key = ("weight", triples.tobytes())
+            key = ("mask", triples.tobytes())
             if key not in places:
-                levels, at = _distinct(codes[:, col])  # weights first: an empty level raises
-                weights = np.array([mu_weight(factor, b) for b in levels.tolist()])[at]
-                places[key] = (_mask_stack(factor, triples), weights)
+                places[key] = _mask_stack(factor, triples)
             return places[key]
 
         @functools.cache
@@ -406,10 +393,19 @@ class _Stack:
                     places[key] = (np.stack([arrays[k] for k in distinct.tolist()]), rows)
             return places[key]
 
+        @functools.cache
+        def level_weight(col: int) -> np.ndarray:  # each context's mu_weight
+            levels, at = _distinct(codes[:, col])
+            return np.array([mu_weight(factor, b) for b in levels.tolist()])[at]
+
+        # weights first: an empty level raises before a mask is built
+        vertices = sizes[codes[:, list(shape.xs + shape.ys + shape.zs)]]
+        self.scale = math.prod(level_weight(col) for pairs in (shape.muv, shape.muw, shape.mvw)
+                               for _, col in pairs) / vertices.prod(axis=1, dtype=np.float64)
         self.xs, self.ys, self.zs = ([member(c) for c in cols]
                                      for cols in (shape.xs, shape.ys, shape.zs))
         self.values = {k: (value(col), conj) for k, col, conj in shape.values}
-        self.muv, self.muw, self.mvw = ({k: weight(*cols) for k, cols in pairs}
+        self.muv, self.muw, self.mvw = ({k: mask(*cols) for k, cols in pairs}
                                         for pairs in shape.pair_columns())
 
     def contract(self, sp: GroupSpace) -> np.ndarray:
@@ -420,8 +416,8 @@ class _Stack:
         self.slots: dict[tuple, list] = {}
         for w in range(nw):
             inputs = [self.values[(u, v, w)] for u in range(nu) for v in range(nv)]
-            weights = [muw[(u, w)] for u in range(nu)] + [mvw[(v, w)] for v in range(nv)]
-            rest = (id(zs[w]),) + tuple(id(m) for m in weights)
+            masks = [muw[(u, w)] for u in range(nu)] + [mvw[(v, w)] for v in range(nv)]
+            rest = (id(zs[w]),) + tuple(id(m) for m in masks)
             skey = (tuple((id(g), c) for g, c in inputs),) + rest
             flipped = (tuple((id(g), not c) for g, c in inputs),) + rest
             if skey in self.slots:
@@ -439,7 +435,7 @@ class _Stack:
                      and all(values[(u, 1, w)][0] is values[(u, 0, w)][0]
                              and values[(u, 1, w)][1] != values[(u, 0, w)][1]
                              for u in range(nu) for w in range(nw)))
-        # the kept members of x_u depend on its members and its y weights, of
+        # the kept members of x_u depend on its members and its y masks, of
         # z_w likewise; vertices that share them share a class, named by its
         # first vertex, and one gather
         xkey = [(id(xs[u]),) + tuple(id(muv[(u, v)]) for v in range(nv)) for u in range(nu)]
@@ -448,8 +444,8 @@ class _Stack:
         self.zc = {w: zfirst.setdefault((id(zs[w]),) + tuple(id(mvw[(v, w)]) for v in range(nv)), w)
                    for w in computed}
         # level masks, (C, |x|, |y_v|) per x class and (C, |y_v|, |z|) per z class
-        self.xmask = {u: [muv[(u, v)][0] for v in range(nv)] for u in dict.fromkeys(self.xc)}
-        self.zmask = {w: [mvw[(v, w)][0] for v in range(nv)]
+        self.xmask = {u: [muv[(u, v)] for v in range(nv)] for u in dict.fromkeys(self.xc)}
+        self.zmask = {w: [mvw[(v, w)] for v in range(nv)]
                       for w in dict.fromkeys(self.zc.values())}
         counts = []  # kept members per y-tuple, (C, |y_0|, |y_1|) or (C, |y_0|)
         for m0, *m1 in self.xmask.values():
@@ -491,13 +487,13 @@ class _Stack:
         count_terms(work)
         if self.half:
             total = total.real.astype(np.complex128)
-        return total / math.prod(self.lengths[id(a)] for a in (*xs, *ys))
+        return total * self.scale
 
     def block(self, sp: GroupSpace, c: np.ndarray, j: list, kx: dict, kz: dict) -> np.ndarray:
         """The summed values, per context, of one block of a bucket: y-tuple
         i is (ys[v][c[i], j[v][i]]) and keeps kx[class] x's and kz[class]
         z's."""
-        xs, ys, zs, muv, muw, mvw = self.xs, self.ys, self.zs, self.muv, self.muw, self.mvw
+        xs, ys, zs, muw = self.xs, self.ys, self.zs, self.muw
         xc, zc = self.xc, self.zc
         nu, nv = len(xs), len(ys)
         size = len(c)
@@ -532,25 +528,15 @@ class _Stack:
                 tensors[key] = table.reshape(-1)[index]
             return np.conj(tensors[key]) if conj else tensors[key]
 
-        def weighed(terms) -> np.ndarray:  # prod of weight places at (rows, cols), (P, k)
-            # a weight is w or 0, so the product is the masks' and times the
-            # weights' product, bit for bit
-            mask, weight = True, 1.0
-            for (m, wt), rows, cols in terms:
-                mask = mask & m[col, rows, cols]
-                weight = weight * wt[col]
-            return mask * weight
+        masks: dict[tuple, np.ndarray] = {}
 
-        weights: dict[tuple, np.ndarray] = {}
-
-        def xz_weight(u: int, w: int) -> np.ndarray:  # muw[u, w] on the kept (x_u, z)
-            m, wt = muw[(u, w)]
+        def xz_mask(u: int, w: int) -> np.ndarray:  # muw[u, w]'s mask on the kept (x_u, z)
+            m = muw[(u, w)]
             key = (id(m), xc[u], zc[w])
-            if key not in weights:
+            if key not in masks:
                 rows = (col * m.shape[1] + xk[xc[u]]) * m.shape[2]
-                weights[key] = (m.reshape(-1)[rows[:, :, None] + zk[zc[w]][:, None, :]]
-                                * wt[c][:, None, None])
-            return weights[key]
+                masks[key] = m.reshape(-1)[rows[:, :, None] + zk[zc[w]][:, None, :]]
+            return masks[key]
 
         prod = None
         gs = {}
@@ -560,24 +546,16 @@ class _Stack:
             else:
                 r = []
                 for u in range(nu):
-                    a = xz_weight(u, w) * tensor(u, 0, w)
+                    a = tensor(u, 0, w) * xz_mask(u, w)
                     for v in range(1, nv):
                         a *= tensor(u, v, w)
                     r.append(a)
-                # the y z weights and 1/|z| go on u = 0 only
-                zweight = weighed((mvw[(v, w)], j[v][:, None], zk[zc[w]]) for v in range(nv))
-                r[0] *= (zweight / self.lengths[id(zs[w])][col])[:, None, :]
                 g = r[0].sum(axis=2) if nu == 1 else r[0] @ r[1].transpose(0, 2, 1)
             if skey in self.mirrored:  # kept only while a later slot needs it
                 gs[skey] = g
             for _ in range(count):
                 prod = g if prod is None else prod * g
-        wx = [weighed((muv[(u, v)], xk[xc[u]], j[v][:, None]) for v in range(nv))
-              for u in range(nu)]
-        if nu == 1:
-            val = (wx[0] * prod).sum(axis=1)
-        else:
-            val = (wx[0][:, None, :] @ prod @ wx[1][:, :, None]).reshape(size)
+        val = prod.reshape(size, -1).sum(axis=1)
         if self.half:  # the y-tuples with j_0 < j_1 stand for their swaps too
             val = val * np.where(j[0] < j[1], 2.0, 1.0)
         return np.bincount(c, val.real, self.nctx) + 1j * np.bincount(c, val.imag, self.nctx)
@@ -641,7 +619,9 @@ def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> co
     sums = ctx.factor.space.sum_grid3(*members)
     tensors = [g.values[sums] for g in octuple]
     t000, t001, t010, t011, t100, t101, t110, t111 = tensors
-    mu12, mu13, mu23 = context_measures(ctx)
+    a1, a2, a3, b12, b13, b23 = ctx.codes
+    mu12, mu13, mu23 = (mu_weight_matrix(ctx.factor, *t)
+                        for t in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
     total = 0.0 + 0.0j
     for i0 in range(s1):
         for i1 in range(s1):

@@ -636,7 +636,9 @@ def _ternary_counts(ctxs: list[TernaryContext], member: np.ndarray | None) -> li
                   for cols in (shape.xs, shape.ys, shape.zs))
     muv, muw, mvw = ({k: _mask_stack(factor, codes[:, list(cols)]).__getitem__ for k, cols in pairs}
                      for pairs in shape.pair_columns())
-    head_tests = [[]] * nu + [[((u,), muv[(u, v)]) for u in range(nu)] for v in range(nv)]
+    # an x head keeps only its context's real members, not the padding
+    head_tests = [[((), _unpadded(sizes[codes[:, c]]))] for c in shape.xs]
+    head_tests += [[((u,), muv[(u, v)]) for u in range(nu)] for v in range(nv)]
     edges = {t: np.array([t in c.graph.edges for c in ctxs])
              for t in itertools.product(*map(range, parts))}
     free_tests = []
@@ -650,6 +652,13 @@ def _ternary_counts(ctxs: list[TernaryContext], member: np.ndarray | None) -> li
         free_tests.append(tests)
     return _extension_count(len(ctxs), [a.shape[1] for a in xs + ys],
                             [a.shape[1] for a in zs], head_tests, free_tests)
+
+
+def _unpadded(lengths: np.ndarray):
+    """The test that keeps the members of a zero-padded member stack below
+    each context's length, read at rows (contexts,)."""
+    positions = np.arange(lengths.max())
+    return lambda key: positions < lengths[key[0], None]
 
 
 def _member_test(sp: GroupSpace, member: np.ndarray, xs: np.ndarray, ys: np.ndarray,

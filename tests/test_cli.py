@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qflab.factor import mu_weight_matrix
 from qflab.lab_cli import experiments
 from qflab.lab_cli import main as cli_main
 from qflab.lab_cli.experiments import (
@@ -23,6 +24,7 @@ from qflab.lab_cli.experiments import (
     _bounded_draw,
     _bounded_values,
     _direction_codes,
+    _direction_masks,
     _gaussian_draw,
     _gaussian_values,
     _label,
@@ -33,6 +35,7 @@ from qflab.lab_cli.experiments import (
     _trend,
     _trial_rng,
     _trials,
+    _triangle_count,
     estimate_experiment,
     run_experiment,
 )
@@ -44,6 +47,7 @@ from qflab.lab_cli.reporting import (
     make_trial,
     trend_summary,
 )
+from qflab.local_norms import LocalContext3
 
 ALL_NAMES = sorted(REGISTRY)
 
@@ -360,6 +364,32 @@ def test_estimator_within_an_order_of_magnitude(name, reports):
     assert actual > 0 and est > 0
     ratio = est / actual
     assert 0.1 <= ratio <= 10.0, f"{name}: est {est} vs actual {actual}"
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("q", [1, 2])
+def test_triangle_count_times_the_weights_is_the_dense_measure_sum(p, n, q):
+    # genbilsums-trend's average w12 w13 w23 count / (s1 s2 s3), counted on
+    # the level masks, against the float64 mu matrices' product summed, on
+    # the directions of random triples (x, y, z), so that no count is 0
+    factor = _standard_factor(p, n, 0, q)
+    digits = factor.space.digits.astype(np.int64)
+    rng = np.random.default_rng((1500, p, q))
+    levels = set()
+    for x, y, z in rng.integers(0, p ** n, (8, 3)).tolist():
+        level = [sum(int(digits[i] @ f.as_array() @ digits[j]) % p * p ** k
+                     for k, f in enumerate(factor.forms)) for i, j in ((x, y), (x, z), (y, z))]
+        ctx = LocalContext3(factor, factor._codes[[x, y, z]].tolist() + level)
+        a1, a2, a3, b12, b13, b23 = ctx.codes
+        mu12, mu13, mu23 = (mu_weight_matrix(factor, b, row, col)
+                            for b, row, col in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
+        sizes = math.prod(factor.atom_sizes[[a1, a2, a3]].tolist())
+        dense = float((mu12.T @ mu13 * mu23).sum()) / sizes
+        masks, weight = _direction_masks(ctx)
+        assert dense > 0
+        assert weight * _triangle_count(*masks) / sizes == pytest.approx(dense, rel=1e-12)
+        levels.add(weight)
+    assert len(levels) > 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

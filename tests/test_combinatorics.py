@@ -248,6 +248,30 @@ def test_search_across_several_blocks(monkeypatch):
         assert terms == 27 ** 2 + 325 * 27
 
 
+@pytest.mark.parametrize("rows", [1, 3, 5, 7, 50, 2 ** 12])
+def test_filled_blocks_keep_the_first_witness(monkeypatch, rows):
+    # blocks of `rows` candidate rows straddle the candidate arrays: the
+    # heads of a 3-IP search and the runs of a_2 of a 2-IP2 search. Every
+    # search finds the certificate of the unpatched one, with and without
+    # a witness.
+    masks = [m for m in _search_cases() if m.p ** m.n <= 27]
+    searches = [(has_k_ip, 2), (has_k_ip, 3), (has_m_ip2, 1), (has_m_ip2, 2)]
+    want = [[_certificate_tuple(search(m, k)) for search, k in searches] for m in masks]
+    assert {c is None for certs in want for c in certs} == {True, False}
+    for mask, certs in zip(masks, want):
+        monkeypatch.setattr(combinatorics, "COVER_BLOCK", rows * mask.p ** mask.n)
+        assert [_certificate_tuple(search(mask, k)) for search, k in searches] == certs
+
+
+def test_filled_blocks_are_full_until_the_last():
+    # arrays shorter and longer than a block, and an empty one, give blocks
+    # of exactly five rows in order, the last holding what is left
+    arrays = [np.arange(k)[:, None] + 100 * k for k in (3, 0, 4, 9, 1, 2)]
+    blocks = list(combinatorics._filled(iter(arrays), 5))
+    assert [len(b) for b in blocks] == [5, 5, 5, 4]
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(arrays))
+
+
 def test_shift_table_fills_in_blocks(monkeypatch):
     # 4 rows of 27 per block: blocks of 4, ..., 4 and a partial last one of 3
     mask = SubsetBitmask(3, 3, np.random.default_rng(8).random(27) < 0.5)

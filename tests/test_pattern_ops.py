@@ -529,6 +529,72 @@ def test_batched_witness_counts_match_the_witness_loop(monkeypatch, p, q):
     assert len(blocks[((2, 2, 2), True)]) > 1
 
 
+def _two_form_factor(p, n):
+    """x . x and an alternating diagonal: 25 levels at p = 5 whose weights
+    p^(2n)/|beta(b)| differ between b = 0 and the others."""
+    forms = [np.eye(n, dtype=np.int64), np.diag([(1, 2)[i % 2] for i in range(n)])]
+    return new_quadratic_factor(new_linear_factor(p, n, []), forms)
+
+
+def test_weight_products_batched_across_shapes_keep_the_witness_identity():
+    # every shape up to (2, 2, 3), four labelings each of one random
+    # configuration (so I_F(e) is nonempty), the last two with that
+    # configuration's edges (so the count is too), in one t_ternaries batch.
+    # Each context's value carries one weight per pair place and 1/|z_w| per
+    # W-vertex; dropping either breaks the identity on a nonzero count.
+    factor = _two_form_factor(5, 3)
+    weights = {1.0 / bilinear_level_sizes(factor)[b] for b in range(25)}
+    assert len(weights) > 1
+    sp = factor.space
+    rng = np.random.default_rng(1300)
+    member = rng.random(sp.size) < 0.5
+    ind = GroupFunction(5, 3, member.astype(np.float64))
+    coind = GroupFunction(5, 3, (~member).astype(np.float64))
+    ctxs = []
+    for shape in itertools.product((1, 2), (1, 2), (1, 2, 3)):
+        cells = list(itertools.product(*map(range, shape)))
+        for trial in range(4):
+            codes, (x, y, z) = _random_assignment(factor, PatternHypergraph(shape), rng, True)
+            edges = ({(u, v, w) for u, v, w in cells if member[sp.add(sp.add(x[u], y[v]), z[w])]}
+                     if trial >= 2 else {c for c in cells if rng.random() < 0.5})
+            ctxs.append(TernaryContext(PatternHypergraph(shape, frozenset(edges)), factor, codes))
+    values = t_ternaries(ctxs, [FunctionGrid.edge_select(c.graph, ind, coind) for c in ctxs])
+    counts = pattern_ops.witness_counts_ternary(ctxs, member)
+    wide = 0
+    for ctx, value, count in zip(ctxs, values, counts):
+        assert abs(value.imag) <= 1e-12
+        assert value.real * float(ternary_normalization(ctx)) == pytest.approx(
+            count, rel=1e-9, abs=1e-9)
+        nu, nv, nw = ctx.graph.parts
+        wide += count > 0 and factor.atom_sizes[list(ctx.codes[nu + nv:nu + nv + nw])].max() > 1
+    assert len({c.graph.parts for c in ctxs}) == 12 and wide >= 10
+
+
+def test_weighted_density_matches_the_dense_sum_at_two_forms():
+    # one batch of directions through random triples, at levels whose
+    # weights differ; each value is the dense mean of the three float64 mu
+    # matrices' product times membership
+    factor = _two_form_factor(5, 3)
+    sp = factor.space
+    rng = np.random.default_rng(1400)
+    graph = PatternHypergraph((1, 1, 1))
+    rows, members, dense = [], [], []
+    for _ in range(12):
+        codes, _ = _random_assignment(factor, graph, rng, True)
+        member = rng.random(sp.size) < 0.5
+        a1, a2, a3, b12, b13, b23 = codes
+        mu12, mu13, mu23 = (mu_weight_matrix(factor, b, row, col)
+                            for b, row, col in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
+        weights = mu12[:, :, None] * mu13[:, None, :] * mu23[None, :, :]
+        atoms = [factor._members_by_code[a] for a in (a1, a2, a3)]
+        rows.append(codes)
+        members.append(member)
+        dense.append((weights * member[sp.sum_grid3(*atoms)]).mean())
+    assert len({tuple(r[3:]) for r in rows}) > 1 and any(dense)
+    values = weighted_ternary_densities(factor, rows, members)
+    assert values == pytest.approx(dense, rel=1e-12, abs=1e-15)
+
+
 def test_extension_count_past_int64():
     # twelve free 49-point atoms, each passing whole, over 49^2 head tuples
     factor = _trivial_factor(7, 2)
