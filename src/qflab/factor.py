@@ -18,7 +18,7 @@ near-equidistributed, which is what the trend experiments measure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -181,81 +181,58 @@ def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
     return QuadraticFactor(linear, shaped)
 
 
-def level_masks(factor: QuadraticFactor, triples) -> list[np.ndarray]:
-    """For each code triple (b, row, col), in order, the member pairs of the
-    atoms of codes row x col that lie in the bilinear level set of code b,
-    as a bool matrix; all True with no forms.
+def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
+    """The level masks of code triples (b, row, col), in order, as one bool
+    stack (C, |row|, |col|) padded with False to the call's largest row and
+    column atoms: mask c holds, in its corner, the member pairs of the atoms
+    of codes row x col in the bilinear level set of code b; all True with
+    no forms. Nothing is kept between calls.
 
-    Each triple is computed once per factor and every later call returns
-    the same read-only array. The missing ones are built together, in
-    blocks of triples whose stack, zero-padded to the largest row and
-    column atoms, holds at most H_BLOCK_ENTRIES // 4 entries, so that its
-    float32 form values take at most H_BLOCK_ENTRIES bytes (one triple's
-    rows a slab at a time when one alone is larger). Per form, x^T M y is
-    one batched float32 matmul of the rows of (x^T M mod p) with y, exact
-    as every partial sum is at most n (p - 1)^2 < 2^24, and its residue
-    mod p is read from a lookup table at its int16 value (n (p - 1)^2 <=
-    720 for p^n <= 2^20). Building a mask counts |row| |col| q terms, one
-    per form value; a cached one counts none. Raises CapExceeded, before
-    it allocates anything, when some |row| |col| exceeds MU_CAP: a mask
-    takes 1 byte per entry.
+    Each distinct triple, keyed by the int64 b A^2 + row A + col with A =
+    p^width, is built once per call and counts |row| |col| q terms, one
+    per form value. Triples go in blocks whose float32 form values take at
+    most H_BLOCK_ENTRIES bytes (one triple's rows a slab at a time when one
+    alone is larger). Per form, x^T M y is one batched float32 matmul of
+    (x^T M mod p) with y, exact as every partial sum is at most n (p - 1)^2
+    < 2^24, with its residue mod p read from a table at its int16 value
+    (n (p - 1)^2 <= 720 for p^n <= 2^20). Raises CapExceeded, before a mask
+    is allocated, when some |row| |col| exceeds MU_CAP: a mask takes 1 byte
+    per entry.
     """
-    cache = factor.__dict__.setdefault("_level_masks", {})
-    keys = list(map(tuple, np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist()))
-    todo = [k for k in dict.fromkeys(keys) if k not in cache]
-    if todo:
-        _build_level_masks(factor, todo, cache)
-    return [cache[k] for k in keys]
-
-
-def _build_level_masks(factor: QuadraticFactor, todo: list[tuple], cache: dict) -> None:
-    """Build the masks of the distinct uncached triples todo into cache, as
-    `level_masks` describes."""
-    codes = np.array(todo, dtype=np.int64)
-    sizes = factor.atom_sizes[codes[:, 1:]].tolist()
-    entries = [r * c for r, c in sizes]
-    widest = max(entries)
-    if widest > MU_CAP:
-        r, c = sizes[entries.index(widest)]
-        raise CapExceeded(f"mu matrix of {r} x {c} entries exceeds the mu cap {MU_CAP}")
-    count_terms(sum(entries) * factor.q)
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    dims = (factor.p ** factor.q,) + (factor.p ** factor.width,) * 2
+    keys, inverse = np.unique(np.ravel_multi_index(tuple(triples.T), dims),
+                              return_inverse=True)
+    levels, rows, cols = np.unravel_index(keys, dims)
+    heights, widths = factor.atom_sizes[rows], factor.atom_sizes[cols]
+    entries = heights * widths
+    widest = int(entries.argmax())
+    if entries[widest] > MU_CAP:
+        raise CapExceeded(f"mu matrix of {heights[widest]} x {widths[widest]} entries "
+                          f"exceeds the mu cap {MU_CAP}")
+    count_terms(int(entries.sum()) * factor.q)
+    height, width = int(heights.max()), int(widths.max())
+    # the padding lies in no level set
+    masks = ((np.arange(height)[:, None] < heights[:, None, None])
+             & (np.arange(width) < widths[:, None, None]))
     p, digits, table = factor.p, factor.space.digits, factor.member_table
-    levels = space(p, factor.q).digits[codes[:, 0]]
+    values = space(p, factor.q).digits[levels]
     forms = [m.as_array() for m in factor.forms]
-    residue = _residues(p, factor.n * (p - 1) ** 2)
+    residue = (np.arange(factor.n * (p - 1) ** 2 + 1) % p).astype(np.int8)  # v mod p by v
     budget = H_BLOCK_ENTRIES // 4  # entries whose float32 form values take H_BLOCK_ENTRIES bytes
-    step = max(1, budget // widest)
-    for lo in range(0, len(todo), step):
-        part, shapes = codes[lo:lo + step], sizes[lo:lo + step]
-        ok = np.ones((len(part), max(r for r, _ in shapes), max(c for _, c in shapes)),
-                     dtype=bool)
-        if forms:
-            y = digits[table[part[:, 2], :ok.shape[2]]].astype(np.float32).transpose(0, 2, 1)
-            slab = max(1, budget // (ok.shape[0] * ok.shape[2]))
-            for start in range(0, ok.shape[1], slab):
-                stop = min(start + slab, ok.shape[1])
-                x = digits[table[part[:, 1], start:stop]].astype(np.int64)
-                for j, m in enumerate(forms):
-                    values = np.matmul(((x @ m) % p).astype(np.float32), y)
-                    ok[:, start:stop] &= (np.take(residue, values.astype(np.int16))
-                                          == levels[lo:lo + step, j, None, None])
-        for key, mask, (r, c) in zip(todo[lo:lo + step], ok, shapes):
-            mask = mask if len(part) == 1 else mask[:r, :c].copy()
-            mask.flags.writeable = False
-            cache[key] = mask
-
-
-@lru_cache(maxsize=None)
-def _residues(p: int, top: int) -> np.ndarray:
-    """v mod p for v = 0..top, as read-only int8."""
-    table = (np.arange(top + 1) % p).astype(np.int8)
-    table.flags.writeable = False
-    return table
-
-
-def level_mask(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
-    """The batch of one of `level_masks`."""
-    return level_masks(factor, [(b, row, col)])[0]
+    step = max(1, budget // (height * width))
+    for lo in range(0, len(keys) if forms else 0, step):  # no forms: all pass
+        block = slice(lo, lo + step)
+        y = digits[table[cols[block], :width]].astype(np.float32).transpose(0, 2, 1)
+        slab = max(1, budget // (len(y) * width))
+        for start in range(0, height, slab):
+            rows_in = slice(start, min(start + slab, height))
+            x = digits[table[rows[block], rows_in]].astype(np.int64)
+            for j, m in enumerate(forms):
+                form = np.matmul(((x @ m) % p).astype(np.float32), y)
+                masks[block, rows_in] &= (np.take(residue, form.astype(np.int16))
+                                          == values[block, j, None, None])
+    return masks[inverse]
 
 
 def mu_weight(factor: QuadraticFactor, b: int) -> float:
@@ -273,14 +250,11 @@ def mu_weight(factor: QuadraticFactor, b: int) -> float:
 
 def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.ndarray:
     """The measure mu_beta(b) on the atoms of codes row x col: the level
-    mask times the level's weight, so p^(2n)/|beta| on the member pairs of
-    the bilinear level set of code b and 0 elsewhere; identically 1 with no
-    forms. Formed on each call from the cached mask, so only the mask
-    counts terms; the weight is checked first, so an empty level raises
-    DegenerateContext before a mask is built.
-    """
+    mask times the level's weight (1 with no forms). The weight comes
+    first, so an empty level raises DegenerateContext before a mask is
+    built."""
     weight = mu_weight(factor, b)
-    return level_mask(factor, b, row, col) * weight
+    return level_masks(factor, [(b, row, col)])[0] * weight
 
 
 # the histogram twin walks every pair; past this many it refuses

@@ -370,6 +370,15 @@ def _kept_share(cfg: dict, ys: int) -> float:
     return cfg["p"] ** (-cfg["q"] * ys)
 
 
+def _mask_terms(cfg: dict, n: int, draws: float) -> float:
+    """Expected terms of one `level_masks` call over `draws` random code
+    triples, q smean^2 for each distinct one: of the D = p^q A^2 triples on
+    the A = p^n / smean nonempty atoms, it hits D (1 - (1 - 1/D)^draws)."""
+    p, q = cfg["p"], cfg["q"]
+    cells = p ** (q + 2 * n) / _atom_stats(cfg, n)[0] ** 2
+    return q * p ** (q + 2 * n) * (1 - (1 - 1 / cells) ** draws)
+
+
 def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: int = 1,
                    half: bool = False) -> float:
     """Expected terms of one ternary contraction with `ys` x's and y's on
@@ -545,7 +554,8 @@ def _est_local_gcs(cfg: dict) -> int:
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
     u3 = (_ternary_terms(cfg, smean, s2mean, slots=2)
           + 8 * _ternary_terms(cfg, smean, s2mean, half=True))
-    return _factor_terms(cfg, cfg["n"]) + int(cfg["trials"] * (
+    masks = 6 * _mask_terms(cfg, cfg["n"], cfg["trials"])  # three calls per batch
+    return _factor_terms(cfg, cfg["n"]) + int(masks + cfg["trials"] * (
         2 * coset ** 3 + coset ** 2 + _local_u2_terms(cfg, cfg["n"], 4) + u3))
 
 
@@ -600,7 +610,8 @@ def _run_local_triangle(cfg: dict) -> RunResult:
 
 def _est_local_triangle(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
-    return _factor_terms(cfg, cfg["n"]) + int(cfg["trials"] * (
+    masks = 3 * _mask_terms(cfg, cfg["n"], cfg["trials"])  # one norm call of three masks
+    return _factor_terms(cfg, cfg["n"]) + int(masks + cfg["trials"] * (
         _local_u2_terms(cfg, cfg["n"], 3) + 3 * _ternary_terms(cfg, smean, s2mean, half=True)))
 
 
@@ -750,11 +761,15 @@ def _est_bil_sizes(cfg: dict) -> int:
 
 def _direction_masks(ctx: LocalContext3) -> tuple[list, float]:
     """The level masks of a direction's pairs (x, y), (x, z) and (y, z),
-    from one `level_masks` call, and the product w12 w13 w23 of their
-    levels' weights: mu_beta(b) is its mask times its weight."""
+    views of the corners of one `level_masks` stack, and the product w12
+    w13 w23 of their levels' weights: mu_beta(b) is its mask times its
+    weight."""
     a1, a2, a3, b12, b13, b23 = ctx.codes
     weight = math.prod(mu_weight(ctx.factor, b) for b in (b12, b13, b23))
-    return level_masks(ctx.factor, [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)]), weight
+    triples = [(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)]
+    sizes = ctx.factor.atom_sizes
+    return [m[:sizes[row], :sizes[col]]
+            for m, (_, row, col) in zip(level_masks(ctx.factor, triples), triples)], weight
 
 
 def _triangle_count(m12: np.ndarray, m13: np.ndarray, m23: np.ndarray) -> int:
@@ -787,7 +802,9 @@ def _run_genbilsums(cfg: dict) -> RunResult:
 
 
 def _est_genbilsums(cfg: dict) -> int:
-    return _per_n_terms(cfg, lambda n, smean, s2mean: int(cfg["directions"] * smean ** 3))
+    # per direction a triangle count and one call for its three masks
+    return _per_n_terms(cfg, lambda n, smean, s2mean: int(
+        cfg["directions"] * (smean ** 3 + 3 * _mask_terms(cfg, n, 1))))
 
 
 def _run_config_regularity(cfg: dict) -> RunResult:
@@ -1048,10 +1065,11 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
 
 
 def _est_control_ip2_local(cfg: dict) -> int:
-    # the diagonal grid gives every W-vertex one z-average: one computed slot
+    # the diagonal grid gives every W-vertex one z-average: one computed slot;
+    # the operator and the norm each build the direction's three masks
     return _per_n_terms(cfg, lambda n, smean, s2mean: int(
         _ternary_terms(cfg, smean, s2mean, ys=cfg["m"])
-        + _ternary_terms(cfg, smean, s2mean, half=True)))
+        + _ternary_terms(cfg, smean, s2mean, half=True) + 6 * _mask_terms(cfg, n, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -1114,9 +1132,11 @@ def _est_sparse_uniform(cfg: dict) -> int:
     n_hard = max(cfg["n_values"])
 
     def terms(n, smean, s2mean):
-        total = int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1))
+        total = int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1)
+                    + 3 * _mask_terms(cfg, n, cfg["samples"]))
         if n == n_hard:
-            total += int(_ternary_terms(cfg, smean, s2mean, half=True))
+            total += int(_ternary_terms(cfg, smean, s2mean, half=True)
+                         + 3 * _mask_terms(cfg, n, 1))
         return total
     return _per_n_terms(cfg, terms)
 
@@ -1160,7 +1180,10 @@ def _est_smallpart(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     count = min(cfg["directions"], DIRECTION_BUDGET)
     per_direction = _ternary_terms(cfg, smean, s2mean, half=True)
-    return _factor_terms(cfg, cfg["n"]) + int(count * per_direction)
+    # masks only for the directions whose three atoms are nonempty
+    live = count * (cfg["p"] ** (cfg["n"] - cfg["ell"] - cfg["q"]) / smean) ** 3
+    masks = 3 * _mask_terms(cfg, cfg["n"], live)
+    return _factor_terms(cfg, cfg["n"]) + int(count * per_direction + masks)
 
 
 def _atom_union(rng: np.random.Generator, factor: QuadraticFactor) -> tuple[list, np.ndarray]:
@@ -1402,13 +1425,21 @@ def _est_counting_ternary(cfg: dict) -> int:
     # atom's size and a y head against the su x's, keeping the real
     # members and a p^-q share per y test, and each kept row tests every
     # padded z_w against its su + sv masks (counted once) and its su sv
-    # membership sums
-    smean, s2mean = _atom_stats(cfg, cfg["n"])
-    widest = int(_standard_factor(cfg["p"], cfg["n"], cfg["ell"], cfg["q"]).atom_sizes.max())
+    # membership sums. The operator and the witness count take one mask
+    # call per pair place of a shape, the norms three over every triple; a
+    # pattern is live when some draw names only nonempty atoms
+    n = cfg["n"]
+    smean, s2mean = _atom_stats(cfg, n)
+    widest = int(_standard_factor(cfg["p"], n, cfg["ell"], cfg["q"]).atom_sizes.max())
     share = _kept_share(cfg, 1)
     norm = _ternary_terms(cfg, smean, s2mean, half=True)
-    total = 0
-    for su, sv, sw in itertools.product(range(1, cfg["max_part"] + 1), repeat=3):
+    nonempty = cfg["p"] ** (n - cfg["ell"] - cfg["q"]) / smean
+    shapes = {parts: (1 << math.prod(parts))
+              * (1 - (1 - nonempty ** sum(parts)) ** ASSIGNMENT_ATTEMPTS)
+              for parts in itertools.product(range(1, cfg["max_part"] + 1), repeat=3)}
+    triples = sum(live * math.prod(parts) for parts, live in shapes.items())
+    total = int(3 * _mask_terms(cfg, n, triples))
+    for (su, sv, sw), live in shapes.items():
         kept, witness = 1.0, 0.0
         for _ in range(su):
             witness += kept * widest
@@ -1418,8 +1449,10 @@ def _est_counting_ternary(cfg: dict) -> int:
             kept *= smean * share ** su
         witness += kept * sw * widest * (1 + su * sv)
         operator = _ternary_terms(cfg, smean, s2mean, ys=sv, slots=sw)
-        total += (1 << (su * sv * sw)) * int(witness + operator + su * sv * sw * norm)
-    return total + _factor_terms(cfg, cfg["n"])
+        places = su * sv + su * sw + sv * sw
+        total += int(live * (witness + operator + su * sv * sw * norm)
+                     + 2 * places * _mask_terms(cfg, n, live))
+    return total + _factor_terms(cfg, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -95,14 +96,18 @@ def make_degenerate(index: int, inputs: dict, message: str) -> dict:
 
 
 def trend_summary(values: list[float]) -> dict:
-    """Monotone-trend verdict: non-increasing up to a relative wobble."""
+    """Monotone-trend verdict: non-increasing up to a relative wobble, and
+    the least-squares slope of the values against 0, 1, ..., m - 1 in
+    closed form, 6 sum_i (2i - m + 1) v_i / (m (m^2 - 1)). The sum is
+    math.fsum's, exactly rounded, so the slope does not depend on a BLAS
+    or LAPACK kernel, and integer values give their exact slope."""
     vals = [float(v) for v in values]
     ok = all(b <= a * (1.0 + TREND_WOBBLE) + TREND_ABS_SLACK
              for a, b in zip(vals, vals[1:]))
-    if len(vals) >= 2:
-        slope = float(np.polyfit(np.arange(len(vals)), np.array(vals), 1)[0])
-    else:
-        slope = 0.0
+    m = len(vals)
+    slope = 0.0
+    if m >= 2:
+        slope = 6.0 * math.fsum((2 * i - m + 1) * v for i, v in enumerate(vals)) / (m * (m * m - 1))
     return {"values": vals, "non_increasing_within_wobble": ok,
             "slope": slope, "wobble": TREND_WOBBLE}
 

@@ -21,13 +21,15 @@ labeled a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 A context is its codes: `LocalContext2` a checked coset pair and its
 target code, `LocalContext3` a checked direction that names no empty atom
 or level set. Neither holds member arrays, masks or measures; each
-routine reads what it uses from the factor's caches by code: the coset
-members through `_coset_members`, the atoms' through the member table,
-and the masks through `level_masks`. A measure mu_beta(b) is its level
-mask times one number, the level's weight p^(2n)/|beta(b)|, so every term
-a mask keeps carries the same weights: the contraction counts on masks
-and multiplies each context's sum once by its weight product. Only the
-naive twin forms float64 measures, with `factor.mu_weight_matrix`.
+routine reads the members it uses from the factor's caches by code (the
+coset members through `_coset_members`, the atoms' through the member
+table) and builds the level masks it reads with one `level_masks` call
+per mask place, which the factor does not keep. A measure mu_beta(b) is
+its level mask times one number, the level's weight p^(2n)/|beta(b)|, so
+every term a mask keeps carries the same weights: the contraction counts
+on masks and multiplies each context's sum once by its weight product.
+Only the naive twin forms float64 measures, with
+`factor.mu_weight_matrix`.
 
 `_binary_contract` is the bipartite contraction: the local U^2 inner
 product, the IP averages and the bipartite operator. Its value arrays may
@@ -289,37 +291,19 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse.reshape(-1)
 
 
-def _mask_stack(factor: QuadraticFactor, triples: np.ndarray) -> np.ndarray:
-    """The level masks of the rows (bilinear, row atom, column atom) of a
-    (C, 3) array of code triples, one per row, zero-padded to the largest
-    row and column atoms: a bool stack (C, |row|, |col|). The distinct
-    triples' masks come from one `level_masks` call."""
-    triples = np.ascontiguousarray(triples, dtype=np.int64)
-    # one void item per triple
-    distinct, inverse = _distinct(triples.view(np.dtype((np.void, 24))).reshape(-1))
-    distinct = distinct.view(np.int64).reshape(-1, 3)
-    masks = level_masks(factor, distinct)
-    rows, cols = (factor.atom_sizes[distinct[:, k], None, None] for k in (1, 2))
-    # a mask's entries fill its corner of the padded stack in C order
-    corner = ((np.arange(rows.max())[:, None] < rows) & (np.arange(cols.max()) < cols))
-    padded = np.zeros(corner.shape, dtype=bool)
-    padded[corner] = np.concatenate([m.reshape(-1) for m in masks])
-    return padded[inverse]
-
-
 class _Stack:
     """C ternary problems of one shape, stacked along a leading context axis:
     member arrays (C, |part|), mask places and value places, each filled
     for its place with one gather over the rows' codes. A member place
     gathers rows of the factor's member table, zero-padded to the block's
-    largest atom. A mask place is a bool stack (C, |a|, |b|) of the level
-    masks of the block's distinct (bilinear, row atom, column atom) code
-    triples, built by one `level_masks` call and zero-padded alike
-    (`_mask_stack`). A value place is a table of the block's distinct value
-    arrays and, unless every context reads the same array (then held
-    once), each context's row in it. Two places share one stack when every
-    context names the same codes in both. A padded member lies in no mask,
-    so it is never kept.
+    largest atom. A mask place is the bool stack (C, |a|, |b|) that one
+    `level_masks` call returns for the block's (bilinear, row atom, column
+    atom) code triples, padded with False alike. A value place is a table
+    of the block's distinct value arrays and, unless every context reads
+    the same array (then held once), each context's row in it. Two places
+    share one stack when every context names the same codes in both, so
+    the half-scan and slot sharing below can test places by identity. A
+    padded member lies in no mask, so it is never kept.
 
     A measure mu is its mask times its level's weight p^(2n)/|beta|, so
     every term that the masks keep carries the same weights: `scale` holds
@@ -379,7 +363,7 @@ class _Stack:
             triples = np.ascontiguousarray(codes[:, [col, row, other]])
             key = ("mask", triples.tobytes())
             if key not in places:
-                places[key] = _mask_stack(factor, triples)
+                places[key] = level_masks(factor, triples)
             return places[key]
 
         @functools.cache

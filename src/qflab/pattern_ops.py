@@ -48,6 +48,7 @@ from .factor import (
     QuadraticFactor,
     bilinear_level_sizes,
     degenerate_directions,
+    level_masks,
 )
 from .fpn_core import H_BLOCK_ENTRIES, GroupSpace, count_terms, space
 from .local_norms import (
@@ -56,7 +57,6 @@ from .local_norms import (
     _binary_contract,
     _check_codes,
     _coset_members,
-    _mask_stack,
     _ternary_contract,
     value_columns,
 )
@@ -634,7 +634,7 @@ def _ternary_counts(ctxs: list[TernaryContext], member: np.ndarray | None) -> li
     sizes = factor.atom_sizes
     xs, ys, zs = ([factor.member_table[codes[:, c], :sizes[codes[:, c]].max()] for c in cols]
                   for cols in (shape.xs, shape.ys, shape.zs))
-    muv, muw, mvw = ({k: _mask_stack(factor, codes[:, list(cols)]).__getitem__ for k, cols in pairs}
+    muv, muw, mvw = ({k: level_masks(factor, codes[:, list(cols)]).__getitem__ for k, cols in pairs}
                      for pairs in shape.pair_columns())
     # an x head keeps only its context's real members, not the padding
     head_tests = [[((), _unpadded(sizes[codes[:, c]]))] for c in shape.xs]

@@ -598,3 +598,18 @@ def test_trend_wobble_rules():
     assert flat["non_increasing_within_wobble"]
     down = trend_summary([4.0, 2.0, 1.0])
     assert down["slope"] < 0
+
+
+def test_trend_slope_is_the_closed_form_least_squares_slope():
+    # integer values give their exact slope, correctly rounded: their sum
+    # is an integer, then one division
+    assert trend_summary([4, 2, 1])["slope"] == -1.5
+    assert trend_summary([1, 3])["slope"] == 2.0
+    assert trend_summary([7, 7, 7, 7])["slope"] == 0.0
+    assert trend_summary([3, 1, 4, 1, 5, 9, 2, 6])["slope"] == 15 / 28
+    assert trend_summary([5])["slope"] == 0.0 and trend_summary([])["slope"] == 0.0
+    rng = np.random.default_rng(5)
+    for m in range(2, 40):
+        vals = (rng.standard_normal(m) * 10.0 ** rng.integers(-6, 6)).tolist()
+        want = np.polyfit(np.arange(m), vals, 1)[0]
+        assert abs(trend_summary(vals)["slope"] - want) <= 1e-12 * max(map(abs, vals))

@@ -19,7 +19,6 @@ from qflab.factor import (
     bilinear_level_sizes,
     degenerate_directions,
     direction_codes,
-    level_mask,
     level_masks,
     mu_weight,
     mu_weight_matrix,
@@ -157,46 +156,64 @@ def test_bilinear_level_sizes_identity_form():
     assert bilinear_level_sizes(factor) is sizes and not sizes.flags.writeable
 
 
-def test_empty_level_set_refuses_a_measure():
+def _mask(factor, b, row, col) -> np.ndarray:
+    """The level mask of one code triple: a stack of one has no padding."""
+    return level_masks(factor, [(b, row, col)])[0]
+
+
+def test_empty_level_set_refuses_a_measure(monkeypatch):
     # the zero form only produces level 0
     factor = new_quadratic_factor(new_linear_factor(3, 1, []),
                                   [np.zeros((1, 1), dtype=np.int64)])
     assert bilinear_level_sizes(factor)[1] == 0
     with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
-        mu_weight_matrix(factor, 1, 0, 0)
-    with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
         mu_weight(factor, 1)
-    # the weight is checked before a mask is built; the mask itself is well
-    # defined, as no pair lies in the empty level
-    assert not factor.__dict__.get("_level_masks")
-    assert not level_mask(factor, 1, 0, 0).any() and level_mask(factor, 0, 0, 0).all()
+    # the weight is checked before a mask is built
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(factor_module, "level_masks", lambda *args: built.append(args))
+        with pytest.raises(DegenerateContext, match=r"^beta\(\(1,\)\) is empty$"):
+            mu_weight_matrix(factor, 1, 0, 0)
+    assert not built
+    # the mask itself is well defined, as no pair lies in the empty level
+    empty, full = level_masks(factor, [(1, 0, 0), (0, 0, 0)])
+    assert not empty.any() and full.all()
 
 
 def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
-    factor = _identity_factor(3, 3, ell=1)
+    factor = _identity_factor(3, 8, ell=1)
     rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
     entries = int(factor.atom_sizes[rows] * factor.atom_sizes[cols])
+    assert entries > 1 << 18
     monkeypatch.setattr(factor_module, "MU_CAP", entries - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
+            level_masks(factor, [(0, rows, rows), (2, rows, cols)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < entries // 8
     with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
         mu_weight_matrix(factor, 2, rows, cols)
     monkeypatch.setattr(factor_module, "MU_CAP", entries)
     assert mu_weight_matrix(factor, 2, rows, cols).size == entries
 
 
-def test_level_mask_is_memoized_read_only():
+def test_level_masks_keep_nothing_between_calls():
     factor = _identity_factor(3, 3, ell=1)
     rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
-    mask = level_mask(factor, 2, rows, cols)
-    assert level_mask(factor, 2, rows, cols) is mask
-    assert not mask.flags.writeable
-    with pytest.raises(ValueError):
-        mask[0, 0] = False
-    assert level_mask(factor, 1, rows, cols) is not mask
-    assert level_mask(factor, 2, cols, rows) is not mask
-    # the measure is formed on each call from the one cached mask
-    w = mu_weight_matrix(factor, 2, rows, cols)
-    assert w is not mu_weight_matrix(factor, 2, rows, cols)
-    assert factor._level_masks[(2, rows, cols)] is mask
+    first = level_masks(factor, [(2, rows, cols)])
+    weight = mu_weight(factor, 2)
+    held = dict(factor.__dict__)
+    second = level_masks(factor, [(2, rows, cols)])
+    assert second is not first and np.array_equal(second, first)
+    second[0, 0, 0] = not second[0, 0, 0]  # a caller's own array
+    assert not np.array_equal(level_masks(factor, [(2, rows, cols)]), second)
+    # the measure is formed from a mask built on each call
+    assert np.array_equal(mu_weight_matrix(factor, 2, rows, cols), first[0] * weight)
+    assert factor.__dict__.keys() == held.keys()
+    assert all(factor.__dict__[k] is v for k, v in held.items())
 
 
 def test_level_mask_counts_only_the_masks_it_builds():
@@ -204,14 +221,16 @@ def test_level_mask_counts_only_the_masks_it_builds():
     bilinear_level_sizes(factor)
     rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
     want = factor.atom_sizes[rows] * factor.atom_sizes[cols] * factor.q
-    mask, terms = run_counted(level_mask, factor, 2, rows, cols)
+    mask, terms = run_counted(level_masks, factor, [(2, rows, cols)])
     assert terms == want
-    assert run_counted(level_mask, factor, 2, rows, cols) == (mask, 0)
-    assert run_counted(mu_weight_matrix, factor, 2, rows, cols)[1] == 0
-    assert run_counted(mu_weight_matrix, factor, 1, rows, cols)[1] == want
+    # a repeat within a call is built once, and every call builds anew
+    assert run_counted(level_masks, factor, [(2, rows, cols)] * 3)[1] == want
+    assert run_counted(level_masks, factor, [(2, rows, cols), (1, rows, cols),
+                                             (2, rows, cols)])[1] == 2 * want
+    assert run_counted(mu_weight_matrix, factor, 2, rows, cols)[1] == want
     flat = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
     flat.member_table
-    assert run_counted(level_mask, flat, 0, 1, 2)[1] == 0
+    assert run_counted(level_masks, flat, [(0, 1, 2)])[1] == 0
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -233,7 +252,7 @@ def test_mu_weight_matrix_is_the_level_mask_times_the_weight(p, q):
         values = space(p, q).digits[b]
         for row in atoms:
             for col in atoms:
-                mask = level_mask(factor, b, row, col)
+                mask = _mask(factor, b, row, col)
                 x = digits[factor.atom_indices(factor.all_labels()[row])]
                 y = digits[factor.atom_indices(factor.all_labels()[col])]
                 want = np.ones((len(x), len(y)), dtype=bool)
@@ -262,13 +281,27 @@ def _level_mask_loop(factor, b, row, col) -> np.ndarray:
     return mask
 
 
+def _assert_stack(factor, triples, stack, want) -> None:
+    """stack is the bool stack of the triples, padded to their largest row
+    and column atoms, with want(b, row, col) in each corner and False
+    elsewhere."""
+    sizes = factor.atom_sizes
+    height = max(int(sizes[row]) for _, row, _ in triples)
+    width = max(int(sizes[col]) for _, _, col in triples)
+    assert stack.dtype == np.bool_ and stack.shape == (len(triples), height, width)
+    for t, mask in zip(triples, stack):
+        r, c = sizes[t[1]], sizes[t[2]]
+        assert np.array_equal(mask[:r, :c], want(*t))
+        assert not mask[r:].any() and not mask[:, c:].any()
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_level_masks_batch_matches_a_loop_over_pairs(monkeypatch, p, q):
-    # each call builds the missing masks of a batch of triples, some
-    # repeated and one cached: the first in blocks of several triples, the
-    # second in blocks smaller than the largest mask, built a slab of rows
-    # at a time (a block holds H_BLOCK_ENTRIES // 4 entries)
+    # two calls over a batch of triples, some repeated: the first builds in
+    # blocks of several triples, the second in blocks smaller than the
+    # largest mask, a slab of rows at a time (a block holds
+    # H_BLOCK_ENTRIES // 4 entries)
     n = 3 if p < 7 else 2
     rng = np.random.default_rng((800, p, q))
     forms = []
@@ -282,22 +315,48 @@ def test_level_masks_batch_matches_a_loop_over_pairs(monkeypatch, p, q):
     triples = np.column_stack([rng.integers(0, p ** q, 40), rng.choice(atoms, 40),
                                rng.choice(atoms, 40)])
     triples = np.concatenate([triples, triples[:5]]).tolist()
-    cached = level_mask(factor, *triples[7])
     entries = {tuple(t): int(sizes[t[1]] * sizes[t[2]]) for t in triples}
     widest = max(entries.values())
     assert widest >= 4
-    built = {tuple(triples[7])}
-    for block, batch in ((16 * widest, triples[:20]), (4 * (widest // 3), triples[20:])):
+    for block, batch in ((16 * widest, triples[:20] + triples[40:]),
+                         (4 * (widest // 3), triples[20:])):
         monkeypatch.setattr(factor_module, "H_BLOCK_ENTRIES", block)
-        masks, terms = run_counted(level_masks, factor, batch)
-        new = {tuple(t) for t in batch} - built
-        assert terms == q * sum(entries[t] for t in new)
-        built |= new
-        for t, mask in zip(batch, masks):
-            assert mask is factor._level_masks[tuple(t)] and not mask.flags.writeable
-            assert mask.dtype == np.bool_ and mask.nbytes == mask.size
-            assert np.array_equal(mask, _level_mask_loop(factor, *t))
-    assert level_masks(factor, [triples[7]])[0] is cached
+        stack, terms = run_counted(level_masks, factor, batch)
+        assert terms == q * sum(entries[t] for t in {tuple(t) for t in batch})
+        _assert_stack(factor, batch, stack, lambda *t: _level_mask_loop(factor, *t))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_level_masks_match_the_sum_code_twin(p, q, ell):
+    # Q_j(x + y) = Q_j(x) + Q_j(y) + 2 x^T M_j y and the linear labels add,
+    # so for odd p a pair of atoms a1 x a2 lies in level b exactly when
+    # x + y has the label a1 + a2 + 2(0|b), digit by digit; 0|b is b after
+    # l zeros. The second form of q = 2 is twice the first, so every level
+    # with b_2 != 2 b_1 is empty.
+    n = 3
+    rng = np.random.default_rng((900, p, q, ell))
+    vectors, forms = _dense_factor_inputs(rng, p, n, 2, min(q, 1))
+    forms += [2 * m % p for m in forms[:q - 1]]
+    factor = new_quadratic_factor(new_linear_factor(p, n, vectors[:ell]), forms)
+    labels = space(p, ell + q)
+    atoms = np.flatnonzero(factor.atom_sizes)
+    pairs = rng.choice(atoms, (12, 2)).tolist()
+    triples = [(b, row, col) for row, col in pairs for b in range(p ** q)]
+
+    def twin(b, row, col):
+        label = np.add(labels.coords_of(row), labels.coords_of(col))
+        label[ell:] += 2 * np.array(space(p, q).coords_of(b), dtype=np.int64)
+        xs, ys = (factor._members_by_code[a] for a in (row, col))
+        return factor._codes[factor.space.sum_grid(xs, ys)] == labels.index_of(label % p)
+
+    stack = level_masks(factor, triples)
+    _assert_stack(factor, triples, stack, twin)
+    if q == 2:
+        empty = np.flatnonzero(bilinear_level_sizes(factor) == 0)
+        assert empty.size == p ** 2 - p
+        assert not stack[[k for k, t in enumerate(triples) if t[0] in empty]].any()
 
 
 def test_mu_weight_matrix_values():
@@ -385,9 +444,9 @@ def test_sigma3_codes_name_the_atom_of_every_weighted_sum(p, q):
     assert not degenerate_directions(factor, rows).any()
     for row, target in zip(rows, sigma3_codes(factor, rows).tolist()):
         a1, a2, a3, b12, b13, b23 = row
-        ok = (level_mask(factor, b12, a1, a2)[:, :, None]
-              & level_mask(factor, b13, a1, a3)[:, None, :]
-              & level_mask(factor, b23, a2, a3)[None, :, :])
+        ok = (_mask(factor, b12, a1, a2)[:, :, None]
+              & _mask(factor, b13, a1, a3)[:, None, :]
+              & _mask(factor, b23, a2, a3)[None, :, :])
         members = (factor._members_by_code[a] for a in (a1, a2, a3))
         sums = factor.space.sum_grid3(*members)[ok]
         assert sums.size and (factor._codes[sums] == target).all()

@@ -13,7 +13,6 @@ from qflab.factor import (
     QuadraticFactor,
     degenerate_directions,
     direction_codes,
-    level_mask,
     mu_weight_matrix,
     new_linear_factor,
     new_quadratic_factor,
@@ -417,8 +416,7 @@ def test_u3_problems_keep_their_shortcuts_whatever_the_first_one_shares(monkeypa
     one = LocalContext3(factor, _row(factor, (0, 1), (0, 1), (0, 1), (0,), (0,), (0,)))
     a1, a2, a3, b12, b13, b23 = one.codes
     assert a1 == a2 == a3
-    assert level_mask(factor, b12, a1, a2) is level_mask(factor, b13, a1, a3) \
-        is level_mask(factor, b23, a2, a3)
+    assert len({(b12, a1, a2), (b13, a1, a3), (b23, a2, a3)}) == 1
     other = LocalContext3(factor, _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,)))
     f = _random_f(3, 3, seed=90)
     stacks = []
@@ -606,26 +604,32 @@ def test_weighted_density_batch_matches_each_batch_of_one():
     assert weighted_ternary_densities(factor, [], []) == []
 
 
-def test_a_context_holds_its_codes_and_builds_no_masks():
+def test_a_context_holds_its_codes_and_builds_no_masks(monkeypatch):
     factor = _mixed_factor()
     row = _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,))
+    built = []
+    monkeypatch.setattr(local_norms, "level_masks", lambda *args: built.append(args))
     ctx = LocalContext3(factor, row)
     assert ctx.codes == tuple(row.tolist()) and ctx.factor is factor
-    assert not factor.__dict__.get("_level_masks")
+    assert not built
     for name in ("mu12", "mu13", "mu23", "xs", "ys", "zs"):
         assert not hasattr(ctx, name)
     pair = LocalContext2(factor.linear, (1, 2))
     assert not hasattr(pair, "xs") and not hasattr(pair, "ys")
 
 
-def test_every_cached_mask_is_one_byte_per_entry():
+def test_every_mask_stack_is_one_byte_per_entry_and_none_is_kept(monkeypatch):
     factor = new_quadratic_factor(new_linear_factor(3, 4, [(1, 0, 0, 0)]),
                                   [np.eye(4, dtype=np.int64)])
     codes = direction_codes(factor, [[0, 1, 1, 0, 2, 1, 0, 1, 2],
                                      [1, 1, 0, 2, 2, 2, 1, 0, 0]])
+    stacks = []
+    build = local_norms.level_masks
+    monkeypatch.setattr(local_norms, "level_masks",
+                        lambda *args: stacks.append(build(*args)) or stacks[-1])
     local_norms.local_u3_norms(factor, codes, [_random_f(3, 4, 1), _random_f(3, 4, 2)])
-    _measures(LocalContext3(factor, _row(factor, (2, 2), (0, 1), (1, 0), (2,), (0,), (1,))))
-    masks = list(factor._level_masks.values())
-    assert len(masks) == 9
-    for mask in masks:
-        assert mask.dtype == np.bool_ and mask.itemsize == 1 and mask.nbytes == mask.size
+    assert stacks
+    for stack in stacks:
+        assert stack.dtype == np.bool_ and stack.itemsize == 1 and stack.nbytes == stack.size
+    assert not [v for v in factor.__dict__.values()
+                if isinstance(v, np.ndarray) and v.dtype == np.bool_]
