@@ -117,12 +117,14 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> np.nda
     caller where the pattern asks for it), or a stack of them with leading
     batch axes, one average per batch row (a 0-d array without them). Once
     the y's are fixed the x_u-averages are independent: a mean for one
-    y-vertex, one matmul for two, and for three one matmul of the outer
-    rows of the first two tables with the third. Each distinct (x members,
-    y members) pair of arrays, by identity, gets one sum table
-    t[j, i] = y_j + x_i, shared by the batch. Raises CapExceeded when a sum
-    table or an average would hold more than GRID_CAP entries. Counts the
-    multiply-adds of the averages, |x_u| prod |y_v| for each u and row.
+    y-vertex, one product over x for two, and for three one product of the
+    outer rows of the first two tables with the third; the products run in
+    `np.einsum`'s own loop, so no BLAS kernel orders their sums. Each
+    distinct (x members, y members) pair of arrays, by identity, gets one
+    sum table t[j, i] = y_j + x_i, shared by the batch. Raises CapExceeded
+    when a sum table or an average would hold more than GRID_CAP entries.
+    Counts the multiply-adds of the averages, |x_u| prod |y_v| for each u
+    and row.
     """
     ysizes = [a.size for a in ys]
     if max([math.prod(ysizes)] + [a.size * b for a in xs for b in ysizes]) > GRID_CAP:
@@ -140,10 +142,9 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> np.nda
             mats.append(values[(u, v)].take(tables[key], axis=-1))
         if len(ys) == 1:
             avg = mats[0].mean(axis=-1)
-        elif len(ys) == 2:
-            avg = mats[0] @ mats[1].swapaxes(-1, -2) / x.size
         else:
-            avg = (_outer_rows(mats[0], mats[1]) @ mats[2].swapaxes(-1, -2)).reshape(
+            rows = mats[0] if len(ys) == 2 else _outer_rows(*mats[:2])
+            avg = np.einsum("...ix,...jx->...ij", rows, mats[-1], optimize=False).reshape(
                 batch + tuple(ysizes)) / x.size
         prod = avg if prod is None else prod * avg
     return prod.reshape(batch + (-1,)).mean(axis=-1)

@@ -26,12 +26,14 @@ single-problem names (`fourier_transform`, `u2_inner`, `ap3_average`, ...)
 are those batches of one, on GroupFunctions.
 
 Transforms take one route, `_axis_dft`: the table's last axis is the group
-index and any leading axes are a batch. It views the table as (rest, p^k)
-with the k lowest remaining digits last, applies the memoized read-only
-kernel of k digits with one matmul, and rotates those digits to the front;
-when every digit has had its round, each is transformed and back in its
-place. A round takes as many digits as fit a kernel of at most RADIX_CAP
-rows. The batched kernels below, `pattern_ops.t_ip2s` and
+index and any leading axes are a batch. Each round views the table as
+(rest, p) with the lowest remaining digit last, applies the memoized
+read-only p x p kernel in numpy's own loop (`np.einsum` without
+`optimize`, so no BLAS call orders the sum), and rotates that digit to
+the front; after n rounds every digit is transformed and back in its
+place. Each output entry of a round sums its p terms in one fixed order,
+so a row's transform depends neither on its batch nor on the BLAS
+kernel. The batched kernels below, `pattern_ops.t_ip2s` and
 `local_norms.local_u2_norms` all call it.
 
 `u2_inners` averages the shift table's correlations. `u3_inners`
@@ -73,7 +75,6 @@ from .fpn_core import (
 NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
 U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
 CORRELATION_SEARCH_CAP = 3 ** 10  # most candidate forms the correlation oracle scans
-RADIX_CAP = 9  # most rows of the kernel of one transform round
 # entries per buffer of derivative tables: 256 KiB of complex values, so that a
 # block and the transform's temporaries stay in a core's 2 MiB L2 cache; of
 # 2^12 to 2^18, 2^13 and 2^14 were fastest for u3_norms and t_ip2 at p^n = 81,
@@ -177,48 +178,33 @@ def _axis_dft(values: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
     the normalized forward transform for sign -1, the dual sum for sign +1.
 
     The last axis of `values` is the group index; any leading axes are a
-    batch, and each row is transformed independently. Each round views the
-    table as (rest, p^k), the k lowest remaining digits last, multiplies by
-    the symmetric kernel of those k digits in one matmul and rotates them
-    to the front. A round takes as many digits as fit a kernel of at most
-    RADIX_CAP rows (two at p = 3, one otherwise): one wide round makes
-    fewer passes over the table than k narrow ones. Counts entries x p x n
-    terms.
+    batch, and each row is transformed independently. Each of the n rounds
+    views the table as (rest, p), the lowest remaining digit last,
+    multiplies by the symmetric p x p kernel in `np.einsum`'s own loop and
+    rotates that digit to the front. Counts entries x p x n terms, its
+    multiply-adds.
     """
     count_terms(values.size * p * n)
     if n == 0:
         return values.astype(np.complex128)
     batch = values.shape[:-1]
     table = np.asarray(values, dtype=np.complex128)
-    wide = 1
-    while p ** (wide + 1) <= RADIX_CAP:
-        wide += 1
-    for done in range(0, n, wide):
-        k = min(wide, n - done)
-        table = _rows_times(table.reshape(-1, p ** k), _dft_kernel(p, sign, k))
-        table = np.swapaxes(table.reshape(batch + (-1, p ** k)), -1, -2).reshape(batch + (-1,))
+    kernel = _dft_kernel(p, sign)
+    for _ in range(n):
+        table = np.einsum("rk,kt->rt", table.reshape(-1, p), kernel, optimize=False)
+        table = np.swapaxes(table.reshape(batch + (-1, p)), -1, -2).reshape(batch + (-1,))
     return table
 
 
-def _rows_times(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """rows @ kernel. A single row is doubled first: BLAS takes one row by
-    its matrix-vector route, whose sums round otherwise than a row of a
-    matrix product, and a row's transform must not depend on its batch."""
-    if len(rows) == 1:
-        return (np.concatenate([rows, rows]) @ kernel)[:1]
-    return rows @ kernel
-
-
 @lru_cache(maxsize=None)
-def _dft_kernel(p: int, sign: int, digits: int) -> np.ndarray:
-    """k[t, x] = omega^(sign x.t) over F_p^digits, divided by p^digits for
-    the normalized forward transform (sign -1) and undivided for the dual
-    sum (sign +1); indices pack digits as group indices do. One symmetric
-    read-only kernel per (p, sign, digits)."""
-    d = space(p, digits).digits.astype(np.int64)
-    kernel = omega_table(p)[(sign * (d @ d.T)) % p]
+def _dft_kernel(p: int, sign: int) -> np.ndarray:
+    """k[t, x] = omega^(sign x t) over F_p, divided by p for the normalized
+    forward transform (sign -1) and undivided for the dual sum (sign +1).
+    One symmetric read-only kernel per (p, sign)."""
+    d = np.arange(p)
+    kernel = omega_table(p)[(sign * np.outer(d, d)) % p]
     if sign < 0:
-        kernel = kernel / p ** digits
+        kernel = kernel / p
     kernel.setflags(write=False)
     return kernel
 
@@ -262,7 +248,8 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
     dots = (digits @ digits.T) % p
     phases = omega_table(p)[(-dots) % p]
     count_terms(phases.size)
-    return SpectrumTable(p, n, phases @ f.values.astype(np.complex128) / sp.size)
+    values = np.einsum("tx,x->t", phases, f.values.astype(np.complex128), optimize=False)
+    return SpectrumTable(p, n, values / sp.size)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +444,11 @@ def u3_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     the h <= -h by index, weighted 2 when -h != h, which at odd p is every
     h but 0 and halves the scan. Functions go in chunks whose whole scan
     fits DERIVATIVE_BLOCK_ENTRIES entries (one function when none does),
-    and a chunk's weighted sums over h are one matrix-vector product, so a
-    function's norm does not depend on its batch. Counts, per chunk, one
-    term per shift-table entry (h x N per block), the transform's entries
-    x p x n and one term per entry of the |T|^4 sum: about
-    (N + 1) / 2 x N x (1 + F (p n + 1)) at odd p.
+    and each function's weighted sum over h is its own row's numpy sum, so
+    its norm depends neither on its batch nor on the BLAS kernel. Counts,
+    per chunk, one term per shift-table entry (h x N per block), the
+    transform's entries x p x n and one term per entry of the |T|^4 sum:
+    about (N + 1) / 2 x N x (1 + F (p n + 1)) at odd p.
     """
     values, sp = _group(values, p, n)
     N = sp.size
@@ -479,11 +466,7 @@ def u3_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
             stop = start + buf.shape[1]
             moments[:, start:stop] = _fourth_moments(_axis_dft(buf, p, n, -1))
             start = stop
-        # one matrix-vector product, its rows padded to a multiple of four:
-        # BLAS sums a block of four rows in one order and a leftover row in
-        # another, so unpadded a norm would depend on its batch
-        pad = moments[:1].repeat(-len(f) % 4, axis=0)
-        eighth[block] = (np.concatenate([moments, pad]) @ weights)[:len(f)]
+        eighth[block] = (moments * weights).sum(axis=1)
     return _roots_of_diagonal(eighth / N, 8, tol).reshape(values.shape[:-1])
 
 
