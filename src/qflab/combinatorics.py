@@ -28,13 +28,12 @@ import numpy as np
 
 from .errors import CapExceeded
 from .factor import QuadraticFactor
-from .fpn_core import GroupVector, count_terms, space
+from .fpn_core import H_BLOCK_ENTRIES, GroupVector, count_terms, space
 
 MAX_IP_K = 4
 MAX_IP2_M = 2
 IP2_POINT_CAP = 3 ** 6
 SHIFT_TABLE_CAP = 1 << 26
-SHIFT_BLOCK_ENTRIES = 1 << 20  # int64 sums formed at once while filling a shift table
 # codes one cover block forms at most (one candidate row when N is larger)
 COVER_BLOCK = 1 << 16
 
@@ -78,14 +77,14 @@ class SubsetBitmask:
 
 def _shift_table(mask: SubsetBitmask) -> np.ndarray:
     """table[a, b] = membership of a + b as uint8; the per-element rows that
-    every search reads. Filled SHIFT_BLOCK_ENTRIES index entries at a time,
+    every search reads. Filled H_BLOCK_ENTRIES index entries at a time,
     so the int64 sums never exist for the whole table at once."""
     sp = space(mask.p, mask.n)
     if sp.size * sp.size > SHIFT_TABLE_CAP:
         raise CapExceeded("shift table too large for exhaustive search")
     idx = np.arange(sp.size, dtype=np.int64)
     table = np.empty((sp.size, sp.size), dtype=np.uint8)
-    rows = max(1, SHIFT_BLOCK_ENTRIES // sp.size)
+    rows = max(1, H_BLOCK_ENTRIES // sp.size)
     for start in range(0, sp.size, rows):
         table[start:start + rows] = mask.bits[sp.sum_grid(idx[start:start + rows], idx)]
     return table

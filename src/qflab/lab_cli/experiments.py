@@ -465,7 +465,7 @@ def _run_roundtrip(cfg: dict) -> RunResult:
         spec = fourier_transforms(fs[:, 0], p, n)
         back = np.abs(inverse_transforms(spec, p, n) - fs[:, 0]).max(axis=1).tolist()
         # the reference transform stays per trial
-        naive = [float(np.max(np.abs(fourier_transform_naive(GroupFunction(p, n, f)).table - t)))
+        naive = [float(np.max(np.abs(fourier_transform_naive(GroupFunction(p, n, f)) - t)))
                  for f, t in zip(fs[:, 0], spec)]
         return [[({"check": "roundtrip"}, b, cfg["tol"]),
                  ({"check": "naive-agree"}, a, NAIVE_FT_TOL)] for b, a in zip(back, naive)]

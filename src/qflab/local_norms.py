@@ -5,11 +5,10 @@ The local U^2 inner product averages the four-vertex product with x0, x1
 confined to the coset L(a1) and y0, y1 to L(a2), a pair of coset codes;
 every argument x + y then lies in the single coset L(a1 + a2), of code
 `space(p, l).add(a1, a2)`, so the value only sees f there. The
-local U^2 norm is taken on the frequency side: its fourth power is the
-fourth moment of the spectrum of f restricted to that coset, read through
-a kernel basis of L(0). `local_u2_norms` takes a batch of (coset code,
-function) pairs in one gather and one transform; `local_u2_inner(ctx, f,
-f, f, f)`, the binary contraction, is its twin.
+local U^2 norm is the global one on that coset: `local_u2_norms` gathers
+a batch of (coset code, function) pairs onto L(0), read through a kernel
+basis, and calls `spectral.u2_norms` on the gathered stack;
+`local_u2_inner(ctx, f, f, f, f)`, the binary contraction, is its twin.
 
 The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
@@ -66,7 +65,7 @@ from .factor import (
     sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
-from .spectral import GroupFunction, _axis_dft, _fourth_moments, _roots_of_diagonal
+from .spectral import GroupFunction, _roots_of_diagonal, u2_norms
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
@@ -167,13 +166,13 @@ def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
 def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
                    tol: float = DEFAULT_TOL) -> list[float]:
     """The local U^2 norm of fs[i] on the coset of code codes[i] (a
-    direction's target coset a1 + a2), for every i, on the frequency side:
-    ||f||_{U^2(d)}^4 = sum_t |ghat(t)|^4 for g(h) = f(c + h) on L(0), with
-    c the coset's least member and h running over L(0) in the order of its
-    kernel basis (Gowers, GAFA 2001). Each block of at most H_BLOCK_ENTRIES
-    entries is one gather through `GroupSpace.sums` and one transform of
-    its (F, p^(n - l)) stack. Counts the gather's entries, the transform's
-    entries x p x (n - l) and one term per entry of the |ghat|^4 sum."""
+    direction's target coset a1 + a2), for every i: the global U^2 norm
+    `u2_norms` over F_p^(n - l) of g(h) = f(c + h), with c the coset's
+    least member and h running over L(0) in the order of its kernel basis
+    (Gowers, GAFA 2001). Each block of at most H_BLOCK_ENTRIES entries is
+    one gather through `GroupSpace.sums` and one `u2_norms` call on its
+    (F, p^(n - l)) stack. Counts the gather's entries and `u2_norms`'
+    terms."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
     if len(codes) != len(fs):
         raise ValueError("need one function per coset code")
@@ -185,12 +184,12 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
     kernel = space(p, m).form_values(r=basis.reshape(m, n)) @ linear.space.powers
     starts = linear.member_table[codes, 0]
     step = max(1, H_BLOCK_ENTRIES // kernel.size)
-    fourth = []
+    norms = []
     for lo in range(0, len(fs), step):
         sums = linear.space.sums(starts[lo:lo + step, None], kernel)
         stack = np.stack([g.values[s] for g, s in zip(fs[lo:lo + step], sums)])
-        fourth.extend(_fourth_moments(_axis_dft(stack, p, m, -1)).tolist())
-    return _roots_of_diagonal(np.array(fourth), 4, tol).tolist()
+        norms.extend(u2_norms(stack, p, m, tol).tolist())
+    return norms
 
 
 class LocalContext3:

@@ -60,7 +60,14 @@ from .local_norms import (
     _ternary_contract,
     value_columns,
 )
-from .spectral import GroupFunction, _axis_dft, _chunks, _derivative_blocks, _group
+from .spectral import (
+    GroupFunction,
+    _chunks,
+    _derivative_blocks,
+    _group,
+    fourier_transforms,
+    inverse_transforms,
+)
 
 MAX_IP_M = 3
 MAX_IP2_M = 2
@@ -312,8 +319,8 @@ def t_ip2s(m: int, values, p: int, n: int) -> np.ndarray:
         a = np.concatenate([np.conj(g[:, 0, 0]), g[:, 0, 1]], axis=1).reshape(-1, N)
         b = np.concatenate([np.conj(g[:, 1, 0]), g[:, 1, 1]], axis=1).reshape(-1, N)
         for buf in _derivative_blocks(sp, a, b):
-            t = _axis_dft(buf.reshape((len(g), 2 * nsub) + buf.shape[1:]), p, n, -1)
-            corr = _axis_dft(np.conj(t[:, :nsub]) * t[:, nsub:], p, n, 1)
+            t = fourier_transforms(buf.reshape((len(g), 2 * nsub) + buf.shape[1:]), p, n)
+            corr = inverse_transforms(np.conj(t[:, :nsub]) * t[:, nsub:], p, n)
             out[block] += corr.prod(axis=1).reshape(len(g), -1).sum(axis=1)
     return (out / (N * N)).reshape(values.shape[:-4])
 
@@ -670,13 +677,6 @@ def _member_test(sp: GroupSpace, member: np.ndarray, xs: np.ndarray, ys: np.ndar
         c, i, j = key
         return member[sp.sums(sp.add(xs[c, i], ys[c, j])[:, None], zs[c])] == edge[c, None]
     return read
-
-
-def if_enumerate(ctx: TernaryContext) -> int:
-    """|I_F(e)|: the number of configurations ((x_u), (y_v), (z_w)) in the
-    prescribed atoms satisfying every bilinear pair constraint. The batch of
-    one of `witness_counts_ternary` without a set."""
-    return witness_counts_ternary([ctx], None)[0]
 
 
 def witness_count_ternary(ctx: TernaryContext, member: np.ndarray) -> int:

@@ -25,16 +25,18 @@ would alone, so a batch row is bit for bit its batch of one. The
 single-problem names (`fourier_transform`, `u2_inner`, `ap3_average`, ...)
 are those batches of one, on GroupFunctions.
 
-Transforms take one route, `_axis_dft`: the table's last axis is the group
-index and any leading axes are a batch. Each round views the table as
-(rest, p) with the lowest remaining digit last, applies the memoized
-read-only p x p kernel in numpy's own loop (`np.einsum` without
-`optimize`, so no BLAS call orders the sum), and rotates that digit to
-the front; after n rounds every digit is transformed and back in its
-place. Each output entry of a round sums its p terms in one fixed order,
-so a row's transform depends neither on its batch nor on the BLAS
-kernel. The batched kernels below, `pattern_ops.t_ip2s` and
-`local_norms.local_u2_norms` all call it.
+Every transform is one function, `_dft`, called only by the public pair
+`fourier_transforms` and `inverse_transforms`: the table's last axis is
+the group index and any leading axes are a batch, taken in blocks of
+rows. Each round views a block as (rest, p) with the lowest remaining
+digit last, applies the memoized read-only p x p kernel in numpy's own
+loop (`np.einsum` without `optimize`, so no BLAS call orders the sum),
+and rotates that digit to the front; after n rounds every digit is
+transformed and back in its place. Each output entry of a round sums its
+p terms in one fixed order, so a row's transform depends neither on its
+batch nor on the BLAS kernel. `u2_norms`, `u3_inners`, `u3_norms`,
+`max_quadratic_correlation`, `pattern_ops.t_ip2s` and, through
+`u2_norms`, `local_norms.local_u2_norms` transform through that pair.
 
 `u2_inners` averages the shift table's correlations. `u3_inners`
 conditions on the z-difference h and contracts four derivative tables on
@@ -48,14 +50,13 @@ N), at most DERIVATIVE_BLOCK_ENTRIES entries, so one transform covers all
 of them.
 
 The diagonal norms take one batched route each. `u2_norms` is the fourth
-moment of the spectrum. `u3_norms` is E_h of the fourth moment of the
+moment of `fourier_transforms`. `u3_norms` is E_h of the fourth moment of the
 derivative spectra over h = 0 and one h of each pair {h, -h}, weighted 2;
 `u2_inners` and `u3_inners` are their twins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -151,51 +152,6 @@ class GroupFunction:
             raise ValueError("mismatched group")
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Fourier coefficients over the dual group, same canonical index space."""
-
-    p: int
-    n: int
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.table, dtype=np.complex128)
-        if arr.shape != (self.p ** self.n,):
-            raise ValueError("bad spectrum length")
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
-
-    def l2(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.table) ** 2)))
-
-    def l4_fourth(self) -> float:
-        return float(np.sum(np.abs(self.table) ** 4))
-
-
-def _axis_dft(values: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
-    """The transform with `_dft_kernel`'s sign along every coordinate axis:
-    the normalized forward transform for sign -1, the dual sum for sign +1.
-
-    The last axis of `values` is the group index; any leading axes are a
-    batch, and each row is transformed independently. Each of the n rounds
-    views the table as (rest, p), the lowest remaining digit last,
-    multiplies by the symmetric p x p kernel in `np.einsum`'s own loop and
-    rotates that digit to the front. Counts entries x p x n terms, its
-    multiply-adds.
-    """
-    count_terms(values.size * p * n)
-    if n == 0:
-        return values.astype(np.complex128)
-    batch = values.shape[:-1]
-    table = np.asarray(values, dtype=np.complex128)
-    kernel = _dft_kernel(p, sign)
-    for _ in range(n):
-        table = np.einsum("rk,kt->rt", table.reshape(-1, p), kernel, optimize=False)
-        table = np.swapaxes(table.reshape(batch + (-1, p)), -1, -2).reshape(batch + (-1,))
-    return table
-
-
 @lru_cache(maxsize=None)
 def _dft_kernel(p: int, sign: int) -> np.ndarray:
     """k[t, x] = omega^(sign x t) over F_p, divided by p for the normalized
@@ -209,35 +165,51 @@ def _dft_kernel(p: int, sign: int) -> np.ndarray:
     return kernel
 
 
-def _stack_dft(values, p: int, n: int, sign: int) -> np.ndarray:
-    """`_axis_dft` of every row of a value stack, in blocks of rows of at
-    most DERIVATIVE_BLOCK_ENTRIES entries."""
+def _dft(values, p: int, n: int, sign: int) -> np.ndarray:
+    """The transform with `_dft_kernel`'s sign along every coordinate axis
+    of each row of a value stack (last axis the group index): the
+    normalized forward transform for sign -1, the dual sum for sign +1.
+
+    Rows go in blocks of at most DERIVATIVE_BLOCK_ENTRIES entries, each row
+    transformed independently. Each of the n rounds views a block as
+    (rest, p), the lowest remaining digit last, multiplies by the symmetric
+    p x p kernel in `np.einsum`'s own loop and rotates that digit to the
+    front. Counts entries x p x n terms, its multiply-adds.
+    """
     values, sp = _group(values, p, n)
-    rows = values.reshape(-1, sp.size)
+    N = sp.size
+    rows = values.reshape(-1, N)
     out = np.empty(rows.shape, dtype=np.complex128)
-    for block in _chunks(len(rows), sp.size):
-        out[block] = _axis_dft(rows[block], p, n, sign)
+    kernel = _dft_kernel(p, sign)
+    for block in _chunks(len(rows), N):
+        table = np.asarray(rows[block], dtype=np.complex128)
+        count_terms(table.size * p * n)
+        for _ in range(n):
+            table = np.einsum("rk,kt->rt", table.reshape(-1, p), kernel, optimize=False)
+            table = np.swapaxes(table.reshape(-1, N // p, p), -1, -2).reshape(-1, N)
+        out[block] = table
     return out.reshape(values.shape)
 
 
 def fourier_transforms(values, p: int, n: int) -> np.ndarray:
     """fhat(t) = E_x f(x) omega^(-x.t) of each row of the stack, by
     dimension-wise DFT. Counts entries x p x n terms."""
-    return _stack_dft(values, p, n, -1)
+    return _dft(values, p, n, -1)
 
 
 def inverse_transforms(tables, p: int, n: int) -> np.ndarray:
     """f(x) = sum_t fhat(t) omega^(x.t) (unnormalized dual sum) of each row
     of the stack. Counts entries x p x n terms."""
-    return _stack_dft(tables, p, n, 1)
+    return _dft(tables, p, n, 1)
 
 
-def fourier_transform(f: GroupFunction) -> SpectrumTable:
-    """`fourier_transforms` of one function."""
-    return SpectrumTable(f.p, f.n, fourier_transforms(f.values, f.p, f.n))
+def fourier_transform(f: GroupFunction) -> np.ndarray:
+    """`fourier_transforms` of one function: its (p^n,) complex spectrum
+    over the dual group, in the same canonical index order."""
+    return fourier_transforms(f.values, f.p, f.n)
 
 
-def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
+def fourier_transform_naive(f: GroupFunction) -> np.ndarray:
     """Same transform by the quadratic-cost double loop; cross-check path.
     Counts p^(2n) terms, the multiply-adds of its matrix product."""
     p, n = f.p, f.n
@@ -249,7 +221,7 @@ def fourier_transform_naive(f: GroupFunction) -> SpectrumTable:
     phases = omega_table(p)[(-dots) % p]
     count_terms(phases.size)
     values = np.einsum("tx,x->t", phases, f.values.astype(np.complex128), optimize=False)
-    return SpectrumTable(p, n, values / sp.size)
+    return values / sp.size
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +277,9 @@ def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
 
 def u2_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The U^2 norm of each row of the stack, from the fourth moment of its
-    spectrum: ||f||_{U^2}^4 = sum_t |fhat(t)|^4. One transform per block of
-    rows. Counts the transform's entries x p x n and one term per entry of
-    the |fhat|^4 sum."""
-    values, sp = _group(values, p, n)
-    rows = values.reshape(-1, sp.size)
-    fourth = np.empty(len(rows))
-    for block in _chunks(len(rows), sp.size):
-        fourth[block] = _fourth_moments(_axis_dft(rows[block], p, n, -1))
-    return _roots_of_diagonal(fourth, 4, tol).reshape(values.shape[:-1])
+    spectrum: ||f||_{U^2}^4 = sum_t |fhat(t)|^4. Counts the transform's
+    entries x p x n and one term per entry of the |fhat|^4 sum."""
+    return _roots_of_diagonal(_fourth_moments(fourier_transforms(values, p, n)), 4, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +317,7 @@ def _box_sums(stack: np.ndarray, p: int, n: int) -> np.ndarray:
     which is sum_t T0(t) conj T1(t) conj T2(t) T3(t) over the minus-kernel
     transforms T: taking b and c conjugated lets one kernel serve all four,
     since the plus transform of b is conj DFT-(conj b)."""
-    t = _axis_dft(stack, p, n, -1)
+    t = fourier_transforms(stack, p, n)
     return (t[0] * t[3] * np.conj(t[1] * t[2])).sum(axis=-1)
 
 
@@ -464,7 +430,7 @@ def u3_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
         start = 0
         for buf in _derivative_blocks(sp, f, np.conj(f), hs):
             stop = start + buf.shape[1]
-            moments[:, start:stop] = _fourth_moments(_axis_dft(buf, p, n, -1))
+            moments[:, start:stop] = _fourth_moments(fourier_transforms(buf, p, n))
             start = stop
         eighth[block] = (moments * weights).sum(axis=1)
     return _roots_of_diagonal(eighth / N, 8, tol).reshape(values.shape[:-1])
@@ -561,7 +527,7 @@ def max_quadratic_correlation(
         g = f.values * om[(coeffs[rows] @ monomials) % p]
         count_terms(g.size)
         if include_linear:
-            scores[rows] = np.abs(_axis_dft(g, p, n, -1))[:, neg]
+            scores[rows] = np.abs(fourier_transforms(g, p, n))[:, neg]
         else:
             scores[rows] = np.abs(g.mean(axis=1))
     # the tied entries, ranked by the entry tuple (the row-major tuple of a

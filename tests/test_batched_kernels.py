@@ -49,8 +49,8 @@ def test_transforms_match_their_batch_of_one(monkeypatch, p, n):
     back = spectral.inverse_transforms(spec, p, n)
     for row, t, b in zip(stack, spec, back):
         one = spectral.fourier_transform(GroupFunction(p, n, row))
-        _same(t, one.table)
-        _same(b, spectral.inverse_transforms(one.table[None], p, n)[0])
+        _same(t, one)
+        _same(b, spectral.inverse_transforms(one[None], p, n)[0])
     assert np.max(np.abs(back - stack)) <= 1e-12
 
 

@@ -277,7 +277,7 @@ def test_shift_table_fills_in_blocks(monkeypatch):
     mask = SubsetBitmask(3, 3, np.random.default_rng(8).random(27) < 0.5)
     idx = np.arange(27, dtype=np.int64)
     want = mask.bits[space(3, 3).sum_grid(idx, idx)]
-    monkeypatch.setattr(combinatorics, "SHIFT_BLOCK_ENTRIES", 4 * 27)
+    monkeypatch.setattr(combinatorics, "H_BLOCK_ENTRIES", 4 * 27)
     table, terms = run_counted(combinatorics._shift_table, mask)
     assert table.dtype == np.uint8
     assert np.array_equal(table, want)

@@ -25,7 +25,6 @@ from qflab.pattern_ops import (
     TernaryContext,
     bipartite_normalization,
     constant_codes,
-    if_enumerate,
     ip2_hypergraph,
     t_bipartite,
     t_ip,
@@ -40,6 +39,7 @@ from qflab.pattern_ops import (
     weighted_ternary_densities,
     witness_count_bipartite,
     witness_count_ternary,
+    witness_counts_ternary,
 )
 from qflab import pattern_ops, spectral
 from qflab.fpn_core import run_counted, space
@@ -461,7 +461,7 @@ def test_extension_count_matches_the_witness_loop(monkeypatch, p, shape):
         except DegenerateContext:
             continue
         count = witness_count_ternary(ctx, member)
-        configurations = if_enumerate(ctx)
+        configurations = witness_counts_ternary([ctx], None)[0]
         assert count == _witness_count_loop(graph, factor, codes, member)
         assert configurations == _witness_count_loop(graph, factor, codes)
         nonzero |= {"count"} if count else set()
@@ -601,7 +601,7 @@ def test_extension_count_past_int64():
     graph = PatternHypergraph((1, 1, 12))
     ctx = TernaryContext(graph, factor, constant_codes(graph, (0,) * 6))
     count = witness_count_ternary(ctx, np.zeros(49, dtype=bool))
-    assert count == if_enumerate(ctx) == 49 ** 14 > 1 << 63
+    assert count == witness_counts_ternary([ctx], None)[0] == 49 ** 14 > 1 << 63
 
 
 def test_configuration_count_matches_direct_masks():
@@ -615,7 +615,7 @@ def test_configuration_count_matches_direct_masks():
     m23 = mu_weight_matrix(factor, 0, ys, zs) != 0.0
     direct = int(np.einsum("xy,xz,yz->", m12.astype(np.int64),
                            m13.astype(np.int64), m23.astype(np.int64)))
-    assert if_enumerate(ctx) == direct
+    assert witness_counts_ternary([ctx], None)[0] == direct
 
 
 def test_witness_count_collapses_for_extreme_sets():
@@ -623,10 +623,10 @@ def test_witness_count_collapses_for_extreme_sets():
     d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     complete = PatternHypergraph((2, 2, 2), frozenset(itertools.product(range(2), repeat=3)))
     ctx = TernaryContext(complete, factor, constant_codes(complete, d))
-    assert witness_count_ternary(ctx, np.ones(27, dtype=bool)) == if_enumerate(ctx)
+    assert witness_count_ternary(ctx, np.ones(27, dtype=bool)) == witness_counts_ternary([ctx], None)[0]
     empty_graph = PatternHypergraph((2, 2, 2))
     ctx2 = TernaryContext(empty_graph, factor, constant_codes(empty_graph, d))
-    assert witness_count_ternary(ctx2, np.zeros(27, dtype=bool)) == if_enumerate(ctx2)
+    assert witness_count_ternary(ctx2, np.zeros(27, dtype=bool)) == witness_counts_ternary([ctx2], None)[0]
 
 
 def test_weighted_density_extremes():
