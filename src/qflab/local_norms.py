@@ -260,8 +260,10 @@ def _ternary_contract(factor: QuadraticFactor, shape: TernaryShape, codes: np.nd
     so) as laid out by `shape`. Returns one complex value per row, in order.
 
     The rows are stacked along a leading context axis (`_Stack`), a block
-    of contexts at a time; a block holds at most H_BLOCK_ENTRIES y-tuples
-    and value entries. Raises CapExceeded when some |x_u| |y_v| |z_w|
+    of contexts at a time; a block holds at most H_BLOCK_ENTRIES padded
+    y-tuples and value entries: masks and member stacks padded to its
+    widest atoms, keys for its live y-tuples only (`_Stack.contract`).
+    Raises CapExceeded when some |x_u| |y_v| |z_w|
     exceeds TENSOR_CAP, and DegenerateContext when a row names an empty
     atom or level set.
     """
@@ -318,13 +320,15 @@ class _Stack:
     y_v) and the z_w in every mask mvw[v, w](y_v, z_w); every dropped term
     is 0, and a y-tuple that keeps no x_u or no z_w of a computed slot adds
     nothing. Only muw[u, w] is read per (x_u, z) pair, as a bool gather.
-    The kept counts are one float32 matmul of two masks, exact as each is
-    at most |atom| <= 2^20 < 2^24. The y-tuples of every context are
-    grouped by their kept counts into buckets. A bucket goes in blocks of
-    at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the last block
-    holding what is left; each block gathers its members through
-    `GroupSpace.sums`, takes one batched matmul of shape (P, |x_0|, |z|) @
-    (P, |z|, |x_1|) per computed slot, and adds its values to their
+    The kept counts are one float32 matmul of two masks (one cast when both
+    are one stack), exact as each is at most |atom| <= 2^20 < 2^24. Only
+    the live y-tuples, those that keep some x_u and some z_w, get keys;
+    the padded count stacks are freed before the buckets. The live
+    y-tuples are grouped by their kept counts into buckets. A bucket goes
+    in blocks of at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the
+    last block holding what is left; each block gathers its members
+    through `GroupSpace.sums`, takes one batched matmul of shape (P, |x_0|,
+    |z|) @ (P, |z|, |x_1|) per computed slot, and adds its values to their
     contexts with `np.bincount`.
 
     W-vertices whose inputs repeat share one z-average. A W-vertex whose
@@ -431,24 +435,28 @@ class _Stack:
         self.xmask = {u: [muv[(u, v)] for v in range(nv)] for u in dict.fromkeys(self.xc)}
         self.zmask = {w: [mvw[(v, w)] for v in range(nv)]
                       for w in dict.fromkeys(self.zc.values())}
-        counts = []  # kept members per y-tuple, (C, |y_0|, |y_1|) or (C, |y_0|)
-        for m0, *m1 in self.xmask.values():
-            counts.append(np.matmul(m0.transpose(0, 2, 1).astype(np.float32),
-                                    m1[0].astype(np.float32)) if m1 else m0.sum(axis=1))
-        for m0, *m1 in self.zmask.values():
-            counts.append(np.matmul(m0.astype(np.float32),
-                                    m1[0].transpose(0, 2, 1).astype(np.float32)) if m1
-                          else m0.sum(axis=2))
-        keys = np.stack([c.reshape(-1) for c in counts], axis=1).astype(np.int64)
-        alive = (keys > 0).all(axis=1)
+
+        def kept_counts(axis: int, m0: np.ndarray, *m1: np.ndarray) -> np.ndarray:
+            """Kept members per y-tuple, flat C |y_0| |y_1| or C |y_0|."""
+            if not m1:
+                return m0.sum(axis=axis).reshape(-1)
+            a = m0.astype(np.float32)  # once when both factors are one stack
+            b = a if m1[0] is m0 else m1[0].astype(np.float32)
+            return (a.transpose(0, 2, 1) @ b if axis == 1 else a @ b.transpose(0, 2, 1)).reshape(-1)
+
+        counts = ([kept_counts(1, *ms) for ms in self.xmask.values()]
+                  + [kept_counts(2, *ms) for ms in self.zmask.values()])
+        alive = np.logical_and.reduce([c > 0 for c in counts])
         sy1 = ys[-1].shape[1]
         if self.half:  # j_0 <= j_1
             alive &= np.tile(np.triu(np.ones((sy1, sy1), dtype=bool)).reshape(-1), self.nctx)
         live = np.flatnonzero(alive)
         if not live.size:
             return np.zeros(self.nctx, dtype=np.complex128)
-        order = np.lexsort(keys[live].T)
-        keys, order = keys[live[order]], live[order]  # y-tuples sorted by kept counts
+        keys = np.stack([c[live] for c in counts], axis=1).astype(np.int64)
+        del counts, alive
+        order = np.lexsort(keys.T)
+        keys, order = keys[order], live[order]  # y-tuples sorted by kept counts
         # bucket b holds the sorted y-tuples edges[b]:edges[b + 1]
         edges = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(),
                  live.size]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,6 +466,62 @@ def test_the_halved_scan_counts_half_the_distinct_y_pairs():
     _, terms = run_counted(local_norms.local_u3_norms, factor, [ctx.codes], fs[:1])
     assert terms == 45 * per_tuple
     assert run_counted(local_u3_inner, ctx, fs)[1] == 81 * (2 * 9 ** 3 + 2 * 9 * 10)
+
+
+def _smallpart_batch():
+    """smallpart's default batch: the standard (3, 4, l = q = 1) factor, the
+    nondegenerate codes among the 2,000 directions drawn at seed 0, and its
+    function of seed 0."""
+    factor = new_quadratic_factor(new_linear_factor(3, 4, [(1, 0, 0, 0)]),
+                                  [np.eye(4, dtype=np.int64)])
+    codes = direction_codes(factor, [np.random.default_rng((0, j)).integers(0, 3, size=9)
+                                     for j in range(2000)])
+    f = GroupFunction(3, 4, np.random.default_rng(0).uniform(-1.0, 1.0, 81))
+    return factor, codes[~degenerate_directions(factor, codes)], f
+
+
+def test_the_contraction_holds_only_its_live_y_tuples():
+    # a stack of 1,165 contexts pads its y atoms to 12 points, 167,760
+    # y-tuples of which 25,390 are live; with keys for the live ones only
+    # and the padded count stacks freed before the buckets the numpy peak
+    # is 3.3 MB, and keys for every padded y-tuple would take it to 6.3 MB
+    factor, codes, f = _smallpart_batch()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        local_norms.local_u3_norms(factor, codes, [f] * len(codes))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+def test_a_halved_block_gets_only_real_y_tuples_with_j0_at_most_j1(monkeypatch):
+    # 9- and 12-point y atoms in one stack pad every y atom to 12 points;
+    # each live y-tuple reaches exactly one block, inside its context's own
+    # y atom and with j_0 <= j_1
+    factor, codes, f = _smallpart_batch()
+    size = factor.atom_sizes[codes[:, 1]]
+    rows = np.concatenate([codes[size == 9][:3], codes[size == 12][:3]])
+    singles = [local_norms.local_u3_norms(factor, [r], [f])[0] for r in rows]
+    seen = []
+    block = local_norms._Stack.block
+    monkeypatch.setattr(local_norms._Stack, "block",
+                        lambda self, sp, c, j, kx, kz: seen.append((self.half, c, j))
+                        or block(self, sp, c, j, kx, kz))
+    batch = local_norms.local_u3_norms(factor, rows, [f] * len(rows))
+    assert seen and all(half for half, _, _ in seen)
+    size = factor.atom_sizes[rows[:, 1]]
+    tuples = []
+    for _, c, (j0, j1) in seen:
+        assert (j0 <= j1).all() and (j1 < size[c]).all()
+        tuples.extend(zip(c.tolist(), j0.tolist(), j1.tolist()))
+    assert len(set(tuples)) == len(tuples) and {c for c, _, _ in tuples} == set(range(6))
+    assert batch == pytest.approx(singles, rel=1e-12)
 
 
 def _forms_factor(p, q, second=None):
