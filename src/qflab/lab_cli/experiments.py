@@ -158,7 +158,21 @@ def _register(name: str, kind: str, claim: str, defaults: dict,
 # ---------------------------------------------------------------------------
 
 def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
+    """The generator of np.random.default_rng((seed, *stream)), seeded from
+    the uint32 words that numpy's coercion of that tuple makes: each int's
+    little-endian 32-bit words, [0] for 0. A SeedSequence given those words
+    as an array assembles the same entropy without the tuple coercion."""
+    words = []
+    for value in (seed, *stream):
+        value = int(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        while value >> 32:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array(words, dtype=np.uint32))))
 
 
 def _records(rows, trend: dict | None = None) -> RunResult:
@@ -399,6 +413,30 @@ def _ternary_terms(cfg: dict, smean: float, s2mean: float, ys: int = 2, slots: i
     return distinct * per_tuple(_kept_share(cfg, 2)) + smean * per_tuple(_kept_share(cfg, 1))
 
 
+def _local_terms(cfg: dict, n: int, smean: float, s2mean: float, kind: str) -> float:
+    """Expected terms of one local quantity at dimension n: a diagonal
+    local U^3 norm ("norm"), an octuple inner product ("octuple"), the
+    local m-IP2 operator ("ip2") or a weighted density ("density"). With
+    forms, the ternary contraction's (`_ternary_terms`). With none, the
+    gather of its value tables onto the target coset of c = p^(n - l)
+    points and the global kernel there: `u3_norms`, `u3_inners`,
+    `t_ip2s` (2 tables and 2c terms at m = 1, 64 tables at m = 2) or a
+    mean."""
+    p, m = cfg["p"], n - cfg["ell"]
+    c = p ** m
+    if kind == "norm":
+        return (_ternary_terms(cfg, smean, s2mean, half=True) if cfg["q"]
+                else c + _u3_norms_terms(p, m, 1))
+    if kind == "octuple":
+        return (_ternary_terms(cfg, smean, s2mean, slots=2) if cfg["q"]
+                else 8 * c + _u3_inner_terms(p, m))
+    if kind == "ip2":
+        if cfg["q"]:
+            return _ternary_terms(cfg, smean, s2mean, ys=cfg["m"])
+        return 4 * c if cfg["m"] == 1 else 64 * c + c * c * (48 * p * m + 1)
+    return _ternary_terms(cfg, smean, s2mean, ys=1) if cfg["q"] else 2 * c
+
+
 def _sorted_median(arr: np.ndarray) -> float:
     """The median of a sorted nonempty array, the mean of its two middle
     entries (one entry twice at odd length), as np.median gives it without
@@ -552,8 +590,8 @@ def _est_local_gcs(cfg: dict) -> int:
     # coset^2 y-pairs and one sum table), four local U^2 norms, one octuple
     # and eight diagonal local U^3 norms
     coset = cfg["p"] ** (cfg["n"] - cfg["ell"])
-    u3 = (_ternary_terms(cfg, smean, s2mean, slots=2)
-          + 8 * _ternary_terms(cfg, smean, s2mean, half=True))
+    u3 = (_local_terms(cfg, cfg["n"], smean, s2mean, "octuple")
+          + 8 * _local_terms(cfg, cfg["n"], smean, s2mean, "norm"))
     masks = 6 * _mask_terms(cfg, cfg["n"], cfg["trials"])  # three calls per batch
     return _factor_terms(cfg, cfg["n"]) + int(masks + cfg["trials"] * (
         2 * coset ** 3 + coset ** 2 + _local_u2_terms(cfg, cfg["n"], 4) + u3))
@@ -612,7 +650,7 @@ def _est_local_triangle(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     masks = 3 * _mask_terms(cfg, cfg["n"], cfg["trials"])  # one norm call of three masks
     return _factor_terms(cfg, cfg["n"]) + int(masks + cfg["trials"] * (
-        _local_u2_terms(cfg, cfg["n"], 3) + 3 * _ternary_terms(cfg, smean, s2mean, half=True)))
+        _local_u2_terms(cfg, cfg["n"], 3) + 3 * _local_terms(cfg, cfg["n"], smean, s2mean, "norm")))
 
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
@@ -638,14 +676,12 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
 
 
 def _est_u3_dominates(cfg: dict) -> int:
-    # per trial the global norms, the local U^3 norm on cosets c that keep
-    # every member (c (c + 1) / 2 y-pairs of one computed slot and the index
-    # sums), and the local U^2 norm
+    # per trial the global norms, and the local U^3 and U^2 norms on the
+    # target coset of c points, each a gather and the global norm there
     p, n = cfg["p"], cfg["n"]
-    c = p ** (n - cfg["ell"])
-    local3 = c * (c + 1) // 2 * (c ** 3 + 2 * c * (c + 1))
+    m = n - cfg["ell"]
     return cfg["trials"] * (_u2_norms_terms(p, n, 1) + _u3_norms_terms(p, n, 1)
-                            + local3 + _local_u2_terms(cfg, n, 1))
+                            + p ** m + _u3_norms_terms(p, m, 1) + _local_u2_terms(cfg, n, 1))
 
 
 def _run_ap3(cfg: dict) -> RunResult:
@@ -1068,8 +1104,8 @@ def _est_control_ip2_local(cfg: dict) -> int:
     # the diagonal grid gives every W-vertex one z-average: one computed slot;
     # the operator and the norm each build the direction's three masks
     return _per_n_terms(cfg, lambda n, smean, s2mean: int(
-        _ternary_terms(cfg, smean, s2mean, ys=cfg["m"])
-        + _ternary_terms(cfg, smean, s2mean, half=True) + 6 * _mask_terms(cfg, n, 1)))
+        _local_terms(cfg, n, smean, s2mean, "ip2")
+        + _local_terms(cfg, n, smean, s2mean, "norm") + 6 * _mask_terms(cfg, n, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -1132,10 +1168,10 @@ def _est_sparse_uniform(cfg: dict) -> int:
     n_hard = max(cfg["n_values"])
 
     def terms(n, smean, s2mean):
-        total = int(cfg["samples"] * _ternary_terms(cfg, smean, s2mean, ys=1)
+        total = int(cfg["samples"] * _local_terms(cfg, n, smean, s2mean, "density")
                     + 3 * _mask_terms(cfg, n, cfg["samples"]))
         if n == n_hard:
-            total += int(_ternary_terms(cfg, smean, s2mean, half=True)
+            total += int(_local_terms(cfg, n, smean, s2mean, "norm")
                          + 3 * _mask_terms(cfg, n, 1))
         return total
     return _per_n_terms(cfg, terms)
@@ -1179,7 +1215,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
 def _est_smallpart(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, cfg["n"])
     count = min(cfg["directions"], DIRECTION_BUDGET)
-    per_direction = _ternary_terms(cfg, smean, s2mean, half=True)
+    per_direction = _local_terms(cfg, cfg["n"], smean, s2mean, "norm")
     # masks only for the directions whose three atoms are nonempty
     live = count * (cfg["p"] ** (cfg["n"] - cfg["ell"] - cfg["q"]) / smean) ** 3
     masks = 3 * _mask_terms(cfg, cfg["n"], live)
@@ -1432,7 +1468,7 @@ def _est_counting_ternary(cfg: dict) -> int:
     smean, s2mean = _atom_stats(cfg, n)
     widest = int(_standard_factor(cfg["p"], n, cfg["ell"], cfg["q"]).atom_sizes.max())
     share = _kept_share(cfg, 1)
-    norm = _ternary_terms(cfg, smean, s2mean, half=True)
+    norm = _local_terms(cfg, n, smean, s2mean, "norm")
     nonempty = cfg["p"] ** (n - cfg["ell"] - cfg["q"]) / smean
     shapes = {parts: (1 << math.prod(parts))
               * (1 - (1 - nonempty ** sum(parts)) ** ASSIGNMENT_ATTEMPTS)

@@ -7,8 +7,9 @@ every argument x + y then lies in the single coset L(a1 + a2), of code
 `space(p, l).add(a1, a2)`, so the value only sees f there. The
 local U^2 norm is the global one on that coset: `local_u2_norms` gathers
 a batch of (coset code, function) pairs onto L(0), read through a kernel
-basis, and calls `spectral.u2_norms` on the gathered stack;
-`local_u2_inner(ctx, f, f, f, f)`, the binary contraction, is its twin.
+basis (`_coset_stacks`), and calls `spectral.u2_norms` on the gathered
+stack; `local_u2_inner(ctx, f, f, f, f)`, the binary contraction, is its
+twin.
 
 The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
@@ -44,6 +45,14 @@ masks allow, sorts the y-tuples of the whole batch into buckets by how
 many they keep, and contracts each bucket in blocks of one gather and one
 batched matmul. A diagonal norm is unchanged when y0 and y1 swap, so it
 scans only the y-tuples with j0 <= j1.
+
+A factor with no forms has cosets for atoms and weights every pair 1, so
+a local U^3 quantity is the global one on the direction's target coset
+(`_target_stacks`): at q = 0, `local_u3_norms` and `local_u3_inners` (and
+`pattern_ops.t_ip2_local` and `weighted_ternary_densities`) make the
+gather of `local_u2_norms` and call `spectral.u3_norms` and
+`spectral.u3_inners` over F_p^(n - l). The contraction is their twin
+there.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from .factor import (
     sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
-from .spectral import GroupFunction, _roots_of_diagonal, u2_norms
+from .spectral import GroupFunction, _roots_of_diagonal, u2_norms, u3_inners, u3_norms
 
 GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
 TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
@@ -163,33 +172,47 @@ def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
     return complex(_binary_contract(ctx.linear.space, [xs] * 2, [ys] * 2, values))
 
 
+def _coset_stacks(linear: LinearFactor, codes, rows: list):
+    """Each row's value arrays on the coset of its code, as tables on
+    F_p^(n - l): for the coset of code codes[i], with least member c, entry
+    h of row i's k-th table is rows[i][k](c + h), h running over L(0) in
+    the order of its kernel basis, so the map is a group isomorphism and
+    every global average over F_p^(n - l) is the average over the coset.
+    Yields one (B, width, p^(n - l)) stack per block of B consecutive rows,
+    in order, each of at most H_BLOCK_ENTRIES gathered entries (one row
+    when a row alone has more) and one `GroupSpace.sums` gather. Counts the
+    gather's entries."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    _check_codes(codes.tolist(), linear.p ** linear.ell)
+    p, n, m = linear.p, linear.n, linear.n - linear.ell
+    basis = np.array([b.coords for b in linear.subgroup_basis()], dtype=np.int64)
+    kernel = space(p, m).form_values(r=basis.reshape(m, n)) @ linear.space.powers
+    starts = linear.member_table[codes, 0]
+    width = len(rows[0]) if rows else 1
+    step = max(1, H_BLOCK_ENTRIES // (width * kernel.size))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        sums = linear.space.sums(starts[lo:lo + step, None], kernel)
+        yield np.stack([v[s] for row, s in zip(block, sums) for v in row]).reshape(
+            len(block), width, -1)
+
+
 def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
                    tol: float = DEFAULT_TOL) -> list[float]:
     """The local U^2 norm of fs[i] on the coset of code codes[i] (a
     direction's target coset a1 + a2), for every i: the global U^2 norm
-    `u2_norms` over F_p^(n - l) of g(h) = f(c + h), with c the coset's
-    least member and h running over L(0) in the order of its kernel basis
-    (Gowers, GAFA 2001). Each block of at most H_BLOCK_ENTRIES entries is
-    one gather through `GroupSpace.sums` and one `u2_norms` call on its
-    (F, p^(n - l)) stack. Counts the gather's entries and `u2_norms`'
-    terms."""
+    `u2_norms` over F_p^(n - l) of fs[i] on that coset (`_coset_stacks`;
+    Gowers, GAFA 2001), one call per gathered block. Counts the gather's
+    entries and `u2_norms`' terms."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
     if len(codes) != len(fs):
         raise ValueError("need one function per coset code")
     for g in fs:
         if (g.p, g.n) != (linear.p, linear.n):
             raise ValueError("function in wrong group")
-    p, n, m = linear.p, linear.n, linear.n - linear.ell
-    basis = np.array([b.coords for b in linear.subgroup_basis()], dtype=np.int64)
-    kernel = space(p, m).form_values(r=basis.reshape(m, n)) @ linear.space.powers
-    starts = linear.member_table[codes, 0]
-    step = max(1, H_BLOCK_ENTRIES // kernel.size)
-    norms = []
-    for lo in range(0, len(fs), step):
-        sums = linear.space.sums(starts[lo:lo + step, None], kernel)
-        stack = np.stack([g.values[s] for g, s in zip(fs[lo:lo + step], sums)])
-        norms.extend(u2_norms(stack, p, m, tol).tolist())
-    return norms
+    m = linear.n - linear.ell
+    return [norm for stack in _coset_stacks(linear, codes, [[g.values] for g in fs])
+            for norm in u2_norms(stack[:, 0], linear.p, m, tol).tolist()]
 
 
 class LocalContext3:
@@ -219,6 +242,20 @@ class LocalContext3:
     def target_indices(self) -> np.ndarray:
         """The members of the target atom, of code `sigma3_codes`."""
         return self.factor._members_by_code[int(sigma3_codes(self.factor, self.codes)[0])]
+
+
+def _target_stacks(factor: QuadraticFactor, codes: np.ndarray, rows: list):
+    """`_coset_stacks` of each direction's value arrays on its target coset,
+    for a factor with no forms, whose atoms are the cosets of L and whose
+    every mu weight is 1. Substituting x_1 = x_0 + h_1, y_1 = y_0 + h_2 and
+    z_1 = z_0 + h_3 turns a local average over the direction's three cosets
+    into the global one over the h's and c = x_0 + y_0 + z_0, which covers
+    the target coset of code `sigma3_codes` uniformly (Gowers, GAFA 2001).
+    Raises ValueError on an atom code out of range or a level code other
+    than 0."""
+    _check_codes(codes[:, :3].ravel().tolist(), factor.p ** factor.width)
+    _check_codes(codes[:, 3:].ravel().tolist(), 1)
+    return _coset_stacks(factor.linear, sigma3_codes(factor, codes), rows)
 
 
 class TernaryShape(NamedTuple):
@@ -581,7 +618,10 @@ def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarra
     """The mu-weighted eight-vertex expectation over the three atoms of the
     direction codes[i] = (a1, a2, a3, b12, b13, b23) on octuples[i], for
     every i: one ternary contraction, slot (u, v, w) reading octuple[4u +
-    2v + w]. Every direction must be nondegenerate."""
+    2v + w]. With no forms, `u3_inners` over F_p^(n - l) of each octuple on
+    its target coset (`_target_stacks`), one call per gathered block; the
+    contraction is its twin there. Every direction must be
+    nondegenerate."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     if any(len(o) != 8 for o in octuples):
         raise ValueError("need eight functions in lexicographic eps order")
@@ -590,6 +630,10 @@ def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarra
     if not octuples:
         return np.zeros(0, dtype=np.complex128)
     columns, arrays = value_columns([g for o in octuples for g in o], factor.p, factor.n)
+    if factor.q == 0:
+        rows = [[arrays[c] for c in row] for row in np.reshape(columns, (-1, 8)).tolist()]
+        stacks = _target_stacks(factor, codes, rows)
+        return np.concatenate([u3_inners(s, factor.p, factor.n - factor.ell) for s in stacks])
     return _ternary_contract(factor, u3_shape(True),
                              np.column_stack([codes, np.reshape(columns, (-1, 8))]), arrays)
 
@@ -642,14 +686,20 @@ def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
                    tol: float = DEFAULT_TOL) -> list[float]:
     """The local U^3 norm of fs[i] at the direction of codes[i] = (a1, a2,
     a3, b12, b13, b23), for every i: one ternary contraction over the
-    diagonal octuples of the whole batch. Every direction must be
-    nondegenerate (`degenerate_directions`)."""
+    diagonal octuples of the whole batch. With no forms, `u3_norms` over
+    F_p^(n - l) of each function on its target coset (`_target_stacks`),
+    one call per gathered block; the contraction is its twin there. Every
+    direction must be nondegenerate (`degenerate_directions`)."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     if len(codes) != len(fs):
         raise ValueError("need one function per direction")
     if not fs:
         return []
     columns, arrays = value_columns(fs, factor.p, factor.n)
+    if factor.q == 0:
+        m = factor.n - factor.ell
+        return [norm for stack in _target_stacks(factor, codes, [[arrays[c]] for c in columns])
+                for norm in u3_norms(stack[:, 0], factor.p, m, tol).tolist()]
     values = _ternary_contract(factor, u3_shape(False), np.column_stack([codes, columns]),
                                arrays)
     return _roots_of_diagonal(np.asarray(values), 8, tol).tolist()

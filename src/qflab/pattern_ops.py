@@ -19,9 +19,11 @@ inner averages, in one of the two contractions of `local_norms`: the binary
 one for t_ips, t_ip_local and t_bipartite, the ternary one for t_ternaries
 and weighted_ternary_densities (one call per batch of patterns or
 directions); t_ip2_local is t_ternary on `ip2_hypergraph(m)`. The global
-t_ip2s works on the frequency side instead. The global averages take value
-stacks with leading batch axes, and t_ip and t_ip2 are their batches of
-one on a FunctionGrid. The naive nested sums are
+t_ip2s works on the frequency side instead. With no forms, t_ip2_local and
+weighted_ternary_densities are t_ip2s and a mean on the direction's target
+coset, which `local_norms._target_stacks` gathers. The global averages
+take value stacks with leading batch axes, and t_ip and t_ip2 are their
+batches of one on a FunctionGrid. The naive nested sums are
 reference routes for small instances. Every local operator names its
 cosets, atoms and bilinear levels by their integer codes (see `factor`): a
 pair of coset codes for t_ip_local, one coset code per vertex for the
@@ -57,6 +59,7 @@ from .local_norms import (
     _binary_contract,
     _check_codes,
     _coset_members,
+    _target_stacks,
     _ternary_contract,
     value_columns,
 )
@@ -325,12 +328,17 @@ def t_ip2s(m: int, values, p: int, n: int) -> np.ndarray:
     return (out / (N * N)).reshape(values.shape[:-4])
 
 
+def _ip2_stack(m: int, grid: FunctionGrid) -> np.ndarray:
+    """The (m, m, 2^(m^2), N) value stack of an m-IP2 grid, f_{i,j,S} at
+    [i - 1, j - 1, S]."""
+    _ip2_check(m, grid)
+    return np.stack([[[grid[(i, j, s)].values for s in range(1 << (m * m))]
+                      for j in range(1, m + 1)] for i in range(1, m + 1)])
+
+
 def t_ip2(m: int, grid: FunctionGrid) -> complex:
     """`t_ip2s` of one grid."""
-    _ip2_check(m, grid)
-    values = np.stack([[[grid[(i, j, s)].values for s in range(1 << (m * m))]
-                        for j in range(1, m + 1)] for i in range(1, m + 1)])
-    return complex(t_ip2s(m, values, grid.p, grid.n))
+    return complex(t_ip2s(m, _ip2_stack(m, grid), grid.p, grid.n))
 
 
 def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> complex:
@@ -339,10 +347,22 @@ def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> c
     factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S). The ternary
     operator of `ip2_hypergraph(m)` with every vertex and pair labeled by
     the direction (`constant_codes`), slot (i - 1, j - 1, S) reading
-    f_{i, j, S}."""
+    f_{i, j, S}.
+
+    With no forms, `t_ip2s` over F_p^(n - l) of the grid on the direction's
+    target coset (`local_norms._target_stacks`): x_i + y_j + z_S is
+    c_S + (i - 1) h + (j - 1) k for h = x_2 - x_1, k = y_2 - y_1 and
+    c_S = x_1 + y_1 + z_S, and the c_S cover that coset uniformly and
+    independently. The ternary operator is its twin there."""
     _ip2_check(m, grid)
     if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
+    if factor.q == 0:
+        values = _ip2_stack(m, grid)
+        rows = [values.reshape(-1, values.shape[-1])]
+        (stack,) = _target_stacks(factor, np.asarray(codes, dtype=np.int64).reshape(1, 6), rows)
+        return complex(t_ip2s(m, stack.reshape(values.shape[:-1] + (-1,)), factor.p,
+                              factor.n - factor.ell))
     graph = ip2_hypergraph(m)
     slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
     return t_ternary(TernaryContext(graph, factor, constant_codes(graph, codes)), slots)
@@ -715,13 +735,21 @@ def weighted_ternary_densities(factor: QuadraticFactor, codes, members: list) ->
     contraction with one vertex per part. Every sum x + y + z of nonzero
     weight lies in the direction's target atom (`sigma3_codes`), so the
     average is 0 when no triple has weight, as when that atom is empty.
-    Raises DegenerateContext when one of the three atoms or levels is
-    empty."""
+    With no forms it is the mean of 1_A on the target coset
+    (`local_norms._target_stacks`), counting one term per entry averaged;
+    the contraction is its twin there. Raises DegenerateContext when one of
+    the three atoms or levels is empty."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, 6)
     if len(codes) != len(members):
         raise ValueError("need one membership array per direction")
     if not members:
         return []
+    if factor.q == 0:
+        out = []
+        for stack in _target_stacks(factor, codes, [[np.asarray(m, dtype=bool)] for m in members]):
+            count_terms(stack.size)
+            out += stack[:, 0].mean(axis=1).tolist()
+        return out
     values = _ternary_contract(factor, _ternary_shape(1, 1, 1),
                                np.column_stack([codes, np.arange(len(members))]),
                                [np.asarray(m, dtype=bool).astype(np.float64) for m in members])

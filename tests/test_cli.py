@@ -458,6 +458,19 @@ def test_trials_are_numbered_in_order_past_the_defaults(name, overrides):
     assert [t["trial"] for t in trials] == list(range(len(trials)))
 
 
+@pytest.mark.parametrize("stream", [
+    (0,), (2 ** 32 - 1,), (2 ** 32,), (2 ** 70,), (0, 0), (3, 2 ** 32, 0),
+    (2 ** 70, 5, 2 ** 33 + 1),
+])
+def test_trial_streams_are_numpys_tuple_seeded_streams(stream):
+    # the uint32 words of the tuple's ints, [0] for 0, seed the same stream
+    # as numpy's coercion of the tuple
+    want = np.random.default_rng(stream)
+    got = _trial_rng(*stream)
+    assert (got.integers(0, 2 ** 63, 16) == want.integers(0, 2 ** 63, 16)).all()
+    assert (got.random(8) == want.random(8)).all()
+
+
 def test_counting_ternary_estimator_past_the_defaults():
     # the witness counts' head tuples grow as |atom|^4, so their estimate
     # is checked past the defaults too
@@ -478,6 +491,11 @@ def test_counting_ternary_estimator_past_the_defaults():
     ("control-ip2-local-trend", {"q": 2, "n_values": [2, 3]}),
     ("counting-ternary", {"ell": 3}),
     ("smallpart", {"q": 2, "n": 3, "directions": 300}),
+    # q = 0, where the local U^3 quantities run on the target coset
+    ("smallpart", {"q": 0}),
+    ("control-ip2-local-trend", {"q": 0}),
+    ("sparse-uniform", {"q": 0}),
+    ("local-gcs", {"q": 0, "n": 5}),
 ])
 def test_estimator_within_an_order_of_magnitude_at_small_n(name, overrides):
     actual = run_experiment(name, None, overrides)["terms"]["actual"]

@@ -28,7 +28,16 @@ from qflab.local_norms import (
     local_u3_inner,
     local_u3_inner_naive,
 )
-from qflab.pattern_ops import weighted_ternary_densities
+from qflab.pattern_ops import (
+    FunctionGrid,
+    TernaryContext,
+    _ternary_shape,
+    constant_codes,
+    ip2_hypergraph,
+    t_ip2_local,
+    t_ternaries,
+    weighted_ternary_densities,
+)
 from qflab.spectral import GroupFunction, u2_norms, u3_inner
 
 
@@ -357,7 +366,10 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
                         or block(self, sp, c, j, kx, kz))
     lin = new_linear_factor(3, 2, [(1, 0)])
     f = _random_f(3, 2, seed=70)
-    (u3,) = local_norms.local_u3_norms(QuadraticFactor(lin, ()), [[1, 2, 0, 0, 0, 0]], [f])
+    # local_u3_norms takes the coset route at q = 0; the contraction is its twin
+    (value,) = local_norms._ternary_contract(QuadraticFactor(lin, ()), local_norms.u3_shape(False),
+                                             [[1, 2, 0, 0, 0, 0, 0]], [f.values])
+    u3 = value.real ** 0.125
     assert blocks == [(6, {0: 3}, {0: 3})]
     ctx = LocalContext3(new_quadratic_factor(lin, []), (1, 2, 0, 0, 0, 0))
     assert u3 ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real, rel=1e-10)
@@ -462,10 +474,16 @@ def test_the_halved_scan_counts_half_the_distinct_y_pairs():
     factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
     ctx = LocalContext3(factor, (1, 2, 0, 0, 0, 0))
     fs = [_random_f(3, 3, seed=110 + k) for k in range(8)]
+    # (the contraction is the twin of the coset route at q = 0)
     per_tuple = 9 ** 3 + 2 * 9 * 10
-    _, terms = run_counted(local_norms.local_u3_norms, factor, [ctx.codes], fs[:1])
+    contract = local_norms._ternary_contract
+    _, terms = run_counted(contract, factor, local_norms.u3_shape(False), [ctx.codes + (0,)],
+                           [fs[0].values])
     assert terms == 45 * per_tuple
-    assert run_counted(local_u3_inner, ctx, fs)[1] == 81 * (2 * 9 ** 3 + 2 * 9 * 10)
+    octuple = [ctx.codes + tuple(range(8))]
+    _, terms = run_counted(contract, factor, local_norms.u3_shape(True), octuple,
+                           [f.values for f in fs])
+    assert terms == 81 * (2 * 9 ** 3 + 2 * 9 * 10)
 
 
 def _smallpart_batch():
@@ -690,3 +708,69 @@ def test_every_mask_stack_is_one_byte_per_entry_and_none_is_kept(monkeypatch):
         assert stack.dtype == np.bool_ and stack.itemsize == 1 and stack.nbytes == stack.size
     assert not [v for v in factor.__dict__.values()
                 if isinstance(v, np.ndarray) and v.dtype == np.bool_]
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 1)])
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_without_forms_the_coset_route_matches_the_contraction(monkeypatch, p, m, ell):
+    # four directions on a factor with no forms and non-coordinate linear
+    # vectors: each local quantity, taken on the target coset with no
+    # ternary contraction, against that contraction on the same rows
+    rng = np.random.default_rng(100 * p + 10 * m + ell)
+    n = ell + m
+    factor = QuadraticFactor(_non_coordinate_linear(rng, p, n, ell), ())
+    codes = np.zeros((4, 6), dtype=np.int64)
+    codes[:, :3] = rng.integers(0, p ** ell, (4, 3))
+    fs = [_random_f(p, n, seed=900 + k) for k in range(8)]
+    octuples = [fs[k:] + fs[:k] for k in range(4)]
+    grids = [FunctionGrid({key: fs[int(rng.integers(8))] for key in
+                           FunctionGrid.ip2_diagonal(k, fs[0]).mapping}) for k in (1, 2)]
+    members = [rng.random(p ** n) < 0.4 for _ in range(4)]
+    with monkeypatch.context() as patched:
+        patched.setattr(local_norms._Stack, "contract", None)  # any contraction fails
+        norms = local_norms.local_u3_norms(factor, codes, fs[:4])
+        inners = local_norms.local_u3_inners(factor, codes, octuples)
+        ip2s = [[t_ip2_local(k, factor, row, grid) for row in codes]
+                for k, grid in zip((1, 2), grids)]
+        densities = weighted_ternary_densities(factor, codes, members)
+    contract = local_norms._ternary_contract
+    diagonal = contract(factor, local_norms.u3_shape(False), np.column_stack([codes, range(4)]),
+                        [f.values for f in fs[:4]])
+    assert norms == pytest.approx(local_norms._roots_of_diagonal(diagonal, 8, 1e-9).tolist(),
+                                  rel=1e-12)
+    columns = [[fs.index(g) for g in o] for o in octuples]
+    assert inners == pytest.approx(contract(factor, local_norms.u3_shape(True),
+                                            np.column_stack([codes, columns]),
+                                            [f.values for f in fs]), rel=1e-12)
+    for k, grid, got in zip((1, 2), grids, ip2s):
+        if k == 2 and m == 3:  # 27-point cosets: 16 W-vertices over 27^5 terms each
+            continue
+        graph = ip2_hypergraph(k)
+        slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
+        want = t_ternaries([TernaryContext(graph, factor, constant_codes(graph, row))
+                            for row in codes], [slots] * 4)
+        assert got == pytest.approx(want, rel=1e-12)
+    weighted = contract(factor, _ternary_shape(1, 1, 1), np.column_stack([codes, range(4)]),
+                        [b.astype(np.float64) for b in members])
+    assert densities == pytest.approx(weighted.real.tolist(), rel=1e-12)
+
+
+def test_without_forms_a_norm_counts_its_gather_and_the_global_norm():
+    # a 9-point target coset: 9 gathered entries, then u3_norms over F_3^2,
+    # (9 + 1) / 2 h's of 9 entries each, one shift-table read and one
+    # transform and |T|^4 sum of p n + 1 = 7 terms per entry, once the
+    # factor's codes are built
+    factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
+    f = _random_f(3, 3, seed=120)
+    local_norms.local_u3_norms(factor, [(1, 2, 0, 0, 0, 0)], [f])
+    basis_terms = run_counted(factor.linear.subgroup_basis)[1]
+    _, terms = run_counted(local_norms.local_u3_norms, factor, [(1, 2, 0, 0, 0, 0)], [f])
+    assert terms == basis_terms + 9 + 5 * 9 * (1 + 7)
+
+
+def test_without_forms_codes_are_checked():
+    factor = new_quadratic_factor(new_linear_factor(3, 2, [(1, 0)]), [])
+    f = _random_f(3, 2, seed=121)
+    for row in ((3, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            local_norms.local_u3_norms(factor, [row], [f])

@@ -40,6 +40,8 @@ from qflab.pattern_ops import (  # noqa: E402
     FunctionGrid,
     PatternHypergraph,
     TernaryContext,
+    constant_codes,
+    ip2_hypergraph,
     t_ip2,
     t_ip2_local,
     t_ip2_per_s_oracle,
@@ -207,6 +209,22 @@ def _record_blocks(monkeypatch) -> list:
     return blocks
 
 
+def _u3_contracted(factor, d, octu) -> complex:
+    """`local_u3_inner` of the octuple at the direction d through the
+    ternary contraction: its route with forms and its twin without."""
+    (u3,) = local_norms._ternary_contract(factor, local_norms.u3_shape(True),
+                                          [tuple(d) + tuple(range(8))], [g.values for g in octu])
+    return complex(u3)
+
+
+def _ip2_contracted(factor, d, grid) -> complex:
+    """`t_ip2_local` (m = 1) of the grid at the direction d through the
+    ternary operator: its route with forms and its twin without."""
+    graph = ip2_hypergraph(1)
+    slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
+    return t_ternary(TernaryContext(graph, factor, constant_codes(graph, d)), slots)
+
+
 @pytest.mark.parametrize("budget", [54 * 5, 54 * 60])
 def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     # 270 entries: on atoms of 12, 9 and 12 points of a one-form factor the
@@ -225,15 +243,17 @@ def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     rng = np.random.default_rng(11)
     octu = [_bounded(rng, 3, 3) for _ in range(8)]
     grid = FunctionGrid.ip2_select(1, _bounded(rng, 3, 3), _bounded(rng, 3, 3))
-    whole = (local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid))
+    whole = (_u3_contracted(factor, d, octu), _ip2_contracted(factor, d, grid))
+    assert whole == pytest.approx((local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid)),
+                                  rel=1e-12, abs=1e-15)
     blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
-    split_u3 = local_u3_inner(ctx, octu)
+    split_u3 = _u3_contracted(factor, d, octu)
     sizes = {}
     for size, kx, kz in blocks:
         sizes.setdefault((kx[0], kz[0]), []).append(size)
     assert split in sizes.values()
-    split_ip2 = t_ip2_local(1, factor, d, grid)
+    split_ip2 = _ip2_contracted(factor, d, grid)
     assert (split_u3, split_ip2) == pytest.approx(whole, rel=1e-12, abs=1e-15)
     assert split_u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
 
