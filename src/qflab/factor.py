@@ -1,8 +1,11 @@
-"""Linear and quadratic factors: atoms, bilinear level-set sizes, rank.
+"""Factors of complexity (l, q): atoms, bilinear level-set sizes, rank.
 
-A linear factor is a list of linearly independent vectors r_1, ..., r_l; a
-quadratic factor adds symmetric forms M_1, ..., M_q. Atoms are the joint
-level sets {x : x^T r_i = a_i, x^T M_j x = b_j}. A factor is its codes:
+One class, `QuadraticFactor`, holds l linearly independent vectors r_1,
+..., r_l and q symmetric forms M_1, ..., M_q; its atoms are the joint
+level sets {x : x^T r_i = a_i, x^T M_j x = b_j}. A linear factor is the
+q = 0 case, whose atoms are the cosets of the subgroup L(0) = {x : x^T
+r_i = 0}, and every factor's `linear` is its q = 0 part (itself when q =
+0), so routines that read cosets take any factor. A factor is its codes:
 each point's label (a_1, ..., a_l, b_1, ..., b_q), read in base p, summed
 from `GroupSpace.form_values`. A label's code is its canonical index in
 F_p^width, so `space(p, width)` encodes (`index_of`) and decodes
@@ -10,8 +13,8 @@ F_p^width, so `space(p, width)` encodes (`index_of`) and decodes
 code. A direction (a1, a2, a3, b12, b13, b23) is a row of six codes, three
 atom codes and three bilinear level codes: `direction_codes` encodes drawn
 labels, and `degenerate_directions` and `sigma3_codes` read the rows. The
-rank of a quadratic factor is the minimum rank over all nontrivial
-combinations of its forms; high rank makes atoms and bilinear level sets
+rank of a factor is the minimum rank over all nontrivial combinations of
+its forms; high rank makes atoms and bilinear level sets
 near-equidistributed, which is what the trend experiments measure.
 """
 
@@ -38,17 +41,74 @@ MAX_FORMS = 6
 MU_CAP = 1 << 26  # entry cap of one level mask; a mu weight is that mask and one number
 
 
-class _LabelIndex:
-    """Canonical-index members grouped by joint label.
+class QuadraticFactor:
+    """l linearly independent vectors and q symmetric forms, whose joint
+    level sets are the atoms. With no forms it is a linear factor and its
+    own `linear`; with forms, `linear` is the no-form factor it was built
+    from, whose caches it shares. `new_linear_factor` and
+    `new_quadratic_factor` check their inputs and build one. `_codes`
+    holds every point's label code, one int64 per point, and counts p^n x
+    width terms when it is first built."""
 
-    Subclasses set `p`, the label `width` and `_codes`, every point's label
-    as its little-endian base-p value (its code), one int64 per point. Each
-    counts p^n x width terms when it is first built.
-    """
+    def __init__(self, p: int, n: int, vectors: tuple[GroupVector, ...],
+                 forms: tuple[SymmetricForm, ...] = (),
+                 linear: QuadraticFactor | None = None) -> None:
+        self.p, self.n, self.vectors, self.forms, self._linear = p, n, vectors, forms, linear
+        self.ell, self.q = len(vectors), len(forms)
+        self.width = self.ell + self.q
+        self.space: GroupSpace = space(p, n)
+        self._rows = np.array([v.coords for v in vectors], dtype=np.int64).reshape(self.ell, n)
+        # minimum rank over the nontrivial form combinations; sentinel n+1
+        # when there are no forms at all
+        self.rank = min((r for _, r in self._line_ranks), default=self.n + 1)
 
-    p: int
-    width: int
-    _codes: np.ndarray
+    @property
+    def linear(self) -> QuadraticFactor:
+        """The no-form factor of the same vectors: itself with no forms,
+        else the one it was built from."""
+        return self._linear or self
+
+    @cached_property
+    def _line_ranks(self) -> list[tuple[np.ndarray, int]]:
+        """(lambda, rank of sum_j lambda_j M_j) for one lambda per punctured
+        line {c lambda : c != 0} of F_p^q: the one whose first nonzero entry
+        is 1. The rank is constant on each such line."""
+        p = self.p
+        arrays = [m.as_array() for m in self.forms]
+        lam_space = space(p, self.q)
+        out = []
+        for code in range(1, p ** self.q):
+            lam = lam_space.digits[code].astype(np.int64)
+            if lam[np.flatnonzero(lam)[0]] != 1:
+                continue
+            combo = sum(int(l) * a for l, a in zip(lam, arrays)) % p
+            out.append((lam, rank_mod_p(combo, p)))
+        return out
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        count_terms(self.space.size * self.width)
+        if not self.q:
+            codes = np.zeros(self.space.size, dtype=np.int64)
+            for i, row in enumerate(self._rows):
+                codes += self.space.form_values(r=row) * self.p ** i
+            return codes
+        codes = self.linear._codes
+        for j, m in enumerate(self.forms):
+            codes = codes + self.space.form_values(m.as_array()) * self.p ** (self.ell + j)
+        return codes
+
+    @cached_property
+    def _level_sizes(self) -> np.ndarray:
+        """The array `bilinear_level_sizes` returns."""
+        p, q, n = self.p, self.q, self.n
+        scaled = np.full(p ** q, p ** (2 * n), dtype=np.int64)  # p^q |beta(b)|
+        for lam, r in self._line_ranks:
+            count_terms(p ** q)
+            scaled += p ** (2 * n - r) * np.where(space(p, q).form_values(r=lam) == 0, p - 1, -1)
+        scaled //= p ** q
+        scaled.flags.writeable = False
+        return scaled
 
     @cached_property
     def atom_sizes(self) -> np.ndarray:
@@ -72,91 +132,9 @@ class _LabelIndex:
         return [row[:size] for row, size in zip(self.member_table, self.atom_sizes.tolist())]
 
     def atom_indices(self, label) -> np.ndarray:
-        """Canonical-index members of the label's set: the atom B(label) of a
-        quadratic factor, the coset L(label) of a linear one."""
+        """Canonical-index members of the atom B(label); with no forms, of
+        the coset L(label)."""
         return self._members_by_code[space(self.p, self.width).index_of(label)]
-
-
-class LinearFactor(_LabelIndex):
-    """l linearly independent vectors partitioning F_p^n into p^l cosets."""
-
-    def __init__(self, p: int, n: int, vectors: tuple[GroupVector, ...]) -> None:
-        rows = []
-        for v in vectors:
-            if v.p != p or v.n != n:
-                raise ValueError("vector in wrong group")
-            rows.append(v.coords)
-        if rows and rank_mod_p(np.array(rows, dtype=np.int64), p) != len(rows):
-            raise DependentVectors("linear part is not independent")
-        self.p = p
-        self.n = n
-        self.vectors = tuple(vectors)
-        self.ell = self.width = len(rows)
-        self.space: GroupSpace = space(p, n)
-        self._rows = np.array(rows, dtype=np.int64).reshape(self.ell, n)
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        count_terms(self.space.size * self.width)
-        codes = np.zeros(self.space.size, dtype=np.int64)
-        for i, row in enumerate(self._rows):
-            codes += self.space.form_values(r=row) * self.p ** i
-        return codes
-
-    def subgroup_basis(self) -> list[GroupVector]:
-        """Basis of the kernel coset L(0), from mod-p row reduction."""
-        if self.ell == 0:
-            basis = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
-        else:
-            basis = nullspace_mod_p(self._rows, self.p, self.n)
-        return [GroupVector(self.p, b) for b in basis]
-
-
-class QuadraticFactor(_LabelIndex):
-    """A linear factor refined by joint level sets of symmetric forms."""
-
-    def __init__(self, linear: LinearFactor, forms: tuple[SymmetricForm, ...]) -> None:
-        if len(forms) > MAX_FORMS:
-            raise TooManyForms(f"at most {MAX_FORMS} forms supported, got {len(forms)}")
-        for m in forms:
-            if m.p != linear.p or m.n != linear.n:
-                raise ValueError("form in wrong group")
-        self.linear = linear
-        self.forms = tuple(forms)
-        self.p = linear.p
-        self.n = linear.n
-        self.ell = linear.ell
-        self.q = len(forms)
-        self.width = self.ell + self.q
-        self.space = linear.space
-        # minimum rank over the nontrivial form combinations; sentinel n+1
-        # when there are no forms at all
-        self.rank = min((r for _, r in self._line_ranks), default=self.n + 1)
-
-    @cached_property
-    def _line_ranks(self) -> list[tuple[np.ndarray, int]]:
-        """(lambda, rank of sum_j lambda_j M_j) for one lambda per punctured
-        line {c lambda : c != 0} of F_p^q: the one whose first nonzero entry
-        is 1. The rank is constant on each such line."""
-        p = self.p
-        arrays = [m.as_array() for m in self.forms]
-        lam_space = space(p, self.q)
-        out = []
-        for code in range(1, p ** self.q):
-            lam = lam_space.digits[code].astype(np.int64)
-            if lam[np.flatnonzero(lam)[0]] != 1:
-                continue
-            combo = sum(int(l) * a for l, a in zip(lam, arrays)) % p
-            out.append((lam, rank_mod_p(combo, p)))
-        return out
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        count_terms(self.space.size * self.width)
-        codes = self.linear._codes
-        for j, m in enumerate(self.forms):
-            codes = codes + self.space.form_values(m.as_array()) * self.p ** (self.ell + j)
-        return codes
 
     def all_labels(self) -> list[tuple[int, ...]]:
         """Every atom label, in code order."""
@@ -165,20 +143,39 @@ class QuadraticFactor(_LabelIndex):
     def occupied_labels(self) -> list[tuple[int, ...]]:
         return [lab for lab, size in zip(self.all_labels(), self.atom_sizes.tolist()) if size]
 
+    def subgroup_basis(self) -> list[GroupVector]:
+        """Basis of the kernel coset L(0), from mod-p row reduction (the
+        unit vectors when l = 0)."""
+        return [GroupVector(self.p, b) for b in nullspace_mod_p(self._rows, self.p, self.n)]
 
-def new_linear_factor(p: int, n: int, vectors) -> LinearFactor:
-    """Build a linear factor, verifying independence of its vectors."""
+
+def new_linear_factor(p: int, n: int, vectors) -> QuadraticFactor:
+    """Build the linear factor of the vectors, of complexity (l, 0),
+    verifying their independence."""
     vecs = tuple(v if isinstance(v, GroupVector) else GroupVector(p, tuple(v)) for v in vectors)
-    return LinearFactor(p, n, vecs)
+    if any(v.p != p or v.n != n for v in vecs):
+        raise ValueError("vector in wrong group")
+    if vecs and rank_mod_p(np.array([v.coords for v in vecs], dtype=np.int64), p) != len(vecs):
+        raise DependentVectors("linear part is not independent")
+    return QuadraticFactor(p, n, vecs)
 
 
-def new_quadratic_factor(linear: LinearFactor, forms) -> QuadraticFactor:
-    """Attach symmetric forms to a linear factor and compute the rank."""
+def new_quadratic_factor(linear: QuadraticFactor, forms) -> QuadraticFactor:
+    """Attach symmetric forms to a linear factor and compute the rank; with
+    no forms, the linear factor itself."""
     shaped = tuple(
         m if isinstance(m, SymmetricForm) else SymmetricForm.from_array(linear.p, m)
         for m in forms
     )
-    return QuadraticFactor(linear, shaped)
+    if not shaped:
+        return linear
+    if linear.q:
+        raise ValueError("forms attach to a factor without forms")
+    if len(shaped) > MAX_FORMS:
+        raise TooManyForms(f"at most {MAX_FORMS} forms supported, got {len(shaped)}")
+    if any(m.p != linear.p or m.n != linear.n for m in shaped):
+        raise ValueError("form in wrong group")
+    return QuadraticFactor(linear.p, linear.n, linear.vectors, shaped, linear)
 
 
 def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
@@ -263,8 +260,8 @@ LEVEL_HISTOGRAM_CAP = 1 << 24
 
 def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
     """|beta(b)| for every bilinear label b, by code, from the ranks of the
-    forms; computed once per factor and returned as the same read-only
-    int64 array.
+    forms; computed once per factor, as its cached `_level_sizes`, and
+    returned as the same read-only int64 array.
 
     Counting with characters, |beta(b)| = p^(2n-q) sum over lambda in F_p^q
     of p^(-rank M_lambda) omega^(-lambda.b), where M_lambda = sum_j
@@ -275,17 +272,8 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
     p^n <= 2^20 and q <= 6 every partial sum stays below 2^63. Counts p^q
     terms per punctured line, one per level set updated, on the first call.
     """
-    p, q, n = factor.p, factor.q, factor.n
-    if q < 1:
+    if factor.q < 1:
         raise ValueError("needs at least one form")
-    if "_level_sizes" not in factor.__dict__:
-        scaled = np.full(p ** q, p ** (2 * n), dtype=np.int64)  # p^q |beta(b)|
-        for lam, r in factor._line_ranks:
-            count_terms(p ** q)
-            scaled += p ** (2 * n - r) * np.where(space(p, q).form_values(r=lam) == 0, p - 1, -1)
-        scaled //= p ** q
-        scaled.flags.writeable = False
-        factor._level_sizes = scaled
     return factor._level_sizes
 
 

@@ -3,8 +3,11 @@
 A run's config is the experiment's defaults overlaid with a config file
 and then command-line overrides. Every key must be one the defaults name,
 with a value of the default's JSON type, and `_validate_config` applies
-the shared ranges and every kernel cap that a run would hit, so that
-`estimate` refuses what `run` would, with a ConfigError (exit code 2).
+the shared ranges and the kernel caps that a config decides, so that
+`estimate` refuses those configs as `run` does, with a ConfigError (exit
+code 2). `TENSOR_CAP` and `MU_CAP` are met only as a run builds what they
+bound: `estimate` exits 0 where `run` stops at them with exit 2 (at `--p
+5` and 7; ROADMAP.md item 7 plans a term budget in their place).
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ from ..combinatorics import (
 )
 from ..errors import ConfigError, DegenerateContext, UnknownExperiment
 from ..factor import (
-    LinearFactor,
     QuadraticFactor,
     bilinear_level_sizes,
     degenerate_directions,
@@ -70,6 +69,7 @@ from ..fpn_core import (
     SymmetricForm,
     bilinear_char_sums,
     count_terms,
+    nullspace_mod_p,
     quad_char_sums,
     rank_mod_p,
     run_counted,
@@ -124,7 +124,6 @@ from .reporting import (
     trend_summary,
 )
 
-DIRECTION_BUDGET = 2000
 NAIVE_FT_TOL = 1e-10
 CONTEXT_ATTEMPTS = 200  # random direction tuples tried for a nondegenerate one
 ASSIGNMENT_ATTEMPTS = 100  # random label assignments tried per pattern shape
@@ -319,9 +318,9 @@ def _direction_codes(factor: QuadraticFactor, seed: int, count: int) -> np.ndarr
                                     for j in range(count)])
 
 
-def _ctx2(rng: np.random.Generator, linear: LinearFactor) -> LocalContext2:
+def _ctx2(rng: np.random.Generator, factor: QuadraticFactor) -> LocalContext2:
     """The local U^2 context of a drawn pair of coset codes (a1, a2)."""
-    return LocalContext2(linear, _label_codes(rng, linear.p, [linear.ell] * 2))
+    return LocalContext2(factor, _label_codes(rng, factor.p, [factor.ell] * 2))
 
 
 def _nondegenerate(rng: np.random.Generator, factor: QuadraticFactor,
@@ -376,8 +375,10 @@ def _level_terms(cfg: dict, n: int) -> int:
 
 def _factor_terms(cfg: dict, n: int) -> int:
     """Terms of building the standard factor at dimension n: its linear
-    codes and its atom codes, p^n (2l + q), and `_level_terms`."""
-    return cfg["p"] ** n * (2 * cfg["ell"] + cfg["q"]) + _level_terms(cfg, n)
+    codes, p^n l, then with forms its atom codes, p^n (l + q), and
+    `_level_terms`."""
+    ell, q = cfg["ell"], cfg["q"]
+    return cfg["p"] ** n * (2 * ell + q if q else ell) + _level_terms(cfg, n)
 
 
 def _per_n_terms(cfg: dict, terms: Callable) -> int:
@@ -571,9 +572,9 @@ def _run_local_gcs(cfg: dict) -> RunResult:
     draws = []  # per trial: U^2 context, its four functions, U^3 context, its octuple
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        draws.append((_ctx2(rng, factor.linear), [_bounded_fn(rng, p, n) for _ in range(4)],
+        draws.append((_ctx2(rng, factor), [_bounded_fn(rng, p, n) for _ in range(4)],
                       _nondegenerate(rng, factor), [_bounded_fn(rng, p, n) for _ in range(8)]))
-    u2 = iter(local_u2_norms(factor.linear, [d[0].code for d in draws for _ in range(4)],
+    u2 = iter(local_u2_norms(factor, [d[0].code for d in draws for _ in range(4)],
                              [g for d in draws for g in d[1]]))
     live = [d for d in draws if not isinstance(d[2], str)]
     norms3 = local_u3_norms(factor, [d[2].codes for d in live for _ in range(8)],
@@ -635,8 +636,8 @@ def _run_local_triangle(cfg: dict) -> RunResult:
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f, g = _bounded_fn(rng, p, n), _bounded_fn(rng, p, n)
-        draws.append(((f, g, f + g), _ctx2(rng, factor.linear), _nondegenerate(rng, factor)))
-    u2 = iter(local_u2_norms(factor.linear, [d[1].code for d in draws for _ in range(3)],
+        draws.append(((f, g, f + g), _ctx2(rng, factor), _nondegenerate(rng, factor)))
+    u2 = iter(local_u2_norms(factor, [d[1].code for d in draws for _ in range(3)],
                              [h for d in draws for h in d[0]]))
     live = [d for d in draws if not isinstance(d[2], str)]
     u3 = iter(local_u3_norms(factor, [d[2].codes for d in live for _ in range(3)],
@@ -662,7 +663,7 @@ def _est_local_triangle(cfg: dict) -> int:
 
 def _run_u3_dominates(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
-    linear = _standard_factor(p, n, cfg["ell"], 0).linear
+    linear = _standard_factor(p, n, cfg["ell"], 0)
     fs, dirs = [], []
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -670,10 +671,10 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
         dirs.append([_label(rng, p, linear.ell) for _ in range(3)])
     # on a purely linear factor the local U^3 norm with zero bilinear labels
     # dominates the local U^2 norm on the target coset a1 + a2 + a3
-    flat, cosets = QuadraticFactor(linear, ()), space(p, linear.ell)
+    cosets = space(p, linear.ell)
     codes = np.array([[cosets.index_of(a) for a in d] + [0] * 3 for d in dirs])
-    u3vals = local_u3_norms(flat, codes, fs, tol)
-    u2vals = local_u2_norms(linear, sigma3_codes(flat, codes), fs, tol)
+    u3vals = local_u3_norms(linear, codes, fs, tol)
+    u2vals = local_u2_norms(linear, sigma3_codes(linear, codes), fs, tol)
     values = np.stack([f.values for f in fs])
     return _rows(cfg, [[({"check": "global"}, u2, u3 + tol),
                         ({"check": "local", "d": d}, u2val, u3val + tol)]
@@ -917,7 +918,7 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
             points += [(base | {"a1": list(cosets.coords_of(a1))}, alpha, f, e)
                        for a1 in range(p ** ell)]
         live = [t for t in points if len(t) == 4]
-        norms = local_u2_norms(factor.linear, [t[3] for t in live], [t[2] for t in live])
+        norms = local_u2_norms(factor, [t[3] for t in live], [t[2] for t in live])
         found = iter(norms)
         return [t if len(t) == 2 else (t[0], next(found), None, {"n": n, "alpha": t[1]})
                 for t in points], max(norms, default=0.0)
@@ -978,27 +979,18 @@ def _est_atom_vc2(cfg: dict) -> int:
     return forms * atoms * (2 * size ** 2 + size + (size - 1) * (size - 2) // 2 * size)
 
 
-def _span_indices(p: int, n: int, basis: list[tuple[int, ...]]) -> np.ndarray:
-    """All canonical indices in the span of the given independent rows."""
-    rows = np.array(basis, dtype=np.int64).reshape(len(basis), n)
-    if rank_mod_p(rows, p) != len(basis):
-        raise ConfigError("subgroup_basis is dependent")
-    return space(p, len(basis)).form_values(r=rows) @ space(p, n).powers
-
-
 def _run_coset_union_vc(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
     sp = space(p, n)
-    basis = [tuple(b) for b in cfg["subgroup_basis"]]
-    span = _span_indices(p, n, basis)
+    basis = np.array(cfg["subgroup_basis"], dtype=np.int64).reshape(-1, n)
+    if rank_mod_p(basis, p) != len(basis):
+        raise ConfigError("subgroup_basis is dependent")
+    span = space(p, len(basis)).form_values(r=basis) @ sp.powers  # H, by index
     rows = []
     for reps in cfg["rep_sets"]:
         k = len(reps)
-        idx: list[int] = []
-        for rep in reps:
-            rep_idx = sp.index_of(rep)
-            idx.extend(int(v) for v in sp.add(np.full_like(span, rep_idx), span))
-        mask = SubsetBitmask.from_indices(p, n, idx)
+        starts = np.array([sp.index_of(rep) for rep in reps])
+        mask = SubsetBitmask.from_indices(p, n, sp.add(starts[:, None], span).ravel())
         measured = vc_dimension(mask)
         stated = math.ceil(math.log2(k)) if k > 1 else 0
         corrected = math.floor(math.log2(k)) + 1
@@ -1009,12 +1001,23 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
 
 
 def _est_coset_union_vc(cfg: dict) -> int:
-    # at the claimed dimension d: d + 1 shift tables, and the failing search
-    # for a (d + 1)-IP scans all C(N - 1, d) candidates of N codes each
-    size = cfg["p"] ** cfg["n"]
-    dims = [math.floor(math.log2(len(reps))) + 1 for reps in cfg["rep_sets"]]
-    return (sum((d + 1) * size ** 2 for d in dims)
-            + sum(math.comb(size - 1, d) * size for d in dims if d < MAX_IP_K))
+    # membership depends only on the coset of H = span(subgroup_basis), so
+    # the run measures d, the dimension of the reps' image in G/H, which the
+    # vectors orthogonal to H read off; then min(d + 1, MAX_IP_K) k-IP
+    # searches over G's N points, each a shift table and N codes per
+    # candidate row, of C(N - 1, k - 1): one that finds its witness (k <= d)
+    # is taken to stop in its first cover block, the failing one scans all
+    p, n = cfg["p"], cfg["n"]
+    size = p ** n
+    dual = np.reshape(nullspace_mod_p(cfg["subgroup_basis"], p, n), (-1, n))
+    total = 0
+    for reps in cfg["rep_sets"]:
+        d = vc_dimension(SubsetBitmask.from_indices(
+            p, len(dual), np.array(reps) @ dual.T % p @ space(p, len(dual)).powers))
+        for k in range(1, min(d + 1, MAX_IP_K) + 1):
+            rows = math.comb(size - 1, k - 1)
+            total += size * (size + (rows if k > d else min(rows, COVER_BLOCK // size or 1)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1068,7 @@ def _est_control_ip2(cfg: dict) -> int:
 
 def _run_control_ip_local(cfg: dict) -> RunResult:
     p, n, m = cfg["p"], cfg["n"], cfg["m"]
-    linear = _standard_factor(p, n, cfg["ell"], 0).linear
+    linear = _standard_factor(p, n, cfg["ell"], 0)
     draws = []  # per trial: context, the grid's functions, observed
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -1191,7 +1194,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
     f_raw *= 0.9 * eps / max(float(np.sqrt(np.mean(f_raw ** 2))), 1e-30)
     f = GroupFunction(p, n, f_raw)
     total_dirs = p ** (3 * (ell + q) + 3 * q)
-    count = min(cfg["directions"], DIRECTION_BUDGET)
+    count = cfg["directions"]
     codes = _direction_codes(factor, cfg["seed"], count)
     empty = degenerate_directions(factor, codes)
     degenerate = int(empty.sum())
@@ -1219,7 +1222,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
 
 def _est_smallpart(cfg: dict) -> int:
     smean = _atom_stats(cfg, cfg["n"])[0]
-    count = min(cfg["directions"], DIRECTION_BUDGET)
+    count = cfg["directions"]
     per_direction = _local_terms(cfg, cfg["n"], "norm")
     # masks only for the directions whose three atoms are nonempty
     live = count * (cfg["p"] ** (cfg["n"] - cfg["ell"] - cfg["q"]) / smean) ** 3
@@ -1338,7 +1341,7 @@ def _est_inverse_oracle(cfg: dict) -> int:
 
 def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
-    linear = _standard_factor(p, n, ell, 0).linear
+    linear = _standard_factor(p, n, ell, 0)
     nu, nv = cfg["parts"]
     draws, codes, fs = [], [], []  # per trial: count, identity error, density deviation
     for i in range(cfg["trials"]):

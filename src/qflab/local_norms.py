@@ -9,7 +9,8 @@ local U^2 norm is the global one on that coset: `local_u2_norms` gathers
 a batch of (coset code, function) pairs onto L(0), read through a kernel
 basis (`_coset_stacks`), and calls `spectral.u2_norms` on the gathered
 stack; `local_u2_inner(ctx, f, f, f, f)`, the binary contraction, is its
-twin.
+twin. The coset routines take any factor and read the cosets of its
+linear part, `factor.linear`.
 
 The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
@@ -66,7 +67,6 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateContext
 from .factor import (
-    LinearFactor,
     QuadraticFactor,
     level_masks,
     mu_weight,
@@ -88,24 +88,25 @@ def _check_codes(codes, bound: int) -> None:
 
 
 class LocalContext2:
-    """A linear factor with a pair of coset codes (a1, a2) and the code of
-    their target coset a1 + a2."""
+    """A factor's linear part with a pair of coset codes (a1, a2) and the
+    code of their target coset a1 + a2."""
 
-    def __init__(self, linear: LinearFactor, codes) -> None:
+    def __init__(self, factor: QuadraticFactor, codes) -> None:
+        linear = self.linear = factor.linear
         a1, a2 = self.codes = tuple(int(c) for c in codes)
         _check_codes(self.codes, linear.p ** linear.ell)
-        self.linear = linear
         self.code = int(space(linear.p, linear.ell).add(a1, a2))
 
     def target_indices(self) -> np.ndarray:
         return self.linear._members_by_code[self.code]
 
 
-def _coset_members(linear: LinearFactor, codes) -> list[np.ndarray]:
-    """The member arrays of the cosets of the given codes, in order."""
+def _coset_members(factor: QuadraticFactor, codes) -> list[np.ndarray]:
+    """The member arrays of the cosets of the given codes of the factor's
+    linear part, in order."""
     codes = [int(c) for c in codes]
-    _check_codes(codes, linear.p ** linear.ell)
-    return [linear._members_by_code[c] for c in codes]
+    _check_codes(codes, factor.p ** factor.ell)
+    return [factor.linear._members_by_code[c] for c in codes]
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,9 +173,10 @@ def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
     return complex(_binary_contract(ctx.linear.space, [xs] * 2, [ys] * 2, values))
 
 
-def _coset_stacks(linear: LinearFactor, codes, rows: list):
+def _coset_stacks(factor: QuadraticFactor, codes, rows: list):
     """Each row's value arrays on the coset of its code, as tables on
-    F_p^(n - l): for the coset of code codes[i], with least member c, entry
+    F_p^(n - l): for the coset of code codes[i] of the factor's linear
+    part, with least member c, entry
     h of row i's k-th table is rows[i][k](c + h), h running over L(0) in
     the order of its kernel basis, so the map is a group isomorphism and
     every global average over F_p^(n - l) is the average over the coset.
@@ -182,6 +184,7 @@ def _coset_stacks(linear: LinearFactor, codes, rows: list):
     in order, each of at most H_BLOCK_ENTRIES gathered entries (one row
     when a row alone has more) and one `GroupSpace.sums` gather. Counts the
     gather's entries."""
+    linear = factor.linear
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
     _check_codes(codes.tolist(), linear.p ** linear.ell)
     p, n, m = linear.p, linear.n, linear.n - linear.ell
@@ -197,10 +200,11 @@ def _coset_stacks(linear: LinearFactor, codes, rows: list):
             len(block), width, -1)
 
 
-def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
+def local_u2_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
                    tol: float = DEFAULT_TOL) -> list[float]:
-    """The local U^2 norm of fs[i] on the coset of code codes[i] (a
-    direction's target coset a1 + a2), for every i: the global U^2 norm
+    """The local U^2 norm of fs[i] on the coset of code codes[i] of the
+    factor's linear part (a direction's target coset a1 + a2), for every
+    i: the global U^2 norm
     `u2_norms` over F_p^(n - l) of fs[i] on that coset (`_coset_stacks`;
     Gowers, GAFA 2001), one call per gathered block. Counts the gather's
     entries and `u2_norms`' terms."""
@@ -208,11 +212,11 @@ def local_u2_norms(linear: LinearFactor, codes, fs: list[GroupFunction],
     if len(codes) != len(fs):
         raise ValueError("need one function per coset code")
     for g in fs:
-        if (g.p, g.n) != (linear.p, linear.n):
+        if (g.p, g.n) != (factor.p, factor.n):
             raise ValueError("function in wrong group")
-    m = linear.n - linear.ell
-    return [norm for stack in _coset_stacks(linear, codes, [[g.values] for g in fs])
-            for norm in u2_norms(stack[:, 0], linear.p, m, tol).tolist()]
+    m = factor.n - factor.ell
+    return [norm for stack in _coset_stacks(factor, codes, [[g.values] for g in fs])
+            for norm in u2_norms(stack[:, 0], factor.p, m, tol).tolist()]
 
 
 class LocalContext3:
@@ -255,7 +259,7 @@ def _target_stacks(factor: QuadraticFactor, codes: np.ndarray, rows: list):
     than 0."""
     _check_codes(codes[:, :3].ravel().tolist(), factor.p ** factor.width)
     _check_codes(codes[:, 3:].ravel().tolist(), 1)
-    return _coset_stacks(factor.linear, sigma3_codes(factor, codes), rows)
+    return _coset_stacks(factor, sigma3_codes(factor, codes), rows)
 
 
 class TernaryShape(NamedTuple):

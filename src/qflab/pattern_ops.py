@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateContext
 from .factor import (
-    LinearFactor,
     QuadraticFactor,
     bilinear_level_sizes,
     degenerate_directions,
@@ -239,14 +238,14 @@ def t_ip(m: int, grid: FunctionGrid) -> complex:
     return complex(t_ips(m, _ip_stack(m, grid), grid.p, grid.n))
 
 
-def t_ip_local(m: int, linear: LinearFactor, codes, grid: FunctionGrid) -> complex:
+def t_ip_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> complex:
     """Same average with every x_i confined to L(a1) and every y_S to L(a2),
-    for the coset codes (a1, a2)."""
+    for the coset codes (a1, a2) of the factor's linear part."""
     values = _ip_stack(m, grid)
-    if (linear.p, linear.n) != (grid.p, grid.n):
+    if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
-    xs, ys = _coset_members(linear, codes)
-    return complex(_binary_contract(linear.space, [ys] * (1 << m), [xs] * m,
+    xs, ys = _coset_members(factor, codes)
+    return complex(_binary_contract(factor.space, [ys] * (1 << m), [xs] * m,
                                     _ip_slots(m, values)))
 
 
@@ -460,37 +459,39 @@ def _extension_count(nctx: int, head_sizes: list[int], free_sizes: list[int],
 # bipartite multi-local operator
 # ---------------------------------------------------------------------------
 
-def t_bipartite(graph: PatternHypergraph, linear: LinearFactor, u_codes,
+def t_bipartite(graph: PatternHypergraph, factor: QuadraticFactor, u_codes,
                 v_codes, grid: FunctionGrid) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
     f_{u,v}(x_u + y_v), for the coset codes d_u in u_codes and d_v in
-    v_codes: the binary contraction, slot (u, v) reading f_{u,v}."""
+    v_codes of the factor's linear part: the binary contraction, slot
+    (u, v) reading f_{u,v}."""
     if len(graph.parts) != 2:
         raise ValueError("need a bipartite graph")
     if graph.nu > MAX_BIPARTITE_PART or graph.nv > MAX_BIPARTITE_PART:
         raise CapExceeded(f"bipartite parts capped at {MAX_BIPARTITE_PART}")
-    if (linear.p, linear.n) != (grid.p, grid.n):
+    if (factor.p, factor.n) != (grid.p, grid.n):
         raise ValueError("factor and grid on different groups")
     _check_slots(grid, graph.all_tuples())
-    return complex(_binary_contract(linear.space, _coset_members(linear, u_codes),
-                                    _coset_members(linear, v_codes),
+    return complex(_binary_contract(factor.space, _coset_members(factor, u_codes),
+                                    _coset_members(factor, v_codes),
                                     {t: grid[t].values for t in graph.all_tuples()}))
 
 
-def witness_count_bipartite(graph: PatternHypergraph, linear: LinearFactor,
+def witness_count_bipartite(graph: PatternHypergraph, factor: QuadraticFactor,
                             u_codes, v_codes, member: np.ndarray) -> int:
     """Number of tuples ((a_u), (b_v)) in the cosets of codes u_codes and
-    v_codes with a_u + b_v in A exactly when (u, v) is an edge. The
+    v_codes of the factor's linear part with a_u + b_v in A exactly when
+    (u, v) is an edge. The
     extension count with the b's as heads and the a's as free vertices:
     each (u, v) pair gets one table of the (b_v, a_u) that match, read
     through the sum table of the two cosets. Counts one term per (b's, a_u)
     candidate it forms and per sum-table entry."""
     if len(graph.parts) != 2:
         raise ValueError("need a bipartite graph")
-    sp = linear.space
+    sp = factor.space
     member = np.asarray(member, dtype=bool)
-    xs = _coset_members(linear, u_codes)
-    ys = _coset_members(linear, v_codes)
+    xs = _coset_members(factor, u_codes)
+    ys = _coset_members(factor, v_codes)
     free_tests = []
     for u in range(graph.nu):
         tables = [member[sp.sum_grid(ys[v], xs[u])][None] == ((u, v) in graph.edges)
@@ -719,9 +720,9 @@ def ternary_normalization(ctx: TernaryContext) -> Fraction:
     return Fraction(num, factor.p ** (2 * factor.n * len(levels)))
 
 
-def bipartite_normalization(graph: PatternHypergraph, linear: LinearFactor) -> int:
+def bipartite_normalization(graph: PatternHypergraph, factor: QuadraticFactor) -> int:
     """|L(0)|^(|U| + |V|): the factor turning T_F(d) into the witness count."""
-    return (linear.p ** (linear.n - linear.ell)) ** (graph.nu + graph.nv)
+    return (factor.p ** (factor.n - factor.ell)) ** (graph.nu + graph.nv)
 
 
 # ---------------------------------------------------------------------------

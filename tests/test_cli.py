@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qflab.factor import mu_weight_matrix
+from qflab.fpn_core import run_counted
 from qflab.lab_cli import experiments
 from qflab.lab_cli import main as cli_main
 from qflab.lab_cli.experiments import (
@@ -546,6 +547,18 @@ def test_smallpart_code_rows_are_the_sampled_directions(p, ell, q):
                                 for w, end in zip(widths, ends)]
 
 
+def test_smallpart_samples_every_direction_asked_for():
+    report = run_experiment("smallpart", None, {"directions": 2500})
+    assert report["trials"][0]["detail"]["sampled"] == 2500
+
+
+def test_a_standard_factor_without_forms_builds_its_codes_once():
+    # the q = 0 factor is its own linear part: one code per point and vector
+    factor = _standard_factor(3, 4, 1, 0)
+    assert factor.linear is factor
+    assert run_counted(lambda: factor._codes)[1] == 81
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_default_reports_number_their_trials_in_order(name, reports):
     trials = reports(name)["trials"]
@@ -601,6 +614,9 @@ def test_counting_ternary_estimator_past_the_defaults():
     ("control-ip2-local-trend", {"q": 0}),
     ("sparse-uniform", {"q": 0}),
     ("local-gcs", {"q": 0, "n": 5}),
+    # the union of cosets has the dimension of its image in G/H, 2 here,
+    # below the claimed bound floor(log2 k) + 1 = 3 of the last rep set
+    ("coset-union-vc", {"p": 5}),
 ])
 def test_estimator_within_an_order_of_magnitude_at_small_n(name, overrides):
     actual = run_experiment(name, None, overrides)["terms"]["actual"]

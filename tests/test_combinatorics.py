@@ -126,6 +126,29 @@ def test_atom_unions_are_fully_regular():
     assert approx == mask
 
 
+def test_a_linear_factor_profiles_its_cosets():
+    # the densities of A on the cosets x . r = a, x . s = b, each counted
+    # from coordinates, and the share of cosets that A nearly fills or misses
+    p, n, r, s = 3, 3, (1, 2, 0), (0, 1, 1)
+    lin = new_linear_factor(p, n, [r, s])
+    bits = np.random.default_rng(5).random(p ** n) < 0.5
+    mask = SubsetBitmask(p, n, bits)
+    inside, sizes = {}, {}
+    for index, x in enumerate(space(p, n).digits.tolist()):
+        label = tuple(sum(u * v for u, v in zip(x, w)) % p for w in (r, s))
+        sizes[label] = sizes.get(label, 0) + 1
+        inside[label] = inside.get(label, 0) + int(bits[index])
+    densities, empty = density_profile(mask, lin)
+    assert empty == 0
+    assert densities == {lab: Fraction(inside[lab], sizes[lab]) for lab in sizes}
+    assert list(densities) == lin.all_labels()
+    mu = Fraction(1, 3)
+    good = [lab for lab in sizes if not mu <= Fraction(inside[lab], sizes[lab]) <= 1 - mu]
+    assert regularity_conclusion(mask, lin, mu) == Fraction(len(good), 9)
+    approx, symdiff = best_atom_union_approx(mask, lin)
+    assert symdiff == sum(min(inside[lab], sizes[lab] - inside[lab]) for lab in sizes)
+
+
 def test_majority_vote_symmetric_difference():
     factor = _mixed_factor_2d()
     rng = np.random.default_rng(23)

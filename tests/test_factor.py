@@ -51,6 +51,21 @@ def test_linear_factor_rejects_dependent_vectors():
         new_linear_factor(3, 2, [(1, 2), (2, 1)])
 
 
+def test_a_linear_factor_is_the_factor_without_forms():
+    lin = new_linear_factor(3, 3, [(1, 0, 0), (0, 1, 1)])
+    assert (lin.ell, lin.q, lin.width, lin.rank) == (2, 0, 2, 3 + 1)
+    assert lin.linear is lin
+    assert new_quadratic_factor(lin, ()) is lin
+    assert new_quadratic_factor(lin, []) is lin
+    assert lin.all_labels() == [(a, b) for b in range(3) for a in range(3)]
+    # with forms the factor keeps the one it was built from, and its caches
+    factor = new_quadratic_factor(lin, [np.eye(3, dtype=np.int64)])
+    assert factor.linear is lin and factor.q == 1
+    assert factor.linear._codes is lin._codes
+    with pytest.raises(ValueError, match="without forms"):
+        new_quadratic_factor(factor, [np.eye(3, dtype=np.int64)])
+
+
 def test_label_of_index_consistency():
     lin = new_linear_factor(3, 2, [(1, 1)])
     for idx in range(9):

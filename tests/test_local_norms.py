@@ -11,7 +11,6 @@ import pytest
 from qflab import local_norms
 from qflab.errors import CapExceeded, DegenerateContext
 from qflab.factor import (
-    QuadraticFactor,
     degenerate_directions,
     direction_codes,
     mu_weight_matrix,
@@ -202,7 +201,7 @@ def test_contexts_refuse_codes_out_of_range():
             LocalContext3(factor, bad)
     for bad in ([3, 0], [0, -1], [0], [0, 0, 0]):
         with pytest.raises(ValueError):
-            LocalContext2(factor.linear, bad)
+            LocalContext2(factor, bad)
 
 
 def _mixed_factor_2d():
@@ -276,7 +275,7 @@ def test_local_u3_dominates_local_u2_on_linear_factors():
         dirs = [((0,), (0,), (0,)), ((1,), (2,), (1,)), ((2,), (2,), (2,))]
         # zero bilinear labels; the U^2 norm on the target coset a1 + a2 + a3
         u3vals = local_norms.local_u3_norms(
-            QuadraticFactor(lin, ()), [[a for (a,) in d] + [0] * 3 for d in dirs], [f] * 3)
+            lin, [[a for (a,) in d] + [0] * 3 for d in dirs], [f] * 3)
         u2vals = local_u2_norms(lin, [sum(a for (a,) in d) % 3 for d in dirs], [f] * 3)
         for u3val, u2val in zip(u3vals, u2vals):
             assert u3val - u2val >= -1e-9
@@ -367,7 +366,7 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
     lin = new_linear_factor(3, 2, [(1, 0)])
     f = _random_f(3, 2, seed=70)
     # local_u3_norms takes the coset route at q = 0; the contraction is its twin
-    (value,) = local_norms._ternary_contract(QuadraticFactor(lin, ()), local_norms.u3_shape(False),
+    (value,) = local_norms._ternary_contract(lin, local_norms.u3_shape(False),
                                              [[1, 2, 0, 0, 0, 0, 0]], [f.values])
     u3 = value.real ** 0.125
     assert blocks == [(6, {0: 3}, {0: 3})]
@@ -689,7 +688,7 @@ def test_a_context_holds_its_codes_and_builds_no_masks(monkeypatch):
     assert not built
     for name in ("mu12", "mu13", "mu23", "xs", "ys", "zs"):
         assert not hasattr(ctx, name)
-    pair = LocalContext2(factor.linear, (1, 2))
+    pair = LocalContext2(factor, (1, 2))
     assert not hasattr(pair, "xs") and not hasattr(pair, "ys")
 
 
@@ -718,7 +717,7 @@ def test_without_forms_the_coset_route_matches_the_contraction(monkeypatch, p, m
     # ternary contraction, against that contraction on the same rows
     rng = np.random.default_rng(100 * p + 10 * m + ell)
     n = ell + m
-    factor = QuadraticFactor(_non_coordinate_linear(rng, p, n, ell), ())
+    factor = _non_coordinate_linear(rng, p, n, ell)
     codes = np.zeros((4, 6), dtype=np.int64)
     codes[:, :3] = rng.integers(0, p ** ell, (4, 3))
     fs = [_random_f(p, n, seed=900 + k) for k in range(8)]
@@ -753,6 +752,31 @@ def test_without_forms_the_coset_route_matches_the_contraction(monkeypatch, p, m
     weighted = contract(factor, _ternary_shape(1, 1, 1), np.column_stack([codes, range(4)]),
                         [b.astype(np.float64) for b in members])
     assert densities == pytest.approx(weighted.real.tolist(), rel=1e-12)
+
+
+def test_a_linear_factor_takes_local_u3_norms_on_its_cosets():
+    # the factor without forms is passed as it is: each diagonal norm^8
+    # against the six-fold sum over the direction's three cosets
+    lin = new_linear_factor(3, 3, [(1, 1, 0)])
+    f = _random_f(3, 3, seed=130)
+    rows = [(0, 0, 0, 0, 0, 0), (1, 2, 2, 0, 0, 0), (2, 1, 0, 0, 0, 0)]
+    norms = local_norms.local_u3_norms(lin, rows, [f] * 3)
+    for row, norm in zip(rows, norms):
+        naive = local_u3_inner_naive(LocalContext3(lin, row), [f] * 8).real
+        assert norm ** 8 == pytest.approx(naive, rel=1e-10)
+
+
+def test_a_factor_with_forms_gives_the_local_u2_norms_of_its_cosets():
+    # the coset routines read the factor's linear part, never its atoms
+    factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 1, 0)]),
+                                  [np.diag([1, 2, 1])])
+    fs = [_random_f(3, 3, seed=140 + k) for k in range(3)]
+    codes = [1, 2, 0]
+    assert local_u2_norms(factor, codes, fs) == local_u2_norms(factor.linear, codes, fs)
+    for code, f, norm in zip(codes, fs, local_u2_norms(factor, codes, fs)):
+        ctx = LocalContext2(factor, (0, code))
+        assert ctx.linear is factor.linear
+        assert norm ** 4 == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, rel=1e-10)
 
 
 def test_without_forms_a_norm_counts_its_gather_and_the_global_norm():

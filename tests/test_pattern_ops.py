@@ -742,7 +742,7 @@ def test_grid_validation():
             t_ip2_local(1, factor, bad, grid)
     for bad in ((3, 0), (0, -1)):
         with pytest.raises(ValueError):
-            t_ip_local(1, factor.linear, bad, FunctionGrid.ip_select(1, f, f))
+            t_ip_local(1, factor, bad, FunctionGrid.ip_select(1, f, f))
 
 
 def test_pattern_hypergraph_is_its_parts_and_edges():
