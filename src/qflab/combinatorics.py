@@ -28,12 +28,10 @@ import numpy as np
 
 from .errors import CapExceeded
 from .factor import QuadraticFactor
-from .fpn_core import H_BLOCK_ENTRIES, GroupVector, count_terms, space
+from .fpn_core import BYTE_TABLE_CAP, H_BLOCK_ENTRIES, MAX_IP2_M, GroupVector, count_terms, space
 
 MAX_IP_K = 4
-MAX_IP2_M = 2
 IP2_POINT_CAP = 3 ** 6
-SHIFT_TABLE_CAP = 1 << 26
 # codes one cover block forms at most (one candidate row when N is larger)
 COVER_BLOCK = 1 << 16
 
@@ -80,7 +78,7 @@ def _shift_table(mask: SubsetBitmask) -> np.ndarray:
     every search reads. Filled H_BLOCK_ENTRIES index entries at a time,
     so the int64 sums never exist for the whole table at once."""
     sp = space(mask.p, mask.n)
-    if sp.size * sp.size > SHIFT_TABLE_CAP:
+    if sp.size * sp.size > BYTE_TABLE_CAP:
         raise CapExceeded("shift table too large for exhaustive search")
     idx = np.arange(sp.size, dtype=np.int64)
     table = np.empty((sp.size, sp.size), dtype=np.uint8)

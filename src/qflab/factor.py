@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from .fpn_core import (
+    BYTE_TABLE_CAP,
+    ENTRY_CAP,
     H_BLOCK_ENTRIES,
     GroupSpace,
     GroupVector,
@@ -38,7 +40,6 @@ from .fpn_core import (
 )
 
 MAX_FORMS = 6
-MU_CAP = 1 << 26  # entry cap of one level mask; a mu weight is that mask and one number
 
 
 class QuadraticFactor:
@@ -56,11 +57,16 @@ class QuadraticFactor:
         self.p, self.n, self.vectors, self.forms, self._linear = p, n, vectors, forms, linear
         self.ell, self.q = len(vectors), len(forms)
         self.width = self.ell + self.q
-        self.space: GroupSpace = space(p, n)
         self._rows = np.array([v.coords for v in vectors], dtype=np.int64).reshape(self.ell, n)
         # minimum rank over the nontrivial form combinations; sentinel n+1
         # when there are no forms at all
         self.rank = min((r for _, r in self._line_ranks), default=self.n + 1)
+
+    @cached_property
+    def space(self) -> GroupSpace:
+        """F_p^n, enumerated on first use: the rank and the level-set sizes
+        need no points, so a factor past the enumeration cap still builds."""
+        return space(self.p, self.n)
 
     @property
     def linear(self) -> QuadraticFactor:
@@ -193,8 +199,7 @@ def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
     (x^T M mod p) with y, exact as every partial sum is at most n (p - 1)^2
     < 2^24, with its residue mod p read from a table at its int16 value
     (n (p - 1)^2 <= 720 for p^n <= 2^20). Raises CapExceeded, before a mask
-    is allocated, when some |row| |col| exceeds MU_CAP: a mask takes 1 byte
-    per entry.
+    is allocated, when some |row| |col| exceeds BYTE_TABLE_CAP (1 byte each).
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     dims = (factor.p ** factor.q,) + (factor.p ** factor.width,) * 2
@@ -204,9 +209,9 @@ def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
     heights, widths = factor.atom_sizes[rows], factor.atom_sizes[cols]
     entries = heights * widths
     widest = int(entries.argmax())
-    if entries[widest] > MU_CAP:
+    if entries[widest] > BYTE_TABLE_CAP:
         raise CapExceeded(f"mu matrix of {heights[widest]} x {widths[widest]} entries "
-                          f"exceeds the mu cap {MU_CAP}")
+                          f"exceeds the mu cap {BYTE_TABLE_CAP}")
     count_terms(int(entries.sum()) * factor.q)
     height, width = int(heights.max()), int(widths.max())
     # the padding lies in no level set
@@ -254,10 +259,6 @@ def mu_weight_matrix(factor: QuadraticFactor, b: int, row: int, col: int) -> np.
     return level_masks(factor, [(b, row, col)])[0] * weight
 
 
-# the histogram twin walks every pair; past this many it refuses
-LEVEL_HISTOGRAM_CAP = 1 << 24
-
-
 def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
     """|beta(b)| for every bilinear label b, by code, from the ranks of the
     forms; computed once per factor, as its cached `_level_sizes`, and
@@ -268,9 +269,11 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
     lambda_j M_j. The rank is constant on each punctured line {c lambda :
     c != 0}, whose characters sum to p - 1 when lambda.b = 0 and to -1
     otherwise, so the count is an integer sum over the lines (Green-Tao,
-    The distribution of polynomials over finite fields, 2009). With
-    p^n <= 2^20 and q <= 6 every partial sum stays below 2^63. Counts p^q
-    terms per punctured line, one per level set updated, on the first call.
+    The distribution of polynomials over finite fields, 2009). Every
+    partial sum stays below p^(2n + q), so the count is exact while that is
+    below 2^63: for p^n <= 2^20 and q <= 6, and at p = 3, q = 1 up to n =
+    19. It enumerates no points. Counts p^q terms per punctured line, one
+    per level set updated, on the first call.
     """
     if factor.q < 1:
         raise ValueError("needs at least one form")
@@ -279,16 +282,16 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
 
 def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
     """Reference route: the joint histogram of the form values over all
-    p^(2n) pairs, capped at LEVEL_HISTOGRAM_CAP pairs."""
+    p^(2n) pairs, capped at ENTRY_CAP pairs."""
     p, q = factor.p, factor.q
     if q < 1:
         raise ValueError("needs at least one form")
     sp = factor.space
-    if sp.size ** 2 > LEVEL_HISTOGRAM_CAP:
+    if sp.size ** 2 > ENTRY_CAP:
         raise CapExceeded(f"p^(2n) = {sp.size ** 2} pairs exceed the histogram cap")
     digits = sp.digits.astype(np.int64)
     counts = np.zeros(p ** q, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(sp.size, 1))
+    chunk = max(1, H_BLOCK_ENTRIES // max(sp.size, 1))
     for start in range(0, sp.size, chunk):
         block = digits[start:start + chunk]
         code = np.zeros((block.shape[0], sp.size), dtype=np.int64)

@@ -29,6 +29,9 @@ DEFAULT_TOL = 1e-9
 # entries of one block of a bounded buffer; the largest whole-group sum table
 # a GroupSpace keeps takes as many bytes, in int16 (N^2 <= 4 H_BLOCK_ENTRIES)
 H_BLOCK_ENTRIES = 1 << 18
+ENTRY_CAP = 1 << 24  # most entries or terms of one table, average, context or reference sum
+BYTE_TABLE_CAP = 1 << 26  # most entries of one one-byte table
+MAX_IP2_M = 2  # largest m of an m-IP2 pattern: its W part holds 2^(m^2) vertices
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,18 @@ and then command-line overrides. Every key must be one the defaults name,
 with a value of the default's JSON type, and `_validate_config` applies
 the shared ranges and the kernel caps that a config decides, so that
 `estimate` refuses those configs as `run` does, with a ConfigError (exit
-code 2). `TENSOR_CAP` and `MU_CAP` are met only as a run builds what they
-bound: `estimate` exits 0 where `run` stops at them with exit 2 (at `--p
-5` and 7; ROADMAP.md item 7 plans a term budget in their place).
+code 2). `ENTRY_CAP` in the ternary contraction and `BYTE_TABLE_CAP` in
+`level_masks` are met only as a run builds what they bound: `estimate`
+exits 0 where `run` stops at them with exit 2 (at `--p 5` and 7; ROADMAP.md
+item 7 plans a term budget in their place).
 """
 
 from __future__ import annotations
 
-from ..combinatorics import IP2_POINT_CAP, SHIFT_TABLE_CAP
+from ..combinatorics import IP2_POINT_CAP
 from ..errors import ConfigError
-from ..fpn_core import DEFAULT_ENUM_CAP, ODD_PRIMES
-from ..pattern_ops import MAX_BIPARTITE_PART, MAX_IP2_M, MAX_IP_M, MAX_TERNARY_UV
+from ..fpn_core import BYTE_TABLE_CAP, DEFAULT_ENUM_CAP, MAX_IP2_M, ODD_PRIMES
+from ..pattern_ops import MAX_BIPARTITE_PART, MAX_IP_M, MAX_TERNARY_UV
 from ..spectral import CORRELATION_SEARCH_CAP
 
 STANDARD_MAX_Q = 2  # forms the standard test factor has at most
@@ -83,8 +84,8 @@ def _validate_config(name: str, cfg: dict) -> None:
     size = p ** max(dims) if p is not None and dims else 0
     if name in ("atom-vc2", "vc2-structure") and size > IP2_POINT_CAP:
         raise ConfigError(f"p^n = {size} exceeds the IP2 point cap {IP2_POINT_CAP}")
-    if name in ("atom-vc", "coset-union-vc") and size ** 2 > SHIFT_TABLE_CAP:
-        raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {SHIFT_TABLE_CAP}")
+    if name in ("atom-vc", "coset-union-vc") and size ** 2 > BYTE_TABLE_CAP:
+        raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {BYTE_TABLE_CAP}")
     if cfg.get("max_part", 1) > MAX_TERNARY_UV:
         raise ConfigError(f"max_part exceeds the ternary U, V part cap {MAX_TERNARY_UV}")
     m_cap = {"control-ip": MAX_IP_M, "control-ip-local": MAX_IP_M,

@@ -1299,13 +1299,13 @@ def _run_vc2_structure(cfg: dict) -> RunResult:
 
 
 def _est_vc2_structure(cfg: dict) -> int:
-    # four atom tallies, then the searches for m = 1 and m = 2, each a
+    # the factor, four atom tallies, then the searches for m = 1 and m = 2, each a
     # shift table and, as a random set has both witnesses, the cover block
     # it stops in: one row for m = 1, and for m = 2 a full block of
     # COVER_BLOCK // N of the (N - 1)(N - 2) / 2 rows
     size = cfg["p"] ** cfg["n"]
     rows = min(max(1, COVER_BLOCK // size), (size - 1) * (size - 2) // 2)
-    return 4 * size + 2 * size ** 2 + size + rows * size
+    return _factor_terms(cfg, cfg["n"]) + 4 * size + 2 * size ** 2 + size + rows * size
 
 
 def _run_inverse_oracle(cfg: dict) -> RunResult:

@@ -73,17 +73,15 @@ from .factor import (
     mu_weight_matrix,
     sigma3_codes,
 )
-from .fpn_core import DEFAULT_TOL, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
+from .fpn_core import DEFAULT_TOL, ENTRY_CAP, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
 from .spectral import GroupFunction, _roots_of_diagonal, u2_norms, u3_inners, u3_norms
 
-GRID_CAP = 1 << 24  # entry cap of one sum table or average of the binary contraction
-TENSOR_CAP = 1 << 24  # cap on |x| |y| |z| of one context of the ternary contraction
 BLOCK_ENTRIES = 1 << 13  # entries per kept (x, z) slab of one block of the ternary contraction
-NAIVE_CAP6 = 1 << 22  # term cap for the six-fold nested reference sum
 
 
 def _check_codes(codes, bound: int) -> None:
-    if not all(0 <= c < bound for c in codes):
+    codes = np.asarray(codes)
+    if codes.size and not 0 <= codes.min() <= codes.max() < bound:
         raise ValueError(f"label codes must lie in [0, {bound})")
 
 
@@ -131,12 +129,12 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> np.nda
     `np.einsum`'s own loop, so no BLAS kernel orders their sums. Each
     distinct (x members, y members) pair of arrays, by identity, gets one
     sum table t[j, i] = y_j + x_i, shared by the batch. Raises CapExceeded
-    when a sum table or an average would hold more than GRID_CAP entries.
+    when a sum table or an average would hold more than ENTRY_CAP entries.
     Counts the multiply-adds of the averages, |x_u| prod |y_v| for each u
     and row.
     """
     ysizes = [a.size for a in ys]
-    if max([math.prod(ysizes)] + [a.size * b for a in xs for b in ysizes]) > GRID_CAP:
+    if max([math.prod(ysizes)] + [a.size * b for a in xs for b in ysizes]) > ENTRY_CAP:
         raise CapExceeded("binary member tables too large")
     batch = values[(0, 0)].shape[:-1]
     count_terms(math.prod(batch) * sum(a.size for a in xs) * math.prod(ysizes))
@@ -186,7 +184,7 @@ def _coset_stacks(factor: QuadraticFactor, codes, rows: list):
     gather's entries."""
     linear = factor.linear
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-    _check_codes(codes.tolist(), linear.p ** linear.ell)
+    _check_codes(codes, linear.p ** linear.ell)
     p, n, m = linear.p, linear.n, linear.n - linear.ell
     basis = np.array([b.coords for b in linear.subgroup_basis()], dtype=np.int64)
     kernel = space(p, m).form_values(r=basis.reshape(m, n)) @ linear.space.powers
@@ -257,8 +255,8 @@ def _target_stacks(factor: QuadraticFactor, codes: np.ndarray, rows: list):
     the target coset of code `sigma3_codes` uniformly (Gowers, GAFA 2001).
     Raises ValueError on an atom code out of range or a level code other
     than 0."""
-    _check_codes(codes[:, :3].ravel().tolist(), factor.p ** factor.width)
-    _check_codes(codes[:, 3:].ravel().tolist(), 1)
+    _check_codes(codes[:, :3], factor.p ** factor.width)
+    _check_codes(codes[:, 3:], 1)
     return _coset_stacks(factor, sigma3_codes(factor, codes), rows)
 
 
@@ -304,18 +302,21 @@ def _ternary_contract(factor: QuadraticFactor, shape: TernaryShape, codes: np.nd
     of contexts at a time; a block holds at most H_BLOCK_ENTRIES padded
     y-tuples and value entries: masks and member stacks padded to its
     widest atoms, keys for its live y-tuples only (`_Stack.contract`).
-    Raises CapExceeded when some |x_u| |y_v| |z_w|
-    exceeds TENSOR_CAP, and DegenerateContext when a row names an empty
-    atom or level set.
+    Raises ValueError when a row's atom or level code is out of range,
+    CapExceeded when some |x_u| |y_v| |z_w| exceeds ENTRY_CAP, and
+    DegenerateContext when a row names an empty atom or level set.
     """
     codes = np.asarray(codes, dtype=np.int64).reshape(len(codes), -1)
+    _check_codes(codes[:, list(shape.xs + shape.ys + shape.zs)], factor.p ** factor.width)
+    _check_codes(codes[:, [col for pairs in (shape.muv, shape.muw, shape.mvw)
+                           for _, col in pairs]], factor.p ** factor.q)
     sizes = factor.atom_sizes
     parts = [sizes[codes[:, list(cols)]] for cols in (shape.xs, shape.ys, shape.zs)]
     if min(int(a.min()) for a in parts) == 0:
         raise DegenerateContext("a ternary problem names an empty atom")
     widest = int((parts[0].max(axis=1) * parts[1].max(axis=1) * parts[2].max(axis=1)).max())
-    if widest > TENSOR_CAP:
-        raise CapExceeded(f"|x| |y| |z| = {widest} exceeds the ternary cap {TENSOR_CAP}")
+    if widest > ENTRY_CAP:
+        raise CapExceeded(f"|x| |y| |z| = {widest} exceeds the ternary cap {ENTRY_CAP}")
     out = np.zeros(len(codes), dtype=np.complex128)
     ytuples = math.prod(parts[1].max(axis=0).tolist())
     step = max(1, H_BLOCK_ENTRIES // (ytuples + factor.space.size))  # contexts per block
@@ -654,7 +655,7 @@ def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> co
         raise ValueError("need eight functions in lexicographic eps order")
     members = [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
     s1, s2, s3 = (a.size for a in members)
-    if (s1 * s2 * s3) ** 2 > NAIVE_CAP6:
+    if (s1 * s2 * s3) ** 2 > ENTRY_CAP:
         raise CapExceeded("six-fold nested sum too large")
     sums = ctx.factor.space.sum_grid3(*members)
     tensors = [g.values[sums] for g in octuple]

@@ -51,9 +51,8 @@ from .factor import (
     degenerate_directions,
     level_masks,
 )
-from .fpn_core import H_BLOCK_ENTRIES, GroupSpace, count_terms, space
+from .fpn_core import ENTRY_CAP, H_BLOCK_ENTRIES, MAX_IP2_M, GroupSpace, count_terms, space
 from .local_norms import (
-    GRID_CAP,
     TernaryShape,
     _binary_contract,
     _check_codes,
@@ -72,7 +71,6 @@ from .spectral import (
 )
 
 MAX_IP_M = 3
-MAX_IP2_M = 2
 MAX_BIPARTITE_PART = 3
 MAX_TERNARY_UV = 2
 
@@ -256,7 +254,7 @@ def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
     sp = space(grid.p, grid.n)
     N = sp.size
     nvars = m + (1 << m)
-    if N ** nvars > GRID_CAP:
+    if N ** nvars > ENTRY_CAP:
         raise CapExceeded("naive IP sum too large")
     idx = np.arange(N, dtype=np.int64)
     shape = (N,) * nvars
@@ -298,7 +296,7 @@ def t_ip2s(m: int, values, p: int, n: int) -> np.ndarray:
     `spectral._derivative_blocks` holds the 32 tables conj P_S and Q_S of
     a block of grids, as many as fit all their h in one buffer, and takes
     one batched transform forward and one back to k. Cost O(p^(2n) p n)
-    per grid; raises CapExceeded when p^(2n) > NAIVE_CAP. Counts, for
+    per grid; raises CapExceeded when p^(2n) > ENTRY_CAP. Counts, for
     m = 2, one term per shift-table entry and entries x p x n per
     transform, p^(2n) (48 p n + 1) for one grid, the shift table read once
     per block of grids; for m = 1, one term per entry averaged, 2 p^n per
@@ -374,7 +372,7 @@ def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
     _ip2_check(m, grid)
     sp = space(grid.p, grid.n)
     N = sp.size
-    if N ** (2 * m + 1) * (1 << (m * m)) > GRID_CAP:
+    if N ** (2 * m + 1) * (1 << (m * m)) > ENTRY_CAP:
         raise CapExceeded("per-subset oracle too large")
     idx = np.arange(N, dtype=np.int64)
     add = sp.sum_grid(idx, idx).tolist()
@@ -521,8 +519,8 @@ class TernaryContext:
             raise ValueError("need a ternary hypergraph")
         if graph.nu > MAX_TERNARY_UV or graph.nv > MAX_TERNARY_UV:
             raise CapExceeded(f"ternary parts U, V capped at {MAX_TERNARY_UV}")
-        if graph.nw > 16:
-            raise CapExceeded("ternary part W capped at 16")
+        if graph.nw > 1 << MAX_IP2_M ** 2:
+            raise CapExceeded(f"ternary part W capped at {1 << MAX_IP2_M ** 2}")
         nu, nv, nw = graph.parts
         vertices = nu + nv + nw
         self.codes = tuple(int(c) for c in codes)

@@ -42,7 +42,7 @@ batch nor on the BLAS kernel. `u2_norms`, `u3_inners`, `u3_norms`,
 conditions on the z-difference h and contracts four derivative tables on
 the frequency side, sum_t A^(t) B^(-t) C^(-t) D^(t), in O(p^(2n) p n); its
 independent physical-space twin `u3_inner_naive` is the factorized
-O(p^(5n)) loop and raises CapExceeded past p^n = U3_REFERENCE_CAP.
+O(p^(5n)) loop and raises CapExceeded when p^(5n) > ENTRY_CAP.
 `_derivative_blocks` is the block loop of `u3_inners`, `u3_norms` and the
 global IP2 average `pattern_ops.t_ip2s`: for a block of h it forms every
 derivative table a(u) b(u + h) in one complex buffer of shape (tables, h,
@@ -64,6 +64,7 @@ import numpy as np
 from .errors import CapExceeded, NegativeDiagonal
 from .fpn_core import (
     DEFAULT_TOL,
+    ENTRY_CAP,
     H_BLOCK_ENTRIES,
     GroupSpace,
     GroupVector,
@@ -73,8 +74,6 @@ from .fpn_core import (
     space,
 )
 
-NAIVE_CAP = 1 << 24  # pairwise-table cap for the quadratic-cost fallbacks
-U3_REFERENCE_CAP = 27  # largest p^n the O(p^(5n)) reference loop accepts
 CORRELATION_SEARCH_CAP = 3 ** 10  # most candidate forms the correlation oracle scans
 # entries per buffer of derivative tables: 256 KiB of complex values, so that a
 # block and the transform's temporaries stay in a core's 2 MiB L2 cache; of
@@ -214,7 +213,7 @@ def fourier_transform_naive(f: GroupFunction) -> np.ndarray:
     Counts p^(2n) terms, the multiply-adds of its matrix product."""
     p, n = f.p, f.n
     sp = space(p, n)
-    if sp.size ** 2 > NAIVE_CAP:
+    if sp.size ** 2 > ENTRY_CAP:
         raise CapExceeded(f"naive transform needs {sp.size}^2 phase entries")
     digits = sp.digits.astype(np.int64)
     dots = (digits @ digits.T) % p
@@ -240,11 +239,11 @@ def u2_inners(values, p: int, n: int) -> np.ndarray:
     h gathers its (quadruples, x, h) tables from one read of the shift
     table, at most DERIVATIVE_BLOCK_ENTRIES entries, every h of a quadruple
     at once when N^2 fits. Counts one term per shift-table entry read, N^2
-    per block of quadruples. Raises CapExceeded when N^2 > NAIVE_CAP.
+    per block of quadruples. Raises CapExceeded when N^2 > ENTRY_CAP.
     """
     values, sp = _group(values, p, n, 4)
     N = sp.size
-    if N * N > NAIVE_CAP:
+    if N * N > ENTRY_CAP:
         raise CapExceeded("group too large for the pairwise correlation table")
     quads = values.reshape(-1, 4, N)
     out = np.empty(len(quads), dtype=np.complex128)
@@ -295,10 +294,10 @@ def _derivative_blocks(sp: GroupSpace, a: np.ndarray, b: np.ndarray,
     Blocks take DERIVATIVE_BLOCK_ENTRIES // (tables N) of them, at least
     one, in order, the last block holding what is left. Counts one term per
     shift-table entry, h x N per block. Raises CapExceeded when
-    N^2 > NAIVE_CAP.
+    N^2 > ENTRY_CAP.
     """
     N = sp.size
-    if N * N > NAIVE_CAP:
+    if N * N > ENTRY_CAP:
         raise CapExceeded("group too large for the pairwise derivative tables")
     idx = np.arange(N, dtype=np.int64)
     hs = idx if hs is None else hs
@@ -372,8 +371,9 @@ def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
     p, n = octuple[0].p, octuple[0].n
     sp = space(p, n)
     N = sp.size
-    if N > U3_REFERENCE_CAP:
-        raise CapExceeded(f"reference eight-vertex sum is capped at p^n <= {U3_REFERENCE_CAP}")
+    if N ** 5 > ENTRY_CAP:
+        raise CapExceeded("reference eight-vertex sum is capped at "
+                          f"p^n <= {int(ENTRY_CAP ** 0.2)}")
     idx = np.arange(N, dtype=np.int64)
     table = sp.sum_grid(idx, idx)  # table[u, v] = u + v
 

@@ -20,9 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qflab.errors import DependentVectors  # noqa: E402
 from qflab.factor import new_linear_factor  # noqa: E402
-from qflab.fpn_core import space  # noqa: E402
+from qflab.fpn_core import ENTRY_CAP, space  # noqa: E402
 from qflab.local_norms import (  # noqa: E402
-    GRID_CAP,
     LocalContext2,
     local_u2_inner,
     local_u2_norms,
@@ -37,9 +36,9 @@ from qflab.pattern_ops import (  # noqa: E402
 from qflab.spectral import GroupFunction  # noqa: E402
 
 PRIMES = (3, 5, 7, 11, 13)
-# (p, n, m) where the nested sum over N^(m + 2^m) terms fits GRID_CAP
+# (p, n, m) where the nested sum over N^(m + 2^m) terms fits ENTRY_CAP
 IP_SIZES = [(p, n, m) for p in PRIMES for n in (1, 2) for m in (1, 2, 3)
-            if (p ** n) ** (m + (1 << m)) <= GRID_CAP]
+            if (p ** n) ** (m + (1 << m)) <= ENTRY_CAP]
 # (p, n, ell): cosets of p^(n - ell) points
 LINEAR_SHAPES = [(3, 2, 0), (3, 3, 1), (3, 2, 1), (5, 1, 0), (5, 2, 1), (7, 2, 1), (11, 2, 1),
                  (13, 2, 1), (3, 3, 2), (5, 3, 2)]

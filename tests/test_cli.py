@@ -411,7 +411,7 @@ def test_the_benchmark_command_line_runs_without_argparse(tmp_path):
 def test_mu_matrix_past_its_cap_exits_two(monkeypatch, capsys, name):
     # at p = 7, n = 7 one mu matrix would take 2 GiB; the cap refuses it
     # before allocating, as a config problem
-    monkeypatch.setattr("qflab.factor.MU_CAP", 8)
+    monkeypatch.setattr("qflab.factor.BYTE_TABLE_CAP", 8)
     assert main(["run", name]) == 2
     assert "exceeds the mu cap 8" in capsys.readouterr().err
 
@@ -557,6 +557,13 @@ def test_a_standard_factor_without_forms_builds_its_codes_once():
     factor = _standard_factor(3, 4, 1, 0)
     assert factor.linear is factor
     assert run_counted(lambda: factor._codes)[1] == 81
+
+
+def test_vc2_structure_estimate_counts_building_the_factor():
+    # at q = 0 the estimate is exact: the factor's 81 codes, its atom
+    # tallies and the two searches
+    report = run_experiment("vc2-structure", None, {"q": 0})
+    assert report["terms"]["actual"] == report["terms"]["estimated"] == 79141
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -171,6 +171,19 @@ def test_bilinear_level_sizes_identity_form():
     assert bilinear_level_sizes(factor) is sizes and not sizes.flags.writeable
 
 
+def test_a_factor_past_the_enumeration_cap_gives_its_rank_and_level_sizes():
+    # 3^15 points exceed the 2^20 enumeration cap: the rank and the level
+    # sizes come from the forms alone, and only the atoms need the points.
+    # Over F_3^15, x.y = b has 3^29 + 3^15 - 3^14 solutions at b = 0 and
+    # 3^29 - 3^14 otherwise
+    factor = _identity_factor(3, 15, ell=1)
+    assert factor.rank == 15
+    assert bilinear_level_sizes(factor).tolist() == [3 ** 29 + 3 ** 15 - 3 ** 14,
+                                                    3 ** 29 - 3 ** 14, 3 ** 29 - 3 ** 14]
+    with pytest.raises(CapExceeded):
+        factor.atom_sizes
+
+
 def _mask(factor, b, row, col) -> np.ndarray:
     """The level mask of one code triple: a stack of one has no padding."""
     return level_masks(factor, [(b, row, col)])[0]
@@ -200,7 +213,7 @@ def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
     rows, cols = space(3, 2).index_of((0, 1)), space(3, 2).index_of((1, 0))
     entries = int(factor.atom_sizes[rows] * factor.atom_sizes[cols])
     assert entries > 1 << 18
-    monkeypatch.setattr(factor_module, "MU_CAP", entries - 1)
+    monkeypatch.setattr(factor_module, "BYTE_TABLE_CAP", entries - 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
@@ -211,7 +224,7 @@ def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
     assert peak < entries // 8
     with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
         mu_weight_matrix(factor, 2, rows, cols)
-    monkeypatch.setattr(factor_module, "MU_CAP", entries)
+    monkeypatch.setattr(factor_module, "BYTE_TABLE_CAP", entries)
     assert mu_weight_matrix(factor, 2, rows, cols).size == entries
 
 

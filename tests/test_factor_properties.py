@@ -14,16 +14,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qflab.factor import (  # noqa: E402
-    LEVEL_HISTOGRAM_CAP,
     bilinear_level_sizes,
     bilinear_level_sizes_naive,
     new_linear_factor,
     new_quadratic_factor,
 )
+from qflab.fpn_core import ENTRY_CAP  # noqa: E402
 
 PAIR_LIMIT = 1 << 20
 LEVEL_SIZES = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 7)
-               if p ** (2 * n) <= min(PAIR_LIMIT, LEVEL_HISTOGRAM_CAP)]
+               if p ** (2 * n) <= min(PAIR_LIMIT, ENTRY_CAP)]
 
 
 @settings(max_examples=60, deadline=None)

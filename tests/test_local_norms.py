@@ -26,6 +26,8 @@ from qflab.local_norms import (
     local_u2_norms,
     local_u3_inner,
     local_u3_inner_naive,
+    local_u3_inners,
+    local_u3_norms,
 )
 from qflab.pattern_ops import (
     FunctionGrid,
@@ -204,6 +206,23 @@ def test_contexts_refuse_codes_out_of_range():
             LocalContext2(factor, bad)
 
 
+@pytest.mark.parametrize("bad", [[9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 3, 0], [0, -1, 0, 0, 0, 0]])
+def test_batched_routes_with_forms_refuse_codes_out_of_range(bad):
+    # with forms the batched routes reach the contraction, which checks the
+    # rows' atom and level codes as the q = 0 routes and the contexts do
+    factor = _mixed_factor()
+    f = _random_f(3, 3, seed=62)
+    rows = [[0] * 6, bad]
+    calls = [
+        lambda: local_u3_norms(factor, rows, [f, f]),
+        lambda: local_u3_inners(factor, rows, [[f] * 8] * 2),
+        lambda: weighted_ternary_densities(factor, rows, [np.ones(27, dtype=bool)] * 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^label codes must lie in \[0, "):
+            call()
+
+
 def _mixed_factor_2d():
     lin = new_linear_factor(3, 2, [(1, 0)])
     return new_quadratic_factor(lin, [np.eye(2, dtype=np.int64)])
@@ -309,15 +328,15 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     ]
     for call in calls:
         call()
-    monkeypatch.setattr(local_norms, "TENSOR_CAP", int(factor.atom_sizes[list(d[:3])].prod()) - 1)
+    monkeypatch.setattr(local_norms, "ENTRY_CAP", int(factor.atom_sizes[list(d[:3])].prod()) - 1)
     for call in calls:
         with pytest.raises(CapExceeded, match=r"^\|x\| \|y\| \|z\| = "):
             call()
     # global IP2 builds no member tensors; its derivative tables are capped
-    # at p^(2n) <= NAIVE_CAP instead
+    # at p^(2n) <= ENTRY_CAP instead
     grid = FunctionGrid.ip2_diagonal(2, f)
     t_ip2(2, grid)
-    monkeypatch.setattr(spectral, "NAIVE_CAP", f.size ** 2 - 1)
+    monkeypatch.setattr(spectral, "ENTRY_CAP", f.size ** 2 - 1)
     with pytest.raises(CapExceeded):
         t_ip2(2, grid)
 
@@ -343,12 +362,12 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
         lambda: t_bipartite(graph, lin, [0], [1, 2],
                             FunctionGrid({(0, 0): f, (0, 1): f})),
     ]
-    monkeypatch.setattr(local_norms, "GRID_CAP", 81)
+    monkeypatch.setattr(local_norms, "ENTRY_CAP", 81)
     for call in local_calls:
         call()
     with pytest.raises(CapExceeded):
         t_ip(2, FunctionGrid.ip_select(2, f, f))
-    monkeypatch.setattr(local_norms, "GRID_CAP", 80)
+    monkeypatch.setattr(local_norms, "ENTRY_CAP", 80)
     for call in local_calls:
         with pytest.raises(CapExceeded):
             call()

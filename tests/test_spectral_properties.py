@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from qflab.fpn_core import ENTRY_CAP  # noqa: E402
 from qflab.spectral import (  # noqa: E402
-    U3_REFERENCE_CAP,
     GroupFunction,
     _box_sums,
     u2_inner,
@@ -23,7 +23,7 @@ from qflab.spectral import (  # noqa: E402
 
 # every (p, n) with p^n within the reference cap of u3_inner_naive
 REFERENCE_SIZES = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 4)
-                   if p ** n <= U3_REFERENCE_CAP]
+                   if (p ** n) ** 5 <= ENTRY_CAP]
 
 
 def _bounded_tuple(p, n, seed, count, diagonal):
