@@ -7,6 +7,7 @@ Modules:
     local_norms   local U^2(d)/U^3(d) semi-norms and their contractions
     pattern_ops   IP/IP2 operators, multi-local pattern operators, witnesses
     combinatorics VC/VC2 dimension search, structure predicates
+    reference     test-only reference twins of fast routes; no run imports it
     lab_cli       experiment harness behind the `qflab` command
 """
 

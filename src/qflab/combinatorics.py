@@ -21,8 +21,8 @@ lexicographically least one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ def _shift_table(mask: SubsetBitmask) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """A replayable pattern witness; `a`, `b`, `c` hold canonical indices.
 
     For IP, b[s] completes subset code s; for IP2, c[s] completes pattern
@@ -101,7 +100,7 @@ class WitnessCertificate:
     n: int
     a: tuple
     b: tuple
-    c: tuple = field(default=())
+    c: tuple = ()
 
     def elements(self) -> dict:
         gv = lambda i: GroupVector.from_index(self.p, self.n, int(i))

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from .fpn_core import (
     BYTE_TABLE_CAP,
-    ENTRY_CAP,
     H_BLOCK_ENTRIES,
     GroupSpace,
     GroupVector,
@@ -211,7 +210,7 @@ def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
     widest = int(entries.argmax())
     if entries[widest] > BYTE_TABLE_CAP:
         raise CapExceeded(f"mu matrix of {heights[widest]} x {widths[widest]} entries "
-                          f"exceeds the mu cap {BYTE_TABLE_CAP}")
+                          f"exceeds BYTE_TABLE_CAP = {BYTE_TABLE_CAP}")
     count_terms(int(entries.sum()) * factor.q)
     height, width = int(heights.max()), int(widths.max())
     # the padding lies in no level set
@@ -278,28 +277,6 @@ def bilinear_level_sizes(factor: QuadraticFactor) -> np.ndarray:
     if factor.q < 1:
         raise ValueError("needs at least one form")
     return factor._level_sizes
-
-
-def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
-    """Reference route: the joint histogram of the form values over all
-    p^(2n) pairs, capped at ENTRY_CAP pairs."""
-    p, q = factor.p, factor.q
-    if q < 1:
-        raise ValueError("needs at least one form")
-    sp = factor.space
-    if sp.size ** 2 > ENTRY_CAP:
-        raise CapExceeded(f"p^(2n) = {sp.size ** 2} pairs exceed the histogram cap")
-    digits = sp.digits.astype(np.int64)
-    counts = np.zeros(p ** q, dtype=np.int64)
-    chunk = max(1, H_BLOCK_ENTRIES // max(sp.size, 1))
-    for start in range(0, sp.size, chunk):
-        block = digits[start:start + chunk]
-        code = np.zeros((block.shape[0], sp.size), dtype=np.int64)
-        for j, m in enumerate(factor.forms):
-            vals = (block @ m.as_array() @ digits.T) % p
-            code += vals * (p ** j)
-        counts += np.bincount(code.ravel(), minlength=p ** q)
-    return counts
 
 
 def direction_codes(factor: QuadraticFactor, labels) -> np.ndarray:

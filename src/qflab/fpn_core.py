@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import contextvars
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,15 +61,52 @@ def run_counted(fn, *args):
 # primes and scalars
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldPrime:
+class Frozen:
+    """Base of the small immutable value classes: equality, hashing and repr
+    read the fields named in `__slots__`, in order, and assigning or
+    deleting a field raises AttributeError. Subclasses set their fields
+    once in `__init__` with `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class FieldPrime(Frozen):
     """A validated odd prime in the supported range."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p not in ODD_PRIMES:
-            raise ValueError(f"p must be an odd prime in {ODD_PRIMES}, got {self.p}")
+    def __init__(self, p: int) -> None:
+        if p not in ODD_PRIMES:
+            raise ValueError(f"p must be an odd prime in {ODD_PRIMES}, got {p}")
+        self._set(p)
 
 
 def check_finite(z: complex) -> complex:
@@ -230,16 +266,14 @@ def space(p: int, n: int) -> GroupSpace:
     return GroupSpace(p, n)
 
 
-@dataclass(frozen=True)
-class GroupVector:
+class GroupVector(Frozen):
     """An element of F_p^n with a canonical integer index."""
 
-    p: int
-    coords: tuple[int, ...]
+    __slots__ = ("p", "coords")
 
-    def __post_init__(self) -> None:
-        FieldPrime(self.p)
-        object.__setattr__(self, "coords", tuple(int(c) % self.p for c in self.coords))
+    def __init__(self, p: int, coords: tuple[int, ...]) -> None:
+        FieldPrime(p)
+        self._set(p, tuple(int(c) % p for c in coords))
 
     @property
     def n(self) -> int:
@@ -262,16 +296,14 @@ class GroupVector:
 # symmetric forms and mod-p linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetricForm:
+class SymmetricForm(Frozen):
     """A symmetric n x n matrix over F_p."""
 
-    p: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "entries")
 
-    def __post_init__(self) -> None:
-        FieldPrime(self.p)
-        rows = tuple(tuple(int(v) % self.p for v in row) for row in self.entries)
+    def __init__(self, p: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        FieldPrime(p)
+        rows = tuple(tuple(int(v) % p for v in row) for row in entries)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -280,7 +312,7 @@ class SymmetricForm:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise AsymmetricForm(f"entries[{i}][{j}] != entries[{j}][{i}]")
-        object.__setattr__(self, "entries", rows)
+        self._set(p, rows)
 
     @property
     def n(self) -> int:

@@ -35,9 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -129,14 +128,12 @@ CONTEXT_ATTEMPTS = 200  # random direction tuples tried for a nondegenerate one
 ASSIGNMENT_ATTEMPTS = 100  # random label assignments tried per pattern shape
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trials: list
     trend: dict | None = None
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     name: str
     kind: str
     claim: str

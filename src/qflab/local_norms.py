@@ -29,8 +29,8 @@ per mask place, which the factor does not keep. A measure mu_beta(b) is
 its level mask times one number, the level's weight p^(2n)/|beta(b)|, so
 every term a mask keeps carries the same weights: the contraction counts
 on masks and multiplies each context's sum once by its weight product.
-Only the naive twin forms float64 measures, with
-`factor.mu_weight_matrix`.
+Only the naive twin `reference.local_u3_inner_naive` forms float64
+measures, with `factor.mu_weight_matrix`.
 
 `_binary_contract` is the bipartite contraction: the local U^2 inner
 product, the IP averages and the bipartite operator. Its value arrays may
@@ -70,7 +70,6 @@ from .factor import (
     QuadraticFactor,
     level_masks,
     mu_weight,
-    mu_weight_matrix,
     sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, ENTRY_CAP, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
@@ -80,8 +79,13 @@ BLOCK_ENTRIES = 1 << 13  # entries per kept (x, z) slab of one block of the tern
 
 
 def _check_codes(codes, bound: int) -> None:
-    codes = np.asarray(codes)
-    if codes.size and not 0 <= codes.min() <= codes.max() < bound:
+    """Raise ValueError unless every code lies in [0, bound): one test over
+    an array of a batch's codes, a loop over one context's tuple of ints."""
+    if isinstance(codes, np.ndarray):
+        ok = not codes.size or 0 <= codes.min() <= codes.max() < bound
+    else:
+        ok = all(0 <= c < bound for c in codes)
+    if not ok:
         raise ValueError(f"label codes must lie in [0, {bound})")
 
 
@@ -316,7 +320,7 @@ def _ternary_contract(factor: QuadraticFactor, shape: TernaryShape, codes: np.nd
         raise DegenerateContext("a ternary problem names an empty atom")
     widest = int((parts[0].max(axis=1) * parts[1].max(axis=1) * parts[2].max(axis=1)).max())
     if widest > ENTRY_CAP:
-        raise CapExceeded(f"|x| |y| |z| = {widest} exceeds the ternary cap {ENTRY_CAP}")
+        raise CapExceeded(f"|x| |y| |z| = {widest} exceeds ENTRY_CAP = {ENTRY_CAP}")
     out = np.zeros(len(codes), dtype=np.complex128)
     ytuples = math.prod(parts[1].max(axis=0).tolist())
     step = max(1, H_BLOCK_ENTRIES // (ytuples + factor.space.size))  # contexts per block
@@ -365,7 +369,7 @@ class _Stack:
     The kept counts are one float32 matmul of two masks (one cast when both
     are one stack), exact as each is at most |atom| <= 2^20 < 2^24. Only
     the live y-tuples, those that keep some x_u and some z_w, get keys;
-    the padded count stacks are freed before the buckets. The live
+    each padded count stack is cut to them before the next is formed. The live
     y-tuples are grouped by their kept counts into buckets. A bucket goes
     in blocks of at most BLOCK_ENTRIES // (widest kept slab) y-tuples, the
     last block holding what is left; each block gathers its members
@@ -486,17 +490,26 @@ class _Stack:
             b = a if m1[0] is m0 else m1[0].astype(np.float32)
             return (a.transpose(0, 2, 1) @ b if axis == 1 else a @ b.transpose(0, 2, 1)).reshape(-1)
 
-        counts = ([kept_counts(1, *ms) for ms in self.xmask.values()]
-                  + [kept_counts(2, *ms) for ms in self.zmask.values()])
-        alive = np.logical_and.reduce([c > 0 for c in counts])
+        # each padded count is cut to the live y-tuples before the next is
+        # formed, so at most one exists at a time
         sy1 = ys[-1].shape[1]
-        if self.half:  # j_0 <= j_1
-            alive &= np.tile(np.triu(np.ones((sy1, sy1), dtype=bool)).reshape(-1), self.nctx)
-        live = np.flatnonzero(alive)
-        if not live.size:
-            return np.zeros(self.nctx, dtype=np.complex128)
-        keys = np.stack([c[live] for c in counts], axis=1).astype(np.int64)
-        del counts, alive
+        live, kept = None, []
+        for axis, ms in ([(1, ms) for ms in self.xmask.values()]
+                         + [(2, ms) for ms in self.zmask.values()]):
+            count = kept_counts(axis, *ms)
+            if live is None:
+                alive = count > 0
+                if self.half:  # j_0 <= j_1
+                    alive &= np.tile(np.triu(np.ones((sy1, sy1), dtype=bool)).reshape(-1),
+                                     self.nctx)
+                live = np.flatnonzero(alive)
+                del alive
+            count = count[live]
+            keep = count > 0
+            live, kept = live[keep], [k[keep] for k in kept] + [count[keep]]
+            if not live.size:
+                return np.zeros(self.nctx, dtype=np.complex128)
+        keys = np.stack(kept, axis=1).astype(np.int64)
         order = np.lexsort(keys.T)
         keys, order = keys[order], live[order]  # y-tuples sorted by kept counts
         # bucket b holds the sorted y-tuples edges[b]:edges[b + 1]
@@ -646,45 +659,6 @@ def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarra
 def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
     """The batch of one of `local_u3_inners`."""
     return complex(local_u3_inners(ctx.factor, [ctx.codes], [octuple])[0])
-
-
-def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
-    """Reference evaluation: the literal six-fold nested sum over atom
-    members with all twelve mu factors formed term by term."""
-    if len(octuple) != 8:
-        raise ValueError("need eight functions in lexicographic eps order")
-    members = [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
-    s1, s2, s3 = (a.size for a in members)
-    if (s1 * s2 * s3) ** 2 > ENTRY_CAP:
-        raise CapExceeded("six-fold nested sum too large")
-    sums = ctx.factor.space.sum_grid3(*members)
-    tensors = [g.values[sums] for g in octuple]
-    t000, t001, t010, t011, t100, t101, t110, t111 = tensors
-    a1, a2, a3, b12, b13, b23 = ctx.codes
-    mu12, mu13, mu23 = (mu_weight_matrix(ctx.factor, *t)
-                        for t in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
-    total = 0.0 + 0.0j
-    for i0 in range(s1):
-        for i1 in range(s1):
-            for j0 in range(s2):
-                for j1 in range(s2):
-                    w_xy = mu12[i0, j0] * mu12[i0, j1] * mu12[i1, j0] * mu12[i1, j1]
-                    if w_xy == 0.0:
-                        continue
-                    for k0 in range(s3):
-                        wk0 = mu13[i0, k0] * mu13[i1, k0] * mu23[j0, k0] * mu23[j1, k0]
-                        if wk0 == 0.0:
-                            continue
-                        face0 = (t000[i0, j0, k0] * np.conj(t010[i0, j1, k0])
-                                 * np.conj(t100[i1, j0, k0]) * t110[i1, j1, k0])
-                        for k1 in range(s3):
-                            wk1 = mu13[i0, k1] * mu13[i1, k1] * mu23[j0, k1] * mu23[j1, k1]
-                            if wk1 == 0.0:
-                                continue
-                            face1 = (np.conj(t001[i0, j0, k1]) * t011[i0, j1, k1]
-                                     * t101[i1, j0, k1] * np.conj(t111[i1, j1, k1]))
-                            total += w_xy * wk0 * wk1 * face0 * face1
-    return complex(total / (s1 * s2 * s3) ** 2)
 
 
 def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],

@@ -23,8 +23,8 @@ t_ip2s works on the frequency side instead. With no forms, t_ip2_local and
 weighted_ternary_densities are t_ip2s and a mean on the direction's target
 coset, which `local_norms._target_stacks` gathers. The global averages
 take value stacks with leading batch axes, and t_ip and t_ip2 are their
-batches of one on a FunctionGrid. The naive nested sums are
-reference routes for small instances. Every local operator names its
+batches of one on a FunctionGrid. The naive nested sums, the reference
+routes for small instances, are in `reference`. Every local operator names its
 cosets, atoms and bilinear levels by their integer codes (see `factor`): a
 pair of coset codes for t_ip_local, one coset code per vertex for the
 bipartite routines, and a direction's six codes for t_ip2_local. A labeled
@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +50,7 @@ from .factor import (
     degenerate_directions,
     level_masks,
 )
-from .fpn_core import ENTRY_CAP, H_BLOCK_ENTRIES, MAX_IP2_M, GroupSpace, count_terms, space
+from .fpn_core import H_BLOCK_ENTRIES, MAX_IP2_M, Frozen, GroupSpace, count_terms
 from .local_norms import (
     TernaryShape,
     _binary_contract,
@@ -79,30 +78,27 @@ MAX_TERNARY_UV = 2
 # pattern shapes and grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternHypergraph:
+class PatternHypergraph(Frozen):
     """A bipartite graph on parts U, V or a 3-partite 3-uniform hypergraph
     on parts U, V, W: `parts` holds the size of each part, in that order,
     and an edge holds one 0-based vertex index per part."""
 
-    parts: tuple
-    edges: frozenset = field(default_factory=frozenset)
+    __slots__ = ("parts", "edges")
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(k) for k in self.parts)
+    def __init__(self, parts: tuple, edges: frozenset = frozenset()) -> None:
+        parts = tuple(int(k) for k in parts)
         if len(parts) not in (2, 3):
             raise ValueError(f"need 2 or 3 parts, got {len(parts)}")
         if min(parts) < 1:
             raise ValueError("every part needs a vertex")
-        edges = frozenset(tuple(int(x) for x in e) for e in self.edges)
+        edges = frozenset(tuple(int(x) for x in e) for e in edges)
         for e in edges:
             if len(e) != len(parts):
                 raise ValueError(f"edge {e} has wrong arity")
             for coord, part, size in zip(e, "UVW", parts):
                 if not 0 <= coord < size:
                     raise ValueError(f"edge {e} leaves part {part}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "edges", edges)
+        self._set(parts, edges)
 
     @property
     def nu(self) -> int:
@@ -247,26 +243,6 @@ def t_ip_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> co
                                     _ip_slots(m, values)))
 
 
-def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
-    """Reference route: the literal nested sum over all m + 2^m variables,
-    formed as one broadcast product of gathered tables."""
-    _ip_check(m, grid)
-    sp = space(grid.p, grid.n)
-    N = sp.size
-    nvars = m + (1 << m)
-    if N ** nvars > ENTRY_CAP:
-        raise CapExceeded("naive IP sum too large")
-    idx = np.arange(N, dtype=np.int64)
-    shape = (N,) * nvars
-    prod = np.ones(shape, dtype=np.complex128)
-    for i in range(m):
-        for s in range(1 << m):
-            xi = idx.reshape((1,) * i + (N,) + (1,) * (nvars - i - 1))
-            ys = idx.reshape((1,) * (m + s) + (N,) + (1,) * (nvars - m - s - 1))
-            prod = prod * grid[(i + 1, s)].values[sp.add(xi, ys)]
-    return complex(prod.mean())
-
-
 # ---------------------------------------------------------------------------
 # IP2 operators
 # ---------------------------------------------------------------------------
@@ -363,36 +339,6 @@ def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> c
     graph = ip2_hypergraph(m)
     slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
     return t_ternary(TernaryContext(graph, factor, constant_codes(graph, codes)), slots)
-
-
-def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
-    """Reference route for the global operator: explicit loops over the
-    (x_i), (y_j) tuples, each z_S-average computed by its own direct loop
-    in Python scalars, with sums read from the group's addition table."""
-    _ip2_check(m, grid)
-    sp = space(grid.p, grid.n)
-    N = sp.size
-    if N ** (2 * m + 1) * (1 << (m * m)) > ENTRY_CAP:
-        raise CapExceeded("per-subset oracle too large")
-    idx = np.arange(N, dtype=np.int64)
-    add = sp.sum_grid(idx, idx).tolist()
-    vals = {k: g.values.tolist() for k, g in grid.mapping.items()}
-    total = 0.0 + 0.0j
-    for xv in itertools.product(range(N), repeat=m):
-        for yv in itertools.product(range(N), repeat=m):
-            prod = 1.0 + 0.0j
-            for s in range(1 << (m * m)):
-                zsum = 0.0 + 0.0j
-                for z in range(N):
-                    term = 1.0 + 0.0j
-                    for i in range(1, m + 1):
-                        for j in range(1, m + 1):
-                            arg = add[add[xv[i - 1]][yv[j - 1]]][z]
-                            term *= vals[(i, j, s)][arg]
-                    zsum += term
-                prod *= zsum / N
-            total += prod
-    return complex(total / N ** (2 * m))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ batch nor on the BLAS kernel. `u2_norms`, `u3_inners`, `u3_norms`,
 `u2_inners` averages the shift table's correlations. `u3_inners`
 conditions on the z-difference h and contracts four derivative tables on
 the frequency side, sum_t A^(t) B^(-t) C^(-t) D^(t), in O(p^(2n) p n); its
-independent physical-space twin `u3_inner_naive` is the factorized
+independent physical-space twin `reference.u3_inner_naive` is the factorized
 O(p^(5n)) loop and raises CapExceeded when p^(5n) > ENTRY_CAP.
 `_derivative_blocks` is the block loop of `u3_inners`, `u3_norms` and the
 global IP2 average `pattern_ops.t_ip2s`: for a block of h it forms every
@@ -354,49 +354,6 @@ def u3_inner(octuple: list[GroupFunction]) -> complex:
         raise ValueError("need eight functions in lexicographic eps order")
     fs = _same_group(octuple)
     return complex(u3_inners(np.stack([f.values for f in fs]), fs[0].p, fs[0].n))
-
-
-def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
-    """Same average as `u3_inners`, in physical space; the reference route.
-
-    Factorized evaluation: for each (y0, y1) the two z-averages (one for the
-    eps3 = 0 face, one for eps3 = 1) are rank-one contractions over z, done
-    as matrix products; the outer x0,x1 average is then an elementwise
-    product. Cost O(p^(5n)) instead of the naive O(p^(6n)).
-    """
-    if len(octuple) != 8:
-        raise ValueError("need eight functions in lexicographic eps order")
-    f = {eps: g for eps, g in zip(EPS3_ORDER, octuple)}
-    _same_group(octuple)
-    p, n = octuple[0].p, octuple[0].n
-    sp = space(p, n)
-    N = sp.size
-    if N ** 5 > ENTRY_CAP:
-        raise CapExceeded("reference eight-vertex sum is capped at "
-                          f"p^n <= {int(ENTRY_CAP ** 0.2)}")
-    idx = np.arange(N, dtype=np.int64)
-    table = sp.sum_grid(idx, idx)  # table[u, v] = u + v
-
-    def shifted(g: GroupFunction, y: int) -> np.ndarray:
-        # matrix m[x, z] = g(x + y + z)
-        vals = g.values[sp.add(idx, y)]
-        return vals[table]
-
-    total = 0.0 + 0.0j
-    for y0 in range(N):
-        p000 = shifted(f[(0, 0, 0)], y0)
-        p100 = np.conj(shifted(f[(1, 0, 0)], y0))
-        p001 = np.conj(shifted(f[(0, 0, 1)], y0))
-        p101 = shifted(f[(1, 0, 1)], y0)
-        for y1 in range(N):
-            a0 = p000 * np.conj(shifted(f[(0, 1, 0)], y1))
-            b0 = p100 * shifted(f[(1, 1, 0)], y1)
-            a1 = p001 * shifted(f[(0, 1, 1)], y1)
-            b1 = p101 * np.conj(shifted(f[(1, 1, 1)], y1))
-            z0 = a0 @ b0.T
-            z1 = a1 @ b1.T
-            total += np.multiply(z0, z1).sum()
-    return complex(total / N ** 6)
 
 
 def u3_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:

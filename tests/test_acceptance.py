@@ -59,13 +59,13 @@ from qflab.pattern_ops import (
     witness_count_bipartite,
     witness_count_ternary,
 )
+from qflab.reference import u3_inner_naive
 from qflab.spectral import (
     GroupFunction,
     fourier_transform,
     inverse_transforms,
     max_quadratic_correlation,
     u2_inner,
-    u3_inner_naive,
     u3_norms,
 )
 

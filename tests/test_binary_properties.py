@@ -31,8 +31,8 @@ from qflab.pattern_ops import (  # noqa: E402
     PatternHypergraph,
     t_bipartite,
     t_ip,
-    t_ip_naive,
 )
+from qflab.reference import t_ip_naive  # noqa: E402
 from qflab.spectral import GroupFunction  # noqa: E402
 
 PRIMES = (3, 5, 7, 11, 13)

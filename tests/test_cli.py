@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,7 +134,7 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     def boom(cfg):
         raise RuntimeError("kernel blew up")
 
-    monkeypatch.setitem(REGISTRY, "parseval", replace(REGISTRY["parseval"], runner=boom))
+    monkeypatch.setitem(REGISTRY, "parseval", REGISTRY["parseval"]._replace(runner=boom))
     assert main(["run", "parseval"]) == 3
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if not line.startswith("#")] == [
@@ -146,8 +145,8 @@ def test_run_evaluates_the_estimator_once(monkeypatch, capsys):
     # the estimate printed before the run is the one the report carries
     calls = []
     exp = REGISTRY["local-gcs"]
-    monkeypatch.setitem(REGISTRY, "local-gcs", replace(
-        exp, estimator=lambda cfg: calls.append(cfg) or exp.estimator(cfg)))
+    monkeypatch.setitem(REGISTRY, "local-gcs", exp._replace(
+        estimator=lambda cfg: calls.append(cfg) or exp.estimator(cfg)))
     assert main(["run", "local-gcs", "--trials", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == 1 and calls[0]["trials"] == 2
@@ -407,13 +406,30 @@ def test_the_benchmark_command_line_runs_without_argparse(tmp_path):
     assert not imported & {"argparse", "gettext", "locale"}
 
 
+def test_importing_the_cli_loads_only_what_a_run_uses(tmp_path):
+    """The imports every benchmark case starts with, in a fresh interpreter:
+    no class generates dataclass code, numpy.random waits for a run's first
+    draw, and the reference twins, which only tests call, stay unloaded."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import json, sys, numpy\n"
+            "from qflab.lab_cli.main import main\n"
+            "print(json.dumps(sorted(set(sys.modules) & "
+            "{'dataclasses', 'numpy.random', 'qflab.reference'})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("name", ["genbilsums-trend", "config-regularity-trend"])
 def test_mu_matrix_past_its_cap_exits_two(monkeypatch, capsys, name):
     # at p = 7, n = 7 one mu matrix would take 2 GiB; the cap refuses it
     # before allocating, as a config problem
     monkeypatch.setattr("qflab.factor.BYTE_TABLE_CAP", 8)
     assert main(["run", name]) == 2
-    assert "exceeds the mu cap 8" in capsys.readouterr().err
+    assert "exceeds BYTE_TABLE_CAP = 8" in capsys.readouterr().err
 
 
 def test_dependent_subgroup_basis_exits_two(tmp_path, capsys):

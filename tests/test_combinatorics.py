@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -321,8 +320,8 @@ def test_certificates_replay_on_their_set_only():
         # a moved completion or a dropped one breaks the pattern
         key = "b" if cert.kind == "IP" else "c"
         completions = getattr(cert, key)
-        assert not replace(cert, **{key: completions[1:2] + completions[1:]}).replay(mask)
-        assert not replace(cert, **{key: completions[:-1]}).replay(mask)
+        assert not cert._replace(**{key: completions[1:2] + completions[1:]}).replay(mask)
+        assert not cert._replace(**{key: completions[:-1]}).replay(mask)
 
 
 def test_replay_does_not_read_the_sum_table_the_search_reads(monkeypatch):

@@ -216,13 +216,13 @@ def test_mu_weight_matrix_refuses_past_its_cap(monkeypatch):
     monkeypatch.setattr(factor_module, "BYTE_TABLE_CAP", entries - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
+        with pytest.raises(CapExceeded, match=rf"exceeds BYTE_TABLE_CAP = {entries - 1}$"):
             level_masks(factor, [(0, rows, rows), (2, rows, cols)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < entries // 8
-    with pytest.raises(CapExceeded, match=rf"exceeds the mu cap {entries - 1}$"):
+    with pytest.raises(CapExceeded, match=rf"exceeds BYTE_TABLE_CAP = {entries - 1}$"):
         mu_weight_matrix(factor, 2, rows, cols)
     monkeypatch.setattr(factor_module, "BYTE_TABLE_CAP", entries)
     assert mu_weight_matrix(factor, 2, rows, cols).size == entries

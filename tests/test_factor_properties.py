@@ -15,11 +15,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qflab.factor import (  # noqa: E402
     bilinear_level_sizes,
-    bilinear_level_sizes_naive,
     new_linear_factor,
     new_quadratic_factor,
 )
 from qflab.fpn_core import ENTRY_CAP  # noqa: E402
+from qflab.reference import bilinear_level_sizes_naive  # noqa: E402
 
 PAIR_LIMIT = 1 << 20
 LEVEL_SIZES = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 7)

@@ -4,7 +4,9 @@ sums against hand-derived values."""
 from __future__ import annotations
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from qflab.fpn_core import (
     run_counted,
     space,
 )
+from qflab.pattern_ops import PatternHypergraph
 
 
 def _quad(form, b):
@@ -52,6 +55,22 @@ def test_field_prime_rejects_others():
     for p in (2, 4, 9, 15, 17):
         with pytest.raises(ValueError):
             FieldPrime(p)
+
+
+@pytest.mark.parametrize("value,field,text", [
+    (FieldPrime(3), "p", "FieldPrime(p=3)"),
+    (GroupVector(3, (4, -1)), "coords", "GroupVector(p=3, coords=(1, 2))"),
+    (SymmetricForm(3, ((1, 5), (2, 0))), "entries", "SymmetricForm(p=3, entries=((1, 2), (2, 0)))"),
+    (PatternHypergraph((2, 1), [(1, 0)]), "edges",
+     "PatternHypergraph(parts=(2, 1), edges=frozenset({(1, 0)}))"),
+])
+def test_value_classes_compare_by_fields_and_stay_frozen(value, field, text):
+    assert repr(value) == text
+    for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert again is not value and again == value and hash(again) == hash(value)
+    assert value != text and value != FieldPrime(5)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
 
 
 def test_group_space_digit_index_roundtrip():

@@ -25,7 +25,6 @@ from qflab.local_norms import (
     local_u2_inner,
     local_u2_norms,
     local_u3_inner,
-    local_u3_inner_naive,
     local_u3_inners,
     local_u3_norms,
 )
@@ -39,6 +38,7 @@ from qflab.pattern_ops import (
     t_ternaries,
     weighted_ternary_densities,
 )
+from qflab.reference import local_u3_inner_naive
 from qflab.spectral import GroupFunction, u2_norms, u3_inner
 
 

@@ -33,7 +33,6 @@ from qflab.fpn_core import space  # noqa: E402
 from qflab.local_norms import (  # noqa: E402
     LocalContext3,
     local_u3_inner,
-    local_u3_inner_naive,
     local_u3_norms,
 )
 from qflab.pattern_ops import (  # noqa: E402
@@ -44,11 +43,11 @@ from qflab.pattern_ops import (  # noqa: E402
     ip2_hypergraph,
     t_ip2,
     t_ip2_local,
-    t_ip2_per_s_oracle,
     t_ternary,
     ternary_normalization,
     witness_count_ternary,
 )
+from qflab.reference import local_u3_inner_naive, t_ip2_per_s_oracle  # noqa: E402
 from qflab.spectral import GroupFunction  # noqa: E402
 
 # (p, n, ell) with q = 1: atoms small enough for the six-fold reference sum

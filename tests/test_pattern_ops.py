@@ -30,9 +30,7 @@ from qflab.pattern_ops import (
     t_ip,
     t_ip2,
     t_ip2_local,
-    t_ip2_per_s_oracle,
     t_ip_local,
-    t_ip_naive,
     t_ternaries,
     t_ternary,
     ternary_normalization,
@@ -43,6 +41,7 @@ from qflab.pattern_ops import (
 )
 from qflab import pattern_ops, spectral
 from qflab.fpn_core import run_counted, space
+from qflab.reference import t_ip2_per_s_oracle, t_ip_naive
 from qflab.spectral import GroupFunction, u2_inner
 
 

@@ -16,6 +16,7 @@ import pytest
 from qflab.errors import CapExceeded, NegativeDiagonal
 from qflab import spectral
 from qflab.fpn_core import GroupVector, SymmetricForm, space
+from qflab.reference import u3_inner_naive
 from qflab.spectral import (
     EPS3_ORDER,
     GroupFunction,
@@ -28,7 +29,6 @@ from qflab.spectral import (
     u2_inner,
     u2_norms,
     u3_inner,
-    u3_inner_naive,
     u3_norms,
 )
 

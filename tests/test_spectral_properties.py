@@ -13,12 +13,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qflab.fpn_core import ENTRY_CAP  # noqa: E402
+from qflab.reference import u3_inner_naive  # noqa: E402
 from qflab.spectral import (  # noqa: E402
     GroupFunction,
     _box_sums,
     u2_inner,
     u3_inner,
-    u3_inner_naive,
 )
 
 # every (p, n) with p^n within the reference cap of u3_inner_naive
