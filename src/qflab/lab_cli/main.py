@@ -8,7 +8,9 @@ Exit codes: 0 when every hard check passes (trend and report experiments
 never fail the exit code), 1 when a hard check fails, 2 for configuration
 problems (a bad command line, unknown experiment, bad key, cap violation,
 a `--config` that cannot be read or an `--out` that cannot be written), 3
-for any other error, so that a crash is never read as a failed bound.
+for any other error, so that a crash is never read as a failed bound. A
+reader that closes stdout early, as `qflab list | head -1` does, ends the
+output and is no error: the command keeps its exit code.
 """
 
 from __future__ import annotations
@@ -79,18 +81,29 @@ def _overrides(opts: dict) -> dict:
     return {k: opts[k] for k in ("p", "n", "seed", "trials") if k in opts}
 
 
+def _emit(text: str) -> None:
+    """Print text to stdout. A reader that closed the pipe has read all it
+    wants, so stdout then points at devnull, where the rest of the output
+    and the final flush go without an error."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _do_list() -> int:
     width = max(len(name) for name in REGISTRY)
-    for name in sorted(REGISTRY):
-        exp = REGISTRY[name]
-        print(f"{name:<{width}}  [{exp.kind}]  {exp.claim}")
+    _emit("\n".join(f"{name:<{width}}  [{exp.kind}]  {exp.claim}"
+                     for name, exp in sorted(REGISTRY.items())))
     return 0
 
 
 def _do_estimate(name: str, opts: dict) -> int:
     file_cfg = load_json(opts["config"]) if opts.get("config") else None
     cfg, est = estimate_experiment(name, file_cfg, _overrides(opts))
-    print(canonical_json({"experiment": name, "config": cfg, "terms_estimated": est}))
+    _emit(canonical_json({"experiment": name, "config": cfg, "terms_estimated": est}))
     return 0
 
 
@@ -127,7 +140,7 @@ def _do_run(name: str, opts: dict) -> int:
             raise ConfigError(f"cannot write report {out!r}: {exc}") from exc
         print(f"# report written to {out}", file=sys.stderr)
     else:
-        print(payload)
+        _emit(payload)
     return 1 if report["verdict"] == "fail" else 0
 
 
@@ -135,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         if "-h" in argv or "--help" in argv:
-            print("usage: qflab list\n"
+            _emit("usage: qflab list\n"
                   "       qflab run <experiment> [--config FILE] [--p P] [--n N] [--seed S]\n"
                   "                 [--trials T] [--out FILE] [--threads K]\n"
                   "       qflab estimate <experiment> [--config FILE] [--p P] [--n N]\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
@@ -16,15 +17,16 @@ import pytest
 
 from qflab.factor import mu_weight_matrix
 from qflab.fpn_core import run_counted
-from qflab.lab_cli import experiments
+from qflab.lab_cli import BUILTIN_HASHES
 from qflab.lab_cli import main as cli_main
-from qflab.lab_cli.experiments import (
-    REGISTRY,
+from qflab.lab_cli import shared
+from qflab.lab_cli.experiments import REGISTRY, estimate_experiment, run_experiment
+from qflab.lab_cli.expsums import _direction_masks, _triangle_count
+from qflab.lab_cli.shared import (
     _blockwise,
     _bounded_draw,
     _bounded_values,
     _direction_codes,
-    _direction_masks,
     _gaussian_draw,
     _gaussian_values,
     _label,
@@ -35,9 +37,6 @@ from qflab.lab_cli.experiments import (
     _trend,
     _trial_rng,
     _trials,
-    _triangle_count,
-    estimate_experiment,
-    run_experiment,
 )
 from qflab.lab_cli.main import main
 from qflab.lab_cli.reporting import (
@@ -385,19 +384,24 @@ def test_help_prints_the_usage_and_exits_zero(capsys, argv):
     assert captured.err == ""
 
 
+def _child_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_the_benchmark_command_line_runs_without_argparse(tmp_path):
     """The command line every benchmark case runs, in a fresh interpreter
     with `-X importtime`, which names every module the process imports:
     argparse and its gettext and locale lookups are never among them."""
-    root = Path(__file__).resolve().parents[1]
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg.write_text('{"trials": 2}')
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "qflab.lab_cli.main", "run", "parseval",
          "--config", str(cfg), "--threads", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["experiment"] == "parseval"
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
@@ -406,21 +410,76 @@ def test_the_benchmark_command_line_runs_without_argparse(tmp_path):
     assert not imported & {"argparse", "gettext", "locale"}
 
 
+def _has_builtin_hashes() -> bool:
+    return all(importlib.util.find_spec(name) for name in BUILTIN_HASHES)
+
+
+RUNNER_MODULES = {f"qflab.lab_cli.{name}" for name in
+                  ("shared", "inequalities", "expsums", "shatter", "structure")}
+
+
 def test_importing_the_cli_loads_only_what_a_run_uses(tmp_path):
     """The imports every benchmark case starts with, in a fresh interpreter:
     no class generates dataclass code, numpy.random waits for a run's first
-    draw, and the reference twins, which only tests call, stay unloaded."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    draw, the reference twins, which only tests call, stay unloaded, and so
+    does OpenSSL's `_hashlib` where the builtin hash modules exist. Every
+    runner module is loaded with the registry, none on first use."""
     code = ("import json, sys, numpy\n"
             "from qflab.lab_cli.main import main\n"
-            "print(json.dumps(sorted(set(sys.modules) & "
-            "{'dataclasses', 'numpy.random', 'qflab.reference'})))")
+            "print(json.dumps([k for k, v in sys.modules.items() if v is not None]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
+                          env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "numpy.random", "qflab.reference"}
+    if _has_builtin_hashes():
+        assert "_hashlib" not in loaded
+    assert RUNNER_MODULES <= loaded
+
+
+@pytest.mark.parametrize("prelude,openssl", [
+    ("", False),
+    ("import hashlib", True),
+    ("sys.modules['_sha256'] = sys.modules['_sha2'] = None", True),
+], ids=["builtin", "openssl-first", "no-builtin-sha256"])
+def test_reports_do_not_depend_on_which_sha256_digests_them(tmp_path, prelude, openssl):
+    """parseval's report from a fresh interpreter whose digests come from
+    the builtin SHA-256, from OpenSSL's after an earlier `import hashlib`,
+    and from OpenSSL's where the builtin module is missing: the bytes of
+    the same run in this process."""
+    if not openssl and not _has_builtin_hashes():
+        pytest.skip("this interpreter has no builtin hash modules")
+    out = tmp_path / "report.json"
+    code = (f"import sys\n{prelude}\n"
+            "from qflab.lab_cli.main import main\n"
+            f"code = main(['run', 'parseval', '--out', {str(out)!r}])\n"
+            "print(sys.modules.get('_hashlib') is not None)\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(openssl)]
+    assert out.read_text() == canonical_json(run_experiment("parseval")) + "\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["run", "counting-ternary"], 0),
+    (["run", "parseval", "--trials", "800", "--config", "tol.json"], 1),
+], ids=["pass", "fail"])
+def test_a_reader_closing_stdout_ends_the_output(tmp_path, argv, code):
+    """A report of 100 kB or more outgrows the pipe, so the run is still
+    writing when the reader closes it after one read: the run keeps its
+    verdict's exit code and writes no error and no traceback."""
+    (tmp_path / "tol.json").write_text('{"tol": 1e-300}')
+    proc = subprocess.Popen([sys.executable, "-m", "qflab.lab_cli.main", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env(), cwd=tmp_path)
+    assert proc.stdout.read(10) == b'{"aggregat'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code, err
+    assert "error" not in err and "Exception" not in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("name", ["genbilsums-trend", "config-regularity-trend"])
@@ -656,8 +715,8 @@ def test_estimators_build_each_standard_factor_once(monkeypatch, name):
         builds.append(n)
         return _standard_factor(p, n, ell, q)
 
-    monkeypatch.setattr(experiments, "_standard_factor", spy)
-    experiments._atom_moments.cache_clear()
+    monkeypatch.setattr(shared, "_standard_factor", spy)
+    shared._atom_moments.cache_clear()
     estimate_experiment(name)
     estimate_experiment(name)
     assert builds and len(builds) == len(set(builds)), f"dimensions built: {builds}"
@@ -729,7 +788,7 @@ def test_blocks_of_trials_draw_their_own_streams(monkeypatch):
 
     want = [float(_trial_rng(9, i).random()) for i in range(7)]
     for entries in (1, 3, 1000):
-        monkeypatch.setattr(experiments, "DERIVATIVE_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(shared, "DERIVATIVE_BLOCK_ENTRIES", entries)
         sizes = []
 
         def evaluate(draws):
@@ -752,7 +811,7 @@ def test_whole_group_reports_do_not_depend_on_trial_blocks(monkeypatch, name, ov
     # blocks of one trial has the trials of a run in one block
     cfg = overrides | {"trials": 6, "seed": 2}
     whole = run_experiment(name, cfg)
-    monkeypatch.setattr(experiments, "DERIVATIVE_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(shared, "DERIVATIVE_BLOCK_ENTRIES", 1)
     assert run_experiment(name, cfg)["trials"] == whole["trials"]
 
 
