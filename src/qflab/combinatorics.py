@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .factor import QuadraticFactor
-from .fpn_core import BYTE_TABLE_CAP, H_BLOCK_ENTRIES, MAX_IP2_M, GroupVector, count_terms, space
+from .fpn_core import BYTE_TABLE_CAP, H_BLOCK_ENTRIES, MAX_IP2_M, count_terms, space
 
 MAX_IP_K = 4
 IP2_POINT_CAP = 3 ** 6
@@ -54,10 +54,6 @@ class SubsetBitmask:
     @property
     def size(self) -> int:
         return int(self.bits.sum())
-
-    def __contains__(self, x) -> bool:
-        idx = x.index if isinstance(x, GroupVector) else int(x)
-        return bool(self.bits[idx])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubsetBitmask) and self.p == other.p
@@ -103,10 +99,11 @@ class WitnessCertificate(NamedTuple):
     c: tuple = ()
 
     def elements(self) -> dict:
-        gv = lambda i: GroupVector.from_index(self.p, self.n, int(i))
-        out = {"a": [gv(i) for i in self.a], "b": [gv(i) for i in self.b]}
+        """The coordinate tuples of `a`, `b` and (for IP2) `c`."""
+        coords = space(self.p, self.n).coords_of
+        out = {"a": [coords(i) for i in self.a], "b": [coords(i) for i in self.b]}
         if self.kind == "IP2":
-            out["c"] = [gv(i) for i in self.c]
+            out["c"] = [coords(i) for i in self.c]
         return out
 
     def replay(self, mask: SubsetBitmask) -> bool:

@@ -25,13 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
+from .errors import AsymmetricForm, CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from .fpn_core import (
     BYTE_TABLE_CAP,
     H_BLOCK_ENTRIES,
     GroupSpace,
-    GroupVector,
-    SymmetricForm,
+    check_prime,
     count_terms,
     nullspace_mod_p,
     rank_mod_p,
@@ -43,20 +42,19 @@ MAX_FORMS = 6
 
 class QuadraticFactor:
     """l linearly independent vectors and q symmetric forms, whose joint
-    level sets are the atoms. With no forms it is a linear factor and its
-    own `linear`; with forms, `linear` is the no-form factor it was built
-    from, whose caches it shares. `new_linear_factor` and
-    `new_quadratic_factor` check their inputs and build one. `_codes`
-    holds every point's label code, one int64 per point, and counts p^n x
-    width terms when it is first built."""
+    level sets are the atoms: `vectors` is a read-only (l, n) and `forms`
+    a read-only (q, n, n) int64 array, entries reduced mod p. With no forms
+    it is a linear factor and its own `linear`; with forms, `linear` is the
+    no-form factor it was built from, whose caches it shares.
+    `new_linear_factor` and `new_quadratic_factor` check their inputs and
+    build one. `_codes` holds every point's label code, one int64 per
+    point, and counts p^n x width terms when it is first built."""
 
-    def __init__(self, p: int, n: int, vectors: tuple[GroupVector, ...],
-                 forms: tuple[SymmetricForm, ...] = (),
+    def __init__(self, p: int, n: int, vectors: np.ndarray, forms: np.ndarray,
                  linear: QuadraticFactor | None = None) -> None:
         self.p, self.n, self.vectors, self.forms, self._linear = p, n, vectors, forms, linear
         self.ell, self.q = len(vectors), len(forms)
         self.width = self.ell + self.q
-        self._rows = np.array([v.coords for v in vectors], dtype=np.int64).reshape(self.ell, n)
         # minimum rank over the nontrivial form combinations; sentinel n+1
         # when there are no forms at all
         self.rank = min((r for _, r in self._line_ranks), default=self.n + 1)
@@ -79,14 +77,13 @@ class QuadraticFactor:
         line {c lambda : c != 0} of F_p^q: the one whose first nonzero entry
         is 1. The rank is constant on each such line."""
         p = self.p
-        arrays = [m.as_array() for m in self.forms]
         lam_space = space(p, self.q)
         out = []
         for code in range(1, p ** self.q):
             lam = lam_space.digits[code].astype(np.int64)
             if lam[np.flatnonzero(lam)[0]] != 1:
                 continue
-            combo = sum(int(l) * a for l, a in zip(lam, arrays)) % p
+            combo = sum(int(l) * m for l, m in zip(lam, self.forms)) % p
             out.append((lam, rank_mod_p(combo, p)))
         return out
 
@@ -95,12 +92,12 @@ class QuadraticFactor:
         count_terms(self.space.size * self.width)
         if not self.q:
             codes = np.zeros(self.space.size, dtype=np.int64)
-            for i, row in enumerate(self._rows):
+            for i, row in enumerate(self.vectors):
                 codes += self.space.form_values(r=row) * self.p ** i
             return codes
         codes = self.linear._codes
         for j, m in enumerate(self.forms):
-            codes = codes + self.space.form_values(m.as_array()) * self.p ** (self.ell + j)
+            codes = codes + self.space.form_values(m) * self.p ** (self.ell + j)
         return codes
 
     @cached_property
@@ -148,39 +145,61 @@ class QuadraticFactor:
     def occupied_labels(self) -> list[tuple[int, ...]]:
         return [lab for lab, size in zip(self.all_labels(), self.atom_sizes.tolist()) if size]
 
-    def subgroup_basis(self) -> list[GroupVector]:
+    def subgroup_basis(self) -> np.ndarray:
         """Basis of the kernel coset L(0), from mod-p row reduction (the
-        unit vectors when l = 0)."""
-        return [GroupVector(self.p, b) for b in nullspace_mod_p(self._rows, self.p, self.n)]
+        unit vectors when l = 0), as a read-only (n - l, n) int64 array."""
+        basis = np.array(nullspace_mod_p(self.vectors, self.p, self.n),
+                         dtype=np.int64).reshape(self.n - self.ell, self.n)
+        basis.flags.writeable = False
+        return basis
+
+
+def _residues(p: int, entries, name: str) -> np.ndarray:
+    """The entries as a read-only int64 array reduced mod p. Raises
+    ValueError on a p outside ODD_PRIMES or an entry that is not a whole
+    number."""
+    check_prime(p)
+    raw = np.asarray(entries)
+    if raw.dtype.kind not in "biu" and not (
+            raw.dtype.kind == "f" and np.all((np.abs(raw) < 2 ** 63) & (np.round(raw) == raw))):
+        raise ValueError(f"{name} entries must be whole numbers")
+    out = raw.astype(np.int64) % p
+    out.flags.writeable = False
+    return out
 
 
 def new_linear_factor(p: int, n: int, vectors) -> QuadraticFactor:
     """Build the linear factor of the vectors, of complexity (l, 0),
     verifying their independence."""
-    vecs = tuple(v if isinstance(v, GroupVector) else GroupVector(p, tuple(v)) for v in vectors)
-    if any(v.p != p or v.n != n for v in vecs):
+    rows = _residues(p, vectors, "vector")
+    if rows.shape == (0,):
+        rows = rows.reshape(0, n)
+    if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("vector in wrong group")
-    if vecs and rank_mod_p(np.array([v.coords for v in vecs], dtype=np.int64), p) != len(vecs):
+    if len(rows) and rank_mod_p(rows, p) != len(rows):
         raise DependentVectors("linear part is not independent")
-    return QuadraticFactor(p, n, vecs)
+    return QuadraticFactor(p, n, rows, _residues(p, np.zeros((0, n, n), dtype=np.int64), "form"))
 
 
 def new_quadratic_factor(linear: QuadraticFactor, forms) -> QuadraticFactor:
     """Attach symmetric forms to a linear factor and compute the rank; with
     no forms, the linear factor itself."""
-    shaped = tuple(
-        m if isinstance(m, SymmetricForm) else SymmetricForm.from_array(linear.p, m)
-        for m in forms
-    )
-    if not shaped:
+    forms = _residues(linear.p, forms, "form")
+    if forms.shape[:1] == (0,):
         return linear
+    if forms.ndim != 3 or forms.shape[1] != forms.shape[2]:
+        raise ValueError("matrix must be square")
+    asymmetric = np.argwhere(forms != forms.transpose(0, 2, 1))
+    if len(asymmetric):
+        k, i, j = asymmetric[0]
+        raise AsymmetricForm(f"form {k}: entries[{i}][{j}] != entries[{j}][{i}]")
     if linear.q:
         raise ValueError("forms attach to a factor without forms")
-    if len(shaped) > MAX_FORMS:
-        raise TooManyForms(f"at most {MAX_FORMS} forms supported, got {len(shaped)}")
-    if any(m.p != linear.p or m.n != linear.n for m in shaped):
+    if len(forms) > MAX_FORMS:
+        raise TooManyForms(f"at most {MAX_FORMS} forms supported, got {len(forms)}")
+    if forms.shape[1] != linear.n:
         raise ValueError("form in wrong group")
-    return QuadraticFactor(linear.p, linear.n, linear.vectors, shaped, linear)
+    return QuadraticFactor(linear.p, linear.n, linear.vectors, forms, linear)
 
 
 def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
@@ -218,18 +237,17 @@ def level_masks(factor: QuadraticFactor, triples) -> np.ndarray:
              & (np.arange(width) < widths[:, None, None]))
     p, digits, table = factor.p, factor.space.digits, factor.member_table
     values = space(p, factor.q).digits[levels]
-    forms = [m.as_array() for m in factor.forms]
     residue = (np.arange(factor.n * (p - 1) ** 2 + 1) % p).astype(np.int8)  # v mod p by v
     budget = H_BLOCK_ENTRIES // 4  # entries whose float32 form values take H_BLOCK_ENTRIES bytes
     step = max(1, budget // (height * width))
-    for lo in range(0, len(keys) if forms else 0, step):  # no forms: all pass
+    for lo in range(0, len(keys) if factor.q else 0, step):  # no forms: all pass
         block = slice(lo, lo + step)
         y = digits[table[cols[block], :width]].astype(np.float32).transpose(0, 2, 1)
         slab = max(1, budget // (len(y) * width))
         for start in range(0, height, slab):
             rows_in = slice(start, min(start + slab, height))
             x = digits[table[rows[block], rows_in]].astype(np.int64)
-            for j, m in enumerate(forms):
+            for j, m in enumerate(factor.forms):
                 form = np.matmul(((x @ m) % p).astype(np.float32), y)
                 masks[block, rows_in] &= (np.take(residue, form.astype(np.int16))
                                           == values[block, j, None, None])

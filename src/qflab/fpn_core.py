@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AsymmetricForm, CapExceeded
+from .errors import CapExceeded
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_ENUM_CAP = 1 << 20
@@ -58,14 +58,15 @@ def run_counted(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# primes and scalars
+# immutable values and scalars
 # ---------------------------------------------------------------------------
 
 class Frozen:
-    """Base of the small immutable value classes: equality, hashing and repr
-    read the fields named in `__slots__`, in order, and assigning or
-    deleting a field raises AttributeError. Subclasses set their fields
-    once in `__init__` with `_set`."""
+    """Base of small immutable value classes such as
+    `pattern_ops.PatternHypergraph`: equality, hashing and repr read the
+    fields named in `__slots__`, in order, and assigning or deleting a
+    field raises AttributeError. Subclasses set their fields once in
+    `__init__` with `_set`."""
 
     __slots__ = ()
 
@@ -98,15 +99,9 @@ class Frozen:
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
-class FieldPrime(Frozen):
-    """A validated odd prime in the supported range."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int) -> None:
-        if p not in ODD_PRIMES:
-            raise ValueError(f"p must be an odd prime in {ODD_PRIMES}, got {p}")
-        self._set(p)
+def check_prime(p: int) -> None:
+    if p not in ODD_PRIMES:
+        raise ValueError(f"p must be an odd prime in {ODD_PRIMES}, got {p}")
 
 
 def check_finite(z: complex) -> complex:
@@ -128,7 +123,7 @@ class GroupSpace:
     """
 
     def __init__(self, p: int, n: int) -> None:
-        FieldPrime(p)
+        check_prime(p)
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         size = p ** n
@@ -266,74 +261,9 @@ def space(p: int, n: int) -> GroupSpace:
     return GroupSpace(p, n)
 
 
-class GroupVector(Frozen):
-    """An element of F_p^n with a canonical integer index."""
-
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords: tuple[int, ...]) -> None:
-        FieldPrime(p)
-        self._set(p, tuple(int(c) % p for c in coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    @property
-    def index(self) -> int:
-        return sum(c * self.p ** i for i, c in enumerate(self.coords))
-
-    @classmethod
-    def from_index(cls, p: int, n: int, index: int) -> GroupVector:
-        return cls(p, space(p, n).coords_of(index))
-
-    @classmethod
-    def zero(cls, p: int, n: int) -> GroupVector:
-        return cls(p, (0,) * n)
-
-
 # ---------------------------------------------------------------------------
-# symmetric forms and mod-p linear algebra
+# mod-p linear algebra
 # ---------------------------------------------------------------------------
-
-class SymmetricForm(Frozen):
-    """A symmetric n x n matrix over F_p."""
-
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p: int, entries: tuple[tuple[int, ...], ...]) -> None:
-        FieldPrime(p)
-        rows = tuple(tuple(int(v) % p for v in row) for row in entries)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise AsymmetricForm(f"entries[{i}][{j}] != entries[{j}][{i}]")
-        self._set(p, rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
-    @classmethod
-    def from_array(cls, p: int, arr) -> SymmetricForm:
-        a = np.asarray(arr, dtype=np.int64) % p
-        return cls(p, tuple(tuple(int(v) for v in row) for row in a))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> SymmetricForm:
-        return cls.from_array(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zero(cls, p: int, n: int) -> SymmetricForm:
-        return cls.from_array(p, np.zeros((n, n), dtype=np.int64))
-
 
 def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     """Bring the 2-D array m, entries already reduced mod p, to reduced row

@@ -54,8 +54,8 @@ def _run_atom_vc(cfg: dict) -> RunResult:
     ok = cert is not None and cert.replay(mask)
     detail = {"atom_size": mask.size, "rank": factor.rank}
     if cert is not None:
-        detail["witness_a"] = [list(v.coords) for v in cert.elements()["a"]]
-        detail["witness_b"] = [list(v.coords) for v in cert.elements()["b"]]
+        detail["witness_a"] = [list(v) for v in cert.elements()["a"]]
+        detail["witness_b"] = [list(v) for v in cert.elements()["b"]]
     return _records([({"n": n, "atom": cfg["atom_label"]}, 0.0 if ok else 1.0, 0.0, detail)])
 
 

@@ -18,7 +18,6 @@ from ..combinatorics import (
     vc2_dimension,
 )
 from ..factor import QuadraticFactor, degenerate_directions, sigma3_codes
-from ..fpn_core import GroupVector, SymmetricForm
 from ..local_norms import LocalContext2, local_u2_norms, local_u3_norms
 from ..pattern_ops import (
     FunctionGrid,
@@ -254,14 +253,14 @@ def _run_inverse_oracle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
 
     def check(rng, i):
-        form = SymmetricForm.from_array(p, _symmetric_array(rng, p, n))
+        form = _symmetric_array(rng, p, n)
         with_linear = i == cfg["trials"] - 1
-        r = GroupVector(p, _label(rng, p, n)) if with_linear else None
-        f = GroupFunction.quadratic_phase(form, r)
+        r = _label(rng, p, n) if with_linear else None
+        f = GroupFunction.quadratic_phase(p, form, r)
         best_form, best_r, value = max_quadratic_correlation(f, include_linear=with_linear)
         # the search maximizes |E f(x) w^(x.Mx + r.x)|, so the recovered
         # phase multiplies f back to a constant
-        prod = f.values * GroupFunction.quadratic_phase(best_form, best_r).values
+        prod = f.values * GroupFunction.quadratic_phase(p, best_form, best_r).values
         return [({"with_linear": with_linear, "check": "correlation"}, 1.0 - value, tol),
                 ({"with_linear": with_linear, "check": "constant-phase"},
                  float(np.max(np.abs(prod - prod.flat[0]))), tol)]

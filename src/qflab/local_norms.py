@@ -189,9 +189,8 @@ def _coset_stacks(factor: QuadraticFactor, codes, rows: list):
     linear = factor.linear
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
     _check_codes(codes, linear.p ** linear.ell)
-    p, n, m = linear.p, linear.n, linear.n - linear.ell
-    basis = np.array([b.coords for b in linear.subgroup_basis()], dtype=np.int64)
-    kernel = space(p, m).form_values(r=basis.reshape(m, n)) @ linear.space.powers
+    p, m = linear.p, linear.n - linear.ell
+    kernel = space(p, m).form_values(r=linear.subgroup_basis()) @ linear.space.powers
     starts = linear.member_table[codes, 0]
     width = len(rows[0]) if rows else 1
     step = max(1, H_BLOCK_ENTRIES // (width * kernel.size))

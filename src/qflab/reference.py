@@ -89,7 +89,7 @@ def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
         block = digits[start:start + chunk]
         code = np.zeros((block.shape[0], sp.size), dtype=np.int64)
         for j, m in enumerate(factor.forms):
-            vals = (block @ m.as_array() @ digits.T) % p
+            vals = (block @ m @ digits.T) % p
             code += vals * (p ** j)
         counts += np.bincount(code.ravel(), minlength=p ** q)
     return counts

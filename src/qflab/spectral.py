@@ -67,8 +67,6 @@ from .fpn_core import (
     ENTRY_CAP,
     H_BLOCK_ENTRIES,
     GroupSpace,
-    GroupVector,
-    SymmetricForm,
     count_terms,
     omega_table,
     space,
@@ -124,17 +122,17 @@ class GroupFunction:
         return cls(p, n, vals)
 
     @classmethod
-    def character(cls, t: GroupVector) -> GroupFunction:
-        """x -> omega^(x.t)."""
-        phases = space(t.p, t.n).form_values(r=t.coords)
-        return cls(t.p, t.n, omega_table(t.p)[phases])
+    def character(cls, p: int, t) -> GroupFunction:
+        """x -> omega^(x.t), for the coordinates t of a point of F_p^n."""
+        n = len(t)
+        return cls(p, n, omega_table(p)[space(p, n).form_values(r=t)])
 
     @classmethod
-    def quadratic_phase(cls, form: SymmetricForm, r: GroupVector | None = None) -> GroupFunction:
-        """x -> omega^(x^T M x + r.x)."""
-        p, n = form.p, form.n
-        vals = space(p, n).form_values(form.as_array(), None if r is None else r.coords)
-        return cls(p, n, omega_table(p)[vals])
+    def quadratic_phase(cls, p: int, form, r=None) -> GroupFunction:
+        """x -> omega^(x^T M x + r.x), for an n x n integer matrix M and
+        the coordinates r of a point of F_p^n (none by default)."""
+        n = len(form)
+        return cls(p, n, omega_table(p)[space(p, n).form_values(form, r)])
 
     def __add__(self, other: GroupFunction) -> GroupFunction:
         self._check(other)
@@ -450,10 +448,11 @@ def ap4_average(f: GroupFunction) -> complex:
 def max_quadratic_correlation(
     f: GroupFunction,
     include_linear: bool = False,
-) -> tuple[SymmetricForm, GroupVector | None, float]:
+) -> tuple[np.ndarray, tuple[int, ...] | None, float]:
     """Exhaustively maximize |E_x f(x) omega^(x^T M x [+ r.x])|.
 
-    Returns (M, r, value); r is None unless include_linear. Every candidate
+    Returns (M, r, value): M an n x n int64 matrix, and r the coordinates
+    of a point of F_p^n, or None unless include_linear. Every candidate
     form is scored at once: the q-values of all forms are one (forms, N)
     table, the product of their upper-triangle coefficients with the
     monomials x_i x_j (doubled off the diagonal), and with include_linear
@@ -497,8 +496,8 @@ def max_quadratic_correlation(
     m = np.zeros((n, n), dtype=np.int64)
     for (i, j), c in zip(tri, coeffs[best[0]]):
         m[i, j] = m[j, i] = c
-    r = GroupVector(p, sp.coords_of(best[1])) if include_linear else None
-    return SymmetricForm.from_array(p, m), r, float(scores[tuple(best)])
+    r = sp.coords_of(best[1]) if include_linear else None
+    return m, r, float(scores[tuple(best)])
 
 
 # ---------------------------------------------------------------------------

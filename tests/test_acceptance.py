@@ -38,7 +38,7 @@ from qflab.factor import (
     new_quadratic_factor,
     sigma3_codes,
 )
-from qflab.fpn_core import SymmetricForm, rank_mod_p, space
+from qflab.fpn_core import rank_mod_p, space
 from qflab.lab_cli.experiments import REGISTRY, run_experiment
 from qflab.lab_cli.reporting import canonical_json
 from qflab.local_norms import (
@@ -304,11 +304,10 @@ def test_inverse_oracle_recovery(reports):
         raw = rng.integers(0, 3, size=(3, 3))
         cases.append((raw + raw.T) % 3)
     for m in cases:
-        form = SymmetricForm.from_array(3, m)
-        f = GroupFunction.quadratic_phase(form)
+        f = GroupFunction.quadratic_phase(3, m)
         best, _, value = max_quadratic_correlation(f)
         assert abs(value - 1.0) <= TOL
-        prod = f.values * GroupFunction.quadratic_phase(best).values
+        prod = f.values * GroupFunction.quadratic_phase(3, best).values
         assert np.max(np.abs(prod - prod[0])) <= TOL
     print(f"inverse oracle ok in {time.perf_counter() - t0:.1f}s (budget 60s)")
 

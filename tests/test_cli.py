@@ -423,14 +423,19 @@ def test_importing_the_cli_loads_only_what_a_run_uses(tmp_path):
     no class generates dataclass code, numpy.random waits for a run's first
     draw, the reference twins, which only tests call, stay unloaded, and so
     does OpenSSL's `_hashlib` where the builtin hash modules exist. Every
-    runner module is loaded with the registry, none on first use."""
-    code = ("import json, sys, numpy\n"
+    runner module is loaded with the registry, none on first use. The
+    objects the import leaves are frozen out of the collector's
+    generations."""
+    code = ("import gc, json, sys, numpy\n"
             "from qflab.lab_cli.main import main\n"
+            "print(gc.get_freeze_count())\n"
             "print(json.dumps([k for k, v in sys.modules.items() if v is not None]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    frozen, modules = proc.stdout.split("\n", 1)
+    assert int(frozen) > 0
+    loaded = set(json.loads(modules))
     assert not loaded & {"dataclasses", "numpy.random", "qflab.reference"}
     if _has_builtin_hashes():
         assert "_hashlib" not in loaded
@@ -558,7 +563,7 @@ def test_triangle_count_times_the_weights_is_the_dense_measure_sum(p, n, q):
     rng = np.random.default_rng((1500, p, q))
     levels = set()
     for x, y, z in rng.integers(0, p ** n, (8, 3)).tolist():
-        level = [sum(int(digits[i] @ f.as_array() @ digits[j]) % p * p ** k
+        level = [sum(int(digits[i] @ f @ digits[j]) % p * p ** k
                      for k, f in enumerate(factor.forms)) for i, j in ((x, y), (x, z), (y, z))]
         ctx = LocalContext3(factor, factor._codes[[x, y, z]].tolist() + level)
         a1, a2, a3, b12, b13, b23 = ctx.codes

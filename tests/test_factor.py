@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qflab import factor as factor_module
-from qflab.errors import CapExceeded, DegenerateContext, DependentVectors, TooManyForms
+from qflab.errors import AsymmetricForm, CapExceeded, DegenerateContext, DependentVectors, TooManyForms
 from qflab.factor import (
     bilinear_level_sizes,
     degenerate_directions,
@@ -125,7 +125,42 @@ def test_subgroup_basis_spans_the_kernel():
     assert len(basis) == 2
     for b in basis:
         for v in lin.vectors:
-            assert sum(x * y for x, y in zip(b.coords, v.coords)) % 3 == 0
+            assert sum(x * y for x, y in zip(b, v)) % 3 == 0
+
+
+def test_factor_data_are_read_only_int64_arrays_reduced_mod_p():
+    lin = new_linear_factor(5, 3, [(6, -1, 0), (0, 0, 1)])
+    factor = new_quadratic_factor(lin, [[[7, 1, 0], [1, -3, 0], [0, 0, 5]]])
+    assert lin.vectors.tolist() == [[1, 4, 0], [0, 0, 1]]
+    assert factor.forms.tolist() == [[[2, 1, 0], [1, 2, 0], [0, 0, 0]]]
+    assert factor.vectors is lin.vectors and lin.forms.shape == (0, 3, 3)
+    arrays = {"vectors": (factor.vectors, (2, 3)), "forms": (factor.forms, (1, 3, 3)),
+              "no forms": (lin.forms, (0, 3, 3)), "basis": (lin.subgroup_basis(), (1, 3))}
+    for name, (arr, shape) in arrays.items():
+        assert arr.dtype == np.int64 and arr.shape == shape, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+    assert new_linear_factor(3, 2, []).subgroup_basis().tolist() == [[1, 0], [0, 1]]
+
+
+def test_symmetric_form_validation():
+    lin = new_linear_factor(3, 2, [])
+    with pytest.raises(AsymmetricForm):
+        new_quadratic_factor(lin, [[[0, 1], [2, 0]]])
+    assert new_quadratic_factor(lin, [[[4, 1], [1, 2]]]).forms.tolist() == [[[1, 1], [1, 2]]]
+
+
+def test_new_linear_factor_refuses_fractional_entries():
+    with pytest.raises(ValueError, match="whole numbers"):
+        new_linear_factor(3, 2, [(1.7, 0)])
+    assert new_linear_factor(3, 2, [(1.0, 0)]).vectors.tolist() == [[1, 0]]
+
+
+def test_new_quadratic_factor_refuses_fractional_entries():
+    lin = new_linear_factor(3, 2, [])
+    with pytest.raises(ValueError, match="whole numbers"):
+        new_quadratic_factor(lin, [[[1.9, 0], [0, 1]]])
+    assert new_quadratic_factor(lin, [[[1.0, 0], [0, 1]]]).forms.tolist() == [[[1, 0], [0, 1]]]
 
 
 def test_atom_sizes_identity_form():
@@ -303,9 +338,9 @@ def _level_mask_loop(factor, b, row, col) -> np.ndarray:
     mask = np.zeros((len(xs), len(ys)), dtype=bool)
     for i, x in enumerate(xs):
         for k, y in enumerate(ys):
-            mask[i, k] = all(sum(coords[x][r] * m.entries[r][c] * coords[y][c]
+            mask[i, k] = all(sum(coords[x][r] * m[r][c] * coords[y][c]
                                  for r in range(n) for c in range(n)) % p == v
-                             for m, v in zip(factor.forms, level))
+                             for m, v in zip(factor.forms.tolist(), level))
     return mask
 
 

@@ -12,14 +12,11 @@ import numpy as np
 import pytest
 
 from qflab import fpn_core
-from qflab.errors import AsymmetricForm, CapExceeded
+from qflab.errors import CapExceeded
 from qflab.fpn_core import (
     H_BLOCK_ENTRIES,
     ODD_PRIMES,
-    FieldPrime,
     GroupSpace,
-    GroupVector,
-    SymmetricForm,
     _embed_counts,
     bilinear_char_sums,
     count_terms,
@@ -33,34 +30,31 @@ from qflab.fpn_core import (
 from qflab.pattern_ops import PatternHypergraph
 
 
-def _quad(form, b):
+def _quad(p, form, b):
     """`quad_char_sums` of a one-row stack."""
-    return complex(quad_char_sums(form.as_array().reshape(1, form.n, form.n),
-                                  np.reshape(b.coords, (1, form.n)), form.p)[0])
+    n = len(form)
+    return complex(quad_char_sums(np.reshape(form, (1, n, n)), np.reshape(b, (1, n)), p)[0])
 
 
-def _bilinear(form, c, d):
+def _bilinear(p, form, c, d):
     """`bilinear_char_sums` of a one-row stack."""
-    n = form.n
-    return complex(bilinear_char_sums(form.as_array().reshape(1, n, n), np.reshape(c.coords, (1, n)),
-                                      np.reshape(d.coords, (1, n)), form.p)[0])
+    n = len(form)
+    return complex(bilinear_char_sums(np.reshape(form, (1, n, n)), np.reshape(c, (1, n)),
+                                      np.reshape(d, (1, n)), p)[0])
 
 
 def test_field_prime_accepts_supported_primes():
     for p in (3, 5, 7, 11, 13):
-        FieldPrime(p)
+        assert GroupSpace(p, 1).p == p
 
 
 def test_field_prime_rejects_others():
     for p in (2, 4, 9, 15, 17):
-        with pytest.raises(ValueError):
-            FieldPrime(p)
+        with pytest.raises(ValueError, match=rf"p must be an odd prime in \(3, 5, 7, 11, 13\), got {p}$"):
+            GroupSpace(p, 1)
 
 
 @pytest.mark.parametrize("value,field,text", [
-    (FieldPrime(3), "p", "FieldPrime(p=3)"),
-    (GroupVector(3, (4, -1)), "coords", "GroupVector(p=3, coords=(1, 2))"),
-    (SymmetricForm(3, ((1, 5), (2, 0))), "entries", "SymmetricForm(p=3, entries=((1, 2), (2, 0)))"),
     (PatternHypergraph((2, 1), [(1, 0)]), "edges",
      "PatternHypergraph(parts=(2, 1), edges=frozenset({(1, 0)}))"),
 ])
@@ -68,7 +62,7 @@ def test_value_classes_compare_by_fields_and_stay_frozen(value, field, text):
     assert repr(value) == text
     for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert again is not value and again == value and hash(again) == hash(value)
-    assert value != text and value != FieldPrime(5)
+    assert value != text and value != PatternHypergraph((2, 1), [(0, 0)])
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
 
@@ -233,17 +227,10 @@ def test_nullspace_is_orthogonal_and_complete():
     assert rank_mod_p(np.array(basis), 3) == len(basis)
 
 
-def test_symmetric_form_validation():
-    with pytest.raises(AsymmetricForm):
-        SymmetricForm(3, ((0, 1), (2, 0)))
-    f = SymmetricForm.from_array(3, [[4, 1], [1, 2]])
-    assert f.entries == ((1, 1), (1, 2))
-
-
 def test_gauss_sum_magnitude_is_exact():
     # E_x omega^(x^2) over F_p is a normalized Gauss sum: |value|^2 = 1/p
     for p in (3, 5, 7, 11, 13):
-        val = _quad(SymmetricForm.identity(p, 1), GroupVector.zero(p, 1))
+        val = _quad(p, np.eye(1), np.zeros(1))
         assert abs(abs(val) ** 2 - 1.0 / p) < 1e-12
     # 1 + omega + ... + omega^(p-1) = 0, so shifting every count by the
     # same constant must not move a single bit of the embedding
@@ -263,36 +250,35 @@ def test_omega_table():
 
 def test_quad_char_sum_identity_form():
     # E w^(x.x) over F_3^2 equals ((1 + 2w)/3)^2 = -1/3
-    val = _quad(SymmetricForm.identity(3, 2), GroupVector.zero(3, 2))
+    val = _quad(3, np.eye(2), np.zeros(2))
     assert abs(val - (-1.0 / 3.0)) < 1e-12
 
 
 def test_quad_char_sum_magnitude_decays_with_rank():
     for n in (1, 2, 3):
-        val = _quad(SymmetricForm.identity(3, n), GroupVector.zero(3, n))
+        val = _quad(3, np.eye(n), np.zeros(n))
         assert abs(abs(val) - 3.0 ** (-n / 2.0)) < 1e-12
 
 
 def test_bilinear_char_sum_identity_form():
     # the y-sum forces x = 0, leaving 9 of 81 pairs
-    z = GroupVector.zero(3, 2)
-    val = _bilinear(SymmetricForm.identity(3, 2), z, z)
+    z = np.zeros(2)
+    val = _bilinear(3, np.eye(2), z, z)
     assert abs(val - 1.0 / 9.0) < 1e-12
 
 
 def test_bilinear_char_sum_vanishes_off_solvable_shift():
     # with M = 0 and d != 0 the system x^T M + d = 0 has no solution
-    z = GroupVector.zero(3, 2)
-    val = _bilinear(SymmetricForm.zero(3, 2), z, GroupVector(3, (1, 0)))
+    z = np.zeros(2)
+    val = _bilinear(3, np.zeros((2, 2)), z, (1, 0))
     assert val == 0.0
 
 
 def test_kernels_count_only_inside_a_run():
     # outside a run the tally is closed: these count nothing and raise nothing
-    form = SymmetricForm.identity(3, 2)
-    b = GroupVector.zero(3, 2)
-    _quad(form, b)
+    form, b = np.eye(2), np.zeros(2)
+    _quad(3, form, b)
     count_terms(5)
-    value, terms = run_counted(_quad, form, b)
-    assert value == _quad(form, b)
+    value, terms = run_counted(_quad, 3, form, b)
+    assert value == _quad(3, form, b)
     assert terms == 9

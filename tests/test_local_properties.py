@@ -85,9 +85,9 @@ def _coordinate_label(factor, index):
     """The atom label of a point from its coordinates, in Python ints."""
     p, n = factor.p, factor.n
     x = [index // p ** i % p for i in range(n)]
-    linear = [sum(a * b for a, b in zip(x, v.coords)) % p for v in factor.linear.vectors]
-    quadratic = [sum(x[i] * m.entries[i][j] * x[j] for i in range(n) for j in range(n)) % p
-                 for m in factor.forms]
+    linear = [sum(a * b for a, b in zip(x, v)) % p for v in factor.linear.vectors.tolist()]
+    quadratic = [sum(x[i] * m[i][j] * x[j] for i in range(n) for j in range(n)) % p
+                 for m in factor.forms.tolist()]
     return tuple(linear + quadratic)
 
 

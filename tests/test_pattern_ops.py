@@ -342,7 +342,7 @@ def _witness_count_loop(graph, factor, codes, member=None) -> int:
     def level(rows, cols, label):
         ok = np.ones((rows.size, cols.size), dtype=bool)
         for form, b in zip(factor.forms, label):
-            ok &= digits[rows] @ form.as_array() @ digits[cols].T % factor.p == b
+            ok &= digits[rows] @ form @ digits[cols].T % factor.p == b
         return ok
 
     muv = {(u, v): level(xs[u], ys[v], next(labels)) for u in range(nu) for v in range(nv)}
@@ -392,9 +392,9 @@ def _coordinate_label(factor, index):
     """The atom label of a point from its coordinates, in Python ints."""
     p, n = factor.p, factor.n
     x = [index // p ** i % p for i in range(n)]
-    linear = [sum(a * b for a, b in zip(x, v.coords)) % p for v in factor.linear.vectors]
-    quadratic = [sum(x[i] * m.entries[i][j] * x[j] for i in range(n) for j in range(n)) % p
-                 for m in factor.forms]
+    linear = [sum(a * b for a, b in zip(x, v)) % p for v in factor.linear.vectors.tolist()]
+    quadratic = [sum(x[i] * m[i][j] * x[j] for i in range(n) for j in range(n)) % p
+                 for m in factor.forms.tolist()]
     return tuple(linear + quadratic)
 
 
@@ -419,7 +419,7 @@ def _random_assignment(factor, graph, rng, through):
             return _coordinate_label(factor, i)
 
         def level(i, j):
-            return tuple(int(digits[i] @ f.as_array() @ digits[j] % p) for f in factor.forms)
+            return tuple(int(digits[i] @ f @ digits[j] % p) for f in factor.forms)
     nu, nv, nw = graph.parts
     atoms = [lab(i) for i in x + y + z]
     levels = ([level(x[u], y[v]) for u in range(nu) for v in range(nv)]
