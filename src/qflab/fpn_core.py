@@ -58,46 +58,8 @@ def run_counted(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# immutable values and scalars
+# scalars
 # ---------------------------------------------------------------------------
-
-class Frozen:
-    """Base of small immutable value classes such as
-    `pattern_ops.PatternHypergraph`: equality, hashing and repr read the
-    fields named in `__slots__`, in order, and assigning or deleting a
-    field raises AttributeError. Subclasses set their fields once in
-    `__init__` with `_set`."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({', '.join(fields)})"
-
 
 def check_prime(p: int) -> None:
     if p not in ODD_PRIMES:

@@ -84,6 +84,10 @@ def _validate_config(name: str, cfg: dict) -> None:
     size = p ** max(dims) if p is not None and dims else 0
     if name in ("atom-vc2", "vc2-structure") and size > IP2_POINT_CAP:
         raise ConfigError(f"p^n = {size} exceeds the IP2 point cap {IP2_POINT_CAP}")
+    # the claim is about factors of high rank; below n = 3 an atom of the
+    # identity form can hold two points or fewer, too few for the witness
+    if name == "atom-vc" and cfg["n"] < 3:
+        raise ConfigError(f"atom-vc needs n >= 3, got {cfg['n']}")
     if name in ("atom-vc", "coset-union-vc") and size ** 2 > BYTE_TABLE_CAP:
         raise ConfigError(f"p^(2n) = {size ** 2} exceeds the shift-table cap {BYTE_TABLE_CAP}")
     if cfg.get("max_part", 1) > MAX_TERNARY_UV:

@@ -207,7 +207,7 @@ def _run_atom_u2_uniformity(cfg: dict) -> RunResult:
             bits[idx] = True
             # every a1 has the target coset a1 + (e - a1) = e, the label's own
             alpha = float(bits[factor.linear.atom_indices(lab[:ell])].mean())
-            f, e = _indicator_minus(p, n, bits, alpha), cosets.index_of(lab[:ell])
+            f, e = _indicator_minus(bits, alpha), cosets.index_of(lab[:ell])
             points += [(base | {"a1": list(cosets.coords_of(a1))}, alpha, f, e)
                        for a1 in range(p ** ell)]
         live = [t for t in points if len(t) == 4]

@@ -14,7 +14,6 @@ from ..factor import sigma3_codes
 from ..fpn_core import space
 from ..local_norms import local_u2_inner, local_u2_norms, local_u3_inners, local_u3_norms
 from ..spectral import (
-    GroupFunction,
     ap3_averages,
     ap4_averages,
     fourier_transform_naive,
@@ -78,7 +77,7 @@ def _run_roundtrip(cfg: dict) -> RunResult:
         spec = fourier_transforms(fs[:, 0], p, n)
         back = np.abs(inverse_transforms(spec, p, n) - fs[:, 0]).max(axis=1).tolist()
         # the reference transform stays per trial
-        naive = [float(np.max(np.abs(fourier_transform_naive(GroupFunction(p, n, f)) - t)))
+        naive = [float(np.max(np.abs(fourier_transform_naive(f, p, n) - t)))
                  for f, t in zip(fs[:, 0], spec)]
         return [[({"check": "roundtrip"}, b, cfg["tol"]),
                  ({"check": "naive-agree"}, a, NAIVE_FT_TOL)] for b, a in zip(back, naive)]
@@ -239,7 +238,7 @@ def _run_u3_dominates(cfg: dict) -> RunResult:
     codes = np.array([[cosets.index_of(a) for a in d] + [0] * 3 for d in dirs])
     u3vals = local_u3_norms(linear, codes, fs, tol)
     u2vals = local_u2_norms(linear, sigma3_codes(linear, codes), fs, tol)
-    values = np.stack([f.values for f in fs])
+    values = np.stack(fs)
     return _rows(cfg, [[({"check": "global"}, u2, u3 + tol),
                         ({"check": "local", "d": d}, u2val, u3val + tol)]
                        for u2, u3, d, u3val, u2val in zip(u2_norms(values, p, n).tolist(),

@@ -39,7 +39,7 @@ from ..errors import ConfigError, DegenerateContext
 from ..factor import QuadraticFactor, direction_codes, new_linear_factor, new_quadratic_factor
 from ..local_norms import LocalContext2, LocalContext3
 from ..pattern_ops import PatternHypergraph, TernaryContext
-from ..spectral import DERIVATIVE_BLOCK_ENTRIES, GroupFunction
+from ..spectral import DERIVATIVE_BLOCK_ENTRIES
 from .config import STANDARD_MAX_Q
 from .reporting import make_degenerate, make_point, make_trial, trend_summary
 
@@ -122,8 +122,8 @@ def _blockwise(cfg: dict, entries: int, draw: Callable, evaluate: Callable) -> R
 
 
 def _finite(stack: np.ndarray) -> np.ndarray:
-    """A stack of value tables, checked finite once, as a GroupFunction
-    checks its table."""
+    """A stack of drawn value tables, checked finite once where it enters
+    the kernels."""
     if not np.isfinite(stack).all():
         raise ValueError("non-finite function values")
     return stack
@@ -167,8 +167,9 @@ def _gaussian_values(draw: np.ndarray) -> np.ndarray:
     return (draw[..., 0, :] + 1j * draw[..., 1, :]) / math.sqrt(2)
 
 
-def _bounded_fn(rng: np.random.Generator, p: int, n: int) -> GroupFunction:
-    return GroupFunction(p, n, _bounded_values(_bounded_draw(rng, 1, p ** n)[0]))
+def _bounded_fn(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
+    """One bounded table on F_p^n."""
+    return _finite(_bounded_values(_bounded_draw(rng, 1, p ** n)[0]))
 
 
 def _table_trials(cfg: dict, count: int, evaluate: Callable, draw: Callable = _bounded_draw,
@@ -359,8 +360,9 @@ def _sorted_median(arr: np.ndarray) -> float:
     return float(arr[(len(arr) - 1) // 2] + arr[len(arr) // 2]) / 2
 
 
-def _indicator_minus(p: int, n: int, bits: np.ndarray, alpha: float) -> GroupFunction:
-    return GroupFunction(p, n, bits.astype(np.float64) - alpha)
+def _indicator_minus(bits: np.ndarray, alpha: float) -> np.ndarray:
+    """The table of 1_A - alpha for the set A of the bool array bits."""
+    return bits.astype(np.float64) - alpha
 
 
 def _u3_inner_terms(p: int, n: int) -> int:

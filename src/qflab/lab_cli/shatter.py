@@ -3,6 +3,7 @@ coset-union-vc) and of the pattern-operator controls, global and local."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -20,7 +21,7 @@ from ..errors import ConfigError
 from ..factor import new_linear_factor, new_quadratic_factor
 from ..fpn_core import nullspace_mod_p, rank_mod_p, space
 from ..local_norms import local_u2_norms, local_u3_norms
-from ..pattern_ops import FunctionGrid, t_ip2_local, t_ip2s, t_ip_local, t_ips
+from ..pattern_ops import t_ip2_local, t_ip2s, t_ip_local, t_ips
 from ..spectral import u2_norms, u3_norms
 from .shared import (
     RunResult,
@@ -184,9 +185,8 @@ def _run_control_ip_local(cfg: dict) -> RunResult:
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         ctx = _ctx2(rng, linear)
-        grid = FunctionGrid({(j, s): _bounded_fn(rng, p, n)
-                             for j in range(1, m + 1) for s in range(1 << m)})
-        draws.append((ctx, list(grid.functions()), abs(t_ip_local(m, linear, ctx.codes, grid))))
+        grid = {(j, s): _bounded_fn(rng, p, n) for j in range(1, m + 1) for s in range(1 << m)}
+        draws.append((ctx, list(grid.values()), abs(t_ip_local(m, linear, ctx.codes, grid))))
     slots = m << m
     norms = local_u2_norms(linear, [d[0].code for d in draws for _ in range(slots)],
                            [g for d in draws for g in d[1]])
@@ -213,8 +213,11 @@ def _run_control_ip2_local(cfg: dict) -> RunResult:
         if isinstance(ctx, str):
             return [(base, ctx)], None
         f = _bounded_fn(rng, factor.p, factor.n)
-        grid = FunctionGrid.ip2_diagonal(cfg["m"], f)
-        obs = abs(t_ip2_local(cfg["m"], factor, ctx.codes, grid))
+        m = cfg["m"]
+        # one array object in every slot, so the W-slots share one z-average
+        grid = dict.fromkeys(itertools.product(range(1, m + 1), range(1, m + 1),
+                                               range(1 << (m * m))), f)
+        obs = abs(t_ip2_local(m, factor, ctx.codes, grid))
         nrm = local_u3_norms(factor, [ctx.codes], [f])[0]
         excess = max(0.0, (obs - nrm) / max(1.0, nrm))
         return [(base, excess, None, {"n": factor.n, "operator": obs, "norm": nrm})], excess

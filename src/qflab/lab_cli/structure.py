@@ -20,7 +20,6 @@ from ..combinatorics import (
 from ..factor import QuadraticFactor, degenerate_directions, sigma3_codes
 from ..local_norms import LocalContext2, local_u2_norms, local_u3_norms
 from ..pattern_ops import (
-    FunctionGrid,
     PatternHypergraph,
     bipartite_normalization,
     t_bipartite,
@@ -30,7 +29,7 @@ from ..pattern_ops import (
     witness_count_bipartite,
     witness_counts_ternary,
 )
-from ..spectral import GroupFunction, max_quadratic_correlation
+from ..spectral import max_quadratic_correlation, quadratic_phase
 from .shared import (
     ASSIGNMENT_ATTEMPTS,
     RunResult,
@@ -38,6 +37,7 @@ from .shared import (
     _atom_stats,
     _direction_codes,
     _factor_terms,
+    _finite,
     _indicator_minus,
     _kept_share,
     _label,
@@ -107,7 +107,7 @@ def _run_sparse_uniform(cfg: dict) -> RunResult:
             rows.append((base, diffs[-1], None, {"n": n, "weighted": value, "alpha": alpha}))
         if n == n_hard and live:
             _, ctx, bits, alpha = live[-1]
-            norm = local_u3_norms(factor, [ctx.codes], [_indicator_minus(p, n, bits, alpha)])[0]
+            norm = local_u3_norms(factor, [ctx.codes], [_indicator_minus(bits, alpha)])[0]
             rows.append(({"n": n, "eps": eps, "check": "norm-bound"}, norm,
                          2.0 * eps ** 0.125 + cfg["tol"], {"n": n, "alpha": alpha}))
         return rows, float(np.mean(diffs)) if diffs else None
@@ -133,7 +133,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
     rng = _trial_rng(cfg["seed"])
     f_raw = rng.uniform(-1.0, 1.0, size)
     f_raw *= 0.9 * eps / max(float(np.sqrt(np.mean(f_raw ** 2))), 1e-30)
-    f = GroupFunction(p, n, f_raw)
+    f = _finite(f_raw)
     total_dirs = p ** (3 * (ell + q) + 3 * q)
     count = cfg["directions"]
     codes = _direction_codes(factor, cfg["seed"], count)
@@ -147,7 +147,7 @@ def _run_smallpart(cfg: dict) -> RunResult:
              for t in thresholds}
     claim_frac = float((arr < main_thr).mean()) if arr.size else 0.0
     detail = {
-        "l2_norm": f.l2_norm(),
+        "l2_norm": float(np.sqrt(np.mean(np.abs(f) ** 2))),
         "sampled": count,
         "space": total_dirs,
         "degenerate": degenerate,
@@ -256,11 +256,11 @@ def _run_inverse_oracle(cfg: dict) -> RunResult:
         form = _symmetric_array(rng, p, n)
         with_linear = i == cfg["trials"] - 1
         r = _label(rng, p, n) if with_linear else None
-        f = GroupFunction.quadratic_phase(p, form, r)
-        best_form, best_r, value = max_quadratic_correlation(f, include_linear=with_linear)
+        f = quadratic_phase(p, form, r)
+        best_form, best_r, value = max_quadratic_correlation(f, p, n, include_linear=with_linear)
         # the search maximizes |E f(x) w^(x.Mx + r.x)|, so the recovered
         # phase multiplies f back to a constant
-        prod = f.values * GroupFunction.quadratic_phase(p, best_form, best_r).values
+        prod = f * quadratic_phase(p, best_form, best_r)
         return [({"with_linear": with_linear, "check": "correlation"}, 1.0 - value, tol),
                 ({"with_linear": with_linear, "check": "constant-phase"},
                  float(np.max(np.abs(prod - prod.flat[0]))), tol)]
@@ -280,6 +280,13 @@ def _est_inverse_oracle(cfg: dict) -> int:
 # counting identities
 # ---------------------------------------------------------------------------
 
+def _edge_grid(graph: PatternHypergraph, ind: np.ndarray, coind: np.ndarray) -> dict:
+    """The f|g grid of a pattern: the table ind in every edge's slot and
+    coind in every other slot, one array object each, so that the ternary
+    contraction shares the slots that hold the same one."""
+    return {t: ind if t in graph.edges else coind for t in graph.all_tuples()}
+
+
 def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
     linear = _standard_factor(p, n, ell, 0)
@@ -293,9 +300,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         graph = PatternHypergraph((nu, nv), edges)
         cosets = _label_codes(rng, p, [ell] * (nu + nv))
         u_codes, v_codes = cosets[:nu], cosets[nu:]
-        ind = GroupFunction(p, n, bits.astype(np.float64))
-        coind = GroupFunction(p, n, (~bits).astype(np.float64))
-        grid = FunctionGrid.edge_select(graph, ind, coind)
+        grid = _edge_grid(graph, bits.astype(np.float64), (~bits).astype(np.float64))
         t_val = t_bipartite(graph, linear, u_codes, v_codes, grid)
         count = witness_count_bipartite(graph, linear, u_codes, v_codes, bits)
         norm = bipartite_normalization(graph, linear)
@@ -307,7 +312,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
                 alpha = float(bits[ctx.target_indices()].mean())
                 prod *= alpha if (u, v) in edges else 1.0 - alpha
                 codes.append(ctx.code)
-                fs.append(_indicator_minus(p, n, bits, alpha))
+                fs.append(_indicator_minus(bits, alpha))
         draws.append((count, abs(t_val.real * norm - count), abs(t_val.real - prod)))
     pairs = nu * nv
     norms = iter(local_u2_norms(linear, codes, fs))
@@ -355,14 +360,13 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     p, n, ell, q, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["q"], cfg["tol"]
     factor = _standard_factor(p, n, ell, q)
     _, bits = _atom_union(_trial_rng(cfg["seed"]), factor)
-    ind = GroupFunction(p, n, bits.astype(np.float64))
-    coind = GroupFunction(p, n, (~bits).astype(np.float64))
+    ind, coind = bits.astype(np.float64), (~bits).astype(np.float64)
     patterns = [({"parts": list(g.parts), "edges": sorted(g.edges)},
                  _nondegenerate(_trial_rng(cfg["seed"], gi), factor, g))
                 for gi, g in enumerate(_ternary_graphs(cfg["max_part"]))]
     ctxs = [ctx for _, ctx in patterns if not isinstance(ctx, str)]
     # the operators in one contraction
-    grids = [FunctionGrid.edge_select(c.graph, ind, coind) for c in ctxs]
+    grids = [_edge_grid(c.graph, ind, coind) for c in ctxs]
     t_vals = iter([v.real for v in t_ternaries(ctxs, grids)])
     # every triple's direction codes and target atom, by array operations,
     # and every triple's norm in one contraction, of 1_A - alpha on its target
@@ -371,7 +375,7 @@ def _run_counting_ternary(cfg: dict) -> RunResult:
     sizes = factor.atom_sizes
     alphas = (np.bincount(factor._codes, weights=bits, minlength=sizes.size)
               / np.maximum(sizes, 1)).tolist()
-    balanced = {t: _indicator_minus(p, n, bits, alphas[t]) for t in dict.fromkeys(targets)}
+    balanced = {t: _indicator_minus(bits, alphas[t]) for t in dict.fromkeys(targets)}
     norms = local_u3_norms(factor, codes, [balanced[t] for t in targets])
     counts = iter(witness_counts_ternary(ctxs, bits))
     rows, end = [], 0

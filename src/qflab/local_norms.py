@@ -1,6 +1,11 @@
 """Local U^2(d) and U^3(d) semi-norms and the one contraction per arity
 that every conditioned average calls.
 
+A function is its table, a (p^n,) float64 or complex128 array on the
+factor's group; every route checks that each table it takes has p^n
+entries. `value_columns` numbers a batch's distinct tables by identity,
+so that slots holding one array object share a value place and a W-slot.
+
 The local U^2 inner product averages the four-vertex product with x0, x1
 confined to the coset L(a1) and y0, y1 to L(a2), a pair of coset codes;
 every argument x + y then lies in the single coset L(a1 + a2), of code
@@ -73,7 +78,7 @@ from .factor import (
     sigma3_codes,
 )
 from .fpn_core import DEFAULT_TOL, ENTRY_CAP, H_BLOCK_ENTRIES, GroupSpace, count_terms, space
-from .spectral import GroupFunction, _roots_of_diagonal, u2_norms, u3_inners, u3_norms
+from .spectral import _check_tables, _roots_of_diagonal, u2_norms, u3_inners, u3_norms
 
 BLOCK_ENTRIES = 1 << 13  # entries per kept (x, z) slab of one block of the ternary contraction
 
@@ -161,16 +166,12 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> np.nda
     return prod.reshape(batch + (-1,)).mean(axis=-1)
 
 
-def local_u2_inner(ctx: LocalContext2, f00: GroupFunction, f01: GroupFunction,
-                   f10: GroupFunction, f11: GroupFunction) -> complex:
-    """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product:
-    the binary contraction with two vertices per part, slot (u, v) reading
-    f_uv, conjugated when u + v is odd."""
-    for g in (f00, f01, f10, f11):
-        if (g.p, g.n) != (ctx.linear.p, ctx.linear.n):
-            raise ValueError("function in wrong group")
-    values = {(0, 0): f00.values, (0, 1): np.conj(f01.values),
-              (1, 0): np.conj(f10.values), (1, 1): f11.values}
+def local_u2_inner(ctx: LocalContext2, f00, f01, f10, f11) -> complex:
+    """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product of
+    the tables f_uv: the binary contraction with two vertices per part,
+    slot (u, v) reading f_uv, conjugated when u + v is odd."""
+    _check_tables((f00, f01, f10, f11), ctx.linear.p, ctx.linear.n)
+    values = {(0, 0): f00, (0, 1): np.conj(f01), (1, 0): np.conj(f10), (1, 1): f11}
     xs, ys = _coset_members(ctx.linear, ctx.codes)
     return complex(_binary_contract(ctx.linear.space, [xs] * 2, [ys] * 2, values))
 
@@ -201,22 +202,20 @@ def _coset_stacks(factor: QuadraticFactor, codes, rows: list):
             len(block), width, -1)
 
 
-def local_u2_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
+def local_u2_norms(factor: QuadraticFactor, codes, fs: list,
                    tol: float = DEFAULT_TOL) -> list[float]:
-    """The local U^2 norm of fs[i] on the coset of code codes[i] of the
-    factor's linear part (a direction's target coset a1 + a2), for every
-    i: the global U^2 norm
+    """The local U^2 norm of the table fs[i] on the coset of code codes[i]
+    of the factor's linear part (a direction's target coset a1 + a2), for
+    every i: the global U^2 norm
     `u2_norms` over F_p^(n - l) of fs[i] on that coset (`_coset_stacks`;
     Gowers, GAFA 2001), one call per gathered block. Counts the gather's
     entries and `u2_norms`' terms."""
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
     if len(codes) != len(fs):
         raise ValueError("need one function per coset code")
-    for g in fs:
-        if (g.p, g.n) != (factor.p, factor.n):
-            raise ValueError("function in wrong group")
+    _check_tables(fs, factor.p, factor.n)
     m = factor.n - factor.ell
-    return [norm for stack in _coset_stacks(factor, codes, [[g.values] for g in fs])
+    return [norm for stack in _coset_stacks(factor, codes, [[g] for g in fs])
             for norm in u2_norms(stack[:, 0], factor.p, m, tol).tolist()]
 
 
@@ -620,15 +619,15 @@ def u3_shape(octuple: bool) -> TernaryShape:
                                                          for col in (3, 4, 5)))
 
 
-def value_columns(fs: list[GroupFunction], p: int, n: int) -> tuple[list[int], list[np.ndarray]]:
-    """An index per function into a list of the distinct functions' values
-    (by identity); raises ValueError for a function off F_p^n."""
-    for g in fs:
-        if (g.p, g.n) != (p, n):
-            raise ValueError("function in wrong group")
+def value_columns(fs: list, p: int, n: int) -> tuple[list[int], list[np.ndarray]]:
+    """An index per table into the list of the distinct tables, distinct by
+    identity, so that slots holding one array object share its column;
+    raises ValueError for a table that is not (p^n,)."""
     index: dict[int, int] = {}
     columns = [index.setdefault(id(g), len(index)) for g in fs]
-    return columns, list({id(g): g.values for g in fs}.values())
+    arrays = list({id(g): g for g in fs}.values())
+    _check_tables(arrays, p, n)
+    return columns, arrays
 
 
 def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarray:
@@ -655,15 +654,15 @@ def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarra
                              np.column_stack([codes, np.reshape(columns, (-1, 8))]), arrays)
 
 
-def local_u3_inner(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
+def local_u3_inner(ctx: LocalContext3, octuple: list) -> complex:
     """The batch of one of `local_u3_inners`."""
     return complex(local_u3_inners(ctx.factor, [ctx.codes], [octuple])[0])
 
 
-def local_u3_norms(factor: QuadraticFactor, codes, fs: list[GroupFunction],
+def local_u3_norms(factor: QuadraticFactor, codes, fs: list,
                    tol: float = DEFAULT_TOL) -> list[float]:
-    """The local U^3 norm of fs[i] at the direction of codes[i] = (a1, a2,
-    a3, b12, b13, b23), for every i: one ternary contraction over the
+    """The local U^3 norm of the table fs[i] at the direction of codes[i] =
+    (a1, a2, a3, b12, b13, b23), for every i: one ternary contraction over the
     diagonal octuples of the whole batch. With no forms, `u3_norms` over
     F_p^(n - l) of each function on its target coset (`_target_stacks`),
     one call per gathered block; the contraction is its twin there. Every

@@ -21,9 +21,12 @@ and weighted_ternary_densities (one call per batch of patterns or
 directions); t_ip2_local is t_ternary on `ip2_hypergraph(m)`. The global
 t_ip2s works on the frequency side instead. With no forms, t_ip2_local and
 weighted_ternary_densities are t_ip2s and a mean on the direction's target
-coset, which `local_norms._target_stacks` gathers. The global averages
-take value stacks with leading batch axes, and t_ip and t_ip2 are their
-batches of one on a FunctionGrid. The naive nested sums, the reference
+coset, which `local_norms._target_stacks` gathers. A grid is a dict from
+slot to table, a (p^n,) array; slots that hold one array object share
+its column in the ternary contraction (`local_norms.value_columns`). The
+global averages take value stacks with leading batch axes, and t_ip and
+t_ip2 are their batches of one on a grid and (p, n); the local operators
+read the group off the factor. The naive nested sums, the reference
 routes for small instances, are in `reference`. Every local operator names its
 cosets, atoms and bilinear levels by their integer codes (see `factor`): a
 pair of coset codes for t_ip_local, one coset code per vertex for the
@@ -50,7 +53,7 @@ from .factor import (
     degenerate_directions,
     level_masks,
 )
-from .fpn_core import H_BLOCK_ENTRIES, MAX_IP2_M, Frozen, GroupSpace, count_terms
+from .fpn_core import H_BLOCK_ENTRIES, MAX_IP2_M, GroupSpace, count_terms
 from .local_norms import (
     TernaryShape,
     _binary_contract,
@@ -61,7 +64,7 @@ from .local_norms import (
     value_columns,
 )
 from .spectral import (
-    GroupFunction,
+    _check_tables,
     _chunks,
     _derivative_blocks,
     _group,
@@ -78,10 +81,13 @@ MAX_TERNARY_UV = 2
 # pattern shapes and grids
 # ---------------------------------------------------------------------------
 
-class PatternHypergraph(Frozen):
+class PatternHypergraph:
     """A bipartite graph on parts U, V or a 3-partite 3-uniform hypergraph
     on parts U, V, W: `parts` holds the size of each part, in that order,
-    and an edge holds one 0-based vertex index per part."""
+    and an edge holds one 0-based vertex index per part. An immutable value:
+    equality, hashing and repr read (parts, edges), assigning or deleting
+    a field raises AttributeError, and copies and pickles rebuild through
+    the constructor."""
 
     __slots__ = ("parts", "edges")
 
@@ -98,7 +104,28 @@ class PatternHypergraph(Frozen):
             for coord, part, size in zip(e, "UVW", parts):
                 if not 0 <= coord < size:
                     raise ValueError(f"edge {e} leaves part {part}")
-        self._set(parts, edges)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parts, self.edges) == (other.parts, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.edges))
+
+    def __reduce__(self):
+        return type(self), (self.parts, self.edges)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(parts={self.parts!r}, edges={self.edges!r})"
 
     @property
     def nu(self) -> int:
@@ -131,54 +158,9 @@ def ip2_hypergraph(m: int) -> PatternHypergraph:
     return PatternHypergraph((m, m, 1 << (m * m)), frozenset(edges))
 
 
-class FunctionGrid:
-    """An indexed family of functions sharing one group, with the f|g
-    shorthand constructors (pattern membership selects the first)."""
-
-    def __init__(self, mapping: dict) -> None:
-        if not mapping:
-            raise ValueError("empty grid")
-        fns = list(mapping.values())
-        p, n = fns[0].p, fns[0].n
-        for g in fns:
-            if (g.p, g.n) != (p, n):
-                raise ValueError("grid functions on different groups")
-        self.mapping = dict(mapping)
-        self.p = p
-        self.n = n
-
-    def __getitem__(self, key) -> GroupFunction:
-        return self.mapping[key]
-
-    def functions(self):
-        return self.mapping.values()
-
-    @classmethod
-    def ip_select(cls, m: int, f_in: GroupFunction, f_out: GroupFunction) -> FunctionGrid:
-        return cls({(i, s): f_in if s >> (i - 1) & 1 else f_out
-                    for i in range(1, m + 1) for s in range(1 << m)})
-
-    @classmethod
-    def ip2_diagonal(cls, m: int, f: GroupFunction) -> FunctionGrid:
-        return cls({(i, j, s): f for i in range(1, m + 1) for j in range(1, m + 1)
-                    for s in range(1 << (m * m))})
-
-    @classmethod
-    def ip2_select(cls, m: int, f_in: GroupFunction, f_out: GroupFunction) -> FunctionGrid:
-        return cls({(i, j, s): f_in if s >> ((i - 1) * m + (j - 1)) & 1 else f_out
-                    for i in range(1, m + 1) for j in range(1, m + 1)
-                    for s in range(1 << (m * m))})
-
-    @classmethod
-    def edge_select(cls, graph: PatternHypergraph, f_edge: GroupFunction,
-                    f_nonedge: GroupFunction) -> FunctionGrid:
-        return cls({t: f_edge if t in graph.edges else f_nonedge
-                    for t in graph.all_tuples()})
-
-
-def _check_slots(grid: FunctionGrid, slots) -> None:
+def _check_slots(grid: dict, slots) -> None:
     for slot in slots:
-        if slot not in grid.mapping:
+        if slot not in grid:
             raise ValueError(f"grid missing slot {slot}")
 
 
@@ -186,7 +168,7 @@ def _check_slots(grid: FunctionGrid, slots) -> None:
 # IP operators
 # ---------------------------------------------------------------------------
 
-def _ip_check(m: int, grid: FunctionGrid) -> None:
+def _ip_check(m: int, grid: dict) -> None:
     if m > MAX_IP_M:
         raise CapExceeded(f"m = {m} exceeds the IP cap {MAX_IP_M}")
     _check_slots(grid, itertools.product(range(1, m + 1), range(1 << m)))
@@ -197,12 +179,6 @@ def _ip_slots(m: int, values) -> dict:
     y_S), the m conditioned x_i, slot (S, i) reading f_{i+1, S} from
     values[..., i, S, :]."""
     return {(s, i): values[..., i, s, :] for s in range(1 << m) for i in range(m)}
-
-
-def _ip_stack(m: int, grid: FunctionGrid) -> np.ndarray:
-    """The (m, 2^m, N) value stack of an m-IP grid, f_{i,S} at [i - 1, S]."""
-    _ip_check(m, grid)
-    return np.stack([[grid[(i, s)].values for s in range(1 << m)] for i in range(1, m + 1)])
 
 
 def t_ips(m: int, values, p: int, n: int) -> np.ndarray:
@@ -227,30 +203,36 @@ def t_ips(m: int, values, p: int, n: int) -> np.ndarray:
     return out.reshape(values.shape[:-3])
 
 
-def t_ip(m: int, grid: FunctionGrid) -> complex:
-    """`t_ips` of one grid."""
-    return complex(t_ips(m, _ip_stack(m, grid), grid.p, grid.n))
+def t_ip(m: int, grid: dict, p: int, n: int) -> complex:
+    """`t_ips` of one grid, a dict from (i, S) to a table on F_p^n."""
+    _ip_check(m, grid)
+    return complex(t_ips(m, np.stack([[grid[(i, s)] for s in range(1 << m)]
+                                      for i in range(1, m + 1)]), p, n))
 
 
-def t_ip_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> complex:
+def t_ip_local(m: int, factor: QuadraticFactor, codes, grid: dict) -> complex:
     """Same average with every x_i confined to L(a1) and every y_S to L(a2),
     for the coset codes (a1, a2) of the factor's linear part."""
-    values = _ip_stack(m, grid)
-    if (factor.p, factor.n) != (grid.p, grid.n):
-        raise ValueError("factor and grid on different groups")
+    _ip_check(m, grid)
+    values = {(s, i - 1): grid[(i, s)] for i in range(1, m + 1) for s in range(1 << m)}
+    _check_tables(values.values(), factor.p, factor.n)
     xs, ys = _coset_members(factor, codes)
-    return complex(_binary_contract(factor.space, [ys] * (1 << m), [xs] * m,
-                                    _ip_slots(m, values)))
+    return complex(_binary_contract(factor.space, [ys] * (1 << m), [xs] * m, values))
 
 
 # ---------------------------------------------------------------------------
 # IP2 operators
 # ---------------------------------------------------------------------------
 
-def _ip2_check(m: int, grid: FunctionGrid) -> None:
+def _ip2_slots(m: int):
+    """The slots (i, j, S) of an m-IP2 grid, i- then j- then S-major."""
+    return itertools.product(range(1, m + 1), range(1, m + 1), range(1 << (m * m)))
+
+
+def _ip2_check(m: int, grid: dict) -> None:
     if m > MAX_IP2_M:
         raise CapExceeded(f"m = {m} exceeds the IP2 cap {MAX_IP2_M}")
-    _check_slots(grid, itertools.product(range(1, m + 1), range(1, m + 1), range(1 << (m * m))))
+    _check_slots(grid, _ip2_slots(m))
 
 
 def t_ip2s(m: int, values, p: int, n: int) -> np.ndarray:
@@ -301,20 +283,14 @@ def t_ip2s(m: int, values, p: int, n: int) -> np.ndarray:
     return (out / (N * N)).reshape(values.shape[:-4])
 
 
-def _ip2_stack(m: int, grid: FunctionGrid) -> np.ndarray:
-    """The (m, m, 2^(m^2), N) value stack of an m-IP2 grid, f_{i,j,S} at
-    [i - 1, j - 1, S]."""
+def t_ip2(m: int, grid: dict, p: int, n: int) -> complex:
+    """`t_ip2s` of one grid, a dict from (i, j, S) to a table on F_p^n."""
     _ip2_check(m, grid)
-    return np.stack([[[grid[(i, j, s)].values for s in range(1 << (m * m))]
-                      for j in range(1, m + 1)] for i in range(1, m + 1)])
+    stack = np.stack([grid[slot] for slot in _ip2_slots(m)])
+    return complex(t_ip2s(m, stack.reshape((m, m, 1 << (m * m), -1)), p, n))
 
 
-def t_ip2(m: int, grid: FunctionGrid) -> complex:
-    """`t_ip2s` of one grid."""
-    return complex(t_ip2s(m, _ip2_stack(m, grid), grid.p, grid.n))
-
-
-def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> complex:
+def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: dict) -> complex:
     """The mu-weighted variant at the direction of codes (a1, a2, a3, b12,
     b13, b23): x_i in B(a1), y_j in B(a2), z_S in B(a3), with measure
     factors for every (x_i, y_j), (x_i, z_S), (y_j, z_S). The ternary
@@ -328,16 +304,14 @@ def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: FunctionGrid) -> c
     c_S = x_1 + y_1 + z_S, and the c_S cover that coset uniformly and
     independently. The ternary operator is its twin there."""
     _ip2_check(m, grid)
-    if (factor.p, factor.n) != (grid.p, grid.n):
-        raise ValueError("factor and grid on different groups")
     if factor.q == 0:
-        values = _ip2_stack(m, grid)
-        rows = [values.reshape(-1, values.shape[-1])]
-        (stack,) = _target_stacks(factor, np.asarray(codes, dtype=np.int64).reshape(1, 6), rows)
-        return complex(t_ip2s(m, stack.reshape(values.shape[:-1] + (-1,)), factor.p,
+        row = [grid[slot] for slot in _ip2_slots(m)]
+        _check_tables(row, factor.p, factor.n)
+        (stack,) = _target_stacks(factor, np.asarray(codes, dtype=np.int64).reshape(1, 6), [row])
+        return complex(t_ip2s(m, stack.reshape((m, m, 1 << (m * m), -1)), factor.p,
                               factor.n - factor.ell))
     graph = ip2_hypergraph(m)
-    slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
+    slots = {(i - 1, j - 1, s): grid[(i, j, s)] for i, j, s in _ip2_slots(m)}
     return t_ternary(TernaryContext(graph, factor, constant_codes(graph, codes)), slots)
 
 
@@ -404,7 +378,7 @@ def _extension_count(nctx: int, head_sizes: list[int], free_sizes: list[int],
 # ---------------------------------------------------------------------------
 
 def t_bipartite(graph: PatternHypergraph, factor: QuadraticFactor, u_codes,
-                v_codes, grid: FunctionGrid) -> complex:
+                v_codes, grid: dict) -> complex:
     """E over x_u in L(d_u), y_v in L(d_v) of prod over ALL pairs (u, v) of
     f_{u,v}(x_u + y_v), for the coset codes d_u in u_codes and d_v in
     v_codes of the factor's linear part: the binary contraction, slot
@@ -413,12 +387,11 @@ def t_bipartite(graph: PatternHypergraph, factor: QuadraticFactor, u_codes,
         raise ValueError("need a bipartite graph")
     if graph.nu > MAX_BIPARTITE_PART or graph.nv > MAX_BIPARTITE_PART:
         raise CapExceeded(f"bipartite parts capped at {MAX_BIPARTITE_PART}")
-    if (factor.p, factor.n) != (grid.p, grid.n):
-        raise ValueError("factor and grid on different groups")
     _check_slots(grid, graph.all_tuples())
+    values = {t: grid[t] for t in graph.all_tuples()}
+    _check_tables(values.values(), factor.p, factor.n)
     return complex(_binary_contract(factor.space, _coset_members(factor, u_codes),
-                                    _coset_members(factor, v_codes),
-                                    {t: grid[t].values for t in graph.all_tuples()}))
+                                    _coset_members(factor, v_codes), values))
 
 
 def witness_count_bipartite(graph: PatternHypergraph, factor: QuadraticFactor,
@@ -536,7 +509,7 @@ def _by_shape(ctxs: list[TernaryContext]) -> tuple[QuadraticFactor, dict]:
     return factor, groups
 
 
-def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[complex]:
+def t_ternaries(ctxs: list[TernaryContext], grids: list[dict]) -> list[complex]:
     """The ternary operator of every labeled hypergraph ctxs[i] on grids[i]:
     one ternary contraction per pattern shape (|U|, |V|, |W|)."""
     if len(ctxs) != len(grids):
@@ -556,7 +529,7 @@ def t_ternaries(ctxs: list[TernaryContext], grids: list[FunctionGrid]) -> list[c
     return [complex(v) for v in out]
 
 
-def t_ternary(ctx: TernaryContext, grid: FunctionGrid) -> complex:
+def t_ternary(ctx: TernaryContext, grid: dict) -> complex:
     """E over x_u, y_v, z_w in their atoms of all pair measures times the
     product of f_{u,v,w}(x_u + y_v + z_w) over ALL triples; the z_w-averages
     are independent once the x's and y's are fixed. The batch of one of

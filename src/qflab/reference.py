@@ -13,7 +13,8 @@ imports this module.
 * `t_ip2_per_s_oracle`, of `pattern_ops.t_ip2s`: explicit loops over the
   (x_i), (y_j) tuples and one direct loop per z_S-average.
 
-Each raises CapExceeded past its size cap.
+Each takes tables, (p^n,) arrays, as the fast route does, and raises
+CapExceeded past its size cap.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .errors import CapExceeded
 from .factor import QuadraticFactor, mu_weight_matrix
 from .fpn_core import ENTRY_CAP, H_BLOCK_ENTRIES, space
 from .local_norms import LocalContext3
-from .pattern_ops import FunctionGrid, _ip2_check, _ip_check
-from .spectral import EPS3_ORDER, GroupFunction, _same_group
+from .pattern_ops import _ip2_check, _ip_check
+from .spectral import EPS3_ORDER, _check_tables
 
 
-def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
+def u3_inner_naive(octuple: list, p: int, n: int) -> complex:
     """Same average as `u3_inners`, in physical space; the reference route.
 
     Factorized evaluation: for each (y0, y1) the two z-averages (one for the
@@ -40,9 +41,8 @@ def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
     """
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
-    f = {eps: g for eps, g in zip(EPS3_ORDER, octuple)}
-    _same_group(octuple)
-    p, n = octuple[0].p, octuple[0].n
+    _check_tables(octuple, p, n)
+    f = dict(zip(EPS3_ORDER, octuple))
     sp = space(p, n)
     N = sp.size
     if N ** 5 > ENTRY_CAP:
@@ -51,9 +51,9 @@ def u3_inner_naive(octuple: list[GroupFunction]) -> complex:
     idx = np.arange(N, dtype=np.int64)
     table = sp.sum_grid(idx, idx)  # table[u, v] = u + v
 
-    def shifted(g: GroupFunction, y: int) -> np.ndarray:
+    def shifted(g: np.ndarray, y: int) -> np.ndarray:
         # matrix m[x, z] = g(x + y + z)
-        vals = g.values[sp.add(idx, y)]
+        vals = g[sp.add(idx, y)]
         return vals[table]
 
     total = 0.0 + 0.0j
@@ -95,17 +95,18 @@ def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
     return counts
 
 
-def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> complex:
+def local_u3_inner_naive(ctx: LocalContext3, octuple: list) -> complex:
     """Reference evaluation: the literal six-fold nested sum over atom
     members with all twelve mu factors formed term by term."""
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
+    _check_tables(octuple, ctx.factor.p, ctx.factor.n)
     members = [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
     s1, s2, s3 = (a.size for a in members)
     if (s1 * s2 * s3) ** 2 > ENTRY_CAP:
         raise CapExceeded("six-fold nested sum too large")
     sums = ctx.factor.space.sum_grid3(*members)
-    tensors = [g.values[sums] for g in octuple]
+    tensors = [g[sums] for g in octuple]
     t000, t001, t010, t011, t100, t101, t110, t111 = tensors
     a1, a2, a3, b12, b13, b23 = ctx.codes
     mu12, mu13, mu23 = (mu_weight_matrix(ctx.factor, *t)
@@ -134,11 +135,12 @@ def local_u3_inner_naive(ctx: LocalContext3, octuple: list[GroupFunction]) -> co
     return complex(total / (s1 * s2 * s3) ** 2)
 
 
-def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
+def t_ip_naive(m: int, grid: dict, p: int, n: int) -> complex:
     """Reference route: the literal nested sum over all m + 2^m variables,
     formed as one broadcast product of gathered tables."""
     _ip_check(m, grid)
-    sp = space(grid.p, grid.n)
+    _check_tables(grid.values(), p, n)
+    sp = space(p, n)
     N = sp.size
     nvars = m + (1 << m)
     if N ** nvars > ENTRY_CAP:
@@ -150,22 +152,23 @@ def t_ip_naive(m: int, grid: FunctionGrid) -> complex:
         for s in range(1 << m):
             xi = idx.reshape((1,) * i + (N,) + (1,) * (nvars - i - 1))
             ys = idx.reshape((1,) * (m + s) + (N,) + (1,) * (nvars - m - s - 1))
-            prod = prod * grid[(i + 1, s)].values[sp.add(xi, ys)]
+            prod = prod * grid[(i + 1, s)][sp.add(xi, ys)]
     return complex(prod.mean())
 
 
-def t_ip2_per_s_oracle(m: int, grid: FunctionGrid) -> complex:
+def t_ip2_per_s_oracle(m: int, grid: dict, p: int, n: int) -> complex:
     """Reference route for the global operator: explicit loops over the
     (x_i), (y_j) tuples, each z_S-average computed by its own direct loop
     in Python scalars, with sums read from the group's addition table."""
     _ip2_check(m, grid)
-    sp = space(grid.p, grid.n)
+    _check_tables(grid.values(), p, n)
+    sp = space(p, n)
     N = sp.size
     if N ** (2 * m + 1) * (1 << (m * m)) > ENTRY_CAP:
         raise CapExceeded("per-subset oracle too large")
     idx = np.arange(N, dtype=np.int64)
     add = sp.sum_grid(idx, idx).tolist()
-    vals = {k: g.values.tolist() for k, g in grid.mapping.items()}
+    vals = {k: g.tolist() for k, g in grid.items()}
     total = 0.0 + 0.0j
     for xv in itertools.product(range(N), repeat=m):
         for yv in itertools.product(range(N), repeat=m):

@@ -21,9 +21,11 @@ products the axis before it holds the four or eight functions). They are
 `u2_norms`, `u3_norms`, `ap3_averages` and `ap4_averages`. Each fills its
 temporaries in blocks of at most DERIVATIVE_BLOCK_ENTRIES complex entries,
 whole problems per block where they fit, and computes each problem as it
-would alone, so a batch row is bit for bit its batch of one. The
-single-problem names (`fourier_transform`, `u2_inner`, `ap3_average`, ...)
-are those batches of one, on GroupFunctions.
+would alone, so a batch row is bit for bit its batch of one. A function
+is its table: a (p^n,) float64 or complex128 array in canonical index
+order, taken with (p, n). The single-problem names (`fourier_transform`,
+`u2_inner`, `ap3_average`, ...) are those batches of one, on such tables;
+`quadratic_phase` builds the table of a quadratic phase.
 
 Every transform is one function, `_dft`, called only by the public pair
 `fourier_transforms` and `inverse_transforms`: the table's last axis is
@@ -57,6 +59,7 @@ derivative spectra over h = 0 and one h of each pair {h, -h}, weighted 2;
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -82,71 +85,11 @@ EPS3_ORDER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
 
-class GroupFunction:
-    """A dense read-only table of finite values on F_p^n, canonically
-    indexed. Real-valued tables are kept in float64 so downstream
-    contractions can use the cheaper real path.
-    """
-
-    def __init__(self, p: int, n: int, values) -> None:
-        sp = space(p, n)
-        arr = np.asarray(values)
-        if arr.shape != (sp.size,):
-            raise ValueError(f"expected {sp.size} values, got shape {arr.shape}")
-        if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128)
-        else:
-            arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite function values")
-        arr.setflags(write=False)
-        self.p = p
-        self.n = n
-        self.values = arr
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.n
-
-    @classmethod
-    def constant(cls, p: int, n: int, c: complex) -> GroupFunction:
-        sp = space(p, n)
-        val = complex(c)
-        return cls(p, n, np.full(sp.size, val.real if val.imag == 0.0 else val))
-
-    @classmethod
-    def indicator(cls, p: int, n: int, indices) -> GroupFunction:
-        sp = space(p, n)
-        vals = np.zeros(sp.size)
-        vals[np.asarray(indices, dtype=np.int64)] = 1.0
-        return cls(p, n, vals)
-
-    @classmethod
-    def character(cls, p: int, t) -> GroupFunction:
-        """x -> omega^(x.t), for the coordinates t of a point of F_p^n."""
-        n = len(t)
-        return cls(p, n, omega_table(p)[space(p, n).form_values(r=t)])
-
-    @classmethod
-    def quadratic_phase(cls, p: int, form, r=None) -> GroupFunction:
-        """x -> omega^(x^T M x + r.x), for an n x n integer matrix M and
-        the coordinates r of a point of F_p^n (none by default)."""
-        n = len(form)
-        return cls(p, n, omega_table(p)[space(p, n).form_values(form, r)])
-
-    def __add__(self, other: GroupFunction) -> GroupFunction:
-        self._check(other)
-        return GroupFunction(self.p, self.n, self.values + other.values)
-
-    def scale(self, c: complex) -> GroupFunction:
-        return GroupFunction(self.p, self.n, self.values * c)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
-
-    def _check(self, other: GroupFunction) -> None:
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("mismatched group")
+def quadratic_phase(p: int, form, r=None) -> np.ndarray:
+    """The table of x -> omega^(x^T M x + r.x), for an n x n integer matrix
+    M and the coordinates r of a point of F_p^n (none by default)."""
+    n = len(form)
+    return omega_table(p)[space(p, n).form_values(form, r)]
 
 
 @lru_cache(maxsize=None)
@@ -200,24 +143,23 @@ def inverse_transforms(tables, p: int, n: int) -> np.ndarray:
     return _dft(tables, p, n, 1)
 
 
-def fourier_transform(f: GroupFunction) -> np.ndarray:
-    """`fourier_transforms` of one function: its (p^n,) complex spectrum
-    over the dual group, in the same canonical index order."""
-    return fourier_transforms(f.values, f.p, f.n)
+def fourier_transform(f, p: int, n: int) -> np.ndarray:
+    """`fourier_transforms` of one table: its (p^n,) complex spectrum over
+    the dual group, in the same canonical index order."""
+    return fourier_transforms(f, p, n)
 
 
-def fourier_transform_naive(f: GroupFunction) -> np.ndarray:
+def fourier_transform_naive(f, p: int, n: int) -> np.ndarray:
     """Same transform by the quadratic-cost double loop; cross-check path.
     Counts p^(2n) terms, the multiply-adds of its matrix product."""
-    p, n = f.p, f.n
-    sp = space(p, n)
+    f, sp = _group(f, p, n)
     if sp.size ** 2 > ENTRY_CAP:
         raise CapExceeded(f"naive transform needs {sp.size}^2 phase entries")
     digits = sp.digits.astype(np.int64)
     dots = (digits @ digits.T) % p
     phases = omega_table(p)[(-dots) % p]
     count_terms(phases.size)
-    values = np.einsum("tx,x->t", phases, f.values.astype(np.complex128), optimize=False)
+    values = np.einsum("tx,x->t", phases, f.astype(np.complex128), optimize=False)
     return values / sp.size
 
 
@@ -265,11 +207,9 @@ def u2_inners(values, p: int, n: int) -> np.ndarray:
     return out.reshape(values.shape[:-2])
 
 
-def u2_inner(f00: GroupFunction, f01: GroupFunction, f10: GroupFunction,
-             f11: GroupFunction) -> complex:
-    """`u2_inners` of one quadruple."""
-    fs = _same_group([f00, f01, f10, f11])
-    return complex(u2_inners(np.stack([f.values for f in fs]), f00.p, f00.n))
+def u2_inner(quad: list, p: int, n: int) -> complex:
+    """`u2_inners` of one quadruple of tables."""
+    return complex(u2_inners(np.stack(quad), p, n))
 
 
 def u2_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -346,12 +286,11 @@ def u3_inners(values, p: int, n: int) -> np.ndarray:
     return (out / N).reshape(values.shape[:-2])
 
 
-def u3_inner(octuple: list[GroupFunction]) -> complex:
-    """`u3_inners` of one octuple."""
+def u3_inner(octuple: list, p: int, n: int) -> complex:
+    """`u3_inners` of one octuple of tables."""
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
-    fs = _same_group(octuple)
-    return complex(u3_inners(np.stack([f.values for f in fs]), fs[0].p, fs[0].n))
+    return complex(u3_inners(np.stack(octuple), p, n))
 
 
 def u3_norms(values, p: int, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -399,8 +338,10 @@ def _ap_averages(values, p: int, n: int, k: int) -> np.ndarray:
     """E_{x,d} f(x) f(x+d) ... f(x+(k-1)d) for each row of the stack,
     multiplied left to right. A block holds the (x, d) products of as many
     whole functions as fit DERIVATIVE_BLOCK_ENTRIES entries, or of a block
-    of x rows of one function when N^2 does not fit. Counts one term per
-    sum-table entry read: (k - 1) N^2 per block of functions."""
+    of x rows of one function when N^2 does not fit; every block fills the
+    same product buffer and gather buffer, allocated once per call. Counts
+    one term per sum-table entry read: (k - 1) N^2 per block of
+    functions."""
     values, sp = _group(values, p, n)
     N = sp.size
     rows = values.reshape(-1, N)
@@ -410,13 +351,22 @@ def _ap_averages(values, p: int, n: int, k: int) -> np.ndarray:
         steps.append(sp.add(steps[-1], idx))
     width = min(N, max(1, DERIVATIVE_BLOCK_ENTRIES // N))  # x rows per block
     out = np.zeros(len(rows), dtype=np.result_type(rows, 1.0))  # real tables stay real
-    for block in _chunks(len(rows), width * N):
+    blocks = list(_chunks(len(rows), width * N))
+    entries = len(rows[blocks[0]]) * width * N if blocks else 0
+    prod_buf, gather_buf = np.empty(entries, dtype=rows.dtype), np.empty(entries, dtype=rows.dtype)
+    for block in blocks:
         v = rows[block]
         for start in range(0, N, width):
             xs = slice(start, start + width)
-            prod = v[:, xs, None] * v.take(sp.sums(xs, slice(None)), axis=1)  # x + d
+            shape = (len(v), min(width, N - start), N)
+            prod = prod_buf[:math.prod(shape)].reshape(shape)
+            gather = gather_buf[:prod.size].reshape(shape)
+            # indices are in range, and "clip" lets take write to `out` unbuffered
+            np.take(v, sp.sums(xs, slice(None)), axis=1, out=gather, mode="clip")  # x + d
+            np.multiply(v[:, xs, None], gather, out=prod)
             for step in steps[1:]:
-                prod *= v.take(sp.sums(xs, step), axis=1)  # x + j d
+                np.take(v, sp.sums(xs, step), axis=1, out=gather, mode="clip")  # x + j d
+                prod *= gather
             out[block] += prod.reshape(len(v), -1).sum(axis=1)
     return (out / (N * N)).reshape(values.shape[:-1])
 
@@ -431,14 +381,14 @@ def ap4_averages(values, p: int, n: int) -> np.ndarray:
     return _ap_averages(values, p, n, 4)
 
 
-def ap3_average(f: GroupFunction) -> complex:
-    """`ap3_averages` of one function."""
-    return complex(ap3_averages(f.values, f.p, f.n))
+def ap3_average(f, p: int, n: int) -> complex:
+    """`ap3_averages` of one table."""
+    return complex(ap3_averages(f, p, n))
 
 
-def ap4_average(f: GroupFunction) -> complex:
-    """`ap4_averages` of one function."""
-    return complex(ap4_averages(f.values, f.p, f.n))
+def ap4_average(f, p: int, n: int) -> complex:
+    """`ap4_averages` of one table."""
+    return complex(ap4_averages(f, p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +396,13 @@ def ap4_average(f: GroupFunction) -> complex:
 # ---------------------------------------------------------------------------
 
 def max_quadratic_correlation(
-    f: GroupFunction,
+    f,
+    p: int,
+    n: int,
     include_linear: bool = False,
 ) -> tuple[np.ndarray, tuple[int, ...] | None, float]:
-    """Exhaustively maximize |E_x f(x) omega^(x^T M x [+ r.x])|.
+    """Exhaustively maximize |E_x f(x) omega^(x^T M x [+ r.x])| over the
+    table f on F_p^n.
 
     Returns (M, r, value): M an n x n int64 matrix, and r the coordinates
     of a point of F_p^n, or None unless include_linear. Every candidate
@@ -462,12 +415,11 @@ def max_quadratic_correlation(
     tuple, then the least r. Counts p^n terms per candidate form, plus the
     transform's entries x p x n.
     """
-    p, n = f.p, f.n
     free = n * (n + 1) // 2
     count = p ** free
     if count > CORRELATION_SEARCH_CAP:
         raise CapExceeded(f"{count} candidate forms exceed search cap {CORRELATION_SEARCH_CAP}")
-    sp = space(p, n)
+    f, sp = _group(f, p, n)
     N = sp.size
     digits = sp.digits.astype(np.int64)
     tri = [(i, j) for i in range(n) for j in range(i, n)]
@@ -480,7 +432,7 @@ def max_quadratic_correlation(
     block = max(1, H_BLOCK_ENTRIES // N)
     for start in range(0, count, block):
         rows = slice(start, start + block)
-        g = f.values * om[(coeffs[rows] @ monomials) % p]
+        g = f * om[(coeffs[rows] @ monomials) % p]
         count_terms(g.size)
         if include_linear:
             scores[rows] = np.abs(fourier_transforms(g, p, n))[:, neg]
@@ -504,13 +456,6 @@ def max_quadratic_correlation(
 # helpers
 # ---------------------------------------------------------------------------
 
-def _same_group(fs) -> list[GroupFunction]:
-    fs = list(fs)
-    for g in fs[1:]:
-        fs[0]._check(g)
-    return fs
-
-
 def _group(values, p: int, n: int, width: int | None = None) -> tuple[np.ndarray, GroupSpace]:
     """The value stack as an array whose last axis is the group index, and
     its group; with `width`, the axis before it must hold that many
@@ -521,6 +466,13 @@ def _group(values, p: int, n: int, width: int | None = None) -> tuple[np.ndarray
     if values.shape[len(values.shape) - len(want):] != want:
         raise ValueError(f"expected trailing axes {want}, got shape {values.shape}")
     return values, sp
+
+
+def _check_tables(fs, p: int, n: int) -> None:
+    """Raise ValueError unless every table of fs has shape (p^n,)."""
+    for g in fs:
+        if np.shape(g) != (p ** n,):
+            raise ValueError(f"expected {p ** n} values, got shape {np.shape(g)}")
 
 
 def _chunks(count: int, entries: int):

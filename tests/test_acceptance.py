@@ -48,7 +48,6 @@ from qflab.local_norms import (
     local_u2_norms,
 )
 from qflab.pattern_ops import (
-    FunctionGrid,
     PatternHypergraph,
     TernaryContext,
     bipartite_normalization,
@@ -61,10 +60,10 @@ from qflab.pattern_ops import (
 )
 from qflab.reference import u3_inner_naive
 from qflab.spectral import (
-    GroupFunction,
     fourier_transform,
     inverse_transforms,
     max_quadratic_correlation,
+    quadratic_phase,
     u2_inner,
     u3_norms,
 )
@@ -74,8 +73,7 @@ TOL = 1e-9
 
 def _bounded(p, n, rng):
     vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-    vals = vals / np.maximum(np.abs(vals), 1.0)
-    return GroupFunction(p, n, vals)
+    return vals / np.maximum(np.abs(vals), 1.0)
 
 
 def _support_triples_consistent(ctx):
@@ -103,12 +101,12 @@ def _mixed_factor():
     return new_quadratic_factor(lin, [np.eye(3, dtype=np.int64)])
 
 
-def _indicator_pair(rng, N):
+def _edge_grid(rng, graph, N):
+    """A random set's mask and the grid of its indicator in every edge's
+    slot and its complement's in every other."""
     mask = rng.random(N) < 0.5
-    p, n = 3, 3
-    ind = GroupFunction.indicator(p, n, np.nonzero(mask)[0])
-    indc = GroupFunction.indicator(p, n, np.nonzero(~mask)[0])
-    return mask, ind, indc
+    ind, indc = mask.astype(np.float64), (~mask).astype(np.float64)
+    return mask, {t: ind if t in graph.edges else indc for t in graph.all_tuples()}
 
 
 def test_exact_identities():
@@ -117,18 +115,18 @@ def test_exact_identities():
 
     # transform pair and fourth-moment identity, 100 random functions
     for _ in range(100):
-        f = GroupFunction(3, 4, rng.standard_normal(81) + 1j * rng.standard_normal(81))
-        spec = fourier_transform(f)
-        assert abs(np.sqrt(np.sum(np.abs(spec) ** 2)) - f.l2_norm()) <= TOL
+        f = rng.standard_normal(81) + 1j * rng.standard_normal(81)
+        spec = fourier_transform(f, 3, 4)
+        assert abs(np.sqrt(np.sum(np.abs(spec) ** 2)) - np.sqrt(np.mean(np.abs(f) ** 2))) <= TOL
         back = inverse_transforms(spec[None], 3, 4)[0]
-        assert np.max(np.abs(back - f.values)) <= TOL
+        assert np.max(np.abs(back - f)) <= TOL
         fourth = np.sum(np.abs(spec) ** 4)
-        assert abs(u2_inner(f, f, f, f) - fourth) <= TOL * max(1.0, fourth)
+        assert abs(u2_inner([f] * 4, 3, 4) - fourth) <= TOL * max(1.0, fourth)
 
     # spectral eighth power against the physical-space loop, 20 random functions
     for _ in range(20):
         f = _bounded(3, 3, rng)
-        assert abs(u3_norms(f.values, 3, 3) ** 8 - u3_inner_naive([f] * 8).real) <= TOL
+        assert abs(u3_norms(f, 3, 3) ** 8 - u3_inner_naive([f] * 8, 3, 3).real) <= TOL
 
     # frequency-side coset-local square norm against the binary contraction
     for ell in (1, 2):
@@ -162,9 +160,8 @@ def test_exact_identities():
         graph = PatternHypergraph((2, 2), edges)
         u_codes = [_coset_code(trial, 2) for _ in range(2)]
         v_codes = [_coset_code(trial, 2) for _ in range(2)]
-        mask, ind, indc = _indicator_pair(trial, 27)
-        val = t_bipartite(graph, lin2, u_codes, v_codes,
-                          FunctionGrid.edge_select(graph, ind, indc))
+        mask, grid = _edge_grid(trial, graph, 27)
+        val = t_bipartite(graph, lin2, u_codes, v_codes, grid)
         count = witness_count_bipartite(graph, lin2, u_codes, v_codes, mask)
         scaled = val.real * bipartite_normalization(graph, lin2)
         assert round(scaled) == count and abs(scaled - count) <= 1e-6 * max(1, count)
@@ -176,8 +173,8 @@ def test_exact_identities():
                           if trial.random() < 0.5)
         graph = PatternHypergraph((2, 2, 2), edges)
         ctx = TernaryContext(graph, factor, constant_codes(graph, d3))
-        mask, ind, indc = _indicator_pair(trial, 27)
-        val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
+        mask, grid = _edge_grid(trial, graph, 27)
+        val = t_ternary(ctx, grid)
         count = witness_count_ternary(ctx, mask)
         scaled = val.real * float(ternary_normalization(ctx))
         assert round(scaled) == count and abs(scaled - count) <= 1e-6 * max(1, count)
@@ -208,8 +205,7 @@ def test_inequality_suites(reports):
         rng = np.random.default_rng((4000, seed))
         u_codes = [_coset_code(rng, 2) for _ in range(2)]
         v_codes = [_coset_code(rng, 2) for _ in range(2)]
-        grid = FunctionGrid({(u, v): _bounded(3, 3, rng)
-                             for u in range(2) for v in range(2)})
+        grid = {(u, v): _bounded(3, 3, rng) for u in range(2) for v in range(2)}
         val = abs(t_bipartite(graph, lin, u_codes, v_codes, grid))
         pairs = [(u, v) for u in range(2) for v in range(2)]
         best = min(local_u2_norms(
@@ -304,10 +300,10 @@ def test_inverse_oracle_recovery(reports):
         raw = rng.integers(0, 3, size=(3, 3))
         cases.append((raw + raw.T) % 3)
     for m in cases:
-        f = GroupFunction.quadratic_phase(3, m)
-        best, _, value = max_quadratic_correlation(f)
+        f = quadratic_phase(3, m)
+        best, _, value = max_quadratic_correlation(f, 3, 3)
         assert abs(value - 1.0) <= TOL
-        prod = f.values * GroupFunction.quadratic_phase(3, best).values
+        prod = f * quadratic_phase(3, best)
         assert np.max(np.abs(prod - prod[0])) <= TOL
     print(f"inverse oracle ok in {time.perf_counter() - t0:.1f}s (budget 60s)")
 

@@ -16,8 +16,7 @@ import pytest
 
 from qflab import fpn_core, reference, spectral
 from qflab.fpn_core import space
-from qflab.pattern_ops import FunctionGrid, t_ip, t_ip2, t_ip2s, t_ips
-from qflab.spectral import GroupFunction
+from qflab.pattern_ops import t_ip, t_ip2, t_ip2s, t_ips
 
 GROUPS = [(3, 2), (5, 1), (5, 2)]
 
@@ -26,10 +25,6 @@ def _values(p, n, shape, seed):
     rng = np.random.default_rng(seed)
     shape = shape + (p ** n,)
     return rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
-
-
-def _fns(p, n, rows):
-    return [GroupFunction(p, n, row) for row in rows]
 
 
 def _blocks(monkeypatch, entries):
@@ -48,7 +43,7 @@ def test_transforms_match_their_batch_of_one(monkeypatch, p, n):
     spec = spectral.fourier_transforms(stack, p, n)
     back = spectral.inverse_transforms(spec, p, n)
     for row, t, b in zip(stack, spec, back):
-        one = spectral.fourier_transform(GroupFunction(p, n, row))
+        one = spectral.fourier_transform(row, p, n)
         _same(t, one)
         _same(b, spectral.inverse_transforms(one[None], p, n)[0])
     assert np.max(np.abs(back - stack)) <= 1e-12
@@ -63,7 +58,7 @@ def test_u2_inners_match_their_batch_of_one(monkeypatch, p, n, per_block):
     _blocks(monkeypatch, per_block * N * N or 3 * N)
     got = spectral.u2_inners(stack, p, n)
     for quad, value in zip(stack, got):
-        _same(value, spectral.u2_inner(*_fns(p, n, quad)))
+        _same(value, spectral.u2_inner(list(quad), p, n))
 
 
 @pytest.mark.parametrize("p,n", GROUPS)
@@ -73,8 +68,8 @@ def test_u3_inners_match_their_batch_of_one(monkeypatch, p, n):
     _blocks(monkeypatch, 2 * 4 * N * N)  # two octuples per block: three blocks
     got = spectral.u3_inners(stack, p, n)
     for octuple, value in zip(stack, got):
-        _same(value, spectral.u3_inner(_fns(p, n, octuple)))
-        assert value == pytest.approx(reference.u3_inner_naive(_fns(p, n, octuple)), abs=1e-12)
+        _same(value, spectral.u3_inner(list(octuple), p, n))
+        assert value == pytest.approx(reference.u3_inner_naive(list(octuple), p, n), abs=1e-12)
 
 
 @pytest.mark.parametrize("p,n", GROUPS)
@@ -100,7 +95,7 @@ def test_ap_averages_match_their_batch_of_one(monkeypatch, p, n, per_block):
     for batch, one in ((spectral.ap3_averages, spectral.ap3_average),
                        (spectral.ap4_averages, spectral.ap4_average)):
         for row, value in zip(stack, batch(stack, p, n)):
-            _same(value, one(GroupFunction(p, n, row)))
+            _same(value, one(row, p, n))
 
 
 @pytest.mark.parametrize("p,n", GROUPS)
@@ -111,15 +106,14 @@ def test_ip_averages_match_their_batch_of_one(monkeypatch, p, n):
     ip2_one = _values(p, n, (7, 1, 1, 2), seed=8)
     _blocks(monkeypatch, 2 * N * N)  # two m = 2 IP grids per block
     for grid, value in zip(ip, t_ips(2, ip, p, n)):
-        one = FunctionGrid({(i + 1, s): GroupFunction(p, n, grid[i, s])
-                            for i in range(2) for s in range(4)})
-        _same(value, t_ip(2, one))
+        one = {(i + 1, s): grid[i, s] for i in range(2) for s in range(4)}
+        _same(value, t_ip(2, one, p, n))
     _blocks(monkeypatch, 2 * 32 * N * N)  # two m = 2 IP2 grids per block
     for m, stack in ((2, ip2), (1, ip2_one)):
         for grid, value in zip(stack, t_ip2s(m, stack, p, n)):
-            one = FunctionGrid({(i + 1, j + 1, s): GroupFunction(p, n, grid[i, j, s])
-                                for i in range(m) for j in range(m) for s in range(1 << (m * m))})
-            _same(value, t_ip2(m, one))
+            one = {(i + 1, j + 1, s): grid[i, j, s]
+                   for i in range(m) for j in range(m) for s in range(1 << (m * m))}
+            _same(value, t_ip2(m, one, p, n))
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])

@@ -27,13 +27,11 @@ from qflab.local_norms import (  # noqa: E402
     local_u2_norms,
 )
 from qflab.pattern_ops import (  # noqa: E402
-    FunctionGrid,
     PatternHypergraph,
     t_bipartite,
     t_ip,
 )
 from qflab.reference import t_ip_naive  # noqa: E402
-from qflab.spectral import GroupFunction  # noqa: E402
 
 PRIMES = (3, 5, 7, 11, 13)
 # (p, n, m) where the nested sum over N^(m + 2^m) terms fits ENTRY_CAP
@@ -47,7 +45,7 @@ LOOP_LIMIT = 20000  # most vertex tuples the explicit bipartite loop visits
 
 def _bounded(rng, p, n):
     vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-    return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0))
+    return vals / np.maximum(np.abs(vals), 1.0)
 
 
 def _random_linear(rng, p, n, ell):
@@ -71,11 +69,12 @@ def test_ip_matches_the_nested_sum_across_primes(size, seed, diagonal):
     p, n, m = size
     rng = np.random.default_rng(seed)
     if diagonal:
-        grid = FunctionGrid.ip_select(m, _bounded(rng, p, n), _bounded(rng, p, n))
+        f_in, f_out = _bounded(rng, p, n), _bounded(rng, p, n)
+        grid = {(i, s): f_in if s >> (i - 1) & 1 else f_out
+                for i in range(1, m + 1) for s in range(1 << m)}
     else:
-        grid = FunctionGrid({(i, s): _bounded(rng, p, n) for i in range(1, m + 1)
-                             for s in range(1 << m)})
-    assert t_ip(m, grid) == pytest.approx(t_ip_naive(m, grid), rel=1e-10, abs=1e-14)
+        grid = {(i, s): _bounded(rng, p, n) for i in range(1, m + 1) for s in range(1 << m)}
+    assert t_ip(m, grid, p, n) == pytest.approx(t_ip_naive(m, grid, p, n), rel=1e-10, abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,12 +88,12 @@ def test_bipartite_matches_an_explicit_loop_on_random_cosets(shape, nu, nv, seed
     u_labels = [_label(rng, p, ell) for _ in range(nu)]
     v_labels = [_label(rng, p, ell) for _ in range(nv)]
     graph = PatternHypergraph((nu, nv))
-    grid = FunctionGrid({t: _bounded(rng, p, n) for t in graph.all_tuples()})
+    grid = {t: _bounded(rng, p, n) for t in graph.all_tuples()}
     xs = [linear.atom_indices(lab).tolist() for lab in u_labels]
     ys = [linear.atom_indices(lab).tolist() for lab in v_labels]
     cosets = space(p, ell)
     add = linear.space.sum_grid(np.arange(p ** n), np.arange(p ** n)).tolist()
-    vals = {t: g.values.tolist() for t, g in grid.mapping.items()}
+    vals = {t: g.tolist() for t, g in grid.items()}
     total = 0.0 + 0.0j
     for xv in itertools.product(*xs):
         for yv in itertools.product(*ys):

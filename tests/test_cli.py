@@ -114,13 +114,18 @@ def test_bad_override_exits_two(capsys):
     ("control-ip2-local-trend", '{"m": 3}'),
     ("vc2-structure", '{"q": 3}'),
     ("inverse-oracle", '{"n": 5}'),
+    ("atom-vc", '{"p": 3, "n": 1}'),
+    ("atom-vc", '{"p": 3, "n": 2}'),
+    ("atom-vc", '{"p": 5, "n": 1}'),
+    ("atom-vc", '{"p": 7, "n": 1}'),
+    ("atom-vc", '{"p": 7, "n": 2}'),
 ])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, name, body):
     # each value must have the JSON type of its default (a bool is no
     # integer) and lie in its range: ell in [0, n], q >= 0 (>= 1 for the
     # level-set sizes), two parts in [1, 3], atom labels as wide as the
     # factor, nonempty lists, and sizes, pattern orders, form counts and
-    # candidate counts within the kernels' caps
+    # candidate counts within the kernels' caps, and atom-vc's n >= 3
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
     for command in ("run", "estimate"):
@@ -534,12 +539,12 @@ def _small_dimension_configs():
 
 @pytest.mark.parametrize("name,body", _small_dimension_configs())
 def test_small_dimensions_never_crash(tmp_path, capsys, name, body):
-    # a pass, a failed hard check (atom-vc's low-rank atoms at n <= 2) or a
-    # config error (default vectors of another length), never exit 3
+    # a pass or a config error (default vectors of another length, or
+    # atom-vc below n = 3): no failed hard check, and never exit 3
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(body))
     code = main(["run", name, "--config", str(cfg)])
-    assert code in (0, 1, 2), capsys.readouterr().err
+    assert code in (0, 2), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qflab import local_norms
+from qflab import local_norms, pattern_ops, reference, spectral
 from qflab.errors import CapExceeded, DegenerateContext
 from qflab.factor import (
     degenerate_directions,
@@ -29,7 +29,6 @@ from qflab.local_norms import (
     local_u3_norms,
 )
 from qflab.pattern_ops import (
-    FunctionGrid,
     TernaryContext,
     _ternary_shape,
     constant_codes,
@@ -39,7 +38,7 @@ from qflab.pattern_ops import (
     weighted_ternary_densities,
 )
 from qflab.reference import local_u3_inner_naive
-from qflab.spectral import GroupFunction, u2_norms, u3_inner
+from qflab.spectral import u2_norms, u3_inner
 
 
 def _random_f(p, n, seed, bounded=True):
@@ -48,7 +47,13 @@ def _random_f(p, n, seed, bounded=True):
     vals = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if bounded:
         vals = vals / np.maximum(np.abs(vals), 1.0)
-    return GroupFunction(p, n, vals)
+    return vals
+
+
+def _ip2_diagonal(m, f):
+    """The m-IP2 grid with the one table f in every slot."""
+    return dict.fromkeys(itertools.product(range(1, m + 1), range(1, m + 1),
+                                           range(1 << (m * m))), f)
 
 
 def _mixed_factor():
@@ -92,13 +97,13 @@ def test_trivial_factor_reduces_to_global_norms():
     ctx2 = LocalContext2(lin, (0, 0))
     f = _random_f(3, 2, seed=1)
     assert local_u2_norms(lin, [ctx2.code], [f]) == pytest.approx(
-        u2_norms(f.values[None], 3, 2), abs=1e-10)
+        u2_norms(f[None], 3, 2), abs=1e-10)
 
     quad = new_quadratic_factor(lin, [])
     ctx3 = LocalContext3(quad, (0,) * 6)
     octuple = [_random_f(3, 2, seed=10 + k) for k in range(8)]
     assert local_u3_inner(ctx3, octuple) == pytest.approx(
-        u3_inner(octuple), abs=1e-10)
+        u3_inner(octuple, 3, 2), abs=1e-10)
 
 
 def test_local_u2_inner_matches_explicit_loop():
@@ -113,10 +118,10 @@ def test_local_u2_inner_matches_explicit_loop():
             for y0 in ys:
                 for y1 in ys:
                     total += (
-                        fs[0].values[sp.add(x0, y0)]
-                        * np.conj(fs[1].values[sp.add(x0, y1)])
-                        * np.conj(fs[2].values[sp.add(x1, y0)])
-                        * fs[3].values[sp.add(x1, y1)]
+                        fs[0][sp.add(x0, y0)]
+                        * np.conj(fs[1][sp.add(x0, y1)])
+                        * np.conj(fs[2][sp.add(x1, y0)])
+                        * fs[3][sp.add(x1, y1)]
                     )
     expected = total / (xs.size ** 2 * ys.size ** 2)
     assert local_u2_inner(ctx, *fs) == pytest.approx(complex(expected), abs=1e-12)
@@ -139,7 +144,7 @@ def test_local_u2_fourth_is_the_binary_contraction():
     # translating f by a member of L(0) moves the spectrum's shift to
     # another member of the target coset, and leaves the norm
     h = int(lin.atom_indices((0,))[-1])
-    moved = GroupFunction(3, 3, f.values[lin.space.add(np.arange(27), h)])
+    moved = f[lin.space.add(np.arange(27), h)]
     assert fourth == pytest.approx(local_u2_norms(lin, [ctx.code], [moved])[0] ** 4, abs=1e-10)
 
 
@@ -161,7 +166,7 @@ def test_local_u2_norms_match_the_binary_contraction(monkeypatch, p, ell):
     rng = np.random.default_rng(10 * p + ell)
     lin = _non_coordinate_linear(rng, p, 3, ell)
     fs = [_random_f(p, 3, seed=500 + k, bounded=False) for k in range(2)]
-    fs.append(GroupFunction(p, 3, rng.standard_normal(p ** 3)))
+    fs.append(rng.standard_normal(p ** 3))
     codes = rng.integers(0, p ** ell, 7)
     codes[-1] = codes[0]
     fns = [fs[k % 3] for k in range(7)]
@@ -261,9 +266,8 @@ def test_inner_product_ignores_values_off_the_target_atom():
     base = local_u3_inner(ctx, [f] * 8)
     mask = np.ones(27, dtype=bool)
     mask[ctx.target_indices()] = False
-    noisy_vals = f.values.copy()
-    noisy_vals[mask] += 5.0
-    noisy = GroupFunction(3, 3, noisy_vals)
+    noisy = f.copy()
+    noisy[mask] += 5.0
     assert local_u3_inner(ctx, [noisy] * 8) == pytest.approx(base, abs=1e-10)
 
 
@@ -271,11 +275,11 @@ def test_inner_product_is_linear_in_one_slot():
     ctx = _contexts(_mixed_factor(), limit=1)[0]
     octuple = [_random_f(3, 3, seed=30 + k) for k in range(8)]
     base = local_u3_inner(ctx, octuple)
-    scaled = [octuple[0].scale(2.0 + 1.0j)] + octuple[1:]
+    scaled = [octuple[0] * (2.0 + 1.0j)] + octuple[1:]
     assert local_u3_inner(ctx, scaled) == pytest.approx(
         (2.0 + 1.0j) * base, abs=1e-10)
     # an odd-parity slot picks up the conjugate factor
-    flipped = octuple[:1] + [octuple[1].scale(2.0 + 1.0j)] + octuple[2:]
+    flipped = octuple[:1] + [octuple[1] * (2.0 + 1.0j)] + octuple[2:]
     assert local_u3_inner(ctx, flipped) == pytest.approx(
         (2.0 - 1.0j) * base, abs=1e-10)
 
@@ -304,7 +308,6 @@ def test_local_u3_dominates_local_u2_on_linear_factors():
 def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     from qflab import spectral
     from qflab.pattern_ops import (
-        FunctionGrid,
         TernaryContext,
         constant_codes,
         ip2_hypergraph,
@@ -321,9 +324,9 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
     graph = ip2_hypergraph(1)
     calls = [
         lambda: local_u3_inner(ctx, [f] * 8),
-        lambda: t_ip2_local(1, factor, d, FunctionGrid.ip2_diagonal(1, f)),
+        lambda: t_ip2_local(1, factor, d, _ip2_diagonal(1, f)),
         lambda: t_ternary(TernaryContext(graph, factor, constant_codes(graph, d)),
-                          FunctionGrid.edge_select(graph, f, f)),
+                          dict.fromkeys(graph.all_tuples(), f)),
         lambda: weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)]),
     ]
     for call in calls:
@@ -334,16 +337,15 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
             call()
     # global IP2 builds no member tensors; its derivative tables are capped
     # at p^(2n) <= ENTRY_CAP instead
-    grid = FunctionGrid.ip2_diagonal(2, f)
-    t_ip2(2, grid)
+    grid = _ip2_diagonal(2, f)
+    t_ip2(2, grid, 3, 3)
     monkeypatch.setattr(spectral, "ENTRY_CAP", f.size ** 2 - 1)
     with pytest.raises(CapExceeded):
-        t_ip2(2, grid)
+        t_ip2(2, grid, 3, 3)
 
 
 def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
     from qflab.pattern_ops import (
-        FunctionGrid,
         PatternHypergraph,
         t_bipartite,
         t_ip,
@@ -354,19 +356,19 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
     ctx = LocalContext2(lin, (1, 2))
     f = _random_f(3, 3, seed=61)
     graph = PatternHypergraph((1, 2))
+    ip_grid = dict.fromkeys(itertools.product(range(1, 3), range(4)), f)
     # 9-point cosets: every sum table and average holds at most 9 x 9
     # entries; the global m = 2 IP holds 27 x 27
     local_calls = [
         lambda: local_u2_inner(ctx, f, f, f, f),
-        lambda: t_ip_local(2, lin, ctx.codes, FunctionGrid.ip_select(2, f, f)),
-        lambda: t_bipartite(graph, lin, [0], [1, 2],
-                            FunctionGrid({(0, 0): f, (0, 1): f})),
+        lambda: t_ip_local(2, lin, ctx.codes, ip_grid),
+        lambda: t_bipartite(graph, lin, [0], [1, 2], {(0, 0): f, (0, 1): f}),
     ]
     monkeypatch.setattr(local_norms, "ENTRY_CAP", 81)
     for call in local_calls:
         call()
     with pytest.raises(CapExceeded):
-        t_ip(2, FunctionGrid.ip_select(2, f, f))
+        t_ip(2, ip_grid, 3, 3)
     monkeypatch.setattr(local_norms, "ENTRY_CAP", 80)
     for call in local_calls:
         with pytest.raises(CapExceeded):
@@ -386,7 +388,7 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
     f = _random_f(3, 2, seed=70)
     # local_u3_norms takes the coset route at q = 0; the contraction is its twin
     (value,) = local_norms._ternary_contract(lin, local_norms.u3_shape(False),
-                                             [[1, 2, 0, 0, 0, 0, 0]], [f.values])
+                                             [[1, 2, 0, 0, 0, 0, 0]], [f])
     u3 = value.real ** 0.125
     assert blocks == [(6, {0: 3}, {0: 3})]
     ctx = LocalContext3(new_quadratic_factor(lin, []), (1, 2, 0, 0, 0, 0))
@@ -420,8 +422,7 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
             small.codes + tuple(range(7, -1, -1)) + (small.codes[0], small.codes[3],
                                                      small.codes[4]),
             small.codes + (0,) * 8 + (small.codes[0], small.codes[3], small.codes[4])]
-    arrays = [f.values for f in fs]
-    singles = [local_norms._ternary_contract(factor, shape, [r], arrays)[0] for r in rows]
+    singles = [local_norms._ternary_contract(factor, shape, [r], fs)[0] for r in rows]
     assert min(abs(v) for v in singles) > 1.0
     for got, (c, octu) in zip(singles[::2], [(ctx, fs), (small, fs[::-1])]):
         assert got == pytest.approx(local_u3_inner(c, octu), rel=1e-12)
@@ -432,7 +433,7 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
     monkeypatch.setattr(local_norms._Stack, "__init__",
                         lambda self, factor, shape, codes, arrays: stacks.append(len(codes))
                         or init(self, factor, shape, codes, arrays))
-    batch = local_norms._ternary_contract(factor, shape, rows, arrays)
+    batch = local_norms._ternary_contract(factor, shape, rows, fs)
     assert stacks == [4]
     for got, want in zip(batch, singles):
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -496,11 +497,11 @@ def test_the_halved_scan_counts_half_the_distinct_y_pairs():
     per_tuple = 9 ** 3 + 2 * 9 * 10
     contract = local_norms._ternary_contract
     _, terms = run_counted(contract, factor, local_norms.u3_shape(False), [ctx.codes + (0,)],
-                           [fs[0].values])
+                           [fs[0]])
     assert terms == 45 * per_tuple
     octuple = [ctx.codes + tuple(range(8))]
     _, terms = run_counted(contract, factor, local_norms.u3_shape(True), octuple,
-                           [f.values for f in fs])
+                           fs)
     assert terms == 81 * (2 * 9 ** 3 + 2 * 9 * 10)
 
 
@@ -512,7 +513,7 @@ def _smallpart_batch():
                                   [np.eye(4, dtype=np.int64)])
     codes = direction_codes(factor, [np.random.default_rng((0, j)).integers(0, 3, size=9)
                                      for j in range(2000)])
-    f = GroupFunction(3, 4, np.random.default_rng(0).uniform(-1.0, 1.0, 81))
+    f = np.random.default_rng(0).uniform(-1.0, 1.0, 81)
     return factor, codes[~degenerate_directions(factor, codes)], f
 
 
@@ -741,8 +742,7 @@ def test_without_forms_the_coset_route_matches_the_contraction(monkeypatch, p, m
     codes[:, :3] = rng.integers(0, p ** ell, (4, 3))
     fs = [_random_f(p, n, seed=900 + k) for k in range(8)]
     octuples = [fs[k:] + fs[:k] for k in range(4)]
-    grids = [FunctionGrid({key: fs[int(rng.integers(8))] for key in
-                           FunctionGrid.ip2_diagonal(k, fs[0]).mapping}) for k in (1, 2)]
+    grids = [{key: fs[int(rng.integers(8))] for key in _ip2_diagonal(k, fs[0])} for k in (1, 2)]
     members = [rng.random(p ** n) < 0.4 for _ in range(4)]
     with monkeypatch.context() as patched:
         patched.setattr(local_norms._Stack, "contract", None)  # any contraction fails
@@ -753,18 +753,18 @@ def test_without_forms_the_coset_route_matches_the_contraction(monkeypatch, p, m
         densities = weighted_ternary_densities(factor, codes, members)
     contract = local_norms._ternary_contract
     diagonal = contract(factor, local_norms.u3_shape(False), np.column_stack([codes, range(4)]),
-                        [f.values for f in fs[:4]])
+                        fs[:4])
     assert norms == pytest.approx(local_norms._roots_of_diagonal(diagonal, 8, 1e-9).tolist(),
                                   rel=1e-12)
-    columns = [[fs.index(g) for g in o] for o in octuples]
+    columns = [[(k + j) % 8 for j in range(8)] for k in range(4)]  # octuples[k][j]
     assert inners == pytest.approx(contract(factor, local_norms.u3_shape(True),
                                             np.column_stack([codes, columns]),
-                                            [f.values for f in fs]), rel=1e-12)
+                                            fs), rel=1e-12)
     for k, grid, got in zip((1, 2), grids, ip2s):
         if k == 2 and m == 3:  # 27-point cosets: 16 W-vertices over 27^5 terms each
             continue
         graph = ip2_hypergraph(k)
-        slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
+        slots = {(i - 1, j - 1, s): g for (i, j, s), g in grid.items()}
         want = t_ternaries([TernaryContext(graph, factor, constant_codes(graph, row))
                             for row in codes], [slots] * 4)
         assert got == pytest.approx(want, rel=1e-12)
@@ -817,3 +817,86 @@ def test_without_forms_codes_are_checked():
     for row in ((3, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)):
         with pytest.raises(ValueError):
             local_norms.local_u3_norms(factor, [row], [f])
+
+
+TABLE_ROUTES = [
+    "fourier_transform", "fourier_transform_naive", "u2_inner", "u3_inner", "ap3_average",
+    "ap4_average", "max_quadratic_correlation", "value_columns", "local_u2_inner",
+    "local_u2_norms", "local_u3_inner", "local_u3_inners", "local_u3_norms", "t_ip",
+    "t_ip_local", "t_ip2", "t_ip2_local", "t_ip2_local-q0", "t_bipartite", "t_ternary",
+    "t_ternaries", "u3_inner_naive", "local_u3_inner_naive", "t_ip_naive",
+    "t_ip2_per_s_oracle"]
+
+
+def _table_route(name, bad):
+    """The call of the route `name` on F_3^3 with the table `bad` in one
+    slot and a good table in every other."""
+    f = _random_f(3, 3, seed=150)
+    factor = _mixed_factor()
+    d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
+    ctx2, ctx3 = LocalContext2(factor, (1, 2)), LocalContext3(factor, d)
+    octuple = [f] * 7 + [bad]
+    ip = {(i, s): f for i in (1, 2) for s in range(4)} | {(2, 3): bad}
+    ip2 = {(1, 1, 0): f, (1, 1, 1): bad}
+    graph = pattern_ops.ip2_hypergraph(1)
+    ternary = TernaryContext(graph, factor, constant_codes(graph, d))
+    slots = {(0, 0, 0): f, (0, 0, 1): bad}
+    flat = new_quadratic_factor(factor.linear, [])
+    return {
+        "fourier_transform": lambda: spectral.fourier_transform(bad, 3, 3),
+        "fourier_transform_naive": lambda: spectral.fourier_transform_naive(bad, 3, 3),
+        "u2_inner": lambda: spectral.u2_inner(octuple[4:], 3, 3),
+        "u3_inner": lambda: spectral.u3_inner(octuple, 3, 3),
+        "ap3_average": lambda: spectral.ap3_average(bad, 3, 3),
+        "ap4_average": lambda: spectral.ap4_average(bad, 3, 3),
+        "max_quadratic_correlation": lambda: spectral.max_quadratic_correlation(bad, 3, 3),
+        "value_columns": lambda: local_norms.value_columns(octuple, 3, 3),
+        "local_u2_inner": lambda: local_u2_inner(ctx2, *octuple[4:]),
+        "local_u2_norms": lambda: local_u2_norms(factor, [0, 1], [f, bad]),
+        "local_u3_inner": lambda: local_u3_inner(ctx3, octuple),
+        "local_u3_inners": lambda: local_u3_inners(factor, [d], [octuple]),
+        "local_u3_norms": lambda: local_u3_norms(factor, [d, d], [f, bad]),
+        "t_ip": lambda: pattern_ops.t_ip(2, ip, 3, 3),
+        "t_ip_local": lambda: pattern_ops.t_ip_local(2, factor, (1, 2), ip),
+        "t_ip2": lambda: pattern_ops.t_ip2(1, ip2, 3, 3),
+        "t_ip2_local": lambda: t_ip2_local(1, factor, d, ip2),
+        "t_ip2_local-q0": lambda: t_ip2_local(1, flat, (1, 2, 0, 0, 0, 0), ip2),
+        "t_bipartite": lambda: pattern_ops.t_bipartite(
+            pattern_ops.PatternHypergraph((1, 2)), factor, [0], [1, 2], {(0, 0): f, (0, 1): bad}),
+        "t_ternary": lambda: pattern_ops.t_ternary(ternary, slots),
+        "t_ternaries": lambda: t_ternaries([ternary] * 2, [dict.fromkeys(slots, f), slots]),
+        "u3_inner_naive": lambda: reference.u3_inner_naive(octuple, 3, 3),
+        "local_u3_inner_naive": lambda: local_u3_inner_naive(ctx3, octuple),
+        "t_ip_naive": lambda: reference.t_ip_naive(2, ip, 3, 3),
+        "t_ip2_per_s_oracle": lambda: reference.t_ip2_per_s_oracle(1, ip2, 3, 3),
+    }[name]
+
+
+@pytest.mark.parametrize("length", [26, 28])
+@pytest.mark.parametrize("name", TABLE_ROUTES)
+def test_a_table_of_the_wrong_length_is_refused(name, length):
+    # one entry short or one too many, which a gather could read silently
+    bad = _random_f(3, 3, seed=151)[:length] if length < 27 else np.zeros(length)
+    try:
+        _table_route(name, _random_f(3, 3, seed=151))()
+    except CapExceeded:  # t_ip_naive's cap at m = 2; the lengths are checked first
+        pass
+    with pytest.raises(ValueError):
+        _table_route(name, bad)()
+
+
+def test_one_table_object_in_every_ip2_slot_shares_the_ternary_work():
+    # the ternary contraction shares W-slots and value places by identity:
+    # one array object in all 64 slots of local 2-IP2 on a factor with a
+    # form gives the value of 64 copies of it, for fewer counted terms
+    factor = _mixed_factor()
+    d = _row(factor, (0, 1), (1, 2), (2, 2), (0,), (1,), (2,))
+    f = _random_f(3, 3, seed=160)
+    slots = list(itertools.product((1, 2), (1, 2), range(16)))
+    shared = dict.fromkeys(slots, f)
+    copies = {slot: f.copy() for slot in slots}
+    t_ip2_local(2, factor, d, shared)  # the factor's caches, before counting
+    one, shared_terms = run_counted(t_ip2_local, 2, factor, d, shared)
+    many, copy_terms = run_counted(t_ip2_local, 2, factor, d, copies)
+    assert abs(one) > 0 and one == many
+    assert shared_terms < copy_terms

@@ -36,7 +36,6 @@ from qflab.local_norms import (  # noqa: E402
     local_u3_norms,
 )
 from qflab.pattern_ops import (  # noqa: E402
-    FunctionGrid,
     PatternHypergraph,
     TernaryContext,
     constant_codes,
@@ -48,7 +47,6 @@ from qflab.pattern_ops import (  # noqa: E402
     witness_count_ternary,
 )
 from qflab.reference import local_u3_inner_naive, t_ip2_per_s_oracle  # noqa: E402
-from qflab.spectral import GroupFunction  # noqa: E402
 
 # (p, n, ell) with q = 1: atoms small enough for the six-fold reference sum
 FACTOR_SHAPES = [(3, 2, 0), (3, 3, 1), (5, 2, 0), (5, 2, 1), (7, 2, 0), (7, 2, 1), (11, 2, 1),
@@ -78,7 +76,12 @@ def _measures(ctx):
 
 def _bounded(rng, p, n):
     vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-    return GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0))
+    return vals / np.maximum(np.abs(vals), 1.0)
+
+
+def _ip2_select(f_in, f_out):
+    """The 1-IP2 grid with f_in in the slot (1, 1, {(1, 1)}), f_out in the other."""
+    return {(1, 1, 0): f_out, (1, 1, 1): f_in}
 
 
 def _coordinate_label(factor, index):
@@ -170,12 +173,14 @@ def test_ip2_matches_per_subset_oracle_across_primes(size, seed, diagonal):
     p, n, m = size
     rng = np.random.default_rng(seed)
     if diagonal:
-        grid = FunctionGrid.ip2_diagonal(m, _bounded(rng, p, n))
+        f = _bounded(rng, p, n)
+        grid = {(i, j, s): f for i in range(1, m + 1) for j in range(1, m + 1)
+                for s in range(1 << (m * m))}
     else:
-        grid = FunctionGrid({(i, j, s): _bounded(rng, p, n) for i in range(1, m + 1)
-                             for j in range(1, m + 1) for s in range(1 << (m * m))})
-    slow = t_ip2_per_s_oracle(m, grid)
-    assert t_ip2(m, grid) == pytest.approx(slow, rel=1e-10, abs=1e-15)
+        grid = {(i, j, s): _bounded(rng, p, n) for i in range(1, m + 1)
+                for j in range(1, m + 1) for s in range(1 << (m * m))}
+    slow = t_ip2_per_s_oracle(m, grid, p, n)
+    assert t_ip2(m, grid, p, n) == pytest.approx(slow, rel=1e-10, abs=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,7 +217,7 @@ def _u3_contracted(factor, d, octu) -> complex:
     """`local_u3_inner` of the octuple at the direction d through the
     ternary contraction: its route with forms and its twin without."""
     (u3,) = local_norms._ternary_contract(factor, local_norms.u3_shape(True),
-                                          [tuple(d) + tuple(range(8))], [g.values for g in octu])
+                                          [tuple(d) + tuple(range(8))], octu)
     return complex(u3)
 
 
@@ -220,7 +225,7 @@ def _ip2_contracted(factor, d, grid) -> complex:
     """`t_ip2_local` (m = 1) of the grid at the direction d through the
     ternary operator: its route with forms and its twin without."""
     graph = ip2_hypergraph(1)
-    slots = FunctionGrid({(i - 1, j - 1, s): g for (i, j, s), g in grid.mapping.items()})
+    slots = {(i - 1, j - 1, s): g for (i, j, s), g in grid.items()}
     return t_ternary(TernaryContext(graph, factor, constant_codes(graph, d)), slots)
 
 
@@ -241,7 +246,7 @@ def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     ctx = LocalContext3(factor, d)
     rng = np.random.default_rng(11)
     octu = [_bounded(rng, 3, 3) for _ in range(8)]
-    grid = FunctionGrid.ip2_select(1, _bounded(rng, 3, 3), _bounded(rng, 3, 3))
+    grid = _ip2_select(_bounded(rng, 3, 3), _bounded(rng, 3, 3))
     whole = (_u3_contracted(factor, d, octu), _ip2_contracted(factor, d, grid))
     assert whole == pytest.approx((local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid)),
                                   rel=1e-12, abs=1e-15)
@@ -271,7 +276,7 @@ def _ip2_local_dense(ctx, grid):
     zweight = mu13[:, None, :] * mu23[None, :, :]
     out = mu12.astype(complex)
     for s in range(2):
-        out = out * (zweight * grid[(1, 1, s)].values[sums]).mean(axis=2)
+        out = out * (zweight * grid[(1, 1, s)][sums]).mean(axis=2)
     return complex(out.mean())
 
 
@@ -286,7 +291,7 @@ def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
     rng = np.random.default_rng(seed + 3)
     p, n, _ = shape
     octu = [_bounded(rng, p, n)] * 8 if diagonal else [_bounded(rng, p, n) for _ in range(8)]
-    grid = FunctionGrid.ip2_select(1, _bounded(rng, p, n), _bounded(rng, p, n))
+    grid = _ip2_select(_bounded(rng, p, n), _bounded(rng, p, n))
     sx, _, sz = _sizes(ctx)
     u3_budget = _block_budget([sx] * 2, [sz], rows)
     ip2_budget = _block_budget([sx], [sz], rows)
@@ -313,7 +318,7 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
     sx, _, sz = _sizes(ctx)
     rng = np.random.default_rng(21)
     octu = [_bounded(rng, 5, 2) for _ in range(8)]
-    grid = FunctionGrid.ip2_select(1, _bounded(rng, 5, 2), _bounded(rng, 5, 2))
+    grid = _ip2_select(_bounded(rng, 5, 2), _bounded(rng, 5, 2))
     for rows in (0, 1):
         u3_budget = _block_budget([sx] * 2, [sz], rows)
         ip2_budget = _block_budget([sx], [sz], rows)
@@ -369,11 +374,10 @@ def test_ternary_witness_identity_on_restricted_blocks(seed, rows):
                          + [level(x[u], y[v]) for u in range(2) for v in range(2)]
                          + [level(x[u], z[w]) for u in range(2) for w in range(2)]
                          + [level(y[v], z[w]) for v in range(2) for w in range(2)])
-    ind = GroupFunction.indicator(3, 3, np.flatnonzero(member))
-    indc = GroupFunction.indicator(3, 3, np.flatnonzero(~member))
+    ind, indc = member.astype(np.float64), (~member).astype(np.float64)
     sizes = [factor.atom_sizes[part].tolist() for part in (atoms[0], atoms[2])]
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", _block_budget(*sizes, rows)):
-        val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
+        val = t_ternary(ctx, {t: ind if t in graph.edges else indc for t in graph.all_tuples()})
     count = witness_count_ternary(ctx, member)
     assert count > 0
     norm = float(ternary_normalization(ctx))

@@ -20,7 +20,6 @@ from qflab.factor import (
 )
 from qflab.local_norms import LocalContext3
 from qflab.pattern_ops import (
-    FunctionGrid,
     PatternHypergraph,
     TernaryContext,
     bipartite_normalization,
@@ -42,15 +41,36 @@ from qflab.pattern_ops import (
 from qflab import pattern_ops, spectral
 from qflab.fpn_core import run_counted, space
 from qflab.reference import t_ip2_per_s_oracle, t_ip_naive
-from qflab.spectral import GroupFunction, u2_inner
+from qflab.spectral import u2_inner
 
 
 def _random_f(p, n, seed):
     rng = np.random.default_rng(seed)
     N = p ** n
     vals = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    vals = vals / np.maximum(np.abs(vals), 1.0)
-    return GroupFunction(p, n, vals)
+    return vals / np.maximum(np.abs(vals), 1.0)
+
+
+def _ip_select(m, f_in, f_out):
+    """The m-IP grid with f_in in the slots (i, S) with i in S, f_out elsewhere."""
+    return {(i, s): f_in if s >> (i - 1) & 1 else f_out
+            for i in range(1, m + 1) for s in range(1 << m)}
+
+
+def _ip2_select(m, f_in, f_out):
+    """The m-IP2 grid with f_in in the slots (i, j, S) with (i, j) in S."""
+    return {(i, j, s): f_in if s >> ((i - 1) * m + (j - 1)) & 1 else f_out
+            for i in range(1, m + 1) for j in range(1, m + 1) for s in range(1 << (m * m))}
+
+
+def _ip2_diagonal(m, f):
+    """The m-IP2 grid with the one table f in every slot."""
+    return _ip2_select(m, f, f)
+
+
+def _edge_select(graph, f_edge, f_nonedge):
+    """The grid with f_edge in the slots of graph's edges, f_nonedge elsewhere."""
+    return {t: f_edge if t in graph.edges else f_nonedge for t in graph.all_tuples()}
 
 
 def _mixed_factor():
@@ -70,16 +90,14 @@ def _row(factor, *labels):
 def _indicator_pair(p, n, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random(p ** n) < 0.5
-    ind = GroupFunction.indicator(p, n, np.nonzero(mask)[0])
-    indc = GroupFunction.indicator(p, n, np.nonzero(~mask)[0])
-    return mask, ind, indc
+    return mask, mask.astype(np.float64), (~mask).astype(np.float64)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_ip_average_matches_naive(m):
     fs = [_random_f(3, 1, seed=m * 8 + k) for k in range(2)]
-    grid = FunctionGrid.ip_select(m, fs[0], fs[1])
-    assert t_ip(m, grid) == pytest.approx(t_ip_naive(m, grid), abs=1e-10)
+    grid = _ip_select(m, fs[0], fs[1])
+    assert t_ip(m, grid, 3, 1) == pytest.approx(t_ip_naive(m, grid, 3, 1), abs=1e-10)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -87,49 +105,49 @@ def test_ip_with_three_conditioned_vertices_matches_the_nested_sum(p):
     # m = 3 conditions on three x's, the three-vertex branch of the binary
     # contraction; the reference averages each y_S for every x-tuple in turn.
     # t_ip_naive forms all p^11 terms at once, so it runs at p = 3 only
-    grid = FunctionGrid({(i, s): _random_f(p, 1, seed=100 * p + 8 * i + s)
-                         for i in range(1, 4) for s in range(8)})
+    grid = {(i, s): _random_f(p, 1, seed=100 * p + 8 * i + s)
+            for i in range(1, 4) for s in range(8)}
     ys = np.arange(p)
     expected = 0.0
     for xv in itertools.product(range(p), repeat=3):
         term = 1.0
         for s in range(8):
-            term *= np.prod([grid[(i + 1, s)].values[(xv[i] + ys) % p] for i in range(3)],
+            term *= np.prod([grid[(i + 1, s)][(xv[i] + ys) % p] for i in range(3)],
                             axis=0).mean()
         expected += term / p ** 3
-    assert t_ip(3, grid) == pytest.approx(expected, rel=1e-10, abs=1e-14)
+    assert t_ip(3, grid, p, 1) == pytest.approx(expected, rel=1e-10, abs=1e-14)
     if p == 3:
-        assert t_ip(3, grid) == pytest.approx(t_ip_naive(3, grid), rel=1e-10, abs=1e-14)
+        assert t_ip(3, grid, p, 1) == pytest.approx(t_ip_naive(3, grid, p, 1), rel=1e-10,
+                                                    abs=1e-14)
 
 
 def test_ip_local_with_trivial_factor_is_global():
     lin = new_linear_factor(3, 2, [])
     f = _random_f(3, 2, seed=1)
-    grid = FunctionGrid.ip_select(2, f, f)
+    grid = _ip_select(2, f, f)
     local = t_ip_local(2, lin, (0, 0), grid)
-    assert local == pytest.approx(t_ip(2, grid), abs=1e-10)
+    assert local == pytest.approx(t_ip(2, grid, 3, 2), abs=1e-10)
 
 
 def test_ip_average_is_linear_in_one_slot():
     f = _random_f(3, 2, seed=2)
-    grid = FunctionGrid.ip_select(1, f, f)
-    base = t_ip(1, grid)
-    tweaked = dict(grid.mapping)
-    tweaked[(1, 0)] = f.scale(3.0 - 1.0j)
-    assert t_ip(1, FunctionGrid(tweaked)) == pytest.approx(
+    grid = _ip_select(1, f, f)
+    base = t_ip(1, grid, 3, 2)
+    tweaked = dict(grid)
+    tweaked[(1, 0)] = f * (3.0 - 1.0j)
+    assert t_ip(1, tweaked, 3, 2) == pytest.approx(
         (3.0 - 1.0j) * base, abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_ip2_average_matches_per_subset_oracle(m):
     fs = [_random_f(3, 1, seed=m * 9 + k) for k in range(2)]
-    grid = FunctionGrid.ip2_select(m, fs[0], fs[1])
-    assert t_ip2(m, grid) == pytest.approx(t_ip2_per_s_oracle(m, grid), abs=1e-10)
+    grid = _ip2_select(m, fs[0], fs[1])
+    assert t_ip2(m, grid, 3, 1) == pytest.approx(t_ip2_per_s_oracle(m, grid, 3, 1), abs=1e-10)
 
 
-def _ip2_grid(slot_value) -> FunctionGrid:
-    return FunctionGrid({(i, j, s): slot_value(i, j, s) for i in (1, 2) for j in (1, 2)
-                         for s in range(16)})
+def _ip2_grid(slot_value) -> dict:
+    return {(i, j, s): slot_value(i, j, s) for i in (1, 2) for j in (1, 2) for s in range(16)}
 
 
 @pytest.mark.parametrize("p,n,subset", [(3, 2, 0), (5, 2, 6), (7, 2, 15), (3, 4, 9)])
@@ -138,12 +156,11 @@ def test_ip2_with_one_subset_live_is_the_u2_fourth_power(p, n, subset):
     # box product of f at (h, k) and every other g_S' is 1, so the average is
     # ||f||_{U^2}^4; a constant c gives c^4. (3, 4) is past the oracle's cap.
     rng = np.random.default_rng(p * 10 + n)
-    one = GroupFunction.constant(p, n, 1.0)
-    for f, want in ((GroupFunction(p, n, rng.standard_normal(p ** n)), None),
-                    (GroupFunction.constant(p, n, -0.7), 0.7 ** 4)):
-        value = t_ip2(2, _ip2_grid(lambda i, j, s: f if s == subset else one))
+    one = np.ones(p ** n)
+    for f, want in ((rng.standard_normal(p ** n), None), (np.full(p ** n, -0.7), 0.7 ** 4)):
+        value = t_ip2(2, _ip2_grid(lambda i, j, s: f if s == subset else one), p, n)
         if want is None:
-            want = u2_inner(f, f, f, f)
+            want = u2_inner([f] * 4, p, n)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -152,25 +169,25 @@ def test_ip2_witness_density_matches_per_subset_oracle():
     # {z, z + h, z + k, z + h + k} of F_3^2 carries all 16 patterns, so the
     # oracle's products are 0 and the spectral route must give 0 to rounding
     inside = np.random.default_rng(11).random(9) < 0.5
-    f_in = GroupFunction(3, 2, inside.astype(float))
-    f_out = GroupFunction(3, 2, 1.0 - inside)
-    grid = FunctionGrid.ip2_select(2, f_in, f_out)
-    assert t_ip2(2, grid) == pytest.approx(t_ip2_per_s_oracle(2, grid), rel=1e-12, abs=1e-15)
+    grid = _ip2_select(2, inside.astype(float), 1.0 - inside)
+    assert t_ip2(2, grid, 3, 2) == pytest.approx(t_ip2_per_s_oracle(2, grid, 3, 2), rel=1e-12,
+                                                 abs=1e-15)
 
 
 def test_ip2_blocks_of_h_match_one_block(monkeypatch):
     # 32 tables of 9 entries and 2 h per buffer: blocks of 2, 2, 2, 2 and 1 h
     monkeypatch.setattr(spectral, "DERIVATIVE_BLOCK_ENTRIES", 32 * 9 * 2)
-    f = GroupFunction(3, 2, np.random.default_rng(12).standard_normal(9))
-    one = GroupFunction.constant(3, 2, 1.0)
+    f = np.random.default_rng(12).standard_normal(9)
+    one = np.ones(9)
     grid = _ip2_grid(lambda i, j, s: f if s == 5 else one)
-    assert t_ip2(2, grid) == pytest.approx(u2_inner(f, f, f, f), rel=1e-12, abs=1e-15)
+    assert t_ip2(2, grid, 3, 2) == pytest.approx(u2_inner([f] * 4, 3, 2), rel=1e-12, abs=1e-15)
 
 
 def test_ip2_local_with_trivial_factor_is_global():
     factor = _trivial_factor(3, 2)
-    grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 2, seed=3))
-    assert t_ip2_local(1, factor, (0,) * 6, grid) == pytest.approx(t_ip2(1, grid), abs=1e-10)
+    grid = _ip2_diagonal(1, _random_f(3, 2, seed=3))
+    assert t_ip2_local(1, factor, (0,) * 6, grid) == pytest.approx(t_ip2(1, grid, 3, 2),
+                                                                   abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -180,9 +197,9 @@ def test_ip2_local_on_the_whole_group_matches_the_frequency_side(m, diagonal):
     # conjugate, so the operator is complex and its y-pairs are not halved
     factor = _trivial_factor(3, 2)
     rng = np.random.default_rng(4)
-    f, g = (GroupFunction(3, 2, np.exp(0.7j * rng.standard_normal(9))) for _ in range(2))
-    grid = FunctionGrid.ip2_diagonal(m, f) if diagonal else FunctionGrid.ip2_select(m, f, g)
-    want = t_ip2(m, grid)
+    f, g = (np.exp(0.7j * rng.standard_normal(9)) for _ in range(2))
+    grid = _ip2_diagonal(m, f) if diagonal else _ip2_select(m, f, g)
+    want = t_ip2(m, grid, 3, 2)
     assert abs(want.imag) > 0.01 * abs(want) > 0
     assert t_ip2_local(m, factor, (0,) * 6, grid) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
@@ -206,9 +223,9 @@ def test_ternary_operator_reproduces_local_ip2(m):
     f_in = _random_f(3, 3, seed=70 + m)
     f_out = _random_f(3, 3, seed=80 + m)
     via_ip2 = t_ip2_local(
-        m, factor, d, FunctionGrid.ip2_select(m, f_in, f_out))
+        m, factor, d, _ip2_select(m, f_in, f_out))
     ctx = TernaryContext(graph, factor, constant_codes(graph, d))
-    via_ternary = t_ternary(ctx, FunctionGrid.edge_select(graph, f_in, f_out))
+    via_ternary = t_ternary(ctx, _edge_select(graph, f_in, f_out))
     assert via_ternary == pytest.approx(via_ip2, abs=1e-9)
 
 
@@ -218,11 +235,11 @@ def test_ternary_average_is_linear_in_one_slot():
     graph = PatternHypergraph((1, 1, 2), frozenset({(0, 0, 0)}))
     ctx = TernaryContext(graph, factor, constant_codes(graph, d))
     f = _random_f(3, 3, seed=4)
-    grid = FunctionGrid({t: f for t in graph.all_tuples()})
+    grid = {t: f for t in graph.all_tuples()}
     base = t_ternary(ctx, grid)
-    tweaked = dict(grid.mapping)
-    tweaked[(0, 0, 1)] = f.scale(2.0 + 0.5j)
-    assert t_ternary(ctx, FunctionGrid(tweaked)) == pytest.approx(
+    tweaked = dict(grid)
+    tweaked[(0, 0, 1)] = f * (2.0 + 0.5j)
+    assert t_ternary(ctx, tweaked) == pytest.approx(
         (2.0 + 0.5j) * base, abs=1e-10)
 
 
@@ -235,7 +252,7 @@ def test_bipartite_witness_identity(seed):
     graph = PatternHypergraph((2, 2), edges)
     u_codes, v_codes = rng.integers(0, 9, size=(2, 2)).tolist()
     mask, ind, indc = _indicator_pair(3, 3, seed=200 + seed)
-    grid = FunctionGrid.edge_select(graph, ind, indc)
+    grid = _edge_select(graph, ind, indc)
     val = t_bipartite(graph, lin, u_codes, v_codes, grid)
     assert abs(val.imag) <= 1e-12
     count = witness_count_bipartite(graph, lin, u_codes, v_codes, mask)
@@ -254,7 +271,7 @@ def test_ternary_witness_identity(seed):
     d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
     ctx = TernaryContext(graph, factor, constant_codes(graph, d))
     mask, ind, indc = _indicator_pair(3, 3, seed=400 + seed)
-    val = t_ternary(ctx, FunctionGrid.edge_select(graph, ind, indc))
+    val = t_ternary(ctx, _edge_select(graph, ind, indc))
     assert abs(val.imag) <= 1e-12
     count = witness_count_ternary(ctx, mask)
     norm = ternary_normalization(ctx)
@@ -277,7 +294,7 @@ def test_one_context_per_pattern_serves_every_ternary_routine():
                "mixed": ([atoms((0, 1)), atoms((1, 0))], [d[1]] * 2,
                          [atoms((2, 1)), atoms((2, 2))])}
     mask, ind, indc = _indicator_pair(3, 3, seed=500)
-    grid = FunctionGrid.edge_select(graph, ind, indc)
+    grid = _edge_select(graph, ind, indc)
     ctxs = [TernaryContext(graph, factor, a + b + c + [d[3]] * 4 + [d[4]] * 4 + [d[5]] * 4)
             for a, b, c in labeled.values()]
     assert ctxs[0].codes == constant_codes(graph, d)
@@ -547,8 +564,7 @@ def test_weight_products_batched_across_shapes_keep_the_witness_identity():
     sp = factor.space
     rng = np.random.default_rng(1300)
     member = rng.random(sp.size) < 0.5
-    ind = GroupFunction(5, 3, member.astype(np.float64))
-    coind = GroupFunction(5, 3, (~member).astype(np.float64))
+    ind, coind = member.astype(np.float64), (~member).astype(np.float64)
     ctxs = []
     for shape in itertools.product((1, 2), (1, 2), (1, 2, 3)):
         cells = list(itertools.product(*map(range, shape)))
@@ -557,7 +573,7 @@ def test_weight_products_batched_across_shapes_keep_the_witness_identity():
             edges = ({(u, v, w) for u, v, w in cells if member[sp.add(sp.add(x[u], y[v]), z[w])]}
                      if trial >= 2 else {c for c in cells if rng.random() < 0.5})
             ctxs.append(TernaryContext(PatternHypergraph(shape, frozenset(edges)), factor, codes))
-    values = t_ternaries(ctxs, [FunctionGrid.edge_select(c.graph, ind, coind) for c in ctxs])
+    values = t_ternaries(ctxs, [_edge_select(c.graph, ind, coind) for c in ctxs])
     counts = pattern_ops.witness_counts_ternary(ctxs, member)
     wide = 0
     for ctx, value, count in zip(ctxs, values, counts):
@@ -680,7 +696,7 @@ def test_weighted_density_is_zero_on_an_empty_target():
 def test_degenerate_atoms_are_refused():
     lin = new_linear_factor(3, 2, [(1, 0)])
     factor = new_quadratic_factor(lin, [np.eye(2, dtype=np.int64)])
-    grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 2, seed=5))
+    grid = _ip2_diagonal(1, _random_f(3, 2, seed=5))
     d = _row(factor, (0, 2), (0, 0), (0, 0), (0,), (0,), (0,))
     with pytest.raises(DegenerateContext):
         t_ip2_local(1, factor, d, grid)
@@ -689,16 +705,16 @@ def test_degenerate_atoms_are_refused():
 def test_caps():
     f = _random_f(3, 1, seed=6)
     with pytest.raises(CapExceeded):
-        t_ip(4, FunctionGrid.ip_select(4, f, f))
+        t_ip(4, _ip_select(4, f, f), 3, 1)
     with pytest.raises(CapExceeded):
         ip2_hypergraph(3)
     with pytest.raises(CapExceeded):
-        t_ip2(3, FunctionGrid.ip2_diagonal(1, f))
+        t_ip2(3, _ip2_diagonal(1, f), 3, 1)
     wide = PatternHypergraph((4, 1))
     lin = new_linear_factor(3, 1, [])
     with pytest.raises(CapExceeded):
         t_bipartite(wide, lin, [0] * 4, [0],
-                    FunctionGrid({(u, 0): f for u in range(4)}))
+                    {(u, 0): f for u in range(4)})
     flat = (0,) * 6
     factor = _trivial_factor(3, 1)
     for tall in (PatternHypergraph((3, 1, 1)), PatternHypergraph((1, 1, 17))):
@@ -714,34 +730,33 @@ def test_caps():
 
 def test_grid_validation():
     f = _random_f(3, 1, seed=7)
-    with pytest.raises(ValueError):
-        FunctionGrid({})
     # every pattern routine names the first slot its grid lacks
     lin = new_linear_factor(3, 1, [])
     flat = _trivial_factor(3, 1)
     ternary = PatternHypergraph((1, 1, 2))
     ctx = TernaryContext(ternary, flat, constant_codes(ternary, (0,) * 6))
     calls = {
-        (1, 1): lambda: t_ip(1, FunctionGrid({(1, 0): f})),
-        (1, 0): lambda: t_ip_local(1, lin, (0, 0), FunctionGrid({(1, 1): f})),
-        (1, 1, 1): lambda: t_ip2(1, FunctionGrid({(1, 1, 0): f})),
-        (1, 1, 0): lambda: t_ip2_local(1, flat, (0,) * 6, FunctionGrid({(1, 1, 1): f})),
-        (0, 1): lambda: t_bipartite(PatternHypergraph((1, 2)), lin, [0], [0, 0],
-                                    FunctionGrid({(0, 0): f})),
-        (0, 0, 1): lambda: t_ternaries([ctx], [FunctionGrid({(0, 0, 0): f})]),
+        (1, 1): lambda: t_ip(1, {(1, 0): f}, 3, 1),
+        (1, 0): lambda: t_ip_local(1, lin, (0, 0), {(1, 1): f}),
+        (1, 1, 1): lambda: t_ip2(1, {(1, 1, 0): f}, 3, 1),
+        (1, 1, 0): lambda: t_ip2_local(1, flat, (0,) * 6, {(1, 1, 1): f}),
+        (0, 1): lambda: t_bipartite(PatternHypergraph((1, 2)), lin, [0], [0, 0], {(0, 0): f}),
+        (0, 0, 1): lambda: t_ternaries([ctx], [{(0, 0, 0): f}]),
     }
     for slot, call in calls.items():
         with pytest.raises(ValueError, match=rf"^grid missing slot {re.escape(str(slot))}$"):
             call()
+    with pytest.raises(ValueError, match=r"^grid missing slot \(1, 0\)$"):
+        t_ip(1, {}, 3, 1)
     # a code past the factor's labels is refused, not read modulo their count
     factor = _mixed_factor()
-    grid = FunctionGrid.ip2_diagonal(1, _random_f(3, 3, seed=8))
+    g = _random_f(3, 3, seed=8)
     for bad in ((9, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 3), (0, -1, 0, 0, 0, 0)):
-        with pytest.raises(ValueError):
-            t_ip2_local(1, factor, bad, grid)
+        with pytest.raises(ValueError, match="label codes"):
+            t_ip2_local(1, factor, bad, _ip2_diagonal(1, g))
     for bad in ((3, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            t_ip_local(1, factor, bad, FunctionGrid.ip_select(1, f, f))
+        with pytest.raises(ValueError, match="label codes"):
+            t_ip_local(1, factor, bad, _ip_select(1, g, g))
 
 
 def test_pattern_hypergraph_is_its_parts_and_edges():

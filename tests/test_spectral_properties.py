@@ -15,7 +15,6 @@ from hypothesis import strategies as st  # noqa: E402
 from qflab.fpn_core import ENTRY_CAP  # noqa: E402
 from qflab.reference import u3_inner_naive  # noqa: E402
 from qflab.spectral import (  # noqa: E402
-    GroupFunction,
     _box_sums,
     u2_inner,
     u3_inner,
@@ -31,7 +30,7 @@ def _bounded_tuple(p, n, seed, count, diagonal):
     fs = []
     for _ in range(1 if diagonal else count):
         vals = rng.standard_normal(p ** n) + 1j * rng.standard_normal(p ** n)
-        fs.append(GroupFunction(p, n, vals / np.maximum(np.abs(vals), 1.0)))
+        fs.append(vals / np.maximum(np.abs(vals), 1.0))
     return fs * count if diagonal else fs
 
 
@@ -41,10 +40,9 @@ def _bounded_tuple(p, n, seed, count, diagonal):
 def test_box_sum_matches_u2_shift_table_across_primes(size, seed, diagonal):
     # the Fourier-side contraction inside u3_inner, against u2_inner's shift table
     p, n = size
-    f00, f01, f10, f11 = _bounded_tuple(p, n, seed, 4, diagonal)
-    fast = complex(_box_sums(np.stack([f00.values, f01.values, f10.values, f11.values]),
-                             p, n))
-    assert abs(fast - u2_inner(f00, f01, f10, f11)) <= 1e-12
+    quad = _bounded_tuple(p, n, seed, 4, diagonal)
+    fast = complex(_box_sums(np.stack(quad), p, n))
+    assert abs(fast - u2_inner(quad, p, n)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,4 +50,4 @@ def test_box_sum_matches_u2_shift_table_across_primes(size, seed, diagonal):
        diagonal=st.booleans())
 def test_spectral_u3_matches_reference_across_primes(size, seed, diagonal):
     octu = _bounded_tuple(*size, seed, 8, diagonal)
-    assert abs(u3_inner(octu) - u3_inner_naive(octu)) <= 1e-12
+    assert abs(u3_inner(octu, *size) - u3_inner_naive(octu, *size)) <= 1e-12
