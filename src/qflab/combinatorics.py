@@ -1,6 +1,11 @@
 """Shattering-type searches (VC and VC2) and density / regularity
 conclusions over quadratic factors.
 
+A set A is its membership table, a (p^n,) bool array over canonical
+indices. The searches take it with (p, n), as `spectral` takes a function,
+and the atom tallies with the factor; each refuses a table without p^n
+entries with ValueError.
+
 Pattern conventions (all exhaustive searches, factorized over the completion
 variable):
 
@@ -29,6 +34,7 @@ import numpy as np
 from .errors import CapExceeded
 from .factor import QuadraticFactor
 from .fpn_core import BYTE_TABLE_CAP, H_BLOCK_ENTRIES, MAX_IP2_M, count_terms, space
+from .spectral import _check_tables
 
 MAX_IP_K = 4
 IP2_POINT_CAP = 3 ** 6
@@ -36,51 +42,26 @@ IP2_POINT_CAP = 3 ** 6
 COVER_BLOCK = 1 << 16
 
 
-class SubsetBitmask:
-    """A subset of F_p^n as an immutable boolean table over canonical
-    indices."""
-
-    def __init__(self, p: int, n: int, bits) -> None:
-        sp = space(p, n)
-        arr = np.asarray(bits, dtype=bool)
-        if arr.shape != (sp.size,):
-            raise ValueError(f"expected {sp.size} bits, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.p = p
-        self.n = n
-        self.bits = arr
-
-    @property
-    def size(self) -> int:
-        return int(self.bits.sum())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubsetBitmask) and self.p == other.p
-                and self.n == other.n and bool(np.array_equal(self.bits, other.bits)))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.bits.tobytes()))
-
-    @classmethod
-    def from_indices(cls, p: int, n: int, indices) -> SubsetBitmask:
-        bits = np.zeros(space(p, n).size, dtype=bool)
-        bits[np.asarray(list(indices), dtype=np.int64)] = True
-        return cls(p, n, bits)
+def _membership(bits, p: int, n: int) -> np.ndarray:
+    """A set's membership table as bool, refused with ValueError unless it
+    has one entry per point of F_p^n."""
+    _check_tables((bits,), p, n)
+    return np.asarray(bits, dtype=bool)
 
 
-def _shift_table(mask: SubsetBitmask) -> np.ndarray:
+def _shift_table(bits, p: int, n: int) -> np.ndarray:
     """table[a, b] = membership of a + b as uint8; the per-element rows that
     every search reads. Filled H_BLOCK_ENTRIES index entries at a time,
     so the int64 sums never exist for the whole table at once."""
-    sp = space(mask.p, mask.n)
+    bits = _membership(bits, p, n)
+    sp = space(p, n)
     if sp.size * sp.size > BYTE_TABLE_CAP:
         raise CapExceeded("shift table too large for exhaustive search")
     idx = np.arange(sp.size, dtype=np.int64)
     table = np.empty((sp.size, sp.size), dtype=np.uint8)
     rows = max(1, H_BLOCK_ENTRIES // sp.size)
     for start in range(0, sp.size, rows):
-        table[start:start + rows] = mask.bits[sp.sum_grid(idx[start:start + rows], idx)]
+        table[start:start + rows] = bits[sp.sum_grid(idx[start:start + rows], idx)]
     return table
 
 
@@ -106,13 +87,14 @@ class WitnessCertificate(NamedTuple):
             out["c"] = [coords(i) for i in self.c]
         return out
 
-    def replay(self, mask: SubsetBitmask) -> bool:
-        """Re-run every membership test in the defining pattern, adding by
-        coordinates mod p, so it shares no code with the sum tables the
-        search reads: pattern element i (a_i for IP, a_i + b_j in code order
-        for IP2) plus the completion of code s lies in A iff bit i of s is
-        set."""
-        if (mask.p, mask.n) != (self.p, self.n):
+    def replay(self, bits) -> bool:
+        """Re-run every membership test in the defining pattern on the
+        membership table bits, adding by coordinates mod p, so it shares no
+        code with the sum tables the search reads: pattern element i (a_i
+        for IP, a_i + b_j in code order for IP2) plus the completion of code
+        s lies in A iff bit i of s is set. False for a table of another
+        group."""
+        if np.shape(bits) != (self.p ** self.n,):
             return False
         sp = space(self.p, self.n)
 
@@ -128,7 +110,7 @@ class WitnessCertificate(NamedTuple):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if len(completions) != 1 << len(elements):
             return False
-        return all(bool(mask.bits[plus(e, c)]) == bool(s >> i & 1)
+        return all(bool(bits[plus(e, c)]) == bool(s >> i & 1)
                    for s, c in enumerate(completions) for i, e in enumerate(elements))
 
 
@@ -182,8 +164,9 @@ def _filled(arrays, step: int):
         yield np.concatenate(pending)
 
 
-def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
-    """Search for a k-IP configuration: a witness exists iff some tuple
+def has_k_ip(bits, p: int, n: int, k: int) -> WitnessCertificate | None:
+    """Search the set of membership table bits on F_p^n for a k-IP
+    configuration: a witness exists iff some tuple
     (0, a_2 < ... < a_k) makes all 2^k membership traces achievable over b.
     The elements after a_1 = 0 strictly increase, since the trace bits are
     permutable and repeated elements collapse traces; each head
@@ -192,7 +175,7 @@ def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
         raise CapExceeded(f"k = {k} exceeds the IP search cap {MAX_IP_K}")
     if k < 1:
         raise ValueError("k must be positive")
-    table = _shift_table(mask)
+    table = _shift_table(bits, p, n)
     N = table.shape[0]
     if k == 1:
         candidates = [_ORIGIN]
@@ -201,11 +184,12 @@ def has_k_ip(mask: SubsetBitmask, k: int) -> WitnessCertificate | None:
         candidates = (np.column_stack([np.tile(head, (N - 1 - head[-1], 1)),
                                        np.arange(head[-1] + 1, N)]) for head in heads)
     found = _cover(table, candidates)
-    return None if found is None else WitnessCertificate("IP", mask.p, mask.n, *found)
+    return None if found is None else WitnessCertificate("IP", p, n, *found)
 
 
-def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
-    """Search for an m-IP2 configuration; for fixed (a_i), (b_j) a witness
+def has_m_ip2(bits, p: int, n: int, m: int) -> WitnessCertificate | None:
+    """Search the set of membership table bits on F_p^n for an m-IP2
+    configuration; for fixed (a_i), (b_j) a witness
     exists iff every pattern code over [m]^2 is achieved by some c. Both
     a_1 = 0 and b_1 = 0 are fixed by translation; for m = 2 the candidate
     rows (0, b_2, a_2, a_2 + b_2) for every b_2 > a_2 are built for a run of
@@ -218,7 +202,7 @@ def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
         raise CapExceeded(f"m = {m} exceeds the IP2 search cap {MAX_IP2_M}")
     if m < 1:
         raise ValueError("m must be positive")
-    sp = space(mask.p, mask.n)
+    sp = space(p, n)
     N = sp.size
     if N > IP2_POINT_CAP:
         raise CapExceeded(f"group size {N} exceeds the IP2 point cap {IP2_POINT_CAP}")
@@ -237,69 +221,69 @@ def has_m_ip2(mask: SubsetBitmask, m: int) -> WitnessCertificate | None:
             lo = hi
 
     candidates = [_ORIGIN] if m == 1 else rows()
-    found = _cover(_shift_table(mask), candidates)
+    found = _cover(_shift_table(bits, p, n), candidates)
     if found is None:
         return None
     elements, firsts = found
-    return WitnessCertificate("IP2", mask.p, mask.n, elements[::m], elements[:m], firsts)
+    return WitnessCertificate("IP2", p, n, elements[::m], elements[:m], firsts)
 
 
-def _dimension(search, mask: SubsetBitmask, cap: int) -> int:
-    """Largest d <= cap for which search(mask, d) finds a witness; a return
-    equal to cap means at-least-cap (the search stops there)."""
+def _dimension(search, bits, p: int, n: int, cap: int) -> int:
+    """Largest d <= cap for which search(bits, p, n, d) finds a witness; a
+    return equal to cap means at-least-cap (the search stops there)."""
     dim = 0
-    while dim < cap and search(mask, dim + 1) is not None:
+    while dim < cap and search(bits, p, n, dim + 1) is not None:
         dim += 1
     return dim
 
 
-def vc_dimension(mask: SubsetBitmask) -> int:
+def vc_dimension(bits, p: int, n: int) -> int:
     """Largest k <= MAX_IP_K admitting a k-IP witness."""
-    return _dimension(has_k_ip, mask, MAX_IP_K)
+    return _dimension(has_k_ip, bits, p, n, MAX_IP_K)
 
 
-def vc2_dimension(mask: SubsetBitmask) -> int:
+def vc2_dimension(bits, p: int, n: int) -> int:
     """Largest m <= MAX_IP2_M admitting an m-IP2 witness."""
-    return _dimension(has_m_ip2, mask, MAX_IP2_M)
+    return _dimension(has_m_ip2, bits, p, n, MAX_IP2_M)
 
 
-def _atom_counts(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[np.ndarray, np.ndarray]:
+def _atom_counts(bits, factor: QuadraticFactor) -> tuple[np.ndarray, np.ndarray]:
     """(members of A, size) of every atom, indexed by label code, from one
     bincount over the points' label codes. Counts p^n terms."""
-    if (mask.p, mask.n) != (factor.p, factor.n):
-        raise ValueError("set and factor on different groups")
-    count_terms(mask.bits.size)
+    bits = _membership(bits, factor.p, factor.n)
+    count_terms(bits.size)
     count = factor.p ** factor.width
-    tally = np.bincount(factor._codes * 2 + mask.bits, minlength=2 * count).reshape(count, 2)
+    tally = np.bincount(factor._codes * 2 + bits, minlength=2 * count).reshape(count, 2)
     return tally[:, 1], tally.sum(axis=1)
 
 
-def density_profile(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[dict, int]:
+def density_profile(bits, factor: QuadraticFactor) -> tuple[dict, int]:
     """Exact per-atom densities of A over the factor's nonempty atoms, and
     the number of empty atoms (excluded from the profile)."""
-    inside, sizes = _atom_counts(mask, factor)
+    inside, sizes = _atom_counts(bits, factor)
     densities = {label: Fraction(int(i), int(s))
                  for label, i, s in zip(factor.all_labels(), inside, sizes) if s}
     return densities, int((sizes == 0).sum())
 
 
-def regularity_conclusion(mask: SubsetBitmask, factor: QuadraticFactor, mu) -> Fraction:
+def regularity_conclusion(bits, factor: QuadraticFactor, mu) -> Fraction:
     """Fraction of nonempty atoms on which A is nearly empty or nearly
     full: density in [0, mu) or (1 - mu, 1]. A value near one says the
     factor explains A up to a mu-sized exceptional mass per atom."""
     mu = Fraction(mu).limit_denominator(10 ** 9) if not isinstance(mu, Fraction) else mu
-    densities, _ = density_profile(mask, factor)
+    densities, _ = density_profile(bits, factor)
     if not densities:
         raise ValueError("factor has no nonempty atoms")
     good = sum(1 for d in densities.values() if d < mu or d > 1 - mu)
     return Fraction(good, len(densities))
 
 
-def best_atom_union_approx(mask: SubsetBitmask, factor: QuadraticFactor) -> tuple[SubsetBitmask, int]:
+def best_atom_union_approx(bits, factor: QuadraticFactor) -> tuple[np.ndarray, int]:
     """Per-atom majority vote: keep atoms where A has density > 1/2 (ties
-    dropped). Minimizes |A delta Y| over unions of atoms; the symmetric
-    difference is sum of min(|A and B|, |B minus A|)."""
-    inside, sizes = _atom_counts(mask, factor)
+    dropped). Minimizes |A delta Y| over unions of atoms Y, returned as its
+    membership table; the symmetric difference is sum of min(|A and B|,
+    |B minus A|)."""
+    inside, sizes = _atom_counts(bits, factor)
     keep = inside * 2 > sizes
     symdiff = int(np.where(keep, sizes - inside, inside).sum())
-    return SubsetBitmask(mask.p, mask.n, keep[factor._codes]), symdiff
+    return keep[factor._codes], symdiff

@@ -30,12 +30,12 @@ from .shared import (
     _bounded_draw,
     _bounded_fn,
     _bounded_values,
-    _ctx2,
     _factor_terms,
     _finite,
     _gaussian_draw,
     _gaussian_values,
     _label,
+    _label_codes,
     _local_terms,
     _local_u2_terms,
     _mask_terms,
@@ -132,12 +132,13 @@ def _run_local_gcs(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
     cosets, atoms = space(p, factor.ell), space(p, factor.width)  # print codes as labels
-    draws = []  # per trial: U^2 context, its four functions, U^3 context, its octuple
+    draws = []  # per trial: coset pair, its four functions, U^3 context, its octuple
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        draws.append((_ctx2(rng, factor), [_bounded_fn(rng, p, n) for _ in range(4)],
+        draws.append((_label_codes(rng, p, [factor.ell] * 2),
+                      [_bounded_fn(rng, p, n) for _ in range(4)],
                       _nondegenerate(rng, factor), [_bounded_fn(rng, p, n) for _ in range(8)]))
-    u2 = iter(local_u2_norms(factor, [d[0].code for d in draws for _ in range(4)],
+    u2 = iter(local_u2_norms(factor, np.repeat([cosets.add(*d[0]) for d in draws], 4),
                              [g for d in draws for g in d[1]]))
     live = [d for d in draws if not isinstance(d[2], str)]
     norms3 = local_u3_norms(factor, [d[2].codes for d in live for _ in range(8)],
@@ -145,9 +146,9 @@ def _run_local_gcs(cfg: dict) -> RunResult:
     u3 = iter(zip(local_u3_inners(factor, [d[2].codes for d in live], [d[3] for d in live]),
                   [math.prod(norms3[k:k + 8]) for k in range(0, len(norms3), 8)]))
 
-    def rows(ctx2, quad, ctx3):
-        yield ({"norm": "local-u2", "d": [cosets.coords_of(c) for c in ctx2.codes]},
-               abs(local_u2_inner(ctx2, *quad)), math.prod(itertools.islice(u2, 4)) + tol)
+    def rows(pair, quad, ctx3):
+        yield ({"norm": "local-u2", "d": [cosets.coords_of(c) for c in pair]},
+               abs(local_u2_inner(factor, pair, *quad)), math.prod(itertools.islice(u2, 4)) + tol)
         if isinstance(ctx3, str):
             yield ctx3
             return
@@ -195,12 +196,14 @@ def _est_triangle(cfg: dict) -> int:
 def _run_local_triangle(cfg: dict) -> RunResult:
     p, n, tol = cfg["p"], cfg["n"], cfg["tol"]
     factor = _standard_factor(p, n, cfg["ell"], cfg["q"])
-    draws = []  # per trial: (f, g, f + g), U^2 context, U^3 context
+    draws = []  # per trial: (f, g, f + g), coset pair, U^3 context
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
         f, g = _bounded_fn(rng, p, n), _bounded_fn(rng, p, n)
-        draws.append(((f, g, f + g), _ctx2(rng, factor), _nondegenerate(rng, factor)))
-    u2 = iter(local_u2_norms(factor, [d[1].code for d in draws for _ in range(3)],
+        draws.append(((f, g, f + g), _label_codes(rng, p, [factor.ell] * 2),
+                      _nondegenerate(rng, factor)))
+    cosets = space(p, factor.ell)  # the target a1 + a2 of a coset pair
+    u2 = iter(local_u2_norms(factor, np.repeat([cosets.add(*d[1]) for d in draws], 3),
                              [h for d in draws for h in d[0]]))
     live = [d for d in draws if not isinstance(d[2], str)]
     u3 = iter(local_u3_norms(factor, [d[2].codes for d in live for _ in range(3)],

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..errors import ConfigError, DegenerateContext
 from ..factor import QuadraticFactor, direction_codes, new_linear_factor, new_quadratic_factor
-from ..local_norms import LocalContext2, LocalContext3
+from ..local_norms import LocalContext3
 from ..pattern_ops import PatternHypergraph, TernaryContext
 from ..spectral import DERIVATIVE_BLOCK_ENTRIES
 from .config import STANDARD_MAX_Q
@@ -221,11 +221,6 @@ def _direction_codes(factor: QuadraticFactor, seed: int, count: int) -> np.ndarr
     width = 3 * (factor.ell + 2 * factor.q)
     return direction_codes(factor, [_trial_rng(seed, j).integers(0, factor.p, size=width)
                                     for j in range(count)])
-
-
-def _ctx2(rng: np.random.Generator, factor: QuadraticFactor) -> LocalContext2:
-    """The local U^2 context of a drawn pair of coset codes (a1, a2)."""
-    return LocalContext2(factor, _label_codes(rng, factor.p, [factor.ell] * 2))
 
 
 def _nondegenerate(rng: np.random.Generator, factor: QuadraticFactor,

@@ -12,7 +12,6 @@ import numpy as np
 from ..combinatorics import (
     COVER_BLOCK,
     MAX_IP_K,
-    SubsetBitmask,
     has_k_ip,
     vc2_dimension,
     vc_dimension,
@@ -26,7 +25,7 @@ from ..spectral import u2_norms, u3_norms
 from .shared import (
     RunResult,
     _bounded_fn,
-    _ctx2,
+    _label_codes,
     _local_terms,
     _local_u2_terms,
     _mask_terms,
@@ -46,14 +45,20 @@ from .shared import (
 # shatter-dimension experiments
 # ---------------------------------------------------------------------------
 
+def _indicator(p: int, n: int, indices) -> np.ndarray:
+    """The membership table of the points of the given indices."""
+    bits = np.zeros(p ** n, dtype=bool)
+    bits[indices] = True
+    return bits
+
+
 def _run_atom_vc(cfg: dict) -> RunResult:
     p, n = cfg["p"], cfg["n"]
     factor = _standard_factor(p, n, 0, 1)
-    idx = factor.atom_indices(tuple(cfg["atom_label"]))
-    mask = SubsetBitmask.from_indices(p, n, idx)
-    cert = has_k_ip(mask, 2)
-    ok = cert is not None and cert.replay(mask)
-    detail = {"atom_size": mask.size, "rank": factor.rank}
+    bits = _indicator(p, n, factor.atom_indices(tuple(cfg["atom_label"])))
+    cert = has_k_ip(bits, p, n, 2)
+    ok = cert is not None and cert.replay(bits)
+    detail = {"atom_size": int(bits.sum()), "rank": factor.rank}
     if cert is not None:
         detail["witness_a"] = [list(v) for v in cert.elements()["a"]]
         detail["witness_b"] = [list(v) for v in cert.elements()["b"]]
@@ -74,10 +79,10 @@ def _run_atom_vc2(cfg: dict) -> RunResult:
             vectors = [tuple(int(i == j) for j in range(n)) for i in range(ell)]
             factor = new_quadratic_factor(new_linear_factor(p, n, vectors), [form])
             for lab in factor.occupied_labels():
-                mask = SubsetBitmask.from_indices(p, n, factor.atom_indices(lab))
+                bits = _indicator(p, n, factor.atom_indices(lab))
                 rows.append(({"form": fi, "ell": ell, "atom": list(lab)},
-                             float(vc2_dimension(mask)), 1.0,
-                             {"atom_size": mask.size, "rank": factor.rank}))
+                             float(vc2_dimension(bits, p, n)), 1.0,
+                             {"atom_size": int(bits.sum()), "rank": factor.rank}))
     return _records(rows)
 
 
@@ -102,13 +107,13 @@ def _run_coset_union_vc(cfg: dict) -> RunResult:
     for reps in cfg["rep_sets"]:
         k = len(reps)
         starts = np.array([sp.index_of(rep) for rep in reps])
-        mask = SubsetBitmask.from_indices(p, n, sp.add(starts[:, None], span).ravel())
-        measured = vc_dimension(mask)
+        bits = _indicator(p, n, sp.add(starts[:, None], span).ravel())
+        measured = vc_dimension(bits, p, n)
         stated = math.ceil(math.log2(k)) if k > 1 else 0
         corrected = math.floor(math.log2(k)) + 1
         rows.append(({"reps": [list(r) for r in reps]}, float(measured), float(corrected),
                      {"k": k, "stated_bound": stated, "stated_bound_ok": measured <= stated,
-                      "union_size": mask.size}))
+                      "union_size": int(bits.sum())}))
     return _records(rows)
 
 
@@ -124,8 +129,8 @@ def _est_coset_union_vc(cfg: dict) -> int:
     dual = np.reshape(nullspace_mod_p(cfg["subgroup_basis"], p, n), (-1, n))
     total = 0
     for reps in cfg["rep_sets"]:
-        d = vc_dimension(SubsetBitmask.from_indices(
-            p, len(dual), np.array(reps) @ dual.T % p @ space(p, len(dual)).powers))
+        d = vc_dimension(_indicator(p, len(dual), np.array(reps) @ dual.T % p
+                                    @ space(p, len(dual)).powers), p, len(dual))
         for k in range(1, min(d + 1, MAX_IP_K) + 1):
             rows = math.comb(size - 1, k - 1)
             total += size * (size + (rows if k > d else min(rows, COVER_BLOCK // size or 1)))
@@ -181,19 +186,19 @@ def _est_control_ip2(cfg: dict) -> int:
 def _run_control_ip_local(cfg: dict) -> RunResult:
     p, n, m = cfg["p"], cfg["n"], cfg["m"]
     linear = _standard_factor(p, n, cfg["ell"], 0)
-    draws = []  # per trial: context, the grid's functions, observed
+    cosets = space(p, linear.ell)  # targets a1 + a2; print codes as labels
+    draws = []  # per trial: coset pair, the grid's functions, observed
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
-        ctx = _ctx2(rng, linear)
+        pair = _label_codes(rng, p, [linear.ell] * 2)
         grid = {(j, s): _bounded_fn(rng, p, n) for j in range(1, m + 1) for s in range(1 << m)}
-        draws.append((ctx, list(grid.values()), abs(t_ip_local(m, linear, ctx.codes, grid))))
+        draws.append((pair, list(grid.values()), abs(t_ip_local(m, linear, pair, grid))))
     slots = m << m
-    norms = local_u2_norms(linear, [d[0].code for d in draws for _ in range(slots)],
+    norms = local_u2_norms(linear, np.repeat([cosets.add(*d[0]) for d in draws], slots),
                            [g for d in draws for g in d[1]])
-    cosets = space(p, linear.ell)  # print codes as labels
-    return _rows(cfg, [[({"d": [cosets.coords_of(c) for c in ctx.codes]}, obs,
+    return _rows(cfg, [[({"d": [cosets.coords_of(c) for c in pair]}, obs,
                          min(norms[slots * i:slots * (i + 1)]) + cfg["tol"])]
-                       for i, (ctx, _, obs) in enumerate(draws)])
+                       for i, (pair, _, obs) in enumerate(draws)])
 
 
 def _est_control_ip_local(cfg: dict) -> int:

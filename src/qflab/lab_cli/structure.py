@@ -11,14 +11,14 @@ import numpy as np
 
 from ..combinatorics import (
     COVER_BLOCK,
-    SubsetBitmask,
     best_atom_union_approx,
     density_profile,
     regularity_conclusion,
     vc2_dimension,
 )
 from ..factor import QuadraticFactor, degenerate_directions, sigma3_codes
-from ..local_norms import LocalContext2, local_u2_norms, local_u3_norms
+from ..fpn_core import space
+from ..local_norms import local_u2_norms, local_u3_norms
 from ..pattern_ops import (
     PatternHypergraph,
     bipartite_normalization,
@@ -200,7 +200,7 @@ def _run_trivdense(cfg: dict) -> RunResult:
         # distance from a trivial density, in exact counts
         off = min(inside, size - inside)
         rows.append((base, float(off), 0.0, {"alpha": Fraction(inside, size)}))
-    frac = regularity_conclusion(SubsetBitmask(p, n, bits), factor, Fraction(1, 100))
+    frac = regularity_conclusion(bits, factor, Fraction(1, 100))
     rows.append(({"check": "regularity-fraction"}, 1.0 - float(frac), 0.0,
                  {"atoms_trivial_fraction": frac}))
     return _records(rows)
@@ -216,18 +216,17 @@ def _run_vc2_structure(cfg: dict) -> RunResult:
     p, n, ell, q = cfg["p"], cfg["n"], cfg["ell"], cfg["q"]
     factor = _standard_factor(p, n, ell, q)
     rng = _trial_rng(cfg["seed"])
-    labels, bits = _atom_union(rng, factor)
-    union = SubsetBitmask(p, n, bits)
+    labels, union = _atom_union(rng, factor)
     _, symdiff = best_atom_union_approx(union, factor)
     frac = regularity_conclusion(union, factor, Fraction(1, 100))
-    rand_mask = SubsetBitmask(p, n, rng.random(p ** n) < 0.5)
-    profile, empty = density_profile(rand_mask, factor)
-    _, rand_symdiff = best_atom_union_approx(rand_mask, factor)
-    dims = vc2_dimension(rand_mask)
+    rand_bits = rng.random(p ** n) < 0.5
+    profile, empty = density_profile(rand_bits, factor)
+    _, rand_symdiff = best_atom_union_approx(rand_bits, factor)
+    dims = vc2_dimension(rand_bits, p, n)
     dens = [float(v) for v in profile.values()]
     return _records([
         ({"set": "atom-union"}, float(symdiff), 0.0,
-         {"labels": [list(lab) for lab in labels], "union_size": union.size}),
+         {"labels": [list(lab) for lab in labels], "union_size": int(union.sum())}),
         ({"set": "atom-union", "check": "regularity"}, 1.0 - float(frac), 0.0,
          {"atoms_trivial_fraction": frac}),
         ({"set": "random"}, float(dims), None, {
@@ -291,6 +290,7 @@ def _run_counting_binary(cfg: dict) -> RunResult:
     p, n, ell, tol = cfg["p"], cfg["n"], cfg["ell"], cfg["tol"]
     linear = _standard_factor(p, n, ell, 0)
     nu, nv = cfg["parts"]
+    quotient = space(p, ell)  # adds a coset pair (a1, a2) to its target a1 + a2
     draws, codes, fs = [], [], []  # per trial: count, identity error, density deviation
     for i in range(cfg["trials"]):
         rng = _trial_rng(cfg["seed"], i)
@@ -308,10 +308,10 @@ def _run_counting_binary(cfg: dict) -> RunResult:
         prod = 1.0
         for u in range(nu):
             for v in range(nv):
-                ctx = LocalContext2(linear, (u_codes[u], v_codes[v]))
-                alpha = float(bits[ctx.target_indices()].mean())
+                code = int(quotient.add(u_codes[u], v_codes[v]))
+                alpha = float(bits[linear._members_by_code[code]].mean())
                 prod *= alpha if (u, v) in edges else 1.0 - alpha
-                codes.append(ctx.code)
+                codes.append(code)
                 fs.append(_indicator_minus(bits, alpha))
         draws.append((count, abs(t_val.real * norm - count), abs(t_val.real - prod)))
     pairs = nu * nv

@@ -13,9 +13,9 @@ every argument x + y then lies in the single coset L(a1 + a2), of code
 local U^2 norm is the global one on that coset: `local_u2_norms` gathers
 a batch of (coset code, function) pairs onto L(0), read through a kernel
 basis (`_coset_stacks`), and calls `spectral.u2_norms` on the gathered
-stack; `local_u2_inner(ctx, f, f, f, f)`, the binary contraction, is its
-twin. The coset routines take any factor and read the cosets of its
-linear part, `factor.linear`.
+stack; `local_u2_inner(factor, (a1, a2), f, f, f, f)`, the binary
+contraction, is its twin. The coset routines take any factor and read the
+cosets of its linear part, `factor.linear`.
 
 The local U^3 inner product confines x's, y's, z's to three quadratic atoms
 and reweights each of the twelve cross pairs by the characteristic measure
@@ -24,10 +24,13 @@ codes (a1, a2, a3, b12, b13, b23), as `factor.direction_codes` lays it out,
 and all eight corner sums land in the atom of code `sigma3_codes(d)`,
 labeled a1 + a2 + a3 + 2(0|b12) + 2(0|b13) + 2(0|b23).
 
-A context is its codes: `LocalContext2` a checked coset pair and its
-target code, `LocalContext3` a checked direction that names no empty atom
-or level set. Neither holds member arrays, masks or measures; each
-routine reads the members it uses from the factor's caches by code (the
+Every local route takes the factor and codes: a coset pair (a1, a2), a
+direction, or an array of directions. A single pair or direction with the
+wrong number of codes is refused with ValueError. The one context class
+here, `LocalContext3`, is a checked direction that names no empty atom or
+level set: the rejection samplers draw through it, and its
+`DegenerateContext` message reaches the reports. It holds no member
+arrays, masks or measures; each routine reads the members it uses from the factor's caches by code (the
 coset members through `_coset_members`, the atoms' through the member
 table) and builds the level masks it reads with one `level_masks` call
 per mask place, which the factor does not keep. A measure mu_beta(b) is
@@ -94,18 +97,17 @@ def _check_codes(codes, bound: int) -> None:
         raise ValueError(f"label codes must lie in [0, {bound})")
 
 
-class LocalContext2:
-    """A factor's linear part with a pair of coset codes (a1, a2) and the
-    code of their target coset a1 + a2."""
+_ARITY = {2: "a coset pair is two codes (a1, a2)",
+          6: "a direction is six codes (a1, a2, a3, b12, b13, b23)"}
 
-    def __init__(self, factor: QuadraticFactor, codes) -> None:
-        linear = self.linear = factor.linear
-        a1, a2 = self.codes = tuple(int(c) for c in codes)
-        _check_codes(self.codes, linear.p ** linear.ell)
-        self.code = int(space(linear.p, linear.ell).add(a1, a2))
 
-    def target_indices(self) -> np.ndarray:
-        return self.linear._members_by_code[self.code]
+def _code_tuple(codes, count: int) -> tuple:
+    """codes as a tuple of ints, refused with ValueError unless it holds
+    `count` of them: a coset pair (2) or a direction (6)."""
+    codes = tuple(int(c) for c in codes)
+    if len(codes) != count:
+        raise ValueError(_ARITY[count])
+    return codes
 
 
 def _coset_members(factor: QuadraticFactor, codes) -> list[np.ndarray]:
@@ -166,14 +168,15 @@ def _binary_contract(sp: GroupSpace, xs: list, ys: list, values: dict) -> np.nda
     return prod.reshape(batch + (-1,)).mean(axis=-1)
 
 
-def local_u2_inner(ctx: LocalContext2, f00, f01, f10, f11) -> complex:
+def local_u2_inner(factor: QuadraticFactor, codes, f00, f01, f10, f11) -> complex:
     """E over x0,x1 in L(a1), y0,y1 in L(a2) of the twisted four-product of
-    the tables f_uv: the binary contraction with two vertices per part,
-    slot (u, v) reading f_uv, conjugated when u + v is odd."""
-    _check_tables((f00, f01, f10, f11), ctx.linear.p, ctx.linear.n)
+    the tables f_uv, for the coset codes (a1, a2) of the factor's linear
+    part: the binary contraction with two vertices per part, slot (u, v)
+    reading f_uv, conjugated when u + v is odd."""
+    _check_tables((f00, f01, f10, f11), factor.p, factor.n)
     values = {(0, 0): f00, (0, 1): np.conj(f01), (1, 0): np.conj(f10), (1, 1): f11}
-    xs, ys = _coset_members(ctx.linear, ctx.codes)
-    return complex(_binary_contract(ctx.linear.space, [xs] * 2, [ys] * 2, values))
+    xs, ys = _coset_members(factor, _code_tuple(codes, 2))
+    return complex(_binary_contract(factor.space, [xs] * 2, [ys] * 2, values))
 
 
 def _coset_stacks(factor: QuadraticFactor, codes, rows: list):
@@ -230,9 +233,7 @@ class LocalContext3:
     """
 
     def __init__(self, factor: QuadraticFactor, codes) -> None:
-        self.codes = tuple(int(c) for c in codes)
-        if len(self.codes) != 6:
-            raise ValueError("a direction is six codes (a1, a2, a3, b12, b13, b23)")
+        self.codes = _code_tuple(codes, 6)
         _check_codes(self.codes[:3], factor.p ** factor.width)
         _check_codes(self.codes[3:], factor.p ** factor.q)
         self.factor = factor
@@ -654,9 +655,9 @@ def local_u3_inners(factor: QuadraticFactor, codes, octuples: list) -> np.ndarra
                              np.column_stack([codes, np.reshape(columns, (-1, 8))]), arrays)
 
 
-def local_u3_inner(ctx: LocalContext3, octuple: list) -> complex:
-    """The batch of one of `local_u3_inners`."""
-    return complex(local_u3_inners(ctx.factor, [ctx.codes], [octuple])[0])
+def local_u3_inner(factor: QuadraticFactor, codes, octuple: list) -> complex:
+    """The batch of one of `local_u3_inners`, at the direction of codes."""
+    return complex(local_u3_inners(factor, [_code_tuple(codes, 6)], [octuple])[0])
 
 
 def local_u3_norms(factor: QuadraticFactor, codes, fs: list,

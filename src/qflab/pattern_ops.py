@@ -58,6 +58,7 @@ from .local_norms import (
     TernaryShape,
     _binary_contract,
     _check_codes,
+    _code_tuple,
     _coset_members,
     _target_stacks,
     _ternary_contract,
@@ -216,7 +217,7 @@ def t_ip_local(m: int, factor: QuadraticFactor, codes, grid: dict) -> complex:
     _ip_check(m, grid)
     values = {(s, i - 1): grid[(i, s)] for i in range(1, m + 1) for s in range(1 << m)}
     _check_tables(values.values(), factor.p, factor.n)
-    xs, ys = _coset_members(factor, codes)
+    xs, ys = _coset_members(factor, _code_tuple(codes, 2))
     return complex(_binary_contract(factor.space, [ys] * (1 << m), [xs] * m, values))
 
 
@@ -304,10 +305,11 @@ def t_ip2_local(m: int, factor: QuadraticFactor, codes, grid: dict) -> complex:
     c_S = x_1 + y_1 + z_S, and the c_S cover that coset uniformly and
     independently. The ternary operator is its twin there."""
     _ip2_check(m, grid)
+    codes = _code_tuple(codes, 6)
     if factor.q == 0:
         row = [grid[slot] for slot in _ip2_slots(m)]
         _check_tables(row, factor.p, factor.n)
-        (stack,) = _target_stacks(factor, np.asarray(codes, dtype=np.int64).reshape(1, 6), [row])
+        (stack,) = _target_stacks(factor, np.array([codes]), [row])
         return complex(t_ip2s(m, stack.reshape((m, m, 1 << (m * m), -1)), factor.p,
                               factor.n - factor.ell))
     graph = ip2_hypergraph(m)

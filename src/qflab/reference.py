@@ -95,21 +95,22 @@ def bilinear_level_sizes_naive(factor: QuadraticFactor) -> np.ndarray:
     return counts
 
 
-def local_u3_inner_naive(ctx: LocalContext3, octuple: list) -> complex:
-    """Reference evaluation: the literal six-fold nested sum over atom
-    members with all twelve mu factors formed term by term."""
+def local_u3_inner_naive(factor: QuadraticFactor, codes, octuple: list) -> complex:
+    """Reference evaluation at the direction of codes: the literal six-fold
+    nested sum over atom members with all twelve mu factors formed term by
+    term. Refuses a degenerate direction through `LocalContext3`."""
+    a1, a2, a3, b12, b13, b23 = LocalContext3(factor, codes).codes
     if len(octuple) != 8:
         raise ValueError("need eight functions in lexicographic eps order")
-    _check_tables(octuple, ctx.factor.p, ctx.factor.n)
-    members = [ctx.factor._members_by_code[a] for a in ctx.codes[:3]]
+    _check_tables(octuple, factor.p, factor.n)
+    members = [factor._members_by_code[a] for a in (a1, a2, a3)]
     s1, s2, s3 = (a.size for a in members)
     if (s1 * s2 * s3) ** 2 > ENTRY_CAP:
         raise CapExceeded("six-fold nested sum too large")
-    sums = ctx.factor.space.sum_grid3(*members)
+    sums = factor.space.sum_grid3(*members)
     tensors = [g[sums] for g in octuple]
     t000, t001, t010, t011, t100, t101, t110, t111 = tensors
-    a1, a2, a3, b12, b13, b23 = ctx.codes
-    mu12, mu13, mu23 = (mu_weight_matrix(ctx.factor, *t)
+    mu12, mu13, mu23 = (mu_weight_matrix(factor, *t)
                         for t in ((b12, a1, a2), (b13, a1, a3), (b23, a2, a3)))
     total = 0.0 + 0.0j
     for i0 in range(s1):

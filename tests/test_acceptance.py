@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from qflab.combinatorics import (
-    SubsetBitmask,
     has_k_ip,
     has_m_ip2,
     vc_dimension,
@@ -42,7 +41,6 @@ from qflab.fpn_core import rank_mod_p, space
 from qflab.lab_cli.experiments import REGISTRY, run_experiment
 from qflab.lab_cli.reporting import canonical_json
 from qflab.local_norms import (
-    LocalContext2,
     LocalContext3,
     local_u2_inner,
     local_u2_norms,
@@ -133,10 +131,10 @@ def test_exact_identities():
         lin = new_linear_factor(3, 3, [tuple(int(i == j) for j in range(3))
                                        for i in range(ell)])
         for _ in range(10):
-            ctx = LocalContext2(lin, (_coset_code(rng, ell), _coset_code(rng, ell)))
+            pair = (_coset_code(rng, ell), _coset_code(rng, ell))
             f = _bounded(3, 3, rng)
-            assert abs(local_u2_norms(lin, [ctx.code], [f])[0] ** 4
-                       - local_u2_inner(ctx, f, f, f, f).real) <= TOL
+            assert abs(local_u2_norms(lin, [space(3, ell).add(*pair)], [f])[0] ** 4
+                       - local_u2_inner(lin, pair, f, f, f, f).real) <= TOL
 
     # target-atom consistency, exhaustive over every direction tuple
     t_sigma = time.perf_counter()
@@ -209,7 +207,7 @@ def test_inequality_suites(reports):
         val = abs(t_bipartite(graph, lin, u_codes, v_codes, grid))
         pairs = [(u, v) for u in range(2) for v in range(2)]
         best = min(local_u2_norms(
-            lin, [LocalContext2(lin, (u_codes[u], v_codes[v])).code for u, v in pairs],
+            lin, [space(3, 2).add(u_codes[u], v_codes[v]) for u, v in pairs],
             [grid[pair] for pair in pairs]))
         assert val <= best + TOL, (seed, val, best)
 
@@ -235,18 +233,18 @@ def test_exhaustive_combinatorial_facts():
         full_rank_forms += 1
         vals = np.einsum("xi,ij,xj->x", digits, m, digits) % 3
         for level in range(3):
-            mask = SubsetBitmask(3, 3, vals == level)
-            if mask.size:
-                assert has_m_ip2(mask, 2) is None, (entries, level)
+            mask = vals == level
+            if mask.any():
+                assert has_m_ip2(mask, 3, 3, 2) is None, (entries, level)
 
     # the zero level of the full-rank form on 81 points shatters two
     # directions, with a certificate that replays
     sp4 = space(3, 4)
     d4 = sp4.digits.astype(np.int64)
-    quadric = SubsetBitmask(3, 4, (d4 * d4).sum(axis=1) % 3 == 0)
-    cert = has_k_ip(quadric, 2)
+    quadric = (d4 * d4).sum(axis=1) % 3 == 0
+    cert = has_k_ip(quadric, 3, 4, 2)
     assert cert is not None and cert.replay(quadric)
-    assert not cert.replay(SubsetBitmask(3, 4, ~quadric.bits))
+    assert not cert.replay(~quadric)
 
     # a union of two cosets should then stay at level one
     span = [(0, 0, a, b) for a in range(3) for b in range(3)]
@@ -256,9 +254,9 @@ def test_exhaustive_combinatorial_facts():
         ri = sp4.index_of(rep)
         for i in idx:
             bits[sp4.add(ri, i)] = True
-    union = SubsetBitmask(3, 4, bits)
-    measured = vc_dimension(union)
-    witness = has_k_ip(union, 2)
+    union = bits
+    measured = vc_dimension(union, 3, 4)
+    witness = has_k_ip(union, 3, 4, 2)
     print(f"exhaustive facts: {full_rank_forms} full-rank forms swept, "
           f"two-coset union shattering dimension = {measured}, "
           f"{time.perf_counter() - t0:.1f}s (budget 600s)")

@@ -22,7 +22,6 @@ from qflab.errors import DependentVectors  # noqa: E402
 from qflab.factor import new_linear_factor  # noqa: E402
 from qflab.fpn_core import ENTRY_CAP, space  # noqa: E402
 from qflab.local_norms import (  # noqa: E402
-    LocalContext2,
     local_u2_inner,
     local_u2_norms,
 )
@@ -114,7 +113,8 @@ def test_local_u2_norm_matches_the_binary_contraction(shape, seed):
     p, n, ell = shape
     rng = np.random.default_rng(seed)
     linear = _random_linear(rng, p, n, ell)
-    ctx = LocalContext2(linear, [space(p, ell).index_of(_label(rng, p, ell)) for _ in range(2)])
+    pair = [space(p, ell).index_of(_label(rng, p, ell)) for _ in range(2)]
     f = _bounded(rng, p, n)
-    fourth = local_u2_norms(linear, [ctx.code], [f])[0] ** 4
-    assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, rel=1e-9, abs=1e-13)
+    fourth = local_u2_norms(linear, [space(p, ell).add(*pair)], [f])[0] ** 4
+    assert fourth == pytest.approx(local_u2_inner(linear, pair, f, f, f, f).real,
+                                   rel=1e-9, abs=1e-13)

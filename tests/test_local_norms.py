@@ -20,7 +20,6 @@ from qflab.factor import (
 )
 from qflab.fpn_core import rank_mod_p, run_counted, space
 from qflab.local_norms import (
-    LocalContext2,
     LocalContext3,
     local_u2_inner,
     local_u2_norms,
@@ -94,24 +93,20 @@ def _contexts(factor, limit):
 
 def test_trivial_factor_reduces_to_global_norms():
     lin = new_linear_factor(3, 2, [])
-    ctx2 = LocalContext2(lin, (0, 0))
     f = _random_f(3, 2, seed=1)
-    assert local_u2_norms(lin, [ctx2.code], [f]) == pytest.approx(
-        u2_norms(f[None], 3, 2), abs=1e-10)
+    assert local_u2_norms(lin, [0], [f]) == pytest.approx(u2_norms(f[None], 3, 2), abs=1e-10)
 
     quad = new_quadratic_factor(lin, [])
-    ctx3 = LocalContext3(quad, (0,) * 6)
     octuple = [_random_f(3, 2, seed=10 + k) for k in range(8)]
-    assert local_u3_inner(ctx3, octuple) == pytest.approx(
+    assert local_u3_inner(quad, (0,) * 6, octuple) == pytest.approx(
         u3_inner(octuple, 3, 2), abs=1e-10)
 
 
 def test_local_u2_inner_matches_explicit_loop():
     lin = new_linear_factor(3, 2, [(1, 2)])
-    ctx = LocalContext2(lin, (1, 2))
     fs = [_random_f(3, 2, seed=20 + k, bounded=False) for k in range(4)]
     sp = lin.space
-    xs, ys = (lin._members_by_code[c] for c in ctx.codes)
+    xs, ys = (lin._members_by_code[c] for c in (1, 2))
     total = 0.0 + 0.0j
     for x0 in xs:
         for x1 in xs:
@@ -124,28 +119,27 @@ def test_local_u2_inner_matches_explicit_loop():
                         * fs[3][sp.add(x1, y1)]
                     )
     expected = total / (xs.size ** 2 * ys.size ** 2)
-    assert local_u2_inner(ctx, *fs) == pytest.approx(complex(expected), abs=1e-12)
+    assert local_u2_inner(lin, (1, 2), *fs) == pytest.approx(complex(expected), abs=1e-12)
 
 
 def test_target_coset_is_the_label_sum():
     # the target coset of (a1, a2) = ((1, 2), (2, 2)) is (0, 1)
     lin = new_linear_factor(3, 3, [(1, 0, 0), (0, 1, 0)])
-    ctx = LocalContext2(lin, (1 + 3 * 2, 2 + 3 * 2))
-    assert ctx.code == 0 + 3 * 1
-    assert np.array_equal(ctx.target_indices(), lin.atom_indices((0, 1)))
+    code = space(3, 2).add(1 + 3 * 2, 2 + 3 * 2)
+    assert code == 0 + 3 * 1
+    assert np.array_equal(lin._members_by_code[code], lin.atom_indices((0, 1)))
 
 
 def test_local_u2_fourth_is_the_binary_contraction():
     lin = new_linear_factor(3, 3, [(1, 1, 0)])
-    ctx = LocalContext2(lin, (0, 2))
     f = _random_f(3, 3, seed=3)
-    fourth = local_u2_norms(lin, [ctx.code], [f])[0] ** 4
-    assert fourth == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, abs=1e-10)
+    fourth = local_u2_norms(lin, [2], [f])[0] ** 4  # the target coset 0 + 2
+    assert fourth == pytest.approx(local_u2_inner(lin, (0, 2), f, f, f, f).real, abs=1e-10)
     # translating f by a member of L(0) moves the spectrum's shift to
     # another member of the target coset, and leaves the norm
     h = int(lin.atom_indices((0,))[-1])
     moved = f[lin.space.add(np.arange(27), h)]
-    assert fourth == pytest.approx(local_u2_norms(lin, [ctx.code], [moved])[0] ** 4, abs=1e-10)
+    assert fourth == pytest.approx(local_u2_norms(lin, [2], [moved])[0] ** 4, abs=1e-10)
 
 
 def _non_coordinate_linear(rng, p, n, ell):
@@ -178,9 +172,9 @@ def test_local_u2_norms_match_the_binary_contraction(monkeypatch, p, ell):
     cosets = space(p, ell)
     for code, f, norm in zip(codes.tolist(), fns, norms):
         a1 = int(rng.integers(0, p ** ell))
-        ctx = LocalContext2(lin, (a1, cosets.add(code, cosets.neg(a1))))
-        assert ctx.code == code
-        assert norm ** 4 == pytest.approx(local_u2_inner(ctx, f, f, f, f).real,
+        pair = (a1, cosets.add(code, cosets.neg(a1)))
+        assert cosets.add(*pair) == code
+        assert norm ** 4 == pytest.approx(local_u2_inner(lin, pair, f, f, f, f).real,
                                           rel=1e-10, abs=1e-14)
     # blocks of three functions, the last one partial, give the same norms
     monkeypatch.setattr(local_norms, "H_BLOCK_ENTRIES", 3 * coset)
@@ -206,9 +200,34 @@ def test_contexts_refuse_codes_out_of_range():
     for bad in ([9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 3, 0], [0, -1, 0, 0, 0, 0], [0] * 5):
         with pytest.raises(ValueError):
             LocalContext3(factor, bad)
+    f = _random_f(3, 2, seed=2)
     for bad in ([3, 0], [0, -1], [0], [0, 0, 0]):
         with pytest.raises(ValueError):
-            LocalContext2(factor, bad)
+            local_u2_inner(factor, bad, f, f, f, f)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("route,count", [
+    ("local_u2_inner", 1), ("local_u2_inner", 3), ("t_ip_local", 1), ("t_ip_local", 3),
+    ("local_u3_inner", 5), ("local_u3_inner", 7), ("t_ip2_local", 5), ("t_ip2_local", 7),
+    ("local_u3_inner_naive", 5)])
+def test_a_pair_or_direction_with_the_wrong_number_of_codes_is_refused(route, count, q):
+    # the lab's own message, not one from unpacking or reshaping the codes
+    factor = _mixed_factor() if q else _mixed_factor().linear
+    f = _random_f(3, 3, seed=63)
+    codes = (0,) * count
+    message = (r"^a coset pair is two codes \(a1, a2\)$" if count < 5 else
+               r"^a direction is six codes \(a1, a2, a3, b12, b13, b23\)$")
+    call = {
+        "local_u2_inner": lambda: local_u2_inner(factor, codes, f, f, f, f),
+        "t_ip_local": lambda: pattern_ops.t_ip_local(
+            2, factor, codes, dict.fromkeys(itertools.product((1, 2), range(4)), f)),
+        "local_u3_inner": lambda: local_u3_inner(factor, codes, [f] * 8),
+        "t_ip2_local": lambda: t_ip2_local(1, factor, codes, _ip2_diagonal(1, f)),
+        "local_u3_inner_naive": lambda: local_u3_inner_naive(factor, codes, [f] * 8),
+    }[route]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("bad", [[9, 0, 0, 0, 0, 0], [0, 0, 0, 0, 3, 0], [0, -1, 0, 0, 0, 0]])
@@ -238,8 +257,8 @@ def test_local_u3_inner_matches_naive():
     rng = np.random.default_rng(7)
     for ctx in _contexts(factor, limit=3):
         octuple = [_random_f(3, 3, seed=int(rng.integers(1 << 30))) for _ in range(8)]
-        fast = local_u3_inner(ctx, octuple)
-        slow = local_u3_inner_naive(ctx, octuple)
+        fast = local_u3_inner(ctx.factor, ctx.codes, octuple)
+        slow = local_u3_inner_naive(ctx.factor, ctx.codes, octuple)
         assert fast == pytest.approx(slow, abs=1e-9)
 
 
@@ -263,24 +282,24 @@ def test_support_triples_land_in_the_target_atom():
 def test_inner_product_ignores_values_off_the_target_atom():
     ctx = _contexts(_mixed_factor(), limit=1)[0]
     f = _random_f(3, 3, seed=11)
-    base = local_u3_inner(ctx, [f] * 8)
+    base = local_u3_inner(ctx.factor, ctx.codes, [f] * 8)
     mask = np.ones(27, dtype=bool)
     mask[ctx.target_indices()] = False
     noisy = f.copy()
     noisy[mask] += 5.0
-    assert local_u3_inner(ctx, [noisy] * 8) == pytest.approx(base, abs=1e-10)
+    assert local_u3_inner(ctx.factor, ctx.codes, [noisy] * 8) == pytest.approx(base, abs=1e-10)
 
 
 def test_inner_product_is_linear_in_one_slot():
     ctx = _contexts(_mixed_factor(), limit=1)[0]
     octuple = [_random_f(3, 3, seed=30 + k) for k in range(8)]
-    base = local_u3_inner(ctx, octuple)
+    base = local_u3_inner(ctx.factor, ctx.codes, octuple)
     scaled = [octuple[0] * (2.0 + 1.0j)] + octuple[1:]
-    assert local_u3_inner(ctx, scaled) == pytest.approx(
+    assert local_u3_inner(ctx.factor, ctx.codes, scaled) == pytest.approx(
         (2.0 + 1.0j) * base, abs=1e-10)
     # an odd-parity slot picks up the conjugate factor
     flipped = octuple[:1] + [octuple[1] * (2.0 + 1.0j)] + octuple[2:]
-    assert local_u3_inner(ctx, flipped) == pytest.approx(
+    assert local_u3_inner(ctx.factor, ctx.codes, flipped) == pytest.approx(
         (2.0 - 1.0j) * base, abs=1e-10)
 
 
@@ -319,15 +338,14 @@ def test_one_member_tensor_cap_guards_every_ternary_caller(monkeypatch):
 
     factor = _mixed_factor()
     d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    ctx = LocalContext3(factor, d)
     f = _random_f(3, 3, seed=60)
     graph = ip2_hypergraph(1)
     calls = [
-        lambda: local_u3_inner(ctx, [f] * 8),
+        lambda: local_u3_inner(factor, d, [f] * 8),
         lambda: t_ip2_local(1, factor, d, _ip2_diagonal(1, f)),
         lambda: t_ternary(TernaryContext(graph, factor, constant_codes(graph, d)),
                           dict.fromkeys(graph.all_tuples(), f)),
-        lambda: weighted_ternary_densities(factor, [ctx.codes], [np.ones(27, dtype=bool)]),
+        lambda: weighted_ternary_densities(factor, [d], [np.ones(27, dtype=bool)]),
     ]
     for call in calls:
         call()
@@ -353,15 +371,14 @@ def test_one_grid_cap_guards_every_binary_caller(monkeypatch):
     )
 
     lin = new_linear_factor(3, 3, [(1, 0, 0)])
-    ctx = LocalContext2(lin, (1, 2))
     f = _random_f(3, 3, seed=61)
     graph = PatternHypergraph((1, 2))
     ip_grid = dict.fromkeys(itertools.product(range(1, 3), range(4)), f)
     # 9-point cosets: every sum table and average holds at most 9 x 9
     # entries; the global m = 2 IP holds 27 x 27
     local_calls = [
-        lambda: local_u2_inner(ctx, f, f, f, f),
-        lambda: t_ip_local(2, lin, ctx.codes, ip_grid),
+        lambda: local_u2_inner(lin, (1, 2), f, f, f, f),
+        lambda: t_ip_local(2, lin, (1, 2), ip_grid),
         lambda: t_bipartite(graph, lin, [0], [1, 2], {(0, 0): f, (0, 1): f}),
     ]
     monkeypatch.setattr(local_norms, "ENTRY_CAP", 81)
@@ -391,8 +408,8 @@ def test_a_factor_without_forms_puts_every_y_tuple_in_one_bucket(monkeypatch):
                                              [[1, 2, 0, 0, 0, 0, 0]], [f])
     u3 = value.real ** 0.125
     assert blocks == [(6, {0: 3}, {0: 3})]
-    ctx = LocalContext3(new_quadratic_factor(lin, []), (1, 2, 0, 0, 0, 0))
-    assert u3 ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real, rel=1e-10)
+    naive = local_u3_inner_naive(new_quadratic_factor(lin, []), (1, 2, 0, 0, 0, 0), [f] * 8)
+    assert u3 ** 8 == pytest.approx(naive.real, rel=1e-10)
 
 
 def _octuple_shape_with_two_x_atoms():
@@ -425,7 +442,7 @@ def test_a_mixed_batch_is_one_stack_and_matches_each_batch_of_one(monkeypatch):
     singles = [local_norms._ternary_contract(factor, shape, [r], fs)[0] for r in rows]
     assert min(abs(v) for v in singles) > 1.0
     for got, (c, octu) in zip(singles[::2], [(ctx, fs), (small, fs[::-1])]):
-        assert got == pytest.approx(local_u3_inner(c, octu), rel=1e-12)
+        assert got == pytest.approx(local_u3_inner(c.factor, c.codes, octu), rel=1e-12)
     norm = local_norms.local_u3_norms(factor, [small.codes], fs[:1])[0]
     assert singles[3] == pytest.approx(norm ** 8, rel=1e-12)
     stacks = []
@@ -479,9 +496,10 @@ def test_the_halved_scan_takes_exactly_the_y_symmetric_octuples(monkeypatch, pat
     contract = local_norms._Stack.contract
     monkeypatch.setattr(local_norms._Stack, "contract",
                         lambda self, sp: stacks.append(self) or contract(self, sp))
-    got = local_u3_inner(ctx, octu)
+    got = local_u3_inner(factor, ctx.codes, octu)
     assert [s.half for s in stacks] == [half]
-    assert got == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-14)
+    assert got == pytest.approx(local_u3_inner_naive(factor, ctx.codes, octu),
+                                rel=1e-10, abs=1e-14)
 
 
 def test_the_halved_scan_counts_half_the_distinct_y_pairs():
@@ -601,8 +619,7 @@ def test_batched_norms_match_the_nested_sum_across_primes_and_forms(p, q):
     norms = local_norms.local_u3_norms(factor, np.concatenate([rows, rows[:1]]), fs)
     assert norms[3] == norms[0]
     for row, f, norm in zip(rows, fs, norms):
-        ctx = LocalContext3(factor, row)
-        assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
+        assert norm ** 8 == pytest.approx(local_u3_inner_naive(factor, row, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
 
 
@@ -634,8 +651,7 @@ def test_degenerate_rows_are_flagged_and_refused(p, second):
     live = rows[~empty]
     norms = local_norms.local_u3_norms(factor, live, [f] * len(live))
     for row, norm in list(zip(live, norms))[:4]:
-        ctx = LocalContext3(factor, row)
-        assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
+        assert norm ** 8 == pytest.approx(local_u3_inner_naive(factor, row, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
 
 
@@ -658,8 +674,7 @@ def test_a_batch_split_across_context_blocks(monkeypatch):
     assert stacks == [3, 3, 1]
     assert split == pytest.approx(whole, rel=1e-12)
     for row, f, norm in zip(rows, fs, split):
-        ctx = LocalContext3(factor, row)
-        assert norm ** 8 == pytest.approx(local_u3_inner_naive(ctx, [f] * 8).real,
+        assert norm ** 8 == pytest.approx(local_u3_inner_naive(factor, row, [f] * 8).real,
                                           rel=1e-10, abs=1e-14)
 
 
@@ -674,10 +689,8 @@ def test_u3_inner_batch_matches_each_batch_of_one():
     batch = local_norms.local_u3_inners(factor, rows, octuples)
     assert len(batch) == 4 and (abs(batch) > 0).sum() >= 3
     for row, octu, got in zip(rows, octuples, batch):
-        ctx = LocalContext3(factor, row)
-        assert got == pytest.approx(local_u3_inner(ctx, octu), rel=1e-12)
-    ctx = LocalContext3(factor, rows[0])
-    assert batch[0] == pytest.approx(local_u3_inner_naive(ctx, octuples[0]), rel=1e-10)
+        assert got == pytest.approx(local_u3_inner(factor, row, octu), rel=1e-12)
+    assert batch[0] == pytest.approx(local_u3_inner_naive(factor, rows[0], octuples[0]), rel=1e-10)
     assert len(local_norms.local_u3_inners(factor, [], [])) == 0
 
 
@@ -708,8 +721,6 @@ def test_a_context_holds_its_codes_and_builds_no_masks(monkeypatch):
     assert not built
     for name in ("mu12", "mu13", "mu23", "xs", "ys", "zs"):
         assert not hasattr(ctx, name)
-    pair = LocalContext2(factor, (1, 2))
-    assert not hasattr(pair, "xs") and not hasattr(pair, "ys")
 
 
 def test_every_mask_stack_is_one_byte_per_entry_and_none_is_kept(monkeypatch):
@@ -781,7 +792,7 @@ def test_a_linear_factor_takes_local_u3_norms_on_its_cosets():
     rows = [(0, 0, 0, 0, 0, 0), (1, 2, 2, 0, 0, 0), (2, 1, 0, 0, 0, 0)]
     norms = local_norms.local_u3_norms(lin, rows, [f] * 3)
     for row, norm in zip(rows, norms):
-        naive = local_u3_inner_naive(LocalContext3(lin, row), [f] * 8).real
+        naive = local_u3_inner_naive(lin, row, [f] * 8).real
         assert norm ** 8 == pytest.approx(naive, rel=1e-10)
 
 
@@ -793,9 +804,8 @@ def test_a_factor_with_forms_gives_the_local_u2_norms_of_its_cosets():
     codes = [1, 2, 0]
     assert local_u2_norms(factor, codes, fs) == local_u2_norms(factor.linear, codes, fs)
     for code, f, norm in zip(codes, fs, local_u2_norms(factor, codes, fs)):
-        ctx = LocalContext2(factor, (0, code))
-        assert ctx.linear is factor.linear
-        assert norm ** 4 == pytest.approx(local_u2_inner(ctx, f, f, f, f).real, rel=1e-10)
+        assert norm ** 4 == pytest.approx(local_u2_inner(factor, (0, code), f, f, f, f).real,
+                                          rel=1e-10)
 
 
 def test_without_forms_a_norm_counts_its_gather_and_the_global_norm():
@@ -834,7 +844,6 @@ def _table_route(name, bad):
     f = _random_f(3, 3, seed=150)
     factor = _mixed_factor()
     d = _row(factor, (0, 1), (1, 2), (2, 1), (0,), (0,), (0,))
-    ctx2, ctx3 = LocalContext2(factor, (1, 2)), LocalContext3(factor, d)
     octuple = [f] * 7 + [bad]
     ip = {(i, s): f for i in (1, 2) for s in range(4)} | {(2, 3): bad}
     ip2 = {(1, 1, 0): f, (1, 1, 1): bad}
@@ -851,9 +860,9 @@ def _table_route(name, bad):
         "ap4_average": lambda: spectral.ap4_average(bad, 3, 3),
         "max_quadratic_correlation": lambda: spectral.max_quadratic_correlation(bad, 3, 3),
         "value_columns": lambda: local_norms.value_columns(octuple, 3, 3),
-        "local_u2_inner": lambda: local_u2_inner(ctx2, *octuple[4:]),
+        "local_u2_inner": lambda: local_u2_inner(factor, (1, 2), *octuple[4:]),
         "local_u2_norms": lambda: local_u2_norms(factor, [0, 1], [f, bad]),
-        "local_u3_inner": lambda: local_u3_inner(ctx3, octuple),
+        "local_u3_inner": lambda: local_u3_inner(factor, d, octuple),
         "local_u3_inners": lambda: local_u3_inners(factor, [d], [octuple]),
         "local_u3_norms": lambda: local_u3_norms(factor, [d, d], [f, bad]),
         "t_ip": lambda: pattern_ops.t_ip(2, ip, 3, 3),
@@ -866,7 +875,7 @@ def _table_route(name, bad):
         "t_ternary": lambda: pattern_ops.t_ternary(ternary, slots),
         "t_ternaries": lambda: t_ternaries([ternary] * 2, [dict.fromkeys(slots, f), slots]),
         "u3_inner_naive": lambda: reference.u3_inner_naive(octuple, 3, 3),
-        "local_u3_inner_naive": lambda: local_u3_inner_naive(ctx3, octuple),
+        "local_u3_inner_naive": lambda: local_u3_inner_naive(factor, d, octuple),
         "t_ip_naive": lambda: reference.t_ip_naive(2, ip, 3, 3),
         "t_ip2_per_s_oracle": lambda: reference.t_ip2_per_s_oracle(1, ip2, 3, 3),
     }[name]

@@ -147,8 +147,9 @@ def test_local_u3_matches_nested_sum_on_uneven_atoms(shape, seed, diagonal):
     rng = np.random.default_rng(seed + 1)
     p, n, _ = shape
     octu = [_bounded(rng, p, n)] * 8 if diagonal else [_bounded(rng, p, n) for _ in range(8)]
-    slow = local_u3_inner_naive(ctx, octu)
-    assert local_u3_inner(ctx, octu) == pytest.approx(slow, rel=1e-10, abs=1e-14)
+    slow = local_u3_inner_naive(ctx.factor, ctx.codes, octu)
+    assert local_u3_inner(ctx.factor, ctx.codes, octu) == pytest.approx(slow, rel=1e-10,
+                                                                         abs=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,8 +163,9 @@ def test_conjugate_slot_pairs_match_nested_sum(shape, seed):
     rng = np.random.default_rng(seed + 2)
     p, n, _ = shape
     octu = [g for g in (_bounded(rng, p, n) for _ in range(4)) for _ in range(2)]
-    slow = local_u3_inner_naive(ctx, octu)
-    assert local_u3_inner(ctx, octu) == pytest.approx(slow, rel=1e-10, abs=1e-14)
+    slow = local_u3_inner_naive(ctx.factor, ctx.codes, octu)
+    assert local_u3_inner(ctx.factor, ctx.codes, octu) == pytest.approx(slow, rel=1e-10,
+                                                                         abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,7 +200,7 @@ def test_batched_norms_match_nested_sums_per_context(p, seed, count):
     fs = [_bounded(rng, p, n) for _ in ctxs]
     norms = local_u3_norms(ctxs[0].factor, [c.codes for c in ctxs], fs)
     for ctx, f, norm in zip(ctxs, fs, norms):
-        slow = local_u3_inner_naive(ctx, [f] * 8)
+        slow = local_u3_inner_naive(ctx.factor, ctx.codes, [f] * 8)
         assert norm ** 8 == pytest.approx(slow.real, rel=1e-10, abs=1e-14)
 
 
@@ -243,13 +245,12 @@ def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
         factor = new_quadratic_factor(new_linear_factor(3, 3, [(1, 0, 0)]), [])
         d = (1, 2, 0, 0, 0, 0)
         split = [40, 40, 1]
-    ctx = LocalContext3(factor, d)
     rng = np.random.default_rng(11)
     octu = [_bounded(rng, 3, 3) for _ in range(8)]
     grid = _ip2_select(_bounded(rng, 3, 3), _bounded(rng, 3, 3))
     whole = (_u3_contracted(factor, d, octu), _ip2_contracted(factor, d, grid))
-    assert whole == pytest.approx((local_u3_inner(ctx, octu), t_ip2_local(1, factor, d, grid)),
-                                  rel=1e-12, abs=1e-15)
+    assert whole == pytest.approx((local_u3_inner(factor, d, octu),
+                                   t_ip2_local(1, factor, d, grid)), rel=1e-12, abs=1e-15)
     blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
     split_u3 = _u3_contracted(factor, d, octu)
@@ -259,7 +260,7 @@ def test_several_y_blocks_with_a_partial_last_block(monkeypatch, budget):
     assert split in sizes.values()
     split_ip2 = _ip2_contracted(factor, d, grid)
     assert (split_u3, split_ip2) == pytest.approx(whole, rel=1e-12, abs=1e-15)
-    assert split_u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+    assert split_u3 == pytest.approx(local_u3_inner_naive(factor, d, octu), rel=1e-10, abs=1e-15)
 
 
 def _block_budget(xs, zs, tuples):
@@ -296,10 +297,11 @@ def test_restricted_blocks_match_the_twins(shape, seed, diagonal, rows):
     u3_budget = _block_budget([sx] * 2, [sz], rows)
     ip2_budget = _block_budget([sx], [sz], rows)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
-        u3 = local_u3_inner(ctx, octu)
+        u3 = local_u3_inner(ctx.factor, ctx.codes, octu)
     with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
         ip2 = t_ip2_local(1, ctx.factor, ctx.codes, grid)
-    assert u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-14)
+    assert u3 == pytest.approx(local_u3_inner_naive(ctx.factor, ctx.codes, octu),
+                               rel=1e-10, abs=1e-14)
     assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-14)
 
 
@@ -323,10 +325,11 @@ def test_a_block_with_no_weighted_x_or_z_adds_nothing(b12, b23):
         u3_budget = _block_budget([sx] * 2, [sz], rows)
         ip2_budget = _block_budget([sx], [sz], rows)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", u3_budget):
-            u3 = local_u3_inner(ctx, octu)
+            u3 = local_u3_inner(factor, ctx.codes, octu)
         with mock.patch.object(local_norms, "BLOCK_ENTRIES", ip2_budget):
             ip2 = t_ip2_local(1, factor, ctx.codes, grid)
-        assert u3 == pytest.approx(local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+        assert u3 == pytest.approx(local_u3_inner_naive(factor, ctx.codes, octu),
+                                   rel=1e-10, abs=1e-15)
         assert ip2 == pytest.approx(_ip2_local_dense(ctx, grid), rel=1e-10, abs=1e-15)
 
 
@@ -344,8 +347,8 @@ def test_each_bucket_is_blocked_by_what_its_y_tuples_keep(monkeypatch):
     monkeypatch.setattr(local_norms, "BLOCK_ENTRIES", budget)
     rng = np.random.default_rng(31)
     octu = [_bounded(rng, 3, 3) for _ in range(8)]
-    assert local_u3_inner(ctx, octu) == pytest.approx(
-        local_u3_inner_naive(ctx, octu), rel=1e-10, abs=1e-15)
+    assert local_u3_inner(factor, ctx.codes, octu) == pytest.approx(
+        local_u3_inner_naive(factor, ctx.codes, octu), rel=1e-10, abs=1e-15)
     assert sorted((size, kx[0], kz[0]) for size, kx, kz in blocks) == [
         (1, 12, 12), (16, 6, 6), (16, 6, 6), (48, 2, 2)]
     assert max(size * kx[0] * max(kx[0], kz[0]) for size, kx, kz in blocks) <= budget
